@@ -33,10 +33,12 @@
 //     lakefs.Store and lakefs.Catalog are the canonical in-memory
 //     implementations with Tectonic/Hive-style IO accounting.
 //   - reader.Reader executes one fill→convert→process scan over any
-//     Backend. Reader.Run takes a context.Context and tears its pipeline
-//     goroutines down promptly on cancellation; the context reaches all
-//     the way into concurrent DWRF stripe decode
-//     (dwrf.FileReader.ReadAllContext).
+//     Backend. Fill is projected and columnar: it range-reads and decodes
+//     only the columns the spec consumes, into one dwrf.Chunk per file,
+//     and batches are cut from it as row ranges. Reader.Run takes a
+//     context.Context and tears its pipeline goroutines down promptly on
+//     cancellation; the context reaches all the way into concurrent DWRF
+//     stripe decode (dwrf.FileReader.ReadColumns).
 //   - dpp.Service hosts concurrent sessions. A training job submits a
 //     dpp.Spec (the DataLoader spec plus Readers/Buffer execution shape)
 //     and pulls preprocessed batches from the returned Session via

@@ -50,7 +50,7 @@ type Cache[K comparable, V any] struct {
 	entries map[K]*entry[K, V]
 	lru     *list.List // complete resident entries only; front = most recent
 
-	// The accounting is atomic so Stats never contends with Get/Peek: a
+	// The accounting is atomic so Stats never contends with Get: a
 	// metrics scraper polling every cache tier in the process must stay
 	// invisible to the hot path. bytes and resident are mutated only
 	// under mu (the eviction logic reads them there), but loaded
@@ -182,25 +182,6 @@ func (c *Cache[K, V]) Get(ctx context.Context, key K, compute func(context.Conte
 	}
 }
 
-// Peek returns the resident value for key, charging a hit and
-// refreshing recency when present and a miss otherwise — the lookup
-// shape of a read path that falls back to an uncached source instead of
-// computing (storage.CachingBackend.ReadRange). In-flight entries are
-// not waited for: Peek never blocks.
-func (c *Cache[K, V]) Peek(key K) (V, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[key]; ok && e.el != nil {
-		c.touch(e)
-		c.hits.Add(1)
-		e.hits++
-		return e.val, true
-	}
-	c.misses.Add(1)
-	var zero V
-	return zero, false
-}
-
 // Contains reports whether a completed entry for key is resident,
 // without touching recency or the hit/miss accounting.
 func (c *Cache[K, V]) Contains(key K) bool {
@@ -284,7 +265,7 @@ func (c *Cache[K, V]) evict() {
 
 // Stats is a snapshot of cache-wide accounting.
 type Stats struct {
-	// Hits and Misses count Get/Peek lookups; see Config.CountWaiterHits
+	// Hits and Misses count Get lookups; see Config.CountWaiterHits
 	// for how coalesced waiters are charged.
 	Hits, Misses int64
 	// Evictions counts entries dropped to respect the byte budget.

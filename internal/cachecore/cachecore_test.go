@@ -175,28 +175,6 @@ func TestWaiterCancellation(t *testing.T) {
 	}
 }
 
-// TestPeekAccounting: Peek charges a hit and refreshes recency when
-// resident, a miss otherwise, and never blocks on in-flight computes.
-func TestPeekAccounting(t *testing.T) {
-	c := newStringCache(cachecore.Config{MaxBytes: 8})
-	if _, ok := c.Peek("a"); ok {
-		t.Fatal("peek of empty cache hit")
-	}
-	mustGet(t, c, "a", "vvvv")
-	mustGet(t, c, "b", "vvvv")
-	if v, ok := c.Peek("a"); !ok || v != "vvvv" {
-		t.Fatalf("peek a = %q, %v", v, ok)
-	}
-	mustGet(t, c, "d", "vvvv") // a was refreshed by Peek, so b is evicted
-	if c.Contains("b") || !c.Contains("a") {
-		t.Fatal("peek did not refresh recency")
-	}
-	st := c.Stats()
-	if st.Hits != 1 || st.Misses != 4 {
-		t.Fatalf("stats %+v, want 1 hit 4 misses", st)
-	}
-}
-
 // TestRemoveResident: invalidating a resident entry frees its bytes,
 // counts an invalidation, and forces the next Get to recompute.
 func TestRemoveResident(t *testing.T) {

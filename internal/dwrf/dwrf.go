@@ -2,7 +2,8 @@
 // format modelled on Meta's DWRF (an ORC derivative, paper §2.1). Files
 // are composed of stripes, each holding a small run of rows; within a
 // stripe every flattened feature column is encoded into its own stream and
-// block-compressed (stdlib flate standing in for zstd, see DESIGN.md).
+// block-compressed (stdlib flate standing in for zstd; docs/ARCHITECTURE.md
+// lists the substitutions).
 //
 // The format exists to reproduce the paper's storage behaviour: when the
 // ETL clusters a table by session ID (O2), each stripe holds many rows of
@@ -22,6 +23,9 @@ const (
 	maxColumns     = 1 << 20
 	maxStripeRows  = 1 << 24
 	maxStreamBytes = 1 << 31
+	// maxDense bounds the footer's dense width, mirroring the unit wire
+	// frame's bound (dppnet maxUnitDense).
+	maxDense = 1 << 20
 )
 
 // DefaultStripeRows is the number of rows per stripe when WriterOptions

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -33,8 +34,7 @@ func putFloat32(b []byte, f float32) []byte {
 	return binary.LittleEndian.AppendUint32(b, math.Float32bits(f))
 }
 
-// byteReader adapts a slice for the binary varint readers while tracking
-// position.
+// byteReader is a cursor over an encoded stream.
 type byteReader struct {
 	buf []byte
 	pos int
@@ -49,21 +49,33 @@ func (r *byteReader) ReadByte() (byte, error) {
 	return b, nil
 }
 
+var errVarintOverflow = errors.New("dwrf: varint overflows 64 bits")
+
 func (r *byteReader) uvarint() (uint64, error) {
-	return binary.ReadUvarint(r)
+	v, n := binary.Uvarint(r.buf[r.pos:])
+	if n <= 0 {
+		return 0, varintErr(n)
+	}
+	r.pos += n
+	return v, nil
 }
 
 func (r *byteReader) varint() (int64, error) {
-	return binary.ReadVarint(r)
+	v, n := binary.Varint(r.buf[r.pos:])
+	if n <= 0 {
+		return 0, varintErr(n)
+	}
+	r.pos += n
+	return v, nil
 }
 
-func (r *byteReader) float32() (float32, error) {
-	if r.pos+4 > len(r.buf) {
-		return 0, io.ErrUnexpectedEOF
+// varintErr names the failure binary.Uvarint reported through its byte
+// count: zero for a buffer that ends mid-value, negative for overflow.
+func varintErr(n int) error {
+	if n == 0 {
+		return io.ErrUnexpectedEOF
 	}
-	v := binary.LittleEndian.Uint32(r.buf[r.pos:])
-	r.pos += 4
-	return math.Float32frombits(v), nil
+	return errVarintOverflow
 }
 
 func (r *byteReader) remaining() int { return len(r.buf) - r.pos }

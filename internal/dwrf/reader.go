@@ -9,76 +9,136 @@ import (
 	"sync/atomic"
 
 	"repro/internal/datagen"
+	"repro/internal/tensor"
 )
 
-// FileReader decodes a DWRF file from memory. It parses the footer once
-// and then serves stripe-granular reads, the unit the reader tier's fill
-// stage operates on.
+// Fetch returns the n bytes of a file that start at off. The slice must
+// not be modified by the caller and may alias the store's copy.
+type Fetch func(off, n int64) ([]byte, error)
+
+// trailerLen is the fixed tail of a file: the footer length, then magic.
+const trailerLen = 4 + len(magic)
+
+// FileReader decodes a DWRF file through ranged reads. Opening it fetches
+// the trailer and the footer; a read then fetches only what its
+// projection decodes (see ReadColumns).
 type FileReader struct {
-	data    []byte
+	fetch   Fetch
+	body    int64 // length of the leading magic plus stripes: where the footer starts
 	stripes []stripeInfo
 	keys    []string
 	dense   int
 	rows    int
 }
 
-// OpenReader parses the footer of a DWRF file.
-func OpenReader(data []byte) (*FileReader, error) {
-	if len(data) < len(magic)*2+4 {
-		return nil, fmt.Errorf("dwrf: file too short (%d bytes)", len(data))
+// Open parses the footer of the size-byte DWRF file behind fetch, in two
+// fetches: the fixed-size trailer, which records the footer's length,
+// then exactly the footer.
+func Open(size int64, fetch Fetch) (*FileReader, error) {
+	if size < int64(len(magic)+trailerLen) {
+		return nil, fmt.Errorf("dwrf: file too short (%d bytes)", size)
 	}
-	if string(data[:len(magic)]) != magic {
-		return nil, fmt.Errorf("dwrf: bad header magic")
+	r := &FileReader{fetch: fetch}
+	trailer, err := r.get(size-int64(trailerLen), int64(trailerLen))
+	if err != nil {
+		return nil, err
 	}
-	if string(data[len(data)-len(magic):]) != magic {
+	if string(trailer[4:]) != magic {
 		return nil, fmt.Errorf("dwrf: bad trailer magic")
 	}
-	footerLen := int(binary.LittleEndian.Uint32(data[len(data)-8 : len(data)-4]))
-	footerStart := len(data) - 8 - footerLen
-	if footerLen < 0 || footerStart < len(magic) {
+	footerLen := int64(binary.LittleEndian.Uint32(trailer))
+	r.body = size - int64(trailerLen) - footerLen
+	if r.body < int64(len(magic)) {
 		return nil, fmt.Errorf("dwrf: invalid footer length %d", footerLen)
 	}
-
-	r := &byteReader{buf: data[footerStart : footerStart+footerLen]}
-	nStripes, err := r.uvarint()
+	footer, err := r.get(r.body, footerLen)
 	if err != nil {
-		return nil, fmt.Errorf("dwrf: footer stripe count: %w", err)
+		return nil, err
 	}
-	if nStripes > uint64(len(data)) {
-		return nil, fmt.Errorf("dwrf: implausible stripe count %d", nStripes)
+	if err := r.parseFooter(footer); err != nil {
+		return nil, err
 	}
-	fr := &FileReader{data: data}
+	return r, nil
+}
+
+// OpenReader parses the footer of a DWRF file held in memory.
+func OpenReader(data []byte) (*FileReader, error) {
+	if len(data) >= len(magic) && string(data[:len(magic)]) != magic {
+		return nil, fmt.Errorf("dwrf: bad header magic")
+	}
+	return Open(int64(len(data)), FetchFrom(data))
+}
+
+// FetchFrom is the Fetch over a file already in memory.
+func FetchFrom(data []byte) Fetch {
+	return func(off, n int64) ([]byte, error) {
+		if off < 0 || n < 0 || off > int64(len(data)) || n > int64(len(data))-off {
+			return nil, fmt.Errorf("dwrf: read of %d bytes at %d beyond %d-byte file", n, off, len(data))
+		}
+		return data[off : off+n : off+n], nil
+	}
+}
+
+// get fetches exactly [off, off+n).
+func (r *FileReader) get(off, n int64) ([]byte, error) {
+	b, err := r.fetch(off, n)
+	if err != nil {
+		return nil, err
+	}
+	if int64(len(b)) != n {
+		return nil, fmt.Errorf("dwrf: short read: %d of %d bytes at offset %d", len(b), n, off)
+	}
+	return b, nil
+}
+
+// parseFooter decodes the stripe directory and schema. Every stripe must
+// lie inside the body, after the stripe before it: each bound is checked
+// term by term, since a forged offset plus a forged length can wrap.
+func (r *FileReader) parseFooter(footer []byte) error {
+	fr := &byteReader{buf: footer}
+	nStripes, err := fr.uvarint()
+	if err != nil {
+		return fmt.Errorf("dwrf: footer stripe count: %w", err)
+	}
+	if nStripes > uint64(fr.remaining())/3 { // three varints each
+		return fmt.Errorf("dwrf: implausible stripe count %d", nStripes)
+	}
+	end := uint64(len(magic)) // where the previous stripe ended
 	for i := uint64(0); i < nStripes; i++ {
-		off, err1 := r.uvarint()
-		length, err2 := r.uvarint()
-		rows, err3 := r.uvarint()
+		off, err1 := fr.uvarint()
+		length, err2 := fr.uvarint()
+		rows, err3 := fr.uvarint()
 		if err1 != nil || err2 != nil || err3 != nil {
-			return nil, fmt.Errorf("dwrf: footer stripe %d truncated", i)
+			return fmt.Errorf("dwrf: footer stripe %d truncated", i)
 		}
-		if off+length > uint64(footerStart) || rows > maxStripeRows {
-			return nil, fmt.Errorf("dwrf: stripe %d out of bounds", i)
+		if off < end || off > uint64(r.body) || length > uint64(r.body)-off || rows > maxStripeRows {
+			return fmt.Errorf("dwrf: stripe %d out of bounds", i)
 		}
-		fr.stripes = append(fr.stripes, stripeInfo{offset: int64(off), length: int64(length), rows: int(rows)})
-		fr.rows += int(rows)
+		end = off + length
+		r.stripes = append(r.stripes, stripeInfo{offset: int64(off), length: int64(length), rows: int(rows)})
+		r.rows += int(rows)
 	}
-	nKeys, err := r.uvarint()
-	if err != nil || nKeys > maxColumns {
-		return nil, fmt.Errorf("dwrf: footer key count invalid")
+	nKeys, err := fr.uvarint()
+	if err != nil || nKeys > maxColumns || nKeys > uint64(fr.remaining()) {
+		return fmt.Errorf("dwrf: footer key count invalid")
 	}
 	for i := uint64(0); i < nKeys; i++ {
-		kl, err := r.uvarint()
-		if err != nil || int(kl) > r.remaining() {
-			return nil, fmt.Errorf("dwrf: footer key %d truncated", i)
+		kl, err := fr.uvarint()
+		if err != nil || kl > uint64(fr.remaining()) {
+			return fmt.Errorf("dwrf: footer key %d truncated", i)
 		}
-		fr.keys = append(fr.keys, string(r.buf[r.pos:r.pos+int(kl)]))
-		r.pos += int(kl)
+		r.keys = append(r.keys, string(fr.buf[fr.pos:fr.pos+int(kl)]))
+		fr.pos += int(kl)
 	}
-	nDense, err := r.uvarint()
+	nDense, err := fr.uvarint()
 	if err != nil {
-		return nil, fmt.Errorf("dwrf: footer dense count: %w", err)
+		return fmt.Errorf("dwrf: footer dense count: %w", err)
 	}
-	fr.dense = int(nDense)
-	return fr, nil
+	if nDense > maxDense {
+		return fmt.Errorf("dwrf: implausible dense width %d", nDense)
+	}
+	r.dense = int(nDense)
+	return nil
 }
 
 // NumRows reports the total row count.
@@ -96,69 +156,85 @@ func (r *FileReader) DenseCount() int { return r.dense }
 // StripeRows reports the row count of stripe i.
 func (r *FileReader) StripeRows(i int) int { return r.stripes[i].rows }
 
-// StripeByteRange returns the byte extent of stripe i within the file,
-// for range reads against a blob store.
+// StripeByteRange returns the byte extent of stripe i within the file:
+// its header followed by one compressed stream per column. DecodeStripe
+// takes exactly these bytes. The reader tier does not read whole stripes
+// unless it wants every column; see ReadColumns for what it fetches.
 func (r *FileReader) StripeByteRange(i int) (offset, length int64) {
 	return r.stripes[i].offset, r.stripes[i].length
 }
 
-// ReadStripe decodes stripe i back into samples.
-func (r *FileReader) ReadStripe(i int) ([]datagen.Sample, error) {
-	if i < 0 || i >= len(r.stripes) {
-		return nil, fmt.Errorf("dwrf: stripe %d out of range [0,%d)", i, len(r.stripes))
-	}
-	st := r.stripes[i]
-	return DecodeStripe(r.data[st.offset:st.offset+st.length], r.keys, r.dense)
-}
-
-// ReadAll decodes every stripe. See ReadAllContext.
-func (r *FileReader) ReadAll() ([]datagen.Sample, error) {
-	return r.ReadAllContext(context.Background())
-}
-
-// ReadAllContext decodes every stripe, honouring ctx cancellation between
-// stripes. Stripes are independent (each carries its own compressed
-// column streams and delta-encoding state), so files with more than one
-// stripe decode them concurrently, bounded by GOMAXPROCS; results are
-// stitched back in stripe order. On cancellation every decode worker
-// stops before taking its next stripe and ctx.Err() is returned.
-func (r *FileReader) ReadAllContext(ctx context.Context) ([]datagen.Sample, error) {
-	if len(r.stripes) <= 1 {
-		out := make([]datagen.Sample, 0, r.rows)
-		for i := range r.stripes {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			ss, err := r.ReadStripe(i)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, ss...)
+// ReadColumns decodes every row of the file into one chunk holding the
+// sparse columns cols (indices into SparseKeys, each at most once, in the
+// order the chunk is to hold them) plus the row metadata and dense
+// features, which are always read.
+//
+// Only what the projection decodes is fetched. When cols names every
+// column that is the whole body in one fetch. Otherwise each stripe costs
+// its header and one fetch per run of adjacent wanted streams (see
+// fetchStripe); the streams of the other columns are never fetched or
+// inflated. Either way no byte of the file is fetched twice, so a full
+// projection costs the file's size in three fetches counting Open's two.
+//
+// Fetches are issued one at a time, in file order, from the calling
+// goroutine. Stripes are independent (each carries its own compressed
+// streams and delta-encoding state), so once fetched they decode
+// concurrently, bounded by GOMAXPROCS, and are stitched back in stripe
+// order. Cancelling ctx stops the fetch loop and every decode worker
+// before its next stripe, and ctx.Err() is returned.
+func (r *FileReader) ReadColumns(ctx context.Context, cols []int) (*Chunk, error) {
+	seen := make([]bool, len(r.keys))
+	for _, col := range cols {
+		if col < 0 || col >= len(r.keys) || seen[col] {
+			return nil, fmt.Errorf("dwrf: projection names column %d of %d, or names it twice", col, len(r.keys))
 		}
-		return out, nil
+		seen[col] = true
 	}
 
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(r.stripes) {
-		workers = len(r.stripes)
+	srcs := make([]stripeSource, len(r.stripes))
+	var body []byte
+	full := len(cols) == len(r.keys)
+	if full {
+		var err error
+		if body, err = r.get(0, r.body); err != nil {
+			return nil, err
+		}
+		if string(body[:len(magic)]) != magic {
+			return nil, fmt.Errorf("dwrf: bad header magic")
+		}
 	}
-	results := make([][]datagen.Sample, len(r.stripes))
-	errs := make([]error, len(r.stripes))
+	for i, st := range r.stripes {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		var err error
+		if full {
+			srcs[i], err = wholeStripe(body[st.offset:st.offset+st.length], firstSparse+len(r.keys))
+		} else {
+			srcs[i], err = r.fetchStripe(st.offset, st.length, cols)
+		}
+		if err != nil {
+			return nil, err
+		}
+		if srcs[i].rows != st.rows {
+			return nil, fmt.Errorf("dwrf: stripe %d holds %d rows, footer records %d", i, srcs[i].rows, st.rows)
+		}
+	}
+
+	chunks := make([]*Chunk, len(srcs))
+	errs := make([]error, len(srcs))
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := min(runtime.GOMAXPROCS(0), len(srcs)); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
+			for ctx.Err() == nil {
 				i := int(next.Add(1)) - 1
-				if i >= len(r.stripes) {
+				if i >= len(srcs) {
 					return
 				}
-				results[i], errs[i] = r.ReadStripe(i)
+				chunks[i], errs[i] = decodeStripe(srcs[i], r.keys, r.dense, cols)
 			}
 		}()
 	}
@@ -166,136 +242,74 @@ func (r *FileReader) ReadAllContext(ctx context.Context) ([]datagen.Sample, erro
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-
-	out := make([]datagen.Sample, 0, r.rows)
-	for i := range results {
-		if errs[i] != nil {
-			return nil, errs[i]
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
-		out = append(out, results[i]...)
+	}
+	if len(chunks) == 1 {
+		return chunks[0], nil
+	}
+
+	// Stitch: size every column exactly, then append stripe by stripe.
+	out := &Chunk{keys: r.keys, cols: cols, width: r.dense, sparse: make([]tensor.Jagged, len(cols))}
+	out.session, out.user = make([]int64, 0, r.rows), make([]int64, 0, r.rows)
+	out.request, out.ts = make([]int64, 0, r.rows), make([]int64, 0, r.rows)
+	out.labels = make([]int8, 0, r.rows)
+	out.dense = make([]float32, 0, r.rows*r.dense)
+	for p := range cols {
+		n := 0
+		for _, c := range chunks {
+			n += len(c.sparse[p].Values)
+		}
+		out.sparse[p] = tensor.Jagged{Values: make([]tensor.Value, 0, n), Offsets: make([]int32, 0, r.rows)}
+	}
+	for _, c := range chunks {
+		if err := out.Append(c); err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }
 
-// DecodeStripe decodes one stripe's bytes (as delimited by
-// StripeByteRange) into samples. It is exported so the reader tier can
-// range-read a stripe from the blob store and decode it without holding
-// the whole file.
+// ReadStripe decodes stripe i back into samples.
+func (r *FileReader) ReadStripe(i int) ([]datagen.Sample, error) {
+	if i < 0 || i >= len(r.stripes) {
+		return nil, fmt.Errorf("dwrf: stripe %d out of range [0,%d)", i, len(r.stripes))
+	}
+	stripe, err := r.get(r.stripes[i].offset, r.stripes[i].length)
+	if err != nil {
+		return nil, err
+	}
+	return DecodeStripe(stripe, r.keys, r.dense)
+}
+
+// ReadAll decodes every stripe. See ReadAllContext.
+func (r *FileReader) ReadAll() ([]datagen.Sample, error) {
+	return r.ReadAllContext(context.Background())
+}
+
+// ReadAllContext decodes every column of every row, as ReadColumns does,
+// and returns the rows as views over that chunk (see Chunk.Samples).
+func (r *FileReader) ReadAllContext(ctx context.Context) ([]datagen.Sample, error) {
+	c, err := r.ReadColumns(ctx, allColumns(len(r.keys)))
+	if err != nil {
+		return nil, err
+	}
+	return c.Samples(), nil
+}
+
+// DecodeStripe decodes one whole stripe's bytes (as delimited by
+// StripeByteRange) into samples, given the file's sparse keys and dense
+// width. The rows are views over the stripe's decoded column chunk.
 func DecodeStripe(stripe []byte, keys []string, dense int) ([]datagen.Sample, error) {
-	r := &byteReader{buf: stripe}
-	rowsU, err := r.uvarint()
+	src, err := wholeStripe(stripe, firstSparse+len(keys))
 	if err != nil {
-		return nil, fmt.Errorf("dwrf: stripe row count: %w", err)
+		return nil, err
 	}
-	nColsU, err := r.uvarint()
+	c, err := decodeStripe(src, keys, dense, allColumns(len(keys)))
 	if err != nil {
-		return nil, fmt.Errorf("dwrf: stripe column count: %w", err)
+		return nil, err
 	}
-	rows, nCols := int(rowsU), int(nColsU)
-	if rows > maxStripeRows || nCols > maxColumns {
-		return nil, fmt.Errorf("dwrf: implausible stripe header rows=%d cols=%d", rows, nCols)
-	}
-	if want := 2 + len(keys); nCols != want {
-		return nil, fmt.Errorf("dwrf: stripe has %d columns, footer schema implies %d", nCols, want)
-	}
-
-	rawLens := make([]int, nCols)
-	compLens := make([]int, nCols)
-	for c := 0; c < nCols; c++ {
-		rl, err1 := r.uvarint()
-		cl, err2 := r.uvarint()
-		if err1 != nil || err2 != nil {
-			return nil, fmt.Errorf("dwrf: stripe header column %d truncated", c)
-		}
-		if rl > maxStreamBytes || cl > maxStreamBytes {
-			return nil, fmt.Errorf("dwrf: column %d stream too large", c)
-		}
-		rawLens[c], compLens[c] = int(rl), int(cl)
-	}
-
-	streams := make([][]byte, nCols)
-	bufs := make([]*[]byte, nCols)
-	defer func() {
-		for _, bp := range bufs {
-			if bp != nil {
-				streamBufPool.Put(bp)
-			}
-		}
-	}()
-	for c := 0; c < nCols; c++ {
-		if compLens[c] > r.remaining() {
-			return nil, fmt.Errorf("dwrf: column %d stream truncated", c)
-		}
-		bp := streamBufPool.Get().(*[]byte)
-		bufs[c] = bp
-		raw, err := decompressStream(*bp, r.buf[r.pos:r.pos+compLens[c]], rawLens[c])
-		if err != nil {
-			return nil, fmt.Errorf("dwrf: column %d: %w", c, err)
-		}
-		*bp = raw
-		streams[c] = raw
-		r.pos += compLens[c]
-	}
-
-	samples := make([]datagen.Sample, rows)
-
-	// Column 0: metadata (delta-encoded session ID and timestamp).
-	mr := &byteReader{buf: streams[0]}
-	var prevSession, prevTS int64
-	for i := 0; i < rows; i++ {
-		ds, err1 := mr.varint()
-		uid, err2 := mr.varint()
-		rid, err3 := mr.varint()
-		dts, err4 := mr.varint()
-		lb, err5 := mr.ReadByte()
-		if err1 != nil || err2 != nil || err3 != nil || err4 != nil || err5 != nil {
-			return nil, fmt.Errorf("dwrf: metadata row %d truncated", i)
-		}
-		prevSession += ds
-		prevTS += dts
-		samples[i].SessionID = prevSession
-		samples[i].UserID = uid
-		samples[i].RequestID = rid
-		samples[i].Timestamp = prevTS
-		samples[i].Label = int8(lb)
-	}
-
-	// Column 1: dense floats.
-	dr := &byteReader{buf: streams[1]}
-	for i := 0; i < rows; i++ {
-		vec := make([]float32, dense)
-		for j := 0; j < dense; j++ {
-			f, err := dr.float32()
-			if err != nil {
-				return nil, fmt.Errorf("dwrf: dense row %d truncated", i)
-			}
-			vec[j] = f
-		}
-		samples[i].Dense = vec
-		samples[i].Sparse = make([][]int64, len(keys))
-	}
-
-	// Sparse columns.
-	for fi := range keys {
-		sr := &byteReader{buf: streams[2+fi]}
-		for i := 0; i < rows; i++ {
-			n, err := sr.uvarint()
-			if err != nil {
-				return nil, fmt.Errorf("dwrf: sparse %q row %d length truncated", keys[fi], i)
-			}
-			if int(n) > sr.remaining() { // each value is ≥1 byte
-				return nil, fmt.Errorf("dwrf: sparse %q row %d list too long (%d)", keys[fi], i, n)
-			}
-			lst := make([]int64, n)
-			for j := range lst {
-				v, err := sr.varint()
-				if err != nil {
-					return nil, fmt.Errorf("dwrf: sparse %q row %d value %d truncated", keys[fi], i, j)
-				}
-				lst[j] = v
-			}
-			samples[i].Sparse[fi] = lst
-		}
-	}
-	return samples, nil
+	return c.Samples(), nil
 }

@@ -5,7 +5,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/datagen"
+	"repro/internal/dwrf"
 )
 
 // ScanQueue is the shared ordered work queue behind a resizable reader
@@ -14,9 +14,7 @@ import (
 // assembler awaits the results strictly in file-index order, so the
 // reassembled stream is byte-identical to one serial scan over the whole
 // file list no matter how many workers fill it — or how often that
-// worker count changes mid-scan. This replaces static round-robin file
-// assignment (reader.PlanRoundRobin), whose batch boundaries depended on
-// the worker count.
+// worker count changes mid-scan.
 //
 // Claims are bounded by a sliding window over the assembler's position:
 // a file index may be claimed only while it is within `window` of the
@@ -37,12 +35,10 @@ type ScanQueue struct {
 }
 
 // FileResult is one filled file handed from a claiming worker to the
-// assembler: the decoded rows, the file schema, or the fill error.
+// assembler: the decoded column chunk, or the fill error.
 type FileResult struct {
-	Samples []datagen.Sample
-	Keys    []string
-	Dense   int
-	Err     error
+	Chunk *dwrf.Chunk
+	Err   error
 }
 
 // NewScanQueue builds a queue over files with the given claim window
@@ -151,8 +147,8 @@ func (r *Reader) FillQueue(ctx context.Context, q *ScanQueue, stop func() bool) 
 		if !ok {
 			return
 		}
-		samples, keys, dense, err := r.fill(ctx, file)
-		q.Deposit(idx, FileResult{Samples: samples, Keys: keys, Dense: dense, Err: err})
+		chunk, err := r.fill(ctx, file)
+		q.Deposit(idx, FileResult{Chunk: chunk, Err: err})
 		if err != nil {
 			return
 		}
@@ -174,6 +170,6 @@ func (r *Reader) RunQueue(ctx context.Context, q *ScanQueue, emit func(*Batch) e
 		}
 		file := q.file(i)
 		i++
-		return fillResult{file: file, samples: res.Samples, keys: res.Keys, dense: res.Dense, err: res.Err}, true
+		return fillResult{file: file, chunk: res.Chunk, err: res.Err}, true
 	}, emit)
 }

@@ -1,6 +1,7 @@
 package reader
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -33,15 +34,15 @@ func TestScanQueueOrderedMerge(t *testing.T) {
 	}
 	// Deposit in reverse claim order.
 	for i := len(idxs) - 1; i >= 0; i-- {
-		q.Deposit(idxs[i], FileResult{Keys: []string{files[i]}})
+		q.Deposit(idxs[i], FileResult{Err: errors.New(files[i])})
 	}
 	for i := 0; i < 4; i++ {
 		res, ok := q.Await(i)
 		if !ok {
 			t.Fatalf("Await(%d) aborted", i)
 		}
-		if res.Keys[0] != files[i] {
-			t.Fatalf("Await(%d) returned file %q, want %q", i, res.Keys[0], files[i])
+		if res.Err.Error() != files[i] {
+			t.Fatalf("Await(%d) returned file %q, want %q", i, res.Err, files[i])
 		}
 	}
 	if _, ok := q.Await(4); ok {

@@ -23,7 +23,9 @@ type Stats struct {
 	ConvertTime time.Duration
 	ProcessTime time.Duration
 
-	// ReadBytes counts bytes fetched from the blob store (compressed).
+	// ReadBytes counts bytes fetched from the blob store (compressed):
+	// the footer, stripe headers and column streams the spec's projection
+	// reads, which is the whole file only when every column is consumed.
 	ReadBytes int64
 	// SentBytes counts preprocessed tensor bytes shipped to trainers.
 	SentBytes int64
@@ -59,12 +61,29 @@ func (s *Stats) Add(o Stats) {
 	s.ProcessOps += o.ProcessOps
 }
 
+// ThroughputSamplesPerSec converts stats into the paper's reader metric:
+// samples preprocessed per second of reader CPU time.
+func ThroughputSamplesPerSec(s Stats) float64 {
+	if s.TotalTime() <= 0 {
+		return 0
+	}
+	return float64(s.RowsDecoded) / s.TotalTime().Seconds()
+}
+
 // Reader is one stateless reader node executing the fill → convert →
 // process pipeline over an assigned list of files.
 type Reader struct {
 	store storage.Backend
 	spec  Spec
 	stats Stats
+	// consumed is spec.ConsumedFeatures(): the projection fill pushes down
+	// to storage. Column p of every chunk fill decodes is consumed[p], so
+	// convert addresses features by position: the plain KJT features
+	// first, then each dedup group from groupAt[gi], then the partial
+	// features from partialAt.
+	consumed  []string
+	groupAt   []int
+	partialAt int
 	// dedupers holds one reusable dedup table per spec dedup group. Group
 	// i is always converted by exactly one task per batch, so each deduper
 	// has a single user at a time and its scratch amortizes across the
@@ -78,11 +97,15 @@ func NewReader(store storage.Backend, spec Spec) (*Reader, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	dedupers := make([]*tensor.Deduper, len(spec.DedupSparseFeatures))
-	for i := range dedupers {
-		dedupers[i] = tensor.NewDeduper()
+	r := &Reader{store: store, spec: spec, consumed: spec.ConsumedFeatures()}
+	at := len(spec.SparseFeatures)
+	for _, g := range spec.DedupSparseFeatures {
+		r.groupAt = append(r.groupAt, at)
+		r.dedupers = append(r.dedupers, tensor.NewDeduper())
+		at += len(g)
 	}
-	return &Reader{store: store, spec: spec, dedupers: dedupers}, nil
+	r.partialAt = at
+	return r, nil
 }
 
 // Stats returns the accumulated accounting.
@@ -113,11 +136,9 @@ func (r *Reader) Run(ctx context.Context, files []string, emit func(*Batch) erro
 // fillResult is one decoded file handed from the fill stage to the
 // convert/process consumer.
 type fillResult struct {
-	file    string
-	samples []datagen.Sample
-	keys    []string
-	dense   int
-	err     error
+	file  string
+	chunk *dwrf.Chunk
+	err   error
 }
 
 // consumeResults is the single convert/process consumer both execution
@@ -125,10 +146,14 @@ type fillResult struct {
 // consistency, cuts fixed-size batches in order, and emits any leftover
 // rows as a final short batch. Keeping one copy is what guarantees the
 // serial and pipelined paths stay byte-identical.
+//
+// Batches are cut as row ranges of the file's column chunk. Only rows
+// that straddle a file boundary are copied: they collect in pending,
+// which therefore never holds a full batch and never pins a file's chunk.
 func (r *Reader) consumeResults(ctx context.Context, next func() (fillResult, bool), emit func(*Batch) error) error {
-	var pending []datagen.Sample
-	var keys []string
-	var dense int
+	pending := &dwrf.Chunk{}
+	nKeys := -1
+	batch := r.spec.BatchSize
 
 	for {
 		if err := ctx.Err(); err != nil {
@@ -141,28 +166,41 @@ func (r *Reader) consumeResults(ctx context.Context, next func() (fillResult, bo
 		if res.err != nil {
 			return res.err
 		}
-		if keys == nil {
-			keys, dense = res.keys, res.dense
-		} else if len(res.keys) != len(keys) {
-			return fmt.Errorf("reader: file %q schema mismatch (%d vs %d features)", res.file, len(res.keys), len(keys))
+		ch := res.chunk
+		if nKeys < 0 {
+			nKeys = len(ch.Keys())
+		} else if len(ch.Keys()) != nKeys {
+			return fmt.Errorf("reader: file %q schema mismatch (%d vs %d features)", res.file, len(ch.Keys()), nKeys)
 		}
-		pending = append(pending, res.samples...)
-		for len(pending) >= r.spec.BatchSize {
-			if err := ctx.Err(); err != nil {
+		lo, n := 0, ch.Rows()
+		if pending.Rows() > 0 {
+			lo = min(batch-pending.Rows(), n)
+			if err := pending.Append(ch.Slice(0, lo)); err != nil {
+				return fmt.Errorf("reader: file %q: %w", res.file, err)
+			}
+			if pending.Rows() == batch {
+				if err := r.produce(ctx, pending, emit); err != nil {
+					return err
+				}
+				pending = &dwrf.Chunk{}
+			}
+		}
+		for ; lo+batch <= n; lo += batch {
+			if err := r.produce(ctx, ch.Slice(lo, lo+batch), emit); err != nil {
 				return err
 			}
-			rows := pending[:r.spec.BatchSize]
-			pending = pending[r.spec.BatchSize:]
-			if err := r.produce(rows, keys, dense, emit); err != nil {
-				return err
+		}
+		if lo < n {
+			if err := pending.Append(ch.Slice(lo, n)); err != nil {
+				return fmt.Errorf("reader: file %q: %w", res.file, err)
 			}
 		}
 	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if len(pending) > 0 {
-		return r.produce(pending, keys, dense, emit)
+	if pending.Rows() > 0 {
+		return r.produce(ctx, pending, emit)
 	}
 	return nil
 }
@@ -177,8 +215,8 @@ func (r *Reader) runSerial(ctx context.Context, files []string, emit func(*Batch
 		}
 		f := files[i]
 		i++
-		samples, keys, dense, err := r.fill(ctx, f)
-		return fillResult{file: f, samples: samples, keys: keys, dense: dense, err: err}, true
+		chunk, err := r.fill(ctx, f)
+		return fillResult{file: f, chunk: chunk, err: err}, true
 	}, emit)
 }
 
@@ -209,9 +247,9 @@ func (r *Reader) runPipelined(ctx context.Context, files []string, emit func(*Ba
 				return
 			default:
 			}
-			samples, keys, dense, err := r.fill(ctx, f)
+			chunk, err := r.fill(ctx, f)
 			select {
-			case ch <- fillResult{file: f, samples: samples, keys: keys, dense: dense, err: err}:
+			case ch <- fillResult{file: f, chunk: chunk, err: err}:
 			case <-done:
 				return
 			case <-ctx.Done():
@@ -230,12 +268,13 @@ func (r *Reader) runPipelined(ctx context.Context, files []string, emit func(*Ba
 }
 
 // fetchCPUPasses is how many per-byte passes the simulated fetch path
-// spends on each wire byte, standing in for the network stack, decryption,
-// and checksumming a production DPP reader performs on fetched data
-// (paper §6.3: fill = "fetching data from Tectonic and decrypting,
-// decompressing (zstd), and decoding"). This makes fill CPU time scale
-// with wire bytes, so clustering's smaller files cut fill time as they do
-// in production (DESIGN.md documents the substitution).
+// spends on each fetched byte, standing in for the network stack,
+// decryption, and checksumming a production DPP reader performs on
+// fetched data (paper §6.3: fill = "fetching data from Tectonic and
+// decrypting, decompressing (zstd), and decoding"). This makes fill CPU
+// time scale with the bytes a scan actually fetches, so clustering's
+// smaller files — and a narrower projection — cut fill time as they do
+// in production (docs/ARCHITECTURE.md lists the substitution).
 const fetchCPUPasses = 160
 
 // fetchSink absorbs the checksum so the compiler cannot elide the pass;
@@ -253,54 +292,102 @@ func simulateFetchWork(data []byte) {
 	fetchSink.Add(h)
 }
 
-// fill reads one file from the store and decodes all rows (the paper's
-// fill stage: fetch, decrypt, decompress, decode). Cancellation is
-// honoured before the fetch and between stripe decodes.
-func (r *Reader) fill(ctx context.Context, path string) ([]datagen.Sample, []string, int, error) {
+// resolveColumns maps feature names to their column indices in a file's
+// key list.
+func resolveColumns(features, keys []string) ([]int, error) {
+	index := make(map[string]int, len(keys))
+	for i, k := range keys {
+		index[k] = i
+	}
+	cols := make([]int, len(features))
+	for i, f := range features {
+		col, ok := index[f]
+		if !ok {
+			return nil, fmt.Errorf("reader: feature %q not in table schema", f)
+		}
+		cols[i] = col
+	}
+	return cols, nil
+}
+
+// open returns the size of the file at path and a ranged read over it. A
+// raw-byte tier (storage.CachingBackend) holds whole blobs, so a file is
+// looked up there once — one hit or miss per fill, whatever the
+// projection — and the ranges are cut from the blob; any other backend is
+// asked for each range.
+func (r *Reader) open(path string) (int64, dwrf.Fetch, error) {
+	if _, ok := r.store.(*storage.CachingBackend); ok {
+		data, err := r.store.Get(path)
+		if err != nil {
+			return 0, nil, err
+		}
+		return int64(len(data)), dwrf.FetchFrom(data), nil
+	}
+	size, err := r.store.Size(path)
+	if err != nil {
+		return 0, nil, err
+	}
+	return size, func(off, n int64) ([]byte, error) { return r.store.ReadRange(path, off, n) }, nil
+}
+
+// fill reads one file from the store and decodes all rows of the columns
+// the spec consumes (the paper's fill stage: fetch, decrypt, decompress,
+// decode). It fetches the footer, then per stripe the header and the
+// streams of the row metadata, the dense features and the consumed sparse
+// features — a spec that consumes every column fetches exactly the file.
+// ReadBytes and the fetch cost model charge each range as it is fetched.
+// Cancellation is honoured before the fetch and between stripes.
+func (r *Reader) fill(ctx context.Context, path string) (*dwrf.Chunk, error) {
 	start := time.Now()
 	defer func() { r.stats.FillTime += time.Since(start) }()
 
 	if err := ctx.Err(); err != nil {
-		return nil, nil, 0, err
+		return nil, err
 	}
-	data, err := r.store.Get(path)
+	size, read, err := r.open(path)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, err
 	}
-	r.stats.ReadBytes += int64(len(data))
-	simulateFetchWork(data)
-
-	fr, err := dwrf.OpenReader(data)
+	fr, err := dwrf.Open(size, func(off, n int64) ([]byte, error) {
+		data, err := read(off, n)
+		r.stats.ReadBytes += int64(len(data))
+		simulateFetchWork(data)
+		return data, err
+	})
 	if err != nil {
-		return nil, nil, 0, fmt.Errorf("reader: %s: %w", path, err)
+		return nil, fmt.Errorf("reader: %s: %w", path, err)
 	}
-	samples, err := fr.ReadAllContext(ctx)
+	cols, err := resolveColumns(r.consumed, fr.SparseKeys())
+	if err != nil {
+		return nil, err
+	}
+	chunk, err := fr.ReadColumns(ctx, cols)
 	if err != nil {
 		if ctx.Err() != nil {
-			return nil, nil, 0, ctx.Err()
+			return nil, ctx.Err()
 		}
-		return nil, nil, 0, fmt.Errorf("reader: %s: %w", path, err)
+		return nil, fmt.Errorf("reader: %s: %w", path, err)
 	}
-	r.stats.RowsDecoded += int64(len(samples))
-	return samples, fr.SparseKeys(), fr.DenseCount(), nil
+	r.stats.RowsDecoded += int64(chunk.Rows())
+	return chunk, nil
 }
 
 // produce converts and preprocesses one run of rows and emits the batch.
-func (r *Reader) produce(rows []datagen.Sample, keys []string, dense int, emit func(*Batch) error) error {
-	b, err := r.ProduceBatch(rows, keys, dense)
+func (r *Reader) produce(ctx context.Context, rows *dwrf.Chunk, emit func(*Batch) error) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	b, err := r.produceBatch(rows)
 	if err != nil {
 		return err
 	}
 	return emit(b)
 }
 
-// ProduceBatch runs the convert and process stages over one run of rows,
-// charging the reader's Stats exactly as a Run-emitted batch would. It is
-// the batch-construction primitive the shared-scan path (dpp.ScanCache)
-// composes when batches straddle file boundaries; Run-based scans never
-// need it directly.
-func (r *Reader) ProduceBatch(rows []datagen.Sample, keys []string, dense int) (*Batch, error) {
-	b, err := r.convert(rows, keys, dense)
+// produceBatch runs the convert and process stages over the rows of a
+// chunk fill decoded (or a row range of one), charging the reader's Stats.
+func (r *Reader) produceBatch(rows *dwrf.Chunk) (*Batch, error) {
+	b, err := r.convert(rows)
 	if err != nil {
 		return nil, err
 	}
@@ -312,27 +399,22 @@ func (r *Reader) ProduceBatch(rows []datagen.Sample, keys []string, dense int) (
 	return b, nil
 }
 
-// gatherFeature copies one sparse feature's rows into a jagged tensor
-// sized exactly, returning the gathered value count. It touches no Reader
-// state, so convert tasks may call it concurrently.
-func gatherFeature(rows []datagen.Sample, index map[string]int, key string) (tensor.Jagged, int, error) {
-	fi, ok := index[key]
-	if !ok {
-		return tensor.Jagged{}, 0, fmt.Errorf("reader: feature %q not in table schema", key)
+// ProduceBatch runs the convert and process stages over one run of rows,
+// charging the reader's Stats exactly as a Run-emitted batch would. It is
+// the batch-construction primitive the shared-scan path (dpp.ScanCache)
+// composes when batches straddle file boundaries; Run-based scans never
+// need it directly. The rows are gathered into a column chunk of the
+// consumed features and take the same convert as every other batch.
+func (r *Reader) ProduceBatch(rows []datagen.Sample, keys []string, dense int) (*Batch, error) {
+	cols, err := resolveColumns(r.consumed, keys)
+	if err != nil {
+		return nil, err
 	}
-	total := 0
-	for i := range rows {
-		total += len(rows[i].Sparse[fi])
+	chunk, err := dwrf.ChunkFromSamples(rows, keys, dense, cols)
+	if err != nil {
+		return nil, fmt.Errorf("reader: %w", err)
 	}
-	j := tensor.Jagged{
-		Values:  make([]tensor.Value, 0, total),
-		Offsets: make([]int32, len(rows)),
-	}
-	for i := range rows {
-		j.Offsets[i] = int32(len(j.Values))
-		j.Values = append(j.Values, rows[i].Sparse[fi]...)
-	}
-	return j, total, nil
+	return r.produceBatch(chunk)
 }
 
 // groupResult is one dedup group's conversion output plus the raw
@@ -344,19 +426,15 @@ type groupResult struct {
 	values int
 }
 
-// convertGroup gathers and deduplicates one dedup group using that
+// convertGroup copies out and deduplicates one dedup group using that
 // group's reusable Deduper. Safe to run concurrently with other groups.
-func (r *Reader) convertGroup(gi int, rows []datagen.Sample, index map[string]int) (groupResult, error) {
+func (r *Reader) convertGroup(gi int, rows *dwrf.Chunk) (groupResult, error) {
 	group := r.spec.DedupSparseFeatures[gi]
 	tensors := make([]tensor.Jagged, len(group))
 	res := groupResult{}
-	for i, key := range group {
-		j, n, err := gatherFeature(rows, index, key)
-		if err != nil {
-			return groupResult{}, err
-		}
-		tensors[i] = j
-		res.values += n
+	for i := range group {
+		tensors[i] = rows.Jagged(r.groupAt[gi] + i)
+		res.values += tensors[i].NumValues()
 	}
 	ik, err := r.dedupers[gi].Dedup(group, tensors)
 	if err != nil {
@@ -373,52 +451,43 @@ type partialResult struct {
 	values int
 }
 
-// convertPartial gathers and shift-deduplicates one partial feature.
-func (r *Reader) convertPartial(pi int, rows []datagen.Sample, index map[string]int) (partialResult, error) {
-	key := r.spec.PartialDedupFeatures[pi]
-	j, n, err := gatherFeature(rows, index, key)
-	if err != nil {
-		return partialResult{}, err
-	}
-	return partialResult{p: tensor.PartialDedup(key, j), values: n}, nil
+// convertPartial copies out and shift-deduplicates one partial feature.
+func (r *Reader) convertPartial(pi int, rows *dwrf.Chunk) partialResult {
+	j := rows.Jagged(r.partialAt + pi)
+	return partialResult{p: tensor.PartialDedup(r.spec.PartialDedupFeatures[pi], j), values: j.NumValues()}
 }
 
-// convert is the feature-conversion stage: copy raw rows into structured
-// tensors, deduplicating the spec's feature groups into IKJTs (O3). Dedup
-// groups and partial features are independent, so with
-// Spec.ConvertWorkers > 1 they convert concurrently; results land in spec
-// order and counters are summed after the join, keeping output and Stats
-// identical to serial conversion.
-func (r *Reader) convert(rows []datagen.Sample, keys []string, dense int) (*Batch, error) {
+// convert is the feature-conversion stage: copy a chunk's rows into
+// structured tensors, deduplicating the spec's feature groups into IKJTs
+// (O3). The chunk holds exactly the consumed features, in
+// ConsumedFeatures order, so each feature is one contiguous value-range
+// copy found by position. Dedup groups and partial features are
+// independent, so with Spec.ConvertWorkers > 1 they convert concurrently;
+// results land in spec order and counters are summed after the join,
+// keeping output and Stats identical to serial conversion.
+func (r *Reader) convert(rows *dwrf.Chunk) (*Batch, error) {
 	start := time.Now()
 	defer func() { r.stats.ConvertTime += time.Since(start) }()
 
-	index := make(map[string]int, len(keys))
-	for i, k := range keys {
-		index[k] = i
+	if got := len(rows.Columns()); got != len(r.consumed) {
+		return nil, fmt.Errorf("reader: chunk holds %d sparse columns, spec consumes %d", got, len(r.consumed))
 	}
+	n := rows.Rows()
+	b := &Batch{Size: n}
 
-	b := &Batch{Size: len(rows)}
-
-	b.Dense = tensor.NewDense(len(rows), dense)
-	for i, s := range rows {
-		copy(b.Dense.Row(i), s.Dense)
-	}
-	b.Labels = make([]float32, len(rows))
-	for i, s := range rows {
-		b.Labels[i] = float32(s.Label)
+	b.Dense = tensor.NewDense(n, rows.DenseWidth())
+	copy(b.Dense.Data, rows.Dense())
+	b.Labels = make([]float32, n)
+	for i, l := range rows.Labels() {
+		b.Labels[i] = float32(l)
 	}
 
 	if len(r.spec.SparseFeatures) > 0 {
 		tensors := make([]tensor.Jagged, len(r.spec.SparseFeatures))
-		for i, key := range r.spec.SparseFeatures {
-			j, n, err := gatherFeature(rows, index, key)
-			if err != nil {
-				return nil, err
-			}
-			tensors[i] = j
-			r.stats.ConvertValues += int64(n)
-			b.OriginalSparseValues += n
+		for i := range tensors {
+			tensors[i] = rows.Jagged(i)
+			r.stats.ConvertValues += int64(tensors[i].NumValues())
+			b.OriginalSparseValues += tensors[i].NumValues()
 		}
 		kjt, err := tensor.NewKJT(r.spec.SparseFeatures, tensors)
 		if err != nil {
@@ -432,7 +501,6 @@ func (r *Reader) convert(rows []datagen.Sample, keys []string, dense int) (*Batc
 	groupRes := make([]groupResult, nGroups)
 	groupErr := make([]error, nGroups)
 	partialRes := make([]partialResult, nPartials)
-	partialErr := make([]error, nPartials)
 
 	workers := r.spec.ConvertWorkers
 	if workers > nGroups+nPartials {
@@ -440,10 +508,10 @@ func (r *Reader) convert(rows []datagen.Sample, keys []string, dense int) (*Batc
 	}
 	if workers <= 1 {
 		for gi := 0; gi < nGroups; gi++ {
-			groupRes[gi], groupErr[gi] = r.convertGroup(gi, rows, index)
+			groupRes[gi], groupErr[gi] = r.convertGroup(gi, rows)
 		}
 		for pi := 0; pi < nPartials; pi++ {
-			partialRes[pi], partialErr[pi] = r.convertPartial(pi, rows, index)
+			partialRes[pi] = r.convertPartial(pi, rows)
 		}
 	} else {
 		sem := make(chan struct{}, workers)
@@ -454,7 +522,7 @@ func (r *Reader) convert(rows []datagen.Sample, keys []string, dense int) (*Batc
 			go func(gi int) {
 				defer wg.Done()
 				defer func() { <-sem }()
-				groupRes[gi], groupErr[gi] = r.convertGroup(gi, rows, index)
+				groupRes[gi], groupErr[gi] = r.convertGroup(gi, rows)
 			}(gi)
 		}
 		for pi := 0; pi < nPartials; pi++ {
@@ -463,7 +531,7 @@ func (r *Reader) convert(rows []datagen.Sample, keys []string, dense int) (*Batc
 			go func(pi int) {
 				defer wg.Done()
 				defer func() { <-sem }()
-				partialRes[pi], partialErr[pi] = r.convertPartial(pi, rows, index)
+				partialRes[pi] = r.convertPartial(pi, rows)
 			}(pi)
 		}
 		wg.Wait()
@@ -478,11 +546,7 @@ func (r *Reader) convert(rows []datagen.Sample, keys []string, dense int) (*Batc
 		b.OriginalSparseValues += res.values
 		b.IKJTs = append(b.IKJTs, res.ik)
 	}
-	for pi := 0; pi < nPartials; pi++ {
-		if partialErr[pi] != nil {
-			return nil, partialErr[pi]
-		}
-		res := partialRes[pi]
+	for _, res := range partialRes {
 		r.stats.ConvertValues += 2 * int64(res.values) // gather + shift scan
 		b.OriginalSparseValues += res.values
 		b.Partials = append(b.Partials, res.p)

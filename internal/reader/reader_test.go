@@ -347,32 +347,6 @@ func TestShortFinalBatch(t *testing.T) {
 	}
 }
 
-// TestPlanRoundRobinCoversEveryFile: the session planner's sharding
-// policy assigns every file exactly once, round-robin. (The dpp tests
-// pin that a multi-worker session's stream equals the per-assignment
-// serial concatenation; this pins the plan itself.)
-func TestPlanRoundRobinCoversEveryFile(t *testing.T) {
-	files := []string{"a", "b", "c", "d", "e"}
-	assignments := PlanRoundRobin(files, 3)
-	if len(assignments) != 3 {
-		t.Fatalf("got %d assignments want 3", len(assignments))
-	}
-	seen := map[string]int{}
-	for wi, assigned := range assignments {
-		for fi, f := range assigned {
-			seen[f]++
-			if want := files[fi*3+wi]; f != want {
-				t.Fatalf("worker %d slot %d = %q want %q (round-robin order)", wi, fi, f, want)
-			}
-		}
-	}
-	for _, f := range files {
-		if seen[f] != 1 {
-			t.Fatalf("file %q assigned %d times", f, seen[f])
-		}
-	}
-}
-
 func TestEmitErrorAborts(t *testing.T) {
 	env := newTestEnv(t, 20, true)
 	r, err := NewReader(env.store, baseSpec())

@@ -25,6 +25,7 @@ type FileScan struct {
 	// Tail holds the rows after the last complete batch (always fewer
 	// than the spec's batch size). A multi-file scan carries them into
 	// the next file; the final file's tail becomes the short last batch.
+	// Rows are full-width, with empty lists for features outside the spec.
 	Tail []datagen.Sample
 	// Keys and Dense describe the file's schema (sparse feature names
 	// and dense-feature width), needed to convert carried tail rows.
@@ -33,9 +34,9 @@ type FileScan struct {
 }
 
 // MemBytes estimates the resident size of the scan for cache-budget
-// accounting: encoded batch bytes plus the tail rows' feature payloads
-// and per-row bookkeeping. An estimate is sufficient — the cache budget
-// bounds order-of-magnitude memory, not exact allocation.
+// accounting: encoded batch bytes plus what the tail rows pin. An estimate
+// is sufficient — the cache budget bounds order-of-magnitude memory, not
+// exact allocation.
 func (fs *FileScan) MemBytes() int64 {
 	var total int64
 	for _, b := range fs.Batches {
@@ -47,13 +48,16 @@ func (fs *FileScan) MemBytes() int64 {
 	return total
 }
 
-// sampleMemBytes estimates one decoded row's resident footprint: struct
-// header, slice headers, and the sparse/dense payloads.
+// sampleMemBytes is what one row pins: the struct, one list header per
+// schema feature, and the sparse and dense payloads. That is exact for
+// rows decoded one by one and for the rows ScanFile leaves in a Tail,
+// which are views over a chunk compacted to just those rows; it would
+// undercount views over a whole file's chunk, which pin all of it.
 func sampleMemBytes(s *datagen.Sample) int64 {
-	const structOverhead = 88 // 4 int64s, label, 3 slice headers
-	total := int64(structOverhead) + 4*int64(len(s.Dense))
+	const structOverhead = 88 // 4 int64s, label, 2 slice headers
+	total := int64(structOverhead) + 4*int64(cap(s.Dense))
 	for _, row := range s.Sparse {
-		total += 24 + 8*int64(len(row))
+		total += 24 + 8*int64(cap(row))
 	}
 	return total
 }
@@ -68,20 +72,22 @@ func sampleMemBytes(s *datagen.Sample) int64 {
 // depends only on (file contents, Spec.Fingerprint()), which is what
 // makes memoizing it sound.
 func (r *Reader) ScanFile(ctx context.Context, file string) (*FileScan, error) {
-	samples, keys, dense, err := r.fill(ctx, file)
+	chunk, err := r.fill(ctx, file)
 	if err != nil {
 		return nil, err
 	}
-	fs := &FileScan{Keys: keys, Dense: dense}
-	for len(samples) >= r.spec.BatchSize {
-		b, err := r.ProduceBatch(samples[:r.spec.BatchSize], keys, dense)
+	fs := &FileScan{Keys: chunk.Keys(), Dense: chunk.DenseWidth()}
+	lo, n, batch := 0, chunk.Rows(), r.spec.BatchSize
+	for ; lo+batch <= n; lo += batch {
+		b, err := r.produceBatch(chunk.Slice(lo, lo+batch))
 		if err != nil {
 			return nil, err
 		}
 		fs.Batches = append(fs.Batches, b)
-		samples = samples[r.spec.BatchSize:]
 	}
-	fs.Tail = samples
+	// A cached scan outlives the fill: the tail is copied out so that it
+	// pins its own rows, not the file's whole chunk.
+	fs.Tail = chunk.Slice(lo, n).Clone().Samples()
 	return fs, nil
 }
 
@@ -91,8 +97,15 @@ func (r *Reader) ScanFile(ctx context.Context, file string) (*FileScan, error) {
 // with carried rows — batch boundaries then depend on the carry, so the
 // file's batches cannot be shared, but its decode still can be skipped by
 // a storage-layer cache underneath.
+//
+// The rows are views over the file's column chunk (dwrf.Chunk.Samples):
+// full-width, with empty lists for features the spec does not consume.
 func (r *Reader) FillFile(ctx context.Context, file string) ([]datagen.Sample, []string, int, error) {
-	return r.fill(ctx, file)
+	chunk, err := r.fill(ctx, file)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	return chunk.Samples(), chunk.Keys(), chunk.DenseWidth(), nil
 }
 
 // BatchSize reports the spec's rows-per-batch, letting scan composers cut

@@ -58,26 +58,24 @@ func (c *CachingBackend) Get(path string) ([]byte, error) {
 	return data, err
 }
 
-// ReadRange serves the range from a cached blob when present (charging a
-// hit) and delegates to the inner backend otherwise. Range reads do not
-// populate the cache — partial reads cannot be safely promoted to whole
-// blobs.
+// ReadRange serves the range from the cached blob. A miss fetches and
+// retains the whole blob through the same single-flight path as Get, so
+// a ranged reader fills the tier exactly as a whole-blob reader does:
+// one inner Get per blob per herd, counted as one miss, every later
+// range a hit. What the caller pays its own cost model for is the range
+// it asked for; what the inner store serves on a miss is the blob.
 func (c *CachingBackend) ReadRange(path string, off, n int64) ([]byte, error) {
-	data, ok := c.core.Peek(path)
-	if !ok {
-		return c.inner.ReadRange(path, off, n)
-	}
 	if off < 0 || n < 0 {
 		return c.inner.ReadRange(path, off, n) // let inner report the error idiomatically
+	}
+	data, err := c.Get(path)
+	if err != nil {
+		return nil, err
 	}
 	if off > int64(len(data)) {
 		return c.inner.ReadRange(path, off, n)
 	}
-	end := off + n
-	if end > int64(len(data)) {
-		end = int64(len(data))
-	}
-	return data[off:end], nil
+	return data[off:min(off+n, int64(len(data)))], nil
 }
 
 // InvalidateFiles evicts the named blobs from the cache, dooming

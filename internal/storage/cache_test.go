@@ -246,3 +246,41 @@ func TestCachingBackendSingleFlight(t *testing.T) {
 		t.Fatalf("inner fetched %d times for %d concurrent callers", n, callers)
 	}
 }
+
+// TestCachingBackendReadRangePopulates: a range read of an uncached blob
+// fetches and retains the whole blob through the single-flight path — one
+// inner Get and one miss however many ranges follow, each a hit — so a
+// ranged reader fills the raw tier just as a whole-blob reader does.
+func TestCachingBackendReadRangePopulates(t *testing.T) {
+	inner := newCountingBackend()
+	inner.put("a", []byte("0123456789"))
+	c := storage.NewCachingBackend(inner, 1<<20)
+
+	for _, rd := range []struct {
+		off, n int64
+		want   string
+	}{{8, 2, "89"}, {3, 3, "345"}, {9, 5, "9"}, {10, 1, ""}} { // the last two run past the end: short reads
+		got, err := c.ReadRange("a", rd.off, rd.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != rd.want {
+			t.Fatalf("ReadRange(%d, %d) = %q want %q", rd.off, rd.n, got, rd.want)
+		}
+	}
+	if n := inner.gets.Load(); n != 1 {
+		t.Fatalf("inner fetched %d times for four ranges of one blob, want 1", n)
+	}
+	if st := c.Stats(); st.Misses != 1 || st.Hits != 3 || st.Entries != 1 || st.Bytes != 10 {
+		t.Fatalf("stats %+v, want 1 miss, 3 hits, the blob resident", st)
+	}
+	if got, err := c.Get("a"); err != nil || string(got) != "0123456789" || inner.gets.Load() != 1 {
+		t.Fatalf("Get after range reads = %q, %v, %d inner fetches", got, err, inner.gets.Load())
+	}
+	if _, err := c.ReadRange("a", 11, 1); err == nil {
+		t.Fatal("range starting past the blob's end should fail as the inner store's does")
+	}
+	if _, err := c.ReadRange("missing", 0, 1); err == nil {
+		t.Fatal("range read of a missing blob should fail")
+	}
+}

@@ -163,6 +163,40 @@ func (j Jagged) ToRows() [][]Value {
 	return out
 }
 
+// ValueBounds returns the [start, end) range of Values that rows
+// [lo, hi) occupy; rows of a jagged tensor are contiguous in Values, so a
+// row range is one value range.
+func (j Jagged) ValueBounds(lo, hi int) (start, end int) {
+	if lo >= hi {
+		return 0, 0
+	}
+	start = int(j.Offsets[lo])
+	if hi < len(j.Offsets) {
+		return start, int(j.Offsets[hi])
+	}
+	return start, len(j.Values)
+}
+
+// RowRange returns rows [lo, hi) as a new canonical tensor: one
+// contiguous copy of their values, offsets rebased to start at zero.
+func (j Jagged) RowRange(lo, hi int) Jagged {
+	out := Jagged{Offsets: make([]int32, 0, hi-lo)}
+	start, end := j.ValueBounds(lo, hi)
+	out.Values = make([]Value, 0, end-start)
+	out.AppendRows(j, lo, hi)
+	return out
+}
+
+// AppendRows appends rows [lo, hi) of o after the rows of j, in place.
+func (j *Jagged) AppendRows(o Jagged, lo, hi int) {
+	start, end := o.ValueBounds(lo, hi)
+	shift := int32(len(j.Values) - start)
+	for _, off := range o.Offsets[lo:hi] {
+		j.Offsets = append(j.Offsets, off+shift)
+	}
+	j.Values = append(j.Values, o.Values[start:end]...)
+}
+
 // Concat appends the rows of o after the rows of j, returning a new tensor.
 func (j Jagged) Concat(o Jagged) Jagged {
 	out := Jagged{

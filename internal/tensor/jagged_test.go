@@ -168,3 +168,34 @@ func TestDenseBasics(t *testing.T) {
 		t.Error("Clone shares storage")
 	}
 }
+
+// TestJaggedRowRange: a row range is one contiguous value copy with
+// rebased offsets, for every window including the empty and trailing ones,
+// and AppendRows stitches ranges back into the original.
+func TestJaggedRowRange(t *testing.T) {
+	j := NewJagged([][]Value{{1, 2}, {}, {3, 4, 5}, {6}, {}})
+	for lo := 0; lo <= j.Rows(); lo++ {
+		for hi := lo; hi <= j.Rows(); hi++ {
+			got := j.RowRange(lo, hi)
+			want := NewJagged(j.ToRows()[lo:hi])
+			if !got.Equal(want) {
+				t.Fatalf("RowRange(%d,%d) = %v, want %v", lo, hi, got, want)
+			}
+			if err := got.Validate(); err != nil {
+				t.Fatalf("RowRange(%d,%d): %v", lo, hi, err)
+			}
+			var stitched Jagged
+			stitched.AppendRows(j, 0, lo)
+			stitched.AppendRows(j, lo, hi)
+			stitched.AppendRows(j, hi, j.Rows())
+			if !stitched.Equal(j) {
+				t.Fatalf("AppendRows split at %d,%d = %v, want %v", lo, hi, stitched, j)
+			}
+		}
+	}
+	got := j.RowRange(2, 4)
+	got.Values[0] = 99
+	if j.Values[2] == 99 {
+		t.Fatal("RowRange shares values storage")
+	}
+}

@@ -20,6 +20,13 @@ const (
 	defaultResumeMax = 64
 )
 
+// resumeParkWait bounds how long a resume claim waits for the connection
+// it just severed to park its session. Parking is a handful of local
+// steps once the old handler notices, so the bound only matters when that
+// handler is wedged; the claim then fails like any unknown token and the
+// client falls back to offset replay.
+const resumeParkWait = 2 * time.Second
+
 // wireStream adapts the two session kinds (batch and file-unit) to the
 // unified serving loop: next returns the next frame payload with its
 // stream index and rolling chain hash already stamped, so the loop —
@@ -134,6 +141,13 @@ type resumeEntry struct {
 	// tick.
 	seq   int64
 	inUse bool
+
+	// Set by registerLive, for the entry's time in the live table: sever
+	// kills the connection serving the session (its handler then parks),
+	// and parked is closed once that handler has parked the entry or given
+	// the session up.
+	sever  func()
+	parked chan struct{}
 }
 
 // resumeTable is the server's bounded, TTL-evicted table of parked
@@ -142,6 +156,13 @@ type resumeEntry struct {
 type resumeTable struct {
 	mu      sync.Mutex
 	entries map[string]*resumeEntry
+	// live holds the tokens issued to sessions whose first connection is
+	// still being served. A client can redial faster than the server
+	// notices that connection is dead, so a claim must be able to find —
+	// and sever — a session that has not parked yet. Live entries are
+	// outside the parked table's capacity and TTL: they are bounded by the
+	// open connections.
+	live    map[string]*resumeEntry
 	janitor bool
 	// parkSeq numbers parks; resumeEntry.seq is drawn from it under mu.
 	parkSeq int64
@@ -236,6 +257,7 @@ func (s *Server) park(e *resumeEntry) bool {
 	e.expires = s.now().Add(s.resumeTTL())
 	e.inUse = false
 	s.resume.entries[e.token] = e
+	s.resume.settleLiveLocked(e.token)
 	s.startJanitorLocked()
 	s.resume.mu.Unlock()
 	if evict != nil {
@@ -246,14 +268,53 @@ func (s *Server) park(e *resumeEntry) bool {
 	return true
 }
 
+// registerLive enters a freshly issued token into the live table. sever
+// must make the connection's serving loop exit the way a dead connection
+// does, so that it parks.
+func (s *Server) registerLive(e *resumeEntry, sever func()) {
+	e.sever, e.parked = sever, make(chan struct{})
+	s.resume.mu.Lock()
+	if s.resume.live == nil {
+		s.resume.live = make(map[string]*resumeEntry)
+	}
+	s.resume.live[e.token] = e
+	s.resume.mu.Unlock()
+}
+
+// settleLiveLocked takes token out of the live table, if it is there, and
+// wakes the claims waiting on it; resume.mu held.
+func (t *resumeTable) settleLiveLocked(token string) {
+	if e := t.live[token]; e != nil {
+		delete(t.live, token)
+		close(e.parked)
+	}
+}
+
 // claimResume hands a parked entry to exactly one reconnecting client
 // after checking everything the handshake asserts: the token is live and
 // unclaimed, the tenant that authenticated matches the tenant that
 // parked, the session kind, spec fingerprint, and file plan match, and
 // the offset lies inside the retained window.
+//
+// A client that redials faster than the server notices its old
+// connection is dead presents a token that is issued but not parked yet.
+// That is not an unknown token: the claim severs the old connection and
+// waits, bounded, for its handler to park, then runs the same checks.
 func (s *Server) claimResume(token, tenant string, fileUnits bool, fingerprint string, filesHash uint64, offset int64) (*resumeEntry, error) {
 	s.resume.mu.Lock()
 	defer s.resume.mu.Unlock()
+	if le := s.resume.live[token]; le != nil && le.tenant == tenant {
+		s.resume.mu.Unlock()
+		le.sever()
+		wait := time.NewTimer(resumeParkWait)
+		select {
+		case <-le.parked:
+		case <-s.ctx.Done():
+		case <-wait.C:
+		}
+		wait.Stop()
+		s.resume.mu.Lock()
+	}
 	e := s.resume.entries[token]
 	if e == nil || s.now().After(e.expires) {
 		return nil, errors.New("dppnet: unknown or expired resume token")
@@ -282,11 +343,12 @@ func (s *Server) claimResume(token, tenant string, fileUnits bool, fingerprint s
 	return e, nil
 }
 
-// dropResume removes a token's entry without closing its stream — the
-// caller owns the stream (it just finished serving it).
+// dropResume removes a token's entry, live or parked, without closing its
+// stream — the caller owns the stream (it just finished serving it).
 func (s *Server) dropResume(token string) {
 	s.resume.mu.Lock()
 	delete(s.resume.entries, token)
+	s.resume.settleLiveLocked(token)
 	s.resume.mu.Unlock()
 }
 

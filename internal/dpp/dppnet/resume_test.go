@@ -547,6 +547,61 @@ func TestResumeTokenSingleClaim(t *testing.T) {
 	testutil.WaitForGoroutines(t, before)
 }
 
+// TestResumeClaimBeforePark: a client can redial before the server has
+// noticed that its old connection is dead. The token it presents is
+// issued but not parked; the claim must sever the old connection, wait
+// for its handler to park, and resume — not answer "unknown" and push
+// the client onto a full offset replay.
+func TestResumeClaimBeforePark(t *testing.T) {
+	before := runtime.NumGoroutine()
+	env := newTestEnv(t, 60)
+	h := startServer(t, env, dpp.Config{})
+	client := NewClient(h.addr)
+	client.Resumable = true
+
+	rs, err := client.Open(context.Background(), dpp.Spec{Spec: alignedSpec()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	consumeRemote(t, rs, 1)
+	rs.mu.Lock()
+	token := rs.token
+	rs.mu.Unlock()
+	if token == "" {
+		t.Fatal("resumable handshake returned no token")
+	}
+	ws, err := encodeSpec(dpp.Spec{Spec: alignedSpec()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The old connection is still open and healthy as far as the server
+	// can tell: nothing has parked.
+	if st := h.srv.Stats(); st.ParkedSessions != 0 {
+		t.Fatalf("server stats %+v: nothing should have parked yet", st)
+	}
+	conn, _, stop, _, err := client.openStream(context.Background(), client.addr, openRequest{
+		Kind: kindSession, Window: 4, Spec: ws,
+		Resumable: true, Offset: 1, Token: token,
+	})
+	if err != nil {
+		t.Fatalf("claim of an issued, not yet parked token: %v", err)
+	}
+	if st := h.srv.Stats(); st.ParkedSessions != 1 || st.ResumedSessions != 1 || st.ReplayedSessions != 0 {
+		t.Fatalf("server stats %+v: want the old connection parked and the claim resumed by token", st)
+	}
+	// Another tenant's probe of a live token must read as unknown, and
+	// must not sever anything — there is no gate here, so forge the tenant.
+	if _, err := h.srv.claimResume(token, "other", false, "", 0, 0); err == nil ||
+		!strings.Contains(err.Error(), "unknown or expired") {
+		t.Fatalf("cross-tenant claim = %v, want the unknown-token error", err)
+	}
+	stop()
+	conn.Close()
+	rs.Close()
+	h.shutdown(t)
+	testutil.WaitForGoroutines(t, before)
+}
+
 // TestResumeOffsetBeyondEOFRejected: a token-less replay handshake whose
 // offset lies past the stream's end must come back as a remote error
 // after the server replays to EOF, and a negative offset must be

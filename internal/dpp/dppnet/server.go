@@ -368,7 +368,7 @@ func (s *Server) handle(conn net.Conn) {
 	case kindTablez:
 		s.serveTablez(bw)
 	case kindSession:
-		s.serveStream(peer, br, bw, &req)
+		s.serveStream(conn, br, bw, &req)
 	default:
 		s.event(SessionEvent{Kind: "error", Peer: peer, Detail: fmt.Sprintf("unknown request kind %q", req.Kind)})
 		writeError(bw, fmt.Errorf("dppnet: unknown request kind %q", req.Kind))
@@ -423,7 +423,8 @@ func (s *Server) serveTablez(bw *bufio.Writer) {
 // connection's: when the connection dies without a close frame, the loop
 // parks the live stream plus its unacknowledged frames instead of
 // closing it, and a later handshake picks it up byte-where-it-left-off.
-func (s *Server) serveStream(peer string, br *bufio.Reader, bw *bufio.Writer, req *openRequest) {
+func (s *Server) serveStream(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, req *openRequest) {
+	peer := conn.RemoteAddr().String()
 	tenant := ""
 	fail := func(table, detail string, err error) {
 		s.event(SessionEvent{Kind: "error", Peer: peer, Table: table, FileUnits: req.FileUnits,
@@ -487,6 +488,7 @@ func (s *Server) serveStream(peer string, br *bufio.Reader, bw *bufio.Writer, re
 		streamCtx    context.Context
 		streamCancel context.CancelFunc
 		entry        *resumeEntry // claimed parked state, nil for a fresh open
+		issued       *resumeEntry // a fresh resumable session's state, live until it parks
 		token        string
 		sent, acked  int64 // stream frame indices: produced / client-confirmed
 		base         int64 // index of retained[0]
@@ -561,6 +563,9 @@ func (s *Server) serveStream(peer string, br *bufio.Reader, bw *bufio.Writer, re
 				fail(spec.Table, err.Error(), err)
 				return
 			}
+			issued = &resumeEntry{token: token, fileUnits: req.FileUnits, fingerprint: fingerprint,
+				filesHash: filesHash, table: spec.Table, shareScans: spec.ShareScans, window: window,
+				tenant: tenant, ctx: streamCtx, cancel: streamCancel, stream: stream}
 		}
 		// Offset replay: the deterministic stream contract makes the
 		// replayed prefix byte-identical to what the client already
@@ -612,9 +617,7 @@ func (s *Server) serveStream(peer string, br *bufio.Reader, bw *bufio.Writer, re
 		if park {
 			e := entry
 			if e == nil {
-				e = &resumeEntry{token: token, fileUnits: req.FileUnits, fingerprint: fingerprint,
-					filesHash: filesHash, table: spec.Table, shareScans: spec.ShareScans, window: window,
-					tenant: tenant, ctx: streamCtx, cancel: streamCancel, stream: stream}
+				e = issued
 			}
 			e.sent, e.acked, e.retained = sent, acked, retained
 			if s.park(e) {
@@ -636,6 +639,11 @@ func (s *Server) serveStream(peer string, br *bufio.Reader, bw *bufio.Writer, re
 		return resumable && !clientClosed.Load() && streamCtx.Err() == nil && (entry != nil || okSent)
 	}
 
+	// The connection context ends when the connection dies, the client
+	// half-closes, or a resume claim severs it; the stream's outlives it.
+	connCtx, connCancel := context.WithCancel(streamCtx)
+	defer connCancel()
+
 	var okPayload []byte
 	if token != "" {
 		okPayload, err = json.Marshal(okReply{Token: token})
@@ -644,6 +652,16 @@ func (s *Server) serveStream(peer string, br *bufio.Reader, bw *bufio.Writer, re
 			writeError(bw, err)
 			return
 		}
+	}
+	if issued != nil {
+		// The token is claimable from the moment the client can know it,
+		// not from the moment this handler notices its connection died: a
+		// client that redials first finds the entry here, severs this
+		// connection, and waits for the park below.
+		s.registerLive(issued, func() {
+			connCancel()
+			conn.Close()
+		})
 	}
 	if writeFrame(bw, frameOK, okPayload) != nil || bw.Flush() != nil {
 		park = canPark()
@@ -654,8 +672,6 @@ func (s *Server) serveStream(peer string, br *bufio.Reader, bw *bufio.Writer, re
 	// Connection reader: credits and close requests. It owns br from
 	// here on and exits — cancelling the connection context, never the
 	// stream's — when the connection dies or the client half-closes.
-	connCtx, connCancel := context.WithCancel(streamCtx)
-	defer connCancel()
 	credits := make(chan int64, 1)
 	go func() {
 		defer connCancel()
@@ -842,22 +858,35 @@ func (s *Server) serveStream(peer string, br *bufio.Reader, bw *bufio.Writer, re
 		payload, err := stream.next(connCtx)
 		if err == io.EOF {
 			outcome = "eof"
-			if !drainExtends() {
-				return
-			}
 			var enc bytes.Buffer
-			if err := encodeSessionStats(&enc, stream.stats()); err != nil {
-				outcome = "error: " + err.Error()
-				writeError(bw, err)
-				return
+			delivered := drainExtends()
+			if delivered {
+				if err := encodeSessionStats(&enc, stream.stats()); err != nil {
+					outcome = "error: " + err.Error()
+					writeError(bw, err)
+					return
+				}
+				delivered = writeFrame(bw, frameStats, enc.Bytes()) == nil &&
+					writeFrame(bw, frameEOF, nil) == nil && bw.Flush() == nil
 			}
-			if writeFrame(bw, frameStats, enc.Bytes()) != nil {
-				return
+			// Written is not received: the last window of frames can still
+			// die with the connection, and the client would come back for
+			// them. A resumable session therefore stays claimable until the
+			// client has confirmed consuming its tail (or closed cleanly);
+			// a connection lost before that parks the finished stream with
+			// the frames it still owes.
+			for delivered && resumable && acked < sent {
+				select {
+				case n := <-credits:
+					bank(n)
+					prune()
+				case <-connCtx.Done():
+					delivered = false
+				}
 			}
-			if writeFrame(bw, frameEOF, nil) != nil {
-				return
+			if !delivered && acked < sent {
+				park = canPark()
 			}
-			bw.Flush()
 			return
 		}
 		if err != nil {

@@ -202,6 +202,8 @@ type Session struct {
 	firstErr           error
 	closed             bool
 	done               bool
+	// final is the outcome finish reported, io.EOF for a clean scan.
+	final error
 }
 
 // tailState is the catalog position a Follow session starts tailing
@@ -842,10 +844,15 @@ func (s *Session) Next(ctx context.Context) (*reader.Batch, error) {
 		return nil, ctx.Err()
 	case <-s.ctx.Done():
 		s.mu.Lock()
-		closed := s.closed
+		closed, final := s.closed, s.final
 		s.mu.Unlock()
 		if closed {
 			return nil, ErrClosed
+		}
+		if final != nil {
+			// The stream already ended and teardown cancelled the session's
+			// own context: repeat the recorded outcome.
+			return nil, final
 		}
 		return nil, s.ctx.Err()
 	}
@@ -860,11 +867,21 @@ func (s *Session) finish() error {
 	// Snapshot the job-context state before teardown cancels the session
 	// context itself: a clean EOF must not read back its own teardown as
 	// a cancellation.
+	s.mu.Lock()
+	final, closed := s.final, s.closed
+	s.mu.Unlock()
+	if final != nil {
+		// A Next after the end repeats the outcome.
+		if closed {
+			return ErrClosed
+		}
+		return final
+	}
 	ctxErr := s.ctx.Err()
 	s.teardown()
 	s.mu.Lock()
 	err := s.firstErr
-	closed := s.closed
+	closed = s.closed
 	s.mu.Unlock()
 	s.release()
 	if err == nil {
@@ -872,12 +889,14 @@ func (s *Session) finish() error {
 			err = ErrClosed
 		} else if ctxErr != nil {
 			err = ctxErr
+		} else {
+			err = io.EOF
 		}
 	}
-	if err != nil {
-		return err
-	}
-	return io.EOF
+	s.mu.Lock()
+	s.final = err
+	s.mu.Unlock()
+	return err
 }
 
 // teardown stops the pool (no further spawns), cancels the session

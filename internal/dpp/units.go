@@ -68,6 +68,8 @@ type UnitSession struct {
 	firstErr error
 	closed   bool
 	done     bool
+	// final is the outcome finish reported, io.EOF for a clean scan.
+	final error
 }
 
 // unitResult is one decoded file handed from a scan worker to the merge.
@@ -328,10 +330,15 @@ func (u *UnitSession) NextUnit(ctx context.Context) (*FileUnit, error) {
 		return nil, ctx.Err()
 	case <-u.ctx.Done():
 		u.mu.Lock()
-		closed := u.closed
+		closed, final := u.closed, u.final
 		u.mu.Unlock()
 		if closed {
 			return nil, ErrClosed
+		}
+		if final != nil {
+			// The stream already ended and teardown cancelled the session's
+			// own context: repeat the recorded outcome.
+			return nil, final
 		}
 		return nil, u.ctx.Err()
 	}
@@ -340,11 +347,21 @@ func (u *UnitSession) NextUnit(ctx context.Context) (*FileUnit, error) {
 // finish mirrors Session.finish: stop everything, settle the outcome,
 // release the service slot, and report EOF only for a clean scan.
 func (u *UnitSession) finish() error {
+	u.mu.Lock()
+	final, closed := u.final, u.closed
+	u.mu.Unlock()
+	if final != nil {
+		// A Next after the end repeats the outcome.
+		if closed {
+			return ErrClosed
+		}
+		return final
+	}
 	ctxErr := u.ctx.Err()
 	u.teardown()
 	u.mu.Lock()
 	err := u.firstErr
-	closed := u.closed
+	closed = u.closed
 	u.mu.Unlock()
 	u.release()
 	if err == nil {
@@ -352,12 +369,14 @@ func (u *UnitSession) finish() error {
 			err = ErrClosed
 		} else if ctxErr != nil {
 			err = ctxErr
+		} else {
+			err = io.EOF
 		}
 	}
-	if err != nil {
-		return err
-	}
-	return io.EOF
+	u.mu.Lock()
+	u.final = err
+	u.mu.Unlock()
+	return err
 }
 
 // teardown cancels the session context and waits for every session

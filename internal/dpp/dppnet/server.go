@@ -896,6 +896,13 @@ func (s *Server) serveStream(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, 
 				park = canPark()
 				return
 			}
+			if s.ctx.Err() != nil {
+				// The server is closing, not the stream failing: drop the
+				// connection without a verdict, so a resuming client rejoins
+				// (here after a restart, or elsewhere) instead of reading its
+				// own server's shutdown as a terminal stream error.
+				return
+			}
 			outcome = "error: " + err.Error()
 			writeError(bw, err)
 			return

@@ -99,12 +99,16 @@
 // # Reader pipeline
 //
 // reader.Reader.Run executes the paper's fill→convert→process loop either
-// serially (the reference path) or as a bounded-channel pipeline:
-// Spec.FillAhead prefetches and decodes files ahead of conversion, and
+// serially (the reference path) or with fill ahead of conversion:
+// Spec.FillAhead > 0 makes the scan a one-worker reader.ScanQueue whose
+// fill worker decodes up to FillAhead files ahead of the cutter, and
 // Spec.ConvertWorkers converts independent dedup groups of a batch
-// concurrently. Both modes emit byte-identical batches with identical
-// deterministic Stats counters; the equivalence is pinned under -race by
-// the reader package's tests.
+// concurrently. Every batch stream in the repo — serial, queued, shared
+// through the ScanCache, merged from a fleet of shards — is a file-ordered
+// unit source feeding the one cutter, reader.Reader.RunUnits, so all of
+// them emit byte-identical batches with identical deterministic Stats
+// counters; the equivalence is pinned under -race by the reader package's
+// tests.
 //
 // # Benchmark regression harness
 //

@@ -99,13 +99,12 @@ type Service struct {
 	arbiter WorkerArbiter
 	clock   Clock
 
-	mu       sync.Mutex
-	closed   bool
-	nextID   int64
-	sessions map[int64]*Session
-	// unitSessions are the open file-unit sessions (fleet shards); they
-	// share the MaxSessions cap with batch sessions.
-	unitSessions map[int64]*UnitSession
+	mu     sync.Mutex
+	closed bool
+	nextID int64
+	// sessions are the open sessions of both kinds — batch sessions and
+	// file-unit sessions (fleet shards) share the MaxSessions cap.
+	sessions map[int64]liveSession
 	// reserved counts admissions granted but not yet registered, so the
 	// MaxSessions cap holds across concurrent Opens.
 	reserved int
@@ -158,15 +157,14 @@ func New(cfg Config) (*Service, error) {
 		autoscale = &ac
 	}
 	svc := &Service{
-		backend:      cfg.Backend,
-		catalog:      cfg.Catalog,
-		max:          cfg.MaxSessions,
-		cache:        cache,
-		autoscale:    autoscale,
-		arbiter:      cfg.Arbiter,
-		clock:        clock,
-		sessions:     make(map[int64]*Session),
-		unitSessions: make(map[int64]*UnitSession),
+		backend:   cfg.Backend,
+		catalog:   cfg.Catalog,
+		max:       cfg.MaxSessions,
+		cache:     cache,
+		autoscale: autoscale,
+		arbiter:   cfg.Arbiter,
+		clock:     clock,
+		sessions:  make(map[int64]liveSession),
 	}
 	if cb, ok := cfg.Backend.(*storage.CachingBackend); ok {
 		svc.rawCache = cb
@@ -271,17 +269,7 @@ func (s *Service) Stats() Stats {
 	if s.cache != nil {
 		cache = s.cache.Stats()
 	}
-	s.mu.Lock()
-	live := make([]*Session, 0, len(s.sessions))
-	for _, sess := range s.sessions {
-		live = append(live, sess)
-	}
-	liveUnits := make([]*UnitSession, 0, len(s.unitSessions))
-	for _, u := range s.unitSessions {
-		liveUnits = append(liveUnits, u)
-	}
-	active := len(s.sessions) + len(s.unitSessions)
-	s.mu.Unlock()
+	live := s.liveSessions()
 
 	sched := ServiceSchedulerStats{
 		ScaleUps:      s.scaleUps.Value(),
@@ -299,15 +287,10 @@ func (s *Service) Stats() Stats {
 			follow.LagFiles += sess.FollowLag()
 		}
 	}
-	for _, u := range liveUnits {
-		st := u.Stats().Scheduler
-		sched.WorkerStall += st.WorkerStall
-		sched.ConsumerStall += st.ConsumerStall
-	}
 
 	return Stats{
 		SessionsOpened: s.opened.Value(),
-		ActiveSessions: active,
+		ActiveSessions: len(live),
 		BatchesServed:  s.batchesServed.Value(),
 		SessionErrors:  s.sessionErrors.Value(),
 		Cache:          cache,
@@ -316,18 +299,96 @@ func (s *Service) Stats() Stats {
 	}
 }
 
+// liveSession is what the service needs of an open session, whatever it
+// yields: to close it, and to fold its telemetry into Stats.
+type liveSession interface {
+	Close() error
+	SchedulerStats() SchedulerStats
+	Following() bool
+	FollowLag() int
+}
+
+// liveSessions snapshots the registry.
+func (s *Service) liveSessions() []liveSession {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	live := make([]liveSession, 0, len(s.sessions))
+	for _, sess := range s.sessions {
+		live = append(live, sess)
+	}
+	return live
+}
+
+// plan defaults and validates a spec and resolves its scan set: the
+// explicit Files list, else the catalog's files for Table. (A Follow
+// session plans from the catalog's publish order instead; see Open.)
+func (s *Service) plan(spec Spec) (Spec, []string, error) {
+	spec = spec.withDefaults()
+	if err := spec.validate(); err != nil {
+		return spec, nil, err
+	}
+	if spec.ShareScans && s.cache == nil {
+		return spec, nil, fmt.Errorf("dpp: spec requests ShareScans but the service's scan cache is disabled")
+	}
+	if spec.Files != nil || spec.Follow {
+		return spec, spec.Files, nil
+	}
+	if s.catalog == nil {
+		return spec, nil, fmt.Errorf("dpp: service has no catalog and spec %q names no files", spec.Table)
+	}
+	files, err := s.catalog.AllFiles(spec.Table)
+	return spec, files, err
+}
+
+// admit is the one admission path: it reserves a slot atomically with the
+// cap/closed checks, runs open outside the lock, registers the session
+// under the same lock once it exists, and gives the slot back on any
+// failure — concurrent opens of either kind cannot overshoot the cap and
+// a racing Close cannot strand a live session.
+func admit[S liveSession](s *Service, open func(id int64) (S, error)) (S, error) {
+	var none S
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return none, fmt.Errorf("dpp: service closed")
+	}
+	if s.max > 0 && len(s.sessions)+s.reserved >= s.max {
+		s.mu.Unlock()
+		return none, fmt.Errorf("dpp: session cap %d reached", s.max)
+	}
+	s.reserved++
+	s.nextID++
+	id := s.nextID
+	s.mu.Unlock()
+
+	sess, err := open(id)
+	s.mu.Lock()
+	s.reserved--
+	if err != nil {
+		s.mu.Unlock()
+		return none, err
+	}
+	if s.closed {
+		s.mu.Unlock()
+		sess.Close()
+		return none, fmt.Errorf("dpp: service closed")
+	}
+	s.sessions[id] = sess
+	s.opened.Inc()
+	s.mu.Unlock()
+	return sess, nil
+}
+
 // Open admits a new session for one training job. The session's scan is
 // planned immediately and its reader workers start filling their bounded
 // buffers right away. Cancelling ctx — the job's context — tears the
 // session down as if Close had been called; the service's other sessions
 // are unaffected.
 func (s *Service) Open(ctx context.Context, spec Spec) (*Session, error) {
-	spec = spec.withDefaults()
-	if err := spec.validate(); err != nil {
+	spec, files, err := s.plan(spec)
+	if err != nil {
 		return nil, err
 	}
-
-	files := spec.Files
 	var tail *tailState
 	if spec.Follow {
 		// A Follow session plans over the publish-order snapshot (landed
@@ -352,76 +413,24 @@ func (s *Service) Open(ctx context.Context, spec Spec) (*Session, error) {
 			cursor = p.Seq
 		}
 		tail = &tailState{catalog: tc, gen: gen, cursor: cursor}
-	} else if files == nil {
-		if s.catalog == nil {
-			return nil, fmt.Errorf("dpp: service has no catalog and spec %q names no files", spec.Table)
-		}
-		var err error
-		files, err = s.catalog.AllFiles(spec.Table)
-		if err != nil {
-			return nil, err
-		}
 	}
-
-	// Reserve an admission slot atomically with the cap/closed checks,
-	// register under the same lock once the session exists, and give the
-	// slot back on any failure — concurrent Opens cannot overshoot the
-	// cap and a racing Close cannot strand a live session.
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("dpp: service closed")
-	}
-	if s.max > 0 && len(s.sessions)+len(s.unitSessions)+s.reserved >= s.max {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("dpp: session cap %d reached", s.max)
-	}
-	s.reserved++
-	s.nextID++
-	id := s.nextID
-	s.mu.Unlock()
-
-	sess, err := newSession(ctx, s, id, spec, files, tail)
-	s.mu.Lock()
-	s.reserved--
-	if err != nil {
-		s.mu.Unlock()
-		return nil, err
-	}
-	if s.closed {
-		s.mu.Unlock()
-		sess.Close()
-		return nil, fmt.Errorf("dpp: service closed")
-	}
-	s.sessions[id] = sess
-	s.opened.Inc()
-	s.mu.Unlock()
-	return sess, nil
+	return admit(s, func(id int64) (*Session, error) {
+		return newSession(ctx, s, id, spec, files, tail)
+	})
 }
 
 // Close shuts the service down, cancelling every open session and
 // rejecting future Opens. Safe to call more than once.
 func (s *Service) Close() error {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	closed := s.closed
+	s.closed = true
+	s.mu.Unlock()
+	if closed {
 		return nil
 	}
-	s.closed = true
-	open := make([]*Session, 0, len(s.sessions))
-	for _, sess := range s.sessions {
-		open = append(open, sess)
-	}
-	openUnits := make([]*UnitSession, 0, len(s.unitSessions))
-	for _, u := range s.unitSessions {
-		openUnits = append(openUnits, u)
-	}
-	s.mu.Unlock()
-	for _, sess := range open {
+	for _, sess := range s.liveSessions() {
 		sess.Close()
-	}
-	for _, u := range openUnits {
-		u.Close()
 	}
 	return nil
 }
@@ -451,16 +460,5 @@ func (s *Service) retire(id int64, sched SchedulerStats, errored bool) {
 	}
 	s.mu.Lock()
 	delete(s.sessions, id)
-	s.mu.Unlock()
-}
-
-func (s *Service) retireUnit(id int64, sched SchedulerStats, errored bool) {
-	s.workerStallNS.Add(int64(sched.WorkerStall))
-	s.consumerStallNS.Add(int64(sched.ConsumerStall))
-	if errored {
-		s.sessionErrors.Inc()
-	}
-	s.mu.Lock()
-	delete(s.unitSessions, id)
 	s.mu.Unlock()
 }

@@ -429,8 +429,11 @@ func FuzzDecodeFileUnit(f *testing.F) {
 	bad[binary.PutUvarint(make([]byte, binary.MaxVarintLen64), 3)] = 7
 	f.Add(bad)
 
+	// The decoding client's spec is the seed scan's: frames that keep its
+	// features keep a populated tail chunk through the round trip.
+	consumed := misalignedSpec().ConsumedFeatures()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		u, err := decodeFileUnit(data)
+		u, err := decodeFileUnit(data, consumed)
 		if err != nil {
 			return
 		}
@@ -444,9 +447,9 @@ func FuzzDecodeFileUnit(f *testing.F) {
 			t.Fatal("accepted unit without a scan")
 		}
 		if len(u.Scan.Keys) > maxUnitKeys || u.Scan.Dense > maxUnitDense ||
-			len(u.Scan.Batches) > maxUnitBatches || len(u.Scan.Tail) > maxUnitTail {
+			len(u.Scan.Batches) > maxUnitBatches || u.Scan.Tail.Rows() > maxUnitTail {
 			t.Fatalf("accepted unit outside wire bounds: %d keys, dense %d, %d batches, %d tail rows",
-				len(u.Scan.Keys), u.Scan.Dense, len(u.Scan.Batches), len(u.Scan.Tail))
+				len(u.Scan.Keys), u.Scan.Dense, len(u.Scan.Batches), u.Scan.Tail.Rows())
 		}
 		for _, k := range u.Scan.Keys {
 			if len(k) > maxUnitKeyLen {
@@ -457,7 +460,7 @@ func FuzzDecodeFileUnit(f *testing.F) {
 		if err := encodeFileUnit(&re, u); err != nil {
 			t.Fatalf("re-encode of accepted unit: %v", err)
 		}
-		back, err := decodeFileUnit(re.Bytes())
+		back, err := decodeFileUnit(re.Bytes(), consumed)
 		if err != nil {
 			t.Fatalf("re-decode of accepted unit: %v", err)
 		}

@@ -67,6 +67,7 @@ func (c *Client) OpenUnits(ctx context.Context, spec dpp.Spec) (*RemoteUnitSessi
 		rng:    jitterRNG(c.Resume.normalized(), c.sessionSeq.Add(1)),
 		conn:   conn,
 		files:  spec.Files,
+		tail:   spec.ConsumedFeatures(),
 		// One slot past the credit window, for the same reason as a batch
 		// session's receive channel: the terminal message always fits.
 		recv:      make(chan remoteUnitMsg, window+1),
@@ -96,6 +97,7 @@ type RemoteUnitSession struct {
 	ws     *wireSpec
 	window int
 	files  []string
+	tail   []string // the features a unit's tail chunk holds
 
 	done chan struct{}
 
@@ -155,7 +157,7 @@ func (rus *RemoteUnitSession) receive(br *bufio.Reader, recv chan remoteUnitMsg,
 				terminal(fmt.Errorf("dppnet: corrupt file-unit frame: %w", err))
 				return
 			}
-			u, err := decodeFileUnit(body)
+			u, err := decodeFileUnit(body, rus.tail)
 			if err != nil {
 				terminal(fmt.Errorf("dppnet: corrupt file-unit frame: %w", err))
 				return

@@ -5,9 +5,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/datagen"
 	"repro/internal/dpp"
+	"repro/internal/dwrf"
 	"repro/internal/reader"
 )
 
@@ -16,6 +18,11 @@ import (
 //	index | hit byte | dense | nKeys (len-prefixed keys)... |
 //	nBatches (reader.Batch wire codec each) |
 //	nTail (datagen.Sample wire codec each)
+//
+// The tail is a column chunk on both sides of the wire and rows only on
+// it: encode writes the chunk's row views (full-width, empty lists for
+// features the spec does not consume), decode gathers the rows back into a
+// chunk of the consumed columns.
 //
 // The file path itself does not travel: units arrive strictly in
 // file-list order and the client owns the list it asked for, so the
@@ -81,16 +88,22 @@ func encodeFileUnit(w io.Writer, u *dpp.FileUnit) error {
 			return err
 		}
 	}
-	if err := putUvarint(uint64(len(u.Scan.Tail))); err != nil {
+	var tail []datagen.Sample
+	if u.Scan.Tail != nil {
+		tail = u.Scan.Tail.Samples()
+	}
+	if err := putUvarint(uint64(len(tail))); err != nil {
 		return err
 	}
-	return datagen.EncodeSamples(w, u.Scan.Tail)
+	return datagen.EncodeSamples(w, tail)
 }
 
 // decodeFileUnit parses a file-unit frame payload. The returned unit's
 // File is empty — the caller maps the subset index back to its own file
-// list. Trailing bytes after the tail rows are a protocol error.
-func decodeFileUnit(payload []byte) (*dpp.FileUnit, error) {
+// list. The client owns the spec, so it names the features the tail chunk
+// holds (reader.Spec.ConsumedFeatures); the frame's keys place them.
+// Trailing bytes after the tail rows are a protocol error.
+func decodeFileUnit(payload []byte, consumed []string) (*dpp.FileUnit, error) {
 	r := bytes.NewReader(payload)
 	bounded := func(name string, max uint64) (int, error) {
 		v, err := binary.ReadUvarint(r)
@@ -151,12 +164,28 @@ func decodeFileUnit(payload []byte) (*dpp.FileUnit, error) {
 	if err != nil {
 		return nil, err
 	}
+	var tail []datagen.Sample
 	for i := 0; i < nTail; i++ {
 		s, err := datagen.DecodeSample(r)
 		if err != nil {
 			return nil, fmt.Errorf("dppnet: file-unit tail row %d: %w", i, err)
 		}
-		scan.Tail = append(scan.Tail, s)
+		// Every row must be as wide as the schema says, so that the chunk's
+		// size is vouched for by bytes received, not by the header's claim.
+		if len(s.Dense) != dense || len(s.Sparse) != nKeys {
+			return nil, fmt.Errorf("dppnet: file-unit tail row %d is %d dense, %d sparse wide; schema says %d, %d",
+				i, len(s.Dense), len(s.Sparse), dense, nKeys)
+		}
+		tail = append(tail, s)
+	}
+	cols := make([]int, len(consumed))
+	for p, f := range consumed {
+		if cols[p] = slices.Index(scan.Keys, f); cols[p] < 0 {
+			return nil, fmt.Errorf("dppnet: file unit lacks consumed feature %q", f)
+		}
+	}
+	if scan.Tail, err = dwrf.ChunkFromSamples(tail, scan.Keys, dense, cols); err != nil {
+		return nil, fmt.Errorf("dppnet: file-unit tail: %w", err)
 	}
 	if r.Len() != 0 {
 		return nil, fmt.Errorf("dppnet: %d trailing bytes after file unit", r.Len())

@@ -9,11 +9,12 @@
 // decoded files in order: complete batches plus raw tail rows), and the
 // multiplexer reassembles the global file order with the same
 // deposit-by-index ordered-merge discipline a local session's fill pool
-// uses (reader.OrderedMerge). Batches whose rows stay inside one file
-// pass through untouched; batch boundaries that cross file boundaries
-// are cut client-side from the carried tails — which is what makes the
-// merged stream byte-identical to a single-server (or fully local)
-// session over the same spec, at any shard count.
+// uses (reader.OrderedMerge), feeding the units to the reader's one
+// cutter (reader.RunUnits) like every other batch stream. Batches whose
+// rows stay inside one file pass through untouched; batch boundaries that
+// cross file boundaries are cut client-side from the carried tails —
+// which is what makes the merged stream byte-identical to a single-server
+// (or fully local) session over the same spec, at any shard count.
 //
 // Shard death mid-stream re-routes deterministically: the dead shard's
 // not-yet-delivered files — and only those — are re-hashed over the
@@ -33,7 +34,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/datagen"
 	"repro/internal/dpp"
 	"repro/internal/dpp/dppnet"
 	"repro/internal/reader"
@@ -162,12 +162,6 @@ type shardState struct {
 	statsOK bool
 }
 
-// shardUnit is one merge slot: a delivered unit or the stream's fate.
-type shardUnit struct {
-	unit *dpp.FileUnit
-	err  error
-}
-
 // maxMergeWindow caps how many undelivered decoded files the merge may
 // hold client-side; whole files are much larger than batches, so the
 // cap is far below the batch-session buffer cap.
@@ -185,11 +179,13 @@ type Session struct {
 
 	ctx    context.Context
 	cancel context.CancelFunc
-	merge  *reader.OrderedMerge[shardUnit]
-	out    chan *reader.Batch
-	// mux is the session's local reader: it cuts carry-crossing batches
-	// from tails (ProduceBatch) and re-fills carry-entered files
-	// (FillFile, needs Config.Backend).
+	// merge holds one slot per file of the global plan: the unit its shard
+	// delivered, or the stream's fate.
+	merge *reader.OrderedMerge[reader.Unit]
+	out   chan *reader.Batch
+	// mux is the session's local reader, the cutter: it cuts
+	// carry-crossing batches from tails and re-fills carry-entered files
+	// (which needs Config.Backend).
 	mux *reader.Reader
 	wg  sync.WaitGroup
 	// pumps tracks only the shard pump goroutines: a cleanly exhausted
@@ -260,7 +256,7 @@ func (f *Fleet) Open(ctx context.Context, spec dpp.Spec) (*Session, error) {
 	if window > maxMergeWindow {
 		window = maxMergeWindow
 	}
-	s.merge = reader.NewOrderedMerge[shardUnit](len(files), window, nil)
+	s.merge = reader.NewOrderedMerge[reader.Unit](len(files), window, nil)
 
 	// Open the initial shard streams synchronously, re-routing around
 	// unreachable shards; only then do pumps start, so Open's error
@@ -379,7 +375,7 @@ func (s *Session) runPump(st *shardState) {
 			s.rerouteShard(st, pos, err)
 			return
 		}
-		s.merge.Deposit(gidx, shardUnit{unit: u})
+		s.merge.Deposit(gidx, reader.Unit{File: u.File, Scan: u.Scan})
 		pos++
 		s.pmu.Lock()
 		st.served = pos
@@ -419,7 +415,7 @@ func (s *Session) rerouteShard(st *shardState, pos int, cause error) {
 		return
 	}
 	if len(alive) == 0 {
-		s.merge.Deposit(remaining[0], shardUnit{err: fmt.Errorf("dppshard: shard %s died with no survivors: %w", st.addr, cause)})
+		s.merge.Deposit(remaining[0], reader.Unit{Err: fmt.Errorf("dppshard: shard %s died with no survivors: %w", st.addr, cause)})
 		return
 	}
 	queue := regroup(s.files, s.fingerprint, remaining, alive)
@@ -434,7 +430,7 @@ func (s *Session) rerouteShard(st *shardState, pos int, cause error) {
 			if errors.Is(err, dppnet.ErrRemote) && !isDrainingRefusal(err) {
 				// The survivor is up but refused the session (e.g. its
 				// admission cap): not a routing problem, a terminal one.
-				s.merge.Deposit(g.indices[0], shardUnit{err: fmt.Errorf("dppshard: re-route to %s failed: %w", g.addr, err)})
+				s.merge.Deposit(g.indices[0], reader.Unit{Err: fmt.Errorf("dppshard: re-route to %s failed: %w", g.addr, err)})
 				continue
 			}
 			s.pmu.Lock()
@@ -442,7 +438,7 @@ func (s *Session) rerouteShard(st *shardState, pos int, cause error) {
 			alive := s.aliveLocked()
 			s.pmu.Unlock()
 			if len(alive) == 0 {
-				s.merge.Deposit(g.indices[0], shardUnit{err: fmt.Errorf("dppshard: shard %s died with no survivors: %w", g.addr, err)})
+				s.merge.Deposit(g.indices[0], reader.Unit{Err: fmt.Errorf("dppshard: shard %s died with no survivors: %w", g.addr, err)})
 				return
 			}
 			queue = append(queue, regroup(s.files, s.fingerprint, g.indices, alive)...)
@@ -487,89 +483,17 @@ func (s *Session) runMerge() {
 	close(s.out)
 }
 
-// mergeLoop is the fleet twin of the ShareScans scan loop: files entered
-// on a batch boundary pass their shard-cut batches through, files
-// entered with carried rows are re-filled locally and cut against the
-// carry, and the final short batch is cut from the last tail.
+// mergeLoop pulls the shards' units in global file order into the cutter:
+// files entered on a batch boundary pass their shard-cut batches through,
+// files entered with carried rows are re-filled locally and cut against
+// the carry, and the final short batch is cut from the last tail.
 func (s *Session) mergeLoop() error {
-	batchSize := s.mux.BatchSize()
-	var carry []datagen.Sample
-	var keys []string
-	var dense int
-	checkSchema := func(file string, fileKeys []string) error {
-		if keys != nil && len(fileKeys) != len(keys) {
-			return fmt.Errorf("dppshard: file %q schema mismatch (%d vs %d features)", file, len(fileKeys), len(keys))
-		}
-		return nil
-	}
-	for i := range s.files {
-		res, ok := s.merge.Await(i)
-		if !ok {
-			return s.ctx.Err()
-		}
-		if res.err != nil {
-			return res.err
-		}
-		scan := res.unit.Scan
-		if len(carry) == 0 {
-			if err := checkSchema(s.files[i], scan.Keys); err != nil {
-				return err
-			}
-			if keys == nil {
-				keys, dense = scan.Keys, scan.Dense
-			}
-			for _, b := range scan.Batches {
-				if err := s.emitOut(b); err != nil {
-					return err
-				}
-			}
-			// Copy the tail: the unit may be cache-shared shard-side and
-			// the carry slice is appended to below.
-			carry = append([]datagen.Sample(nil), scan.Tail...)
-			continue
-		}
-		// Carry-entered file: its batch boundaries depend on the carried
-		// rows, so the shard-cut batches cannot be used. Re-fill locally,
-		// exactly as the ShareScans misaligned fallback does.
-		if s.fleet.backend == nil {
-			return fmt.Errorf("dppshard: file %q entered mid-batch but the fleet has no local backend to re-fill it (misaligned spec needs Config.Backend)", s.files[i])
-		}
-		samples, fileKeys, fileDense, err := s.mux.FillFile(s.ctx, s.files[i])
-		if err != nil {
-			return err
-		}
-		if err := checkSchema(s.files[i], fileKeys); err != nil {
-			return err
-		}
-		if keys == nil {
-			keys, dense = fileKeys, fileDense
-		}
-		carry = append(carry, samples...)
-		for len(carry) >= batchSize {
-			if err := s.ctx.Err(); err != nil {
-				return err
-			}
-			b, err := s.mux.ProduceBatch(carry[:batchSize], keys, dense)
-			if err != nil {
-				return err
-			}
-			if err := s.emitOut(b); err != nil {
-				return err
-			}
-			carry = carry[batchSize:]
-		}
-	}
-	if err := s.ctx.Err(); err != nil {
-		return err
-	}
-	if len(carry) > 0 {
-		b, err := s.mux.ProduceBatch(carry, keys, dense)
-		if err != nil {
-			return err
-		}
-		return s.emitOut(b)
-	}
-	return nil
+	i := 0
+	return s.mux.RunUnits(s.ctx, func() (reader.Unit, bool) {
+		u, ok := s.merge.Await(i) // false past the last file, or aborted
+		i++
+		return u, ok
+	}, s.emitOut)
 }
 
 // emitOut hands one batch to the consumer through the bounded output

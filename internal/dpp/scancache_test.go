@@ -11,13 +11,18 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/dpp"
+	"repro/internal/dwrf"
 	"repro/internal/reader"
 )
 
 // fakeScan builds a FileScan whose MemBytes is deterministic: tail-only
 // samples with no feature payloads cost a fixed struct overhead each.
 func fakeScan(tailRows int) *reader.FileScan {
-	return &reader.FileScan{Tail: make([]datagen.Sample, tailRows)}
+	tail, err := dwrf.ChunkFromSamples(make([]datagen.Sample, tailRows), nil, 0, nil)
+	if err != nil {
+		panic(err)
+	}
+	return &reader.FileScan{Tail: tail}
 }
 
 func mustGet(t *testing.T, c *dpp.ScanCache, file, fp string, scan *reader.FileScan) bool {

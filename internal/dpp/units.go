@@ -2,10 +2,6 @@ package dpp
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"io"
-	"sync"
 
 	"repro/internal/reader"
 )
@@ -39,43 +35,25 @@ type FileUnit struct {
 // NextUnit and Close may be called from different goroutines, but
 // NextUnit itself is single-consumer.
 //
-// Internally a non-ShareScans unit session runs Spec.Readers scan
-// workers over the same ordered-merge discipline a batch session's fill
-// pool uses (reader.OrderedMerge): workers claim file indices, decode
-// whole files in parallel, and a single merge emits them strictly in
-// order. A ShareScans unit session runs a single loop through the
-// service's ScanCache — the cache is its cross-session parallelism —
-// exactly as a ShareScans batch session does.
+// It is a batch session without the cutter: the same file-ordered unit
+// sources, emitted as they come. A non-ShareScans unit session runs
+// Spec.Readers scan workers over the ordered-merge discipline a batch
+// session's fill pool uses (reader.OrderedMerge): workers claim file
+// indices, decode whole files in parallel, and the merge yields them
+// strictly in order. A ShareScans unit session pulls the shared-scan
+// source — the cache is its cross-session parallelism — with every file
+// entered on a boundary, since the carry is cut client-side.
+//
+// Stats reports the same shape a batch session does, so fleet-level
+// aggregation (dppshard) and the dppnet stats trailer treat both kinds
+// uniformly; Workers is the fixed scan-worker count — unit sessions are
+// not autoscaled; the fleet scales by adding shards, not by resizing one
+// shard's pool.
 type UnitSession struct {
-	svc    *Service
-	id     int64
-	cancel context.CancelFunc
-	ctx    context.Context
-	spec   Spec
-	files  []string
-
-	// out is the bounded unit buffer between the merge and NextUnit;
-	// units are whole decoded files, so the bound is Spec.Buffer alone
-	// (not Readers×Buffer — the merge window already scales the
-	// in-flight decode bound with the worker count).
-	out   chan *FileUnit
-	merge *reader.OrderedMerge[unitResult] // nil for ShareScans sessions
-	wg    sync.WaitGroup
-
-	mu       sync.Mutex
-	stats    reader.Stats
-	cache    SessionCacheStats
-	firstErr error
-	closed   bool
-	done     bool
-	// final is the outcome finish reported, io.EOF for a clean scan.
-	final error
-}
-
-// unitResult is one decoded file handed from a scan worker to the merge.
-type unitResult struct {
-	scan *reader.FileScan
-	err  error
+	// The output buffer holds whole decoded files, so its bound is
+	// Spec.Buffer alone (not Readers×Buffer — the merge window already
+	// scales the in-flight decode bound with the worker count).
+	shell[*FileUnit]
 }
 
 // OpenUnits admits a file-unit session under the same MaxSessions cap,
@@ -83,108 +61,61 @@ type unitResult struct {
 // entry point for fleet shards (dppnet's file-unit mode); training jobs
 // consume batch sessions, not unit sessions.
 func (s *Service) OpenUnits(ctx context.Context, spec Spec) (*UnitSession, error) {
-	spec = spec.withDefaults()
-	if err := spec.validate(); err != nil {
-		return nil, err
-	}
-
-	files := spec.Files
-	if files == nil {
-		if s.catalog == nil {
-			return nil, fmt.Errorf("dpp: service has no catalog and spec %q names no files", spec.Table)
-		}
-		var err error
-		files, err = s.catalog.AllFiles(spec.Table)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("dpp: service closed")
-	}
-	if s.max > 0 && len(s.sessions)+len(s.unitSessions)+s.reserved >= s.max {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("dpp: session cap %d reached", s.max)
-	}
-	s.reserved++
-	s.nextID++
-	id := s.nextID
-	s.mu.Unlock()
-
-	u, err := newUnitSession(ctx, s, id, spec, files)
-	s.mu.Lock()
-	s.reserved--
+	spec, files, err := s.plan(spec)
 	if err != nil {
-		s.mu.Unlock()
 		return nil, err
 	}
-	if s.closed {
-		s.mu.Unlock()
-		u.Close()
-		return nil, fmt.Errorf("dpp: service closed")
-	}
-	s.unitSessions[id] = u
-	s.opened.Inc()
-	s.mu.Unlock()
-	return u, nil
+	return admit(s, func(id int64) (*UnitSession, error) {
+		return newUnitSession(ctx, s, id, spec, files)
+	})
 }
 
-// newUnitSession starts the scan workers and the unit merge. Workers
-// begin decoding immediately; nothing blocks on OpenUnits.
+// newUnitSession starts the unit source and the loop that emits it.
+// Workers begin decoding immediately; nothing blocks on OpenUnits.
 func newUnitSession(ctx context.Context, svc *Service, id int64, spec Spec, files []string) (*UnitSession, error) {
-	if spec.ShareScans && svc.cache == nil {
-		return nil, fmt.Errorf("dpp: spec requests ShareScans but the service's scan cache is disabled")
-	}
-	sctx, cancel := context.WithCancel(ctx)
-	u := &UnitSession{
-		svc:    svc,
-		id:     id,
-		cancel: cancel,
-		ctx:    sctx,
-		spec:   spec,
-		files:  files,
-		out:    make(chan *FileUnit, spec.Buffer),
-	}
+	u := &UnitSession{}
+	u.open(ctx, svc, id, spec, spec.Buffer)
 
 	if spec.ShareScans {
-		r, err := reader.NewReader(svc.backend, spec.Spec)
+		src, err := newSharedSource(svc, spec, files, 0)
 		if err != nil {
-			cancel()
+			u.cancel()
 			return nil, err
 		}
 		u.wg.Add(1)
-		go u.runSharedUnits(r, spec.Spec.Fingerprint())
+		go func() {
+			defer u.wg.Done()
+			err := u.emitUnits(func() (sharedUnit, bool) { return src.next(u.ctx) })
+			u.settle(err, src.cache, src.r.Stats(), src.served)
+		}()
 		return u, nil
 	}
 
-	u.merge = reader.NewOrderedMerge[unitResult](len(files), queueWindow(spec, spec.Readers), svc.clock.Now)
-
-	// The merge blocks on condition variables, not channels; this watcher
-	// translates context teardown into an Abort that wakes every parked
-	// worker, exactly as the batch session's queue watcher does.
-	u.wg.Add(1)
-	go func() {
-		defer u.wg.Done()
-		<-u.ctx.Done()
-		u.merge.Abort()
-	}()
-
+	merge := reader.NewOrderedMerge[reader.Unit](len(files), queueWindow(spec, spec.Readers), svc.clock.Now)
+	u.pool = func() SchedulerStats {
+		return SchedulerStats{Workers: spec.Readers, WorkerStall: merge.Stall()}
+	}
+	u.haltOn(merge.Abort)
 	for i := 0; i < spec.Readers; i++ {
 		r, err := reader.NewReader(svc.backend, spec.Spec)
 		if err != nil {
-			cancel()
-			u.merge.Abort()
+			u.teardown()
 			return nil, err
 		}
 		u.wg.Add(1)
-		go u.runUnitWorker(r)
+		go u.runUnitWorker(r, merge, files)
 	}
-
 	u.wg.Add(1)
-	go u.runUnitMerge()
+	go func() {
+		defer u.wg.Done()
+		i := 0
+		err := u.emitUnits(func() (sharedUnit, bool) {
+			res, ok := merge.Await(i) // false past the last file, or aborted: teardown owns the outcome
+			i++
+			return sharedUnit{Unit: res}, ok
+		})
+		u.settle(err, SessionCacheStats{})
+	}()
 	return u, nil
 }
 
@@ -192,125 +123,36 @@ func newUnitSession(ctx context.Context, svc *Service, id int64, spec Spec, file
 // files, deposit the scans. Decode work charges this worker's reader;
 // the session sums its workers at exit, so a cold aligned unit session's
 // counters equal the serial reference's for its file subset.
-func (u *UnitSession) runUnitWorker(r *reader.Reader) {
+func (u *UnitSession) runUnitWorker(r *reader.Reader, merge *reader.OrderedMerge[reader.Unit], files []string) {
 	defer u.wg.Done()
 	for {
-		idx, ok := u.merge.Claim()
+		idx, ok := merge.Claim()
 		if !ok {
 			break
 		}
-		scan, err := r.ScanFile(u.ctx, u.files[idx])
-		u.merge.Deposit(idx, unitResult{scan: scan, err: err})
+		scan, err := r.ScanFile(u.ctx, files[idx])
+		merge.Deposit(idx, reader.Unit{File: files[idx], Scan: scan, Err: err})
 		if err != nil {
 			break
 		}
 	}
-	u.mu.Lock()
-	u.stats.Add(r.Stats())
-	u.mu.Unlock()
+	u.addStats(r.Stats())
 }
 
-// runUnitMerge emits deposited scans strictly in file-list order. The
-// out channel is closed only after the outcome is recorded, so a
-// consumer that observes the close also observes the outcome; the
-// trailing Abort wakes workers parked on a full window.
-func (u *UnitSession) runUnitMerge() {
-	defer u.wg.Done()
-	var keys []string
-	var firstErr error
-	for i := range u.files {
-		res, ok := u.merge.Await(i)
+// emitUnits hands the source's units to the consumer, strictly in
+// file-list order, until the source ends or yields an error.
+func (u *UnitSession) emitUnits(next func() (sharedUnit, bool)) error {
+	for i := 0; ; i++ {
+		it, ok := next()
 		if !ok {
-			break // aborted: teardown owns the outcome
+			return nil
 		}
-		if res.err != nil {
-			firstErr = res.err
-			break
+		if it.Err != nil {
+			return it.Err
 		}
-		if keys != nil && len(res.scan.Keys) != len(keys) {
-			firstErr = fmt.Errorf("dpp: file %q schema mismatch (%d vs %d features)", u.files[i], len(res.scan.Keys), len(keys))
-			break
+		if err := u.emit(&FileUnit{Index: i, File: it.File, Scan: it.Scan, Hit: it.hit}); err != nil {
+			return err
 		}
-		keys = res.scan.Keys
-		if err := u.emitUnit(&FileUnit{Index: i, File: u.files[i], Scan: res.scan}); err != nil {
-			break // context teardown; outcome handled below
-		}
-	}
-	u.settle(firstErr)
-	u.merge.Abort()
-	close(u.out)
-}
-
-// runSharedUnits is the ShareScans twin of runUnitMerge: one loop, every
-// aligned unit through the service's cross-session ScanCache. Cache-hit
-// units charge egress (BatchesProduced, SentBytes) but no decode work —
-// the same accounting contract as a ShareScans batch session.
-func (u *UnitSession) runSharedUnits(r *reader.Reader, fingerprint string) {
-	defer u.wg.Done()
-	var served reader.Stats
-	var cache SessionCacheStats
-	var keys []string
-	var firstErr error
-	for i, f := range u.files {
-		if err := u.ctx.Err(); err != nil {
-			break
-		}
-		scan, hit, err := u.svc.cache.Get(u.ctx, f, fingerprint, func(ctx context.Context) (*reader.FileScan, error) {
-			return r.ScanFile(ctx, f)
-		})
-		if err != nil {
-			firstErr = err
-			break
-		}
-		if hit {
-			cache.Hits++
-		} else {
-			cache.Misses++
-		}
-		if keys != nil && len(scan.Keys) != len(keys) {
-			firstErr = fmt.Errorf("dpp: file %q schema mismatch (%d vs %d features)", f, len(scan.Keys), len(keys))
-			break
-		}
-		keys = scan.Keys
-		if hit {
-			for _, b := range scan.Batches {
-				served.BatchesProduced++
-				served.SentBytes += int64(b.WireBytes())
-			}
-		}
-		if err := u.emitUnit(&FileUnit{Index: i, File: f, Scan: scan, Hit: hit}); err != nil {
-			break
-		}
-	}
-	u.mu.Lock()
-	u.stats.Add(served)
-	u.cache.Hits += cache.Hits
-	u.cache.Misses += cache.Misses
-	u.mu.Unlock()
-	u.settle(firstErr)
-	u.mu.Lock()
-	u.stats.Add(r.Stats())
-	u.mu.Unlock()
-	close(u.out)
-}
-
-// settle records the scan outcome, filtering the session's own teardown
-// out of the error channel exactly as batch sessions do.
-func (u *UnitSession) settle(err error) {
-	u.mu.Lock()
-	if err != nil && u.firstErr == nil && !errors.Is(err, context.Canceled) {
-		u.firstErr = err
-	}
-	u.mu.Unlock()
-}
-
-// emitUnit hands one unit to the consumer through the bounded buffer.
-func (u *UnitSession) emitUnit(unit *FileUnit) error {
-	select {
-	case u.out <- unit:
-		return nil
-	case <-u.ctx.Done():
-		return u.ctx.Err()
 	}
 }
 
@@ -319,120 +161,4 @@ func (u *UnitSession) emitUnit(unit *FileUnit) error {
 // (io.EOF), a scan fails (the first error, after the in-order prefix of
 // units that preceded it), ctx is cancelled, or the session is closed
 // (ErrClosed).
-func (u *UnitSession) NextUnit(ctx context.Context) (*FileUnit, error) {
-	select {
-	case unit, ok := <-u.out:
-		if !ok {
-			return nil, u.finish()
-		}
-		return unit, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case <-u.ctx.Done():
-		u.mu.Lock()
-		closed, final := u.closed, u.final
-		u.mu.Unlock()
-		if closed {
-			return nil, ErrClosed
-		}
-		if final != nil {
-			// The stream already ended and teardown cancelled the session's
-			// own context: repeat the recorded outcome.
-			return nil, final
-		}
-		return nil, u.ctx.Err()
-	}
-}
-
-// finish mirrors Session.finish: stop everything, settle the outcome,
-// release the service slot, and report EOF only for a clean scan.
-func (u *UnitSession) finish() error {
-	u.mu.Lock()
-	final, closed := u.final, u.closed
-	u.mu.Unlock()
-	if final != nil {
-		// A Next after the end repeats the outcome.
-		if closed {
-			return ErrClosed
-		}
-		return final
-	}
-	ctxErr := u.ctx.Err()
-	u.teardown()
-	u.mu.Lock()
-	err := u.firstErr
-	closed = u.closed
-	u.mu.Unlock()
-	u.release()
-	if err == nil {
-		if closed {
-			err = ErrClosed
-		} else if ctxErr != nil {
-			err = ctxErr
-		} else {
-			err = io.EOF
-		}
-	}
-	u.mu.Lock()
-	u.final = err
-	u.mu.Unlock()
-	return err
-}
-
-// teardown cancels the session context and waits for every session
-// goroutine. Idempotent.
-func (u *UnitSession) teardown() {
-	u.cancel()
-	if u.merge != nil {
-		u.merge.Abort()
-	}
-	u.wg.Wait()
-}
-
-// Close cancels the session's workers, waits for them to exit, and
-// releases the session's service slot. Idempotent; always returns nil.
-// Units already returned by NextUnit remain valid.
-func (u *UnitSession) Close() error {
-	u.mu.Lock()
-	if u.closed {
-		u.mu.Unlock()
-		return nil
-	}
-	u.closed = true
-	u.mu.Unlock()
-	u.teardown()
-	u.release()
-	return nil
-}
-
-// release gives the session's service slot back exactly once, folding
-// the session's final scheduling telemetry into the service-wide stall
-// counters as batch sessions do.
-func (u *UnitSession) release() {
-	u.mu.Lock()
-	done := u.done
-	u.done = true
-	errored := u.firstErr != nil
-	u.mu.Unlock()
-	if !done {
-		u.svc.retireUnit(u.id, u.Stats().Scheduler, errored)
-	}
-}
-
-// Stats returns the session's aggregated accounting in the same shape a
-// batch session reports, so fleet-level aggregation (dppshard) and the
-// dppnet stats trailer treat both session kinds uniformly. Workers is
-// the fixed scan-worker count — unit sessions are not autoscaled; the
-// fleet scales by adding shards, not by resizing one shard's pool.
-func (u *UnitSession) Stats() SessionStats {
-	sched := SchedulerStats{Workers: u.spec.Readers}
-	if u.spec.ShareScans {
-		sched.Workers = 1
-	}
-	if u.merge != nil {
-		sched.WorkerStall = u.merge.Stall()
-	}
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	return SessionStats{Reader: u.stats, Cache: u.cache, Scheduler: sched}
-}
+func (u *UnitSession) NextUnit(ctx context.Context) (*FileUnit, error) { return u.next(ctx) }

@@ -106,6 +106,21 @@ func (c *Chunk) Clone() *Chunk {
 	return out
 }
 
+// MemBytes estimates what holding the chunk's rows pins, for cache
+// budgets: per row the metadata, a list header per schema feature and the
+// dense features, plus the sparse values. That is the chunk's own payload,
+// right for one that owns its rows (Clone); a Slice of a larger chunk pins
+// all of it and is undercounted.
+func (c *Chunk) MemBytes() int64 {
+	const rowOverhead = 88 // 4 int64s, label, 2 slice headers
+	total := int64(c.Rows()) * int64(rowOverhead+4*c.width+24*len(c.keys))
+	for _, j := range c.sparse {
+		a, b := j.ValueBounds(c.lo, c.hi)
+		total += 8 * int64(b-a)
+	}
+	return total
+}
+
 // Samples returns the chunk's rows as samples. The rows are views: each
 // Dense and Sparse list aliases the chunk's column storage with its
 // capacity clamped to its length, so appending to one row's list

@@ -357,14 +357,14 @@ func TestFileScanMemBytesChargesTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fs.Tail) != 256%48 {
-		t.Fatalf("tail holds %d rows, want %d", len(fs.Tail), 256%48)
+	if fs.Tail.Rows() != 256%48 {
+		t.Fatalf("tail holds %d rows, want %d", fs.Tail.Rows(), 256%48)
 	}
 	var want int64
 	for _, b := range fs.Batches {
 		want += int64(b.WireBytes())
 	}
-	for _, s := range fs.Tail {
+	for _, s := range fs.Tail.Samples() {
 		if len(s.Sparse) != len(fs.Keys) {
 			t.Fatalf("tail row is %d features wide, schema %d", len(s.Sparse), len(fs.Keys))
 		}

@@ -163,13 +163,13 @@ func (r *Reader) FillQueue(ctx context.Context, q *ScanQueue, stop func() bool) 
 // when the queue aborts under a cancelled context.
 func (r *Reader) RunQueue(ctx context.Context, q *ScanQueue, emit func(*Batch) error) error {
 	i := 0
-	return r.consumeResults(ctx, func() (fillResult, bool) {
+	return r.RunUnits(ctx, func() (Unit, bool) {
 		res, ok := q.Await(i)
 		if !ok {
-			return fillResult{}, false
+			return Unit{}, false
 		}
-		file := q.file(i)
+		u := Unit{File: q.file(i), Chunk: res.Chunk, Err: res.Err}
 		i++
-		return fillResult{file: file, chunk: res.Chunk, err: res.Err}, true
+		return u, true
 	}, emit)
 }

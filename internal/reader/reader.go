@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/datagen"
 	"repro/internal/dwrf"
 	"repro/internal/storage"
 	"repro/internal/tensor"
@@ -118,39 +117,73 @@ func (r *Reader) ResetStats() { r.stats = Stats{} }
 // Rows left over after the last file that do not fill a batch are emitted
 // as a final short batch. emit returning an error aborts the scan.
 //
-// Cancelling ctx aborts the scan promptly — between files on the serial
-// path, and before the next batch conversion on the pipelined path — and
-// Run returns ctx.Err() with every pipeline goroutine torn down.
+// Cancelling ctx aborts the scan promptly — between files, and before the
+// next batch conversion — and Run returns ctx.Err() with every goroutine
+// it started torn down.
 //
-// With Spec.FillAhead > 0 the fill stage runs in its own goroutine,
-// prefetching up to FillAhead decoded files through a bounded channel
-// while earlier rows convert and process; batch order, batch contents,
-// and every deterministic Stats counter are identical to the serial path.
+// With Spec.FillAhead > 0 the scan is a one-worker ScanQueue: the fill
+// worker runs up to FillAhead decoded files ahead of the cutter on its own
+// goroutine. It is the only writer of the fill-stage Stats fields
+// (FillTime, ReadBytes, RowsDecoded) and the cutter owns the rest, so one
+// reader serves both sides and accounting stays exact without locks;
+// batch order, batch contents, and every deterministic Stats counter are
+// identical to the serial path.
 func (r *Reader) Run(ctx context.Context, files []string, emit func(*Batch) error) error {
 	if r.spec.FillAhead > 0 {
-		return r.runPipelined(ctx, files, emit)
+		q := NewScanQueue(files, r.spec.FillAhead+1, nil)
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r.FillQueue(ctx, q, nil)
+		}()
+		defer wg.Wait() // runs after the Abort: never leak a filling goroutine
+		defer q.Abort()
+		return r.RunQueue(ctx, q, emit)
 	}
-	return r.runSerial(ctx, files, emit)
+	i := 0
+	return r.RunUnits(ctx, func() (Unit, bool) {
+		if i >= len(files) {
+			return Unit{}, false
+		}
+		i++
+		return r.FillUnit(ctx, files[i-1]), true
+	}, emit)
 }
 
-// fillResult is one decoded file handed from the fill stage to the
-// convert/process consumer.
-type fillResult struct {
-	file  string
-	chunk *dwrf.Chunk
-	err   error
+// Unit is one file's contribution to a batch stream, the item every source
+// hands the cutter (RunUnits) in file order: the file's decoded rows, or
+// the file already cut into batches as if entered on a batch boundary
+// (a FileScan, possibly shared with other sessions), or the error that
+// ends the stream at this file.
+type Unit struct {
+	File  string
+	Chunk *dwrf.Chunk
+	Scan  *FileScan
+	Err   error
 }
 
-// consumeResults is the single convert/process consumer both execution
-// modes share: it pulls decoded files from next, checks schema
-// consistency, cuts fixed-size batches in order, and emits any leftover
-// rows as a final short batch. Keeping one copy is what guarantees the
-// serial and pipelined paths stay byte-identical.
+// FillUnit fills one file and wraps its decoded rows as a Unit.
+func (r *Reader) FillUnit(ctx context.Context, file string) Unit {
+	chunk, err := r.fill(ctx, file)
+	return Unit{File: file, Chunk: chunk, Err: err}
+}
+
+// RunUnits is the cutter: the one place rows carry across a file boundary.
+// It pulls units from next in file order, checks schema consistency, cuts
+// fixed-size batches, and emits any leftover rows as a final short batch —
+// the same stream, byte for byte, whichever source feeds it (serial fill,
+// a ScanQueue, a shared-scan source, a fleet of shards).
 //
-// Batches are cut as row ranges of the file's column chunk. Only rows
-// that straddle a file boundary are copied: they collect in pending,
-// which therefore never holds a full batch and never pins a file's chunk.
-func (r *Reader) consumeResults(ctx context.Context, next func() (fillResult, bool), emit func(*Batch) error) error {
+// Batches are cut as row ranges of the file's column chunk. Only rows that
+// straddle a file boundary are copied: they collect in pending, which
+// therefore never holds a full batch and never pins a file's chunk. With
+// nothing pending, a unit that is already cut passes its batches through
+// untouched and its tail becomes the pending rows; with rows pending the
+// file's own batch boundaries are the wrong ones, so the cutter cuts the
+// unit's chunk instead — filling the file itself when the source sent only
+// the scan.
+func (r *Reader) RunUnits(ctx context.Context, next func() (Unit, bool), emit func(*Batch) error) error {
 	pending := &dwrf.Chunk{}
 	nKeys := -1
 	batch := r.spec.BatchSize
@@ -159,24 +192,54 @@ func (r *Reader) consumeResults(ctx context.Context, next func() (fillResult, bo
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		res, ok := next()
+		u, ok := next()
 		if !ok {
 			break
 		}
-		if res.err != nil {
-			return res.err
+		if u.Err != nil {
+			return u.Err
 		}
-		ch := res.chunk
+		ch := u.Chunk
+		if ch == nil && pending.Rows() > 0 {
+			if r.store == nil {
+				return fmt.Errorf("reader: file %q entered mid-batch but the fleet has no local backend to re-fill it (misaligned spec needs Config.Backend)", u.File)
+			}
+			var err error
+			if ch, err = r.fill(ctx, u.File); err != nil {
+				return err
+			}
+		}
+		width := 0
+		if ch != nil {
+			width = len(ch.Keys())
+		} else {
+			width = len(u.Scan.Keys)
+		}
 		if nKeys < 0 {
-			nKeys = len(ch.Keys())
-		} else if len(ch.Keys()) != nKeys {
-			return fmt.Errorf("reader: file %q schema mismatch (%d vs %d features)", res.file, len(ch.Keys()), nKeys)
+			nKeys = width
+		} else if width != nKeys {
+			return fmt.Errorf("reader: file %q schema mismatch (%d vs %d features)", u.File, width, nKeys)
+		}
+		if ch == nil {
+			for _, b := range u.Scan.Batches {
+				if err := emit(b); err != nil {
+					return err
+				}
+			}
+			// Copied, never adopted: the scan may be a cache entry other
+			// sessions are reading.
+			if tail := u.Scan.Tail; tail != nil && tail.Rows() > 0 {
+				if err := pending.Append(tail); err != nil {
+					return fmt.Errorf("reader: file %q: %w", u.File, err)
+				}
+			}
+			continue
 		}
 		lo, n := 0, ch.Rows()
 		if pending.Rows() > 0 {
 			lo = min(batch-pending.Rows(), n)
 			if err := pending.Append(ch.Slice(0, lo)); err != nil {
-				return fmt.Errorf("reader: file %q: %w", res.file, err)
+				return fmt.Errorf("reader: file %q: %w", u.File, err)
 			}
 			if pending.Rows() == batch {
 				if err := r.produce(ctx, pending, emit); err != nil {
@@ -192,7 +255,7 @@ func (r *Reader) consumeResults(ctx context.Context, next func() (fillResult, bo
 		}
 		if lo < n {
 			if err := pending.Append(ch.Slice(lo, n)); err != nil {
-				return fmt.Errorf("reader: file %q: %w", res.file, err)
+				return fmt.Errorf("reader: file %q: %w", u.File, err)
 			}
 		}
 	}
@@ -203,68 +266,6 @@ func (r *Reader) consumeResults(ctx context.Context, next func() (fillResult, bo
 		return r.produce(ctx, pending, emit)
 	}
 	return nil
-}
-
-// runSerial is the reference fill→convert→process loop: one file at a
-// time, entirely on the calling goroutine.
-func (r *Reader) runSerial(ctx context.Context, files []string, emit func(*Batch) error) error {
-	i := 0
-	return r.consumeResults(ctx, func() (fillResult, bool) {
-		if i >= len(files) {
-			return fillResult{}, false
-		}
-		f := files[i]
-		i++
-		chunk, err := r.fill(ctx, f)
-		return fillResult{file: f, chunk: chunk, err: err}, true
-	}, emit)
-}
-
-// runPipelined overlaps fill with convert/process. The fill goroutine is
-// the only writer of the fill-stage Stats fields (FillTime, ReadBytes,
-// RowsDecoded); the consumer owns the rest, so accounting stays exact
-// without locks. Batches are cut and emitted on the consumer goroutine in
-// file order, preserving the serial path's deterministic output.
-func (r *Reader) runPipelined(ctx context.Context, files []string, emit func(*Batch) error) error {
-	done := make(chan struct{})
-	var fillWG sync.WaitGroup
-	defer fillWG.Wait() // runs after close(done): never leak a filling goroutine
-	defer close(done)
-
-	ch := make(chan fillResult, r.spec.FillAhead)
-	fillWG.Add(1)
-	go func() {
-		defer fillWG.Done()
-		defer close(ch)
-		for _, f := range files {
-			// Check for abort before paying for a fill: after an emit
-			// error or a cancellation the consumer is gone, and the
-			// buffered send below could otherwise keep winning the select.
-			select {
-			case <-done:
-				return
-			case <-ctx.Done():
-				return
-			default:
-			}
-			chunk, err := r.fill(ctx, f)
-			select {
-			case ch <- fillResult{file: f, chunk: chunk, err: err}:
-			case <-done:
-				return
-			case <-ctx.Done():
-				return
-			}
-			if err != nil {
-				return
-			}
-		}
-	}()
-
-	return r.consumeResults(ctx, func() (fillResult, bool) {
-		res, ok := <-ch
-		return res, ok
-	}, emit)
 }
 
 // fetchCPUPasses is how many per-byte passes the simulated fetch path
@@ -397,24 +398,6 @@ func (r *Reader) produceBatch(rows *dwrf.Chunk) (*Batch, error) {
 	r.stats.BatchesProduced++
 	r.stats.SentBytes += int64(b.WireBytes())
 	return b, nil
-}
-
-// ProduceBatch runs the convert and process stages over one run of rows,
-// charging the reader's Stats exactly as a Run-emitted batch would. It is
-// the batch-construction primitive the shared-scan path (dpp.ScanCache)
-// composes when batches straddle file boundaries; Run-based scans never
-// need it directly. The rows are gathered into a column chunk of the
-// consumed features and take the same convert as every other batch.
-func (r *Reader) ProduceBatch(rows []datagen.Sample, keys []string, dense int) (*Batch, error) {
-	cols, err := resolveColumns(r.consumed, keys)
-	if err != nil {
-		return nil, err
-	}
-	chunk, err := dwrf.ChunkFromSamples(rows, keys, dense, cols)
-	if err != nil {
-		return nil, fmt.Errorf("reader: %w", err)
-	}
-	return r.produceBatch(chunk)
 }
 
 // groupResult is one dedup group's conversion output plus the raw

@@ -3,7 +3,7 @@ package reader
 import (
 	"context"
 
-	"repro/internal/datagen"
+	"repro/internal/dwrf"
 )
 
 // FileScan is the file-aligned unit of work the cross-session scan cache
@@ -23,12 +23,13 @@ type FileScan struct {
 	// while inside the file.
 	Batches []*Batch
 	// Tail holds the rows after the last complete batch (always fewer
-	// than the spec's batch size). A multi-file scan carries them into
+	// than the spec's batch size), as a chunk of the spec's consumed
+	// columns that owns its storage. A multi-file scan carries them into
 	// the next file; the final file's tail becomes the short last batch.
-	// Rows are full-width, with empty lists for features outside the spec.
-	Tail []datagen.Sample
+	Tail *dwrf.Chunk
 	// Keys and Dense describe the file's schema (sparse feature names
-	// and dense-feature width), needed to convert carried tail rows.
+	// and dense-feature width): what the cutter's schema check and the
+	// unit wire frame read.
 	Keys  []string
 	Dense int
 }
@@ -42,31 +43,17 @@ func (fs *FileScan) MemBytes() int64 {
 	for _, b := range fs.Batches {
 		total += int64(b.WireBytes())
 	}
-	for i := range fs.Tail {
-		total += sampleMemBytes(&fs.Tail[i])
-	}
-	return total
-}
-
-// sampleMemBytes is what one row pins: the struct, one list header per
-// schema feature, and the sparse and dense payloads. That is exact for
-// rows decoded one by one and for the rows ScanFile leaves in a Tail,
-// which are views over a chunk compacted to just those rows; it would
-// undercount views over a whole file's chunk, which pin all of it.
-func sampleMemBytes(s *datagen.Sample) int64 {
-	const structOverhead = 88 // 4 int64s, label, 2 slice headers
-	total := int64(structOverhead) + 4*int64(cap(s.Dense))
-	for _, row := range s.Sparse {
-		total += 24 + 8*int64(cap(row))
+	if fs.Tail != nil {
+		total += fs.Tail.MemBytes()
 	}
 	return total
 }
 
 // ScanFile fills one file and cuts its rows into complete batches,
 // returning them with the leftover tail. All stages charge the reader's
-// Stats exactly as Run does, so a scan assembled from ScanFile calls
-// (plus ProduceBatch for carried rows) reports the same deterministic
-// counters as a serial Run over the same files.
+// Stats exactly as Run does, so a stream the cutter assembles from
+// ScanFile units reports the same deterministic counters as a serial Run
+// over the same files.
 //
 // This is the compute function behind dpp.ScanCache entries: the result
 // depends only on (file contents, Spec.Fingerprint()), which is what
@@ -87,27 +74,6 @@ func (r *Reader) ScanFile(ctx context.Context, file string) (*FileScan, error) {
 	}
 	// A cached scan outlives the fill: the tail is copied out so that it
 	// pins its own rows, not the file's whole chunk.
-	fs.Tail = chunk.Slice(lo, n).Clone().Samples()
+	fs.Tail = chunk.Slice(lo, n).Clone()
 	return fs, nil
 }
-
-// FillFile runs only the fill stage over one file: fetch, decrypt-
-// decompress simulation, and DWRF decode, returning the decoded rows and
-// the file schema. The shared-scan path uses it when a scan enters a file
-// with carried rows — batch boundaries then depend on the carry, so the
-// file's batches cannot be shared, but its decode still can be skipped by
-// a storage-layer cache underneath.
-//
-// The rows are views over the file's column chunk (dwrf.Chunk.Samples):
-// full-width, with empty lists for features the spec does not consume.
-func (r *Reader) FillFile(ctx context.Context, file string) ([]datagen.Sample, []string, int, error) {
-	chunk, err := r.fill(ctx, file)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return chunk.Samples(), chunk.Keys(), chunk.DenseWidth(), nil
-}
-
-// BatchSize reports the spec's rows-per-batch, letting scan composers cut
-// carried rows without re-deriving the spec.
-func (r *Reader) BatchSize() int { return r.spec.BatchSize }

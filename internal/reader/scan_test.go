@@ -58,7 +58,7 @@ func TestFingerprintCoversOutputFields(t *testing.T) {
 func composeScan(t *testing.T, r *Reader, files []string) []*Batch {
 	t.Helper()
 	ctx := context.Background()
-	bs := r.BatchSize()
+	bs := r.spec.BatchSize
 	var out []*Batch
 	var carry []datagen.Sample
 	var keys []string
@@ -73,7 +73,7 @@ func composeScan(t *testing.T, r *Reader, files []string) []*Batch {
 				keys, dense = fs.Keys, fs.Dense
 			}
 			out = append(out, fs.Batches...)
-			carry = append([]datagen.Sample(nil), fs.Tail...)
+			carry = append([]datagen.Sample(nil), fs.Tail.Samples()...)
 			continue
 		}
 		samples, fkeys, fdense, err := r.FillFile(ctx, f)

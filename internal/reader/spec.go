@@ -39,8 +39,8 @@ type Spec struct {
 
 	// FillAhead bounds how many decoded files the fill stage may prefetch
 	// ahead of conversion. 0 keeps fill inline with conversion (the serial
-	// reference path); N > 0 runs fill in its own goroutine feeding a
-	// channel of capacity N, overlapping storage IO/decode with
+	// reference path); N > 0 runs fill as a one-worker ScanQueue up to N
+	// files ahead of the cutter, overlapping storage IO/decode with
 	// convert/process. Batch order and contents are identical either way.
 	FillAhead int
 	// ConvertWorkers bounds how many feature-conversion tasks (one per

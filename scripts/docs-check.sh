@@ -10,6 +10,11 @@
 #      code.
 #   3. Every relative markdown link in docs/*.md and the top-level
 #      *.md files must resolve to an existing file or directory.
+#   4. internal/dpp and internal/dpp/dppshard must not import
+#      internal/datagen: rows (datagen.Sample) exist downstream of fill
+#      only on the unit wire (dppnet) and in the row adapters the frozen
+#      benchmark times; a session or the fleet merge that imports the row
+#      type has regrown the row detour the one cutter replaced.
 #
 # Usage: scripts/docs-check.sh
 set -euo pipefail
@@ -86,8 +91,14 @@ for md in docs/*.md *.md; do
     done || fail=1
 done
 
+# --- 4. import guard -----------------------------------------------------
+if go list -f '{{.ImportPath}} {{join .Imports " "}}' ./internal/dpp ./internal/dpp/dppshard | grep 'repro/internal/datagen'; then
+    echo "docs: the packages above import repro/internal/datagen (the row type); cut batches through reader.RunUnits instead"
+    fail=1
+fi
+
 if [[ "$fail" -ne 0 ]]; then
     echo "docs: FAIL"
     exit 1
 fi
-echo "docs: OK (package comments, go fences, links)"
+echo "docs: OK (package comments, go fences, links, import guard)"

@@ -870,12 +870,15 @@ func (s *Server) serveStream(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, 
 					writeFrame(bw, frameEOF, nil) == nil && bw.Flush() == nil
 			}
 			// Written is not received: the last window of frames can still
-			// die with the connection, and the client would come back for
-			// them. A resumable session therefore stays claimable until the
-			// client has confirmed consuming its tail (or closed cleanly);
-			// a connection lost before that parks the finished stream with
-			// the frames it still owes.
-			for delivered && resumable && acked < sent {
+			// die with the connection, and a resumable client would come
+			// back for them. So the handler stays until the client has
+			// confirmed consuming its tail (or closed): a resumable session
+			// remains claimable that long, and a connection lost before
+			// then parks the finished stream with the frames it still owes.
+			// It also means the connection is never closed over unread
+			// credits, which the kernel answers with a reset that can
+			// destroy the very frames still in flight to the client.
+			for delivered && acked < sent {
 				select {
 				case n := <-credits:
 					bank(n)

@@ -299,6 +299,10 @@ func TestSidecarEndToEnd(t *testing.T) {
 	if batches == 0 {
 		t.Fatal("no batches streamed")
 	}
+	// The server records the close after its handler returns, which the
+	// client's EOF does not wait for.
+	testutil.Eventually(t, func() bool { return len(alog.Snapshot()) == 2 },
+		"the server logged the session's close")
 
 	get := func(path string) string {
 		t.Helper()

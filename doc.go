@@ -72,9 +72,12 @@
 // sessions over a length-prefixed TCP protocol (cmd/recd-serve), and its
 // client's remote sessions satisfy the same dpp.Stream pull contract as
 // local ones, with batch streams pinned byte-identical to a local
-// session across aligned, misaligned, and ShareScans specs. The wire
-// decoders behind that boundary are fuzzed (FuzzDecodeBatch,
-// FuzzSpecFingerprint) and the transport is fault-injection tested with
+// session across aligned, misaligned, and ShareScans specs. Batch
+// sessions and the fleet's file-unit sessions are one client core over
+// two frame kinds, and dppshard's fleet session runs on the same session
+// shell as a local one. The wire decoders behind that boundary are fuzzed
+// (FuzzDecodeBatch, FuzzSpecFingerprint, FuzzClientReceive over the
+// client's whole receive loop) and the transport is fault-injection tested with
 // goroutine-leak assertions — malformed or truncated frames fail
 // cleanly, and neither side can strand sessions or goroutines when the
 // other vanishes.

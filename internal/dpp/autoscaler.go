@@ -60,7 +60,7 @@ func (c AutoScalerConfig) withDefaults() AutoScalerConfig {
 		c.Threshold = c.Interval / 8
 	}
 	if c.Clock == nil {
-		c.Clock = systemClock{}
+		c.Clock = SystemClock{}
 	}
 	return c
 }

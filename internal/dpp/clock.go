@@ -14,8 +14,8 @@ type Clock interface {
 	After(d time.Duration) <-chan time.Time
 }
 
-// systemClock is the wall-clock default used when no Clock is injected.
-type systemClock struct{}
+// SystemClock is the wall clock, the default when no Clock is injected.
+type SystemClock struct{}
 
-func (systemClock) Now() time.Time                         { return time.Now() }
-func (systemClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
+func (SystemClock) Now() time.Time                         { return time.Now() }
+func (SystemClock) After(d time.Duration) <-chan time.Time { return time.After(d) }

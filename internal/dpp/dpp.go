@@ -142,7 +142,7 @@ func New(cfg Config) (*Service, error) {
 	}
 	clock := cfg.Clock
 	if clock == nil {
-		clock = systemClock{}
+		clock = SystemClock{}
 	}
 	var autoscale *AutoScalerConfig
 	if cfg.AutoScale != nil {

@@ -4,11 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
 	"sync"
@@ -229,61 +227,51 @@ func (c *Client) openStream(ctx context.Context, addr string, req openRequest) (
 	return conn, br, watchStop, okr.Token, nil
 }
 
-// ServiceStats fetches the remote service's aggregate accounting — the
-// wire form of a /statsz probe against dpp.Service.Stats.
-func (c *Client) ServiceStats(ctx context.Context) (dpp.Stats, error) {
-	conn, br, err := c.dial(ctx, c.addr, openRequest{Kind: kindStatsz})
+// probe runs one single-reply conversation of the given handshake kind
+// and returns the payload of the want frame.
+func (c *Client) probe(ctx context.Context, kind string, want byte) ([]byte, error) {
+	conn, br, err := c.dial(ctx, c.addr, openRequest{Kind: kind})
 	if err != nil {
-		return dpp.Stats{}, err
+		return nil, err
 	}
 	defer conn.Close()
 	stop := closeOnDone(ctx, conn)
 	defer stop()
 
 	typ, payload, err := readFrame(br, maxFrameBytes)
+	switch {
+	case err != nil && ctx.Err() != nil:
+		return nil, ctx.Err()
+	case err != nil:
+		return nil, err
+	case typ == want:
+		return payload, nil
+	case typ == frameError:
+		return nil, fmt.Errorf("%w: %s", ErrRemote, payload)
+	default:
+		return nil, fmt.Errorf("dppnet: unexpected frame %#x to %s", typ, kind)
+	}
+}
+
+// ServiceStats fetches the remote service's aggregate accounting — the
+// wire form of a /statsz probe against dpp.Service.Stats.
+func (c *Client) ServiceStats(ctx context.Context) (dpp.Stats, error) {
+	payload, err := c.probe(ctx, kindStatsz, frameSvcStats)
 	if err != nil {
-		if ctx.Err() != nil {
-			return dpp.Stats{}, ctx.Err()
-		}
 		return dpp.Stats{}, err
 	}
-	switch typ {
-	case frameSvcStats:
-		return decodeServiceStats(payload)
-	case frameError:
-		return dpp.Stats{}, fmt.Errorf("%w: %s", ErrRemote, payload)
-	default:
-		return dpp.Stats{}, fmt.Errorf("dppnet: unexpected frame %#x to statsz", typ)
-	}
+	return decodeServiceStats(payload)
 }
 
 // Tablez fetches the served table's metadata — schema width, file plan,
 // and derived spec — so a trainer can start cold from the wire with no
 // local table build.
 func (c *Client) Tablez(ctx context.Context) (*TableMeta, error) {
-	conn, br, err := c.dial(ctx, c.addr, openRequest{Kind: kindTablez})
+	payload, err := c.probe(ctx, kindTablez, frameTablez)
 	if err != nil {
 		return nil, err
 	}
-	defer conn.Close()
-	stop := closeOnDone(ctx, conn)
-	defer stop()
-
-	typ, payload, err := readFrame(br, maxFrameBytes)
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		return nil, err
-	}
-	switch typ {
-	case frameTablez:
-		return decodeTableMeta(payload)
-	case frameError:
-		return nil, fmt.Errorf("%w: %s", ErrRemote, payload)
-	default:
-		return nil, fmt.Errorf("dppnet: unexpected frame %#x to tablez", typ)
-	}
+	return decodeTableMeta(payload)
 }
 
 // closeOnDone force-closes conn when ctx is cancelled, so reads blocked
@@ -306,13 +294,8 @@ func closeOnDone(ctx context.Context, conn net.Conn) (stop func()) {
 // pull stream. The semantics mirror dpp.Service.Open: admission errors
 // (invalid spec, session cap, closed service) surface here, wrapped in
 // ErrRemote; cancelling ctx at any later point tears the remote session
-// down as Close would.
-//
-// The receive window — how many batches the server may have in flight
-// ahead of the consumer — is the session's backpressure bound, derived
-// from the spec exactly as a local session sizes its buffers:
-// max(1,Readers) × buffer depth. A stalled consumer therefore stalls
-// the server-side readers at the same bound a local session would.
+// down as Close would. The credit window is spec.Window(), the bound a
+// local session's output buffer has.
 func (c *Client) Open(ctx context.Context, spec dpp.Spec) (*RemoteSession, error) {
 	// A Follow session has no frozen file list to hash and no
 	// predetermined length, so resume and drain failover — both built on
@@ -322,115 +305,51 @@ func (c *Client) Open(ctx context.Context, spec dpp.Spec) (*RemoteSession, error
 	if spec.Follow && (c.resumable() || len(c.Failover) > 0) {
 		return nil, fmt.Errorf("dppnet: follow sessions are incompatible with resume and failover; use a client without them")
 	}
-	ws, err := encodeSpec(spec)
-	if err != nil {
+	rs := &RemoteSession{}
+	if err := rs.start(ctx, c, spec, batchKind); err != nil {
 		return nil, err
 	}
-	readers, buffer := spec.Readers, spec.Buffer
-	if readers <= 0 {
-		readers = dpp.DefaultReaders
-	}
-	if buffer <= 0 {
-		buffer = dpp.DefaultBuffer
-	}
-	window := readers * buffer
-	if window > maxWindow {
-		window = maxWindow
-	}
-
-	conn, br, watchStop, token, err := c.openStream(ctx, c.addr, openRequest{
-		Kind: kindSession, Window: window, Spec: ws, Resumable: c.resumable(),
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	rs := &RemoteSession{
-		client: c,
-		ws:     ws,
-		window: window,
-		addr:   c.addr,
-		rng:    jitterRNG(c.Resume.normalized(), c.sessionSeq.Add(1)),
-		conn:   conn,
-		// One slot past the credit window: a protocol-conformant server
-		// never has more than `window` undelivered batches buffered here,
-		// so the extra slot guarantees the receiver's single terminal
-		// message always fits — an abandoned session (Open ctx cancelled,
-		// no Close, no Next) cannot strand the receive goroutine on a
-		// full channel.
-		recv:      make(chan remoteMsg, window+1),
-		done:      make(chan struct{}),
-		watchStop: watchStop,
-		token:     token,
-		chain:     chainSeed,
-	}
-	go rs.receive(br, rs.recv, watchStop, 0, chainSeed)
 	return rs, nil
 }
 
-// remoteMsg is one received item handed from the connection reader to
-// Next: a decoded batch with its verified stream index and chain value,
-// or the terminal error (io.EOF for a clean end).
-type remoteMsg struct {
-	batch *reader.Batch
-	index int64
-	chain uint64
-	err   error
+// batchKind is the batch stream: batch frames, advisory drain notices.
+var batchKind = kind[*reader.Batch]{frame: frameBatch, decode: decodeBatch}
+
+// decodeBatch is the batch kind's decode hook: index | chain | batch.
+func decodeBatch(payload []byte, want int64, chain uint64) (*reader.Batch, uint64, error) {
+	idx, fchain, body, err := decodeBatchFrame(payload)
+	if err != nil {
+		return nil, 0, fmt.Errorf("dppnet: corrupt batch frame: %w", err)
+	}
+	if idx != want {
+		return nil, 0, fmt.Errorf("dppnet: batch index %d, want %d", idx, want)
+	}
+	if chain = chainStep(chain, body); chain != fchain {
+		return nil, 0, fmt.Errorf("dppnet: stream hash mismatch at batch %d", idx)
+	}
+	b, err := reader.DecodeBatch(bytes.NewReader(body))
+	if err != nil {
+		return nil, 0, fmt.Errorf("dppnet: corrupt batch frame: %w", err)
+	}
+	return b, chain, nil
 }
 
-// RemoteSession is the client half of one streamed session. It satisfies
+// RemoteSession is the client half of one streamed batch session: the one
+// remote stream client (stream) over batch frames. It satisfies
 // dpp.Stream: Next blocks for the next batch exactly like a local
 // session's, and Close tears the remote session down. Next is
 // single-consumer, as with a local Session.
-//
-// Under a Client.Resume policy the session is not connection-bound: when
-// the transport dies, Next transparently redials with the session's
-// resume token and consumed offset, and the continued stream is verified
-// frame-by-frame against the rolling chain hash — a resumed stream that
-// diverges anywhere from the uninterrupted one fails loudly at the first
-// divergent frame.
 type RemoteSession struct {
-	client *Client
-	ws     *wireSpec
-	window int
-
-	done chan struct{}
-
-	wmu sync.Mutex // serializes credit/close frame writes
-
-	// rng drives backoff jitter; touched only from the consumer
-	// goroutine (reconnect/failover run under Next).
-	rng *rand.Rand
-
-	// consumed and chain are the resume cursor: frames [0, consumed)
-	// were returned by Next, and chain is the rolling hash after the
-	// last of them. Single-consumer like Next itself.
-	consumed      int64
-	chain         uint64
-	reconnects    atomic.Int64
-	tokenResumes  atomic.Int64
-	replays       atomic.Int64
-	drainHandoffs atomic.Int64
-	extendCount   atomic.Int64
-	extendFiles   atomic.Int64
-
-	mu        sync.Mutex
-	addr      string // current server; changes on drain failover
-	conn      net.Conn
-	recv      chan remoteMsg
-	watchStop func()
-	token     string
-	stats     dpp.SessionStats
-	gotEOF    bool
-	closed    bool
-	termErr   error
+	stream[*reader.Batch]
 }
 
 var _ dpp.Stream = (*RemoteSession)(nil)
 
-// Reconnects reports how many times this session resumed over a new
-// connection.
-func (rs *RemoteSession) Reconnects() int64 { return rs.reconnects.Load() }
+// Next returns the session's next batch under the stream contract (see
+// stream.next): batches until io.EOF, a server error wrapped in ErrRemote,
+// a connection failure (redialed under a resume policy), ctx.Err(), or
+// dpp.ErrClosed.
+func (rs *RemoteSession) Next(ctx context.Context) (*reader.Batch, error) { return rs.next(ctx) }
 
 // TokenResumes and Replays split the session's successful continuations
 // by kind: a token resume claimed parked server state (retained frames
@@ -454,369 +373,9 @@ func (rs *RemoteSession) ExtendedFiles() int64 { return rs.extendFiles.Load() }
 // no-op on non-follow sessions and dead connections.
 func (rs *RemoteSession) EndFollow() {
 	rs.mu.Lock()
-	conn := rs.conn
 	closed := rs.closed
 	rs.mu.Unlock()
-	if closed || conn == nil {
-		return
+	if !closed {
+		rs.send(frameEndFollow, nil)
 	}
-	rs.wmu.Lock()
-	defer rs.wmu.Unlock()
-	_ = writeFrame(conn, frameEndFollow, nil)
-}
-
-// receive owns one connection's read half: it decodes frames into the
-// bounded recv channel (never blocking the socket beyond the credit
-// window, which caps in-flight batches below the channel's capacity)
-// and terminates with exactly one terminal message. Every batch frame's
-// index must be the next expected and its stamped chain must equal the
-// locally recomputed one — so a buggy or hostile resume can never splice
-// a divergent stream in silently. Terminal sends bail out on rs.done so
-// even a misbehaving server that overfills the window cannot strand the
-// receiver once Close runs.
-func (rs *RemoteSession) receive(br *bufio.Reader, recv chan remoteMsg, stop func(), expect int64, chain uint64) {
-	defer close(recv)
-	defer stop() // this connection's stream has ended; release its watcher
-	terminal := func(err error) {
-		select {
-		case recv <- remoteMsg{err: err}:
-		case <-rs.done:
-		}
-	}
-	for {
-		typ, payload, err := readFrame(br, maxFrameBytes)
-		if err != nil {
-			terminal(fmt.Errorf("%w: %v", errConnLost, err))
-			return
-		}
-		switch typ {
-		case frameBatch:
-			idx, fchain, body, err := decodeBatchFrame(payload)
-			if err != nil {
-				terminal(fmt.Errorf("dppnet: corrupt batch frame: %w", err))
-				return
-			}
-			if idx != expect {
-				terminal(fmt.Errorf("dppnet: batch index %d, want %d", idx, expect))
-				return
-			}
-			chain = chainStep(chain, body)
-			if chain != fchain {
-				terminal(fmt.Errorf("dppnet: stream hash mismatch at batch %d", idx))
-				return
-			}
-			b, err := reader.DecodeBatch(bytes.NewReader(body))
-			if err != nil {
-				terminal(fmt.Errorf("dppnet: corrupt batch frame: %w", err))
-				return
-			}
-			select {
-			case recv <- remoteMsg{batch: b, index: idx, chain: chain}:
-			case <-rs.done:
-				return
-			}
-			expect++
-		case frameStats:
-			st, err := decodeSessionStats(bytes.NewReader(payload))
-			if err != nil {
-				terminal(fmt.Errorf("dppnet: corrupt stats frame: %w", err))
-				return
-			}
-			rs.mu.Lock()
-			rs.stats = st
-			rs.mu.Unlock()
-		case frameEOF:
-			rs.mu.Lock()
-			rs.gotEOF = true
-			rs.mu.Unlock()
-			terminal(io.EOF)
-			return
-		case frameDrain:
-			if _, err := decodeDrainNotice(payload); err != nil {
-				terminal(fmt.Errorf("dppnet: corrupt drain frame: %w", err))
-				return
-			}
-			if len(rs.client.Failover) == 0 {
-				// Advisory only: with nowhere to go, keep consuming — the
-				// server keeps serving until the operator's deadline.
-				continue
-			}
-			terminal(ErrDrained)
-			return
-		case frameExtend:
-			en, err := decodeExtend(payload)
-			if err != nil {
-				terminal(fmt.Errorf("dppnet: corrupt extend frame: %w", err))
-				return
-			}
-			rs.extendCount.Add(1)
-			rs.extendFiles.Add(int64(len(en.Files)))
-		case frameError:
-			terminal(fmt.Errorf("%w: %s", ErrRemote, payload))
-			return
-		default:
-			terminal(fmt.Errorf("dppnet: unexpected frame %#x", typ))
-			return
-		}
-	}
-}
-
-// Next returns the session's next batch, blocking until one arrives over
-// the wire, the scan is exhausted (io.EOF), the server reports an error
-// (wrapped in ErrRemote), the connection fails, ctx is cancelled
-// (ctx.Err()), or the session is closed (dpp.ErrClosed) — the same
-// contract as a local Session.Next. Each consumed batch returns one
-// window credit to the server. Under a resume policy, a failed
-// connection is redialed here instead of surfacing.
-func (rs *RemoteSession) Next(ctx context.Context) (*reader.Batch, error) {
-	for {
-		rs.mu.Lock()
-		if rs.closed {
-			rs.mu.Unlock()
-			return nil, dpp.ErrClosed
-		}
-		if rs.termErr != nil {
-			err := rs.termErr
-			rs.mu.Unlock()
-			return nil, err
-		}
-		recv := rs.recv
-		rs.mu.Unlock()
-
-		select {
-		case m, ok := <-recv:
-			if !ok {
-				// The receiver already delivered its terminal error; this is
-				// a Next after the end. Replay the recorded outcome.
-				rs.mu.Lock()
-				defer rs.mu.Unlock()
-				if rs.closed {
-					return nil, dpp.ErrClosed
-				}
-				if rs.termErr != nil {
-					return nil, rs.termErr
-				}
-				return nil, io.EOF
-			}
-			if m.err != nil {
-				resumeCut := false
-				if errors.Is(m.err, ErrDrained) && rs.client != nil && len(rs.client.Failover) > 0 {
-					ferr := rs.failover(ctx)
-					if ferr == nil {
-						rs.drainHandoffs.Add(1)
-						continue
-					}
-					if errors.Is(ferr, dpp.ErrClosed) {
-						m.err = ferr
-					} else if ctx.Err() != nil && ferr == ctx.Err() {
-						// Failover cut short by ctx: record the drain as the
-						// outcome, report the cancellation to this caller.
-						resumeCut = true
-					}
-					// Otherwise every failover address refused: ErrDrained
-					// stands so the caller knows the stream needs a new home.
-				}
-				if errors.Is(m.err, errConnLost) && rs.client != nil && rs.client.Resume.MaxAttempts > 0 {
-					rerr := rs.reconnect(ctx)
-					if rerr == nil {
-						rs.reconnects.Add(1)
-						continue
-					}
-					if rerr != ctx.Err() {
-						m.err = rerr
-					} else {
-						// A reconnect cut short by ctx keeps the transport
-						// loss as the recorded outcome but reports the
-						// cancellation to this caller.
-						resumeCut = true
-					}
-				}
-				rs.mu.Lock()
-				closed := rs.closed
-				if rs.termErr == nil {
-					rs.termErr = m.err
-				}
-				rs.mu.Unlock()
-				if closed && m.err != io.EOF {
-					// Teardown races a connection error; Close semantics win.
-					return nil, dpp.ErrClosed
-				}
-				if resumeCut {
-					return nil, ctx.Err()
-				}
-				return nil, m.err
-			}
-			rs.consumed, rs.chain = m.index+1, m.chain
-			rs.sendCredit()
-			return m.batch, nil
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-rs.done:
-			return nil, dpp.ErrClosed
-		}
-	}
-}
-
-// reconnect redials the session under the client's resume policy: first
-// presenting the resume token (continuing parked server state with no
-// re-decoding), falling back to a token-less offset replay when the
-// server refuses the token, and backing off exponentially — with
-// downward jitter, so a fleet of sessions dropped by one restart doesn't
-// re-arrive in lockstep — between transport failures. A server refusal
-// of the replay itself is terminal.
-func (rs *RemoteSession) reconnect(ctx context.Context) error {
-	pol := rs.client.Resume.normalized()
-	rs.mu.Lock()
-	token := rs.token
-	rs.mu.Unlock()
-	var lastErr error
-	for attempt := 0; attempt < pol.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			select {
-			case <-time.After(pol.backoff(attempt, rs.rng)):
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-rs.done:
-				return dpp.ErrClosed
-			}
-		}
-		err := rs.redialTo(ctx, rs.currentAddr(), token)
-		if err == nil {
-			return nil
-		}
-		if errors.Is(err, ErrRemote) && token != "" {
-			// The parked state is gone (expired, evicted, or claimed):
-			// fall back to a fresh session replayed to our offset.
-			token = ""
-			if err = rs.redialTo(ctx, rs.currentAddr(), ""); err == nil {
-				return nil
-			}
-		}
-		if errors.Is(err, ErrRemote) || errors.Is(err, dpp.ErrClosed) || ctx.Err() != nil {
-			return err
-		}
-		lastErr = err
-	}
-	return fmt.Errorf("dppnet: resume failed after %d attempts: %w", pol.MaxAttempts, lastErr)
-}
-
-func (rs *RemoteSession) currentAddr() string {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return rs.addr
-}
-
-// failover moves the session to another address after a drain notice.
-// The resume token anchors parked state on the *draining* server, so the
-// new server is joined by deterministic offset replay: byte-identical,
-// verified frame-by-frame against the rolling chain hash.
-func (rs *RemoteSession) failover(ctx context.Context) error {
-	cur := rs.currentAddr()
-	var lastErr error
-	for _, addr := range rs.client.Failover {
-		if addr == "" || addr == cur {
-			continue
-		}
-		err := rs.redialTo(ctx, addr, "")
-		if err == nil {
-			return nil
-		}
-		if errors.Is(err, dpp.ErrClosed) || ctx.Err() != nil {
-			return err
-		}
-		lastErr = err
-	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("dppnet: no failover address beyond draining %s", cur)
-	}
-	return lastErr
-}
-
-// redialTo performs one resume handshake against addr and, on success,
-// installs the new connection and a fresh receiver continuing at the
-// consumed cursor.
-func (rs *RemoteSession) redialTo(ctx context.Context, addr string, token string) error {
-	conn, br, stop, newToken, err := rs.client.openStream(ctx, addr, openRequest{
-		Kind: kindSession, Window: rs.window, Spec: rs.ws,
-		Resumable: true, Offset: rs.consumed, Token: token,
-	})
-	if err != nil {
-		return err
-	}
-	recv := make(chan remoteMsg, rs.window+1)
-	rs.mu.Lock()
-	if rs.closed {
-		rs.mu.Unlock()
-		stop()
-		conn.Close()
-		return dpp.ErrClosed
-	}
-	old := rs.conn
-	rs.conn = conn
-	rs.recv = recv
-	rs.watchStop = stop
-	rs.token = newToken
-	rs.addr = addr
-	rs.mu.Unlock()
-	if old != nil {
-		old.Close()
-	}
-	if token != "" {
-		rs.tokenResumes.Add(1)
-	} else if rs.consumed > 0 {
-		rs.replays.Add(1)
-	}
-	go rs.receive(br, recv, stop, rs.consumed, rs.chain)
-	return nil
-}
-
-// sendCredit returns one window credit. A write failure means the
-// connection is already dead; the receiver will surface that as the
-// terminal error, so it is not reported here.
-func (rs *RemoteSession) sendCredit() {
-	rs.mu.Lock()
-	conn := rs.conn
-	rs.mu.Unlock()
-	var payload [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(payload[:], 1)
-	rs.wmu.Lock()
-	defer rs.wmu.Unlock()
-	_ = writeFrame(conn, frameCredit, payload[:n])
-}
-
-// Stats returns the session's final accounting as reported by the
-// server in the trailing stats frame. It is available once Next has
-// returned io.EOF; before that (or after a failure that lost the frame)
-// it returns false.
-func (rs *RemoteSession) Stats() (dpp.SessionStats, bool) {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return rs.stats, rs.gotEOF
-}
-
-// Close tears the remote session down: a best-effort close frame, then
-// the connection. Idempotent; always returns nil, like a local
-// Session.Close. Batches already returned by Next remain valid.
-func (rs *RemoteSession) Close() error {
-	rs.mu.Lock()
-	if rs.closed {
-		rs.mu.Unlock()
-		return nil
-	}
-	rs.closed = true
-	conn := rs.conn
-	recv := rs.recv
-	stop := rs.watchStop
-	rs.mu.Unlock()
-	close(rs.done)
-	stop()
-	rs.wmu.Lock()
-	_ = writeFrame(conn, frameClose, nil)
-	rs.wmu.Unlock()
-	conn.Close()
-	// Drain the receiver so it observes the connection close and exits;
-	// its terminal message is surfaced as ErrClosed by later Nexts.
-	for range recv {
-	}
-	return nil
 }

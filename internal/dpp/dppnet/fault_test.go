@@ -29,6 +29,58 @@ func waitActiveSessions(t *testing.T, svc *dpp.Service, want int) {
 		"service session count settles to %d", want)
 }
 
+// faultStream is either kind of remote stream behind one pull signature,
+// so each transport fault runs once per kind of the one client.
+type faultStream struct {
+	next     func(context.Context) error
+	close    func() error
+	buffered func() int // received items not yet consumed
+}
+
+func faultStreamOf[T any](st *stream[T]) *faultStream {
+	return &faultStream{
+		next:  func(ctx context.Context) error { _, err := st.next(ctx); return err },
+		close: st.Close,
+		buffered: func() int {
+			st.mu.Lock()
+			defer st.mu.Unlock()
+			return len(st.recv)
+		},
+	}
+}
+
+// remoteKinds are the two stream kinds: each names its payload frame and
+// opens a Buffer-1 session (files is the unit stream's explicit list).
+var remoteKinds = []struct {
+	name  string
+	frame byte
+	open  func(ctx context.Context, addr string, files []string) (*faultStream, error)
+}{
+	{"batch", frameBatch, func(ctx context.Context, addr string, _ []string) (*faultStream, error) {
+		rs, err := NewClient(addr).Open(ctx, dpp.Spec{Spec: alignedSpec(), Buffer: 1})
+		if err != nil {
+			return nil, err
+		}
+		return faultStreamOf(&rs.stream), nil
+	}},
+	{"unit", frameFileUnit, func(ctx context.Context, addr string, files []string) (*faultStream, error) {
+		rus, err := NewClient(addr).OpenUnits(ctx, dpp.Spec{Spec: alignedSpec(), Files: files, Buffer: 1})
+		if err != nil {
+			return nil, err
+		}
+		return faultStreamOf(&rus.stream), nil
+	}},
+}
+
+func allFiles(t testing.TB, env *testEnv) []string {
+	t.Helper()
+	files, err := env.catalog.AllFiles("tbl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
 // TestClientVanishDuringSend: a client that disappears without a close
 // frame — its connection just dies — must not strand the server-side
 // session, its reader goroutines, or its service slot, even while the
@@ -72,55 +124,58 @@ func TestClientVanishDuringSend(t *testing.T) {
 // blocked in Next surfaces a prompt transport error on the client —
 // never a hang — and tears everything down leak-free.
 func TestServerKillDuringNext(t *testing.T) {
-	before := runtime.NumGoroutine()
-
-	// A wide scan (hundreds of batches) so the kill provably lands with
-	// most of the stream still unsent: the consumer outruns the server's
-	// decode pace, so it spends its time parked inside Next.
+	// A wide scan (hundreds of batches, ten files) so the kill provably
+	// lands with most of the stream still unsent: the consumer outruns the
+	// server's decode pace, so it spends its time parked inside Next.
 	env := newTestEnv(t, 400)
-	h := startServer(t, env, dpp.Config{})
-	rs, err := NewClient(h.addr).Open(context.Background(), dpp.Spec{Spec: alignedSpec(), Buffer: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, k := range remoteKinds {
+		t.Run(k.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
 
-	midStream := make(chan struct{})
-	errCh := make(chan error, 1)
-	go func() {
-		consumed := 0
-		for {
-			_, err := rs.Next(context.Background())
+			h := startServer(t, env, dpp.Config{})
+			rs, err := k.open(context.Background(), h.addr, allFiles(t, env))
 			if err != nil {
-				errCh <- err
-				return
+				t.Fatal(err)
 			}
-			consumed++
-			if consumed == 2 {
-				close(midStream) // provably mid-stream; the kill may fire
+
+			midStream := make(chan struct{})
+			errCh := make(chan error, 1)
+			go func() {
+				consumed := 0
+				for {
+					if err := rs.next(context.Background()); err != nil {
+						errCh <- err
+						return
+					}
+					consumed++
+					if consumed == 2 {
+						close(midStream) // provably mid-stream; the kill may fire
+					}
+				}
+			}()
+
+			select {
+			case <-midStream:
+			case err := <-errCh:
+				t.Fatalf("stream died before the kill: %v", err)
+			case <-time.After(5 * time.Second):
+				t.Fatal("stream never started")
 			}
-		}
-	}()
+			h.shutdown(t) // kill the server while the consumer is in Next
 
-	select {
-	case <-midStream:
-	case err := <-errCh:
-		t.Fatalf("stream died before the kill: %v", err)
-	case <-time.After(5 * time.Second):
-		t.Fatal("stream never started")
+			select {
+			case err := <-errCh:
+				if err == nil || errors.Is(err, io.EOF) {
+					t.Fatalf("killed server surfaced as %v, want transport error", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("Next hung across server kill")
+			}
+			rs.close()
+
+			testutil.WaitForGoroutines(t, before)
+		})
 	}
-	h.shutdown(t) // kill the server while the consumer is in Next
-
-	select {
-	case err := <-errCh:
-		if err == nil || errors.Is(err, io.EOF) {
-			t.Fatalf("killed server surfaced as %v, want transport error", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Next hung across server kill")
-	}
-	rs.Close()
-
-	testutil.WaitForGoroutines(t, before)
 }
 
 // fakeServer accepts one dppnet connection, replies to the handshake
@@ -161,52 +216,60 @@ func fakeServer(t *testing.T, inject func(net.Conn)) (addr string, done chan str
 // frame — length prefix promises more bytes than ever arrive. The client
 // must fail with a truncation error, not block or misparse.
 func TestMidFrameConnectionDrop(t *testing.T) {
-	before := runtime.NumGoroutine()
+	for _, k := range remoteKinds {
+		t.Run(k.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
 
-	addr, done := fakeServer(t, func(conn net.Conn) {
-		var hdr bytes.Buffer
-		hdr.WriteByte(frameBatch)
-		hdr.Write([]byte{0xE8, 0x07}) // uvarint 1000: a 1000-byte payload...
-		hdr.Write(make([]byte, 10))   // ...of which only 10 bytes exist
-		conn.Write(hdr.Bytes())
-	})
+			addr, done := fakeServer(t, func(conn net.Conn) {
+				var hdr bytes.Buffer
+				hdr.WriteByte(k.frame)
+				hdr.Write([]byte{0xE8, 0x07}) // uvarint 1000: a 1000-byte payload...
+				hdr.Write(make([]byte, 10))   // ...of which only 10 bytes exist
+				conn.Write(hdr.Bytes())
+			})
 
-	rs, err := NewClient(addr).Open(context.Background(), dpp.Spec{Spec: alignedSpec()})
-	if err != nil {
-		t.Fatal(err)
+			rs, err := k.open(context.Background(), addr, []string{"f"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = rs.next(context.Background())
+			if err == nil || errors.Is(err, io.EOF) {
+				t.Fatalf("mid-frame drop returned %v, want transport error", err)
+			}
+			rs.close()
+			<-done
+
+			testutil.WaitForGoroutines(t, before)
+		})
 	}
-	_, err = rs.Next(context.Background())
-	if err == nil || errors.Is(err, io.EOF) {
-		t.Fatalf("mid-frame drop returned %v, want transport error", err)
-	}
-	rs.Close()
-	<-done
-
-	testutil.WaitForGoroutines(t, before)
 }
 
 // TestCorruptBatchFrame: a well-framed batch whose payload is garbage
 // must surface as a decode error from Next — the codec's plausibility
 // checks, not a panic, are the failure mode.
 func TestCorruptBatchFrame(t *testing.T) {
-	before := runtime.NumGoroutine()
+	for _, k := range remoteKinds {
+		t.Run(k.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
 
-	addr, done := fakeServer(t, func(conn net.Conn) {
-		writeFrame(conn, frameBatch, []byte("XBATgarbage-that-is-not-a-batch"))
-	})
+			addr, done := fakeServer(t, func(conn net.Conn) {
+				writeFrame(conn, k.frame, []byte("XBATgarbage-that-is-not-a-batch"))
+			})
 
-	rs, err := NewClient(addr).Open(context.Background(), dpp.Spec{Spec: alignedSpec()})
-	if err != nil {
-		t.Fatal(err)
+			rs, err := k.open(context.Background(), addr, []string{"f"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = rs.next(context.Background())
+			if err == nil || errors.Is(err, io.EOF) {
+				t.Fatalf("corrupt batch returned %v, want decode error", err)
+			}
+			rs.close()
+			<-done
+
+			testutil.WaitForGoroutines(t, before)
+		})
 	}
-	_, err = rs.Next(context.Background())
-	if err == nil || errors.Is(err, io.EOF) {
-		t.Fatalf("corrupt batch returned %v, want decode error", err)
-	}
-	rs.Close()
-	<-done
-
-	testutil.WaitForGoroutines(t, before)
 }
 
 // TestOversizedFrameRejected: a frame announcing more than maxFrameBytes
@@ -331,25 +394,28 @@ func TestServerRejectsMalformedHandshake(t *testing.T) {
 // the client's receive goroutine (which at that point is sitting on a
 // full credit window of undelivered batches).
 func TestAbandonedSessionAfterCancel(t *testing.T) {
-	before := runtime.NumGoroutine()
-
 	env := newTestEnv(t, 60)
-	h := startServer(t, env, dpp.Config{})
-	ctx, cancel := context.WithCancel(context.Background())
-	rs, err := NewClient(h.addr).Open(ctx, dpp.Spec{Spec: alignedSpec(), Buffer: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Let the server exhaust the window so the receiver has buffered
-	// batches it will never deliver.
-	testutil.Eventually(t, func() bool { return h.svc.Stats().BatchesServed >= 1 },
-		"server started streaming")
-	cancel()
-	_ = rs // abandoned: no Close, no further Next
+	for _, k := range remoteKinds {
+		t.Run(k.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
 
-	waitActiveSessions(t, h.svc, 0)
-	h.shutdown(t)
-	testutil.WaitForGoroutines(t, before)
+			h := startServer(t, env, dpp.Config{})
+			ctx, cancel := context.WithCancel(context.Background())
+			rs, err := k.open(ctx, h.addr, allFiles(t, env))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Let the server exhaust the window so the receiver has buffered
+			// items it will never deliver.
+			testutil.Eventually(t, func() bool { return rs.buffered() >= 1 }, "server started streaming")
+			cancel()
+			_ = rs // abandoned: no Close, no further Next
+
+			waitActiveSessions(t, h.svc, 0)
+			h.shutdown(t)
+			testutil.WaitForGoroutines(t, before)
+		})
+	}
 }
 
 // TestOpenCancelledDuringHandshake: a server that accepts the TCP

@@ -25,6 +25,10 @@
 // The remote session (Client.Open) satisfies dpp.Stream, and its batch
 // stream and deterministic stats are byte-identical to a local session
 // with the same spec — pinned under -race by TestRemoteSessionMatchesLocal.
+// The client half is written once (stream.go): RemoteSession and the
+// fleet's RemoteUnitSession (Client.OpenUnits) are the same receive /
+// reconnect / credit / close core over two frame kinds, differing only in
+// the data a kind supplies and one decode hook.
 // A server additionally answers "statsz" handshakes with the service's
 // aggregate dpp.Stats (Client.ServiceStats), the wire form of /statsz,
 // and "tablez" handshakes with the served table's metadata (schema
@@ -149,10 +153,6 @@ const (
 	maxControlFrameBytes = 1 << 22
 	frameReadChunk       = 1 << 16
 )
-
-// maxWindow caps the negotiated credit window; a window beyond this
-// buys no overlap and only defers backpressure.
-const maxWindow = 1 << 10
 
 // openRequest is the JSON handshake payload.
 type openRequest struct {

@@ -457,8 +457,8 @@ func (s *Server) serveStream(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, 
 		return
 	}
 	window := req.Window
-	if window <= 0 || window > maxWindow {
-		fail("", fmt.Sprintf("window %d out of range", req.Window), fmt.Errorf("dppnet: window %d out of range [1,%d]", req.Window, maxWindow))
+	if window <= 0 || window > dpp.MaxWindow {
+		fail("", fmt.Sprintf("window %d out of range", req.Window), fmt.Errorf("dppnet: window %d out of range [1,%d]", req.Window, dpp.MaxWindow))
 		return
 	}
 	spec, err := decodeSpec(req.Spec)
@@ -947,7 +947,7 @@ func decodeCredit(payload []byte) (int64, error) {
 	if n <= 0 || n != len(payload) {
 		return 0, errors.New("dppnet: malformed credit frame")
 	}
-	if v == 0 || v > maxWindow {
+	if v == 0 || v > dpp.MaxWindow {
 		return 0, fmt.Errorf("dppnet: credit grant %d out of range", v)
 	}
 	return int64(v), nil

@@ -32,7 +32,6 @@ import (
 	"io"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/dpp"
 	"repro/internal/dpp/dppnet"
@@ -171,45 +170,40 @@ const maxMergeWindow = 256
 // dpp.Stream: Next returns batches in the single-server order until
 // io.EOF, and Close tears down every shard stream. Next is
 // single-consumer, as with every other session kind.
+//
+// It is the shared session shell (dpp.Shell) over batches, fed by the
+// merge: the output buffer, consumer-stall accounting, first-error rule,
+// recorded outcome and teardown are the ones every local session has.
 type Session struct {
 	fleet       *Fleet
 	spec        dpp.Spec
 	files       []string
 	fingerprint string
 
-	ctx    context.Context
-	cancel context.CancelFunc
+	// sh owns the lifecycle; the pumps and the merge loop run on it.
+	sh dpp.Shell[*reader.Batch]
 	// merge holds one slot per file of the global plan: the unit its shard
 	// delivered, or the stream's fate.
 	merge *reader.OrderedMerge[reader.Unit]
-	out   chan *reader.Batch
 	// mux is the session's local reader, the cutter: it cuts
 	// carry-crossing batches from tails and re-fills carry-entered files
 	// (which needs Config.Backend).
 	mux *reader.Reader
-	wg  sync.WaitGroup
 	// pumps tracks only the shard pump goroutines: a cleanly exhausted
 	// merge waits for them before closing the stream, so every healthy
 	// shard's trailing stats frame is drained by the time the consumer
 	// sees io.EOF and reads Stats.
 	pumps sync.WaitGroup
 
-	// pmu guards the shard set and teardown flag; wg.Add for re-route
+	// pmu guards the shard set and teardown flag; sh.Go for re-route
 	// pumps happens under pmu with a stopped check, so a racing teardown
-	// can never Wait past an Add.
+	// can never wait past an add.
 	pmu           sync.Mutex
 	dead          map[string]bool
 	shards        []*shardState
 	stopped       bool
 	reroutes      int64 // shard deaths survived mid-stream
 	drainHandoffs int64 // shard drains handed off mid-stream
-
-	mu                 sync.Mutex
-	muxStats           reader.Stats
-	consumerStall      time.Duration
-	consumerStallSince time.Time
-	firstErr           error
-	closed             bool
 }
 
 var _ dpp.Stream = (*Session)(nil)
@@ -227,36 +221,32 @@ func (f *Fleet) Open(ctx context.Context, spec dpp.Spec) (*Session, error) {
 	files := spec.Files
 	fingerprint := spec.Spec.Fingerprint()
 
-	readers, buffer := spec.Readers, spec.Buffer
-	if readers <= 0 {
-		readers = dpp.DefaultReaders
-	}
-	if buffer <= 0 {
-		buffer = dpp.DefaultBuffer
-	}
-
 	mux, err := reader.NewReader(f.backend, spec.Spec)
 	if err != nil {
 		return nil, err
 	}
 
-	sctx, cancel := context.WithCancel(ctx)
 	s := &Session{
 		fleet:       f,
 		spec:        spec,
 		files:       files,
 		fingerprint: fingerprint,
-		ctx:         sctx,
-		cancel:      cancel,
-		out:         make(chan *reader.Batch, readers*buffer),
 		mux:         mux,
 		dead:        make(map[string]bool),
 	}
-	window := len(f.addrs) * readers * buffer
-	if window > maxMergeWindow {
-		window = maxMergeWindow
+	s.merge = reader.NewOrderedMerge[reader.Unit](len(files), min(len(f.addrs)*spec.Window(), maxMergeWindow), nil)
+	s.sh.Open(ctx, dpp.SystemClock{}, spec.Window())
+	s.sh.Pool = func() dpp.SchedulerStats {
+		s.pmu.Lock()
+		defer s.pmu.Unlock()
+		return dpp.SchedulerStats{Workers: len(s.aliveLocked()), WorkerStall: s.merge.Stall()}
 	}
-	s.merge = reader.NewOrderedMerge[reader.Unit](len(files), window, nil)
+	s.sh.HaltOn(func() {
+		s.pmu.Lock()
+		s.stopped = true
+		s.pmu.Unlock()
+		s.merge.Abort()
+	})
 
 	// Open the initial shard streams synchronously, re-routing around
 	// unreachable shards; only then do pumps start, so Open's error
@@ -268,7 +258,7 @@ func (f *Fleet) Open(ctx context.Context, spec dpp.Spec) (*Session, error) {
 		queue = queue[1:]
 		rus, err := s.openShard(g)
 		if err != nil {
-			if (errors.Is(err, dppnet.ErrRemote) && !isDrainingRefusal(err)) || sctx.Err() != nil {
+			if (errors.Is(err, dppnet.ErrRemote) && !isDrainingRefusal(err)) || ctx.Err() != nil {
 				s.abandonOpen()
 				return nil, err
 			}
@@ -288,12 +278,10 @@ func (f *Fleet) Open(ctx context.Context, spec dpp.Spec) (*Session, error) {
 	}
 
 	for _, st := range s.shards {
-		s.wg.Add(1)
 		s.pumps.Add(1)
-		go s.runPump(st)
+		s.sh.Go(func() { s.runPump(st) })
 	}
-	s.wg.Add(1)
-	go s.runMerge()
+	s.sh.Go(s.runMerge)
 	return s, nil
 }
 
@@ -316,12 +304,12 @@ func (s *Session) openShard(g group) (*dppnet.RemoteUnitSession, error) {
 	cl := dppnet.NewClient(g.addr)
 	cl.Resume = s.fleet.resume
 	cl.AuthToken = s.fleet.authToken
-	return cl.OpenUnits(s.ctx, shardSpec)
+	return cl.OpenUnits(s.sh.Ctx(), shardSpec)
 }
 
 // abandonOpen tears down a half-built session whose Open is failing.
 func (s *Session) abandonOpen() {
-	s.cancel()
+	s.sh.Close()
 	for _, st := range s.shards {
 		st.sess.Close()
 	}
@@ -346,7 +334,6 @@ func (s *Session) aliveLocked() []string {
 // rerouteShard; a shard that finishes cleanly drains the trailing
 // stats frame so the fleet's aggregate accounting includes it.
 func (s *Session) runPump(st *shardState) {
-	defer s.wg.Done()
 	defer s.pumps.Done()
 	defer st.sess.Close()
 	pos := 0
@@ -355,9 +342,9 @@ func (s *Session) runPump(st *shardState) {
 		if !s.merge.WaitWindow(gidx) {
 			return // merge aborted: teardown or a terminal error elsewhere
 		}
-		u, err := st.sess.NextUnit(s.ctx)
+		u, err := st.sess.NextUnit(s.sh.Ctx())
 		if err != nil {
-			if s.ctx.Err() != nil {
+			if s.sh.Ctx().Err() != nil {
 				return
 			}
 			if err == io.EOF {
@@ -382,7 +369,7 @@ func (s *Session) runPump(st *shardState) {
 		s.pmu.Unlock()
 	}
 	// Subset delivered; the next read is the trailing stats + EOF.
-	if _, err := st.sess.NextUnit(s.ctx); err == io.EOF {
+	if _, err := st.sess.NextUnit(s.sh.Ctx()); err == io.EOF {
 		if stats, ok := st.sess.Stats(); ok {
 			s.pmu.Lock()
 			st.stats, st.statsOK = stats, true
@@ -424,7 +411,7 @@ func (s *Session) rerouteShard(st *shardState, pos int, cause error) {
 		queue = queue[1:]
 		rus, err := s.openShard(g)
 		if err != nil {
-			if s.ctx.Err() != nil {
+			if s.sh.Ctx().Err() != nil {
 				return
 			}
 			if errors.Is(err, dppnet.ErrRemote) && !isDrainingRefusal(err) {
@@ -452,145 +439,45 @@ func (s *Session) rerouteShard(st *shardState, pos int, cause error) {
 			return
 		}
 		s.shards = append(s.shards, st2)
-		// Safe relative to teardown's Wait: this pump's own wg slot is
-		// still held, so neither counter can be at zero here.
-		s.wg.Add(1)
+		// Safe relative to teardown's wait: this pump's own slot is still
+		// held, so neither counter can be at zero here.
 		s.pumps.Add(1)
+		s.sh.Go(func() { s.runPump(st2) })
 		s.pmu.Unlock()
-		go s.runPump(st2)
 	}
 }
 
-// runMerge consumes deposited units strictly in global file order and
-// emits the batch stream, closing out only after the outcome is
-// recorded — the same discipline as every other session kind.
+// runMerge pulls the shards' units in global file order into the cutter
+// and settles the stream: files entered on a batch boundary pass their
+// shard-cut batches through, files entered with carried rows are re-filled
+// locally and cut against the carry, and the final short batch is cut from
+// the last tail.
 func (s *Session) runMerge() {
-	defer s.wg.Done()
-	err := s.mergeLoop()
+	i := 0
+	err := s.mux.RunUnits(s.sh.Ctx(), func() (reader.Unit, bool) {
+		u, ok := s.merge.Await(i) // false past the last file, or aborted
+		i++
+		return u, ok
+	}, s.sh.Emit)
 	if err == nil {
 		// Clean exhaustion: every deposit was consumed, so the pumps are
 		// past their last unit and only draining trailing stats frames —
 		// a prompt wait that makes Stats complete at io.EOF.
 		s.pumps.Wait()
 	}
-	s.mu.Lock()
-	if err != nil && s.firstErr == nil && !errors.Is(err, context.Canceled) {
-		s.firstErr = err
-	}
-	s.muxStats.Add(s.mux.Stats())
-	s.mu.Unlock()
-	s.merge.Abort()
-	close(s.out)
-}
-
-// mergeLoop pulls the shards' units in global file order into the cutter:
-// files entered on a batch boundary pass their shard-cut batches through,
-// files entered with carried rows are re-filled locally and cut against
-// the carry, and the final short batch is cut from the last tail.
-func (s *Session) mergeLoop() error {
-	i := 0
-	return s.mux.RunUnits(s.ctx, func() (reader.Unit, bool) {
-		u, ok := s.merge.Await(i) // false past the last file, or aborted
-		i++
-		return u, ok
-	}, s.emitOut)
-}
-
-// emitOut hands one batch to the consumer through the bounded output
-// buffer, charging blocked time to the consumer-stall counter.
-func (s *Session) emitOut(b *reader.Batch) error {
-	select {
-	case s.out <- b:
-		return nil
-	default:
-	}
-	start := time.Now()
-	s.mu.Lock()
-	s.consumerStallSince = start
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		s.consumerStall += time.Since(start)
-		s.consumerStallSince = time.Time{}
-		s.mu.Unlock()
-	}()
-	select {
-	case s.out <- b:
-		return nil
-	case <-s.ctx.Done():
-		return s.ctx.Err()
-	}
+	s.sh.Settle(err, dpp.SessionCacheStats{}, s.mux.Stats())
 }
 
 // Next returns the fleet stream's next batch — the single-server order,
 // whatever the shard count or failover history. The contract matches
 // every other session kind: batches until io.EOF, the first error, a
 // cancelled ctx, or dpp.ErrClosed.
-func (s *Session) Next(ctx context.Context) (*reader.Batch, error) {
-	select {
-	case b, ok := <-s.out:
-		if !ok {
-			return nil, s.finish()
-		}
-		return b, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case <-s.ctx.Done():
-		s.mu.Lock()
-		closed := s.closed
-		s.mu.Unlock()
-		if closed {
-			return nil, dpp.ErrClosed
-		}
-		return nil, s.ctx.Err()
-	}
-}
+func (s *Session) Next(ctx context.Context) (*reader.Batch, error) { return s.sh.Pull(ctx) }
 
-// finish settles the stream outcome once the output has closed.
-func (s *Session) finish() error {
-	ctxErr := s.ctx.Err()
-	s.teardown()
-	s.mu.Lock()
-	err := s.firstErr
-	closed := s.closed
-	s.mu.Unlock()
-	if err == nil {
-		if closed {
-			err = dpp.ErrClosed
-		} else if ctxErr != nil {
-			err = ctxErr
-		}
-	}
-	if err != nil {
-		return err
-	}
-	return io.EOF
-}
-
-// teardown stops the pumps and the merge and waits for every session
-// goroutine; shard connections close as their pumps exit. Idempotent.
-func (s *Session) teardown() {
-	s.pmu.Lock()
-	s.stopped = true
-	s.pmu.Unlock()
-	s.cancel()
-	s.merge.Abort()
-	s.wg.Wait()
-}
-
-// Close tears the fleet session down across every shard. Idempotent;
+// Close tears the fleet session down across every shard: the pumps and the
+// merge stop and shard connections close as their pumps exit. Idempotent;
 // always returns nil. Batches already returned by Next remain valid.
-func (s *Session) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	s.mu.Unlock()
-	s.teardown()
-	return nil
-}
+func (s *Session) Close() error { return s.sh.Close() }
 
 // Stats aggregates the fleet session's accounting: every shard's
 // trailing stats (decode work, egress, per-shard cache traffic) summed
@@ -601,8 +488,9 @@ func (s *Session) Close() error {
 // mid-stream loses its trailing frame — its completed work is absent,
 // which ShardStats surfaces per shard).
 func (s *Session) Stats() dpp.SessionStats {
-	var agg dpp.SessionStats
+	agg := s.sh.Stats() // the mux's reader work, the alive-shard pool, the stalls
 	s.pmu.Lock()
+	defer s.pmu.Unlock()
 	for _, st := range s.shards {
 		if st.statsOK {
 			agg.Reader.Add(st.stats.Reader)
@@ -610,16 +498,6 @@ func (s *Session) Stats() dpp.SessionStats {
 			agg.Cache.Misses += st.stats.Cache.Misses
 		}
 	}
-	agg.Scheduler.Workers = len(s.aliveLocked())
-	s.pmu.Unlock()
-	agg.Scheduler.WorkerStall = s.merge.Stall()
-	s.mu.Lock()
-	agg.Reader.Add(s.muxStats)
-	agg.Scheduler.ConsumerStall = s.consumerStall
-	if !s.consumerStallSince.IsZero() {
-		agg.Scheduler.ConsumerStall += time.Since(s.consumerStallSince)
-	}
-	s.mu.Unlock()
 	return agg
 }
 

@@ -85,19 +85,17 @@ type Spec struct {
 }
 
 // DefaultReaders and DefaultBuffer are the execution-shape defaults
-// applied when a Spec leaves Readers/Buffer zero. dppnet sizes a remote
-// session's receive window from the same values, so the network
-// boundary enforces the same backpressure bound a local session's
-// output buffer does.
+// applied when a Spec leaves Readers/Buffer zero.
 const (
 	DefaultReaders = 1
 	DefaultBuffer  = 2
 )
 
-// maxBufferedBatches caps the session's decoded-batch output buffer
-// (Readers×Buffer), mirroring the dppnet credit-window cap: a deeper
-// buffer buys no overlap and only defers backpressure.
-const maxBufferedBatches = 1 << 10
+// MaxWindow caps a session's backpressure window — the local output
+// buffer, and the dppnet credit window the handshake and every credit
+// grant are bounded by: a deeper one buys no overlap and only defers
+// backpressure.
+const MaxWindow = 1 << 10
 
 func (s Spec) withDefaults() Spec {
 	if s.Readers == 0 {
@@ -107,6 +105,18 @@ func (s Spec) withDefaults() Spec {
 		s.Buffer = DefaultBuffer
 	}
 	return s
+}
+
+// Window is the session's backpressure bound: how many finished batches
+// (or, for a unit stream, file units) may sit ahead of the consumer —
+// Readers × Buffer with the defaults applied, capped at MaxWindow. It is
+// the one definition every boundary sizes from: a local session's output
+// buffer, a remote session's credit window, the fleet session's output
+// buffer. At least 1, so a spec validate will refuse still travels to the
+// service that refuses it.
+func (s Spec) Window() int {
+	s = s.withDefaults()
+	return max(1, min(s.Readers*s.Buffer, MaxWindow))
 }
 
 func (s Spec) validate() error {
@@ -151,8 +161,11 @@ var _ Stream = (*Session)(nil)
 // reference regardless of the source, the pool's size or its resize
 // history.
 type Session struct {
-	shell[*reader.Batch]
+	Shell[*reader.Batch]
 
+	svc *Service
+	// spec is the defaulted Spec the session was opened with; read-only.
+	spec  Spec
 	queue *reader.ScanQueue // nil for ShareScans sessions (single scan loop)
 
 	// Follow state: the tailer goroutine watches the catalog and extends
@@ -163,9 +176,9 @@ type Session struct {
 	followDone   chan struct{}
 	endFollow    sync.Once
 
-	// pmu guards the worker-pool shape. wg.Add for spawned workers
-	// happens under pmu, and teardown sets stopped under pmu before
-	// wg.Wait, so a racing Resize can never Add past a Wait.
+	// pmu guards the worker-pool shape. Go for spawned workers happens
+	// under pmu, and teardown sets stopped under pmu before it waits, so a
+	// racing Resize can never add past the wait.
 	pmu        sync.Mutex
 	target     int // desired worker count (= SchedulerStats.Workers)
 	active     int // workers currently running
@@ -189,8 +202,9 @@ type tailState struct {
 // begin claiming and decoding files immediately; nothing blocks on Open.
 // tail is non-nil exactly for Follow sessions.
 func newSession(ctx context.Context, svc *Service, id int64, spec Spec, files []string, tail *tailState) (*Session, error) {
-	s := &Session{}
-	s.open(ctx, svc, id, spec, min(spec.Readers*spec.Buffer, maxBufferedBatches))
+	s := &Session{svc: svc, spec: spec}
+	s.Open(ctx, svc.clock, spec.Window())
+	s.Release = func(sched SchedulerStats, errored bool) { svc.retire(id, sched, errored) }
 	cut, err := reader.NewReader(svc.backend, spec.Spec)
 	if err != nil {
 		s.cancel()
@@ -203,8 +217,7 @@ func newSession(ctx context.Context, svc *Service, id int64, spec Spec, files []
 			s.cancel()
 			return nil, err
 		}
-		s.wg.Add(1)
-		go s.runShared(src, cut)
+		s.Go(func() { s.runShared(src, cut) })
 		return s, nil
 	}
 
@@ -213,8 +226,8 @@ func newSession(ctx context.Context, svc *Service, id int64, spec Spec, files []
 	} else {
 		s.queue = reader.NewScanQueue(files, queueWindow(spec, spec.Readers), svc.clock.Now)
 	}
-	s.pool = s.poolStats
-	s.haltOn(func() {
+	s.Pool = s.poolStats
+	s.HaltOn(func() {
 		s.pmu.Lock()
 		s.stopped = true
 		s.pmu.Unlock()
@@ -225,8 +238,7 @@ func newSession(ctx context.Context, svc *Service, id int64, spec Spec, files []
 		fctx, fcancel := context.WithCancel(s.ctx)
 		s.followCancel = fcancel
 		s.followDone = make(chan struct{})
-		s.wg.Add(1)
-		go s.runTailer(fctx, tail)
+		s.Go(func() { s.runTailer(fctx, tail) })
 	}
 
 	s.pmu.Lock()
@@ -240,11 +252,9 @@ func newSession(ctx context.Context, svc *Service, id int64, spec Spec, files []
 	}
 	s.pmu.Unlock()
 
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		s.settle(cut.RunQueue(s.ctx, s.queue, s.emit), SessionCacheStats{}, cut.Stats())
-	}()
+	s.Go(func() {
+		s.Settle(cut.RunQueue(s.ctx, s.queue, s.Emit), SessionCacheStats{}, cut.Stats())
+	})
 
 	if svc.autoscale != nil {
 		// With an arbiter, the controller's Resize calls become bids:
@@ -256,22 +266,21 @@ func newSession(ctx context.Context, svc *Service, id int64, spec Spec, files []
 			svc.arbiter.Register(spec.Tenant, s)
 			// Leave arbitration before retiring so the departed pool's
 			// workers are redistributed to still-running sessions.
-			s.leave = func() { svc.arbiter.Unregister(s) }
+			s.Release = func(sched SchedulerStats, errored bool) {
+				svc.arbiter.Unregister(s)
+				svc.retire(id, sched, errored)
+			}
 			target = &arbitratedTarget{arb: svc.arbiter, tenant: spec.Tenant, sess: s}
 		}
 		as, err := NewAutoScaler(target, *svc.autoscale)
 		if err != nil {
 			s.teardown()
-			if s.leave != nil {
-				s.leave()
+			if svc.arbiter != nil {
+				svc.arbiter.Unregister(s)
 			}
 			return nil, err
 		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			as.Run(s.ctx)
-		}()
+		s.Go(func() { as.Run(s.ctx) })
 	}
 	return s, nil
 }
@@ -285,14 +294,13 @@ func newSession(ctx context.Context, svc *Service, id int64, spec Spec, files []
 // BatchesProduced and SentBytes still count every batch handed to the
 // consumer (the session's egress is real either way).
 func (s *Session) runShared(src *sharedSource, cut *reader.Reader) {
-	defer s.wg.Done()
 	next, stop := src.ahead(s.ctx, s.spec.FillAhead)
 	err := cut.RunUnits(s.ctx, func() (reader.Unit, bool) {
 		u, ok := next()
 		return u.Unit, ok
-	}, s.emit)
+	}, s.Emit)
 	stop()
-	s.settle(err, src.cache, cut.Stats(), src.r.Stats(), src.served)
+	s.Settle(err, src.cache, cut.Stats(), src.r.Stats(), src.served)
 }
 
 // queueWindow bounds how many files may be claimed (decoding or decoded,
@@ -305,16 +313,15 @@ func queueWindow(spec Spec, n int) int {
 }
 
 // spawnWorkerLocked starts one fill worker; the caller holds pmu (which
-// makes the wg.Add safe against teardown's Wait) and has already counted
-// the worker in target.
+// makes the Go safe against teardown's Wait) and has already counted the
+// worker in target.
 func (s *Session) spawnWorkerLocked() error {
 	r, err := reader.NewReader(s.svc.backend, s.spec.Spec)
 	if err != nil {
 		return err
 	}
 	s.active++
-	s.wg.Add(1)
-	go s.runFillWorker(r)
+	s.Go(func() { s.runFillWorker(r) })
 	return nil
 }
 
@@ -324,7 +331,6 @@ func (s *Session) spawnWorkerLocked() error {
 // only natural exits (queue exhausted, abort, fill error) decrement
 // active here.
 func (s *Session) runFillWorker(r *reader.Reader) {
-	defer s.wg.Done()
 	stopped := false
 	r.FillQueue(s.ctx, s.queue, func() bool {
 		if s.workerShouldStop() {
@@ -413,7 +419,6 @@ func (s *Session) poolStats() SchedulerStats {
 // context is cancelled — by EndFollow (clean end of the tail) or by
 // session teardown.
 func (s *Session) runTailer(ctx context.Context, tail *tailState) {
-	defer s.wg.Done()
 	defer close(s.followDone)
 	gen, cursor := tail.gen, tail.cursor
 	for {
@@ -477,7 +482,7 @@ func (s *Session) FollowLag() int {
 // (ErrClosed). Batches arrive in deterministic order: the single serial
 // scan order over the session's file list, at every worker count.
 func (s *Session) Next(ctx context.Context) (*reader.Batch, error) {
-	b, err := s.next(ctx)
+	b, err := s.Pull(ctx)
 	if err == nil {
 		s.svc.noteBatch()
 	}

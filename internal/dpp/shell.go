@@ -10,34 +10,37 @@ import (
 	"repro/internal/reader"
 )
 
-// shell is the lifecycle every session kind shares, written once: a
-// bounded output buffer whose hand-off charges consumer stall, the
+// Shell is the lifecycle every locally assembled stream shares, written
+// once: a bounded output buffer whose hand-off charges consumer stall, the
 // first-error rule, "close out only after the outcome is recorded", and
-// next / finish / teardown / Close / release. Session embeds it over
-// batches, UnitSession over file units; what differs between them is only
+// Pull / finish / teardown / Close / release. Session embeds it over
+// batches, UnitSession over file units, and dppshard's fleet session holds
+// one over the batches its merge cuts; what differs between them is only
 // what feeds out.
-type shell[T any] struct {
-	svc    *Service
-	id     int64
+type Shell[T any] struct {
+	// Pool reports the kind's worker-pool telemetry; nil means one scan
+	// loop (a ShareScans session). Release runs exactly once when the
+	// stream ends — EOF, failure or Close — with the final scheduling
+	// telemetry and whether the scan failed: a service-hosted session gives
+	// its slot back there. Set both while opening, before the stream is
+	// handed to its consumer.
+	Pool    func() SchedulerStats
+	Release func(sched SchedulerStats, errored bool)
+
+	clock  Clock
 	ctx    context.Context
 	cancel context.CancelFunc
-	// spec is the defaulted Spec the session was opened with; read-only.
-	spec Spec
 
 	// out is the session's single bounded output buffer: the scan feeds it
-	// through emit, next drains it. Closed by settle, once, after the
+	// through Emit, Pull drains it. Closed by Settle, once, after the
 	// outcome is recorded.
 	out chan T
 	wg  sync.WaitGroup
 
 	// halt wakes whatever the kind parks outside the context (a queue's or
 	// a merge's condition variables) and stops a resizable pool from
-	// growing; pool reports the kind's worker-pool telemetry; leave undoes
-	// what open registered outside the service. Each is nil when the kind
-	// has nothing of the sort — a ShareScans session is one scan loop.
-	halt  func()
-	pool  func() SchedulerStats
-	leave func()
+	// growing; nil when the kind has nothing of the sort.
+	halt func()
 
 	mu    sync.Mutex
 	stats reader.Stats
@@ -55,46 +58,59 @@ type shell[T any] struct {
 	final error
 }
 
-// open binds the shell to its service slot and gives it a context derived
-// from the job's and an output buffer of the given depth.
-func (s *shell[T]) open(ctx context.Context, svc *Service, id int64, spec Spec, buffered int) {
-	s.svc, s.id, s.spec = svc, id, spec
+// Open gives the shell a context derived from the job's, the clock that
+// stamps its stall accounting, and an output buffer of the given depth.
+func (s *Shell[T]) Open(ctx context.Context, clock Clock, buffered int) {
+	s.clock = clock
 	s.ctx, s.cancel = context.WithCancel(ctx)
 	s.out = make(chan T, buffered)
 }
 
-// haltOn installs the kind's halt and starts the watcher that runs it when
-// the context ends: queues and merges block on condition variables, not
-// channels, so cancellation has to be translated into an abort that wakes
-// every parked worker. settle halts too, so the watcher is only
-// load-bearing for mid-scan cancellation.
-func (s *shell[T]) haltOn(halt func()) {
-	s.halt = halt
+// Ctx is the stream's own context: cancelled by teardown, and by the job
+// context it derives from.
+func (s *Shell[T]) Ctx() context.Context { return s.ctx }
+
+// Go runs f on a goroutine teardown waits for. A kind that adds goroutines
+// mid-stream orders Go against its halt (under the lock halt takes, after
+// checking the flag halt sets), so teardown never waits past an add.
+func (s *Shell[T]) Go(f func()) {
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
-		<-s.ctx.Done()
-		halt()
+		f()
 	}()
 }
 
-// emit hands one item to the consumer through the bounded output buffer,
+// HaltOn installs the kind's halt and starts the watcher that runs it when
+// the context ends: queues and merges block on condition variables, not
+// channels, so cancellation has to be translated into an abort that wakes
+// every parked worker. Settle halts too, so the watcher is only
+// load-bearing for mid-scan cancellation.
+func (s *Shell[T]) HaltOn(halt func()) {
+	s.halt = halt
+	s.Go(func() {
+		<-s.ctx.Done()
+		halt()
+	})
+}
+
+// Emit hands one item to the consumer through the bounded output buffer,
 // charging time spent blocked to the consumer-starvation counter — the
 // "scale down" half of the autoscaling signal, and what a credit-starved
 // remote consumer shows up as.
-func (s *shell[T]) emit(v T) error {
+func (s *Shell[T]) Emit(v T) error {
 	select {
 	case s.out <- v:
 		return nil
 	default:
 	}
-	start := s.svc.clock.Now()
+	start := s.clock.Now()
 	s.mu.Lock()
 	s.consumerStallSince = start
 	s.mu.Unlock()
 	defer func() {
 		s.mu.Lock()
-		s.consumerStall += s.svc.clock.Now().Sub(start)
+		s.consumerStall += s.clock.Now().Sub(start)
 		s.consumerStallSince = time.Time{}
 		s.mu.Unlock()
 	}()
@@ -107,17 +123,17 @@ func (s *shell[T]) emit(v T) error {
 }
 
 // addStats folds one finished reader's accounting into the session's.
-func (s *shell[T]) addStats(st reader.Stats) {
+func (s *Shell[T]) addStats(st reader.Stats) {
 	s.mu.Lock()
 	s.stats.Add(st)
 	s.mu.Unlock()
 }
 
-// settle ends the scan: it records the outcome (the session's own
+// Settle ends the scan: it records the outcome (the session's own
 // teardown is not an error) and the scan goroutine's accounting, wakes the
 // workers, and only then closes out, so a consumer that observes the close
 // also observes the outcome.
-func (s *shell[T]) settle(err error, cache SessionCacheStats, stats ...reader.Stats) {
+func (s *Shell[T]) Settle(err error, cache SessionCacheStats, stats ...reader.Stats) {
 	s.mu.Lock()
 	if err != nil && s.firstErr == nil && !errors.Is(err, context.Canceled) {
 		s.firstErr = err
@@ -134,11 +150,11 @@ func (s *shell[T]) settle(err error, cache SessionCacheStats, stats ...reader.St
 	close(s.out)
 }
 
-// next returns the next item. It blocks until one is buffered, the scan is
+// Pull returns the next item. It blocks until one is buffered, the scan is
 // exhausted (io.EOF), the scan fails (the first error, after the in-order
 // prefix that preceded it), ctx is cancelled (ctx.Err()), or the session
 // is closed (ErrClosed).
-func (s *shell[T]) next(ctx context.Context) (T, error) {
+func (s *Shell[T]) Pull(ctx context.Context) (T, error) {
 	var zero T
 	select {
 	case v, ok := <-s.out:
@@ -169,12 +185,12 @@ func (s *shell[T]) next(ctx context.Context) (T, error) {
 // outcome. A scan cut short by Close or by job-context cancellation
 // reports that, never a clean io.EOF; a reader failure surfaces after the
 // serial prefix that preceded it.
-func (s *shell[T]) finish() error {
+func (s *Shell[T]) finish() error {
 	s.mu.Lock()
 	final, closed := s.final, s.closed
 	s.mu.Unlock()
 	if final != nil {
-		// A next after the end repeats the outcome.
+		// A Pull after the end repeats the outcome.
 		if closed {
 			return ErrClosed
 		}
@@ -208,7 +224,7 @@ func (s *shell[T]) finish() error {
 // teardown stops the workers, cancels the session context (waking the
 // watcher, the autoscaler, and anything blocked on the output buffer), and
 // waits for every session goroutine to exit. Idempotent.
-func (s *shell[T]) teardown() {
+func (s *Shell[T]) teardown() {
 	if s.halt != nil {
 		s.halt()
 	}
@@ -219,7 +235,7 @@ func (s *shell[T]) teardown() {
 // Close cancels the session's workers, waits for them to exit, and
 // releases the session's service slot. Idempotent; always returns nil.
 // Items already returned remain valid — they never alias worker state.
-func (s *shell[T]) Close() error {
+func (s *Shell[T]) Close() error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -232,37 +248,33 @@ func (s *shell[T]) Close() error {
 	return nil
 }
 
-// release gives the session's service slot back exactly once; EOF, scan
-// failure, and Close all funnel through it. The session's final
-// scheduling telemetry is folded into the service-wide stall counters
-// here, so the autoscaling signal stays observable after the sessions
-// that produced it are gone.
-func (s *shell[T]) release() {
+// release runs the Release hook exactly once; EOF, scan failure, and Close
+// all funnel through it. The session's final scheduling telemetry goes to
+// the hook (a service folds it into its service-wide stall counters), so
+// the autoscaling signal stays observable after the sessions that produced
+// it are gone.
+func (s *Shell[T]) release() {
 	s.mu.Lock()
 	done := s.done
 	s.done = true
 	errored := s.firstErr != nil
 	s.mu.Unlock()
-	if done {
-		return
+	if !done && s.Release != nil {
+		s.Release(s.SchedulerStats(), errored)
 	}
-	if s.leave != nil {
-		s.leave()
-	}
-	s.svc.retire(s.id, s.SchedulerStats(), errored)
 }
 
 // SchedulerStats snapshots the session's scheduling telemetry; it is the
 // observe half of the AutoScaler's ScaleTarget contract.
-func (s *shell[T]) SchedulerStats() SchedulerStats {
+func (s *Shell[T]) SchedulerStats() SchedulerStats {
 	st := SchedulerStats{Workers: 1}
-	if s.pool != nil {
-		st = s.pool()
+	if s.Pool != nil {
+		st = s.Pool()
 	}
 	s.mu.Lock()
 	st.ConsumerStall = s.consumerStall
 	if !s.consumerStallSince.IsZero() {
-		st.ConsumerStall += s.svc.clock.Now().Sub(s.consumerStallSince)
+		st.ConsumerStall += s.clock.Now().Sub(s.consumerStallSince)
 	}
 	s.mu.Unlock()
 	return st
@@ -273,7 +285,7 @@ func (s *shell[T]) SchedulerStats() SchedulerStats {
 // once the stream has returned io.EOF or Close has completed; mid-scan it
 // is a monotone snapshot of finished workers. The Scheduler block is
 // timing-dependent telemetry, not part of the deterministic contract.
-func (s *shell[T]) Stats() SessionStats {
+func (s *Shell[T]) Stats() SessionStats {
 	sched := s.SchedulerStats()
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -282,5 +294,5 @@ func (s *shell[T]) Stats() SessionStats {
 
 // Following and FollowLag are the follow state of a session that does not
 // tail; Session overrides them.
-func (s *shell[T]) Following() bool { return false }
-func (s *shell[T]) FollowLag() int  { return 0 }
+func (s *Shell[T]) Following() bool { return false }
+func (s *Shell[T]) FollowLag() int  { return 0 }

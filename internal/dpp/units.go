@@ -53,7 +53,7 @@ type UnitSession struct {
 	// The output buffer holds whole decoded files, so its bound is
 	// Spec.Buffer alone (not Readers×Buffer — the merge window already
 	// scales the in-flight decode bound with the worker count).
-	shell[*FileUnit]
+	Shell[*FileUnit]
 }
 
 // OpenUnits admits a file-unit session under the same MaxSessions cap,
@@ -74,7 +74,8 @@ func (s *Service) OpenUnits(ctx context.Context, spec Spec) (*UnitSession, error
 // Workers begin decoding immediately; nothing blocks on OpenUnits.
 func newUnitSession(ctx context.Context, svc *Service, id int64, spec Spec, files []string) (*UnitSession, error) {
 	u := &UnitSession{}
-	u.open(ctx, svc, id, spec, spec.Buffer)
+	u.Open(ctx, svc.clock, spec.Buffer)
+	u.Release = func(sched SchedulerStats, errored bool) { svc.retire(id, sched, errored) }
 
 	if spec.ShareScans {
 		src, err := newSharedSource(svc, spec, files, 0)
@@ -82,40 +83,35 @@ func newUnitSession(ctx context.Context, svc *Service, id int64, spec Spec, file
 			u.cancel()
 			return nil, err
 		}
-		u.wg.Add(1)
-		go func() {
-			defer u.wg.Done()
+		u.Go(func() {
 			err := u.emitUnits(func() (sharedUnit, bool) { return src.next(u.ctx) })
-			u.settle(err, src.cache, src.r.Stats(), src.served)
-		}()
+			u.Settle(err, src.cache, src.r.Stats(), src.served)
+		})
 		return u, nil
 	}
 
 	merge := reader.NewOrderedMerge[reader.Unit](len(files), queueWindow(spec, spec.Readers), svc.clock.Now)
-	u.pool = func() SchedulerStats {
+	u.Pool = func() SchedulerStats {
 		return SchedulerStats{Workers: spec.Readers, WorkerStall: merge.Stall()}
 	}
-	u.haltOn(merge.Abort)
+	u.HaltOn(merge.Abort)
 	for i := 0; i < spec.Readers; i++ {
 		r, err := reader.NewReader(svc.backend, spec.Spec)
 		if err != nil {
 			u.teardown()
 			return nil, err
 		}
-		u.wg.Add(1)
-		go u.runUnitWorker(r, merge, files)
+		u.Go(func() { u.runUnitWorker(r, merge, files) })
 	}
-	u.wg.Add(1)
-	go func() {
-		defer u.wg.Done()
+	u.Go(func() {
 		i := 0
 		err := u.emitUnits(func() (sharedUnit, bool) {
 			res, ok := merge.Await(i) // false past the last file, or aborted: teardown owns the outcome
 			i++
 			return sharedUnit{Unit: res}, ok
 		})
-		u.settle(err, SessionCacheStats{})
-	}()
+		u.Settle(err, SessionCacheStats{})
+	})
 	return u, nil
 }
 
@@ -124,7 +120,6 @@ func newUnitSession(ctx context.Context, svc *Service, id int64, spec Spec, file
 // the session sums its workers at exit, so a cold aligned unit session's
 // counters equal the serial reference's for its file subset.
 func (u *UnitSession) runUnitWorker(r *reader.Reader, merge *reader.OrderedMerge[reader.Unit], files []string) {
-	defer u.wg.Done()
 	for {
 		idx, ok := merge.Claim()
 		if !ok {
@@ -150,7 +145,7 @@ func (u *UnitSession) emitUnits(next func() (sharedUnit, bool)) error {
 		if it.Err != nil {
 			return it.Err
 		}
-		if err := u.emit(&FileUnit{Index: i, File: it.File, Scan: it.Scan, Hit: it.hit}); err != nil {
+		if err := u.Emit(&FileUnit{Index: i, File: it.File, Scan: it.Scan, Hit: it.hit}); err != nil {
 			return err
 		}
 	}
@@ -161,4 +156,4 @@ func (u *UnitSession) emitUnits(next func() (sharedUnit, bool)) error {
 // (io.EOF), a scan fails (the first error, after the in-order prefix of
 // units that preceded it), ctx is cancelled, or the session is closed
 // (ErrClosed).
-func (u *UnitSession) NextUnit(ctx context.Context) (*FileUnit, error) { return u.next(ctx) }
+func (u *UnitSession) NextUnit(ctx context.Context) (*FileUnit, error) { return u.Pull(ctx) }

@@ -567,14 +567,21 @@ func BenchmarkUnsharedSessions(b *testing.B) { benchTwoSessions(b, false) }
 
 // benchShardedFleet measures several epochs of one trainer-shaped
 // consumer over k preprocessing shards on loopback, with each shard's
-// ScanCache deliberately budgeted at 3/4 of the table's decoded size.
-// One shard therefore cannot hold the table — the LRU thrashes and every
-// epoch re-decodes — while two shards' summed capacity fits it, so epochs
-// after the first stream from the fleet's partitioned cache. That makes
+// ScanCache deliberately budgeted at 3/4 of the table's decoded size
+// (nominally: 3/4 of the file count times the first file's scan, which
+// comes to about 2/3 of the decoded bytes). One shard therefore cannot
+// hold the table: it keeps the 8 of 16 files that fit — cachecore stops
+// evicting once it re-misses what it evicted, so it does not thrash —
+// and re-decodes the other 8 every epoch, while two shards' summed
+// capacity fits all 16 when routing splits them evenly, so epochs after
+// the first stream from the fleet's partitioned cache. (Ports are
+// kernel-chosen, so routing varies per iteration; a lopsided split
+// overcommits one shard, which then also keeps what fits.) That makes
 // this pair the capacity headline scripts/bench.sh gates with
 // BENCH_MIN_SHARD_SCALING (Fleet1 ns/op ÷ Fleet2 ns/op): the win is the
-// fleet's additive cache, which survives the 1-CPU CI runner where
-// parallel-decode wins cannot.
+// fleet's additive cache — all of the table against the part one shard
+// holds — which survives the 1-CPU CI runner where parallel-decode wins
+// cannot.
 func benchShardedFleet(b *testing.B, shards int) {
 	schema := datagen.StandardSchema(datagen.StandardSchemaConfig{
 		UserSeq: 3, UserElem: 3, Item: 1, Dense: 2, SeqLen: 32, Seed: 12,

@@ -267,8 +267,8 @@ func main() {
 					fmt.Printf("  shard %s: served %d files this trainer; statsz unavailable: %v\n", addr, shardServed[addr], err)
 					continue
 				}
-				fmt.Printf("  shard %s: served %d files this trainer; scan cache %d/%d hits/misses (%d entries, %.1f MiB)\n",
-					addr, shardServed[addr], st.Cache.Hits, st.Cache.Misses,
+				fmt.Printf("  shard %s: served %d files this trainer; scan cache %d/%d hits/misses, %d evictions, %d ghost hits (%d entries, %.1f MiB)\n",
+					addr, shardServed[addr], st.Cache.Hits, st.Cache.Misses, st.Cache.Evictions, st.Cache.GhostHits,
 					st.Cache.Entries, float64(st.Cache.Bytes)/(1<<20))
 			}
 		}

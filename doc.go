@@ -62,8 +62,9 @@
 // Sessions with equal-output specs can additionally share scans
 // (dpp.Spec.ShareScans): the Service's dpp.ScanCache memoizes decoded,
 // deduplicated, preprocessed batches per (file, reader.Spec.Fingerprint)
-// with single-flight coalescing and byte-bounded LRU eviction, so N jobs
-// over the same hour of data decode each DWRF file once instead of N
+// with single-flight coalescing under a byte budget (an LRU that stops
+// evicting when a cyclic scan outgrows it; see internal/cachecore), so N
+// jobs over the same hour of data decode each DWRF file once instead of N
 // times — with the batch stream pinned byte-identical to an unshared
 // session's. storage.CachingBackend provides the raw-byte tier of the
 // same idea for sessions whose specs differ.

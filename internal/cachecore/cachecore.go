@@ -1,4 +1,4 @@
-// Package cachecore is the one single-flight + byte-bounded-LRU engine
+// Package cachecore is the one single-flight, byte-bounded cache engine
 // behind the repo's two cache tiers: dpp.ScanCache (decoded file scans,
 // keyed by file + spec fingerprint) and storage.CachingBackend (raw
 // blobs, keyed by path). Both tiers previously carried their own ~200
@@ -8,6 +8,50 @@
 // Extracting the core keeps exactly one implementation of the
 // correctness-critical loop and lets the tiers differ only where their
 // contracts actually differ (waiter accounting; see Config).
+//
+// # Replacement policy
+//
+// There is one recency list: a hit moves an entry to the front, a new
+// entry enters at the front, and the victim is always the tail. That is
+// an LRU, and until the cache re-misses something it evicted it behaves
+// as exactly that. What it adds is noticing its own thrash:
+//
+//   - An entry evicted for budget leaves a ghost: its key, never its
+//     value. The ghost lives until the key is resident again, is removed
+//     (Remove, RemoveIf: the source changed, so the eviction is no longer
+//     evidence), or ages out of a FIFO bounded at ghostFactor times the
+//     resident-entry high-water mark.
+//   - A miss on a ghost is the cache's regret (Stats.GhostHits): it
+//     evicted an entry whose reuse distance exceeds its capacity. That is
+//     what a cyclic scan larger than the budget looks like — the one
+//     pattern on which an LRU hits nothing, and what multi-epoch training
+//     is. If the recomputed value fits in free room it is admitted like
+//     any other. If admitting it would evict, it is served but not
+//     retained: the cache does not evict a second time on behalf of a key
+//     it has already evicted once. Over a cycle of N entries with room
+//     for C, the C that are resident when the cycle first closes stay —
+//     C/N hits per pass where the LRU has 0 — and entries of unequal
+//     size cannot churn them.
+//   - Refusal alone would pin a stale set forever: when the loop moves
+//     onto keys that are all ghosts, nothing is admitted and nothing
+//     leaves. So every escapeEvery-th refusal is an admission instead,
+//     evicting from the tail as usual. In a healthy loop an escape trades
+//     one resident entry for another and costs one hit; in a stuck one
+//     each escape retires the least recently used stale entry.
+//
+// ghostFactor = 8 keeps the ghosts (keys only) a small fraction of what
+// the values cost while recognising a loop of up to about nine times the
+// cache. A much longer loop evicts its ghosts before it returns to them,
+// is not detected, and is served as the LRU serves it — the behaviour
+// without this policy, never worse. escapeEvery = 16 taxes a loop that
+// misses m entries per pass m/16 hits per pass (a 9-entry loop over room
+// for 5 loses one hit every fourth pass), and lets a working set that
+// shrank onto ghosted keys become resident at 16 refusals per stale
+// entry.
+//
+// Admission and eviction are a pure function of the Get/Remove sequence:
+// one counter, no clock, no randomness, no map order. Hits, misses,
+// evictions and ghost hits therefore repeat exactly for a given sequence.
 package cachecore
 
 import (
@@ -17,12 +61,21 @@ import (
 	"sync/atomic"
 )
 
+// The replacement policy's two constants; the package comment gives the
+// reason for each value.
+const (
+	ghostFactor = 8
+	escapeEvery = 16
+)
+
 // Config tunes the engine to a tier's documented contract.
 type Config struct {
 	// MaxBytes is the byte budget. Must be positive; completed entries
 	// are evicted least-recently-used once the budget is exceeded. A
 	// value whose cost alone exceeds the budget is served but never
-	// retained (retaining it would evict the entire cache for one entry).
+	// retained (retaining it would evict the entire cache for one entry),
+	// and neither is a value the replacement policy refuses (see the
+	// package comment).
 	MaxBytes int64
 	// CountWaiterHits controls how a caller coalesced onto another
 	// caller's in-flight compute is charged once that compute succeeds:
@@ -50,14 +103,22 @@ type Cache[K comparable, V any] struct {
 	entries map[K]*entry[K, V]
 	lru     *list.List // complete resident entries only; front = most recent
 
+	// The replacement policy's evidence (see the package comment): the
+	// keys evicted for budget, oldest at the front of ghostq; the resident
+	// high-water mark that bounds them; refusals since the last escape.
+	ghosts   map[K]*list.Element
+	ghostq   *list.List
+	peak     int
+	refusals int
+
 	// The accounting is atomic so Stats never contends with Get: a
 	// metrics scraper polling every cache tier in the process must stay
 	// invisible to the hot path. bytes and resident are mutated only
 	// under mu (the eviction logic reads them there), but loaded
 	// lock-free by Stats.
-	hits, misses, evictions atomic.Int64
-	invalidations           atomic.Int64
-	bytes, resident         atomic.Int64
+	hits, misses, evictions  atomic.Int64
+	invalidations, ghostHits atomic.Int64
+	bytes, resident          atomic.Int64
 }
 
 // entry is one cached (or in-flight) computation.
@@ -66,6 +127,10 @@ type entry[K comparable, V any] struct {
 	el   *list.Element // nil while in flight or after eviction
 	cost int64
 	hits int64
+
+	// regret marks a miss on a ghost: the key was evicted for budget and
+	// asked for again while the cache still remembered it.
+	regret bool
 
 	// doomed marks an in-flight entry invalidated mid-compute: its
 	// completion serves the value to the callers already waiting but must
@@ -94,6 +159,8 @@ func New[K comparable, V any](cfg Config, cost func(V) int64) *Cache[K, V] {
 		cost:       cost,
 		entries:    make(map[K]*entry[K, V]),
 		lru:        list.New(),
+		ghosts:     make(map[K]*list.Element),
+		ghostq:     list.New(),
 	}
 }
 
@@ -145,6 +212,9 @@ func (c *Cache[K, V]) Get(ctx context.Context, key K, compute func(context.Conte
 		e := &entry[K, V]{key: key, ready: make(chan struct{})}
 		c.entries[key] = e
 		c.misses.Add(1)
+		if _, e.regret = c.ghosts[key]; e.regret {
+			c.ghostHits.Add(1)
+		}
 		c.mu.Unlock()
 
 		e.val, e.err = compute(ctx)
@@ -162,19 +232,22 @@ func (c *Cache[K, V]) Get(ctx context.Context, key K, compute func(context.Conte
 			return zero, false, e.err
 		}
 		e.cost = c.cost(e.val)
-		if e.cost > c.max || e.doomed {
+		if e.cost > c.max || e.doomed || c.refuse(e) {
 			// Unretainable: serve the value (waiters included) but drop the
 			// entry rather than evicting everything else to make room — or,
 			// for a doomed entry, rather than caching data its source
-			// invalidated mid-compute.
+			// invalidated mid-compute, or, for a refused one, rather than
+			// evicting for a key whose own eviction was just regretted.
 			if c.entries[key] == e {
 				delete(c.entries, key)
 			}
 		} else {
+			c.forget(key)
 			e.el = c.lru.PushFront(e)
 			c.bytes.Add(e.cost)
 			c.resident.Add(1)
 			c.evict()
+			c.peak = max(c.peak, c.lru.Len())
 		}
 		c.mu.Unlock()
 		close(e.ready)
@@ -216,11 +289,17 @@ func (c *Cache[K, V]) RemoveIf(pred func(K) bool) int {
 			n++
 		}
 	}
+	for key := range c.ghosts {
+		if pred(key) {
+			c.forget(key)
+		}
+	}
 	return n
 }
 
 // removeLocked implements Remove. Callers hold c.mu.
 func (c *Cache[K, V]) removeLocked(key K) bool {
+	c.forget(key)
 	e, ok := c.entries[key]
 	if !ok {
 		return false
@@ -245,8 +324,28 @@ func (c *Cache[K, V]) touch(e *entry[K, V]) {
 	}
 }
 
+// refuse is the replacement policy's one decision (see the package
+// comment): a completed entry whose miss was a regret, and that free
+// room cannot hold, is not retained — except every escapeEvery-th time.
+// Callers hold c.mu.
+func (c *Cache[K, V]) refuse(e *entry[K, V]) bool {
+	if !e.regret || c.bytes.Load()+e.cost <= c.max {
+		return false
+	}
+	c.refusals = (c.refusals + 1) % escapeEvery
+	return c.refusals != 0
+}
+
+// forget drops key's ghost, if it has one. Callers hold c.mu.
+func (c *Cache[K, V]) forget(key K) {
+	if g, ok := c.ghosts[key]; ok {
+		c.ghostq.Remove(g)
+		delete(c.ghosts, key)
+	}
+}
+
 // evict drops least-recently-used resident entries until the budget
-// holds. Callers hold c.mu.
+// holds, leaving a ghost for each. Callers hold c.mu.
 func (c *Cache[K, V]) evict() {
 	for c.bytes.Load() > c.max {
 		last := c.lru.Back()
@@ -260,6 +359,10 @@ func (c *Cache[K, V]) evict() {
 		c.resident.Add(-1)
 		e.el = nil
 		c.evictions.Add(1)
+		c.ghosts[e.key] = c.ghostq.PushBack(e.key)
+		for c.ghostq.Len() > ghostFactor*c.peak {
+			c.forget(c.ghostq.Front().Value.(K))
+		}
 	}
 }
 
@@ -270,6 +373,11 @@ type Stats struct {
 	Hits, Misses int64
 	// Evictions counts entries dropped to respect the byte budget.
 	Evictions int64
+	// GhostHits counts misses on a key this cache evicted for budget and
+	// still remembers — its own regret, and the evidence its replacement
+	// policy acts on. Growing with Misses it means thrash (the working set
+	// cycles and does not fit); flat beside growing Evictions, churn.
+	GhostHits int64
 	// Invalidations counts entries dropped by Remove/RemoveIf (cache
 	// coherence with the source, not budget pressure).
 	Invalidations int64
@@ -289,6 +397,7 @@ func (c *Cache[K, V]) Stats() Stats {
 		Hits:          c.hits.Load(),
 		Misses:        c.misses.Load(),
 		Evictions:     c.evictions.Load(),
+		GhostHits:     c.ghostHits.Load(),
 		Invalidations: c.invalidations.Load(),
 		Entries:       int(c.resident.Load()),
 		Bytes:         c.bytes.Load(),

@@ -20,8 +20,8 @@
 // Sessions may additionally opt into cross-session scan sharing
 // (Spec.ShareScans): the Service owns a ScanCache that memoizes decoded,
 // deduplicated, preprocessed batches per (file, spec fingerprint) with
-// single-flight coalescing and byte-bounded LRU eviction, so N jobs over
-// the same data pay for each file's decode once instead of N times —
+// single-flight coalescing under a byte budget (an LRU that stops
+// evicting when a cyclic scan outgrows it), so N jobs over the same data pay for each file's decode once instead of N times —
 // without changing any session's batch stream. See docs/ARCHITECTURE.md
 // for where this sits in the overall pipeline.
 package dpp

@@ -97,11 +97,13 @@ func FuzzDecodeSessionStats(f *testing.F) {
 // — a forged statsz reply cannot poison downstream rate math.
 func FuzzDecodeServiceStats(f *testing.F) {
 	f.Add([]byte(`{"SessionsOpened":3,"ActiveSessions":1,"BatchesServed":42,` +
-		`"Cache":{"Hits":5,"Misses":2,"Evictions":0,"Entries":2,"Bytes":1024},` +
+		`"Cache":{"Hits":5,"Misses":2,"Evictions":3,"GhostHits":2,"Invalidations":1,"Entries":2,"Bytes":1024},` +
 		`"Scheduler":{"ScaleUps":4,"ScaleDowns":1}}`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"BatchesServed":-1}`))
 	f.Add([]byte(`{"Scheduler":{"ScaleUps":-9}}`))
+	f.Add([]byte(`{"Cache":{"Invalidations":-5}}`))
+	f.Add([]byte(`{"Cache":{"GhostHits":-1}}`))
 	f.Add([]byte(`{"BatchesServed":999999999999999999999999}`))
 	f.Add([]byte(`not json`))
 
@@ -112,11 +114,35 @@ func FuzzDecodeServiceStats(f *testing.F) {
 		}
 		if st.SessionsOpened < 0 || st.ActiveSessions < 0 || st.BatchesServed < 0 ||
 			st.Cache.Hits < 0 || st.Cache.Misses < 0 || st.Cache.Evictions < 0 ||
+			st.Cache.GhostHits < 0 || st.Cache.Invalidations < 0 ||
 			st.Cache.Entries < 0 || st.Cache.Bytes < 0 ||
 			st.Scheduler.ScaleUps < 0 || st.Scheduler.ScaleDowns < 0 {
 			t.Fatalf("accepted service stats with negative fields: %+v", st)
 		}
 	})
+}
+
+// TestDecodeServiceStatsRefusesNegativeCounters: every counter of a
+// statsz reply is exported as a monotone series, so a forged frame with
+// any of them negative is refused — each cache counter by name, the two
+// (Invalidations, GhostHits) the validation once missed included.
+func TestDecodeServiceStatsRefusesNegativeCounters(t *testing.T) {
+	for _, forged := range []string{
+		`{"SessionsOpened":-1}`, `{"ActiveSessions":-1}`, `{"BatchesServed":-1}`, `{"SessionErrors":-1}`,
+		`{"Cache":{"Hits":-1}}`, `{"Cache":{"Misses":-1}}`, `{"Cache":{"Evictions":-1}}`,
+		`{"Cache":{"Invalidations":-5}}`, `{"Cache":{"GhostHits":-5}}`,
+		`{"Cache":{"Entries":-1}}`, `{"Cache":{"Bytes":-1}}`,
+		`{"Scheduler":{"ScaleUps":-1}}`, `{"Scheduler":{"ScaleDowns":-1}}`,
+		`{"Scheduler":{"WorkerStall":-1}}`, `{"Scheduler":{"ConsumerStall":-1}}`,
+	} {
+		if st, err := decodeServiceStats([]byte(forged)); err == nil {
+			t.Errorf("%s accepted as %+v", forged, st.Cache)
+		}
+	}
+	st, err := decodeServiceStats([]byte(`{"Cache":{"Evictions":9,"GhostHits":7,"Invalidations":2}}`))
+	if err != nil || st.Cache.Evictions != 9 || st.Cache.GhostHits != 7 || st.Cache.Invalidations != 2 {
+		t.Fatalf("well-formed stats: %+v, %v", st.Cache, err)
+	}
 }
 
 // FuzzDecodeResumeHandshake: the v4 open frame is the resume surface —

@@ -529,6 +529,8 @@ func decodeServiceStats(payload []byte) (dpp.Stats, error) {
 		"Cache.Hits":              st.Cache.Hits,
 		"Cache.Misses":            st.Cache.Misses,
 		"Cache.Evictions":         st.Cache.Evictions,
+		"Cache.GhostHits":         st.Cache.GhostHits,
+		"Cache.Invalidations":     st.Cache.Invalidations,
 		"Cache.Entries":           int64(st.Cache.Entries),
 		"Cache.Bytes":             st.Cache.Bytes,
 		"SessionErrors":           st.SessionErrors,

@@ -107,16 +107,24 @@ func (s *shard) shutdown() {
 // service (own ScanCache — the fleet's cache is the sum of these).
 func startFleet(t testing.TB, env *fleetEnv, n int) []*shard {
 	t.Helper()
-	shards := make([]*shard, n)
+	listen := make([]string, n)
+	for i := range listen {
+		listen[i] = "127.0.0.1:0"
+	}
+	return startFleetOn(t, env, listen, 0)
+}
+
+// startFleetOn is startFleet on the given listen addresses, each shard's
+// ScanCache budgeted at scanCacheBytes (0 = the service default).
+func startFleetOn(t testing.TB, env *fleetEnv, listen []string, scanCacheBytes int64) []*shard {
+	t.Helper()
+	shards := make([]*shard, len(listen))
 	for i := range shards {
-		svc, err := dpp.New(dpp.Config{Backend: env.store, Catalog: env.catalog})
+		svc, err := dpp.New(dpp.Config{Backend: env.store, Catalog: env.catalog, ScanCacheBytes: scanCacheBytes})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
+		ln := relisten(t, listen[i])
 		srv := dppnet.NewServer(svc)
 		go srv.Serve(ln)
 		shards[i] = &shard{svc: svc, srv: srv, addr: ln.Addr().String()}
@@ -584,7 +592,7 @@ func TestShardRestartRejoinsViaResume(t *testing.T) {
 
 // relisten rebinds addr, retrying briefly while the killed server's
 // listener finishes closing.
-func relisten(t *testing.T, addr string) net.Listener {
+func relisten(t testing.TB, addr string) net.Listener {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
 	for {

@@ -22,14 +22,19 @@ import (
 // lets cached entries compose into a stream byte-identical to an
 // uncached serial scan (pinned by the reader and dpp determinism tests).
 //
-// The single-flight + byte-bounded-LRU engine underneath is
+// The single-flight, byte-bounded engine underneath is
 // internal/cachecore, shared with storage.CachingBackend: concurrent
 // requests for a missing entry coalesce (one caller computes, the rest
 // wait and are charged hits), completed entries are evicted least-
 // recently-used once the budget is exceeded, and a failed compute
-// reaches only its own caller. Evicted entries remain valid for
-// sessions already holding them — entries are immutable and the cache
-// never recycles their memory.
+// reaches only its own caller. Epochs are a cyclic scan, an LRU's worst
+// case when the files outgrow the budget, so the engine notices when it
+// re-misses a scan it evicted and from then on keeps the scans it holds
+// instead of evicting them for ones it could not keep either (cachecore's
+// package comment has the policy; GhostHits counts the evidence). A scan
+// it declines to retain is served like any miss. Evicted entries remain
+// valid for sessions already holding them — entries are immutable and
+// the cache never recycles their memory.
 //
 // All methods are safe for concurrent use.
 type ScanCache struct {
@@ -97,6 +102,10 @@ type ScanCacheStats struct {
 	Hits, Misses int64
 	// Evictions counts entries dropped to respect the byte budget.
 	Evictions int64
+	// GhostHits counts misses on an entry evicted that way while the
+	// cache still remembered its key: beside Evictions it tells thrash (a
+	// cyclic working set larger than the budget) from churn (new files).
+	GhostHits int64
 	// Invalidations counts entries dropped because their file was deleted
 	// (retention coherence, not budget pressure).
 	Invalidations int64
@@ -112,6 +121,7 @@ func (c *ScanCache) Stats() ScanCacheStats {
 		Hits:          st.Hits,
 		Misses:        st.Misses,
 		Evictions:     st.Evictions,
+		GhostHits:     st.GhostHits,
 		Invalidations: st.Invalidations,
 		Entries:       st.Entries,
 		Bytes:         st.Bytes,

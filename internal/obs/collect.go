@@ -58,6 +58,8 @@ func RegisterService(reg *Registry, labels Labels, svc *dpp.Service) {
 		func() float64 { return float64(svc.Stats().Cache.Misses) })
 	reg.Counter("recd_scancache_evictions_total", "ScanCache entries dropped to respect the byte budget.", labels,
 		func() float64 { return float64(svc.Stats().Cache.Evictions) })
+	reg.Counter("recd_scancache_ghost_hits_total", "ScanCache misses on an entry evicted for budget and asked for again: the working set cycles and does not fit.", labels,
+		func() float64 { return float64(svc.Stats().Cache.GhostHits) })
 	reg.Counter("recd_scancache_invalidations_total", "ScanCache entries dropped because their file was deleted (retention coherence).", labels,
 		func() float64 { return float64(svc.Stats().Cache.Invalidations) })
 	reg.Gauge("recd_scancache_entries", "ScanCache resident entries.", labels,
@@ -198,6 +200,8 @@ func RegisterStoreCache(reg *Registry, labels Labels, stats func() storage.Cache
 		func() float64 { return float64(stats().Misses) })
 	reg.Counter("recd_storecache_evictions_total", "Backend cache blobs dropped to respect the byte budget.", labels,
 		func() float64 { return float64(stats().Evictions) })
+	reg.Counter("recd_storecache_ghost_hits_total", "Backend cache misses on a blob evicted for budget and asked for again.", labels,
+		func() float64 { return float64(stats().GhostHits) })
 	reg.Counter("recd_storecache_invalidations_total", "Backend cache blobs dropped for coherence: retention invalidations plus demotions to the decoded tier.", labels,
 		func() float64 { return float64(stats().Invalidations) })
 	reg.Gauge("recd_storecache_entries", "Backend cache resident blobs.", labels,

@@ -6,15 +6,17 @@ import (
 	"repro/internal/cachecore"
 )
 
-// CachingBackend wraps another Backend with a byte-bounded LRU cache of
+// CachingBackend wraps another Backend with a byte-bounded cache of
 // whole blobs, so that many sessions scanning the same files fetch each
 // blob from the underlying store once instead of once per session. It is
 // the raw-byte tier of cross-session scan sharing: sessions whose specs
 // differ cannot share decoded batches (dpp.ScanCache), but they can still
 // share the fetched bytes underneath.
 //
-// The single-flight + LRU engine is internal/cachecore, shared with
-// dpp.ScanCache: concurrent Gets of the same uncached path are coalesced
+// The engine is internal/cachecore, shared with dpp.ScanCache: an LRU
+// that, once a cyclic scan larger than the budget makes it re-miss blobs
+// it evicted, keeps what it holds rather than evicting it for blobs it
+// could not keep either (see that package). Concurrent Gets of the same uncached path are coalesced
 // — one caller fetches from the inner backend while the rest wait for
 // that fetch — so a thundering herd of sessions opening on the same
 // partition costs one inner read per file, and a fetch error propagates
@@ -50,7 +52,8 @@ func NewCachingBackend(inner Backend, maxBytes int64) *CachingBackend {
 // Get returns the blob at path, serving from cache when possible. Misses
 // fetch from the inner backend exactly once per concurrent group of
 // callers and then populate the cache, evicting least-recently-used blobs
-// to stay within the byte budget.
+// to stay within the byte budget (or, under a cyclic scan that outgrew
+// it, are served without being retained — see CachingBackend).
 func (c *CachingBackend) Get(path string) ([]byte, error) {
 	data, _, err := c.core.Get(context.Background(), path, func(context.Context) ([]byte, error) {
 		return c.inner.Get(path)
@@ -120,6 +123,9 @@ type CacheStats struct {
 	Hits, Misses int64
 	// Evictions counts blobs dropped to respect the byte budget.
 	Evictions int64
+	// GhostHits counts misses on a blob evicted that way while the cache
+	// still remembered its path (thrash, as opposed to churn).
+	GhostHits int64
 	// Invalidations counts blobs dropped for coherence: retention
 	// invalidations plus demotions to the decoded tier.
 	Invalidations int64
@@ -135,6 +141,7 @@ func (c *CachingBackend) Stats() CacheStats {
 		Hits:          st.Hits,
 		Misses:        st.Misses,
 		Evictions:     st.Evictions,
+		GhostHits:     st.GhostHits,
 		Invalidations: st.Invalidations,
 		Entries:       st.Entries,
 		Bytes:         st.Bytes,

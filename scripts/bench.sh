@@ -29,14 +29,17 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BENCH_PATTERN=${BENCH_PATTERN:-'BenchmarkIKJTConversion$|BenchmarkJaggedIndexSelect$|BenchmarkJaggedIndexSelectAlloc$|BenchmarkIKJTToKJTRoundTrip$|BenchmarkDWRFWriteClustered$|BenchmarkReaderTier$|BenchmarkReaderTierPipelined$|BenchmarkServiceSession$|BenchmarkRemoteSession$|BenchmarkSharedSessions$|BenchmarkUnsharedSessions$|BenchmarkStaticStalledConsumer$|BenchmarkAutoscaledStalledConsumer$|BenchmarkShardedFleet1$|BenchmarkShardedFleet2$|BenchmarkShardedFleet4$|BenchmarkPipelineEndToEnd$'}
+BENCH_PATTERN=${BENCH_PATTERN:-'BenchmarkIKJTConversion$|BenchmarkJaggedIndexSelect$|BenchmarkJaggedIndexSelectAlloc$|BenchmarkIKJTToKJTRoundTrip$|BenchmarkDWRFWriteClustered$|BenchmarkReaderTier$|BenchmarkReaderTierPipelined$|BenchmarkServiceSession$|BenchmarkRemoteSession$|BenchmarkSharedSessions$|BenchmarkUnsharedSessions$|BenchmarkStaticStalledConsumer$|BenchmarkAutoscaledStalledConsumer$|BenchmarkShardedFleet1$|BenchmarkShardedFleet2$|BenchmarkShardedFleet4$|BenchmarkPipelineEndToEnd$|BenchmarkCacheGetHit$|BenchmarkCacheCyclicOvercommit$'}
 BENCH_COUNT=${BENCH_COUNT:-1}
 MAX_PCT=${BENCH_MAX_REGRESSION_PCT:-20}
 BASELINE=${BENCH_BASELINE:-benchmarks/baseline.txt}
 LATEST=${BENCH_LATEST:-benchmarks/latest.txt}
 
 mkdir -p "$(dirname "$LATEST")"
-go test -run '^$' -bench "$BENCH_PATTERN" -benchmem -count "$BENCH_COUNT" . | tee "$LATEST"
+# The root package holds the pipeline benchmarks; internal/cachecore holds
+# the cache engine's (the hit path every warm batch takes, at 0 allocs/op,
+# and a cyclic scan over an undersized cache, which reports computes/pass).
+go test -run '^$' -bench "$BENCH_PATTERN" -benchmem -count "$BENCH_COUNT" . ./internal/cachecore/ | tee "$LATEST"
 
 # --- Cross-session scan-sharing gate: two same-spec sessions through the
 # ScanCache must beat two uncached sessions by at least
@@ -95,10 +98,13 @@ awk -v max="$MAX_REMOTE_PCT" '
 # --- Sharded-fleet capacity gate: the same multi-epoch scan over two
 # preprocessing shards (BenchmarkShardedFleet2) must beat one shard
 # (BenchmarkShardedFleet1) by at least BENCH_MIN_SHARD_SCALING. The
-# per-shard ScanCache is budgeted at 3/4 of the table, so one shard
-# thrashes every epoch while two shards' summed (rendezvous-partitioned)
-# capacity holds it — the win is additive cache, not parallelism, which
-# is why it gates cleanly on the 1-CPU runner. Same-run ratio.
+# per-shard ScanCache is budgeted at a nominal 3/4 of the table: one shard
+# keeps the 8 of 16 files that fit and re-decodes the other 8 every epoch
+# (it does not thrash — cachecore stops evicting once it re-misses what
+# it evicted), while two shards' summed (rendezvous-partitioned) capacity
+# holds all 16 — the win is additive cache, all of the table against the
+# part one shard holds, not parallelism, which is why it gates cleanly
+# on the 1-CPU runner. Same-run ratio.
 MIN_SHARD_SCALING=${BENCH_MIN_SHARD_SCALING:-1.3}
 awk -v min="$MIN_SHARD_SCALING" '
     /^BenchmarkShardedFleet1[^0-9]/ { for (i = 2; i < NF; i++) if ($(i+1) == "ns/op" && ($i + 0 < one || !one)) one = $i + 0 }
@@ -112,7 +118,7 @@ awk -v min="$MIN_SHARD_SCALING" '
         printf "bench: 2-shard vs 1-shard fleet: %.0f / %.0f ns/op = %.2fx aggregate throughput (gate %.2fx)\n", one, two, ratio, min
         summary = ENVIRON["GITHUB_STEP_SUMMARY"]
         if (summary != "") {
-            printf "### Sharded preprocessing fleet\n\n| shards | ns/op |\n|---|---|\n| 1 (cache thrashes) | %.0f |\n| 2 (fleet cache fits) | %.0f |\n\n**%.2fx** aggregate throughput (gate: >= %.2fx; per-shard cache fixed at 3/4 table)\n", one, two, ratio, min >> summary
+            printf "### Sharded preprocessing fleet\n\n| shards | ns/op |\n|---|---|\n| 1 (cache holds 8 of 16 files) | %.0f |\n| 2 (fleet cache fits) | %.0f |\n\n**%.2fx** aggregate throughput (gate: >= %.2fx; per-shard cache fixed at 3/4 table)\n", one, two, ratio, min >> summary
         }
         if (ratio < min) {
             printf "bench: FAIL — 2-shard fleet only %.2fx faster than 1 shard, need %.2fx\n", ratio, min

@@ -34,24 +34,30 @@
 //     size cannot churn them.
 //   - Refusal alone would pin a stale set forever: when the loop moves
 //     onto keys that are all ghosts, nothing is admitted and nothing
-//     leaves. So every escapeEvery-th refusal is an admission instead,
-//     evicting from the tail as usual. In a healthy loop an escape trades
-//     one resident entry for another and costs one hit; in a stuck one
-//     each escape retires the least recently used stale entry.
+//     leaves. So every escapeEvery-th refusal looks at the next victim,
+//     the tail of the recency list, and if no hit has reached that entry
+//     since the policy last looked at it, the refused value is admitted
+//     after all, evicting from the tail as usual. An entry a loop still
+//     uses is hit once a pass, so a loop that misses no more than
+//     escapeEvery entries per pass never loses one: its resident set is
+//     the same on every pass, and so is which of its keys miss. A stale
+//     entry is retired at its second look.
 //
 // ghostFactor = 8 keeps the ghosts (keys only) a small fraction of what
 // the values cost while recognising a loop of up to about nine times the
 // cache. A much longer loop evicts its ghosts before it returns to them,
 // is not detected, and is served as the LRU serves it — the behaviour
-// without this policy, never worse. escapeEvery = 16 taxes a loop that
-// misses m entries per pass m/16 hits per pass (a 9-entry loop over room
-// for 5 loses one hit every fourth pass), and lets a working set that
-// shrank onto ghosted keys become resident at 16 refusals per stale
-// entry.
+// without this policy, never worse. escapeEvery = 8 lets a working set
+// that shrank onto ghosted keys become resident at 16 refusals per stale
+// entry, and is the most a loop may miss per pass and keep every resident
+// entry; a loop that misses more can have two looks fall between two hits
+// of its next victim, and then trades that entry for another of its own
+// keys at a cost of one hit, at most once per 16 refusals.
 //
 // Admission and eviction are a pure function of the Get/Remove sequence:
-// one counter, no clock, no randomness, no map order. Hits, misses,
-// evictions and ghost hits therefore repeat exactly for a given sequence.
+// one counter and each entry's own hit count, no clock, no randomness, no
+// map order. Hits, misses, evictions and ghost hits therefore repeat
+// exactly for a given sequence.
 package cachecore
 
 import (
@@ -65,7 +71,7 @@ import (
 // reason for each value.
 const (
 	ghostFactor = 8
-	escapeEvery = 16
+	escapeEvery = 8
 )
 
 // Config tunes the engine to a tier's documented contract.
@@ -105,7 +111,8 @@ type Cache[K comparable, V any] struct {
 
 	// The replacement policy's evidence (see the package comment): the
 	// keys evicted for budget, oldest at the front of ghostq; the resident
-	// high-water mark that bounds them; refusals since the last escape.
+	// high-water mark that bounds them; refusals since it last looked at
+	// the next victim.
 	ghosts   map[K]*list.Element
 	ghostq   *list.List
 	peak     int
@@ -127,6 +134,10 @@ type entry[K comparable, V any] struct {
 	el   *list.Element // nil while in flight or after eviction
 	cost int64
 	hits int64
+
+	// seen is hits as of the replacement policy's last look at this entry
+	// as the next victim, -1 before the first.
+	seen int64
 
 	// regret marks a miss on a ghost: the key was evicted for budget and
 	// asked for again while the cache still remembered it.
@@ -209,7 +220,7 @@ func (c *Cache[K, V]) Get(ctx context.Context, key K, compute func(context.Conte
 			return e.val, true, nil
 		}
 
-		e := &entry[K, V]{key: key, ready: make(chan struct{})}
+		e := &entry[K, V]{key: key, seen: -1, ready: make(chan struct{})}
 		c.entries[key] = e
 		c.misses.Add(1)
 		if _, e.regret = c.ghosts[key]; e.regret {
@@ -326,14 +337,21 @@ func (c *Cache[K, V]) touch(e *entry[K, V]) {
 
 // refuse is the replacement policy's one decision (see the package
 // comment): a completed entry whose miss was a regret, and that free
-// room cannot hold, is not retained — except every escapeEvery-th time.
+// room cannot hold, is not retained — unless this is the escapeEvery-th
+// such refusal and the next victim has gone unhit between two of them.
 // Callers hold c.mu.
 func (c *Cache[K, V]) refuse(e *entry[K, V]) bool {
 	if !e.regret || c.bytes.Load()+e.cost <= c.max {
 		return false
 	}
-	c.refusals = (c.refusals + 1) % escapeEvery
-	return c.refusals != 0
+	if c.refusals = (c.refusals + 1) % escapeEvery; c.refusals != 0 {
+		return true
+	}
+	// e.cost <= c.max < bytes + e.cost, so something is resident.
+	victim := c.lru.Back().Value.(*entry[K, V])
+	stale := victim.hits == victim.seen
+	victim.seen = victim.hits
+	return !stale
 }
 
 // forget drops key's ghost, if it has one. Callers hold c.mu.

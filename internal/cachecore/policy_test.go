@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
@@ -21,12 +22,13 @@ type model struct {
 	escape          int
 	lru             []cachecore.Entry[string] // most recently used first
 	ghosts          []string                  // oldest first
+	seen            map[string]int64          // resident key -> Hits at the policy's last look, -1 before it
 	peak, refusals  int
 	st              cachecore.Stats
 	inserted, freed int64 // entries ever resident; entries invalidated while resident
 }
 
-func newModel(max int64) *model { return &model{max: max, escape: 16} }
+func newModel(max int64) *model { return &model{max: max, escape: 8, seen: map[string]int64{}} }
 
 func (m *model) find(key string) int {
 	for i, e := range m.lru {
@@ -84,9 +86,15 @@ func (m *model) get(key string, cost int64, outcome int) (hit bool) {
 		if m.refusals++; m.escape == 0 || m.refusals%m.escape != 0 {
 			return false
 		}
+		victim := m.lru[len(m.lru)-1]
+		stale := victim.Hits == m.seen[victim.Key]
+		if m.seen[victim.Key] = victim.Hits; !stale {
+			return false
+		}
 	}
 	m.forget(key)
 	m.lru = append([]cachecore.Entry[string]{{Key: key, Bytes: cost}}, m.lru...)
+	m.seen[key] = -1
 	m.st.Bytes += cost
 	m.inserted++
 	for m.st.Bytes > m.max {
@@ -225,28 +233,38 @@ func (p *pair) cycle(prefix string, n, passes int) []int {
 }
 
 // TestCyclicScanKeepsResidentSubset: a cycle of N unit entries over room
-// for C keeps C of them resident from the second pass on, less what the
-// escape costs: one hit per escape, one escape per 16 refusals, N-C
-// refusals per pass. Up to N-C = 16 that is "never fewer than C-1 hits".
+// for C keeps C of them resident from the second pass on. While it misses
+// no more than 8 per pass (N-C <= 8) no look at the next victim finds it
+// unhit, so every pass hits the same C keys and misses the same N-C: what
+// the first batch of an epoch costs does not depend on which epoch it is.
+// A longer loop pays one hit per escape, at most one escape per 16
+// refusals.
 func TestCyclicScanKeepsResidentSubset(t *testing.T) {
 	const passes = 12
 	for _, c := range []int{4, 5, 10} {
 		for _, n := range []int{c + 1, 2*c - 1, 2 * c, 4 * c} {
 			t.Run(fmt.Sprintf("N=%d,C=%d", n, c), func(t *testing.T) {
 				p := newPair(t, int64(c))
-				hits := p.cycle("k", n, passes)
-				if hits[0] != 0 {
+				if hits := p.cycle("k", n, 2); hits[0] != 0 {
 					t.Fatalf("%d hits on the first pass over distinct keys", hits[0])
 				}
+				kept := residentKeys(p.c)
+				hits := p.cycle("k", n, passes-2)
 				total := 0
-				for i, h := range hits[1:] {
+				for i, h := range hits {
 					total += h
 					if floor := c - (n-c+15)/16; h < floor {
-						t.Errorf("pass %d: %d hits, want >= %d (all passes: %v)", i+2, h, floor, hits)
+						t.Errorf("pass %d: %d hits, want >= %d (passes 3 on: %v)", i+3, h, floor, hits)
+					}
+					if n-c <= 8 && h != c {
+						t.Errorf("pass %d: %d hits, want all %d resident keys (passes 3 on: %v)", i+3, h, c, hits)
 					}
 				}
-				if floor := (passes-1)*c - ((passes-1)*(n-c)+15)/16; total < floor {
-					t.Errorf("%d hits over passes 2..%d, want >= %d (%v)", total, passes, floor, hits)
+				if floor := len(hits)*c - (len(hits)*(n-c)+15)/16; total < floor {
+					t.Errorf("%d hits over passes 3..%d, want >= %d (%v)", total, passes, floor, hits)
+				}
+				if got := residentKeys(p.c); n-c <= 8 && !reflect.DeepEqual(got, kept) {
+					t.Errorf("resident after pass 2: %v, after pass %d: %v; a loop that fits the escape's stride keeps one set", kept, passes, got)
 				}
 				if st := p.c.Stats(); st.GhostHits != st.Misses-int64(n) {
 					t.Errorf("stats %+v: every miss after the first pass is a regret", st)
@@ -262,6 +280,16 @@ func TestCyclicScanKeepsResidentSubset(t *testing.T) {
 			})
 		}
 	}
+}
+
+// residentKeys is the resident set, order aside.
+func residentKeys(c *cachecore.Cache[string, int64]) []string {
+	var keys []string
+	for _, e := range c.Entries() {
+		keys = append(keys, e.Key)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // TestLoopLongerThanGhostsIsLRU: a cycle far too long for the ghost list
@@ -303,8 +331,9 @@ func TestWorkingSetSwitch(t *testing.T) {
 // cycle over room for 5 keeps five keys; the loop then shrinks to four
 // keys that are all ghosts. Refusal alone never recovers: nothing is
 // admitted, so nothing stale leaves. With the escape, four stale keys go
-// one per escape, an escape every 16 refusals, and a pass makes 4, then
-// 3, 2, 1 of them: 16/4 + 16/3 + 16/2 + 16/1 < 34 passes.
+// one per escape; a stale key is the next victim at two looks running,
+// 8 refusals apart, so an escape every 16 refusals, and a pass makes 4,
+// then 3, 2, 1 of them: 16/4 + 16/3 + 16/2 + 16/1 < 34 passes.
 func TestWorkingSetShrinkEscapes(t *testing.T) {
 	const c, bound = 5, 34
 	p := newPair(t, c)
@@ -333,6 +362,36 @@ func TestWorkingSetShrinkEscapes(t *testing.T) {
 				t.Fatalf("refusal with no escape hit k%d on pass %d: the escape is no longer what recovers this", k, pass+1)
 			}
 		}
+	}
+}
+
+// TestEscapeSparesAHitVictim: the escape retires the next victim only if
+// no hit reached it between two looks, 8 refusals apart. Entries that
+// are still used outlast any number of refusals; once they go unused the
+// second look lets the refused key in.
+func TestEscapeSparesAHitVictim(t *testing.T) {
+	p := newPair(t, 2)
+	for _, k := range []string{"g", "x", "y"} {
+		p.get(k, 1, computeOK) // y evicts g
+	}
+	refuse8 := func() {
+		for i := 0; i < 8; i++ {
+			p.get("g", 1, computeOK)
+		}
+	}
+	for round := 0; round < 5; round++ {
+		refuse8()
+		if !p.get("x", 1, computeOK) || !p.get("y", 1, computeOK) {
+			t.Fatalf("round %d: an entry hit every round was retired: %+v", round, p.c.Entries())
+		}
+	}
+	refuse8() // x was hit since the last look
+	if p.c.Contains("g") {
+		t.Fatal("g admitted over a victim hit since the last look")
+	}
+	refuse8() // and not since this one
+	if !p.c.Contains("g") || p.c.Contains("x") {
+		t.Fatalf("the second look at an unhit victim did not retire it: %+v", p.c.Entries())
 	}
 }
 
@@ -386,8 +445,9 @@ func TestNeverResidentNeverGhost(t *testing.T) {
 // TestVariableCostRefusalAndEscape: a regretted value is judged at the
 // size it comes back with — refused while it needs an eviction, admitted
 // once free room holds it — and the escape, the one admission that does
-// evict, evicts as many entries as its value needs (pair.check holds the
-// budget after every call).
+// evict, waits for a second look at an unhit victim and then evicts as
+// many entries as its value needs (pair.check holds the budget after
+// every call).
 func TestVariableCostRefusalAndEscape(t *testing.T) {
 	p := newPair(t, 6)
 	for _, k := range []string{"a", "b", "c", "d", "e", "f", "g", "h"} {
@@ -405,12 +465,12 @@ func TestVariableCostRefusalAndEscape(t *testing.T) {
 		t.Fatalf("a regretted value that fits free room was not admitted: %+v", got)
 	}
 	for i := 2; i < 16; i++ {
-		p.get("a", 3, computeOK) // refusals 2..15
+		p.get("a", 3, computeOK) // refusals 2..15; the 8th is the first look at e
 	}
 	if p.c.Contains("a") {
-		t.Fatal("a admitted before the sixteenth refusal")
+		t.Fatal("a admitted before the second look at the victim")
 	}
-	p.get("a", 3, computeOK) // the escape: e, f, g make room
+	p.get("a", 3, computeOK) // e unhit since the first look: e, f, g make room
 	want := []cachecore.Entry[string]{{Key: "a", Bytes: 3}, {Key: "b", Bytes: 2}, {Key: "h", Bytes: 1}}
 	if got := p.c.Entries(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("after the escape %+v, want %+v", got, want)
@@ -513,7 +573,7 @@ func BenchmarkCacheGetHit(b *testing.B) {
 
 // BenchmarkCacheCyclicOvercommit is one op = one pass of a 9-key cycle
 // over room for five, the fleet_overcommit shard's shape. computes/pass
-// is what the policy is for: 9 under LRU, a little over 4 here.
+// is what the policy is for: 9 under LRU, 4 here.
 func BenchmarkCacheCyclicOvercommit(b *testing.B) {
 	c := cachecore.New[int](cachecore.Config{MaxBytes: 5}, func(v int64) int64 { return v })
 	ctx := context.Background()

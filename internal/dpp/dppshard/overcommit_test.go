@@ -81,11 +81,17 @@ func TestFleetOvercommitKeepsResidentSubset(t *testing.T) {
 				}
 				// Steady state keeps what the cold pass left resident, give or
 				// take one entry (the scans are not all one size); an escape
-				// costs a hit and comes once per 16 of the pass's misses.
+				// costs a hit and comes at most once per 16 of the pass's
+				// misses, and never to a shard that misses 8 or fewer: that one
+				// serves every pass from the same resident files.
 				floor := fit[i] - 1 - (routed[i]-fit[i]+15)/16
 				if pass >= 2 && c.Hits < floor {
 					t.Errorf("pass %d shard %d: %d hits of %d files with room for %d, want >= %d",
 						pass+1, i, c.Hits, routed[i], fit[i], floor)
+				}
+				if prev := counts[pass-1][i]; pass >= 3 && prev.Misses <= 8 && c != prev {
+					t.Errorf("pass %d shard %d: %+v after %+v; a shard missing 8 files or fewer per pass repeats itself",
+						pass+1, i, c, prev)
 				}
 			}
 			// Every hit is a 64-row file not decoded (one file of the table

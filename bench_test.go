@@ -611,7 +611,7 @@ func benchShardedFleet(b *testing.B, shards int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	one, err := r.ScanFile(context.Background(), files[0])
+	one, err := r.ScanFile(context.Background(), files[0], 0, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

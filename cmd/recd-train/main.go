@@ -34,8 +34,10 @@
 // batches. Locally the trainer hosts its own landing writer
 // (-flush-interval, -retain-hours); with -connect it tails a recd-serve
 // running -follow, the server announcing each landing mid-stream over
-// the protocol's extend frames. Follow streams neither resume nor fail
-// over — a tail has no frozen plan to replay against.
+// the protocol's extend frames. The tail is a ShareScans session like the
+// per-hour ones, so N trainers tailing one server decode each landed file
+// once between them. Follow streams neither resume nor fail over — a tail
+// has no frozen plan to replay against.
 //
 // Usage:
 //
@@ -215,6 +217,7 @@ func main() {
 		openFollow = func() dpp.Stream {
 			sp := tableSpec
 			sp.Follow = true
+			sp.ShareScans = true
 			sess, err := svc.Open(ctx, sp)
 			if err != nil {
 				fatal(err)
@@ -278,9 +281,8 @@ func main() {
 		client.AuthToken = *authToken
 		// Tally the scheduler telemetry each remote session's trailing
 		// stats frame reports: scale events are the server-side
-		// autoscaler at work (ShareScans sessions are exempt, so the
-		// demo's stay at one worker), and the worker/consumer stall
-		// split is the signal it scales on.
+		// autoscaler at work, and the worker/consumer stall split is the
+		// signal it scales on.
 		var scaleUps, scaleDowns, schedSessions int64
 		var workerStall, consumerStall time.Duration
 		open = func(hour int64) dpp.Stream {
@@ -300,6 +302,7 @@ func main() {
 			fc.AuthToken = *authToken
 			sp := tableSpec
 			sp.Follow = true
+			sp.ShareScans = true
 			rs, err := fc.Open(ctx, sp)
 			if err != nil {
 				fatal(err)

@@ -42,16 +42,16 @@
 //   - dpp.Service hosts concurrent sessions. A training job submits a
 //     dpp.Spec (the DataLoader spec plus Readers/Buffer execution shape)
 //     and pulls preprocessed batches from the returned Session via
-//     Next(ctx) — no push callbacks. Each session runs a shared ordered
-//     work queue (reader.ScanQueue): fill workers claim file indices and
-//     decode in parallel, an ordered merge reassembles the stream, and
-//     the session buffers at most Readers×Buffer finished batches
+//     Next(ctx) — no push callbacks. Every session, ShareScans or not,
+//     runs a shared ordered work queue (reader.ScanQueue): fill workers
+//     claim file indices and fill in parallel, an ordered merge
+//     reassembles the stream, and the session buffers at most Readers×Buffer finished batches
 //     (backpressure), aggregates deterministic per-session reader.Stats,
 //     and dies cleanly on Close or job-context cancellation. Batch
 //     streams are deterministic and worker-count independent: every
 //     session is byte-identical to a serial Reader.Run scan at any pool
 //     size and across any resize history (internal/dpp's chaos tests pin
-//     this under -race across 51 seeded scale schedules).
+//     this under -race across 68 seeded scale schedules).
 //   - dpp.AutoScaler closes the paper's reader-scaling loop per session:
 //     it watches the session's worker/consumer starvation counters
 //     (SessionStats.Scheduler) and resizes the pool within
@@ -61,12 +61,15 @@
 //
 // Sessions with equal-output specs can additionally share scans
 // (dpp.Spec.ShareScans): the Service's dpp.ScanCache memoizes decoded,
-// deduplicated, preprocessed batches per (file, reader.Spec.Fingerprint)
-// with single-flight coalescing under a byte budget (an LRU that stops
-// evicting when a cyclic scan outgrows it; see internal/cachecore), so N
-// jobs over the same hour of data decode each DWRF file once instead of N
-// times — with the batch stream pinned byte-identical to an unshared
-// session's. storage.CachingBackend provides the raw-byte tier of the
+// deduplicated, preprocessed batches per (file, reader.Spec.Fingerprint,
+// rows carried into the file) with single-flight coalescing under a byte
+// budget (an LRU that stops evicting when a cyclic scan outgrows it; see
+// internal/cachecore), so N jobs over the same hour of data — or N
+// trainers tailing the same live table — decode each DWRF file once
+// instead of N times, with the batch stream pinned byte-identical to an
+// unshared session's. The cache is a memo inside the session's fill
+// workers: sharing changes nothing about a session's pool, scaling or
+// tailing. storage.CachingBackend provides the raw-byte tier of the
 // same idea for sessions whose specs differ.
 //
 // The service boundary is also a network boundary: dpp/dppnet serves

@@ -5,15 +5,13 @@ package dpp
 // interface lives here so dpp never imports the front door it sits
 // under.
 //
-// With Config.Arbiter set alongside Config.AutoScale, every
-// queue-backed session is Registered under its Spec.Tenant when it
-// opens and Unregistered when it releases, and its AutoScaler's Resize
+// With Config.Arbiter set alongside Config.AutoScale, every batch
+// session — ShareScans or not — is Registered under its Spec.Tenant when
+// it opens and Unregistered when it releases, and its AutoScaler's Resize
 // calls are rerouted into Bid: the controller still observes the
 // session's own starvation and proposes a size, but the arbiter — which
 // sees every tenant's demand — decides the grant and actuates
-// Session.Resize itself. ShareScans sessions run a single scan loop and
-// stay outside arbitration, exactly as they are exempt from
-// autoscaling.
+// Session.Resize itself.
 type WorkerArbiter interface {
 	// Register enrolls a live session's scale target under its tenant.
 	// The arbiter may immediately Resize it (and others) to fit the

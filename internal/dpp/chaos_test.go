@@ -3,6 +3,7 @@ package dpp_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"math/rand"
 	"runtime"
@@ -11,6 +12,7 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/dpp"
+	"repro/internal/dpp/front"
 	"repro/internal/dwrf"
 	"repro/internal/etl"
 	"repro/internal/lakefs"
@@ -44,13 +46,15 @@ func newChaosEnv(t testing.TB) *testEnv {
 // and this PR's load-bearing invariant (run under -race in CI): a
 // session's batch stream is byte-identical to the serial single-reader
 // reference no matter how the worker pool is resized while it drains.
-// 51 seeded schedules (17 per spec shape) randomize the initial pool
+// 68 seeded schedules (17 per spec shape) randomize the initial pool
 // size, the buffer depth, the resize cadence, and the resize targets
 // across an aligned spec, a misaligned spec (rows carry across files),
-// and a ShareScans spec; every stream must match the serial reference
-// byte for byte with identical deterministic counters (scheduler stats
-// excepted — they are timing-dependent by design), and every schedule
-// must tear down to zero leaked goroutines.
+// and the same two under ShareScans (whose workers additionally hand the
+// carry down the queue's chain while the pool changes under them); every
+// stream must match the serial reference byte for byte with identical
+// deterministic counters (scheduler stats excepted — they are
+// timing-dependent by design), a shared one with exactly one cache lookup
+// per file, and every schedule must tear down to zero leaked goroutines.
 func TestChaosResizeDeterminism(t *testing.T) {
 	env := newChaosEnv(t)
 
@@ -62,12 +66,17 @@ func TestChaosResizeDeterminism(t *testing.T) {
 		{"aligned", dedupSpec(), false},
 		{"misaligned", kjtSpec(), false},
 		{"sharescans", dedupSpec(), true},
+		{"sharescans-misaligned", kjtSpec(), true},
 	}
 	const seedsPerCase = 17
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			wantEnc, wantStats := serialReference(t, env, tc.spec)
+			files, err := env.catalog.AllFiles(tc.spec.Table)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if len(wantEnc) < 8 {
 				t.Fatalf("reference scan produced only %d batches; chaos needs a long stream", len(wantEnc))
 			}
@@ -128,6 +137,9 @@ func TestChaosResizeDeterminism(t *testing.T) {
 							seed, st.Reader.BatchesProduced, st.Reader.SentBytes,
 							wantStats.BatchesProduced, wantStats.SentBytes)
 					}
+					if got := st.Cache.Hits + st.Cache.Misses; got != int64(len(files)) {
+						t.Fatalf("seed %d made %d cache lookups over %d files", seed, got, len(files))
+					}
 				} else if got, want := counters(st.Reader), counters(wantStats); got != want {
 					t.Fatalf("seed %d stats counters %v, serial reference %v", seed, got, want)
 				}
@@ -140,8 +152,8 @@ func TestChaosResizeDeterminism(t *testing.T) {
 }
 
 // TestResizeSemantics pins the Resize contract edges: clamping below 1,
-// the ShareScans no-op, idempotent same-size calls, and calls after the
-// session ended.
+// idempotent same-size calls, calls after the session ended, and that a
+// ShareScans session resizes like any other.
 func TestResizeSemantics(t *testing.T) {
 	env := newChaosEnv(t)
 	svc := newService(t, env, dpp.Config{})
@@ -177,15 +189,18 @@ func TestResizeSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer shared.Close()
-	if got := shared.Resize(5); got != 1 {
-		t.Fatalf("ShareScans Resize = %d, want no-op 1", got)
+	if st := shared.Stats().Scheduler; st.Workers != 3 {
+		t.Fatalf("ShareScans session opened with %d workers, want its Readers: 3", st.Workers)
 	}
-	if st := shared.Stats().Scheduler; st.Workers != 1 || st.ScaleUps != 0 {
+	if got := shared.Resize(5); got != 5 {
+		t.Fatalf("ShareScans Resize(5) = %d", got)
+	}
+	if st := shared.Stats().Scheduler; st.Workers != 5 || st.ScaleUps != 1 || st.ScaleDowns != 0 {
 		t.Fatalf("ShareScans scheduler stats: %+v", st)
 	}
 
-	if got := svc.Stats().Scheduler; got.ScaleUps != 1 || got.ScaleDowns != 1 {
-		t.Fatalf("service scale counters %+v, want 1 up / 1 down", got)
+	if got := svc.Stats().Scheduler; got.ScaleUps != 2 || got.ScaleDowns != 1 {
+		t.Fatalf("service scale counters %+v, want 2 up / 1 down", got)
 	}
 }
 
@@ -225,51 +240,74 @@ func TestAutoscaleScalesDownStalledConsumer(t *testing.T) {
 // TestAutoscaleScalesUpStarvedMerge: a consumer pulling flat-out keeps
 // the merge starved for fill results, so the autoscaler grows the pool
 // from 1 toward MaxReaders mid-scan — and the stream stays equal to the
-// serial reference while it happens.
+// serial reference while it happens. A cold ShareScans session is the same
+// pool under the same controller: behind a front.Governor it registers
+// with the arbiter, its starved-merge bids are granted and actuated, and
+// it leaves arbitration when it releases.
 func TestAutoscaleScalesUpStarvedMerge(t *testing.T) {
 	env := newChaosEnv(t)
 	wantEnc, _ := serialReference(t, env, dedupSpec())
 
-	svc := newService(t, env, dpp.Config{
-		AutoScale: &dpp.AutoScalerConfig{
-			MinReaders: 1, MaxReaders: 4,
-			Interval:  time.Millisecond,
-			Threshold: 200 * time.Microsecond,
-		},
-	})
-	var maxWorkers int
-	var gotEnc [][]byte
-	sess, err := svc.Open(context.Background(), dpp.Spec{Spec: dedupSpec(), Readers: 1, Buffer: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for {
-		b, err := sess.Next(context.Background())
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := b.Encode(&buf); err != nil {
-			t.Fatal(err)
-		}
-		gotEnc = append(gotEnc, buf.Bytes())
-		if w := sess.Stats().Scheduler.Workers; w > maxWorkers {
-			maxWorkers = w
-		}
-	}
-	if len(gotEnc) != len(wantEnc) {
-		t.Fatalf("autoscaled session produced %d batches, serial reference %d", len(gotEnc), len(wantEnc))
-	}
-	for i := range wantEnc {
-		if !bytes.Equal(gotEnc[i], wantEnc[i]) {
-			t.Fatalf("batch %d differs from serial reference under autoscaling", i)
-		}
-	}
-	if maxWorkers < 2 {
-		st := sess.Stats().Scheduler
-		t.Fatalf("pool never grew past 1 worker (scheduler %+v)", st)
+	for _, shared := range []bool{false, true} {
+		t.Run(fmt.Sprintf("shared=%v", shared), func(t *testing.T) {
+			cfg := dpp.Config{
+				AutoScale: &dpp.AutoScalerConfig{
+					MinReaders: 1, MaxReaders: 4,
+					Interval:  time.Millisecond,
+					Threshold: 200 * time.Microsecond,
+				},
+			}
+			var gov *front.Governor
+			if shared {
+				gov = front.NewGovernor(front.GovernorConfig{Budget: 4})
+				cfg.Arbiter = gov
+			}
+			svc := newService(t, env, cfg)
+			var maxWorkers int
+			var gotEnc [][]byte
+			sess, err := svc.Open(context.Background(), dpp.Spec{Spec: dedupSpec(), Readers: 1, Buffer: 1, ShareScans: shared, Tenant: "team-a"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gov != nil {
+				if st := gov.Stats(); len(st.Tenants) != 1 || st.Tenants[0].Tenant != "team-a" || st.Tenants[0].Sessions != 1 {
+					t.Fatalf("open ShareScans session is not registered with the arbiter: %+v", st)
+				}
+			}
+			for {
+				b, err := sess.Next(context.Background())
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				var buf bytes.Buffer
+				if err := b.Encode(&buf); err != nil {
+					t.Fatal(err)
+				}
+				gotEnc = append(gotEnc, buf.Bytes())
+				if w := sess.Stats().Scheduler.Workers; w > maxWorkers {
+					maxWorkers = w
+				}
+			}
+			if len(gotEnc) != len(wantEnc) {
+				t.Fatalf("autoscaled session produced %d batches, serial reference %d", len(gotEnc), len(wantEnc))
+			}
+			for i := range wantEnc {
+				if !bytes.Equal(gotEnc[i], wantEnc[i]) {
+					t.Fatalf("batch %d differs from serial reference under autoscaling", i)
+				}
+			}
+			if maxWorkers < 2 {
+				st := sess.Stats().Scheduler
+				t.Fatalf("pool never grew past 1 worker (scheduler %+v)", st)
+			}
+			if gov != nil {
+				if st := gov.Stats(); len(st.Tenants) != 0 || st.Rebalances == 0 {
+					t.Fatalf("released session still holds a share, or no bid was ever arbitrated: %+v", st)
+				}
+			}
+		})
 	}
 }

@@ -3,10 +3,11 @@
 // submit DataLoader Specs to, each getting back a Session — a pull-based
 // batch iterator — instead of registering a push callback.
 //
-// A Session executes its table scan through a shared ordered work queue
-// (reader.ScanQueue): fill workers claim file indices and decode them in
-// parallel, and an ordered merge reassembles the batch stream,
-// multiplexing with every other session over one shared storage.Backend.
+// Every session executes its table scan the same way: a shared ordered
+// work queue (reader.ScanQueue) whose fill workers claim file indices and
+// fill them in parallel, the reader's one cutter (reader.RunUnits) awaiting
+// them in file order, and the Shell lifecycle around both — multiplexing
+// with every other session over one shared storage.Backend.
 // Sessions buffer at most Readers×Buffer decoded batches ahead of the
 // consumer (backpressure: slow trainers stall their own readers, not the
 // service) and tear everything down promptly on context cancellation or
@@ -19,11 +20,14 @@
 //
 // Sessions may additionally opt into cross-session scan sharing
 // (Spec.ShareScans): the Service owns a ScanCache that memoizes decoded,
-// deduplicated, preprocessed batches per (file, spec fingerprint) with
-// single-flight coalescing under a byte budget (an LRU that stops
-// evicting when a cyclic scan outgrows it), so N jobs over the same data pay for each file's decode once instead of N times —
-// without changing any session's batch stream. See docs/ARCHITECTURE.md
-// for where this sits in the overall pipeline.
+// deduplicated, preprocessed batches per (file, spec fingerprint, carried
+// rows) with single-flight coalescing under a byte budget (an LRU that
+// stops evicting when a cyclic scan outgrows it), so N jobs over the same
+// data pay for each file's decode once instead of N times. The cache is a
+// memo inside the fill workers, not a kind of session: it changes what a
+// worker's fill costs and nothing about the session's shape — its pool, its
+// resizing, its tailing — or its batch stream. See docs/ARCHITECTURE.md for
+// where this sits in the overall pipeline.
 package dpp
 
 import (
@@ -46,16 +50,17 @@ type Config struct {
 	// MaxSessions caps concurrently open sessions; 0 means unlimited.
 	MaxSessions int
 	// ScanCacheBytes bounds the service's cross-session ScanCache, which
-	// memoizes decoded batches per (file, spec fingerprint) for sessions
-	// that opt in via Spec.ShareScans. 0 picks DefaultScanCacheBytes;
+	// memoizes decoded batches per (file, spec fingerprint, carried rows)
+	// for sessions that opt in via Spec.ShareScans. 0 picks DefaultScanCacheBytes;
 	// negative disables the cache entirely (ShareScans sessions are then
 	// rejected at Open).
 	ScanCacheBytes int64
 	// AutoScale, when non-nil, attaches a per-session AutoScaler to every
-	// queue-backed session (ShareScans sessions run a single scan loop
-	// and are exempt): the service resizes each session's worker pool
-	// within [MinReaders, MaxReaders] from its observed worker/consumer
-	// starvation. Nil keeps every pool at its Spec.Readers size.
+	// batch session, ShareScans or not: the service resizes each session's
+	// worker pool within [MinReaders, MaxReaders] from its observed
+	// worker/consumer starvation. Nil keeps every pool at its Spec.Readers
+	// size. (File-unit sessions keep a fixed pool: a fleet scales by adding
+	// shards.)
 	AutoScale *AutoScalerConfig
 	// Arbiter, when non-nil (and AutoScale is set), turns each
 	// AutoScaler from the final allocator into a bid source: sessions
@@ -92,7 +97,7 @@ type Service struct {
 	// one tier (the double-caching fix).
 	rawCache *storage.CachingBackend
 	// autoscale, when non-nil, is the defaulted controller config every
-	// queue-backed session gets an AutoScaler from.
+	// batch session gets an AutoScaler from.
 	autoscale *AutoScalerConfig
 	// arbiter, when non-nil, fair-shares a worker budget across the
 	// autoscaled sessions (Config.Arbiter).
@@ -197,12 +202,12 @@ func New(cfg Config) (*Service, error) {
 // sessions reuse, and holding both would charge the same file to two
 // byte budgets. A scan that was computed but not retained (oversized,
 // doomed) keeps its raw bytes cached — the next decode still wants them.
-func (s *Service) demoteRaw(file, fingerprint string) {
+func (s *Service) demoteRaw(key ScanKey) {
 	if s.rawCache == nil || s.cache == nil {
 		return
 	}
-	if s.cache.Contains(file, fingerprint) {
-		s.rawCache.Demote(file)
+	if s.cache.Contains(key) {
+		s.rawCache.Demote(key.File)
 	}
 }
 

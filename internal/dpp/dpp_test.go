@@ -484,12 +484,12 @@ func TestSessionExplicitFiles(t *testing.T) {
 
 // TestSharedSessionsMatchSerial is the cross-session scan-sharing
 // determinism contract (run under -race in CI): concurrent ShareScans
-// sessions — three with one spec (batch-aligned files, fully shareable),
-// one with a different spec (misaligned batch size, so rows carry across
-// files and only some boundaries share), and one unshared control — must
-// each produce batch streams byte-identical to their serial single-reader
-// references, while the aligned trio decodes the table exactly once
-// between them.
+// sessions — three with one spec (batch-aligned files), one with a
+// different spec (misaligned batch size, so rows carry across files and
+// every file is cut at the carry it is entered with), and one unshared
+// control — must each produce batch streams byte-identical to their serial
+// single-reader references, while the aligned trio decodes the table
+// exactly once between them.
 func TestSharedSessionsMatchSerial(t *testing.T) {
 	env := newTestEnv(t, 60)
 	svc := newService(t, env, dpp.Config{})
@@ -591,10 +591,10 @@ func TestSharedSessionsMatchSerial(t *testing.T) {
 	if c := gotStats[4].Cache; c.Hits != 0 || c.Misses != 0 {
 		t.Fatalf("unshared session reported cache traffic %+v", c)
 	}
-	// The misaligned session shares only boundary-aligned files (at least
-	// the first), and falls back to local decode for the rest.
-	if c := gotStats[3].Cache; c.Hits+c.Misses == 0 || c.Hits+c.Misses == nFiles {
-		t.Fatalf("misaligned session cache traffic %+v, want partial sharing over %d files", c, nFiles)
+	// The misaligned session looks every file up too, at the carry it
+	// enters it with; nobody else has its fingerprint, so each is a miss.
+	if c := gotStats[3].Cache; c.Hits != 0 || c.Misses != nFiles {
+		t.Fatalf("misaligned session cache traffic %+v, want %d misses (one lookup per file)", c, nFiles)
 	}
 
 	if st := svc.Stats().Cache; st.Hits != trioHits || st.Evictions != 0 {
@@ -622,7 +622,7 @@ func TestSharedSessionEvictionPressure(t *testing.T) {
 	if len(files) < 3 {
 		t.Skip("need at least 3 files for eviction pressure")
 	}
-	one, err := r.ScanFile(context.Background(), files[0])
+	one, err := r.ScanFile(context.Background(), files[0], 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -658,15 +658,14 @@ func TestSharedSessionEvictionPressure(t *testing.T) {
 	}
 }
 
-// TestShareScansMisalignedFallbackAccounting pins the misaligned-boundary
-// fallback's accounting: when the batch size does not divide rows-per-file,
-// only files entered on a batch boundary (no carried rows) go through the
-// ScanCache; every other file falls back to local fill+convert. The cache
-// must report exactly the boundary-aligned lookups — never a false hit for
-// a fallback file — and a repeat session's reuse must split across the two
-// tiers: batch-level reuse (scan-cache hits, zero decode) for aligned
-// files, fill-only reuse (raw-byte CachingBackend hits, full re-decode)
-// for the rest.
+// TestShareScansMisalignedFallbackAccounting pins a misaligned ShareScans
+// scan's accounting: when the batch size does not divide rows-per-file,
+// every file is still looked up exactly once — cut at the carry the scan
+// enters it with — so a repeat session with the same spec over the same
+// files reuses every in-file batch and decodes nothing, converting only
+// the batches that straddle a file boundary. The raw-byte tier under the
+// service sees each file once, on the cold pass, and never again: there is
+// no fill-only reuse left for it to absorb.
 func TestShareScansMisalignedFallbackAccounting(t *testing.T) {
 	env := newTestEnv(t, 200)
 	spec := kjtSpec() // BatchSize 48; files land with 256 rows each
@@ -678,39 +677,32 @@ func TestShareScansMisalignedFallbackAccounting(t *testing.T) {
 	if len(files) < 4 {
 		t.Skip("need a multi-file partition for misaligned boundaries")
 	}
+	nFiles := int64(len(files))
 
-	// Replay the carry arithmetic to find which files a scan enters on a
-	// batch boundary, probing row counts against the raw store so the
-	// service's caches see no traffic from the setup.
+	// Replay the carry arithmetic against the raw store (the service's
+	// caches see no traffic from the setup): files must be entered
+	// mid-batch, or this is the aligned case again.
 	probe, err := reader.NewReader(env.store, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	aligned := map[string]bool{}
-	var alignedCount int
-	var misalignedRows int64
-	carry := 0
+	carry, carried := 0, 0
 	for _, f := range files {
 		samples, _, _, err := probe.FillFile(context.Background(), f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if carry == 0 {
-			aligned[f] = true
-			alignedCount++
-		} else {
-			misalignedRows += int64(len(samples))
+		if carry > 0 {
+			carried++
 		}
 		carry = (carry + len(samples)) % spec.BatchSize
 	}
-	if alignedCount == 0 || alignedCount == len(files) {
-		t.Fatalf("degenerate alignment: %d/%d files aligned", alignedCount, len(files))
+	if carried == 0 {
+		t.Fatalf("degenerate alignment: all %d files are entered on a batch boundary", len(files))
 	}
 
 	wantEnc, wantStats := serialReference(t, env, spec)
 
-	// The raw-byte tier under the service absorbs fill-path reuse the
-	// batch-level cache cannot express.
 	cached := storage.NewCachingBackend(env.store, 64<<20)
 	svc, err := dpp.New(dpp.Config{Backend: cached, Catalog: env.catalog})
 	if err != nil {
@@ -736,43 +728,42 @@ func TestShareScansMisalignedFallbackAccounting(t *testing.T) {
 		stats[pass] = sess.Stats()
 	}
 
-	// Cache lookups happen only at aligned boundaries: the first pass
-	// misses each aligned file once, the repeat pass hits each exactly
-	// once, and fallback files never appear as lookups at all.
-	if c := stats[0].Cache; c.Misses != int64(alignedCount) || c.Hits != 0 {
-		t.Fatalf("pass 0 cache traffic %+v, want %d misses / 0 hits", c, alignedCount)
+	// One lookup per file on each pass: all misses cold, all hits warm.
+	if c := stats[0].Cache; c.Misses != nFiles || c.Hits != 0 {
+		t.Fatalf("pass 0 cache traffic %+v, want %d misses / 0 hits", c, nFiles)
 	}
-	if c := stats[1].Cache; c.Hits != int64(alignedCount) || c.Misses != 0 {
-		t.Fatalf("pass 1 cache traffic %+v, want %d hits / 0 misses (no false hits)", c, alignedCount)
+	if c := stats[1].Cache; c.Hits != nFiles || c.Misses != 0 {
+		t.Fatalf("pass 1 cache traffic %+v, want %d hits / 0 misses", c, nFiles)
 	}
-	// Egress is real on both passes; decode work on the repeat pass is
-	// exactly the fallback files — aligned hits ship batches without
-	// decoding a row.
+	// The cold pass does exactly a serial scan's work; the warm pass reads
+	// and decodes nothing. Egress is real on both.
+	if got, want := counters(stats[0].Reader), counters(wantStats); got != want {
+		t.Fatalf("pass 0 counters %v, serial reference %v", got, want)
+	}
+	if st := stats[1].Reader; st.RowsDecoded != 0 || st.ReadBytes != 0 {
+		t.Fatalf("repeat pass decoded %d rows and read %d bytes, want 0 / 0", st.RowsDecoded, st.ReadBytes)
+	}
 	for pass, st := range stats {
-		if got, want := st.Reader.BatchesProduced, wantStats.BatchesProduced; got != want {
-			t.Fatalf("pass %d BatchesProduced = %d, reference %d", pass, got, want)
+		if st.Reader.BatchesProduced != wantStats.BatchesProduced || st.Reader.SentBytes != wantStats.SentBytes {
+			t.Fatalf("pass %d egress (%d batches, %d bytes), reference (%d, %d)", pass,
+				st.Reader.BatchesProduced, st.Reader.SentBytes, wantStats.BatchesProduced, wantStats.SentBytes)
 		}
 	}
-	if got := stats[1].Reader.RowsDecoded; got != misalignedRows {
-		t.Fatalf("repeat pass decoded %d rows, want %d (fallback files only)", got, misalignedRows)
-	}
-	// The repeat pass's fallback fills are served by the raw-byte tier:
-	// one hit per misaligned file, and nothing else ever hit it.
-	misalignedCount := int64(len(files) - alignedCount)
-	if bs := cached.Stats(); bs.Hits != misalignedCount || bs.Misses != int64(len(files)) {
-		t.Fatalf("raw-byte tier traffic hits=%d misses=%d, want %d/%d (fill-only reuse)",
-			bs.Hits, bs.Misses, misalignedCount, len(files))
+	// The raw-byte tier filled each file once, cold, and was demoted as
+	// each decoded scan became resident; the warm pass never reached it.
+	if bs := cached.Stats(); bs.Hits != 0 || bs.Misses != nFiles {
+		t.Fatalf("raw-byte tier traffic hits=%d misses=%d, want 0/%d", bs.Hits, bs.Misses, nFiles)
 	}
 }
 
-// TestShareScansPrefetchAccounting pins the ShareScans miss-path
-// prefetch (Spec.FillAhead > 0): the prefetching session's stream is
-// byte-identical to the serial reference and its deterministic reader
-// counters and cache hit/miss split are exactly the inline path's, for
-// both aligned specs (every file through the cache) and misaligned ones
-// (the producer's arithmetic carry must reproduce the inline path's
-// aligned/fallback split); a warm second pass over the aligned spec is
-// all hits.
+// TestShareScansPrefetchAccounting pins Spec.FillAhead on a ShareScans
+// session — the same thing it is on any session, a deeper claim window
+// for the fill workers: the stream is byte-identical to the serial
+// reference and the deterministic reader counters and cache hit/miss
+// split are exactly those at FillAhead 0, for an aligned spec and a
+// misaligned one (every file looked up at the carry the queue's chain
+// hands out, however far ahead it is claimed); a warm second pass is all
+// hits.
 func TestShareScansPrefetchAccounting(t *testing.T) {
 	env := newTestEnv(t, 60)
 	files, err := env.catalog.AllFiles("tbl")
@@ -785,8 +776,8 @@ func TestShareScansPrefetchAccounting(t *testing.T) {
 	for _, spec := range []reader.Spec{dedupSpec(), kjtSpec()} {
 		wantEnc, _ := serialReference(t, env, spec)
 
-		// Inline reference: a ShareScans session with FillAhead 0 on a
-		// fresh service (cold cache).
+		// Reference: a ShareScans session with FillAhead 0 on a fresh
+		// service (cold cache).
 		inlineSvc := newService(t, env, dpp.Config{})
 		inlineSess, err := inlineSvc.Open(context.Background(), dpp.Spec{Spec: spec, ShareScans: true})
 		if err != nil {
@@ -822,7 +813,7 @@ func TestShareScansPrefetchAccounting(t *testing.T) {
 			t.Fatalf("batch size %d: prefetch cache traffic %+v, inline %+v", spec.BatchSize, preStats.Cache, inlineStats.Cache)
 		}
 
-		// Warm pass on the prefetch service: every aligned lookup hits.
+		// Warm pass on the prefetch service: every lookup hits.
 		warm, err := preSvc.Open(context.Background(), dpp.Spec{Spec: pspec, ShareScans: true})
 		if err != nil {
 			t.Fatal(err)

@@ -407,6 +407,33 @@ func FuzzDecodeExtend(f *testing.F) {
 	})
 }
 
+// TestEncodeFileUnitRefusesCarriedScan: the unit frame has no field for
+// head rows, so a scan cut at an offset — which a unit session never
+// produces — is refused at the encoder instead of being shipped without
+// the rows before its first batch.
+func TestEncodeFileUnitRefusesCarriedScan(t *testing.T) {
+	env := newTestEnv(t, 24)
+	r, err := reader.NewReader(env.store, misalignedSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	files, err := env.catalog.AllFiles("tbl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan, err := r.ScanFile(context.Background(), files[0], 5, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if scan.Head.Rows() == 0 {
+		t.Fatal("a scan cut at carry 5 has no head rows")
+	}
+	var buf bytes.Buffer
+	if err := encodeFileUnit(&buf, &dpp.FileUnit{File: files[0], Scan: scan}); err == nil || buf.Len() != 0 {
+		t.Fatalf("encoded a carried scan: err = %v, %d bytes written", err, buf.Len())
+	}
+}
+
 func fileUnitSeed(u *dpp.FileUnit) []byte {
 	var buf bytes.Buffer
 	if err := encodeFileUnit(&buf, u); err != nil {
@@ -433,7 +460,7 @@ func FuzzDecodeFileUnit(f *testing.F) {
 	}
 	// A real misaligned scan carries keys, complete batches, and a tail —
 	// every section of the frame layout is populated.
-	scan, err := r.ScanFile(context.Background(), files[0])
+	scan, err := r.ScanFile(context.Background(), files[0], 0, nil)
 	if err != nil {
 		f.Fatal(err)
 	}

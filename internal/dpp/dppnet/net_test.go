@@ -232,13 +232,10 @@ func TestRemoteSessionMatchesLocal(t *testing.T) {
 				t.Fatal("ShareScans session reported no cache traffic at all")
 			}
 			// The scheduler block crosses the wire: the pool size is
-			// always at least one worker (exactly one for ShareScans,
-			// whose sessions are exempt from scaling).
-			if w := gotStats.Scheduler.Workers; w < 1 {
-				t.Fatalf("remote scheduler stats carried %d workers", w)
-			}
-			if tc.share && gotStats.Scheduler.Workers != 1 {
-				t.Fatalf("ShareScans session reported %d workers, want 1", gotStats.Scheduler.Workers)
+			// wherever the autoscaler left it inside its bounds, for a
+			// ShareScans session as for any other.
+			if w := gotStats.Scheduler.Workers; w < autoscale.MinReaders || w > autoscale.MaxReaders {
+				t.Fatalf("remote scheduler stats carried %d workers, autoscaler bounds [%d, %d]", w, autoscale.MinReaders, autoscale.MaxReaders)
 			}
 		})
 	}

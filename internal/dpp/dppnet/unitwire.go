@@ -48,8 +48,14 @@ const (
 	maxUnitDense = 1 << 20
 )
 
-// encodeFileUnit serializes one unit for a file-unit frame.
+// encodeFileUnit serializes one unit for a file-unit frame. The frame has
+// no place for head rows: a unit stream is cut on batch boundaries (the
+// client cuts the carry), so a scan cut at an offset is refused, not
+// shipped short.
 func encodeFileUnit(w io.Writer, u *dpp.FileUnit) error {
+	if u.Scan.Carry != 0 || u.Scan.Head != nil {
+		return fmt.Errorf("dppnet: file unit %d (%s) was cut at carry %d; the unit frame carries boundary-aligned scans only", u.Index, u.File, u.Scan.Carry)
+	}
 	var buf [binary.MaxVarintLen64]byte
 	putUvarint := func(v uint64) error {
 		n := binary.PutUvarint(buf[:], v)

@@ -48,8 +48,8 @@ type Config struct {
 	// Backend optionally gives the multiplexer local storage access for
 	// files whose batches cannot be cut shard-side: when a scan enters a
 	// file with carried rows (a misaligned spec), the batch boundaries
-	// depend on the carry, so the mux re-fills that file locally exactly
-	// as a ShareScans session's misaligned fallback does. Nil is fine for
+	// depend on the carry, so the mux re-fills that file locally (the
+	// cutter's rule for a scan cut at the wrong carry). Nil is fine for
 	// aligned specs; a misaligned scan without a backend fails cleanly.
 	Backend storage.Backend
 	// Resume, when it names a positive MaxAttempts, lets each shard
@@ -465,7 +465,7 @@ func (s *Session) runMerge() {
 		// a prompt wait that makes Stats complete at io.EOF.
 		s.pumps.Wait()
 	}
-	s.sh.Settle(err, dpp.SessionCacheStats{}, s.mux.Stats())
+	s.sh.Settle(err, s.mux.Stats())
 }
 
 // Next returns the fleet stream's next batch — the single-server order,

@@ -16,6 +16,7 @@ import (
 	"repro/internal/dpp/landing"
 	"repro/internal/etl"
 	"repro/internal/lakefs"
+	"repro/internal/reader"
 	"repro/internal/storage"
 	"repro/internal/testutil"
 )
@@ -149,16 +150,12 @@ func TestFollowMatchesFrozenLocal(t *testing.T) {
 	testutil.WaitForGoroutines(t, before)
 }
 
-// TestFollowOpenRejections: Follow composes with neither ShareScans nor
-// an explicit Files list, and needs a catalog that can tail.
+// TestFollowOpenRejections: Follow does not compose with an explicit
+// Files list (a fixed list has no tail).
 func TestFollowOpenRejections(t *testing.T) {
 	env := newTestEnv(t, 5)
 	svc := newService(t, env, dpp.Config{})
 
-	if _, err := svc.Open(context.Background(), dpp.Spec{Spec: dedupSpec(), Follow: true, ShareScans: true}); err == nil ||
-		!strings.Contains(err.Error(), "Follow") {
-		t.Fatalf("Follow+ShareScans admitted: %v", err)
-	}
 	files, err := env.catalog.AllFiles("tbl")
 	if err != nil {
 		t.Fatal(err)
@@ -167,6 +164,146 @@ func TestFollowOpenRejections(t *testing.T) {
 		!strings.Contains(err.Error(), "Follow") {
 		t.Fatalf("Follow+Files admitted: %v", err)
 	}
+}
+
+// drainAsync drains a session to the end on its own goroutine; the
+// returned func waits for it and hands back the encoded stream.
+func drainAsync(sess *dpp.Session) func() ([][]byte, error) {
+	var enc [][]byte
+	var err error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			var b *reader.Batch
+			if b, err = sess.Next(context.Background()); err != nil {
+				if err == io.EOF {
+					err = nil
+				}
+				return
+			}
+			var buf bytes.Buffer
+			if err = b.Encode(&buf); err != nil {
+				return
+			}
+			enc = append(enc, buf.Bytes())
+		}
+	}()
+	return func() ([][]byte, error) {
+		<-done
+		return enc, err
+	}
+}
+
+// TestFollowSharedTailersDecodeOnce: Follow composes with ShareScans. Two
+// tailers of one table share one decode of the tail even though the lander
+// seals files of 48 rows under a batch of 64 — misaligned by construction,
+// as an interval-sealed live table is: both reach every file with the same
+// carry, so each landed file is one miss and one hit, its rows are decoded
+// once between the two, and each stream is byte-identical to a cold
+// session over the frozen prefix.
+func TestFollowSharedTailersDecodeOnce(t *testing.T) {
+	before := runtime.NumGoroutine()
+	schema := followSchema()
+	store, catalog := lakefs.NewStore(), lakefs.NewCatalog()
+	svc, err := dpp.New(dpp.Config{Backend: store, Catalog: catalog})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := landing.NewWriter(landing.Config{
+		Store: store, Catalog: catalog, Table: "tbl", Schema: schema, FlushRows: 48,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Hour 0 lands, both tailers open on it, then four more hours land
+	// beside them.
+	const hours = 5
+	total := 0
+	land := func(h int) {
+		samples := hourSamples(schema, int64(h)*3600, 16, 900)
+		if err := w.Append(int64(h)*3600, samples...); err != nil {
+			t.Fatal(err)
+		}
+		total += len(samples)
+	}
+	land(0)
+	var waits [2]func() ([][]byte, error)
+	var tailers [2]*dpp.Session
+	for i := range tailers {
+		if tailers[i], err = svc.Open(context.Background(), dpp.Spec{Spec: dedupSpec(), Follow: true, ShareScans: true}); err != nil {
+			t.Fatal(err)
+		}
+		waits[i] = drainAsync(tailers[i])
+	}
+	pubs, err := catalog.PublishedFiles("tbl", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshot := len(pubs)
+	for h := 1; h < hours; h++ {
+		land(h)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if pubs, err = catalog.PublishedFiles("tbl", 0); err != nil {
+		t.Fatal(err)
+	}
+	files := make([]string, len(pubs))
+	for i, pf := range pubs {
+		files[i] = pf.Path
+	}
+	landed := int64(len(files))
+
+	// EndFollow drains what a tailer has observed: wait until both have
+	// observed every landing.
+	testutil.Eventually(t, func() bool {
+		return svc.Stats().Follow.ExtendedFiles == 2*(landed-int64(snapshot))
+	}, "both tailers observed all %d files", landed)
+	var rowsDecoded int64
+	var gotEnc [2][][]byte
+	for i, sess := range tailers {
+		sess.EndFollow()
+		if gotEnc[i], err = waits[i](); err != nil {
+			t.Fatalf("tailer %d: %v", i, err)
+		}
+		st := sess.Stats()
+		if got := st.Cache.Hits + st.Cache.Misses; got != landed {
+			t.Fatalf("tailer %d made %d cache lookups over %d landed files", i, got, landed)
+		}
+		rowsDecoded += st.Reader.RowsDecoded
+		sess.Close()
+	}
+	if c := svc.Stats().Cache; c.Misses != landed || c.Hits != landed {
+		t.Fatalf("service cache traffic %+v, want %d misses and %d hits (each landed file decoded once, reused once)", c, landed, landed)
+	}
+	if rowsDecoded != int64(total) {
+		t.Fatalf("the two tailers decoded %d rows between them, %d landed", rowsDecoded, total)
+	}
+
+	cold, err := svc.Open(context.Background(), dpp.Spec{Spec: dedupSpec(), Files: files})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantEnc := drainSession(t, cold)
+	if len(wantEnc) == 0 {
+		t.Fatal("the frozen prefix is empty")
+	}
+	for i := range gotEnc {
+		if len(gotEnc[i]) != len(wantEnc) {
+			t.Fatalf("tailer %d produced %d batches, frozen prefix %d", i, len(gotEnc[i]), len(wantEnc))
+		}
+		for bi := range wantEnc {
+			if !bytes.Equal(gotEnc[i][bi], wantEnc[bi]) {
+				t.Fatalf("tailer %d batch %d differs from the frozen prefix", i, bi)
+			}
+		}
+	}
+
+	svc.Close()
+	testutil.WaitForGoroutines(t, before)
 }
 
 // TestRetentionInvalidatesBothTiers is the stale-cache-after-retention
@@ -337,10 +474,22 @@ func TestDropFailsInFlightSession(t *testing.T) {
 // behind the consumer's position — and asserts the full follow stream is
 // byte-identical to a cold run over a frozen reference landing with the
 // identical flush schedule, that the drops invalidated cached bytes, and
-// that nothing leaks.
+// that nothing leaks. The shared case runs two Follow + ShareScans tailers
+// in lockstep over the misaligned tail (48-row files, batch 64) and, just
+// before each drop, a cold ShareScans scan of the doomed hour alone — so
+// its files are cached at two different carries — and asserts the drop
+// evicted every one of them: no entry of a dropped file survives at any
+// carry, and no tailer is served a stale one.
 func TestChaosLiveTail(t *testing.T) {
-	for _, seed := range []int64{1, 7, 23} {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+	for _, tc := range []struct {
+		seed   int64
+		shared bool
+	}{{1, false}, {7, false}, {23, false}, {1, true}, {7, true}, {23, true}} {
+		seed, name := tc.seed, fmt.Sprintf("seed=%d", tc.seed)
+		if tc.shared {
+			name += ",shared"
+		}
+		t.Run(name, func(t *testing.T) {
 			before := runtime.NumGoroutine()
 			schema := followSchema()
 
@@ -409,10 +558,38 @@ func TestChaosLiveTail(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sess, err := svc.Open(context.Background(), dpp.Spec{Spec: dedupSpec(), Follow: true})
-			if err != nil {
-				t.Fatal(err)
+			tailers := make([]*dpp.Session, 1)
+			if tc.shared {
+				tailers = make([]*dpp.Session, 2)
 			}
+			for i := range tailers {
+				if tailers[i], err = svc.Open(context.Background(), dpp.Spec{Spec: dedupSpec(), Follow: true, ShareScans: tc.shared}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// next pulls one batch from every tailer, in lockstep, so "rows
+			// consumed" holds for all of them; the streams must agree.
+			next := func() (*reader.Batch, []byte, error) {
+				var b *reader.Batch
+				var enc []byte
+				for i, sess := range tailers {
+					var err error
+					if b, err = sess.Next(context.Background()); err != nil {
+						return nil, nil, err
+					}
+					var buf bytes.Buffer
+					if err := b.Encode(&buf); err != nil {
+						t.Fatal(err)
+					}
+					if i > 0 && !bytes.Equal(buf.Bytes(), enc) {
+						t.Fatalf("tailer %d diverged from tailer 0", i)
+					}
+					enc = buf.Bytes()
+				}
+				return b, enc, nil
+			}
+			droppedFiles := map[string]bool{}
+			wantInvalidations := 0 // scan-cache entries the drops must evict
 
 			rng := rand.New(rand.NewSource(seed))
 			landerDone := make(chan error, 1)
@@ -432,23 +609,39 @@ func TestChaosLiveTail(t *testing.T) {
 			var gotEnc [][]byte
 			rows, dropped := 0, 0
 			for len(gotEnc) < full {
-				b, err := sess.Next(context.Background())
+				b, enc, err := next()
 				if err != nil {
 					t.Fatalf("batch %d: %v", len(gotEnc), err)
 				}
-				var buf bytes.Buffer
-				if err := b.Encode(&buf); err != nil {
-					t.Fatal(err)
-				}
-				gotEnc = append(gotEnc, buf.Bytes())
+				gotEnc = append(gotEnc, enc)
 				rows += b.Size
 				// Retention chases the consumer: drop hour h only once every
 				// row of hour h+1 has been consumed — by then the workers are
 				// provably past hour h's files, so the drop exercises cache
 				// invalidation without racing a pending read.
 				for dropped < hours-2 && rows >= cum[dropped+1] {
+					doomed, err := catalog.Files("tbl", int64(dropped)*3600)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if tc.shared {
+						alone, err := svc.Open(context.Background(), dpp.Spec{Spec: dedupSpec(), Files: doomed, ShareScans: true})
+						if err != nil {
+							t.Fatal(err)
+						}
+						drainSession(t, alone)
+						// The tailers cached the hour at the carry they entered
+						// it with; the scan of it alone, at carry 0.
+						wantInvalidations += len(doomed)
+						if dropped > 0 && cum[dropped-1]%batchSize != 0 {
+							wantInvalidations += len(doomed)
+						}
+					}
 					if _, err := catalog.DropPartition(store, "tbl", int64(dropped)*3600); err != nil {
 						t.Fatal(err)
+					}
+					for _, f := range doomed {
+						droppedFiles[f] = true
 					}
 					dropped++
 				}
@@ -456,27 +649,30 @@ func TestChaosLiveTail(t *testing.T) {
 			if err := <-landerDone; err != nil {
 				t.Fatal(err)
 			}
-			sess.EndFollow()
+			for _, sess := range tailers {
+				sess.EndFollow()
+			}
 			for {
-				b, err := sess.Next(context.Background())
+				b, enc, err := next()
 				if err == io.EOF {
 					break
 				}
 				if err != nil {
 					t.Fatal(err)
 				}
-				var buf bytes.Buffer
-				if err := b.Encode(&buf); err != nil {
-					t.Fatal(err)
-				}
-				gotEnc = append(gotEnc, buf.Bytes())
+				gotEnc = append(gotEnc, enc)
 				rows += b.Size
 			}
 			if rows != total {
 				t.Fatalf("chaos follow stream delivered %d rows, landed %d", rows, total)
 			}
-			if err := sess.Close(); err != nil {
-				t.Fatal(err)
+			for _, sess := range tailers {
+				if _, err := sess.Next(context.Background()); err != io.EOF {
+					t.Fatalf("a tailer outlived the lockstep stream: %v", err)
+				}
+				if err := sess.Close(); err != nil {
+					t.Fatal(err)
+				}
 			}
 
 			if dropped == 0 {
@@ -484,6 +680,17 @@ func TestChaosLiveTail(t *testing.T) {
 			}
 			if rc := cached.Stats(); rc.Invalidations == 0 {
 				t.Fatalf("drops purged nothing from the raw tier: %+v", rc)
+			}
+			if tc.shared {
+				if inv := svc.Stats().Cache.Invalidations; inv != int64(wantInvalidations) || inv <= int64(len(droppedFiles)) {
+					t.Fatalf("drops of %d files invalidated %d scan-cache entries, want %d (some files cached at two carries)",
+						len(droppedFiles), inv, wantInvalidations)
+				}
+				for _, e := range svc.ScanCache().Entries() {
+					if droppedFiles[e.File] {
+						t.Fatalf("dropped file %s is still cached at carry %d", e.File, e.Carry)
+					}
+				}
 			}
 			if len(gotEnc) != len(wantEnc) || len(wantEnc) == 0 {
 				t.Fatalf("chaos stream produced %d batches, reference %d (nonzero)", len(gotEnc), len(wantEnc))

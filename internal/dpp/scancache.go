@@ -14,13 +14,19 @@ import (
 // whose scans cover the same files pay for each file's fill → convert →
 // process once, not N times.
 //
-// Entries are keyed by (file, spec fingerprint) and hold a
-// reader.FileScan: the file's complete batches plus its carry-out tail
-// rows. Both halves of the key are load-bearing for soundness — the file
-// names the bytes, the fingerprint names every spec field that can change
-// what those bytes convert to — and FileScan's file alignment is what
-// lets cached entries compose into a stream byte-identical to an
-// uncached serial scan (pinned by the reader and dpp determinism tests).
+// Entries are keyed by (file, spec fingerprint, carried rows) and hold a
+// reader.FileScan: the file cut for a scan that enters it with that many
+// rows pending — the head rows that complete the straddling batch, the
+// file's complete batches after them, and its carry-out tail rows. Every
+// part of the key is load-bearing for soundness — the file names the
+// bytes, the fingerprint names every spec field that can change what
+// those bytes convert to, the carry names where the batch boundaries fall
+// — and FileScan's file alignment is what lets cached entries compose
+// into a stream byte-identical to an uncached serial scan (pinned by the
+// reader and dpp determinism tests). Sessions with one spec over one file
+// prefix arrive at every file with the same carry, so the extra key part
+// splits nothing they could have shared; a file is cached at most once
+// per distinct carry some session entered it with, under the byte budget.
 //
 // The single-flight, byte-bounded engine underneath is
 // internal/cachecore, shared with storage.CachingBackend: concurrent
@@ -38,13 +44,17 @@ import (
 //
 // All methods are safe for concurrent use.
 type ScanCache struct {
-	core *cachecore.Cache[scanKey, *reader.FileScan]
+	core *cachecore.Cache[ScanKey, *reader.FileScan]
 }
 
-// scanKey is the identity of one shareable unit of scan work.
-type scanKey struct {
-	file        string
-	fingerprint string
+// ScanKey is the identity of one shareable unit of scan work: a file, the
+// fingerprint of the spec that converts it, and how many rows the scan
+// carries into it (0 on a batch boundary; always 0 for file-unit
+// sessions).
+type ScanKey struct {
+	File        string
+	Fingerprint string
+	Carry       int
 }
 
 // NewScanCache builds a cache bounded to maxBytes of estimated batch and
@@ -54,33 +64,31 @@ func NewScanCache(maxBytes int64) *ScanCache {
 		panic("dpp: scan cache needs a positive byte budget")
 	}
 	return &ScanCache{
-		core: cachecore.New[scanKey](
+		core: cachecore.New[ScanKey](
 			cachecore.Config{MaxBytes: maxBytes, CountWaiterHits: true},
 			func(fs *reader.FileScan) int64 { return fs.MemBytes() },
 		),
 	}
 }
 
-// Get returns the scan for (file, fingerprint), computing and caching it
-// via compute on a miss. Concurrent Gets of the same key share one
+// Get returns the scan for key, computing and caching it via compute on a
+// miss. Concurrent Gets of the same key share one
 // compute call; callers served a result another caller computed (or a
 // cached entry) report hit == true. If the computing caller fails, its
 // waiters retry — one caller's cancellation must not fail another
 // session's scan. Cancelling ctx abandons the wait (the in-flight
 // compute itself is cancelled only by its own caller's context).
-func (c *ScanCache) Get(ctx context.Context, file, fingerprint string, compute func(context.Context) (*reader.FileScan, error)) (scan *reader.FileScan, hit bool, err error) {
-	return c.core.Get(ctx, scanKey{file: file, fingerprint: fingerprint}, compute)
+func (c *ScanCache) Get(ctx context.Context, key ScanKey, compute func(context.Context) (*reader.FileScan, error)) (scan *reader.FileScan, hit bool, err error) {
+	return c.core.Get(ctx, key, compute)
 }
 
-// Contains reports whether a completed entry for (file, fingerprint) is
-// currently resident, without touching its recency.
-func (c *ScanCache) Contains(file, fingerprint string) bool {
-	return c.core.Contains(scanKey{file: file, fingerprint: fingerprint})
-}
+// Contains reports whether a completed entry for key is currently
+// resident, without touching its recency.
+func (c *ScanCache) Contains(key ScanKey) bool { return c.core.Contains(key) }
 
-// InvalidateFiles evicts every entry whose file half matches one of
-// paths, across all fingerprints — a file deleted by retention is gone
-// for every spec that ever decoded it. In-flight computes are doomed
+// InvalidateFiles evicts every entry whose file matches one of paths,
+// across all fingerprints and carries — a file deleted by retention is
+// gone for every scan that ever decoded it. In-flight computes are doomed
 // (served to their waiters, not retained). Wired to the catalog's
 // InvalidationNotifier by Service; returns how many entries were
 // dropped.
@@ -92,7 +100,7 @@ func (c *ScanCache) InvalidateFiles(paths []string) int {
 	for _, p := range paths {
 		dropped[p] = true
 	}
-	return c.core.RemoveIf(func(k scanKey) bool { return dropped[k.file] })
+	return c.core.RemoveIf(func(k ScanKey) bool { return dropped[k.File] })
 }
 
 // ScanCacheStats is a snapshot of cache-wide accounting.
@@ -131,9 +139,7 @@ func (c *ScanCache) Stats() ScanCacheStats {
 // EntryStats describes one resident entry, most-recently-used first —
 // the per-entry view of hit traffic and memory cost.
 type EntryStats struct {
-	File string
-	// Fingerprint is the spec fingerprint half of the key.
-	Fingerprint string
+	ScanKey
 	// Hits counts Gets served by this entry since it was inserted.
 	Hits int64
 	// Bytes is the entry's estimated resident cost.
@@ -146,12 +152,7 @@ func (c *ScanCache) Entries() []EntryStats {
 	core := c.core.Entries()
 	out := make([]EntryStats, 0, len(core))
 	for _, e := range core {
-		out = append(out, EntryStats{
-			File:        e.Key.file,
-			Fingerprint: e.Key.fingerprint,
-			Hits:        e.Hits,
-			Bytes:       e.Bytes,
-		})
+		out = append(out, EntryStats{ScanKey: e.Key, Hits: e.Hits, Bytes: e.Bytes})
 	}
 	return out
 }

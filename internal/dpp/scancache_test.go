@@ -27,7 +27,7 @@ func fakeScan(tailRows int) *reader.FileScan {
 
 func mustGet(t *testing.T, c *dpp.ScanCache, file, fp string, scan *reader.FileScan) bool {
 	t.Helper()
-	_, hit, err := c.Get(context.Background(), file, fp, func(context.Context) (*reader.FileScan, error) {
+	_, hit, err := c.Get(context.Background(), dpp.ScanKey{File: file, Fingerprint: fp}, func(context.Context) (*reader.FileScan, error) {
 		return scan, nil
 	})
 	if err != nil {
@@ -58,19 +58,19 @@ func TestScanCacheEvictionOrder(t *testing.T) {
 		t.Fatal("a should be resident")
 	}
 	mustGet(t, c, "d", fp, fakeScan(2)) // over budget: evicts b
-	if c.Contains("b", fp) {
+	if c.Contains(dpp.ScanKey{File: "b", Fingerprint: fp}) {
 		t.Fatal("b should have been evicted (least recently used)")
 	}
 	for _, f := range []string{"a", "c", "d"} {
-		if !c.Contains(f, fp) {
+		if !c.Contains(dpp.ScanKey{File: f, Fingerprint: fp}) {
 			t.Fatalf("%s should be resident", f)
 		}
 	}
 	mustGet(t, c, "e", fp, fakeScan(2)) // evicts c (a was refreshed, d/e newer)
-	if c.Contains("c", fp) {
+	if c.Contains(dpp.ScanKey{File: "c", Fingerprint: fp}) {
 		t.Fatal("c should have been evicted after b")
 	}
-	if !c.Contains("a", fp) {
+	if !c.Contains(dpp.ScanKey{File: "a", Fingerprint: fp}) {
 		t.Fatal("refreshed a should have outlived b and c")
 	}
 	st := c.Stats()
@@ -88,7 +88,7 @@ func TestScanCacheEvictionOrder(t *testing.T) {
 	if hit := mustGet(t, c, "huge", fp, fakeScan(100)); hit {
 		t.Fatal("oversized entry cannot hit")
 	}
-	if c.Contains("huge", fp) {
+	if c.Contains(dpp.ScanKey{File: "huge", Fingerprint: fp}) {
 		t.Fatal("oversized entry should not be resident")
 	}
 
@@ -112,7 +112,7 @@ func TestScanCacheSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, hit, err := c.Get(context.Background(), "f", "fp", func(context.Context) (*reader.FileScan, error) {
+			_, hit, err := c.Get(context.Background(), dpp.ScanKey{File: "f", Fingerprint: "fp"}, func(context.Context) (*reader.FileScan, error) {
 				computes.Add(1)
 				<-release // hold every other caller in the coalesced wait
 				return fakeScan(1), nil
@@ -153,17 +153,17 @@ func TestScanCacheLeaderFailureDoesNotPoison(t *testing.T) {
 	boom := errors.New("decode failed")
 	var calls atomic.Int64
 
-	_, _, err := c.Get(context.Background(), "f", "fp", func(context.Context) (*reader.FileScan, error) {
+	_, _, err := c.Get(context.Background(), dpp.ScanKey{File: "f", Fingerprint: "fp"}, func(context.Context) (*reader.FileScan, error) {
 		calls.Add(1)
 		return nil, boom
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("leader error = %v, want %v", err, boom)
 	}
-	if c.Contains("f", "fp") {
+	if c.Contains(dpp.ScanKey{File: "f", Fingerprint: "fp"}) {
 		t.Fatal("failed entry must not be cached")
 	}
-	scan, hit, err := c.Get(context.Background(), "f", "fp", func(context.Context) (*reader.FileScan, error) {
+	scan, hit, err := c.Get(context.Background(), dpp.ScanKey{File: "f", Fingerprint: "fp"}, func(context.Context) (*reader.FileScan, error) {
 		calls.Add(1)
 		return fakeScan(1), nil
 	})
@@ -184,7 +184,7 @@ func TestScanCacheWaiterCancellation(t *testing.T) {
 	defer close(release)
 
 	go func() {
-		c.Get(context.Background(), "f", "fp", func(context.Context) (*reader.FileScan, error) {
+		c.Get(context.Background(), dpp.ScanKey{File: "f", Fingerprint: "fp"}, func(context.Context) (*reader.FileScan, error) {
 			close(started)
 			<-release
 			return fakeScan(1), nil
@@ -195,7 +195,7 @@ func TestScanCacheWaiterCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := c.Get(ctx, "f", "fp", func(context.Context) (*reader.FileScan, error) {
+		_, _, err := c.Get(ctx, dpp.ScanKey{File: "f", Fingerprint: "fp"}, func(context.Context) (*reader.FileScan, error) {
 			return nil, fmt.Errorf("waiter must not compute")
 		})
 		done <- err

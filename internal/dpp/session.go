@@ -44,23 +44,21 @@ type Spec struct {
 	Tenant string
 	// ShareScans opts the session into the service's cross-session
 	// ScanCache: decoded, deduped, preprocessed batches are memoized per
-	// (file, spec fingerprint), so concurrent or successive sessions with
-	// equal-output specs over the same files decode each file once
-	// instead of once per session. The batch stream is byte-identical to
-	// an unshared session's; batches served from the cache are shared
-	// between sessions and must be treated as read-only (which Batch
-	// consumers already must: batches never alias writer state).
+	// (file, spec fingerprint, carried rows), so concurrent or successive
+	// sessions with equal-output specs over the same files decode each
+	// file once instead of once per session — whether or not the batch
+	// size divides the files, since such sessions reach every file with
+	// the same carry. The batch stream is byte-identical to an unshared
+	// session's; batches served from the cache are shared between
+	// sessions and must be treated as read-only (which Batch consumers
+	// already must: batches never alias writer state).
 	//
-	// A ShareScans session runs a single scan loop — the cache itself is
-	// its cross-session parallelism — so Readers is effectively 1 and
-	// Resize/autoscaling are no-ops on it. reader.Spec's FillAhead knob
-	// instead becomes the shared-scan source's read-ahead depth: with
-	// FillAhead > 0 the source runs up to FillAhead files ahead of the
-	// cutter on its own goroutine, issuing the ScanCache lookups (and the
-	// fills of carry-entered files) in file order, so a cold scan overlaps
-	// the next file's fill/convert with the current file's egress. It is
-	// the same source function either way, so lookup order, single-flight
-	// dedup, and hit/miss accounting do not depend on the depth.
+	// It changes nothing else about the session: the cache is a memo
+	// inside each fill worker, so Readers, Resize, autoscaling,
+	// arbitration, Follow and reader.Spec's FillAhead (extra files the
+	// workers may claim ahead of the cutter) mean what they mean for any
+	// session. Lookups are one per file; at one worker they are issued in
+	// file order.
 	ShareScans bool
 	// Follow opts the session into tailing a live table: instead of EOF
 	// at end-of-catalog, the session parks, observes newly landed files
@@ -72,8 +70,8 @@ type Spec struct {
 	//
 	// Follow requires the service catalog to implement
 	// storage.TailingCatalog and is incompatible with an explicit Files
-	// list (there is no catalog position to tail) and with ShareScans
-	// (the shared scan loop has no open-ended queue).
+	// list (there is no catalog position to tail). It composes with
+	// ShareScans: N tailers of one table decode each landed file once.
 	Follow bool
 	// OnExtend, when non-nil, is called from the session's tailer
 	// goroutine with each slice of newly observed files, after they join
@@ -126,9 +124,6 @@ func (s Spec) validate() error {
 	if s.Buffer < 0 {
 		return fmt.Errorf("dpp: negative buffer %d", s.Buffer)
 	}
-	if s.Follow && s.ShareScans {
-		return fmt.Errorf("dpp: Follow and ShareScans are incompatible (the shared scan loop has no open-ended queue)")
-	}
 	if s.Follow && s.Files != nil {
 		return fmt.Errorf("dpp: Follow tails the catalog; an explicit Files list has no tail")
 	}
@@ -151,22 +146,20 @@ var _ Stream = (*Session)(nil)
 // called from different goroutines, but Next itself is single-consumer:
 // one goroutine (the training loop) pulls batches in order.
 //
-// Internally every session is a file-ordered unit source feeding the
-// reader's one cutter (reader.RunUnits). The source is a shared ordered
-// work queue (reader.ScanQueue) — fill workers claim file indices and
-// decode them in parallel, and the cutter awaits them in file order — or,
-// for a ShareScans session, the shared-scan source over the service's
-// ScanCache. The queue's worker pool is resizable mid-scan (Resize, or the
-// service's AutoScaler); the stream is byte-identical to the serial
-// reference regardless of the source, the pool's size or its resize
-// history.
+// Internally every session is a shared ordered work queue
+// (reader.ScanQueue) feeding the reader's one cutter (reader.RunUnits):
+// fill workers claim file indices and fill them in parallel — through the
+// service's ScanCache for a ShareScans session — and the cutter awaits
+// them in file order. The worker pool is resizable mid-scan (Resize, or
+// the service's AutoScaler); the stream is byte-identical to the serial
+// reference regardless of the fill, the pool's size or its resize history.
 type Session struct {
 	Shell[*reader.Batch]
 
 	svc *Service
 	// spec is the defaulted Spec the session was opened with; read-only.
 	spec  Spec
-	queue *reader.ScanQueue // nil for ShareScans sessions (single scan loop)
+	queue *reader.ScanQueue
 
 	// Follow state: the tailer goroutine watches the catalog and extends
 	// the queue; EndFollow cancels it (followCancel), waits for it to
@@ -198,7 +191,7 @@ type tailState struct {
 	cursor  uint64
 }
 
-// newSession plans the scan and starts its source and the cutter. Workers
+// newSession plans the scan and starts its workers and the cutter. Workers
 // begin claiming and decoding files immediately; nothing blocks on Open.
 // tail is non-nil exactly for Follow sessions.
 func newSession(ctx context.Context, svc *Service, id int64, spec Spec, files []string, tail *tailState) (*Session, error) {
@@ -209,16 +202,6 @@ func newSession(ctx context.Context, svc *Service, id int64, spec Spec, files []
 	if err != nil {
 		s.cancel()
 		return nil, err
-	}
-
-	if spec.ShareScans {
-		src, err := newSharedSource(svc, spec, files, spec.BatchSize)
-		if err != nil {
-			s.cancel()
-			return nil, err
-		}
-		s.Go(func() { s.runShared(src, cut) })
-		return s, nil
 	}
 
 	if tail != nil {
@@ -253,7 +236,7 @@ func newSession(ctx context.Context, svc *Service, id int64, spec Spec, files []
 	s.pmu.Unlock()
 
 	s.Go(func() {
-		s.Settle(cut.RunQueue(s.ctx, s.queue, s.Emit), SessionCacheStats{}, cut.Stats())
+		s.Settle(cut.RunQueue(s.ctx, s.queue, s.Emit), cut.Stats())
 	})
 
 	if svc.autoscale != nil {
@@ -285,24 +268,6 @@ func newSession(ctx context.Context, svc *Service, id int64, spec Spec, files []
 	return s, nil
 }
 
-// runShared is a ShareScans session's single scan loop: the shared-scan
-// source, FillAhead files ahead, feeding the cutter. The emitted stream is
-// byte-identical to an unshared session's (the cache unit is file-aligned
-// and the fingerprint covers every output-relevant spec field); what
-// changes is the accounting — a fully cache-hit scan decodes nothing, so
-// its RowsDecoded/ReadBytes/ConvertValues/ProcessOps stay zero while
-// BatchesProduced and SentBytes still count every batch handed to the
-// consumer (the session's egress is real either way).
-func (s *Session) runShared(src *sharedSource, cut *reader.Reader) {
-	next, stop := src.ahead(s.ctx, s.spec.FillAhead)
-	err := cut.RunUnits(s.ctx, func() (reader.Unit, bool) {
-		u, ok := next()
-		return u.Unit, ok
-	}, s.Emit)
-	stop()
-	s.Settle(err, src.cache, cut.Stats(), src.r.Stats(), src.served)
-}
-
 // queueWindow bounds how many files may be claimed (decoding or decoded,
 // not yet merged) ahead of the cutter for a pool of n workers: one
 // in-flight file per worker, one completed slot to hand over through, and
@@ -316,12 +281,12 @@ func queueWindow(spec Spec, n int) int {
 // makes the Go safe against teardown's Wait) and has already counted the
 // worker in target.
 func (s *Session) spawnWorkerLocked() error {
-	r, err := reader.NewReader(s.svc.backend, s.spec.Spec)
+	w, err := newWorker(s.svc, s.spec, false)
 	if err != nil {
 		return err
 	}
 	s.active++
-	s.Go(func() { s.runFillWorker(r) })
+	s.Go(func() { s.runFillWorker(w) })
 	return nil
 }
 
@@ -330,21 +295,17 @@ func (s *Session) spawnWorkerLocked() error {
 // a worker told to stop has already been uncounted by shouldStop, so
 // only natural exits (queue exhausted, abort, fill error) decrement
 // active here.
-func (s *Session) runFillWorker(r *reader.Reader) {
+func (s *Session) runFillWorker(w *worker) {
 	stopped := false
-	r.FillQueue(s.ctx, s.queue, func() bool {
-		if s.workerShouldStop() {
-			stopped = true
-			return true
-		}
-		return false
-	})
+	w.run(s.ctx, s.queue, func() bool {
+		stopped = s.workerShouldStop()
+		return stopped
+	}, s.account)
 	if !stopped {
 		s.pmu.Lock()
 		s.active--
 		s.pmu.Unlock()
 	}
-	s.addStats(r.Stats())
 }
 
 // workerShouldStop atomically decides and accounts one worker's
@@ -364,15 +325,11 @@ func (s *Session) workerShouldStop() bool {
 // scale-down takes effect at each surplus worker's next between-files
 // checkpoint — claims are never abandoned mid-file, which is one half of
 // why the stream is identical across resize histories (the other half is
-// the ordered merge). On a ShareScans session (single scan loop) Resize
-// is a no-op returning 1. Safe for concurrent use; the service's
-// AutoScaler is the usual caller.
+// the ordered merge). Safe for concurrent use; the service's AutoScaler is
+// the usual caller.
 func (s *Session) Resize(n int) int {
 	if n < 1 {
 		n = 1
-	}
-	if s.queue == nil {
-		return 1
 	}
 	s.pmu.Lock()
 	if s.stopped || n == s.target {
@@ -405,7 +362,7 @@ func (s *Session) Resize(n int) int {
 	return n
 }
 
-// poolStats is the queue-backed session's worker-pool telemetry.
+// poolStats is the session's worker-pool telemetry.
 func (s *Session) poolStats() SchedulerStats {
 	s.pmu.Lock()
 	defer s.pmu.Unlock()
@@ -470,7 +427,7 @@ func (s *Session) Following() bool { return s.followCancel != nil }
 // merged into its stream — the catalog-to-consumer lag the landing
 // metrics export. Zero for non-Follow sessions.
 func (s *Session) FollowLag() int {
-	if s.followCancel == nil || s.queue == nil {
+	if s.followCancel == nil {
 		return 0
 	}
 	return s.queue.Len() - s.queue.Pos()
@@ -523,8 +480,8 @@ type SessionCacheStats struct {
 // the resize history, and the two starvation signals the AutoScaler
 // trades off.
 type SchedulerStats struct {
-	// Workers is the current desired worker-pool size (1 for ShareScans
-	// sessions, which run a single scan loop).
+	// Workers is the current desired worker-pool size, for every kind of
+	// session (a unit session's is fixed at its Spec.Readers).
 	Workers int
 	// ScaleUps and ScaleDowns count Resize calls that grew or shrank the
 	// pool.

@@ -6,120 +6,89 @@ import (
 	"repro/internal/reader"
 )
 
-// sharedSource is the one walk over the ScanCache: it yields a ShareScans
-// scan's units in file order. A file entered on a batch boundary is looked
-// up in the cache (single-flight; computed by ScanFile on a miss) and
-// yielded already cut, shared with every session of the same fingerprint.
-// A file entered with carried rows cannot share batches — their boundaries
-// depend on the carry — so it is filled and yielded as a chunk for the
-// cutter. The source never sees the cutter's carried rows and does not
-// need them: it tracks their count arithmetically, (carry + rows) mod
-// batch, which by construction matches the cutter's at every file. So
-// lookups happen only at carry-free boundaries, in file order, one per
-// file, however far ahead of the cutter the source runs.
-type sharedSource struct {
-	svc         *Service
-	r           *reader.Reader // fills, and scans on a miss
+// worker is one fill worker of a session of either kind: its own reader (a
+// reader serves one goroutine at a time) behind the fill function the
+// session's spec selects — the only thing that differs between an unshared
+// batch session (fill; the cutter converts), an unshared unit session
+// (scan at carry 0) and a ShareScans session of either kind (the ScanCache
+// memo). The pool, the queue, the cutter and the shell are the same.
+type worker struct {
+	svc  *Service
+	r    *reader.Reader
+	fill reader.Fill
+
+	// The memo's state. batch is the spec's batch size, or 0 for a unit
+	// session, which serves every file cut at carry 0 (the fleet client
+	// cuts the carry). served is the egress of the cache-hit units (their
+	// batches are shipped, not produced) and cache counts the lookups; both
+	// are charged when the lookup happens, kept per worker and summed into
+	// the session at exit, the way fill stats are.
 	fingerprint string
-	files       []string
-	// batch is the spec's batch size, or 0 for a unit session, which
-	// serves every file as if entered on a boundary.
-	batch    int
-	i, carry int
-
-	// served is the egress of the cache-hit units (their batches are
-	// shipped, not produced); cache counts the lookups. Both are charged
-	// when the lookup happens. Read them once the source has stopped.
-	served reader.Stats
-	cache  SessionCacheStats
+	batch       int
+	served      reader.Stats
+	cache       SessionCacheStats
 }
 
-// sharedUnit is one yielded unit plus whether the cache served it.
-type sharedUnit struct {
-	reader.Unit
-	hit bool
-}
-
-func newSharedSource(svc *Service, spec Spec, files []string, batch int) (*sharedSource, error) {
+func newWorker(svc *Service, spec Spec, units bool) (*worker, error) {
 	r, err := reader.NewReader(svc.backend, spec.Spec)
 	if err != nil {
 		return nil, err
 	}
-	return &sharedSource{svc: svc, r: r, fingerprint: spec.Spec.Fingerprint(), files: files, batch: batch}, nil
+	w := &worker{svc: svc, r: r, fill: r.FillUnit}
+	switch {
+	case spec.ShareScans:
+		w.fill, w.fingerprint = w.memo, spec.Spec.Fingerprint()
+		if !units {
+			w.batch = spec.BatchSize
+		}
+	case units:
+		w.fill = r.ScanUnit
+	}
+	return w, nil
 }
 
-// next yields the next file's unit; ok is false after the last file.
-func (src *sharedSource) next(ctx context.Context) (u sharedUnit, ok bool) {
-	if src.i >= len(src.files) {
-		return sharedUnit{}, false
-	}
-	f := src.files[src.i]
-	src.i++
-	if src.carry > 0 {
-		u.Unit = src.r.FillUnit(ctx, f)
-		if u.Err == nil {
-			src.carry = (src.carry + u.Chunk.Rows()) % src.batch
+// run is the worker's life: the queue's one claim → fill → deposit loop
+// under this worker's fill, then its accounting handed to the session.
+func (w *worker) run(ctx context.Context, q *reader.ScanQueue, stop func() bool, account func(SessionCacheStats, ...reader.Stats)) {
+	reader.FillQueue(ctx, q, w.fill, stop)
+	account(w.cache, w.r.Stats(), w.served)
+}
+
+// memo is a ShareScans worker's fill and the only caller of ScanCache.Get:
+// the file's scan, cut for the rows this session carries into it, looked up
+// (single-flight; computed by ScanFile on a miss) and shared with every
+// session that reaches the file with the same fingerprint and carry. A
+// batch session learns its carry from the queue's chain — the rows of every
+// earlier file, mod batch — and feeds the chain the moment this file's row
+// count is known: from the footer on a miss, before any stripe is fetched,
+// so the next file's worker starts while this one is still filling; from
+// the entry on a hit, or when a lookup coalesced onto another session's
+// compute returns. One lookup per file per session, in file order at one
+// worker, whatever the alignment.
+func (w *worker) memo(ctx context.Context, c reader.Claim) reader.Unit {
+	key := ScanKey{File: c.File, Fingerprint: w.fingerprint}
+	if w.batch > 0 {
+		var ok bool
+		if key.Carry, ok = c.Carry(w.batch); !ok {
+			return reader.Unit{File: c.File, Err: context.Canceled} // the queue aborted: nobody awaits this deposit
 		}
-		return u, true
 	}
-	scan, hit, err := src.svc.cache.Get(ctx, f, src.fingerprint, func(ctx context.Context) (*reader.FileScan, error) {
-		return src.r.ScanFile(ctx, f)
+	scan, hit, err := w.svc.cache.Get(ctx, key, func(ctx context.Context) (*reader.FileScan, error) {
+		return w.r.ScanFile(ctx, c.File, key.Carry, c.Report)
 	})
-	u.Unit = reader.Unit{File: f, Scan: scan, Err: err}
 	if err != nil {
-		return u, true
+		return reader.Unit{File: c.File, Err: err}
 	}
-	if u.hit = hit; hit {
-		src.cache.Hits++
+	c.Report(scan.Rows())
+	if hit {
+		w.cache.Hits++
 		for _, b := range scan.Batches {
-			src.served.BatchesProduced++
-			src.served.SentBytes += int64(b.WireBytes())
+			w.served.BatchesProduced++
+			w.served.SentBytes += int64(b.WireBytes())
 		}
 	} else {
-		src.cache.Misses++
-		src.svc.demoteRaw(f, src.fingerprint)
+		w.cache.Misses++
+		w.svc.demoteRaw(key)
 	}
-	if src.batch > 0 {
-		src.carry = scan.Tail.Rows()
-	}
-	return u, true
-}
-
-// ahead returns the source as a pull function running depth units ahead of
-// its caller, and the stop that must be called before reading the
-// source's counters. Depth 0 is next itself, called inline; a positive
-// depth is the same next behind a depth-deep channel on its own goroutine,
-// which stop cancels and joins. The source stops after yielding an error.
-func (src *sharedSource) ahead(ctx context.Context, depth int) (next func() (sharedUnit, bool), stop func()) {
-	if depth <= 0 {
-		return func() (sharedUnit, bool) { return src.next(ctx) }, func() {}
-	}
-	pctx, cancel := context.WithCancel(ctx)
-	units := make(chan sharedUnit, depth) // the read-ahead depth
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		defer close(units)
-		for {
-			u, ok := src.next(pctx)
-			if !ok {
-				return
-			}
-			select {
-			case units <- u:
-			case <-pctx.Done():
-				return
-			}
-			if u.Err != nil {
-				return
-			}
-		}
-	}()
-	return func() (sharedUnit, bool) {
-			u, ok := <-units
-			return u, ok
-		}, func() {
-			cancel()
-			<-done
-		}
+	return reader.Unit{File: c.File, Scan: scan, Hit: hit}
 }

@@ -18,12 +18,11 @@ import (
 // one over the batches its merge cuts; what differs between them is only
 // what feeds out.
 type Shell[T any] struct {
-	// Pool reports the kind's worker-pool telemetry; nil means one scan
-	// loop (a ShareScans session). Release runs exactly once when the
-	// stream ends — EOF, failure or Close — with the final scheduling
-	// telemetry and whether the scan failed: a service-hosted session gives
-	// its slot back there. Set both while opening, before the stream is
-	// handed to its consumer.
+	// Pool reports the kind's worker-pool telemetry. Release runs exactly
+	// once when the stream ends — EOF, failure or Close — with the final
+	// scheduling telemetry and whether the scan failed: a service-hosted
+	// session gives its slot back there. Set both while opening, before the
+	// stream is handed to its consumer.
 	Pool    func() SchedulerStats
 	Release func(sched SchedulerStats, errored bool)
 
@@ -122,10 +121,16 @@ func (s *Shell[T]) Emit(v T) error {
 	}
 }
 
-// addStats folds one finished reader's accounting into the session's.
-func (s *Shell[T]) addStats(st reader.Stats) {
+// account folds one finished goroutine's accounting into the session's: a
+// fill worker's readers and cache lookups at its exit, the scan
+// goroutine's at Settle.
+func (s *Shell[T]) account(cache SessionCacheStats, stats ...reader.Stats) {
 	s.mu.Lock()
-	s.stats.Add(st)
+	for _, st := range stats {
+		s.stats.Add(st)
+	}
+	s.cache.Hits += cache.Hits
+	s.cache.Misses += cache.Misses
 	s.mu.Unlock()
 }
 
@@ -133,16 +138,12 @@ func (s *Shell[T]) addStats(st reader.Stats) {
 // teardown is not an error) and the scan goroutine's accounting, wakes the
 // workers, and only then closes out, so a consumer that observes the close
 // also observes the outcome.
-func (s *Shell[T]) Settle(err error, cache SessionCacheStats, stats ...reader.Stats) {
+func (s *Shell[T]) Settle(err error, stats ...reader.Stats) {
+	s.account(SessionCacheStats{}, stats...)
 	s.mu.Lock()
 	if err != nil && s.firstErr == nil && !errors.Is(err, context.Canceled) {
 		s.firstErr = err
 	}
-	for _, st := range stats {
-		s.stats.Add(st)
-	}
-	s.cache.Hits += cache.Hits
-	s.cache.Misses += cache.Misses
 	s.mu.Unlock()
 	if s.halt != nil {
 		s.halt()
@@ -267,10 +268,7 @@ func (s *Shell[T]) release() {
 // SchedulerStats snapshots the session's scheduling telemetry; it is the
 // observe half of the AutoScaler's ScaleTarget contract.
 func (s *Shell[T]) SchedulerStats() SchedulerStats {
-	st := SchedulerStats{Workers: 1}
-	if s.Pool != nil {
-		st = s.Pool()
-	}
+	st := s.Pool()
 	s.mu.Lock()
 	st.ConsumerStall = s.consumerStall
 	if !s.consumerStallSince.IsZero() {

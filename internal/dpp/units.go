@@ -35,14 +35,12 @@ type FileUnit struct {
 // NextUnit and Close may be called from different goroutines, but
 // NextUnit itself is single-consumer.
 //
-// It is a batch session without the cutter: the same file-ordered unit
-// sources, emitted as they come. A non-ShareScans unit session runs
-// Spec.Readers scan workers over the ordered-merge discipline a batch
-// session's fill pool uses (reader.OrderedMerge): workers claim file
-// indices, decode whole files in parallel, and the merge yields them
-// strictly in order. A ShareScans unit session pulls the shared-scan
-// source — the cache is its cross-session parallelism — with every file
-// entered on a boundary, since the carry is cut client-side.
+// It is a batch session without the cutter: Spec.Readers workers over the
+// same reader.ScanQueue run the same claim → fill → deposit loop, and the
+// units are emitted as the queue yields them, strictly in order. Every
+// file is cut as if entered on a batch boundary, since the carry is cut
+// client-side: by reader.ScanUnit, or through the ScanCache memo for a
+// ShareScans session.
 //
 // Stats reports the same shape a batch session does, so fleet-level
 // aggregation (dppshard) and the dppnet stats trailer treat both kinds
@@ -70,82 +68,42 @@ func (s *Service) OpenUnits(ctx context.Context, spec Spec) (*UnitSession, error
 	})
 }
 
-// newUnitSession starts the unit source and the loop that emits it.
+// newUnitSession starts the workers and the loop that emits their units.
 // Workers begin decoding immediately; nothing blocks on OpenUnits.
 func newUnitSession(ctx context.Context, svc *Service, id int64, spec Spec, files []string) (*UnitSession, error) {
 	u := &UnitSession{}
 	u.Open(ctx, svc.clock, spec.Buffer)
 	u.Release = func(sched SchedulerStats, errored bool) { svc.retire(id, sched, errored) }
 
-	if spec.ShareScans {
-		src, err := newSharedSource(svc, spec, files, 0)
-		if err != nil {
-			u.cancel()
-			return nil, err
-		}
-		u.Go(func() {
-			err := u.emitUnits(func() (sharedUnit, bool) { return src.next(u.ctx) })
-			u.Settle(err, src.cache, src.r.Stats(), src.served)
-		})
-		return u, nil
-	}
-
-	merge := reader.NewOrderedMerge[reader.Unit](len(files), queueWindow(spec, spec.Readers), svc.clock.Now)
+	q := reader.NewScanQueue(files, queueWindow(spec, spec.Readers), svc.clock.Now)
 	u.Pool = func() SchedulerStats {
-		return SchedulerStats{Workers: spec.Readers, WorkerStall: merge.Stall()}
+		return SchedulerStats{Workers: spec.Readers, WorkerStall: q.Stall()}
 	}
-	u.HaltOn(merge.Abort)
+	u.HaltOn(q.Abort)
 	for i := 0; i < spec.Readers; i++ {
-		r, err := reader.NewReader(svc.backend, spec.Spec)
+		w, err := newWorker(svc, spec, true)
 		if err != nil {
 			u.teardown()
 			return nil, err
 		}
-		u.Go(func() { u.runUnitWorker(r, merge, files) })
+		u.Go(func() { w.run(u.ctx, q, nil, u.account) })
 	}
-	u.Go(func() {
-		i := 0
-		err := u.emitUnits(func() (sharedUnit, bool) {
-			res, ok := merge.Await(i) // false past the last file, or aborted: teardown owns the outcome
-			i++
-			return sharedUnit{Unit: res}, ok
-		})
-		u.Settle(err, SessionCacheStats{})
-	})
+	u.Go(func() { u.Settle(u.emitUnits(q)) })
 	return u, nil
 }
 
-// runUnitWorker drives one scan worker: claim file indices, decode whole
-// files, deposit the scans. Decode work charges this worker's reader;
-// the session sums its workers at exit, so a cold aligned unit session's
-// counters equal the serial reference's for its file subset.
-func (u *UnitSession) runUnitWorker(r *reader.Reader, merge *reader.OrderedMerge[reader.Unit], files []string) {
-	for {
-		idx, ok := merge.Claim()
-		if !ok {
-			break
-		}
-		scan, err := r.ScanFile(u.ctx, files[idx])
-		merge.Deposit(idx, reader.Unit{File: files[idx], Scan: scan, Err: err})
-		if err != nil {
-			break
-		}
-	}
-	u.addStats(r.Stats())
-}
-
-// emitUnits hands the source's units to the consumer, strictly in
-// file-list order, until the source ends or yields an error.
-func (u *UnitSession) emitUnits(next func() (sharedUnit, bool)) error {
+// emitUnits hands the queue's units to the consumer, strictly in
+// file-list order, until the scan set ends or a unit carries an error.
+func (u *UnitSession) emitUnits(q *reader.ScanQueue) error {
 	for i := 0; ; i++ {
-		it, ok := next()
+		it, ok := q.Await(i) // false past the last file, or aborted: teardown owns the outcome
 		if !ok {
 			return nil
 		}
 		if it.Err != nil {
 			return it.Err
 		}
-		if err := u.Emit(&FileUnit{Index: i, File: it.File, Scan: it.Scan, Hit: it.hit}); err != nil {
+		if err := u.Emit(&FileUnit{Index: i, File: it.File, Scan: it.Scan, Hit: it.Hit}); err != nil {
 			return err
 		}
 	}

@@ -68,7 +68,7 @@ func TestUnitSessionMatchesScanFile(t *testing.T) {
 	}
 	var want [][]byte
 	for _, f := range files {
-		fs, err := ref.ScanFile(context.Background(), f)
+		fs, err := ref.ScanFile(context.Background(), f, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,6 +96,9 @@ func TestUnitSessionMatchesScanFile(t *testing.T) {
 				if unit.Index != i || unit.File != files[i] || unit.Hit {
 					t.Fatalf("unit %d = {Index %d, File %s, Hit %v}, want {%d, %s, false}", i, unit.Index, unit.File, unit.Hit, i, files[i])
 				}
+				if unit.Scan.Carry != 0 || unit.Scan.Head != nil {
+					t.Fatalf("unit %d was cut at carry %d (head %v); a unit stream is cut on batch boundaries", i, unit.Scan.Carry, unit.Scan.Head)
+				}
 				if !bytes.Equal(encodeScan(t, unit.Scan), want[i]) {
 					t.Fatalf("unit %d differs from ScanFile(%s)", i, files[i])
 				}
@@ -111,6 +114,37 @@ func TestUnitSessionMatchesScanFile(t *testing.T) {
 				t.Fatalf("Workers = %d, want %d", st.Scheduler.Workers, want)
 			}
 		})
+	}
+
+	// A batch session with the same spec caches the same files cut at the
+	// carries it enters them with. A unit session beside those entries is
+	// still served the boundary cut of every file: the carry is part of
+	// the key, and a unit session only ever asks for carry 0.
+	sess, err := svc.Open(context.Background(), dpp.Spec{Spec: spec, ShareScans: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainSession(t, sess)
+	carried := 0
+	for _, e := range svc.ScanCache().Entries() {
+		if e.Carry != 0 {
+			carried++
+		}
+	}
+	if carried == 0 {
+		t.Fatal("the batch session cached no file at a nonzero carry; the spec is meant to be misaligned")
+	}
+	u, err := svc.OpenUnits(context.Background(), dpp.Spec{Spec: spec, Readers: 3, ShareScans: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, unit := range drainUnits(t, u) {
+		if unit.Scan.Carry != 0 || unit.Scan.Head != nil || !unit.Hit {
+			t.Fatalf("unit %d beside carried entries: carry %d, head %v, hit %v; want the cached boundary cut", i, unit.Scan.Carry, unit.Scan.Head, unit.Hit)
+		}
+		if !bytes.Equal(encodeScan(t, unit.Scan), want[i]) {
+			t.Fatalf("unit %d beside carried entries differs from ScanFile(%s)", i, files[i])
+		}
 	}
 }
 
@@ -182,7 +216,7 @@ func TestSharedUnitSessionDemotesRawBytes(t *testing.T) {
 	}
 	units := drainUnits(t, u)
 	for _, unit := range units {
-		if !svc.ScanCache().Contains(unit.File, spec.Fingerprint()) {
+		if !svc.ScanCache().Contains(dpp.ScanKey{File: unit.File, Fingerprint: spec.Fingerprint()}) {
 			t.Fatalf("%s is not resident in the ScanCache after a cold scan", unit.File)
 		}
 	}
@@ -230,8 +264,8 @@ func TestUnitSessionConsumerStall(t *testing.T) {
 
 // TestUnitSessionTeardown: Close mid-stream and job-context cancellation
 // both end a unit session promptly, with the matching error from NextUnit
-// and zero goroutines left, whether it runs a worker pool or the
-// shared-scan source.
+// and zero goroutines left, whether its workers scan or consult the
+// ScanCache.
 func TestUnitSessionTeardown(t *testing.T) {
 	env := newTestEnv(t, 200)
 	for _, share := range []bool{false, true} {

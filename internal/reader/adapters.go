@@ -19,7 +19,7 @@ import (
 // full-width, with empty lists for features the spec does not consume —
 // and the file schema.
 func (r *Reader) FillFile(ctx context.Context, file string) ([]datagen.Sample, []string, int, error) {
-	chunk, err := r.fill(ctx, file)
+	chunk, err := r.fill(ctx, file, nil)
 	if err != nil {
 		return nil, nil, 0, err
 	}

@@ -9,14 +9,15 @@ import (
 	"testing"
 
 	"repro/internal/datagen"
+	"repro/internal/dwrf"
 )
 
 // unitRows is how many rows a unit hands the cutter.
-func unitRows(u Unit, batch int) int {
+func unitRows(u Unit) int {
 	if u.Chunk != nil {
 		return u.Chunk.Rows()
 	}
-	return len(u.Scan.Batches)*batch + u.Scan.Tail.Rows()
+	return u.Scan.Rows()
 }
 
 // cutUnits drives RunUnits over next and returns the emitted batches. It
@@ -33,7 +34,7 @@ func cutUnits(t *testing.T, what string, cutter *Reader, next func() (Unit, bool
 		}
 		u, ok := next()
 		if ok && u.Err == nil {
-			supplied += unitRows(u, batch)
+			supplied += unitRows(u)
 		}
 		return u, ok
 	}, func(b *Batch) error {
@@ -54,92 +55,105 @@ func cutAll(t *testing.T, what string, cutter *Reader, next func() (Unit, bool))
 	return encodeBatches(t, out)
 }
 
-// scanSource is the shape of a shared-scan source: files entered on a
-// batch boundary come from a cache of ScanFile results (computed on a
-// miss), files entered with carried rows are filled, and the carry is
-// tracked arithmetically, never read from the cutter. boundaryOnly makes
-// it the fleet's shape instead: every file arrives as a scan, and the
-// cutter must re-fill the ones it enters mid-batch.
-type scanSource struct {
-	r            *Reader
-	files        []string
-	cache        map[string]*FileScan
-	boundaryOnly bool
-	i, carry     int
+// scanMemo is the shape of dpp's ScanCache memo without the budget: scans
+// cut at the carry the queue's chain hands out, computed once per (file,
+// carry) and shared by every worker of every scan over the memo.
+type scanMemo struct {
+	mu    sync.Mutex
+	scans map[scanMemoKey]*FileScan
 }
 
-func (s *scanSource) next() (Unit, bool) {
-	if s.i >= len(s.files) {
-		return Unit{}, false
-	}
-	f := s.files[s.i]
-	s.i++
-	if s.carry > 0 && !s.boundaryOnly {
-		u := s.r.FillUnit(context.Background(), f)
-		if u.Err == nil {
-			s.carry = (s.carry + u.Chunk.Rows()) % s.r.spec.BatchSize
-		}
-		return u, true
-	}
-	fs := s.cache[f]
-	if fs == nil {
-		var err error
-		if fs, err = s.r.ScanFile(context.Background(), f); err != nil {
-			return Unit{File: f, Err: err}, true
-		}
-		s.cache[f] = fs
-	}
-	if !s.boundaryOnly {
-		s.carry = fs.Tail.Rows()
-	}
-	return Unit{File: f, Scan: fs}, true
+type scanMemoKey struct {
+	file  string
+	carry int
 }
 
-// ahead runs next on its own goroutine, depth units ahead of the caller.
-func ahead(depth int, next func() (Unit, bool)) func() (Unit, bool) {
-	if depth == 0 {
-		return next
-	}
-	units := make(chan Unit, depth)
-	go func() {
-		defer close(units)
-		for {
-			u, ok := next()
-			if !ok {
-				return
+// fill is one worker's Fill over the memo, scanning with r on a miss.
+func (m *scanMemo) fill(r *Reader) Fill {
+	return func(ctx context.Context, c Claim) Unit {
+		carry, ok := c.Carry(r.spec.BatchSize)
+		if !ok {
+			return Unit{File: c.File, Err: context.Canceled}
+		}
+		key := scanMemoKey{c.File, carry}
+		m.mu.Lock()
+		fs := m.scans[key]
+		m.mu.Unlock()
+		if fs == nil {
+			var err error
+			if fs, err = r.ScanFile(ctx, c.File, carry, c.Report); err != nil {
+				return Unit{File: c.File, Err: err}
 			}
-			units <- u
+			m.mu.Lock()
+			m.scans[key] = fs
+			m.mu.Unlock()
 		}
-	}()
-	return func() (Unit, bool) {
-		u, ok := <-units
-		return u, ok
+		c.Report(fs.Rows())
+		return Unit{File: c.File, Scan: fs}
 	}
 }
 
-func encodeTails(t *testing.T, cache map[string]*FileScan, files []string) [][]byte {
+// encodeEnds encodes every memoized scan's head and tail rows, in key order.
+func (m *scanMemo) encodeEnds(t *testing.T) map[scanMemoKey][]byte {
 	t.Helper()
-	var out [][]byte
-	for _, f := range files {
+	out := make(map[scanMemoKey][]byte)
+	for key, fs := range m.scans {
 		var buf bytes.Buffer
-		if err := datagen.EncodeSamples(&buf, cache[f].Tail.Samples()); err != nil {
-			t.Fatal(err)
+		for _, c := range []*dwrf.Chunk{fs.Head, fs.Tail} {
+			if c == nil {
+				continue
+			}
+			if err := datagen.EncodeSamples(&buf, c.Samples()); err != nil {
+				t.Fatal(err)
+			}
 		}
-		out = append(out, buf.Bytes())
+		out[key] = buf.Bytes()
 	}
 	return out
+}
+
+// queueScan cuts files through a ScanQueue of the given number of workers,
+// each with its own reader under the Fill that fillOf builds for it, and
+// returns the stream and the work of the workers and the cutter together.
+// Safe off the test goroutine.
+func queueScan(t *testing.T, what string, files []string, workers int, newReader func() *Reader, fillOf func(*Reader) Fill) ([]*Batch, Stats, error) {
+	q := NewScanQueue(files, workers+1, nil)
+	fillers := make([]*Reader, workers)
+	var wg sync.WaitGroup
+	for w := range fillers {
+		fillers[w] = newReader()
+		wg.Add(1)
+		go func(r *Reader) {
+			defer wg.Done()
+			FillQueue(context.Background(), q, fillOf(r), nil)
+		}(fillers[w])
+	}
+	cutter, i := newReader(), 0
+	out, err := cutUnits(t, what, cutter, func() (Unit, bool) {
+		u, ok := q.Await(i)
+		i++
+		return u, ok
+	})
+	q.Abort()
+	wg.Wait()
+	total := cutter.Stats()
+	for _, r := range fillers {
+		total.Add(r.Stats())
+	}
+	return out, total, err
 }
 
 // TestEverySourceThroughTheCutterMatchesSerialRun is the one cutter's
 // contract. Over random tables, rows per file, batch sizes (dividing the
 // file or not) and specs, RunUnits is fed from every kind of source the
-// repo has — serial fill, a ScanQueue with 1–4 fill workers, cached scan
-// units with arithmetic alignment at read-ahead 0, 1 and 4, and scan-only
-// units the cutter re-fills itself (the fleet's shape) — and must emit the
-// serial Run's stream byte for byte, with its deterministic counters
-// wherever the source does no more work than a serial scan, while never
-// holding a full batch of pending rows and never writing to a cached
-// scan's tail (two warm consumers share each entry; run under -race).
+// repo has — serial fill, a ScanQueue of 1–4 workers under each kind of
+// Fill (decoded rows; memoized scans cut at the carry the queue's chain
+// hands out, cold and warm) and scan-only units cut at carry 0 that the
+// cutter re-fills itself (the fleet's shape) — and must emit the serial
+// Run's stream byte for byte, with its deterministic counters wherever the
+// source does no more work than a serial scan, while never holding a full
+// batch of pending rows and never writing to a memoized scan's head or
+// tail (two warm consumers share each entry; run under -race).
 func TestEverySourceThroughTheCutterMatchesSerialRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260927))
 	var sawAligned, sawCarry bool
@@ -172,81 +186,51 @@ func TestEverySourceThroughTheCutterMatchesSerialRun(t *testing.T) {
 				return Unit{}, false
 			}
 			i++
-			return cutter.FillUnit(context.Background(), env.files[i-1]), true
+			return cutter.FillUnit(context.Background(), Claim{File: env.files[i-1]}), true
 		})
 		mustEqualEncodings(t, what+", serial fill", got, want)
 		if c := counters(cutter.Stats()); c != wantCounters {
 			t.Fatalf("%s, serial fill: counters %v, serial Run %v", what, c, wantCounters)
 		}
 
-		// A ScanQueue with 1–4 fill workers.
+		// A ScanQueue of 1–4 workers, filling decoded rows and filling
+		// through a cold memo: the workers scan on every miss, and workers
+		// plus cutter do exactly a serial scan's work at any pool size.
+		var memo *scanMemo
 		for workers := 1; workers <= 4; workers++ {
-			name := fmt.Sprintf("%s, queue of %d", what, workers)
-			q := NewScanQueue(env.files, workers+1, nil)
-			fillers := make([]*Reader, workers)
-			var wg sync.WaitGroup
-			for w := range fillers {
-				fillers[w] = newReader()
-				wg.Add(1)
-				go func(r *Reader) {
-					defer wg.Done()
-					r.FillQueue(context.Background(), q, nil)
-				}(fillers[w])
-			}
-			cutter, i := newReader(), 0
-			got := cutAll(t, name, cutter, func() (Unit, bool) {
-				res, ok := q.Await(i)
-				if !ok {
-					return Unit{}, false
+			memo = &scanMemo{scans: make(map[scanMemoKey]*FileScan)}
+			for kind, fillOf := range map[string]func(*Reader) Fill{
+				"fill":      func(r *Reader) Fill { return r.FillUnit },
+				"cold memo": memo.fill,
+			} {
+				name := fmt.Sprintf("%s, queue of %d, %s", what, workers, kind)
+				out, total, err := queueScan(t, name, env.files, workers, newReader, fillOf)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
 				}
-				i++
-				return Unit{File: env.files[i-1], Chunk: res.Chunk, Err: res.Err}, true
-			})
-			q.Abort()
-			wg.Wait()
-			mustEqualEncodings(t, name, got, want)
-			total := cutter.Stats()
-			for _, r := range fillers {
-				total.Add(r.Stats())
+				mustEqualEncodings(t, name, encodeBatches(t, out), want)
+				if c := counters(total); c != wantCounters {
+					t.Fatalf("%s: counters %v, serial Run %v", name, c, wantCounters)
+				}
 			}
-			if c := counters(total); c != wantCounters {
-				t.Fatalf("%s: counters %v, serial Run %v", name, c, wantCounters)
+			if len(memo.scans) != len(env.files) {
+				t.Fatalf("%s, queue of %d: %d scans memoized for %d files (one carry per file)", what, workers, len(memo.scans), len(env.files))
 			}
 		}
 
-		// Cached scan units, cold: the source scans on every miss, and
-		// source plus cutter do exactly a serial scan's work at any depth.
-		var cache map[string]*FileScan
-		for _, depth := range []int{0, 1, 4} {
-			name := fmt.Sprintf("%s, cold cache at read-ahead %d", what, depth)
-			cache = make(map[string]*FileScan)
-			src := &scanSource{r: newReader(), files: env.files, cache: cache}
-			cutter := newReader()
-			got := cutAll(t, name, cutter, ahead(depth, src.next))
-			mustEqualEncodings(t, name, got, want)
-			total := cutter.Stats()
-			total.Add(src.r.Stats())
-			if c := counters(total); c != wantCounters {
-				t.Fatalf("%s: counters %v, serial Run %v", name, c, wantCounters)
-			}
-		}
-
-		// Warm: fill every entry (a misaligned cold pass skips the files it
-		// entered mid-batch), then two consumers share each entry at once.
-		filler := &scanSource{r: newReader(), files: env.files, cache: cache, boundaryOnly: true}
-		for _, ok := filler.next(); ok; _, ok = filler.next() {
-		}
-		tails := encodeTails(t, cache, env.files)
+		// Warm: two consumers share each entry at once, decode nothing, and
+		// convert only the batches that straddle a file boundary.
+		ends := memo.encodeEnds(t)
 		var wg sync.WaitGroup
 		warm := make([][]*Batch, 2)
+		warmWork := make([]Stats, 2)
 		warmErr := make([]error, 2)
-		for c, depth := range []int{0, 4} {
+		for c, workers := range []int{1, 4} {
 			wg.Add(1)
-			go func(c, depth int) {
+			go func(c, workers int) {
 				defer wg.Done()
-				src := &scanSource{r: newReader(), files: env.files, cache: cache}
-				warm[c], warmErr[c] = cutUnits(t, fmt.Sprintf("%s, warm consumer %d", what, c), newReader(), ahead(depth, src.next))
-			}(c, depth)
+				warm[c], warmWork[c], warmErr[c] = queueScan(t, fmt.Sprintf("%s, warm consumer %d", what, c), env.files, workers, newReader, memo.fill)
+			}(c, workers)
 		}
 		wg.Wait()
 		for c := range warm {
@@ -255,22 +239,31 @@ func TestEverySourceThroughTheCutterMatchesSerialRun(t *testing.T) {
 				t.Fatalf("%s: %v", name, warmErr[c])
 			}
 			mustEqualEncodings(t, name, encodeBatches(t, warm[c]), want)
+			if warmWork[c].RowsDecoded != 0 || warmWork[c].BatchesProduced > int64(len(env.files)) {
+				t.Fatalf("%s: decoded %d rows and converted %d batches over %d warm files", name, warmWork[c].RowsDecoded, warmWork[c].BatchesProduced, len(env.files))
+			}
 		}
-		for i, tail := range encodeTails(t, cache, env.files) {
-			if !bytes.Equal(tail, tails[i]) {
-				t.Fatalf("%s: a consumer changed the cached tail of %s", what, env.files[i])
+		for key, end := range memo.encodeEnds(t) {
+			if !bytes.Equal(end, ends[key]) {
+				t.Fatalf("%s: a consumer changed the memoized head or tail of %s at carry %d", what, key.file, key.carry)
 			}
 		}
 
-		// The fleet's shape: scans only, and the cutter re-fills what it
-		// enters mid-batch. The shards scanned every file, so the counters
-		// match a serial scan only when nothing is re-filled.
-		shard := &scanSource{r: newReader(), files: env.files, cache: map[string]*FileScan{}, boundaryOnly: true}
+		// The fleet's shape: every file cut at carry 0, and the cutter
+		// re-fills what it enters mid-batch. The shards scanned every file,
+		// so the counters match a serial scan only when nothing is re-filled.
+		shard, i := newReader(), 0
 		cutter = newReader()
-		got = cutAll(t, what+", scan-only units", cutter, shard.next)
+		got = cutAll(t, what+", scan-only units", cutter, func() (Unit, bool) {
+			if i >= len(env.files) {
+				return Unit{}, false
+			}
+			i++
+			return shard.ScanUnit(context.Background(), Claim{File: env.files[i-1]}), true
+		})
 		mustEqualEncodings(t, what+", scan-only units", got, want)
 		total := cutter.Stats()
-		total.Add(shard.r.Stats())
+		total.Add(shard.Stats())
 		if c := counters(total); env.aligned && c != wantCounters {
 			t.Fatalf("%s, scan-only units: counters %v, serial Run %v", what, c, wantCounters)
 		}
@@ -302,9 +295,14 @@ func TestScanOnlyUnitsNeedABackendToRefill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := &scanSource{r: shard, files: files, cache: map[string]*FileScan{}, boundaryOnly: true}
-	batches := 0
-	err = cutter.RunUnits(context.Background(), src.next, func(*Batch) error { batches++; return nil })
+	i, batches := 0, 0
+	err = cutter.RunUnits(context.Background(), func() (Unit, bool) {
+		if i >= len(files) {
+			return Unit{}, false
+		}
+		i++
+		return shard.ScanUnit(context.Background(), Claim{File: files[i-1]}), true
+	}, func(*Batch) error { batches++; return nil })
 	if err == nil || batches != 256/48 {
 		t.Fatalf("err = %v after %d batches; want the first file's %d batches, then a no-backend error", err, batches, 256/48)
 	}

@@ -43,6 +43,12 @@ type OrderedMerge[T any] struct {
 	// closes the merge. This is the reader half of a Follow session: the
 	// file plan grows while the scan runs.
 	open bool
+	// chainAt and chainRows are the carry chain: slots [0, chainAt) have
+	// reported their row counts and chainRows is their sum. A producer
+	// whose slot's content depends on how many rows precede it (a batch
+	// cut from a carried offset) waits in RowsBefore; producers that do
+	// not care never touch it.
+	chainAt, chainRows int
 
 	stall time.Duration // completed time Await spent blocked on missing deposits
 	// awaitSince is nonzero while Await is currently blocked; Stall folds
@@ -170,6 +176,32 @@ func (m *OrderedMerge[T]) WaitWindow(idx int) bool {
 	}
 }
 
+// RowsBefore blocks until every slot before idx has reported its row
+// count (ReportRows) and returns their sum; ok is false when the merge
+// aborts first. A slot reports only after its own RowsBefore returned, so
+// reports arrive in index order and the chain is these two ints.
+func (m *OrderedMerge[T]) RowsBefore(idx int) (rows int, ok bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for m.chainAt < idx && !m.aborted {
+		m.cond.Wait()
+	}
+	return m.chainRows, !m.aborted
+}
+
+// ReportRows records slot idx's row count as soon as its producer knows
+// it — before the slot's content exists — releasing the producer parked
+// in RowsBefore(idx+1). Idempotent per index: a repeat, or a report from
+// a producer that never joined the chain, changes nothing.
+func (m *OrderedMerge[T]) ReportRows(idx, rows int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if idx == m.chainAt {
+		m.chainAt, m.chainRows = idx+1, m.chainRows+rows
+		m.cond.Broadcast()
+	}
+}
+
 // Deposit publishes a completed slot and wakes the consumer.
 func (m *OrderedMerge[T]) Deposit(idx int, v T) {
 	m.mu.Lock()
@@ -242,7 +274,7 @@ func (m *OrderedMerge[T]) SetWindow(n int) {
 	m.cond.Broadcast()
 }
 
-// Abort wakes every blocked Claim, WaitWindow, and Await with
+// Abort wakes every blocked Claim, WaitWindow, RowsBefore, and Await with
 // ok == false. Idempotent; called on teardown and after the consumer
 // finishes, so producers parked on a full window never outlive the
 // merge.

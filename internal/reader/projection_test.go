@@ -170,7 +170,7 @@ func TestProjectedFillMatchesFullFill(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := one.fill(ctx, f); err != nil {
+			if _, err := one.fill(ctx, f, nil); err != nil {
 				t.Fatal(err)
 			}
 			got := one.Stats().ReadBytes
@@ -209,7 +209,7 @@ func TestProjectedFillMatchesFullFill(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				worker.FillQueue(ctx, q, nil)
+				FillQueue(ctx, q, worker.FillUnit, nil)
 				mu.Lock()
 				poolStats.Add(worker.Stats())
 				mu.Unlock()
@@ -353,7 +353,7 @@ func TestFileScanMemBytesChargesTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	files, _ := env.catalog.AllFiles("tbl")
-	fs, err := r.ScanFile(context.Background(), files[0])
+	fs, err := r.ScanFile(context.Background(), files[0], 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

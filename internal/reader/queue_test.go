@@ -22,19 +22,19 @@ func TestScanQueueOrderedMerge(t *testing.T) {
 	var idxs []int
 	var files []string
 	for {
-		idx, f, ok := q.Claim()
+		c, ok := q.Claim()
 		if !ok {
 			break
 		}
-		idxs = append(idxs, idx)
-		files = append(files, f)
+		idxs = append(idxs, c.Index)
+		files = append(files, c.File)
 	}
 	if len(idxs) != 4 {
 		t.Fatalf("claimed %d files, want 4", len(idxs))
 	}
 	// Deposit in reverse claim order.
 	for i := len(idxs) - 1; i >= 0; i-- {
-		q.Deposit(idxs[i], FileResult{Err: errors.New(files[i])})
+		q.Deposit(idxs[i], Unit{Err: errors.New(files[i])})
 	}
 	for i := 0; i < 4; i++ {
 		res, ok := q.Await(i)
@@ -56,17 +56,17 @@ func TestScanQueueOrderedMerge(t *testing.T) {
 func TestScanQueueWindowBound(t *testing.T) {
 	q := NewScanQueue(queueFiles(5), 2, nil)
 	for i := 0; i < 2; i++ {
-		idx, _, ok := q.Claim()
-		if !ok || idx != i {
-			t.Fatalf("claim %d = (%d, %v)", i, idx, ok)
+		c, ok := q.Claim()
+		if !ok || c.Index != i {
+			t.Fatalf("claim %d = (%d, %v)", i, c.Index, ok)
 		}
-		q.Deposit(idx, FileResult{})
+		q.Deposit(c.Index, Unit{})
 	}
 	claimed := make(chan int, 1)
 	go func() {
-		idx, _, ok := q.Claim()
+		c, ok := q.Claim()
 		if ok {
-			claimed <- idx
+			claimed <- c.Index
 		}
 		close(claimed)
 	}()
@@ -90,9 +90,9 @@ func TestScanQueueWindowBound(t *testing.T) {
 	// Growing the window unblocks a parked claimer too.
 	blocked := make(chan int, 1)
 	go func() {
-		idx, _, ok := q.Claim()
+		c, ok := q.Claim()
 		if ok {
-			blocked <- idx
+			blocked <- c.Index
 		}
 		close(blocked)
 	}()
@@ -116,14 +116,14 @@ func TestScanQueueWindowBound(t *testing.T) {
 // ok == false, and later calls observe the same.
 func TestScanQueueAbort(t *testing.T) {
 	q := NewScanQueue(queueFiles(3), 1, nil)
-	if idx, _, ok := q.Claim(); !ok || idx != 0 {
-		t.Fatalf("claim = (%d, %v)", idx, ok)
+	if c, ok := q.Claim(); !ok || c.Index != 0 {
+		t.Fatalf("claim = (%d, %v)", c.Index, ok)
 	}
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() { // blocked claimer (window full)
 		defer wg.Done()
-		if _, _, ok := q.Claim(); ok {
+		if _, ok := q.Claim(); ok {
 			t.Error("claim succeeded after abort")
 		}
 	}()
@@ -136,7 +136,7 @@ func TestScanQueueAbort(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 	q.Abort()
 	wg.Wait()
-	if _, _, ok := q.Claim(); ok {
+	if _, ok := q.Claim(); ok {
 		t.Fatal("claim succeeded on an aborted queue")
 	}
 }
@@ -158,8 +158,8 @@ func TestScanQueueStallClock(t *testing.T) {
 	}
 
 	q := NewScanQueue(queueFiles(2), 2, clock)
-	idx0, _, _ := q.Claim()
-	q.Deposit(idx0, FileResult{})
+	c0, _ := q.Claim()
+	q.Deposit(c0.Index, Unit{})
 	if _, ok := q.Await(0); !ok {
 		t.Fatal("Await(0) failed")
 	}
@@ -176,8 +176,8 @@ func TestScanQueueStallClock(t *testing.T) {
 	}()
 	time.Sleep(20 * time.Millisecond) // let the awaiter park and stamp its start
 	advance(7 * time.Millisecond)
-	idx1, _, _ := q.Claim()
-	q.Deposit(idx1, FileResult{})
+	c1, _ := q.Claim()
+	q.Deposit(c1.Index, Unit{})
 	<-done
 	if st := q.Stall(); st != 7*time.Millisecond {
 		t.Fatalf("blocked Await charged %v stall, want 7ms", st)
@@ -196,9 +196,9 @@ func TestFillQueueStopCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.FillQueue(t.Context(), q, func() bool { return true })
-	if idx, _, ok := q.Claim(); !ok || idx != 0 {
-		t.Fatalf("stopped worker consumed a claim: next claim = (%d, %v), want (0, true)", idx, ok)
+	FillQueue(t.Context(), q, r.FillUnit, func() bool { return true })
+	if c, ok := q.Claim(); !ok || c.Index != 0 {
+		t.Fatalf("stopped worker consumed a claim: next claim = (%d, %v), want (0, true)", c.Index, ok)
 	}
 }
 

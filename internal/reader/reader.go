@@ -135,7 +135,7 @@ func (r *Reader) Run(ctx context.Context, files []string, emit func(*Batch) erro
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			r.FillQueue(ctx, q, nil)
+			FillQueue(ctx, q, r.FillUnit, nil)
 		}()
 		defer wg.Wait() // runs after the Abort: never leak a filling goroutine
 		defer q.Abort()
@@ -147,46 +147,67 @@ func (r *Reader) Run(ctx context.Context, files []string, emit func(*Batch) erro
 			return Unit{}, false
 		}
 		i++
-		return r.FillUnit(ctx, files[i-1]), true
+		return r.FillUnit(ctx, Claim{File: files[i-1]}), true
 	}, emit)
 }
 
 // Unit is one file's contribution to a batch stream, the item every source
 // hands the cutter (RunUnits) in file order: the file's decoded rows, or
-// the file already cut into batches as if entered on a batch boundary
-// (a FileScan, possibly shared with other sessions), or the error that
-// ends the stream at this file.
+// the file already cut into batches as if entered with Scan.Carry rows
+// pending (a FileScan; Hit marks one a cache served, shared with other
+// sessions), or the error that ends the stream at this file.
 type Unit struct {
 	File  string
 	Chunk *dwrf.Chunk
 	Scan  *FileScan
+	Hit   bool
 	Err   error
 }
 
-// FillUnit fills one file and wraps its decoded rows as a Unit.
-func (r *Reader) FillUnit(ctx context.Context, file string) Unit {
-	chunk, err := r.fill(ctx, file)
-	return Unit{File: file, Chunk: chunk, Err: err}
+// FillUnit is the Fill of an unshared batch scan: it fills one file and
+// wraps its decoded rows as a Unit for the cutter to cut and convert.
+func (r *Reader) FillUnit(ctx context.Context, c Claim) Unit {
+	chunk, err := r.fill(ctx, c.File, nil)
+	return Unit{File: c.File, Chunk: chunk, Err: err}
 }
 
 // RunUnits is the cutter: the one place rows carry across a file boundary.
 // It pulls units from next in file order, checks schema consistency, cuts
 // fixed-size batches, and emits any leftover rows as a final short batch —
 // the same stream, byte for byte, whichever source feeds it (serial fill,
-// a ScanQueue, a shared-scan source, a fleet of shards).
+// a ScanQueue under any Fill, a fleet of shards).
 //
 // Batches are cut as row ranges of the file's column chunk. Only rows that
 // straddle a file boundary are copied: they collect in pending, which
-// therefore never holds a full batch and never pins a file's chunk. With
-// nothing pending, a unit that is already cut passes its batches through
-// untouched and its tail becomes the pending rows; with rows pending the
-// file's own batch boundaries are the wrong ones, so the cutter cuts the
-// unit's chunk instead — filling the file itself when the source sent only
-// the scan.
+// therefore never holds a full batch and never pins a file's chunk. A unit
+// that is already cut is usable when it was cut for exactly the rows now
+// pending (Scan.Carry): its head completes the straddling batch — the one
+// batch of the file this scan converts itself, since it holds rows of two
+// files — its batches pass through untouched and its tail becomes the
+// pending rows. Cut for any other carry, the file's batch boundaries are
+// the wrong ones, so the cutter cuts the unit's chunk instead — filling the
+// file itself when the source sent only the scan.
 func (r *Reader) RunUnits(ctx context.Context, next func() (Unit, bool), emit func(*Batch) error) error {
 	pending := &dwrf.Chunk{}
 	nKeys := -1
 	batch := r.spec.BatchSize
+	// carryIn copies rows onto the pending ones and, when that completes a
+	// batch, produces it. Copied, never adopted: the rows may belong to a
+	// cache entry other sessions are reading.
+	carryIn := func(file string, rows *dwrf.Chunk) error {
+		if rows == nil || rows.Rows() == 0 {
+			return nil
+		}
+		if err := pending.Append(rows); err != nil {
+			return fmt.Errorf("reader: file %q: %w", file, err)
+		}
+		if pending.Rows() < batch {
+			return nil
+		}
+		full := pending
+		pending = &dwrf.Chunk{}
+		return r.produce(ctx, full, emit)
+	}
 
 	for {
 		if err := ctx.Err(); err != nil {
@@ -200,12 +221,12 @@ func (r *Reader) RunUnits(ctx context.Context, next func() (Unit, bool), emit fu
 			return u.Err
 		}
 		ch := u.Chunk
-		if ch == nil && pending.Rows() > 0 {
+		if ch == nil && pending.Rows() != u.Scan.Carry {
 			if r.store == nil {
 				return fmt.Errorf("reader: file %q entered mid-batch but the fleet has no local backend to re-fill it (misaligned spec needs Config.Backend)", u.File)
 			}
 			var err error
-			if ch, err = r.fill(ctx, u.File); err != nil {
+			if ch, err = r.fill(ctx, u.File, nil); err != nil {
 				return err
 			}
 		}
@@ -221,31 +242,24 @@ func (r *Reader) RunUnits(ctx context.Context, next func() (Unit, bool), emit fu
 			return fmt.Errorf("reader: file %q schema mismatch (%d vs %d features)", u.File, width, nKeys)
 		}
 		if ch == nil {
+			if err := carryIn(u.File, u.Scan.Head); err != nil {
+				return err
+			}
 			for _, b := range u.Scan.Batches {
 				if err := emit(b); err != nil {
 					return err
 				}
 			}
-			// Copied, never adopted: the scan may be a cache entry other
-			// sessions are reading.
-			if tail := u.Scan.Tail; tail != nil && tail.Rows() > 0 {
-				if err := pending.Append(tail); err != nil {
-					return fmt.Errorf("reader: file %q: %w", u.File, err)
-				}
+			if err := carryIn(u.File, u.Scan.Tail); err != nil {
+				return err
 			}
 			continue
 		}
 		lo, n := 0, ch.Rows()
 		if pending.Rows() > 0 {
 			lo = min(batch-pending.Rows(), n)
-			if err := pending.Append(ch.Slice(0, lo)); err != nil {
-				return fmt.Errorf("reader: file %q: %w", u.File, err)
-			}
-			if pending.Rows() == batch {
-				if err := r.produce(ctx, pending, emit); err != nil {
-					return err
-				}
-				pending = &dwrf.Chunk{}
+			if err := carryIn(u.File, ch.Slice(0, lo)); err != nil {
+				return err
 			}
 		}
 		for ; lo+batch <= n; lo += batch {
@@ -253,10 +267,8 @@ func (r *Reader) RunUnits(ctx context.Context, next func() (Unit, bool), emit fu
 				return err
 			}
 		}
-		if lo < n {
-			if err := pending.Append(ch.Slice(lo, n)); err != nil {
-				return fmt.Errorf("reader: file %q: %w", u.File, err)
-			}
+		if err := carryIn(u.File, ch.Slice(lo, n)); err != nil {
+			return err
 		}
 	}
 	if err := ctx.Err(); err != nil {
@@ -337,8 +349,11 @@ func (r *Reader) open(path string) (int64, dwrf.Fetch, error) {
 // streams of the row metadata, the dense features and the consumed sparse
 // features — a spec that consumes every column fetches exactly the file.
 // ReadBytes and the fetch cost model charge each range as it is fetched.
-// Cancellation is honoured before the fetch and between stripes.
-func (r *Reader) fill(ctx context.Context, path string) (*dwrf.Chunk, error) {
+// Cancellation is honoured before the fetch and between stripes. A non-nil
+// onRows is told the file's row count as soon as the footer is parsed,
+// before any stripe is fetched (a successful fill returns exactly that
+// many rows: every stripe is checked against the footer).
+func (r *Reader) fill(ctx context.Context, path string, onRows func(rows int)) (*dwrf.Chunk, error) {
 	start := time.Now()
 	defer func() { r.stats.FillTime += time.Since(start) }()
 
@@ -357,6 +372,9 @@ func (r *Reader) fill(ctx context.Context, path string) (*dwrf.Chunk, error) {
 	})
 	if err != nil {
 		return nil, fmt.Errorf("reader: %s: %w", path, err)
+	}
+	if onRows != nil {
+		onRows(fr.NumRows())
 	}
 	cols, err := resolveColumns(r.consumed, fr.SparseKeys())
 	if err != nil {

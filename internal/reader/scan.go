@@ -7,20 +7,32 @@ import (
 )
 
 // FileScan is the file-aligned unit of work the cross-session scan cache
-// (dpp.ScanCache) shares between sessions: every complete batch that can
-// be cut from one file's rows alone, plus the leftover tail rows that
-// must carry into the next file of a multi-file scan.
+// (dpp.ScanCache) shares between sessions: one file cut for a scan that
+// enters it with Carry rows pending — the rows that complete the
+// straddling batch, every complete batch that can be cut from the file's
+// rows alone after them, and the leftover tail rows that carry into the
+// next file of a multi-file scan.
 //
-// A FileScan is immutable once built. Its Batches and Tail may be handed
-// to any number of concurrent consumers; batches never alias reader
+// A FileScan is immutable once built. Its Batches, Head and Tail may be
+// handed to any number of concurrent consumers; batches never alias reader
 // scratch (the dedup tables are reset, not shared), and conversion copies
-// row data, so consumers of cached batches and holders of Tail rows never
-// observe each other.
+// row data, so consumers of cached batches and holders of Head or Tail
+// rows never observe each other.
 type FileScan struct {
-	// Batches are the complete batches cut from the file's rows, in row
-	// order. When a scan enters the file with no pending rows, these are
-	// byte-identical to the batches an uncached serial Run would emit
-	// while inside the file.
+	// Carry is how many rows were pending when the scan entered the file
+	// (fewer than the spec's batch size); the scan is the right cut of the
+	// file for exactly the streams that arrive with that many. 0 is a file
+	// entered on a batch boundary — what a fleet shard always serves.
+	Carry int
+	// Head holds the file's first min(batch − Carry, rows) rows when Carry
+	// is nonzero: the rows that join the pending ones in the batch that
+	// straddles the file boundary, which only the consuming scan can
+	// convert. Owns its storage, like Tail. Nil when Carry is 0.
+	Head *dwrf.Chunk
+	// Batches are the complete batches cut from the file's rows after
+	// Head, in row order: byte-identical to the batches an uncached serial
+	// Run that entered the file with Carry rows pending would emit while
+	// inside the file.
 	Batches []*Batch
 	// Tail holds the rows after the last complete batch (always fewer
 	// than the spec's batch size), as a chunk of the spec's consumed
@@ -34,37 +46,61 @@ type FileScan struct {
 	Dense int
 }
 
+// Rows is the file's row count: what the scan adds to a carry chain.
+func (fs *FileScan) Rows() int {
+	n := 0
+	for _, b := range fs.Batches {
+		n += b.Size
+	}
+	for _, c := range []*dwrf.Chunk{fs.Head, fs.Tail} {
+		if c != nil {
+			n += c.Rows()
+		}
+	}
+	return n
+}
+
 // MemBytes estimates the resident size of the scan for cache-budget
-// accounting: encoded batch bytes plus what the tail rows pin. An estimate
-// is sufficient — the cache budget bounds order-of-magnitude memory, not
-// exact allocation.
+// accounting: encoded batch bytes plus what the head and tail rows pin. An
+// estimate is sufficient — the cache budget bounds order-of-magnitude
+// memory, not exact allocation.
 func (fs *FileScan) MemBytes() int64 {
 	var total int64
 	for _, b := range fs.Batches {
 		total += int64(b.WireBytes())
 	}
-	if fs.Tail != nil {
-		total += fs.Tail.MemBytes()
+	for _, c := range []*dwrf.Chunk{fs.Head, fs.Tail} {
+		if c != nil {
+			total += c.MemBytes()
+		}
 	}
 	return total
 }
 
-// ScanFile fills one file and cuts its rows into complete batches,
-// returning them with the leftover tail. All stages charge the reader's
-// Stats exactly as Run does, so a stream the cutter assembles from
-// ScanFile units reports the same deterministic counters as a serial Run
-// over the same files.
+// ScanFile fills one file and cuts its rows for a scan entering it with
+// carry rows pending (0 ≤ carry < batch): the head that completes the
+// straddling batch, the complete batches after it, the leftover tail. All
+// stages charge the reader's Stats exactly as Run does, so a stream the
+// cutter assembles from ScanFile units cut at its own carries reports the
+// same deterministic counters as a serial Run over the same files. onRows,
+// when non-nil, hears the file's row count as soon as the footer is parsed.
 //
 // This is the compute function behind dpp.ScanCache entries: the result
-// depends only on (file contents, Spec.Fingerprint()), which is what
-// makes memoizing it sound.
-func (r *Reader) ScanFile(ctx context.Context, file string) (*FileScan, error) {
-	chunk, err := r.fill(ctx, file)
+// depends only on (file contents, Spec.Fingerprint(), carry), which is
+// what makes memoizing it sound.
+func (r *Reader) ScanFile(ctx context.Context, file string, carry int, onRows func(rows int)) (*FileScan, error) {
+	chunk, err := r.fill(ctx, file, onRows)
 	if err != nil {
 		return nil, err
 	}
-	fs := &FileScan{Keys: chunk.Keys(), Dense: chunk.DenseWidth()}
+	fs := &FileScan{Carry: carry, Keys: chunk.Keys(), Dense: chunk.DenseWidth()}
 	lo, n, batch := 0, chunk.Rows(), r.spec.BatchSize
+	// A cached scan outlives the fill: head and tail are copied out so that
+	// they pin their own rows, not the file's whole chunk.
+	if carry > 0 {
+		lo = min(batch-carry, n)
+		fs.Head = chunk.Slice(0, lo).Clone()
+	}
 	for ; lo+batch <= n; lo += batch {
 		b, err := r.produceBatch(chunk.Slice(lo, lo+batch))
 		if err != nil {
@@ -72,8 +108,14 @@ func (r *Reader) ScanFile(ctx context.Context, file string) (*FileScan, error) {
 		}
 		fs.Batches = append(fs.Batches, b)
 	}
-	// A cached scan outlives the fill: the tail is copied out so that it
-	// pins its own rows, not the file's whole chunk.
 	fs.Tail = chunk.Slice(lo, n).Clone()
 	return fs, nil
+}
+
+// ScanUnit is the Fill of an unshared file-unit scan: the file cut as if
+// entered on a batch boundary (the consumer of a unit stream cuts the
+// carry itself), wrapped as a Unit.
+func (r *Reader) ScanUnit(ctx context.Context, c Claim) Unit {
+	scan, err := r.ScanFile(ctx, c.File, 0, nil)
+	return Unit{File: c.File, Scan: scan, Err: err}
 }

@@ -65,7 +65,7 @@ func composeScan(t *testing.T, r *Reader, files []string) []*Batch {
 	var dense int
 	for _, f := range files {
 		if len(carry) == 0 {
-			fs, err := r.ScanFile(ctx, f)
+			fs, err := r.ScanFile(ctx, f, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -174,7 +174,7 @@ func TestFileScanMemBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs, err := r.ScanFile(context.Background(), files[0])
+	fs, err := r.ScanFile(context.Background(), files[0], 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,6 +15,10 @@
 #      only on the unit wire (dppnet) and in the row adapters the frozen
 #      benchmark times; a session or the fleet merge that imports the row
 #      type has regrown the row detour the one cutter replaced.
+#   5. Every test or fuzz target docs/ARCHITECTURE.md's determinism table
+#      cites as `pkg.TestName` / `pkg.FuzzName` must exist in a package of
+#      that name (`go test -list`), so a renamed or deleted test cannot
+#      leave a row that pins nothing.
 #
 # Usage: scripts/docs-check.sh
 set -euo pipefail
@@ -97,8 +101,29 @@ if go list -f '{{.ImportPath}} {{join .Imports " "}}' ./internal/dpp ./internal/
     fail=1
 fi
 
+# --- 5. the determinism table names tests that exist ---------------------
+# "<dir basename>.<Name>" per test and fuzz target of every package. The
+# pipeline may fail only in go test -list (a package that does not compile
+# fails the check); awk and sort cannot.
+listed=$(go test -list '^(Test|Fuzz)' ./... | awk '
+    /^(Test|Fuzz)/ { names[++n] = $1 }
+    /^ok/ { k = split($2, parts, "/"); for (i = 1; i <= n; i++) print parts[k] "." names[i]; n = 0 }
+' | sort -u) || { echo "docs: go test -list failed"; fail=1; }
+cited=$(awk '/^## Determinism contracts/ { on = 1; next } /^## / { on = 0 } on && /^\|/' docs/ARCHITECTURE.md \
+    | grep -oE '`[a-z]+\.(Test|Fuzz)[A-Za-z0-9_]+`' | tr -d '`' | sort -u)
+if [[ -z "$cited" ]]; then
+    echo "docs: found no pkg.TestName citations in ARCHITECTURE.md's determinism table"
+    fail=1
+fi
+for name in $cited; do
+    if ! grep -qxF "$name" <<<"$listed"; then
+        echo "docs: ARCHITECTURE.md's determinism table cites $name, which go test -list does not know"
+        fail=1
+    fi
+done
+
 if [[ "$fail" -ne 0 ]]; then
     echo "docs: FAIL"
     exit 1
 fi
-echo "docs: OK (package comments, go fences, links, import guard)"
+echo "docs: OK (package comments, go fences, links, import guard, determinism-table tests)"

@@ -30,11 +30,14 @@
 #      notice; they fail over to the surviving shard with zero stream
 #      errors, the soak reports nonzero drain handoffs, and the drained
 #      server exits 0.
-#   7. Live tail: a -follow server hosts the landing writer while a
-#      -follow trainer tails the growing table in windows and drains the
-#      remainder after EndFollow. Gates: the trainer exits 0 with zero
-#      stream errors (any mid-stream error is fatal to it) and the
-#      server's final scrape shows nonzero recd_landed_files_total.
+#   7. Live tail: a -follow server hosts the landing writer while two
+#      -follow trainers tail the growing table at once, in windows, and
+#      drain the remainder after EndFollow. Their tails are ShareScans
+#      sessions, so the second to reach a landed file is served the
+#      first's decode. Gates: both trainers exit 0 with zero stream
+#      errors (any mid-stream error is fatal to them) and print "follow
+#      tail ended", and the server's final scrape shows nonzero
+#      recd_landed_files_total and recd_scancache_hits_total.
 #
 # Gates are deliberately loose (CI runners are slow shared machines);
 # tighten locally via the SOAK_* variables.
@@ -58,7 +61,7 @@ DRAIN_TABLE_FLAGS=(-sessions 2500 -batch 64)
 
 bin=$(mktemp -d)
 servelog="$bin/serve.log"
-trap 'kill "${serve_pid:-}" "${serve2_pid:-}" 2>/dev/null || true; rm -rf "$bin"' EXIT
+trap 'kill $(jobs -p) 2>/dev/null || true; rm -rf "$bin"' EXIT
 
 go build -o "$bin/recd-serve" ./cmd/recd-serve
 go build -o "$bin/recd-soak" ./cmd/recd-soak
@@ -172,10 +175,11 @@ echo "soak-smoke: $handoffs stream(s) handed off across the shard drain"
 kill -TERM "$serve_pid"
 wait "$serve_pid" || true
 
-# Live tail: the server hosts the landing writer (-follow), the trainer
-# tails the growing table over the wire. The trainer treats any stream
-# error as fatal, so its exit code is the zero-stream-errors gate; the
-# sidecar's recd_landed_files_total proves the writer really landed.
+# Live tail: the server hosts the landing writer (-follow), two trainers
+# tail the growing table over the wire at the same time. A trainer treats
+# any stream error as fatal, so its exit code is the zero-stream-errors
+# gate; the sidecar's recd_landed_files_total proves the writer really
+# landed, and recd_scancache_hits_total that the two tails shared a decode.
 go build -o "$bin/recd-train" ./cmd/recd-train
 "$bin/recd-serve" -listen "$SOAK_SERVE_ADDR" "${TABLE_FLAGS[@]}" \
     -follow -flush-interval 150ms -obs-listen "$SOAK_OBS_ADDR" >"$servelog" 2>&1 &
@@ -184,26 +188,39 @@ for _ in $(seq 120); do
     curl -sf "http://$SOAK_OBS_ADDR/healthz" >/dev/null 2>&1 && break
     sleep 0.25
 done
-taillog="$bin/train-tail.log"
-if ! "$bin/recd-train" -connect "$SOAK_SERVE_ADDR" -follow -epochs 2 >"$taillog" 2>&1; then
-    echo "soak-smoke: live-tail trainer hit a stream error" >&2
-    cat "$taillog" "$servelog" >&2
-    exit 1
-fi
-if ! grep -q "follow tail ended" "$taillog"; then
-    echo "soak-smoke: live-tail trainer never drained its tail" >&2
-    cat "$taillog" >&2
-    exit 1
-fi
-landed=$(curl -sf "http://$SOAK_OBS_ADDR/metrics" \
-    | awk '$1 ~ /^recd_landed_files_total/ {s+=$2} END {print s+0}')
+tail_pids=()
+for i in 1 2; do
+    "$bin/recd-train" -connect "$SOAK_SERVE_ADDR" -follow -epochs 2 >"$bin/train-tail$i.log" 2>&1 &
+    tail_pids+=($!)
+done
+for i in 1 2; do
+    taillog="$bin/train-tail$i.log"
+    if ! wait "${tail_pids[$((i - 1))]}"; then
+        echo "soak-smoke: live-tail trainer $i hit a stream error" >&2
+        cat "$taillog" "$servelog" >&2
+        exit 1
+    fi
+    if ! grep -q "follow tail ended" "$taillog"; then
+        echo "soak-smoke: live-tail trainer $i never drained its tail" >&2
+        cat "$taillog" >&2
+        exit 1
+    fi
+done
+metrics=$(curl -sf "http://$SOAK_OBS_ADDR/metrics")
+landed=$(awk '$1 ~ /^recd_landed_files_total/ {s+=$2} END {print s+0}' <<<"$metrics")
 if [ "${landed%%.*}" -lt 1 ]; then
     echo "soak-smoke: live-tail server landed no files (recd_landed_files_total=$landed)" >&2
     cat "$servelog" >&2
     exit 1
 fi
-cat "$taillog"
-echo "soak-smoke: live tail landed $landed file(s), zero stream errors"
+shared=$(awk '$1 ~ /^recd_scancache_hits_total/ {s+=$2} END {print s+0}' <<<"$metrics")
+if [ "${shared%%.*}" -lt 1 ]; then
+    echo "soak-smoke: two tailers shared no decode (recd_scancache_hits_total=$shared)" >&2
+    cat "$servelog" >&2
+    exit 1
+fi
+cat "$bin/train-tail1.log"
+echo "soak-smoke: live tail landed $landed file(s), two tailers shared $shared scan(s), zero stream errors"
 kill -TERM "$serve_pid"
 wait "$serve_pid" || true
 

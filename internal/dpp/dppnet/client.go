@@ -327,7 +327,7 @@ func decodeBatch(payload []byte, want int64, chain uint64) (*reader.Batch, uint6
 	if chain = chainStep(chain, body); chain != fchain {
 		return nil, 0, fmt.Errorf("dppnet: stream hash mismatch at batch %d", idx)
 	}
-	b, err := reader.DecodeBatch(bytes.NewReader(body))
+	b, _, err := reader.DecodeBatchFrom(body)
 	if err != nil {
 		return nil, 0, fmt.Errorf("dppnet: corrupt batch frame: %w", err)
 	}

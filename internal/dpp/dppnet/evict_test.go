@@ -16,10 +16,10 @@ import (
 // session behind it.
 type stubStream struct{ closed atomic.Bool }
 
-func (s *stubStream) next(context.Context) ([]byte, error) { return nil, io.EOF }
-func (s *stubStream) stats() dpp.SessionStats              { return dpp.SessionStats{} }
-func (s *stubStream) close() error                         { s.closed.Store(true); return nil }
-func (s *stubStream) frameType() byte                      { return frameBatch }
+func (s *stubStream) next(context.Context) (frame, error) { return frame{}, io.EOF }
+func (s *stubStream) recycle(frame)                       {}
+func (s *stubStream) stats() dpp.SessionStats             { return dpp.SessionStats{} }
+func (s *stubStream) close() error                        { s.closed.Store(true); return nil }
 
 // TestResumeCapacityEvictionPrefersOldestPark is the regression test for
 // the eviction tiebreak: entries parked within one clock tick share an

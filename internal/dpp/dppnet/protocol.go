@@ -37,7 +37,7 @@
 //
 // Sessions are resumable objects, not connection-scoped ones: a
 // resumable handshake returns an opaque token in ok, every batch and
-// file-unit frame is stamped with its stream index and a rolling FNV-64a
+// file-unit frame is stamped with its stream index and a rolling XXH64
 // chain hash, and a reconnecting client presents (token, consumed
 // offset) to continue byte-where-it-left-off. The server parks the live
 // session state of a dropped resumable connection in a bounded,
@@ -52,6 +52,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"repro/internal/dpp"
@@ -73,12 +74,25 @@ import (
 // version 6 added live tailing (the handshake spec's follow flag, the
 // server-pushed extend frame announcing files landed mid-stream, and
 // the client's end-follow frame that ends the tail and lets the stream
-// drain to a normal EOF). The bump keeps a mixed-version pair from
-// handshaking and then mis-decoding the stream.
+// drain to a normal EOF); version 7 changed the rolling chain hash from
+// byte-at-a-time FNV-64a to XXH64 (chain.go) — every frame layout is as
+// in version 6, every stamp's value differs. The bump keeps a
+// mixed-version pair from handshaking and then mis-decoding the stream:
+// the server answers any other version with an error frame, whose framing
+// has not changed since version 1 (versionRefusal).
 const (
 	protoMagic   = "DPPN"
-	protoVersion = 6
+	protoVersion = 7
 )
+
+// versionRefusal is what a client speaking version v is told: which
+// version it spoke, which one is spoken here, and what to do about it.
+func versionRefusal(v byte) error {
+	if v < protoVersion {
+		return fmt.Errorf("dppnet: protocol v%d retired: v%d changed the stream hash; rebuild the client", v, protoVersion)
+	}
+	return fmt.Errorf("dppnet: protocol v%d is newer than this server's v%d; upgrade the server", v, protoVersion)
+}
 
 // Frame types. Client→server frames are small control messages; all bulk
 // payload flows server→client.
@@ -110,7 +124,7 @@ const (
 	// batches, and raw tail rows. Fleet shards stream these instead of
 	// batch frames so the client-side merge can cut carry-crossing
 	// batches itself. Since protocol v4 the payload is prefixed with the
-	// stream's rolling chain hash (see encodeUnitFrame).
+	// stream's rolling chain hash (see sealFrame).
 	frameFileUnit = byte(0x16)
 	// frameTablez answers a tablez handshake with the JSON TableMeta of
 	// the served table: name, dense width, file plan per partition, and
@@ -145,7 +159,7 @@ const (
 // frames (handshake with its spec and file list, credits, close), which
 // are orders of magnitude smaller. A peer announcing more is
 // protocol-corrupt and fails before any payload is read. Within the
-// bound, readFrame additionally allocates in chunks as bytes actually
+// bound, readFrameInto additionally allocates in chunks as bytes actually
 // arrive, so a forged length prefix with no payload behind it costs a
 // peer at most one chunk — never the declared size.
 const (
@@ -338,9 +352,21 @@ func writeFrame(w io.Writer, typ byte, payload []byte) error {
 }
 
 // readFrame reads one framed message whose declared payload length is
-// within limit, growing the payload buffer chunk by chunk as bytes
-// arrive.
+// within limit into a buffer of its own.
 func readFrame(r reader.ByteReader, limit uint64) (byte, []byte, error) {
+	var buf []byte
+	return readFrameInto(r, limit, &buf)
+}
+
+// readFrameInto is readFrame into *buf's storage: the returned payload
+// aliases it and is valid until the buffer's next use. A frame that fits
+// is read in place and costs no allocation. One that does not has only
+// claimed its length so far, so its bytes are collected a chunk at a time
+// as they arrive, and *buf is replaced — by a buffer of exactly the
+// declared size, not the next doubling — only once they all have: a
+// forged length never costs more than one chunk beyond the bytes behind
+// it, and *buf ends as large as the largest frame seen, no larger.
+func readFrameInto(r reader.ByteReader, limit uint64, buf *[]byte) (byte, []byte, error) {
 	typ, err := r.ReadByte()
 	if err != nil {
 		return 0, nil, err
@@ -352,17 +378,25 @@ func readFrame(r reader.ByteReader, limit uint64) (byte, []byte, error) {
 	if n > limit {
 		return 0, nil, fmt.Errorf("dppnet: frame of %d bytes exceeds limit %d", n, limit)
 	}
-	payload := make([]byte, 0, int(min(n, frameReadChunk)))
-	for uint64(len(payload)) < n {
-		chunk := n - uint64(len(payload))
-		if chunk > frameReadChunk {
-			chunk = frameReadChunk
+	switch {
+	case n <= uint64(cap(*buf)):
+	case n <= frameReadChunk:
+		*buf = make([]byte, n)
+	default:
+		var chunks [][]byte
+		for got := uint64(0); got < n; got += frameReadChunk {
+			chunk := make([]byte, min(n-got, frameReadChunk))
+			if _, err := io.ReadFull(r, chunk); err != nil {
+				return 0, nil, fmt.Errorf("dppnet: frame body: %w", err)
+			}
+			chunks = append(chunks, chunk)
 		}
-		start := len(payload)
-		payload = append(payload, make([]byte, int(chunk))...)
-		if _, err := io.ReadFull(r, payload[start:]); err != nil {
-			return 0, nil, fmt.Errorf("dppnet: frame body: %w", err)
-		}
+		*buf = slices.Concat(chunks...)
+		return typ, *buf, nil
+	}
+	payload := (*buf)[:n]
+	if _, err := io.ReadFull(r, payload); err != nil {
+		return 0, nil, fmt.Errorf("dppnet: frame body: %w", err)
 	}
 	return typ, payload, nil
 }
@@ -431,51 +465,49 @@ func decodeSessionStats(r reader.ByteReader) (dpp.SessionStats, error) {
 	return st, nil
 }
 
-// The rolling stream hash is a chained FNV-64a: the chain starts at the
-// FNV offset basis and each frame folds its canonical content bytes into
-// the running value. Server and client compute it independently per
-// frame, and the server stamps its value on the frame — so one 8-byte
-// comparison per frame verifies the whole prefix, and a resumed or
-// failed-over stream that diverges anywhere is caught at the first
-// divergent frame.
-const (
-	chainSeed  = uint64(0xcbf29ce484222325)
-	chainPrime = uint64(0x100000001b3)
-)
+// frameReserve is the room a stream frame's buffer keeps in front of its
+// content for what can only be written once the content is: the type
+// byte, the uvarint payload length, the uvarint stream index and the
+// 8-byte chain hash.
+const frameReserve = 1 + 2*binary.MaxVarintLen64 + 8
 
-// chainStep folds data into the rolling FNV-64a chain value.
-func chainStep(h uint64, data []byte) uint64 {
-	for _, b := range data {
-		h ^= uint64(b)
-		h *= chainPrime
-	}
-	return h
+// frame is one batch or file-unit frame, built in place in a recyclable
+// buffer: the content is encoded at buf[frameReserve:], then seal writes
+// the header right-aligned against it, so the frame is one slice and goes
+// out in one Write with no copy of the content.
+type frame struct {
+	buf []byte
+	// buf[head:] is the frame, buf[body:] its payload (stamp | content).
+	head, body int
 }
 
-// chainUnit folds a file-unit payload (encodeFileUnit wire form) into
-// the chain, skipping the cache-hit byte that follows the leading index
-// uvarint: Hit depends on cache state, not stream content, so a resumed
-// stream's re-decoded units must hash identically to the original's
-// cache hits.
-func chainUnit(h uint64, unit []byte) (uint64, error) {
-	_, n := binary.Uvarint(unit)
-	if n <= 0 || n >= len(unit) {
-		return 0, fmt.Errorf("dppnet: file-unit payload too short to hash")
-	}
-	h = chainStep(h, unit[:n])
-	return chainStep(h, unit[n+1:]), nil
-}
+// wire is the frame as written: type | uvarint len | payload.
+func (f frame) wire() []byte { return f.buf[f.head:] }
 
-// encodeBatchFrame stamps one batch's wire bytes with its stream index
-// and the rolling chain hash *after* folding this batch:
-// uvarint(index) | 8-byte big-endian chain | batch bytes.
-func encodeBatchFrame(index int64, chain uint64, batch []byte) []byte {
-	buf := make([]byte, 0, binary.MaxVarintLen64+8+len(batch))
-	var tmp [binary.MaxVarintLen64 + 8]byte
-	n := binary.PutUvarint(tmp[:], uint64(index))
-	binary.BigEndian.PutUint64(tmp[n:], chain)
-	buf = append(buf, tmp[:n+8]...)
-	return append(buf, batch...)
+// payloadLen is what the transport accounting counts per frame.
+func (f frame) payloadLen() int { return len(f.buf) - f.body }
+
+// seal stamps the content at buf[frameReserve:] as frame typ. A batch
+// frame's payload is uvarint(index) | 8-byte big-endian chain | batch
+// bytes, chain being the rolling hash *after* folding this batch; a
+// file-unit payload leads with its own index, so its stamp is the chain
+// alone (index < 0).
+func sealFrame(buf []byte, typ byte, index int64, chain uint64) frame {
+	var tmp [binary.MaxVarintLen64]byte
+	at := frameReserve - 8
+	binary.BigEndian.PutUint64(buf[at:], chain)
+	if index >= 0 {
+		n := binary.PutUvarint(tmp[:], uint64(index))
+		at -= n
+		copy(buf[at:], tmp[:n])
+	}
+	f := frame{buf: buf, body: at}
+	n := binary.PutUvarint(tmp[:], uint64(f.payloadLen()))
+	at -= n
+	copy(buf[at:], tmp[:n])
+	buf[at-1] = typ
+	f.head = at - 1
+	return f
 }
 
 // decodeBatchFrame splits a stamped batch frame into index, chain, and
@@ -492,19 +524,8 @@ func decodeBatchFrame(payload []byte) (int64, uint64, []byte, error) {
 	return int64(idx), chain, payload[n+8:], nil
 }
 
-// encodeUnitFrame prefixes a file-unit payload (which already leads with
-// its own index) with the rolling chain hash after folding this unit:
-// 8-byte big-endian chain | encodeFileUnit bytes.
-func encodeUnitFrame(chain uint64, unit []byte) []byte {
-	buf := make([]byte, 0, 8+len(unit))
-	var tmp [8]byte
-	binary.BigEndian.PutUint64(tmp[:], chain)
-	buf = append(buf, tmp[:]...)
-	return append(buf, unit...)
-}
-
 // decodeUnitFrame splits a stamped file-unit frame into chain and the
-// encodeFileUnit payload.
+// appendFileUnit payload.
 func decodeUnitFrame(payload []byte) (uint64, []byte, error) {
 	if len(payload) < 8 {
 		return 0, nil, fmt.Errorf("dppnet: file-unit frame truncated before chain hash")

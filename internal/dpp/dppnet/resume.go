@@ -1,7 +1,6 @@
 package dppnet
 
 import (
-	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -28,85 +27,102 @@ const (
 const resumeParkWait = 2 * time.Second
 
 // wireStream adapts the two session kinds (batch and file-unit) to the
-// unified serving loop: next returns the next frame payload with its
-// stream index and rolling chain hash already stamped, so the loop —
-// and the resume table's retained-frame buffer — handle both kinds
-// identically.
+// unified serving loop: next returns the next frame, complete — type,
+// length, stream index and rolling chain hash already stamped — so the
+// loop, and the resume table's retained-frame buffer, handle both kinds
+// identically. A frame's buffer belongs to whoever holds the frame until
+// it goes back through recycle: the loop returns it once the frame can no
+// longer be resent (written, for a session that cannot resume; confirmed
+// consumed, for one that can), so a stream has at most window+1 buffers.
 type wireStream interface {
-	next(ctx context.Context) ([]byte, error)
+	next(ctx context.Context) (frame, error)
+	recycle(frame)
 	stats() dpp.SessionStats
 	close() error
-	frameType() byte
 }
+
+// framer is what the two kinds share: the rolling chain value and the
+// frame buffers, each handed out holding frameReserve bytes of header
+// room for the content to be appended behind. It is used from one
+// goroutine at a time — the serving loop of the connection, or of the
+// next one after a park.
+type framer struct {
+	chain uint64
+	free  [][]byte
+}
+
+func (f *framer) buffer() []byte {
+	if n := len(f.free); n > 0 {
+		buf := f.free[n-1]
+		f.free = f.free[:n-1]
+		return buf[:frameReserve]
+	}
+	return make([]byte, frameReserve)
+}
+
+func (f *framer) recycle(fr frame) { f.free = append(f.free, fr.buf) }
 
 // batchWire streams reader.Batch frames: uvarint index | chain | batch.
 type batchWire struct {
-	sess  *dpp.Session
-	enc   bytes.Buffer
-	idx   int64
-	chain uint64
+	framer
+	sess *dpp.Session
+	idx  int64
 }
 
 func newBatchWire(sess *dpp.Session) *batchWire {
-	return &batchWire{sess: sess, chain: chainSeed}
+	return &batchWire{sess: sess, framer: framer{chain: chainSeed}}
 }
 
-func (b *batchWire) next(ctx context.Context) ([]byte, error) {
+func (b *batchWire) next(ctx context.Context) (frame, error) {
 	bt, err := b.sess.Next(ctx)
 	if err != nil {
-		return nil, err
+		return frame{}, err
 	}
-	b.enc.Reset()
-	if err := bt.Encode(&b.enc); err != nil {
-		return nil, err
-	}
-	b.chain = chainStep(b.chain, b.enc.Bytes())
-	payload := encodeBatchFrame(b.idx, b.chain, b.enc.Bytes())
+	buf := bt.AppendTo(b.buffer())
+	b.chain = chainStep(b.chain, buf[frameReserve:])
+	fr := sealFrame(buf, frameBatch, b.idx, b.chain)
 	b.idx++
-	return payload, nil
+	return fr, nil
 }
 
 func (b *batchWire) stats() dpp.SessionStats { return b.sess.Stats() }
 func (b *batchWire) close() error            { return b.sess.Close() }
-func (b *batchWire) frameType() byte         { return frameBatch }
 
-// unitWire streams dpp.FileUnit frames: chain | encodeFileUnit payload.
+// unitWire streams dpp.FileUnit frames: chain | appendFileUnit payload.
 // The chain skips the payload's cache-hit byte (chainUnit), so a
 // replayed unit hashes identically whether it was a hit or a re-decode.
 type unitWire struct {
-	us    *dpp.UnitSession
-	enc   bytes.Buffer
-	chain uint64
+	framer
+	us *dpp.UnitSession
 }
 
 func newUnitWire(us *dpp.UnitSession) *unitWire {
-	return &unitWire{us: us, chain: chainSeed}
+	return &unitWire{us: us, framer: framer{chain: chainSeed}}
 }
 
-func (u *unitWire) next(ctx context.Context) ([]byte, error) {
+func (u *unitWire) next(ctx context.Context) (frame, error) {
 	un, err := u.us.NextUnit(ctx)
 	if err != nil {
-		return nil, err
+		return frame{}, err
 	}
-	u.enc.Reset()
-	if err := encodeFileUnit(&u.enc, un); err != nil {
-		return nil, err
-	}
-	c, err := chainUnit(u.chain, u.enc.Bytes())
+	buf, err := appendFileUnit(u.buffer(), un)
 	if err != nil {
-		return nil, err
+		return frame{}, err
 	}
-	u.chain = c
-	return encodeUnitFrame(c, u.enc.Bytes()), nil
+	chain, err := chainUnit(u.chain, buf[frameReserve:])
+	if err != nil {
+		return frame{}, err
+	}
+	u.chain = chain
+	return sealFrame(buf, frameFileUnit, -1, chain), nil
 }
 
 func (u *unitWire) stats() dpp.SessionStats { return u.us.Stats() }
 func (u *unitWire) close() error            { return u.us.Close() }
-func (u *unitWire) frameType() byte         { return frameFileUnit }
 
 // resumeEntry is one parked resumable session: the still-live stream
 // (its context is server-scoped, not connection-scoped), the retained
-// sent-but-unacknowledged frame payloads, and the identity facts a
+// sent-but-unacknowledged frames, and the identity facts a
 // reconnect handshake must match. The retained window is bounded by the
 // credit window — a client can never be owed more unacked frames than
 // the window it granted.
@@ -130,9 +146,9 @@ type resumeEntry struct {
 
 	// sent is the stream index the next pulled frame gets; acked is the
 	// lowest index the client has not confirmed consuming; retained holds
-	// the frame payloads for [acked, sent).
+	// the frames for [acked, sent).
 	sent, acked int64
-	retained    [][]byte
+	retained    []frame
 
 	expires time.Time
 	// seq is the entry's park order (monotonic per server): capacity

@@ -337,18 +337,31 @@ func (s *Server) handle(conn net.Conn) {
 	br := bufio.NewReader(conn)
 	bw := bufio.NewWriter(conn)
 
-	// Preamble: magic + version. Anything else is not a dppnet client;
-	// drop the connection without a reply (there is no known framing to
-	// reply in).
+	// Preamble: magic + version. Without the magic this is not a dppnet
+	// client; drop the connection without a reply (there is no known
+	// framing to reply in).
 	preamble := make([]byte, len(protoMagic)+1)
 	if _, err := io.ReadFull(br, preamble); err != nil {
 		return
 	}
-	if string(preamble[:len(protoMagic)]) != protoMagic || preamble[len(protoMagic)] != protoVersion {
+	if string(preamble[:len(protoMagic)]) != protoMagic {
+		return
+	}
+	peer := conn.RemoteAddr().String()
+	// A dppnet client of another version is told so, in the one frame every
+	// version reads the same way. Dropped without a word it would see a lost
+	// connection and, under a resume policy, redial until its budget ran out.
+	if v := preamble[len(protoMagic)]; v != protoVersion {
+		// Its handshake frame, framed the same way in every version, comes
+		// off the socket first: closing over unread bytes is a reset, which
+		// can overtake the reply.
+		_, _, _ = readFrame(br, maxControlFrameBytes)
+		err := versionRefusal(v)
+		s.event(SessionEvent{Kind: "error", Peer: peer, Detail: err.Error()})
+		writeError(bw, err)
 		return
 	}
 
-	peer := conn.RemoteAddr().String()
 	typ, payload, err := readFrame(br, maxControlFrameBytes)
 	if err != nil || typ != frameOpen {
 		s.event(SessionEvent{Kind: "error", Peer: peer, Detail: "expected open frame"})
@@ -492,9 +505,23 @@ func (s *Server) serveStream(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, 
 		token        string
 		sent, acked  int64 // stream frame indices: produced / client-confirmed
 		base         int64 // index of retained[0]
-		retained     [][]byte
+		retained     []frame
 	)
 	resumed := req.Token != "" || req.Offset > 0
+	// prune drops the retained frames the client has confirmed consuming
+	// and hands their buffers back to the stream. Non-resumable sessions
+	// retain nothing; the clamp keeps the cursor arithmetic shared.
+	prune := func() {
+		drop := min(acked-base, int64(len(retained)))
+		if drop <= 0 {
+			return
+		}
+		for _, fr := range retained[:drop] {
+			stream.recycle(fr)
+		}
+		retained = retained[drop:]
+		base = acked
+	}
 
 	// Follow plumbing: the session's tailer announces newly landed files
 	// through OnExtend, which runs on the tailer goroutine — so it only
@@ -525,8 +552,8 @@ func (s *Server) serveStream(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, 
 		sent = entry.sent
 		// The offset acknowledges everything below it; what remains of the
 		// retained buffer is resent on this connection.
-		retained = entry.retained[req.Offset-entry.acked:]
-		acked, base = req.Offset, req.Offset
+		retained, base, acked = entry.retained, entry.acked, req.Offset
+		prune()
 	} else {
 		// The stream's context is the server's for resumable sessions (it
 		// must outlive this connection to be parked) and effectively the
@@ -571,7 +598,8 @@ func (s *Server) serveStream(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, 
 		// replayed prefix byte-identical to what the client already
 		// consumed, so discarding it re-synchronizes index and chain.
 		for sent < req.Offset {
-			if _, rerr := stream.next(streamCtx); rerr != nil {
+			fr, rerr := stream.next(streamCtx)
+			if rerr != nil {
 				if rerr == io.EOF {
 					rerr = fmt.Errorf("dppnet: resume offset %d beyond end of stream at %d", req.Offset, sent)
 				}
@@ -580,6 +608,7 @@ func (s *Server) serveStream(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, 
 				fail(spec.Table, rerr.Error(), rerr)
 				return
 			}
+			stream.recycle(fr)
 			sent++
 			s.replayedBatches.Inc()
 		}
@@ -675,8 +704,9 @@ func (s *Server) serveStream(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, 
 	credits := make(chan int64, 1)
 	go func() {
 		defer connCancel()
+		var buf []byte // every control payload is decoded before the next read
 		for {
-			typ, payload, err := readFrame(br, maxControlFrameBytes)
+			typ, payload, err := readFrameInto(br, maxControlFrameBytes, &buf)
 			if err != nil {
 				return
 			}
@@ -708,19 +738,19 @@ func (s *Server) serveStream(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, 
 		}
 	}()
 
-	ftype := stream.frameType()
-	countFrame := func(payload []byte) {
+	countFrame := func(fr frame) {
 		if req.FileUnits {
 			s.unitsSent.Inc()
 		} else {
 			s.batchesSent.Inc()
 		}
-		s.bytesSent.Add(int64(len(payload)))
+		n := int64(fr.payloadLen())
+		s.bytesSent.Add(n)
 		if lease != nil {
-			lease.AddBytes(int64(len(payload)))
+			lease.AddBytes(n)
 		}
 		connSent++
-		connBytes += int64(len(payload))
+		connBytes += n
 	}
 	// Drain notice: once the server enters drain mode, each in-flight
 	// session is told exactly once — a drain frame carrying the resume
@@ -774,12 +804,12 @@ func (s *Server) serveStream(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, 
 	// Resend the retained frames a claimed entry still owes the client —
 	// they were produced before the drop, so they don't pull from the
 	// stream and are already within the client's granted window.
-	for _, p := range retained {
-		if writeFrame(bw, ftype, p) != nil {
+	for _, fr := range retained {
+		if _, err := bw.Write(fr.wire()); err != nil {
 			park = canPark()
 			return
 		}
-		countFrame(p)
+		countFrame(fr)
 	}
 	if len(retained) > 0 {
 		if bw.Flush() != nil {
@@ -788,20 +818,6 @@ func (s *Server) serveStream(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, 
 		}
 	}
 
-	// prune drops retained frames the client has confirmed consuming.
-	// Non-resumable sessions retain nothing; the clamp keeps the cursor
-	// arithmetic shared.
-	prune := func() {
-		drop := acked - base
-		if drop <= 0 {
-			return
-		}
-		if n := int64(len(retained)); drop > n {
-			drop = n
-		}
-		retained = retained[drop:]
-		base = acked
-	}
 	bank := func(n int64) {
 		acked += n
 		if acked > sent {
@@ -855,7 +871,7 @@ func (s *Server) serveStream(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, 
 		}
 		prune()
 
-		payload, err := stream.next(connCtx)
+		fr, err := stream.next(connCtx)
 		if err == io.EOF {
 			outcome = "eof"
 			var enc bytes.Buffer
@@ -914,21 +930,27 @@ func (s *Server) serveStream(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, 
 			park = canPark()
 			return
 		}
-		werr := writeFrame(bw, ftype, payload)
+		// The frame is one slice: with nothing buffered ahead of it, bufio
+		// passes it to the connection as is, in one Write.
+		_, werr := bw.Write(fr.wire())
 		if werr == nil {
 			werr = bw.Flush()
 		}
 		sent++
+		if werr == nil {
+			countFrame(fr)
+		}
 		if resumable {
 			// Retain until acked: a reconnect resends these instead of
 			// re-decoding. Bounded by the credit window.
-			retained = append(retained, payload)
+			retained = append(retained, fr)
+		} else {
+			stream.recycle(fr)
 		}
 		if werr != nil {
 			park = canPark()
 			return
 		}
-		countFrame(payload)
 	}
 }
 

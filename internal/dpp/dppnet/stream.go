@@ -177,8 +177,11 @@ func (st *stream[T]) receive(br *bufio.Reader, recv chan remoteMsg[T], stop func
 		case <-st.done:
 		}
 	}
+	// One frame buffer per connection: every decoder below copies what it
+	// keeps out of the payload, so the next frame may overwrite it.
+	var buf []byte
 	for {
-		typ, payload, err := readFrame(br, maxFrameBytes)
+		typ, payload, err := readFrameInto(br, maxFrameBytes, &buf)
 		if err != nil {
 			if cerr := st.ctx.Err(); cerr != nil {
 				// The Open context's watcher closed the connection: that is

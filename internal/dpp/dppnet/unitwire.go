@@ -48,60 +48,48 @@ const (
 	maxUnitDense = 1 << 20
 )
 
-// encodeFileUnit serializes one unit for a file-unit frame. The frame has
-// no place for head rows: a unit stream is cut on batch boundaries (the
-// client cuts the carry), so a scan cut at an offset is refused, not
-// shipped short.
-func encodeFileUnit(w io.Writer, u *dpp.FileUnit) error {
+// appendFileUnit appends one unit's file-unit frame payload to dst. The
+// frame has no place for head rows: a unit stream is cut on batch
+// boundaries (the client cuts the carry), so a scan cut at an offset is
+// refused, not shipped short.
+func appendFileUnit(dst []byte, u *dpp.FileUnit) ([]byte, error) {
 	if u.Scan.Carry != 0 || u.Scan.Head != nil {
-		return fmt.Errorf("dppnet: file unit %d (%s) was cut at carry %d; the unit frame carries boundary-aligned scans only", u.Index, u.File, u.Scan.Carry)
+		return dst, fmt.Errorf("dppnet: file unit %d (%s) was cut at carry %d; the unit frame carries boundary-aligned scans only", u.Index, u.File, u.Scan.Carry)
 	}
-	var buf [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) error {
-		n := binary.PutUvarint(buf[:], v)
-		_, err := w.Write(buf[:n])
-		return err
-	}
-	if err := putUvarint(uint64(u.Index)); err != nil {
-		return err
-	}
-	hit := byte(0)
-	if u.Hit {
-		hit = 1
-	}
-	if _, err := w.Write([]byte{hit}); err != nil {
-		return err
-	}
-	if err := putUvarint(uint64(u.Scan.Dense)); err != nil {
-		return err
-	}
-	if err := putUvarint(uint64(len(u.Scan.Keys))); err != nil {
-		return err
-	}
-	for _, k := range u.Scan.Keys {
-		if err := putUvarint(uint64(len(k))); err != nil {
-			return err
-		}
-		if _, err := io.WriteString(w, k); err != nil {
-			return err
-		}
-	}
-	if err := putUvarint(uint64(len(u.Scan.Batches))); err != nil {
-		return err
-	}
+	// A unit is a whole file, so where dst is new it is grown once, to
+	// the batches' and the tail's cells plus the framing around them: grown
+	// as it fills it would end up to twice the size, for the stream's life.
+	cells := 0
 	for _, b := range u.Scan.Batches {
-		if err := b.Encode(w); err != nil {
-			return err
-		}
+		cells += b.WireBytes()
+	}
+	if u.Scan.Tail != nil {
+		cells += int(u.Scan.Tail.MemBytes())
+	}
+	dst = slices.Grow(dst, cells+cells/32+1024)
+	dst = binary.AppendUvarint(dst, uint64(u.Index))
+	if u.Hit {
+		dst = append(dst, 1)
+	} else {
+		dst = append(dst, 0)
+	}
+	dst = binary.AppendUvarint(dst, uint64(u.Scan.Dense))
+	dst = binary.AppendUvarint(dst, uint64(len(u.Scan.Keys)))
+	for _, k := range u.Scan.Keys {
+		dst = append(binary.AppendUvarint(dst, uint64(len(k))), k...)
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(u.Scan.Batches)))
+	for _, b := range u.Scan.Batches {
+		dst = b.AppendTo(dst)
 	}
 	var tail []datagen.Sample
 	if u.Scan.Tail != nil {
 		tail = u.Scan.Tail.Samples()
 	}
-	if err := putUvarint(uint64(len(tail))); err != nil {
-		return err
-	}
-	return datagen.EncodeSamples(w, tail)
+	// The rows have a Writer codec only; a Buffer over dst appends in place.
+	w := bytes.NewBuffer(binary.AppendUvarint(dst, uint64(len(tail))))
+	err := datagen.EncodeSamples(w, tail)
+	return w.Bytes(), err
 }
 
 // decodeFileUnit parses a file-unit frame payload. The returned unit's
@@ -159,13 +147,17 @@ func decodeFileUnit(payload []byte, consumed []string) (*dpp.FileUnit, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The batches are nearly all of the payload: they are decoded from it
+	// in place, and r picks up again behind them.
+	rest := payload[len(payload)-r.Len():]
 	for i := 0; i < nBatches; i++ {
-		b, err := reader.DecodeBatch(r)
-		if err != nil {
+		var b *reader.Batch
+		if b, rest, err = reader.DecodeBatchFrom(rest); err != nil {
 			return nil, fmt.Errorf("dppnet: file-unit batch %d: %w", i, err)
 		}
 		scan.Batches = append(scan.Batches, b)
 	}
+	r.Reset(rest)
 	nTail, err := bounded("tail count", maxUnitTail)
 	if err != nil {
 		return nil, err

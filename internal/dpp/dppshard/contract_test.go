@@ -1,15 +1,18 @@
 package dppshard_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
 	"runtime"
 	"testing"
 
+	"repro/internal/datagen"
 	"repro/internal/dpp"
 	"repro/internal/dpp/dppnet"
 	"repro/internal/dpp/dppshard"
+	"repro/internal/reader"
 	"repro/internal/testutil"
 )
 
@@ -87,12 +90,35 @@ func streamKinds() []streamKind {
 	}
 }
 
+// itemBytes is everything a delivered item holds, in wire form: a batch,
+// or a file unit's batches and tail rows.
+func itemBytes(t *testing.T, item any) []byte {
+	t.Helper()
+	switch it := item.(type) {
+	case *reader.Batch:
+		return it.AppendTo(nil)
+	case *dpp.FileUnit:
+		var out bytes.Buffer
+		for _, b := range it.Scan.Batches {
+			out.Write(b.AppendTo(nil))
+		}
+		if it.Scan.Tail != nil {
+			if err := datagen.EncodeSamples(&out, it.Scan.Tail.Samples()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return out.Bytes()
+	}
+	t.Fatalf("stream delivered a %T", item)
+	return nil
+}
+
 // TestStreamContractAllKinds holds every stream kind — local batch and
 // unit sessions, their two remote twins, and the fleet session — to the
 // same pull contract with one script: the recorded outcome repeats after
 // the end, Close is idempotent and wins, a cancelled Next context ends
-// nothing, a cancelled Open context ends the stream with that error, and
-// nothing leaks.
+// nothing, a delivered item never changes, a cancelled Open context ends
+// the stream with that error, and nothing leaks.
 func TestStreamContractAllKinds(t *testing.T) {
 	env := newFleetEnv(t)
 	bg := context.Background()
@@ -170,6 +196,32 @@ func TestStreamContractAllKinds(t *testing.T) {
 			n, end := items(next)
 			if end != io.EOF || got+n != total {
 				t.Fatalf("after cancelled calls the stream yielded %d+%d items to %v, want %d to io.EOF", got, n, end, total)
+			}
+		})
+
+		// The remote kinds read every frame of a connection into one buffer;
+		// whatever kind, an item is the consumer's for good. Each item is
+		// encoded as it arrives and again once the stream has ended and
+		// closed — every transport buffer it passed through reused or gone.
+		run("items outlive the stream", bg, func(t *testing.T, next func(context.Context) (any, error), closeFn func() error) {
+			var held []any
+			var fresh [][]byte
+			for {
+				it, err := next(bg)
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				held = append(held, it)
+				fresh = append(fresh, itemBytes(t, it))
+			}
+			closeFn()
+			for i, it := range held {
+				if !bytes.Equal(itemBytes(t, it), fresh[i]) {
+					t.Fatalf("item %d of %d changed after it was delivered", i, len(held))
+				}
 			}
 		})
 

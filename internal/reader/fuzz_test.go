@@ -73,9 +73,19 @@ func FuzzDecodeBatch(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		b, err := DecodeBatch(bytes.NewReader(data))
+		r := bytes.NewReader(data)
+		b, err := DecodeBatch(r)
+		// The from-slice form is the same decoder over another input: the
+		// same verdict, the same batch, ending at the same byte.
+		sb, rest, serr := DecodeBatchFrom(data)
+		if (err == nil) != (serr == nil) {
+			t.Fatalf("DecodeBatch: %v, DecodeBatchFrom: %v", err, serr)
+		}
 		if err != nil {
 			return // malformed input must fail cleanly, and did
+		}
+		if len(rest) != r.Len() || !bytes.Equal(sb.AppendTo(nil), b.AppendTo(nil)) {
+			t.Fatalf("DecodeBatchFrom left %d bytes, DecodeBatch %d, or the batches differ", len(rest), r.Len())
 		}
 		if err := b.Validate(); err != nil {
 			t.Fatalf("decode accepted an invalid batch: %v", err)

@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
+	"slices"
 
 	"repro/internal/tensor"
 )
@@ -25,81 +25,66 @@ const (
 // ByteReader is the reader constraint of the wire decoders: any buffered
 // byte source (*bytes.Reader, *bufio.Reader). Exported so transports
 // like dppnet can name it when composing the codec.
-type ByteReader interface {
-	io.Reader
-	io.ByteReader
-}
+type ByteReader = tensor.ByteReader
 
-// Encode serializes the batch.
-func (b *Batch) Encode(w io.Writer) error {
-	if _, err := io.WriteString(w, batchMagic); err != nil {
-		return err
-	}
-	var hdr [binary.MaxVarintLen64]byte
-	put := func(v uint64) error {
-		n := binary.PutUvarint(hdr[:], v)
-		_, err := w.Write(hdr[:n])
-		return err
-	}
-	if err := put(uint64(b.Size)); err != nil {
-		return err
-	}
-	if err := tensor.WriteDense(w, b.Dense); err != nil {
-		return err
-	}
-	if err := put(uint64(len(b.Labels))); err != nil {
-		return err
-	}
-	labels := make([]byte, 4*len(b.Labels))
-	for i, l := range b.Labels {
-		binary.LittleEndian.PutUint32(labels[i*4:], math.Float32bits(l))
-	}
-	if _, err := w.Write(labels); err != nil {
-		return err
-	}
-	hasKJT := uint64(0)
+// AppendTo appends the batch's wire form to dst: the encoder. A transport
+// that frames batches appends straight into its frame buffer.
+func (b *Batch) AppendTo(dst []byte) []byte {
+	// WireBytes counts the cells; the tags, counts and key names around
+	// them are some tens of bytes a feature. One growth up front instead of
+	// a doubling ladder when dst is new.
+	cells := b.WireBytes()
+	dst = slices.Grow(dst, cells+cells/32+1024)
+	dst = binary.AppendUvarint(append(dst, batchMagic...), uint64(b.Size))
+	dst = tensor.AppendDense(dst, b.Dense)
+	dst = tensor.AppendFloat32s(binary.AppendUvarint(dst, uint64(len(b.Labels))), b.Labels)
 	if b.KJT != nil {
-		hasKJT = 1
+		dst = tensor.AppendKJT(append(dst, 1), b.KJT)
+	} else {
+		dst = append(dst, 0)
 	}
-	if err := put(hasKJT); err != nil {
-		return err
-	}
-	if b.KJT != nil {
-		if err := tensor.WriteKJT(w, b.KJT); err != nil {
-			return err
-		}
-	}
-	if err := put(uint64(len(b.IKJTs))); err != nil {
-		return err
-	}
+	dst = binary.AppendUvarint(dst, uint64(len(b.IKJTs)))
 	for _, ik := range b.IKJTs {
-		if err := tensor.WriteIKJT(w, ik); err != nil {
-			return err
-		}
+		dst = tensor.AppendIKJT(dst, ik)
 	}
-	if err := put(uint64(len(b.Partials))); err != nil {
-		return err
-	}
+	dst = binary.AppendUvarint(dst, uint64(len(b.Partials)))
 	for _, p := range b.Partials {
-		if err := tensor.WritePartial(w, p); err != nil {
-			return err
-		}
+		dst = tensor.AppendPartial(dst, p)
 	}
-	return put(uint64(b.OriginalSparseValues))
+	return binary.AppendUvarint(dst, uint64(b.OriginalSparseValues))
 }
 
-// DecodeBatch reads a batch encoded by Encode.
+// Encode serializes the batch to w in one Write.
+func (b *Batch) Encode(w io.Writer) error {
+	return tensor.WriteWith(w, b.AppendTo)
+}
+
+// DecodeBatch reads a batch encoded by Encode from r, consuming exactly
+// the batch's bytes.
 func DecodeBatch(r ByteReader) (*Batch, error) {
-	magic := make([]byte, len(batchMagic))
-	if _, err := io.ReadFull(r, magic); err != nil {
+	d := tensor.NewReaderDecoder(r)
+	defer d.Release()
+	return decodeBatch(&d)
+}
+
+// DecodeBatchFrom decodes the batch at the front of src in place and
+// returns what follows it. The batch holds no reference to src.
+func DecodeBatchFrom(src []byte) (*Batch, []byte, error) {
+	d := tensor.NewDecoder(src)
+	b, err := decodeBatch(&d)
+	return b, d.Rest(), err
+}
+
+// decodeBatch is the decoder, whichever input d reads.
+func decodeBatch(d *tensor.Decoder) (*Batch, error) {
+	magic, err := d.Next(len(batchMagic))
+	if err != nil {
 		return nil, fmt.Errorf("reader: batch magic: %w", err)
 	}
 	if string(magic) != batchMagic {
 		return nil, fmt.Errorf("reader: bad batch magic %q", magic)
 	}
-	get := func() (uint64, error) { return binary.ReadUvarint(r) }
-
-	size, err := get()
+	size, err := d.Uvarint()
 	if err != nil {
 		return nil, err
 	}
@@ -109,36 +94,29 @@ func DecodeBatch(r ByteReader) (*Batch, error) {
 	}
 	b := &Batch{Size: int(size)}
 
-	if b.Dense, err = tensor.ReadDense(r); err != nil {
+	if b.Dense, err = d.Dense(); err != nil {
 		return nil, err
 	}
-	nLabels, err := get()
+	nLabels, err := d.Uvarint()
 	if err != nil {
 		return nil, err
 	}
 	if nLabels > maxBatch {
 		return nil, fmt.Errorf("reader: implausible label count %d", nLabels)
 	}
-	// Bulk-read the label bytes: a forged count fails fast on truncated
-	// input instead of spinning through per-element reads.
-	labelBytes := make([]byte, 4*nLabels)
-	if _, err := io.ReadFull(r, labelBytes); err != nil {
+	if b.Labels, err = d.Float32s(int(nLabels)); err != nil {
 		return nil, err
 	}
-	b.Labels = make([]float32, nLabels)
-	for i := range b.Labels {
-		b.Labels[i] = math.Float32frombits(binary.LittleEndian.Uint32(labelBytes[i*4:]))
-	}
-	hasKJT, err := get()
+	hasKJT, err := d.Uvarint()
 	if err != nil {
 		return nil, err
 	}
 	if hasKJT == 1 {
-		if b.KJT, err = tensor.ReadKJT(r); err != nil {
+		if b.KJT, err = d.KJT(); err != nil {
 			return nil, err
 		}
 	}
-	nIK, err := get()
+	nIK, err := d.Uvarint()
 	if err != nil {
 		return nil, err
 	}
@@ -146,13 +124,13 @@ func DecodeBatch(r ByteReader) (*Batch, error) {
 		return nil, fmt.Errorf("reader: implausible IKJT count %d", nIK)
 	}
 	for i := uint64(0); i < nIK; i++ {
-		ik, err := tensor.ReadIKJT(r)
+		ik, err := d.IKJT()
 		if err != nil {
 			return nil, err
 		}
 		b.IKJTs = append(b.IKJTs, ik)
 	}
-	nP, err := get()
+	nP, err := d.Uvarint()
 	if err != nil {
 		return nil, err
 	}
@@ -160,13 +138,13 @@ func DecodeBatch(r ByteReader) (*Batch, error) {
 		return nil, fmt.Errorf("reader: implausible partial count %d", nP)
 	}
 	for i := uint64(0); i < nP; i++ {
-		p, err := tensor.ReadPartial(r)
+		p, err := d.Partial()
 		if err != nil {
 			return nil, err
 		}
 		b.Partials = append(b.Partials, p)
 	}
-	orig, err := get()
+	orig, err := d.Uvarint()
 	if err != nil {
 		return nil, err
 	}

@@ -2,9 +2,11 @@ package tensor
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 )
 
@@ -15,6 +17,16 @@ import (
 //
 // The format is little-endian and self-describing enough for round-trip
 // tests; it is intentionally simple rather than schema-evolving.
+//
+// There is one codec with two faces on each side. Encoding appends: the
+// Append forms grow a caller-owned buffer in place, which is how a
+// transport builds a frame with no staging copy, and the Write forms are
+// the same appends into a pooled scratch handed to the io.Writer in one
+// Write. Decoding runs on a Decoder, which takes its input either from a
+// byte slice, converting in place (a transport that already holds the
+// whole frame), or from a byte reader, staging each block through a pooled
+// scratch (the Read forms). Every bound and every validation lives in the
+// Decoder's methods, so the two faces cannot drift apart.
 
 const (
 	tagJagged  = uint8(1)
@@ -43,10 +55,137 @@ const (
 	maxWireString = 1 << 16
 )
 
-// readCount reads one uvarint length prefix and rejects implausible
-// values before any allocation is sized from it.
-func readCount(r byteReader, what string, max uint64) (int, error) {
-	n, err := binary.ReadUvarint(r)
+// scratchPool recycles the staging buffers of the Write and Read forms:
+// a Write form appends a whole object into one and writes it out, a
+// reader Decoder stages each block through one. Buffers grow to the
+// largest object seen and are reused.
+var scratchPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// WriteWith is the io.Writer face of an append form: appendTo appends
+// into a pooled scratch, which goes to w in one Write.
+func WriteWith(w io.Writer, appendTo func(dst []byte) []byte) error {
+	bp := scratchPool.Get().(*[]byte)
+	*bp = appendTo((*bp)[:0])
+	_, err := w.Write(*bp)
+	scratchPool.Put(bp)
+	return err
+}
+
+// extend grows dst by n bytes and returns it with the new bytes as tail.
+func extend(dst []byte, n int) (grown, tail []byte) {
+	grown = slices.Grow(dst, n)[:len(dst)+n]
+	return grown, grown[len(dst):]
+}
+
+func appendString(dst []byte, s string) []byte {
+	return append(binary.AppendUvarint(dst, uint64(len(s))), s...)
+}
+
+func appendValues(dst []byte, vals []Value) []byte {
+	dst, out := extend(binary.AppendUvarint(dst, uint64(len(vals))), 8*len(vals))
+	for i, v := range vals {
+		wireOrder.PutUint64(out[i*8:], uint64(v))
+	}
+	return dst
+}
+
+func appendInt32s(dst []byte, vals []int32) []byte {
+	dst, out := extend(binary.AppendUvarint(dst, uint64(len(vals))), 4*len(vals))
+	for i, v := range vals {
+		wireOrder.PutUint32(out[i*4:], uint32(v))
+	}
+	return dst
+}
+
+// AppendFloat32s appends vals as raw little-endian cells, with no count:
+// the caller's format says how many there are.
+func AppendFloat32s(dst []byte, vals []float32) []byte {
+	dst, out := extend(dst, 4*len(vals))
+	for i, v := range vals {
+		wireOrder.PutUint32(out[i*4:], math.Float32bits(v))
+	}
+	return dst
+}
+
+// ByteReader is the input of a reader Decoder and of the Read forms: any
+// buffered byte source (*bytes.Reader, *bufio.Reader).
+type ByteReader interface {
+	io.Reader
+	io.ByteReader
+}
+
+// Decoder decodes the wire format from one input: a byte slice it reads
+// in place (NewDecoder) or a byte reader it stages through a pooled
+// scratch (NewReaderDecoder). Every count is bounded before it sizes
+// anything, and nothing a Decoder returns aliases its input, so the
+// input may be reused as soon as a call returns.
+type Decoder struct {
+	src     []byte     // slice input: the bytes not yet consumed
+	r       ByteReader // reader input; nil for a slice
+	scratch *[]byte    // reader input: the pooled staging buffer, once taken
+}
+
+// NewDecoder decodes from src. A count that claims more than src holds
+// fails before anything is allocated for it.
+func NewDecoder(src []byte) Decoder { return Decoder{src: src} }
+
+// NewReaderDecoder decodes from r, reading exactly the bytes it decodes.
+// Release it when done.
+func NewReaderDecoder(r ByteReader) Decoder { return Decoder{r: r} }
+
+// Release returns a reader Decoder's staging buffer to the pool.
+func (d *Decoder) Release() {
+	if d.scratch != nil {
+		scratchPool.Put(d.scratch)
+		d.scratch = nil
+	}
+}
+
+// Rest returns the input a slice Decoder has not consumed.
+func (d *Decoder) Rest() []byte { return d.src }
+
+// Next returns the next n bytes of the input, valid until the following
+// call on d. It is the only place the two kinds of input differ.
+func (d *Decoder) Next(n int) ([]byte, error) {
+	if d.r == nil {
+		if n > len(d.src) {
+			return nil, io.ErrUnexpectedEOF
+		}
+		b := d.src[:n]
+		d.src = d.src[n:]
+		return b, nil
+	}
+	if d.scratch == nil {
+		d.scratch = scratchPool.Get().(*[]byte)
+	}
+	if cap(*d.scratch) < n {
+		*d.scratch = make([]byte, n)
+	}
+	b := (*d.scratch)[:n]
+	_, err := io.ReadFull(d.r, b)
+	return b, err
+}
+
+// Uvarint reads one uvarint.
+func (d *Decoder) Uvarint() (uint64, error) {
+	if d.r != nil {
+		return binary.ReadUvarint(d.r)
+	}
+	v, n := binary.Uvarint(d.src)
+	if n == 0 {
+		return 0, io.ErrUnexpectedEOF
+	}
+	if n < 0 {
+		return 0, errors.New("tensor: uvarint overflows 64 bits")
+	}
+	d.src = d.src[n:]
+	return v, nil
+}
+
+// count reads one uvarint length prefix and rejects implausible values
+// before any allocation is sized from it.
+func (d *Decoder) count(what string, max uint64) (int, error) {
+	n, err := d.Uvarint()
 	if err != nil {
 		return 0, err
 	}
@@ -56,145 +195,92 @@ func readCount(r byteReader, what string, max uint64) (int, error) {
 	return int(n), nil
 }
 
-// scratchPool recycles the byte staging buffers the value/offset/dense
-// codecs use between the in-memory representation and the wire. Encoding
-// or decoding a tensor no longer costs a `make([]byte, 8*n)` per call;
-// buffers grow to the largest tensor seen and are reused.
-var scratchPool = sync.Pool{New: func() any { return new([]byte) }}
-
-// getScratch returns a pooled buffer resized to exactly n bytes.
-func getScratch(n int) *[]byte {
-	bp := scratchPool.Get().(*[]byte)
-	if cap(*bp) < n {
-		*bp = make([]byte, n)
-	}
-	*bp = (*bp)[:n]
-	return bp
-}
-
-func putScratch(bp *[]byte) { scratchPool.Put(bp) }
-
-func writeUvarint(w io.Writer, v uint64) error {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	_, err := w.Write(buf[:n])
-	return err
-}
-
-func writeString(w io.Writer, s string) error {
-	if err := writeUvarint(w, uint64(len(s))); err != nil {
+func (d *Decoder) tag(want uint8, what string) error {
+	b, err := d.Next(1)
+	if err != nil {
 		return err
 	}
-	_, err := io.WriteString(w, s)
-	return err
+	if b[0] != want {
+		return fmt.Errorf("tensor: bad %s tag %d", what, b[0])
+	}
+	return nil
 }
 
-type byteReader interface {
-	io.Reader
-	io.ByteReader
-}
-
-func readString(r byteReader) (string, error) {
-	n, err := readCount(r, "string byte", maxWireString)
+func (d *Decoder) string() (string, error) {
+	n, err := d.count("string byte", maxWireString)
 	if err != nil {
 		return "", err
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
+	b, err := d.Next(n)
+	return string(b), err
 }
 
-func writeValues(w io.Writer, vals []Value) error {
-	if err := writeUvarint(w, uint64(len(vals))); err != nil {
-		return err
-	}
-	bp := getScratch(8 * len(vals))
-	defer putScratch(bp)
-	buf := *bp
-	for i, v := range vals {
-		wireOrder.PutUint64(buf[i*8:], uint64(v))
-	}
-	_, err := w.Write(buf)
-	return err
-}
-
-func readValues(r byteReader) ([]Value, error) {
-	n, err := readCount(r, "value", maxWireElems)
+func (d *Decoder) values() ([]Value, error) {
+	n, err := d.count("value", maxWireElems)
 	if err != nil {
 		return nil, err
 	}
-	bp := getScratch(8 * n)
-	defer putScratch(bp)
-	buf := *bp
-	if _, err := io.ReadFull(r, buf); err != nil {
+	b, err := d.Next(8 * n)
+	if err != nil {
 		return nil, err
 	}
 	out := make([]Value, n)
 	for i := range out {
-		out[i] = Value(wireOrder.Uint64(buf[i*8:]))
+		out[i] = Value(wireOrder.Uint64(b[i*8:]))
 	}
 	return out, nil
 }
 
-func writeInt32s(w io.Writer, vals []int32) error {
-	if err := writeUvarint(w, uint64(len(vals))); err != nil {
-		return err
-	}
-	bp := getScratch(4 * len(vals))
-	defer putScratch(bp)
-	buf := *bp
-	for i, v := range vals {
-		wireOrder.PutUint32(buf[i*4:], uint32(v))
-	}
-	_, err := w.Write(buf)
-	return err
-}
-
-func readInt32s(r byteReader) ([]int32, error) {
-	n, err := readCount(r, "int32", maxWireElems)
+func (d *Decoder) int32s() ([]int32, error) {
+	n, err := d.count("int32", maxWireElems)
 	if err != nil {
 		return nil, err
 	}
-	bp := getScratch(4 * n)
-	defer putScratch(bp)
-	buf := *bp
-	if _, err := io.ReadFull(r, buf); err != nil {
+	b, err := d.Next(4 * n)
+	if err != nil {
 		return nil, err
 	}
 	out := make([]int32, n)
 	for i := range out {
-		out[i] = int32(wireOrder.Uint32(buf[i*4:]))
+		out[i] = int32(wireOrder.Uint32(b[i*4:]))
 	}
 	return out, nil
 }
 
-// WriteJagged serializes j to w.
-func WriteJagged(w io.Writer, j Jagged) error {
-	if _, err := w.Write([]byte{tagJagged}); err != nil {
-		return err
+// Float32s reads n raw cells written by AppendFloat32s. The caller has
+// bounded n; the cells are allocated only once their bytes are in hand.
+func (d *Decoder) Float32s(n int) ([]float32, error) {
+	b, err := d.Next(4 * n)
+	if err != nil {
+		return nil, err
 	}
-	if err := writeValues(w, j.Values); err != nil {
-		return err
+	out := make([]float32, n)
+	for i := range out {
+		out[i] = math.Float32frombits(wireOrder.Uint32(b[i*4:]))
 	}
-	return writeInt32s(w, j.Offsets)
+	return out, nil
 }
 
-// ReadJagged deserializes a jagged tensor from r.
-func ReadJagged(r byteReader) (Jagged, error) {
-	var tag [1]byte
-	if _, err := io.ReadFull(r, tag[:]); err != nil {
+// AppendJagged appends j's wire form to dst.
+func AppendJagged(dst []byte, j Jagged) []byte {
+	return appendInt32s(appendValues(append(dst, tagJagged), j.Values), j.Offsets)
+}
+
+// WriteJagged serializes j to w.
+func WriteJagged(w io.Writer, j Jagged) error {
+	return WriteWith(w, func(dst []byte) []byte { return AppendJagged(dst, j) })
+}
+
+// Jagged decodes a jagged tensor.
+func (d *Decoder) Jagged() (Jagged, error) {
+	if err := d.tag(tagJagged, "jagged"); err != nil {
 		return Jagged{}, err
 	}
-	if tag[0] != tagJagged {
-		return Jagged{}, fmt.Errorf("tensor: bad jagged tag %d", tag[0])
-	}
-	vals, err := readValues(r)
+	vals, err := d.values()
 	if err != nil {
 		return Jagged{}, err
 	}
-	offs, err := readInt32s(r)
+	offs, err := d.int32s()
 	if err != nil {
 		return Jagged{}, err
 	}
@@ -205,190 +291,176 @@ func ReadJagged(r byteReader) (Jagged, error) {
 	return j, nil
 }
 
-// WriteKJT serializes a KJT to w.
-func WriteKJT(w io.Writer, k *KJT) error {
-	if _, err := w.Write([]byte{tagKJT}); err != nil {
-		return err
-	}
-	if err := writeUvarint(w, uint64(k.NumKeys())); err != nil {
-		return err
-	}
-	for i := 0; i < k.NumKeys(); i++ {
-		if err := writeString(w, k.KeyAt(i)); err != nil {
-			return err
-		}
-		if err := WriteJagged(w, k.FeatureAt(i)); err != nil {
-			return err
-		}
-	}
-	return nil
+// ReadJagged deserializes a jagged tensor from r.
+func ReadJagged(r ByteReader) (Jagged, error) {
+	d := NewReaderDecoder(r)
+	defer d.Release()
+	return d.Jagged()
 }
 
-// ReadKJT deserializes a KJT from r.
-func ReadKJT(r byteReader) (*KJT, error) {
-	var tag [1]byte
-	if _, err := io.ReadFull(r, tag[:]); err != nil {
-		return nil, err
+// appendKeyed appends what a KJT and an IKJT share: the key count, then
+// each key with its tensor.
+func appendKeyed(dst []byte, keys []string, tensors []Jagged) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(keys)))
+	for i, key := range keys {
+		dst = AppendJagged(appendString(dst, key), tensors[i])
 	}
-	if tag[0] != tagKJT {
-		return nil, fmt.Errorf("tensor: bad kjt tag %d", tag[0])
-	}
-	n, err := readCount(r, "kjt key", maxWireKeys)
+	return dst
+}
+
+// keyed decodes what appendKeyed wrote.
+func (d *Decoder) keyed(what string) ([]string, []Jagged, error) {
+	n, err := d.count(what, maxWireKeys)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	keys := make([]string, n)
 	tensors := make([]Jagged, n)
 	for i := range keys {
-		if keys[i], err = readString(r); err != nil {
-			return nil, err
+		if keys[i], err = d.string(); err != nil {
+			return nil, nil, err
 		}
-		if tensors[i], err = ReadJagged(r); err != nil {
-			return nil, err
+		if tensors[i], err = d.Jagged(); err != nil {
+			return nil, nil, err
 		}
+	}
+	return keys, tensors, nil
+}
+
+// AppendKJT appends k's wire form to dst.
+func AppendKJT(dst []byte, k *KJT) []byte {
+	return appendKeyed(append(dst, tagKJT), k.keys, k.tensors)
+}
+
+// WriteKJT serializes a KJT to w.
+func WriteKJT(w io.Writer, k *KJT) error {
+	return WriteWith(w, func(dst []byte) []byte { return AppendKJT(dst, k) })
+}
+
+// KJT decodes a KJT.
+func (d *Decoder) KJT() (*KJT, error) {
+	if err := d.tag(tagKJT, "kjt"); err != nil {
+		return nil, err
+	}
+	keys, tensors, err := d.keyed("kjt key")
+	if err != nil {
+		return nil, err
 	}
 	return NewKJT(keys, tensors)
 }
 
-// WriteIKJT serializes an IKJT (including its inverse lookup) to w.
-func WriteIKJT(w io.Writer, ik *IKJT) error {
-	if _, err := w.Write([]byte{tagIKJT}); err != nil {
-		return err
-	}
-	if err := writeUvarint(w, uint64(ik.NumKeys())); err != nil {
-		return err
-	}
-	for i := 0; i < ik.NumKeys(); i++ {
-		if err := writeString(w, ik.keys[i]); err != nil {
-			return err
-		}
-		if err := WriteJagged(w, ik.tensors[i]); err != nil {
-			return err
-		}
-	}
-	return writeInt32s(w, ik.inverseLookup)
+// ReadKJT deserializes a KJT from r.
+func ReadKJT(r ByteReader) (*KJT, error) {
+	d := NewReaderDecoder(r)
+	defer d.Release()
+	return d.KJT()
 }
 
-// ReadIKJT deserializes an IKJT from r.
-func ReadIKJT(r byteReader) (*IKJT, error) {
-	var tag [1]byte
-	if _, err := io.ReadFull(r, tag[:]); err != nil {
+// AppendIKJT appends ik's wire form, including its inverse lookup, to dst.
+func AppendIKJT(dst []byte, ik *IKJT) []byte {
+	return appendInt32s(appendKeyed(append(dst, tagIKJT), ik.keys, ik.tensors), ik.inverseLookup)
+}
+
+// WriteIKJT serializes an IKJT (including its inverse lookup) to w.
+func WriteIKJT(w io.Writer, ik *IKJT) error {
+	return WriteWith(w, func(dst []byte) []byte { return AppendIKJT(dst, ik) })
+}
+
+// IKJT decodes an IKJT.
+func (d *Decoder) IKJT() (*IKJT, error) {
+	if err := d.tag(tagIKJT, "ikjt"); err != nil {
 		return nil, err
 	}
-	if tag[0] != tagIKJT {
-		return nil, fmt.Errorf("tensor: bad ikjt tag %d", tag[0])
-	}
-	n, err := readCount(r, "ikjt key", maxWireKeys)
+	keys, tensors, err := d.keyed("ikjt key")
 	if err != nil {
 		return nil, err
 	}
-	keys := make([]string, n)
-	tensors := make([]Jagged, n)
-	for i := range keys {
-		if keys[i], err = readString(r); err != nil {
-			return nil, err
-		}
-		if tensors[i], err = ReadJagged(r); err != nil {
-			return nil, err
-		}
-	}
-	inverse, err := readInt32s(r)
+	inverse, err := d.int32s()
 	if err != nil {
 		return nil, err
 	}
 	return ikjtFromParts(keys, tensors, inverse)
 }
 
-// WriteDense serializes a dense tensor to w.
-func WriteDense(w io.Writer, d Dense) error {
-	if _, err := w.Write([]byte{tagDense}); err != nil {
-		return err
-	}
-	if err := writeUvarint(w, uint64(d.RowsN)); err != nil {
-		return err
-	}
-	if err := writeUvarint(w, uint64(d.Cols)); err != nil {
-		return err
-	}
-	bp := getScratch(4 * len(d.Data))
-	defer putScratch(bp)
-	buf := *bp
-	for i, v := range d.Data {
-		wireOrder.PutUint32(buf[i*4:], math.Float32bits(v))
-	}
-	_, err := w.Write(buf)
-	return err
+// ReadIKJT deserializes an IKJT from r.
+func ReadIKJT(r ByteReader) (*IKJT, error) {
+	d := NewReaderDecoder(r)
+	defer d.Release()
+	return d.IKJT()
 }
 
-// ReadDense deserializes a dense tensor from r.
-func ReadDense(r byteReader) (Dense, error) {
-	var tag [1]byte
-	if _, err := io.ReadFull(r, tag[:]); err != nil {
+// AppendDense appends d's wire form to dst.
+func AppendDense(dst []byte, d Dense) []byte {
+	dst = binary.AppendUvarint(append(dst, tagDense), uint64(d.RowsN))
+	return AppendFloat32s(binary.AppendUvarint(dst, uint64(d.Cols)), d.Data)
+}
+
+// WriteDense serializes a dense tensor to w.
+func WriteDense(w io.Writer, d Dense) error {
+	return WriteWith(w, func(dst []byte) []byte { return AppendDense(dst, d) })
+}
+
+// Dense decodes a dense tensor.
+func (d *Decoder) Dense() (Dense, error) {
+	if err := d.tag(tagDense, "dense"); err != nil {
 		return Dense{}, err
 	}
-	if tag[0] != tagDense {
-		return Dense{}, fmt.Errorf("tensor: bad dense tag %d", tag[0])
-	}
-	rows, err := readCount(r, "dense row", maxWireElems)
+	rows, err := d.count("dense row", maxWireElems)
 	if err != nil {
 		return Dense{}, err
 	}
-	cols, err := readCount(r, "dense col", maxWireElems)
+	cols, err := d.count("dense col", maxWireElems)
 	if err != nil {
 		return Dense{}, err
 	}
 	if rows > 0 && cols > maxWireElems/rows {
 		return Dense{}, fmt.Errorf("tensor: implausible dense shape %dx%d", rows, cols)
 	}
-	bp := getScratch(4 * rows * cols)
-	defer putScratch(bp)
-	buf := *bp
-	if _, err := io.ReadFull(r, buf); err != nil {
+	data, err := d.Float32s(rows * cols)
+	if err != nil {
 		return Dense{}, err
 	}
-	d := NewDense(int(rows), int(cols))
-	for i := range d.Data {
-		d.Data[i] = math.Float32frombits(wireOrder.Uint32(buf[i*4:]))
+	return Dense{RowsN: rows, Cols: cols, Data: data}, nil
+}
+
+// ReadDense deserializes a dense tensor from r.
+func ReadDense(r ByteReader) (Dense, error) {
+	d := NewReaderDecoder(r)
+	defer d.Release()
+	return d.Dense()
+}
+
+// AppendPartial appends p's wire form to dst: the lookup travels as one
+// flat int32 block, offset then length per row.
+func AppendPartial(dst []byte, p *PartialIKJT) []byte {
+	dst = appendValues(appendString(append(dst, tagPartial), p.Key), p.Values)
+	dst, out := extend(binary.AppendUvarint(dst, uint64(2*len(p.Lookup))), 8*len(p.Lookup))
+	for i, w := range p.Lookup {
+		wireOrder.PutUint32(out[i*8:], uint32(w[0]))
+		wireOrder.PutUint32(out[i*8+4:], uint32(w[1]))
 	}
-	return d, nil
+	return dst
 }
 
 // WritePartial serializes a partial IKJT to w.
 func WritePartial(w io.Writer, p *PartialIKJT) error {
-	if _, err := w.Write([]byte{tagPartial}); err != nil {
-		return err
-	}
-	if err := writeString(w, p.Key); err != nil {
-		return err
-	}
-	if err := writeValues(w, p.Values); err != nil {
-		return err
-	}
-	flat := make([]int32, 0, 2*len(p.Lookup))
-	for _, w2 := range p.Lookup {
-		flat = append(flat, w2[0], w2[1])
-	}
-	return writeInt32s(w, flat)
+	return WriteWith(w, func(dst []byte) []byte { return AppendPartial(dst, p) })
 }
 
-// ReadPartial deserializes a partial IKJT from r.
-func ReadPartial(r byteReader) (*PartialIKJT, error) {
-	var tag [1]byte
-	if _, err := io.ReadFull(r, tag[:]); err != nil {
+// Partial decodes a partial IKJT.
+func (d *Decoder) Partial() (*PartialIKJT, error) {
+	if err := d.tag(tagPartial, "partial"); err != nil {
 		return nil, err
 	}
-	if tag[0] != tagPartial {
-		return nil, fmt.Errorf("tensor: bad partial tag %d", tag[0])
-	}
-	key, err := readString(r)
+	key, err := d.string()
 	if err != nil {
 		return nil, err
 	}
-	vals, err := readValues(r)
+	vals, err := d.values()
 	if err != nil {
 		return nil, err
 	}
-	flat, err := readInt32s(r)
+	flat, err := d.int32s()
 	if err != nil {
 		return nil, err
 	}
@@ -403,4 +475,11 @@ func ReadPartial(r byteReader) (*PartialIKJT, error) {
 		return nil, err
 	}
 	return p, nil
+}
+
+// ReadPartial deserializes a partial IKJT from r.
+func ReadPartial(r ByteReader) (*PartialIKJT, error) {
+	d := NewReaderDecoder(r)
+	defer d.Release()
+	return d.Partial()
 }

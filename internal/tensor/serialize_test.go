@@ -132,6 +132,86 @@ func TestSerializeRejectsTruncation(t *testing.T) {
 	}
 }
 
+// TestDecoderInputsAgree: a slice and a byte reader are two inputs to one
+// decoder. On a whole encoding followed by other bytes both decode the
+// same object and stop at its end; on every truncation both fail — the
+// slice input without reading past what it was given.
+func TestDecoderInputsAgree(t *testing.T) {
+	k, err := NewKJT([]string{"a", "bb"}, []Jagged{
+		NewJagged([][]Value{{1, 2}, {}, {3}}),
+		NewJagged([][]Value{{-4}, {5, 6, 7}, {}}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ik, err := NewDeduper().Dedup([]string{"a", "bb"}, []Jagged{k.FeatureAt(0), k.FeatureAt(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := PartialDedup("seq", NewJagged([][]Value{{3, 4, 5}, {4, 5, 6}, {3, 4, 5}}))
+	d := NewDense(2, 3)
+	for i := range d.Data {
+		d.Data[i] = float32(i) - 1.5
+	}
+	for name, tc := range map[string]struct {
+		enc    []byte
+		decode func(*Decoder) ([]byte, error)
+	}{
+		"jagged": {AppendJagged(nil, k.FeatureAt(1)), func(d *Decoder) ([]byte, error) {
+			j, err := d.Jagged()
+			return AppendJagged(nil, j), err
+		}},
+		"kjt": {AppendKJT(nil, k), func(d *Decoder) ([]byte, error) {
+			k, err := d.KJT()
+			if err != nil {
+				return nil, err
+			}
+			return AppendKJT(nil, k), nil
+		}},
+		"ikjt": {AppendIKJT(nil, ik), func(d *Decoder) ([]byte, error) {
+			ik, err := d.IKJT()
+			if err != nil {
+				return nil, err
+			}
+			return AppendIKJT(nil, ik), nil
+		}},
+		"dense": {AppendDense(nil, d), func(d *Decoder) ([]byte, error) {
+			v, err := d.Dense()
+			return AppendDense(nil, v), err
+		}},
+		"partial": {AppendPartial(nil, p), func(d *Decoder) ([]byte, error) {
+			p, err := d.Partial()
+			if err != nil {
+				return nil, err
+			}
+			return AppendPartial(nil, p), nil
+		}},
+	} {
+		followed := append(append([]byte(nil), tc.enc...), "next"...)
+		fromSlice := NewDecoder(followed)
+		got, err := tc.decode(&fromSlice)
+		if err != nil || !bytes.Equal(got, tc.enc) || string(fromSlice.Rest()) != "next" {
+			t.Fatalf("%s from a slice: %v, %d bytes left", name, err, len(fromSlice.Rest()))
+		}
+		r := bytes.NewReader(followed)
+		fromReader := NewReaderDecoder(r)
+		got, err = tc.decode(&fromReader)
+		fromReader.Release()
+		if err != nil || !bytes.Equal(got, tc.enc) || r.Len() != len("next") {
+			t.Fatalf("%s from a reader: %v, %d bytes left", name, err, r.Len())
+		}
+		for cut := 0; cut < len(tc.enc); cut++ {
+			fromSlice, fromReader := NewDecoder(tc.enc[:cut]), NewReaderDecoder(bytes.NewReader(tc.enc[:cut]))
+			_, serr := tc.decode(&fromSlice)
+			_, rerr := tc.decode(&fromReader)
+			fromReader.Release()
+			if serr == nil || rerr == nil {
+				t.Fatalf("%s cut at %d of %d bytes decoded: slice %v, reader %v", name, cut, len(tc.enc), serr, rerr)
+			}
+		}
+	}
+}
+
 func TestKJTOperations(t *testing.T) {
 	kjt := MustKJT(
 		[]string{"a", "b", "c"},

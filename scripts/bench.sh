@@ -29,7 +29,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BENCH_PATTERN=${BENCH_PATTERN:-'BenchmarkIKJTConversion$|BenchmarkJaggedIndexSelect$|BenchmarkJaggedIndexSelectAlloc$|BenchmarkIKJTToKJTRoundTrip$|BenchmarkDWRFWriteClustered$|BenchmarkReaderTier$|BenchmarkReaderTierPipelined$|BenchmarkServiceSession$|BenchmarkRemoteSession$|BenchmarkSharedSessions$|BenchmarkUnsharedSessions$|BenchmarkStaticStalledConsumer$|BenchmarkAutoscaledStalledConsumer$|BenchmarkShardedFleet1$|BenchmarkShardedFleet2$|BenchmarkShardedFleet4$|BenchmarkPipelineEndToEnd$|BenchmarkCacheGetHit$|BenchmarkCacheCyclicOvercommit$'}
+BENCH_PATTERN=${BENCH_PATTERN:-'BenchmarkIKJTConversion$|BenchmarkJaggedIndexSelect$|BenchmarkJaggedIndexSelectAlloc$|BenchmarkIKJTToKJTRoundTrip$|BenchmarkDWRFWriteClustered$|BenchmarkReaderTier$|BenchmarkReaderTierPipelined$|BenchmarkServiceSession$|BenchmarkRemoteSession$|BenchmarkSharedSessions$|BenchmarkUnsharedSessions$|BenchmarkStaticStalledConsumer$|BenchmarkAutoscaledStalledConsumer$|BenchmarkShardedFleet1$|BenchmarkShardedFleet2$|BenchmarkShardedFleet4$|BenchmarkPipelineEndToEnd$|BenchmarkCacheGetHit$|BenchmarkCacheCyclicOvercommit$|BenchmarkChainStep$|BenchmarkBatchFrameHop$'}
 BENCH_COUNT=${BENCH_COUNT:-1}
 MAX_PCT=${BENCH_MAX_REGRESSION_PCT:-20}
 BASELINE=${BENCH_BASELINE:-benchmarks/baseline.txt}
@@ -38,8 +38,11 @@ LATEST=${BENCH_LATEST:-benchmarks/latest.txt}
 mkdir -p "$(dirname "$LATEST")"
 # The root package holds the pipeline benchmarks; internal/cachecore holds
 # the cache engine's (the hit path every warm batch takes, at 0 allocs/op,
-# and a cyclic scan over an undersized cache, which reports computes/pass).
-go test -run '^$' -bench "$BENCH_PATTERN" -benchmem -count "$BENCH_COUNT" . ./internal/cachecore/ | tee "$LATEST"
+# and a cyclic scan over an undersized cache, which reports computes/pass);
+# internal/dpp/dppnet holds the wire's per-layer pair (the stream hash, at
+# 0 allocs/op, and one batch's encode → frame → read → verify → decode hop,
+# which reports ns/row).
+go test -run '^$' -bench "$BENCH_PATTERN" -benchmem -count "$BENCH_COUNT" . ./internal/cachecore/ ./internal/dpp/dppnet/ | tee "$LATEST"
 
 # --- Cross-session scan-sharing gate: two same-spec sessions through the
 # ScanCache must beat two uncached sessions by at least

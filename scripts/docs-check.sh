@@ -19,6 +19,11 @@
 #      cites as `pkg.TestName` / `pkg.FuzzName` must exist in a package of
 #      that name (`go test -list`), so a renamed or deleted test cannot
 #      leave a row that pins nothing.
+#   6. Every "protocol vN" in docs/*.md must name the version the code
+#      speaks (`protoVersion` in internal/dpp/dppnet/protocol.go), so the
+#      docs cannot lag the next bump. History belongs in protocol.go's
+#      version comment; docs that must mention an older version say
+#      "v6", not "protocol v6".
 #
 # Usage: scripts/docs-check.sh
 set -euo pipefail
@@ -122,8 +127,19 @@ for name in $cited; do
     fi
 done
 
+# --- 6. "protocol vN" in the docs is the version the code speaks ----------
+version=$(sed -n 's/^[[:space:]]*protoVersion[[:space:]]*=[[:space:]]*\([0-9][0-9]*\).*/\1/p' internal/dpp/dppnet/protocol.go)
+if [[ -z "$version" ]]; then
+    echo "docs: found no protoVersion in internal/dpp/dppnet/protocol.go"
+    fail=1
+elif stale=$(grep -noE 'protocol v[0-9]+' docs/*.md | grep -v "protocol v$version\$"); then
+    echo "docs: the code speaks dppnet protocol v$version; these say otherwise:"
+    echo "$stale" | sed 's/^/    /'
+    fail=1
+fi
+
 if [[ "$fail" -ne 0 ]]; then
     echo "docs: FAIL"
     exit 1
 fi
-echo "docs: OK (package comments, go fences, links, import guard, determinism-table tests)"
+echo "docs: OK (package comments, go fences, links, import guard, determinism-table tests, protocol version)"

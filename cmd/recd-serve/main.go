@@ -277,9 +277,10 @@ func main() {
 	}
 
 	// Graceful drain, triggered by the first SIGTERM/SIGINT or POST
-	// /drainz: stop admitting, hand in-flight clients their drain notice
-	// (resume token + offset, so they splice onto another server), wait
-	// up to -drain-timeout for the streams to move off, then close.
+	// /drainz: stop admitting, send in-flight streams their drain frame
+	// (a fleet client moves the shard's remaining files to another shard;
+	// a single-server trainer finishes here), wait up to -drain-timeout
+	// for the streams to move off or end, then close.
 	drainOnce := sync.Once{}
 	drain := func() {
 		drainOnce.Do(func() {

@@ -208,13 +208,14 @@ func main() {
 				}
 				sess.Close()
 				// Reconnect accounting straight off the session: how the
-				// stream survived — parked-token resume, deterministic
-				// offset replay, or a drain handoff to another shard.
+				// stream survived — parked-token resume or deterministic
+				// offset replay on one server, a drain handoff to another
+				// shard in a fleet (a single-server session rides a drain
+				// out where it is, so it has none to count).
 				switch s := sess.(type) {
 				case *dppnet.RemoteSession:
 					r.tokenResumes += s.TokenResumes()
 					r.replays += s.Replays()
-					r.drainHandoffs += s.DrainHandoffs()
 				case *dppshard.Session:
 					r.drainHandoffs += s.DrainHandoffs()
 				}

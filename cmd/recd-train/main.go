@@ -33,11 +33,11 @@
 // each -epochs "window" trains on the next table's-worth of live
 // batches. Locally the trainer hosts its own landing writer
 // (-flush-interval, -retain-hours); with -connect it tails a recd-serve
-// running -follow, the server announcing each landing mid-stream over
-// the protocol's extend frames. The tail is a ShareScans session like the
-// per-hour ones, so N trainers tailing one server decode each landed file
-// once between them. Follow streams neither resume nor fail over — a tail
-// has no frozen plan to replay against.
+// running -follow, whose landings simply arrive as more batches on the
+// stream. The tail is a ShareScans session like the per-hour ones, so N
+// trainers tailing one server decode each landed file once between them.
+// Follow streams do not resume — a tail has no frozen plan to replay
+// against.
 //
 // Usage:
 //
@@ -296,8 +296,8 @@ func main() {
 			return rs
 		}
 		openFollow = func() dpp.Stream {
-			// Follow streams neither resume nor fail over — a fresh client
-			// without the resume policy, or the open is refused.
+			// Follow streams do not resume — a fresh client without the
+			// resume policy, or the open is refused.
 			fc := dppnet.NewClient(*connect)
 			fc.AuthToken = *authToken
 			sp := tableSpec

@@ -1,69 +1,58 @@
 package dppnet
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 )
 
-// TestResumePolicyNormalizedDefaults pins the zero-value policy: 50ms
-// base, 2s cap, and the default downward jitter fraction. Negative
-// jitter means "exactly exponential" (what deterministic tests pin);
-// fractions above 1 clamp so a delay can never go negative.
+// TestResumePolicyNormalizedDefaults pins the zero-value policy's one
+// default: a 50ms base delay. The cap and the jitter fraction are
+// constants, not fields.
 func TestResumePolicyNormalizedDefaults(t *testing.T) {
-	p := ResumePolicy{}.normalized()
-	if p.BaseDelay != 50*time.Millisecond {
+	if p := (ResumePolicy{}).normalized(); p.BaseDelay != 50*time.Millisecond {
 		t.Fatalf("default BaseDelay = %v, want 50ms", p.BaseDelay)
 	}
-	if p.MaxDelay != 2*time.Second {
-		t.Fatalf("default MaxDelay = %v, want 2s", p.MaxDelay)
-	}
-	if p.Jitter != DefaultResumeJitter {
-		t.Fatalf("default Jitter = %v, want %v", p.Jitter, DefaultResumeJitter)
-	}
-	if j := (ResumePolicy{Jitter: -1}).normalized().Jitter; j != 0 {
-		t.Fatalf("negative Jitter normalized to %v, want 0 (disabled)", j)
-	}
-	if j := (ResumePolicy{Jitter: 3}).normalized().Jitter; j != 1 {
-		t.Fatalf("Jitter above 1 normalized to %v, want clamp to 1", j)
+	if p := (ResumePolicy{BaseDelay: time.Second}).normalized(); p.BaseDelay != time.Second {
+		t.Fatalf("a set BaseDelay normalized to %v", p.BaseDelay)
 	}
 }
 
-// TestBackoffExactExponentialWithoutJitter pins the unjittered schedule:
-// doubling from BaseDelay, capped at MaxDelay, attempt 1 = BaseDelay.
+// TestBackoffExactExponentialWithoutJitter pins the unjittered schedule —
+// a nil source — doubling from BaseDelay, capped at resumeDelayCap,
+// attempt 1 = BaseDelay.
 func TestBackoffExactExponentialWithoutJitter(t *testing.T) {
-	p := ResumePolicy{BaseDelay: 50 * time.Millisecond, MaxDelay: 2 * time.Second, Jitter: -1}.normalized()
+	p := ResumePolicy{}.normalized()
 	want := []time.Duration{
 		50 * time.Millisecond, 100 * time.Millisecond, 200 * time.Millisecond,
 		400 * time.Millisecond, 800 * time.Millisecond, 1600 * time.Millisecond,
 		2 * time.Second, 2 * time.Second, 2 * time.Second,
 	}
 	for i, w := range want {
-		if got := p.backoff(i+1, jitterRNG(p, 1)); got != w {
+		if got := p.backoff(i+1, nil); got != w {
 			t.Fatalf("backoff(%d) = %v, want %v", i+1, got, w)
 		}
 	}
-	// A nil rng also disables jitter regardless of the fraction.
-	jp := ResumePolicy{BaseDelay: 50 * time.Millisecond, Jitter: 1}.normalized()
-	if got := jp.backoff(3, nil); got != 200*time.Millisecond {
-		t.Fatalf("backoff(3) with nil rng = %v, want exact 200ms", got)
+	// A base above the cap is capped from the first delay on.
+	if got := (ResumePolicy{BaseDelay: time.Minute}).backoff(1, nil); got != resumeDelayCap {
+		t.Fatalf("backoff(1) from a one-minute base = %v, want the %v cap", got, resumeDelayCap)
 	}
 }
 
-// TestBackoffJitterDeterministicAndBounded: a seeded policy replays the
-// identical delay sequence (two RNGs minted for the same session ordinal
-// agree), and every jittered delay stays inside [(1-J)*exp, exp] of the
-// capped exponential it was derived from.
+// TestBackoffJitterDeterministicAndBounded: the delay sequence is a
+// function of the source alone (two sources of one seed agree), and every
+// jittered delay stays inside [(1-J)*exp, exp] of the capped exponential
+// it was derived from.
 func TestBackoffJitterDeterministicAndBounded(t *testing.T) {
-	p := ResumePolicy{BaseDelay: 50 * time.Millisecond, MaxDelay: 2 * time.Second, Jitter: 0.5, Seed: 42}.normalized()
-	exact := ResumePolicy{BaseDelay: p.BaseDelay, MaxDelay: p.MaxDelay, Jitter: -1}.normalized()
-	r1, r2 := jitterRNG(p, 1), jitterRNG(p, 1)
+	p := ResumePolicy{}.normalized()
+	r1, r2 := rand.New(rand.NewSource(42)), rand.New(rand.NewSource(42))
 	for n := 1; n <= 10; n++ {
 		d1, d2 := p.backoff(n, r1), p.backoff(n, r2)
 		if d1 != d2 {
-			t.Fatalf("attempt %d: same seed and ordinal gave %v vs %v", n, d1, d2)
+			t.Fatalf("attempt %d: same seed gave %v vs %v", n, d1, d2)
 		}
-		exp := exact.backoff(n, nil)
-		lo := time.Duration((1 - p.Jitter) * float64(exp))
+		exp := p.backoff(n, nil)
+		lo := time.Duration((1 - resumeJitter) * float64(exp))
 		if d1 < lo || d1 > exp {
 			t.Fatalf("attempt %d: jittered delay %v outside [%v, %v]", n, d1, lo, exp)
 		}
@@ -71,16 +60,16 @@ func TestBackoffJitterDeterministicAndBounded(t *testing.T) {
 }
 
 // TestBackoffJitterSpreadsSessions is the anti-herd property the jitter
-// exists for: sessions sharing one client (same policy seed) mix in
-// their own ordinal, so a server restart that drops all of them does not
-// see them redial on one identical schedule. With 8 ordinals the third
+// exists for: sessions sharing one client mix their own ordinal into
+// their source, so a server restart that drops all of them does not see
+// them redial on one identical schedule. With 8 ordinals the third
 // backoff must take several distinct values — before the ordinal mix it
 // was one value repeated 8 times.
 func TestBackoffJitterSpreadsSessions(t *testing.T) {
-	p := ResumePolicy{BaseDelay: 50 * time.Millisecond, MaxDelay: 2 * time.Second, Jitter: 0.5, Seed: 7}.normalized()
+	p := ResumePolicy{}.normalized()
 	distinct := map[time.Duration]bool{}
 	for k := int64(1); k <= 8; k++ {
-		distinct[p.backoff(3, jitterRNG(p, k))] = true
+		distinct[p.backoff(3, jitterRNG(k))] = true
 	}
 	if len(distinct) < 6 {
 		t.Fatalf("8 sessions produced only %d distinct third delays; the fleet would redial in lockstep", len(distinct))

@@ -10,9 +10,8 @@ import (
 // each frame hashes its canonical content bytes with the previous chain
 // value as the seed. Server and client compute it independently per
 // frame, and the server stamps its value on the frame — so one 8-byte
-// comparison per frame verifies the whole prefix, and a resumed or
-// failed-over stream that diverges anywhere is caught at the first
-// divergent frame.
+// comparison per frame verifies the whole prefix, and a resumed stream
+// that diverges anywhere is caught at the first divergent frame.
 //
 // It is a divergence detector, not a MAC: anyone who can rewrite a frame
 // can restamp it. What it has to be is fast enough to run over every

@@ -21,11 +21,10 @@ import (
 // to transport failures observed locally).
 var ErrRemote = errors.New("dppnet: remote error")
 
-// ErrDrained reports that the server handed this session a drain notice:
-// it is shutting down gracefully and wants the client to continue the
-// stream elsewhere. A RemoteSession with Client.Failover addresses
-// handles it internally (failing over mid-stream); otherwise it surfaces
-// from Next/NextUnit so the caller can reroute.
+// ErrDrained ends a unit stream whose server sent it a drain frame: the
+// server is shutting down gracefully, and the stream's consumer (dppshard)
+// should be served the rest of its files elsewhere. A batch session never
+// returns it — it rides the drain out where it is.
 var ErrDrained = errors.New("dppnet: server draining, session handed off")
 
 // errConnLost marks transport-level stream failures — the connection
@@ -38,87 +37,56 @@ var errConnLost = errors.New("dppnet: connection lost")
 // sessions: when the connection under a session dies, the client redials
 // with its resume token and consumed offset, verifying the continued
 // stream against the rolling chain hash. The zero value disables
-// reconnect (a dead connection is a terminal session error, the
-// pre-resume behavior).
+// reconnect (a dead connection is a terminal session error).
 type ResumePolicy struct {
 	// MaxAttempts caps consecutive failed redials before the session
 	// gives up; 0 disables reconnect entirely.
 	MaxAttempts int
 	// BaseDelay is the backoff before the second attempt (the first is
-	// immediate); it doubles per attempt, capped at MaxDelay. Defaults:
-	// 50ms base, 2s cap.
+	// immediate; 0 means 50ms). It doubles per attempt up to resumeDelayCap.
 	BaseDelay time.Duration
-	MaxDelay  time.Duration
-	// Jitter randomizes each backoff delay downward by up to this
-	// fraction of its exponential value, de-synchronizing the redial
-	// storm when a server restart drops a whole fleet of sessions at
-	// once (unjittered, every session slept the identical schedule and
-	// the herd re-arrived in lockstep each round). 0 means
-	// DefaultResumeJitter; negative disables jitter (exact exponential
-	// delays, what deterministic tests pin); values above 1 clamp to 1.
-	Jitter float64
-	// Seed seeds the per-session jitter source, for tests that need a
-	// reproducible delay sequence; 0 derives a seed from the clock. Each
-	// session mixes in its own ordinal so sessions sharing a client (and
-	// a seed) still spread apart.
-	Seed int64
 }
 
-// DefaultResumeJitter is the backoff jitter fraction when
-// ResumePolicy.Jitter is zero: each delay lands uniformly in
-// [delay/2, delay].
-const DefaultResumeJitter = 0.5
+const (
+	// resumeDelayCap caps the backoff between redials.
+	resumeDelayCap = 2 * time.Second
+	// resumeJitter randomizes each backoff delay downward by up to this
+	// fraction — uniformly in [delay/2, delay] — de-synchronizing the redial
+	// storm when a server restart drops a whole fleet of sessions at once
+	// (unjittered, every session slept the identical schedule and the herd
+	// re-arrived in lockstep each round).
+	resumeJitter = 0.5
+)
 
 func (p ResumePolicy) normalized() ResumePolicy {
 	if p.BaseDelay <= 0 {
 		p.BaseDelay = 50 * time.Millisecond
 	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = 2 * time.Second
-	}
-	switch {
-	case p.Jitter == 0:
-		p.Jitter = DefaultResumeJitter
-	case p.Jitter < 0:
-		p.Jitter = 0
-	case p.Jitter > 1:
-		p.Jitter = 1
-	}
 	return p
 }
 
 // backoff returns the pause before redial attempt n (n >= 1; attempt 0
-// is immediate): BaseDelay doubled per attempt, capped at MaxDelay, then
-// jittered downward by up to the Jitter fraction. Call on a normalized
-// policy. rng may be nil (no jitter); it is only ever touched from the
-// session's consumer goroutine.
+// is immediate): BaseDelay doubled per attempt, capped at resumeDelayCap,
+// then jittered downward by up to the resumeJitter fraction. Call on a
+// normalized policy. rng may be nil (no jitter); it is only ever touched
+// from the session's consumer goroutine.
 func (p ResumePolicy) backoff(n int, rng *rand.Rand) time.Duration {
 	d := p.BaseDelay
-	for i := 1; i < n; i++ {
+	for i := 1; i < n && d < resumeDelayCap; i++ {
 		d *= 2
-		if d >= p.MaxDelay {
-			d = p.MaxDelay
-			break
-		}
 	}
-	if d > p.MaxDelay {
-		d = p.MaxDelay
-	}
-	if p.Jitter > 0 && rng != nil {
-		d -= time.Duration(p.Jitter * rng.Float64() * float64(d))
+	d = min(d, resumeDelayCap)
+	if rng != nil {
+		d -= time.Duration(resumeJitter * rng.Float64() * float64(d))
 	}
 	return d
 }
 
-// jitterRNG mints the per-session jitter source: the policy seed (or the
-// clock) mixed with the session ordinal k so concurrent sessions spread.
-func jitterRNG(p ResumePolicy, k int64) *rand.Rand {
-	seed := p.Seed
-	if seed == 0 {
-		seed = time.Now().UnixNano()
-	}
+// jitterRNG mints a session's jitter source: the clock mixed with the
+// session ordinal k, so sessions opened in one tick still spread.
+func jitterRNG(k int64) *rand.Rand {
 	const mix = int64(-4645906587626371135) // 0x9e3779b97f4a7c15 as int64
-	return rand.New(rand.NewSource(seed ^ k*mix))
+	return rand.New(rand.NewSource(time.Now().UnixNano() ^ k*mix))
 }
 
 // Client opens preprocessing sessions on a remote dppnet server. It
@@ -134,21 +102,10 @@ type Client struct {
 	// transparently redial-and-resume under the policy's capped backoff.
 	// Set before Open.
 	Resume ResumePolicy
-	// Resumable asks the server for a resume token even when automatic
-	// reconnect is disabled — the handoff primitive for external
-	// failover. Sessions under a Resume policy are always resumable.
-	Resumable bool
 	// AuthToken is the tenant token presented in every handshake; leave
 	// empty against servers that run without a front door. Set before
 	// Open.
 	AuthToken string
-	// Failover lists alternate server addresses a session may continue
-	// on when its server drains mid-stream. On a drain notice the
-	// session redials the first reachable address (skipping the current
-	// one) and splices the remainder of the stream by deterministic
-	// offset replay — byte-identical, chain-verified. Empty means drain
-	// notices are advisory only. Set before Open.
-	Failover []string
 }
 
 // NewClient returns a client for the server at addr (host:port). No I/O
@@ -157,15 +114,11 @@ func NewClient(addr string) *Client {
 	return &Client{addr: addr}
 }
 
-func (c *Client) resumable() bool {
-	return c.Resumable || c.Resume.MaxAttempts > 0
-}
-
-// dial establishes a connection to addr and writes the preamble +
+// dial establishes a connection to the server and writes the preamble +
 // handshake, stamping the client's tenant token into the request.
-func (c *Client) dial(ctx context.Context, addr string, req openRequest) (net.Conn, *bufio.Reader, error) {
+func (c *Client) dial(ctx context.Context, req openRequest) (net.Conn, *bufio.Reader, error) {
 	req.AuthToken = c.AuthToken
-	conn, err := c.dialer.DialContext(ctx, "tcp", addr)
+	conn, err := c.dialer.DialContext(ctx, "tcp", c.addr)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -192,8 +145,8 @@ func (c *Client) dial(ctx context.Context, addr string, req openRequest) (net.Co
 // connection, its reader, and the ok reply's resume token (empty for
 // non-resumable sessions). Server refusals come back wrapped in
 // ErrRemote.
-func (c *Client) openStream(ctx context.Context, addr string, req openRequest) (net.Conn, *bufio.Reader, func(), string, error) {
-	conn, br, err := c.dial(ctx, addr, req)
+func (c *Client) openStream(ctx context.Context, req openRequest) (net.Conn, *bufio.Reader, func(), string, error) {
+	conn, br, err := c.dial(ctx, req)
 	if err != nil {
 		return nil, nil, nil, "", err
 	}
@@ -230,7 +183,7 @@ func (c *Client) openStream(ctx context.Context, addr string, req openRequest) (
 // probe runs one single-reply conversation of the given handshake kind
 // and returns the payload of the want frame.
 func (c *Client) probe(ctx context.Context, kind string, want byte) ([]byte, error) {
-	conn, br, err := c.dial(ctx, c.addr, openRequest{Kind: kind})
+	conn, br, err := c.dial(ctx, openRequest{Kind: kind})
 	if err != nil {
 		return nil, err
 	}
@@ -298,12 +251,12 @@ func closeOnDone(ctx context.Context, conn net.Conn) (stop func()) {
 // local session's output buffer has.
 func (c *Client) Open(ctx context.Context, spec dpp.Spec) (*RemoteSession, error) {
 	// A Follow session has no frozen file list to hash and no
-	// predetermined length, so resume and drain failover — both built on
-	// replaying a fixed deterministic stream — cannot apply. Refuse the
-	// combination here, before any dial, rather than letting the server
-	// reject it (which it also does).
-	if spec.Follow && (c.resumable() || len(c.Failover) > 0) {
-		return nil, fmt.Errorf("dppnet: follow sessions are incompatible with resume and failover; use a client without them")
+	// predetermined length, so resume — built on replaying a fixed
+	// deterministic stream — cannot apply. Refuse the combination here,
+	// before any dial, rather than letting the server reject it (which it
+	// also does).
+	if spec.Follow && c.Resume.MaxAttempts > 0 {
+		return nil, fmt.Errorf("dppnet: follow sessions are incompatible with resume; use a client without a Resume policy")
 	}
 	rs := &RemoteSession{}
 	if err := rs.start(ctx, c, spec, batchKind); err != nil {
@@ -312,7 +265,7 @@ func (c *Client) Open(ctx context.Context, spec dpp.Spec) (*RemoteSession, error
 	return rs, nil
 }
 
-// batchKind is the batch stream: batch frames, advisory drain notices.
+// batchKind is the batch stream: batch frames, advisory drain frames.
 var batchKind = kind[*reader.Batch]{frame: frameBatch, decode: decodeBatch}
 
 // decodeBatch is the batch kind's decode hook: index | chain | batch.
@@ -354,17 +307,9 @@ func (rs *RemoteSession) Next(ctx context.Context) (*reader.Batch, error) { retu
 // TokenResumes and Replays split the session's successful continuations
 // by kind: a token resume claimed parked server state (retained frames
 // resent, nothing re-decoded), a replay re-synthesized the consumed
-// prefix on a fresh session. DrainHandoffs counts mid-stream failovers
-// to another address after a drain notice.
-func (rs *RemoteSession) TokenResumes() int64  { return rs.tokenResumes.Load() }
-func (rs *RemoteSession) Replays() int64       { return rs.replays.Load() }
-func (rs *RemoteSession) DrainHandoffs() int64 { return rs.drainHandoffs.Load() }
-
-// ExtendNotices and ExtendedFiles report the live-tail telemetry of a
-// Follow session: how many extend frames the server pushed and the total
-// files they announced. Both stay zero for non-follow sessions.
-func (rs *RemoteSession) ExtendNotices() int64 { return rs.extendCount.Load() }
-func (rs *RemoteSession) ExtendedFiles() int64 { return rs.extendFiles.Load() }
+// prefix on a fresh session.
+func (rs *RemoteSession) TokenResumes() int64 { return rs.tokenResumes.Load() }
+func (rs *RemoteSession) Replays() int64      { return rs.replays.Load() }
 
 // EndFollow asks the server to end a Follow session's tail: the server
 // stops observing the catalog, the stream drains the files already

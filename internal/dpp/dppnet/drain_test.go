@@ -12,70 +12,12 @@ import (
 	"repro/internal/testutil"
 )
 
-// TestDrainFailoverMidStreamByteIdentical is the graceful-handoff
-// contract: a server entering drain mode hands its in-flight batch
-// session a drain notice, and a client with a Failover address continues
-// the stream on the second server by deterministic offset replay — the
-// merged stream byte-identical to an uninterrupted run. The draining
-// server also refuses fresh opens with an error naming the drain.
-func TestDrainFailoverMidStreamByteIdentical(t *testing.T) {
-	before := runtime.NumGoroutine()
-	env := newTestEnv(t, 240)
-	// A small credit window keeps the server close behind the consumer,
-	// so the drain notice lands well before the ~20-batch stream ends.
-	spec := dpp.Spec{Spec: alignedSpec(), Readers: 1, Buffer: 2}
-
-	ref := startServer(t, env, dpp.Config{})
-	rsRef, err := NewClient(ref.addr).Open(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := drainRemote(t, rsRef)
-	ref.shutdown(t)
-	if len(want) < 10 {
-		t.Fatalf("reference stream has %d batches; the drain needs a mid-stream window", len(want))
-	}
-
-	h1 := startServer(t, env, dpp.Config{})
-	h2 := startServer(t, env, dpp.Config{})
-	client := NewClient(h1.addr)
-	client.Failover = []string{h2.addr}
-	rs, err := client.Open(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := consumeRemote(t, rs, 2)
-	h1.srv.Drain()
-	got = append(got, drainRemote(t, rs)...)
-	mustEqualBatches(t, got, want)
-
-	if n := rs.DrainHandoffs(); n < 1 {
-		t.Fatalf("DrainHandoffs = %d, want >= 1 (the session failed over to %s)", n, h2.addr)
-	}
-	st := h1.srv.Stats()
-	if !st.Draining || st.DrainNotices < 1 {
-		t.Fatalf("drained server stats %+v: want Draining with >= 1 drain notice handed out", st)
-	}
-	if n := h2.srv.Stats().ReplayedSessions; n < 1 {
-		t.Fatalf("failover server ReplayedSessions = %d, want >= 1 (the handoff splices by offset replay)", n)
-	}
-
-	// A gateless draining server still refuses fresh opens, with the
-	// error text fleet clients match to route around it.
-	if _, err := NewClient(h1.addr).Open(context.Background(), spec); !errors.Is(err, ErrRemote) || !strings.Contains(err.Error(), "draining") {
-		t.Fatalf("open against a draining server = %v, want ErrRemote naming the drain", err)
-	}
-
-	h1.shutdown(t)
-	h2.shutdown(t)
-	testutil.WaitForGoroutines(t, before)
-}
-
-// TestDrainWithoutFailoverAdvisory: for a client with nowhere to go the
-// drain frame is advisory — the server keeps serving until the
-// operator's deadline, and the session completes in place, byte-identical
-// and with no handoff counted.
-func TestDrainWithoutFailoverAdvisory(t *testing.T) {
+// TestDrainBatchSessionAdvisory and TestDrainUnitSessionTerminal are the
+// two rows of the drain policy (kind.drainSurfaces). On a batch stream the
+// drain frame is advisory — the server keeps serving until the operator's
+// deadline, and the session completes in place, byte-identical. The
+// draining server refuses fresh opens with an error naming the drain.
+func TestDrainBatchSessionAdvisory(t *testing.T) {
 	before := runtime.NumGoroutine()
 	env := newTestEnv(t, 120)
 	spec := dpp.Spec{Spec: alignedSpec(), Readers: 1, Buffer: 2}
@@ -95,11 +37,13 @@ func TestDrainWithoutFailoverAdvisory(t *testing.T) {
 	h.srv.Drain()
 	got = append(got, drainRemote(t, rs)...)
 	mustEqualBatches(t, got, want)
-	if n := rs.DrainHandoffs(); n != 0 {
-		t.Fatalf("DrainHandoffs = %d, want 0 (no failover addresses were configured)", n)
+	if st := h.srv.Stats(); !st.Draining || st.DrainNotices < 1 {
+		t.Fatalf("server stats %+v: want Draining, with the in-flight session sent its drain frame", st)
 	}
-	if st := h.srv.Stats(); st.DrainNotices < 1 {
-		t.Fatalf("server stats %+v: the in-flight session should still get its notice", st)
+	// A gateless draining server refuses fresh opens, with the error text
+	// fleet clients match to route around it.
+	if _, err := NewClient(h.addr).Open(context.Background(), spec); !errors.Is(err, ErrRemote) || !strings.Contains(err.Error(), "draining") {
+		t.Fatalf("open against a draining server = %v, want ErrRemote naming the drain", err)
 	}
 
 	h.shutdown(t)
@@ -107,9 +51,9 @@ func TestDrainWithoutFailoverAdvisory(t *testing.T) {
 }
 
 // TestDrainUnitSessionTerminal: a file-unit stream surfaces the drain as
-// ErrDrained instead of failing over itself — re-homing unit streams is
-// the fleet multiplexer's job, which reroutes the shard's unconsumed
-// files so nothing already served is refetched.
+// ErrDrained — re-homing unit streams is the fleet multiplexer's job, which
+// reroutes the shard's unconsumed files so nothing already served is
+// refetched.
 func TestDrainUnitSessionTerminal(t *testing.T) {
 	before := runtime.NumGoroutine()
 	env := newTestEnv(t, 160)

@@ -18,6 +18,7 @@ type stubStream struct{ closed atomic.Bool }
 
 func (s *stubStream) next(context.Context) (frame, error) { return frame{}, io.EOF }
 func (s *stubStream) recycle(frame)                       {}
+func (s *stubStream) endFollow()                          {}
 func (s *stubStream) stats() dpp.SessionStats             { return dpp.SessionStats{} }
 func (s *stubStream) close() error                        { s.closed.Store(true); return nil }
 
@@ -26,7 +27,7 @@ func (s *stubStream) close() error                        { s.closed.Store(true)
 // expiry, and the old code then evicted whichever entry map iteration
 // happened to visit — sometimes the *youngest*, stranding a reconnecting
 // client whose token was still well inside its claim window. The fix
-// breaks expiry ties on park order (resumeEntry.seq), so under a frozen
+// breaks expiry ties on park order (session.seq), so under a frozen
 // clock the victim is always the oldest unclaimed entry.
 func TestResumeCapacityEvictionPrefersOldestPark(t *testing.T) {
 	s := NewServer(nil)
@@ -38,7 +39,7 @@ func TestResumeCapacityEvictionPrefersOldestPark(t *testing.T) {
 	streams := make([]*stubStream, 6)
 	park := func(i int) bool {
 		streams[i] = &stubStream{}
-		return s.park(&resumeEntry{
+		return s.park(&session{
 			token:  fmt.Sprintf("t%d", i),
 			stream: streams[i],
 			cancel: func() {},

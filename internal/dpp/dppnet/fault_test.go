@@ -9,6 +9,8 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -382,6 +384,61 @@ func TestServerRejectsMalformedHandshake(t *testing.T) {
 
 	if n := h.svc.Stats().SessionsOpened; n != 0 {
 		t.Fatalf("malformed handshakes opened %d sessions", n)
+	}
+	h.shutdown(t)
+	testutil.WaitForGoroutines(t, before)
+}
+
+// TestSilentConnectionIsDropped: a peer that connects and then says nothing
+// — or says the magic and then nothing — has handshakeTimeout to present
+// its handshake. Until it does it holds a handler and a ConnsActive slot
+// that no Gate has charged to anyone, and before the deadline existed it
+// held them until Server.Close. Both peers here stay connected and silent:
+// the server must drop them on its own, say so in the access log, and come
+// back to no active connections with nothing leaked.
+func TestSilentConnectionIsDropped(t *testing.T) {
+	before := runtime.NumGoroutine()
+	env := newTestEnv(t, 10)
+	var mu sync.Mutex
+	var details []string
+	h := startTunedServer(t, env, dpp.Config{}, func(s *Server) {
+		s.OnSession = func(ev SessionEvent) {
+			if ev.Kind == "error" {
+				mu.Lock()
+				details = append(details, ev.Detail)
+				mu.Unlock()
+			}
+		}
+	})
+
+	silent, magic := rawDial(t, h.addr), rawDial(t, h.addr)
+	defer silent.Close()
+	defer magic.Close()
+	magic.Write(append([]byte(protoMagic), protoVersion))
+	testutil.Eventually(t, func() bool { return h.srv.Stats().ConnsAccepted == 2 }, "both connections are being handled")
+
+	// Neither peer sends another byte; each waits to be hung up on. The
+	// one that got as far as the magic is told why, in the only framing
+	// there is.
+	for _, conn := range []net.Conn{silent, magic} {
+		conn.SetReadDeadline(time.Now().Add(handshakeTimeout + 5*time.Second))
+		reply, err := io.ReadAll(conn)
+		if err != nil {
+			t.Fatalf("a silent connection was not closed within the handshake deadline: %v", err)
+		}
+		if (conn == magic) != bytes.Contains(reply, []byte("expected open frame")) {
+			t.Fatalf("reply %q to the peer that sent magic=%v", reply, conn == magic)
+		}
+	}
+	testutil.Eventually(t, func() bool { return h.srv.Stats().ConnsActive == 0 }, "the dropped connections release their slots")
+	mu.Lock()
+	slices.Sort(details)
+	if want := []string{"expected open frame", "no preamble within " + handshakeTimeout.String()}; !slices.Equal(details, want) {
+		t.Fatalf("access log error events %q, want %q", details, want)
+	}
+	mu.Unlock()
+	if n := h.svc.Stats().SessionsOpened; n != 0 {
+		t.Fatalf("silent connections opened %d sessions", n)
 	}
 	h.shutdown(t)
 	testutil.WaitForGoroutines(t, before)

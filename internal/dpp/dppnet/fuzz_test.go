@@ -345,68 +345,6 @@ func FuzzDecodeTablez(f *testing.F) {
 	})
 }
 
-// FuzzDecodeExtend: the v6 extend frame is server-controlled bytes a
-// tailing client decodes mid-stream, so a malicious or corrupt server
-// must never panic it, and empty or oversized file lists are rejected
-// before the client's bookkeeping scales with them. Accepted decodes
-// stay within the wire bounds and their canonical re-marshalled form is
-// a fixed point under decode/marshal (JSON field matching is
-// case-insensitive, so full bijectivity is not available).
-func FuzzDecodeExtend(f *testing.F) {
-	seed := func(en extendNotice) []byte {
-		payload, err := json.Marshal(en)
-		if err != nil {
-			panic(err)
-		}
-		return payload
-	}
-	full := seed(extendNotice{Generation: 17, Files: []string{
-		"tbl/hour=3600/landed-000004.dwrf", "tbl/hour=3600/landed-000005.dwrf",
-	}})
-	f.Add(full)
-	f.Add(seed(extendNotice{Files: []string{"tbl/hour=0/landed-000000.dwrf"}}))
-	for _, cut := range []int{1, len(full) / 2, len(full) - 1} {
-		f.Add(full[:cut])
-	}
-	// Forged notices a well-behaved server cannot emit: no files, an
-	// empty path, a path past the bound, and plain garbage.
-	f.Add([]byte(`{"generation":3,"files":[]}`))
-	f.Add([]byte(`{"files":[""]}`))
-	f.Add([]byte(`{"files":["` + strings.Repeat("p", maxExtendPathLen+1) + `"]}`))
-	f.Add([]byte(`{"files":null}`))
-	f.Add([]byte(`not json`))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		en, err := decodeExtend(data)
-		if err != nil {
-			return
-		}
-		if len(en.Files) == 0 || len(en.Files) > maxExtendFiles {
-			t.Fatalf("accepted notice with %d files", len(en.Files))
-		}
-		for _, fp := range en.Files {
-			if fp == "" || len(fp) > maxExtendPathLen {
-				t.Fatalf("accepted out-of-bounds path of %d bytes", len(fp))
-			}
-		}
-		re, err := json.Marshal(en)
-		if err != nil {
-			t.Fatalf("re-marshalling accepted notice: %v", err)
-		}
-		back, err := decodeExtend(re)
-		if err != nil {
-			t.Fatalf("round-trip decode failed: %v", err)
-		}
-		re2, err := json.Marshal(back)
-		if err != nil {
-			t.Fatalf("re-marshalling round-tripped notice: %v", err)
-		}
-		if !bytes.Equal(re, re2) {
-			t.Fatalf("canonical extend form is not a fixed point:\n got %s\nwant %s", re2, re)
-		}
-	})
-}
-
 // TestEncodeFileUnitRefusesCarriedScan: the unit frame has no field for
 // head rows, so a scan cut at an offset — which a unit session never
 // produces — is refused at the encoder instead of being shipped without
@@ -442,12 +380,12 @@ func fileUnitSeed(u *dpp.FileUnit) []byte {
 	return buf.Bytes()
 }
 
-// FuzzDecodeFileUnit: the v3 file-unit frame is what a fleet mux
+// FuzzDecodeFileUnit: the file-unit frame is what a fleet mux
 // reassembles its merged stream from, so a malicious or corrupt shard
 // must never panic the client. decodeFileUnit on arbitrary bytes either
 // fails cleanly or yields a unit within every wire bound whose
 // re-encoding decodes back equal — byte-identity of the re-encoding is
-// NOT required, because ReadUvarint accepts non-minimal varints.
+// NOT required, because Uvarint accepts non-minimal varints.
 func FuzzDecodeFileUnit(f *testing.F) {
 	env := newTestEnv(f, 24)
 	r, err := reader.NewReader(env.store, misalignedSpec())
@@ -481,6 +419,19 @@ func FuzzDecodeFileUnit(f *testing.F) {
 	bad := append([]byte(nil), full...)
 	bad[binary.PutUvarint(make([]byte, binary.MaxVarintLen64), 3)] = 7
 	f.Add(bad)
+	// The tail's columns, forged: the same unit without its batches, so
+	// that the tail starts at a known offset, claiming a row count far past
+	// its bytes, and then one row more than its columns hold.
+	if n := scan.Tail.Rows(); n == 0 || n > 0x7f {
+		f.Fatalf("the seed scan's tail has %d rows, want a one-byte nonzero count to forge", n)
+	}
+	bare := *scan
+	bare.Batches = nil
+	short := fileUnitSeed(&dpp.FileUnit{Index: 3, Scan: &bare})
+	tailAt := len(short) - len(scan.Tail.AppendTo(nil))
+	f.Add(short)
+	f.Add(append(binary.AppendUvarint(short[:tailAt:tailAt], 1<<23), short[tailAt+1:]...))
+	f.Add(append(binary.AppendUvarint(short[:tailAt:tailAt], uint64(scan.Tail.Rows()+1)), short[tailAt+1:]...))
 
 	// The decoding client's spec is the seed scan's: frames that keep its
 	// features keep a populated tail chunk through the round trip.
@@ -499,10 +450,9 @@ func FuzzDecodeFileUnit(f *testing.F) {
 		if u.Scan == nil {
 			t.Fatal("accepted unit without a scan")
 		}
-		if len(u.Scan.Keys) > maxUnitKeys || u.Scan.Dense > maxUnitDense ||
-			len(u.Scan.Batches) > maxUnitBatches || u.Scan.Tail.Rows() > maxUnitTail {
-			t.Fatalf("accepted unit outside wire bounds: %d keys, dense %d, %d batches, %d tail rows",
-				len(u.Scan.Keys), u.Scan.Dense, len(u.Scan.Batches), u.Scan.Tail.Rows())
+		if len(u.Scan.Keys) > maxUnitKeys || u.Scan.Dense > maxUnitDense || len(u.Scan.Batches) > maxUnitBatches {
+			t.Fatalf("accepted unit outside wire bounds: %d keys, dense %d, %d batches",
+				len(u.Scan.Keys), u.Scan.Dense, len(u.Scan.Batches))
 		}
 		for _, k := range u.Scan.Keys {
 			if len(k) > maxUnitKeyLen {

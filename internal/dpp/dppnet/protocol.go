@@ -60,38 +60,34 @@ import (
 )
 
 // Connection preamble: magic + one version byte, written by the client
-// before its handshake frame. Version 2 extended the session-stats frame
-// with the scheduler block (workers, scale events, starvation stalls);
-// version 3 added the file-unit session mode (openRequest.FileUnits and
-// the file-unit frame) that fleet shards are served through; version 4
-// added session resume (handshake offset/token, the token-bearing ok
-// payload, and the index + rolling-chain-hash stamp on every batch and
-// file-unit frame) plus the tablez metadata conversation; version 5
-// added the multi-tenant front door (the handshake's auth_token, judged
-// by the server's front.Gate before any session state exists) and the
-// graceful-drain conversation (the server-pushed drain frame carrying a
-// resume token + offset, which clients use to fail over mid-stream);
-// version 6 added live tailing (the handshake spec's follow flag, the
-// server-pushed extend frame announcing files landed mid-stream, and
-// the client's end-follow frame that ends the tail and lets the stream
-// drain to a normal EOF); version 7 changed the rolling chain hash from
-// byte-at-a-time FNV-64a to XXH64 (chain.go) — every frame layout is as
-// in version 6, every stamp's value differs. The bump keeps a
-// mixed-version pair from handshaking and then mis-decoding the stream:
-// the server answers any other version with an error frame, whose framing
-// has not changed since version 1 (versionRefusal).
+// before its handshake frame. The version names the whole wire contract —
+// the frame set, every payload layout, the stream hash — and exactly one is
+// spoken: no codec branches on it. A peer of any other version is answered
+// with an error frame, whose framing has not changed since version 1, so a
+// mixed-version pair never handshakes and then mis-decodes the stream.
 const (
 	protoMagic   = "DPPN"
-	protoVersion = 7
+	protoVersion = 8
 )
 
-// versionRefusal is what a client speaking version v is told: which
-// version it spoke, which one is spoken here, and what to do about it.
+// versionRefusal is what a client speaking version v is told. It is the
+// registry of every version this protocol has had: the one spoken is
+// protoVersion, and each retired one keeps a line saying what retired it,
+// so that removing wire surface stays an explicit act with a message
+// attached.
 func versionRefusal(v byte) error {
-	if v < protoVersion {
-		return fmt.Errorf("dppnet: protocol v%d retired: v%d changed the stream hash; rebuild the client", v, protoVersion)
+	var retiredBy string
+	switch {
+	case v <= 6:
+		// v2 stats scheduler block, v3 file units, v4 resume and the
+		// chain stamp, v5 tenants and drain, v6 live tailing.
+		retiredBy = "v7 changed the stream hash"
+	case v == 7:
+		retiredBy = "v8 retired the extend frame, emptied the drain frame and ships the file-unit tail as columns"
+	default:
+		return fmt.Errorf("dppnet: protocol v%d is newer than this server's v%d; upgrade the server", v, protoVersion)
 	}
-	return fmt.Errorf("dppnet: protocol v%d is newer than this server's v%d; upgrade the server", v, protoVersion)
+	return fmt.Errorf("dppnet: protocol v%d retired: %s; rebuild the client for v%d", v, retiredBy, protoVersion)
 }
 
 // Frame types. Client→server frames are small control messages; all bulk
@@ -121,32 +117,27 @@ const (
 	frameSvcStats = byte(0x15)
 	// frameFileUnit carries one whole decoded file (dpp.FileUnit) for a
 	// file-unit session: subset index, cache-hit flag, schema, complete
-	// batches, and raw tail rows. Fleet shards stream these instead of
-	// batch frames so the client-side merge can cut carry-crossing
-	// batches itself. Since protocol v4 the payload is prefixed with the
+	// batches, and the tail rows' columns (unitwire.go). Fleet shards
+	// stream these instead of batch frames so the client-side merge can
+	// cut carry-crossing batches itself. The payload is prefixed with the
 	// stream's rolling chain hash (see sealFrame).
 	frameFileUnit = byte(0x16)
 	// frameTablez answers a tablez handshake with the JSON TableMeta of
 	// the served table: name, dense width, file plan per partition, and
 	// the derived spec — everything a trainer needs to start cold.
 	frameTablez = byte(0x17)
-	// frameDrain (server→client, advisory) tells a still-active session
-	// that the server is draining: the JSON drainNotice carries the
-	// session's resume token and the server's sent offset so the client
-	// can fail over to another address mid-stream and continue
-	// byte-where-it-left-off. The server keeps serving after sending it;
-	// a client with nowhere to go may simply finish on the draining
-	// server.
+	// frameDrain (server→client, empty payload) tells a still-active
+	// session that the server is draining. The server keeps serving after
+	// sending it. What it means is the stream kind's to say
+	// (kind.drainSurfaces): a batch stream rides the drain out on the
+	// draining server, a unit stream ends with ErrDrained so that the
+	// fleet multiplexer re-routes the files it has not been served.
 	frameDrain = byte(0x18)
-	// frameExtend (server→client, advisory) announces that a Follow
-	// session's scan plan grew mid-stream: the JSON extendNotice names
-	// the newly landed files in landed order. Batches for them follow on
-	// the same stream with no further marking; the frame is what tells a
-	// tailing client its stream is live rather than about to EOF, and
-	// which files the upcoming bytes come from. Like drain and stats
-	// frames it rides outside the rolling chain hash — the chain pins
-	// batch bytes, not control chatter.
-	frameExtend = byte(0x19)
+	// frameExtend announced a Follow session's newly landed files in v6
+	// and v7; no client ever acted on it. The number stays reserved so
+	// that it is never reused: a peer that receives it fails as on any
+	// unknown frame.
+	frameExtend = byte(0x19) // retired
 	// frameEndFollow (client→server, empty payload) ends a Follow
 	// session's tail: the server stops observing the catalog, drains the
 	// already-announced files, and finishes the stream with the usual
@@ -247,7 +238,7 @@ func decodeOpenRequest(payload []byte) (openRequest, error) {
 }
 
 // okReply is the JSON payload of a session ok frame. It is empty for
-// non-resumable sessions (and was always empty before protocol v4).
+// non-resumable sessions.
 type okReply struct {
 	// Token names the server-side resumable state for this session;
 	// present only when the handshake asked for a resumable session.
@@ -266,76 +257,6 @@ func decodeOKReply(payload []byte) (okReply, error) {
 		return okReply{}, fmt.Errorf("dppnet: ok token of %d bytes exceeds limit %d", len(ok.Token), maxResumeTokenLen)
 	}
 	return ok, nil
-}
-
-// drainNotice is the JSON payload of a drain frame: the handoff ticket
-// a draining server pushes to each still-active session. Token is the
-// session's resume token (empty for a non-resumable session, which can
-// still fail over by deterministic offset replay); Offset is how many
-// stream frames the server has sent — advisory, since the client's own
-// consumed count is what a handoff handshake presents.
-type drainNotice struct {
-	Token  string `json:"token,omitempty"`
-	Offset int64  `json:"offset"`
-}
-
-// decodeDrainNotice parses a drain frame with the handshake's bounds:
-// a forged notice cannot smuggle an oversized token or offset into the
-// client's reconnect path.
-func decodeDrainNotice(payload []byte) (drainNotice, error) {
-	var dn drainNotice
-	if err := json.Unmarshal(payload, &dn); err != nil {
-		return drainNotice{}, fmt.Errorf("dppnet: drain notice: %w", err)
-	}
-	if dn.Offset < 0 || dn.Offset > maxResumeOffset {
-		return drainNotice{}, fmt.Errorf("dppnet: drain notice offset %d out of range", dn.Offset)
-	}
-	if len(dn.Token) > maxResumeTokenLen {
-		return drainNotice{}, fmt.Errorf("dppnet: drain notice token of %d bytes exceeds limit %d", len(dn.Token), maxResumeTokenLen)
-	}
-	return dn, nil
-}
-
-// extendNotice is the JSON payload of an extend frame: the files a
-// Follow session's tailer observed landing, in landed order, plus the
-// catalog generation they were observed at (advisory — lag telemetry,
-// not a cursor the client must track).
-type extendNotice struct {
-	Generation uint64   `json:"generation,omitempty"`
-	Files      []string `json:"files"`
-}
-
-// Bounds on the extend frame's hostile surface: one notice carries one
-// observation's worth of landings, so anything past these caps is a
-// forged frame, rejected before the client's bookkeeping scales with it.
-const (
-	maxExtendFiles   = 1 << 16
-	maxExtendPathLen = 4096
-)
-
-// decodeExtend parses an extend frame. A malicious or corrupt server
-// must never panic the client, and empty or oversized file lists are
-// rejected rather than recorded (FuzzDecodeExtend pins this).
-func decodeExtend(payload []byte) (extendNotice, error) {
-	var en extendNotice
-	if err := json.Unmarshal(payload, &en); err != nil {
-		return extendNotice{}, fmt.Errorf("dppnet: extend notice: %w", err)
-	}
-	if len(en.Files) == 0 {
-		return extendNotice{}, fmt.Errorf("dppnet: extend notice without files")
-	}
-	if len(en.Files) > maxExtendFiles {
-		return extendNotice{}, fmt.Errorf("dppnet: extend notice with %d files exceeds limit %d", len(en.Files), maxExtendFiles)
-	}
-	for _, f := range en.Files {
-		if f == "" {
-			return extendNotice{}, fmt.Errorf("dppnet: extend notice with empty file path")
-		}
-		if len(f) > maxExtendPathLen {
-			return extendNotice{}, fmt.Errorf("dppnet: extend notice path of %d bytes exceeds limit %d", len(f), maxExtendPathLen)
-		}
-	}
-	return en, nil
 }
 
 // writeFrame emits one framed message: type byte, uvarint payload

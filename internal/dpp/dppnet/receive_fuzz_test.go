@@ -8,6 +8,8 @@ import (
 	"encoding/json"
 	"io"
 	"net"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/dpp"
@@ -86,15 +88,18 @@ func payloadFrames(data []byte, typ byte) [][]byte {
 	}
 }
 
+// controlFrame is one frame of the given type, as writeFrame makes it.
+func controlFrame(typ byte, payload string) []byte {
+	var buf bytes.Buffer
+	writeFrame(&buf, typ, []byte(payload))
+	return buf.Bytes()
+}
+
 // runReceive feeds data to one receive loop as its connection's bytes — a
 // bufio.Reader, no socket — and returns every message it delivered, having
 // checked the terminal rule: exactly one terminal message, and it is last.
-func runReceive[T any](t *testing.T, data []byte, k kind[T], follow, failover bool) (items []remoteMsg[T], end error) {
-	c := &Client{}
-	if failover {
-		c.Failover = []string{"elsewhere:1"}
-	}
-	st := &stream[T]{client: c, kind: k, ws: &wireSpec{Follow: follow}, ctx: context.Background(), done: make(chan struct{})}
+func runReceive[T any](t *testing.T, data []byte, k kind[T]) (items []remoteMsg[T], end error) {
+	st := &stream[T]{client: &Client{}, kind: k, ws: &wireSpec{}, ctx: context.Background(), done: make(chan struct{})}
 	recv := make(chan remoteMsg[T])
 	go st.receive(bufio.NewReader(bytes.NewReader(data)), recv, func() {}, 0, chainSeed)
 	for m := range recv {
@@ -125,39 +130,40 @@ func FuzzClientReceive(f *testing.F) {
 	spec := dpp.Spec{Spec: alignedSpec(), Files: files}
 	tail := spec.ConsumedFeatures()
 
-	drain, _ := json.Marshal(drainNotice{Token: "t", Offset: 1})
-	extend, _ := json.Marshal(extendNotice{Files: []string{"landed"}})
-	var control bytes.Buffer
-	writeFrame(&control, frameDrain, drain)
-	writeFrame(&control, frameExtend, extend)
+	// Control frames a server may — or, the last three, may no longer —
+	// interleave with the stream: the empty drain frame, one with a v7
+	// payload, the retired extend frame, and a frame type never assigned.
+	interleaved := [][]byte{
+		controlFrame(frameDrain, ""),
+		controlFrame(frameDrain, `{"token":"t","offset":1}`),
+		controlFrame(frameExtend, `{"files":["landed"]}`),
+		controlFrame(0x7f, "?"),
+	}
 	for _, units := range []bool{false, true} {
 		real := recordStream(f, h.addr, spec, units)
 		frames := splitFrames(f, real)
 		if len(frames) < 4 { // two payload frames, stats, eof
 			f.Fatalf("recorded stream has only %d frames", len(frames))
 		}
-		f.Add(real, uint8(0))
-		f.Add(real[:len(real)/2], uint8(0))                // truncated mid-frame
-		f.Add(real[:len(frames[0])], uint8(0))             // truncated on a frame boundary
-		f.Add(real[len(frames[0]):], uint8(0))             // starts at index 1: out of order
-		f.Add(bytes.Join(frames[1:], frames[0]), uint8(0)) // a repeated first frame
+		f.Add(real)
+		f.Add(real[:len(real)/2])                // truncated mid-frame
+		f.Add(real[:len(frames[0])])             // truncated on a frame boundary
+		f.Add(real[len(frames[0]):])             // starts at index 1: out of order
+		f.Add(bytes.Join(frames[1:], frames[0])) // a repeated first frame
 		swapped := append([]byte(nil), real...)
 		swapped[len(frames[0])-len(frames[0])/2] ^= 0x40 // a flipped content byte: chain mismatch
-		f.Add(swapped, uint8(0))
+		f.Add(swapped)
 		stamped := append([]byte(nil), real...)
 		stamped[4] ^= 0x01 // a flipped byte of the stamp itself
-		f.Add(stamped, uint8(0))
-		mid := append(append(append([]byte(nil), frames[0]...), control.Bytes()...), real[len(frames[0]):]...)
-		for flags := uint8(0); flags < 4; flags++ { // drain + extend mid-stream, every follow/failover mix
-			f.Add(mid, flags)
+		f.Add(stamped)
+		for _, c := range interleaved { // each control frame after the first item
+			f.Add(slices.Concat(frames[0], c, real[len(frames[0]):]))
 		}
 	}
 	h.shutdown(f)
 
-	f.Fuzz(func(t *testing.T, data []byte, flags uint8) {
-		follow, failover := flags&1 != 0, flags&2 != 0
-
-		batches, _ := runReceive(t, data, batchKind, follow, failover)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		batches, _ := runReceive(t, data, batchKind)
 		sent, chain := payloadFrames(data, frameBatch), chainSeed
 		for i, m := range batches {
 			if i >= len(sent) {
@@ -171,7 +177,7 @@ func FuzzClientReceive(f *testing.F) {
 			}
 		}
 
-		units, _ := runReceive(t, data, unitKind(files, tail), follow, failover)
+		units, _ := runReceive(t, data, unitKind(files, tail))
 		sent, chain = payloadFrames(data, frameFileUnit), chainSeed
 		for i, m := range units {
 			if i >= len(sent) {
@@ -193,8 +199,11 @@ func FuzzClientReceive(f *testing.F) {
 
 // TestClientReceiveRecordedStreams: the fuzz harness's ground truth — a
 // recorded real stream of either kind delivers every item and ends in
-// io.EOF, and each corruption the seed corpus carries ends it early with an
-// error.
+// io.EOF; each corruption the seed corpus carries ends it early with an
+// error; and the control frames follow the protocol's table: an empty
+// drain is advisory on a batch stream and ends a unit stream with
+// ErrDrained, a drain with a payload and the retired extend frame (0x19)
+// are protocol errors that name what arrived.
 func TestClientReceiveRecordedStreams(t *testing.T) {
 	env := newTestEnv(t, 60)
 	h := startServer(t, env, dpp.Config{})
@@ -203,10 +212,10 @@ func TestClientReceiveRecordedStreams(t *testing.T) {
 
 	count := func(data []byte, units bool) (int, error) {
 		if units {
-			items, end := runReceive(t, data, unitKind(files, spec.ConsumedFeatures()), false, false)
+			items, end := runReceive(t, data, unitKind(files, spec.ConsumedFeatures()))
 			return len(items), end
 		}
-		items, end := runReceive(t, data, batchKind, false, false)
+		items, end := runReceive(t, data, batchKind)
 		return len(items), end
 	}
 	for _, units := range []bool{false, true} {
@@ -218,16 +227,32 @@ func TestClientReceiveRecordedStreams(t *testing.T) {
 		}
 		swapped := append([]byte(nil), real...)
 		swapped[first+first/2] ^= 0x40 // inside the second frame's content
+		// after splices one control frame in behind the first item.
+		after := func(typ byte, payload string) []byte {
+			return slices.Concat(real[:first], controlFrame(typ, payload), real[first:])
+		}
+		drained := struct {
+			want int
+			says string
+		}{total, "EOF"} // advisory: the batch stream runs on to its end
+		if units {
+			drained.want, drained.says = 1, ErrDrained.Error()
+		}
 		for name, tc := range map[string]struct {
 			data []byte
 			want int
+			says string // what the terminal error must say; "" for any error but EOF
 		}{
-			"truncated":    {real[:first+first/2], 1},
-			"out of order": {real[first:], 0},
-			"chain swap":   {swapped, 1},
+			"truncated":          {real[:first+first/2], 1, ""},
+			"out of order":       {real[first:], 0, ""},
+			"chain swap":         {swapped, 1, ""},
+			"drain":              {after(frameDrain, ""), drained.want, drained.says},
+			"drain with payload": {after(frameDrain, `{"token":"t","offset":1}`), 1, "drain frame with a 24-byte payload"},
+			"retired extend":     {after(0x19, `{"files":["landed"]}`), 1, "unexpected frame 0x19"},
 		} {
-			if n, end := count(tc.data, units); n != tc.want || end == nil || end == io.EOF {
-				t.Fatalf("units=%v %s: delivered %d items to %v, want %d and an error", units, name, n, end, tc.want)
+			n, end := count(tc.data, units)
+			if n != tc.want || end == nil || !strings.Contains(end.Error(), tc.says) || (tc.says == "" && end == io.EOF) {
+				t.Fatalf("units=%v %s: delivered %d items to %v, want %d and an error saying %q", units, name, n, end, tc.want, tc.says)
 			}
 		}
 	}

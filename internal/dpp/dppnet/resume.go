@@ -37,6 +37,8 @@ const resumeParkWait = 2 * time.Second
 type wireStream interface {
 	next(ctx context.Context) (frame, error)
 	recycle(frame)
+	// endFollow ends a Follow session's tail; a no-op on any other.
+	endFollow()
 	stats() dpp.SessionStats
 	close() error
 }
@@ -85,6 +87,7 @@ func (b *batchWire) next(ctx context.Context) (frame, error) {
 	return fr, nil
 }
 
+func (b *batchWire) endFollow()              { b.sess.EndFollow() }
 func (b *batchWire) stats() dpp.SessionStats { return b.sess.Stats() }
 func (b *batchWire) close() error            { return b.sess.Close() }
 
@@ -117,27 +120,25 @@ func (u *unitWire) next(ctx context.Context) (frame, error) {
 	return sealFrame(buf, frameFileUnit, -1, chain), nil
 }
 
+func (u *unitWire) endFollow()              {}
 func (u *unitWire) stats() dpp.SessionStats { return u.us.Stats() }
 func (u *unitWire) close() error            { return u.us.Close() }
 
-// resumeEntry is one parked resumable session: the still-live stream
-// (its context is server-scoped, not connection-scoped), the retained
-// sent-but-unacknowledged frames, and the identity facts a
-// reconnect handshake must match. The retained window is bounded by the
-// credit window — a client can never be owed more unacked frames than
-// the window it granted.
-type resumeEntry struct {
+// session is the server's half of one wire session: the live stream (its
+// context is the server's, not a connection's), where the client is in it,
+// and the identity facts a reconnect handshake must match. A fresh open
+// builds one and a claim of its token returns it; one connection at a time
+// serves it, and between connections the resume table parks it whole.
+type session struct {
+	// token names a resumable session to its client; empty for one that
+	// ends with its connection.
 	token       string
 	fileUnits   bool
 	fingerprint string
 	filesHash   uint64
-	table       string
-	shareScans  bool
-	window      int
-	// tenant scopes the entry to the tenant that opened the session: a
-	// resume handshake must authenticate as the same tenant, so one
-	// tenant's leaked token cannot splice another tenant's client into
-	// its stream.
+	// tenant scopes the session to the tenant that opened it: a resume
+	// handshake must authenticate as the same tenant, so one tenant's
+	// leaked token cannot splice another tenant's client into its stream.
 	tenant string
 
 	ctx    context.Context
@@ -145,25 +146,45 @@ type resumeEntry struct {
 	stream wireStream
 
 	// sent is the stream index the next pulled frame gets; acked is the
-	// lowest index the client has not confirmed consuming; retained holds
-	// the frames for [acked, sent).
+	// lowest index the client has not confirmed consuming. A resumable
+	// session retains the frames [acked, sent) — a reconnect is resent
+	// them instead of anything being decoded again — which the credit
+	// window bounds: a client is never owed more unconfirmed frames than
+	// the window it granted.
 	sent, acked int64
 	retained    []frame
 
 	expires time.Time
-	// seq is the entry's park order (monotonic per server): capacity
-	// eviction breaks expires ties on it, so the evicted entry is
-	// deterministic even when many entries are parked within one clock
-	// tick.
+	// seq is the session's park order (monotonic per server): capacity
+	// eviction breaks expires ties on it, so the evicted session is
+	// deterministic even when many are parked within one clock tick.
 	seq   int64
 	inUse bool
 
-	// Set by registerLive, for the entry's time in the live table: sever
-	// kills the connection serving the session (its handler then parks),
-	// and parked is closed once that handler has parked the entry or given
-	// the session up.
+	// Set by registerLive, for the session's time in the live table: sever
+	// kills the connection serving it (its handler then parks), and parked
+	// is closed once that handler has parked the session or given it up.
 	sever  func()
 	parked chan struct{}
+}
+
+// prune hands the buffers of the retained frames the client has confirmed
+// back to the stream. A session that cannot resume retains nothing.
+func (ss *session) prune() {
+	drop := len(ss.retained) - int(ss.sent-ss.acked)
+	if drop <= 0 {
+		return
+	}
+	for _, fr := range ss.retained[:drop] {
+		ss.stream.recycle(fr)
+	}
+	ss.retained = ss.retained[drop:]
+}
+
+// close ends the stream; whoever holds the session last calls it.
+func (ss *session) close() {
+	ss.cancel()
+	ss.stream.close()
 }
 
 // resumeTable is the server's bounded, TTL-evicted table of parked
@@ -171,16 +192,16 @@ type resumeEntry struct {
 // with the server context.
 type resumeTable struct {
 	mu      sync.Mutex
-	entries map[string]*resumeEntry
+	entries map[string]*session
 	// live holds the tokens issued to sessions whose first connection is
 	// still being served. A client can redial faster than the server
 	// notices that connection is dead, so a claim must be able to find —
 	// and sever — a session that has not parked yet. Live entries are
 	// outside the parked table's capacity and TTL: they are bounded by the
 	// open connections.
-	live    map[string]*resumeEntry
+	live    map[string]*session
 	janitor bool
-	// parkSeq numbers parks; resumeEntry.seq is drawn from it under mu.
+	// parkSeq numbers parks; session.seq is drawn from it under mu.
 	parkSeq int64
 }
 
@@ -233,18 +254,16 @@ func (s *Server) resumeMax() int {
 // session's state. It refuses — the caller then closes the stream —
 // when parking is disabled, the server is shutting down, or the table
 // is full of in-use entries.
-func (s *Server) park(e *resumeEntry) bool {
+func (s *Server) park(e *session) bool {
 	// A draining server refuses to park: parked state anchors a future
-	// reconnect *here*, and drain mode's whole point is sending clients
-	// elsewhere. The dropped session's client replays by offset against
-	// its failover address instead.
+	// reconnect *here*, and a draining server admits none.
 	if s.resumeMax() < 0 || s.ctx.Err() != nil || s.draining.Load() {
 		return false
 	}
-	var evict *resumeEntry
+	var evict *session
 	s.resume.mu.Lock()
 	if s.resume.entries == nil {
-		s.resume.entries = make(map[string]*resumeEntry)
+		s.resume.entries = make(map[string]*session)
 	}
 	if _, ok := s.resume.entries[e.token]; !ok && len(s.resume.entries) >= s.resumeMax() {
 		// Full: evict the entry closest to expiry that nobody is using,
@@ -278,8 +297,7 @@ func (s *Server) park(e *resumeEntry) bool {
 	s.resume.mu.Unlock()
 	if evict != nil {
 		s.resumeExpired.Inc()
-		evict.cancel()
-		evict.stream.close()
+		evict.close()
 	}
 	return true
 }
@@ -287,11 +305,11 @@ func (s *Server) park(e *resumeEntry) bool {
 // registerLive enters a freshly issued token into the live table. sever
 // must make the connection's serving loop exit the way a dead connection
 // does, so that it parks.
-func (s *Server) registerLive(e *resumeEntry, sever func()) {
+func (s *Server) registerLive(e *session, sever func()) {
 	e.sever, e.parked = sever, make(chan struct{})
 	s.resume.mu.Lock()
 	if s.resume.live == nil {
-		s.resume.live = make(map[string]*resumeEntry)
+		s.resume.live = make(map[string]*session)
 	}
 	s.resume.live[e.token] = e
 	s.resume.mu.Unlock()
@@ -316,7 +334,7 @@ func (t *resumeTable) settleLiveLocked(token string) {
 // connection is dead presents a token that is issued but not parked yet.
 // That is not an unknown token: the claim severs the old connection and
 // waits, bounded, for its handler to park, then runs the same checks.
-func (s *Server) claimResume(token, tenant string, fileUnits bool, fingerprint string, filesHash uint64, offset int64) (*resumeEntry, error) {
+func (s *Server) claimResume(token, tenant string, fileUnits bool, fingerprint string, filesHash uint64, offset int64) (*session, error) {
 	s.resume.mu.Lock()
 	defer s.resume.mu.Unlock()
 	if le := s.resume.live[token]; le != nil && le.tenant == tenant {
@@ -400,7 +418,7 @@ func (s *Server) startJanitorLocked() {
 // evictExpiredResume closes and forgets every expired, unclaimed entry.
 func (s *Server) evictExpiredResume() {
 	now := s.now()
-	var dead []*resumeEntry
+	var dead []*session
 	s.resume.mu.Lock()
 	for tok, e := range s.resume.entries {
 		if !e.inUse && now.After(e.expires) {
@@ -411,8 +429,7 @@ func (s *Server) evictExpiredResume() {
 	s.resume.mu.Unlock()
 	for _, e := range dead {
 		s.resumeExpired.Inc()
-		e.cancel()
-		e.stream.close()
+		e.close()
 	}
 }
 
@@ -424,7 +441,6 @@ func (s *Server) drainResume() {
 	s.resume.entries = nil
 	s.resume.mu.Unlock()
 	for _, e := range entries {
-		e.cancel()
-		e.stream.close()
+		e.close()
 	}
 }

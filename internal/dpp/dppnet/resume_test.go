@@ -455,6 +455,34 @@ func TestResumeTTLExpiryFallsBackToReplay(t *testing.T) {
 	testutil.WaitForGoroutines(t, before)
 }
 
+// openResumable opens a resumable session the way a client under a Resume
+// policy does — a raw handshake with the resumable bit — minus the policy's
+// redial, so that the test plays the reconnect by hand. It reads the first
+// consume frames without confirming any, and returns the connection, the
+// release of its context watcher, and the token the ok reply carried.
+func openResumable(t *testing.T, c *Client, spec dpp.Spec, consume int) (net.Conn, func(), string) {
+	t.Helper()
+	ws, err := encodeSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, br, stop, token, err := c.openStream(context.Background(), openRequest{
+		Kind: kindSession, Window: 4, Spec: ws, Resumable: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if token == "" {
+		t.Fatal("resumable handshake returned no token")
+	}
+	for i := 0; i < consume; i++ {
+		if typ, _, err := readFrame(br, maxFrameBytes); err != nil || typ != frameBatch {
+			t.Fatalf("frame %d of the resumable session = type %#x, %v", i, typ, err)
+		}
+	}
+	return conn, stop, token
+}
+
 // TestResumeFingerprintMismatchRejected: a resume handshake presenting a
 // live token but a spec whose fingerprint differs from the parked
 // session's must be refused — resuming someone else's stream shape is a
@@ -464,20 +492,9 @@ func TestResumeFingerprintMismatchRejected(t *testing.T) {
 	env := newTestEnv(t, 60)
 	h := startServer(t, env, dpp.Config{})
 	client := NewClient(h.addr)
-	client.Resumable = true
 
-	rs, err := client.Open(context.Background(), dpp.Spec{Spec: alignedSpec()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	consumeRemote(t, rs, 1)
-	rs.mu.Lock()
-	token := rs.token
-	conn := rs.conn
-	rs.mu.Unlock()
-	if token == "" {
-		t.Fatal("resumable handshake returned no token")
-	}
+	conn, stop, token := openResumable(t, client, dpp.Spec{Spec: alignedSpec()}, 1)
+	stop()
 	conn.Close()
 	testutil.Eventually(t, func() bool { return h.srv.Stats().ParkedSessions >= 1 },
 		"server parked the severed resumable session")
@@ -486,14 +503,13 @@ func TestResumeFingerprintMismatchRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, _, _, err = client.openStream(context.Background(), client.addr, openRequest{
+	_, _, _, _, err = client.openStream(context.Background(), openRequest{
 		Kind: kindSession, Window: 4, Spec: ws,
 		Resumable: true, Offset: 1, Token: token,
 	})
 	if !errors.Is(err, ErrRemote) || !strings.Contains(err.Error(), "fingerprint") {
 		t.Fatalf("mismatched-spec resume = %v, want ErrRemote about the spec fingerprint", err)
 	}
-	rs.Close()
 	h.shutdown(t)
 	testutil.WaitForGoroutines(t, before)
 }
@@ -507,19 +523,9 @@ func TestResumeTokenSingleClaim(t *testing.T) {
 	env := newTestEnv(t, 60)
 	h := startServer(t, env, dpp.Config{})
 	client := NewClient(h.addr)
-	client.Resumable = true
 
-	rs, err := client.Open(context.Background(), dpp.Spec{Spec: alignedSpec()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs.mu.Lock()
-	token := rs.token
-	conn := rs.conn
-	rs.mu.Unlock()
-	if token == "" {
-		t.Fatal("resumable handshake returned no token")
-	}
+	conn, stop, token := openResumable(t, client, dpp.Spec{Spec: alignedSpec()}, 0)
+	stop()
 	conn.Close()
 	testutil.Eventually(t, func() bool { return h.srv.Stats().ParkedSessions >= 1 },
 		"server parked the severed resumable session")
@@ -532,17 +538,16 @@ func TestResumeTokenSingleClaim(t *testing.T) {
 		Kind: kindSession, Window: 4, Spec: ws,
 		Resumable: true, Offset: 0, Token: token,
 	}
-	conn1, _, stop1, _, err := client.openStream(context.Background(), client.addr, req)
+	conn1, _, stop1, _, err := client.openStream(context.Background(), req)
 	if err != nil {
 		t.Fatalf("first token claim: %v", err)
 	}
-	_, _, _, _, err = client.openStream(context.Background(), client.addr, req)
+	_, _, _, _, err = client.openStream(context.Background(), req)
 	if !errors.Is(err, ErrRemote) || !strings.Contains(err.Error(), "already in use") {
 		t.Fatalf("second claim of a held token = %v, want ErrRemote already-in-use", err)
 	}
 	stop1()
 	conn1.Close()
-	rs.Close()
 	h.shutdown(t)
 	testutil.WaitForGoroutines(t, before)
 }
@@ -557,19 +562,8 @@ func TestResumeClaimBeforePark(t *testing.T) {
 	env := newTestEnv(t, 60)
 	h := startServer(t, env, dpp.Config{})
 	client := NewClient(h.addr)
-	client.Resumable = true
 
-	rs, err := client.Open(context.Background(), dpp.Spec{Spec: alignedSpec()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	consumeRemote(t, rs, 1)
-	rs.mu.Lock()
-	token := rs.token
-	rs.mu.Unlock()
-	if token == "" {
-		t.Fatal("resumable handshake returned no token")
-	}
+	old, oldStop, token := openResumable(t, client, dpp.Spec{Spec: alignedSpec()}, 1)
 	ws, err := encodeSpec(dpp.Spec{Spec: alignedSpec()})
 	if err != nil {
 		t.Fatal(err)
@@ -579,7 +573,7 @@ func TestResumeClaimBeforePark(t *testing.T) {
 	if st := h.srv.Stats(); st.ParkedSessions != 0 {
 		t.Fatalf("server stats %+v: nothing should have parked yet", st)
 	}
-	conn, _, stop, _, err := client.openStream(context.Background(), client.addr, openRequest{
+	conn, _, stop, _, err := client.openStream(context.Background(), openRequest{
 		Kind: kindSession, Window: 4, Spec: ws,
 		Resumable: true, Offset: 1, Token: token,
 	})
@@ -597,7 +591,8 @@ func TestResumeClaimBeforePark(t *testing.T) {
 	}
 	stop()
 	conn.Close()
-	rs.Close()
+	oldStop()
+	old.Close()
 	h.shutdown(t)
 	testutil.WaitForGoroutines(t, before)
 }
@@ -616,7 +611,7 @@ func TestResumeOffsetBeyondEOFRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, _, _, _, err = client.openStream(context.Background(), client.addr, openRequest{
+	_, _, _, _, err = client.openStream(context.Background(), openRequest{
 		Kind: kindSession, Window: 4, Spec: ws, Resumable: true, Offset: 1 << 30,
 	})
 	if !errors.Is(err, ErrRemote) || !strings.Contains(err.Error(), "beyond end of stream") {

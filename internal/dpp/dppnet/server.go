@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -69,7 +70,7 @@ type Server struct {
 	wg     sync.WaitGroup
 
 	// Drain mode: draining flips once, drainCh closes to wake stalled
-	// serving loops so they push the drain notice promptly.
+	// serving loops so they send the drain frame promptly.
 	draining  atomic.Bool
 	drainOnce sync.Once
 	drainCh   chan struct{}
@@ -218,11 +219,11 @@ func NewServer(svc *dpp.Service) *Server {
 
 // Drain puts the server in drain mode: new session handshakes and resume
 // claims are refused (with an error fleet clients route around), parking
-// stops, and every in-flight session is handed one drain frame carrying
-// its resume token and current offset so the client can fail over to
-// another address mid-stream. Serving continues — Drain never cuts a
-// stream; the operator calls Close once ConnsActive reaches zero (or a
-// deadline passes). Idempotent and safe from any goroutine.
+// stops, and every in-flight session is sent one drain frame — on which a
+// fleet's unit stream ends, so that its files move to another shard, and
+// which a batch session rides out here. Serving continues — Drain never
+// cuts a stream; the operator calls Close once ConnsActive reaches zero (or
+// a deadline passes). Idempotent and safe from any goroutine.
 func (s *Server) Drain() {
 	s.drainOnce.Do(func() {
 		s.draining.Store(true)
@@ -329,6 +330,12 @@ func (s *Server) forget(conn net.Conn) {
 	s.connsActive.Dec()
 }
 
+// handshakeTimeout is how long a connection has to present its preamble and
+// handshake frame. Until it has, it holds a handler goroutine and a
+// ConnsActive slot that no Gate has charged to anyone, so a peer that
+// connects and says nothing is dropped, not kept until Close.
+const handshakeTimeout = 5 * time.Second
+
 // handle runs one connection's conversation. Every exit path closes the
 // connection, which is also what tears down the connection-reader
 // goroutine and (via ctx) the session.
@@ -336,18 +343,24 @@ func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
 	br := bufio.NewReader(conn)
 	bw := bufio.NewWriter(conn)
+	peer := conn.RemoteAddr().String()
+	// One deadline covers the preamble and the handshake frame; serve lifts
+	// it when it answers ok.
+	conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
 
 	// Preamble: magic + version. Without the magic this is not a dppnet
 	// client; drop the connection without a reply (there is no known
 	// framing to reply in).
 	preamble := make([]byte, len(protoMagic)+1)
 	if _, err := io.ReadFull(br, preamble); err != nil {
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			s.event(SessionEvent{Kind: "error", Peer: peer, Detail: "no preamble within " + handshakeTimeout.String()})
+		}
 		return
 	}
 	if string(preamble[:len(protoMagic)]) != protoMagic {
 		return
 	}
-	peer := conn.RemoteAddr().String()
 	// A dppnet client of another version is told so, in the one frame every
 	// version reads the same way. Dropped without a word it would see a lost
 	// connection and, under a resume policy, redial until its budget ran out.
@@ -418,24 +431,15 @@ func (s *Server) serveTablez(bw *bufio.Writer) {
 	}
 }
 
-// serveStream opens — or resumes — a streamed session for the handshake
-// and runs the credit-window serving loop until exhaustion, error, or
-// teardown from either side. Both session kinds (batch and file-unit)
-// run through here; the wireStream adapter hides the difference.
-//
-// Resume has three entry shapes:
-//   - Token set: claim the parked entry it names and resend the retained
-//     frames from the client's offset — no re-decoding at all.
-//   - Offset without token (or after a token was refused): open a fresh
-//     session and replay the deterministic stream to the offset,
-//     discarding frames (cheap against a warm ScanCache) while the
-//     rolling chain hash catches up.
-//   - Neither: an ordinary fresh session from index 0.
+// serveStream admits a session handshake, opens — or resumes — the session
+// it asks for, serves it on this connection, and then parks or closes it.
+// Both session kinds (batch and file-unit) run through here; the
+// wireStream adapter hides the difference.
 //
 // A resumable session's stream lives under the *server* context, not the
-// connection's: when the connection dies without a close frame, the loop
-// parks the live stream plus its unacknowledged frames instead of
-// closing it, and a later handshake picks it up byte-where-it-left-off.
+// connection's: when the connection dies without a close frame, the live
+// stream is parked with its unacknowledged frames instead of being closed,
+// and a later handshake picks it up byte-where-it-left-off.
 func (s *Server) serveStream(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, req *openRequest) {
 	peer := conn.RemoteAddr().String()
 	tenant := ""
@@ -469,8 +473,7 @@ func (s *Server) serveStream(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, 
 		fail("", "session handshake has no spec", fmt.Errorf("dppnet: session handshake has no spec"))
 		return
 	}
-	window := req.Window
-	if window <= 0 || window > dpp.MaxWindow {
+	if req.Window <= 0 || req.Window > dpp.MaxWindow {
 		fail("", fmt.Sprintf("window %d out of range", req.Window), fmt.Errorf("dppnet: window %d out of range [1,%d]", req.Window, dpp.MaxWindow))
 		return
 	}
@@ -482,219 +485,171 @@ func (s *Server) serveStream(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, 
 	// The tenant is a serving-side fact: it comes from the authenticated
 	// lease, never from the wire spec.
 	spec.Tenant = tenant
-	resumable := req.Resumable || req.Token != ""
 	// A Follow session's length is decided by the landing writer, not the
 	// plan, so neither the file-unit merge (which needs the full plan up
 	// front) nor resume (whose identity check hashes a frozen file list)
 	// composes with it. Reject at the handshake, before any session state
 	// exists.
-	if spec.Follow && (req.FileUnits || resumable || req.Offset > 0) {
+	claimed := req.Token != ""
+	if spec.Follow && (req.FileUnits || req.Resumable || claimed || req.Offset > 0) {
 		ferr := fmt.Errorf("dppnet: follow sessions are incompatible with file units and resume")
 		fail(spec.Table, ferr.Error(), ferr)
 		return
 	}
-	fingerprint := spec.Spec.Fingerprint()
-	filesHash := fileListHash(spec.Files)
-
-	var (
-		stream       wireStream
-		streamCtx    context.Context
-		streamCancel context.CancelFunc
-		entry        *resumeEntry // claimed parked state, nil for a fresh open
-		issued       *resumeEntry // a fresh resumable session's state, live until it parks
-		token        string
-		sent, acked  int64 // stream frame indices: produced / client-confirmed
-		base         int64 // index of retained[0]
-		retained     []frame
-	)
-	resumed := req.Token != "" || req.Offset > 0
-	// prune drops the retained frames the client has confirmed consuming
-	// and hands their buffers back to the stream. Non-resumable sessions
-	// retain nothing; the clamp keeps the cursor arithmetic shared.
-	prune := func() {
-		drop := min(acked-base, int64(len(retained)))
-		if drop <= 0 {
-			return
-		}
-		for _, fr := range retained[:drop] {
-			stream.recycle(fr)
-		}
-		retained = retained[drop:]
-		base = acked
+	ss, err := s.openSession(req, spec)
+	if err != nil {
+		fail(spec.Table, err.Error(), err)
+		return
 	}
 
-	// Follow plumbing: the session's tailer announces newly landed files
-	// through OnExtend, which runs on the tailer goroutine — so it only
-	// queues the notice under a mutex, and the serving loop (the
-	// connection's single writer) drains the queue as extend frames.
-	// followSess is the EndFollow target for the client's end-follow frame.
-	var (
-		followSess *dpp.Session
-		extMu      sync.Mutex
-		extPending []extendNotice
-	)
-	if spec.Follow {
-		spec.OnExtend = func(files []string) {
-			extMu.Lock()
-			extPending = append(extPending, extendNotice{Files: append([]string(nil), files...)})
-			extMu.Unlock()
-		}
-	}
-
-	if req.Token != "" {
-		entry, err = s.claimResume(req.Token, tenant, req.FileUnits, fingerprint, filesHash, req.Offset)
-		if err != nil {
-			fail(spec.Table, err.Error(), err)
-			return
-		}
-		stream, streamCtx, streamCancel = entry.stream, entry.ctx, entry.cancel
-		token = entry.token
-		sent = entry.sent
-		// The offset acknowledges everything below it; what remains of the
-		// retained buffer is resent on this connection.
-		retained, base, acked = entry.retained, entry.acked, req.Offset
-		prune()
-	} else {
-		// The stream's context is the server's for resumable sessions (it
-		// must outlive this connection to be parked) and effectively the
-		// connection's otherwise — either way the exit path below cancels
-		// it unless the stream is parked.
-		streamCtx, streamCancel = context.WithCancel(s.ctx)
-		if req.FileUnits {
-			us, oerr := s.svc.OpenUnits(streamCtx, spec)
-			if oerr != nil {
-				err = oerr
-			} else {
-				stream = newUnitWire(us)
-			}
-		} else {
-			sess, oerr := s.svc.Open(streamCtx, spec)
-			if oerr != nil {
-				err = oerr
-			} else {
-				stream = newBatchWire(sess)
-				if spec.Follow {
-					followSess = sess
-				}
-			}
-		}
-		if err != nil {
-			streamCancel()
-			fail(spec.Table, err.Error(), err)
-			return
-		}
-		if resumable {
-			if token, err = newResumeToken(); err != nil {
-				streamCancel()
-				stream.close()
-				fail(spec.Table, err.Error(), err)
-				return
-			}
-			issued = &resumeEntry{token: token, fileUnits: req.FileUnits, fingerprint: fingerprint,
-				filesHash: filesHash, table: spec.Table, shareScans: spec.ShareScans, window: window,
-				tenant: tenant, ctx: streamCtx, cancel: streamCancel, stream: stream}
-		}
-		// Offset replay: the deterministic stream contract makes the
-		// replayed prefix byte-identical to what the client already
-		// consumed, so discarding it re-synchronizes index and chain.
-		for sent < req.Offset {
-			fr, rerr := stream.next(streamCtx)
-			if rerr != nil {
-				if rerr == io.EOF {
-					rerr = fmt.Errorf("dppnet: resume offset %d beyond end of stream at %d", req.Offset, sent)
-				}
-				streamCancel()
-				stream.close()
-				fail(spec.Table, rerr.Error(), rerr)
-				return
-			}
-			stream.recycle(fr)
-			sent++
-			s.replayedBatches.Inc()
-		}
-		acked, base = sent, sent
-	}
-	// The two continuation paths count separately: a token resume resent
-	// retained frames without re-decoding anything, an offset replay
-	// re-pulled the prefix. Conflating them hid replay-only "recoveries"
-	// behind the resume counter (the soak gate watched the wrong number).
-	if req.Token != "" {
-		s.resumedSessions.Inc()
-	} else if resumed {
-		s.replayedSessions.Inc()
-	}
-
-	id := s.sessionSeq.Add(1)
 	s.sessionsServed.Inc()
 	opened := time.Now()
-	s.event(SessionEvent{Kind: "open", ID: id, Peer: peer, Table: spec.Table, FileUnits: req.FileUnits,
-		ShareScans: spec.ShareScans, Resumed: resumed, Offset: req.Offset, Tenant: tenant})
-
-	var connSent, connBytes int64
-	outcome := "teardown"
-	park := false
-	okSent := false
-	var clientClosed atomic.Bool
-	// Declared before the park/close defer so it runs after it and sees
-	// the final outcome.
-	defer func() {
-		s.event(SessionEvent{Kind: "close", ID: id, Peer: peer, Table: spec.Table, FileUnits: req.FileUnits,
-			ShareScans: spec.ShareScans, Resumed: resumed, Offset: req.Offset, Tenant: tenant,
-			Batches: connSent, Bytes: connBytes, Duration: time.Since(opened), Detail: outcome})
-	}()
-	defer func() {
-		if park {
-			e := entry
-			if e == nil {
-				e = issued
-			}
-			e.sent, e.acked, e.retained = sent, acked, retained
-			if s.park(e) {
-				s.parkedSessions.Inc()
-				outcome = "parked"
-				return
-			}
+	ev := SessionEvent{Kind: "open", ID: s.sessionSeq.Add(1), Peer: peer, Table: spec.Table, FileUnits: req.FileUnits,
+		ShareScans: spec.ShareScans, Resumed: claimed || req.Offset > 0, Offset: req.Offset, Tenant: tenant}
+	s.event(ev)
+	count := func(fr frame) {
+		if req.FileUnits {
+			s.unitsSent.Inc()
+		} else {
+			s.batchesSent.Inc()
 		}
-		if token != "" {
-			s.dropResume(token)
+		n := int64(fr.payloadLen())
+		s.bytesSent.Add(n)
+		if lease != nil {
+			lease.AddBytes(n)
 		}
-		streamCancel()
-		stream.close()
-	}()
-	// canPark: the connection is gone but the stream is healthy, the
-	// client neither closed cleanly nor is the server shutting down, and
-	// the client holds (or was sent) the token it would resume with.
-	canPark := func() bool {
-		return resumable && !clientClosed.Load() && streamCtx.Err() == nil && (entry != nil || okSent)
+		ev.Batches++
+		ev.Bytes += n
 	}
+	park, outcome := s.serve(conn, br, bw, ss, req.Window, claimed, count)
+	if park && s.park(ss) {
+		s.parkedSessions.Inc()
+		outcome = "parked"
+	} else {
+		if ss.token != "" {
+			s.dropResume(ss.token)
+		}
+		ss.close()
+	}
+	ev.Kind, ev.Duration, ev.Detail = "close", time.Since(opened), outcome
+	s.event(ev)
+}
 
+// openSession returns the session a handshake asks for. There are three
+// shapes:
+//   - Token set: claim the parked session it names. The offset
+//     acknowledges everything below it, and what remains retained is
+//     resent on this connection — no re-decoding at all.
+//   - Offset without token (what a client falls back to when its token is
+//     refused): open a fresh session and replay the deterministic stream to
+//     the offset, discarding frames (cheap against a warm ScanCache) while
+//     the rolling chain hash catches up.
+//   - Neither: an ordinary fresh session from index 0.
+//
+// The two continuations count separately: a token resume decoded nothing
+// again, an offset replay re-pulled the prefix, and a fleet that only ever
+// "recovers" by replay is burning the work resume exists to avoid.
+func (s *Server) openSession(req *openRequest, spec dpp.Spec) (*session, error) {
+	fingerprint, filesHash := spec.Spec.Fingerprint(), fileListHash(spec.Files)
+	if req.Token != "" {
+		ss, err := s.claimResume(req.Token, spec.Tenant, req.FileUnits, fingerprint, filesHash, req.Offset)
+		if err != nil {
+			return nil, err
+		}
+		ss.acked = req.Offset
+		ss.prune()
+		s.resumedSessions.Inc()
+		return ss, nil
+	}
+	ss := &session{fileUnits: req.FileUnits, fingerprint: fingerprint, filesHash: filesHash, tenant: spec.Tenant}
+	ss.ctx, ss.cancel = context.WithCancel(s.ctx)
+	var err error
+	if req.FileUnits {
+		var us *dpp.UnitSession
+		if us, err = s.svc.OpenUnits(ss.ctx, spec); err == nil {
+			ss.stream = newUnitWire(us)
+		}
+	} else {
+		var sess *dpp.Session
+		if sess, err = s.svc.Open(ss.ctx, spec); err == nil {
+			ss.stream = newBatchWire(sess)
+		}
+	}
+	if err != nil {
+		ss.cancel()
+		return nil, err
+	}
+	if req.Resumable {
+		if ss.token, err = newResumeToken(); err != nil {
+			ss.close()
+			return nil, err
+		}
+	}
+	// The deterministic stream contract makes the replayed prefix
+	// byte-identical to what the client already consumed, so discarding it
+	// re-synchronizes index and chain.
+	for ss.sent < req.Offset {
+		fr, err := ss.stream.next(ss.ctx)
+		if err != nil {
+			if err == io.EOF {
+				err = fmt.Errorf("dppnet: resume offset %d beyond end of stream at %d", req.Offset, ss.sent)
+			}
+			ss.close()
+			return nil, err
+		}
+		ss.stream.recycle(fr)
+		ss.sent++
+		s.replayedBatches.Inc()
+	}
+	ss.acked = ss.sent
+	if req.Offset > 0 {
+		s.replayedSessions.Inc()
+	}
+	return ss, nil
+}
+
+// serve runs ss on one connection: the ok reply, the frames a claimed
+// session still owes the client, then the credit-window loop until
+// exhaustion, error, or teardown from either side; count hears every frame
+// shipped. It reports how the connection's share of the stream ended, and
+// whether the session should now be parked — the connection is gone but
+// the stream is healthy, the client neither closed cleanly nor is the
+// server shutting down, and the client holds (claimed) or was sent the
+// token it would resume with.
+func (s *Server) serve(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, ss *session, window int, claimed bool, count func(frame)) (park bool, outcome string) {
 	// The connection context ends when the connection dies, the client
 	// half-closes, or a resume claim severs it; the stream's outlives it.
-	connCtx, connCancel := context.WithCancel(streamCtx)
+	connCtx, connCancel := context.WithCancel(ss.ctx)
 	defer connCancel()
+	okSent := false
+	var clientClosed atomic.Bool
+	canPark := func() bool {
+		return ss.token != "" && !clientClosed.Load() && ss.ctx.Err() == nil && (claimed || okSent)
+	}
 
 	var okPayload []byte
-	if token != "" {
-		okPayload, err = json.Marshal(okReply{Token: token})
-		if err != nil {
-			outcome = "error: " + err.Error()
+	if ss.token != "" {
+		var err error
+		if okPayload, err = json.Marshal(okReply{Token: ss.token}); err != nil {
 			writeError(bw, err)
-			return
+			return false, "error: " + err.Error()
+		}
+		if !claimed {
+			// The token is claimable from the moment the client can know it,
+			// not from the moment this handler notices its connection died: a
+			// client that redials first finds the session here, severs this
+			// connection, and waits for it to be parked.
+			s.registerLive(ss, func() {
+				connCancel()
+				conn.Close()
+			})
 		}
 	}
-	if issued != nil {
-		// The token is claimable from the moment the client can know it,
-		// not from the moment this handler notices its connection died: a
-		// client that redials first finds the entry here, severs this
-		// connection, and waits for the park below.
-		s.registerLive(issued, func() {
-			connCancel()
-			conn.Close()
-		})
-	}
+	// The handshake is over; from here a silent client is a slow consumer,
+	// which the credit window is for.
+	conn.SetReadDeadline(time.Time{})
 	if writeFrame(bw, frameOK, okPayload) != nil || bw.Flush() != nil {
-		park = canPark()
-		return
+		return canPark(), "teardown"
 	}
 	okSent = true
 
@@ -726,138 +681,77 @@ func (s *Server) serveStream(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, 
 				return
 			case frameEndFollow:
 				// End the tail but keep the conversation: the stream
-				// drains the already-announced files to a normal EOF,
-				// which the serving loop ships with stats as usual. A
-				// no-op on non-follow sessions.
-				if followSess != nil {
-					followSess.EndFollow()
-				}
+				// drains the already-observed files to a normal EOF,
+				// which the loop below ships with stats as usual.
+				ss.stream.endFollow()
 			default:
 				return
 			}
 		}
 	}()
 
-	countFrame := func(fr frame) {
-		if req.FileUnits {
-			s.unitsSent.Inc()
-		} else {
-			s.batchesSent.Inc()
-		}
-		n := int64(fr.payloadLen())
-		s.bytesSent.Add(n)
-		if lease != nil {
-			lease.AddBytes(n)
-		}
-		connSent++
-		connBytes += n
-	}
-	// Drain notice: once the server enters drain mode, each in-flight
-	// session is told exactly once — a drain frame carrying the resume
-	// token (empty for non-resumable sessions, which can still replay by
-	// offset) and the stream index reached, so the client can splice the
-	// rest of the stream from another address. The notice is advisory:
-	// serving continues here until the client acts or the operator
-	// closes. drainWatch arms the credit-stall select so a stalled
-	// session learns about the drain promptly instead of at next send.
-	drainNotified := false
+	// Once the server enters drain mode, each in-flight session is told
+	// exactly once, by an empty drain frame; serving continues here until
+	// the client acts on it or the operator closes. drainWatch arms the
+	// credit-stall select, so that a stalled session learns of the drain
+	// promptly instead of at its next send; nil once the session was told.
 	drainWatch := s.drainCh
 	notifyDrain := func() bool {
-		if drainNotified || !s.draining.Load() {
+		if drainWatch == nil || !s.draining.Load() {
 			return true
 		}
-		drainNotified = true
 		drainWatch = nil
-		payload, merr := json.Marshal(drainNotice{Token: token, Offset: sent})
-		if merr != nil {
-			return true // keep serving; the notice is best-effort
-		}
-		if writeFrame(bw, frameDrain, payload) != nil || bw.Flush() != nil {
+		if writeFrame(bw, frameDrain, nil) != nil || bw.Flush() != nil {
 			return false
 		}
 		s.drainNotices.Inc()
 		return true
 	}
-	// drainExtends writes the extend notices the Follow tailer has queued
-	// since the last drain. Only this loop writes them — the tailer's
-	// callback goroutine never touches the connection — and, like drain
-	// frames, they are advisory control chatter outside the chain hash.
-	// They are written right before the stream frame that follows them,
-	// so a tailing client learns which files landed before their batches
-	// arrive.
-	drainExtends := func() bool {
-		extMu.Lock()
-		pend := extPending
-		extPending = nil
-		extMu.Unlock()
-		for _, en := range pend {
-			payload, merr := json.Marshal(en)
-			if merr != nil {
-				continue // advisory; never fail the stream over it
-			}
-			if writeFrame(bw, frameExtend, payload) != nil {
-				return false
-			}
-		}
-		return true
-	}
-	// Resend the retained frames a claimed entry still owes the client —
+	// Resend the retained frames a claimed session still owes the client —
 	// they were produced before the drop, so they don't pull from the
 	// stream and are already within the client's granted window.
-	for _, fr := range retained {
+	for _, fr := range ss.retained {
 		if _, err := bw.Write(fr.wire()); err != nil {
-			park = canPark()
-			return
+			return canPark(), "teardown"
 		}
-		countFrame(fr)
+		count(fr)
 	}
-	if len(retained) > 0 {
-		if bw.Flush() != nil {
-			park = canPark()
-			return
-		}
+	if bw.Flush() != nil {
+		return canPark(), "teardown"
 	}
 
-	bank := func(n int64) {
-		acked += n
-		if acked > sent {
-			// Credits beyond what was sent confirm nothing; a correct
-			// client can't produce them.
-			acked = sent
-		}
-	}
+	// Credits beyond what was sent confirm nothing; a correct client
+	// cannot produce them.
+	bank := func(n int64) { ss.acked = min(ss.acked+n, ss.sent) }
 	for {
 		if !notifyDrain() {
-			park = canPark()
-			return
+			return canPark(), "teardown"
 		}
-		if sent-acked >= int64(window) {
+		if ss.sent-ss.acked >= int64(window) {
 			// Credit window exhausted: the serving loop wants to send but
 			// the consumer owes credits. Time the episode — this is the
 			// wire-level twin of the session's ConsumerStall signal and
 			// the credit-stall series /metrics exports.
 			stallStart := time.Now()
 			s.creditStalls.Inc()
-			for sent-acked >= int64(window) {
+			alive := true
+			for alive && ss.sent-ss.acked >= int64(window) {
 				select {
 				case n := <-credits:
 					bank(n)
 				case <-drainWatch:
-					// Drain began while credit-stalled: push the notice now
-					// so the stalled client can fail over instead of sitting
+					// Drain began while credit-stalled: tell the client now,
+					// so that a fleet can move the stream instead of sitting
 					// on an exhausted window against a dying server.
-					if !notifyDrain() {
-						s.creditStallNS.Add(int64(time.Since(stallStart)))
-						park = canPark()
-						return
-					}
+					alive = notifyDrain()
 				case <-connCtx.Done():
-					s.creditStallNS.Add(int64(time.Since(stallStart)))
-					park = canPark()
-					return
+					alive = false
 				}
 			}
 			s.creditStallNS.Add(int64(time.Since(stallStart)))
+			if !alive {
+				return canPark(), "teardown"
+			}
 		}
 		// Drain any further banked credits without blocking.
 		for {
@@ -869,22 +763,17 @@ func (s *Server) serveStream(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, 
 			}
 			break
 		}
-		prune()
+		ss.prune()
 
-		fr, err := stream.next(connCtx)
+		fr, err := ss.stream.next(connCtx)
 		if err == io.EOF {
-			outcome = "eof"
 			var enc bytes.Buffer
-			delivered := drainExtends()
-			if delivered {
-				if err := encodeSessionStats(&enc, stream.stats()); err != nil {
-					outcome = "error: " + err.Error()
-					writeError(bw, err)
-					return
-				}
-				delivered = writeFrame(bw, frameStats, enc.Bytes()) == nil &&
-					writeFrame(bw, frameEOF, nil) == nil && bw.Flush() == nil
+			if err := encodeSessionStats(&enc, ss.stream.stats()); err != nil {
+				writeError(bw, err)
+				return false, "error: " + err.Error()
 			}
+			delivered := writeFrame(bw, frameStats, enc.Bytes()) == nil &&
+				writeFrame(bw, frameEOF, nil) == nil && bw.Flush() == nil
 			// Written is not received: the last window of frames can still
 			// die with the connection, and a resumable client would come
 			// back for them. So the handler stays until the client has
@@ -894,41 +783,32 @@ func (s *Server) serveStream(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, 
 			// It also means the connection is never closed over unread
 			// credits, which the kernel answers with a reset that can
 			// destroy the very frames still in flight to the client.
-			for delivered && acked < sent {
+			for delivered && ss.acked < ss.sent {
 				select {
 				case n := <-credits:
 					bank(n)
-					prune()
+					ss.prune()
 				case <-connCtx.Done():
 					delivered = false
 				}
 			}
-			if !delivered && acked < sent {
-				park = canPark()
-			}
-			return
+			return ss.acked < ss.sent && canPark(), "eof"
 		}
 		if err != nil {
-			if connCtx.Err() != nil && streamCtx.Err() == nil {
+			if connCtx.Err() != nil && ss.ctx.Err() == nil {
 				// The connection died (or the client closed) mid-pull; the
 				// stream itself is intact.
-				park = canPark()
-				return
+				return canPark(), "teardown"
 			}
 			if s.ctx.Err() != nil {
 				// The server is closing, not the stream failing: drop the
 				// connection without a verdict, so a resuming client rejoins
 				// (here after a restart, or elsewhere) instead of reading its
 				// own server's shutdown as a terminal stream error.
-				return
+				return false, "teardown"
 			}
-			outcome = "error: " + err.Error()
 			writeError(bw, err)
-			return
-		}
-		if !drainExtends() {
-			park = canPark()
-			return
+			return false, "error: " + err.Error()
 		}
 		// The frame is one slice: with nothing buffered ahead of it, bufio
 		// passes it to the connection as is, in one Write.
@@ -936,20 +816,19 @@ func (s *Server) serveStream(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, 
 		if werr == nil {
 			werr = bw.Flush()
 		}
-		sent++
+		ss.sent++
 		if werr == nil {
-			countFrame(fr)
+			count(fr)
 		}
-		if resumable {
+		if ss.token != "" {
 			// Retain until acked: a reconnect resends these instead of
 			// re-decoding. Bounded by the credit window.
-			retained = append(retained, fr)
+			ss.retained = append(ss.retained, fr)
 		} else {
-			stream.recycle(fr)
+			ss.stream.recycle(fr)
 		}
 		if werr != nil {
-			park = canPark()
-			return
+			return canPark(), "teardown"
 		}
 	}
 }

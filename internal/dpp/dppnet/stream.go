@@ -25,9 +25,9 @@ type kind[T any] struct {
 	// bit that asks the server for it.
 	frame     byte
 	fileUnits bool
-	// drainSurfaces makes a drain notice with nowhere to fail over to end
-	// the stream with ErrDrained instead of being advisory: a unit stream's
-	// consumer (dppshard) owns that failover.
+	// drainSurfaces makes a drain frame end the stream with ErrDrained
+	// instead of being advisory: a unit stream's consumer (dppshard) moves
+	// the files it has not been served to another shard.
 	drainSurfaces bool
 	// decode holds the only per-kind logic: split the stamped payload,
 	// verify it is item want of the stream and that folding it into chain
@@ -70,23 +70,19 @@ type stream[T any] struct {
 	wmu sync.Mutex // serializes credit/close/end-follow frame writes
 
 	// rng drives backoff jitter; touched only from the consumer goroutine
-	// (reconnect and failover run under next).
+	// (reconnect runs under next).
 	rng *rand.Rand
 
 	// consumed and chain are the resume cursor: items [0, consumed) were
 	// returned by next, and chain is the rolling hash after the last of
 	// them. Single-consumer like next itself.
-	consumed      int64
-	chain         uint64
-	reconnects    atomic.Int64
-	tokenResumes  atomic.Int64
-	replays       atomic.Int64
-	drainHandoffs atomic.Int64
-	extendCount   atomic.Int64
-	extendFiles   atomic.Int64
+	consumed     int64
+	chain        uint64
+	reconnects   atomic.Int64
+	tokenResumes atomic.Int64
+	replays      atomic.Int64
 
 	mu        sync.Mutex
-	addr      string // current server; changes on drain failover only
 	conn      net.Conn
 	recv      chan remoteMsg[T]
 	watchStop func()
@@ -110,22 +106,22 @@ func (st *stream[T]) start(ctx context.Context, c *Client, spec dpp.Spec, k kind
 	st.client, st.kind, st.ws, st.window = c, k, ws, spec.Window()
 	st.ctx, st.done = ctx, make(chan struct{})
 	st.chain = chainSeed
-	if err := st.connect(ctx, c.addr, "", c.resumable()); err != nil {
+	if err := st.connect(ctx, ""); err != nil {
 		return err
 	}
 	// Minted after the handshake: a refused open consumes no ordinal.
-	st.rng = jitterRNG(c.Resume.normalized(), c.sessionSeq.Add(1))
+	st.rng = jitterRNG(c.sessionSeq.Add(1))
 	return nil
 }
 
-// connect performs one handshake against addr — the first, or a resume
-// presenting the consumed cursor and (optionally) the token — and, on
-// success, installs the new connection and a fresh receiver continuing at
-// the cursor.
-func (st *stream[T]) connect(ctx context.Context, addr, token string, resumable bool) error {
-	conn, br, stop, newToken, err := st.client.openStream(ctx, addr, openRequest{
+// connect performs one handshake — the first, or a resume presenting the
+// consumed cursor and (optionally) the token — and, on success, installs
+// the new connection and a fresh receiver continuing at the cursor. A
+// session is resumable exactly when its client would resume it.
+func (st *stream[T]) connect(ctx context.Context, token string) error {
+	conn, br, stop, newToken, err := st.client.openStream(ctx, openRequest{
 		Kind: kindSession, Window: st.window, Spec: st.ws, FileUnits: st.kind.fileUnits,
-		Resumable: resumable, Offset: st.consumed, Token: token,
+		Resumable: st.client.Resume.MaxAttempts > 0, Offset: st.consumed, Token: token,
 	})
 	if err != nil {
 		return err
@@ -144,7 +140,7 @@ func (st *stream[T]) connect(ctx context.Context, addr, token string, resumable 
 		return dpp.ErrClosed
 	}
 	old := st.conn
-	st.conn, st.recv, st.watchStop, st.token, st.addr = conn, recv, stop, newToken, addr
+	st.conn, st.recv, st.watchStop, st.token = conn, recv, stop, newToken
 	st.mu.Unlock()
 	if old != nil {
 		old.Close()
@@ -222,25 +218,16 @@ func (st *stream[T]) receive(br *bufio.Reader, recv chan remoteMsg[T], stop func
 			terminal(io.EOF)
 			return
 		case typ == frameDrain:
-			if _, err := decodeDrainNotice(payload); err != nil {
-				terminal(fmt.Errorf("dppnet: corrupt drain frame: %w", err))
+			if len(payload) != 0 {
+				terminal(fmt.Errorf("dppnet: drain frame with a %d-byte payload", len(payload)))
 				return
 			}
-			if len(st.client.Failover) == 0 && !st.kind.drainSurfaces {
-				// Advisory only: with nowhere to go, keep consuming — the
-				// server keeps serving until the operator's deadline.
-				continue
-			}
-			terminal(ErrDrained)
-			return
-		case typ == frameExtend && st.ws.Follow:
-			en, err := decodeExtend(payload)
-			if err != nil {
-				terminal(fmt.Errorf("dppnet: corrupt extend frame: %w", err))
+			// Advisory on a batch stream: keep consuming — the server keeps
+			// serving until the operator's deadline.
+			if st.kind.drainSurfaces {
+				terminal(ErrDrained)
 				return
 			}
-			st.extendCount.Add(1)
-			st.extendFiles.Add(int64(len(en.Files)))
 		case typ == frameError:
 			terminal(fmt.Errorf("%w: %s", ErrRemote, payload))
 			return
@@ -296,22 +283,6 @@ func (st *stream[T]) next(ctx context.Context) (T, error) {
 				return m.item, nil
 			}
 			resumeCut := false
-			if errors.Is(m.err, ErrDrained) && len(st.client.Failover) > 0 {
-				ferr := st.failover(ctx)
-				if ferr == nil {
-					st.drainHandoffs.Add(1)
-					continue
-				}
-				if errors.Is(ferr, dpp.ErrClosed) {
-					m.err = ferr
-				} else if ctx.Err() != nil && ferr == ctx.Err() {
-					// Failover cut short by ctx: record the drain as the
-					// outcome, report the cancellation to this caller.
-					resumeCut = true
-				}
-				// Otherwise every failover address refused: ErrDrained
-				// stands so the caller knows the stream needs a new home.
-			}
 			if errors.Is(m.err, errConnLost) && st.client.Resume.MaxAttempts > 0 {
 				rerr := st.reconnect(ctx)
 				if rerr == nil {
@@ -359,7 +330,7 @@ func (st *stream[T]) next(ctx context.Context) (T, error) {
 func (st *stream[T]) reconnect(ctx context.Context) error {
 	pol := st.client.Resume.normalized()
 	st.mu.Lock()
-	token, addr := st.token, st.addr
+	token := st.token
 	st.mu.Unlock()
 	var lastErr error
 	for attempt := 0; attempt < pol.MaxAttempts; attempt++ {
@@ -372,7 +343,7 @@ func (st *stream[T]) reconnect(ctx context.Context) error {
 				return dpp.ErrClosed
 			}
 		}
-		err := st.connect(ctx, addr, token, true)
+		err := st.connect(ctx, token)
 		if err == nil {
 			return nil
 		}
@@ -380,7 +351,7 @@ func (st *stream[T]) reconnect(ctx context.Context) error {
 			// The parked state is gone (expired, evicted, or claimed):
 			// fall back to a fresh session replayed to our offset.
 			token = ""
-			if err = st.connect(ctx, addr, "", true); err == nil {
+			if err = st.connect(ctx, ""); err == nil {
 				return nil
 			}
 		}
@@ -390,34 +361,6 @@ func (st *stream[T]) reconnect(ctx context.Context) error {
 		lastErr = err
 	}
 	return fmt.Errorf("dppnet: resume failed after %d attempts: %w", pol.MaxAttempts, lastErr)
-}
-
-// failover moves the session to another address after a drain notice.
-// The resume token anchors parked state on the *draining* server, so the
-// new server is joined by deterministic offset replay: byte-identical,
-// verified frame-by-frame against the rolling chain hash.
-func (st *stream[T]) failover(ctx context.Context) error {
-	st.mu.Lock()
-	cur := st.addr
-	st.mu.Unlock()
-	var lastErr error
-	for _, addr := range st.client.Failover {
-		if addr == "" || addr == cur {
-			continue
-		}
-		err := st.connect(ctx, addr, "", true)
-		if err == nil {
-			return nil
-		}
-		if errors.Is(err, dpp.ErrClosed) || ctx.Err() != nil {
-			return err
-		}
-		lastErr = err
-	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("dppnet: no failover address beyond draining %s", cur)
-	}
-	return lastErr
 }
 
 // send writes one client→server control frame on the current connection.

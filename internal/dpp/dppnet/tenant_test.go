@@ -148,19 +148,8 @@ func TestResumeClaimCrossTenantRejected(t *testing.T) {
 
 	owner := NewClient(h.addr)
 	owner.AuthToken = "tok-a"
-	owner.Resumable = true
-	rs, err := owner.Open(context.Background(), dpp.Spec{Spec: alignedSpec()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	consumeRemote(t, rs, 1)
-	rs.mu.Lock()
-	token := rs.token
-	conn := rs.conn
-	rs.mu.Unlock()
-	if token == "" {
-		t.Fatal("resumable handshake returned no token")
-	}
+	conn, stop, token := openResumable(t, owner, dpp.Spec{Spec: alignedSpec()}, 1)
+	stop()
 	conn.Close()
 	testutil.Eventually(t, func() bool { return h.srv.Stats().ParkedSessions >= 1 },
 		"server parked the severed resumable session")
@@ -175,18 +164,17 @@ func TestResumeClaimCrossTenantRejected(t *testing.T) {
 	}
 	thief := NewClient(h.addr)
 	thief.AuthToken = "tok-b"
-	_, _, _, _, err = thief.openStream(context.Background(), thief.addr, req)
+	_, _, _, _, err = thief.openStream(context.Background(), req)
 	if !errors.Is(err, ErrRemote) || !strings.Contains(err.Error(), "unknown or expired resume token") {
 		t.Fatalf("cross-tenant claim = %v, want the dead-token error verbatim", err)
 	}
 
-	conn1, _, stop1, _, err := owner.openStream(context.Background(), owner.addr, req)
+	conn1, _, stop1, _, err := owner.openStream(context.Background(), req)
 	if err != nil {
 		t.Fatalf("owner's claim after the cross-tenant probe: %v", err)
 	}
 	stop1()
 	conn1.Close()
-	rs.Close()
 	h.shutdown(t)
 	testutil.WaitForGoroutines(t, before)
 }

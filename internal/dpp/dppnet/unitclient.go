@@ -32,7 +32,7 @@ func (c *Client) OpenUnits(ctx context.Context, spec dpp.Spec) (*RemoteUnitSessi
 }
 
 // unitKind is the file-unit stream over files, whose units' tail chunks
-// hold the tail features: unit frames, and a drain notice surfaces. Its
+// hold the tail features: unit frames, and a drain frame surfaces. Its
 // decode hook reads chain | unit, the unit leading with its own index.
 // Units must arrive with strictly consecutive subset indices starting at
 // the resume offset — a server violating that is protocol-corrupt, and
@@ -66,10 +66,9 @@ func unitKind(files, tail []string) kind[*dpp.FileUnit] {
 // RemoteUnitSession is the client half of one file-unit stream: the one
 // remote stream client (stream) over file-unit frames. NextUnit is
 // single-consumer; Close may race it from another goroutine, exactly as
-// with RemoteSession. A drain notice ends the stream with ErrDrained
-// unless the client names Failover addresses: re-homing a shard's
-// unconsumed files is the fleet multiplexer's job, so nothing already
-// served is ever refetched.
+// with RemoteSession. A drain frame ends the stream with ErrDrained:
+// re-homing a shard's unconsumed files is the fleet multiplexer's job, so
+// nothing already served is ever refetched.
 type RemoteUnitSession struct {
 	stream[*dpp.FileUnit]
 }

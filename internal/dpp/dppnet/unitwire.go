@@ -1,28 +1,26 @@
 package dppnet
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"slices"
 
-	"repro/internal/datagen"
 	"repro/internal/dpp"
 	"repro/internal/dwrf"
 	"repro/internal/reader"
+	"repro/internal/tensor"
 )
 
 // File-unit frame payload layout (all counts uvarint):
 //
 //	index | hit byte | dense | nKeys (len-prefixed keys)... |
 //	nBatches (reader.Batch wire codec each) |
-//	nTail (datagen.Sample wire codec each)
+//	tail (dwrf.Chunk wire codec: the rows' columns)
 //
-// The tail is a column chunk on both sides of the wire and rows only on
-// it: encode writes the chunk's row views (full-width, empty lists for
-// features the spec does not consume), decode gathers the rows back into a
-// chunk of the consumed columns.
+// The tail is the column chunk it is on both sides of the wire, and holds
+// only the features the spec consumes. Which those are does not travel: the
+// client owns the spec (reader.Spec.ConsumedFeatures) and the frame's keys
+// place them.
 //
 // The file path itself does not travel: units arrive strictly in
 // file-list order and the client owns the list it asked for, so the
@@ -37,14 +35,10 @@ const (
 	maxUnitKeyLen = 1 << 16
 	// maxUnitBatches bounds one file's complete-batch count.
 	maxUnitBatches = 1 << 20
-	// maxUnitTail bounds one file's tail-row count (always under the
-	// spec's batch size in honest traffic).
-	maxUnitTail = 1 << 24
 	// maxUnitIndex bounds the subset index; the client additionally
 	// requires indices to arrive exactly in order.
 	maxUnitIndex = 1 << 32
-	// maxUnitDense bounds the schema's dense width, mirroring the sample
-	// codec's own cap.
+	// maxUnitDense bounds the schema's dense width.
 	maxUnitDense = 1 << 20
 )
 
@@ -56,15 +50,16 @@ func appendFileUnit(dst []byte, u *dpp.FileUnit) ([]byte, error) {
 	if u.Scan.Carry != 0 || u.Scan.Head != nil {
 		return dst, fmt.Errorf("dppnet: file unit %d (%s) was cut at carry %d; the unit frame carries boundary-aligned scans only", u.Index, u.File, u.Scan.Carry)
 	}
+	tail := u.Scan.Tail
+	if tail == nil {
+		tail = &dwrf.Chunk{}
+	}
 	// A unit is a whole file, so where dst is new it is grown once, to
 	// the batches' and the tail's cells plus the framing around them: grown
 	// as it fills it would end up to twice the size, for the stream's life.
-	cells := 0
+	cells := int(tail.MemBytes())
 	for _, b := range u.Scan.Batches {
 		cells += b.WireBytes()
-	}
-	if u.Scan.Tail != nil {
-		cells += int(u.Scan.Tail.MemBytes())
 	}
 	dst = slices.Grow(dst, cells+cells/32+1024)
 	dst = binary.AppendUvarint(dst, uint64(u.Index))
@@ -82,25 +77,18 @@ func appendFileUnit(dst []byte, u *dpp.FileUnit) ([]byte, error) {
 	for _, b := range u.Scan.Batches {
 		dst = b.AppendTo(dst)
 	}
-	var tail []datagen.Sample
-	if u.Scan.Tail != nil {
-		tail = u.Scan.Tail.Samples()
-	}
-	// The rows have a Writer codec only; a Buffer over dst appends in place.
-	w := bytes.NewBuffer(binary.AppendUvarint(dst, uint64(len(tail))))
-	err := datagen.EncodeSamples(w, tail)
-	return w.Bytes(), err
+	return tail.AppendTo(dst), nil
 }
 
-// decodeFileUnit parses a file-unit frame payload. The returned unit's
-// File is empty — the caller maps the subset index back to its own file
-// list. The client owns the spec, so it names the features the tail chunk
-// holds (reader.Spec.ConsumedFeatures); the frame's keys place them.
-// Trailing bytes after the tail rows are a protocol error.
+// decodeFileUnit parses a file-unit frame payload in place. The returned
+// unit's File is empty — the caller maps the subset index back to its own
+// file list — and nothing of it aliases the payload. consumed names the
+// features the tail chunk holds. Trailing bytes after the tail are a
+// protocol error.
 func decodeFileUnit(payload []byte, consumed []string) (*dpp.FileUnit, error) {
-	r := bytes.NewReader(payload)
+	d := tensor.NewDecoder(payload)
 	bounded := func(name string, max uint64) (int, error) {
-		v, err := binary.ReadUvarint(r)
+		v, err := d.Uvarint()
 		if err != nil {
 			return 0, fmt.Errorf("dppnet: file-unit %s: %w", name, err)
 		}
@@ -113,18 +101,19 @@ func decodeFileUnit(payload []byte, consumed []string) (*dpp.FileUnit, error) {
 	if err != nil {
 		return nil, err
 	}
-	hit, err := r.ReadByte()
+	hit, err := d.Next(1)
 	if err != nil {
 		return nil, fmt.Errorf("dppnet: file-unit hit flag: %w", err)
 	}
-	if hit > 1 {
-		return nil, fmt.Errorf("dppnet: malformed file-unit hit flag %d", hit)
+	if hit[0] > 1 {
+		return nil, fmt.Errorf("dppnet: malformed file-unit hit flag %d", hit[0])
 	}
 	dense, err := bounded("dense width", maxUnitDense)
 	if err != nil {
 		return nil, err
 	}
-	nKeys, err := bounded("key count", maxUnitKeys)
+	// A key is at least its length byte, so the bytes left bound the count.
+	nKeys, err := bounded("key count", min(maxUnitKeys, uint64(len(d.Rest()))))
 	if err != nil {
 		return nil, err
 	}
@@ -136,8 +125,8 @@ func decodeFileUnit(payload []byte, consumed []string) (*dpp.FileUnit, error) {
 			if err != nil {
 				return nil, err
 			}
-			kb := make([]byte, kl)
-			if _, err := io.ReadFull(r, kb); err != nil {
+			kb, err := d.Next(kl)
+			if err != nil {
 				return nil, fmt.Errorf("dppnet: file-unit key: %w", err)
 			}
 			scan.Keys[i] = string(kb)
@@ -147,9 +136,8 @@ func decodeFileUnit(payload []byte, consumed []string) (*dpp.FileUnit, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The batches are nearly all of the payload: they are decoded from it
-	// in place, and r picks up again behind them.
-	rest := payload[len(payload)-r.Len():]
+	// The batches are nearly all of the payload; d picks up behind them.
+	rest := d.Rest()
 	for i := 0; i < nBatches; i++ {
 		var b *reader.Batch
 		if b, rest, err = reader.DecodeBatchFrom(rest); err != nil {
@@ -157,36 +145,18 @@ func decodeFileUnit(payload []byte, consumed []string) (*dpp.FileUnit, error) {
 		}
 		scan.Batches = append(scan.Batches, b)
 	}
-	r.Reset(rest)
-	nTail, err := bounded("tail count", maxUnitTail)
-	if err != nil {
-		return nil, err
-	}
-	var tail []datagen.Sample
-	for i := 0; i < nTail; i++ {
-		s, err := datagen.DecodeSample(r)
-		if err != nil {
-			return nil, fmt.Errorf("dppnet: file-unit tail row %d: %w", i, err)
-		}
-		// Every row must be as wide as the schema says, so that the chunk's
-		// size is vouched for by bytes received, not by the header's claim.
-		if len(s.Dense) != dense || len(s.Sparse) != nKeys {
-			return nil, fmt.Errorf("dppnet: file-unit tail row %d is %d dense, %d sparse wide; schema says %d, %d",
-				i, len(s.Dense), len(s.Sparse), dense, nKeys)
-		}
-		tail = append(tail, s)
-	}
+	d = tensor.NewDecoder(rest)
 	cols := make([]int, len(consumed))
 	for p, f := range consumed {
 		if cols[p] = slices.Index(scan.Keys, f); cols[p] < 0 {
 			return nil, fmt.Errorf("dppnet: file unit lacks consumed feature %q", f)
 		}
 	}
-	if scan.Tail, err = dwrf.ChunkFromSamples(tail, scan.Keys, dense, cols); err != nil {
+	if scan.Tail, err = dwrf.DecodeChunk(&d, scan.Keys, dense, cols); err != nil {
 		return nil, fmt.Errorf("dppnet: file-unit tail: %w", err)
 	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("dppnet: %d trailing bytes after file unit", r.Len())
+	if n := len(d.Rest()); n != 0 {
+		return nil, fmt.Errorf("dppnet: %d trailing bytes after file unit", n)
 	}
-	return &dpp.FileUnit{Index: idx, Scan: scan, Hit: hit == 1}, nil
+	return &dpp.FileUnit{Index: idx, Hit: hit[0] == 1, Scan: scan}, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"runtime"
@@ -108,13 +109,13 @@ func (p *versionProxy) close() {
 }
 
 // TestWrongVersionPeerIsTold: a dppnet client of another protocol version
-// gets an error frame naming both versions and the remedy, and the access
-// log gets an error event — it is not dropped without a word. For a
-// client under a resume policy that is the difference between one
-// terminal ErrRemote and redialling a server that will never answer until
-// the budget is spent: at Open it dials once, and a session that loses
-// its connection to a server since upgraded makes the two dials of one
-// refused resume, not MaxAttempts of them.
+// gets an error frame naming its version, the one that retired it and what
+// changed, and the access log gets an error event — it is not dropped
+// without a word. For a client under a resume policy that is the difference
+// between one terminal ErrRemote and redialling a server that will never
+// answer until the budget is spent: at Open it dials once, and a session
+// that loses its connection to a server since upgraded makes the two dials
+// of one refused resume, not MaxAttempts of them.
 func TestWrongVersionPeerIsTold(t *testing.T) {
 	before := runtime.NumGoroutine()
 	env := newTestEnv(t, 120)
@@ -127,32 +128,42 @@ func TestWrongVersionPeerIsTold(t *testing.T) {
 			mu.Unlock()
 		}
 	})
-	refusals := func() (n int) {
+	refusals := func(told string) (n int) {
 		mu.Lock()
 		defer mu.Unlock()
 		for _, ev := range events {
-			if ev.Kind == "error" && strings.Contains(ev.Detail, "protocol v6 retired") {
+			if ev.Kind == "error" && strings.Contains(ev.Detail, told) {
 				n++
 			}
 		}
 		return n
 	}
-	const told = "protocol v6 retired: v7 changed the stream hash; rebuild the client"
+	// The registry's retired lines. The last version retired is the one
+	// before the current: a bump that forgets to register it fails here.
+	const (
+		toldV6 = "protocol v6 retired: v7 changed the stream hash; rebuild the client"
+		toldV7 = "protocol v7 retired: v8 retired the extend frame, emptied the drain frame and ships the file-unit tail as columns; rebuild the client for v8"
+	)
+	if protoVersion != 8 {
+		t.Fatalf("protocol v%d: register v%d in versionRefusal and retire it here", protoVersion, protoVersion-1)
+	}
 
-	t.Run("raw v6 preamble", func(t *testing.T) {
-		conn := rawDial(t, h.addr)
-		defer conn.Close()
-		conn.Write(append([]byte(protoMagic), 6))
-		writeFrame(conn, frameOpen, []byte(`{"kind":"session"}`))
-		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-		typ, payload, err := readFrame(bufio.NewReader(conn), maxFrameBytes)
-		if err != nil || typ != frameError || !strings.Contains(string(payload), told) {
-			t.Fatalf("v6 preamble answered frame %#x %q, %v; want an error frame saying %q", typ, payload, err, told)
-		}
-		if refusals() != 1 {
-			t.Fatalf("access log holds %d version refusals, want 1", refusals())
-		}
-	})
+	for v, told := range map[byte]string{6: toldV6, 7: toldV7} {
+		t.Run(fmt.Sprintf("raw v%d preamble", v), func(t *testing.T) {
+			conn := rawDial(t, h.addr)
+			defer conn.Close()
+			conn.Write(append([]byte(protoMagic), v))
+			writeFrame(conn, frameOpen, []byte(`{"kind":"session"}`))
+			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			typ, payload, err := readFrame(bufio.NewReader(conn), maxFrameBytes)
+			if err != nil || typ != frameError || !strings.Contains(string(payload), told) {
+				t.Fatalf("v%d preamble answered frame %#x %q, %v; want an error frame saying %q", v, typ, payload, err, told)
+			}
+			if refusals(told) != 1 {
+				t.Fatalf("access log holds %d refusals of v%d, want 1", refusals(told), v)
+			}
+		})
+	}
 
 	t.Run("newer client", func(t *testing.T) {
 		conn := rawDial(t, h.addr)
@@ -166,16 +177,16 @@ func TestWrongVersionPeerIsTold(t *testing.T) {
 		}
 	})
 
-	policy := ResumePolicy{MaxAttempts: 5, BaseDelay: time.Millisecond, Jitter: -1}
+	policy := ResumePolicy{MaxAttempts: 5, BaseDelay: time.Millisecond}
 	spec := dpp.Spec{Spec: alignedSpec(), Buffer: 1}
 
 	t.Run("open dials once", func(t *testing.T) {
-		p := startVersionProxy(t, h.addr, 6, 0)
+		p := startVersionProxy(t, h.addr, 7, 0)
 		c := NewClient(p.ln.Addr().String())
 		c.Resume = policy
 		_, err := c.Open(context.Background(), spec)
-		if !errors.Is(err, ErrRemote) || !strings.Contains(err.Error(), told) {
-			t.Fatalf("Open as a v6 client = %v, want ErrRemote saying %q", err, told)
+		if !errors.Is(err, ErrRemote) || !strings.Contains(err.Error(), toldV7) {
+			t.Fatalf("Open as a v7 client = %v, want ErrRemote saying %q", err, toldV7)
 		}
 		if p.dialed() != 1 {
 			t.Fatalf("the refused Open dialed %d times, want 1", p.dialed())
@@ -183,7 +194,7 @@ func TestWrongVersionPeerIsTold(t *testing.T) {
 	})
 
 	t.Run("resume is refused once", func(t *testing.T) {
-		p := startVersionProxy(t, h.addr, 6, 1)
+		p := startVersionProxy(t, h.addr, 7, 1)
 		c := NewClient(p.ln.Addr().String())
 		c.Resume = policy
 		rs, err := c.Open(context.Background(), spec)
@@ -198,8 +209,8 @@ func TestWrongVersionPeerIsTold(t *testing.T) {
 		for err == nil {
 			_, err = rs.Next(context.Background())
 		}
-		if !errors.Is(err, ErrRemote) || !strings.Contains(err.Error(), told) {
-			t.Fatalf("stream ended with %v, want ErrRemote saying %q", err, told)
+		if !errors.Is(err, ErrRemote) || !strings.Contains(err.Error(), toldV7) {
+			t.Fatalf("stream ended with %v, want ErrRemote saying %q", err, toldV7)
 		}
 		if _, again := rs.Next(context.Background()); again == nil || again.Error() != err.Error() {
 			t.Fatalf("the refusal is not terminal: next Next = %v", again)

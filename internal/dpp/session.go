@@ -73,13 +73,6 @@ type Spec struct {
 	// list (there is no catalog position to tail). It composes with
 	// ShareScans: N tailers of one table decode each landed file once.
 	Follow bool
-	// OnExtend, when non-nil, is called from the session's tailer
-	// goroutine with each slice of newly observed files, after they join
-	// the scan plan. Serving-side hook (dppnet announces extensions to
-	// remote clients through it); never part of the wire spec. The
-	// callback must not block for long — the tail pauses while it runs —
-	// and must not call back into the session.
-	OnExtend func(files []string)
 }
 
 // DefaultReaders and DefaultBuffer are the execution-shape defaults
@@ -397,9 +390,6 @@ func (s *Session) runTailer(ctx context.Context, tail *tailState) {
 		cursor = pubs[len(pubs)-1].Seq
 		s.queue.Extend(files)
 		s.svc.noteExtend(len(files))
-		if s.spec.OnExtend != nil {
-			s.spec.OnExtend(files)
-		}
 	}
 }
 

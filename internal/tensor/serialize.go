@@ -81,7 +81,9 @@ func appendString(dst []byte, s string) []byte {
 	return append(binary.AppendUvarint(dst, uint64(len(s))), s...)
 }
 
-func appendValues(dst []byte, vals []Value) []byte {
+// AppendValues appends vals as a uvarint count and that many raw
+// little-endian 8-byte values.
+func AppendValues(dst []byte, vals []Value) []byte {
 	dst, out := extend(binary.AppendUvarint(dst, uint64(len(vals))), 8*len(vals))
 	for i, v := range vals {
 		wireOrder.PutUint64(out[i*8:], uint64(v))
@@ -215,7 +217,9 @@ func (d *Decoder) string() (string, error) {
 	return string(b), err
 }
 
-func (d *Decoder) values() ([]Value, error) {
+// Values reads what AppendValues wrote. The count is bounded, and the
+// values are allocated only once their bytes are in hand.
+func (d *Decoder) Values() ([]Value, error) {
 	n, err := d.count("value", maxWireElems)
 	if err != nil {
 		return nil, err
@@ -263,7 +267,7 @@ func (d *Decoder) Float32s(n int) ([]float32, error) {
 
 // AppendJagged appends j's wire form to dst.
 func AppendJagged(dst []byte, j Jagged) []byte {
-	return appendInt32s(appendValues(append(dst, tagJagged), j.Values), j.Offsets)
+	return appendInt32s(AppendValues(append(dst, tagJagged), j.Values), j.Offsets)
 }
 
 // WriteJagged serializes j to w.
@@ -276,7 +280,7 @@ func (d *Decoder) Jagged() (Jagged, error) {
 	if err := d.tag(tagJagged, "jagged"); err != nil {
 		return Jagged{}, err
 	}
-	vals, err := d.values()
+	vals, err := d.Values()
 	if err != nil {
 		return Jagged{}, err
 	}
@@ -433,7 +437,7 @@ func ReadDense(r ByteReader) (Dense, error) {
 // AppendPartial appends p's wire form to dst: the lookup travels as one
 // flat int32 block, offset then length per row.
 func AppendPartial(dst []byte, p *PartialIKJT) []byte {
-	dst = appendValues(appendString(append(dst, tagPartial), p.Key), p.Values)
+	dst = AppendValues(appendString(append(dst, tagPartial), p.Key), p.Values)
 	dst, out := extend(binary.AppendUvarint(dst, uint64(2*len(p.Lookup))), 8*len(p.Lookup))
 	for i, w := range p.Lookup {
 		wireOrder.PutUint32(out[i*8:], uint32(w[0]))
@@ -456,7 +460,7 @@ func (d *Decoder) Partial() (*PartialIKJT, error) {
 	if err != nil {
 		return nil, err
 	}
-	vals, err := d.values()
+	vals, err := d.Values()
 	if err != nil {
 		return nil, err
 	}

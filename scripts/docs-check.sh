@@ -10,11 +10,11 @@
 #      code.
 #   3. Every relative markdown link in docs/*.md and the top-level
 #      *.md files must resolve to an existing file or directory.
-#   4. internal/dpp and internal/dpp/dppshard must not import
-#      internal/datagen: rows (datagen.Sample) exist downstream of fill
-#      only on the unit wire (dppnet) and in the row adapters the frozen
-#      benchmark times; a session or the fleet merge that imports the row
-#      type has regrown the row detour the one cutter replaced.
+#   4. internal/dpp, internal/dpp/dppnet and internal/dpp/dppshard must
+#      not import internal/datagen: rows (datagen.Sample) exist
+#      downstream of fill only in the row adapters the frozen benchmark
+#      times; a session, a wire frame or the fleet merge that imports the
+#      row type has regrown the row detour the one cutter replaced.
 #   5. Every test or fuzz target docs/ARCHITECTURE.md's determinism table
 #      cites as `pkg.TestName` / `pkg.FuzzName` must exist in a package of
 #      that name (`go test -list`), so a renamed or deleted test cannot
@@ -23,7 +23,14 @@
 #      speaks (`protoVersion` in internal/dpp/dppnet/protocol.go), so the
 #      docs cannot lag the next bump. History belongs in protocol.go's
 #      version comment; docs that must mention an older version say
-#      "v6", not "protocol v6".
+#      "v6", not "protocol v6". The one exception is a refusal quoted
+#      verbatim: "protocol v7 retired: ...".
+#   7. The frames in docs/ARCHITECTURE.md's wire table (the table whose
+#      header row is `| frame | direction | payload |`) and the `frame*`
+#      constants of protocol.go not marked `// retired` must be the same
+#      set, both ways: a frame added, renamed or retired in one place and
+#      not the other fails. Names compare with case and hyphens dropped
+#      (`frameFileUnit` is `file-unit`).
 #
 # Usage: scripts/docs-check.sh
 set -euo pipefail
@@ -101,7 +108,7 @@ for md in docs/*.md *.md; do
 done
 
 # --- 4. import guard -----------------------------------------------------
-if go list -f '{{.ImportPath}} {{join .Imports " "}}' ./internal/dpp ./internal/dpp/dppshard | grep 'repro/internal/datagen'; then
+if go list -f '{{.ImportPath}} {{join .Imports " "}}' ./internal/dpp ./internal/dpp/dppnet ./internal/dpp/dppshard | grep 'repro/internal/datagen'; then
     echo "docs: the packages above import repro/internal/datagen (the row type); cut batches through reader.RunUnits instead"
     fail=1
 fi
@@ -132,9 +139,23 @@ version=$(sed -n 's/^[[:space:]]*protoVersion[[:space:]]*=[[:space:]]*\([0-9][0-
 if [[ -z "$version" ]]; then
     echo "docs: found no protoVersion in internal/dpp/dppnet/protocol.go"
     fail=1
-elif stale=$(grep -noE 'protocol v[0-9]+' docs/*.md | grep -v "protocol v$version\$"); then
+elif stale=$(grep -noE 'protocol v[0-9]+( retired)?' docs/*.md | grep -vE "protocol v($version|[0-9]+ retired)\$"); then
     echo "docs: the code speaks dppnet protocol v$version; these say otherwise:"
     echo "$stale" | sed 's/^/    /'
+    fail=1
+fi
+
+# --- 7. the wire table is the frame set -----------------------------------
+norm() { tr -d '-' | tr '[:upper:]' '[:lower:]' | sort -u; }
+coded=$(sed -n '/\/\/ retired/d; s/^[[:space:]]*frame\([A-Za-z]*\)[[:space:]]*=[[:space:]]*byte(0x.*/\1/p' internal/dpp/dppnet/protocol.go | norm)
+tabled=$(awk '/^\| frame \| direction \| payload \|$/ { on = 1; next } on && !/^\|/ { on = 0 } on' docs/ARCHITECTURE.md \
+    | sed -n 's/^| `\([a-z-]*\)` |.*/\1/p' | norm)
+if [[ -z "$coded" || -z "$tabled" ]]; then
+    echo "docs: found no frame constants in protocol.go or no wire table in ARCHITECTURE.md"
+    fail=1
+elif drift=$(comm -3 <(echo "$coded") <(echo "$tabled")) && [[ -n "$drift" ]]; then
+    echo "docs: protocol.go's live frame constants (left) and ARCHITECTURE.md's wire table (right) differ:"
+    echo "$drift" | sed 's/^/    /'
     fail=1
 fi
 
@@ -142,4 +163,4 @@ if [[ "$fail" -ne 0 ]]; then
     echo "docs: FAIL"
     exit 1
 fi
-echo "docs: OK (package comments, go fences, links, import guard, determinism-table tests, protocol version)"
+echo "docs: OK (package comments, go fences, links, import guard, determinism-table tests, protocol version, frame set)"

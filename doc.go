@@ -34,18 +34,20 @@
 //     implementations with Tectonic/Hive-style IO accounting.
 //   - reader.Reader executes one fill→convert→process scan over any
 //     Backend. Fill is projected and columnar: it range-reads and decodes
-//     only the columns the spec consumes, into one dwrf.Chunk per file,
-//     and batches are cut from it as row ranges. Reader.Run takes a
+//     only the columns the spec consumes, one stripe at a time
+//     (dwrf.FileReader.StripeColumns) into one dwrf.Chunk per stripe, and
+//     batches are cut from the stripes as they arrive — a file's first
+//     batch leaves before the file has been read. Reader.Run takes a
 //     context.Context and tears its pipeline goroutines down promptly on
-//     cancellation; the context reaches all the way into concurrent DWRF
-//     stripe decode (dwrf.FileReader.ReadColumns).
+//     cancellation, which fill honours between stripes.
 //   - dpp.Service hosts concurrent sessions. A training job submits a
 //     dpp.Spec (the DataLoader spec plus Readers/Buffer execution shape)
 //     and pulls preprocessed batches from the returned Session via
 //     Next(ctx) — no push callbacks. Every session, ShareScans or not,
 //     runs a shared ordered work queue (reader.ScanQueue): fill workers
-//     claim file indices and fill in parallel, an ordered merge
-//     reassembles the stream, and the session buffers at most Readers×Buffer finished batches
+//     claim file indices and fill in parallel, handing over each stripe
+//     as it is decoded, an ordered merge reassembles the stream, and the
+//     session buffers at most Readers×Buffer finished batches
 //     (backpressure), aggregates deterministic per-session reader.Stats,
 //     and dies cleanly on Close or job-context cancellation. Batch
 //     streams are deterministic and worker-count independent: every

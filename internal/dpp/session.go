@@ -141,9 +141,10 @@ var _ Stream = (*Session)(nil)
 //
 // Internally every session is a shared ordered work queue
 // (reader.ScanQueue) feeding the reader's one cutter (reader.RunUnits):
-// fill workers claim file indices and fill them in parallel — through the
-// service's ScanCache for a ShareScans session — and the cutter awaits
-// them in file order. The worker pool is resizable mid-scan (Resize, or
+// fill workers claim file indices and fill them in parallel — stripe by
+// stripe into the cutter's hands for an unshared session, whole files
+// through the service's ScanCache for a ShareScans one — and the cutter
+// awaits them in file order. The worker pool is resizable mid-scan (Resize, or
 // the service's AutoScaler); the stream is byte-identical to the serial
 // reference regardless of the fill, the pool's size or its resize history.
 type Session struct {
@@ -428,6 +429,14 @@ func (s *Session) FollowLag() int {
 // first error), ctx is cancelled (ctx.Err()), or the session is closed
 // (ErrClosed). Batches arrive in deterministic order: the single serial
 // scan order over the session's file list, at every worker count.
+//
+// A scan that fails delivers the serial reference stream's prefix, then the
+// error — not "no batch of the bad file": batches are cut from a file's
+// stripes as they are decoded, so a file damaged at its k-th stripe has
+// already yielded every batch that lies wholly in the stripes before it,
+// exactly as a serial reader.Run yields them, at every worker count. (A
+// ShareScans session fills through whole-file cache entries, so its prefix
+// ends at the bad file's first row; it is a prefix of the same stream.)
 func (s *Session) Next(ctx context.Context) (*reader.Batch, error) {
 	b, err := s.Pull(ctx)
 	if err == nil {
@@ -476,9 +485,9 @@ type SchedulerStats struct {
 	// ScaleUps and ScaleDowns count Resize calls that grew or shrank the
 	// pool.
 	ScaleUps, ScaleDowns int64
-	// WorkerStall is the total time the ordered merge spent blocked
-	// waiting for a fill worker's deposit: the session was starved for
-	// reader parallelism.
+	// WorkerStall is the total time the ordered merge spent blocked on a
+	// fill worker — waiting for a file's deposit, or inside a file for its
+	// next stripe: the session was starved for reader parallelism.
 	WorkerStall time.Duration
 	// ConsumerStall is the total time the merge spent blocked handing a
 	// finished batch to the consumer (a full output buffer — for remote

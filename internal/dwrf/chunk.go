@@ -96,12 +96,63 @@ func (c *Chunk) Append(o *Chunk) error {
 	return nil
 }
 
+// Concat copies the rows of parts — at least one, all decoding the same
+// number of sparse columns at the same dense width — in order into one
+// chunk that owns its storage, sized exactly and allocated once: the integer
+// columns (row metadata, sparse values) out of one block, the offsets out of
+// another. It is how rows that arrived in pieces (the stripes of a file, the
+// slices of a batch that straddles two of them) become one run.
+func Concat(parts ...*Chunk) (*Chunk, error) {
+	first := parts[0]
+	rows := 0
+	for _, p := range parts {
+		if len(p.sparse) != len(first.sparse) || p.width != first.width {
+			return nil, fmt.Errorf("dwrf: joining a chunk of %d sparse columns, dense width %d to one of %d, width %d",
+				len(p.sparse), p.width, len(first.sparse), first.width)
+		}
+		rows += p.Rows()
+	}
+	out := &Chunk{keys: first.keys, cols: first.cols, width: first.width, sparse: make([]tensor.Jagged, len(first.sparse))}
+	values := func(q int) (n int) { // of sparse column q, over all parts
+		for _, p := range parts {
+			a, b := p.sparse[q].ValueBounds(p.lo, p.hi)
+			n += b - a
+		}
+		return n
+	}
+	// One block per element type, each column an empty window of it whose
+	// capacity is exactly what Append will put there.
+	total := 4 * rows
+	for q := range out.sparse {
+		total += values(q)
+	}
+	ints := make([]int64, total)
+	offsets := make([]int32, len(out.sparse)*rows)
+	column := func(n int) []int64 {
+		col := ints[:0:n]
+		ints = ints[n:]
+		return col
+	}
+	out.session, out.user, out.request, out.ts = column(rows), column(rows), column(rows), column(rows)
+	out.labels = make([]int8, 0, rows)
+	out.dense = make([]float32, 0, rows*out.width)
+	for q := range out.sparse {
+		out.sparse[q] = tensor.Jagged{Values: column(values(q)), Offsets: offsets[q*rows : q*rows : (q+1)*rows]}
+	}
+	for _, p := range parts {
+		if err := out.Append(p); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
 // Clone returns a copy of the chunk's rows that owns its storage, so
 // holding it pins nothing of the chunk it was cut from.
 func (c *Chunk) Clone() *Chunk {
-	out := &Chunk{}
-	if err := out.Append(c); err != nil {
-		panic(err) // a zero chunk adopts any schema
+	out, err := Concat(c)
+	if err != nil {
+		panic(err) // one part agrees with itself
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package dwrf
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/datagen"
@@ -417,5 +418,47 @@ func BenchmarkFileRead(b *testing.B) {
 		if _, err := r.ReadAll(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkStripeColumns is the fill's decode unit with nothing around it —
+// no store, no fetch model: one 128-row stripe of the benchmark ladder's
+// table (core.RM1's schema, session-clustered) read from memory, under the
+// full projection and under the ladder's narrow spec's 5 of 25 features.
+func BenchmarkStripeColumns(b *testing.B) {
+	const stripeRows = 128
+	schema := datagen.StandardSchema(datagen.StandardSchemaConfig{ // core.RM1().SchemaCfg; core imports this package
+		UserSeq: 9, UserElem: 12, Item: 4, Dense: 8, SeqLen: 24, SeqGroupSize: 3, Seed: 101,
+	})
+	samples := etl.ClusterBySession(datagen.NewGenerator(schema, datagen.GeneratorConfig{
+		Sessions: 40, MeanSamplesPerSession: 16.5, Seed: 1001,
+	}).GeneratePartition())
+	if len(samples) < 2*stripeRows {
+		b.Fatalf("generated %d rows, need two stripes", len(samples))
+	}
+	data, _ := writeFile(b, schema, samples, stripeRows)
+	r, err := OpenReader(data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	keys := r.SparseKeys()
+	var narrow []int
+	for _, f := range []string{"item_0", "user_seq_0", "user_seq_1", "user_seq_2", "user_elem_0"} {
+		narrow = append(narrow, slices.Index(keys, f))
+	}
+	for _, bc := range []struct {
+		name string
+		cols []int
+	}{{"full", allColumns(len(keys))}, {"5of25", narrow}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c, err := r.StripeColumns(1, bc.cols) // not stripe 0: its full read also fetches the magic
+				if err != nil || c.Rows() != stripeRows {
+					b.Fatalf("stripe of %d rows, %v", c.Rows(), err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*stripeRows), "ns/row")
+		})
 	}
 }

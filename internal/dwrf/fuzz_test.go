@@ -1,6 +1,7 @@
 package dwrf
 
 import (
+	"bytes"
 	"context"
 	"testing"
 )
@@ -78,6 +79,71 @@ func FuzzDecodeStripe(f *testing.F) {
 		for _, s := range rows {
 			if len(s.Sparse) != len(keys) || len(s.Dense) != dense {
 				t.Fatalf("row has %d sparse lists, %d dense; schema is %d, %d", len(s.Sparse), len(s.Dense), len(keys), dense)
+			}
+		}
+	})
+}
+
+// FuzzStripeColumns holds the per-stripe read — what the reader tier fills
+// by — to the whole-file read on arbitrary bytes, under the full projection
+// (one fetch per stripe, stripe 0's from the header magic on) and a partial
+// one (header, then runs of wanted streams): either some stripe fails and
+// ReadColumns fails, or every stripe decodes and ReadColumns returns exactly
+// their rows, in order. Stripes are read last to first, so a read that
+// leaned on its predecessor's state would show. As for FuzzOpenReader, the
+// input decodes or fails with an error: never a panic, never an allocation
+// sized by a forged count.
+func FuzzStripeColumns(f *testing.F) {
+	data, r := fuzzSeedFile(f)
+	f.Add(data)
+	f.Add(data[:len(data)/2])
+	for i := range r.stripes {
+		off, n := r.StripeByteRange(i)
+		for _, at := range []int64{off, off + 1, off + n/2, off + n - 1} { // row count, column count, a stream, the last byte
+			bad := append([]byte(nil), data...)
+			bad[at] ^= 0x21
+			f.Add(bad)
+		}
+	}
+	footer := append([]byte(nil), data...)
+	footer[r.body+1] ^= 0x08 // stripe 0's offset
+	f.Add(footer)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := OpenReader(data)
+		if err != nil {
+			return
+		}
+		nKeys := len(r.SparseKeys())
+		var some []int
+		for col := nKeys - 1; col >= 0; col -= 2 {
+			some = append(some, col)
+		}
+		for _, cols := range [][]int{allColumns(nKeys), some} {
+			stripes := make([]*Chunk, r.NumStripes())
+			var stripeErr error
+			for i := len(stripes) - 1; i >= 0; i-- {
+				if stripes[i], err = r.StripeColumns(i, cols); err != nil {
+					stripeErr = err
+				} else if got := stripes[i].Rows(); got != r.StripeRows(i) {
+					t.Fatalf("stripe %d decoded to %d rows, footer records %d", i, got, r.StripeRows(i))
+				}
+			}
+			whole, err := r.ReadColumns(context.Background(), cols)
+			if (err != nil) != (stripeErr != nil) {
+				t.Fatalf("cols %v: a stripe failed with %v, ReadColumns with %v", cols, stripeErr, err)
+			}
+			if err != nil {
+				continue
+			}
+			if whole.Rows() != r.NumRows() {
+				t.Fatalf("cols %v: ReadColumns returned %d rows, footer records %d", cols, whole.Rows(), r.NumRows())
+			}
+			lo := 0
+			for i, stripe := range stripes {
+				if !bytes.Equal(whole.Slice(lo, lo+stripe.Rows()).AppendTo(nil), stripe.AppendTo(nil)) {
+					t.Fatalf("cols %v: rows [%d,%d) of ReadColumns differ from stripe %d read alone", cols, lo, lo+stripe.Rows(), i)
+				}
+				lo += stripe.Rows()
 			}
 		}
 	})

@@ -4,12 +4,8 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/datagen"
-	"repro/internal/tensor"
 )
 
 // Fetch returns the n bytes of a file that start at off. The slice must
@@ -21,7 +17,7 @@ const trailerLen = 4 + len(magic)
 
 // FileReader decodes a DWRF file through ranged reads. Opening it fetches
 // the trailer and the footer; a read then fetches only what its
-// projection decodes (see ReadColumns).
+// projection decodes (see StripeColumns).
 type FileReader struct {
 	fetch   Fetch
 	body    int64 // length of the leading magic plus stripes: where the footer starts
@@ -159,117 +155,105 @@ func (r *FileReader) StripeRows(i int) int { return r.stripes[i].rows }
 // StripeByteRange returns the byte extent of stripe i within the file:
 // its header followed by one compressed stream per column. DecodeStripe
 // takes exactly these bytes. The reader tier does not read whole stripes
-// unless it wants every column; see ReadColumns for what it fetches.
+// unless it wants every column; see StripeColumns for what it fetches.
 func (r *FileReader) StripeByteRange(i int) (offset, length int64) {
 	return r.stripes[i].offset, r.stripes[i].length
 }
 
-// ReadColumns decodes every row of the file into one chunk holding the
-// sparse columns cols (indices into SparseKeys, each at most once, in the
-// order the chunk is to hold them) plus the row metadata and dense
-// features, which are always read.
-//
-// Only what the projection decodes is fetched. When cols names every
-// column that is the whole body in one fetch. Otherwise each stripe costs
-// its header and one fetch per run of adjacent wanted streams (see
-// fetchStripe); the streams of the other columns are never fetched or
-// inflated. Either way no byte of the file is fetched twice, so a full
-// projection costs the file's size in three fetches counting Open's two.
-//
-// Fetches are issued one at a time, in file order, from the calling
-// goroutine. Stripes are independent (each carries its own compressed
-// streams and delta-encoding state), so once fetched they decode
-// concurrently, bounded by GOMAXPROCS, and are stitched back in stripe
-// order. Cancelling ctx stops the fetch loop and every decode worker
-// before its next stripe, and ctx.Err() is returned.
-func (r *FileReader) ReadColumns(ctx context.Context, cols []int) (*Chunk, error) {
+// checkProjection reports whether cols names sparse columns of the file,
+// each at most once.
+func (r *FileReader) checkProjection(cols []int) error {
 	seen := make([]bool, len(r.keys))
 	for _, col := range cols {
 		if col < 0 || col >= len(r.keys) || seen[col] {
-			return nil, fmt.Errorf("dwrf: projection names column %d of %d, or names it twice", col, len(r.keys))
+			return fmt.Errorf("dwrf: projection names column %d of %d, or names it twice", col, len(r.keys))
 		}
 		seen[col] = true
 	}
+	return nil
+}
 
-	srcs := make([]stripeSource, len(r.stripes))
-	var body []byte
-	full := len(cols) == len(r.keys)
-	if full {
-		var err error
-		if body, err = r.get(0, r.body); err != nil {
+// StripeColumns decodes the rows of stripe i into a chunk holding the
+// sparse columns cols (indices into SparseKeys, each at most once, in the
+// order the chunk is to hold them) plus the row metadata and dense
+// features, which are always read. It is the unit the reader tier fills by:
+// stripes are independent (each carries its own compressed streams and
+// delta-encoding state), so a file is read one stripe at a time, in any
+// order, and the rows of one are usable before the next is fetched.
+//
+// Only what the projection decodes is fetched. When cols names every
+// column that is the stripe's whole range in one fetch — stripe 0's starting
+// at byte 0 of the file, so that the header magic is fetched, and checked,
+// by the read that needs it first. Otherwise the stripe costs its header
+// and one fetch per run of adjacent wanted streams (see fetchStripe); the
+// streams of the other columns are never fetched or inflated. Either way no
+// byte is fetched twice, so reading every stripe of a file under a full
+// projection costs the file's size, counting Open's two fetches.
+//
+// The stripe's own row count is held against the footer's before anything
+// is decoded.
+func (r *FileReader) StripeColumns(i int, cols []int) (*Chunk, error) {
+	if i < 0 || i >= len(r.stripes) {
+		return nil, fmt.Errorf("dwrf: stripe %d out of range [0,%d)", i, len(r.stripes))
+	}
+	if err := r.checkProjection(cols); err != nil {
+		return nil, err
+	}
+	st := r.stripes[i]
+	var src stripeSource
+	var err error
+	if len(cols) == len(r.keys) {
+		from := st.offset
+		if i == 0 {
+			from = 0
+		}
+		var buf []byte
+		if buf, err = r.get(from, st.offset+st.length-from); err != nil {
 			return nil, err
 		}
-		if string(body[:len(magic)]) != magic {
+		if i == 0 && string(buf[:len(magic)]) != magic { // parseFooter put stripe 0 behind the magic
 			return nil, fmt.Errorf("dwrf: bad header magic")
 		}
+		src, err = wholeStripe(buf[st.offset-from:], firstSparse+len(r.keys))
+	} else {
+		src, err = r.fetchStripe(st.offset, st.length, cols)
 	}
-	for i, st := range r.stripes {
+	if err != nil {
+		return nil, err
+	}
+	if src.rows != st.rows {
+		return nil, fmt.Errorf("dwrf: stripe %d holds %d rows, footer records %d", i, src.rows, st.rows)
+	}
+	return decodeStripe(src, r.keys, r.dense, cols)
+}
+
+// ReadColumns decodes every row of the file into one chunk: every stripe
+// through StripeColumns, in file order from the calling goroutine, appended
+// into columns sized once. The reader tier does not call it — it hands rows
+// on stripe by stripe — so what is left is the whole-file read of the row
+// adapters (ReadAllContext) and of tests. Cancelling ctx stops it before
+// the next stripe, and ctx.Err() is returned.
+func (r *FileReader) ReadColumns(ctx context.Context, cols []int) (*Chunk, error) {
+	if err := r.checkProjection(cols); err != nil {
+		return nil, err
+	}
+	if len(r.stripes) == 0 {
+		return ChunkFromSamples(nil, r.keys, r.dense, cols)
+	}
+	parts := make([]*Chunk, len(r.stripes))
+	for i := range parts {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		var err error
-		if full {
-			srcs[i], err = wholeStripe(body[st.offset:st.offset+st.length], firstSparse+len(r.keys))
-		} else {
-			srcs[i], err = r.fetchStripe(st.offset, st.length, cols)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if srcs[i].rows != st.rows {
-			return nil, fmt.Errorf("dwrf: stripe %d holds %d rows, footer records %d", i, srcs[i].rows, st.rows)
-		}
-	}
-
-	chunks := make([]*Chunk, len(srcs))
-	errs := make([]error, len(srcs))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := min(runtime.GOMAXPROCS(0), len(srcs)); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ctx.Err() == nil {
-				i := int(next.Add(1)) - 1
-				if i >= len(srcs) {
-					return
-				}
-				chunks[i], errs[i] = decodeStripe(srcs[i], r.keys, r.dense, cols)
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
+		if parts[i], err = r.StripeColumns(i, cols); err != nil {
 			return nil, err
 		}
 	}
-	if len(chunks) == 1 {
-		return chunks[0], nil
+	if len(parts) == 1 {
+		return parts[0], nil
 	}
-
-	// Stitch: size every column exactly, then append stripe by stripe.
-	out := &Chunk{keys: r.keys, cols: cols, width: r.dense, sparse: make([]tensor.Jagged, len(cols))}
-	out.session, out.user = make([]int64, 0, r.rows), make([]int64, 0, r.rows)
-	out.request, out.ts = make([]int64, 0, r.rows), make([]int64, 0, r.rows)
-	out.labels = make([]int8, 0, r.rows)
-	out.dense = make([]float32, 0, r.rows*r.dense)
-	for p := range cols {
-		n := 0
-		for _, c := range chunks {
-			n += len(c.sparse[p].Values)
-		}
-		out.sparse[p] = tensor.Jagged{Values: make([]tensor.Value, 0, n), Offsets: make([]int32, 0, r.rows)}
-	}
-	for _, c := range chunks {
-		if err := out.Append(c); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return Concat(parts...)
 }
 
 // ReadStripe decodes stripe i back into samples.

@@ -14,14 +14,46 @@ import (
 // one) and the tests that keep a hand-rolled, row-based carry loop as an
 // oracle independent of the cutter (scan_test.go's composeScan).
 
-// FillFile runs only the fill stage over one file and returns the decoded
-// rows — views over the file's column chunk (dwrf.Chunk.Samples):
-// full-width, with empty lists for features the spec does not consume —
-// and the file schema.
+// fill is open and stripes in one call, for the callers that want a file
+// and not its stripes: it returns the opened file once every stripe has
+// been read and yielded. A nil yield drops them — the read still fetches,
+// and counts, every byte the spec's projection covers.
+func (r *Reader) fill(ctx context.Context, path string, yield func(*dwrf.Chunk) error) (*source, error) {
+	src, err := r.open(ctx, path)
+	if err != nil {
+		return nil, err
+	}
+	if yield == nil {
+		yield = func(*dwrf.Chunk) error { return nil }
+	}
+	if err := src.stripes(ctx, yield); err != nil {
+		if ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
+		return nil, err
+	}
+	return src, nil
+}
+
+// FillFile runs only the fill stage over one file — collecting the stripe
+// stream, the one place a whole file's rows are put back together — and
+// returns the decoded rows as views over that column chunk
+// (dwrf.Chunk.Samples): full-width, with empty lists for features the spec
+// does not consume — and the file schema.
 func (r *Reader) FillFile(ctx context.Context, file string) ([]datagen.Sample, []string, int, error) {
-	chunk, err := r.fill(ctx, file, nil)
+	var stripes []*dwrf.Chunk
+	src, err := r.fill(ctx, file, func(stripe *dwrf.Chunk) error {
+		stripes = append(stripes, stripe)
+		return nil
+	})
 	if err != nil {
 		return nil, nil, 0, err
+	}
+	chunk := src.noRows()
+	if len(stripes) > 0 {
+		if chunk, err = dwrf.Concat(stripes...); err != nil {
+			return nil, nil, 0, fmt.Errorf("reader: %s: %w", file, err)
+		}
 	}
 	return chunk.Samples(), chunk.Keys(), chunk.DenseWidth(), nil
 }

@@ -12,29 +12,36 @@ import (
 	"repro/internal/dwrf"
 )
 
-// unitRows is how many rows a unit hands the cutter.
-func unitRows(u Unit) int {
-	if u.Chunk != nil {
-		return u.Chunk.Rows()
-	}
-	return u.Scan.Rows()
-}
-
 // cutUnits drives RunUnits over next and returns the emitted batches. It
 // also checks the cutter's memory bound from outside: whenever the cutter
-// asks for the next unit, the rows it has been handed and not yet emitted —
-// its pending rows — are fewer than one batch. Safe off the test goroutine.
+// asks for the next unit, or is handed the next stripe of one, the rows it
+// has been handed and not yet emitted — its pending rows — are fewer than one
+// batch. Safe off the test goroutine.
 func cutUnits(t *testing.T, what string, cutter *Reader, next func() (Unit, bool)) ([]*Batch, error) {
 	batch := cutter.spec.BatchSize
 	supplied, emitted := 0, 0
 	var out []*Batch
-	err := cutter.RunUnits(context.Background(), func() (Unit, bool) {
+	held := func() {
 		if supplied-emitted >= batch {
 			t.Errorf("%s: the cutter holds %d rows, a full batch is %d", what, supplied-emitted, batch)
 		}
+	}
+	err := cutter.RunUnits(context.Background(), func() (Unit, bool) {
+		held()
 		u, ok := next()
-		if ok && u.Err == nil {
-			supplied += unitRows(u)
+		if !ok || u.Err != nil {
+			return u, ok
+		}
+		if read := u.Stripes; read != nil {
+			u.Stripes = func(yield func(*dwrf.Chunk) error) error {
+				return read(func(stripe *dwrf.Chunk) error {
+					held()
+					supplied += stripe.Rows()
+					return yield(stripe)
+				})
+			}
+		} else {
+			supplied += u.Scan.Rows()
 		}
 		return u, ok
 	}, func(b *Batch) error {
@@ -145,7 +152,9 @@ func queueScan(t *testing.T, what string, files []string, workers int, newReader
 
 // TestEverySourceThroughTheCutterMatchesSerialRun is the one cutter's
 // contract. Over random tables, rows per file, batch sizes (dividing the
-// file or not) and specs, RunUnits is fed from every kind of source the
+// file or not), stripe sizes (dividing the batch, not dividing it, holding
+// several batches, holding the whole file, and random) and specs, RunUnits
+// is fed from every kind of source the
 // repo has — serial fill, a ScanQueue of 1–4 workers under each kind of
 // Fill (decoded rows; memoized scans cut at the carry the queue's chain
 // hands out, cold and warm) and scan-only units cut at carry 0 that the
@@ -160,7 +169,14 @@ func TestEverySourceThroughTheCutterMatchesSerialRun(t *testing.T) {
 	for trial := 0; trial < 24; trial++ {
 		env := randomProjectionEnv(t, rng)
 		sawAligned, sawCarry = sawAligned || env.aligned, sawCarry || !env.aligned
-		what := fmt.Sprintf("trial %d (batch %d, aligned %v)", trial, env.spec.BatchSize, env.aligned)
+		// Four trials in five pin the stripe to the batch in one of the ways
+		// that matter; the fifth keeps the random stripe the table came with.
+		stripes := "random"
+		if shape := trial % 5; shape < 4 {
+			stripes = []string{"divides the batch", "does not divide", "holds batches", "exceeds the file"}[shape]
+			restripe(t, env.store, env.schema, env.files, stripeShapes(env.spec.BatchSize)[stripes])
+		}
+		what := fmt.Sprintf("trial %d (batch %d, aligned %v, stripe %s)", trial, env.spec.BatchSize, env.aligned, stripes)
 		newReader := func() *Reader {
 			r, err := NewReader(env.store, env.spec)
 			if err != nil {

@@ -50,10 +50,10 @@ type OrderedMerge[T any] struct {
 	// not care never touch it.
 	chainAt, chainRows int
 
-	stall time.Duration // completed time Await spent blocked on missing deposits
-	// awaitSince is nonzero while Await is currently blocked; Stall folds
-	// the live interval in so a controller watching a wedged merge sees
-	// the starvation grow, not a frozen counter.
+	stall time.Duration // completed time the consumer spent blocked on producers, in Await or Wait
+	// awaitSince is nonzero while the consumer is blocked right now; Stall
+	// folds the live interval in so a controller watching a wedged merge
+	// sees the starvation grow, not a frozen counter.
 	awaitSince time.Time
 }
 
@@ -210,6 +210,22 @@ func (m *OrderedMerge[T]) Deposit(idx int, v T) {
 	m.cond.Broadcast()
 }
 
+// starve and settle bracket the consumer's parking on a producer, with the
+// merge's lock held: starve stamps the start of a block (once per block),
+// settle folds a finished block into stall.
+func (m *OrderedMerge[T]) starve() {
+	if m.awaitSince.IsZero() {
+		m.awaitSince = m.now()
+	}
+}
+
+func (m *OrderedMerge[T]) settle() {
+	if !m.awaitSince.IsZero() {
+		m.stall += m.now().Sub(m.awaitSince)
+		m.awaitSince = time.Time{}
+	}
+}
+
 // Await returns slot results strictly in index order: the call pattern
 // is Await(0), Await(1), ... Each call blocks until that index has been
 // deposited; ok is false when the merge is aborted or idx is past the
@@ -218,47 +234,67 @@ func (m *OrderedMerge[T]) Deposit(idx int, v T) {
 func (m *OrderedMerge[T]) Await(idx int) (v T, ok bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var blockedAt time.Time
-	settle := func() {
-		if !blockedAt.IsZero() {
-			m.stall += m.now().Sub(blockedAt)
-			m.awaitSince = time.Time{}
-			blockedAt = time.Time{}
-		}
-	}
+	defer m.settle()
 	for {
 		if m.aborted {
-			settle()
-			var zero T
-			return zero, false
+			return v, false
 		}
 		if idx >= m.n {
 			if !m.open {
-				settle()
-				var zero T
-				return zero, false
+				return v, false
 			}
 			// Tail wait on an open merge: nothing has landed at idx yet.
 			// That is landing lag, not producer starvation — it must not
 			// feed the Stall counter the autoscaler reads, or a quiet
 			// landing path would look like a starved worker pool.
-			settle()
+			m.settle()
 			m.cond.Wait()
 			continue
 		}
 		if r, have := m.results[idx]; have {
-			settle()
 			delete(m.results, idx)
 			m.base = idx + 1
 			m.cond.Broadcast() // the window slid forward
 			return r, true
 		}
-		if blockedAt.IsZero() {
-			blockedAt = m.now()
-			m.awaitSince = blockedAt
-		}
+		m.starve()
 		m.cond.Wait()
 	}
+}
+
+// Update runs f with the merge's lock held and wakes whoever is parked: how
+// a producer publishes progress inside a slot it has already deposited (a
+// file's next stripe, to the consumer reading that file in Wait). ok is
+// false, and f has not run, once the merge is aborted: nobody is left to
+// see the progress.
+func (m *OrderedMerge[T]) Update(f func()) (ok bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.aborted {
+		return false
+	}
+	f()
+	m.cond.Broadcast()
+	return true
+}
+
+// Wait parks the consumer until ready — called with the merge's lock held,
+// over state producers change in Update, and free to take what it finds —
+// reports true; ok is false when the merge aborts first. The consumer is
+// waiting on a producer exactly as it does in Await, so the time parked
+// accumulates into Stall the same way.
+func (m *OrderedMerge[T]) Wait(ready func() bool) (ok bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	defer m.settle()
+	for !ready() {
+		if m.aborted {
+			return false
+		}
+		m.starve()
+		m.cond.Wait()
+	}
+	return true
 }
 
 // SetWindow resizes the window (clamped to at least 1), waking
@@ -274,8 +310,8 @@ func (m *OrderedMerge[T]) SetWindow(n int) {
 	m.cond.Broadcast()
 }
 
-// Abort wakes every blocked Claim, WaitWindow, RowsBefore, and Await with
-// ok == false. Idempotent; called on teardown and after the consumer
+// Abort wakes every blocked Claim, WaitWindow, RowsBefore, Await and Wait
+// with ok == false. Idempotent; called on teardown and after the consumer
 // finishes, so producers parked on a full window never outlive the
 // merge.
 func (m *OrderedMerge[T]) Abort() {
@@ -285,9 +321,10 @@ func (m *OrderedMerge[T]) Abort() {
 	m.cond.Broadcast()
 }
 
-// Stall returns the accumulated time Await spent blocked waiting for
-// deposits — including an in-progress block — the "consumer starved for
-// producers" half of the autoscaling signal (the other half, waiting on
+// Stall returns the accumulated time the consumer spent blocked on
+// producers — in Await for a deposit, in Wait for progress inside one,
+// including an in-progress block — the "consumer starved for producers"
+// half of the autoscaling signal (the other half, waiting on
 // the downstream consumer, is measured where batches are handed off).
 func (m *OrderedMerge[T]) Stall() time.Duration {
 	m.mu.Lock()

@@ -48,13 +48,20 @@ func encodeBatches(t *testing.T, batches []*Batch) [][]byte {
 // TestPipelinedRunMatchesSerial is the determinism contract of the reader
 // pipeline: with prefetching fill and parallel per-group conversion, Run
 // must emit byte-identical batches in the same order, with identical
-// deterministic Stats counters, as the serial reference path. Run with
-// -race this also shakes out data races in the pipeline.
+// deterministic Stats counters, as the serial reference path — however the
+// files' rows are cut into stripes, the unit the fill worker hands over: the
+// table is scanned with stripes that divide the batch, that do not, that
+// hold two batches (as newTestEnv writes it) and that exceed the file, and
+// the stream is the same under all four. Run with -race this also shakes
+// out data races in the pipeline.
 func TestPipelinedRunMatchesSerial(t *testing.T) {
 	env := newTestEnv(t, 60, true)
-
-	serialSpec := fullSpec()
-	batchesSerial, statsSerial := runAll(t, env, serialSpec)
+	files, err := env.catalog.AllFiles("tbl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	asWritten, _ := runAll(t, env, fullSpec())
+	wantAnyShape := encodeBatches(t, asWritten)
 
 	for _, cfg := range []struct {
 		name                      string
@@ -66,23 +73,30 @@ func TestPipelinedRunMatchesSerial(t *testing.T) {
 		{"more workers than tasks", 8, 16},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
-			spec := fullSpec()
-			spec.FillAhead = cfg.fillAhead
-			spec.ConvertWorkers = cfg.convertWorkers
-			batches, stats := runAll(t, env, spec)
+			for shape, stripeRows := range stripeShapes(fullSpec().BatchSize) {
+				restripe(t, env.store, env.schema, files, stripeRows)
+				serialSpec := fullSpec()
+				batchesSerial, statsSerial := runAll(t, env, serialSpec)
+				mustEqualEncodings(t, "serial, stripe "+shape, encodeBatches(t, batchesSerial), wantAnyShape)
 
-			if len(batches) != len(batchesSerial) {
-				t.Fatalf("pipelined produced %d batches, serial %d", len(batches), len(batchesSerial))
-			}
-			wantEnc := encodeBatches(t, batchesSerial)
-			gotEnc := encodeBatches(t, batches)
-			for i := range wantEnc {
-				if !bytes.Equal(gotEnc[i], wantEnc[i]) {
-					t.Fatalf("batch %d differs between pipelined and serial paths", i)
+				spec := fullSpec()
+				spec.FillAhead = cfg.fillAhead
+				spec.ConvertWorkers = cfg.convertWorkers
+				batches, stats := runAll(t, env, spec)
+
+				if len(batches) != len(batchesSerial) {
+					t.Fatalf("stripe %s: pipelined produced %d batches, serial %d", shape, len(batches), len(batchesSerial))
 				}
-			}
-			if got, want := counters(stats), counters(statsSerial); got != want {
-				t.Fatalf("stats counters differ: pipelined %v serial %v", got, want)
+				wantEnc := encodeBatches(t, batchesSerial)
+				gotEnc := encodeBatches(t, batches)
+				for i := range wantEnc {
+					if !bytes.Equal(gotEnc[i], wantEnc[i]) {
+						t.Fatalf("stripe %s: batch %d differs between pipelined and serial paths", shape, i)
+					}
+				}
+				if got, want := counters(stats), counters(statsSerial); got != want {
+					t.Fatalf("stripe %s: stats counters differ: pipelined %v serial %v", shape, got, want)
+				}
 			}
 		})
 	}

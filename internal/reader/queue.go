@@ -2,31 +2,36 @@ package reader
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"time"
+
+	"repro/internal/dwrf"
 )
 
 // ScanQueue is the shared ordered work queue behind every reader pool (a
 // dpp session of either kind, shared or not, resizable or fixed; Run with
 // FillAhead): workers claim file indices in scan order, fill them in
-// parallel, and deposit each file's Unit; a single assembler awaits the
-// units strictly in file-index order, so the reassembled stream is
-// byte-identical to one serial scan over the whole file list no matter
-// how many workers fill it — or how often that worker count changes
-// mid-scan.
+// parallel, and deposit each file's Unit — at once, when the unit is a
+// stream of stripes the worker goes on to read and hand over one by one
+// (FillQueue) — and a single assembler awaits the units strictly in
+// file-index order, so the reassembled stream is byte-identical to one
+// serial scan over the whole file list no matter how many workers fill it —
+// or how often that worker count changes mid-scan.
 //
 // Claims are bounded by a sliding window over the assembler's position:
 // a file index may be claimed only while it is within `window` of the
-// next index the assembler will consume. That caps decoded-but-unmerged
-// files (the queue's memory bound) and is what transmits consumer
-// backpressure to the fill workers. The window resizes with the worker
-// pool.
+// next index the assembler will consume. That caps the files decoded, or
+// being decoded, and not yet merged (the queue's memory bound: the window
+// counts files, though rows move through it by the stripe) and is what
+// transmits consumer backpressure to the fill workers. The window resizes
+// with the worker pool.
 //
 // The claim/deposit/await-in-order machinery itself is the embedded
 // OrderedMerge, shared with the fleet multiplexer (dppshard): Deposit,
-// Await (whose blocked time is Stall, the worker-starvation signal
-// autoscaling consumes), SetWindow, Abort, Finish, Len and Pos are its
-// methods. ScanQueue binds it to a file list: Claim hands out the path
+// Await and Wait (whose blocked time is Stall, the worker-starvation signal
+// autoscaling consumes), Update, SetWindow, Abort, Finish, Len and Pos are
+// its methods. ScanQueue binds it to a file list: Claim hands out the path
 // with the index, Extend appends paths with the slots.
 //
 // All methods are safe for concurrent use.
@@ -105,10 +110,11 @@ func (c Claim) Carry(batch int) (rows int, ok bool) {
 func (c Claim) Report(rows int) { c.q.ReportRows(c.Index, rows) }
 
 // Fill turns one claimed file into its Unit: the only piece of a queue
-// worker that differs between the kinds of scan. FillUnit (decoded rows,
-// the cutter converts) and ScanUnit (the file cut at carry 0) are the
-// reader's own; dpp's ScanCache memo is the third. A failure travels as
-// Unit.Err, for the assembler to surface in file order.
+// worker that differs between the kinds of scan. FillUnit (the file opened,
+// its stripes still to be read; the cutter converts) and ScanUnit (the file
+// cut at carry 0) are the reader's own; dpp's ScanCache memo is the third. A
+// failure travels as Unit.Err, or at the end of Unit.Stripes, for the
+// assembler to surface in file order.
 type Fill func(ctx context.Context, c Claim) Unit
 
 // FillQueue runs one worker over the queue — the one claim → fill →
@@ -117,6 +123,14 @@ type Fill func(ctx context.Context, c Claim) Unit
 // abort releases any successor parked on the carry chain), or stop returns
 // true — the resizable pool's between-files scale-down checkpoint, checked
 // before the claim so a stop never abandons one. A nil stop never stops.
+//
+// A unit that is still a stream of stripes is deposited at once — all that
+// has been read of its file is the footer — and the worker then reads the
+// stripes itself, handing each to the assembler as it is decoded, and
+// claims its next file only after the last: the pool's size still bounds
+// the files being filled, the window the files decoded and not yet merged,
+// and the assembler is cutting a file's first batch while the worker is
+// fetching its third stripe.
 //
 // A fill charges the Stats of the reader it closes over; a pool sums its
 // workers' readers to recover exactly the counters one serial scan would
@@ -131,15 +145,81 @@ func FillQueue(ctx context.Context, q *ScanQueue, fill Fill, stop func() bool) {
 			return
 		}
 		u := fill(ctx, c)
-		q.Deposit(c.Index, u)
-		if u.Err != nil {
+		err := u.Err
+		if read := u.Stripes; read != nil && err == nil {
+			h := &handoff{q: q}
+			u.Stripes = h.receive
+			q.Deposit(c.Index, u)
+			err = read(h.send)
+			h.close(err)
+		} else {
+			q.Deposit(c.Index, u)
+		}
+		if err != nil {
 			return
 		}
 	}
 }
 
+// handoff carries one file's stripes from the worker reading them to the
+// assembler cutting them, in order, under the queue's own lock. The worker
+// never waits for the assembler — it may run a whole file ahead, which is
+// what the claim window already budgets for — and the assembler's wait for
+// the next stripe is the queue's Wait: worker starvation, counted in Stall
+// beside the wait for a deposit.
+type handoff struct {
+	q       *ScanQueue
+	stripes []*dwrf.Chunk // sent and not yet received
+	done    bool
+	err     error // what ended the read, once done
+}
+
+// send is the worker's yield. After a cancellation or the assembler's own
+// exit nobody will receive, and the read is told to stop. The yield to the
+// scheduler lets an assembler this stripe made runnable have a CPU now: a
+// pool that saturates every CPU with fetch work (simulateFetchWork never
+// blocks) would otherwise keep it waiting for the runtime's preemption
+// tick, ten milliseconds, with the rows of its next batch already decoded.
+func (h *handoff) send(stripe *dwrf.Chunk) error {
+	if !h.q.Update(func() { h.stripes = append(h.stripes, stripe) }) {
+		return context.Canceled
+	}
+	runtime.Gosched()
+	return nil
+}
+
+// close ends the stream: after the stripes sent so far, receive returns err.
+func (h *handoff) close(err error) {
+	h.q.Update(func() { h.done, h.err = true, err })
+}
+
+// receive is the deposited unit's Stripes.
+func (h *handoff) receive(yield func(*dwrf.Chunk) error) error {
+	for {
+		var stripe *dwrf.Chunk
+		ok := h.q.Wait(func() bool {
+			if len(h.stripes) > 0 {
+				stripe, h.stripes[0] = h.stripes[0], nil
+				h.stripes = h.stripes[1:]
+				return true
+			}
+			return h.done
+		})
+		if !ok {
+			return context.Canceled // the queue aborted: teardown owns the outcome
+		}
+		if stripe == nil {
+			return h.err
+		}
+		if err := yield(stripe); err != nil {
+			return err
+		}
+	}
+}
+
 // RunQueue is the assembler half of a queued scan: it consumes deposited
-// units in index order and cuts, converts, and processes batches exactly
+// units in index order — a unit still being filled, stripe by stripe as its
+// worker hands them over — and cuts, converts, and processes batches exactly
 // as a serial Run over q's whole file list would — same batch boundaries,
 // same bytes, same deterministic counters (convert/process work charges
 // this reader; fill work lives in the workers' readers). Returns ctx.Err

@@ -117,17 +117,17 @@ func (r *Reader) ResetStats() { r.stats = Stats{} }
 // Rows left over after the last file that do not fill a batch are emitted
 // as a final short batch. emit returning an error aborts the scan.
 //
-// Cancelling ctx aborts the scan promptly — between files, and before the
+// Cancelling ctx aborts the scan promptly — between stripes, and before the
 // next batch conversion — and Run returns ctx.Err() with every goroutine
 // it started torn down.
 //
 // With Spec.FillAhead > 0 the scan is a one-worker ScanQueue: the fill
-// worker runs up to FillAhead decoded files ahead of the cutter on its own
-// goroutine. It is the only writer of the fill-stage Stats fields
-// (FillTime, ReadBytes, RowsDecoded) and the cutter owns the rest, so one
-// reader serves both sides and accounting stays exact without locks;
-// batch order, batch contents, and every deterministic Stats counter are
-// identical to the serial path.
+// worker runs up to FillAhead files ahead of the cutter on its own
+// goroutine, handing over each stripe as it is decoded. It is the only
+// writer of the fill-stage Stats fields (FillTime, ReadBytes, RowsDecoded)
+// and the cutter owns the rest, so one reader serves both sides and
+// accounting stays exact without locks; batch order, batch contents, and
+// every deterministic Stats counter are identical to the serial path.
 func (r *Reader) Run(ctx context.Context, files []string, emit func(*Batch) error) error {
 	if r.spec.FillAhead > 0 {
 		q := NewScanQueue(files, r.spec.FillAhead+1, nil)
@@ -152,23 +152,97 @@ func (r *Reader) Run(ctx context.Context, files []string, emit func(*Batch) erro
 }
 
 // Unit is one file's contribution to a batch stream, the item every source
-// hands the cutter (RunUnits) in file order: the file's decoded rows, or
-// the file already cut into batches as if entered with Scan.Carry rows
-// pending (a FileScan; Hit marks one a cache served, shared with other
-// sessions), or the error that ends the stream at this file.
+// hands the cutter (RunUnits) in file order: the file's decoded rows as a
+// stream of its stripes, or the file already cut into batches as if entered
+// with Scan.Carry rows pending (a FileScan; Hit marks one a cache served,
+// shared with other sessions), or the error that ends the stream at this
+// file.
 type Unit struct {
-	File  string
-	Chunk *dwrf.Chunk
-	Scan  *FileScan
-	Hit   bool
-	Err   error
+	File string
+	// Stripes yields the file's stripes, decoded, in file order, and returns
+	// nil after the last one, yield's error as soon as it returns one, or the
+	// error that ends the file — and with it the stream — after the stripes
+	// that preceded it. As FillUnit returns it, calling it is what fills the
+	// file, on the caller's goroutine; a unit that came through a ScanQueue
+	// yields what the worker filling the file has handed over, and waits for
+	// the rest. Either way it is consumed once.
+	Stripes func(yield func(*dwrf.Chunk) error) error
+	Scan    *FileScan
+	Hit     bool
+	Err     error
 }
 
-// FillUnit is the Fill of an unshared batch scan: it fills one file and
-// wraps its decoded rows as a Unit for the cutter to cut and convert.
+// FillUnit is the Fill of an unshared batch scan: it opens one file — the
+// footer is parsed before it returns — and wraps the read of its stripes as
+// a Unit for the cutter to cut and convert as they arrive.
 func (r *Reader) FillUnit(ctx context.Context, c Claim) Unit {
-	chunk, err := r.fill(ctx, c.File, nil)
-	return Unit{File: c.File, Chunk: chunk, Err: err}
+	src, err := r.open(ctx, c.File)
+	if err != nil {
+		return Unit{File: c.File, Err: err}
+	}
+	return Unit{File: c.File, Stripes: func(yield func(*dwrf.Chunk) error) error { return src.stripes(ctx, yield) }}
+}
+
+// assembly is the rows of the batch being put together: views of the chunks
+// they arrived in — a stripe is shorter than a batch more often than not —
+// copied once, into columns sized exactly, when the batch is complete. What
+// it pins meanwhile is the stripes, or the cached head and tail rows, those
+// views were cut from, never a file. rows may start above zero with no
+// parts: rows a consumer of the cut will supply (FileScan.Carry).
+type assembly struct {
+	batch int
+	parts []*dwrf.Chunk
+	rows  int
+}
+
+// cut passes the rows of chunk (nil is no rows), which continue the rows
+// already in hand, on as batches: through full, each batch-row run in turn;
+// rows that do not end one stay in hand. Only a batch that arrived in pieces
+// is copied; whole batches at the current offset are row ranges of chunk.
+func (a *assembly) cut(chunk *dwrf.Chunk, full func(rows *dwrf.Chunk) error) error {
+	if chunk == nil || chunk.Rows() == 0 {
+		return nil
+	}
+	lo, n := 0, chunk.Rows()
+	if a.rows > 0 {
+		lo = min(a.batch-a.rows, n)
+		a.parts = append(a.parts, chunk.Slice(0, lo))
+		if a.rows += lo; a.rows < a.batch {
+			return nil
+		}
+		rows, err := a.take()
+		if err != nil {
+			return err
+		}
+		if err := full(rows); err != nil {
+			return err
+		}
+	}
+	for ; lo+a.batch <= n; lo += a.batch {
+		if err := full(chunk.Slice(lo, lo+a.batch)); err != nil {
+			return err
+		}
+	}
+	if lo < n {
+		a.parts, a.rows = append(a.parts, chunk.Slice(lo, n)), n-lo
+	}
+	return nil
+}
+
+// take returns the rows in hand as one chunk that owns its storage, nil
+// when there are none, and leaves the assembly empty.
+func (a *assembly) take() (*dwrf.Chunk, error) {
+	parts := a.parts
+	a.parts, a.rows = a.parts[:0], 0
+	if len(parts) == 0 {
+		return nil, nil
+	}
+	rows, err := dwrf.Concat(parts...)
+	clear(parts) // the views pin their stripes no longer
+	if err != nil {
+		return nil, fmt.Errorf("reader: %w", err)
+	}
+	return rows, nil
 }
 
 // RunUnits is the cutter: the one place rows carry across a file boundary.
@@ -177,36 +251,32 @@ func (r *Reader) FillUnit(ctx context.Context, c Claim) Unit {
 // the same stream, byte for byte, whichever source feeds it (serial fill,
 // a ScanQueue under any Fill, a fleet of shards).
 //
-// Batches are cut as row ranges of the file's column chunk. Only rows that
-// straddle a file boundary are copied: they collect in pending, which
-// therefore never holds a full batch and never pins a file's chunk. A unit
-// that is already cut is usable when it was cut for exactly the rows now
-// pending (Scan.Carry): its head completes the straddling batch — the one
-// batch of the file this scan converts itself, since it holds rows of two
-// files — its batches pass through untouched and its tail becomes the
-// pending rows. Cut for any other carry, the file's batch boundaries are
-// the wrong ones, so the cutter cuts the unit's chunk instead — filling the
-// file itself when the source sent only the scan.
+// Batches are cut from a unit's stripes as they arrive, as row ranges of a
+// stripe's column chunk where a stripe holds a whole batch at the current
+// offset, and otherwise assembled — one copy — from the pieces of the
+// stripes, or files, the batch straddles; the rows in hand are always fewer
+// than a batch. A unit that is already cut is usable when it was cut for
+// exactly the rows now in hand (Scan.Carry): its head completes the
+// straddling batch — the one batch of the file this scan converts itself,
+// since it holds rows of two files — its batches pass through untouched and
+// its tail becomes the rows in hand. Cut for any other carry, the file's
+// batch boundaries are the wrong ones, so the cutter fills the file itself
+// and cuts its stripes instead.
+//
+// A unit whose stripes end in an error ends the stream there: every batch
+// that lies wholly in the stripes before it has been emitted, as a serial
+// scan would have.
 func (r *Reader) RunUnits(ctx context.Context, next func() (Unit, bool), emit func(*Batch) error) error {
-	pending := &dwrf.Chunk{}
+	pending := assembly{batch: r.spec.BatchSize}
+	produce := func(rows *dwrf.Chunk) error { return r.produce(ctx, rows, emit) }
 	nKeys := -1
-	batch := r.spec.BatchSize
-	// carryIn copies rows onto the pending ones and, when that completes a
-	// batch, produces it. Copied, never adopted: the rows may belong to a
-	// cache entry other sessions are reading.
-	carryIn := func(file string, rows *dwrf.Chunk) error {
-		if rows == nil || rows.Rows() == 0 {
-			return nil
+	sameSchema := func(file string, width int) error {
+		if nKeys < 0 {
+			nKeys = width
+		} else if width != nKeys {
+			return fmt.Errorf("reader: file %q schema mismatch (%d vs %d features)", file, width, nKeys)
 		}
-		if err := pending.Append(rows); err != nil {
-			return fmt.Errorf("reader: file %q: %w", file, err)
-		}
-		if pending.Rows() < batch {
-			return nil
-		}
-		full := pending
-		pending = &dwrf.Chunk{}
-		return r.produce(ctx, full, emit)
+		return nil
 	}
 
 	for {
@@ -220,64 +290,52 @@ func (r *Reader) RunUnits(ctx context.Context, next func() (Unit, bool), emit fu
 		if u.Err != nil {
 			return u.Err
 		}
-		ch := u.Chunk
-		if ch == nil && pending.Rows() != u.Scan.Carry {
+		if u.Stripes == nil && pending.rows != u.Scan.Carry {
 			if r.store == nil {
 				return fmt.Errorf("reader: file %q entered mid-batch but the fleet has no local backend to re-fill it (misaligned spec needs Config.Backend)", u.File)
 			}
-			var err error
-			if ch, err = r.fill(ctx, u.File, nil); err != nil {
-				return err
+			if u = r.FillUnit(ctx, Claim{File: u.File}); u.Err != nil {
+				return u.Err
 			}
 		}
-		width := 0
-		if ch != nil {
-			width = len(ch.Keys())
-		} else {
-			width = len(u.Scan.Keys)
-		}
-		if nKeys < 0 {
-			nKeys = width
-		} else if width != nKeys {
-			return fmt.Errorf("reader: file %q schema mismatch (%d vs %d features)", u.File, width, nKeys)
-		}
-		if ch == nil {
-			if err := carryIn(u.File, u.Scan.Head); err != nil {
-				return err
-			}
-			for _, b := range u.Scan.Batches {
-				if err := emit(b); err != nil {
+		if u.Stripes != nil {
+			err := u.Stripes(func(stripe *dwrf.Chunk) error {
+				if err := sameSchema(u.File, len(stripe.Keys())); err != nil {
 					return err
 				}
-			}
-			if err := carryIn(u.File, u.Scan.Tail); err != nil {
+				return pending.cut(stripe, produce)
+			})
+			if err != nil {
+				if ctx.Err() != nil {
+					return ctx.Err()
+				}
 				return err
 			}
 			continue
 		}
-		lo, n := 0, ch.Rows()
-		if pending.Rows() > 0 {
-			lo = min(batch-pending.Rows(), n)
-			if err := carryIn(u.File, ch.Slice(0, lo)); err != nil {
+		if err := sameSchema(u.File, len(u.Scan.Keys)); err != nil {
+			return err
+		}
+		if err := pending.cut(u.Scan.Head, produce); err != nil {
+			return err
+		}
+		for _, b := range u.Scan.Batches {
+			if err := emit(b); err != nil {
 				return err
 			}
 		}
-		for ; lo+batch <= n; lo += batch {
-			if err := r.produce(ctx, ch.Slice(lo, lo+batch), emit); err != nil {
-				return err
-			}
-		}
-		if err := carryIn(u.File, ch.Slice(lo, n)); err != nil {
+		if err := pending.cut(u.Scan.Tail, produce); err != nil {
 			return err
 		}
 	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if pending.Rows() > 0 {
-		return r.produce(ctx, pending, emit)
+	rows, err := pending.take()
+	if err != nil || rows == nil {
+		return err
 	}
-	return nil
+	return r.produce(ctx, rows, emit)
 }
 
 // fetchCPUPasses is how many per-byte passes the simulated fetch path
@@ -323,12 +381,12 @@ func resolveColumns(features, keys []string) ([]int, error) {
 	return cols, nil
 }
 
-// open returns the size of the file at path and a ranged read over it. A
+// ranged returns the size of the file at path and a ranged read over it. A
 // raw-byte tier (storage.CachingBackend) holds whole blobs, so a file is
 // looked up there once — one hit or miss per fill, whatever the
 // projection — and the ranges are cut from the blob; any other backend is
 // asked for each range.
-func (r *Reader) open(path string) (int64, dwrf.Fetch, error) {
+func (r *Reader) ranged(path string) (int64, dwrf.Fetch, error) {
 	if _, ok := r.store.(*storage.CachingBackend); ok {
 		data, err := r.store.Get(path)
 		if err != nil {
@@ -343,28 +401,33 @@ func (r *Reader) open(path string) (int64, dwrf.Fetch, error) {
 	return size, func(off, n int64) ([]byte, error) { return r.store.ReadRange(path, off, n) }, nil
 }
 
-// fill reads one file from the store and decodes all rows of the columns
-// the spec consumes (the paper's fill stage: fetch, decrypt, decompress,
-// decode). It fetches the footer, then per stripe the header and the
-// streams of the row metadata, the dense features and the consumed sparse
-// features — a spec that consumes every column fetches exactly the file.
-// ReadBytes and the fetch cost model charge each range as it is fetched.
-// Cancellation is honoured before the fetch and between stripes. A non-nil
-// onRows is told the file's row count as soon as the footer is parsed,
-// before any stripe is fetched (a successful fill returns exactly that
-// many rows: every stripe is checked against the footer).
-func (r *Reader) fill(ctx context.Context, path string, onRows func(rows int)) (*dwrf.Chunk, error) {
+// source is one file mid-fill (the paper's fill stage: fetch, decrypt,
+// decompress, decode): opened — the footer fetched and parsed, so the row
+// count and schema are known, and the spec's projection resolved against
+// it — with no stripe fetched yet. ReadBytes and the fetch cost model
+// charge each range as it is fetched; FillTime is the time inside open and
+// inside each stripe's read, never the time a stripe's consumer takes.
+type source struct {
+	r    *Reader
+	path string
+	file *dwrf.FileReader
+	cols []int
+}
+
+// open starts the fill of the file at path. Cancellation is honoured
+// before the first fetch.
+func (r *Reader) open(ctx context.Context, path string) (*source, error) {
 	start := time.Now()
 	defer func() { r.stats.FillTime += time.Since(start) }()
 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	size, read, err := r.open(path)
+	size, read, err := r.ranged(path)
 	if err != nil {
 		return nil, err
 	}
-	fr, err := dwrf.Open(size, func(off, n int64) ([]byte, error) {
+	file, err := dwrf.Open(size, func(off, n int64) ([]byte, error) {
 		data, err := read(off, n)
 		r.stats.ReadBytes += int64(len(data))
 		simulateFetchWork(data)
@@ -373,22 +436,45 @@ func (r *Reader) fill(ctx context.Context, path string, onRows func(rows int)) (
 	if err != nil {
 		return nil, fmt.Errorf("reader: %s: %w", path, err)
 	}
-	if onRows != nil {
-		onRows(fr.NumRows())
-	}
-	cols, err := resolveColumns(r.consumed, fr.SparseKeys())
+	cols, err := resolveColumns(r.consumed, file.SparseKeys())
 	if err != nil {
 		return nil, err
 	}
-	chunk, err := fr.ReadColumns(ctx, cols)
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
+	return &source{r: r, path: path, file: file, cols: cols}, nil
+}
+
+// stripes is the rest of the fill: it reads the file's stripes in order —
+// per stripe the header and the streams of the row metadata, the dense
+// features and the consumed sparse features; a spec that consumes every
+// column fetches exactly the file — and hands each to yield, decoded, before
+// it fetches the next. Every stripe is checked against the footer, so a
+// fill that succeeds has yielded exactly the rows the footer counts.
+// Cancellation is honoured before each stripe; yield's error ends the fill
+// and is returned as it is.
+func (s *source) stripes(ctx context.Context, yield func(*dwrf.Chunk) error) error {
+	for i := 0; i < s.file.NumStripes(); i++ {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		return nil, fmt.Errorf("reader: %s: %w", path, err)
+		start := time.Now()
+		stripe, err := s.file.StripeColumns(i, s.cols)
+		s.r.stats.FillTime += time.Since(start)
+		if err != nil {
+			return fmt.Errorf("reader: %s: %w", s.path, err)
+		}
+		s.r.stats.RowsDecoded += int64(stripe.Rows())
+		if err := yield(stripe); err != nil {
+			return err
+		}
 	}
-	r.stats.RowsDecoded += int64(chunk.Rows())
-	return chunk, nil
+	return nil
+}
+
+// noRows is the file's schema with no rows in it: what a cut of the file
+// has for a head or a tail when no row of it falls there.
+func (s *source) noRows() *dwrf.Chunk {
+	c, _ := dwrf.ChunkFromSamples(nil, s.file.SparseKeys(), s.file.DenseCount(), s.cols) // no row, none malformed
+	return c
 }
 
 // produce converts and preprocesses one run of rows and emits the batch.

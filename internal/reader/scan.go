@@ -77,38 +77,66 @@ func (fs *FileScan) MemBytes() int64 {
 	return total
 }
 
-// ScanFile fills one file and cuts its rows for a scan entering it with
-// carry rows pending (0 ≤ carry < batch): the head that completes the
-// straddling batch, the complete batches after it, the leftover tail. All
-// stages charge the reader's Stats exactly as Run does, so a stream the
-// cutter assembles from ScanFile units cut at its own carries reports the
-// same deterministic counters as a serial Run over the same files. onRows,
-// when non-nil, hears the file's row count as soon as the footer is parsed.
+// ScanFile fills one file and cuts its rows, stripe by stripe as they are
+// decoded, for a scan entering it with carry rows pending (0 ≤ carry <
+// batch): the head that completes the straddling batch, the complete batches
+// after it, the leftover tail. All stages charge the reader's Stats exactly
+// as Run does, so a stream the cutter assembles from ScanFile units cut at
+// its own carries reports the same deterministic counters as a serial Run
+// over the same files. onRows, when non-nil, hears the file's row count as
+// soon as the footer is parsed, before any stripe is fetched. The scan is
+// whole or it is an error: a file whose k-th stripe is damaged yields no
+// scan, whatever was cut from the stripes before it.
 //
 // This is the compute function behind dpp.ScanCache entries: the result
 // depends only on (file contents, Spec.Fingerprint(), carry), which is
 // what makes memoizing it sound.
 func (r *Reader) ScanFile(ctx context.Context, file string, carry int, onRows func(rows int)) (*FileScan, error) {
-	chunk, err := r.fill(ctx, file, onRows)
+	src, err := r.open(ctx, file)
 	if err != nil {
 		return nil, err
 	}
-	fs := &FileScan{Carry: carry, Keys: chunk.Keys(), Dense: chunk.DenseWidth()}
-	lo, n, batch := 0, chunk.Rows(), r.spec.BatchSize
-	// A cached scan outlives the fill: head and tail are copied out so that
-	// they pin their own rows, not the file's whole chunk.
-	if carry > 0 {
-		lo = min(batch-carry, n)
-		fs.Head = chunk.Slice(0, lo).Clone()
+	if onRows != nil {
+		onRows(src.file.NumRows())
 	}
-	for ; lo+batch <= n; lo += batch {
-		b, err := r.produceBatch(chunk.Slice(lo, lo+batch))
-		if err != nil {
-			return nil, err
+	fs := &FileScan{Carry: carry, Keys: src.file.SparseKeys(), Dense: src.file.DenseCount()}
+	// The carried rows are the consumer's: counted here, held there. The
+	// first rows to complete a batch with them are the head, which is
+	// assembled — so it owns its storage, as the tail will — but not
+	// converted.
+	rows := assembly{batch: r.spec.BatchSize, rows: carry}
+	head := carry > 0
+	err = src.stripes(ctx, func(stripe *dwrf.Chunk) error {
+		return rows.cut(stripe, func(full *dwrf.Chunk) error {
+			if head {
+				fs.Head, head = full, false
+				return nil
+			}
+			b, err := r.produceBatch(full)
+			if err != nil {
+				return err
+			}
+			fs.Batches = append(fs.Batches, b)
+			return nil
+		})
+	})
+	if err != nil {
+		if ctx.Err() != nil {
+			return nil, ctx.Err()
 		}
-		fs.Batches = append(fs.Batches, b)
+		return nil, err
 	}
-	fs.Tail = chunk.Slice(lo, n).Clone()
+	rest, err := rows.take()
+	if err != nil {
+		return nil, err
+	}
+	if rest == nil {
+		rest = src.noRows()
+	}
+	if head { // the file ended inside the straddling batch
+		fs.Head, rest = rest, src.noRows()
+	}
+	fs.Tail = rest
 	return fs, nil
 }
 

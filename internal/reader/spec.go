@@ -39,9 +39,10 @@ type Spec struct {
 
 	// FillAhead bounds how many decoded files the fill stage may prefetch
 	// ahead of conversion. 0 keeps fill inline with conversion (the serial
-	// reference path); N > 0 runs fill as a one-worker ScanQueue up to N
-	// files ahead of the cutter, overlapping storage IO/decode with
-	// convert/process. Batch order and contents are identical either way.
+	// reference path: a stripe is read, then cut, then the next is read);
+	// N > 0 runs fill as a one-worker ScanQueue up to N files ahead of the
+	// cutter, overlapping storage IO/decode with convert/process. Batch
+	// order and contents are identical either way.
 	FillAhead int
 	// ConvertWorkers bounds how many feature-conversion tasks (one per
 	// dedup group, one per partial feature — they are independent) run

@@ -29,7 +29,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BENCH_PATTERN=${BENCH_PATTERN:-'BenchmarkIKJTConversion$|BenchmarkJaggedIndexSelect$|BenchmarkJaggedIndexSelectAlloc$|BenchmarkIKJTToKJTRoundTrip$|BenchmarkDWRFWriteClustered$|BenchmarkReaderTier$|BenchmarkReaderTierPipelined$|BenchmarkServiceSession$|BenchmarkRemoteSession$|BenchmarkSharedSessions$|BenchmarkUnsharedSessions$|BenchmarkStaticStalledConsumer$|BenchmarkAutoscaledStalledConsumer$|BenchmarkShardedFleet1$|BenchmarkShardedFleet2$|BenchmarkShardedFleet4$|BenchmarkPipelineEndToEnd$|BenchmarkCacheGetHit$|BenchmarkCacheCyclicOvercommit$|BenchmarkChainStep$|BenchmarkBatchFrameHop$'}
+BENCH_PATTERN=${BENCH_PATTERN:-'BenchmarkIKJTConversion$|BenchmarkJaggedIndexSelect$|BenchmarkJaggedIndexSelectAlloc$|BenchmarkIKJTToKJTRoundTrip$|BenchmarkDWRFWriteClustered$|BenchmarkReaderTier$|BenchmarkReaderTierPipelined$|BenchmarkServiceSession$|BenchmarkRemoteSession$|BenchmarkSharedSessions$|BenchmarkUnsharedSessions$|BenchmarkStaticStalledConsumer$|BenchmarkAutoscaledStalledConsumer$|BenchmarkShardedFleet1$|BenchmarkShardedFleet2$|BenchmarkShardedFleet4$|BenchmarkPipelineEndToEnd$|BenchmarkCacheGetHit$|BenchmarkCacheCyclicOvercommit$|BenchmarkChainStep$|BenchmarkBatchFrameHop$|BenchmarkStripeColumns$'}
 BENCH_COUNT=${BENCH_COUNT:-1}
 MAX_PCT=${BENCH_MAX_REGRESSION_PCT:-20}
 BASELINE=${BENCH_BASELINE:-benchmarks/baseline.txt}
@@ -41,8 +41,10 @@ mkdir -p "$(dirname "$LATEST")"
 # and a cyclic scan over an undersized cache, which reports computes/pass);
 # internal/dpp/dppnet holds the wire's per-layer pair (the stream hash, at
 # 0 allocs/op, and one batch's encode → frame → read → verify → decode hop,
-# which reports ns/row).
-go test -run '^$' -bench "$BENCH_PATTERN" -benchmem -count "$BENCH_COUNT" . ./internal/cachecore/ ./internal/dpp/dppnet/ | tee "$LATEST"
+# which reports ns/row); internal/dwrf holds the fill's decode unit with no
+# store and no fetch model around it (one 128-row stripe of the ladder's
+# table, full and 5-of-25 projection, which reports ns/row).
+go test -run '^$' -bench "$BENCH_PATTERN" -benchmem -count "$BENCH_COUNT" . ./internal/cachecore/ ./internal/dpp/dppnet/ ./internal/dwrf/ | tee "$LATEST"
 
 # --- Cross-session scan-sharing gate: two same-spec sessions through the
 # ScanCache must beat two uncached sessions by at least

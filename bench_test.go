@@ -583,6 +583,45 @@ func BenchmarkUnsharedSessions(b *testing.B) { benchTwoSessions(b, false) }
 // holds — which survives the 1-CPU CI runner where parallel-decode wins
 // cannot.
 func benchShardedFleet(b *testing.B, shards int) {
+	spec, startFleet := fleetFixture(b, shards)
+	ctx := context.Background()
+	const epochs = 5
+	b.ResetTimer()
+	// Each iteration stands up a fresh, cold fleet: the measured unit is
+	// "cold fleet, 5 epochs", independent of b.N — cache state must not
+	// leak between iterations or the 1-vs-2-shard ratio would depend on
+	// how long the harness happens to run each side.
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		fleet, shutdown := startFleet()
+		b.StartTimer()
+		for e := 0; e < epochs; e++ {
+			sess, err := fleet.Open(ctx, spec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for {
+				_, err := sess.Next(ctx)
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			sess.Close()
+		}
+		b.StopTimer()
+		shutdown()
+		b.StartTimer()
+	}
+}
+
+// fleetFixture lands the fleet benchmarks' table and returns the session
+// spec over it and a function that stands up a fresh, cold fleet of the
+// given shard count, budgeted as benchShardedFleet describes, with the
+// function that shuts it down.
+func fleetFixture(b *testing.B, shards int) (dpp.Spec, func() (*dppshard.Fleet, func())) {
 	schema := datagen.StandardSchema(datagen.StandardSchemaConfig{
 		UserSeq: 3, UserElem: 3, Item: 1, Dense: 2, SeqLen: 32, Seed: 12,
 	})
@@ -611,17 +650,13 @@ func benchShardedFleet(b *testing.B, shards int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	one, err := r.ScanFile(context.Background(), files[0], 0, nil)
+	one, err := r.ScanFile(context.Background(), files[0], 0, nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	budget := one.MemBytes() * int64(len(files)) * 3 / 4
 
-	// Each iteration stands up a fresh, cold fleet: the measured unit is
-	// "cold fleet, 5 epochs", independent of b.N — cache state must not
-	// leak between iterations or the 1-vs-2-shard ratio would depend on
-	// how long the harness happens to run each side.
-	startFleet := func() (*dppshard.Fleet, func()) {
+	return dpp.Spec{Spec: spec, Files: files, Buffer: 1, ShareScans: true}, func() (*dppshard.Fleet, func()) {
 		var closers []func()
 		addrs := make([]string, 0, shards)
 		for i := 0; i < shards; i++ {
@@ -648,34 +683,6 @@ func benchShardedFleet(b *testing.B, shards int) {
 			}
 		}
 	}
-
-	ctx := context.Background()
-	const epochs = 5
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		fleet, shutdown := startFleet()
-		b.StartTimer()
-		for e := 0; e < epochs; e++ {
-			sess, err := fleet.Open(ctx, dpp.Spec{Spec: spec, Files: files, Buffer: 1, ShareScans: true})
-			if err != nil {
-				b.Fatal(err)
-			}
-			for {
-				_, err := sess.Next(ctx)
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			sess.Close()
-		}
-		b.StopTimer()
-		shutdown()
-		b.StartTimer()
-	}
 }
 
 // BenchmarkShardedFleet1/2/4 are the sharded-preprocessing capacity
@@ -684,6 +691,35 @@ func benchShardedFleet(b *testing.B, shards int) {
 func BenchmarkShardedFleet1(b *testing.B) { benchShardedFleet(b, 1) }
 func BenchmarkShardedFleet2(b *testing.B) { benchShardedFleet(b, 2) }
 func BenchmarkShardedFleet4(b *testing.B) { benchShardedFleet(b, 4) }
+
+// BenchmarkFleetFirstBatch is how long a trainer waits for its first batch
+// from a cold two-shard fleet: Open's dials and handshakes, then the shard
+// that owns the first file reading its footer and the two stripes the batch
+// lies in, converting it and shipping the frame — not the file. ms/op is
+// the per-layer number under the ladder's fleet_overcommit
+// first_batch_p50_ms.
+func BenchmarkFleetFirstBatch(b *testing.B) {
+	spec, startFleet := fleetFixture(b, 2)
+	ctx := context.Background()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		fleet, shutdown := startFleet()
+		b.StartTimer()
+		sess, err := fleet.Open(ctx, spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sess.Next(ctx); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		sess.Close()
+		shutdown()
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/op")
+}
 
 // benchStalledConsumer measures one session drained by a consumer that
 // stalls briefly after each of the first half of its batches (a trainer

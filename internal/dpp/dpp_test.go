@@ -622,7 +622,7 @@ func TestSharedSessionEvictionPressure(t *testing.T) {
 	if len(files) < 3 {
 		t.Skip("need at least 3 files for eviction pressure")
 	}
-	one, err := r.ScanFile(context.Background(), files[0], 0, nil)
+	one, err := r.ScanFile(context.Background(), files[0], 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -266,25 +266,30 @@ func (c *Client) Open(ctx context.Context, spec dpp.Spec) (*RemoteSession, error
 }
 
 // batchKind is the batch stream: batch frames, advisory drain frames.
-var batchKind = kind[*reader.Batch]{frame: frameBatch, decode: decodeBatch}
+var batchKind = kind[*reader.Batch]{decode: decodeBatch}
 
-// decodeBatch is the batch kind's decode hook: index | chain | batch.
-func decodeBatch(payload []byte, want int64, chain uint64) (*reader.Batch, uint64, error) {
+// decodeBatch is the batch kind's decode hook, and the unit kind's for the
+// batch frames of its stream: index | chain | batch.
+func decodeBatch(typ byte, payload []byte, at cursor) (*reader.Batch, cursor, error) {
+	if typ != frameBatch {
+		return nil, at, fmt.Errorf("dppnet: unexpected frame %#x", typ)
+	}
 	idx, fchain, body, err := decodeBatchFrame(payload)
 	if err != nil {
-		return nil, 0, fmt.Errorf("dppnet: corrupt batch frame: %w", err)
+		return nil, at, fmt.Errorf("dppnet: corrupt batch frame: %w", err)
 	}
-	if idx != want {
-		return nil, 0, fmt.Errorf("dppnet: batch index %d, want %d", idx, want)
+	if idx != at.frames {
+		return nil, at, fmt.Errorf("dppnet: batch index %d, want %d", idx, at.frames)
 	}
-	if chain = chainStep(chain, body); chain != fchain {
-		return nil, 0, fmt.Errorf("dppnet: stream hash mismatch at batch %d", idx)
+	if at.chain = chainStep(at.chain, body); at.chain != fchain {
+		return nil, at, fmt.Errorf("dppnet: stream hash mismatch at batch %d", idx)
 	}
 	b, _, err := reader.DecodeBatchFrom(body)
 	if err != nil {
-		return nil, 0, fmt.Errorf("dppnet: corrupt batch frame: %w", err)
+		return nil, at, fmt.Errorf("dppnet: corrupt batch frame: %w", err)
 	}
-	return b, chain, nil
+	at.frames++
+	return b, at, nil
 }
 
 // RemoteSession is the client half of one streamed batch session: the one
@@ -321,6 +326,6 @@ func (rs *RemoteSession) EndFollow() {
 	closed := rs.closed
 	rs.mu.Unlock()
 	if !closed {
-		rs.send(frameEndFollow, nil)
+		rs.send(endFollowFrame)
 	}
 }

@@ -68,13 +68,15 @@ func TestDrainUnitSessionTerminal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rus.NextUnit(context.Background()); err != nil {
+	last, err := rus.NextPiece(context.Background())
+	if err != nil {
 		t.Fatal(err)
 	}
 	h.srv.Drain()
 	for {
-		_, err := rus.NextUnit(context.Background())
+		p, err := rus.NextPiece(context.Background())
 		if err == nil {
+			last = p
 			continue
 		}
 		if errors.Is(err, ErrDrained) {
@@ -83,7 +85,12 @@ func TestDrainUnitSessionTerminal(t *testing.T) {
 		if err == io.EOF {
 			t.Fatal("unit stream reached EOF without surfacing the drain")
 		}
-		t.Fatalf("NextUnit after Drain = %v, want ErrDrained", err)
+		t.Fatalf("NextPiece after Drain = %v, want ErrDrained", err)
+	}
+	// The server keeps serving after the notice, and the stream ends between
+	// files: the last piece delivered closed its file.
+	if last.Tail == nil {
+		t.Fatalf("the drain surfaced inside file %d (%s), after a batch", last.Index, last.File)
 	}
 	rus.Close()
 

@@ -32,12 +32,8 @@ func encodeUnitFrame(chain uint64, unit []byte) []byte {
 // encodeFileUnit is appendFileUnit behind the io.Writer signature the unit
 // encoder had before frames were built in place. The resume and fuzz
 // suites were written against it and are kept as they were.
-func encodeFileUnit(w io.Writer, u *dpp.FileUnit) error {
-	buf, err := appendFileUnit(nil, u)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(buf)
+func encodeFileUnit(w io.Writer, p dpp.UnitPiece) error {
+	_, err := w.Write(appendFileUnit(nil, p))
 	return err
 }
 
@@ -176,11 +172,11 @@ func TestDecodedItemsOutliveTheFrameBuffer(t *testing.T) {
 		chain := chainSeed
 		for i, p := range sent {
 			work := append([]byte(nil), p...)
-			b, next, err := decodeBatch(work, int64(i), chain)
+			b, next, err := decodeBatch(frameBatch, work, cursor{frames: int64(i), chain: chain})
 			if err != nil {
 				t.Fatalf("batch %d: %v", i, err)
 			}
-			chain = next
+			chain = next.chain
 			for j := range work {
 				work[j] = 0xFF
 			}
@@ -193,28 +189,36 @@ func TestDecodedItemsOutliveTheFrameBuffer(t *testing.T) {
 			t.Fatalf("recorded batch stream has %d frames", len(sent))
 		}
 
-		sent = payloadFrames(recordStream(t, h.addr, spec, true), frameFileUnit)
+		frames := unitFrames(recordStream(t, h.addr, spec, true))
 		decode := unitKind(files, spec.ConsumedFeatures()).decode
-		chain = chainSeed
-		tails := 0
-		for i, p := range sent {
-			work := append([]byte(nil), p...)
-			u, next, err := decode(work, int64(i), chain)
+		at := cursor{chain: chainSeed}
+		batches, tails := 0, 0
+		for i, fr := range frames {
+			work := append([]byte(nil), fr.payload...)
+			u, next, err := decode(fr.typ, work, at)
 			if err != nil {
-				t.Fatalf("unit %d: %v", i, err)
+				t.Fatalf("unit stream frame %d: %v", i, err)
 			}
-			chain = next
+			at = next
 			for j := range work {
 				work[j] = 0xFF
 			}
-			tails += u.Scan.Tail.Rows()
-			_, body, _ := decodeUnitFrame(p)
-			if re, err := appendFileUnit(nil, u); err != nil || !bytes.Equal(re, body) {
-				t.Fatalf("batch size %d, unit %d changed when its frame buffer was overwritten (%v)", rs.BatchSize, i, err)
+			if u.Batch != nil {
+				batches++
+				_, _, body, _ := decodeBatchFrame(fr.payload)
+				if !bytes.Equal(u.Batch.AppendTo(nil), body) {
+					t.Fatalf("batch size %d, unit stream batch frame %d changed when its frame buffer was overwritten", rs.BatchSize, i)
+				}
+				continue
+			}
+			tails += u.Tail.Rows()
+			_, body, _ := decodeUnitFrame(fr.payload)
+			if !bytes.Equal(appendFileUnit(nil, u), body) {
+				t.Fatalf("batch size %d, closing record %d changed when its frame buffer was overwritten", rs.BatchSize, u.Index)
 			}
 		}
-		if len(sent) < 2 || tails == 0 {
-			t.Fatalf("batch size %d: recorded unit stream has %d frames, %d tail rows", rs.BatchSize, len(sent), tails)
+		if at.files != len(files) || batches < 2 || tails == 0 {
+			t.Fatalf("batch size %d: recorded unit stream closed %d of %d files with %d batch frames, %d tail rows", rs.BatchSize, at.files, len(files), batches, tails)
 		}
 	}
 }
@@ -350,11 +354,11 @@ func BenchmarkBatchFrameHop(b *testing.B) {
 		if err != nil || typ != frameBatch {
 			b.Fatalf("frame %d read back as type %#x, %v", i, typ, err)
 		}
-		got, next, err := decodeBatch(payload, i, clientChain)
+		got, next, err := decodeBatch(typ, payload, cursor{frames: i, chain: clientChain})
 		if err != nil || got.Size != batch.Size {
 			b.Fatalf("frame %d: %v", i, err)
 		}
-		clientChain = next
+		clientChain = next.chain
 	}
 	b.SetBytes(int64(len(recv)))
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(batch.Size), "ns/row")

@@ -345,45 +345,18 @@ func FuzzDecodeTablez(f *testing.F) {
 	})
 }
 
-// TestEncodeFileUnitRefusesCarriedScan: the unit frame has no field for
-// head rows, so a scan cut at an offset — which a unit session never
-// produces — is refused at the encoder instead of being shipped without
-// the rows before its first batch.
-func TestEncodeFileUnitRefusesCarriedScan(t *testing.T) {
-	env := newTestEnv(t, 24)
-	r, err := reader.NewReader(env.store, misalignedSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	files, err := env.catalog.AllFiles("tbl")
-	if err != nil {
-		t.Fatal(err)
-	}
-	scan, err := r.ScanFile(context.Background(), files[0], 5, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scan.Head.Rows() == 0 {
-		t.Fatal("a scan cut at carry 5 has no head rows")
-	}
+func fileUnitSeed(p dpp.UnitPiece) []byte {
 	var buf bytes.Buffer
-	if err := encodeFileUnit(&buf, &dpp.FileUnit{File: files[0], Scan: scan}); err == nil || buf.Len() != 0 {
-		t.Fatalf("encoded a carried scan: err = %v, %d bytes written", err, buf.Len())
-	}
-}
-
-func fileUnitSeed(u *dpp.FileUnit) []byte {
-	var buf bytes.Buffer
-	if err := encodeFileUnit(&buf, u); err != nil {
+	if err := encodeFileUnit(&buf, p); err != nil {
 		panic(err)
 	}
 	return buf.Bytes()
 }
 
-// FuzzDecodeFileUnit: the file-unit frame is what a fleet mux
+// FuzzDecodeFileUnit: the file-unit frame closes every file a fleet mux
 // reassembles its merged stream from, so a malicious or corrupt shard
 // must never panic the client. decodeFileUnit on arbitrary bytes either
-// fails cleanly or yields a unit within every wire bound whose
+// fails cleanly or yields a closing record within every wire bound whose
 // re-encoding decodes back equal — byte-identity of the re-encoding is
 // NOT required, because Uvarint accepts non-minimal varints.
 func FuzzDecodeFileUnit(f *testing.F) {
@@ -396,16 +369,21 @@ func FuzzDecodeFileUnit(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	// A real misaligned scan carries keys, complete batches, and a tail —
+	// A real misaligned scan's closing record carries keys and a tail —
 	// every section of the frame layout is populated.
-	scan, err := r.ScanFile(context.Background(), files[0], 0, nil)
+	scan, err := r.ScanFile(context.Background(), files[0], 0, nil, nil)
 	if err != nil {
 		f.Fatal(err)
 	}
-	full := fileUnitSeed(&dpp.FileUnit{Index: 3, Scan: scan, Hit: true})
+	if n := scan.Tail.Rows(); n == 0 || n > 0x7f {
+		f.Fatalf("the seed scan's tail has %d rows, want a one-byte nonzero count to forge", n)
+	}
+	full := fileUnitSeed(dpp.UnitPiece{Index: 3, Tail: scan.Tail, Hit: true})
 	f.Add(full)
-	f.Add(fileUnitSeed(&dpp.FileUnit{Scan: &reader.FileScan{Keys: []string{"item_0"}, Dense: 2}}))
-	for _, cut := range []int{1, 2, len(full) / 2, len(full) - 1} {
+	// A file that ends on a batch boundary: the schema, no rows.
+	f.Add(fileUnitSeed(dpp.UnitPiece{Tail: scan.Tail.Slice(0, 0)}))
+	tailAt := len(full) - len(scan.Tail.AppendTo(nil))
+	for _, cut := range []int{1, 2, tailAt / 2, tailAt, (tailAt + len(full)) / 2, len(full) - 1} {
 		f.Add(full[:cut])
 	}
 	f.Add(append(append([]byte(nil), full...), 0x00)) // trailing byte
@@ -419,56 +397,46 @@ func FuzzDecodeFileUnit(f *testing.F) {
 	bad := append([]byte(nil), full...)
 	bad[binary.PutUvarint(make([]byte, binary.MaxVarintLen64), 3)] = 7
 	f.Add(bad)
-	// The tail's columns, forged: the same unit without its batches, so
-	// that the tail starts at a known offset, claiming a row count far past
-	// its bytes, and then one row more than its columns hold.
-	if n := scan.Tail.Rows(); n == 0 || n > 0x7f {
-		f.Fatalf("the seed scan's tail has %d rows, want a one-byte nonzero count to forge", n)
-	}
-	bare := *scan
-	bare.Batches = nil
-	short := fileUnitSeed(&dpp.FileUnit{Index: 3, Scan: &bare})
-	tailAt := len(short) - len(scan.Tail.AppendTo(nil))
-	f.Add(short)
-	f.Add(append(binary.AppendUvarint(short[:tailAt:tailAt], 1<<23), short[tailAt+1:]...))
-	f.Add(append(binary.AppendUvarint(short[:tailAt:tailAt], uint64(scan.Tail.Rows()+1)), short[tailAt+1:]...))
+	// The tail's columns, forged: claiming a row count far past its bytes,
+	// and then one row more than its columns hold.
+	f.Add(append(binary.AppendUvarint(full[:tailAt:tailAt], 1<<23), full[tailAt+1:]...))
+	f.Add(append(binary.AppendUvarint(full[:tailAt:tailAt], uint64(scan.Tail.Rows()+1)), full[tailAt+1:]...))
 
 	// The decoding client's spec is the seed scan's: frames that keep its
 	// features keep a populated tail chunk through the round trip.
 	consumed := misalignedSpec().ConsumedFeatures()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		u, err := decodeFileUnit(data, consumed)
+		p, err := decodeFileUnit(data, consumed)
 		if err != nil {
 			return
 		}
-		if u.Index < 0 || u.Index > maxUnitIndex {
-			t.Fatalf("accepted out-of-range index %d", u.Index)
+		if p.Index < 0 || p.Index > maxUnitIndex {
+			t.Fatalf("accepted out-of-range index %d", p.Index)
 		}
-		if u.File != "" {
-			t.Fatalf("decoded unit carries a file path %q; the index owns that mapping", u.File)
+		if p.File != "" {
+			t.Fatalf("decoded closing record carries a file path %q; the index owns that mapping", p.File)
 		}
-		if u.Scan == nil {
-			t.Fatal("accepted unit without a scan")
+		if p.Tail == nil || p.Batch != nil {
+			t.Fatalf("accepted a closing record with tail %v and batch %v", p.Tail, p.Batch)
 		}
-		if len(u.Scan.Keys) > maxUnitKeys || u.Scan.Dense > maxUnitDense || len(u.Scan.Batches) > maxUnitBatches {
-			t.Fatalf("accepted unit outside wire bounds: %d keys, dense %d, %d batches",
-				len(u.Scan.Keys), u.Scan.Dense, len(u.Scan.Batches))
+		if len(p.Tail.Keys()) > maxUnitKeys || p.Tail.DenseWidth() > maxUnitDense {
+			t.Fatalf("accepted closing record outside wire bounds: %d keys, dense %d", len(p.Tail.Keys()), p.Tail.DenseWidth())
 		}
-		for _, k := range u.Scan.Keys {
+		for _, k := range p.Tail.Keys() {
 			if len(k) > maxUnitKeyLen {
 				t.Fatalf("accepted %d-byte key", len(k))
 			}
 		}
 		var re bytes.Buffer
-		if err := encodeFileUnit(&re, u); err != nil {
-			t.Fatalf("re-encode of accepted unit: %v", err)
+		if err := encodeFileUnit(&re, p); err != nil {
+			t.Fatalf("re-encode of accepted closing record: %v", err)
 		}
 		back, err := decodeFileUnit(re.Bytes(), consumed)
 		if err != nil {
-			t.Fatalf("re-decode of accepted unit: %v", err)
+			t.Fatalf("re-decode of accepted closing record: %v", err)
 		}
-		if !reflect.DeepEqual(u, back) {
-			t.Fatalf("file unit did not round-trip:\n got %#v\nwant %#v", back, u)
+		if !reflect.DeepEqual(p, back) {
+			t.Fatalf("closing record did not round-trip:\n got %#v\nwant %#v", back, p)
 		}
 	})
 }

@@ -27,8 +27,10 @@
 // with the same spec — pinned under -race by TestRemoteSessionMatchesLocal.
 // The client half is written once (stream.go): RemoteSession and the
 // fleet's RemoteUnitSession (Client.OpenUnits) are the same receive /
-// reconnect / credit / close core over two frame kinds, differing only in
-// the data a kind supplies and one decode hook.
+// reconnect / credit / close core over two stream kinds, differing only in
+// the data a kind supplies and one decode hook. A unit stream serves a file
+// while it is computed: the file's batches travel as ordinary batch frames,
+// each as the shard cuts it, and a file-unit frame closes the file.
 // A server additionally answers "statsz" handshakes with the service's
 // aggregate dpp.Stats (Client.ServiceStats), the wire form of /statsz,
 // and "tablez" handshakes with the served table's metadata (schema
@@ -67,7 +69,7 @@ import (
 // mixed-version pair never handshakes and then mis-decodes the stream.
 const (
 	protoMagic   = "DPPN"
-	protoVersion = 8
+	protoVersion = 9
 )
 
 // versionRefusal is what a client speaking version v is told. It is the
@@ -84,6 +86,8 @@ func versionRefusal(v byte) error {
 		retiredBy = "v7 changed the stream hash"
 	case v == 7:
 		retiredBy = "v8 retired the extend frame, emptied the drain frame and ships the file-unit tail as columns"
+	case v == 8:
+		retiredBy = "v9 ships a unit stream's batches as batch frames ahead of the file-unit frame, which now only closes the file"
 	default:
 		return fmt.Errorf("dppnet: protocol v%d is newer than this server's v%d; upgrade the server", v, protoVersion)
 	}
@@ -115,12 +119,13 @@ const (
 	frameError = byte(0x14)
 	// frameSvcStats answers a statsz handshake with JSON dpp.Stats.
 	frameSvcStats = byte(0x15)
-	// frameFileUnit carries one whole decoded file (dpp.FileUnit) for a
-	// file-unit session: subset index, cache-hit flag, schema, complete
-	// batches, and the tail rows' columns (unitwire.go). Fleet shards
-	// stream these instead of batch frames so the client-side merge can
-	// cut carry-crossing batches itself. The payload is prefixed with the
-	// stream's rolling chain hash (see sealFrame).
+	// frameFileUnit closes one file of a file-unit session, after the batch
+	// frames that carried the file's complete batches: subset index,
+	// cache-hit flag, schema, and the tail rows' columns (unitwire.go).
+	// Fleet shards stream file-aligned pieces instead of one batch stream
+	// so the client-side merge can cut carry-crossing batches itself. The
+	// payload is prefixed with the stream's rolling chain hash (see
+	// sealFrame).
 	frameFileUnit = byte(0x16)
 	// frameTablez answers a tablez handshake with the JSON TableMeta of
 	// the served table: name, dense width, file plan per partition, and
@@ -165,23 +170,24 @@ type openRequest struct {
 	// "statsz" returns the service's aggregate stats and closes;
 	// "tablez" returns the served table's metadata and closes.
 	Kind string `json:"kind"`
-	// Window is the client's receive window in batches — or in file
-	// units when FileUnits is set (session kind).
+	// Window is the client's receive window in payload frames: batches,
+	// and on a file-unit stream the closing records too (session kind).
 	Window int `json:"window,omitempty"`
 	// Spec is the wire form of the dpp.Spec to open (session kind).
 	Spec *wireSpec `json:"spec,omitempty"`
 	// FileUnits switches the session to file-unit streaming
-	// (dpp.Service.OpenUnits): whole decoded files in file-list order
-	// instead of a batch stream. The fleet multiplexer's mode.
+	// (dpp.Service.OpenUnits): each file's batches and then its closing
+	// record, in file-list order, instead of one batch stream. The fleet
+	// multiplexer's mode.
 	FileUnits bool `json:"file_units,omitempty"`
 	// Resumable asks the server to issue a resume token in ok and to
 	// park this session's live state if the connection drops without a
 	// close frame.
 	Resumable bool `json:"resumable,omitempty"`
-	// Offset is the number of stream frames (batches or file units) the
-	// client has already consumed: the server starts the stream at this
-	// index, either by continuing parked state (Token set) or by
-	// replaying the deterministic prefix.
+	// Offset is the number of payload frames (batches and file-unit
+	// closing records) the client has already consumed: the server starts
+	// the stream at this index, either by continuing parked state (Token
+	// set) or by replaying the deterministic prefix.
 	Offset int64 `json:"offset,omitempty"`
 	// Token is the opaque resume token from a previous ok reply;
 	// presenting it claims the parked session it names.
@@ -404,6 +410,9 @@ type frame struct {
 
 // wire is the frame as written: type | uvarint len | payload.
 func (f frame) wire() []byte { return f.buf[f.head:] }
+
+// typ is the frame's type byte.
+func (f frame) typ() byte { return f.buf[f.head] }
 
 // payloadLen is what the transport accounting counts per frame.
 func (f frame) payloadLen() int { return len(f.buf) - f.body }

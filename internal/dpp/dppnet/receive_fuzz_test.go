@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"slices"
@@ -88,6 +89,28 @@ func payloadFrames(data []byte, typ byte) [][]byte {
 	}
 }
 
+// typedFrame is one frame of a walked stream.
+type typedFrame struct {
+	typ     byte
+	payload []byte
+}
+
+// unitFrames returns, in order, the payload frames of a unit stream — its
+// batch frames and file-unit frames — up to the first unreadable frame.
+func unitFrames(data []byte) []typedFrame {
+	br := bufio.NewReader(bytes.NewReader(data))
+	var out []typedFrame
+	for {
+		t, p, err := readFrame(br, maxFrameBytes)
+		if err != nil {
+			return out
+		}
+		if t == frameBatch || t == frameFileUnit {
+			out = append(out, typedFrame{t, p})
+		}
+	}
+}
+
 // controlFrame is one frame of the given type, as writeFrame makes it.
 func controlFrame(typ byte, payload string) []byte {
 	var buf bytes.Buffer
@@ -101,7 +124,7 @@ func controlFrame(typ byte, payload string) []byte {
 func runReceive[T any](t *testing.T, data []byte, k kind[T]) (items []remoteMsg[T], end error) {
 	st := &stream[T]{client: &Client{}, kind: k, ws: &wireSpec{}, ctx: context.Background(), done: make(chan struct{})}
 	recv := make(chan remoteMsg[T])
-	go st.receive(bufio.NewReader(bytes.NewReader(data)), recv, func() {}, 0, chainSeed)
+	go st.receive(bufio.NewReader(bytes.NewReader(data)), recv, func() {}, cursor{chain: chainSeed})
 	for m := range recv {
 		if end != nil {
 			t.Fatalf("message after the terminal %v: %+v", end, m)
@@ -116,6 +139,39 @@ func runReceive[T any](t *testing.T, data []byte, k kind[T]) (items []remoteMsg[
 		t.Fatalf("receive closed its channel after %d items without a terminal message", len(items))
 	}
 	return items, end
+}
+
+// forgedUnitStreams are unit streams no recording has, built with the
+// test's own encoders from a recorded one: a file closed with no batch frame
+// before it (a file shorter than a batch: legal, and delivered), a closing
+// record whose index skips a file (refused), and a batch frame behind the
+// eof frame (never read).
+func forgedUnitStreams(t testing.TB, real []byte, consumed []string) (bare, skips, late []byte) {
+	t.Helper()
+	frames := unitFrames(real)
+	_, body, err := decodeUnitFrame(frames[len(frames)-1].payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	closing, err := decodeFileUnit(body, consumed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := func(index int) []byte {
+		closing.Index = index
+		unit := appendFileUnit(nil, closing)
+		chain, err := chainUnit(chainSeed, unit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		writeFrame(&buf, frameFileUnit, encodeUnitFrame(chain, unit))
+		writeFrame(&buf, frameEOF, nil)
+		return buf.Bytes()
+	}
+	var batch bytes.Buffer
+	writeFrame(&batch, frameBatch, frames[0].payload)
+	return stream(0), stream(1), slices.Concat(real, batch.Bytes())
 }
 
 // FuzzClientReceive: the one receive loop parses whatever a server — or
@@ -159,6 +215,12 @@ func FuzzClientReceive(f *testing.F) {
 		for _, c := range interleaved { // each control frame after the first item
 			f.Add(slices.Concat(frames[0], c, real[len(frames[0]):]))
 		}
+		if units {
+			bare, skips, late := forgedUnitStreams(f, real, tail)
+			f.Add(bare)
+			f.Add(skips)
+			f.Add(late)
+		}
 	}
 	h.shutdown(f)
 
@@ -171,27 +233,49 @@ func FuzzClientReceive(f *testing.F) {
 			}
 			idx, stamp, body, err := decodeBatchFrame(sent[i])
 			chain = chainStep(chain, body)
-			if err != nil || idx != int64(i) || stamp != chain || m.chain != chain {
+			if err != nil || idx != int64(i) || stamp != chain || m.at.chain != chain {
 				t.Fatalf("delivered batch %d unverified: frame index %d (%v), stamp %#x, chain %#x, reported %#x",
-					i, idx, err, stamp, chain, m.chain)
+					i, idx, err, stamp, chain, m.at.chain)
 			}
 		}
 
-		units, _ := runReceive(t, data, unitKind(files, tail))
-		sent, chain = payloadFrames(data, frameFileUnit), chainSeed
-		for i, m := range units {
-			if i >= len(sent) {
-				t.Fatalf("delivered %d units from %d unit frames", len(units), len(sent))
+		// A unit stream's items are its payload frames of both types, one
+		// index sequence over them all; a batch belongs to the file the next
+		// closing record names, and closing records count the files up.
+		pieces, _ := runReceive(t, data, unitKind(files, tail))
+		frames, file := unitFrames(data), 0
+		chain = chainSeed
+		for i, m := range pieces {
+			if i >= len(frames) {
+				t.Fatalf("delivered %d pieces from %d payload frames", len(pieces), len(frames))
 			}
-			stamp, body, err := decodeUnitFrame(sent[i])
-			if err == nil {
-				chain, err = chainUnit(chain, body)
+			var stamp uint64
+			var err error
+			closes := frames[i].typ == frameFileUnit
+			if closes {
+				var body []byte
+				if stamp, body, err = decodeUnitFrame(frames[i].payload); err == nil {
+					chain, err = chainUnit(chain, body)
+				}
+				if idx, _ := binary.Uvarint(body); err == nil && idx != uint64(file) {
+					err = fmt.Errorf("closing record of file %d", idx)
+				}
+			} else {
+				var idx int64
+				var body []byte
+				idx, stamp, body, err = decodeBatchFrame(frames[i].payload)
+				chain = chainStep(chain, body)
+				if err == nil && idx != int64(i) {
+					err = fmt.Errorf("batch frame index %d", idx)
+				}
 			}
-			idx, _ := binary.Uvarint(body)
-			if err != nil || idx != uint64(i) || stamp != chain || m.chain != chain ||
-				m.item.Index != i || m.item.File != files[i] {
-				t.Fatalf("delivered unit %d unverified: frame index %d (%v), stamp %#x, chain %#x, reported %#x as %d %q",
-					i, idx, err, stamp, chain, m.chain, m.item.Index, m.item.File)
+			if err != nil || stamp != chain || m.at.chain != chain || file >= len(files) ||
+				m.item.Index != file || m.item.File != files[file] || closes != (m.item.Tail != nil) || closes == (m.item.Batch != nil) {
+				t.Fatalf("delivered piece %d of file %d unverified: frame %#x (%v), stamp %#x, chain %#x, reported %#x as file %d %q",
+					i, file, frames[i].typ, err, stamp, chain, m.at.chain, m.item.Index, m.item.File)
+			}
+			if closes {
+				file++
 			}
 		}
 	})
@@ -210,9 +294,10 @@ func TestClientReceiveRecordedStreams(t *testing.T) {
 	files := allFiles(t, env)
 	spec := dpp.Spec{Spec: alignedSpec(), Files: files}
 
+	tail := spec.ConsumedFeatures()
 	count := func(data []byte, units bool) (int, error) {
 		if units {
-			items, end := runReceive(t, data, unitKind(files, spec.ConsumedFeatures()))
+			items, end := runReceive(t, data, unitKind(files, tail))
 			return len(items), end
 		}
 		items, end := runReceive(t, data, batchKind)
@@ -236,7 +321,13 @@ func TestClientReceiveRecordedStreams(t *testing.T) {
 			says string
 		}{total, "EOF"} // advisory: the batch stream runs on to its end
 		if units {
-			drained.want, drained.says = 1, ErrDrained.Error()
+			// The notice arrives inside file 0 — behind its first batch —
+			// and surfaces once the file's closing record has been read.
+			closed := slices.IndexFunc(unitFrames(real), func(fr typedFrame) bool { return fr.typ == frameFileUnit })
+			if closed < 2 {
+				t.Fatalf("file 0 of the recorded unit stream closes at frame %d; the drain case needs a multi-batch file", closed)
+			}
+			drained.want, drained.says = closed+1, ErrDrained.Error()
 		}
 		for name, tc := range map[string]struct {
 			data []byte
@@ -253,6 +344,23 @@ func TestClientReceiveRecordedStreams(t *testing.T) {
 			n, end := count(tc.data, units)
 			if n != tc.want || end == nil || !strings.Contains(end.Error(), tc.says) || (tc.says == "" && end == io.EOF) {
 				t.Fatalf("units=%v %s: delivered %d items to %v, want %d and an error saying %q", units, name, n, end, tc.want, tc.says)
+			}
+		}
+		if !units {
+			continue
+		}
+		bare, skips, late := forgedUnitStreams(t, real, tail)
+		for name, tc := range map[string]struct {
+			data []byte
+			want int
+			says string
+		}{
+			"closing record with no batches": {bare, 1, "EOF"},
+			"closing record index skips":     {skips, 0, "file unit 1 out of order"},
+			"batch frame after eof":          {late, total, "EOF"},
+		} {
+			if n, end := count(tc.data, true); n != tc.want || end == nil || !strings.Contains(end.Error(), tc.says) {
+				t.Fatalf("%s: delivered %d items to %v, want %d and %q", name, n, end, tc.want, tc.says)
 			}
 		}
 	}
@@ -278,6 +386,27 @@ func TestDecodeCredit(t *testing.T) {
 		got, err := decodeCredit(tc.payload)
 		if (err == nil) != (tc.want != 0) || got != tc.want {
 			t.Errorf("%s: decodeCredit(%x) = %d, %v; want %d", tc.name, tc.payload, got, err, tc.want)
+		}
+	}
+}
+
+// TestClientControlFrames: the frames a client sends whole are the frames
+// writeFrame makes — a credit of one, and the two empty ones.
+func TestClientControlFrames(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		frame   []byte
+		typ     byte
+		payload []byte
+	}{
+		{"credit", oneCredit, frameCredit, binary.AppendUvarint(nil, 1)},
+		{"close", closeFrame, frameClose, nil},
+		{"end-follow", endFollowFrame, frameEndFollow, nil},
+	} {
+		var want bytes.Buffer
+		writeFrame(&want, tc.typ, tc.payload)
+		if !bytes.Equal(tc.frame, want.Bytes()) {
+			t.Errorf("%s frame is % x, writeFrame makes % x", tc.name, tc.frame, want.Bytes())
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/dpp"
+	"repro/internal/reader"
 )
 
 // Defaults for the resumable-session table; override via Server.ResumeTTL
@@ -43,13 +44,14 @@ type wireStream interface {
 	close() error
 }
 
-// framer is what the two kinds share: the rolling chain value and the
-// frame buffers, each handed out holding frameReserve bytes of header
-// room for the content to be appended behind. It is used from one
-// goroutine at a time — the serving loop of the connection, or of the
-// next one after a park.
+// framer is what the two kinds share: the rolling chain value, the index of
+// the stream's next payload frame, and the frame buffers, each handed out
+// holding frameReserve bytes of header room for the content to be appended
+// behind. It is used from one goroutine at a time — the serving loop of the
+// connection, or of the next one after a park.
 type framer struct {
 	chain uint64
+	idx   int64
 	free  [][]byte
 }
 
@@ -64,11 +66,20 @@ func (f *framer) buffer() []byte {
 
 func (f *framer) recycle(fr frame) { f.free = append(f.free, fr.buf) }
 
-// batchWire streams reader.Batch frames: uvarint index | chain | batch.
+// batch is the stream's next frame, a batch frame: uvarint index | chain |
+// batch.
+func (f *framer) batch(b *reader.Batch) frame {
+	buf := b.AppendTo(f.buffer())
+	f.chain = chainStep(f.chain, buf[frameReserve:])
+	fr := sealFrame(buf, frameBatch, f.idx, f.chain)
+	f.idx++
+	return fr
+}
+
+// batchWire streams a batch session: batch frames.
 type batchWire struct {
 	framer
 	sess *dpp.Session
-	idx  int64
 }
 
 func newBatchWire(sess *dpp.Session) *batchWire {
@@ -80,20 +91,19 @@ func (b *batchWire) next(ctx context.Context) (frame, error) {
 	if err != nil {
 		return frame{}, err
 	}
-	buf := bt.AppendTo(b.buffer())
-	b.chain = chainStep(b.chain, buf[frameReserve:])
-	fr := sealFrame(buf, frameBatch, b.idx, b.chain)
-	b.idx++
-	return fr, nil
+	return b.batch(bt), nil
 }
 
 func (b *batchWire) endFollow()              { b.sess.EndFollow() }
 func (b *batchWire) stats() dpp.SessionStats { return b.sess.Stats() }
 func (b *batchWire) close() error            { return b.sess.Close() }
 
-// unitWire streams dpp.FileUnit frames: chain | appendFileUnit payload.
-// The chain skips the payload's cache-hit byte (chainUnit), so a
-// replayed unit hashes identically whether it was a hit or a re-decode.
+// unitWire streams a unit session piece by piece: a file's batches as batch
+// frames, indexed in the one sequence every payload frame of the stream
+// shares, then its closing record as a file-unit frame, chain |
+// appendFileUnit payload. The chain skips that payload's cache-hit byte
+// (chainUnit), so a replayed file hashes identically whether it was a hit
+// or a re-decode.
 type unitWire struct {
 	framer
 	us *dpp.UnitSession
@@ -104,19 +114,20 @@ func newUnitWire(us *dpp.UnitSession) *unitWire {
 }
 
 func (u *unitWire) next(ctx context.Context) (frame, error) {
-	un, err := u.us.NextUnit(ctx)
+	p, err := u.us.NextPiece(ctx)
 	if err != nil {
 		return frame{}, err
 	}
-	buf, err := appendFileUnit(u.buffer(), un)
-	if err != nil {
-		return frame{}, err
+	if p.Batch != nil {
+		return u.batch(p.Batch), nil
 	}
+	buf := appendFileUnit(u.buffer(), p)
 	chain, err := chainUnit(u.chain, buf[frameReserve:])
 	if err != nil {
 		return frame{}, err
 	}
 	u.chain = chain
+	u.idx++
 	return sealFrame(buf, frameFileUnit, -1, chain), nil
 }
 

@@ -234,26 +234,37 @@ func consumeRemote(t *testing.T, rs *RemoteSession, k int) [][]byte {
 	return enc
 }
 
-// drainRemoteUnits pulls a remote unit session dry, returning each unit
-// in its wire encoding with the cache-hit flag normalized (Hit is
-// cache-state-dependent and excluded from the determinism contract,
-// exactly as the chain hash skips it).
-func drainRemoteUnits(t *testing.T, rus *RemoteUnitSession) [][]byte {
+// drainRemoteUnits pulls a remote unit session dry, returning each piece
+// in its wire encoding — a batch's, or a closing record's with the
+// cache-hit flag normalized (Hit is cache-state-dependent and excluded from
+// the determinism contract, exactly as the chain hash skips it) — and how
+// many times the stream resumed over a new connection from inside a file:
+// some of its pieces consumed, its closing record not.
+func drainRemoteUnits(t *testing.T, rus *RemoteUnitSession) (enc [][]byte, midFile int) {
 	t.Helper()
 	defer rus.Close()
-	var enc [][]byte
+	inFile := false
 	for {
-		u, err := rus.NextUnit(context.Background())
+		before := rus.Reconnects()
+		p, err := rus.NextPiece(context.Background())
+		if inFile && rus.Reconnects() > before {
+			midFile++
+		}
 		if err == io.EOF {
-			return enc
+			return enc, midFile
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		cp := *u
-		cp.Hit = false
+		inFile = p.Batch != nil
 		var buf bytes.Buffer
-		if err := encodeFileUnit(&buf, &cp); err != nil {
+		if p.Batch != nil {
+			err = p.Batch.Encode(&buf)
+		} else {
+			p.Hit = false
+			err = encodeFileUnit(&buf, p)
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 		enc = append(enc, buf.Bytes())
@@ -265,34 +276,57 @@ func drainRemoteUnits(t *testing.T, rus *RemoteUnitSession) [][]byte {
 // specs, a session whose connection is severed at seeded byte offsets —
 // one to three times per run — must deliver exactly the byte stream of
 // an uninterrupted session, resuming via token (parked live state) with
-// every resumed frame verified against the rolling chain hash. Each
+// every resumed frame verified against the rolling chain hash. A unit
+// stream is held to the same on both continuations — by token, and, against
+// a server that parks nothing, by offset replay — with cuts that land inside
+// a file: some of its batch frames consumed, its closing record not. Each
 // seeded schedule runs against a fresh server and must tear down with
 // zero goroutine residue.
 func TestChaosReconnectDeterminism(t *testing.T) {
 	env := newTestEnv(t, 60)
 	cases := []struct {
-		name  string
-		spec  reader.Spec
-		share bool
+		name   string
+		spec   reader.Spec
+		share  bool
+		units  bool
+		replay bool
 	}{
-		{"aligned", alignedSpec(), false},
-		{"misaligned", misalignedSpec(), false},
-		{"sharescans", alignedSpec(), true},
+		{name: "aligned", spec: alignedSpec()},
+		{name: "misaligned", spec: misalignedSpec()},
+		{name: "sharescans", spec: alignedSpec(), share: true},
+		{name: "units", spec: alignedSpec(), units: true},
+		{name: "units-replay", spec: alignedSpec(), units: true, replay: true},
 	}
 	const seedsPerCase = 7
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			spec := dpp.Spec{Spec: tc.spec, ShareScans: tc.share}
+			if tc.units {
+				spec.Files = allFiles(t, env)
+			}
+			// run drains one session of the case's kind: its stream, how often
+			// it reconnected, and how many of those times from inside a file.
+			run := func(t *testing.T, c *Client) (enc [][]byte, reconnects int64, midFile int) {
+				if tc.units {
+					rus, err := c.OpenUnits(context.Background(), spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					enc, midFile = drainRemoteUnits(t, rus)
+					return enc, rus.Reconnects(), midFile
+				}
+				rs, err := c.Open(context.Background(), spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return drainRemote(t, rs), rs.Reconnects(), 0
+			}
 
 			// Uninterrupted reference, streamed through a pass-through
 			// proxy so its relayed byte total sizes the kill schedules.
 			refH := startServer(t, env, dpp.Config{})
 			refP := startChaosProxy(t, refH.addr, nil, 0)
-			refRS, err := NewClient(refP.addr).Open(context.Background(), spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := drainRemote(t, refRS)
+			want, _, _ := run(t, NewClient(refP.addr))
 			refP.Close()
 			refH.shutdown(t)
 			total := refP.relayedBytes()
@@ -300,6 +334,7 @@ func TestChaosReconnectDeterminism(t *testing.T) {
 				t.Fatalf("reference stream relayed only %d bytes; kill schedules need room", total)
 			}
 
+			cutsInsideFiles, replays := 0, int64(0)
 			for seed := int64(0); seed < seedsPerCase; seed++ {
 				t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 					before := runtime.NumGoroutine()
@@ -310,27 +345,41 @@ func TestChaosReconnectDeterminism(t *testing.T) {
 						// stats/EOF tail: every first cut forces a resume.
 						kills[i] = 128 + rng.Int63n(total-384)
 					}
-					h := startServer(t, env, dpp.Config{})
+					h := startTunedServer(t, env, dpp.Config{}, func(s *Server) {
+						if tc.replay {
+							s.ResumeMax = -1 // nothing parks: every token is refused
+						}
+					})
 					p := startChaosProxy(t, h.addr, kills, 0)
 					client := NewClient(p.addr)
 					client.Resume = ResumePolicy{MaxAttempts: 10, BaseDelay: 5 * time.Millisecond}
-					rs, err := client.Open(context.Background(), spec)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got := drainRemote(t, rs)
-					if rs.Reconnects() < 1 {
+					got, reconnects, midFile := run(t, client)
+					if reconnects < 1 {
 						t.Fatalf("kills %v (reference total %d) never severed the stream", kills, total)
 					}
+					cutsInsideFiles += midFile
 					mustEqualBatches(t, got, want)
 					st := h.srv.Stats()
-					if st.ResumedSessions < 1 || st.ParkedSessions < 1 {
+					if tc.replay {
+						// A cut before the first piece is consumed continues from
+						// offset 0, which is an open, not a replay.
+						replays += st.ReplayedSessions
+						if st.ResumedSessions != 0 || st.ParkedSessions != 0 {
+							t.Fatalf("server stats %+v: want no parked and no token-resumed session", st)
+						}
+					} else if st.ResumedSessions < 1 || st.ParkedSessions < 1 {
 						t.Fatalf("server stats %+v: want parked and resumed sessions", st)
 					}
 					p.Close()
 					h.shutdown(t)
 					testutil.WaitForGoroutines(t, before)
 				})
+			}
+			if tc.units && cutsInsideFiles == 0 {
+				t.Fatalf("no kill of %d schedules landed inside a file", seedsPerCase)
+			}
+			if tc.replay && replays == 0 {
+				t.Fatalf("no stream of %d schedules continued by offset replay", seedsPerCase)
 			}
 		})
 	}
@@ -357,7 +406,7 @@ func TestChaosReconnectUnitSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := drainRemoteUnits(t, refRUS)
+	want, _ := drainRemoteUnits(t, refRUS)
 	refP.Close()
 	refH.shutdown(t)
 	total := refP.relayedBytes()
@@ -381,16 +430,16 @@ func TestChaosReconnectUnitSession(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := drainRemoteUnits(t, rus)
+			got, _ := drainRemoteUnits(t, rus)
 			if rus.Reconnects() < 1 {
 				t.Fatalf("kills %v (reference total %d) never severed the unit stream", kills, total)
 			}
 			if len(got) != len(want) {
-				t.Fatalf("unit stream produced %d units, reference %d", len(got), len(want))
+				t.Fatalf("unit stream produced %d pieces, reference %d", len(got), len(want))
 			}
 			for i := range want {
 				if !bytes.Equal(got[i], want[i]) {
-					t.Fatalf("unit %d differs from the uninterrupted reference", i)
+					t.Fatalf("piece %d differs from the uninterrupted reference", i)
 				}
 			}
 			p.Close()

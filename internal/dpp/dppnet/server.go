@@ -125,8 +125,9 @@ type SessionEvent struct {
 	FileUnits bool
 	// ShareScans marks a session that opted into the ScanCache.
 	ShareScans bool
-	// Batches and Bytes count frames and payload bytes shipped; set on
-	// close events (for file-unit sessions, Batches counts unit frames).
+	// Batches and Bytes count payload frames and payload bytes shipped; set
+	// on close events. A file-unit session's Batches counts its batch frames
+	// and its closing records alike — the unit Offset counts in.
 	Batches, Bytes int64
 	// Duration is the session's wall-clock lifetime; set on close events.
 	Duration time.Duration
@@ -150,8 +151,9 @@ type ServerStats struct {
 	ConnsAccepted, ConnsActive int64
 	// SessionsServed counts admitted wire sessions (batch and file-unit).
 	SessionsServed int64
-	// BatchesSent and UnitsSent count payload frames shipped; BytesSent
-	// totals their payload bytes.
+	// BatchesSent counts batch frames shipped, on batch and on file-unit
+	// streams alike; UnitsSent counts file-unit frames, one per file a unit
+	// stream finished serving. BytesSent totals the payload bytes of both.
 	BatchesSent, UnitsSent, BytesSent int64
 	// CreditStalls counts credit-window exhaustion episodes — the serving
 	// loop wanted to send but the consumer owed credits — and
@@ -220,10 +222,11 @@ func NewServer(svc *dpp.Service) *Server {
 // Drain puts the server in drain mode: new session handshakes and resume
 // claims are refused (with an error fleet clients route around), parking
 // stops, and every in-flight session is sent one drain frame — on which a
-// fleet's unit stream ends, so that its files move to another shard, and
-// which a batch session rides out here. Serving continues — Drain never
-// cuts a stream; the operator calls Close once ConnsActive reaches zero (or
-// a deadline passes). Idempotent and safe from any goroutine.
+// fleet's unit stream ends at its next file boundary, so that its remaining
+// files move to another shard, and which a batch session rides out here.
+// Serving continues — Drain never cuts a stream; the operator calls Close
+// once ConnsActive reaches zero (or a deadline passes). Idempotent and safe
+// from any goroutine.
 func (s *Server) Drain() {
 	s.drainOnce.Do(func() {
 		s.draining.Store(true)
@@ -508,7 +511,7 @@ func (s *Server) serveStream(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, 
 		ShareScans: spec.ShareScans, Resumed: claimed || req.Offset > 0, Offset: req.Offset, Tenant: tenant}
 	s.event(ev)
 	count := func(fr frame) {
-		if req.FileUnits {
+		if fr.typ() == frameFileUnit {
 			s.unitsSent.Inc()
 		} else {
 			s.batchesSent.Inc()
@@ -723,6 +726,23 @@ func (s *Server) serve(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, ss *se
 	// Credits beyond what was sent confirm nothing; a correct client
 	// cannot produce them.
 	bank := func(n int64) { ss.acked = min(ss.acked+n, ss.sent) }
+	// confirmed waits, behind the stream's last frame, until the client has
+	// confirmed consuming everything sent or the connection ends. The
+	// connection is never closed over unread
+	// credits: the kernel answers that with a reset, which can destroy the
+	// very frames still in flight to the client — the stream's tail, or the
+	// error frame that explains why it has none.
+	confirmed := func() {
+		for ss.acked < ss.sent {
+			select {
+			case n := <-credits:
+				bank(n)
+				ss.prune()
+			case <-connCtx.Done():
+				return
+			}
+		}
+	}
 	for {
 		if !notifyDrain() {
 			return canPark(), "teardown"
@@ -780,17 +800,8 @@ func (s *Server) serve(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, ss *se
 			// confirmed consuming its tail (or closed): a resumable session
 			// remains claimable that long, and a connection lost before
 			// then parks the finished stream with the frames it still owes.
-			// It also means the connection is never closed over unread
-			// credits, which the kernel answers with a reset that can
-			// destroy the very frames still in flight to the client.
-			for delivered && ss.acked < ss.sent {
-				select {
-				case n := <-credits:
-					bank(n)
-					ss.prune()
-				case <-connCtx.Done():
-					delivered = false
-				}
+			if delivered {
+				confirmed()
 			}
 			return ss.acked < ss.sent && canPark(), "eof"
 		}
@@ -807,7 +818,10 @@ func (s *Server) serve(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, ss *se
 				// own server's shutdown as a terminal stream error.
 				return false, "teardown"
 			}
+			// The scan's error follows the prefix it delivered, and the
+			// client is owed both.
 			writeError(bw, err)
+			confirmed()
 			return false, "error: " + err.Error()
 		}
 		// The frame is one slice: with nothing buffered ahead of it, bufio

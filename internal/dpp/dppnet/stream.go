@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -18,31 +17,42 @@ import (
 )
 
 // kind is what a stream kind supplies to the one remote stream client —
-// data, not code paths. RemoteSession is the core over batch frames,
-// RemoteUnitSession over file-unit frames.
+// data, not code paths. RemoteSession is the core over a batch stream,
+// RemoteUnitSession over a unit stream: batch frames and the file-unit frame
+// that closes each file.
 type kind[T any] struct {
-	// frame is the kind's payload frame type; fileUnits is the handshake
-	// bit that asks the server for it.
-	frame     byte
+	// fileUnits is the handshake bit that asks the server for a unit stream.
 	fileUnits bool
-	// drainSurfaces makes a drain frame end the stream with ErrDrained
-	// instead of being advisory: a unit stream's consumer (dppshard) moves
-	// the files it has not been served to another shard.
+	// drainSurfaces makes a drain frame end the stream with ErrDrained — at
+	// the next file boundary — instead of being advisory: a unit stream's
+	// consumer (dppshard) moves the files it has not been served to another
+	// shard.
 	drainSurfaces bool
-	// decode holds the only per-kind logic: split the stamped payload,
-	// verify it is item want of the stream and that folding it into chain
-	// gives the stamped value, and decode the item. The two stamp layouts
+	// decode holds the only per-kind logic: refuse a frame type the kind
+	// does not carry, split the stamped payload, verify it is the item the
+	// stream has at the cursor and that folding it into the chain gives the
+	// stamped value, and decode the item. The two stamp layouts
 	// (index|chain|batch, chain|unit) never leave it.
-	decode func(payload []byte, want int64, chain uint64) (item T, newChain uint64, err error)
+	decode func(typ byte, payload []byte, at cursor) (item T, next cursor, err error)
+}
+
+// cursor is where a stream stands: the payload frames before it, the rolling
+// hash after the last of them and, on a unit stream, the files closed so far
+// and whether the next one has begun.
+type cursor struct {
+	frames int64
+	chain  uint64
+	files  int
+	inFile bool
 }
 
 // remoteMsg is one received item handed from the connection reader to
-// next: a decoded item the hook verified, with the chain value after it,
-// or the terminal error (io.EOF for a clean end).
+// next: a decoded item the hook verified, with the cursor after it, or the
+// terminal error (io.EOF for a clean end).
 type remoteMsg[T any] struct {
-	item  T
-	chain uint64
-	err   error
+	item T
+	at   cursor
+	err  error
 }
 
 // stream is the client half of one remote session, whatever it carries:
@@ -73,11 +83,9 @@ type stream[T any] struct {
 	// (reconnect runs under next).
 	rng *rand.Rand
 
-	// consumed and chain are the resume cursor: items [0, consumed) were
-	// returned by next, and chain is the rolling hash after the last of
-	// them. Single-consumer like next itself.
-	consumed     int64
-	chain        uint64
+	// at is the resume cursor: the stream as far as next has returned it.
+	// Single-consumer like next itself.
+	at           cursor
 	reconnects   atomic.Int64
 	tokenResumes atomic.Int64
 	replays      atomic.Int64
@@ -105,7 +113,7 @@ func (st *stream[T]) start(ctx context.Context, c *Client, spec dpp.Spec, k kind
 	}
 	st.client, st.kind, st.ws, st.window = c, k, ws, spec.Window()
 	st.ctx, st.done = ctx, make(chan struct{})
-	st.chain = chainSeed
+	st.at.chain = chainSeed
 	if err := st.connect(ctx, ""); err != nil {
 		return err
 	}
@@ -121,7 +129,7 @@ func (st *stream[T]) start(ctx context.Context, c *Client, spec dpp.Spec, k kind
 func (st *stream[T]) connect(ctx context.Context, token string) error {
 	conn, br, stop, newToken, err := st.client.openStream(ctx, openRequest{
 		Kind: kindSession, Window: st.window, Spec: st.ws, FileUnits: st.kind.fileUnits,
-		Resumable: st.client.Resume.MaxAttempts > 0, Offset: st.consumed, Token: token,
+		Resumable: st.client.Resume.MaxAttempts > 0, Offset: st.at.frames, Token: token,
 	})
 	if err != nil {
 		return err
@@ -147,10 +155,10 @@ func (st *stream[T]) connect(ctx context.Context, token string) error {
 	}
 	if token != "" {
 		st.tokenResumes.Add(1)
-	} else if st.consumed > 0 {
+	} else if st.at.frames > 0 {
 		st.replays.Add(1)
 	}
-	go st.receive(br, recv, stop, st.consumed, st.chain)
+	go st.receive(br, recv, stop, st.at)
 	return nil
 }
 
@@ -164,7 +172,11 @@ func (st *stream[T]) connect(ctx context.Context, token string) error {
 // stream in silently. Terminal sends bail out on done so even a
 // misbehaving server that overfills the window cannot strand the receiver
 // once Close runs.
-func (st *stream[T]) receive(br *bufio.Reader, recv chan remoteMsg[T], stop func(), expect int64, chain uint64) {
+//
+// A drain notice that surfaces does so between files: the server keeps
+// serving after it, so a file it arrives inside is read to its closing
+// record first, and nothing already served has to be fetched again.
+func (st *stream[T]) receive(br *bufio.Reader, recv chan remoteMsg[T], stop func(), at cursor) {
 	defer close(recv)
 	defer stop() // this connection's stream has ended; release its watcher
 	terminal := func(err error) {
@@ -176,7 +188,12 @@ func (st *stream[T]) receive(br *bufio.Reader, recv chan remoteMsg[T], stop func
 	// One frame buffer per connection: every decoder below copies what it
 	// keeps out of the payload, so the next frame may overwrite it.
 	var buf []byte
+	drained := false
 	for {
+		if drained && !at.inFile {
+			terminal(ErrDrained)
+			return
+		}
 		typ, payload, err := readFrameInto(br, maxFrameBytes, &buf)
 		if err != nil {
 			if cerr := st.ctx.Err(); cerr != nil {
@@ -189,16 +206,14 @@ func (st *stream[T]) receive(br *bufio.Reader, recv chan remoteMsg[T], stop func
 			return
 		}
 		switch {
-		case typ == st.kind.frame:
-			item, next, err := st.kind.decode(payload, expect, chain)
-			if err != nil {
+		case typ == frameBatch || typ == frameFileUnit:
+			var item T
+			if item, at, err = st.kind.decode(typ, payload, at); err != nil {
 				terminal(err)
 				return
 			}
-			chain = next
-			expect++
 			select {
-			case recv <- remoteMsg[T]{item: item, chain: chain}:
+			case recv <- remoteMsg[T]{item: item, at: at}:
 			case <-st.done:
 				return
 			}
@@ -224,10 +239,7 @@ func (st *stream[T]) receive(br *bufio.Reader, recv chan remoteMsg[T], stop func
 			}
 			// Advisory on a batch stream: keep consuming — the server keeps
 			// serving until the operator's deadline.
-			if st.kind.drainSurfaces {
-				terminal(ErrDrained)
-				return
-			}
+			drained = st.kind.drainSurfaces
 		case typ == frameError:
 			terminal(fmt.Errorf("%w: %s", ErrRemote, payload))
 			return
@@ -278,8 +290,8 @@ func (st *stream[T]) next(ctx context.Context) (T, error) {
 				return zero, io.EOF
 			}
 			if m.err == nil {
-				st.consumed, st.chain = st.consumed+1, m.chain
-				st.sendCredit()
+				st.at = m.at
+				st.send(oneCredit)
 				return m.item, nil
 			}
 			resumeCut := false
@@ -363,22 +375,25 @@ func (st *stream[T]) reconnect(ctx context.Context) error {
 	return fmt.Errorf("dppnet: resume failed after %d attempts: %w", pol.MaxAttempts, lastErr)
 }
 
+// The frames a client sends after its handshake, whole: one window credit
+// (payload length 1, the uvarint 1) — written once per item consumed — and
+// the two that are a type and an empty payload.
+var (
+	oneCredit      = []byte{frameCredit, 1, 1}
+	closeFrame     = []byte{frameClose, 0}
+	endFollowFrame = []byte{frameEndFollow, 0}
+)
+
 // send writes one client→server control frame on the current connection.
 // A write failure means the connection is already dead; the receiver
 // surfaces that as the terminal error, so it is not reported here.
-func (st *stream[T]) send(typ byte, payload []byte) {
+func (st *stream[T]) send(frame []byte) {
 	st.mu.Lock()
 	conn := st.conn
 	st.mu.Unlock()
 	st.wmu.Lock()
 	defer st.wmu.Unlock()
-	_ = writeFrame(conn, typ, payload)
-}
-
-// sendCredit returns one window credit.
-func (st *stream[T]) sendCredit() {
-	var payload [binary.MaxVarintLen64]byte
-	st.send(frameCredit, payload[:binary.PutUvarint(payload[:], 1)])
+	_, _ = conn.Write(frame)
 }
 
 // Reconnects reports how many times this session resumed over a new
@@ -409,7 +424,7 @@ func (st *stream[T]) Close() error {
 	st.mu.Unlock()
 	close(st.done)
 	stop()
-	st.send(frameClose, nil)
+	st.send(closeFrame)
 	conn.Close()
 	// Drain the receiver so it observes the connection close and exits;
 	// its terminal message is surfaced as ErrClosed by later nexts.

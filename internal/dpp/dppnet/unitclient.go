@@ -8,18 +8,19 @@ import (
 )
 
 // OpenUnits opens a file-unit session on the remote service
-// (dpp.Service.OpenUnits over the wire): whole decoded files arrive
-// strictly in file-list order instead of a batch stream. This is how the
-// fleet multiplexer (dppshard) consumes a shard; training loops consume
-// batch sessions via Open.
+// (dpp.Service.OpenUnits over the wire): each file's batches and then its
+// closing record arrive strictly in file-list order instead of one batch
+// stream, a file's first batch while the shard is still reading the file.
+// This is how the fleet multiplexer (dppshard) consumes a shard; training
+// loops consume batch sessions via Open.
 //
-// The spec must name its files explicitly (Spec.Files): units travel by
+// The spec must name its files explicitly (Spec.Files): files travel by
 // subset index, so the client must own the list the indices name. The
-// credit window counts unit frames in flight, sized like a batch
-// session's (spec.Window()), so a shard's scan workers stay busy up to
-// the same backpressure bound a local unit session's merge window allows.
-// Resume works exactly as for a batch session, the chain hash verifying
-// the continued stream.
+// credit window counts payload frames in flight — batch frames and closing
+// records alike — and is sized like a batch session's (spec.Window()), the
+// bound a local unit session's output buffer has. Resume works exactly as
+// for a batch session, the offset counting the same frames and the chain
+// hash verifying the continued stream.
 func (c *Client) OpenUnits(ctx context.Context, spec dpp.Spec) (*RemoteUnitSession, error) {
 	if len(spec.Files) == 0 {
 		return nil, fmt.Errorf("dppnet: file-unit session needs an explicit file list")
@@ -31,50 +32,64 @@ func (c *Client) OpenUnits(ctx context.Context, spec dpp.Spec) (*RemoteUnitSessi
 	return rus, nil
 }
 
-// unitKind is the file-unit stream over files, whose units' tail chunks
-// hold the tail features: unit frames, and a drain frame surfaces. Its
-// decode hook reads chain | unit, the unit leading with its own index.
-// Units must arrive with strictly consecutive subset indices starting at
-// the resume offset — a server violating that is protocol-corrupt, and
-// failing here keeps the fleet merge from ever seeing a misordered or
+// unitKind is the file-unit stream over files, whose closing records' tail
+// chunks hold the tail features: batch frames and file-unit frames, and a
+// drain frame surfaces. Its decode hook reads a batch frame as the batch
+// kind's does and gives the batch to the file the cursor stands in; a
+// file-unit frame is chain | unit, the unit leading with its own index.
+// Closing records must arrive with strictly consecutive subset indices
+// continuing from the cursor — a server violating that is protocol-corrupt,
+// and failing here keeps the fleet merge from ever seeing a misordered or
 // aliased slot.
-func unitKind(files, tail []string) kind[*dpp.FileUnit] {
-	decode := func(payload []byte, want int64, chain uint64) (*dpp.FileUnit, uint64, error) {
+func unitKind(files, tail []string) kind[dpp.UnitPiece] {
+	decode := func(typ byte, payload []byte, at cursor) (dpp.UnitPiece, cursor, error) {
+		if at.files >= len(files) {
+			return dpp.UnitPiece{}, at, fmt.Errorf("dppnet: frame %#x after the last of %d files", typ, len(files))
+		}
+		if typ != frameFileUnit {
+			b, at, err := decodeBatch(typ, payload, at)
+			if err != nil {
+				return dpp.UnitPiece{}, at, err
+			}
+			at.inFile = true
+			return dpp.UnitPiece{Index: at.files, File: files[at.files], Batch: b}, at, nil
+		}
 		fchain, body, err := decodeUnitFrame(payload)
 		if err != nil {
-			return nil, 0, fmt.Errorf("dppnet: corrupt file-unit frame: %w", err)
+			return dpp.UnitPiece{}, at, fmt.Errorf("dppnet: corrupt file-unit frame: %w", err)
 		}
-		u, err := decodeFileUnit(body, tail)
+		p, err := decodeFileUnit(body, tail)
 		if err != nil {
-			return nil, 0, fmt.Errorf("dppnet: corrupt file-unit frame: %w", err)
+			return dpp.UnitPiece{}, at, fmt.Errorf("dppnet: corrupt file-unit frame: %w", err)
 		}
-		if int64(u.Index) != want || u.Index >= len(files) {
-			return nil, 0, fmt.Errorf("dppnet: file unit %d out of order (want %d of %d)", u.Index, want, len(files))
+		if p.Index != at.files {
+			return dpp.UnitPiece{}, at, fmt.Errorf("dppnet: file unit %d out of order (want %d of %d)", p.Index, at.files, len(files))
 		}
-		if chain, err = chainUnit(chain, body); err != nil {
-			return nil, 0, err
+		if at.chain, err = chainUnit(at.chain, body); err != nil {
+			return dpp.UnitPiece{}, at, err
 		}
-		if chain != fchain {
-			return nil, 0, fmt.Errorf("dppnet: stream hash mismatch at file unit %d", u.Index)
+		if at.chain != fchain {
+			return dpp.UnitPiece{}, at, fmt.Errorf("dppnet: stream hash mismatch at file unit %d", p.Index)
 		}
-		u.File = files[u.Index]
-		return u, chain, nil
+		p.File = files[p.Index]
+		at.frames, at.files, at.inFile = at.frames+1, at.files+1, false
+		return p, at, nil
 	}
-	return kind[*dpp.FileUnit]{frame: frameFileUnit, fileUnits: true, drainSurfaces: true, decode: decode}
+	return kind[dpp.UnitPiece]{fileUnits: true, drainSurfaces: true, decode: decode}
 }
 
 // RemoteUnitSession is the client half of one file-unit stream: the one
-// remote stream client (stream) over file-unit frames. NextUnit is
+// remote stream client (stream) over a unit stream's frames. NextPiece is
 // single-consumer; Close may race it from another goroutine, exactly as
-// with RemoteSession. A drain frame ends the stream with ErrDrained:
-// re-homing a shard's unconsumed files is the fleet multiplexer's job, so
-// nothing already served is ever refetched.
+// with RemoteSession. A drain frame ends the stream with ErrDrained once the
+// file it arrived in is closed: re-homing a shard's unconsumed files is the
+// fleet multiplexer's job, so nothing already served is ever refetched.
 type RemoteUnitSession struct {
-	stream[*dpp.FileUnit]
+	stream[dpp.UnitPiece]
 }
 
-// NextUnit returns the stream's next file unit under the stream contract
-// (see stream.next) — the same contract as a local UnitSession.NextUnit.
-func (rus *RemoteUnitSession) NextUnit(ctx context.Context) (*dpp.FileUnit, error) {
+// NextPiece returns the stream's next piece under the stream contract
+// (see stream.next) — the same contract as a local UnitSession.NextPiece.
+func (rus *RemoteUnitSession) NextPiece(ctx context.Context) (dpp.UnitPiece, error) {
 	return rus.next(ctx)
 }

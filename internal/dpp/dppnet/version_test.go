@@ -142,13 +142,14 @@ func TestWrongVersionPeerIsTold(t *testing.T) {
 	// before the current: a bump that forgets to register it fails here.
 	const (
 		toldV6 = "protocol v6 retired: v7 changed the stream hash; rebuild the client"
-		toldV7 = "protocol v7 retired: v8 retired the extend frame, emptied the drain frame and ships the file-unit tail as columns; rebuild the client for v8"
+		toldV7 = "protocol v7 retired: v8 retired the extend frame, emptied the drain frame and ships the file-unit tail as columns; rebuild the client for v9"
+		toldV8 = "protocol v8 retired: v9 ships a unit stream's batches as batch frames ahead of the file-unit frame, which now only closes the file; rebuild the client for v9"
 	)
-	if protoVersion != 8 {
+	if protoVersion != 9 {
 		t.Fatalf("protocol v%d: register v%d in versionRefusal and retire it here", protoVersion, protoVersion-1)
 	}
 
-	for v, told := range map[byte]string{6: toldV6, 7: toldV7} {
+	for v, told := range map[byte]string{6: toldV6, 7: toldV7, 8: toldV8} {
 		t.Run(fmt.Sprintf("raw v%d preamble", v), func(t *testing.T) {
 			conn := rawDial(t, h.addr)
 			defer conn.Close()

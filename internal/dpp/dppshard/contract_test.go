@@ -57,7 +57,7 @@ func streamKinds() []streamKind {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return func(ctx context.Context) (any, error) { return s.NextUnit(ctx) }, s.Close, func() { svc.Close() }
+			return func(ctx context.Context) (any, error) { return s.NextPiece(ctx) }, s.Close, func() { svc.Close() }
 		}},
 		{"dppnet.RemoteSession", func(t *testing.T, ctx context.Context, env *fleetEnv) (func(context.Context) (any, error), func() error, func()) {
 			shards := startFleet(t, env, 1)
@@ -73,7 +73,7 @@ func streamKinds() []streamKind {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return func(ctx context.Context) (any, error) { return s.NextUnit(ctx) }, s.Close, shutdownAll(shards)
+			return func(ctx context.Context) (any, error) { return s.NextPiece(ctx) }, s.Close, shutdownAll(shards)
 		}},
 		{"dppshard.Session", func(t *testing.T, ctx context.Context, env *fleetEnv) (func(context.Context) (any, error), func() error, func()) {
 			shards := startFleet(t, env, 2)
@@ -91,21 +91,19 @@ func streamKinds() []streamKind {
 }
 
 // itemBytes is everything a delivered item holds, in wire form: a batch,
-// or a file unit's batches and tail rows.
+// or a unit stream's piece — a batch, or a closing record's tail rows.
 func itemBytes(t *testing.T, item any) []byte {
 	t.Helper()
 	switch it := item.(type) {
 	case *reader.Batch:
 		return it.AppendTo(nil)
-	case *dpp.FileUnit:
-		var out bytes.Buffer
-		for _, b := range it.Scan.Batches {
-			out.Write(b.AppendTo(nil))
+	case dpp.UnitPiece:
+		if it.Batch != nil {
+			return it.Batch.AppendTo(nil)
 		}
-		if it.Scan.Tail != nil {
-			if err := datagen.EncodeSamples(&out, it.Scan.Tail.Samples()); err != nil {
-				t.Fatal(err)
-			}
+		var out bytes.Buffer
+		if err := datagen.EncodeSamples(&out, it.Tail.Samples()); err != nil {
+			t.Fatal(err)
 		}
 		return out.Bytes()
 	}

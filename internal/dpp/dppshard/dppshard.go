@@ -5,23 +5,30 @@
 // — on exactly one shard, and the fleet's cache capacity is the sum of
 // the shards' budgets rather than N replicas of the same working set.
 //
-// Each shard serves its file subset as a dppnet file-unit stream (whole
-// decoded files in order: complete batches plus raw tail rows), and the
+// Each shard serves its file subset as a dppnet file-unit stream (its
+// files in order, each piece by piece: the complete batches as the shard
+// cuts them, then a closing record with the raw tail rows), and the
 // multiplexer reassembles the global file order with the same
 // deposit-by-index ordered-merge discipline a local session's fill pool
-// uses (reader.OrderedMerge), feeding the units to the reader's one
-// cutter (reader.RunUnits) like every other batch stream. Batches whose
-// rows stay inside one file pass through untouched; batch boundaries that
-// cross file boundaries are cut client-side from the carried tails —
-// which is what makes the merged stream byte-identical to a single-server
-// (or fully local) session over the same spec, at any shard count.
+// uses (reader.OrderedMerge): a pump deposits a file's unit at the file's
+// first frame and hands the pieces after it to the reader's one cutter
+// (reader.RunUnits) through the hand-off every queue worker uses
+// (reader.Handoff), so the fleet emits a shard-cut batch the moment it
+// arrives. Batches whose rows stay inside one file pass through untouched;
+// batch boundaries that cross file boundaries are cut client-side from the
+// carried tails — which is what makes the merged stream byte-identical to a
+// single-server (or fully local) session over the same spec, at any shard
+// count.
 //
 // Shard death mid-stream re-routes deterministically: the dead shard's
-// not-yet-delivered files — and only those — are re-hashed over the
+// not-yet-finished files — and only those — are re-hashed over the
 // surviving shards (rendezvous hashing moves no other file), new unit
 // streams are opened for exactly those files, and the merge resumes at
-// the precise file boundary. The stream stays byte-identical through
-// the kill; see docs/ARCHITECTURE.md's determinism contract.
+// the precise piece the dead shard reached: of a file it died inside, the
+// new stream's first pieces — the same bytes, by the determinism contract —
+// are discarded up to that piece and the rest continue the unit already in
+// the merge. The stream stays byte-identical through the kill; see
+// docs/ARCHITECTURE.md's determinism contract.
 package dppshard
 
 import (
@@ -154,16 +161,17 @@ type shardState struct {
 	sess    *dppnet.RemoteUnitSession
 
 	// Written by the owning pump under the session's pmu.
-	served  int // units delivered into the merge
+	served  int // files delivered into the merge, to their closing record
 	failed  bool
 	drained bool             // the shard drained; its remainder was handed off
 	stats   dpp.SessionStats // the shard's trailing stats frame
 	statsOK bool
 }
 
-// maxMergeWindow caps how many undelivered decoded files the merge may
-// hold client-side; whole files are much larger than batches, so the
-// cap is far below the batch-session buffer cap.
+// maxMergeWindow caps how many files the pumps may have begun ahead of the
+// cutter. The window counts files, though their pieces move through it one
+// by one, and a file is much larger than a batch, so the cap is far below
+// the batch-session buffer cap.
 const maxMergeWindow = 256
 
 // Session is one fleet-multiplexed preprocessing stream. It satisfies
@@ -183,7 +191,7 @@ type Session struct {
 	// sh owns the lifecycle; the pumps and the merge loop run on it.
 	sh dpp.Shell[*reader.Batch]
 	// merge holds one slot per file of the global plan: the unit its shard
-	// delivered, or the stream's fate.
+	// is delivering, or the stream's fate.
 	merge *reader.OrderedMerge[reader.Unit]
 	// mux is the session's local reader, the cutter: it cuts
 	// carry-crossing batches from tails and re-fills carry-entered files
@@ -198,8 +206,14 @@ type Session struct {
 	// pmu guards the shard set and teardown flag; sh.Go for re-route
 	// pumps happens under pmu with a stopped check, so a racing teardown
 	// can never wait past an add.
-	pmu           sync.Mutex
-	dead          map[string]bool
+	pmu  sync.Mutex
+	dead map[string]bool
+	// partials holds, by global index, the hand-off of each file whose unit
+	// is in the merge and whose closing record is not. It outlives a pump
+	// whose shard died inside the file: the pump that is re-routed the file
+	// discards as many pieces of its own stream as went through already and
+	// continues the same unit.
+	partials      map[int]*reader.Handoff
 	shards        []*shardState
 	stopped       bool
 	reroutes      int64 // shard deaths survived mid-stream
@@ -233,6 +247,7 @@ func (f *Fleet) Open(ctx context.Context, spec dpp.Spec) (*Session, error) {
 		fingerprint: fingerprint,
 		mux:         mux,
 		dead:        make(map[string]bool),
+		partials:    make(map[int]*reader.Handoff),
 	}
 	s.merge = reader.NewOrderedMerge[reader.Unit](len(files), min(len(f.addrs)*spec.Window(), maxMergeWindow), nil)
 	s.sh.Open(ctx, dpp.SystemClock{}, spec.Window())
@@ -329,31 +344,30 @@ func (s *Session) aliveLocked() []string {
 }
 
 // runPump drives one shard stream: wait for each of its global indices
-// to enter the merge window (backpressure), pull the unit, deposit it.
-// A shard that dies mid-stream hands its remaining indices to
-// rerouteShard; a shard that finishes cleanly drains the trailing
-// stats frame so the fleet's aggregate accounting includes it.
+// to enter the merge window (backpressure), then move the file's pieces
+// into the merge as they arrive. A shard that dies mid-stream hands its
+// remaining indices — from the file it died inside, if any — to
+// rerouteShard; a shard that finishes cleanly drains the trailing stats
+// frame so the fleet's aggregate accounting includes it.
 func (s *Session) runPump(st *shardState) {
 	defer s.pumps.Done()
 	defer st.sess.Close()
-	pos := 0
-	for pos < len(st.indices) {
-		gidx := st.indices[pos]
+	for pos, gidx := range st.indices {
 		if !s.merge.WaitWindow(gidx) {
 			return // merge aborted: teardown or a terminal error elsewhere
 		}
-		u, err := st.sess.NextUnit(s.sh.Ctx())
-		if err != nil {
-			if s.sh.Ctx().Err() != nil {
+		if err := s.pumpFile(st, gidx); err != nil {
+			if s.sh.Ctx().Err() != nil || errors.Is(err, context.Canceled) {
 				return
 			}
 			if err == io.EOF {
-				err = fmt.Errorf("dppshard: shard %s ended after %d of %d units", st.addr, pos, len(st.indices))
+				err = fmt.Errorf("dppshard: shard %s ended after %d of %d files", st.addr, pos, len(st.indices))
 			}
 			if errors.Is(err, dppnet.ErrDrained) {
-				// Graceful drain handoff: only the shard's *unconsumed*
-				// files move — everything already merged stays merged, so
-				// no already-served file is ever refetched or re-decoded.
+				// Graceful drain handoff: the notice surfaces between files,
+				// so only the shard's *unconsumed* files move — everything
+				// already merged stays merged, and no already-served file is
+				// ever refetched or re-decoded.
 				s.pmu.Lock()
 				st.drained = true
 				s.drainHandoffs++
@@ -362,14 +376,12 @@ func (s *Session) runPump(st *shardState) {
 			s.rerouteShard(st, pos, err)
 			return
 		}
-		s.merge.Deposit(gidx, reader.Unit{File: u.File, Scan: u.Scan})
-		pos++
 		s.pmu.Lock()
-		st.served = pos
+		st.served = pos + 1
 		s.pmu.Unlock()
 	}
 	// Subset delivered; the next read is the trailing stats + EOF.
-	if _, err := st.sess.NextUnit(s.sh.Ctx()); err == io.EOF {
+	if _, err := st.sess.NextPiece(s.sh.Ctx()); err == io.EOF {
 		if stats, ok := st.sess.Stats(); ok {
 			s.pmu.Lock()
 			st.stats, st.statsOK = stats, true
@@ -378,13 +390,69 @@ func (s *Session) runPump(st *shardState) {
 	}
 }
 
-// rerouteShard declares st's shard dead and re-routes its undelivered
+// pumpFile moves the next file of st's stream, global index gidx, into the
+// merge: its unit is deposited at the first frame and each piece follows
+// through the hand-off, to the closing record. Of a file another shard died
+// inside, the pieces already merged are read and dropped first.
+func (s *Session) pumpFile(st *shardState, gidx int) error {
+	s.pmu.Lock()
+	feed := s.partials[gidx]
+	s.pmu.Unlock()
+	skip := 0
+	if feed != nil {
+		skip = feed.Sent()
+	}
+	for {
+		piece, err := st.sess.NextPiece(s.sh.Ctx())
+		if err != nil {
+			return err
+		}
+		if skip > 0 {
+			if piece.Tail != nil {
+				return fmt.Errorf("dppshard: shard %s closed %s after fewer than the %d pieces already merged", st.addr, piece.File, feed.Sent())
+			}
+			skip--
+			continue
+		}
+		if feed == nil {
+			feed = reader.NewHandoff(s.merge, gidx, reader.Unit{File: piece.File, Cut: true})
+			s.pmu.Lock()
+			s.partials[gidx] = feed
+			s.pmu.Unlock()
+		}
+		if err := feed.Send(reader.Piece{Batch: piece.Batch, Rows: piece.Tail}); err != nil {
+			return err
+		}
+		if piece.Tail != nil {
+			feed.Close(nil)
+			s.pmu.Lock()
+			delete(s.partials, gidx)
+			s.pmu.Unlock()
+			return nil
+		}
+	}
+}
+
+// fail ends the stream at file gidx with err, in file order: after the
+// pieces of a file already begun, or as the file's unit.
+func (s *Session) fail(gidx int, err error) {
+	s.pmu.Lock()
+	feed := s.partials[gidx]
+	s.pmu.Unlock()
+	if feed != nil {
+		feed.Close(err)
+		return
+	}
+	s.merge.Deposit(gidx, reader.Unit{Err: err})
+}
+
+// rerouteShard declares st's shard dead and re-routes its unfinished
 // files over the survivors, opening fresh unit streams for exactly
 // those files. Rendezvous hashing guarantees no other shard's files
 // move, and the merge consumes by global index, so the stream resumes
-// at the precise file boundary the dead shard reached. With no
+// at the precise piece the dead shard reached (pumpFile). With no
 // survivors left, the failure surfaces in-order as the stream error at
-// the first undelivered file.
+// the first unfinished file.
 func (s *Session) rerouteShard(st *shardState, pos int, cause error) {
 	remaining := st.indices[pos:]
 	s.pmu.Lock()
@@ -402,7 +470,7 @@ func (s *Session) rerouteShard(st *shardState, pos int, cause error) {
 		return
 	}
 	if len(alive) == 0 {
-		s.merge.Deposit(remaining[0], reader.Unit{Err: fmt.Errorf("dppshard: shard %s died with no survivors: %w", st.addr, cause)})
+		s.fail(remaining[0], fmt.Errorf("dppshard: shard %s died with no survivors: %w", st.addr, cause))
 		return
 	}
 	queue := regroup(s.files, s.fingerprint, remaining, alive)
@@ -417,7 +485,7 @@ func (s *Session) rerouteShard(st *shardState, pos int, cause error) {
 			if errors.Is(err, dppnet.ErrRemote) && !isDrainingRefusal(err) {
 				// The survivor is up but refused the session (e.g. its
 				// admission cap): not a routing problem, a terminal one.
-				s.merge.Deposit(g.indices[0], reader.Unit{Err: fmt.Errorf("dppshard: re-route to %s failed: %w", g.addr, err)})
+				s.fail(g.indices[0], fmt.Errorf("dppshard: re-route to %s failed: %w", g.addr, err))
 				continue
 			}
 			s.pmu.Lock()
@@ -425,7 +493,7 @@ func (s *Session) rerouteShard(st *shardState, pos int, cause error) {
 			alive := s.aliveLocked()
 			s.pmu.Unlock()
 			if len(alive) == 0 {
-				s.merge.Deposit(g.indices[0], reader.Unit{Err: fmt.Errorf("dppshard: shard %s died with no survivors: %w", g.addr, err)})
+				s.fail(g.indices[0], fmt.Errorf("dppshard: shard %s died with no survivors: %w", g.addr, err))
 				return
 			}
 			queue = append(queue, regroup(s.files, s.fingerprint, g.indices, alive)...)
@@ -449,9 +517,9 @@ func (s *Session) rerouteShard(st *shardState, pos int, cause error) {
 
 // runMerge pulls the shards' units in global file order into the cutter
 // and settles the stream: files entered on a batch boundary pass their
-// shard-cut batches through, files entered with carried rows are re-filled
-// locally and cut against the carry, and the final short batch is cut from
-// the last tail.
+// shard-cut batches through as they arrive, files entered with carried rows
+// are re-filled locally and cut against the carry, and the final short batch
+// is cut from the last tail.
 func (s *Session) runMerge() {
 	i := 0
 	err := s.mux.RunUnits(s.sh.Ctx(), func() (reader.Unit, bool) {
@@ -507,7 +575,7 @@ type ShardStat struct {
 	// own entries (an address can host several streams after failover).
 	Addr string
 	// Files is the number of files routed to this stream; Served is how
-	// many it delivered into the merge.
+	// many it delivered into the merge, to their closing record.
 	Files, Served int
 	// Failed marks a stream whose shard died mid-stream. Drained marks a
 	// stream whose shard drained gracefully — its unconsumed files were

@@ -1,14 +1,17 @@
 package dppshard_test
 
 import (
+	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"net"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -310,27 +313,39 @@ func TestFleetCachePartitioning(t *testing.T) {
 	}
 }
 
+// quarterSpec is alignedSpec cut four batches to the file: a unit stream
+// over it is four batch frames and a closing record per file, so a shard
+// that dies at a random point is, five times in six, inside a file.
+func quarterSpec() reader.Spec {
+	spec := alignedSpec()
+	spec.BatchSize = 16
+	return spec
+}
+
 // TestFleetShardKillDeterminism is the failover half of the contract
 // (run under -race in CI): a randomly chosen shard is killed at a
-// seeded point mid-stream, its remaining files re-route to the
-// survivors, and the merged stream must still be byte-identical to the
-// serial reference — with zero leaked goroutines after teardown.
+// seeded point mid-stream — between two files, or inside one, some of its
+// pieces merged already — its remaining files re-route to the survivors,
+// and the merged stream must still be byte-identical to the serial
+// reference — with zero leaked goroutines after teardown.
 func TestFleetShardKillDeterminism(t *testing.T) {
 	env := newFleetEnv(t)
 	cases := []struct {
 		name  string
 		spec  reader.Spec
 		share bool
+		seeds int64
 	}{
-		{"aligned", alignedSpec(), false},
-		{"misaligned", misalignedSpec(), false},
-		{"sharescans", alignedSpec(), true},
+		{"aligned", alignedSpec(), false, 5},
+		{"misaligned", misalignedSpec(), false, 5},
+		{"sharescans", alignedSpec(), true, 5},
+		{"quarter batches", quarterSpec(), false, 8},
+		{"quarter batches, sharescans", quarterSpec(), true, 8},
 	}
-	const seedsPerCase = 5
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			wantEnc, _ := serialReference(t, env, tc.spec)
-			for seed := int64(0); seed < seedsPerCase; seed++ {
+			for seed := int64(0); seed < tc.seeds; seed++ {
 				before := runtime.NumGoroutine()
 				rng := rand.New(rand.NewSource(seed))
 				shards := startFleet(t, env, 3)
@@ -371,6 +386,117 @@ func TestFleetShardKillDeterminism(t *testing.T) {
 				}
 				testutil.WaitForGoroutines(t, before)
 			}
+		})
+	}
+}
+
+// cutAfterFrames relays target until it has passed k batch frames of one
+// connection on to the client, then dies for good: that connection is cut
+// and no other is accepted. A fleet without a resume policy sees a shard
+// dead inside a file, k of the file's pieces delivered.
+func cutAfterFrames(t *testing.T, target string, k int) (addr string) {
+	t.Helper()
+	ln := relisten(t, "127.0.0.1:0")
+	done := make(chan struct{})
+	t.Cleanup(func() { ln.Close(); <-done })
+	go func() {
+		defer close(done)
+		client, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer client.Close()
+		defer ln.Close()
+		server, err := net.Dial("tcp", target)
+		if err != nil {
+			return
+		}
+		defer server.Close()
+		go io.Copy(server, client) // handshake and credits; ends with either connection
+		br := bufio.NewReader(server)
+		for batches := 0; batches < k; {
+			// A frame is its type byte, a uvarint payload length, the payload;
+			// 0x11 is a batch frame (docs/ARCHITECTURE.md's wire table).
+			typ, err := br.ReadByte()
+			if err != nil {
+				return
+			}
+			n, err := binary.ReadUvarint(br)
+			if err != nil {
+				return
+			}
+			frame := binary.AppendUvarint([]byte{typ}, n)
+			frame = append(frame, make([]byte, n)...)
+			if _, err := io.ReadFull(br, frame[len(frame)-int(n):]); err != nil {
+				return
+			}
+			if _, err := client.Write(frame); err != nil {
+				return
+			}
+			if typ == 0x11 {
+				batches++
+			}
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestFleetShardDiesInsideAFile is the directed case of the kill contract:
+// a shard dies with exactly k of a file's batch frames delivered — merged,
+// and possibly emitted — and the file's closing record not. The file
+// re-routes whole, the survivor's first k pieces of it are discarded, and
+// the rest continue the unit already in the merge: no piece twice, none
+// lost, the stream the serial reference's byte for byte.
+func TestFleetShardDiesInsideAFile(t *testing.T) {
+	env := newFleetEnv(t)
+	spec := quarterSpec()
+	wantEnc, _ := serialReference(t, env, spec)
+	for k := 1; k <= 3; k++ {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			shards := startFleet(t, env, 3)
+			addrs := addrsOf(shards)
+			target := addrs[0]
+			// Routing hashes the address, and the doomed one is kernel-chosen:
+			// take the first that is routed a file at all.
+			var sess *dppshard.Session
+			var doomed string
+			for sess == nil {
+				doomed = cutAfterFrames(t, target, k)
+				addrs[0] = doomed
+				fleet, err := dppshard.New(dppshard.Config{Addrs: addrs, Backend: env.store})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sess, err = fleet.Open(context.Background(), dpp.Spec{Spec: spec, Files: env.files}); err != nil {
+					t.Fatal(err)
+				}
+				opened, _ := sess.ShardStats()
+				if !slices.ContainsFunc(opened, func(st dppshard.ShardStat) bool { return st.Addr == doomed }) {
+					sess.Close()
+					sess = nil
+				}
+			}
+			mustEqualStreams(t, drainFleet(t, sess), wantEnc)
+			stats, reroutes := sess.ShardStats()
+			if reroutes != 1 {
+				t.Fatalf("reroutes = %d, want the one death", reroutes)
+			}
+			served := 0
+			for _, st := range stats {
+				served += st.Served
+				if st.Addr == doomed && (!st.Failed || st.Served != 0 || st.Files == 0) {
+					t.Fatalf("the doomed shard's stream %+v: want it failed inside the first of its files", st)
+				}
+			}
+			if served != len(env.files) {
+				t.Fatalf("shard streams closed %d files, want each of the %d once", served, len(env.files))
+			}
+			sess.Close()
+			for _, s := range shards {
+				s.shutdown()
+			}
+			testutil.WaitForGoroutines(t, before)
 		})
 	}
 }

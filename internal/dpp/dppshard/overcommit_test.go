@@ -34,7 +34,7 @@ func TestFleetOvercommitKeepsResidentSubset(t *testing.T) {
 	}
 	var decoded int64
 	for _, f := range env.files {
-		scan, err := r.ScanFile(context.Background(), f, 0, nil)
+		scan, err := r.ScanFile(context.Background(), f, 0, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

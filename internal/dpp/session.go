@@ -99,11 +99,12 @@ func (s Spec) withDefaults() Spec {
 }
 
 // Window is the session's backpressure bound: how many finished batches
-// (or, for a unit stream, file units) may sit ahead of the consumer —
+// (or, for a unit stream, pieces: batches and closing records) may sit ahead
+// of the consumer —
 // Readers × Buffer with the defaults applied, capped at MaxWindow. It is
 // the one definition every boundary sizes from: a local session's output
-// buffer, a remote session's credit window, the fleet session's output
-// buffer. At least 1, so a spec validate will refuse still travels to the
+// buffer of either kind, a remote session's credit window, the fleet
+// session's output buffer. At least 1, so a spec validate will refuse still travels to the
 // service that refuses it.
 func (s Spec) Window() int {
 	s = s.withDefaults()
@@ -141,10 +142,10 @@ var _ Stream = (*Session)(nil)
 //
 // Internally every session is a shared ordered work queue
 // (reader.ScanQueue) feeding the reader's one cutter (reader.RunUnits):
-// fill workers claim file indices and fill them in parallel — stripe by
-// stripe into the cutter's hands for an unshared session, whole files
-// through the service's ScanCache for a ShareScans one — and the cutter
-// awaits them in file order. The worker pool is resizable mid-scan (Resize, or
+// fill workers claim file indices and fill them in parallel, piece by piece
+// into the cutter's hands — stripes for an unshared session; for a
+// ShareScans one the batches of a scan as the ScanCache's compute cuts them,
+// or a cached scan's all at once — and the cutter awaits them in file order. The worker pool is resizable mid-scan (Resize, or
 // the service's AutoScaler); the stream is byte-identical to the serial
 // reference regardless of the fill, the pool's size or its resize history.
 type Session struct {
@@ -434,9 +435,9 @@ func (s *Session) FollowLag() int {
 // error — not "no batch of the bad file": batches are cut from a file's
 // stripes as they are decoded, so a file damaged at its k-th stripe has
 // already yielded every batch that lies wholly in the stripes before it,
-// exactly as a serial reader.Run yields them, at every worker count. (A
-// ShareScans session fills through whole-file cache entries, so its prefix
-// ends at the bad file's first row; it is a prefix of the same stream.)
+// exactly as a serial reader.Run yields them, at every worker count and on
+// every path: a ShareScans session is handed a missed file's batches as the
+// cache's compute cuts them, and the damaged file leaves no cache entry.
 func (s *Session) Next(ctx context.Context) (*reader.Batch, error) {
 	b, err := s.Pull(ctx)
 	if err == nil {
@@ -487,7 +488,7 @@ type SchedulerStats struct {
 	ScaleUps, ScaleDowns int64
 	// WorkerStall is the total time the ordered merge spent blocked on a
 	// fill worker — waiting for a file's deposit, or inside a file for its
-	// next stripe: the session was starved for reader parallelism.
+	// next piece: the session was starved for reader parallelism.
 	WorkerStall time.Duration
 	// ConsumerStall is the total time the merge spent blocked handing a
 	// finished batch to the consumer (a full output buffer — for remote

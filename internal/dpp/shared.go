@@ -34,7 +34,7 @@ func newWorker(svc *Service, spec Spec, units bool) (*worker, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &worker{svc: svc, r: r, fill: r.FillUnit}
+	w := &worker{svc: svc, r: r, fill: reader.FillFrom(r.FillUnit)}
 	switch {
 	case spec.ShareScans:
 		w.fill, w.fingerprint = w.memo, spec.Spec.Fingerprint()
@@ -42,13 +42,13 @@ func newWorker(svc *Service, spec Spec, units bool) (*worker, error) {
 			w.batch = spec.BatchSize
 		}
 	case units:
-		w.fill = r.ScanUnit
+		w.fill = reader.FillFrom(r.ScanUnit)
 	}
 	return w, nil
 }
 
-// run is the worker's life: the queue's one claim → fill → deposit loop
-// under this worker's fill, then its accounting handed to the session.
+// run is the worker's life: the queue's one claim → fill loop under this
+// worker's fill, then its accounting handed to the session.
 func (w *worker) run(ctx context.Context, q *reader.ScanQueue, stop func() bool, account func(SessionCacheStats, ...reader.Stats)) {
 	reader.FillQueue(ctx, q, w.fill, stop)
 	account(w.cache, w.r.Stats(), w.served)
@@ -65,21 +65,43 @@ func (w *worker) run(ctx context.Context, q *reader.ScanQueue, stop func() bool,
 // the entry on a hit, or when a lookup coalesced onto another session's
 // compute returns. One lookup per file per session, in file order at one
 // worker, whatever the alignment.
-func (w *worker) memo(ctx context.Context, c reader.Claim) reader.Unit {
+//
+// A scan is served while it is computed: on a miss the unit is deposited
+// from inside the compute, as soon as the footer is parsed, and each piece
+// follows through the hand-off as ScanFile cuts it — the hand-off never
+// blocks, so the single-flight never waits on this session's consumer, and
+// every other session asking for the key is served when the compute ends,
+// however slow this one's trainer is. What the cache stores, and what a hit
+// or a coalesced lookup receives, is the finished, immutable scan, replayed
+// as pieces that are all there at once.
+func (w *worker) memo(ctx context.Context, c reader.Claim) error {
 	key := ScanKey{File: c.File, Fingerprint: w.fingerprint}
 	if w.batch > 0 {
 		var ok bool
 		if key.Carry, ok = c.Carry(w.batch); !ok {
-			return reader.Unit{File: c.File, Err: context.Canceled} // the queue aborted: nobody awaits this deposit
+			c.Deposit(reader.Unit{File: c.File, Err: context.Canceled}) // the queue aborted: nobody awaits this deposit
+			return context.Canceled
 		}
 	}
+	var streamed *reader.Handoff
 	scan, hit, err := w.svc.cache.Get(ctx, key, func(ctx context.Context) (*reader.FileScan, error) {
-		return w.r.ScanFile(ctx, c.File, key.Carry, c.Report)
+		return w.r.ScanFile(ctx, c.File, key.Carry, func(rows int) {
+			c.Report(rows)
+			streamed = c.HandOff(reader.Unit{File: c.File, Cut: true, Carry: key.Carry})
+		}, func(p reader.Piece) error { return streamed.Send(p) })
 	})
-	if err != nil {
-		return reader.Unit{File: c.File, Err: err}
+	switch {
+	case streamed != nil:
+		streamed.Close(err)
+	case err != nil:
+		c.Deposit(reader.Unit{File: c.File, Err: err})
+	default:
+		c.Report(scan.Rows())
+		c.Deposit(scan.Unit(c.File, hit))
 	}
-	c.Report(scan.Rows())
+	if err != nil {
+		return err
+	}
 	if hit {
 		w.cache.Hits++
 		for _, b := range scan.Batches {
@@ -90,5 +112,5 @@ func (w *worker) memo(ctx context.Context, c reader.Claim) reader.Unit {
 		w.cache.Misses++
 		w.svc.demoteRaw(key)
 	}
-	return reader.Unit{File: c.File, Scan: scan, Hit: hit}
+	return nil
 }

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/dpp"
 	"repro/internal/storage"
+	"repro/internal/testutil"
 )
 
 // rendezvousStore lets stripe reads through only once stripes of two
@@ -120,5 +122,88 @@ func TestSharedSessionIsAPool(t *testing.T) {
 	}
 	if got := svc.Stats().Scheduler; got.ScaleDowns != 1 || got.WorkerStall <= 0 {
 		t.Fatalf("service scheduler stats %+v do not include the shared session", got)
+	}
+}
+
+// TestSlowTrainerNeverStallsAnothersScan: a scan is served while it is
+// computed, but never at the pace of the session computing it. S1 takes one
+// batch and stops pulling; its worker is inside the ScanCache's compute of
+// the first file — the read of the file's last stripe is parked — with S1's
+// output buffer full behind it. S2, asking for the same key, coalesces onto
+// that compute. Released, the compute must run to its end whatever S1's
+// consumer does, and S2 must be served the file and reach io.EOF with the
+// serial reference's stream. It would hang if the memo handed S1's batches
+// to S1's bounded buffer from inside the single-flight.
+func TestSlowTrainerNeverStallsAnothersScan(t *testing.T) {
+	env := newStripedEnv(t)
+	spec := dedupSpec()
+	wantEnc, _ := serialReference(t, env, spec)
+	files, err := env.catalog.AllFiles(spec.Table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off, _ := stripeRange(t, env.store, files[0], 7) // the last of eight: three batches are cut before it
+	store := &parkedStripeStore{Backend: env.store, path: files[0], off: off,
+		arrived: make(chan struct{}), release: make(chan struct{})}
+	clock := testutil.NewClock(time.Unix(0, 0))
+	svc, err := dpp.New(dpp.Config{Backend: store, Catalog: env.catalog, Clock: clock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	// A test that fails here fails by this deadline, not by hanging.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	shared := dpp.Spec{Spec: spec, ShareScans: true, Buffer: 1}
+	s1, err := svc.Open(ctx, shared)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s1.Close()
+	var release sync.Once
+	defer release.Do(func() { close(store.release) }) // a failure must not leave a worker parked under Close
+	if _, err := s1.Next(ctx); err != nil {
+		t.Fatalf("S1's first batch: %v", err)
+	}
+	select {
+	case <-store.arrived: // S1 is computing the file: past seven stripes, parked on the eighth
+	case <-ctx.Done():
+		t.Fatal("S1's read of the file's last stripe never arrived")
+	}
+
+	s2, err := svc.Open(ctx, shared)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	// S2's cutter starves for the file its worker is waiting on S1 for.
+	testutil.Eventually(t, func() bool {
+		clock.Advance(time.Second)
+		return s2.Stats().Scheduler.WorkerStall > 0
+	}, "S2 never waited for the file S1 is computing")
+	release.Do(func() { close(store.release) })
+
+	var gotEnc [][]byte
+	for {
+		b, err := s2.Next(ctx)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("S2 after %d batches, with S1's trainer stopped: %v", len(gotEnc), err)
+		}
+		gotEnc = append(gotEnc, encodeBatch(t, b))
+	}
+	if len(gotEnc) != len(wantEnc) {
+		t.Fatalf("S2: %d batches, serial reference %d", len(gotEnc), len(wantEnc))
+	}
+	for i := range wantEnc {
+		if !bytes.Equal(gotEnc[i], wantEnc[i]) {
+			t.Fatalf("S2: batch %d differs from the serial reference", i)
+		}
+	}
+	if c := s2.Stats().Cache; c.Hits < 1 {
+		t.Fatalf("S2's cache traffic %+v: it was not served the file S1 computed", c)
 	}
 }

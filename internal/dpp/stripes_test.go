@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/dpp"
 	"repro/internal/dpp/dppnet"
+	"repro/internal/dpp/dppshard"
 	"repro/internal/dwrf"
 	"repro/internal/etl"
 	"repro/internal/lakefs"
@@ -75,13 +77,116 @@ func (s *parkedStripeStore) ReadRange(path string, off, n int64) ([]byte, error)
 	return s.Backend.ReadRange(path, off, n)
 }
 
-// TestFirstBatchBeforeFileIsFilled: fill hands the cutter stripes, not
-// files. Over a store that parks the read of the first file's third stripe,
-// Next returns batch 0 — which lies in the first two — while that read is
-// still parked and six of the file's eight stripes have not been fetched:
-// with one worker and with two, on a local session and through a dppnet
-// server. Released, the stream runs on to the serial reference's end, byte
-// for byte, with a serial scan's counters.
+// serveOn starts a dppnet server for svc on a kernel-chosen port and returns
+// its address and the function that stops it.
+func serveOn(t *testing.T, svc *dpp.Service) (addr string, stop func()) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := dppnet.NewServer(svc)
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	return ln.Addr().String(), func() {
+		srv.Close()
+		if err := <-served; err != nil {
+			t.Errorf("Serve returned %v", err)
+		}
+	}
+}
+
+// streamPath is one way a batch stream reaches its consumer. open starts
+// what it needs over backend — a service, or two, their servers — opens the
+// stream, and returns it with its reader counters (valid at io.EOF), the
+// services behind it, and the function that stops what it started.
+type streamPath struct {
+	name string
+	// wire says the stream crosses a dppnet server, which reports a scan's
+	// error wrapped in its own.
+	wire bool
+	open openPath
+}
+
+type openPath func(t *testing.T, ctx context.Context, backend storage.Backend, catalog storage.Catalog, spec reader.Spec, files []string) (
+	sess dpp.Stream, stats func() reader.Stats, svcs []*dpp.Service, stop func())
+
+// streamPaths are the paths a file's batches can take to a trainer: fill's
+// stripes to the cutter of an unshared session (readers workers, local or
+// through a dppnet server); a ScanCache compute's batches to the cutter of a
+// ShareScans session, the same two ways; and the batch frames of two shards'
+// unit streams through a fleet session's merge.
+func streamPaths(readers ...int) []streamPath {
+	single := func(spec func(reader.Spec) dpp.Spec, remote bool) openPath {
+		return func(t *testing.T, ctx context.Context, backend storage.Backend, catalog storage.Catalog, rs reader.Spec, _ []string) (dpp.Stream, func() reader.Stats, []*dpp.Service, func()) {
+			svc, err := dpp.New(dpp.Config{Backend: backend, Catalog: catalog})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !remote {
+				ls, err := svc.Open(ctx, spec(rs))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return ls, func() reader.Stats { return ls.Stats().Reader }, []*dpp.Service{svc}, func() { svc.Close() }
+			}
+			addr, stop := serveOn(t, svc)
+			rs2, err := dppnet.NewClient(addr).Open(ctx, spec(rs))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rs2, func() reader.Stats { st, _ := rs2.Stats(); return st.Reader }, []*dpp.Service{svc}, func() { stop(); svc.Close() }
+		}
+	}
+	var paths []streamPath
+	for _, n := range readers {
+		for _, remote := range []bool{false, true} {
+			paths = append(paths, streamPath{fmt.Sprintf("readers=%d/remote=%v", n, remote), remote,
+				single(func(rs reader.Spec) dpp.Spec { return dpp.Spec{Spec: rs, Readers: n} }, remote)})
+		}
+	}
+	for _, remote := range []bool{false, true} {
+		paths = append(paths, streamPath{fmt.Sprintf("shared/remote=%v", remote), remote,
+			single(func(rs reader.Spec) dpp.Spec { return dpp.Spec{Spec: rs, ShareScans: true} }, remote)})
+	}
+	fleet := func(t *testing.T, ctx context.Context, backend storage.Backend, catalog storage.Catalog, rs reader.Spec, files []string) (dpp.Stream, func() reader.Stats, []*dpp.Service, func()) {
+		var svcs []*dpp.Service
+		var addrs []string
+		var stops []func()
+		for i := 0; i < 2; i++ {
+			svc, err := dpp.New(dpp.Config{Backend: backend, Catalog: catalog})
+			if err != nil {
+				t.Fatal(err)
+			}
+			addr, stop := serveOn(t, svc)
+			svcs, addrs, stops = append(svcs, svc), append(addrs, addr), append(stops, stop, func() { svc.Close() })
+		}
+		f, err := dppshard.New(dppshard.Config{Addrs: addrs, Backend: backend})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs, err := f.Open(ctx, dpp.Spec{Spec: rs, ShareScans: true, Files: files})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fs, func() reader.Stats { return fs.Stats().Reader }, svcs, func() {
+			for _, stop := range stops {
+				stop()
+			}
+		}
+	}
+	return append(paths, streamPath{"fleet", true, fleet})
+}
+
+// TestFirstBatchBeforeFileIsFilled: a file is served while it is read. Over
+// a store that parks the read of the first file's third stripe, Next returns
+// batch 0 — which lies in the first two — while that read is still parked and
+// six of the file's eight stripes have not been fetched: with one worker and
+// with two, on a local session and through a dppnet server; on a ShareScans
+// session, whose batches come out of the ScanCache's compute while it runs,
+// both ways; and on a two-shard fleet, whose shard ships the batch frame
+// before the file's closing record exists. Released, the stream runs on to
+// the serial reference's end, byte for byte, with a serial scan's counters.
 func TestFirstBatchBeforeFileIsFilled(t *testing.T) {
 	env := newStripedEnv(t)
 	spec := dedupSpec()
@@ -92,95 +197,61 @@ func TestFirstBatchBeforeFileIsFilled(t *testing.T) {
 	}
 	off, _ := stripeRange(t, env.store, files[0], 2)
 
-	for _, readers := range []int{1, 2} {
-		for _, remote := range []bool{false, true} {
-			t.Run(fmt.Sprintf("readers=%d/remote=%v", readers, remote), func(t *testing.T) {
-				store := &parkedStripeStore{Backend: env.store, path: files[0], off: off,
-					arrived: make(chan struct{}), release: make(chan struct{})}
-				released := false
-				release := func() {
-					if !released {
-						released = true
-						close(store.release)
-					}
+	for _, path := range streamPaths(1, 2) {
+		t.Run(path.name, func(t *testing.T) {
+			store := &parkedStripeStore{Backend: env.store, path: files[0], off: off,
+				arrived: make(chan struct{}), release: make(chan struct{})}
+			released := false
+			release := func() {
+				if !released {
+					released = true
+					close(store.release)
 				}
-				defer release() // a failure must not leave a worker parked under Close
-				svc, err := dpp.New(dpp.Config{Backend: store, Catalog: env.catalog})
+			}
+			// A test that fails here fails by this deadline, not by hanging.
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			sess, stats, _, stop := path.open(t, ctx, store, env.catalog, spec, files)
+			defer stop()
+			defer sess.Close()
+			defer release() // a failure must not leave a worker parked under Close
+
+			first, err := sess.Next(ctx)
+			if err != nil {
+				t.Fatalf("first batch with the file's third stripe parked: %v", err)
+			}
+			gotEnc := [][]byte{encodeBatch(t, first)}
+			if !bytes.Equal(gotEnc[0], wantEnc[0]) {
+				t.Fatal("batch 0, delivered before its file was filled, differs from the serial reference")
+			}
+			select {
+			case <-store.arrived: // the worker is past the first two stripes and parked on the third
+			case <-ctx.Done():
+				t.Fatal("the read of the third stripe never arrived")
+			}
+			release()
+			for {
+				b, err := sess.Next(ctx)
+				if err == io.EOF {
+					break
+				}
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer svc.Close()
-
-				// A test that fails here fails by this deadline, not by hanging.
-				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-				defer cancel()
-				var sess dpp.Stream
-				var stats func() reader.Stats
-				if remote {
-					ln, err := net.Listen("tcp", "127.0.0.1:0")
-					if err != nil {
-						t.Fatal(err)
-					}
-					srv := dppnet.NewServer(svc)
-					served := make(chan error, 1)
-					go func() { served <- srv.Serve(ln) }()
-					defer func() {
-						srv.Close()
-						if err := <-served; err != nil {
-							t.Errorf("Serve returned %v", err)
-						}
-					}()
-					rs, err := dppnet.NewClient(ln.Addr().String()).Open(ctx, dpp.Spec{Spec: spec, Readers: readers})
-					if err != nil {
-						t.Fatal(err)
-					}
-					sess, stats = rs, func() reader.Stats { st, _ := rs.Stats(); return st.Reader }
-				} else {
-					ls, err := svc.Open(ctx, dpp.Spec{Spec: spec, Readers: readers})
-					if err != nil {
-						t.Fatal(err)
-					}
-					sess, stats = ls, func() reader.Stats { return ls.Stats().Reader }
+				gotEnc = append(gotEnc, encodeBatch(t, b))
+			}
+			if len(gotEnc) != len(wantEnc) {
+				t.Fatalf("%d batches, serial reference %d", len(gotEnc), len(wantEnc))
+			}
+			for i := range wantEnc {
+				if !bytes.Equal(gotEnc[i], wantEnc[i]) {
+					t.Fatalf("batch %d differs from the serial reference", i)
 				}
-				defer sess.Close()
-
-				first, err := sess.Next(ctx)
-				if err != nil {
-					t.Fatalf("first batch with the file's third stripe parked: %v", err)
-				}
-				gotEnc := [][]byte{encodeBatch(t, first)}
-				if !bytes.Equal(gotEnc[0], wantEnc[0]) {
-					t.Fatal("batch 0, delivered before its file was filled, differs from the serial reference")
-				}
-				select {
-				case <-store.arrived: // the worker is past the first two stripes and parked on the third
-				case <-ctx.Done():
-					t.Fatal("the read of the third stripe never arrived")
-				}
-				release()
-				for {
-					b, err := sess.Next(ctx)
-					if err == io.EOF {
-						break
-					}
-					if err != nil {
-						t.Fatal(err)
-					}
-					gotEnc = append(gotEnc, encodeBatch(t, b))
-				}
-				if len(gotEnc) != len(wantEnc) {
-					t.Fatalf("%d batches, serial reference %d", len(gotEnc), len(wantEnc))
-				}
-				for i := range wantEnc {
-					if !bytes.Equal(gotEnc[i], wantEnc[i]) {
-						t.Fatalf("batch %d differs from the serial reference", i)
-					}
-				}
-				if got, want := counters(stats()), counters(wantStats); got != want {
-					t.Fatalf("counters %v, serial reference %v", got, want)
-				}
-			})
-		}
+			}
+			if got, want := counters(stats()), counters(wantStats); got != want {
+				t.Fatalf("counters %v, serial reference %v", got, want)
+			}
+		})
 	}
 }
 
@@ -193,22 +264,10 @@ func encodeBatch(t testing.TB, b *reader.Batch) []byte {
 	return buf.Bytes()
 }
 
-// TestDamagedStripeDeliversThePrefixThenTheError pins what a scan owes its
-// consumer when a file goes bad part-way: the serial reference stream's
-// prefix, then the error. With stripe 3 of the second file damaged (its
-// header claims one row more than the footer records), a serial Run and
-// sessions of 1, 2 and 4 workers all deliver exactly the batches that lie
-// wholly in the rows before that stripe — the whole first file and three
-// stripes of the second, whatever the batch size does at the file boundary —
-// each byte-identical to the undamaged table's, and then the same error.
-func TestDamagedStripeDeliversThePrefixThenTheError(t *testing.T) {
-	env := newStripedEnv(t)
-	files, err := env.catalog.AllFiles("tbl")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const badFile, badStripe, stripeRows, rowsPerFile = 1, 3, 32, 256
-
+// damagedTable is env's table with stripe badStripe of file badFile damaged:
+// its header claims one row more than the footer records.
+func damagedTable(t *testing.T, env *testEnv, files []string, badFile, badStripe, stripeRows int) *lakefs.Store {
+	t.Helper()
 	damaged := lakefs.NewStore()
 	for i, f := range files {
 		data, err := env.store.Get(f)
@@ -218,13 +277,46 @@ func TestDamagedStripeDeliversThePrefixThenTheError(t *testing.T) {
 		if i == badFile {
 			off, _ := stripeRange(t, env.store, f, badStripe)
 			data = append([]byte(nil), data...)
-			if data[off] != stripeRows {
+			if int(data[off]) != stripeRows {
 				t.Fatalf("stripe %d's header starts with %#x, want its row count %d", badStripe, data[off], stripeRows)
 			}
 			data[off]++
 		}
 		if err := damaged.Put(f, data); err != nil {
 			t.Fatal(err)
+		}
+	}
+	return damaged
+}
+
+// TestDamagedStripeDeliversThePrefixThenTheError pins what a scan owes its
+// consumer when a file goes bad part-way: the serial reference stream's
+// prefix, then the error. With stripe 3 of the second file damaged (its
+// header claims one row more than the footer records), a serial Run and
+// every path a stream can take — unshared sessions of 1, 2 and 4 workers,
+// ShareScans sessions, either of them through a dppnet server, a two-shard
+// fleet — deliver exactly the batches that lie wholly in the rows before
+// that stripe — the whole first file and three stripes of the second,
+// whatever the batch size does at the file boundary — each byte-identical to
+// the undamaged table's, and then the same error. A unit session delivers
+// the same prefix of its own stream, piece for piece. The damaged file
+// leaves no ScanCache entry.
+func TestDamagedStripeDeliversThePrefixThenTheError(t *testing.T) {
+	env := newStripedEnv(t)
+	files, err := env.catalog.AllFiles("tbl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const badFile, badStripe, stripeRows, rowsPerFile = 1, 3, 32, 256
+	damaged := damagedTable(t, env, files, badFile, badStripe, stripeRows)
+	uncached := func(what string, svcs []*dpp.Service) {
+		t.Helper()
+		for _, svc := range svcs {
+			for _, e := range svc.ScanCache().Entries() {
+				if e.File == files[badFile] {
+					t.Fatalf("%s: the damaged file is cached at carry %d", what, e.Carry)
+				}
+			}
 		}
 	}
 
@@ -257,15 +349,9 @@ func TestDamagedStripeDeliversThePrefixThenTheError(t *testing.T) {
 		})
 		check(fmt.Sprintf("batch %d, serial Run", spec.BatchSize), serial, wantErr)
 
-		svc, err := dpp.New(dpp.Config{Backend: damaged, Catalog: env.catalog})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, readers := range []int{1, 2, 4} {
-			sess, err := svc.Open(context.Background(), dpp.Spec{Spec: spec, Readers: readers})
-			if err != nil {
-				t.Fatal(err)
-			}
+		for _, path := range streamPaths(1, 2, 4) {
+			what := fmt.Sprintf("batch %d, %s", spec.BatchSize, path.name)
+			sess, _, svcs, stop := path.open(t, context.Background(), damaged, env.catalog, spec, files)
 			var got [][]byte
 			var gotErr error
 			for {
@@ -276,13 +362,67 @@ func TestDamagedStripeDeliversThePrefixThenTheError(t *testing.T) {
 				}
 				got = append(got, encodeBatch(t, b))
 			}
-			what := fmt.Sprintf("batch %d, session of %d", spec.BatchSize, readers)
 			check(what, got, gotErr)
-			if gotErr.Error() != wantErr.Error() {
+			if gotErr.Error() != wantErr.Error() && !(path.wire && strings.Contains(gotErr.Error(), wantErr.Error())) {
 				t.Fatalf("%s: error %q, serial Run's %q", what, gotErr, wantErr)
 			}
+			uncached(what, svcs)
 			sess.Close()
+			stop()
 		}
+
+		// A unit session's stream is its own — each file cut on a batch
+		// boundary, piece by piece — and owes its consumer the same: over the
+		// damaged table, the undamaged table's pieces up to the last batch
+		// that lies wholly before the damaged stripe, then the error.
+		unitPieces := func(backend storage.Backend, share bool) (enc [][]byte, files int, end error, svc *dpp.Service) {
+			svc, err := dpp.New(dpp.Config{Backend: backend, Catalog: env.catalog})
+			if err != nil {
+				t.Fatal(err)
+			}
+			u, err := svc.OpenUnits(context.Background(), dpp.Spec{Spec: spec, ShareScans: share})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer u.Close()
+			for {
+				p, err := u.NextPiece(context.Background())
+				if err != nil {
+					return enc, files, err, svc
+				}
+				if p.Batch != nil {
+					enc = append(enc, encodeBatch(t, p.Batch))
+					continue
+				}
+				var buf bytes.Buffer
+				if err := datagen.EncodeSamples(&buf, p.Tail.Samples()); err != nil {
+					t.Fatal(err)
+				}
+				enc, files = append(enc, buf.Bytes()), files+1
+			}
+		}
+		wantPieces, _, end, svc := unitPieces(env.store, false)
 		svc.Close()
+		if end != io.EOF {
+			t.Fatal(end)
+		}
+		unitPrefix := badFile*(rowsPerFile/spec.BatchSize+1) + badStripe*stripeRows/spec.BatchSize
+		for _, share := range []bool{false, true} {
+			what := fmt.Sprintf("batch %d, unit session, share=%v", spec.BatchSize, share)
+			got, closed, gotErr, svc := unitPieces(damaged, share)
+			if gotErr == io.EOF || gotErr.Error() != wantErr.Error() {
+				t.Fatalf("%s: ended with %v, want %q", what, gotErr, wantErr)
+			}
+			if len(got) != unitPrefix || closed != badFile {
+				t.Fatalf("%s: %d pieces and %d closed files before the error, want %d and %d", what, len(got), closed, unitPrefix, badFile)
+			}
+			for i := range got {
+				if !bytes.Equal(got[i], wantPieces[i]) {
+					t.Fatalf("%s: piece %d differs from the undamaged table's", what, i)
+				}
+			}
+			uncached(what, []*dpp.Service{svc})
+			svc.Close()
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -35,19 +36,67 @@ func encodeScan(t *testing.T, fs *reader.FileScan) []byte {
 	return buf.Bytes()
 }
 
-func drainUnits(t *testing.T, u *dpp.UnitSession) []*dpp.FileUnit {
+// fileUnit is one file of a unit stream read to its closing record: its
+// pieces put back together as the scan they were cut from. A unit stream is
+// cut on batch boundaries, so the pieces are batches and the tail.
+type fileUnit struct {
+	Index int
+	File  string
+	Hit   bool
+	Scan  *reader.FileScan
+}
+
+// unitReader puts a unit stream's pieces back together file by file, holding
+// the stream to its order: files in index order, one open at a time.
+type unitReader struct {
+	open   *reader.FileScan
+	closed int
+}
+
+// add takes the stream's next piece and returns the file it closed, if any.
+func (r *unitReader) add(t testing.TB, p dpp.UnitPiece) *fileUnit {
 	t.Helper()
-	var units []*dpp.FileUnit
+	if p.Index != r.closed {
+		t.Fatalf("piece of file %d (%s) while file %d is open", p.Index, p.File, r.closed)
+	}
+	if r.open == nil {
+		r.open = &reader.FileScan{}
+	}
+	if p.Batch != nil {
+		r.open.Batches = append(r.open.Batches, p.Batch)
+		return nil
+	}
+	r.open.Tail = p.Tail
+	u := &fileUnit{Index: p.Index, File: p.File, Hit: p.Hit, Scan: r.open}
+	r.open, r.closed = nil, r.closed+1
+	return u
+}
+
+func drainUnits(t *testing.T, u *dpp.UnitSession) []*fileUnit {
+	t.Helper()
+	var units []*fileUnit
+	var r unitReader
 	for {
-		unit, err := u.NextUnit(context.Background())
+		p, err := u.NextPiece(context.Background())
 		if err == io.EOF {
+			if r.open != nil {
+				t.Fatalf("stream ended inside file %d", r.closed)
+			}
 			return units
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		units = append(units, unit)
+		if unit := r.add(t, p); unit != nil {
+			units = append(units, unit)
+		}
 	}
+}
+
+// sameEntry reports whether two scans read off unit streams are one cached
+// entry: the same batches and the same tail rows, not copies of them.
+func sameEntry(a, b *reader.FileScan) bool {
+	return a.Tail == b.Tail && slices.Equal(a.Batches, b.Batches)
 }
 
 // TestUnitSessionMatchesScanFile: a unit session's stream is ScanFile per
@@ -68,7 +117,7 @@ func TestUnitSessionMatchesScanFile(t *testing.T) {
 	}
 	var want [][]byte
 	for _, f := range files {
-		fs, err := ref.ScanFile(context.Background(), f, 0, nil)
+		fs, err := ref.ScanFile(context.Background(), f, 0, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +227,7 @@ func TestSharedUnitSessionHitsChargeEgressOnly(t *testing.T) {
 		if !unit.Hit {
 			t.Fatalf("unit %d was not a cache hit on the warm scan", i)
 		}
-		if unit.Scan != coldUnits[i].Scan {
+		if !sameEntry(unit.Scan, coldUnits[i].Scan) {
 			t.Fatalf("unit %d is not the cached entry the cold scan published", i)
 		}
 	}
@@ -240,7 +289,7 @@ func TestUnitSessionConsumerStall(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Nobody pulls: one unit fills the buffer, the next blocks.
+			// Nobody pulls: one piece fills the buffer, the next blocks.
 			testutil.Eventually(t, func() bool {
 				clock.Advance(time.Second)
 				return u.Stats().Scheduler.ConsumerStall > 0
@@ -263,7 +312,7 @@ func TestUnitSessionConsumerStall(t *testing.T) {
 }
 
 // TestUnitSessionTeardown: Close mid-stream and job-context cancellation
-// both end a unit session promptly, with the matching error from NextUnit
+// both end a unit session promptly, with the matching error from NextPiece
 // and zero goroutines left, whether its workers scan or consult the
 // ScanCache.
 func TestUnitSessionTeardown(t *testing.T) {
@@ -279,7 +328,7 @@ func TestUnitSessionTeardown(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := u.NextUnit(context.Background()); err != nil {
+				if _, err := u.NextPiece(context.Background()); err != nil {
 					t.Fatal(err)
 				}
 				want := dpp.ErrClosed
@@ -290,12 +339,12 @@ func TestUnitSessionTeardown(t *testing.T) {
 					want = context.Canceled
 				}
 				for {
-					_, err := u.NextUnit(context.Background())
+					_, err := u.NextPiece(context.Background())
 					if err == nil {
-						continue // units buffered before the teardown
+						continue // pieces buffered before the teardown
 					}
 					if !errors.Is(err, want) {
-						t.Fatalf("NextUnit after %s = %v, want %v", how, err, want)
+						t.Fatalf("NextPiece after %s = %v, want %v", how, err, want)
 					}
 					break
 				}

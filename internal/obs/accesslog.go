@@ -25,7 +25,9 @@ type AccessEvent struct {
 	FileUnits bool `json:"file_units,omitempty"`
 	// ShareScans marks a ScanCache-sharing session.
 	ShareScans bool `json:"share_scans,omitempty"`
-	// Batches and Bytes are the close event's shipped totals.
+	// Batches and Bytes are the close event's shipped totals: payload
+	// frames — a file-unit session's batch frames and closing records
+	// alike — and their bytes.
 	Batches int64 `json:"batches,omitempty"`
 	Bytes   int64 `json:"bytes,omitempty"`
 	// Duration is the close event's session lifetime.

@@ -118,9 +118,9 @@ func RegisterNetServer(reg *Registry, labels Labels, srv *dppnet.Server) {
 		func() float64 { return float64(srv.Stats().ConnsActive) })
 	reg.Counter("recd_net_sessions_served_total", "Wire sessions admitted (batch and file-unit).", labels,
 		func() float64 { return float64(srv.Stats().SessionsServed) })
-	reg.Counter("recd_net_batches_sent_total", "Batch frames shipped.", labels,
+	reg.Counter("recd_net_batches_sent_total", "Batch frames shipped, on batch and file-unit streams.", labels,
 		func() float64 { return float64(srv.Stats().BatchesSent) })
-	reg.Counter("recd_net_units_sent_total", "File-unit frames shipped.", labels,
+	reg.Counter("recd_net_units_sent_total", "Files served to fleet clients (file-unit closing records shipped).", labels,
 		func() float64 { return float64(srv.Stats().UnitsSent) })
 	reg.Counter("recd_net_bytes_sent_total", "Payload bytes shipped in batch and unit frames.", labels,
 		func() float64 { return float64(srv.Stats().BytesSent) })

@@ -14,7 +14,7 @@ import (
 
 // cutUnits drives RunUnits over next and returns the emitted batches. It
 // also checks the cutter's memory bound from outside: whenever the cutter
-// asks for the next unit, or is handed the next stripe of one, the rows it
+// asks for the next unit, or is handed the next piece of one, the rows it
 // has been handed and not yet emitted — its pending rows — are fewer than one
 // batch. Safe off the test goroutine.
 func cutUnits(t *testing.T, what string, cutter *Reader, next func() (Unit, bool)) ([]*Batch, error) {
@@ -32,16 +32,17 @@ func cutUnits(t *testing.T, what string, cutter *Reader, next func() (Unit, bool
 		if !ok || u.Err != nil {
 			return u, ok
 		}
-		if read := u.Stripes; read != nil {
-			u.Stripes = func(yield func(*dwrf.Chunk) error) error {
-				return read(func(stripe *dwrf.Chunk) error {
-					held()
-					supplied += stripe.Rows()
-					return yield(stripe)
-				})
-			}
-		} else {
-			supplied += u.Scan.Rows()
+		read := u.Pieces
+		u.Pieces = func(yield func(Piece) error) error {
+			return read(func(p Piece) error {
+				held()
+				if p.Batch != nil {
+					supplied += p.Batch.Size
+				} else {
+					supplied += p.Rows.Rows()
+				}
+				return yield(p)
+			})
 		}
 		return u, ok
 	}, func(b *Batch) error {
@@ -77,26 +78,37 @@ type scanMemoKey struct {
 
 // fill is one worker's Fill over the memo, scanning with r on a miss.
 func (m *scanMemo) fill(r *Reader) Fill {
-	return func(ctx context.Context, c Claim) Unit {
+	return func(ctx context.Context, c Claim) error {
 		carry, ok := c.Carry(r.spec.BatchSize)
 		if !ok {
-			return Unit{File: c.File, Err: context.Canceled}
+			c.Deposit(Unit{File: c.File, Err: context.Canceled})
+			return context.Canceled
 		}
 		key := scanMemoKey{c.File, carry}
 		m.mu.Lock()
 		fs := m.scans[key]
 		m.mu.Unlock()
-		if fs == nil {
-			var err error
-			if fs, err = r.ScanFile(ctx, c.File, carry, c.Report); err != nil {
-				return Unit{File: c.File, Err: err}
-			}
+		if fs != nil {
+			c.Report(fs.Rows())
+			c.Deposit(fs.Unit(c.File, true))
+			return nil
+		}
+		var h *Handoff
+		fs, err := r.ScanFile(ctx, c.File, carry, func(rows int) {
+			c.Report(rows)
+			h = c.HandOff(Unit{File: c.File, Cut: true, Carry: carry})
+		}, func(p Piece) error { return h.Send(p) })
+		if h == nil {
+			c.Deposit(Unit{File: c.File, Err: err})
+			return err
+		}
+		if err == nil {
 			m.mu.Lock()
 			m.scans[key] = fs
 			m.mu.Unlock()
 		}
-		c.Report(fs.Rows())
-		return Unit{File: c.File, Scan: fs}
+		h.Close(err)
+		return err
 	}
 }
 
@@ -202,7 +214,7 @@ func TestEverySourceThroughTheCutterMatchesSerialRun(t *testing.T) {
 				return Unit{}, false
 			}
 			i++
-			return cutter.FillUnit(context.Background(), Claim{File: env.files[i-1]}), true
+			return cutter.FillUnit(context.Background(), env.files[i-1]), true
 		})
 		mustEqualEncodings(t, what+", serial fill", got, want)
 		if c := counters(cutter.Stats()); c != wantCounters {
@@ -216,7 +228,7 @@ func TestEverySourceThroughTheCutterMatchesSerialRun(t *testing.T) {
 		for workers := 1; workers <= 4; workers++ {
 			memo = &scanMemo{scans: make(map[scanMemoKey]*FileScan)}
 			for kind, fillOf := range map[string]func(*Reader) Fill{
-				"fill":      func(r *Reader) Fill { return r.FillUnit },
+				"fill":      func(r *Reader) Fill { return FillFrom(r.FillUnit) },
 				"cold memo": memo.fill,
 			} {
 				name := fmt.Sprintf("%s, queue of %d, %s", what, workers, kind)
@@ -275,7 +287,7 @@ func TestEverySourceThroughTheCutterMatchesSerialRun(t *testing.T) {
 				return Unit{}, false
 			}
 			i++
-			return shard.ScanUnit(context.Background(), Claim{File: env.files[i-1]}), true
+			return shard.ScanUnit(context.Background(), env.files[i-1]), true
 		})
 		mustEqualEncodings(t, what+", scan-only units", got, want)
 		total := cutter.Stats()
@@ -317,7 +329,7 @@ func TestScanOnlyUnitsNeedABackendToRefill(t *testing.T) {
 			return Unit{}, false
 		}
 		i++
-		return shard.ScanUnit(context.Background(), Claim{File: files[i-1]}), true
+		return shard.ScanUnit(context.Background(), files[i-1]), true
 	}, func(*Batch) error { batches++; return nil })
 	if err == nil || batches != 256/48 {
 		t.Fatalf("err = %v after %d batches; want the first file's %d batches, then a no-backend error", err, batches, 256/48)

@@ -264,7 +264,7 @@ func (m *OrderedMerge[T]) Await(idx int) (v T, ok bool) {
 
 // Update runs f with the merge's lock held and wakes whoever is parked: how
 // a producer publishes progress inside a slot it has already deposited (a
-// file's next stripe, to the consumer reading that file in Wait). ok is
+// file's next piece, to the consumer reading that file in Wait). ok is
 // false, and f has not run, once the merge is aborted: nobody is left to
 // see the progress.
 func (m *OrderedMerge[T]) Update(f func()) (ok bool) {

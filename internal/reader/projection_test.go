@@ -209,7 +209,7 @@ func TestProjectedFillMatchesFullFill(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				FillQueue(ctx, q, worker.FillUnit, nil)
+				FillQueue(ctx, q, FillFrom(worker.FillUnit), nil)
 				mu.Lock()
 				poolStats.Add(worker.Stats())
 				mu.Unlock()
@@ -353,7 +353,7 @@ func TestFileScanMemBytesChargesTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	files, _ := env.catalog.AllFiles("tbl")
-	fs, err := r.ScanFile(context.Background(), files[0], 0, nil)
+	fs, err := r.ScanFile(context.Background(), files[0], 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,8 +365,8 @@ func TestFileScanMemBytesChargesTail(t *testing.T) {
 		want += int64(b.WireBytes())
 	}
 	for _, s := range fs.Tail.Samples() {
-		if len(s.Sparse) != len(fs.Keys) {
-			t.Fatalf("tail row is %d features wide, schema %d", len(s.Sparse), len(fs.Keys))
+		if len(s.Sparse) != len(fs.Tail.Keys()) {
+			t.Fatalf("tail row is %d features wide, schema %d", len(s.Sparse), len(fs.Tail.Keys()))
 		}
 		want += 88 + 4*int64(len(s.Dense))
 		for _, lst := range s.Sparse {

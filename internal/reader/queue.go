@@ -5,16 +5,14 @@ import (
 	"runtime"
 	"sync"
 	"time"
-
-	"repro/internal/dwrf"
 )
 
 // ScanQueue is the shared ordered work queue behind every reader pool (a
 // dpp session of either kind, shared or not, resizable or fixed; Run with
 // FillAhead): workers claim file indices in scan order, fill them in
-// parallel, and deposit each file's Unit — at once, when the unit is a
-// stream of stripes the worker goes on to read and hand over one by one
-// (FillQueue) — and a single assembler awaits the units strictly in
+// parallel, and deposit each file's Unit — as soon as the file is open, its
+// pieces following one by one through a hand-off (Handoff) as the worker
+// reads or cuts them — and a single assembler awaits the units strictly in
 // file-index order, so the reassembled stream is byte-identical to one
 // serial scan over the whole file list no matter how many workers fill it —
 // or how often that worker count changes mid-scan.
@@ -23,7 +21,7 @@ import (
 // a file index may be claimed only while it is within `window` of the
 // next index the assembler will consume. That caps the files decoded, or
 // being decoded, and not yet merged (the queue's memory bound: the window
-// counts files, though rows move through it by the stripe) and is what
+// counts files, though rows move through it by the piece) and is what
 // transmits consumer backpressure to the fill workers. The window resizes
 // with the worker pool.
 //
@@ -109,28 +107,55 @@ func (c Claim) Carry(batch int) (rows int, ok bool) {
 // leaves Carry while this one is still filling. Idempotent.
 func (c Claim) Report(rows int) { c.q.ReportRows(c.Index, rows) }
 
-// Fill turns one claimed file into its Unit: the only piece of a queue
-// worker that differs between the kinds of scan. FillUnit (the file opened,
-// its stripes still to be read; the cutter converts) and ScanUnit (the file
-// cut at carry 0) are the reader's own; dpp's ScanCache memo is the third. A
-// failure travels as Unit.Err, or at the end of Unit.Stripes, for the
-// assembler to surface in file order.
-type Fill func(ctx context.Context, c Claim) Unit
+// Deposit publishes the claimed file's unit whole: the error that ends the
+// stream at this file, or a unit whose pieces all exist already (a cached
+// scan).
+func (c Claim) Deposit(u Unit) { c.q.Deposit(c.Index, u) }
 
-// FillQueue runs one worker over the queue — the one claim → fill →
-// deposit loop every pool runs: until the scan set is exhausted, the queue
-// aborts, fill fails (the worker deposits the error and exits; teardown's
-// abort releases any successor parked on the carry chain), or stop returns
-// true — the resizable pool's between-files scale-down checkpoint, checked
-// before the claim so a stop never abandons one. A nil stop never stops.
+// HandOff deposits the claimed file's unit now, its pieces to follow through
+// the returned hand-off.
+func (c Claim) HandOff(u Unit) *Handoff { return NewHandoff(c.q.OrderedMerge, c.Index, u) }
+
+// Fill fills one claimed file into the queue: the only piece of a queue
+// worker that differs between the kinds of scan. It deposits the file's unit
+// exactly once (Claim.Deposit, or Claim.HandOff and the pieces after it) — an
+// abandoned claim would wedge the assembler — and returns the error that
+// ended the file, which travels to the assembler in the deposit, or at the
+// end of the hand-off, to surface in file order. FillFrom over FillUnit (the
+// file opened, its stripes still to be read; the cutter converts) and over
+// ScanUnit (the file cut at carry 0) are the reader's own; dpp's ScanCache
+// memo is the third.
+type Fill func(ctx context.Context, c Claim) error
+
+// FillFrom is the Fill that deposits the unit open returns for the claimed
+// file at once — all that has been read of a FillUnit's file is the footer —
+// and then reads its pieces on the worker, handing each to the assembler as
+// it is decoded or cut.
+func FillFrom(open func(ctx context.Context, file string) Unit) Fill {
+	return func(ctx context.Context, c Claim) error {
+		u := open(ctx, c.File)
+		if u.Err != nil {
+			c.Deposit(u)
+			return u.Err
+		}
+		h := c.HandOff(u)
+		err := u.Pieces(h.Send)
+		h.Close(err)
+		return err
+	}
+}
+
+// FillQueue runs one worker over the queue — the one claim → fill loop every
+// pool runs: until the scan set is exhausted, the queue aborts, fill fails
+// (the worker exits; teardown's abort releases any successor parked on the
+// carry chain), or stop returns true — the resizable pool's between-files
+// scale-down checkpoint, checked before the claim so a stop never abandons
+// one. A nil stop never stops.
 //
-// A unit that is still a stream of stripes is deposited at once — all that
-// has been read of its file is the footer — and the worker then reads the
-// stripes itself, handing each to the assembler as it is decoded, and
-// claims its next file only after the last: the pool's size still bounds
-// the files being filled, the window the files decoded and not yet merged,
-// and the assembler is cutting a file's first batch while the worker is
-// fetching its third stripe.
+// A worker claims its next file only after the last piece of this one: the
+// pool's size still bounds the files being filled, the window the files
+// decoded and not yet merged, and the assembler is cutting a file's first
+// batch while the worker is fetching its third stripe.
 //
 // A fill charges the Stats of the reader it closes over; a pool sums its
 // workers' readers to recover exactly the counters one serial scan would
@@ -141,84 +166,104 @@ func FillQueue(ctx context.Context, q *ScanQueue, fill Fill, stop func() bool) {
 			return
 		}
 		c, ok := q.Claim()
-		if !ok {
-			return
-		}
-		u := fill(ctx, c)
-		err := u.Err
-		if read := u.Stripes; read != nil && err == nil {
-			h := &handoff{q: q}
-			u.Stripes = h.receive
-			q.Deposit(c.Index, u)
-			err = read(h.send)
-			h.close(err)
-		} else {
-			q.Deposit(c.Index, u)
-		}
-		if err != nil {
+		if !ok || fill(ctx, c) != nil {
 			return
 		}
 	}
 }
 
-// handoff carries one file's stripes from the worker reading them to the
-// assembler cutting them, in order, under the queue's own lock. The worker
-// never waits for the assembler — it may run a whole file ahead, which is
-// what the claim window already budgets for — and the assembler's wait for
-// the next stripe is the queue's Wait: worker starvation, counted in Stall
-// beside the wait for a deposit.
-type handoff struct {
-	q       *ScanQueue
-	stripes []*dwrf.Chunk // sent and not yet received
-	done    bool
-	err     error // what ended the read, once done
+// Handoff carries one file's pieces from whoever produces them — a queue
+// worker reading stripes or cutting a scan, a fleet pump reading a shard's
+// frames — to the assembler consuming the file's unit, in order, under the
+// merge's own lock. The producer never waits for the assembler — it may run
+// a whole file ahead, which is what the merge's window already budgets for,
+// so a producer inside a cache's single-flight compute never waits on its
+// own session's consumer — and the assembler's wait for the next piece is
+// the merge's Wait: producer starvation, counted in Stall beside the wait
+// for a deposit.
+type Handoff struct {
+	m      *OrderedMerge[Unit]
+	pieces []Piece // sent and not yet received
+	// few holds pieces while no more than its length are waiting — always,
+	// when the assembler keeps up — so that a file's hand-off is one
+	// allocation, not one and a slice's growth.
+	few  [4]Piece
+	done bool
+	err  error // what ended the file, once done
+	sent int   // the producer's count of pieces sent
 }
 
-// send is the worker's yield. After a cancellation or the assembler's own
-// exit nobody will receive, and the read is told to stop. The yield to the
-// scheduler lets an assembler this stripe made runnable have a CPU now: a
-// pool that saturates every CPU with fetch work (simulateFetchWork never
-// blocks) would otherwise keep it waiting for the runtime's preemption
-// tick, ten milliseconds, with the rows of its next batch already decoded.
-func (h *handoff) send(stripe *dwrf.Chunk) error {
-	if !h.q.Update(func() { h.stripes = append(h.stripes, stripe) }) {
+// NewHandoff deposits u at slot idx of m as a unit whose pieces are the ones
+// sent through the returned hand-off, until its Close.
+func NewHandoff(m *OrderedMerge[Unit], idx int, u Unit) *Handoff {
+	h := &Handoff{m: m}
+	u.Pieces = h.receive
+	m.Deposit(idx, u)
+	return h
+}
+
+// Send hands the assembler the file's next piece. After a cancellation or
+// the assembler's own exit nobody will receive, and the producer is told to
+// stop. The yield to the scheduler lets an assembler this piece made runnable
+// have a CPU now: a pool that saturates every CPU with fetch work
+// (simulateFetchWork never blocks) would otherwise keep it waiting for the
+// runtime's preemption tick, ten milliseconds, with the rows of its next
+// batch already decoded.
+func (h *Handoff) Send(p Piece) error {
+	if !h.m.Update(func() {
+		if len(h.pieces) == 0 {
+			h.pieces = h.few[:0]
+		}
+		h.pieces = append(h.pieces, p)
+	}) {
 		return context.Canceled
 	}
+	h.sent++
 	runtime.Gosched()
 	return nil
 }
 
-// close ends the stream: after the stripes sent so far, receive returns err.
-func (h *handoff) close(err error) {
-	h.q.Update(func() { h.done, h.err = true, err })
+// Sent is how many pieces have gone into the hand-off: what a producer that
+// takes the file over from another — a fleet pump from a dead shard's — has
+// to skip of its own to continue it. It is the producer's own count, not
+// synchronized: a hand-off has one producer at a time, and one that takes
+// over does so after the last has stopped.
+func (h *Handoff) Sent() int { return h.sent }
+
+// Close ends the file: after the pieces sent so far, the unit's Pieces
+// returns err.
+func (h *Handoff) Close(err error) {
+	h.m.Update(func() { h.done, h.err = true, err })
 }
 
-// receive is the deposited unit's Stripes.
-func (h *handoff) receive(yield func(*dwrf.Chunk) error) error {
+// receive is the deposited unit's Pieces.
+func (h *Handoff) receive(yield func(Piece) error) error {
 	for {
-		var stripe *dwrf.Chunk
-		ok := h.q.Wait(func() bool {
-			if len(h.stripes) > 0 {
-				stripe, h.stripes[0] = h.stripes[0], nil
-				h.stripes = h.stripes[1:]
+		var p Piece
+		got := false
+		ok := h.m.Wait(func() bool {
+			if len(h.pieces) > 0 {
+				p, got = h.pieces[0], true
+				h.pieces[0] = Piece{}
+				h.pieces = h.pieces[1:]
 				return true
 			}
 			return h.done
 		})
 		if !ok {
-			return context.Canceled // the queue aborted: teardown owns the outcome
+			return context.Canceled // the merge aborted: teardown owns the outcome
 		}
-		if stripe == nil {
+		if !got {
 			return h.err
 		}
-		if err := yield(stripe); err != nil {
+		if err := yield(p); err != nil {
 			return err
 		}
 	}
 }
 
 // RunQueue is the assembler half of a queued scan: it consumes deposited
-// units in index order — a unit still being filled, stripe by stripe as its
+// units in index order — a unit still being filled, piece by piece as its
 // worker hands them over — and cuts, converts, and processes batches exactly
 // as a serial Run over q's whole file list would — same batch boundaries,
 // same bytes, same deterministic counters (convert/process work charges

@@ -135,7 +135,7 @@ func (r *Reader) Run(ctx context.Context, files []string, emit func(*Batch) erro
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			FillQueue(ctx, q, r.FillUnit, nil)
+			FillQueue(ctx, q, FillFrom(r.FillUnit), nil)
 		}()
 		defer wg.Wait() // runs after the Abort: never leak a filling goroutine
 		defer q.Abort()
@@ -147,40 +147,56 @@ func (r *Reader) Run(ctx context.Context, files []string, emit func(*Batch) erro
 			return Unit{}, false
 		}
 		i++
-		return r.FillUnit(ctx, Claim{File: files[i-1]}), true
+		return r.FillUnit(ctx, files[i-1]), true
 	}, emit)
 }
 
-// Unit is one file's contribution to a batch stream, the item every source
-// hands the cutter (RunUnits) in file order: the file's decoded rows as a
-// stream of its stripes, or the file already cut into batches as if entered
-// with Scan.Carry rows pending (a FileScan; Hit marks one a cache served,
-// shared with other sessions), or the error that ends the stream at this
-// file.
-type Unit struct {
-	File string
-	// Stripes yields the file's stripes, decoded, in file order, and returns
-	// nil after the last one, yield's error as soon as it returns one, or the
-	// error that ends the file — and with it the stream — after the stripes
-	// that preceded it. As FillUnit returns it, calling it is what fills the
-	// file, on the caller's goroutine; a unit that came through a ScanQueue
-	// yields what the worker filling the file has handed over, and waits for
-	// the rest. Either way it is consumed once.
-	Stripes func(yield func(*dwrf.Chunk) error) error
-	Scan    *FileScan
-	Hit     bool
-	Err     error
+// Piece is one step of a file's contribution to a batch stream: rows still to
+// be cut — a stripe as fill decoded it, or the head or tail rows of a file
+// already cut — or a batch cut and converted already. Exactly one is set.
+type Piece struct {
+	Rows  *dwrf.Chunk
+	Batch *Batch
 }
 
-// FillUnit is the Fill of an unshared batch scan: it opens one file — the
-// footer is parsed before it returns — and wraps the read of its stripes as
-// a Unit for the cutter to cut and convert as they arrive.
-func (r *Reader) FillUnit(ctx context.Context, c Claim) Unit {
-	src, err := r.open(ctx, c.File)
+// Unit is one file's contribution to a batch stream, the item every source
+// hands the cutter (RunUnits) in file order: the file as a stream of pieces,
+// or the error that ends the stream at this file. There is one form — a file
+// whose pieces all exist (a cached scan) is a stream that never waits.
+type Unit struct {
+	File string
+	// Pieces yields the file's pieces in row order and returns nil after the
+	// last one, yield's error as soon as it returns one, or the error that
+	// ends the file — and with it the stream — after the pieces that preceded
+	// it. As FillUnit and ScanUnit return it, calling it is what fills the
+	// file, on the caller's goroutine; a unit that came through a hand-off
+	// (Handoff) yields what its producer has sent, and waits for the rest.
+	// Either way it is consumed once.
+	Pieces func(yield func(Piece) error) error
+	// Cut says the pieces hold batches, cut as if the file were entered with
+	// Carry rows pending (fewer than a batch; 0 is a batch boundary, where a
+	// fleet shard always cuts): its rows pieces are then the head that
+	// completes the straddling batch, when Carry is nonzero, and the tail.
+	// The pieces of a unit that is not cut are all rows, good at any carry.
+	Cut   bool
+	Carry int
+	// Hit marks a cut unit a cache served: its pieces are shared with other
+	// sessions.
+	Hit bool
+	Err error
+}
+
+// FillUnit opens one file — the footer is parsed before it returns — and
+// wraps the read of its stripes as the Unit of an unshared batch scan, for
+// the cutter to cut and convert as they arrive.
+func (r *Reader) FillUnit(ctx context.Context, file string) Unit {
+	src, err := r.open(ctx, file)
 	if err != nil {
-		return Unit{File: c.File, Err: err}
+		return Unit{File: file, Err: err}
 	}
-	return Unit{File: c.File, Stripes: func(yield func(*dwrf.Chunk) error) error { return src.stripes(ctx, yield) }}
+	return Unit{File: file, Pieces: func(yield func(Piece) error) error {
+		return src.stripes(ctx, func(stripe *dwrf.Chunk) error { return yield(Piece{Rows: stripe}) })
+	}}
 }
 
 // assembly is the rows of the batch being put together: views of the chunks
@@ -251,80 +267,61 @@ func (a *assembly) take() (*dwrf.Chunk, error) {
 // the same stream, byte for byte, whichever source feeds it (serial fill,
 // a ScanQueue under any Fill, a fleet of shards).
 //
-// Batches are cut from a unit's stripes as they arrive, as row ranges of a
-// stripe's column chunk where a stripe holds a whole batch at the current
-// offset, and otherwise assembled — one copy — from the pieces of the
-// stripes, or files, the batch straddles; the rows in hand are always fewer
-// than a batch. A unit that is already cut is usable when it was cut for
-// exactly the rows now in hand (Scan.Carry): its head completes the
+// Batches are cut from a unit's rows as its pieces arrive, as row ranges of a
+// piece's column chunk where it holds a whole batch at the current offset,
+// and otherwise assembled — one copy — from the pieces, or files, the batch
+// straddles; the rows in hand are always fewer than a batch. A piece that is
+// a batch already is emitted as it is. A cut unit is usable when it was cut
+// for exactly the rows now in hand (Unit.Carry): its head completes the
 // straddling batch — the one batch of the file this scan converts itself,
 // since it holds rows of two files — its batches pass through untouched and
 // its tail becomes the rows in hand. Cut for any other carry, the file's
 // batch boundaries are the wrong ones, so the cutter fills the file itself
 // and cuts its stripes instead.
 //
-// A unit whose stripes end in an error ends the stream there: every batch
-// that lies wholly in the stripes before it has been emitted, as a serial
+// A unit whose pieces end in an error ends the stream there: every batch
+// that lies wholly in the pieces before it has been emitted, as a serial
 // scan would have.
 func (r *Reader) RunUnits(ctx context.Context, next func() (Unit, bool), emit func(*Batch) error) error {
 	pending := assembly{batch: r.spec.BatchSize}
 	produce := func(rows *dwrf.Chunk) error { return r.produce(ctx, rows, emit) }
 	nKeys := -1
-	sameSchema := func(file string, width int) error {
-		if nKeys < 0 {
+	var u Unit
+	cutPiece := func(p Piece) error {
+		if p.Batch != nil {
+			return emit(p.Batch)
+		}
+		if width := len(p.Rows.Keys()); nKeys < 0 {
 			nKeys = width
 		} else if width != nKeys {
-			return fmt.Errorf("reader: file %q schema mismatch (%d vs %d features)", file, width, nKeys)
+			return fmt.Errorf("reader: file %q schema mismatch (%d vs %d features)", u.File, width, nKeys)
 		}
-		return nil
+		return pending.cut(p.Rows, produce)
 	}
 
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		u, ok := next()
-		if !ok {
+		var ok bool
+		if u, ok = next(); !ok {
 			break
 		}
 		if u.Err != nil {
 			return u.Err
 		}
-		if u.Stripes == nil && pending.rows != u.Scan.Carry {
+		if u.Cut && pending.rows != u.Carry {
 			if r.store == nil {
 				return fmt.Errorf("reader: file %q entered mid-batch but the fleet has no local backend to re-fill it (misaligned spec needs Config.Backend)", u.File)
 			}
-			if u = r.FillUnit(ctx, Claim{File: u.File}); u.Err != nil {
+			if u = r.FillUnit(ctx, u.File); u.Err != nil {
 				return u.Err
 			}
 		}
-		if u.Stripes != nil {
-			err := u.Stripes(func(stripe *dwrf.Chunk) error {
-				if err := sameSchema(u.File, len(stripe.Keys())); err != nil {
-					return err
-				}
-				return pending.cut(stripe, produce)
-			})
-			if err != nil {
-				if ctx.Err() != nil {
-					return ctx.Err()
-				}
-				return err
+		if err := u.Pieces(cutPiece); err != nil {
+			if ctx.Err() != nil {
+				return ctx.Err()
 			}
-			continue
-		}
-		if err := sameSchema(u.File, len(u.Scan.Keys)); err != nil {
-			return err
-		}
-		if err := pending.cut(u.Scan.Head, produce); err != nil {
-			return err
-		}
-		for _, b := range u.Scan.Batches {
-			if err := emit(b); err != nil {
-				return err
-			}
-		}
-		if err := pending.cut(u.Scan.Tail, produce); err != nil {
 			return err
 		}
 	}

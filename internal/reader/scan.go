@@ -38,12 +38,9 @@ type FileScan struct {
 	// than the spec's batch size), as a chunk of the spec's consumed
 	// columns that owns its storage. A multi-file scan carries them into
 	// the next file; the final file's tail becomes the short last batch.
+	// Never nil: with no rows in it, it still names the file's schema, which
+	// the cutter's schema check and the unit wire's closing record read.
 	Tail *dwrf.Chunk
-	// Keys and Dense describe the file's schema (sparse feature names
-	// and dense-feature width): what the cutter's schema check and the
-	// unit wire frame read.
-	Keys  []string
-	Dense int
 }
 
 // Rows is the file's row count: what the scan adds to a carry chain.
@@ -77,29 +74,59 @@ func (fs *FileScan) MemBytes() int64 {
 	return total
 }
 
+// Unit is the finished scan as the unit a cutter reads: the pieces a
+// ScanFile that computed it yielded, all there at once. hit marks it served
+// by a cache.
+func (fs *FileScan) Unit(file string, hit bool) Unit {
+	return Unit{File: file, Cut: true, Carry: fs.Carry, Hit: hit, Pieces: func(yield func(Piece) error) error {
+		if fs.Head != nil {
+			if err := yield(Piece{Rows: fs.Head}); err != nil {
+				return err
+			}
+		}
+		for _, b := range fs.Batches {
+			if err := yield(Piece{Batch: b}); err != nil {
+				return err
+			}
+		}
+		return yield(Piece{Rows: fs.Tail})
+	}}
+}
+
 // ScanFile fills one file and cuts its rows, stripe by stripe as they are
 // decoded, for a scan entering it with carry rows pending (0 ≤ carry <
-// batch): the head that completes the straddling batch, the complete batches
-// after it, the leftover tail. All stages charge the reader's Stats exactly
-// as Run does, so a stream the cutter assembles from ScanFile units cut at
-// its own carries reports the same deterministic counters as a serial Run
-// over the same files. onRows, when non-nil, hears the file's row count as
-// soon as the footer is parsed, before any stripe is fetched. The scan is
-// whole or it is an error: a file whose k-th stripe is damaged yields no
-// scan, whatever was cut from the stripes before it.
+// batch), and hands yield each piece of the cut the moment it exists: the
+// head that completes the straddling batch (carry > 0 only), each complete
+// batch after it, and last the leftover tail — always, with no rows in it
+// when the file ends on a batch boundary. All stages charge the reader's
+// Stats exactly as Run does, so a stream the cutter assembles from ScanFile
+// units cut at its own carries reports the same deterministic counters as a
+// serial Run over the same files. opened, when non-nil, hears the file's row
+// count as soon as the footer is parsed, before any stripe is fetched; a nil
+// yield is a caller that wants only the result.
+//
+// The result is the same pieces, whole: what a cache stores and replays
+// (FileScan.Unit). It is whole or it is an error — a file whose k-th stripe
+// is damaged yields no scan — but yield has by then been handed every piece
+// cut from the stripes before the damage: the consumer of the pieces sees
+// the serial stream's prefix, then the error. yield's own error ends the scan
+// and is returned as it is.
 //
 // This is the compute function behind dpp.ScanCache entries: the result
 // depends only on (file contents, Spec.Fingerprint(), carry), which is
 // what makes memoizing it sound.
-func (r *Reader) ScanFile(ctx context.Context, file string, carry int, onRows func(rows int)) (*FileScan, error) {
+func (r *Reader) ScanFile(ctx context.Context, file string, carry int, opened func(rows int), yield func(Piece) error) (*FileScan, error) {
 	src, err := r.open(ctx, file)
 	if err != nil {
 		return nil, err
 	}
-	if onRows != nil {
-		onRows(src.file.NumRows())
+	if opened != nil {
+		opened(src.file.NumRows())
 	}
-	fs := &FileScan{Carry: carry, Keys: src.file.SparseKeys(), Dense: src.file.DenseCount()}
+	if yield == nil {
+		yield = func(Piece) error { return nil }
+	}
+	fs := &FileScan{Carry: carry}
 	// The carried rows are the consumer's: counted here, held there. The
 	// first rows to complete a batch with them are the head, which is
 	// assembled — so it owns its storage, as the tail will — but not
@@ -110,14 +137,14 @@ func (r *Reader) ScanFile(ctx context.Context, file string, carry int, onRows fu
 		return rows.cut(stripe, func(full *dwrf.Chunk) error {
 			if head {
 				fs.Head, head = full, false
-				return nil
+				return yield(Piece{Rows: full})
 			}
 			b, err := r.produceBatch(full)
 			if err != nil {
 				return err
 			}
 			fs.Batches = append(fs.Batches, b)
-			return nil
+			return yield(Piece{Batch: b})
 		})
 	})
 	if err != nil {
@@ -135,15 +162,23 @@ func (r *Reader) ScanFile(ctx context.Context, file string, carry int, onRows fu
 	}
 	if head { // the file ended inside the straddling batch
 		fs.Head, rest = rest, src.noRows()
+		if err := yield(Piece{Rows: fs.Head}); err != nil {
+			return nil, err
+		}
 	}
 	fs.Tail = rest
+	if err := yield(Piece{Rows: rest}); err != nil {
+		return nil, err
+	}
 	return fs, nil
 }
 
-// ScanUnit is the Fill of an unshared file-unit scan: the file cut as if
+// ScanUnit is the Unit of an unshared file-unit scan: the file cut as if
 // entered on a batch boundary (the consumer of a unit stream cuts the
-// carry itself), wrapped as a Unit.
-func (r *Reader) ScanUnit(ctx context.Context, c Claim) Unit {
-	scan, err := r.ScanFile(ctx, c.File, 0, nil)
-	return Unit{File: c.File, Scan: scan, Err: err}
+// carry itself). Reading its pieces is what scans the file.
+func (r *Reader) ScanUnit(ctx context.Context, file string) Unit {
+	return Unit{File: file, Cut: true, Pieces: func(yield func(Piece) error) error {
+		_, err := r.ScanFile(ctx, file, 0, nil, yield)
+		return err
+	}}
 }

@@ -65,12 +65,12 @@ func composeScan(t *testing.T, r *Reader, files []string) []*Batch {
 	var dense int
 	for _, f := range files {
 		if len(carry) == 0 {
-			fs, err := r.ScanFile(ctx, f, 0, nil)
+			fs, err := r.ScanFile(ctx, f, 0, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if keys == nil {
-				keys, dense = fs.Keys, fs.Dense
+				keys, dense = fs.Tail.Keys(), fs.Tail.DenseWidth()
 			}
 			out = append(out, fs.Batches...)
 			carry = append([]datagen.Sample(nil), fs.Tail.Samples()...)
@@ -174,14 +174,14 @@ func TestFileScanMemBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs, err := r.ScanFile(context.Background(), files[0], 0, nil)
+	fs, err := r.ScanFile(context.Background(), files[0], 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fs.MemBytes() <= 0 {
 		t.Fatalf("MemBytes = %d, want > 0", fs.MemBytes())
 	}
-	small := &FileScan{Batches: fs.Batches[:1], Keys: fs.Keys, Dense: fs.Dense}
+	small := &FileScan{Batches: fs.Batches[:1]}
 	if small.MemBytes() >= fs.MemBytes() {
 		t.Fatalf("subset MemBytes %d >= full %d", small.MemBytes(), fs.MemBytes())
 	}

@@ -158,11 +158,12 @@ func TestCancelBetweenStripes(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			FillQueue(ctx, q, func(ctx context.Context, c Claim) Unit {
+			fill := FillFrom(worker.FillUnit)
+			FillQueue(ctx, q, func(ctx context.Context, c Claim) error {
 				mu.Lock()
 				claimed = max(claimed, c.Index+1)
 				mu.Unlock()
-				return worker.FillUnit(ctx, c)
+				return fill(ctx, c)
 			}, nil)
 		}()
 	}
@@ -192,13 +193,13 @@ func TestCancelBetweenStripes(t *testing.T) {
 func TestStripeWaitIsWorkerStall(t *testing.T) {
 	q := NewScanQueue(queueFiles(1), 1, nil)
 	awaited := make(chan time.Duration, 1)
-	stripe := &dwrf.Chunk{}
+	stripe := Piece{Rows: &dwrf.Chunk{}}
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		FillQueue(context.Background(), q, func(_ context.Context, c Claim) Unit {
-			return Unit{File: c.File, Stripes: func(yield func(*dwrf.Chunk) error) error {
+		FillQueue(context.Background(), q, FillFrom(func(_ context.Context, file string) Unit {
+			return Unit{File: file, Pieces: func(yield func(Piece) error) error {
 				if err := yield(stripe); err != nil {
 					return err
 				}
@@ -210,16 +211,16 @@ func TestStripeWaitIsWorkerStall(t *testing.T) {
 				}
 				return yield(stripe)
 			}}
-		}, nil)
+		}), nil)
 	}()
 
 	u, ok := q.Await(0)
-	if !ok || u.Stripes == nil {
+	if !ok || u.Pieces == nil {
 		t.Fatalf("Await(0) = (%+v, %v), want the unit deposited with its stripes still to come", u, ok)
 	}
 	awaited <- q.Stall()
 	got := 0
-	if err := u.Stripes(func(*dwrf.Chunk) error { got++; return nil }); err != nil || got != 2 {
+	if err := u.Pieces(func(Piece) error { got++; return nil }); err != nil || got != 2 {
 		t.Fatalf("the unit's stream delivered %d stripes and %v; want 2, nil", got, err)
 	}
 	wg.Wait()

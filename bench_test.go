@@ -350,42 +350,6 @@ func BenchmarkReaderTier(b *testing.B) {
 	}
 }
 
-// BenchmarkReaderTierPipelined measures the same scan with prefetching
-// fill and parallel per-dedup-group conversion enabled.
-func BenchmarkReaderTierPipelined(b *testing.B) {
-	schema := datagen.StandardSchema(datagen.StandardSchemaConfig{
-		UserSeq: 3, UserElem: 3, Item: 1, Dense: 2, SeqLen: 32, Seed: 12,
-	})
-	gen := datagen.NewGenerator(schema, datagen.GeneratorConfig{
-		Sessions: 100, MeanSamplesPerSession: 12, Seed: 13,
-	})
-	samples := etl.ClusterBySession(gen.GeneratePartition())
-	store := lakefs.NewStore()
-	catalog := lakefs.NewCatalog()
-	if _, err := dwrf.WritePartition(store, catalog, "t", 0, schema, samples,
-		dwrf.TableOptions{Writer: dwrf.WriterOptions{StripeRows: 128}}); err != nil {
-		b.Fatal(err)
-	}
-	spec := reader.Spec{
-		Table: "t", BatchSize: 256,
-		SparseFeatures:      []string{"item_0"},
-		DedupSparseFeatures: [][]string{{"user_seq_0", "user_seq_1", "user_seq_2"}, {"user_elem_0", "user_elem_1", "user_elem_2"}},
-		FillAhead:           4,
-		ConvertWorkers:      2,
-	}
-	files, _ := catalog.AllFiles("t")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r, err := reader.NewReader(store, spec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := r.Run(context.Background(), files, func(*reader.Batch) error { return nil }); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkServiceSession measures the dpp session API over the exact
 // scan BenchmarkReaderTier runs through a direct Reader — the iterator
 // overhead (service admission, one worker goroutine, a bounded-channel

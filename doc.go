@@ -107,17 +107,18 @@
 //
 // # Reader pipeline
 //
-// reader.Reader.Run executes the paper's fill→convert→process loop either
-// serially (the reference path) or with fill ahead of conversion:
-// Spec.FillAhead > 0 makes the scan a one-worker reader.ScanQueue whose
-// fill worker decodes up to FillAhead files ahead of the cutter, and
-// Spec.ConvertWorkers converts independent dedup groups of a batch
-// concurrently. Every batch stream in the repo — serial, queued, shared
-// through the ScanCache, merged from a fleet of shards — is a file-ordered
-// unit source feeding the one cutter, reader.Reader.RunUnits, so all of
-// them emit byte-identical batches with identical deterministic Stats
-// counters; the equivalence is pinned under -race by the reader package's
-// tests.
+// reader.Reader.Scan is the paper's fill→convert→process loop over one
+// file, cut for the rows carried into it, and the only fill in the repo:
+// reader.Reader.Run (the serial reference) runs it file by file on the
+// caller's goroutine, a session's workers run it in parallel over a
+// reader.ScanQueue at the carry the queue's chain hands each of them, and
+// a ShareScans session puts the ScanCache in front of the same call.
+// Every batch stream in the repo — serial, queued, shared through the
+// ScanCache, merged from a fleet of shards — is a file-ordered unit source
+// feeding the one cutter, reader.Reader.RunUnits, which only joins what
+// the scans leave at file boundaries, so all of them emit byte-identical
+// batches with identical deterministic Stats counters; the equivalence is
+// pinned under -race by the reader package's tests.
 //
 // # Benchmark regression harness
 //

@@ -4,12 +4,13 @@
 // batch iterator — instead of registering a push callback.
 //
 // Every session executes its table scan the same way: a shared ordered
-// work queue (reader.ScanQueue) whose fill workers claim file indices and
-// fill them in parallel, handing over each stripe as it is decoded, the
-// reader's one cutter (reader.RunUnits) awaiting them in file order — so a
-// file's first batch leaves while most of the file is still unread — and
-// the Shell lifecycle around both — multiplexing with every other session
-// over one shared storage.Backend.
+// work queue (reader.ScanQueue) whose workers claim file indices and scan
+// them in parallel — fill, convert and process, handing over each batch as
+// it is cut — the reader's one cutter (reader.RunUnits) awaiting them in
+// file order and joining them across file boundaries — so a file's first
+// batch leaves while most of the file is still unread — and the Shell
+// lifecycle around both — multiplexing with every other session over one
+// shared storage.Backend.
 // Sessions buffer at most Readers×Buffer decoded batches ahead of the
 // consumer (backpressure: slow trainers stall their own readers, not the
 // service) and tear everything down promptly on context cancellation or

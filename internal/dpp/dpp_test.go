@@ -221,7 +221,7 @@ func TestMultiReaderSessionMatchesSerial(t *testing.T) {
 
 	for _, spec := range []reader.Spec{dedupSpec(), kjtSpec()} {
 		wantEnc, wantStats := serialReference(t, env, spec)
-		for _, workers := range []int{2, 3, 5} {
+		for _, workers := range []int{1, 2, 3, 4, 5} {
 			sess, err := svc.Open(context.Background(), dpp.Spec{Spec: spec, Readers: workers, Buffer: 1})
 			if err != nil {
 				t.Fatal(err)
@@ -255,9 +255,7 @@ func TestSessionCancellation(t *testing.T) {
 	env := newTestEnv(t, 40)
 	svc := newService(t, env, dpp.Config{})
 	ctx, cancel := context.WithCancel(context.Background())
-	spec := dedupSpec()
-	spec.FillAhead = 2 // exercise the pipelined reader path too
-	sess, err := svc.Open(ctx, dpp.Spec{Spec: spec, Readers: 2, Buffer: 1})
+	sess, err := svc.Open(ctx, dpp.Spec{Spec: dedupSpec(), Readers: 2, Buffer: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -753,78 +751,6 @@ func TestShareScansMisalignedFallbackAccounting(t *testing.T) {
 	// each decoded scan became resident; the warm pass never reached it.
 	if bs := cached.Stats(); bs.Hits != 0 || bs.Misses != nFiles {
 		t.Fatalf("raw-byte tier traffic hits=%d misses=%d, want 0/%d", bs.Hits, bs.Misses, nFiles)
-	}
-}
-
-// TestShareScansPrefetchAccounting pins Spec.FillAhead on a ShareScans
-// session — the same thing it is on any session, a deeper claim window
-// for the fill workers: the stream is byte-identical to the serial
-// reference and the deterministic reader counters and cache hit/miss
-// split are exactly those at FillAhead 0, for an aligned spec and a
-// misaligned one (every file looked up at the carry the queue's chain
-// hands out, however far ahead it is claimed); a warm second pass is all
-// hits.
-func TestShareScansPrefetchAccounting(t *testing.T) {
-	env := newTestEnv(t, 60)
-	files, err := env.catalog.AllFiles("tbl")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) < 3 {
-		t.Skip("partition landed in too few files")
-	}
-	for _, spec := range []reader.Spec{dedupSpec(), kjtSpec()} {
-		wantEnc, _ := serialReference(t, env, spec)
-
-		// Reference: a ShareScans session with FillAhead 0 on a fresh
-		// service (cold cache).
-		inlineSvc := newService(t, env, dpp.Config{})
-		inlineSess, err := inlineSvc.Open(context.Background(), dpp.Spec{Spec: spec, ShareScans: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		drainSession(t, inlineSess)
-		inlineStats := inlineSess.Stats()
-		inlineSess.Close()
-
-		pspec := spec
-		pspec.FillAhead = 3
-		preSvc := newService(t, env, dpp.Config{})
-		preSess, err := preSvc.Open(context.Background(), dpp.Spec{Spec: pspec, ShareScans: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotEnc := drainSession(t, preSess)
-		preStats := preSess.Stats()
-		preSess.Close()
-
-		if len(gotEnc) != len(wantEnc) {
-			t.Fatalf("batch %d: prefetch produced %d batches, serial reference %d", spec.BatchSize, len(gotEnc), len(wantEnc))
-		}
-		for bi := range wantEnc {
-			if !bytes.Equal(gotEnc[bi], wantEnc[bi]) {
-				t.Fatalf("batch size %d: prefetch batch %d differs from serial reference", spec.BatchSize, bi)
-			}
-		}
-		if counters(preStats.Reader) != counters(inlineStats.Reader) {
-			t.Fatalf("batch size %d: prefetch counters %v, inline %v", spec.BatchSize, counters(preStats.Reader), counters(inlineStats.Reader))
-		}
-		if preStats.Cache != inlineStats.Cache {
-			t.Fatalf("batch size %d: prefetch cache traffic %+v, inline %+v", spec.BatchSize, preStats.Cache, inlineStats.Cache)
-		}
-
-		// Warm pass on the prefetch service: every lookup hits.
-		warm, err := preSvc.Open(context.Background(), dpp.Spec{Spec: pspec, ShareScans: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		drainSession(t, warm)
-		warmStats := warm.Stats()
-		warm.Close()
-		wantLookups := preStats.Cache.Hits + preStats.Cache.Misses
-		if warmStats.Cache.Hits != wantLookups || warmStats.Cache.Misses != 0 {
-			t.Fatalf("batch size %d: warm pass cache traffic %+v, want %d hits / 0 misses", spec.BatchSize, warmStats.Cache, wantLookups)
-		}
 	}
 }
 

@@ -21,8 +21,6 @@ type wireSpec struct {
 	PartialDedupFeatures []string        `json:"partial_dedup_features,omitempty"`
 	SparseTransforms     []wireTransform `json:"sparse_transforms,omitempty"`
 	DenseTransforms      []wireTransform `json:"dense_transforms,omitempty"`
-	FillAhead            int             `json:"fill_ahead,omitempty"`
-	ConvertWorkers       int             `json:"convert_workers,omitempty"`
 
 	Readers    int      `json:"readers,omitempty"`
 	Buffer     int      `json:"buffer,omitempty"`
@@ -98,8 +96,6 @@ func encodeSpec(spec dpp.Spec) (*wireSpec, error) {
 		SparseFeatures:       spec.SparseFeatures,
 		DedupSparseFeatures:  spec.DedupSparseFeatures,
 		PartialDedupFeatures: spec.PartialDedupFeatures,
-		FillAhead:            spec.FillAhead,
-		ConvertWorkers:       spec.ConvertWorkers,
 		Readers:              spec.Readers,
 		Buffer:               spec.Buffer,
 		Files:                spec.Files,
@@ -138,8 +134,6 @@ func decodeSpec(ws *wireSpec) (dpp.Spec, error) {
 	spec.SparseFeatures = ws.SparseFeatures
 	spec.DedupSparseFeatures = ws.DedupSparseFeatures
 	spec.PartialDedupFeatures = ws.PartialDedupFeatures
-	spec.FillAhead = ws.FillAhead
-	spec.ConvertWorkers = ws.ConvertWorkers
 	for _, wt := range ws.SparseTransforms {
 		tr, err := decodeSparseTransform(wt)
 		if err != nil {

@@ -415,7 +415,7 @@ func (s *Session) pumpFile(st *shardState, gidx int) error {
 			continue
 		}
 		if feed == nil {
-			feed = reader.NewHandoff(s.merge, gidx, reader.Unit{File: piece.File, Cut: true})
+			feed = reader.NewHandoff(s.merge, gidx, reader.Unit{File: piece.File})
 			s.pmu.Lock()
 			s.partials[gidx] = feed
 			s.pmu.Unlock()

@@ -394,11 +394,12 @@ func TestFleetShardKillDeterminism(t *testing.T) {
 // connection on to the client, then dies for good: that connection is cut
 // and no other is accepted. A fleet without a resume policy sees a shard
 // dead inside a file, k of the file's pieces delivered.
-func cutAfterFrames(t *testing.T, target string, k int) (addr string) {
+func cutAfterFrames(t *testing.T, target string, k int) (addr string, stop func()) {
 	t.Helper()
 	ln := relisten(t, "127.0.0.1:0")
 	done := make(chan struct{})
-	t.Cleanup(func() { ln.Close(); <-done })
+	stop = func() { ln.Close(); <-done } // a proxy nobody dialed is parked in Accept
+	t.Cleanup(stop)
 	go func() {
 		defer close(done)
 		client, err := ln.Accept()
@@ -438,7 +439,7 @@ func cutAfterFrames(t *testing.T, target string, k int) (addr string) {
 			}
 		}
 	}()
-	return ln.Addr().String()
+	return ln.Addr().String(), stop
 }
 
 // TestFleetShardDiesInsideAFile is the directed case of the kill contract:
@@ -458,11 +459,14 @@ func TestFleetShardDiesInsideAFile(t *testing.T) {
 			addrs := addrsOf(shards)
 			target := addrs[0]
 			// Routing hashes the address, and the doomed one is kernel-chosen:
-			// take the first that is routed a file at all.
+			// take the first that is routed two files at least, so that the
+			// first of them is not the table's short last one, which has
+			// fewer batch frames than the proxy waits for.
 			var sess *dppshard.Session
 			var doomed string
 			for sess == nil {
-				doomed = cutAfterFrames(t, target, k)
+				var stop func()
+				doomed, stop = cutAfterFrames(t, target, k)
 				addrs[0] = doomed
 				fleet, err := dppshard.New(dppshard.Config{Addrs: addrs, Backend: env.store})
 				if err != nil {
@@ -472,9 +476,10 @@ func TestFleetShardDiesInsideAFile(t *testing.T) {
 					t.Fatal(err)
 				}
 				opened, _ := sess.ShardStats()
-				if !slices.ContainsFunc(opened, func(st dppshard.ShardStat) bool { return st.Addr == doomed }) {
+				if !slices.ContainsFunc(opened, func(st dppshard.ShardStat) bool { return st.Addr == doomed && st.Files >= 2 }) {
 					sess.Close()
 					sess = nil
+					stop()
 				}
 			}
 			mustEqualStreams(t, drainFleet(t, sess), wantEnc)

@@ -54,11 +54,9 @@ type Spec struct {
 	// already must: batches never alias writer state).
 	//
 	// It changes nothing else about the session: the cache is a memo
-	// inside each fill worker, so Readers, Resize, autoscaling,
-	// arbitration, Follow and reader.Spec's FillAhead (extra files the
-	// workers may claim ahead of the cutter) mean what they mean for any
-	// session. Lookups are one per file; at one worker they are issued in
-	// file order.
+	// inside each fill worker, so Readers, Resize, autoscaling, arbitration
+	// and Follow mean what they mean for any session. Lookups are one per
+	// file; at one worker they are issued in file order.
 	ShareScans bool
 	// Follow opts the session into tailing a live table: instead of EOF
 	// at end-of-catalog, the session parks, observes newly landed files
@@ -100,12 +98,11 @@ func (s Spec) withDefaults() Spec {
 
 // Window is the session's backpressure bound: how many finished batches
 // (or, for a unit stream, pieces: batches and closing records) may sit ahead
-// of the consumer —
-// Readers × Buffer with the defaults applied, capped at MaxWindow. It is
-// the one definition every boundary sizes from: a local session's output
-// buffer of either kind, a remote session's credit window, the fleet
-// session's output buffer. At least 1, so a spec validate will refuse still travels to the
-// service that refuses it.
+// of the consumer — Readers × Buffer with the defaults applied, capped at
+// MaxWindow. It is the one definition every boundary sizes from: a local
+// session's output buffer of either kind, a remote session's credit window,
+// the fleet session's output buffer. At least 1, so that a spec validate will
+// refuse still travels to the service that refuses it.
 func (s Spec) Window() int {
 	s = s.withDefaults()
 	return max(1, min(s.Readers*s.Buffer, MaxWindow))
@@ -142,12 +139,14 @@ var _ Stream = (*Session)(nil)
 //
 // Internally every session is a shared ordered work queue
 // (reader.ScanQueue) feeding the reader's one cutter (reader.RunUnits):
-// fill workers claim file indices and fill them in parallel, piece by piece
-// into the cutter's hands — stripes for an unshared session; for a
-// ShareScans one the batches of a scan as the ScanCache's compute cuts them,
-// or a cached scan's all at once — and the cutter awaits them in file order. The worker pool is resizable mid-scan (Resize, or
-// the service's AutoScaler); the stream is byte-identical to the serial
-// reference regardless of the fill, the pool's size or its resize history.
+// fill workers claim file indices and scan them in parallel — fill, convert
+// and process, each file cut for the rows the queue's chain says are carried
+// into it — piece by piece into the cutter's hands: the batches of a scan as
+// the worker cuts them, or, on a ShareScans session, a cached scan's all at
+// once. The cutter awaits them in file order and joins them across file
+// boundaries. The worker pool is resizable mid-scan (Resize, or the
+// service's AutoScaler); the stream is byte-identical to the serial
+// reference regardless of the memo, the pool's size or its resize history.
 type Session struct {
 	Shell[*reader.Batch]
 
@@ -200,9 +199,9 @@ func newSession(ctx context.Context, svc *Service, id int64, spec Spec, files []
 	}
 
 	if tail != nil {
-		s.queue = reader.NewOpenScanQueue(files, queueWindow(spec, spec.Readers), svc.clock.Now)
+		s.queue = reader.NewOpenScanQueue(files, queueWindow(spec.Readers), svc.clock.Now)
 	} else {
-		s.queue = reader.NewScanQueue(files, queueWindow(spec, spec.Readers), svc.clock.Now)
+		s.queue = reader.NewScanQueue(files, queueWindow(spec.Readers), svc.clock.Now)
 	}
 	s.Pool = s.poolStats
 	s.HaltOn(func() {
@@ -263,13 +262,11 @@ func newSession(ctx context.Context, svc *Service, id int64, spec Spec, files []
 	return s, nil
 }
 
-// queueWindow bounds how many files may be claimed (decoding or decoded,
-// not yet merged) ahead of the cutter for a pool of n workers: one
-// in-flight file per worker, one completed slot to hand over through, and
-// the spec's FillAhead prefetch depth — which the queue absorbs now that
-// fill workers no longer run their own per-worker pipeline.
-func queueWindow(spec Spec, n int) int {
-	return n + 1 + spec.FillAhead
+// queueWindow bounds how many files may be claimed (being scanned or
+// scanned, not yet merged) ahead of the cutter for a pool of n workers: one
+// in-flight file per worker and one completed slot to hand over through.
+func queueWindow(n int) int {
+	return n + 1
 }
 
 // spawnWorkerLocked starts one fill worker; the caller holds pmu (which
@@ -351,7 +348,7 @@ func (s *Session) Resize(n int) int {
 	// Resize the claim window under pmu too: concurrent Resize calls
 	// (the AutoScaler plus a direct caller) must leave the window sized
 	// for whichever target won, never the loser's.
-	s.queue.SetWindow(queueWindow(s.spec, n))
+	s.queue.SetWindow(queueWindow(n))
 	s.pmu.Unlock()
 	s.svc.noteScale(up)
 	return n
@@ -437,7 +434,8 @@ func (s *Session) FollowLag() int {
 // already yielded every batch that lies wholly in the stripes before it,
 // exactly as a serial reader.Run yields them, at every worker count and on
 // every path: a ShareScans session is handed a missed file's batches as the
-// cache's compute cuts them, and the damaged file leaves no cache entry.
+// cache's compute cuts them, like any session's, and the damaged file leaves
+// no cache entry.
 func (s *Session) Next(ctx context.Context) (*reader.Batch, error) {
 	b, err := s.Pull(ctx)
 	if err == nil {

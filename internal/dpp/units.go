@@ -46,8 +46,8 @@ type UnitPiece struct {
 // pieces are emitted as its worker hands them over, strictly in order — a
 // file's first batch leaves while its third stripe is being fetched. Every
 // file is cut as if entered on a batch boundary, since the carry is cut
-// client-side: by reader.ScanUnit, or through the ScanCache memo for a
-// ShareScans session.
+// client-side: the workers' fill is unchained, behind the ScanCache memo for
+// a ShareScans session.
 //
 // Stats reports the same shape a batch session does, so fleet-level
 // aggregation (dppshard) and the dppnet stats trailer treat both kinds
@@ -81,7 +81,7 @@ func newUnitSession(ctx context.Context, svc *Service, id int64, spec Spec, file
 	u.Open(ctx, svc.clock, spec.Window())
 	u.Release = func(sched SchedulerStats, errored bool) { svc.retire(id, sched, errored) }
 
-	q := reader.NewScanQueue(files, queueWindow(spec, spec.Readers), svc.clock.Now)
+	q := reader.NewScanQueue(files, queueWindow(spec.Readers), svc.clock.Now)
 	u.Pool = func() SchedulerStats {
 		return SchedulerStats{Workers: spec.Readers, WorkerStall: q.Stall()}
 	}

@@ -11,44 +11,39 @@ import (
 
 // TestRunCancelledMidScan: cancelling the context mid-run returns
 // ctx.Err() promptly — without finishing the remaining files — and leaks
-// no goroutines, on both the serial and pipelined paths.
+// no goroutines, serial and through a queue of workers ahead of the cutter.
 func TestRunCancelledMidScan(t *testing.T) {
 	for _, cfg := range []struct {
-		name                      string
-		fillAhead, convertWorkers int
+		name    string
+		workers int // 0 is the serial Run
 	}{
-		{"serial", 0, 0},
-		{"pipelined", 3, 2},
+		{"serial", 0},
+		{"pipelined", 2},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
 			before := runtime.NumGoroutine()
 
-			// A wide scan set so the prefetching fill stage (at most
-			// FillAhead buffered + one in flight) cannot decode the whole
-			// table before the consumer observes the cancellation.
+			// A wide scan set so the workers (a window of workers + 1 files)
+			// cannot decode the whole table before the consumer observes the
+			// cancellation.
 			env := newTestEnv(t, 400, true)
-			spec := baseSpec()
-			spec.FillAhead = cfg.fillAhead
-			spec.ConvertWorkers = cfg.convertWorkers
-			r, err := NewReader(env.store, spec)
-			if err != nil {
-				t.Fatal(err)
-			}
 			files, _ := env.catalog.AllFiles("tbl")
-			if len(files) < cfg.fillAhead+5 {
+			if len(files) < cfg.workers+5 {
 				t.Fatalf("need a wide multi-file scan, got %d files", len(files))
 			}
 
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			emitted := 0
-			err = r.Run(ctx, files, func(*Batch) error {
+			emit := func(*Batch) error {
 				emitted++
 				if emitted == 1 {
 					cancel() // cancel mid-run, with most of the scan left
 				}
 				return nil
-			})
+			}
+			work, queued, err := runQueued(ctx, t, env.store, baseSpec(), files, cfg.workers, emit)
+			work.Add(queued)
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("Run after cancel = %v, want context.Canceled", err)
 			}
@@ -56,7 +51,7 @@ func TestRunCancelledMidScan(t *testing.T) {
 				t.Fatal("scan never started before cancellation")
 			}
 			// Promptness: the scan must not have run to completion.
-			if got, all := r.Stats().RowsDecoded, int64(len(env.samples)); got >= all {
+			if got, all := work.RowsDecoded, int64(len(env.samples)); got >= all {
 				t.Fatalf("cancelled run decoded all %d rows", all)
 			}
 

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/dwrf"
+	"repro/internal/storage"
 )
 
 // cutUnits drives RunUnits over next and returns the emitted batches. It
@@ -76,41 +77,29 @@ type scanMemoKey struct {
 	carry int
 }
 
-// fill is one worker's Fill over the memo, scanning with r on a miss.
-func (m *scanMemo) fill(r *Reader) Fill {
-	return func(ctx context.Context, c Claim) error {
-		carry, ok := c.Carry(r.spec.BatchSize)
-		if !ok {
-			c.Deposit(Unit{File: c.File, Err: context.Canceled})
-			return context.Canceled
-		}
-		key := scanMemoKey{c.File, carry}
-		m.mu.Lock()
-		fs := m.scans[key]
-		m.mu.Unlock()
-		if fs != nil {
-			c.Report(fs.Rows())
-			c.Deposit(fs.Unit(c.File, true))
-			return nil
-		}
-		var h *Handoff
-		fs, err := r.ScanFile(ctx, c.File, carry, func(rows int) {
-			c.Report(rows)
-			h = c.HandOff(Unit{File: c.File, Cut: true, Carry: carry})
-		}, func(p Piece) error { return h.Send(p) })
-		if h == nil {
-			c.Deposit(Unit{File: c.File, Err: err})
-			return err
-		}
-		if err == nil {
-			m.mu.Lock()
-			m.scans[key] = fs
-			m.mu.Unlock()
-		}
-		h.Close(err)
-		return err
+// get is the reader.Memo over the map: a hit, or compute and keep.
+func (m *scanMemo) get(ctx context.Context, file string, carry int, compute func(context.Context) (*FileScan, error)) (*FileScan, bool, error) {
+	key := scanMemoKey{file, carry}
+	m.mu.Lock()
+	fs := m.scans[key]
+	m.mu.Unlock()
+	if fs != nil {
+		return fs, true, nil
 	}
+	fs, err := compute(ctx)
+	if err == nil {
+		m.mu.Lock()
+		m.scans[key] = fs
+		m.mu.Unlock()
+	}
+	return fs, false, err
 }
+
+// fill is one worker's Fill over the memo, scanning with r on a miss.
+func (m *scanMemo) fill(r *Reader) Fill { return r.ScanFill(true, m.get) }
+
+// scanFill is one worker's Fill with no memo: the chained scan.
+func scanFill(r *Reader) Fill { return r.ScanFill(true, nil) }
 
 // encodeEnds encodes every memoized scan's head and tail rows, in key order.
 func (m *scanMemo) encodeEnds(t *testing.T) map[scanMemoKey][]byte {
@@ -131,12 +120,10 @@ func (m *scanMemo) encodeEnds(t *testing.T) map[scanMemoKey][]byte {
 	return out
 }
 
-// queueScan cuts files through a ScanQueue of the given number of workers,
-// each with its own reader under the Fill that fillOf builds for it, and
-// returns the stream and the work of the workers and the cutter together.
-// Safe off the test goroutine.
-func queueScan(t *testing.T, what string, files []string, workers int, newReader func() *Reader, fillOf func(*Reader) Fill) ([]*Batch, Stats, error) {
-	q := NewScanQueue(files, workers+1, nil)
+// startWorkers runs workers fill workers over q, each with its own reader
+// under the Fill that fillOf builds for it. wait blocks until every one has
+// exited and returns their work together.
+func startWorkers(ctx context.Context, q *ScanQueue, workers int, newReader func() *Reader, fillOf func(*Reader) Fill) (wait func() Stats) {
 	fillers := make([]*Reader, workers)
 	var wg sync.WaitGroup
 	for w := range fillers {
@@ -144,22 +131,94 @@ func queueScan(t *testing.T, what string, files []string, workers int, newReader
 		wg.Add(1)
 		go func(r *Reader) {
 			defer wg.Done()
-			FillQueue(context.Background(), q, fillOf(r), nil)
+			FillQueue(ctx, q, fillOf(r), nil)
 		}(fillers[w])
 	}
+	return func() Stats {
+		wg.Wait()
+		var work Stats
+		for _, r := range fillers {
+			work.Add(r.Stats())
+		}
+		return work
+	}
+}
+
+// runQueued is Run through a ScanQueue: workers scan workers under the one
+// fill, a cutter of its own joins them into emit. It returns the cutter's work
+// and the workers', apart, once every goroutine it started has exited. With no
+// workers it is the serial Run itself, all of it the cutter's work.
+func runQueued(ctx context.Context, t testing.TB, store storage.Backend, spec Spec, files []string, workers int, emit func(*Batch) error) (cut, work Stats, err error) {
+	t.Helper()
+	newReader := func() *Reader {
+		r, err := NewReader(store, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	cutter := newReader()
+	if workers == 0 {
+		err = cutter.Run(ctx, files, emit)
+		return cutter.Stats(), Stats{}, err
+	}
+	q := NewScanQueue(files, workers+1, nil)
+	wait := startWorkers(ctx, q, workers, newReader, scanFill)
+	err = cutter.RunQueue(ctx, q, emit)
+	q.Abort()
+	return cutter.Stats(), wait(), err
+}
+
+// queueScan cuts files through a ScanQueue of the given number of workers,
+// each with its own reader under the Fill that fillOf builds for it, and
+// returns the stream and the work of the cutter and of the workers. Safe off
+// the test goroutine.
+func queueScan(t *testing.T, what string, files []string, workers int, newReader func() *Reader, fillOf func(*Reader) Fill) (out []*Batch, cut, work Stats, err error) {
+	q := NewScanQueue(files, workers+1, nil)
+	wait := startWorkers(context.Background(), q, workers, newReader, fillOf)
 	cutter, i := newReader(), 0
-	out, err := cutUnits(t, what, cutter, func() (Unit, bool) {
+	out, err = cutUnits(t, what, cutter, func() (Unit, bool) {
 		u, ok := q.Await(i)
 		i++
 		return u, ok
 	})
 	q.Abort()
-	wg.Wait()
-	total := cutter.Stats()
-	for _, r := range fillers {
-		total.Add(r.Stats())
+	return out, cutter.Stats(), wait(), err
+}
+
+// cutterBatches is how many batches of a scan over files of these row counts
+// hold rows of two files, or are the final short one: the batches the cutter
+// converts itself, counted from the row counts alone.
+func cutterBatches(fileRows []int, batch int) (n int64) {
+	pending := 0
+	for _, rows := range fileRows {
+		if pending > 0 && pending+rows >= batch {
+			n++
+		}
+		pending = (pending + rows) % batch
 	}
-	return out, total, err
+	if pending > 0 {
+		n++
+	}
+	return n
+}
+
+// fileRowCounts reads each file's row count from its footer.
+func fileRowCounts(t testing.TB, store storage.Backend, files []string) []int {
+	t.Helper()
+	rows := make([]int, len(files))
+	for i, f := range files {
+		data, err := store.Get(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fr, err := dwrf.OpenReader(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows[i] = fr.NumRows()
+	}
+	return rows
 }
 
 // TestEverySourceThroughTheCutterMatchesSerialRun is the one cutter's
@@ -167,14 +226,16 @@ func queueScan(t *testing.T, what string, files []string, workers int, newReader
 // file or not), stripe sizes (dividing the batch, not dividing it, holding
 // several batches, holding the whole file, and random) and specs, RunUnits
 // is fed from every kind of source the
-// repo has — serial fill, a ScanQueue of 1–4 workers under each kind of
-// Fill (decoded rows; memoized scans cut at the carry the queue's chain
-// hands out, cold and warm) and scan-only units cut at carry 0 that the
-// cutter re-fills itself (the fleet's shape) — and must emit the serial
-// Run's stream byte for byte, with its deterministic counters wherever the
-// source does no more work than a serial scan, while never holding a full
-// batch of pending rows and never writing to a memoized scan's head or
-// tail (two warm consumers share each entry; run under -race).
+// repo has — units scanned as the cutter reaches them, a ScanQueue of 1–4
+// workers under the one fill, bare and behind a memo (scans cut at the carry
+// the queue's chain hands out, cold and warm) and scan-only units cut at
+// carry 0 that the cutter re-scans itself (the fleet's shape) — and must emit
+// the serial Run's stream byte for byte, with its deterministic counters
+// wherever the source does no more work than a serial scan — the cutter's own
+// share of them being the batches that straddle files and the final short
+// one — while never holding a full batch of pending
+// rows and never writing to a memoized scan's head or tail (two warm consumers
+// share each entry; run under -race).
 func TestEverySourceThroughTheCutterMatchesSerialRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260927))
 	var sawAligned, sawCarry bool
@@ -207,37 +268,48 @@ func TestEverySourceThroughTheCutterMatchesSerialRun(t *testing.T) {
 		}
 		want, wantCounters := encodeBatches(t, ref), counters(serial.Stats())
 
-		// Serial fill, through the instrumented pull.
-		cutter, i := newReader(), 0
+		// Serial fill, through the instrumented pull: each file scanned as the
+		// cutter reads it, at the carry the files before it leave.
+		fileRows := fileRowCounts(t, env.store, env.files)
+		cutter, i, carry := newReader(), 0, 0
 		got := cutAll(t, what+", serial fill", cutter, func() (Unit, bool) {
 			if i >= len(env.files) {
 				return Unit{}, false
 			}
+			u := cutter.ScanUnit(context.Background(), env.files[i], carry)
+			carry = (carry + fileRows[i]) % env.spec.BatchSize
 			i++
-			return cutter.FillUnit(context.Background(), env.files[i-1]), true
+			return u, true
 		})
 		mustEqualEncodings(t, what+", serial fill", got, want)
 		if c := counters(cutter.Stats()); c != wantCounters {
 			t.Fatalf("%s, serial fill: counters %v, serial Run %v", what, c, wantCounters)
 		}
 
-		// A ScanQueue of 1–4 workers, filling decoded rows and filling
-		// through a cold memo: the workers scan on every miss, and workers
-		// plus cutter do exactly a serial scan's work at any pool size.
+		// A ScanQueue of 1–4 workers, scanning bare and through a cold memo:
+		// the workers scan every file, and workers plus cutter do exactly a
+		// serial scan's work at any pool size — the cutter the batches only it
+		// can, which on an aligned table is at most the final short one.
 		var memo *scanMemo
+		wantCut := cutterBatches(fileRows, env.spec.BatchSize)
 		for workers := 1; workers <= 4; workers++ {
 			memo = &scanMemo{scans: make(map[scanMemoKey]*FileScan)}
 			for kind, fillOf := range map[string]func(*Reader) Fill{
-				"fill":      func(r *Reader) Fill { return FillFrom(r.FillUnit) },
+				"scan":      scanFill,
 				"cold memo": memo.fill,
 			} {
 				name := fmt.Sprintf("%s, queue of %d, %s", what, workers, kind)
-				out, total, err := queueScan(t, name, env.files, workers, newReader, fillOf)
+				out, cut, work, err := queueScan(t, name, env.files, workers, newReader, fillOf)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
 				mustEqualEncodings(t, name, encodeBatches(t, out), want)
-				if c := counters(total); c != wantCounters {
+				if cut.BatchesProduced != wantCut || cut.RowsDecoded != 0 ||
+					(wantCut == 0 && (cut.ConvertValues != 0 || cut.ProcessOps != 0)) {
+					t.Fatalf("%s: the cutter's own reader did %+v; want %d batches converted (those that straddle files, and the final short one) and nothing else", name, cut, wantCut)
+				}
+				work.Add(cut)
+				if c := counters(work); c != wantCounters {
 					t.Fatalf("%s: counters %v, serial Run %v", name, c, wantCounters)
 				}
 			}
@@ -257,7 +329,9 @@ func TestEverySourceThroughTheCutterMatchesSerialRun(t *testing.T) {
 			wg.Add(1)
 			go func(c, workers int) {
 				defer wg.Done()
-				warm[c], warmWork[c], warmErr[c] = queueScan(t, fmt.Sprintf("%s, warm consumer %d", what, c), env.files, workers, newReader, memo.fill)
+				var work Stats
+				warm[c], warmWork[c], work, warmErr[c] = queueScan(t, fmt.Sprintf("%s, warm consumer %d", what, c), env.files, workers, newReader, memo.fill)
+				warmWork[c].Add(work)
 			}(c, workers)
 		}
 		wg.Wait()
@@ -278,7 +352,7 @@ func TestEverySourceThroughTheCutterMatchesSerialRun(t *testing.T) {
 		}
 
 		// The fleet's shape: every file cut at carry 0, and the cutter
-		// re-fills what it enters mid-batch. The shards scanned every file,
+		// re-scans what it enters mid-batch. The shards scanned every file,
 		// so the counters match a serial scan only when nothing is re-filled.
 		shard, i := newReader(), 0
 		cutter = newReader()
@@ -287,7 +361,7 @@ func TestEverySourceThroughTheCutterMatchesSerialRun(t *testing.T) {
 				return Unit{}, false
 			}
 			i++
-			return shard.ScanUnit(context.Background(), env.files[i-1]), true
+			return shard.ScanUnit(context.Background(), env.files[i-1], 0), true
 		})
 		mustEqualEncodings(t, what+", scan-only units", got, want)
 		total := cutter.Stats()
@@ -329,7 +403,7 @@ func TestScanOnlyUnitsNeedABackendToRefill(t *testing.T) {
 			return Unit{}, false
 		}
 		i++
-		return shard.ScanUnit(context.Background(), files[i-1]), true
+		return shard.ScanUnit(context.Background(), files[i-1], 0), true
 	}, func(*Batch) error { batches++; return nil })
 	if err == nil || batches != 256/48 {
 		t.Fatalf("err = %v after %d batches; want the first file's %d batches, then a no-backend error", err, batches, 256/48)

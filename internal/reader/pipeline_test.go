@@ -27,7 +27,7 @@ func fullSpec() Spec {
 
 // counters extracts the deterministic Stats fields (everything except the
 // wall-clock stage times, which legitimately differ between serial and
-// pipelined execution).
+// queued execution).
 func counters(s Stats) [6]int64 {
 	return [6]int64{s.ReadBytes, s.SentBytes, s.RowsDecoded, s.BatchesProduced, s.ConvertValues, s.ProcessOps}
 }
@@ -46,79 +46,92 @@ func encodeBatches(t *testing.T, batches []*Batch) [][]byte {
 }
 
 // TestPipelinedRunMatchesSerial is the determinism contract of the reader
-// pipeline: with prefetching fill and parallel per-group conversion, Run
-// must emit byte-identical batches in the same order, with identical
-// deterministic Stats counters, as the serial reference path — however the
-// files' rows are cut into stripes, the unit the fill worker hands over: the
-// table is scanned with stripes that divide the batch, that do not, that
-// hold two batches (as newTestEnv writes it) and that exceed the file, and
-// the stream is the same under all four. Run with -race this also shakes
-// out data races in the pipeline.
+// pipeline: a ScanQueue of workers, each running fill → convert → process over
+// the files it claims at the carry the queue's chain hands it, ahead of the
+// cutter that joins them, must emit byte-identical batches in the same order,
+// with identical deterministic Stats counters, as the serial Run — whether or
+// not the batch divides the files, and however the files' rows are cut into
+// stripes: the table is scanned with stripes that divide the batch, that do
+// not, that hold two batches (as newTestEnv writes it) and that exceed the
+// file, and the stream is the same under all four. It also pins where the
+// work is done: the cutter's own reader converts the batches that hold rows of
+// two files and the final short one — none at all when the batch divides the
+// files — and decodes nothing. Run with -race this also shakes out data races
+// in the pipeline.
 func TestPipelinedRunMatchesSerial(t *testing.T) {
-	env := newTestEnv(t, 60, true)
+	env := newTestEnv(t, 200, true)
 	files, err := env.catalog.AllFiles("tbl")
 	if err != nil {
 		t.Fatal(err)
 	}
-	asWritten, _ := runAll(t, env, fullSpec())
-	wantAnyShape := encodeBatches(t, asWritten)
+	files = files[:len(files)-1] // the partition's short last file: every file left has 256 rows
+	fileRows := fileRowCounts(t, env.store, files)
+	serial := func(spec Spec) ([]*Batch, Stats) {
+		r, err := NewReader(env.store, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var batches []*Batch
+		if err := r.Run(context.Background(), files, func(b *Batch) error { batches = append(batches, b); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		return batches, r.Stats()
+	}
 
-	for _, cfg := range []struct {
-		name                      string
-		fillAhead, convertWorkers int
+	for _, align := range []struct {
+		name  string
+		batch int
 	}{
-		{"fill-ahead only", 4, 0},
-		{"convert workers only", 0, 4},
-		{"full pipeline", 4, 4},
-		{"more workers than tasks", 8, 16},
-	} {
-		t.Run(cfg.name, func(t *testing.T) {
-			for shape, stripeRows := range stripeShapes(fullSpec().BatchSize) {
-				restripe(t, env.store, env.schema, files, stripeRows)
-				serialSpec := fullSpec()
-				batchesSerial, statsSerial := runAll(t, env, serialSpec)
-				mustEqualEncodings(t, "serial, stripe "+shape, encodeBatches(t, batchesSerial), wantAnyShape)
+		{"aligned", 64}, // 256 rows/file % 64 == 0
+		{"misaligned", 48} /* 256 % 48 != 0: rows carry across files */} {
+		spec := fullSpec()
+		spec.BatchSize = align.batch
+		asWritten, _ := serial(spec)
+		wantAnyShape := encodeBatches(t, asWritten)
+		wantCut := cutterBatches(fileRows, align.batch)
+		if aligned := align.batch == 64; len(files) < 3 || aligned != (wantCut == 0) {
+			t.Fatalf("%s: %d files of which the cutter is to convert %d batches", align.name, len(files), wantCut)
+		}
 
-				spec := fullSpec()
-				spec.FillAhead = cfg.fillAhead
-				spec.ConvertWorkers = cfg.convertWorkers
-				batches, stats := runAll(t, env, spec)
+		for _, workers := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s, queue of %d", align.name, workers), func(t *testing.T) {
+				for shape, stripeRows := range stripeShapes(align.batch) {
+					restripe(t, env.store, env.schema, files, stripeRows)
+					batchesSerial, statsSerial := serial(spec)
+					mustEqualEncodings(t, "serial, stripe "+shape, encodeBatches(t, batchesSerial), wantAnyShape)
 
-				if len(batches) != len(batchesSerial) {
-					t.Fatalf("stripe %s: pipelined produced %d batches, serial %d", shape, len(batches), len(batchesSerial))
-				}
-				wantEnc := encodeBatches(t, batchesSerial)
-				gotEnc := encodeBatches(t, batches)
-				for i := range wantEnc {
-					if !bytes.Equal(gotEnc[i], wantEnc[i]) {
-						t.Fatalf("stripe %s: batch %d differs between pipelined and serial paths", shape, i)
+					var batches []*Batch
+					cut, work, err := runQueued(context.Background(), t, env.store, spec, files, workers, func(b *Batch) error {
+						batches = append(batches, b)
+						return nil
+					})
+					if err != nil {
+						t.Fatalf("stripe %s: %v", shape, err)
+					}
+					mustEqualEncodings(t, "queued, stripe "+shape, encodeBatches(t, batches), wantAnyShape)
+					if cut.BatchesProduced != wantCut || cut.RowsDecoded != 0 || (wantCut == 0 && (cut.ConvertValues != 0 || cut.ProcessOps != 0)) {
+						t.Fatalf("stripe %s: the cutter's own reader did %+v; want %d batches converted and nothing else", shape, cut, wantCut)
+					}
+					work.Add(cut)
+					if got, want := counters(work), counters(statsSerial); got != want {
+						t.Fatalf("stripe %s: stats counters differ: queued %v serial %v", shape, got, want)
 					}
 				}
-				if got, want := counters(stats), counters(statsSerial); got != want {
-					t.Fatalf("stripe %s: stats counters differ: pipelined %v serial %v", shape, got, want)
-				}
-			}
-		})
+			})
+		}
 	}
 }
 
-// TestPipelinedEmitErrorAborts mirrors TestEmitErrorAborts for the
-// pipelined path: an emit error must abort promptly and not leak the fill
-// goroutine (the -race build would flag a leaked goroutine still writing
-// fill stats while the test reads them).
+// TestPipelinedEmitErrorAborts mirrors TestEmitErrorAborts for the queued
+// scan: an emit error must abort promptly and not leak a worker (runQueued
+// returns once they have exited; the -race build would flag one still writing
+// its stats while the test reads them).
 func TestPipelinedEmitErrorAborts(t *testing.T) {
 	env := newTestEnv(t, 20, true)
-	spec := baseSpec()
-	spec.FillAhead = 2
-	spec.ConvertWorkers = 2
-	r, err := NewReader(env.store, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
 	files, _ := env.catalog.AllFiles("tbl")
 	wantErr := fmt.Errorf("stop")
 	calls := 0
-	err = r.Run(context.Background(), files, func(b *Batch) error {
+	_, work, err := runQueued(context.Background(), t, env.store, baseSpec(), files, 2, func(b *Batch) error {
 		calls++
 		return wantErr
 	})
@@ -128,50 +141,28 @@ func TestPipelinedEmitErrorAborts(t *testing.T) {
 	if calls != 1 {
 		t.Fatalf("emit called %d times after error", calls)
 	}
-	if r.Stats().BatchesProduced != 1 {
-		t.Fatalf("BatchesProduced = %d want 1", r.Stats().BatchesProduced)
+	if work.BatchesProduced < 1 {
+		t.Fatalf("BatchesProduced = %d want the emitted batch at least", work.BatchesProduced)
 	}
 }
 
-// TestPipelinedUnknownFeature checks error propagation out of parallel
-// convert tasks.
+// TestPipelinedUnknownFeature checks error propagation out of a worker's
+// scan, through its deposit, to the cutter — with the next file's worker
+// parked on a carry chain the failed file never feeds.
 func TestPipelinedUnknownFeature(t *testing.T) {
 	env := newTestEnv(t, 5, true)
 	spec := baseSpec()
 	spec.DedupSparseFeatures = append(spec.DedupSparseFeatures, []string{"not_a_feature"})
-	spec.FillAhead = 2
-	spec.ConvertWorkers = 4
-	r, err := NewReader(env.store, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
 	files, _ := env.catalog.AllFiles("tbl")
-	if err := r.Run(context.Background(), files, func(*Batch) error { return nil }); err == nil {
+	if _, _, err := runQueued(context.Background(), t, env.store, spec, files, 2, func(*Batch) error { return nil }); err == nil {
 		t.Fatal("expected error for unknown feature")
 	}
 }
 
-// TestSpecValidatePipelineFields rejects negative worker counts.
-func TestSpecValidatePipelineFields(t *testing.T) {
-	spec := baseSpec()
-	spec.FillAhead = -1
-	if err := spec.Validate(); err == nil {
-		t.Fatal("expected error for negative FillAhead")
-	}
-	spec = baseSpec()
-	spec.ConvertWorkers = -2
-	if err := spec.Validate(); err == nil {
-		t.Fatal("expected error for negative ConvertWorkers")
-	}
-}
-
-// BenchmarkReaderSerialVsPipelined reports both paths side by side over
-// the same table.
-func benchReaderRun(b *testing.B, fillAhead, convertWorkers int) {
+// BenchmarkReaderRunSerial is the serial reference scan over one table.
+func BenchmarkReaderRunSerial(b *testing.B) {
 	env := newTestEnv(b, 100, true)
 	spec := baseSpec()
-	spec.FillAhead = fillAhead
-	spec.ConvertWorkers = convertWorkers
 	files, _ := env.catalog.AllFiles("tbl")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -184,6 +175,3 @@ func benchReaderRun(b *testing.B, fillAhead, convertWorkers int) {
 		}
 	}
 }
-
-func BenchmarkReaderRunSerial(b *testing.B)    { benchReaderRun(b, 0, 0) }
-func BenchmarkReaderRunPipelined(b *testing.B) { benchReaderRun(b, 4, 4) }

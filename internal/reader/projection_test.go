@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"repro/internal/datagen"
@@ -195,40 +194,16 @@ func TestProjectedFillMatchesFullFill(t *testing.T) {
 			t.Fatalf("%s: Run read %d bytes, its files one by one %d", what, wantStats.ReadBytes, readBytes)
 		}
 
-		// RunQueue: three fill workers, one assembler.
-		q := NewScanQueue(env.files, 3, nil)
-		var wg sync.WaitGroup
-		var poolStats Stats
-		var mu sync.Mutex
-		for w := 0; w < 3; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				worker, err := NewReader(env.store, env.spec)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				FillQueue(ctx, q, FillFrom(worker.FillUnit), nil)
-				mu.Lock()
-				poolStats.Add(worker.Stats())
-				mu.Unlock()
-			}()
-		}
-		assembler, err := NewReader(env.store, env.spec)
+		// RunQueue: three workers, one assembler.
+		var queued []*Batch
+		cut, work, err := runQueued(ctx, t, env.store, env.spec, env.files, 3, func(b *Batch) error { queued = append(queued, b); return nil })
 		if err != nil {
 			t.Fatal(err)
 		}
-		var queued []*Batch
-		if err := assembler.RunQueue(ctx, q, func(b *Batch) error { queued = append(queued, b); return nil }); err != nil {
-			t.Fatal(err)
-		}
-		q.Abort()
-		wg.Wait()
 		mustEqualEncodings(t, what+" RunQueue", encodeBatches(t, queued), want)
-		poolStats.Add(assembler.Stats())
-		if counters(poolStats) != counters(wantStats) {
-			t.Fatalf("%s: queued counters %v, serial %v", what, counters(poolStats), counters(wantStats))
+		work.Add(cut)
+		if counters(work) != counters(wantStats) {
+			t.Fatalf("%s: queued counters %v, serial %v", what, counters(work), counters(wantStats))
 		}
 
 		// The shared-scan composition.

@@ -8,14 +8,14 @@ import (
 )
 
 // ScanQueue is the shared ordered work queue behind every reader pool (a
-// dpp session of either kind, shared or not, resizable or fixed; Run with
-// FillAhead): workers claim file indices in scan order, fill them in
-// parallel, and deposit each file's Unit — as soon as the file is open, its
-// pieces following one by one through a hand-off (Handoff) as the worker
-// reads or cuts them — and a single assembler awaits the units strictly in
-// file-index order, so the reassembled stream is byte-identical to one
-// serial scan over the whole file list no matter how many workers fill it —
-// or how often that worker count changes mid-scan.
+// dpp session of either kind, shared or not, resizable or fixed): workers
+// claim file indices in scan order, scan them in parallel, and deposit each
+// file's Unit — as soon as the file is open, its pieces following one by one
+// through a hand-off (Handoff) as the worker cuts them — and a single
+// assembler awaits the units strictly in file-index order, so the
+// reassembled stream is byte-identical to one serial scan over the whole
+// file list no matter how many workers scan it — or how often that worker
+// count changes mid-scan.
 //
 // Claims are bounded by a sliding window over the assembler's position:
 // a file index may be claimed only while it is within `window` of the
@@ -94,9 +94,9 @@ func (q *ScanQueue) Claim() (c Claim, ok bool) {
 // into this file: (the rows of every earlier file) mod batch. It blocks
 // until the workers holding those files have Reported — claims are issued
 // in index order, so each is held or already done — and ok is false when
-// the queue aborts first. Only a fill whose output depends on the carry
-// (a batch cut at an offset, to be shared) calls it; nothing else ever
-// waits on the chain.
+// the queue aborts first. Only a fill whose cut depends on the carry (a
+// batch scan's; a unit scan cuts every file at 0) calls it; nothing else
+// ever waits on the chain.
 func (c Claim) Carry(batch int) (rows int, ok bool) {
 	total, ok := c.q.RowsBefore(c.Index)
 	return total % batch, ok
@@ -116,31 +116,73 @@ func (c Claim) Deposit(u Unit) { c.q.Deposit(c.Index, u) }
 // the returned hand-off.
 func (c Claim) HandOff(u Unit) *Handoff { return NewHandoff(c.q.OrderedMerge, c.Index, u) }
 
-// Fill fills one claimed file into the queue: the only piece of a queue
-// worker that differs between the kinds of scan. It deposits the file's unit
+// Fill fills one claimed file into the queue. It deposits the file's unit
 // exactly once (Claim.Deposit, or Claim.HandOff and the pieces after it) — an
 // abandoned claim would wedge the assembler — and returns the error that
 // ended the file, which travels to the assembler in the deposit, or at the
-// end of the hand-off, to surface in file order. FillFrom over FillUnit (the
-// file opened, its stripes still to be read; the cutter converts) and over
-// ScanUnit (the file cut at carry 0) are the reader's own; dpp's ScanCache
-// memo is the third.
+// end of the hand-off, to surface in file order. ScanFill builds the one the
+// pools run.
 type Fill func(ctx context.Context, c Claim) error
 
-// FillFrom is the Fill that deposits the unit open returns for the claimed
-// file at once — all that has been read of a FillUnit's file is the footer —
-// and then reads its pieces on the worker, handing each to the assembler as
-// it is decoded or cut.
-func FillFrom(open func(ctx context.Context, file string) Unit) Fill {
+// Memo is a cache of finished scans in front of a fill (dpp's ScanCache): it
+// returns the scan of file at carry, running compute — at most once among
+// everyone asking — when it does not hold it. hit says this call did not run
+// compute.
+type Memo func(ctx context.Context, file string, carry int, compute func(context.Context) (*FileScan, error)) (fs *FileScan, hit bool, err error)
+
+// ScanFill is the fill of every pool: the claimed file's Scan by r, cut for
+// the rows carried into it. A chained fill learns them from the queue's carry
+// chain — the rows of every earlier file, mod batch — and feeds the chain the
+// moment this file's row count is known, from the footer, before any stripe is
+// fetched, so the next file's worker starts while this one is still filling;
+// an unchained one (a unit stream, whose consumer cuts the carry) cuts every
+// file at 0. The unit is deposited as soon as the file is open and each piece
+// follows through the hand-off as the scan cuts it.
+//
+// With a memo the same scan is its compute: the pieces stream to this queue
+// from inside it, the memo keeps the collected FileScan, and a lookup that
+// did not compute — a hit, or one coalesced onto another's compute — deposits
+// the finished scan whole and reports its rows then.
+func (r *Reader) ScanFill(chained bool, memo Memo) Fill {
 	return func(ctx context.Context, c Claim) error {
-		u := open(ctx, c.File)
-		if u.Err != nil {
-			c.Deposit(u)
-			return u.Err
+		carry := 0
+		if chained {
+			var ok bool
+			if carry, ok = c.Carry(r.spec.BatchSize); !ok {
+				c.Deposit(Unit{File: c.File, Err: context.Canceled}) // the queue aborted: nobody awaits this deposit
+				return context.Canceled
+			}
 		}
-		h := c.HandOff(u)
-		err := u.Pieces(h.Send)
-		h.Close(err)
+		var streamed *Handoff
+		opened := func(rows int) {
+			c.Report(rows)
+			streamed = c.HandOff(Unit{File: c.File, Carry: carry})
+			// Both wake the assembler — onto this worker's P, behind a scan
+			// that computes for milliseconds before its first Send — so yield
+			// here for the reason Send does: it would otherwise sit there
+			// while another worker's first batch waits to be emitted.
+			runtime.Gosched()
+		}
+		send := func(p Piece) error { return streamed.Send(p) }
+		var fs *FileScan
+		var hit bool
+		var err error
+		if memo == nil {
+			err = r.Scan(ctx, c.File, carry, opened, send)
+		} else {
+			fs, hit, err = memo(ctx, c.File, carry, func(ctx context.Context) (*FileScan, error) {
+				return r.ScanFile(ctx, c.File, carry, opened, send)
+			})
+		}
+		switch {
+		case streamed != nil:
+			streamed.Close(err)
+		case err != nil:
+			c.Deposit(Unit{File: c.File, Err: err})
+		default:
+			c.Report(fs.Rows())
+			c.Deposit(fs.Unit(c.File, hit))
+		}
 		return err
 	}
 }
@@ -173,14 +215,13 @@ func FillQueue(ctx context.Context, q *ScanQueue, fill Fill, stop func() bool) {
 }
 
 // Handoff carries one file's pieces from whoever produces them — a queue
-// worker reading stripes or cutting a scan, a fleet pump reading a shard's
-// frames — to the assembler consuming the file's unit, in order, under the
-// merge's own lock. The producer never waits for the assembler — it may run
-// a whole file ahead, which is what the merge's window already budgets for,
-// so a producer inside a cache's single-flight compute never waits on its
-// own session's consumer — and the assembler's wait for the next piece is
-// the merge's Wait: producer starvation, counted in Stall beside the wait
-// for a deposit.
+// worker cutting a scan, a fleet pump reading a shard's frames — to the
+// assembler consuming the file's unit, in order, under the merge's own lock.
+// The producer never waits for the assembler — it may run a whole file ahead,
+// which is what the merge's window already budgets for, so a producer inside
+// a cache's single-flight compute never waits on its own session's consumer —
+// and the assembler's wait for the next piece is the merge's Wait: producer
+// starvation, counted in Stall beside the wait for a deposit.
 type Handoff struct {
 	m      *OrderedMerge[Unit]
 	pieces []Piece // sent and not yet received
@@ -263,12 +304,12 @@ func (h *Handoff) receive(yield func(Piece) error) error {
 }
 
 // RunQueue is the assembler half of a queued scan: it consumes deposited
-// units in index order — a unit still being filled, piece by piece as its
-// worker hands them over — and cuts, converts, and processes batches exactly
-// as a serial Run over q's whole file list would — same batch boundaries,
-// same bytes, same deterministic counters (convert/process work charges
-// this reader; fill work lives in the workers' readers). Returns ctx.Err
-// when the queue aborts under a cancelled context.
+// units in index order — a unit still being scanned, piece by piece as its
+// worker hands them over — and emits exactly the stream of a serial Run over
+// q's whole file list — same batch boundaries, same bytes, same deterministic
+// counters (the batches that straddle files and the final short one charge
+// this reader; the rest of the work lives in the workers' readers). Returns
+// ctx.Err when the queue aborts under a cancelled context.
 func (r *Reader) RunQueue(ctx context.Context, q *ScanQueue, emit func(*Batch) error) error {
 	i := 0
 	return r.RunUnits(ctx, func() (Unit, bool) {

@@ -196,7 +196,7 @@ func TestFillQueueStopCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	FillQueue(t.Context(), q, FillFrom(r.FillUnit), func() bool { return true })
+	FillQueue(t.Context(), q, scanFill(r), func() bool { return true })
 	if c, ok := q.Claim(); !ok || c.Index != 0 {
 		t.Fatalf("stopped worker consumed a claim: next claim = (%d, %v), want (0, true)", c.Index, ok)
 	}

@@ -3,7 +3,6 @@ package reader
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -83,10 +82,8 @@ type Reader struct {
 	consumed  []string
 	groupAt   []int
 	partialAt int
-	// dedupers holds one reusable dedup table per spec dedup group. Group
-	// i is always converted by exactly one task per batch, so each deduper
-	// has a single user at a time and its scratch amortizes across the
-	// whole scan.
+	// dedupers holds one reusable dedup table per spec dedup group; its
+	// scratch amortizes across the whole scan.
 	dedupers []*tensor.Deduper
 }
 
@@ -118,85 +115,54 @@ func (r *Reader) ResetStats() { r.stats = Stats{} }
 // as a final short batch. emit returning an error aborts the scan.
 //
 // Cancelling ctx aborts the scan promptly — between stripes, and before the
-// next batch conversion — and Run returns ctx.Err() with every goroutine
-// it started torn down.
+// next batch conversion — and Run returns ctx.Err().
 //
-// With Spec.FillAhead > 0 the scan is a one-worker ScanQueue: the fill
-// worker runs up to FillAhead files ahead of the cutter on its own
-// goroutine, handing over each stripe as it is decoded. It is the only
-// writer of the fill-stage Stats fields (FillTime, ReadBytes, RowsDecoded)
-// and the cutter owns the rest, so one reader serves both sides and
-// accounting stays exact without locks; batch order, batch contents, and
-// every deterministic Stats counter are identical to the serial path.
+// It is the cutter over units nobody has scanned: each file is scanned when
+// the cutter reaches it, at the rows then in hand, on the caller's goroutine.
+// This is the serial reference every other source is held to.
 func (r *Reader) Run(ctx context.Context, files []string, emit func(*Batch) error) error {
-	if r.spec.FillAhead > 0 {
-		q := NewScanQueue(files, r.spec.FillAhead+1, nil)
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			FillQueue(ctx, q, FillFrom(r.FillUnit), nil)
-		}()
-		defer wg.Wait() // runs after the Abort: never leak a filling goroutine
-		defer q.Abort()
-		return r.RunQueue(ctx, q, emit)
-	}
 	i := 0
 	return r.RunUnits(ctx, func() (Unit, bool) {
 		if i >= len(files) {
 			return Unit{}, false
 		}
 		i++
-		return r.FillUnit(ctx, files[i-1]), true
+		return Unit{File: files[i-1]}, true
 	}, emit)
 }
 
-// Piece is one step of a file's contribution to a batch stream: rows still to
-// be cut — a stripe as fill decoded it, or the head or tail rows of a file
-// already cut — or a batch cut and converted already. Exactly one is set.
+// Piece is one step of a file's contribution to a batch stream: rows only the
+// cutter can place — the head or the tail of a file's scan — or a batch cut
+// and converted already. Exactly one is set.
 type Piece struct {
 	Rows  *dwrf.Chunk
 	Batch *Batch
 }
 
 // Unit is one file's contribution to a batch stream, the item every source
-// hands the cutter (RunUnits) in file order: the file as a stream of pieces,
-// or the error that ends the stream at this file. There is one form — a file
-// whose pieces all exist (a cached scan) is a stream that never waits.
+// hands the cutter (RunUnits) in file order: the file cut for a scan that
+// enters it with Carry rows pending, as a stream of pieces, or the error that
+// ends the stream at this file. There is one form — a file whose pieces all
+// exist (a cached scan) is a stream that never waits.
 type Unit struct {
 	File string
-	// Pieces yields the file's pieces in row order and returns nil after the
-	// last one, yield's error as soon as it returns one, or the error that
-	// ends the file — and with it the stream — after the pieces that preceded
-	// it. As FillUnit and ScanUnit return it, calling it is what fills the
-	// file, on the caller's goroutine; a unit that came through a hand-off
-	// (Handoff) yields what its producer has sent, and waits for the rest.
-	// Either way it is consumed once.
+	// Pieces yields the pieces of the file's scan (Reader.Scan) in row order:
+	// the head that completes the straddling batch, when Carry is nonzero,
+	// the batches, the tail. It returns nil after the last one, yield's error
+	// as soon as it returns one, or the error that ends the file — and with it
+	// the stream — after the pieces that preceded it. As ScanUnit returns it,
+	// calling it is what scans the file, on the caller's goroutine; a unit
+	// that came through a hand-off (Handoff) yields what its producer has
+	// sent, and waits for the rest. Either way it is consumed once. Nil is a
+	// file nobody has scanned: the cutter scans it itself.
 	Pieces func(yield func(Piece) error) error
-	// Cut says the pieces hold batches, cut as if the file were entered with
-	// Carry rows pending (fewer than a batch; 0 is a batch boundary, where a
-	// fleet shard always cuts): its rows pieces are then the head that
-	// completes the straddling batch, when Carry is nonzero, and the tail.
-	// The pieces of a unit that is not cut are all rows, good at any carry.
-	Cut   bool
+	// Carry is the rows the file was cut for (fewer than a batch; 0 is a
+	// batch boundary, where a fleet shard always cuts).
 	Carry int
-	// Hit marks a cut unit a cache served: its pieces are shared with other
+	// Hit marks a unit a cache served: its pieces are shared with other
 	// sessions.
 	Hit bool
 	Err error
-}
-
-// FillUnit opens one file — the footer is parsed before it returns — and
-// wraps the read of its stripes as the Unit of an unshared batch scan, for
-// the cutter to cut and convert as they arrive.
-func (r *Reader) FillUnit(ctx context.Context, file string) Unit {
-	src, err := r.open(ctx, file)
-	if err != nil {
-		return Unit{File: file, Err: err}
-	}
-	return Unit{File: file, Pieces: func(yield func(Piece) error) error {
-		return src.stripes(ctx, func(stripe *dwrf.Chunk) error { return yield(Piece{Rows: stripe}) })
-	}}
 }
 
 // assembly is the rows of the batch being put together: views of the chunks
@@ -262,22 +228,17 @@ func (a *assembly) take() (*dwrf.Chunk, error) {
 }
 
 // RunUnits is the cutter: the one place rows carry across a file boundary.
-// It pulls units from next in file order, checks schema consistency, cuts
-// fixed-size batches, and emits any leftover rows as a final short batch —
-// the same stream, byte for byte, whichever source feeds it (serial fill,
-// a ScanQueue under any Fill, a fleet of shards).
+// It pulls units from next in file order, checks schema consistency, joins
+// each file's head to the rows in hand, and emits any leftover rows as a
+// final short batch — the same stream, byte for byte, whichever source feeds
+// it (a serial Run, a ScanQueue of any size, a fleet of shards).
 //
-// Batches are cut from a unit's rows as its pieces arrive, as row ranges of a
-// piece's column chunk where it holds a whole batch at the current offset,
-// and otherwise assembled — one copy — from the pieces, or files, the batch
-// straddles; the rows in hand are always fewer than a batch. A piece that is
-// a batch already is emitted as it is. A cut unit is usable when it was cut
-// for exactly the rows now in hand (Unit.Carry): its head completes the
-// straddling batch — the one batch of the file this scan converts itself,
-// since it holds rows of two files — its batches pass through untouched and
-// its tail becomes the rows in hand. Cut for any other carry, the file's
-// batch boundaries are the wrong ones, so the cutter fills the file itself
-// and cuts its stripes instead.
+// A unit is usable when it was cut for exactly the rows now in hand
+// (Unit.Carry): its head completes the straddling batch — the one batch of
+// the file the cutter converts itself, since it holds rows of two files — its
+// batches are emitted as they are and its tail becomes the rows in hand,
+// always fewer than a batch. Cut for any other carry, or not scanned at all,
+// the cutter scans the file itself at the rows it has.
 //
 // A unit whose pieces end in an error ends the stream there: every batch
 // that lies wholly in the pieces before it has been emitted, as a serial
@@ -310,13 +271,11 @@ func (r *Reader) RunUnits(ctx context.Context, next func() (Unit, bool), emit fu
 		if u.Err != nil {
 			return u.Err
 		}
-		if u.Cut && pending.rows != u.Carry {
+		if u.Pieces == nil || u.Carry != pending.rows {
 			if r.store == nil {
 				return fmt.Errorf("reader: file %q entered mid-batch but the fleet has no local backend to re-fill it (misaligned spec needs Config.Backend)", u.File)
 			}
-			if u = r.FillUnit(ctx, u.File); u.Err != nil {
-				return u.Err
-			}
+			u = r.ScanUnit(ctx, u.File, pending.rows)
 		}
 		if err := u.Pieces(cutPiece); err != nil {
 			if ctx.Err() != nil {
@@ -501,54 +460,11 @@ func (r *Reader) produceBatch(rows *dwrf.Chunk) (*Batch, error) {
 	return b, nil
 }
 
-// groupResult is one dedup group's conversion output plus the raw
-// (pre-dedup) value count it must contribute to Stats. Duplicate
-// detection hashes every gathered value once more (paper §6.3), so the
-// group charges 2×values to ConvertValues.
-type groupResult struct {
-	ik     *tensor.IKJT
-	values int
-}
-
-// convertGroup copies out and deduplicates one dedup group using that
-// group's reusable Deduper. Safe to run concurrently with other groups.
-func (r *Reader) convertGroup(gi int, rows *dwrf.Chunk) (groupResult, error) {
-	group := r.spec.DedupSparseFeatures[gi]
-	tensors := make([]tensor.Jagged, len(group))
-	res := groupResult{}
-	for i := range group {
-		tensors[i] = rows.Jagged(r.groupAt[gi] + i)
-		res.values += tensors[i].NumValues()
-	}
-	ik, err := r.dedupers[gi].Dedup(group, tensors)
-	if err != nil {
-		return groupResult{}, err
-	}
-	res.ik = ik
-	return res, nil
-}
-
-// partialResult mirrors groupResult for one partial-dedup feature:
-// shift detection also hashes/scans every gathered value.
-type partialResult struct {
-	p      *tensor.PartialIKJT
-	values int
-}
-
-// convertPartial copies out and shift-deduplicates one partial feature.
-func (r *Reader) convertPartial(pi int, rows *dwrf.Chunk) partialResult {
-	j := rows.Jagged(r.partialAt + pi)
-	return partialResult{p: tensor.PartialDedup(r.spec.PartialDedupFeatures[pi], j), values: j.NumValues()}
-}
-
 // convert is the feature-conversion stage: copy a chunk's rows into
 // structured tensors, deduplicating the spec's feature groups into IKJTs
 // (O3). The chunk holds exactly the consumed features, in
 // ConsumedFeatures order, so each feature is one contiguous value-range
-// copy found by position. Dedup groups and partial features are
-// independent, so with Spec.ConvertWorkers > 1 they convert concurrently;
-// results land in spec order and counters are summed after the join,
-// keeping output and Stats identical to serial conversion.
+// copy found by position.
 func (r *Reader) convert(rows *dwrf.Chunk) (*Batch, error) {
 	start := time.Now()
 	defer func() { r.stats.ConvertTime += time.Since(start) }()
@@ -580,60 +496,29 @@ func (r *Reader) convert(rows *dwrf.Chunk) (*Batch, error) {
 		b.KJT = kjt
 	}
 
-	nGroups := len(r.spec.DedupSparseFeatures)
-	nPartials := len(r.spec.PartialDedupFeatures)
-	groupRes := make([]groupResult, nGroups)
-	groupErr := make([]error, nGroups)
-	partialRes := make([]partialResult, nPartials)
-
-	workers := r.spec.ConvertWorkers
-	if workers > nGroups+nPartials {
-		workers = nGroups + nPartials
+	// Duplicate detection hashes every gathered value once more (paper
+	// §6.3), so a dedup group charges 2×values to ConvertValues; so does a
+	// partial feature, whose shift detection scans them.
+	for gi, group := range r.spec.DedupSparseFeatures {
+		tensors := make([]tensor.Jagged, len(group))
+		values := 0
+		for i := range group {
+			tensors[i] = rows.Jagged(r.groupAt[gi] + i)
+			values += tensors[i].NumValues()
+		}
+		ik, err := r.dedupers[gi].Dedup(group, tensors)
+		if err != nil {
+			return nil, err
+		}
+		r.stats.ConvertValues += 2 * int64(values) // gather + hash pass
+		b.OriginalSparseValues += values
+		b.IKJTs = append(b.IKJTs, ik)
 	}
-	if workers <= 1 {
-		for gi := 0; gi < nGroups; gi++ {
-			groupRes[gi], groupErr[gi] = r.convertGroup(gi, rows)
-		}
-		for pi := 0; pi < nPartials; pi++ {
-			partialRes[pi] = r.convertPartial(pi, rows)
-		}
-	} else {
-		sem := make(chan struct{}, workers)
-		var wg sync.WaitGroup
-		for gi := 0; gi < nGroups; gi++ {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(gi int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				groupRes[gi], groupErr[gi] = r.convertGroup(gi, rows)
-			}(gi)
-		}
-		for pi := 0; pi < nPartials; pi++ {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(pi int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				partialRes[pi] = r.convertPartial(pi, rows)
-			}(pi)
-		}
-		wg.Wait()
-	}
-
-	for gi := 0; gi < nGroups; gi++ {
-		if groupErr[gi] != nil {
-			return nil, groupErr[gi]
-		}
-		res := groupRes[gi]
-		r.stats.ConvertValues += 2 * int64(res.values) // gather + hash pass
-		b.OriginalSparseValues += res.values
-		b.IKJTs = append(b.IKJTs, res.ik)
-	}
-	for _, res := range partialRes {
-		r.stats.ConvertValues += 2 * int64(res.values) // gather + shift scan
-		b.OriginalSparseValues += res.values
-		b.Partials = append(b.Partials, res.p)
+	for pi, key := range r.spec.PartialDedupFeatures {
+		j := rows.Jagged(r.partialAt + pi)
+		r.stats.ConvertValues += 2 * int64(j.NumValues()) // gather + shift scan
+		b.OriginalSparseValues += j.NumValues()
+		b.Partials = append(b.Partials, tensor.PartialDedup(key, j))
 	}
 	return b, nil
 }

@@ -74,11 +74,11 @@ func (fs *FileScan) MemBytes() int64 {
 	return total
 }
 
-// Unit is the finished scan as the unit a cutter reads: the pieces a
-// ScanFile that computed it yielded, all there at once. hit marks it served
-// by a cache.
+// Unit is the finished scan as the unit a cutter reads: the pieces the Scan
+// it was collected from yielded, all there at once. hit marks it served by a
+// cache.
 func (fs *FileScan) Unit(file string, hit bool) Unit {
-	return Unit{File: file, Cut: true, Carry: fs.Carry, Hit: hit, Pieces: func(yield func(Piece) error) error {
+	return Unit{File: file, Carry: fs.Carry, Hit: hit, Pieces: func(yield func(Piece) error) error {
 		if fs.Head != nil {
 			if err := yield(Piece{Rows: fs.Head}); err != nil {
 				return err
@@ -93,92 +93,105 @@ func (fs *FileScan) Unit(file string, hit bool) Unit {
 	}}
 }
 
-// ScanFile fills one file and cuts its rows, stripe by stripe as they are
-// decoded, for a scan entering it with carry rows pending (0 ≤ carry <
-// batch), and hands yield each piece of the cut the moment it exists: the
-// head that completes the straddling batch (carry > 0 only), each complete
-// batch after it, and last the leftover tail — always, with no rows in it
-// when the file ends on a batch boundary. All stages charge the reader's
-// Stats exactly as Run does, so a stream the cutter assembles from ScanFile
-// units cut at its own carries reports the same deterministic counters as a
-// serial Run over the same files. opened, when non-nil, hears the file's row
-// count as soon as the footer is parsed, before any stripe is fetched; a nil
-// yield is a caller that wants only the result.
+// collect files the next piece of the scan: the first rows of a scan that
+// carried rows in are its head, any others its tail.
+func (fs *FileScan) collect(p Piece) {
+	switch {
+	case p.Batch != nil:
+		fs.Batches = append(fs.Batches, p.Batch)
+	case fs.Carry > 0 && fs.Head == nil:
+		fs.Head = p.Rows
+	default:
+		fs.Tail = p.Rows
+	}
+}
+
+// Scan is the one fill → convert → process pipeline over a file, what every
+// source of a batch stream runs: it fills the file and cuts its rows, stripe
+// by stripe as they are decoded, for a scan entering it with carry rows
+// pending (0 ≤ carry < batch), and hands yield each piece of the cut the
+// moment it exists, keeping none: the head that completes the straddling
+// batch (carry > 0 only; assembled, so it owns its storage, but not converted
+// — it joins rows of another file), each complete batch after it, and last
+// the leftover tail — always, with no rows in it when the file ends on a
+// batch boundary. The carried rows are the consumer's: counted here, held
+// there. opened, when non-nil, hears the file's row count as soon as the
+// footer is parsed, before any stripe is fetched.
 //
-// The result is the same pieces, whole: what a cache stores and replays
-// (FileScan.Unit). It is whole or it is an error — a file whose k-th stripe
-// is damaged yields no scan — but yield has by then been handed every piece
-// cut from the stripes before the damage: the consumer of the pieces sees
-// the serial stream's prefix, then the error. yield's own error ends the scan
-// and is returned as it is.
+// All stages charge the reader's Stats, so the scans of a file list, each at
+// the carry the files before it leave, and the cutter that joins them do
+// together exactly a serial Run's work — Run is that, on one reader.
 //
-// This is the compute function behind dpp.ScanCache entries: the result
-// depends only on (file contents, Spec.Fingerprint(), carry), which is
-// what makes memoizing it sound.
-func (r *Reader) ScanFile(ctx context.Context, file string, carry int, opened func(rows int), yield func(Piece) error) (*FileScan, error) {
+// A file whose k-th stripe is damaged has by then yielded every piece cut
+// from the stripes before the damage: the consumer sees the serial stream's
+// prefix, then the error. yield's own error ends the scan and is returned as
+// it is.
+func (r *Reader) Scan(ctx context.Context, file string, carry int, opened func(rows int), yield func(Piece) error) error {
 	src, err := r.open(ctx, file)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if opened != nil {
 		opened(src.file.NumRows())
 	}
-	if yield == nil {
-		yield = func(Piece) error { return nil }
-	}
-	fs := &FileScan{Carry: carry}
-	// The carried rows are the consumer's: counted here, held there. The
-	// first rows to complete a batch with them are the head, which is
-	// assembled — so it owns its storage, as the tail will — but not
-	// converted.
 	rows := assembly{batch: r.spec.BatchSize, rows: carry}
 	head := carry > 0
 	err = src.stripes(ctx, func(stripe *dwrf.Chunk) error {
 		return rows.cut(stripe, func(full *dwrf.Chunk) error {
 			if head {
-				fs.Head, head = full, false
+				head = false
 				return yield(Piece{Rows: full})
 			}
-			b, err := r.produceBatch(full)
-			if err != nil {
-				return err
-			}
-			fs.Batches = append(fs.Batches, b)
-			return yield(Piece{Batch: b})
+			return r.produce(ctx, full, func(b *Batch) error { return yield(Piece{Batch: b}) })
 		})
 	})
 	if err != nil {
 		if ctx.Err() != nil {
-			return nil, ctx.Err()
+			return ctx.Err()
 		}
-		return nil, err
+		return err
 	}
 	rest, err := rows.take()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if rest == nil {
 		rest = src.noRows()
 	}
 	if head { // the file ended inside the straddling batch
-		fs.Head, rest = rest, src.noRows()
-		if err := yield(Piece{Rows: fs.Head}); err != nil {
-			return nil, err
+		if err := yield(Piece{Rows: rest}); err != nil {
+			return err
 		}
+		rest = src.noRows()
 	}
-	fs.Tail = rest
-	if err := yield(Piece{Rows: rest}); err != nil {
+	return yield(Piece{Rows: rest})
+}
+
+// ScanFile is Scan with the pieces kept as well as yielded (a nil yield is a
+// caller that wants only the result): the whole FileScan a cache stores and
+// replays (FileScan.Unit), or an error — a damaged file yields no scan. It is
+// the compute function behind dpp.ScanCache entries: the result depends only
+// on (file contents, Spec.Fingerprint(), carry), which is what makes
+// memoizing it sound.
+func (r *Reader) ScanFile(ctx context.Context, file string, carry int, opened func(rows int), yield func(Piece) error) (*FileScan, error) {
+	fs := &FileScan{Carry: carry}
+	err := r.Scan(ctx, file, carry, opened, func(p Piece) error {
+		fs.collect(p)
+		if yield == nil {
+			return nil
+		}
+		return yield(p)
+	})
+	if err != nil {
 		return nil, err
 	}
 	return fs, nil
 }
 
-// ScanUnit is the Unit of an unshared file-unit scan: the file cut as if
-// entered on a batch boundary (the consumer of a unit stream cuts the
-// carry itself). Reading its pieces is what scans the file.
-func (r *Reader) ScanUnit(ctx context.Context, file string) Unit {
-	return Unit{File: file, Cut: true, Pieces: func(yield func(Piece) error) error {
-		_, err := r.ScanFile(ctx, file, 0, nil, yield)
-		return err
+// ScanUnit is the unit of a file cut at carry, not yet scanned: reading its
+// pieces is what scans the file.
+func (r *Reader) ScanUnit(ctx context.Context, file string, carry int) Unit {
+	return Unit{File: file, Carry: carry, Pieces: func(yield func(Piece) error) error {
+		return r.Scan(ctx, file, carry, nil, yield)
 	}}
 }

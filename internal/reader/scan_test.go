@@ -19,8 +19,6 @@ func TestFingerprintCoversOutputFields(t *testing.T) {
 	// Fields that never change batch output must not change the key.
 	same := []func(*Spec){
 		func(s *Spec) { s.Table = "other_table" },
-		func(s *Spec) { s.FillAhead = 7 },
-		func(s *Spec) { s.ConvertWorkers = 3 },
 	}
 	for i, mutate := range same {
 		a, b := base(), base()

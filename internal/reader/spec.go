@@ -36,18 +36,6 @@ type Spec struct {
 	SparseTransforms []SparseTransform
 	// DenseTransforms are applied to the dense feature matrix.
 	DenseTransforms []DenseTransform
-
-	// FillAhead bounds how many decoded files the fill stage may prefetch
-	// ahead of conversion. 0 keeps fill inline with conversion (the serial
-	// reference path: a stripe is read, then cut, then the next is read);
-	// N > 0 runs fill as a one-worker ScanQueue up to N files ahead of the
-	// cutter, overlapping storage IO/decode with convert/process. Batch
-	// order and contents are identical either way.
-	FillAhead int
-	// ConvertWorkers bounds how many feature-conversion tasks (one per
-	// dedup group, one per partial feature — they are independent) run
-	// concurrently within a batch. 0 or 1 converts serially.
-	ConvertWorkers int
 }
 
 // Validate checks internal consistency: no feature may appear twice across
@@ -59,12 +47,6 @@ func (s Spec) Validate() error {
 	}
 	if s.BatchSize <= 0 {
 		return fmt.Errorf("reader: batch size %d", s.BatchSize)
-	}
-	if s.FillAhead < 0 {
-		return fmt.Errorf("reader: negative fill-ahead %d", s.FillAhead)
-	}
-	if s.ConvertWorkers < 0 {
-		return fmt.Errorf("reader: negative convert workers %d", s.ConvertWorkers)
 	}
 	seen := map[string]bool{}
 	for _, k := range s.SparseFeatures {
@@ -130,9 +112,8 @@ func (s Spec) IsPartial(key string) bool {
 // (dpp.ScanCache keys entries by (file, fingerprint)).
 //
 // Deliberately excluded: Table (it only resolves the scan set — the file
-// path is the other key half), and the execution knobs FillAhead and
-// ConvertWorkers (they change scheduling, never output — the reader's
-// pipelined/serial equivalence tests pin that).
+// path is the other key half). Every other field is covered: the spec has no
+// execution options.
 //
 // Transforms are fingerprinted by their Go type and printed value, so
 // custom SparseTransform/DenseTransform implementations must be value

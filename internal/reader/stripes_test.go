@@ -106,10 +106,10 @@ func stripeOffset(t testing.TB, store storage.Backend, path string, k int) int64
 }
 
 // TestCancelBetweenStripes: a context cancelled while stripe 2 of the first
-// file is being fetched stops the fill at that stripe's end — three stripes
+// file is being fetched stops the scan at that stripe's end — three stripes
 // decoded, not the file's four, and no other file touched by a single
-// filler — and the scan returns ctx.Err() with no goroutine left behind,
-// serial and with the fill on its own goroutine. Under a queue of two
+// scanner — and the scan returns ctx.Err() with no goroutine left behind,
+// serial and with the scan on a worker of its own. Under a queue of two
 // workers every claim either was consumed by the cutter or sits deposited:
 // nothing a later Await would wait on forever.
 func TestCancelBetweenStripes(t *testing.T) {
@@ -122,21 +122,17 @@ func TestCancelBetweenStripes(t *testing.T) {
 	restripe(t, env.store, env.schema, files, stripeRows)
 	off := stripeOffset(t, env.store, files[0], 2)
 
-	for _, fillAhead := range []int{0, 2} {
+	for _, workers := range []int{0, 1} { // the serial Run, a queue of one
 		before := runtime.NumGoroutine()
 		ctx, cancel := context.WithCancel(context.Background())
-		spec := baseSpec()
-		spec.FillAhead = fillAhead
-		r, err := NewReader(&stripeReadHook{Backend: env.store, path: files[0], off: off, hook: cancel}, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = r.Run(ctx, files, func(*Batch) error { return nil })
+		store := &stripeReadHook{Backend: env.store, path: files[0], off: off, hook: cancel}
+		work, queued, err := runQueued(ctx, t, store, baseSpec(), files, workers, func(*Batch) error { return nil })
+		work.Add(queued)
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("FillAhead %d: Run cancelled between stripes = %v, want context.Canceled", fillAhead, err)
+			t.Fatalf("%d workers: Run cancelled between stripes = %v, want context.Canceled", workers, err)
 		}
-		if got := r.Stats().RowsDecoded; got != 3*stripeRows {
-			t.Fatalf("FillAhead %d: decoded %d rows, want the %d of the three stripes fetched before the cancellation was seen", fillAhead, got, 3*stripeRows)
+		if got := work.RowsDecoded; got != 3*stripeRows {
+			t.Fatalf("%d workers: decoded %d rows, want the %d of the three stripes fetched before the cancellation was seen", workers, got, 3*stripeRows)
 		}
 		testutil.WaitForGoroutines(t, before)
 		cancel()
@@ -158,7 +154,7 @@ func TestCancelBetweenStripes(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			fill := FillFrom(worker.FillUnit)
+			fill := scanFill(worker)
 			FillQueue(ctx, q, func(ctx context.Context, c Claim) error {
 				mu.Lock()
 				claimed = max(claimed, c.Index+1)
@@ -198,9 +194,10 @@ func TestStripeWaitIsWorkerStall(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		FillQueue(context.Background(), q, FillFrom(func(_ context.Context, file string) Unit {
-			return Unit{File: file, Pieces: func(yield func(Piece) error) error {
-				if err := yield(stripe); err != nil {
+		FillQueue(context.Background(), q, func(_ context.Context, c Claim) error {
+			h := c.HandOff(Unit{File: c.File})
+			err := func() error {
+				if err := h.Send(stripe); err != nil {
 					return err
 				}
 				base := <-awaited
@@ -209,9 +206,11 @@ func TestStripeWaitIsWorkerStall(t *testing.T) {
 						return errors.New("the assembler's wait for the second stripe never showed in Stall")
 					}
 				}
-				return yield(stripe)
-			}}
-		}), nil)
+				return h.Send(stripe)
+			}()
+			h.Close(err)
+			return err
+		}, nil)
 	}()
 
 	u, ok := q.Await(0)

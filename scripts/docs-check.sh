@@ -31,6 +31,10 @@
 #      set, both ways: a frame added, renamed or retired in one place and
 #      not the other fails. Names compare with case and hyphens dropped
 #      (`frameFileUnit` is `file-unit`).
+#   8. Every `Spec.<Name>` in docs/*.md, doc.go and benchmarks/README.md
+#      must name an exported field of reader.Spec or dpp.Spec (or a method:
+#      `Spec.Window()`), so an option deleted from the code cannot live on
+#      in the runbooks.
 #
 # Usage: scripts/docs-check.sh
 set -euo pipefail
@@ -159,8 +163,30 @@ elif drift=$(comm -3 <(echo "$coded") <(echo "$tabled")) && [[ -n "$drift" ]]; t
     fail=1
 fi
 
+# --- 8. Spec.<Name> in the docs is a field the code has -------------------
+spec_names=$(cat $(find internal/reader internal/dpp -maxdepth 1 -name '*.go' ! -name '*_test.go') | awk '
+    $0 == "type Spec struct {" { on = 1; next }
+    on && /^}/ { on = 0 }
+    on && match($0, /^\t[A-Z][A-Za-z0-9_]*(, [A-Z][A-Za-z0-9_]*)* /) {
+        n = split(substr($0, RSTART, RLENGTH), names, /[, \t]+/)
+        for (i = 1; i <= n; i++) if (names[i] != "") print names[i]
+    }
+    match($0, /^func \(s \*?Spec\) [A-Z][A-Za-z0-9_]*\(/) { name = substr($0, RSTART, RLENGTH - 1); sub(/.* /, "", name); print name }
+' | sort -u)
+if [[ -z "$spec_names" ]]; then
+    echo "docs: found no fields of reader.Spec or dpp.Spec"
+    fail=1
+fi
+while IFS=: read -r file line cite; do
+    name=${cite#Spec.}
+    if ! grep -qxF "${name%()}" <<<"$spec_names"; then
+        echo "docs: $file:$line: $cite is not a field or method of reader.Spec or dpp.Spec"
+        fail=1
+    fi
+done < <(grep -noE '\bSpec\.[A-Z][A-Za-z0-9_]*(\(\))?' docs/*.md doc.go benchmarks/README.md || true)
+
 if [[ "$fail" -ne 0 ]]; then
     echo "docs: FAIL"
     exit 1
 fi
-echo "docs: OK (package comments, go fences, links, import guard, determinism-table tests, protocol version, frame set)"
+echo "docs: OK (package comments, go fences, links, import guard, determinism-table tests, protocol version, frame set, Spec fields)"

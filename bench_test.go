@@ -637,7 +637,7 @@ func fleetFixture(b *testing.B, shards int) (dpp.Spec, func() (*dppshard.Fleet, 
 			closers = append(closers, func() { srv.Close(); svc.Close() })
 			addrs = append(addrs, ln.Addr().String())
 		}
-		fleet, err := dppshard.New(dppshard.Config{Addrs: addrs, Backend: store})
+		fleet, err := dppshard.New(dppshard.Config{Addrs: addrs})
 		if err != nil {
 			b.Fatal(err)
 		}

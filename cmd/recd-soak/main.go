@@ -18,10 +18,10 @@
 //     stall so a server started with -autoscale must scale down, and
 //     the credit-stall counters must move.
 //
-// Both processes must be started with the same -sessions/-batch/-seed
-// so they derive the same table (exactly as recd-train does). With a
-// comma-separated -connect list the soak opens rendezvous-routed fleet
-// sessions over every shard. With -obs-scrape pointed at the server's
+// The soak builds no table: like recd-train -connect, it reads the served
+// table's spec and file plan from the first address's tablez handshake.
+// With a comma-separated -connect list the soak opens rendezvous-routed
+// fleet sessions over every shard. With -obs-scrape pointed at the server's
 // -obs-listen address the soak scrapes /metrics mid-run and at the end,
 // and -check-metrics gates on the series a healthy run must move.
 //
@@ -46,7 +46,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dpp"
 	"repro/internal/dpp/dppnet"
 	"repro/internal/dpp/dppshard"
@@ -55,9 +54,6 @@ import (
 func main() {
 	var (
 		connect     = flag.String("connect", "127.0.0.1:7077", "recd-serve address, or a comma-separated shard list for a fleet soak")
-		sessions    = flag.Int("sessions", 200, "training sessions in the landed table (match recd-serve)")
-		batch       = flag.Int("batch", 128, "batch size the derived spec uses (match recd-serve)")
-		seed        = flag.Int64("seed", 11, "random seed (match recd-serve)")
 		concurrency = flag.Int("concurrency", 6, "concurrent session workers")
 		duration    = flag.Duration("duration", 10*time.Second, "how long workers keep opening sessions")
 		profilesArg = flag.String("profiles", "shared,pooled,think", "comma-separated worker profile mix: shared, pooled, think")
@@ -89,22 +85,20 @@ func main() {
 		fatal(fmt.Errorf("-check-metrics needs -obs-scrape"))
 	}
 
-	// The soak derives the same table the server landed — file lists and
-	// spec fingerprints match, so ShareScans sessions share the server's
-	// cache with each other (and with any trainer using the same flags).
-	tt, err := core.BuildTrainTable(core.TrainTableConfig{
-		Sessions: *sessions, Batch: *batch, Seed: *seed,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	files, err := tt.Catalog.Files("train", 0)
-	if err != nil {
-		fatal(err)
-	}
-
 	ctx := context.Background()
 	waitReady(ctx, addrs, *readyWait)
+
+	// The served table's own spec and hour-0 file plan, so ShareScans
+	// sessions share the server's cache with each other (and with any
+	// trainer started from the same tablez).
+	meta, err := dppnet.NewClient(addrs[0]).Tablez(ctx)
+	if err != nil {
+		fatal(fmt.Errorf("tablez from %s: %w", addrs[0], err))
+	}
+	files := meta.Files(0)
+	if files == nil {
+		fatal(fmt.Errorf("served table %q has no partition for hour 0", meta.Table))
+	}
 
 	// open(profile) dials one session. Fleet soaks route every profile
 	// through the rendezvous multiplexer (its sessions are ShareScans by
@@ -116,7 +110,7 @@ func main() {
 	}
 	var fleet *dppshard.Fleet
 	if len(addrs) > 1 {
-		if fleet, err = dppshard.New(dppshard.Config{Addrs: addrs, Backend: tt.Backend, Resume: resume, AuthToken: *authToken}); err != nil {
+		if fleet, err = dppshard.New(dppshard.Config{Addrs: addrs, Resume: resume, AuthToken: *authToken}); err != nil {
 			fatal(err)
 		}
 	}
@@ -124,7 +118,8 @@ func main() {
 	client.Resume = resume
 	client.AuthToken = *authToken
 	open := func(profile string) (dpp.Stream, error) {
-		spec := dpp.Spec{Spec: tt.Spec, Files: files}
+		spec := meta.Spec
+		spec.Files = files
 		switch profile {
 		case "shared":
 			spec.ShareScans = true

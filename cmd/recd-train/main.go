@@ -231,9 +231,9 @@ func main() {
 				*epochs, cs.Hits, cs.Misses, cs.Entries, float64(cs.Bytes)/(1<<20), bs.Hits, bs.Misses)
 		}
 	} else if addrs := splitAddrs(*connect); len(addrs) > 1 {
-		// Sharded fleet: one dppshard session per epoch-hour. No local
-		// backend — the trainer built no table — which is fine for the
-		// served spec (aligned batches never need a local carry re-fill).
+		// Sharded fleet: one dppshard session per epoch-hour. The trainer
+		// built no table and needs none: the shards cut every file at the
+		// carry their catalog's row counts give it, whatever the batch size.
 		fleet, err := dppshard.New(dppshard.Config{Addrs: addrs, Resume: resume, AuthToken: *authToken})
 		if err != nil {
 			fatal(err)

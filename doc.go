@@ -29,7 +29,9 @@
 // shape in three layers:
 //
 //   - storage.Backend / storage.Catalog are the blob-store and table
-//     metadata interfaces (Get/ReadRange/Size/List/Exists and AllFiles).
+//     metadata interfaces (Get/ReadRange/Size/List/Exists, and AllFiles and
+//     Lookup: a file's entry holds the row count it was sealed with, which
+//     is what every scan is planned from).
 //     lakefs.Store and lakefs.Catalog are the canonical in-memory
 //     implementations with Tectonic/Hive-style IO accounting.
 //   - reader.Reader executes one fill→convert→process scan over any
@@ -110,9 +112,11 @@
 // reader.Reader.Scan is the paper's fill→convert→process loop over one
 // file, cut for the rows carried into it, and the only fill in the repo:
 // reader.Reader.Run (the serial reference) runs it file by file on the
-// caller's goroutine, a session's workers run it in parallel over a
-// reader.ScanQueue at the carry the queue's chain hands each of them, and
-// a ShareScans session puts the ScanCache in front of the same call.
+// caller's goroutine, a session's workers — and a fleet shard's — run it in
+// parallel over a reader.ScanQueue at the carry the scan's plan gives each
+// file (the rows of every file before it, mod the batch size, summed from
+// the catalog's row counts at Open), and a ShareScans session puts the
+// ScanCache in front of the same call.
 // Every batch stream in the repo — serial, queued, shared through the
 // ScanCache, merged from a fleet of shards — is a file-ordered unit source
 // feeding the one cutter, reader.Reader.RunUnits, which only joins what

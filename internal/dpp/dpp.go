@@ -47,8 +47,10 @@ import (
 type Config struct {
 	// Backend is the shared blob store every session reads through.
 	Backend storage.Backend
-	// Catalog resolves Spec.Table to its scan set. May be nil if every
-	// session supplies an explicit Spec.Files list.
+	// Catalog resolves Spec.Table to its scan set, and holds the row count
+	// of every file a session reads: the one source a scan's plan — where
+	// each file's batches fall — is computed from. A spec naming a file the
+	// catalog does not hold is refused.
 	Catalog storage.Catalog
 	// MaxSessions caps concurrently open sessions; 0 means unlimited.
 	MaxSessions int
@@ -134,8 +136,8 @@ type Service struct {
 
 // New validates the config and builds an empty service.
 func New(cfg Config) (*Service, error) {
-	if cfg.Backend == nil {
-		return nil, fmt.Errorf("dpp: config needs a storage backend")
+	if cfg.Backend == nil || cfg.Catalog == nil {
+		return nil, fmt.Errorf("dpp: config needs a storage backend and a catalog")
 	}
 	if cfg.MaxSessions < 0 {
 		return nil, fmt.Errorf("dpp: negative session cap %d", cfg.MaxSessions)
@@ -327,10 +329,11 @@ func (s *Service) liveSessions() []liveSession {
 	return live
 }
 
-// plan defaults and validates a spec and resolves its scan set: the
-// explicit Files list, else the catalog's files for Table. (A Follow
-// session plans from the catalog's publish order instead; see Open.)
-func (s *Service) plan(spec Spec) (Spec, []string, error) {
+// plan defaults and validates a spec and resolves its scan set — the
+// explicit Files list, else the catalog's files for Table — to the catalog's
+// entries, whose row counts every cut is planned from. (A Follow session
+// plans from the catalog's publish order instead; see Open.)
+func (s *Service) plan(spec Spec) (Spec, []storage.PublishedFile, error) {
 	spec = spec.withDefaults()
 	if err := spec.validate(); err != nil {
 		return spec, nil, err
@@ -338,14 +341,21 @@ func (s *Service) plan(spec Spec) (Spec, []string, error) {
 	if spec.ShareScans && s.cache == nil {
 		return spec, nil, fmt.Errorf("dpp: spec requests ShareScans but the service's scan cache is disabled")
 	}
-	if spec.Files != nil || spec.Follow {
-		return spec, spec.Files, nil
+	files := spec.Files
+	if files == nil && !spec.Follow {
+		var err error
+		if files, err = s.catalog.AllFiles(spec.Table); err != nil {
+			return spec, nil, err
+		}
 	}
-	if s.catalog == nil {
-		return spec, nil, fmt.Errorf("dpp: service has no catalog and spec %q names no files", spec.Table)
+	entries := make([]storage.PublishedFile, len(files))
+	for i, f := range files {
+		var ok bool
+		if entries[i], ok = s.catalog.Lookup(f); !ok {
+			return spec, nil, fmt.Errorf("dpp: file %q is not in the catalog", f)
+		}
 	}
-	files, err := s.catalog.AllFiles(spec.Table)
-	return spec, files, err
+	return spec, entries, nil
 }
 
 // admit is the one admission path: it reserves a slot atomically with the
@@ -410,17 +420,13 @@ func (s *Service) Open(ctx context.Context, spec Spec) (*Session, error) {
 			return nil, fmt.Errorf("dpp: spec requests Follow but the service catalog cannot tail")
 		}
 		gen := tc.Generation()
-		pubs, err := tc.PublishedFiles(spec.Table, 0)
-		if err != nil {
+		if files, err = tc.PublishedFiles(spec.Table, 0); err != nil {
 			return nil, err
 		}
-		files = make([]string, len(pubs))
-		var cursor uint64
-		for i, p := range pubs {
-			files[i] = p.Path
-			cursor = p.Seq
+		tail = &tailState{catalog: tc, gen: gen}
+		if n := len(files); n > 0 {
+			tail.cursor = files[n-1].Seq
 		}
-		tail = &tailState{catalog: tc, gen: gen, cursor: cursor}
 	}
 	return admit(s, func(id int64) (*Session, error) {
 		return newSession(ctx, s, id, spec, files, tail)

@@ -142,22 +142,21 @@ func (c *Client) dial(ctx context.Context, req openRequest) (net.Conn, *bufio.Re
 }
 
 // openStream dials and completes a session handshake, returning the
-// connection, its reader, and the ok reply's resume token (empty for
-// non-resumable sessions). Server refusals come back wrapped in
-// ErrRemote.
-func (c *Client) openStream(ctx context.Context, req openRequest) (net.Conn, *bufio.Reader, func(), string, error) {
+// connection, its reader, the watcher's stop, and the ok reply. Server
+// refusals come back wrapped in ErrRemote.
+func (c *Client) openStream(ctx context.Context, req openRequest) (net.Conn, *bufio.Reader, func(), okReply, error) {
 	conn, br, err := c.dial(ctx, req)
 	if err != nil {
-		return nil, nil, nil, "", err
+		return nil, nil, nil, okReply{}, err
 	}
 	// Install the ctx watcher before the handshake read: a server that
 	// accepts but never replies must not be able to wedge the open past
 	// its context.
 	watchStop := closeOnDone(ctx, conn)
-	fail := func(err error) (net.Conn, *bufio.Reader, func(), string, error) {
+	fail := func(err error) (net.Conn, *bufio.Reader, func(), okReply, error) {
 		watchStop()
 		conn.Close()
-		return nil, nil, nil, "", err
+		return nil, nil, nil, okReply{}, err
 	}
 	typ, payload, err := readFrame(br, maxFrameBytes)
 	if err != nil {
@@ -177,7 +176,7 @@ func (c *Client) openStream(ctx context.Context, req openRequest) (net.Conn, *bu
 	if err != nil {
 		return fail(err)
 	}
-	return conn, br, watchStop, okr.Token, nil
+	return conn, br, watchStop, okr, nil
 }
 
 // probe runs one single-reply conversation of the given handshake kind

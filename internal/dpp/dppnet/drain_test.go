@@ -64,7 +64,7 @@ func TestDrainUnitSessionTerminal(t *testing.T) {
 	spec := dpp.Spec{Spec: alignedSpec(), Files: files, Readers: 1, Buffer: 2}
 
 	h := startServer(t, env, dpp.Config{})
-	rus, err := NewClient(h.addr).OpenUnits(context.Background(), spec)
+	rus, err := NewClient(h.addr).OpenUnits(context.Background(), spec, every(len(spec.Files)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,7 +66,7 @@ var remoteKinds = []struct {
 		return faultStreamOf(&rs.stream), nil
 	}},
 	{"unit", frameFileUnit, func(ctx context.Context, addr string, files []string) (*faultStream, error) {
-		rus, err := NewClient(addr).OpenUnits(ctx, dpp.Spec{Spec: alignedSpec(), Files: files, Buffer: 1})
+		rus, err := NewClient(addr).OpenUnits(ctx, dpp.Spec{Spec: alignedSpec(), Files: files, Buffer: 1}, every(len(files)))
 		if err != nil {
 			return nil, err
 		}
@@ -181,8 +181,9 @@ func TestServerKillDuringNext(t *testing.T) {
 }
 
 // fakeServer accepts one dppnet connection, replies to the handshake
-// with frameOK, then runs inject over the raw connection — the hook for
-// serving protocol garbage a real server never sends.
+// with frameOK — on a unit stream naming a carry of 0 for every served
+// file — then runs inject over the raw connection — the hook for serving
+// protocol garbage a real server never sends.
 func fakeServer(t *testing.T, inject func(net.Conn)) (addr string, done chan struct{}) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -203,15 +204,54 @@ func fakeServer(t *testing.T, inject func(net.Conn)) (addr string, done chan str
 		if _, err := io.ReadFull(br, preamble); err != nil {
 			return
 		}
-		if typ, _, err := readFrame(br, maxControlFrameBytes); err != nil || typ != frameOpen {
+		typ, payload, err := readFrame(br, maxControlFrameBytes)
+		if err != nil || typ != frameOpen {
 			return
 		}
-		if err := writeFrame(conn, frameOK, nil); err != nil {
+		req, err := decodeOpenRequest(payload)
+		if err != nil {
+			return
+		}
+		var ok []byte
+		if req.FileUnits {
+			ok, _ = json.Marshal(okReply{Carries: make([]int, len(req.Serves))})
+		}
+		if err := writeFrame(conn, frameOK, ok); err != nil {
 			return
 		}
 		inject(conn)
 	}()
 	return ln.Addr().String(), done
+}
+
+// TestUnitOKCarriesAreChecked: the carries a unit stream's ok reply names
+// decide which of its frames are heads and what the fleet's cutter holds its
+// rows to, so the client refuses, before reading a frame, an ok that names
+// other than one carry per served file, each fewer rows than a batch — and,
+// on a later connection of the same stream, any carries but the first's.
+func TestUnitOKCarriesAreChecked(t *testing.T) {
+	spec := dpp.Spec{Spec: alignedSpec(), Files: []string{"a", "b", "c", "d"}} // 64-row batches
+	serves := []int{0, 2, 3}
+	for name, carries := range map[string][]int{
+		"none":          nil,
+		"one short":     {0, 16},
+		"one over":      {0, 16, 32, 48},
+		"negative":      {0, -16, 32},
+		"a whole batch": {0, 64, 32},
+	} {
+		var got []int
+		if err := unitKind(spec, serves, &got).accept(okReply{Carries: carries}); err == nil {
+			t.Errorf("%s: ok naming carries %v for %d served files accepted", name, carries, len(serves))
+		}
+	}
+	var got []int
+	accept := unitKind(spec, serves, &got).accept
+	if err := accept(okReply{Carries: []int{0, 16, 32}}); err != nil || !slices.Equal(got, []int{0, 16, 32}) {
+		t.Fatalf("well-formed carries: %v, kept %v", err, got)
+	}
+	if err := accept(okReply{Carries: []int{0, 16, 48}}); err == nil {
+		t.Fatal("a reconnect's ok naming other carries than the first's accepted")
+	}
 }
 
 // TestMidFrameConnectionDrop: the server dies halfway through a batch

@@ -173,7 +173,7 @@ func TestFollowResumeRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewClient(h.addr).OpenUnits(context.Background(), dpp.Spec{Spec: alignedSpec(), Files: files, Follow: true}); !errors.Is(err, ErrRemote) ||
+	if _, err := NewClient(h.addr).OpenUnits(context.Background(), dpp.Spec{Spec: alignedSpec(), Files: files, Follow: true}, every(len(files))); !errors.Is(err, ErrRemote) ||
 		!strings.Contains(err.Error(), "follow") {
 		t.Fatalf("server admitted a file-unit follow session: %v", err)
 	}

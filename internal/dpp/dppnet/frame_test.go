@@ -168,7 +168,8 @@ func TestDecodedItemsOutliveTheFrameBuffer(t *testing.T) {
 	for _, rs := range []reader.Spec{alignedSpec(), misalignedSpec()} {
 		spec := dpp.Spec{Spec: rs, Files: files}
 
-		sent := payloadFrames(recordStream(t, h.addr, spec, false), frameBatch)
+		batches, _ := recordStream(t, h.addr, spec, false)
+		sent := payloadFrames(batches, frameBatch)
 		chain := chainSeed
 		for i, p := range sent {
 			work := append([]byte(nil), p...)
@@ -189,10 +190,11 @@ func TestDecodedItemsOutliveTheFrameBuffer(t *testing.T) {
 			t.Fatalf("recorded batch stream has %d frames", len(sent))
 		}
 
-		frames := unitFrames(recordStream(t, h.addr, spec, true))
-		decode := unitKind(files, spec.ConsumedFeatures()).decode
+		units, carries := recordStream(t, h.addr, spec, true)
+		frames := unitFrames(units)
+		decode := unitKind(spec, every(len(files)), &carries).decode
 		at := cursor{chain: chainSeed}
-		batches, tails := 0, 0
+		nbatches, tails := 0, 0
 		for i, fr := range frames {
 			work := append([]byte(nil), fr.payload...)
 			u, next, err := decode(fr.typ, work, at)
@@ -204,21 +206,23 @@ func TestDecodedItemsOutliveTheFrameBuffer(t *testing.T) {
 				work[j] = 0xFF
 			}
 			if u.Batch != nil {
-				batches++
+				nbatches++
 				_, _, body, _ := decodeBatchFrame(fr.payload)
 				if !bytes.Equal(u.Batch.AppendTo(nil), body) {
 					t.Fatalf("batch size %d, unit stream batch frame %d changed when its frame buffer was overwritten", rs.BatchSize, i)
 				}
 				continue
 			}
-			tails += u.Tail.Rows()
+			if u.Tail != nil {
+				tails += u.Tail.Rows()
+			}
 			_, body, _ := decodeUnitFrame(fr.payload)
 			if !bytes.Equal(appendFileUnit(nil, u), body) {
-				t.Fatalf("batch size %d, closing record %d changed when its frame buffer was overwritten", rs.BatchSize, u.Index)
+				t.Fatalf("batch size %d, file-unit frame of file %d changed when its frame buffer was overwritten", rs.BatchSize, u.Index)
 			}
 		}
-		if at.files != len(files) || batches < 2 || tails == 0 {
-			t.Fatalf("batch size %d: recorded unit stream closed %d of %d files with %d batch frames, %d tail rows", rs.BatchSize, at.files, len(files), batches, tails)
+		if at.files != len(files) || nbatches < 2 || tails == 0 {
+			t.Fatalf("batch size %d: recorded unit stream closed %d of %d files with %d batch frames, %d tail rows", rs.BatchSize, at.files, len(files), nbatches, tails)
 		}
 	}
 }
@@ -239,7 +243,8 @@ func TestRecycledFramesResendIdentical(t *testing.T) {
 	env := newTestEnv(t, 120)
 	h := startServer(t, env, dpp.Config{})
 	spec := dpp.Spec{Spec: alignedSpec(), Files: allFiles(t, env)}
-	want := payloadFrames(recordStream(t, h.addr, spec, false), frameBatch)
+	recorded, _ := recordStream(t, h.addr, spec, false)
+	want := payloadFrames(recorded, frameBatch)
 	if len(want) < 2*window+2 {
 		t.Fatalf("reference stream has %d frames, too few to wrap a window of %d", len(want), window)
 	}

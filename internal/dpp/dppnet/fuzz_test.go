@@ -147,9 +147,11 @@ func TestDecodeServiceStatsRefusesNegativeCounters(t *testing.T) {
 
 // FuzzDecodeResumeHandshake: the v4 open frame is the resume surface —
 // an attacker-supplied offset or token rides in before any session
-// state exists. decodeOpenRequest on arbitrary bytes either fails
-// cleanly or yields a request within the handshake bounds (offset in
-// [0, maxResumeOffset], token no longer than a minted one can be) whose
+// state exists, and since v10 a unit stream's served indices too.
+// decodeOpenRequest on arbitrary bytes either fails cleanly or yields a
+// request within the handshake bounds (offset in [0, maxResumeOffset],
+// token no longer than a minted one can be, served indices on a unit stream
+// only, at least one, strictly increasing inside the file list) whose
 // re-marshalled form decodes back equal.
 func FuzzDecodeResumeHandshake(f *testing.F) {
 	seed := func(req openRequest) []byte {
@@ -159,15 +161,22 @@ func FuzzDecodeResumeHandshake(f *testing.F) {
 		}
 		return payload
 	}
-	ws, err := encodeSpec(dpp.Spec{Spec: misalignedSpec(), ShareScans: true})
+	ws, err := encodeSpec(dpp.Spec{Spec: misalignedSpec(), ShareScans: true, Files: []string{"a", "b", "c"}})
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(seed(openRequest{Kind: kindSession, Window: 4, Spec: ws}))
 	f.Add(seed(openRequest{
-		Kind: kindSession, Window: 8, Spec: ws, FileUnits: true,
+		Kind: kindSession, Window: 8, Spec: ws, FileUnits: true, Serves: []int{0, 2},
 		Resumable: true, Offset: 1234, Token: "00112233445566778899aabbccddeeff",
 	}))
+	// Hostile served indices: none, repeated, decreasing, negative, past
+	// the file list, and on a batch session.
+	for _, serves := range [][]int{{}, {1, 1}, {2, 0}, {-1}, {3}, nil} {
+		f.Add(seed(openRequest{Kind: kindSession, Window: 8, Spec: ws, FileUnits: true, Serves: serves}))
+	}
+	f.Add([]byte(`{"kind":"session","window":8,"file_units":true,"serves":[]}`))
+	f.Add(seed(openRequest{Kind: kindSession, Window: 8, Spec: ws, Serves: []int{0}}))
 	f.Add(seed(openRequest{Kind: kindTablez}))
 	f.Add(seed(openRequest{Kind: kindSession, Window: 4, Spec: ws, Offset: maxResumeOffset}))
 	// Hostile handshakes: negative and overflow offsets, a token past the
@@ -188,6 +197,14 @@ func FuzzDecodeResumeHandshake(f *testing.F) {
 		}
 		if len(req.Token) > maxResumeTokenLen {
 			t.Fatalf("accepted %d-byte token", len(req.Token))
+		}
+		if req.FileUnits != (len(req.Serves) > 0) {
+			t.Fatalf("accepted served indices %v on a stream with file units %v", req.Serves, req.FileUnits)
+		}
+		for i, at := range req.Serves {
+			if at < 0 || at >= len(req.Spec.Files) || (i > 0 && at <= req.Serves[i-1]) {
+				t.Fatalf("accepted served indices %v of %d files", req.Serves, len(req.Spec.Files))
+			}
 		}
 		// JSON field matching is case-insensitive, so the accepted set is
 		// not a bijection — but the canonical re-marshalled form must be a

@@ -73,6 +73,15 @@ func misalignedSpec() reader.Spec {
 	}
 }
 
+// every is the served indices of a unit stream over all n files.
+func every(n int) []int {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	return idx
+}
+
 // counters extracts the deterministic Stats fields.
 func counters(s reader.Stats) [6]int64 {
 	return [6]int64{s.ReadBytes, s.SentBytes, s.RowsDecoded, s.BatchesProduced, s.ConvertValues, s.ProcessOps}

@@ -28,9 +28,11 @@
 // The client half is written once (stream.go): RemoteSession and the
 // fleet's RemoteUnitSession (Client.OpenUnits) are the same receive /
 // reconnect / credit / close core over two stream kinds, differing only in
-// the data a kind supplies and one decode hook. A unit stream serves a file
-// while it is computed: the file's batches travel as ordinary batch frames,
-// each as the shard cuts it, and a file-unit frame closes the file.
+// the data a kind supplies and two hooks. A unit stream serves a file while
+// it is computed: the file's batches travel as ordinary batch frames, each
+// as the shard cuts it, and file-unit frames carry the rows only the client
+// can place — the file's head, when rows are carried into it, and the tail
+// that closes it.
 // A server additionally answers "statsz" handshakes with the service's
 // aggregate dpp.Stats (Client.ServiceStats), the wire form of /statsz,
 // and "tablez" handshakes with the served table's metadata (schema
@@ -69,7 +71,7 @@ import (
 // mixed-version pair never handshakes and then mis-decodes the stream.
 const (
 	protoMagic   = "DPPN"
-	protoVersion = 9
+	protoVersion = 10
 )
 
 // versionRefusal is what a client speaking version v is told. It is the
@@ -88,6 +90,8 @@ func versionRefusal(v byte) error {
 		retiredBy = "v8 retired the extend frame, emptied the drain frame and ships the file-unit tail as columns"
 	case v == 8:
 		retiredBy = "v9 ships a unit stream's batches as batch frames ahead of the file-unit frame, which now only closes the file"
+	case v == 9:
+		retiredBy = "v10 opens a unit stream on the global file list and the indices it serves, names their carries in ok, and ships a carried-into file's head in a file-unit frame"
 	default:
 		return fmt.Errorf("dppnet: protocol v%d is newer than this server's v%d; upgrade the server", v, protoVersion)
 	}
@@ -105,7 +109,8 @@ const (
 	// frameClose requests session teardown (client→server); empty payload.
 	frameClose = byte(0x03)
 
-	// frameOK acknowledges a successful session handshake; empty payload.
+	// frameOK acknowledges a successful session handshake; payload is the
+	// JSON okReply, empty when it has nothing to say.
 	frameOK = byte(0x10)
 	// frameBatch carries one reader.Batch in its Encode wire form.
 	frameBatch = byte(0x11)
@@ -119,13 +124,14 @@ const (
 	frameError = byte(0x14)
 	// frameSvcStats answers a statsz handshake with JSON dpp.Stats.
 	frameSvcStats = byte(0x15)
-	// frameFileUnit closes one file of a file-unit session, after the batch
-	// frames that carried the file's complete batches: subset index,
-	// cache-hit flag, schema, and the tail rows' columns (unitwire.go).
-	// Fleet shards stream file-aligned pieces instead of one batch stream
-	// so the client-side merge can cut carry-crossing batches itself. The
-	// payload is prefixed with the stream's rolling chain hash (see
-	// sealFrame).
+	// frameFileUnit carries rows of one file of a file-unit session: subset
+	// index, cache-hit flag, schema, and the rows' columns (unitwire.go).
+	// It is the file's head, ahead of its batch frames, when the ok reply
+	// carries rows into the file, and it closes the file with its tail
+	// after them. Fleet shards stream file-aligned pieces instead of one
+	// batch stream so the client-side merge can join carry-crossing batches
+	// itself. The payload is prefixed with the stream's rolling chain hash
+	// (see sealFrame).
 	frameFileUnit = byte(0x16)
 	// frameTablez answers a tablez handshake with the JSON TableMeta of
 	// the served table: name, dense width, file plan per partition, and
@@ -171,21 +177,27 @@ type openRequest struct {
 	// "tablez" returns the served table's metadata and closes.
 	Kind string `json:"kind"`
 	// Window is the client's receive window in payload frames: batches,
-	// and on a file-unit stream the closing records too (session kind).
+	// and on a file-unit stream the file-unit frames too (session kind).
 	Window int `json:"window,omitempty"`
 	// Spec is the wire form of the dpp.Spec to open (session kind).
 	Spec *wireSpec `json:"spec,omitempty"`
 	// FileUnits switches the session to file-unit streaming
-	// (dpp.Service.OpenUnits): each file's batches and then its closing
+	// (dpp.Service.OpenUnits): each file's head, batches and closing
 	// record, in file-list order, instead of one batch stream. The fleet
 	// multiplexer's mode.
 	FileUnits bool `json:"file_units,omitempty"`
+	// Serves, on a file-unit stream and only there, are the indices into
+	// Spec.Files — the fleet's global file list — of the files the stream
+	// serves, strictly increasing. The server plans the whole list, so each
+	// served file is cut for the rows every file before it carries in,
+	// wherever those are served.
+	Serves []int `json:"serves,omitempty"`
 	// Resumable asks the server to issue a resume token in ok and to
 	// park this session's live state if the connection drops without a
 	// close frame.
 	Resumable bool `json:"resumable,omitempty"`
 	// Offset is the number of payload frames (batches and file-unit
-	// closing records) the client has already consumed: the server starts
+	// frames) the client has already consumed: the server starts
 	// the stream at this index, either by continuing parked state (Token
 	// set) or by replaying the deterministic prefix.
 	Offset int64 `json:"offset,omitempty"`
@@ -223,9 +235,9 @@ const maxAuthTokenLen = 256
 
 // decodeOpenRequest parses and validates a handshake payload. All
 // adversarial checks that don't need server state live here — negative
-// or overflowing offsets and oversized tokens fail cleanly — so the
-// whole hostile surface is one fuzzable function
-// (FuzzDecodeResumeHandshake).
+// or overflowing offsets, oversized tokens and served indices that are not
+// an increasing subset of the file list fail cleanly — so the whole hostile
+// surface is one fuzzable function (FuzzDecodeResumeHandshake).
 func decodeOpenRequest(payload []byte) (openRequest, error) {
 	var req openRequest
 	if err := json.Unmarshal(payload, &req); err != nil {
@@ -240,15 +252,42 @@ func decodeOpenRequest(payload []byte) (openRequest, error) {
 	if len(req.AuthToken) > maxAuthTokenLen {
 		return openRequest{}, fmt.Errorf("dppnet: handshake auth token of %d bytes exceeds limit %d", len(req.AuthToken), maxAuthTokenLen)
 	}
+	if req.FileUnits || req.Serves != nil {
+		files := 0
+		if req.Spec != nil {
+			files = len(req.Spec.Files)
+		}
+		if err := checkServes(req.FileUnits, req.Serves, files); err != nil {
+			return openRequest{}, err
+		}
+	}
 	return req, nil
 }
 
-// okReply is the JSON payload of a session ok frame. It is empty for
-// non-resumable sessions.
+// checkServes holds a unit stream's served indices to what the stream
+// needs: at least one, strictly increasing, each inside the files.
+func checkServes(units bool, serves []int, files int) error {
+	if !units || len(serves) == 0 {
+		return fmt.Errorf("dppnet: a file-unit stream names the files it serves, and only it does")
+	}
+	for i, at := range serves {
+		if at < 0 || at >= files || (i > 0 && at <= serves[i-1]) {
+			return fmt.Errorf("dppnet: served index %d is not an increasing index of %d files", at, files)
+		}
+	}
+	return nil
+}
+
+// okReply is the JSON payload of a session ok frame. It is empty for a
+// batch session that cannot resume.
 type okReply struct {
 	// Token names the server-side resumable state for this session;
 	// present only when the handshake asked for a resumable session.
 	Token string `json:"token,omitempty"`
+	// Carries, on a file-unit stream, are the rows the server's plan
+	// carries into each served file, in order: where the stream's heads
+	// and batches fall, which the client's cutter holds its rows to.
+	Carries []int `json:"carries,omitempty"`
 }
 
 func decodeOKReply(payload []byte) (okReply, error) {

@@ -16,17 +16,22 @@ import (
 	"repro/internal/dpp"
 )
 
-// recordStream plays a real session against a live server and returns the
-// server→client bytes after the handshake's ok — a frame stream exactly as
-// the receive loop reads it. The window covers the whole stream, so the
+// recordStream plays a real session against a live server — a unit stream
+// serving every file, if units — and returns the server→client bytes after
+// the handshake's ok — a frame stream exactly as the receive loop reads it —
+// and the carries the ok named. The window covers the whole stream, so the
 // server never waits for a credit.
-func recordStream(t testing.TB, addr string, spec dpp.Spec, units bool) []byte {
+func recordStream(t testing.TB, addr string, spec dpp.Spec, units bool) (stream []byte, carries []int) {
 	t.Helper()
 	ws, err := encodeSpec(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, err := json.Marshal(openRequest{Kind: kindSession, Window: dpp.MaxWindow, Spec: ws, FileUnits: units})
+	req := openRequest{Kind: kindSession, Window: dpp.MaxWindow, Spec: ws}
+	if units {
+		req.FileUnits, req.Serves = true, every(len(spec.Files))
+	}
+	payload, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,8 +43,13 @@ func recordStream(t testing.TB, addr string, spec dpp.Spec, units bool) []byte {
 	conn.Write(append([]byte(protoMagic), protoVersion))
 	writeFrame(conn, frameOpen, payload)
 	br := bufio.NewReader(conn)
-	if typ, reply, err := readFrame(br, maxFrameBytes); err != nil || typ != frameOK {
+	typ, reply, err := readFrame(br, maxFrameBytes)
+	if err != nil || typ != frameOK {
 		t.Fatalf("handshake reply = frame %#x %q, %v", typ, reply, err)
+	}
+	ok, err := decodeOKReply(reply)
+	if err != nil {
+		t.Fatal(err)
 	}
 	// The server holds the connection until its frames are acknowledged,
 	// so stop at the eof frame. writeFrame is the server's own encoder:
@@ -52,7 +62,7 @@ func recordStream(t testing.TB, addr string, spec dpp.Spec, units bool) []byte {
 		}
 		writeFrame(&data, typ, payload)
 		if typ == frameEOF {
-			return data.Bytes()
+			return data.Bytes(), ok.Carries
 		}
 	}
 }
@@ -178,13 +188,17 @@ func forgedUnitStreams(t testing.TB, real []byte, consumed []string) (bare, skip
 // whoever sits on the path — sends. On arbitrary bytes, for either kind, it
 // must never panic, must deliver exactly one terminal message, and must
 // never deliver an item whose index and chain hash the test's own walk of
-// the same bytes does not confirm.
+// the same bytes does not confirm. The unit stream is recorded with a batch
+// size that carries rows into every file but the first, so its files open
+// with heads.
 func FuzzClientReceive(f *testing.F) {
 	env := newTestEnv(f, 60)
 	h := startServer(f, env, dpp.Config{})
 	files := allFiles(f, env)
 	spec := dpp.Spec{Spec: alignedSpec(), Files: files}
-	tail := spec.ConsumedFeatures()
+	unitSpec := dpp.Spec{Spec: misalignedSpec(), Files: files}
+	tail := unitSpec.ConsumedFeatures()
+	var carries []int
 
 	// Control frames a server may — or, the last three, may no longer —
 	// interleave with the stream: the empty drain frame, one with a v7
@@ -196,7 +210,14 @@ func FuzzClientReceive(f *testing.F) {
 		controlFrame(0x7f, "?"),
 	}
 	for _, units := range []bool{false, true} {
-		real := recordStream(f, h.addr, spec, units)
+		sp := spec
+		if units {
+			sp = unitSpec
+		}
+		real, got := recordStream(f, h.addr, sp, units)
+		if units {
+			carries = got
+		}
 		frames := splitFrames(f, real)
 		if len(frames) < 4 { // two payload frames, stats, eof
 			f.Fatalf("recorded stream has only %d frames", len(frames))
@@ -241,9 +262,10 @@ func FuzzClientReceive(f *testing.F) {
 
 		// A unit stream's items are its payload frames of both types, one
 		// index sequence over them all; a batch belongs to the file the next
-		// closing record names, and closing records count the files up.
-		pieces, _ := runReceive(t, data, unitKind(files, tail))
-		frames, file := unitFrames(data), 0
+		// closing record names, a file carried into opens with a head, and
+		// closing records count the files up.
+		pieces, _ := runReceive(t, data, unitKind(unitSpec, every(len(files)), &carries))
+		frames, file, began := unitFrames(data), 0, false
 		chain = chainSeed
 		for i, m := range pieces {
 			if i >= len(frames) {
@@ -251,14 +273,16 @@ func FuzzClientReceive(f *testing.F) {
 			}
 			var stamp uint64
 			var err error
-			closes := frames[i].typ == frameFileUnit
-			if closes {
+			rows := frames[i].typ == frameFileUnit
+			head := rows && !began && file < len(carries) && carries[file] > 0
+			closes := rows && !head
+			if rows {
 				var body []byte
 				if stamp, body, err = decodeUnitFrame(frames[i].payload); err == nil {
 					chain, err = chainUnit(chain, body)
 				}
 				if idx, _ := binary.Uvarint(body); err == nil && idx != uint64(file) {
-					err = fmt.Errorf("closing record of file %d", idx)
+					err = fmt.Errorf("file-unit frame of file %d", idx)
 				}
 			} else {
 				var idx int64
@@ -270,10 +294,12 @@ func FuzzClientReceive(f *testing.F) {
 				}
 			}
 			if err != nil || stamp != chain || m.at.chain != chain || file >= len(files) ||
-				m.item.Index != file || m.item.File != files[file] || closes != (m.item.Tail != nil) || closes == (m.item.Batch != nil) {
+				m.item.Index != file || m.item.File != files[file] || closes != (m.item.Tail != nil) ||
+				head != (m.item.Head != nil) || rows == (m.item.Batch != nil) {
 				t.Fatalf("delivered piece %d of file %d unverified: frame %#x (%v), stamp %#x, chain %#x, reported %#x as file %d %q",
 					i, file, frames[i].typ, err, stamp, chain, m.at.chain, m.item.Index, m.item.File)
 			}
+			began = !closes
 			if closes {
 				file++
 			}
@@ -295,16 +321,17 @@ func TestClientReceiveRecordedStreams(t *testing.T) {
 	spec := dpp.Spec{Spec: alignedSpec(), Files: files}
 
 	tail := spec.ConsumedFeatures()
+	carries := make([]int, len(files))
 	count := func(data []byte, units bool) (int, error) {
 		if units {
-			items, end := runReceive(t, data, unitKind(files, tail))
+			items, end := runReceive(t, data, unitKind(spec, every(len(files)), &carries))
 			return len(items), end
 		}
 		items, end := runReceive(t, data, batchKind)
 		return len(items), end
 	}
 	for _, units := range []bool{false, true} {
-		real := recordStream(t, h.addr, spec, units)
+		real, _ := recordStream(t, h.addr, spec, units)
 		first := len(splitFrames(t, real)[0])
 		total, end := count(real, units)
 		if end != io.EOF || total < 2 {

@@ -3,6 +3,7 @@ package dppnet
 import (
 	"context"
 	"crypto/rand"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -100,7 +101,7 @@ func (b *batchWire) close() error            { return b.sess.Close() }
 
 // unitWire streams a unit session piece by piece: a file's batches as batch
 // frames, indexed in the one sequence every payload frame of the stream
-// shares, then its closing record as a file-unit frame, chain |
+// shares, and its head and closing record as file-unit frames, chain |
 // appendFileUnit payload. The chain skips that payload's cache-hit byte
 // (chainUnit), so a replayed file hashes identically whether it was a hit
 // or a re-decode.
@@ -155,6 +156,9 @@ type session struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 	stream wireStream
+	// carries are a unit stream's, named in every ok reply it is served
+	// under.
+	carries []int
 
 	// sent is the stream index the next pulled frame gets; acked is the
 	// lowest index the client has not confirmed consuming. A resumable
@@ -235,14 +239,18 @@ func newResumeToken() (string, error) {
 	return hex.EncodeToString(b[:]), nil
 }
 
-// fileListHash summarizes a spec's explicit file plan so a resume
-// handshake naming a different plan is rejected instead of silently
-// merging two different streams.
-func fileListHash(files []string) uint64 {
-	h := chainSeed
+// fileListHash summarizes a spec's explicit file plan, and the indices of
+// it a unit stream serves, so a resume handshake naming a different plan is
+// rejected instead of silently merging two different streams.
+// The hash folds each chunk's length, and the file count first, so no two
+// (files, serves) pairs fold the same chunks.
+func fileListHash(files []string, serves []int) uint64 {
+	h := chainStep(chainSeed, binary.AppendUvarint(nil, uint64(len(files))))
 	for _, f := range files {
 		h = chainStep(h, []byte(f))
-		h = chainStep(h, []byte{0})
+	}
+	for _, at := range serves {
+		h = chainStep(h, binary.AppendUvarint(nil, uint64(at)))
 	}
 	return h
 }

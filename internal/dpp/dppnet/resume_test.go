@@ -308,7 +308,7 @@ func TestChaosReconnectDeterminism(t *testing.T) {
 			// it reconnected, and how many of those times from inside a file.
 			run := func(t *testing.T, c *Client) (enc [][]byte, reconnects int64, midFile int) {
 				if tc.units {
-					rus, err := c.OpenUnits(context.Background(), spec)
+					rus, err := c.OpenUnits(context.Background(), spec, every(len(spec.Files)))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -402,7 +402,7 @@ func TestChaosReconnectUnitSession(t *testing.T) {
 
 	refH := startServer(t, env, dpp.Config{})
 	refP := startChaosProxy(t, refH.addr, nil, 0)
-	refRUS, err := NewClient(refP.addr).OpenUnits(context.Background(), spec)
+	refRUS, err := NewClient(refP.addr).OpenUnits(context.Background(), spec, every(len(spec.Files)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +426,7 @@ func TestChaosReconnectUnitSession(t *testing.T) {
 			p := startChaosProxy(t, h.addr, kills, 0)
 			client := NewClient(p.addr)
 			client.Resume = ResumePolicy{MaxAttempts: 10, BaseDelay: 5 * time.Millisecond}
-			rus, err := client.OpenUnits(context.Background(), spec)
+			rus, err := client.OpenUnits(context.Background(), spec, every(len(spec.Files)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -515,13 +515,13 @@ func openResumable(t *testing.T, c *Client, spec dpp.Spec, consume int) (net.Con
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn, br, stop, token, err := c.openStream(context.Background(), openRequest{
+	conn, br, stop, ok, err := c.openStream(context.Background(), openRequest{
 		Kind: kindSession, Window: 4, Spec: ws, Resumable: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if token == "" {
+	if ok.Token == "" {
 		t.Fatal("resumable handshake returned no token")
 	}
 	for i := 0; i < consume; i++ {
@@ -529,7 +529,7 @@ func openResumable(t *testing.T, c *Client, spec dpp.Spec, consume int) (net.Con
 			t.Fatalf("frame %d of the resumable session = type %#x, %v", i, typ, err)
 		}
 	}
-	return conn, stop, token
+	return conn, stop, ok.Token
 }
 
 // TestResumeFingerprintMismatchRejected: a resume handshake presenting a
@@ -561,6 +561,25 @@ func TestResumeFingerprintMismatchRejected(t *testing.T) {
 	}
 	h.shutdown(t)
 	testutil.WaitForGoroutines(t, before)
+}
+
+// TestResumeIdentityCoversServes: a resume claim must name the stream's own
+// served files, not only its file list — two unit streams of one fleet
+// session share the list — so the identity hash tells every served subset
+// of a list apart, and a list from the same names cut differently.
+func TestResumeIdentityCoversServes(t *testing.T) {
+	files := []string{"a", "b", "c"}
+	seen := make(map[uint64]string)
+	note := func(what string, h uint64) {
+		if prev, dup := seen[h]; dup {
+			t.Fatalf("%s hashes like %s", what, prev)
+		}
+		seen[h] = what
+	}
+	for _, serves := range [][]int{nil, {0}, {1}, {2}, {0, 1}, {0, 2}, {1, 2}, {0, 1, 2}} {
+		note(fmt.Sprintf("serves %v", serves), fileListHash(files, serves))
+	}
+	note("files [ab c]", fileListHash([]string{"ab", "c"}, nil))
 }
 
 // TestResumeTokenSingleClaim: a parked session's token is single-claim —

@@ -127,7 +127,7 @@ type SessionEvent struct {
 	ShareScans bool
 	// Batches and Bytes count payload frames and payload bytes shipped; set
 	// on close events. A file-unit session's Batches counts its batch frames
-	// and its closing records alike — the unit Offset counts in.
+	// and its file-unit frames alike — the unit Offset counts in.
 	Batches, Bytes int64
 	// Duration is the session's wall-clock lifetime; set on close events.
 	Duration time.Duration
@@ -152,8 +152,9 @@ type ServerStats struct {
 	// SessionsServed counts admitted wire sessions (batch and file-unit).
 	SessionsServed int64
 	// BatchesSent counts batch frames shipped, on batch and on file-unit
-	// streams alike; UnitsSent counts file-unit frames, one per file a unit
-	// stream finished serving. BytesSent totals the payload bytes of both.
+	// streams alike; UnitsSent counts file-unit frames: one per file a unit
+	// stream finished serving, and one more per file it carried rows into.
+	// BytesSent totals the payload bytes of both.
 	BatchesSent, UnitsSent, BytesSent int64
 	// CreditStalls counts credit-window exhaustion episodes — the serving
 	// loop wanted to send but the consumer owed credits — and
@@ -553,7 +554,7 @@ func (s *Server) serveStream(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, 
 // again, an offset replay re-pulled the prefix, and a fleet that only ever
 // "recovers" by replay is burning the work resume exists to avoid.
 func (s *Server) openSession(req *openRequest, spec dpp.Spec) (*session, error) {
-	fingerprint, filesHash := spec.Spec.Fingerprint(), fileListHash(spec.Files)
+	fingerprint, filesHash := spec.Spec.Fingerprint(), fileListHash(spec.Files, req.Serves)
 	if req.Token != "" {
 		ss, err := s.claimResume(req.Token, spec.Tenant, req.FileUnits, fingerprint, filesHash, req.Offset)
 		if err != nil {
@@ -569,8 +570,8 @@ func (s *Server) openSession(req *openRequest, spec dpp.Spec) (*session, error) 
 	var err error
 	if req.FileUnits {
 		var us *dpp.UnitSession
-		if us, err = s.svc.OpenUnits(ss.ctx, spec); err == nil {
-			ss.stream = newUnitWire(us)
+		if us, err = s.svc.OpenUnits(ss.ctx, spec, req.Serves); err == nil {
+			ss.stream, ss.carries = newUnitWire(us), us.Carries()
 		}
 	} else {
 		var sess *dpp.Session
@@ -631,12 +632,14 @@ func (s *Server) serve(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, ss *se
 	}
 
 	var okPayload []byte
-	if ss.token != "" {
+	if ss.token != "" || ss.carries != nil {
 		var err error
-		if okPayload, err = json.Marshal(okReply{Token: ss.token}); err != nil {
+		if okPayload, err = json.Marshal(okReply{Token: ss.token, Carries: ss.carries}); err != nil {
 			writeError(bw, err)
 			return false, "error: " + err.Error()
 		}
+	}
+	if ss.token != "" {
 		if !claimed {
 			// The token is claimable from the moment the client can know it,
 			// not from the moment this handler notices its connection died: a

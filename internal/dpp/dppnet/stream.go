@@ -17,18 +17,22 @@ import (
 )
 
 // kind is what a stream kind supplies to the one remote stream client —
-// data, not code paths. RemoteSession is the core over a batch stream,
-// RemoteUnitSession over a unit stream: batch frames and the file-unit frame
-// that closes each file.
+// data, and the two hooks that check what arrives. RemoteSession is the core
+// over a batch stream, RemoteUnitSession over a unit stream: batch frames
+// and the file-unit frames that carry each file's head and close it.
 type kind[T any] struct {
-	// fileUnits is the handshake bit that asks the server for a unit stream.
-	fileUnits bool
+	// serves, when set, asks the server for a unit stream serving these
+	// indices of the spec's files.
+	serves []int
 	// drainSurfaces makes a drain frame end the stream with ErrDrained — at
 	// the next file boundary — instead of being advisory: a unit stream's
 	// consumer (dppshard) moves the files it has not been served to another
 	// shard.
 	drainSurfaces bool
-	// decode holds the only per-kind logic: refuse a frame type the kind
+	// accept, when set, checks every connection's ok reply before the
+	// stream is served on it.
+	accept func(okReply) error
+	// decode holds the per-frame logic: refuse a frame type the kind
 	// does not carry, split the stamped payload, verify it is the item the
 	// stream has at the cursor and that folding it into the chain gives the
 	// stamped value, and decode the item. The two stamp layouts
@@ -127,10 +131,16 @@ func (st *stream[T]) start(ctx context.Context, c *Client, spec dpp.Spec, k kind
 // the new connection and a fresh receiver continuing at the cursor. A
 // session is resumable exactly when its client would resume it.
 func (st *stream[T]) connect(ctx context.Context, token string) error {
-	conn, br, stop, newToken, err := st.client.openStream(ctx, openRequest{
-		Kind: kindSession, Window: st.window, Spec: st.ws, FileUnits: st.kind.fileUnits,
+	conn, br, stop, ok, err := st.client.openStream(ctx, openRequest{
+		Kind: kindSession, Window: st.window, Spec: st.ws, FileUnits: st.kind.serves != nil, Serves: st.kind.serves,
 		Resumable: st.client.Resume.MaxAttempts > 0, Offset: st.at.frames, Token: token,
 	})
+	if err == nil && st.kind.accept != nil {
+		if err = st.kind.accept(ok); err != nil {
+			stop()
+			conn.Close()
+		}
+	}
 	if err != nil {
 		return err
 	}
@@ -148,7 +158,7 @@ func (st *stream[T]) connect(ctx context.Context, token string) error {
 		return dpp.ErrClosed
 	}
 	old := st.conn
-	st.conn, st.recv, st.watchStop, st.token = conn, recv, stop, newToken
+	st.conn, st.recv, st.watchStop, st.token = conn, recv, stop, ok.Token
 	st.mu.Unlock()
 	if old != nil {
 		old.Close()

@@ -10,23 +10,24 @@ import (
 	"repro/internal/tensor"
 )
 
-// A unit stream is, per file and in file-list order, the file's complete
+// A unit stream is, per file and in file-list order, the file's head as a
+// file-unit frame when the plan carries rows into it, the file's complete
 // batches as ordinary batch frames — each leaves the shard as it is cut —
-// and then one file-unit frame, the file's closing record. Its payload
-// layout (all counts uvarint):
+// and then one file-unit frame, the file's closing record. A file-unit
+// frame's payload layout (all counts uvarint):
 //
 //	index | hit byte | dense | nKeys (len-prefixed keys)... |
-//	tail (dwrf.Chunk wire codec: the rows' columns)
+//	rows (dwrf.Chunk wire codec: the rows' columns)
 //
-// The tail is the column chunk it is on both sides of the wire, and holds
+// The rows are the column chunk they are on both sides of the wire, and hold
 // only the features the spec consumes. Which those are does not travel: the
 // client owns the spec (reader.Spec.ConsumedFeatures) and the frame's keys
 // place them.
 //
 // The file path itself does not travel: files arrive strictly in
 // file-list order and the client owns the list it asked for, so the
-// subset index names the file, and the batch frames before a closing
-// record are that file's. Decode bounds every count before allocating, in
+// subset index names the file, and the frames before a closing record are
+// that file's: which of them is a head, the carries in ok say. Decode bounds every count before allocating, in
 // the same adversarial posture as the batch and stats codecs — a forged
 // frame fails cleanly, it never allocates the forgery.
 const (
@@ -42,13 +43,17 @@ const (
 	maxUnitDense = 1 << 20
 )
 
-// appendFileUnit appends a closing piece's file-unit frame payload to dst:
-// the schema is the tail chunk's own.
+// appendFileUnit appends a head or closing piece's file-unit frame payload
+// to dst: the schema is the rows chunk's own.
 func appendFileUnit(dst []byte, p dpp.UnitPiece) []byte {
-	// Tail rows are raw, so a tail can outweigh the batches beside it: where
-	// dst is too small it is grown once, to the tail's cells plus the framing
+	rows := p.Tail
+	if p.Head != nil {
+		rows = p.Head
+	}
+	// The rows are raw, so they can outweigh the batches beside them: where
+	// dst is too small it is grown once, to the rows' cells plus the framing
 	// around them, not up a doubling ladder.
-	cells := int(p.Tail.MemBytes())
+	cells := int(rows.MemBytes())
 	dst = slices.Grow(dst, cells+cells/32+1024)
 	dst = binary.AppendUvarint(dst, uint64(p.Index))
 	if p.Hit {
@@ -56,20 +61,20 @@ func appendFileUnit(dst []byte, p dpp.UnitPiece) []byte {
 	} else {
 		dst = append(dst, 0)
 	}
-	keys := p.Tail.Keys()
-	dst = binary.AppendUvarint(dst, uint64(p.Tail.DenseWidth()))
+	keys := rows.Keys()
+	dst = binary.AppendUvarint(dst, uint64(rows.DenseWidth()))
 	dst = binary.AppendUvarint(dst, uint64(len(keys)))
 	for _, k := range keys {
 		dst = append(binary.AppendUvarint(dst, uint64(len(k))), k...)
 	}
-	return p.Tail.AppendTo(dst)
+	return rows.AppendTo(dst)
 }
 
-// decodeFileUnit parses a file-unit frame payload in place. The returned
-// closing piece's File is empty — the caller maps the subset index back to
-// its own file list — and nothing of it aliases the payload. consumed names
-// the features the tail chunk holds. Trailing bytes after the tail are a
-// protocol error.
+// decodeFileUnit parses a file-unit frame payload in place, as a closing
+// piece: the caller, which knows the carries, makes a head of it. Its File
+// is empty — the caller maps the subset index back to its own file list —
+// and nothing of it aliases the payload. consumed names the features the
+// rows chunk holds. Trailing bytes after the rows are a protocol error.
 func decodeFileUnit(payload []byte, consumed []string) (dpp.UnitPiece, error) {
 	d := tensor.NewDecoder(payload)
 	bounded := func(name string, max uint64) (int, error) {

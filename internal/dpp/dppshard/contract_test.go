@@ -53,7 +53,7 @@ func streamKinds() []streamKind {
 		}},
 		{"dpp.UnitSession", func(t *testing.T, ctx context.Context, env *fleetEnv) (func(context.Context) (any, error), func() error, func()) {
 			svc := local(t, env)
-			s, err := svc.OpenUnits(ctx, spec(env))
+			s, err := svc.OpenUnits(ctx, spec(env), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -69,7 +69,7 @@ func streamKinds() []streamKind {
 		}},
 		{"dppnet.RemoteUnitSession", func(t *testing.T, ctx context.Context, env *fleetEnv) (func(context.Context) (any, error), func() error, func()) {
 			shards := startFleet(t, env, 1)
-			s, err := dppnet.NewClient(shards[0].addr).OpenUnits(ctx, spec(env))
+			s, err := dppnet.NewClient(shards[0].addr).OpenUnits(ctx, spec(env), every(len(env.files)))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -5,20 +5,23 @@
 // — on exactly one shard, and the fleet's cache capacity is the sum of
 // the shards' budgets rather than N replicas of the same working set.
 //
-// Each shard serves its file subset as a dppnet file-unit stream (its
-// files in order, each piece by piece: the complete batches as the shard
-// cuts them, then a closing record with the raw tail rows), and the
-// multiplexer reassembles the global file order with the same
-// deposit-by-index ordered-merge discipline a local session's fill pool
-// uses (reader.OrderedMerge): a pump deposits a file's unit at the file's
-// first frame and hands the pieces after it to the reader's one cutter
-// (reader.RunUnits) through the hand-off every queue worker uses
-// (reader.Handoff), so the fleet emits a shard-cut batch the moment it
-// arrives. Batches whose rows stay inside one file pass through untouched;
-// batch boundaries that cross file boundaries are cut client-side from the
-// carried tails — which is what makes the merged stream byte-identical to a
-// single-server (or fully local) session over the same spec, at any shard
-// count.
+// Each shard serves its file subset as a dppnet file-unit stream opened on
+// the global file list: its files in order, each cut for the rows the plan
+// of the whole list carries into it — which the shard computes from its
+// catalog and names in its ok reply — piece by piece: the head rows when a
+// carry enters the file, the complete batches as the shard cuts them, then a
+// closing record with the raw tail rows. The multiplexer reassembles the
+// global file order with the same deposit-by-index ordered-merge discipline
+// a local session's fill pool uses (reader.OrderedMerge): a pump deposits a
+// file's unit, with its carry, at the file's first frame and hands the
+// pieces after it to the reader's one cutter (reader.RunUnits) through the
+// hand-off every queue worker uses (reader.Handoff), so the fleet emits a
+// shard-cut batch the moment it arrives. Batches whose rows stay inside one
+// file pass through untouched; a batch that crosses a file boundary is
+// joined client-side from one file's tail and the next one's head — which is
+// what makes the merged stream byte-identical to a single-server (or fully
+// local) session over the same spec, at any shard count and any alignment,
+// with no storage on the client.
 //
 // Shard death mid-stream re-routes deterministically: the dead shard's
 // not-yet-finished files — and only those — are re-hashed over the
@@ -52,12 +55,8 @@ type Config struct {
 	// Order does not affect routing — rendezvous hashing is symmetric in
 	// the member set — but duplicates are rejected.
 	Addrs []string
-	// Backend optionally gives the multiplexer local storage access for
-	// files whose batches cannot be cut shard-side: when a scan enters a
-	// file with carried rows (a misaligned spec), the batch boundaries
-	// depend on the carry, so the mux re-fills that file locally (the
-	// cutter's rule for a scan cut at the wrong carry). Nil is fine for
-	// aligned specs; a misaligned scan without a backend fails cleanly.
+	// Backend is ignored: every file is cut shard-side, at the carry the
+	// shard's plan gives it, so the multiplexer reads no storage.
 	Backend storage.Backend
 	// Resume, when it names a positive MaxAttempts, lets each shard
 	// stream survive connection loss (or a shard restart) through the
@@ -74,7 +73,6 @@ type Config struct {
 // Fleet opens multiplexed sessions over a fixed shard set.
 type Fleet struct {
 	addrs     []string
-	backend   storage.Backend
 	resume    dppnet.ResumePolicy
 	authToken string
 }
@@ -94,8 +92,7 @@ func New(cfg Config) (*Fleet, error) {
 		}
 		seen[a] = struct{}{}
 	}
-	return &Fleet{addrs: append([]string(nil), cfg.Addrs...), backend: cfg.Backend,
-		resume: cfg.Resume, authToken: cfg.AuthToken}, nil
+	return &Fleet{addrs: append([]string(nil), cfg.Addrs...), resume: cfg.Resume, authToken: cfg.AuthToken}, nil
 }
 
 // isDrainingRefusal recognizes a server-side open refusal caused by
@@ -193,9 +190,8 @@ type Session struct {
 	// merge holds one slot per file of the global plan: the unit its shard
 	// is delivering, or the stream's fate.
 	merge *reader.OrderedMerge[reader.Unit]
-	// mux is the session's local reader, the cutter: it cuts
-	// carry-crossing batches from tails and re-fills carry-entered files
-	// (which needs Config.Backend).
+	// mux is the session's local reader, the cutter: it joins the batches
+	// that cross files from tails and heads, and has no store to read.
 	mux *reader.Reader
 	// pumps tracks only the shard pump goroutines: a cleanly exhausted
 	// merge waits for them before closing the stream, so every healthy
@@ -235,7 +231,7 @@ func (f *Fleet) Open(ctx context.Context, spec dpp.Spec) (*Session, error) {
 	files := spec.Files
 	fingerprint := spec.Spec.Fingerprint()
 
-	mux, err := reader.NewReader(f.backend, spec.Spec)
+	mux, err := reader.NewReader(nil, spec.Spec)
 	if err != nil {
 		return nil, err
 	}
@@ -308,18 +304,12 @@ func allIndices(n int) []int {
 	return idxs
 }
 
-// openShard opens one unit stream carrying exactly g's file subset.
+// openShard opens one unit stream serving exactly g's files of the plan.
 func (s *Session) openShard(g group) (*dppnet.RemoteUnitSession, error) {
-	subset := make([]string, len(g.indices))
-	for i, idx := range g.indices {
-		subset[i] = s.files[idx]
-	}
-	shardSpec := s.spec
-	shardSpec.Files = subset
 	cl := dppnet.NewClient(g.addr)
 	cl.Resume = s.fleet.resume
 	cl.AuthToken = s.fleet.authToken
-	return cl.OpenUnits(s.sh.Ctx(), shardSpec)
+	return cl.OpenUnits(s.sh.Ctx(), s.spec, g.indices)
 }
 
 // abandonOpen tears down a half-built session whose Open is failing.
@@ -356,7 +346,7 @@ func (s *Session) runPump(st *shardState) {
 		if !s.merge.WaitWindow(gidx) {
 			return // merge aborted: teardown or a terminal error elsewhere
 		}
-		if err := s.pumpFile(st, gidx); err != nil {
+		if err := s.pumpFile(st, gidx, st.sess.Carries()[pos]); err != nil {
 			if s.sh.Ctx().Err() != nil || errors.Is(err, context.Canceled) {
 				return
 			}
@@ -391,10 +381,11 @@ func (s *Session) runPump(st *shardState) {
 }
 
 // pumpFile moves the next file of st's stream, global index gidx, into the
-// merge: its unit is deposited at the first frame and each piece follows
-// through the hand-off, to the closing record. Of a file another shard died
-// inside, the pieces already merged are read and dropped first.
-func (s *Session) pumpFile(st *shardState, gidx int) error {
+// merge: its unit, cut for carry rows, is deposited at the first frame and
+// each piece follows through the hand-off, to the closing record. Of a file
+// another shard died inside, the pieces already merged are read and dropped
+// first.
+func (s *Session) pumpFile(st *shardState, gidx, carry int) error {
 	s.pmu.Lock()
 	feed := s.partials[gidx]
 	s.pmu.Unlock()
@@ -415,12 +406,16 @@ func (s *Session) pumpFile(st *shardState, gidx int) error {
 			continue
 		}
 		if feed == nil {
-			feed = reader.NewHandoff(s.merge, gidx, reader.Unit{File: piece.File})
+			feed = reader.NewHandoff(s.merge, gidx, reader.Unit{File: piece.File, Carry: carry})
 			s.pmu.Lock()
 			s.partials[gidx] = feed
 			s.pmu.Unlock()
 		}
-		if err := feed.Send(reader.Piece{Batch: piece.Batch, Rows: piece.Tail}); err != nil {
+		rows := piece.Tail
+		if piece.Head != nil {
+			rows = piece.Head
+		}
+		if err := feed.Send(reader.Piece{Batch: piece.Batch, Rows: rows}); err != nil {
 			return err
 		}
 		if piece.Tail != nil {
@@ -516,10 +511,9 @@ func (s *Session) rerouteShard(st *shardState, pos int, cause error) {
 }
 
 // runMerge pulls the shards' units in global file order into the cutter
-// and settles the stream: files entered on a batch boundary pass their
-// shard-cut batches through as they arrive, files entered with carried rows
-// are re-filled locally and cut against the carry, and the final short batch
-// is cut from the last tail.
+// and settles the stream: shard-cut batches pass through as they arrive, a
+// file's head joins the rows carried into it, and the final short batch is
+// cut from the last tail.
 func (s *Session) runMerge() {
 	i := 0
 	err := s.mux.RunUnits(s.sh.Ctx(), func() (reader.Unit, bool) {
@@ -549,10 +543,10 @@ func (s *Session) Close() error { return s.sh.Close() }
 
 // Stats aggregates the fleet session's accounting: every shard's
 // trailing stats (decode work, egress, per-shard cache traffic) summed
-// with the multiplexer's own local reader work (carry-file re-fills and
-// carry-crossing batch cuts). For an aligned cold scan the aggregate
-// reader counters equal the single-server session's exactly; shard
-// stats are complete once Next has returned io.EOF (a shard killed
+// with the multiplexer's own reader work (the batches that cross files,
+// joined from tails and heads; it decodes nothing). For a cold scan the
+// aggregate reader counters equal the single-server session's exactly;
+// shard stats are complete once Next has returned io.EOF (a shard killed
 // mid-stream loses its trailing frame — its completed work is absent,
 // which ShardStats surfaces per shard).
 func (s *Session) Stats() dpp.SessionStats {

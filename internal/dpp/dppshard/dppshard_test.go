@@ -12,7 +12,6 @@ import (
 	"net"
 	"runtime"
 	"slices"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -73,6 +72,15 @@ func alignedSpec() reader.Spec {
 			{"user_elem_0", "user_elem_1", "user_elem_2"},
 		},
 	}
+}
+
+// every is the served indices of a unit stream over all n files.
+func every(n int) []int {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	return idx
 }
 
 func misalignedSpec() reader.Spec {
@@ -224,7 +232,7 @@ func TestFleetMatchesSingleServer(t *testing.T) {
 			wantEnc, wantStats := serialReference(t, env, tc.spec)
 			for n := 1; n <= 8; n++ {
 				shards := startFleet(t, env, n)
-				fleet, err := dppshard.New(dppshard.Config{Addrs: addrsOf(shards), Backend: env.store})
+				fleet, err := dppshard.New(dppshard.Config{Addrs: addrsOf(shards)})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -322,6 +330,16 @@ func quarterSpec() reader.Spec {
 	return spec
 }
 
+// carriedQuarterSpec is misalignedSpec cut about three batches to the file,
+// carrying 4, 8, 12, 16 rows and none in turn into the files: most files of
+// a unit stream over it open with a head, so a shard that dies at a random
+// point is most often inside a file entered with a carry.
+func carriedQuarterSpec() reader.Spec {
+	spec := misalignedSpec()
+	spec.BatchSize = 20
+	return spec
+}
+
 // TestFleetShardKillDeterminism is the failover half of the contract
 // (run under -race in CI): a randomly chosen shard is killed at a
 // seeded point mid-stream — between two files, or inside one, some of its
@@ -341,6 +359,8 @@ func TestFleetShardKillDeterminism(t *testing.T) {
 		{"sharescans", alignedSpec(), true, 5},
 		{"quarter batches", quarterSpec(), false, 8},
 		{"quarter batches, sharescans", quarterSpec(), true, 8},
+		{"carried quarter batches", carriedQuarterSpec(), false, 8},
+		{"carried quarter batches, sharescans", carriedQuarterSpec(), true, 8},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -349,7 +369,7 @@ func TestFleetShardKillDeterminism(t *testing.T) {
 				before := runtime.NumGoroutine()
 				rng := rand.New(rand.NewSource(seed))
 				shards := startFleet(t, env, 3)
-				fleet, err := dppshard.New(dppshard.Config{Addrs: addrsOf(shards), Backend: env.store})
+				fleet, err := dppshard.New(dppshard.Config{Addrs: addrsOf(shards)})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -468,7 +488,7 @@ func TestFleetShardDiesInsideAFile(t *testing.T) {
 				var stop func()
 				doomed, stop = cutAfterFrames(t, target, k)
 				addrs[0] = doomed
-				fleet, err := dppshard.New(dppshard.Config{Addrs: addrs, Backend: env.store})
+				fleet, err := dppshard.New(dppshard.Config{Addrs: addrs})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -521,7 +541,7 @@ func TestFleetOpenSemantics(t *testing.T) {
 	}
 
 	shards := startFleet(t, env, 2)
-	fleet, err := dppshard.New(dppshard.Config{Addrs: addrsOf(shards), Backend: env.store})
+	fleet, err := dppshard.New(dppshard.Config{Addrs: addrsOf(shards)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -552,7 +572,7 @@ func TestFleetOpenSemantics(t *testing.T) {
 	cappedSrv := dppnet.NewServer(cappedSvc)
 	go cappedSrv.Serve(ln)
 	defer cappedSrv.Close()
-	capped, err := dppshard.New(dppshard.Config{Addrs: []string{ln.Addr().String()}, Backend: env.store})
+	capped, err := dppshard.New(dppshard.Config{Addrs: []string{ln.Addr().String()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -573,7 +593,7 @@ func TestFleetOpenSemantics(t *testing.T) {
 	}
 	deadAddr := deadLn.Addr().String()
 	deadLn.Close()
-	mixed, err := dppshard.New(dppshard.Config{Addrs: []string{deadAddr, shards[0].addr, shards[1].addr}, Backend: env.store})
+	mixed, err := dppshard.New(dppshard.Config{Addrs: []string{deadAddr, shards[0].addr, shards[1].addr}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -594,32 +614,46 @@ func TestFleetOpenSemantics(t *testing.T) {
 	}
 }
 
-// TestFleetMisalignedNeedsBackend pins the documented constraint: a
-// misaligned spec (carry crosses file boundaries) needs local storage
-// access to re-fill carry-entered files, and fails with a pointed error
-// rather than wrong bytes when the fleet has none.
-func TestFleetMisalignedNeedsBackend(t *testing.T) {
+// TestFleetMisalignedHoldsNoStorage: a fleet client holds no storage and
+// needs none, whatever the alignment. Over 1, 2 and 4 shards and a batch
+// size that carries rows into almost every file, a fleet built with no
+// backend streams the serial reference byte for byte, and the shards and
+// the mux together do exactly a serial scan's work, counter for counter:
+// the mux's own reader — the fleet's total less every shard's — fetched and
+// decoded nothing.
+func TestFleetMisalignedHoldsNoStorage(t *testing.T) {
 	env := newFleetEnv(t)
-	shards := startFleet(t, env, 2)
-	fleet, err := dppshard.New(dppshard.Config{Addrs: addrsOf(shards)}) // no Backend
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := fleet.Open(context.Background(), dpp.Spec{Spec: misalignedSpec(), Files: env.files})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	for {
-		_, err := sess.Next(context.Background())
-		if err == io.EOF {
-			t.Fatal("misaligned fleet scan without a backend drained cleanly")
-		}
+	wantEnc, wantStats := serialReference(t, env, misalignedSpec())
+	for _, n := range []int{1, 2, 4} {
+		shards := startFleet(t, env, n)
+		fleet, err := dppshard.New(dppshard.Config{Addrs: addrsOf(shards)})
 		if err != nil {
-			if !strings.Contains(err.Error(), "backend") {
-				t.Fatalf("err = %v, want a local-backend error", err)
+			t.Fatal(err)
+		}
+		sess, err := fleet.Open(context.Background(), dpp.Spec{Spec: misalignedSpec(), Files: env.files})
+		if err != nil {
+			t.Fatalf("%d shards: %v", n, err)
+		}
+		mustEqualStreams(t, drainFleet(t, sess), wantEnc)
+		st := sess.Stats()
+		if counters(st.Reader) != counters(wantStats) {
+			t.Fatalf("%d shards: aggregate counters %v, serial %v", n, counters(st.Reader), counters(wantStats))
+		}
+		mux := st.Reader
+		stats, _ := sess.ShardStats()
+		for _, sh := range stats {
+			if !sh.StatsOK {
+				t.Fatalf("%d shards: shard %s lost its stats frame on a healthy fleet", n, sh.Addr)
 			}
-			return
+			mux.ReadBytes -= sh.Stats.Reader.ReadBytes
+			mux.RowsDecoded -= sh.Stats.Reader.RowsDecoded
+		}
+		if mux.ReadBytes != 0 || mux.RowsDecoded != 0 {
+			t.Fatalf("%d shards: the mux read %d bytes and decoded %d rows", n, mux.ReadBytes, mux.RowsDecoded)
+		}
+		sess.Close()
+		for _, s := range shards {
+			s.shutdown()
 		}
 	}
 }
@@ -631,42 +665,53 @@ func TestFleetMisalignedNeedsBackend(t *testing.T) {
 // sessions rejoin via token-less offset replay instead of re-routing
 // files. The merged stream stays byte-identical to the serial
 // reference, reroutes stay at zero, and every seeded schedule tears
-// down leak-free.
+// down leak-free. The misaligned rows replay a stream whose files are cut
+// at nonzero carries: the replayed prefix is re-cut at the same ones.
 //
 // Window math makes the reconnect assertion deterministic: with
 // Readers=Buffer=1 the merge pulls at most consumed+3 units and each
 // shard server sends at most one unit past its last pull, so at kill
 // point k every server together has sent at most k+6 of the table's
-// files — with k <= files-7, some unit is still unsent and its shard's
-// stream cannot have EOF'd, forcing at least one rejoin.
+// files — with k <= files-7 batches consumed, and so no more files, some
+// unit is still unsent and its shard's stream cannot have EOF'd, forcing
+// at least one rejoin.
 func TestShardRestartRejoinsViaResume(t *testing.T) {
 	env := newFleetEnv(t)
-	wantEnc, _ := serialReference(t, env, alignedSpec())
-	if len(wantEnc) < 8 {
-		t.Fatalf("reference stream has only %d batches; the kill window needs len-7 >= 1", len(wantEnc))
+	if len(env.files) < 8 {
+		t.Fatalf("the table has only %d files; the kill window needs files-7 >= 1", len(env.files))
 	}
-	const seeds = 8
+	for _, row := range []struct {
+		name  string
+		spec  reader.Spec
+		seeds int64
+	}{{"", alignedSpec(), 8}, {",misaligned", misalignedSpec(), 4}} {
+		wantEnc, _ := serialReference(t, env, row.spec)
+		runRestartSeeds(t, env, row.name, row.spec, row.seeds, wantEnc)
+	}
+}
+
+func runRestartSeeds(t *testing.T, env *fleetEnv, name string, spec reader.Spec, seeds int64, wantEnc [][]byte) {
 	for seed := int64(0); seed < seeds; seed++ {
 		share := seed%2 == 1
-		t.Run(fmt.Sprintf("seed=%d,share=%v", seed, share), func(t *testing.T) {
+		t.Run(fmt.Sprintf("seed=%d,share=%v%s", seed, share, name), func(t *testing.T) {
 			before := runtime.NumGoroutine()
 			rng := rand.New(rand.NewSource(4000 + seed))
 			shards := startFleet(t, env, 3)
 			fleet, err := dppshard.New(dppshard.Config{
-				Addrs: addrsOf(shards), Backend: env.store,
+				Addrs:  addrsOf(shards),
 				Resume: dppnet.ResumePolicy{MaxAttempts: 30, BaseDelay: 20 * time.Millisecond},
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			sess, err := fleet.Open(context.Background(), dpp.Spec{
-				Spec: alignedSpec(), Files: env.files, ShareScans: share,
+				Spec: spec, Files: env.files, ShareScans: share,
 				Readers: 1, Buffer: 1,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			killAt := 1 + rng.Intn(len(wantEnc)-7)
+			killAt := 1 + rng.Intn(len(env.files)-7)
 			restarted := make([]*dppnet.Server, len(shards))
 			var got [][]byte
 			for {

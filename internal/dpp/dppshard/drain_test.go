@@ -69,7 +69,7 @@ func TestFleetDrainHandsOffMidStream(t *testing.T) {
 	before := runtime.NumGoroutine()
 	shards := startFleet(t, env, 2)
 	fleet, err := dppshard.New(dppshard.Config{
-		Addrs: addrsOf(shards), Backend: env.store,
+		Addrs:  addrsOf(shards),
 		Resume: dppnet.ResumePolicy{MaxAttempts: 10, BaseDelay: 5 * time.Millisecond},
 	})
 	if err != nil {

@@ -378,8 +378,17 @@ func TestRetentionInvalidatesBothTiers(t *testing.T) {
 	}
 
 	// A read that names a dropped file bypasses both (purged) tiers,
-	// reaches the store, and fails — it cannot serve stale bytes.
-	doomed, err := svc.Open(context.Background(), dpp.Spec{Spec: dedupSpec(), Files: droppedFiles[:1]})
+	// reaches the store, and fails — it cannot serve stale bytes. The
+	// catalog no longer plans the file, so the read is planned from one
+	// that has not seen the drop, over the same raw tier.
+	stale := lakefs.NewCatalog()
+	stale.AddFile("tbl", 0, droppedFiles[0], 64)
+	staleSvc, err := dpp.New(dpp.Config{Backend: cached, Catalog: stale})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer staleSvc.Close()
+	doomed, err := staleSvc.Open(context.Background(), dpp.Spec{Spec: dedupSpec(), Files: droppedFiles[:1]})
 	if err != nil {
 		t.Fatal(err)
 	}

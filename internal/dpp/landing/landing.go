@@ -223,8 +223,9 @@ func (w *Writer) Flush() error {
 }
 
 // sealLocked encodes the buffered rows into one DWRF file and publishes
-// it: store.Put first, catalog.AddFile second, so no reader ever
-// observes a catalogued path without its bytes. Callers hold w.mu. On
+// it: store.Put first, catalog.AddFile — with the file's row count — second,
+// so no reader ever observes a catalogued path without its bytes. Callers
+// hold w.mu. On
 // failure the writer goes sticky-failed with the buffer intact.
 func (w *Writer) sealLocked() {
 	rows := w.buf
@@ -250,7 +251,7 @@ func (w *Writer) sealLocked() {
 		w.err = err
 		return
 	}
-	w.cfg.Catalog.AddFile(w.cfg.Table, w.hour, path)
+	w.cfg.Catalog.AddFile(w.cfg.Table, w.hour, path, len(rows))
 	w.seq++
 	w.stats.Flushes++
 	w.stats.FilesLanded++

@@ -49,8 +49,7 @@ type ScanCache struct {
 
 // ScanKey is the identity of one shareable unit of scan work: a file, the
 // fingerprint of the spec that converts it, and how many rows the scan
-// carries into it (0 on a batch boundary; always 0 for file-unit
-// sessions).
+// carries into it (0 on a batch boundary).
 type ScanKey struct {
 	File        string
 	Fingerprint string

@@ -97,12 +97,12 @@ func (s Spec) withDefaults() Spec {
 }
 
 // Window is the session's backpressure bound: how many finished batches
-// (or, for a unit stream, pieces: batches and closing records) may sit ahead
-// of the consumer — Readers × Buffer with the defaults applied, capped at
-// MaxWindow. It is the one definition every boundary sizes from: a local
+// (or, for a unit stream, pieces: heads, batches and closing records) may
+// sit ahead of the consumer — Readers × Buffer with the defaults applied,
+// capped at MaxWindow. It is the one definition every boundary sizes from: a local
 // session's output buffer of either kind, a remote session's credit window,
-// the fleet session's output buffer. At least 1, so that a spec validate will
-// refuse still travels to the service that refuses it.
+// the fleet session's output buffer. At least 1, so that a spec that validate
+// will refuse still travels to the service that refuses it.
 func (s Spec) Window() int {
 	s = s.withDefaults()
 	return max(1, min(s.Readers*s.Buffer, MaxWindow))
@@ -138,13 +138,13 @@ var _ Stream = (*Session)(nil)
 // one goroutine (the training loop) pulls batches in order.
 //
 // Internally every session is a shared ordered work queue
-// (reader.ScanQueue) feeding the reader's one cutter (reader.RunUnits):
-// fill workers claim file indices and scan them in parallel — fill, convert
-// and process, each file cut for the rows the queue's chain says are carried
-// into it — piece by piece into the cutter's hands: the batches of a scan as
-// the worker cuts them, or, on a ShareScans session, a cached scan's all at
-// once. The cutter awaits them in file order and joins them across file
-// boundaries. The worker pool is resizable mid-scan (Resize, or the
+// (reader.ScanQueue) over the scan's plan, feeding the reader's one cutter
+// (reader.RunUnits): fill workers claim file indices and scan them in
+// parallel — fill, convert and process, each file cut for the rows the plan
+// carries into it — piece by piece into the cutter's hands: the batches of a
+// scan as the worker cuts them, or, on a ShareScans session, a cached scan's
+// all at once. The cutter awaits them in file order and joins them across
+// file boundaries. The worker pool is resizable mid-scan (Resize, or the
 // service's AutoScaler); the stream is byte-identical to the serial
 // reference regardless of the memo, the pool's size or its resize history.
 type Session struct {
@@ -178,17 +178,19 @@ type Session struct {
 // from: the generation at snapshot time and the publish sequence of the
 // last file in the snapshot. Open captures it atomically enough (gen
 // before files) that a landing racing the snapshot is seen either in the
-// initial plan or by the first WaitChange, never missed.
+// initial plan or by the first WaitChange, never missed. carry is the rows
+// the plan carries out of its last file, where the tail's plan continues.
 type tailState struct {
 	catalog storage.TailingCatalog
 	gen     uint64
 	cursor  uint64
+	carry   int
 }
 
-// newSession plans the scan and starts its workers and the cutter. Workers
-// begin claiming and decoding files immediately; nothing blocks on Open.
-// tail is non-nil exactly for Follow sessions.
-func newSession(ctx context.Context, svc *Service, id int64, spec Spec, files []string, tail *tailState) (*Session, error) {
+// newSession plans the scan over files and starts its workers and the
+// cutter. Workers begin claiming and decoding files immediately; nothing
+// blocks on Open. tail is non-nil exactly for Follow sessions.
+func newSession(ctx context.Context, svc *Service, id int64, spec Spec, files []storage.PublishedFile, tail *tailState) (*Session, error) {
 	s := &Session{svc: svc, spec: spec}
 	s.Open(ctx, svc.clock, spec.Window())
 	s.Release = func(sched SchedulerStats, errored bool) { svc.retire(id, sched, errored) }
@@ -198,10 +200,12 @@ func newSession(ctx context.Context, svc *Service, id int64, spec Spec, files []
 		return nil, err
 	}
 
+	plan, carry := reader.Plan(spec.BatchSize, 0, files)
 	if tail != nil {
-		s.queue = reader.NewOpenScanQueue(files, queueWindow(spec.Readers), svc.clock.Now)
+		tail.carry = carry
+		s.queue = reader.NewOpenScanQueue(plan, queueWindow(spec.Readers), svc.clock.Now)
 	} else {
-		s.queue = reader.NewScanQueue(files, queueWindow(spec.Readers), svc.clock.Now)
+		s.queue = reader.NewScanQueue(plan, queueWindow(spec.Readers), svc.clock.Now)
 	}
 	s.Pool = s.poolStats
 	s.HaltOn(func() {
@@ -273,7 +277,7 @@ func queueWindow(n int) int {
 // makes the Go safe against teardown's Wait) and has already counted the
 // worker in target.
 func (s *Session) spawnWorkerLocked() error {
-	w, err := newWorker(s.svc, s.spec, false)
+	w, err := newWorker(s.svc, s.spec)
 	if err != nil {
 		return err
 	}
@@ -364,12 +368,12 @@ func (s *Session) poolStats() SchedulerStats {
 
 // runTailer is a Follow session's catalog watcher: it parks on the
 // catalog generation, pulls the files published past its cursor, and
-// extends the open scan queue with them in landed order. Exits when its
-// context is cancelled — by EndFollow (clean end of the tail) or by
-// session teardown.
+// extends the open scan queue with them in landed order, planned on from
+// the rows carried out of the last. Exits when its context is cancelled —
+// by EndFollow (clean end of the tail) or by session teardown.
 func (s *Session) runTailer(ctx context.Context, tail *tailState) {
 	defer close(s.followDone)
-	gen, cursor := tail.gen, tail.cursor
+	gen, cursor, carry := tail.gen, tail.cursor, tail.carry
 	for {
 		g, err := tail.catalog.WaitChange(ctx, gen)
 		if err != nil {
@@ -382,13 +386,11 @@ func (s *Session) runTailer(ctx context.Context, tail *tailState) {
 			// retention drop, or the table itself vanished): keep watching.
 			continue
 		}
-		files := make([]string, len(pubs))
-		for i, p := range pubs {
-			files[i] = p.Path
-		}
 		cursor = pubs[len(pubs)-1].Seq
-		s.queue.Extend(files)
-		s.svc.noteExtend(len(files))
+		var plan []reader.Planned
+		plan, carry = reader.Plan(s.spec.BatchSize, carry, pubs)
+		s.queue.Extend(plan)
+		s.svc.noteExtend(len(plan))
 	}
 }
 

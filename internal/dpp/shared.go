@@ -8,10 +8,9 @@ import (
 
 // worker is one fill worker of a session of either kind: its own reader (a
 // reader serves one goroutine at a time) under the one fill every pool runs
-// (reader.ScanFill) — chained to the queue's carry for a batch session,
-// cutting every file at 0 for a unit session, whose fleet client cuts the
-// carry — with the ScanCache memo in front of it when the session shares
-// scans. The pool, the queue, the cutter and the shell are the same.
+// (reader.ScanFill), each file cut at the carry the plan gives it, with the
+// ScanCache memo in front of it when the session shares scans. The pool, the
+// queue, the cutter and the shell are the same.
 type worker struct {
 	svc  *Service
 	r    *reader.Reader
@@ -26,7 +25,7 @@ type worker struct {
 	cache       SessionCacheStats
 }
 
-func newWorker(svc *Service, spec Spec, units bool) (*worker, error) {
+func newWorker(svc *Service, spec Spec) (*worker, error) {
 	r, err := reader.NewReader(svc.backend, spec.Spec)
 	if err != nil {
 		return nil, err
@@ -36,7 +35,7 @@ func newWorker(svc *Service, spec Spec, units bool) (*worker, error) {
 	if spec.ShareScans {
 		memo, w.fingerprint = w.memo, spec.Spec.Fingerprint()
 	}
-	w.fill = r.ScanFill(!units, memo)
+	w.fill = r.ScanFill(memo)
 	return w, nil
 }
 

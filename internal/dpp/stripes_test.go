@@ -161,7 +161,7 @@ func streamPaths(readers ...int) []streamPath {
 			addr, stop := serveOn(t, svc)
 			svcs, addrs, stops = append(svcs, svc), append(addrs, addr), append(stops, stop, func() { svc.Close() })
 		}
-		f, err := dppshard.New(dppshard.Config{Addrs: addrs, Backend: backend})
+		f, err := dppshard.New(dppshard.Config{Addrs: addrs})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -298,9 +298,12 @@ func damagedTable(t *testing.T, env *testEnv, files []string, badFile, badStripe
 // fleet — deliver exactly the batches that lie wholly in the rows before
 // that stripe — the whole first file and three stripes of the second,
 // whatever the batch size does at the file boundary — each byte-identical to
-// the undamaged table's, and then the same error. A unit session delivers
-// the same prefix of its own stream, piece for piece. The damaged file
-// leaves no ScanCache entry.
+// the undamaged table's, and then the same error. A catalog that records one
+// row more for the second file than its footer does is caught on every path
+// the moment the footer is read, before any of the file's rows: the batches
+// of the first file whole, then an error naming both counts. A unit session
+// delivers the same prefix of its own stream, piece for piece. The damaged
+// file leaves no ScanCache entry.
 func TestDamagedStripeDeliversThePrefixThenTheError(t *testing.T) {
 	env := newStripedEnv(t)
 	files, err := env.catalog.AllFiles("tbl")
@@ -309,6 +312,14 @@ func TestDamagedStripeDeliversThePrefixThenTheError(t *testing.T) {
 	}
 	const badFile, badStripe, stripeRows, rowsPerFile = 1, 3, 32, 256
 	damaged := damagedTable(t, env, files, badFile, badStripe, stripeRows)
+	miscounted := lakefs.NewCatalog()
+	for i, f := range files {
+		e, _ := env.catalog.Lookup(f)
+		if i == badFile {
+			e.Rows++
+		}
+		miscounted.AddFile("tbl", e.Hour, f, e.Rows)
+	}
 	uncached := func(what string, svcs []*dpp.Service) {
 		t.Helper()
 		for _, svc := range svcs {
@@ -322,14 +333,13 @@ func TestDamagedStripeDeliversThePrefixThenTheError(t *testing.T) {
 
 	for _, spec := range []reader.Spec{dedupSpec(), kjtSpec()} { // batch 64 divides the file, 48 carries rows into the bad one
 		wantEnc, _ := serialReference(t, env, spec)
-		prefix := (badFile*rowsPerFile + badStripe*stripeRows) / spec.BatchSize
-		check := func(what string, got [][]byte, err error) {
+		check := func(what string, got [][]byte, err error, prefix int) {
 			t.Helper()
 			if err == nil || err == io.EOF {
 				t.Fatalf("%s: scan of a damaged file ended with %v", what, err)
 			}
 			if len(got) != prefix {
-				t.Fatalf("%s: %d batches before the error, want the %d that lie wholly before the damaged stripe", what, len(got), prefix)
+				t.Fatalf("%s: %d batches before the error, want the %d that lie wholly before the damage", what, len(got), prefix)
 			}
 			for i := range got {
 				if !bytes.Equal(got[i], wantEnc[i]) {
@@ -347,28 +357,41 @@ func TestDamagedStripeDeliversThePrefixThenTheError(t *testing.T) {
 			serial = append(serial, encodeBatch(t, b))
 			return nil
 		})
-		check(fmt.Sprintf("batch %d, serial Run", spec.BatchSize), serial, wantErr)
+		stripePrefix := (badFile*rowsPerFile + badStripe*stripeRows) / spec.BatchSize
+		check(fmt.Sprintf("batch %d, serial Run", spec.BatchSize), serial, wantErr, stripePrefix)
 
-		for _, path := range streamPaths(1, 2, 4) {
-			what := fmt.Sprintf("batch %d, %s", spec.BatchSize, path.name)
-			sess, _, svcs, stop := path.open(t, context.Background(), damaged, env.catalog, spec, files)
-			var got [][]byte
-			var gotErr error
-			for {
-				b, err := sess.Next(context.Background())
-				if err != nil {
-					gotErr = err
-					break
+		for _, damage := range []struct {
+			name    string
+			store   storage.Backend
+			catalog storage.Catalog
+			prefix  int
+			says    string
+		}{
+			{"damaged stripe", damaged, env.catalog, stripePrefix, wantErr.Error()},
+			{"miscounted file", env.store, miscounted, badFile * rowsPerFile / spec.BatchSize,
+				fmt.Sprintf("reader: %s: the footer counts %d rows, the catalog %d", files[badFile], rowsPerFile, rowsPerFile+1)},
+		} {
+			for _, path := range streamPaths(1, 2, 4) {
+				what := fmt.Sprintf("batch %d, %s, %s", spec.BatchSize, damage.name, path.name)
+				sess, _, svcs, stop := path.open(t, context.Background(), damage.store, damage.catalog, spec, files)
+				var got [][]byte
+				var gotErr error
+				for {
+					b, err := sess.Next(context.Background())
+					if err != nil {
+						gotErr = err
+						break
+					}
+					got = append(got, encodeBatch(t, b))
 				}
-				got = append(got, encodeBatch(t, b))
+				check(what, got, gotErr, damage.prefix)
+				if gotErr.Error() != damage.says && !(path.wire && strings.Contains(gotErr.Error(), damage.says)) {
+					t.Fatalf("%s: error %q, want %q", what, gotErr, damage.says)
+				}
+				uncached(what, svcs)
+				sess.Close()
+				stop()
 			}
-			check(what, got, gotErr)
-			if gotErr.Error() != wantErr.Error() && !(path.wire && strings.Contains(gotErr.Error(), wantErr.Error())) {
-				t.Fatalf("%s: error %q, serial Run's %q", what, gotErr, wantErr)
-			}
-			uncached(what, svcs)
-			sess.Close()
-			stop()
 		}
 
 		// A unit session's stream is its own — each file cut on a batch
@@ -380,7 +403,7 @@ func TestDamagedStripeDeliversThePrefixThenTheError(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			u, err := svc.OpenUnits(context.Background(), dpp.Spec{Spec: spec, ShareScans: share})
+			u, err := svc.OpenUnits(context.Background(), dpp.Spec{Spec: spec, ShareScans: share}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -394,11 +417,17 @@ func TestDamagedStripeDeliversThePrefixThenTheError(t *testing.T) {
 					enc = append(enc, encodeBatch(t, p.Batch))
 					continue
 				}
+				rows := p.Tail
+				if p.Head != nil {
+					rows = p.Head
+				} else {
+					files++
+				}
 				var buf bytes.Buffer
-				if err := datagen.EncodeSamples(&buf, p.Tail.Samples()); err != nil {
+				if err := datagen.EncodeSamples(&buf, rows.Samples()); err != nil {
 					t.Fatal(err)
 				}
-				enc, files = append(enc, buf.Bytes()), files+1
+				enc = append(enc, buf.Bytes())
 			}
 		}
 		wantPieces, _, end, svc := unitPieces(env.store, false)

@@ -19,11 +19,17 @@ import (
 	"repro/internal/testutil"
 )
 
-// encodeScan flattens one file scan to bytes: every batch's wire form,
-// then the tail rows.
+// encodeScan flattens one file scan to bytes: the head rows, if any, every
+// batch's wire form, then the tail rows.
 func encodeScan(t *testing.T, fs *reader.FileScan) []byte {
 	t.Helper()
 	var buf bytes.Buffer
+	if fs.Head != nil {
+		if err := datagen.EncodeSamples(&buf, fs.Head.Samples()); err != nil {
+			t.Fatal(err)
+		}
+		buf.WriteString("|head|")
+	}
 	for _, b := range fs.Batches {
 		if err := b.Encode(&buf); err != nil {
 			t.Fatal(err)
@@ -37,8 +43,8 @@ func encodeScan(t *testing.T, fs *reader.FileScan) []byte {
 }
 
 // fileUnit is one file of a unit stream read to its closing record: its
-// pieces put back together as the scan they were cut from. A unit stream is
-// cut on batch boundaries, so the pieces are batches and the tail.
+// pieces — the head, when the plan carries rows into the file, the batches
+// and the tail — put back together as the scan they were cut from.
 type fileUnit struct {
 	Index int
 	File  string
@@ -61,6 +67,10 @@ func (r *unitReader) add(t testing.TB, p dpp.UnitPiece) *fileUnit {
 	}
 	if r.open == nil {
 		r.open = &reader.FileScan{}
+	}
+	if p.Head != nil {
+		r.open.Head = p.Head
+		return nil
 	}
 	if p.Batch != nil {
 		r.open.Batches = append(r.open.Batches, p.Batch)
@@ -88,6 +98,7 @@ func drainUnits(t *testing.T, u *dpp.UnitSession) []*fileUnit {
 			t.Fatal(err)
 		}
 		if unit := r.add(t, p); unit != nil {
+			unit.Scan.Carry = u.Carries()[unit.Index]
 			units = append(units, unit)
 		}
 	}
@@ -100,10 +111,10 @@ func sameEntry(a, b *reader.FileScan) bool {
 }
 
 // TestUnitSessionMatchesScanFile: a unit session's stream is ScanFile per
-// file, in file-list order, at every worker count and through the
-// ScanCache — same bytes, same deterministic counters as one reader
-// scanning the files serially. The misaligned spec leaves a tail on every
-// file, so the tails are compared too.
+// file, each at the carry the plan gives it, in file-list order, at every
+// worker count and through the ScanCache — same bytes, same deterministic
+// counters as one reader scanning the files serially. The misaligned spec
+// carries rows into most files, so heads and tails are compared too.
 func TestUnitSessionMatchesScanFile(t *testing.T) {
 	env := newTestEnv(t, 120)
 	spec := kjtSpec() // 48-row batches over 256-row files
@@ -116,15 +127,19 @@ func TestUnitSessionMatchesScanFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want [][]byte
+	var carries []int
+	carry := 0
 	for _, f := range files {
-		fs, err := ref.ScanFile(context.Background(), f, 0, nil, nil)
+		fs, err := ref.ScanFile(context.Background(), f, carry, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fs.Tail.Rows() == 0 {
-			t.Fatalf("file %s left no tail; the spec is meant to be misaligned", f)
-		}
-		want = append(want, encodeScan(t, fs))
+		want, carries = append(want, encodeScan(t, fs)), append(carries, carry)
+		e, _ := env.catalog.Lookup(f)
+		carry = (carry + e.Rows) % spec.BatchSize
+	}
+	if slices.Max(carries) == 0 {
+		t.Fatal("the plan carries rows into no file; the spec is meant to be misaligned")
 	}
 
 	svc := newService(t, env, dpp.Config{})
@@ -133,7 +148,7 @@ func TestUnitSessionMatchesScanFile(t *testing.T) {
 		share   bool
 	}{{1, false}, {2, false}, {3, false}, {4, false}, {1, true}} {
 		t.Run(fmt.Sprintf("readers=%d,share=%v", tc.readers, tc.share), func(t *testing.T) {
-			u, err := svc.OpenUnits(context.Background(), dpp.Spec{Spec: spec, Readers: tc.readers, ShareScans: tc.share})
+			u, err := svc.OpenUnits(context.Background(), dpp.Spec{Spec: spec, Readers: tc.readers, ShareScans: tc.share}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -145,8 +160,8 @@ func TestUnitSessionMatchesScanFile(t *testing.T) {
 				if unit.Index != i || unit.File != files[i] || unit.Hit {
 					t.Fatalf("unit %d = {Index %d, File %s, Hit %v}, want {%d, %s, false}", i, unit.Index, unit.File, unit.Hit, i, files[i])
 				}
-				if unit.Scan.Carry != 0 || unit.Scan.Head != nil {
-					t.Fatalf("unit %d was cut at carry %d (head %v); a unit stream is cut on batch boundaries", i, unit.Scan.Carry, unit.Scan.Head)
+				if unit.Scan.Carry != carries[i] || (unit.Scan.Head != nil) != (carries[i] > 0) {
+					t.Fatalf("unit %d was cut at carry %d (head %v); the plan carries %d rows into it", i, unit.Scan.Carry, unit.Scan.Head, carries[i])
 				}
 				if !bytes.Equal(encodeScan(t, unit.Scan), want[i]) {
 					t.Fatalf("unit %d differs from ScanFile(%s)", i, files[i])
@@ -165,34 +180,28 @@ func TestUnitSessionMatchesScanFile(t *testing.T) {
 		})
 	}
 
-	// A batch session with the same spec caches the same files cut at the
-	// carries it enters them with. A unit session beside those entries is
-	// still served the boundary cut of every file: the carry is part of
-	// the key, and a unit session only ever asks for carry 0.
+	// A batch session with the same spec reaches every file with the carry
+	// the unit session cut it at, so it is served the unit session's cached
+	// scans — and a unit session after it the same ones: one plan, one cut
+	// of each file, whichever kind of session asks.
 	sess, err := svc.Open(context.Background(), dpp.Spec{Spec: spec, ShareScans: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	drainSession(t, sess)
-	carried := 0
-	for _, e := range svc.ScanCache().Entries() {
-		if e.Carry != 0 {
-			carried++
-		}
+	if st := sess.Stats().Cache; st.Hits != int64(len(files)) || st.Misses != 0 {
+		t.Fatalf("the batch session beside the unit session's entries: %+v, want %d hits", st, len(files))
 	}
-	if carried == 0 {
-		t.Fatal("the batch session cached no file at a nonzero carry; the spec is meant to be misaligned")
-	}
-	u, err := svc.OpenUnits(context.Background(), dpp.Spec{Spec: spec, Readers: 3, ShareScans: true})
+	u, err := svc.OpenUnits(context.Background(), dpp.Spec{Spec: spec, Readers: 3, ShareScans: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, unit := range drainUnits(t, u) {
-		if unit.Scan.Carry != 0 || unit.Scan.Head != nil || !unit.Hit {
-			t.Fatalf("unit %d beside carried entries: carry %d, head %v, hit %v; want the cached boundary cut", i, unit.Scan.Carry, unit.Scan.Head, unit.Hit)
+		if unit.Scan.Carry != carries[i] || !unit.Hit {
+			t.Fatalf("unit %d beside the batch session: carry %d, hit %v; want the cached cut at carry %d", i, unit.Scan.Carry, unit.Hit, carries[i])
 		}
 		if !bytes.Equal(encodeScan(t, unit.Scan), want[i]) {
-			t.Fatalf("unit %d beside carried entries differs from ScanFile(%s)", i, files[i])
+			t.Fatalf("unit %d beside the batch session differs from ScanFile(%s)", i, files[i])
 		}
 	}
 }
@@ -206,14 +215,14 @@ func TestSharedUnitSessionHitsChargeEgressOnly(t *testing.T) {
 	svc := newService(t, env, dpp.Config{})
 	spec := dpp.Spec{Spec: dedupSpec(), ShareScans: true}
 
-	cold, err := svc.OpenUnits(context.Background(), spec)
+	cold, err := svc.OpenUnits(context.Background(), spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	coldUnits := drainUnits(t, cold)
 	coldStats := cold.Stats()
 
-	warm, err := svc.OpenUnits(context.Background(), spec)
+	warm, err := svc.OpenUnits(context.Background(), spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +268,7 @@ func TestSharedUnitSessionDemotesRawBytes(t *testing.T) {
 	}
 	defer svc.Close()
 	spec := dpp.Spec{Spec: dedupSpec(), ShareScans: true}
-	u, err := svc.OpenUnits(context.Background(), spec)
+	u, err := svc.OpenUnits(context.Background(), spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +294,7 @@ func TestUnitSessionConsumerStall(t *testing.T) {
 			env := newTestEnv(t, 120)
 			clock := testutil.NewClock(time.Unix(0, 0))
 			svc := newService(t, env, dpp.Config{Clock: clock})
-			u, err := svc.OpenUnits(context.Background(), dpp.Spec{Spec: dedupSpec(), Buffer: 1, ShareScans: share})
+			u, err := svc.OpenUnits(context.Background(), dpp.Spec{Spec: dedupSpec(), Buffer: 1, ShareScans: share}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -324,7 +333,7 @@ func TestUnitSessionTeardown(t *testing.T) {
 				svc := newService(t, env, dpp.Config{})
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
-				u, err := svc.OpenUnits(ctx, dpp.Spec{Spec: dedupSpec(), Readers: 3, Buffer: 1, ShareScans: share})
+				u, err := svc.OpenUnits(ctx, dpp.Spec{Spec: dedupSpec(), Readers: 3, Buffer: 1, ShareScans: share}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -378,7 +387,7 @@ func TestOpenAndOpenUnitsShareCap(t *testing.T) {
 				if sess, err := svc.Open(context.Background(), dpp.Spec{Spec: dedupSpec()}); err == nil {
 					closers[i] = sess
 				}
-			} else if u, err := svc.OpenUnits(context.Background(), dpp.Spec{Spec: dedupSpec()}); err == nil {
+			} else if u, err := svc.OpenUnits(context.Background(), dpp.Spec{Spec: dedupSpec()}, nil); err == nil {
 				closers[i] = u
 			}
 		}(i)
@@ -399,7 +408,7 @@ func TestOpenAndOpenUnitsShareCap(t *testing.T) {
 	}
 	// The cap is full: neither kind gets in until a slot frees.
 	if admitted == maxSessions {
-		if _, err := svc.OpenUnits(context.Background(), dpp.Spec{Spec: dedupSpec()}); err == nil {
+		if _, err := svc.OpenUnits(context.Background(), dpp.Spec{Spec: dedupSpec()}, nil); err == nil {
 			t.Fatal("OpenUnits admitted past a full cap")
 		}
 	}

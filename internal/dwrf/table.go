@@ -42,8 +42,9 @@ func (s *PartitionStats) Add(fs FileStats) {
 }
 
 // WritePartition encodes samples into one or more DWRF files, stores them
-// in the blob store, and registers them in the catalog under
-// table/hour. File paths follow "<table>/hour=<hour>/part-<n>.dwrf".
+// in the blob store, and registers them — with their row counts — in the
+// catalog under table/hour. File paths follow
+// "<table>/hour=<hour>/part-<n>.dwrf".
 func WritePartition(store *lakefs.Store, catalog *lakefs.Catalog, table string, hour int64,
 	schema *datagen.Schema, samples []datagen.Sample, opts TableOptions) (PartitionStats, error) {
 
@@ -77,7 +78,7 @@ func WritePartition(store *lakefs.Store, catalog *lakefs.Catalog, table string, 
 		if err := store.Put(path, data); err != nil {
 			return PartitionStats{}, err
 		}
-		catalog.AddFile(table, hour, path)
+		catalog.AddFile(table, hour, path, fs.Rows)
 		stats.Add(fs)
 		part++
 		if len(samples) == 0 {

@@ -124,7 +124,7 @@ func (env *shardSweepEnv) runPoint(k int) (ShardPoint, error) {
 		addrs = append(addrs, ln.Addr().String())
 	}
 
-	fleet, err := dppshard.New(dppshard.Config{Addrs: addrs, Backend: env.store})
+	fleet, err := dppshard.New(dppshard.Config{Addrs: addrs})
 	if err != nil {
 		return ShardPoint{}, err
 	}

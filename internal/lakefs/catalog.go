@@ -36,6 +36,7 @@ var (
 type Catalog struct {
 	mu      sync.RWMutex
 	tables  map[string]*tableLog
+	byPath  map[string]storage.PublishedFile // every live entry, by path
 	gen     uint64
 	nextSeq uint64
 	watch   chan struct{} // closed and replaced on every mutation
@@ -53,15 +54,16 @@ type tableLog struct {
 func NewCatalog() *Catalog {
 	return &Catalog{
 		tables: make(map[string]*tableLog),
+		byPath: make(map[string]storage.PublishedFile),
 		watch:  make(chan struct{}),
 	}
 }
 
-// AddFile registers a file as part of table's partition for the given
-// hour and returns its publish sequence number. Publication is atomic:
-// callers land the blob in the store first, then AddFile, so a reader
-// that observes the path can always open it.
-func (c *Catalog) AddFile(table string, hour int64, path string) uint64 {
+// AddFile registers a file of rows rows as part of table's partition for
+// the given hour and returns its publish sequence number. Publication is
+// atomic: callers land the blob in the store first, then AddFile, so a
+// reader that observes the path can always open it.
+func (c *Catalog) AddFile(table string, hour int64, path string, rows int) uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	t, ok := c.tables[table]
@@ -70,10 +72,20 @@ func (c *Catalog) AddFile(table string, hour int64, path string) uint64 {
 		c.tables[table] = t
 	}
 	c.nextSeq++
-	seq := c.nextSeq
-	t.entries = append(t.entries, storage.PublishedFile{Path: path, Hour: hour, Seq: seq})
+	e := storage.PublishedFile{Path: path, Hour: hour, Seq: c.nextSeq, Rows: rows}
+	t.entries = append(t.entries, e)
+	c.byPath[path] = e
 	c.bumpLocked()
-	return seq
+	return e.Seq
+}
+
+// Lookup returns the live entry of the file at path: what a scan plan
+// reads the file's row count from.
+func (c *Catalog) Lookup(path string) (storage.PublishedFile, bool) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	e, ok := c.byPath[path]
+	return e, ok
 }
 
 // bumpLocked advances the generation and wakes every WaitChange waiter.
@@ -233,6 +245,7 @@ func (c *Catalog) DropPartition(store *Store, table string, hour int64) (int, er
 	for _, e := range t.entries {
 		if e.Hour == hour {
 			dropped = append(dropped, e.Path)
+			delete(c.byPath, e.Path)
 		} else {
 			kept = append(kept, e)
 		}

@@ -174,9 +174,9 @@ func TestConcurrentAccess(t *testing.T) {
 
 func TestCatalogPartitions(t *testing.T) {
 	c := NewCatalog()
-	c.AddFile("tbl", 2, "tbl/hour=2/a")
-	c.AddFile("tbl", 1, "tbl/hour=1/a")
-	c.AddFile("tbl", 1, "tbl/hour=1/b")
+	c.AddFile("tbl", 2, "tbl/hour=2/a", 1)
+	c.AddFile("tbl", 1, "tbl/hour=1/a", 1)
+	c.AddFile("tbl", 1, "tbl/hour=1/b", 1)
 
 	hours := c.Partitions("tbl")
 	if len(hours) != 2 || hours[0] != 1 || hours[1] != 2 {
@@ -212,7 +212,7 @@ func TestCatalogRetention(t *testing.T) {
 		if err := s.Put(p, []byte("data")); err != nil {
 			t.Fatal(err)
 		}
-		c.AddFile("tbl", h, p)
+		c.AddFile("tbl", h, p, 1)
 	}
 	dropped, err := c.EnforceRetention(s, "tbl", 2)
 	if err != nil {
@@ -227,6 +227,12 @@ func TestCatalogRetention(t *testing.T) {
 	if s.Exists("tbl/hour=0/a") || !s.Exists("tbl/hour=4/a") {
 		t.Fatal("retention deleted wrong blobs")
 	}
+	if _, ok := c.Lookup("tbl/hour=0/a"); ok {
+		t.Fatal("Lookup still finds a dropped file")
+	}
+	if e, ok := c.Lookup("tbl/hour=4/a"); !ok || e.Hour != 4 || e.Rows != 1 {
+		t.Fatalf("Lookup of a live file = %+v, %v", e, ok)
+	}
 	// Retention with enough room is a no-op.
 	dropped, err = c.EnforceRetention(s, "tbl", 10)
 	if err != nil || dropped != nil {
@@ -236,8 +242,8 @@ func TestCatalogRetention(t *testing.T) {
 
 func TestCatalogTables(t *testing.T) {
 	c := NewCatalog()
-	c.AddFile("b", 0, "b/f")
-	c.AddFile("a", 0, "a/f")
+	c.AddFile("b", 0, "b/f", 1)
+	c.AddFile("a", 0, "a/f", 1)
 	if got := c.Tables(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
 		t.Fatalf("Tables = %v", got)
 	}
@@ -262,7 +268,7 @@ func TestConcurrentLandingOrder(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
 				p := fmt.Sprintf("tbl/hour=0/w%d-%03d.dwrf", w, i)
-				results[w] = append(results[w], landed{seq: c.AddFile("tbl", 0, p), path: p})
+				results[w] = append(results[w], landed{seq: c.AddFile("tbl", 0, p, 1), path: p})
 			}
 		}(w)
 	}
@@ -316,7 +322,7 @@ func TestCatalogTailing(t *testing.T) {
 		if err := s.Put(path, []byte("x")); err != nil {
 			t.Fatal(err)
 		}
-		c.AddFile("tbl", hour, path)
+		c.AddFile("tbl", hour, path, 1)
 	}
 	seal(0, "a")
 	seal(0, "b")
@@ -382,7 +388,7 @@ func TestDropPartitionInvalidation(t *testing.T) {
 			if err := s.Put(path, []byte("x")); err != nil {
 				t.Fatal(err)
 			}
-			c.AddFile("tbl", hour, path)
+			c.AddFile("tbl", hour, path, 1)
 		}
 	}
 	var mu sync.Mutex

@@ -65,7 +65,7 @@ func cutAll(t *testing.T, what string, cutter *Reader, next func() (Unit, bool))
 }
 
 // scanMemo is the shape of dpp's ScanCache memo without the budget: scans
-// cut at the carry the queue's chain hands out, computed once per (file,
+// cut at the carry the plan hands out, computed once per (file,
 // carry) and shared by every worker of every scan over the memo.
 type scanMemo struct {
 	mu    sync.Mutex
@@ -96,10 +96,10 @@ func (m *scanMemo) get(ctx context.Context, file string, carry int, compute func
 }
 
 // fill is one worker's Fill over the memo, scanning with r on a miss.
-func (m *scanMemo) fill(r *Reader) Fill { return r.ScanFill(true, m.get) }
+func (m *scanMemo) fill(r *Reader) Fill { return r.ScanFill(m.get) }
 
-// scanFill is one worker's Fill with no memo: the chained scan.
-func scanFill(r *Reader) Fill { return r.ScanFill(true, nil) }
+// scanFill is one worker's Fill with no memo.
+func scanFill(r *Reader) Fill { return r.ScanFill(nil) }
 
 // encodeEnds encodes every memoized scan's head and tail rows, in key order.
 func (m *scanMemo) encodeEnds(t *testing.T) map[scanMemoKey][]byte {
@@ -162,7 +162,7 @@ func runQueued(ctx context.Context, t testing.TB, store storage.Backend, spec Sp
 		err = cutter.Run(ctx, files, emit)
 		return cutter.Stats(), Stats{}, err
 	}
-	q := NewScanQueue(files, workers+1, nil)
+	q := NewScanQueue(planOf(t, store, spec.BatchSize, files), workers+1, nil)
 	wait := startWorkers(ctx, q, workers, newReader, scanFill)
 	err = cutter.RunQueue(ctx, q, emit)
 	q.Abort()
@@ -173,8 +173,8 @@ func runQueued(ctx context.Context, t testing.TB, store storage.Backend, spec Sp
 // each with its own reader under the Fill that fillOf builds for it, and
 // returns the stream and the work of the cutter and of the workers. Safe off
 // the test goroutine.
-func queueScan(t *testing.T, what string, files []string, workers int, newReader func() *Reader, fillOf func(*Reader) Fill) (out []*Batch, cut, work Stats, err error) {
-	q := NewScanQueue(files, workers+1, nil)
+func queueScan(t *testing.T, what string, plan []Planned, workers int, newReader func() *Reader, fillOf func(*Reader) Fill) (out []*Batch, cut, work Stats, err error) {
+	q := NewScanQueue(plan, workers+1, nil)
 	wait := startWorkers(context.Background(), q, workers, newReader, fillOf)
 	cutter, i := newReader(), 0
 	out, err = cutUnits(t, what, cutter, func() (Unit, bool) {
@@ -203,6 +203,18 @@ func cutterBatches(fileRows []int, batch int) (n int64) {
 	return n
 }
 
+// planOf plans files for batch-row batches from their footers' row counts,
+// as the catalog that recorded them at landing would.
+func planOf(t testing.TB, store storage.Backend, batch int, files []string) []Planned {
+	t.Helper()
+	pubs := make([]storage.PublishedFile, len(files))
+	for i, rows := range fileRowCounts(t, store, files) {
+		pubs[i] = storage.PublishedFile{Path: files[i], Rows: rows}
+	}
+	plan, _ := Plan(batch, 0, pubs)
+	return plan
+}
+
 // fileRowCounts reads each file's row count from its footer.
 func fileRowCounts(t testing.TB, store storage.Backend, files []string) []int {
 	t.Helper()
@@ -228,8 +240,8 @@ func fileRowCounts(t testing.TB, store storage.Backend, files []string) []int {
 // is fed from every kind of source the
 // repo has — units scanned as the cutter reaches them, a ScanQueue of 1–4
 // workers under the one fill, bare and behind a memo (scans cut at the carry
-// the queue's chain hands out, cold and warm) and scan-only units cut at
-// carry 0 that the cutter re-scans itself (the fleet's shape) — and must emit
+// the plan hands out, cold and warm) and units another reader cut at the
+// plan's carries, which the cutter only joins (the fleet's shape) — and must emit
 // the serial Run's stream byte for byte, with its deterministic counters
 // wherever the source does no more work than a serial scan — the cutter's own
 // share of them being the batches that straddle files and the final short
@@ -291,6 +303,7 @@ func TestEverySourceThroughTheCutterMatchesSerialRun(t *testing.T) {
 		// serial scan's work at any pool size — the cutter the batches only it
 		// can, which on an aligned table is at most the final short one.
 		var memo *scanMemo
+		plan := planOf(t, env.store, env.spec.BatchSize, env.files)
 		wantCut := cutterBatches(fileRows, env.spec.BatchSize)
 		for workers := 1; workers <= 4; workers++ {
 			memo = &scanMemo{scans: make(map[scanMemoKey]*FileScan)}
@@ -299,7 +312,7 @@ func TestEverySourceThroughTheCutterMatchesSerialRun(t *testing.T) {
 				"cold memo": memo.fill,
 			} {
 				name := fmt.Sprintf("%s, queue of %d, %s", what, workers, kind)
-				out, cut, work, err := queueScan(t, name, env.files, workers, newReader, fillOf)
+				out, cut, work, err := queueScan(t, name, plan, workers, newReader, fillOf)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -330,7 +343,7 @@ func TestEverySourceThroughTheCutterMatchesSerialRun(t *testing.T) {
 			go func(c, workers int) {
 				defer wg.Done()
 				var work Stats
-				warm[c], warmWork[c], work, warmErr[c] = queueScan(t, fmt.Sprintf("%s, warm consumer %d", what, c), env.files, workers, newReader, memo.fill)
+				warm[c], warmWork[c], work, warmErr[c] = queueScan(t, fmt.Sprintf("%s, warm consumer %d", what, c), plan, workers, newReader, memo.fill)
 				warmWork[c].Add(work)
 			}(c, workers)
 		}
@@ -351,26 +364,26 @@ func TestEverySourceThroughTheCutterMatchesSerialRun(t *testing.T) {
 			}
 		}
 
-		// The fleet's shape: every file cut at carry 0, and the cutter
-		// re-scans what it enters mid-batch. The shards scanned every file,
-		// so the counters match a serial scan only when nothing is re-filled.
+		// The fleet's shape: every file cut by another reader — a shard's — at
+		// the carry the plan gives it, and the cutter only joins: it decodes
+		// nothing, and the two do a serial scan's work between them.
 		shard, i := newReader(), 0
 		cutter = newReader()
-		got = cutAll(t, what+", scan-only units", cutter, func() (Unit, bool) {
-			if i >= len(env.files) {
+		got = cutAll(t, what+", units cut elsewhere", cutter, func() (Unit, bool) {
+			if i >= len(plan) {
 				return Unit{}, false
 			}
 			i++
-			return shard.ScanUnit(context.Background(), env.files[i-1], 0), true
+			return shard.ScanUnit(context.Background(), plan[i-1].File, plan[i-1].Carry), true
 		})
-		mustEqualEncodings(t, what+", scan-only units", got, want)
+		mustEqualEncodings(t, what+", units cut elsewhere", got, want)
 		total := cutter.Stats()
 		total.Add(shard.Stats())
-		if c := counters(total); env.aligned && c != wantCounters {
-			t.Fatalf("%s, scan-only units: counters %v, serial Run %v", what, c, wantCounters)
+		if c := counters(total); c != wantCounters {
+			t.Fatalf("%s, units cut elsewhere: counters %v, serial Run %v", what, c, wantCounters)
 		}
-		if refilled := cutter.Stats().RowsDecoded > 0; refilled == env.aligned {
-			t.Fatalf("%s, scan-only units: cutter re-filled = %v on an aligned = %v table", what, refilled, env.aligned)
+		if cutter.Stats().RowsDecoded != 0 || cutter.Stats().ReadBytes != 0 {
+			t.Fatalf("%s, units cut elsewhere: the cutter read %d bytes and decoded %d rows", what, cutter.Stats().ReadBytes, cutter.Stats().RowsDecoded)
 		}
 	}
 	if !sawAligned || !sawCarry {
@@ -378,10 +391,12 @@ func TestEverySourceThroughTheCutterMatchesSerialRun(t *testing.T) {
 	}
 }
 
-// TestScanOnlyUnitsNeedABackendToRefill: a cutter with no backend passes
-// boundary-entered scans through, and fails cleanly — not with a nil
-// dereference — on the first file it would have to re-fill.
-func TestScanOnlyUnitsNeedABackendToRefill(t *testing.T) {
+// TestUnitCutForAnotherCarryEndsTheStream: a cutter with no backend — the
+// fleet's — passes through units cut for the rows it has in hand, and ends
+// the stream cleanly, with no rows of the file emitted and no fetch tried,
+// at the first unit cut for another carry: here, every file cut on a batch
+// boundary whatever the rows before it.
+func TestUnitCutForAnotherCarryEndsTheStream(t *testing.T) {
 	env := newTestEnv(t, 60, true)
 	spec := baseSpec()
 	spec.BatchSize = 48 // 256-row files: every file but the first is entered mid-batch
@@ -406,6 +421,6 @@ func TestScanOnlyUnitsNeedABackendToRefill(t *testing.T) {
 		return shard.ScanUnit(context.Background(), files[i-1], 0), true
 	}, func(*Batch) error { batches++; return nil })
 	if err == nil || batches != 256/48 {
-		t.Fatalf("err = %v after %d batches; want the first file's %d batches, then a no-backend error", err, batches, 256/48)
+		t.Fatalf("err = %v after %d batches; want the first file's %d batches, then a wrong-carry error", err, batches, 256/48)
 	}
 }

@@ -47,7 +47,7 @@ func encodeBatches(t *testing.T, batches []*Batch) [][]byte {
 
 // TestPipelinedRunMatchesSerial is the determinism contract of the reader
 // pipeline: a ScanQueue of workers, each running fill → convert → process over
-// the files it claims at the carry the queue's chain hands it, ahead of the
+// the files it claims at the carry the plan gives it, ahead of the
 // cutter that joins them, must emit byte-identical batches in the same order,
 // with identical deterministic Stats counters, as the serial Run — whether or
 // not the batch divides the files, and however the files' rows are cut into
@@ -147,8 +147,7 @@ func TestPipelinedEmitErrorAborts(t *testing.T) {
 }
 
 // TestPipelinedUnknownFeature checks error propagation out of a worker's
-// scan, through its deposit, to the cutter — with the next file's worker
-// parked on a carry chain the failed file never feeds.
+// scan, through its deposit, to the cutter.
 func TestPipelinedUnknownFeature(t *testing.T) {
 	env := newTestEnv(t, 5, true)
 	spec := baseSpec()

@@ -2,9 +2,12 @@ package reader
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync"
 	"time"
+
+	"repro/internal/storage"
 )
 
 // ScanQueue is the shared ordered work queue behind every reader pool (a
@@ -29,52 +32,76 @@ import (
 // OrderedMerge, shared with the fleet multiplexer (dppshard): Deposit,
 // Await and Wait (whose blocked time is Stall, the worker-starvation signal
 // autoscaling consumes), Update, SetWindow, Abort, Finish, Len and Pos are
-// its methods. ScanQueue binds it to a file list: Claim hands out the path
-// with the index, Extend appends paths with the slots.
+// its methods. ScanQueue binds it to a plan: Claim hands out the planned
+// file with the index, Extend appends planned files with the slots.
 //
 // All methods are safe for concurrent use.
 type ScanQueue struct {
 	*OrderedMerge[Unit]
-	fmu   sync.RWMutex // guards files, which grows under Extend
-	files []string
+	fmu  sync.RWMutex // guards plan, which grows under Extend
+	plan []Planned
 }
 
-// NewScanQueue builds a queue over files with the given claim window
+// Planned is one file of a scan plan: its path, its row count as the
+// catalog recorded it — the fill holds the footer to it — and Carry, the
+// rows a scan cutting batch-row batches carries into it: those of every
+// earlier file of the whole plan, mod batch. Every cut is arithmetic over
+// row counts known before anything is fetched, so no worker waits on
+// another to learn where its batches fall.
+type Planned struct {
+	File        string
+	Rows, Carry int
+}
+
+// Plan lays files out for a scan cutting batch-row batches that carries
+// carry rows into the first of them, and returns the rows it carries out
+// of the last: where a growing plan continues.
+func Plan(batch, carry int, files []storage.PublishedFile) (plan []Planned, after int) {
+	plan = make([]Planned, len(files))
+	for i, f := range files {
+		plan[i] = Planned{File: f.Path, Rows: f.Rows, Carry: carry}
+		carry = (carry + f.Rows) % batch
+	}
+	return plan, carry
+}
+
+// NewScanQueue builds a queue over plan with the given claim window
 // (clamped to at least 1). A nil now falls back to time.Now; it stamps
 // blocking intervals for the worker-starvation counter, injectable so
 // controller tests can run on a manual clock.
-func NewScanQueue(files []string, window int, now func() time.Time) *ScanQueue {
-	return &ScanQueue{files: files, OrderedMerge: NewOrderedMerge[Unit](len(files), window, now)}
+func NewScanQueue(plan []Planned, window int, now func() time.Time) *ScanQueue {
+	return &ScanQueue{plan: plan, OrderedMerge: NewOrderedMerge[Unit](len(plan), window, now)}
 }
 
-// NewOpenScanQueue builds an open-ended queue over an initial file
+// NewOpenScanQueue builds an open-ended queue over an initial plan
 // prefix: workers and the assembler park at the end of the known files
 // instead of finishing, until Extend appends newly landed files or
 // Finish declares the scan set complete. This is the queue shape of a
 // Follow session tailing a live partition.
-func NewOpenScanQueue(files []string, window int, now func() time.Time) *ScanQueue {
-	return &ScanQueue{files: files, OrderedMerge: NewOpenOrderedMerge[Unit](len(files), window, now)}
+func NewOpenScanQueue(plan []Planned, window int, now func() time.Time) *ScanQueue {
+	return &ScanQueue{plan: plan, OrderedMerge: NewOpenOrderedMerge[Unit](len(plan), window, now)}
 }
 
-// Extend appends newly landed files to an open queue, waking workers and
-// the assembler parked at the old end. Returns the new scan-set size.
-func (q *ScanQueue) Extend(files []string) int {
-	if len(files) == 0 {
+// Extend appends newly landed files, planned on from the queue's last, to
+// an open queue, waking workers and the assembler parked at the old end.
+// Returns the new scan-set size.
+func (q *ScanQueue) Extend(plan []Planned) int {
+	if len(plan) == 0 {
 		return q.Len()
 	}
 	q.fmu.Lock()
-	q.files = append(q.files, files...)
+	q.plan = append(q.plan, plan...)
 	q.fmu.Unlock()
-	return q.OrderedMerge.Extend(len(files))
+	return q.OrderedMerge.Extend(len(plan))
 }
 
-// Claim is one file a worker has claimed and must fill and Deposit
+// Claim is one planned file a worker has claimed and must fill and Deposit
 // (claims are never reassigned, so an abandoned claim would wedge the
 // assembler).
 type Claim struct {
 	Index int
-	File  string
-	q     *ScanQueue
+	Planned
+	q *ScanQueue
 }
 
 // Claim hands the caller the next unclaimed file, blocking while the
@@ -87,25 +114,8 @@ func (q *ScanQueue) Claim() (c Claim, ok bool) {
 	}
 	q.fmu.RLock() // Extend grows the slice concurrently
 	defer q.fmu.RUnlock()
-	return Claim{Index: idx, File: q.files[idx], q: q}, true
+	return Claim{Index: idx, Planned: q.plan[idx], q: q}, true
 }
-
-// Carry returns how many rows a scan cutting batch-row batches carries
-// into this file: (the rows of every earlier file) mod batch. It blocks
-// until the workers holding those files have Reported — claims are issued
-// in index order, so each is held or already done — and ok is false when
-// the queue aborts first. Only a fill whose cut depends on the carry (a
-// batch scan's; a unit scan cuts every file at 0) calls it; nothing else
-// ever waits on the chain.
-func (c Claim) Carry(batch int) (rows int, ok bool) {
-	total, ok := c.q.RowsBefore(c.Index)
-	return total % batch, ok
-}
-
-// Report publishes this file's row count the moment it is known — from
-// the footer, before any stripe is fetched — so the next file's worker
-// leaves Carry while this one is still filling. Idempotent.
-func (c Claim) Report(rows int) { c.q.ReportRows(c.Index, rows) }
 
 // Deposit publishes the claimed file's unit whole: the error that ends the
 // stream at this file, or a unit whose pieces all exist already (a cached
@@ -131,47 +141,40 @@ type Fill func(ctx context.Context, c Claim) error
 type Memo func(ctx context.Context, file string, carry int, compute func(context.Context) (*FileScan, error)) (fs *FileScan, hit bool, err error)
 
 // ScanFill is the fill of every pool: the claimed file's Scan by r, cut for
-// the rows carried into it. A chained fill learns them from the queue's carry
-// chain — the rows of every earlier file, mod batch — and feeds the chain the
-// moment this file's row count is known, from the footer, before any stripe is
-// fetched, so the next file's worker starts while this one is still filling;
-// an unchained one (a unit stream, whose consumer cuts the carry) cuts every
-// file at 0. The unit is deposited as soon as the file is open and each piece
-// follows through the hand-off as the scan cuts it.
+// the rows the plan carries into it, its footer held to the plan's row count
+// the moment it is parsed — a file the catalog miscounts ends the stream
+// there, before any of its rows is cut. The unit is deposited as soon as the
+// file is open and each piece follows through the hand-off as the scan cuts
+// it.
 //
 // With a memo the same scan is its compute: the pieces stream to this queue
 // from inside it, the memo keeps the collected FileScan, and a lookup that
 // did not compute — a hit, or one coalesced onto another's compute — deposits
-// the finished scan whole and reports its rows then.
-func (r *Reader) ScanFill(chained bool, memo Memo) Fill {
+// the finished scan whole.
+func (r *Reader) ScanFill(memo Memo) Fill {
 	return func(ctx context.Context, c Claim) error {
-		carry := 0
-		if chained {
-			var ok bool
-			if carry, ok = c.Carry(r.spec.BatchSize); !ok {
-				c.Deposit(Unit{File: c.File, Err: context.Canceled}) // the queue aborted: nobody awaits this deposit
-				return context.Canceled
-			}
-		}
 		var streamed *Handoff
-		opened := func(rows int) {
-			c.Report(rows)
-			streamed = c.HandOff(Unit{File: c.File, Carry: carry})
-			// Both wake the assembler — onto this worker's P, behind a scan
-			// that computes for milliseconds before its first Send — so yield
-			// here for the reason Send does: it would otherwise sit there
+		opened := func(rows int) error {
+			if rows != c.Rows {
+				return fmt.Errorf("reader: %s: the footer counts %d rows, the catalog %d", c.File, rows, c.Rows)
+			}
+			streamed = c.HandOff(Unit{File: c.File, Carry: c.Carry})
+			// The deposit wakes the assembler — onto this worker's P, behind a
+			// scan that computes for milliseconds before its first Send — so
+			// yield here for the reason Send does: it would otherwise sit there
 			// while another worker's first batch waits to be emitted.
 			runtime.Gosched()
+			return nil
 		}
 		send := func(p Piece) error { return streamed.Send(p) }
 		var fs *FileScan
 		var hit bool
 		var err error
 		if memo == nil {
-			err = r.Scan(ctx, c.File, carry, opened, send)
+			err = r.Scan(ctx, c.File, c.Carry, opened, send)
 		} else {
-			fs, hit, err = memo(ctx, c.File, carry, func(ctx context.Context) (*FileScan, error) {
-				return r.ScanFile(ctx, c.File, carry, opened, send)
+			fs, hit, err = memo(ctx, c.File, c.Carry, func(ctx context.Context) (*FileScan, error) {
+				return r.ScanFile(ctx, c.File, c.Carry, opened, send)
 			})
 		}
 		switch {
@@ -180,7 +183,6 @@ func (r *Reader) ScanFill(chained bool, memo Memo) Fill {
 		case err != nil:
 			c.Deposit(Unit{File: c.File, Err: err})
 		default:
-			c.Report(fs.Rows())
 			c.Deposit(fs.Unit(c.File, hit))
 		}
 		return err
@@ -189,10 +191,9 @@ func (r *Reader) ScanFill(chained bool, memo Memo) Fill {
 
 // FillQueue runs one worker over the queue — the one claim → fill loop every
 // pool runs: until the scan set is exhausted, the queue aborts, fill fails
-// (the worker exits; teardown's abort releases any successor parked on the
-// carry chain), or stop returns true — the resizable pool's between-files
-// scale-down checkpoint, checked before the claim so a stop never abandons
-// one. A nil stop never stops.
+// (the worker exits), or stop returns true — the resizable pool's
+// between-files scale-down checkpoint, checked before the claim so a stop
+// never abandons one. A nil stop never stops.
 //
 // A worker claims its next file only after the last piece of this one: the
 // pool's size still bounds the files being filled, the window the files

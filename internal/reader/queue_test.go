@@ -7,12 +7,12 @@ import (
 	"time"
 )
 
-func queueFiles(n int) []string {
-	files := make([]string, n)
-	for i := range files {
-		files[i] = string(rune('a' + i))
+func queueFiles(n int) []Planned {
+	plan := make([]Planned, n)
+	for i := range plan {
+		plan[i].File = string(rune('a' + i))
 	}
-	return files
+	return plan
 }
 
 // TestScanQueueOrderedMerge: results deposited out of order come back

@@ -157,7 +157,7 @@ type Unit struct {
 	// file nobody has scanned: the cutter scans it itself.
 	Pieces func(yield func(Piece) error) error
 	// Carry is the rows the file was cut for (fewer than a batch; 0 is a
-	// batch boundary, where a fleet shard always cuts).
+	// batch boundary).
 	Carry int
 	// Hit marks a unit a cache served: its pieces are shared with other
 	// sessions.
@@ -233,12 +233,13 @@ func (a *assembly) take() (*dwrf.Chunk, error) {
 // final short batch — the same stream, byte for byte, whichever source feeds
 // it (a serial Run, a ScanQueue of any size, a fleet of shards).
 //
-// A unit is usable when it was cut for exactly the rows now in hand
-// (Unit.Carry): its head completes the straddling batch — the one batch of
-// the file the cutter converts itself, since it holds rows of two files — its
-// batches are emitted as they are and its tail becomes the rows in hand,
-// always fewer than a batch. Cut for any other carry, or not scanned at all,
-// the cutter scans the file itself at the rows it has.
+// A unit was cut for exactly the rows now in hand (Unit.Carry): its head
+// completes the straddling batch — the one batch of the file the cutter
+// converts itself, since it holds rows of two files — its batches are
+// emitted as they are and its tail becomes the rows in hand, always fewer
+// than a batch. A unit nobody has scanned (serial Run's) the cutter scans
+// itself, at the rows it has; one cut for any other carry is a plan that
+// disagrees with the files, and ends the stream with an error.
 //
 // A unit whose pieces end in an error ends the stream there: every batch
 // that lies wholly in the pieces before it has been emitted, as a serial
@@ -271,11 +272,10 @@ func (r *Reader) RunUnits(ctx context.Context, next func() (Unit, bool), emit fu
 		if u.Err != nil {
 			return u.Err
 		}
-		if u.Pieces == nil || u.Carry != pending.rows {
-			if r.store == nil {
-				return fmt.Errorf("reader: file %q entered mid-batch but the fleet has no local backend to re-fill it (misaligned spec needs Config.Backend)", u.File)
-			}
+		if u.Pieces == nil {
 			u = r.ScanUnit(ctx, u.File, pending.rows)
+		} else if u.Carry != pending.rows {
+			return fmt.Errorf("reader: file %q was cut for %d carried rows, the stream carries %d", u.File, u.Carry, pending.rows)
 		}
 		if err := u.Pieces(cutPiece); err != nil {
 			if ctx.Err() != nil {

@@ -22,7 +22,7 @@ type FileScan struct {
 	// Carry is how many rows were pending when the scan entered the file
 	// (fewer than the spec's batch size); the scan is the right cut of the
 	// file for exactly the streams that arrive with that many. 0 is a file
-	// entered on a batch boundary — what a fleet shard always serves.
+	// entered on a batch boundary.
 	Carry int
 	// Head holds the file's first min(batch − Carry, rows) rows when Carry
 	// is nonzero: the rows that join the pending ones in the batch that
@@ -41,20 +41,6 @@ type FileScan struct {
 	// Never nil: with no rows in it, it still names the file's schema, which
 	// the cutter's schema check and the unit wire's closing record read.
 	Tail *dwrf.Chunk
-}
-
-// Rows is the file's row count: what the scan adds to a carry chain.
-func (fs *FileScan) Rows() int {
-	n := 0
-	for _, b := range fs.Batches {
-		n += b.Size
-	}
-	for _, c := range []*dwrf.Chunk{fs.Head, fs.Tail} {
-		if c != nil {
-			n += c.Rows()
-		}
-	}
-	return n
 }
 
 // MemBytes estimates the resident size of the scan for cache-budget
@@ -116,7 +102,8 @@ func (fs *FileScan) collect(p Piece) {
 // the leftover tail — always, with no rows in it when the file ends on a
 // batch boundary. The carried rows are the consumer's: counted here, held
 // there. opened, when non-nil, hears the file's row count as soon as the
-// footer is parsed, before any stripe is fetched.
+// footer is parsed, before any stripe is fetched; its error ends the scan
+// there.
 //
 // All stages charge the reader's Stats, so the scans of a file list, each at
 // the carry the files before it leave, and the cutter that joins them do
@@ -126,13 +113,15 @@ func (fs *FileScan) collect(p Piece) {
 // from the stripes before the damage: the consumer sees the serial stream's
 // prefix, then the error. yield's own error ends the scan and is returned as
 // it is.
-func (r *Reader) Scan(ctx context.Context, file string, carry int, opened func(rows int), yield func(Piece) error) error {
+func (r *Reader) Scan(ctx context.Context, file string, carry int, opened func(rows int) error, yield func(Piece) error) error {
 	src, err := r.open(ctx, file)
 	if err != nil {
 		return err
 	}
 	if opened != nil {
-		opened(src.file.NumRows())
+		if err := opened(src.file.NumRows()); err != nil {
+			return err
+		}
 	}
 	rows := assembly{batch: r.spec.BatchSize, rows: carry}
 	head := carry > 0
@@ -173,7 +162,7 @@ func (r *Reader) Scan(ctx context.Context, file string, carry int, opened func(r
 // the compute function behind dpp.ScanCache entries: the result depends only
 // on (file contents, Spec.Fingerprint(), carry), which is what makes
 // memoizing it sound.
-func (r *Reader) ScanFile(ctx context.Context, file string, carry int, opened func(rows int), yield func(Piece) error) (*FileScan, error) {
+func (r *Reader) ScanFile(ctx context.Context, file string, carry int, opened func(rows int) error, yield func(Piece) error) (*FileScan, error) {
 	fs := &FileScan{Carry: carry}
 	err := r.Scan(ctx, file, carry, opened, func(p Piece) error {
 		fs.collect(p)

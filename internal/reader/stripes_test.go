@@ -142,7 +142,7 @@ func TestCancelBetweenStripes(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	store := &stripeReadHook{Backend: env.store, path: files[0], off: off, hook: cancel}
-	q := NewScanQueue(files, len(files), nil) // no worker ever parks on the window: nothing aborts this queue
+	q := NewScanQueue(planOf(t, env.store, baseSpec().BatchSize, files), len(files), nil) // no worker ever parks on the window: nothing aborts this queue
 	var mu sync.Mutex
 	claimed := 0
 	var wg sync.WaitGroup

@@ -30,21 +30,28 @@ type Backend interface {
 }
 
 // Catalog resolves a table name to the ordered file list a full scan of
-// that table reads. Implementations must be safe for concurrent use.
+// that table reads, and a file to its entry. Implementations must be safe
+// for concurrent use.
 type Catalog interface {
 	// AllFiles returns every file of every partition of the table, in
 	// deterministic scan order.
 	AllFiles(table string) ([]string, error)
+	// Lookup returns the live entry of the file at path.
+	Lookup(path string) (PublishedFile, bool)
 }
 
 // PublishedFile is one catalog entry of a live table: a file path, the
-// hourly partition it landed into, and its catalog-wide publish sequence
-// number. Sequence numbers are strictly increasing in landing order and
-// never reused, which is what makes them a stable tail cursor.
+// hourly partition it landed into, its catalog-wide publish sequence
+// number, and its row count as the writer that sealed it recorded it.
+// Sequence numbers are strictly increasing in landing order and never
+// reused, which is what makes them a stable tail cursor. The row counts are
+// what a scan is planned from: the rows carried into a file are those of
+// every file before it, known before any file is fetched.
 type PublishedFile struct {
 	Path string
 	Hour int64
 	Seq  uint64
+	Rows int
 }
 
 // TailingCatalog is the optional catalog extension a Follow session

@@ -52,6 +52,8 @@ SOAK_SERVE_ADDR=${SOAK_SERVE_ADDR:-127.0.0.1:7171}
 SOAK_SERVE2_ADDR=${SOAK_SERVE2_ADDR:-127.0.0.1:7172}
 SOAK_OBS_ADDR=${SOAK_OBS_ADDR:-127.0.0.1:9171}
 SOAK_OBS2_ADDR=${SOAK_OBS2_ADDR:-127.0.0.1:9172}
+# The table recd-serve lands; recd-soak and recd-train read it from the
+# server's tablez handshake and take no table flags.
 TABLE_FLAGS=(-sessions 60 -batch 64)
 # The default table is one 724-row DWRF file (RowsPerFile 4096), which
 # rendezvous routing places wholly on one shard — draining the other
@@ -72,7 +74,7 @@ serve_pid=$!
 
 # The soak's own -ready-wait handles server startup; run it with every
 # gate armed.
-"$bin/recd-soak" -connect "$SOAK_SERVE_ADDR" "${TABLE_FLAGS[@]}" \
+"$bin/recd-soak" -connect "$SOAK_SERVE_ADDR" \
     -duration "$SOAK_DURATION" -concurrency 6 \
     -obs-scrape "http://$SOAK_OBS_ADDR" -check-metrics \
     -slo-p99 "$SOAK_SLO_P99" -min-throughput "$SOAK_MIN_TPUT"
@@ -83,7 +85,7 @@ serve_pid=$!
 # land on it); the zero-stream-errors gate stays armed — opens that hit
 # the dead window are retried and tallied separately.
 killlog="$bin/soak-kill.log"
-"$bin/recd-soak" -connect "$SOAK_SERVE_ADDR" "${TABLE_FLAGS[@]}" \
+"$bin/recd-soak" -connect "$SOAK_SERVE_ADDR" \
     -duration "$SOAK_KILL_DURATION" -concurrency 4 -reconnect \
     >"$killlog" 2>&1 &
 soak_pid=$!
@@ -135,7 +137,7 @@ serve2log="$bin/serve2.log"
     -autoscale -obs-listen "$SOAK_OBS2_ADDR" >"$serve2log" 2>&1 &
 serve2_pid=$!
 drainlog="$bin/soak-drain.log"
-"$bin/recd-soak" -connect "$SOAK_SERVE_ADDR,$SOAK_SERVE2_ADDR" "${DRAIN_TABLE_FLAGS[@]}" \
+"$bin/recd-soak" -connect "$SOAK_SERVE_ADDR,$SOAK_SERVE2_ADDR" \
     -duration "$SOAK_KILL_DURATION" -concurrency 4 -reconnect \
     >"$drainlog" 2>&1 &
 soak_pid=$!

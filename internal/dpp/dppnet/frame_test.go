@@ -315,13 +315,9 @@ func TestRecycledFramesResendIdentical(t *testing.T) {
 	testutil.WaitForGoroutines(t, before)
 }
 
-// BenchmarkBatchFrameHop is one batch's whole trip across the wire, minus
-// the socket: a 256-row batch of every feature the test table has is
-// encoded into a frame buffer, hashed and sealed as batchWire.next does,
-// written through a bufio.Writer into memory, read back as the client's
-// receive loop reads it, verified against the chain and decoded. ns/row
-// is the per-layer number the ladder's remote_warm rows/s sits on.
-func BenchmarkBatchFrameHop(b *testing.B) {
+// hopBatch is the batch the hop benchmarks send: the first 256-row batch
+// of every feature the test table has.
+func hopBatch(b *testing.B) *reader.Batch {
 	env := newTestEnv(b, 120)
 	spec := alignedSpec()
 	spec.BatchSize = 256
@@ -336,7 +332,23 @@ func BenchmarkBatchFrameHop(b *testing.B) {
 	}); err != nil || batch == nil || batch.Size != 256 {
 		b.Fatalf("no 256-row batch to send: %v", err)
 	}
+	return batch
+}
 
+// reportPerRow reports the loop's time per batch row.
+func reportPerRow(b *testing.B, batch *reader.Batch) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(batch.Size), "ns/row")
+}
+
+// BenchmarkBatchFrameHop is one batch's whole trip across the wire, minus
+// the socket: hopBatch is encoded into a frame buffer, hashed and sealed
+// as batchWire.next does, written through a bufio.Writer into memory, read
+// back as the client's receive loop reads it, verified against the chain
+// and decoded. ns/row is the per-layer number the ladder's remote_warm
+// rows/s sits on; BenchmarkBatchEncode and BenchmarkBatchDecode split out
+// its two codec layers.
+func BenchmarkBatchFrameHop(b *testing.B) {
+	batch := hopBatch(b)
 	var pipe bytes.Buffer
 	bw, br := bufio.NewWriter(&pipe), bufio.NewReader(&pipe)
 	server := framer{chain: chainSeed}
@@ -366,5 +378,33 @@ func BenchmarkBatchFrameHop(b *testing.B) {
 		clientChain = next.chain
 	}
 	b.SetBytes(int64(len(recv)))
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(batch.Size), "ns/row")
+	reportPerRow(b, batch)
+}
+
+// BenchmarkBatchEncode is the hop's server codec layer alone: the batch
+// appended into a recycled frame buffer, as framer.batch does.
+func BenchmarkBatchEncode(b *testing.B) {
+	batch := hopBatch(b)
+	var buf []byte
+	b.ReportAllocs()
+	for b.Loop() {
+		buf = batch.AppendTo(buf[:0])
+	}
+	b.SetBytes(int64(len(buf)))
+	reportPerRow(b, batch)
+}
+
+// BenchmarkBatchDecode is the hop's client codec layer alone: a verified
+// frame body decoded into a fresh batch, as the client's decodeBatch does.
+func BenchmarkBatchDecode(b *testing.B) {
+	batch := hopBatch(b)
+	body := batch.AppendTo(nil)
+	b.ReportAllocs()
+	for b.Loop() {
+		if got, _, err := reader.DecodeBatchFrom(body); err != nil || got.Size != batch.Size {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(int64(len(body)))
+	reportPerRow(b, batch)
 }

@@ -87,8 +87,14 @@ func (b *Batch) Feature(key string) (tensor.Jagged, bool) {
 	return tensor.Jagged{}, false
 }
 
-// Validate checks batch invariants: consistent row counts everywhere.
-func (b *Batch) Validate() error {
+// Validate checks batch invariants: every tensor valid, consistent row
+// counts everywhere.
+func (b *Batch) Validate() error { return b.validate(true) }
+
+// validate is Validate, checking each KJT, IKJT and partial's own
+// structure only when parts is set: a tensor.Decoder has checked every
+// part as it read it, so a decoded batch checks only its row counts.
+func (b *Batch) validate(parts bool) error {
 	if len(b.Labels) != b.Size {
 		return fmt.Errorf("reader: batch has %d labels for %d rows", len(b.Labels), b.Size)
 	}
@@ -96,24 +102,30 @@ func (b *Batch) Validate() error {
 		return fmt.Errorf("reader: dense matrix has %d rows for %d samples", b.Dense.RowsN, b.Size)
 	}
 	if b.KJT != nil {
-		if err := b.KJT.Validate(); err != nil {
-			return err
+		if parts {
+			if err := b.KJT.Validate(); err != nil {
+				return err
+			}
 		}
 		if b.KJT.NumKeys() > 0 && b.KJT.Rows() != b.Size {
 			return fmt.Errorf("reader: kjt has %d rows for %d samples", b.KJT.Rows(), b.Size)
 		}
 	}
 	for gi, ik := range b.IKJTs {
-		if err := ik.Validate(); err != nil {
-			return fmt.Errorf("reader: ikjt group %d: %w", gi, err)
+		if parts {
+			if err := ik.Validate(); err != nil {
+				return fmt.Errorf("reader: ikjt group %d: %w", gi, err)
+			}
 		}
 		if ik.Batch() != b.Size {
 			return fmt.Errorf("reader: ikjt group %d has batch %d for %d samples", gi, ik.Batch(), b.Size)
 		}
 	}
 	for _, p := range b.Partials {
-		if err := p.Validate(); err != nil {
-			return fmt.Errorf("reader: partial %q: %w", p.Key, err)
+		if parts {
+			if err := p.Validate(); err != nil {
+				return fmt.Errorf("reader: partial %q: %w", p.Key, err)
+			}
 		}
 		if p.Rows() != b.Size {
 			return fmt.Errorf("reader: partial %q has %d rows for %d samples", p.Key, p.Rows(), b.Size)

@@ -3,6 +3,8 @@ package reader
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/tensor"
 )
 
 // FuzzDecodeBatch hammers the batch wire decoder with arbitrary bytes.
@@ -70,6 +72,29 @@ func FuzzDecodeBatch(f *testing.F) {
 		return nil
 	}); err != nil {
 		f.Fatal(err)
+	}
+	// Empty blocks: a block crosses the codec as one copy of its cells,
+	// and an empty one has no first cell to address. A batch of zero rows
+	// (no offsets, no values, no dense cells, no labels) and one of rows
+	// that are all empty (offsets, but no values and no dense columns).
+	for _, rows := range []int{0, 2} {
+		empty := tensor.NewJagged(make([][]tensor.Value, rows))
+		ik, err := tensor.NewDeduper().Dedup([]string{"seq"}, []tensor.Jagged{empty})
+		if err != nil {
+			f.Fatal(err)
+		}
+		b := &Batch{
+			Size:     rows,
+			Dense:    tensor.NewDense(rows, 0),
+			Labels:   make([]float32, rows),
+			KJT:      tensor.MustKJT([]string{"item"}, []tensor.Jagged{empty}),
+			IKJTs:    []*tensor.IKJT{ik},
+			Partials: []*tensor.PartialIKJT{tensor.PartialDedup("elem", empty)},
+		}
+		if err := b.Validate(); err != nil {
+			f.Fatalf("empty-block seed of %d rows: %v", rows, err)
+		}
+		f.Add(b.AppendTo(nil))
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {

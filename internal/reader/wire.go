@@ -149,7 +149,7 @@ func decodeBatch(d *tensor.Decoder) (*Batch, error) {
 		return nil, err
 	}
 	b.OriginalSparseValues = int(orig)
-	return b, b.Validate()
+	return b, b.validate(false)
 }
 
 // statsFields enumerates every Stats field in wire order: the three

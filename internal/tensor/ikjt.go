@@ -158,9 +158,14 @@ func (ik *IKJT) SDDWireBytes() int {
 	return total
 }
 
-// Validate checks the IKJT invariants: every tensor has UniqueRows rows,
-// every inverse-lookup entry is in range, and the group is non-empty.
-func (ik *IKJT) Validate() error {
+// Validate checks the IKJT invariants: every tensor is a valid jagged
+// tensor with UniqueRows rows, every inverse-lookup entry is in range, and
+// the group is non-empty.
+func (ik *IKJT) Validate() error { return ik.validate(true) }
+
+// validate is Validate, checking each tensor's own structure only when
+// tensors is set: a Decoder has checked every tensor as it read it.
+func (ik *IKJT) validate(tensors bool) error {
 	if len(ik.keys) == 0 {
 		return fmt.Errorf("tensor: ikjt has no keys")
 	}
@@ -169,8 +174,10 @@ func (ik *IKJT) Validate() error {
 	}
 	unique := ik.UniqueRows()
 	for i, t := range ik.tensors {
-		if err := t.Validate(); err != nil {
-			return fmt.Errorf("tensor: ikjt key %q: %w", ik.keys[i], err)
+		if tensors {
+			if err := t.Validate(); err != nil {
+				return fmt.Errorf("tensor: ikjt key %q: %w", ik.keys[i], err)
+			}
 		}
 		if t.Rows() != unique {
 			return fmt.Errorf("tensor: ikjt key %q has %d unique rows, want %d", ik.keys[i], t.Rows(), unique)
@@ -219,11 +226,11 @@ func (ik *IKJT) MapDeduped(key string, fn func(Jagged) Jagged) (*IKJT, error) {
 	}, nil
 }
 
-// fromParts builds an IKJT from raw parts, validating invariants. Used by
-// deserialization.
+// ikjtFromParts builds an IKJT from decoded parts, validating the
+// invariants the Decoder has not already checked tensor by tensor.
 func ikjtFromParts(keys []string, tensors []Jagged, inverse []int32) (*IKJT, error) {
 	ik := &IKJT{keys: keys, tensors: tensors, inverseLookup: inverse, batch: len(inverse)}
-	if err := ik.Validate(); err != nil {
+	if err := ik.validate(false); err != nil {
 		return nil, err
 	}
 	return ik, nil

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
-	"slices"
 	"sync"
 )
 
@@ -27,6 +25,14 @@ import (
 // whole frame), or from a byte reader, staging each block through a pooled
 // scratch (the Read forms). Every bound and every validation lives in the
 // Decoder's methods, so the two faces cannot drift apart.
+//
+// Every fixed-width block (values, offsets, inverse lookups, dense cells,
+// labels, partial lookups) is little-endian cells packed end to end, which
+// is how a []Value, []int32, []float32 or [][2]int32 lies in memory on a
+// little-endian host. There a block is appended as one copy of the slice's
+// bytes and decoded as one copy into a fresh slice (cells_le.go, the one
+// file that imports unsafe); other hosts build the per-cell loop
+// (cells_portable.go). The bytes are the same either way.
 
 const (
 	tagJagged  = uint8(1)
@@ -36,7 +42,20 @@ const (
 	tagPartial = uint8(5)
 )
 
-var wireOrder = binary.LittleEndian
+// cell is a fixed-width wire element.
+type cell interface {
+	Value | int32 | float32 | [2]int32
+}
+
+// cellBytes is the wire width of one T, which is also its size in memory.
+func cellBytes[T cell]() int {
+	var zero T
+	switch any(zero).(type) {
+	case int32, float32:
+		return 4
+	}
+	return 8
+}
 
 // Decode-side plausibility caps. Wire payloads may arrive from another
 // process (dppnet serves batches over TCP), so every length prefix is
@@ -71,12 +90,6 @@ func WriteWith(w io.Writer, appendTo func(dst []byte) []byte) error {
 	return err
 }
 
-// extend grows dst by n bytes and returns it with the new bytes as tail.
-func extend(dst []byte, n int) (grown, tail []byte) {
-	grown = slices.Grow(dst, n)[:len(dst)+n]
-	return grown, grown[len(dst):]
-}
-
 func appendString(dst []byte, s string) []byte {
 	return append(binary.AppendUvarint(dst, uint64(len(s))), s...)
 }
@@ -84,29 +97,17 @@ func appendString(dst []byte, s string) []byte {
 // AppendValues appends vals as a uvarint count and that many raw
 // little-endian 8-byte values.
 func AppendValues(dst []byte, vals []Value) []byte {
-	dst, out := extend(binary.AppendUvarint(dst, uint64(len(vals))), 8*len(vals))
-	for i, v := range vals {
-		wireOrder.PutUint64(out[i*8:], uint64(v))
-	}
-	return dst
+	return appendCells(binary.AppendUvarint(dst, uint64(len(vals))), vals)
 }
 
 func appendInt32s(dst []byte, vals []int32) []byte {
-	dst, out := extend(binary.AppendUvarint(dst, uint64(len(vals))), 4*len(vals))
-	for i, v := range vals {
-		wireOrder.PutUint32(out[i*4:], uint32(v))
-	}
-	return dst
+	return appendCells(binary.AppendUvarint(dst, uint64(len(vals))), vals)
 }
 
 // AppendFloat32s appends vals as raw little-endian cells, with no count:
 // the caller's format says how many there are.
 func AppendFloat32s(dst []byte, vals []float32) []byte {
-	dst, out := extend(dst, 4*len(vals))
-	for i, v := range vals {
-		wireOrder.PutUint32(out[i*4:], math.Float32bits(v))
-	}
-	return dst
+	return appendCells(dst, vals)
 }
 
 // ByteReader is the input of a reader Decoder and of the Read forms: any
@@ -220,35 +221,30 @@ func (d *Decoder) string() (string, error) {
 // Values reads what AppendValues wrote. The count is bounded, and the
 // values are allocated only once their bytes are in hand.
 func (d *Decoder) Values() ([]Value, error) {
-	n, err := d.count("value", maxWireElems)
+	_, b, err := d.block("value", 8)
 	if err != nil {
 		return nil, err
 	}
-	b, err := d.Next(8 * n)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Value, n)
-	for i := range out {
-		out[i] = Value(wireOrder.Uint64(b[i*8:]))
-	}
-	return out, nil
+	return decodeCells[Value](b), nil
 }
 
 func (d *Decoder) int32s() ([]int32, error) {
-	n, err := d.count("int32", maxWireElems)
+	_, b, err := d.block("int32", 4)
 	if err != nil {
 		return nil, err
 	}
-	b, err := d.Next(4 * n)
+	return decodeCells[int32](b), nil
+}
+
+// block reads a bounded uvarint count of width-byte cells and the bytes
+// of that many cells.
+func (d *Decoder) block(what string, width int) (int, []byte, error) {
+	n, err := d.count(what, maxWireElems)
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(wireOrder.Uint32(b[i*4:]))
-	}
-	return out, nil
+	b, err := d.Next(width * n)
+	return n, b, err
 }
 
 // Float32s reads n raw cells written by AppendFloat32s. The caller has
@@ -258,11 +254,7 @@ func (d *Decoder) Float32s(n int) ([]float32, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = math.Float32frombits(wireOrder.Uint32(b[i*4:]))
-	}
-	return out, nil
+	return decodeCells[float32](b), nil
 }
 
 // AppendJagged appends j's wire form to dst.
@@ -438,12 +430,7 @@ func ReadDense(r ByteReader) (Dense, error) {
 // flat int32 block, offset then length per row.
 func AppendPartial(dst []byte, p *PartialIKJT) []byte {
 	dst = AppendValues(appendString(append(dst, tagPartial), p.Key), p.Values)
-	dst, out := extend(binary.AppendUvarint(dst, uint64(2*len(p.Lookup))), 8*len(p.Lookup))
-	for i, w := range p.Lookup {
-		wireOrder.PutUint32(out[i*8:], uint32(w[0]))
-		wireOrder.PutUint32(out[i*8+4:], uint32(w[1]))
-	}
-	return dst
+	return appendCells(binary.AppendUvarint(dst, uint64(2*len(p.Lookup))), p.Lookup)
 }
 
 // WritePartial serializes a partial IKJT to w.
@@ -464,17 +451,14 @@ func (d *Decoder) Partial() (*PartialIKJT, error) {
 	if err != nil {
 		return nil, err
 	}
-	flat, err := d.int32s()
+	flat, b, err := d.block("int32", 4)
 	if err != nil {
 		return nil, err
 	}
-	if len(flat)%2 != 0 {
-		return nil, fmt.Errorf("tensor: partial lookup has odd length %d", len(flat))
+	if flat%2 != 0 {
+		return nil, fmt.Errorf("tensor: partial lookup has odd length %d", flat)
 	}
-	p := &PartialIKJT{Key: key, Values: vals, Lookup: make([][2]int32, len(flat)/2)}
-	for i := range p.Lookup {
-		p.Lookup[i] = [2]int32{flat[2*i], flat[2*i+1]}
-	}
+	p := &PartialIKJT{Key: key, Values: vals, Lookup: decodeCells[[2]int32](b)}
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}

@@ -614,7 +614,7 @@ func fleetFixture(b *testing.B, shards int) (dpp.Spec, func() (*dppshard.Fleet, 
 	if err != nil {
 		b.Fatal(err)
 	}
-	one, err := r.ScanFile(context.Background(), files[0], 0, nil, nil)
+	one, err := r.ScanFile(context.Background(), files[0], 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -683,6 +683,65 @@ func BenchmarkFleetFirstBatch(b *testing.B) {
 		b.StartTimer()
 	}
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/op")
+}
+
+// BenchmarkSharedFirstBatch is how long the second, third and fourth of four
+// ShareScans sessions opened together on a cold service wait for their first
+// batch. All four ask for the first file's scan at once; one computes it and
+// the others follow its log, so each is served the file's first batch when
+// the compute cuts it — after two of the file's eight stripes, not the eight.
+// first_batch_ms is the mean over sessions 2–4, from the moment the four are
+// opened; ns/op is the whole timed region (the four opens and the three
+// first batches).
+func BenchmarkSharedFirstBatch(b *testing.B) {
+	schema := datagen.StandardSchema(datagen.StandardSchemaConfig{
+		UserSeq: 3, UserElem: 3, Item: 1, Dense: 2, SeqLen: 32, Seed: 12,
+	})
+	gen := datagen.NewGenerator(schema, datagen.GeneratorConfig{
+		Sessions: 100, MeanSamplesPerSession: 12, Seed: 13,
+	})
+	samples := etl.ClusterBySession(gen.GeneratePartition())
+	store := lakefs.NewStore()
+	catalog := lakefs.NewCatalog()
+	// 1024-row files of eight 128-row stripes: a 256-row batch is a quarter
+	// of a file.
+	if _, err := dwrf.WritePartition(store, catalog, "t", 0, schema, samples,
+		dwrf.TableOptions{RowsPerFile: 1024, Writer: dwrf.WriterOptions{StripeRows: 128}}); err != nil {
+		b.Fatal(err)
+	}
+	spec := dpp.Spec{Spec: reader.Spec{
+		Table: "t", BatchSize: 256,
+		SparseFeatures:      []string{"item_0"},
+		DedupSparseFeatures: [][]string{{"user_seq_0", "user_seq_1", "user_seq_2"}, {"user_elem_0", "user_elem_1", "user_elem_2"}},
+	}, Buffer: 1, ShareScans: true}
+	ctx := context.Background()
+	var waited time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		svc, err := dpp.New(dpp.Config{Backend: store, Catalog: catalog})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		opened := time.Now()
+		sessions := make([]*dpp.Session, 4)
+		for s := range sessions {
+			if sessions[s], err = svc.Open(ctx, spec); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for _, sess := range sessions[1:] {
+			if _, err := sess.Next(ctx); err != nil {
+				b.Fatal(err)
+			}
+			waited += time.Since(opened)
+		}
+		b.StopTimer()
+		svc.Close()
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(waited.Microseconds())/1e3/float64(3*b.N), "first_batch_ms")
 }
 
 // benchStalledConsumer measures one session drained by a consumer that

@@ -71,6 +71,10 @@ import (
 	"repro/internal/trainer"
 )
 
+// reconnectBackoff is the base delay between a -connect session's resume
+// attempts (doubling, capped and jittered by dppnet.ResumePolicy).
+const reconnectBackoff = 250 * time.Millisecond
+
 func main() {
 	var (
 		epochs            = flag.Int("epochs", 4, "training epochs")
@@ -84,7 +88,6 @@ func main() {
 		connect           = flag.String("connect", "", "recd-serve address (host:port), or a comma-separated shard list for a sharded fleet; empty runs the service in-process")
 		obsSide           = flag.String("obs-listen", "", "observability sidecar HTTP address for this trainer (/metrics, /debug/pprof, /healthz, /statsz); empty disables")
 		reconnectAttempts = flag.Int("reconnect-attempts", 8, "with -connect: resume attempts after a lost connection before the stream fails; 0 disables resume")
-		reconnectBackoff  = flag.Duration("reconnect-backoff", 250*time.Millisecond, "with -connect: base delay between resume attempts (doubles, capped)")
 		authToken         = flag.String("auth-token", "", "with -connect: tenant token sent in every session handshake (match a line in recd-serve's -tenants file)")
 		follow            = flag.Bool("follow", false, "windowed-epoch mode over the live tail: one Follow session replaces the per-epoch hour-0 reruns, each -epochs window training on the next table's-worth of freshly landed batches (locally the trainer hosts its own landing writer; with -connect point at a recd-serve running -follow)")
 		flushInterval     = flag.Duration("flush-interval", 500*time.Millisecond, "with -follow and no -connect: the local landing cadence and the writer's latency-bound seal interval")
@@ -112,7 +115,7 @@ func main() {
 	}
 
 	ctx := context.Background()
-	resume := dppnet.ResumePolicy{MaxAttempts: *reconnectAttempts, BaseDelay: *reconnectBackoff}
+	resume := dppnet.ResumePolicy{MaxAttempts: *reconnectAttempts, BaseDelay: reconnectBackoff}
 
 	// Table knowledge. Local mode lands the dataset; -connect mode starts
 	// cold from the wire — a tablez handshake to the first address hands

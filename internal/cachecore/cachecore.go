@@ -84,11 +84,11 @@ type Config struct {
 	// package comment).
 	MaxBytes int64
 	// CountWaiterHits controls how a caller coalesced onto another
-	// caller's in-flight compute is charged once that compute succeeds:
-	// true charges a hit (dpp.ScanCache's contract — the waiter was
-	// served work someone else paid for), false charges neither hit nor
-	// miss (storage.CachingBackend's contract — only resident entries
-	// hit).
+	// caller's in-flight compute is charged once that compute succeeds, or
+	// publishes (see Get): true charges a hit (dpp.ScanCache's contract —
+	// the waiter was served work someone else paid for), false charges
+	// neither hit nor miss (storage.CachingBackend's contract — only
+	// resident entries hit).
 	CountWaiterHits bool
 }
 
@@ -149,9 +149,21 @@ type entry[K comparable, V any] struct {
 	// and the map may already hold a fresh entry under the same key.
 	doomed bool
 
-	ready chan struct{} // closed when val/err are set
-	val   V
-	err   error
+	// ready is closed once the value is served: published by its compute
+	// (which may yet fail), computed, or failed. served records that, val and
+	// err are set before it, and all three under the cache's mu.
+	ready  chan struct{}
+	served bool
+	val    V
+	err    error
+}
+
+// serve closes ready, once. Callers hold c.mu.
+func (e *entry[K, V]) serve() {
+	if !e.served {
+		e.served = true
+		close(e.ready)
+	}
 }
 
 // New builds a cache. cost prices a completed value for the byte
@@ -183,41 +195,40 @@ func New[K comparable, V any](cfg Config, cost func(V) int64) *Cache[K, V] {
 // reaches that caller alone; waiters retry, one of them computing.
 // Cancelling ctx abandons a coalesced wait with ctx.Err(); the in-flight
 // compute itself sees only its own caller's context.
-func (c *Cache[K, V]) Get(ctx context.Context, key K, compute func(context.Context) (V, error)) (val V, hit bool, err error) {
+//
+// compute may publish its value before it returns — a value that is
+// itself filled in while it is computed: from then on every Get of the key
+// is handed it at once and charged as a coalesced waiter, while its cost,
+// its retention and any eviction are still decided when compute returns.
+// A compute that fails after publishing leaves no entry: the holders keep
+// what they were handed, and the next Get computes again.
+func (c *Cache[K, V]) Get(ctx context.Context, key K, compute func(ctx context.Context, publish func(V)) (V, error)) (val V, hit bool, err error) {
 	for {
 		c.mu.Lock()
 		if e, ok := c.entries[key]; ok {
-			select {
-			case <-e.ready: // complete
-				if e.err == nil {
-					c.touch(e)
-					c.hits.Add(1)
-					e.hits++
-					c.mu.Unlock()
-					return e.val, true, nil
+			waited := !e.served // else resident, or published
+			if waited {
+				c.mu.Unlock()
+				select {
+				case <-e.ready:
+				case <-ctx.Done():
+					var zero V
+					return zero, false, ctx.Err()
 				}
-				// Failed entries are removed by their computer; one still
-				// visible lost a race — fall through and wait it out.
-			default:
-			}
-			c.mu.Unlock()
-			select {
-			case <-e.ready:
-			case <-ctx.Done():
-				var zero V
-				return zero, false, ctx.Err()
+				c.mu.Lock()
 			}
 			if e.err != nil {
+				c.mu.Unlock()
 				continue // leader failed; retry (and possibly lead)
 			}
-			c.mu.Lock()
-			if c.waiterHits {
+			if (!waited && e.el != nil) || c.waiterHits {
 				c.touch(e)
 				c.hits.Add(1)
 				e.hits++
 			}
+			val = e.val
 			c.mu.Unlock()
-			return e.val, true, nil
+			return val, true, nil
 		}
 
 		e := &entry[K, V]{key: key, seen: -1, ready: make(chan struct{})}
@@ -228,21 +239,27 @@ func (c *Cache[K, V]) Get(ctx context.Context, key K, compute func(context.Conte
 		}
 		c.mu.Unlock()
 
-		e.val, e.err = compute(ctx)
+		val, err := compute(ctx, func(v V) {
+			c.mu.Lock()
+			e.val = v
+			e.serve()
+			c.mu.Unlock()
+		})
 
 		c.mu.Lock()
-		if e.err != nil {
+		e.val, e.err = val, err
+		if err != nil {
 			// A doomed entry was already unmapped by Remove, and the map may
 			// hold a successor under the same key — only delete our own.
 			if c.entries[key] == e {
 				delete(c.entries, key)
 			}
+			e.serve()
 			c.mu.Unlock()
-			close(e.ready)
 			var zero V
-			return zero, false, e.err
+			return zero, false, err
 		}
-		e.cost = c.cost(e.val)
+		e.cost = c.cost(val)
 		if e.cost > c.max || e.doomed || c.refuse(e) {
 			// Unretainable: serve the value (waiters included) but drop the
 			// entry rather than evicting everything else to make room — or,
@@ -260,9 +277,9 @@ func (c *Cache[K, V]) Get(ctx context.Context, key K, compute func(context.Conte
 			c.evict()
 			c.peak = max(c.peak, c.lru.Len())
 		}
+		e.serve()
 		c.mu.Unlock()
-		close(e.ready)
-		return e.val, false, nil
+		return val, false, nil
 	}
 }
 

@@ -17,7 +17,7 @@ func newStringCache(cfg cachecore.Config) *cachecore.Cache[string, string] {
 
 func mustGet(t *testing.T, c *cachecore.Cache[string, string], key, val string) bool {
 	t.Helper()
-	got, hit, err := c.Get(context.Background(), key, func(context.Context) (string, error) {
+	got, hit, err := c.Get(context.Background(), key, func(context.Context, func(string)) (string, error) {
 		return val, nil
 	})
 	if err != nil {
@@ -64,7 +64,7 @@ func TestOversizeNeverRetained(t *testing.T) {
 	c := newStringCache(cachecore.Config{MaxBytes: 8})
 	mustGet(t, c, "a", "vvvv")
 	mustGet(t, c, "b", "vvvv")
-	got, hit, err := c.Get(context.Background(), "huge", func(context.Context) (string, error) {
+	got, hit, err := c.Get(context.Background(), "huge", func(context.Context, func(string)) (string, error) {
 		return "0123456789abcdef", nil
 	})
 	if err != nil || hit || got != "0123456789abcdef" {
@@ -99,7 +99,7 @@ func TestWaiterAccounting(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					_, _, err := c.Get(context.Background(), "k", func(context.Context) (string, error) {
+					_, _, err := c.Get(context.Background(), "k", func(context.Context, func(string)) (string, error) {
 						computes.Add(1)
 						<-release
 						return "v", nil
@@ -123,10 +123,82 @@ func TestWaiterAccounting(t *testing.T) {
 	}
 }
 
+// TestPublishedValueServesWaiters pins publishing: a Get arriving after the
+// compute published its value is handed it while the compute still runs,
+// charged as CountWaiterHits says; the entry's cost and retention wait for
+// the compute's return; and a compute that fails after publishing leaves no
+// entry, so the next Get computes again. (A compute that never publishes is
+// TestWaiterAccounting's.)
+func TestPublishedValueServesWaiters(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		waiterHits bool
+		wantHits   int64
+		fail       bool
+	}{
+		{"waiters-count-as-hits", true, 2, false},
+		{"waiters-count-nothing", false, 0, false},
+		{"fails-after-publishing", true, 2, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newStringCache(cachecore.Config{MaxBytes: 1 << 20, CountWaiterHits: tc.waiterHits})
+			published, release := make(chan struct{}), make(chan struct{})
+			boom := errors.New("compute failed after publishing")
+			leader := make(chan error, 1)
+			go func() {
+				_, _, err := c.Get(context.Background(), "k", func(_ context.Context, publish func(string)) (string, error) {
+					publish("v")
+					close(published)
+					<-release
+					if tc.fail {
+						return "", boom
+					}
+					return "v", nil
+				})
+				leader <- err
+			}()
+			<-published
+			for i := 0; i < 2; i++ {
+				got, hit, err := c.Get(context.Background(), "k", func(context.Context, func(string)) (string, error) {
+					return "", errors.New("a Get after the publish must not compute")
+				})
+				if err != nil || !hit || got != "v" {
+					t.Fatalf("Get after the publish: %q hit=%v err=%v, want the published value", got, hit, err)
+				}
+			}
+			if c.Contains("k") {
+				t.Fatal("a published value is resident before its compute returned")
+			}
+			if st := c.Stats(); st.Misses != 1 || st.Hits != tc.wantHits || st.Bytes != 0 {
+				t.Fatalf("stats while computing %+v, want 1 miss, %d hits, no bytes", st, tc.wantHits)
+			}
+			close(release)
+			if err := <-leader; (err != nil) != tc.fail {
+				t.Fatalf("leader returned %v", err)
+			}
+			if c.Contains("k") == tc.fail {
+				t.Fatalf("resident after the compute returned: %v, want %v", c.Contains("k"), !tc.fail)
+			}
+			if !tc.fail {
+				if st := c.Stats(); st.Bytes != 1 || st.Entries != 1 {
+					t.Fatalf("stats after the compute %+v, want the entry's byte charged", st)
+				}
+				return
+			}
+			got, hit, err := c.Get(context.Background(), "k", func(context.Context, func(string)) (string, error) {
+				return "w", nil
+			})
+			if err != nil || hit || got != "w" {
+				t.Fatalf("Get after the failure: %q hit=%v err=%v, want a fresh compute", got, hit, err)
+			}
+		})
+	}
+}
+
 func TestLeaderFailureDoesNotPoison(t *testing.T) {
 	c := newStringCache(cachecore.Config{MaxBytes: 1 << 20})
 	boom := errors.New("compute failed")
-	_, _, err := c.Get(context.Background(), "k", func(context.Context) (string, error) {
+	_, _, err := c.Get(context.Background(), "k", func(context.Context, func(string)) (string, error) {
 		return "", boom
 	})
 	if !errors.Is(err, boom) {
@@ -135,7 +207,7 @@ func TestLeaderFailureDoesNotPoison(t *testing.T) {
 	if c.Contains("k") {
 		t.Fatal("failed entry must not be cached")
 	}
-	got, hit, err := c.Get(context.Background(), "k", func(context.Context) (string, error) {
+	got, hit, err := c.Get(context.Background(), "k", func(context.Context, func(string)) (string, error) {
 		return "v", nil
 	})
 	if err != nil || hit || got != "v" {
@@ -149,7 +221,7 @@ func TestWaiterCancellation(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
 	go func() {
-		c.Get(context.Background(), "k", func(context.Context) (string, error) {
+		c.Get(context.Background(), "k", func(context.Context, func(string)) (string, error) {
 			close(started)
 			<-release
 			return "v", nil
@@ -159,7 +231,7 @@ func TestWaiterCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := c.Get(ctx, "k", func(context.Context) (string, error) {
+		_, _, err := c.Get(ctx, "k", func(context.Context, func(string)) (string, error) {
 			return "", errors.New("waiter must not compute")
 		})
 		done <- err
@@ -208,7 +280,7 @@ func TestRemoveInFlight(t *testing.T) {
 	release := make(chan struct{})
 	done := make(chan string, 1)
 	go func() {
-		v, _, err := c.Get(context.Background(), "k", func(context.Context) (string, error) {
+		v, _, err := c.Get(context.Background(), "k", func(context.Context, func(string)) (string, error) {
 			close(started)
 			<-release
 			return "stale", nil
@@ -236,7 +308,7 @@ func TestRemoveInFlight(t *testing.T) {
 	doneTwo := make(chan struct{})
 	go func() {
 		defer close(doneTwo)
-		c.Get(context.Background(), "k", func(context.Context) (string, error) {
+		c.Get(context.Background(), "k", func(context.Context, func(string)) (string, error) {
 			close(startedTwo)
 			<-releaseTwo
 			return "new!", nil

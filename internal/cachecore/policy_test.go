@@ -146,7 +146,7 @@ var errCompute = errors.New("compute failed")
 
 func (p *pair) get(key string, cost int64, outcome int) bool {
 	p.t.Helper()
-	_, hit, err := p.c.Get(context.Background(), key, func(context.Context) (int64, error) {
+	_, hit, err := p.c.Get(context.Background(), key, func(context.Context, func(int64)) (int64, error) {
 		switch outcome {
 		case computeFail:
 			return 0, errCompute
@@ -552,7 +552,7 @@ func FuzzCachePolicy(f *testing.F) {
 	})
 }
 
-func constCompute(context.Context) (int64, error) { return 1, nil }
+func constCompute(context.Context, func(int64)) (int64, error) { return 1, nil }
 
 var sinkHit bool
 

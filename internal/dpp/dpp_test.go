@@ -620,7 +620,7 @@ func TestSharedSessionEvictionPressure(t *testing.T) {
 	if len(files) < 3 {
 		t.Skip("need at least 3 files for eviction pressure")
 	}
-	one, err := r.ScanFile(context.Background(), files[0], 0, nil, nil)
+	one, err := r.ScanFile(context.Background(), files[0], 0)
 	if err != nil {
 		t.Fatal(err)
 	}

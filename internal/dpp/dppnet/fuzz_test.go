@@ -388,18 +388,20 @@ func FuzzDecodeFileUnit(f *testing.F) {
 	}
 	// A real misaligned scan's closing record carries keys and a tail —
 	// every section of the frame layout is populated.
-	scan, err := r.ScanFile(context.Background(), files[0], 0, nil, nil)
+	scan, err := r.ScanFile(context.Background(), files[0], 0)
 	if err != nil {
 		f.Fatal(err)
 	}
-	if n := scan.Tail.Rows(); n == 0 || n > 0x7f {
+	pieces := scan.Pieces()
+	tail := pieces[len(pieces)-1].Rows
+	if n := tail.Rows(); n == 0 || n > 0x7f {
 		f.Fatalf("the seed scan's tail has %d rows, want a one-byte nonzero count to forge", n)
 	}
-	full := fileUnitSeed(dpp.UnitPiece{Index: 3, Tail: scan.Tail, Hit: true})
+	full := fileUnitSeed(dpp.UnitPiece{Index: 3, Tail: tail, Hit: true})
 	f.Add(full)
 	// A file that ends on a batch boundary: the schema, no rows.
-	f.Add(fileUnitSeed(dpp.UnitPiece{Tail: scan.Tail.Slice(0, 0)}))
-	tailAt := len(full) - len(scan.Tail.AppendTo(nil))
+	f.Add(fileUnitSeed(dpp.UnitPiece{Tail: tail.Slice(0, 0)}))
+	tailAt := len(full) - len(tail.AppendTo(nil))
 	for _, cut := range []int{1, 2, tailAt / 2, tailAt, (tailAt + len(full)) / 2, len(full) - 1} {
 		f.Add(full[:cut])
 	}
@@ -417,7 +419,7 @@ func FuzzDecodeFileUnit(f *testing.F) {
 	// The tail's columns, forged: claiming a row count far past its bytes,
 	// and then one row more than its columns hold.
 	f.Add(append(binary.AppendUvarint(full[:tailAt:tailAt], 1<<23), full[tailAt+1:]...))
-	f.Add(append(binary.AppendUvarint(full[:tailAt:tailAt], uint64(scan.Tail.Rows()+1)), full[tailAt+1:]...))
+	f.Add(append(binary.AppendUvarint(full[:tailAt:tailAt], uint64(tail.Rows()+1)), full[tailAt+1:]...))
 
 	// The decoding client's spec is the seed scan's: frames that keep its
 	// features keep a populated tail chunk through the round trip.

@@ -310,6 +310,9 @@ func (s *Server) park(e *session) bool {
 	e.seq = s.resume.parkSeq
 	e.expires = s.now().Add(s.resumeTTL())
 	e.inUse = false
+	// Counted before a reconnect can claim it, so a stream resumed from it
+	// never reads the server's stats without its park.
+	s.parkedSessions.Inc()
 	s.resume.entries[e.token] = e
 	s.resume.settleLiveLocked(e.token)
 	s.startJanitorLocked()

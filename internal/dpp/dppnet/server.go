@@ -527,7 +527,6 @@ func (s *Server) serveStream(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, 
 	}
 	park, outcome := s.serve(conn, br, bw, ss, req.Window, claimed, count)
 	if park && s.park(ss) {
-		s.parkedSessions.Inc()
 		outcome = "parked"
 	} else {
 		if ss.token != "" {

@@ -13,15 +13,15 @@
 // closing record with the raw tail rows. The multiplexer reassembles the
 // global file order with the same deposit-by-index ordered-merge discipline
 // a local session's fill pool uses (reader.OrderedMerge): a pump deposits a
-// file's unit, with its carry, at the file's first frame and hands the
-// pieces after it to the reader's one cutter (reader.RunUnits) through the
-// hand-off every queue worker uses (reader.Handoff), so the fleet emits a
-// shard-cut batch the moment it arrives. Batches whose rows stay inside one
-// file pass through untouched; a batch that crosses a file boundary is
-// joined client-side from one file's tail and the next one's head — which is
-// what makes the merged stream byte-identical to a single-server (or fully
-// local) session over the same spec, at any shard count and any alignment,
-// with no storage on the client.
+// reader of the file's piece log, with its carry, at the file's first frame
+// and appends the pieces after it to the log every fill writes
+// (reader.FileScan), for the reader's one cutter (reader.RunUnits) to take,
+// so the fleet emits a shard-cut batch the moment it arrives. Batches whose
+// rows stay inside one file pass through untouched; a batch that crosses a
+// file boundary is joined client-side from one file's tail and the next
+// one's head — which is what makes the merged stream byte-identical to a
+// single-server (or fully local) session over the same spec, at any shard
+// count and any alignment, with no storage on the client.
 //
 // Shard death mid-stream re-routes deterministically: the dead shard's
 // not-yet-finished files — and only those — are re-hashed over the
@@ -204,12 +204,12 @@ type Session struct {
 	// can never wait past an add.
 	pmu  sync.Mutex
 	dead map[string]bool
-	// partials holds, by global index, the hand-off of each file whose unit
-	// is in the merge and whose closing record is not. It outlives a pump
-	// whose shard died inside the file: the pump that is re-routed the file
+	// partials holds, by global index, the log of each file whose unit is in
+	// the merge and whose closing record is not. It outlives a pump whose
+	// shard died inside the file: the pump that is re-routed the file
 	// discards as many pieces of its own stream as went through already and
 	// continues the same unit.
-	partials      map[int]*reader.Handoff
+	partials      map[int]*reader.FileScan
 	shards        []*shardState
 	stopped       bool
 	reroutes      int64 // shard deaths survived mid-stream
@@ -243,7 +243,7 @@ func (f *Fleet) Open(ctx context.Context, spec dpp.Spec) (*Session, error) {
 		fingerprint: fingerprint,
 		mux:         mux,
 		dead:        make(map[string]bool),
-		partials:    make(map[int]*reader.Handoff),
+		partials:    make(map[int]*reader.FileScan),
 	}
 	s.merge = reader.NewOrderedMerge[reader.Unit](len(files), min(len(f.addrs)*spec.Window(), maxMergeWindow), nil)
 	s.sh.Open(ctx, dpp.SystemClock{}, spec.Window())
@@ -381,10 +381,10 @@ func (s *Session) runPump(st *shardState) {
 }
 
 // pumpFile moves the next file of st's stream, global index gidx, into the
-// merge: its unit, cut for carry rows, is deposited at the first frame and
-// each piece follows through the hand-off, to the closing record. Of a file
-// another shard died inside, the pieces already merged are read and dropped
-// first.
+// merge: its unit, a reader of the file's log cut for carry rows, is
+// deposited at the first frame and each piece follows into the log, to the
+// closing record. Of a file another shard died inside, the pieces already
+// merged are read and dropped first.
 func (s *Session) pumpFile(st *shardState, gidx, carry int) error {
 	s.pmu.Lock()
 	feed := s.partials[gidx]
@@ -406,7 +406,8 @@ func (s *Session) pumpFile(st *shardState, gidx, carry int) error {
 			continue
 		}
 		if feed == nil {
-			feed = reader.NewHandoff(s.merge, gidx, reader.Unit{File: piece.File, Carry: carry})
+			feed = reader.NewFileScan(carry, false)
+			feed.Follow(s.merge, gidx, reader.Unit{File: piece.File}, nil)
 			s.pmu.Lock()
 			s.partials[gidx] = feed
 			s.pmu.Unlock()

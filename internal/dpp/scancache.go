@@ -15,9 +15,13 @@ import (
 // process once, not N times.
 //
 // Entries are keyed by (file, spec fingerprint, carried rows) and hold a
-// reader.FileScan: the file cut for a scan that enters it with that many
-// rows pending — the head rows that complete the straddling batch, the
-// file's complete batches after them, and its carry-out tail rows. Every
+// reader.FileScan, a kept piece log: the file cut for a scan that enters it
+// with that many rows pending — the head rows that complete the straddling
+// batch, the file's complete batches after them, and its carry-out tail
+// rows. The log is the entry from the moment its compute starts: a session
+// coalesced onto the compute, or arriving later, reads the pieces cut so far
+// at once and follows the rest as they are cut, exactly as the computing
+// session does. Every
 // part of the key is load-bearing for soundness — the file names the
 // bytes, the fingerprint names every spec field that can change what
 // those bytes convert to, the carry names where the batch boundaries fall
@@ -30,17 +34,19 @@ import (
 //
 // The single-flight, byte-bounded engine underneath is
 // internal/cachecore, shared with storage.CachingBackend: concurrent
-// requests for a missing entry coalesce (one caller computes, the rest
-// wait and are charged hits), completed entries are evicted least-
-// recently-used once the budget is exceeded, and a failed compute
-// reaches only its own caller. Epochs are a cyclic scan, an LRU's worst
+// requests for a missing entry coalesce (one caller computes and publishes
+// the log as it starts; the rest are handed it and charged hits), completed
+// entries are evicted least-recently-used once the budget is exceeded — an
+// entry is priced, retained or dropped when its compute returns, so an
+// in-flight log is never evicted, and one that outgrows the budget serves
+// its followers and is then dropped — and a failed compute leaves no entry. Epochs are a cyclic scan, an LRU's worst
 // case when the files outgrow the budget, so the engine notices when it
 // re-misses a scan it evicted and from then on keeps the scans it holds
 // instead of evicting them for ones it could not keep either (cachecore's
 // package comment has the policy; GhostHits counts the evidence). A scan
 // it declines to retain is served like any miss. Evicted entries remain
-// valid for sessions already holding them — entries are immutable and
-// the cache never recycles their memory.
+// valid for sessions already holding them — pieces never change once cut
+// and the cache never recycles their memory.
 //
 // All methods are safe for concurrent use.
 type ScanCache struct {
@@ -71,13 +77,12 @@ func NewScanCache(maxBytes int64) *ScanCache {
 }
 
 // Get returns the scan for key, computing and caching it via compute on a
-// miss. Concurrent Gets of the same key share one
-// compute call; callers served a result another caller computed (or a
-// cached entry) report hit == true. If the computing caller fails, its
-// waiters retry — one caller's cancellation must not fail another
-// session's scan. Cancelling ctx abandons the wait (the in-flight
-// compute itself is cancelled only by its own caller's context).
-func (c *ScanCache) Get(ctx context.Context, key ScanKey, compute func(context.Context) (*reader.FileScan, error)) (scan *reader.FileScan, hit bool, err error) {
+// miss. Concurrent Gets of the same key share one compute call, which may
+// publish its log before it returns (cachecore.Cache.Get); callers served a
+// log another caller computes or computed (or a cached entry) report hit ==
+// true. A compute that fails leaves no entry. Cancelling ctx abandons a
+// wait for an unpublished compute.
+func (c *ScanCache) Get(ctx context.Context, key ScanKey, compute func(ctx context.Context, publish func(*reader.FileScan)) (*reader.FileScan, error)) (scan *reader.FileScan, hit bool, err error) {
 	return c.core.Get(ctx, key, compute)
 }
 
@@ -102,38 +107,14 @@ func (c *ScanCache) InvalidateFiles(paths []string) int {
 	return c.core.RemoveIf(func(k ScanKey) bool { return dropped[k.File] })
 }
 
-// ScanCacheStats is a snapshot of cache-wide accounting.
-type ScanCacheStats struct {
-	// Hits counts Gets served from a resident entry or coalesced onto
-	// another caller's compute; Misses counts Gets that computed.
-	Hits, Misses int64
-	// Evictions counts entries dropped to respect the byte budget.
-	Evictions int64
-	// GhostHits counts misses on an entry evicted that way while the
-	// cache still remembered its key: beside Evictions it tells thrash (a
-	// cyclic working set larger than the budget) from churn (new files).
-	GhostHits int64
-	// Invalidations counts entries dropped because their file was deleted
-	// (retention coherence, not budget pressure).
-	Invalidations int64
-	// Entries and Bytes describe current occupancy (complete entries).
-	Entries int
-	Bytes   int64
-}
+// ScanCacheStats is a snapshot of cache-wide accounting: the engine's own
+// (cachecore.Stats). Hits counts Gets served from a resident entry or
+// handed another caller's compute; Misses counts Gets that computed;
+// Invalidations counts entries dropped because their file was deleted.
+type ScanCacheStats = cachecore.Stats
 
 // Stats returns a snapshot of the cache accounting.
-func (c *ScanCache) Stats() ScanCacheStats {
-	st := c.core.Stats()
-	return ScanCacheStats{
-		Hits:          st.Hits,
-		Misses:        st.Misses,
-		Evictions:     st.Evictions,
-		GhostHits:     st.GhostHits,
-		Invalidations: st.Invalidations,
-		Entries:       st.Entries,
-		Bytes:         st.Bytes,
-	}
-}
+func (c *ScanCache) Stats() ScanCacheStats { return c.core.Stats() }
 
 // EntryStats describes one resident entry, most-recently-used first —
 // the per-entry view of hit traffic and memory cost.

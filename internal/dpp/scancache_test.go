@@ -22,12 +22,15 @@ func fakeScan(tailRows int) *reader.FileScan {
 	if err != nil {
 		panic(err)
 	}
-	return &reader.FileScan{Tail: tail}
+	fs := reader.NewFileScan(0, true)
+	fs.Send(reader.Piece{Rows: tail})
+	fs.Close(nil)
+	return fs
 }
 
 func mustGet(t *testing.T, c *dpp.ScanCache, file, fp string, scan *reader.FileScan) bool {
 	t.Helper()
-	_, hit, err := c.Get(context.Background(), dpp.ScanKey{File: file, Fingerprint: fp}, func(context.Context) (*reader.FileScan, error) {
+	_, hit, err := c.Get(context.Background(), dpp.ScanKey{File: file, Fingerprint: fp}, func(context.Context, func(*reader.FileScan)) (*reader.FileScan, error) {
 		return scan, nil
 	})
 	if err != nil {
@@ -112,7 +115,7 @@ func TestScanCacheSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, hit, err := c.Get(context.Background(), dpp.ScanKey{File: "f", Fingerprint: "fp"}, func(context.Context) (*reader.FileScan, error) {
+			_, hit, err := c.Get(context.Background(), dpp.ScanKey{File: "f", Fingerprint: "fp"}, func(context.Context, func(*reader.FileScan)) (*reader.FileScan, error) {
 				computes.Add(1)
 				<-release // hold every other caller in the coalesced wait
 				return fakeScan(1), nil
@@ -153,7 +156,7 @@ func TestScanCacheLeaderFailureDoesNotPoison(t *testing.T) {
 	boom := errors.New("decode failed")
 	var calls atomic.Int64
 
-	_, _, err := c.Get(context.Background(), dpp.ScanKey{File: "f", Fingerprint: "fp"}, func(context.Context) (*reader.FileScan, error) {
+	_, _, err := c.Get(context.Background(), dpp.ScanKey{File: "f", Fingerprint: "fp"}, func(context.Context, func(*reader.FileScan)) (*reader.FileScan, error) {
 		calls.Add(1)
 		return nil, boom
 	})
@@ -163,7 +166,7 @@ func TestScanCacheLeaderFailureDoesNotPoison(t *testing.T) {
 	if c.Contains(dpp.ScanKey{File: "f", Fingerprint: "fp"}) {
 		t.Fatal("failed entry must not be cached")
 	}
-	scan, hit, err := c.Get(context.Background(), dpp.ScanKey{File: "f", Fingerprint: "fp"}, func(context.Context) (*reader.FileScan, error) {
+	scan, hit, err := c.Get(context.Background(), dpp.ScanKey{File: "f", Fingerprint: "fp"}, func(context.Context, func(*reader.FileScan)) (*reader.FileScan, error) {
 		calls.Add(1)
 		return fakeScan(1), nil
 	})
@@ -184,7 +187,7 @@ func TestScanCacheWaiterCancellation(t *testing.T) {
 	defer close(release)
 
 	go func() {
-		c.Get(context.Background(), dpp.ScanKey{File: "f", Fingerprint: "fp"}, func(context.Context) (*reader.FileScan, error) {
+		c.Get(context.Background(), dpp.ScanKey{File: "f", Fingerprint: "fp"}, func(context.Context, func(*reader.FileScan)) (*reader.FileScan, error) {
 			close(started)
 			<-release
 			return fakeScan(1), nil
@@ -195,7 +198,7 @@ func TestScanCacheWaiterCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := c.Get(ctx, dpp.ScanKey{File: "f", Fingerprint: "fp"}, func(context.Context) (*reader.FileScan, error) {
+		_, _, err := c.Get(ctx, dpp.ScanKey{File: "f", Fingerprint: "fp"}, func(context.Context, func(*reader.FileScan)) (*reader.FileScan, error) {
 			return nil, fmt.Errorf("waiter must not compute")
 		})
 		done <- err

@@ -53,6 +53,13 @@ type Spec struct {
 	// sessions and must be treated as read-only (which Batch consumers
 	// already must: batches never alias writer state).
 	//
+	// A file is served while it is decoded, whoever decodes it: a session
+	// asking for a file another is computing reads the batches cut so far
+	// at once and the rest as they are cut, exactly as the computing
+	// session does. A session that closes while others read its compute
+	// finishes that one file for them first, so its Close can take as long
+	// as one file's scan.
+	//
 	// It changes nothing else about the session: the cache is a memo
 	// inside each fill worker, so Readers, Resize, autoscaling, arbitration
 	// and Follow mean what they mean for any session. Lookups are one per
@@ -141,10 +148,12 @@ var _ Stream = (*Session)(nil)
 // (reader.ScanQueue) over the scan's plan, feeding the reader's one cutter
 // (reader.RunUnits): fill workers claim file indices and scan them in
 // parallel — fill, convert and process, each file cut for the rows the plan
-// carries into it — piece by piece into the cutter's hands: the batches of a
-// scan as the worker cuts them, or, on a ShareScans session, a cached scan's
-// all at once. The cutter awaits them in file order and joins them across
-// file boundaries. The worker pool is resizable mid-scan (Resize, or the
+// carries into it — piece by piece into the cutter's hands: each file's unit
+// is a reader of the file's piece log (reader.FileScan), which yields the
+// batches of a scan as the worker cuts them — or, on a ShareScans session,
+// those of the ScanCache's log, whoever is computing it and however far it
+// has got. The cutter awaits them in file order and joins them across file
+// boundaries. The worker pool is resizable mid-scan (Resize, or the
 // service's AutoScaler); the stream is byte-identical to the serial
 // reference regardless of the memo, the pool's size or its resize history.
 type Session struct {
@@ -234,7 +243,7 @@ func newSession(ctx context.Context, svc *Service, id int64, spec Spec, files []
 	s.pmu.Unlock()
 
 	s.Go(func() {
-		s.Settle(cut.RunQueue(s.ctx, s.queue, s.Emit), cut.Stats())
+		s.Settle(cut.RunQueue(s.ctx, s.queue, s.Emit), cut.Stats(), s.queue.Served())
 	})
 
 	if svc.autoscale != nil {
@@ -435,9 +444,9 @@ func (s *Session) FollowLag() int {
 // stripes as they are decoded, so a file damaged at its k-th stripe has
 // already yielded every batch that lies wholly in the stripes before it,
 // exactly as a serial reader.Run yields them, at every worker count and on
-// every path: a ShareScans session is handed a missed file's batches as the
-// cache's compute cuts them, like any session's, and the damaged file leaves
-// no cache entry.
+// every path: a ShareScans session is handed a file's batches as the
+// cache's compute cuts them — its own compute or another session's — like
+// any session's, and the damaged file leaves no cache entry.
 func (s *Session) Next(ctx context.Context) (*reader.Batch, error) {
 	b, err := s.Pull(ctx)
 	if err == nil {

@@ -16,12 +16,11 @@ type worker struct {
 	r    *reader.Reader
 	fill reader.Fill
 
-	// The memo's state. served is the egress of the cache-hit units (their
-	// batches are shipped, not produced) and cache counts the lookups; both
-	// are charged when the lookup happens, kept per worker and summed into
-	// the session at exit, the way the reader's stats are.
+	// The memo's state. cache counts the lookups, charged when they happen,
+	// kept per worker and summed into the session at exit, the way the
+	// reader's stats are; a hit's egress is the session queue's
+	// (reader.ScanQueue.Served), charged as its batches are read.
 	fingerprint string
-	served      reader.Stats
 	cache       SessionCacheStats
 }
 
@@ -43,7 +42,7 @@ func newWorker(svc *Service, spec Spec) (*worker, error) {
 // worker's fill, then its accounting handed to the session.
 func (w *worker) run(ctx context.Context, q *reader.ScanQueue, stop func() bool, account func(SessionCacheStats, ...reader.Stats)) {
 	reader.FillQueue(ctx, q, w.fill, stop)
-	account(w.cache, w.r.Stats(), w.served)
+	account(w.cache, w.r.Stats())
 }
 
 // memo is a ShareScans worker's reader.Memo and the only caller of
@@ -53,29 +52,29 @@ func (w *worker) run(ctx context.Context, q *reader.ScanQueue, stop func() bool,
 // fingerprint and carry. One lookup per file per session, in file order at
 // one worker, whatever the alignment.
 //
-// A scan is served while it is computed: on a miss the fill deposits the unit
-// from inside the compute, as soon as the footer is parsed, and each piece
-// follows through the hand-off as the scan cuts it — the hand-off never
-// blocks, so the single-flight never waits on this session's consumer, and
-// every other session asking for the key is served when the compute ends,
-// however slow this one's trainer is. What the cache stores, and what a hit
-// or a coalesced lookup receives, is the finished, immutable scan, replayed
-// as pieces that are all there at once.
-func (w *worker) memo(ctx context.Context, file string, carry int, compute func(context.Context) (*reader.FileScan, error)) (*reader.FileScan, bool, error) {
+// A scan is served while it is computed, to everyone: on a miss the compute
+// publishes its log before the scan starts, and the session computing it, a
+// session coalesced onto it and a later hit each read that log the same way
+// (reader.ScanFill). Sending a piece never blocks, so the single-flight never
+// waits on any session's consumer. The compute outlives its session's
+// context: it ends with the file, or when every session reading the log has
+// gone — so a session closed while others follow its compute finishes that
+// one file for them (its Close waits for it), and one closed with nobody
+// following stops at its next piece and leaves no entry.
+func (w *worker) memo(ctx context.Context, file string, carry int, scan func(context.Context, *reader.FileScan) error) (*reader.FileScan, bool, error) {
 	key := ScanKey{File: file, Fingerprint: w.fingerprint, Carry: carry}
-	scan, hit, err := w.svc.cache.Get(ctx, key, compute)
-	if err != nil {
-		return nil, false, err
-	}
-	if hit {
+	fs, hit, err := w.svc.cache.Get(ctx, key, func(ctx context.Context, publish func(*reader.FileScan)) (*reader.FileScan, error) {
+		fs := reader.NewFileScan(carry, true)
+		publish(fs)
+		return fs, scan(context.WithoutCancel(ctx), fs)
+	})
+	switch {
+	case err != nil:
+	case hit:
 		w.cache.Hits++
-		for _, b := range scan.Batches {
-			w.served.BatchesProduced++
-			w.served.SentBytes += int64(b.WireBytes())
-		}
-	} else {
+	default:
 		w.cache.Misses++
 		w.svc.demoteRaw(key)
 	}
-	return scan, hit, nil
+	return fs, hit, err
 }

@@ -234,7 +234,9 @@ func (s *Shell[T]) teardown() {
 }
 
 // Close cancels the session's workers, waits for them to exit, and
-// releases the session's service slot. Idempotent; always returns nil.
+// releases the session's service slot — a worker computing a shared scan
+// that other sessions are reading exits when that file's scan ends.
+// Idempotent; always returns nil.
 // Items already returned remain valid — they never alias worker state.
 func (s *Shell[T]) Close() error {
 	s.mu.Lock()

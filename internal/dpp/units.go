@@ -114,7 +114,7 @@ func newUnitSession(ctx context.Context, svc *Service, id int64, spec Spec, plan
 		}
 		u.Go(func() { w.run(u.ctx, q, nil, u.account) })
 	}
-	u.Go(func() { u.Settle(u.emitUnits(q)) })
+	u.Go(func() { u.Settle(u.emitUnits(q), q.Served()) })
 	return u, nil
 }
 

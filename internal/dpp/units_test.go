@@ -14,14 +14,46 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/dpp"
+	"repro/internal/dwrf"
 	"repro/internal/reader"
 	"repro/internal/storage"
 	"repro/internal/testutil"
 )
 
+// scanParts is one file's scan as the pieces it was cut into: the head rows,
+// when the scan carried rows into the file, the batches, the tail rows.
+type scanParts struct {
+	Carry   int
+	Head    *dwrf.Chunk
+	Batches []*reader.Batch
+	Tail    *dwrf.Chunk
+}
+
+// add files the scan's next piece: the first rows of a scan that carried
+// rows in are its head, any others its tail.
+func (fs *scanParts) add(p reader.Piece) {
+	switch {
+	case p.Batch != nil:
+		fs.Batches = append(fs.Batches, p.Batch)
+	case fs.Carry > 0 && fs.Head == nil:
+		fs.Head = p.Rows
+	default:
+		fs.Tail = p.Rows
+	}
+}
+
+// partsOf is a finished log's pieces, put back together.
+func partsOf(fs *reader.FileScan) *scanParts {
+	parts := &scanParts{Carry: fs.Carry}
+	for _, p := range fs.Pieces() {
+		parts.add(p)
+	}
+	return parts
+}
+
 // encodeScan flattens one file scan to bytes: the head rows, if any, every
 // batch's wire form, then the tail rows.
-func encodeScan(t *testing.T, fs *reader.FileScan) []byte {
+func encodeScan(t *testing.T, fs *scanParts) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if fs.Head != nil {
@@ -49,13 +81,13 @@ type fileUnit struct {
 	Index int
 	File  string
 	Hit   bool
-	Scan  *reader.FileScan
+	Scan  *scanParts
 }
 
 // unitReader puts a unit stream's pieces back together file by file, holding
 // the stream to its order: files in index order, one open at a time.
 type unitReader struct {
-	open   *reader.FileScan
+	open   *scanParts
 	closed int
 }
 
@@ -66,7 +98,7 @@ func (r *unitReader) add(t testing.TB, p dpp.UnitPiece) *fileUnit {
 		t.Fatalf("piece of file %d (%s) while file %d is open", p.Index, p.File, r.closed)
 	}
 	if r.open == nil {
-		r.open = &reader.FileScan{}
+		r.open = &scanParts{}
 	}
 	if p.Head != nil {
 		r.open.Head = p.Head
@@ -106,7 +138,7 @@ func drainUnits(t *testing.T, u *dpp.UnitSession) []*fileUnit {
 
 // sameEntry reports whether two scans read off unit streams are one cached
 // entry: the same batches and the same tail rows, not copies of them.
-func sameEntry(a, b *reader.FileScan) bool {
+func sameEntry(a, b *scanParts) bool {
 	return a.Tail == b.Tail && slices.Equal(a.Batches, b.Batches)
 }
 
@@ -130,11 +162,11 @@ func TestUnitSessionMatchesScanFile(t *testing.T) {
 	var carries []int
 	carry := 0
 	for _, f := range files {
-		fs, err := ref.ScanFile(context.Background(), f, carry, nil, nil)
+		fs, err := ref.ScanFile(context.Background(), f, carry)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, carries = append(want, encodeScan(t, fs)), append(carries, carry)
+		want, carries = append(want, encodeScan(t, partsOf(fs))), append(carries, carry)
 		e, _ := env.catalog.Lookup(f)
 		carry = (carry + e.Rows) % spec.BatchSize
 	}

@@ -77,8 +77,9 @@ type scanMemoKey struct {
 	carry int
 }
 
-// get is the reader.Memo over the map: a hit, or compute and keep.
-func (m *scanMemo) get(ctx context.Context, file string, carry int, compute func(context.Context) (*FileScan, error)) (*FileScan, bool, error) {
+// get is the reader.Memo over the map: a hit, or scan into a kept log and
+// keep it.
+func (m *scanMemo) get(ctx context.Context, file string, carry int, scan func(context.Context, *FileScan) error) (*FileScan, bool, error) {
 	key := scanMemoKey{file, carry}
 	m.mu.Lock()
 	fs := m.scans[key]
@@ -86,13 +87,14 @@ func (m *scanMemo) get(ctx context.Context, file string, carry int, compute func
 	if fs != nil {
 		return fs, true, nil
 	}
-	fs, err := compute(ctx)
-	if err == nil {
-		m.mu.Lock()
-		m.scans[key] = fs
-		m.mu.Unlock()
+	fs = NewFileScan(carry, true)
+	if err := scan(ctx, fs); err != nil {
+		return nil, false, err
 	}
-	return fs, false, err
+	m.mu.Lock()
+	m.scans[key] = fs
+	m.mu.Unlock()
+	return fs, false, nil
 }
 
 // fill is one worker's Fill over the memo, scanning with r on a miss.
@@ -107,7 +109,8 @@ func (m *scanMemo) encodeEnds(t *testing.T) map[scanMemoKey][]byte {
 	out := make(map[scanMemoKey][]byte)
 	for key, fs := range m.scans {
 		var buf bytes.Buffer
-		for _, c := range []*dwrf.Chunk{fs.Head, fs.Tail} {
+		head, _, tail := split(fs)
+		for _, c := range []*dwrf.Chunk{head, tail} {
 			if c == nil {
 				continue
 			}

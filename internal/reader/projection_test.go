@@ -328,20 +328,21 @@ func TestFileScanMemBytesChargesTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	files, _ := env.catalog.AllFiles("tbl")
-	fs, err := r.ScanFile(context.Background(), files[0], 0, nil, nil)
+	fs, err := r.ScanFile(context.Background(), files[0], 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fs.Tail.Rows() != 256%48 {
-		t.Fatalf("tail holds %d rows, want %d", fs.Tail.Rows(), 256%48)
+	_, batches, tail := split(fs)
+	if tail.Rows() != 256%48 {
+		t.Fatalf("tail holds %d rows, want %d", tail.Rows(), 256%48)
 	}
 	var want int64
-	for _, b := range fs.Batches {
+	for _, b := range batches {
 		want += int64(b.WireBytes())
 	}
-	for _, s := range fs.Tail.Samples() {
-		if len(s.Sparse) != len(fs.Tail.Keys()) {
-			t.Fatalf("tail row is %d features wide, schema %d", len(s.Sparse), len(fs.Tail.Keys()))
+	for _, s := range tail.Samples() {
+		if len(s.Sparse) != len(tail.Keys()) {
+			t.Fatalf("tail row is %d features wide, schema %d", len(s.Sparse), len(tail.Keys()))
 		}
 		want += 88 + 4*int64(len(s.Dense))
 		for _, lst := range s.Sparse {

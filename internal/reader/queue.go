@@ -2,7 +2,6 @@ package reader
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sync"
 	"time"
@@ -13,8 +12,8 @@ import (
 // ScanQueue is the shared ordered work queue behind every reader pool (a
 // dpp session of either kind, shared or not, resizable or fixed): workers
 // claim file indices in scan order, scan them in parallel, and deposit each
-// file's Unit — as soon as the file is open, its pieces following one by one
-// through a hand-off (Handoff) as the worker cuts them — and a single
+// file's Unit — a reader of the file's log (FileScan), its pieces following
+// one by one as the worker cuts them — and a single
 // assembler awaits the units strictly in file-index order, so the
 // reassembled stream is byte-identical to one serial scan over the whole
 // file list no matter how many workers scan it — or how often that worker
@@ -40,6 +39,8 @@ type ScanQueue struct {
 	*OrderedMerge[Unit]
 	fmu  sync.RWMutex // guards plan, which grows under Extend
 	plan []Planned
+	// served is the consumer's: charged as it reads cache-served units.
+	served Stats
 }
 
 // Planned is one file of a scan plan: its path, its row count as the
@@ -95,9 +96,9 @@ func (q *ScanQueue) Extend(plan []Planned) int {
 	return q.OrderedMerge.Extend(len(plan))
 }
 
-// Claim is one planned file a worker has claimed and must fill and Deposit
-// (claims are never reassigned, so an abandoned claim would wedge the
-// assembler).
+// Claim is one planned file a worker has claimed and must fill (claims are
+// never reassigned, so an abandoned claim would wedge the assembler): its
+// unit is always a reader of the file's log.
 type Claim struct {
 	Index int
 	Planned
@@ -117,75 +118,67 @@ func (q *ScanQueue) Claim() (c Claim, ok bool) {
 	return Claim{Index: idx, Planned: q.plan[idx], q: q}, true
 }
 
-// Deposit publishes the claimed file's unit whole: the error that ends the
-// stream at this file, or a unit whose pieces all exist already (a cached
-// scan).
-func (c Claim) Deposit(u Unit) { c.q.Deposit(c.Index, u) }
+// follow deposits the claimed file's unit: a reader of fs, a cache's when
+// hit, whose batches' egress the queue's consumer is then charged as it
+// reads them (Served). The deposit wakes the consumer — onto this worker's
+// P, behind a scan that computes for milliseconds before its first Send — so
+// it yields here for the reason Send does: the consumer would otherwise sit
+// there while another worker's first batch waits to be emitted.
+func (c Claim) follow(fs *FileScan, hit bool) bool {
+	ok := fs.Follow(c.q.OrderedMerge, c.Index, Unit{File: c.File, Hit: hit}, &c.q.served)
+	runtime.Gosched()
+	return ok
+}
 
-// HandOff deposits the claimed file's unit now, its pieces to follow through
-// the returned hand-off.
-func (c Claim) HandOff(u Unit) *Handoff { return NewHandoff(c.q.OrderedMerge, c.Index, u) }
+// Served is the egress of the cache-served units the queue's consumer has
+// read: the batches it shipped that no worker of its own produced. Only
+// that consumer may call it, once it is done reading.
+func (q *ScanQueue) Served() Stats { return q.served }
 
 // Fill fills one claimed file into the queue. It deposits the file's unit
-// exactly once (Claim.Deposit, or Claim.HandOff and the pieces after it) — an
-// abandoned claim would wedge the assembler — and returns the error that
-// ended the file, which travels to the assembler in the deposit, or at the
-// end of the hand-off, to surface in file order. ScanFill builds the one the
-// pools run.
+// exactly once, before it scans anything — an abandoned claim would wedge
+// the assembler — and returns the error that ended the file, which travels
+// to the assembler at the end of the unit's pieces, to surface in file
+// order. ScanFill builds the one the pools run.
 type Fill func(ctx context.Context, c Claim) error
 
-// Memo is a cache of finished scans in front of a fill (dpp's ScanCache): it
-// returns the scan of file at carry, running compute — at most once among
-// everyone asking — when it does not hold it. hit says this call did not run
-// compute.
-type Memo func(ctx context.Context, file string, carry int, compute func(context.Context) (*FileScan, error)) (fs *FileScan, hit bool, err error)
+// Memo is a cache of scans in front of a fill (dpp's ScanCache): it returns
+// the log of file's scan at carry, running scan into a fresh kept log — at
+// most once among everyone asking — when it holds none. hit says this call
+// did not run scan.
+type Memo func(ctx context.Context, file string, carry int, scan func(context.Context, *FileScan) error) (fs *FileScan, hit bool, err error)
 
 // ScanFill is the fill of every pool: the claimed file's Scan by r, cut for
 // the rows the plan carries into it, its footer held to the plan's row count
 // the moment it is parsed — a file the catalog miscounts ends the stream
-// there, before any of its rows is cut. The unit is deposited as soon as the
-// file is open and each piece follows through the hand-off as the scan cuts
-// it.
+// there, before any of its rows is cut — into a log whose reader is the
+// file's unit, deposited before the scan starts: each piece reaches the
+// assembler as the scan cuts it, and the error that ends the scan after the
+// pieces before it.
 //
-// With a memo the same scan is its compute: the pieces stream to this queue
-// from inside it, the memo keeps the collected FileScan, and a lookup that
-// did not compute — a hit, or one coalesced onto another's compute — deposits
-// the finished scan whole.
+// With a memo the scan is the memo's compute, into the log the memo keeps,
+// and every lookup deposits a reader of that log alike — the one that
+// computes it, one coalesced onto that compute while it runs, a later hit:
+// each is served every piece cut so far at once and the rest as they are
+// cut. A lookup whose log was abandoned by its last reader as it arrived
+// asks again: that compute is leaving the memo, and the next ask computes.
+// A lookup cancelled before its log exists deposits nothing; its queue is
+// aborting.
 func (r *Reader) ScanFill(memo Memo) Fill {
 	return func(ctx context.Context, c Claim) error {
-		var streamed *Handoff
-		opened := func(rows int) error {
-			if rows != c.Rows {
-				return fmt.Errorf("reader: %s: the footer counts %d rows, the catalog %d", c.File, rows, c.Rows)
-			}
-			streamed = c.HandOff(Unit{File: c.File, Carry: c.Carry})
-			// The deposit wakes the assembler — onto this worker's P, behind a
-			// scan that computes for milliseconds before its first Send — so
-			// yield here for the reason Send does: it would otherwise sit there
-			// while another worker's first batch waits to be emitted.
-			runtime.Gosched()
-			return nil
+		scan := func(ctx context.Context, fs *FileScan) error {
+			c.follow(fs, false)
+			return fs.Close(r.Scan(ctx, c.File, c.Carry, c.Rows, fs.Send))
 		}
-		send := func(p Piece) error { return streamed.Send(p) }
-		var fs *FileScan
-		var hit bool
-		var err error
 		if memo == nil {
-			err = r.Scan(ctx, c.File, c.Carry, opened, send)
-		} else {
-			fs, hit, err = memo(ctx, c.File, c.Carry, func(ctx context.Context) (*FileScan, error) {
-				return r.ScanFile(ctx, c.File, c.Carry, opened, send)
-			})
+			return scan(ctx, NewFileScan(c.Carry, false))
 		}
-		switch {
-		case streamed != nil:
-			streamed.Close(err)
-		case err != nil:
-			c.Deposit(Unit{File: c.File, Err: err})
-		default:
-			c.Deposit(fs.Unit(c.File, hit))
+		for {
+			fs, hit, err := memo(ctx, c.File, c.Carry, scan)
+			if err != nil || !hit || c.follow(fs, true) {
+				return err
+			}
 		}
-		return err
 	}
 }
 
@@ -211,95 +204,6 @@ func FillQueue(ctx context.Context, q *ScanQueue, fill Fill, stop func() bool) {
 		c, ok := q.Claim()
 		if !ok || fill(ctx, c) != nil {
 			return
-		}
-	}
-}
-
-// Handoff carries one file's pieces from whoever produces them — a queue
-// worker cutting a scan, a fleet pump reading a shard's frames — to the
-// assembler consuming the file's unit, in order, under the merge's own lock.
-// The producer never waits for the assembler — it may run a whole file ahead,
-// which is what the merge's window already budgets for, so a producer inside
-// a cache's single-flight compute never waits on its own session's consumer —
-// and the assembler's wait for the next piece is the merge's Wait: producer
-// starvation, counted in Stall beside the wait for a deposit.
-type Handoff struct {
-	m      *OrderedMerge[Unit]
-	pieces []Piece // sent and not yet received
-	// few holds pieces while no more than its length are waiting — always,
-	// when the assembler keeps up — so that a file's hand-off is one
-	// allocation, not one and a slice's growth.
-	few  [4]Piece
-	done bool
-	err  error // what ended the file, once done
-	sent int   // the producer's count of pieces sent
-}
-
-// NewHandoff deposits u at slot idx of m as a unit whose pieces are the ones
-// sent through the returned hand-off, until its Close.
-func NewHandoff(m *OrderedMerge[Unit], idx int, u Unit) *Handoff {
-	h := &Handoff{m: m}
-	u.Pieces = h.receive
-	m.Deposit(idx, u)
-	return h
-}
-
-// Send hands the assembler the file's next piece. After a cancellation or
-// the assembler's own exit nobody will receive, and the producer is told to
-// stop. The yield to the scheduler lets an assembler this piece made runnable
-// have a CPU now: a pool that saturates every CPU with fetch work
-// (simulateFetchWork never blocks) would otherwise keep it waiting for the
-// runtime's preemption tick, ten milliseconds, with the rows of its next
-// batch already decoded.
-func (h *Handoff) Send(p Piece) error {
-	if !h.m.Update(func() {
-		if len(h.pieces) == 0 {
-			h.pieces = h.few[:0]
-		}
-		h.pieces = append(h.pieces, p)
-	}) {
-		return context.Canceled
-	}
-	h.sent++
-	runtime.Gosched()
-	return nil
-}
-
-// Sent is how many pieces have gone into the hand-off: what a producer that
-// takes the file over from another — a fleet pump from a dead shard's — has
-// to skip of its own to continue it. It is the producer's own count, not
-// synchronized: a hand-off has one producer at a time, and one that takes
-// over does so after the last has stopped.
-func (h *Handoff) Sent() int { return h.sent }
-
-// Close ends the file: after the pieces sent so far, the unit's Pieces
-// returns err.
-func (h *Handoff) Close(err error) {
-	h.m.Update(func() { h.done, h.err = true, err })
-}
-
-// receive is the deposited unit's Pieces.
-func (h *Handoff) receive(yield func(Piece) error) error {
-	for {
-		var p Piece
-		got := false
-		ok := h.m.Wait(func() bool {
-			if len(h.pieces) > 0 {
-				p, got = h.pieces[0], true
-				h.pieces[0] = Piece{}
-				h.pieces = h.pieces[1:]
-				return true
-			}
-			return h.done
-		})
-		if !ok {
-			return context.Canceled // the merge aborted: teardown owns the outcome
-		}
-		if !got {
-			return h.err
-		}
-		if err := yield(p); err != nil {
-			return err
 		}
 	}
 }

@@ -142,8 +142,9 @@ type Piece struct {
 // Unit is one file's contribution to a batch stream, the item every source
 // hands the cutter (RunUnits) in file order: the file cut for a scan that
 // enters it with Carry rows pending, as a stream of pieces, or the error that
-// ends the stream at this file. There is one form — a file whose pieces all
-// exist (a cached scan) is a stream that never waits.
+// ends the stream at this file. There is one form — a reader of the file's
+// log (FileScan.Follow), whatever wrote the log and however much of it
+// exists yet.
 type Unit struct {
 	File string
 	// Pieces yields the pieces of the file's scan (Reader.Scan) in row order:
@@ -151,10 +152,12 @@ type Unit struct {
 	// the batches, the tail. It returns nil after the last one, yield's error
 	// as soon as it returns one, or the error that ends the file — and with it
 	// the stream — after the pieces that preceded it. As ScanUnit returns it,
-	// calling it is what scans the file, on the caller's goroutine; a unit
-	// that came through a hand-off (Handoff) yields what its producer has
-	// sent, and waits for the rest. Either way it is consumed once. Nil is a
-	// file nobody has scanned: the cutter scans it itself.
+	// calling it is what scans the file, on the caller's goroutine; a reader
+	// of a log yields every piece sent so far at once, and waits in its merge
+	// for the rest, whether the log is a worker's scan in progress, a cache
+	// entry still being computed or one long finished. Either way it is
+	// consumed once. Nil is a file nobody has scanned: the cutter scans it
+	// itself.
 	Pieces func(yield func(Piece) error) error
 	// Carry is the rows the file was cut for (fewer than a batch; 0 is a
 	// batch boundary).
@@ -170,7 +173,7 @@ type Unit struct {
 // copied once, into columns sized exactly, when the batch is complete. What
 // it pins meanwhile is the stripes, or the cached head and tail rows, those
 // views were cut from, never a file. rows may start above zero with no
-// parts: rows a consumer of the cut will supply (FileScan.Carry).
+// parts: rows a consumer of the cut will supply (Unit.Carry).
 type assembly struct {
 	batch int
 	parts []*dwrf.Chunk

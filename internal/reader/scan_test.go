@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/datagen"
+	"repro/internal/dwrf"
 )
 
 func TestFingerprintCoversOutputFields(t *testing.T) {
@@ -49,6 +50,22 @@ func TestFingerprintCoversOutputFields(t *testing.T) {
 	}
 }
 
+// split is a finished log's pieces as the scan they were cut from: the head
+// rows, when it was cut at a carry, the batches, then the tail rows.
+func split(fs *FileScan) (head *dwrf.Chunk, batches []*Batch, tail *dwrf.Chunk) {
+	for _, p := range fs.Pieces() {
+		switch {
+		case p.Batch != nil:
+			batches = append(batches, p.Batch)
+		case fs.Carry > 0 && head == nil:
+			head = p.Rows
+		default:
+			tail = p.Rows
+		}
+	}
+	return head, batches, tail
+}
+
 // composeScan rebuilds a multi-file scan from the file-aligned primitives
 // the shared-scan cache uses: ScanFile when no rows are carried in,
 // FillFile + ProduceBatch when batch boundaries straddle files. It is the
@@ -63,15 +80,16 @@ func composeScan(t *testing.T, r *Reader, files []string) []*Batch {
 	var dense int
 	for _, f := range files {
 		if len(carry) == 0 {
-			fs, err := r.ScanFile(ctx, f, 0, nil, nil)
+			fs, err := r.ScanFile(ctx, f, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
+			_, batches, tail := split(fs)
 			if keys == nil {
-				keys, dense = fs.Tail.Keys(), fs.Tail.DenseWidth()
+				keys, dense = tail.Keys(), tail.DenseWidth()
 			}
-			out = append(out, fs.Batches...)
-			carry = append([]datagen.Sample(nil), fs.Tail.Samples()...)
+			out = append(out, batches...)
+			carry = append([]datagen.Sample(nil), tail.Samples()...)
 			continue
 		}
 		samples, fkeys, fdense, err := r.FillFile(ctx, f)
@@ -172,14 +190,14 @@ func TestFileScanMemBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs, err := r.ScanFile(context.Background(), files[0], 0, nil, nil)
+	fs, err := r.ScanFile(context.Background(), files[0], 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fs.MemBytes() <= 0 {
 		t.Fatalf("MemBytes = %d, want > 0", fs.MemBytes())
 	}
-	small := &FileScan{Batches: fs.Batches[:1]}
+	small := &FileScan{pieces: fs.Pieces()[:1]}
 	if small.MemBytes() >= fs.MemBytes() {
 		t.Fatalf("subset MemBytes %d >= full %d", small.MemBytes(), fs.MemBytes())
 	}

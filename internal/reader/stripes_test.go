@@ -195,7 +195,8 @@ func TestStripeWaitIsWorkerStall(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		FillQueue(context.Background(), q, func(_ context.Context, c Claim) error {
-			h := c.HandOff(Unit{File: c.File})
+			h := NewFileScan(0, false)
+			h.Follow(q.OrderedMerge, c.Index, Unit{File: c.File}, nil)
 			err := func() error {
 				if err := h.Send(stripe); err != nil {
 					return err

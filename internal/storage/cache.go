@@ -55,7 +55,7 @@ func NewCachingBackend(inner Backend, maxBytes int64) *CachingBackend {
 // to stay within the byte budget (or, under a cyclic scan that outgrew
 // it, are served without being retained — see CachingBackend).
 func (c *CachingBackend) Get(path string) ([]byte, error) {
-	data, _, err := c.core.Get(context.Background(), path, func(context.Context) ([]byte, error) {
+	data, _, err := c.core.Get(context.Background(), path, func(context.Context, func([]byte)) ([]byte, error) {
 		return c.inner.Get(path)
 	})
 	return data, err

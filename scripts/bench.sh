@@ -29,7 +29,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BENCH_PATTERN=${BENCH_PATTERN:-'BenchmarkIKJTConversion$|BenchmarkJaggedIndexSelect$|BenchmarkJaggedIndexSelectAlloc$|BenchmarkIKJTToKJTRoundTrip$|BenchmarkDWRFWriteClustered$|BenchmarkReaderTier$|BenchmarkServiceSession$|BenchmarkRemoteSession$|BenchmarkSharedSessions$|BenchmarkUnsharedSessions$|BenchmarkStaticStalledConsumer$|BenchmarkAutoscaledStalledConsumer$|BenchmarkShardedFleet1$|BenchmarkShardedFleet2$|BenchmarkShardedFleet4$|BenchmarkFleetFirstBatch$|BenchmarkPipelineEndToEnd$|BenchmarkCacheGetHit$|BenchmarkCacheCyclicOvercommit$|BenchmarkChainStep$|BenchmarkBatchFrameHop$|BenchmarkBatchEncode$|BenchmarkBatchDecode$|BenchmarkStripeColumns$'}
+BENCH_PATTERN=${BENCH_PATTERN:-'BenchmarkIKJTConversion$|BenchmarkJaggedIndexSelect$|BenchmarkJaggedIndexSelectAlloc$|BenchmarkIKJTToKJTRoundTrip$|BenchmarkDWRFWriteClustered$|BenchmarkReaderTier$|BenchmarkServiceSession$|BenchmarkRemoteSession$|BenchmarkSharedSessions$|BenchmarkUnsharedSessions$|BenchmarkStaticStalledConsumer$|BenchmarkAutoscaledStalledConsumer$|BenchmarkShardedFleet1$|BenchmarkShardedFleet2$|BenchmarkShardedFleet4$|BenchmarkFleetFirstBatch$|BenchmarkSharedFirstBatch$|BenchmarkPipelineEndToEnd$|BenchmarkCacheGetHit$|BenchmarkCacheCyclicOvercommit$|BenchmarkChainStep$|BenchmarkBatchFrameHop$|BenchmarkBatchEncode$|BenchmarkBatchDecode$|BenchmarkStripeColumns$'}
 BENCH_COUNT=${BENCH_COUNT:-1}
 MAX_PCT=${BENCH_MAX_REGRESSION_PCT:-20}
 BASELINE=${BENCH_BASELINE:-benchmarks/baseline.txt}

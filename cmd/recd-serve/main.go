@@ -2,8 +2,8 @@
 // the paper's DPP deployment shape — serving dpp sessions to trainers
 // over the dppnet TCP protocol. It lands the same deterministic
 // synthetic table recd-train builds (same -sessions/-batch/-seed ⇒ same
-// files, same spec fingerprints), opens a dpp.Service over it with both
-// cache tiers configured, and listens until SIGINT/SIGTERM.
+// files, same spec fingerprints), opens a dpp.Service over it with its
+// ScanCache configured, and listens until SIGINT/SIGTERM.
 //
 // A typical two-process run:
 //
@@ -29,7 +29,7 @@
 // trainer running `recd-train -connect ... -follow` tails a genuinely
 // growing table. -flush-interval paces the landings and bounds the
 // writer's seal latency; -retain-hours chases the tail with retention,
-// dropping the oldest partitions and invalidating both cache tiers.
+// dropping the oldest partitions and invalidating them in the ScanCache.
 //
 // With -autoscale the service also closes the paper's reader-scaling
 // loop: each session's worker pool is resized between 1 and
@@ -50,12 +50,10 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/datagen"
 	"repro/internal/dpp"
 	"repro/internal/dpp/dppnet"
 	"repro/internal/dpp/front"
@@ -71,7 +69,6 @@ func main() {
 		seed          = flag.Int64("seed", 11, "random seed (match recd-train)")
 		maxSessions   = flag.Int("max-sessions", 0, "concurrent session cap per shard; 0 is unlimited")
 		scanCacheMB   = flag.Int64("scan-cache-mb", 256, "decoded-batch ScanCache budget in MiB per shard; 0 or negative disables (ShareScans sessions rejected)")
-		rawCacheMB    = flag.Int64("store-cache-mb", 256, "raw-byte CachingBackend budget in MiB; 0 disables")
 		autoscale     = flag.Bool("autoscale", false, "autoscale each session's reader-worker pool from its observed credit/worker starvation")
 		maxReaders    = flag.Int("max-readers-per-session", dpp.DefaultMaxReaders, "autoscaler upper bound on a session's worker pool (with -autoscale)")
 		obsListen     = flag.String("obs-listen", "", "observability sidecar HTTP address (/metrics, /debug/pprof, /healthz, /statsz, /accesslog); empty disables")
@@ -83,7 +80,7 @@ func main() {
 		drainTimeout  = flag.Duration("drain-timeout", 30*time.Second, "how long a drain (SIGTERM or POST /drainz) waits for active streams to hand off before forcing shutdown")
 		follow        = flag.Bool("follow", false, "host a live landing writer: keep appending freshly generated hour partitions to the served table, so tailing (Follow) sessions see it grow")
 		flushInterval = flag.Duration("flush-interval", 500*time.Millisecond, "with -follow: the landing cadence, and the writer's latency-bound seal interval")
-		retainHours   = flag.Int("retain-hours", 0, "with -follow: keep only the newest N hour partitions, dropping older ones and invalidating both cache tiers; 0 keeps everything (a drop under a lagging tailer fails that session's reads — keep N above the consumer's lag)")
+		retainHours   = flag.Int("retain-hours", 0, "with -follow: keep only the newest N hour partitions, dropping older ones and invalidating them in the ScanCache; 0 keeps everything (a drop under a lagging tailer fails that session's reads — keep N above the consumer's lag)")
 	)
 	flag.Parse()
 
@@ -95,23 +92,20 @@ func main() {
 		}
 	}
 
-	tt, err := core.BuildTrainTable(core.TrainTableConfig{
-		Sessions: *sessions, Batch: *batch, Seed: *seed,
-		StoreCacheBytes: *rawCacheMB << 20,
-	})
+	table := core.TrainTableConfig{Sessions: *sessions, Batch: *batch, Seed: *seed}
+	tt, err := core.BuildTrainTable(table)
 	if err != nil {
 		fatal(err)
 	}
 
-	// Flag semantics match -store-cache-mb: 0 turns the cache off. The
-	// dpp.Config convention differs (0 picks the default budget), so map
-	// explicitly.
+	// -scan-cache-mb 0 turns the cache off. The dpp.Config convention
+	// differs (0 picks the default budget), so map explicitly.
 	scanBudget := int64(-1)
 	if *scanCacheMB > 0 {
 		scanBudget = *scanCacheMB << 20
 	}
 	cfg := dpp.Config{
-		Backend:        tt.Backend,
+		Backend:        tt.Store,
 		Catalog:        tt.Catalog,
 		MaxSessions:    *maxSessions,
 		ScanCacheBytes: scanBudget,
@@ -154,9 +148,9 @@ func main() {
 	}
 
 	// One service + server per shard address. The services share the
-	// landed table (and its raw-byte cache tier) but nothing else: each
-	// shard's ScanCache and session cap are its own, which is exactly
-	// what makes a fleet's cache capacity additive.
+	// landed table but nothing else: each shard's ScanCache and session
+	// cap are its own, which is exactly what makes a fleet's cache
+	// capacity additive.
 	type shard struct {
 		addr string
 		svc  *dpp.Service
@@ -201,79 +195,21 @@ func main() {
 	}
 
 	// Live landing writer: one goroutine growing the served table an hour
-	// partition per -flush-interval, generated deterministically from the
-	// table seed, joined and clustered inside the writer. Every shard
-	// shares the catalog, so each shard's Follow sessions observe the
-	// same landings; -retain-hours chases the tail with retention drops,
-	// which invalidate both cache tiers (never serving stale bytes).
+	// partition per -flush-interval. Every shard shares the catalog, so
+	// each shard's Follow sessions observe the same landings; -retain-hours
+	// chases the tail with retention drops, which invalidate the dropped
+	// files in every shard's ScanCache (never serving stale bytes).
 	var (
-		lander       *landing.Writer
-		landerStop   chan struct{}
-		landerDone   chan struct{}
-		droppedHours atomic.Int64
+		lander     *landing.Writer
+		stopLander = func() int { return 0 }
 	)
 	if *follow {
-		if *flushInterval <= 0 {
-			fatal(fmt.Errorf("-follow needs a positive -flush-interval"))
-		}
-		w, err := landing.NewWriter(landing.Config{
-			Store: tt.Store, Catalog: tt.Catalog, Table: tt.Spec.Table,
-			Schema: tt.Schema, FlushRows: 4096, FlushInterval: *flushInterval,
-			Cluster: true,
+		lander, stopLander, err = tt.LandLive(table, *flushInterval, *retainHours, func(err error) {
+			fmt.Fprintln(os.Stderr, "recd-serve:", err)
 		})
 		if err != nil {
-			fatal(err)
+			fatal(fmt.Errorf("-follow: %w", err))
 		}
-		lander = w
-		landerStop, landerDone = make(chan struct{}), make(chan struct{})
-		go func() {
-			defer close(landerDone)
-			hour := int64(0)
-			for _, h := range tt.Catalog.Partitions(tt.Spec.Table) {
-				if h >= hour {
-					hour = h + 1
-				}
-			}
-			n := *sessions / 4
-			if n == 0 {
-				n = 1
-			}
-			for {
-				select {
-				case <-landerStop:
-					if err := w.Close(); err != nil {
-						fmt.Fprintln(os.Stderr, "recd-serve: landing writer close:", err)
-					}
-					return
-				case <-time.After(*flushInterval):
-				}
-				samples := datagen.NewGenerator(tt.Schema, datagen.GeneratorConfig{
-					Sessions: n, MeanSamplesPerSession: 14, Seed: *seed + 2000 + hour,
-					LabelSignal: 2.0, CTR: 0.2,
-				}).GeneratePartition()
-				if err := w.Append(hour, samples...); err != nil {
-					fmt.Fprintln(os.Stderr, "recd-serve: landing writer:", err)
-					return
-				}
-				if *retainHours > 0 {
-					dropped, err := tt.Catalog.EnforceRetention(tt.Store, tt.Spec.Table, *retainHours)
-					if err != nil {
-						fmt.Fprintln(os.Stderr, "recd-serve: retention:", err)
-						return
-					}
-					droppedHours.Add(int64(len(dropped)))
-				}
-				hour++
-			}
-		}()
-	}
-	var landerOnce sync.Once
-	stopLander := func() {
-		if lander == nil {
-			return
-		}
-		landerOnce.Do(func() { close(landerStop) })
-		<-landerDone
 	}
 
 	// Graceful drain, triggered by the first SIGTERM/SIGINT or POST
@@ -321,9 +257,6 @@ func main() {
 		alog = obs.NewAccessLog(*accessLogN)
 		obs.RegisterProcess(reg)
 		obs.RegisterAccessLog(reg, alog)
-		if tt.Cache != nil {
-			obs.RegisterStoreCache(reg, nil, tt.Cache.Stats)
-		}
 		if lander != nil {
 			obs.RegisterLanding(reg, nil, lander.Stats)
 		}
@@ -405,11 +338,11 @@ func main() {
 		}
 	}
 
-	stopLander()
+	droppedHours := stopLander()
 	if lander != nil {
 		st := lander.Stats()
 		fmt.Printf("recd-serve: landing writer sealed %d files / %d rows (%d timed flushes); retention dropped %d hour(s)\n",
-			st.FilesLanded, st.RowsLanded, st.TimedFlushes, droppedHours.Load())
+			st.FilesLanded, st.RowsLanded, st.TimedFlushes, droppedHours)
 	}
 	for _, sh := range shards {
 		st := sh.svc.Stats()
@@ -423,10 +356,6 @@ func main() {
 			fmt.Printf("recd-serve: shard %s autoscaler resized worker pools %d up / %d down (cap %d readers/session)\n",
 				sh.addr, st.Scheduler.ScaleUps, st.Scheduler.ScaleDowns, *maxReaders)
 		}
-	}
-	if tt.Cache != nil {
-		bs := tt.Cache.Stats()
-		fmt.Printf("recd-serve: raw-byte tier %d/%d hits/misses\n", bs.Hits, bs.Misses)
 	}
 	if gate != nil {
 		gs := gate.Stats()

@@ -6,8 +6,8 @@
 // model store, and cross-session scan sharing — every epoch opens fresh
 // per-hour ShareScans sessions over the same landed partitions, so epoch
 // 1 decodes each DWRF file once and every later epoch streams the same
-// batches out of the service's ScanCache (and the raw-byte
-// CachingBackend underneath) without touching the decode path again.
+// batches out of the service's ScanCache without touching the decode path
+// again.
 //
 // With -connect the preprocessing service runs in another process: batches
 // stream from a cmd/recd-serve instance over the dppnet TCP protocol
@@ -57,15 +57,12 @@ import (
 	"net"
 	"os"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/datagen"
 	"repro/internal/dpp"
 	"repro/internal/dpp/dppnet"
 	"repro/internal/dpp/dppshard"
-	"repro/internal/dpp/landing"
 	"repro/internal/obs"
 	"repro/internal/reader"
 	"repro/internal/trainer"
@@ -122,14 +119,13 @@ func main() {
 	// over the served table's derived spec, file plan, and schema facts,
 	// so the trainer builds no table at all.
 	var (
-		tt   *core.TrainTable
-		meta *dppnet.TableMeta
+		table = core.TrainTableConfig{Sessions: *sessions, Batch: *batch, Seed: *seed}
+		tt    *core.TrainTable
+		meta  *dppnet.TableMeta
 	)
 	if *connect == "" {
 		var err error
-		tt, err = core.BuildTrainTable(core.TrainTableConfig{
-			Sessions: *sessions, Batch: *batch, Seed: *seed, StoreCacheBytes: 256 << 20,
-		})
+		tt, err = core.BuildTrainTable(table)
 		if err != nil {
 			fatal(err)
 		}
@@ -184,9 +180,6 @@ func main() {
 	if *obsSide != "" {
 		reg = obs.NewRegistry()
 		obs.RegisterProcess(reg)
-		if tt != nil && tt.Cache != nil {
-			obs.RegisterStoreCache(reg, nil, tt.Cache.Stats)
-		}
 	}
 
 	// open abstracts where sessions come from: a local service or a
@@ -198,7 +191,7 @@ func main() {
 	var printSharing func()
 	var noteStream func(dpp.Stream)
 	if *connect == "" {
-		svc, err := dpp.New(dpp.Config{Backend: tt.Backend, Catalog: tt.Catalog})
+		svc, err := dpp.New(dpp.Config{Backend: tt.Store, Catalog: tt.Catalog})
 		if err != nil {
 			fatal(err)
 		}
@@ -229,9 +222,8 @@ func main() {
 		}
 		printSharing = func() {
 			cs := svc.Stats().Cache
-			bs := tt.Cache.Stats()
-			fmt.Printf("\nscan sharing across %d epochs: %d/%d scan-cache hits/misses (%d entries, %.1f MiB); raw-byte fallback tier %d/%d hits/misses\n",
-				*epochs, cs.Hits, cs.Misses, cs.Entries, float64(cs.Bytes)/(1<<20), bs.Hits, bs.Misses)
+			fmt.Printf("\nscan sharing across %d epochs: %d/%d scan-cache hits/misses (%d entries, %.1f MiB)\n",
+				*epochs, cs.Hits, cs.Misses, cs.Entries, float64(cs.Bytes)/(1<<20))
 		}
 	} else if addrs := splitAddrs(*connect); len(addrs) > 1 {
 		// Sharded fleet: one dppshard session per epoch-hour. The trainer
@@ -345,60 +337,15 @@ func main() {
 		fatal(fmt.Errorf("-follow does not compose with a sharded -connect fleet; point at a single recd-serve running -follow"))
 	}
 
-	// Local follow mode hosts its own landing writer: a goroutine growing
-	// the table one generated hour partition per -flush-interval, exactly
-	// what `recd-serve -follow` runs server-side.
-	var stopLander = func() {}
+	// Local follow mode hosts its own landing writer, exactly what
+	// `recd-serve -follow` runs server-side.
+	var stopLander = func() int { return 0 }
 	if *follow && tt != nil {
-		if *flushInterval <= 0 {
-			fatal(fmt.Errorf("-follow needs a positive -flush-interval"))
-		}
-		w, err := landing.NewWriter(landing.Config{
-			Store: tt.Store, Catalog: tt.Catalog, Table: tt.Spec.Table,
-			Schema: tt.Schema, FlushRows: 4096, FlushInterval: *flushInterval,
-			Cluster: true,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		landerStop, landerDone := make(chan struct{}), make(chan struct{})
-		go func() {
-			defer close(landerDone)
-			hour := int64(2) // hours 0 and 1 are the landed train/eval partitions
-			n := *sessions / 4
-			if n == 0 {
-				n = 1
-			}
-			for {
-				select {
-				case <-landerStop:
-					if err := w.Close(); err != nil {
-						fmt.Fprintln(os.Stderr, "recd-train: landing writer close:", err)
-					}
-					return
-				case <-time.After(*flushInterval):
-				}
-				samples := datagen.NewGenerator(tt.Schema, datagen.GeneratorConfig{
-					Sessions: n, MeanSamplesPerSession: 14, Seed: *seed + 2000 + hour,
-					LabelSignal: 2.0, CTR: 0.2,
-				}).GeneratePartition()
-				if err := w.Append(hour, samples...); err != nil {
-					fmt.Fprintln(os.Stderr, "recd-train: landing writer:", err)
-					return
-				}
-				if *retainHours > 0 {
-					if _, err := tt.Catalog.EnforceRetention(tt.Store, tt.Spec.Table, *retainHours); err != nil {
-						fmt.Fprintln(os.Stderr, "recd-train: retention:", err)
-						return
-					}
-				}
-				hour++
-			}
-		}()
-		var once sync.Once
-		stopLander = func() {
-			once.Do(func() { close(landerStop) })
-			<-landerDone
+		var err error
+		if _, stopLander, err = tt.LandLive(table, *flushInterval, *retainHours, func(err error) {
+			fmt.Fprintln(os.Stderr, "recd-train:", err)
+		}); err != nil {
+			fatal(fmt.Errorf("-follow: %w", err))
 		}
 		defer stopLander()
 	}
@@ -468,7 +415,7 @@ func main() {
 		// batches the tail delivers (blocking while the writer lands more),
 		// then evaluates on the held-out hour as usual. When the windows
 		// are done, EndFollow drains the tail's remainder to a clean EOF.
-		winBatches := trainRows / *batch
+		winBatches := trainRows / tableSpec.BatchSize
 		if winBatches == 0 {
 			winBatches = 1
 		}

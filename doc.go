@@ -73,8 +73,9 @@
 // instead of N times, with the batch stream pinned byte-identical to an
 // unshared session's. The cache is a memo inside the session's fill
 // workers: sharing changes nothing about a session's pool, scaling or
-// tailing. storage.CachingBackend provides the raw-byte tier of the
-// same idea for sessions whose specs differ.
+// tailing. It is the one cache: nothing holds raw file bytes beneath the
+// readers, so sessions whose specs differ each fetch and decode their own
+// ranges from the store.
 //
 // The service boundary is also a network boundary: dpp/dppnet serves
 // sessions over a length-prefixed TCP protocol (cmd/recd-serve), and its

@@ -1,13 +1,7 @@
-// Package cachecore is the one single-flight, byte-bounded cache engine
-// behind the repo's two cache tiers: dpp.ScanCache (decoded file scans,
-// keyed by file + spec fingerprint) and storage.CachingBackend (raw
-// blobs, keyed by path). Both tiers previously carried their own ~200
-// line copy of the same machinery — coalesced misses, leader-failure
-// retry, recency-ordered eviction under a byte budget — which the
-// sharded preprocessing fleet would have forced into a third copy.
-// Extracting the core keeps exactly one implementation of the
-// correctness-critical loop and lets the tiers differ only where their
-// contracts actually differ (waiter accounting; see Config).
+// Package cachecore is the single-flight, byte-bounded cache engine behind
+// dpp.ScanCache (decoded file scans, keyed by file, spec fingerprint and
+// carry): coalesced misses, leader-failure retry, and recency-ordered
+// eviction under a byte budget, kept apart from what the cache holds.
 //
 // # Replacement policy
 //
@@ -18,7 +12,7 @@
 //
 //   - An entry evicted for budget leaves a ghost: its key, never its
 //     value. The ghost lives until the key is resident again, is removed
-//     (Remove, RemoveIf: the source changed, so the eviction is no longer
+//     (RemoveIf: the source changed, so the eviction is no longer
 //     evidence), or ages out of a FIFO bounded at ghostFactor times the
 //     resident-entry high-water mark.
 //   - A miss on a ghost is the cache's regret (Stats.GhostHits): it
@@ -54,7 +48,7 @@
 // of its next victim, and then trades that entry for another of its own
 // keys at a cost of one hit, at most once per 16 refusals.
 //
-// Admission and eviction are a pure function of the Get/Remove sequence:
+// Admission and eviction are a pure function of the Get/RemoveIf sequence:
 // one counter and each entry's own hit count, no clock, no randomness, no
 // map order. Hits, misses, evictions and ghost hits therefore repeat
 // exactly for a given sequence.
@@ -74,24 +68,6 @@ const (
 	escapeEvery = 8
 )
 
-// Config tunes the engine to a tier's documented contract.
-type Config struct {
-	// MaxBytes is the byte budget. Must be positive; completed entries
-	// are evicted least-recently-used once the budget is exceeded. A
-	// value whose cost alone exceeds the budget is served but never
-	// retained (retaining it would evict the entire cache for one entry),
-	// and neither is a value the replacement policy refuses (see the
-	// package comment).
-	MaxBytes int64
-	// CountWaiterHits controls how a caller coalesced onto another
-	// caller's in-flight compute is charged once that compute succeeds, or
-	// publishes (see Get): true charges a hit (dpp.ScanCache's contract —
-	// the waiter was served work someone else paid for), false charges
-	// neither hit nor miss (storage.CachingBackend's contract — only
-	// resident entries hit).
-	CountWaiterHits bool
-}
-
 // Cache memoizes compute(key) results under a byte budget with
 // single-flight coalescing of concurrent misses. All methods are safe
 // for concurrent use.
@@ -101,9 +77,8 @@ type Config struct {
 // entries remain valid for holders — values are never recycled, only
 // forgotten.
 type Cache[K comparable, V any] struct {
-	max        int64
-	waiterHits bool
-	cost       func(V) int64
+	max  int64
+	cost func(V) int64
 
 	mu      sync.Mutex
 	entries map[K]*entry[K, V]
@@ -119,7 +94,7 @@ type Cache[K comparable, V any] struct {
 	refusals int
 
 	// The accounting is atomic so Stats never contends with Get: a
-	// metrics scraper polling every cache tier in the process must stay
+	// metrics scraper polling every shard's cache in the process must stay
 	// invisible to the hot path. bytes and resident are mutated only
 	// under mu (the eviction logic reads them there), but loaded
 	// lock-free by Stats.
@@ -166,33 +141,36 @@ func (e *entry[K, V]) serve() {
 	}
 }
 
-// New builds a cache. cost prices a completed value for the byte
-// budget; it is called once per successful compute. Panics on a
+// New builds a cache of at most maxBytes. Completed entries are evicted
+// least-recently-used once the budget is exceeded; a value whose cost alone
+// exceeds it is served but never retained (retaining it would evict the
+// entire cache for one entry), and neither is a value the replacement
+// policy refuses (see the package comment). cost prices a completed value
+// for the budget; it is called once per successful compute. Panics on a
 // non-positive budget or nil cost, both programmer errors.
-func New[K comparable, V any](cfg Config, cost func(V) int64) *Cache[K, V] {
-	if cfg.MaxBytes <= 0 {
+func New[K comparable, V any](maxBytes int64, cost func(V) int64) *Cache[K, V] {
+	if maxBytes <= 0 {
 		panic("cachecore: cache needs a positive byte budget")
 	}
 	if cost == nil {
 		panic("cachecore: cache needs a cost function")
 	}
 	return &Cache[K, V]{
-		max:        cfg.MaxBytes,
-		waiterHits: cfg.CountWaiterHits,
-		cost:       cost,
-		entries:    make(map[K]*entry[K, V]),
-		lru:        list.New(),
-		ghosts:     make(map[K]*list.Element),
-		ghostq:     list.New(),
+		max:     maxBytes,
+		cost:    cost,
+		entries: make(map[K]*entry[K, V]),
+		lru:     list.New(),
+		ghosts:  make(map[K]*list.Element),
+		ghostq:  list.New(),
 	}
 }
 
 // Get returns the value for key, computing and caching it on a miss.
 // Concurrent Gets of one missing key share a single compute call; hit
-// reports whether this caller was served without computing (resident
-// entry, or a coalesced wait — see Config.CountWaiterHits for how the
-// latter is charged in Stats). If the computing caller fails, its error
-// reaches that caller alone; waiters retry, one of them computing.
+// reports whether this caller was served without computing — a resident
+// entry, or a coalesced wait, charged a hit either way: the waiter was
+// served work someone else paid for. If the computing caller fails, its
+// error reaches that caller alone; waiters retry, one of them computing.
 // Cancelling ctx abandons a coalesced wait with ctx.Err(); the in-flight
 // compute itself sees only its own caller's context.
 //
@@ -206,8 +184,7 @@ func (c *Cache[K, V]) Get(ctx context.Context, key K, compute func(ctx context.C
 	for {
 		c.mu.Lock()
 		if e, ok := c.entries[key]; ok {
-			waited := !e.served // else resident, or published
-			if waited {
+			if !e.served { // else resident, or published
 				c.mu.Unlock()
 				select {
 				case <-e.ready:
@@ -221,11 +198,9 @@ func (c *Cache[K, V]) Get(ctx context.Context, key K, compute func(ctx context.C
 				c.mu.Unlock()
 				continue // leader failed; retry (and possibly lead)
 			}
-			if (!waited && e.el != nil) || c.waiterHits {
-				c.touch(e)
-				c.hits.Add(1)
-				e.hits++
-			}
+			c.touch(e)
+			c.hits.Add(1)
+			e.hits++
 			val = e.val
 			c.mu.Unlock()
 			return val, true, nil
@@ -249,7 +224,7 @@ func (c *Cache[K, V]) Get(ctx context.Context, key K, compute func(ctx context.C
 		c.mu.Lock()
 		e.val, e.err = val, err
 		if err != nil {
-			// A doomed entry was already unmapped by Remove, and the map may
+			// A doomed entry was already unmapped by RemoveIf, and the map may
 			// hold a successor under the same key — only delete our own.
 			if c.entries[key] == e {
 				delete(c.entries, key)
@@ -292,30 +267,33 @@ func (c *Cache[K, V]) Contains(key K) bool {
 	return ok && e.el != nil
 }
 
-// Remove invalidates the entry for key, reporting whether one existed.
-// A resident entry is dropped immediately (its bytes leave the budget);
-// an in-flight entry is unmapped and doomed — the compute in progress
-// still serves its waiters, but its result is not retained, and a Get
-// arriving after Remove returns recomputes from the source. Removal is
-// how a catalog's retention path keeps the cache honest: once the
-// backing file is deleted, the next lookup must miss.
-func (c *Cache[K, V]) Remove(key K) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.removeLocked(key)
-}
-
 // RemoveIf invalidates every entry whose key satisfies pred, returning
-// how many were dropped. Used for file-scoped invalidation where one
-// file fans out to several cache keys (per-fingerprint scan entries).
+// how many were dropped, and forgets their ghosts. A resident entry is
+// dropped immediately (its bytes leave the budget); an in-flight entry is
+// unmapped and doomed — the compute in progress still serves its waiters,
+// but its result is not retained, and a Get arriving after RemoveIf
+// returns recomputes from the source. Removal is how a catalog's retention
+// path keeps the cache honest: once the backing file is deleted, the next
+// lookup must miss, whichever of the file's keys it asks for.
 func (c *Cache[K, V]) RemoveIf(pred func(K) bool) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := 0
-	for key := range c.entries {
-		if pred(key) && c.removeLocked(key) {
-			n++
+	for key, e := range c.entries {
+		if !pred(key) {
+			continue
 		}
+		delete(c.entries, key)
+		if e.el != nil {
+			c.lru.Remove(e.el)
+			e.el = nil
+			c.bytes.Add(-e.cost)
+			c.resident.Add(-1)
+		} else {
+			e.doomed = true
+		}
+		c.invalidations.Add(1)
+		n++
 	}
 	for key := range c.ghosts {
 		if pred(key) {
@@ -323,26 +301,6 @@ func (c *Cache[K, V]) RemoveIf(pred func(K) bool) int {
 		}
 	}
 	return n
-}
-
-// removeLocked implements Remove. Callers hold c.mu.
-func (c *Cache[K, V]) removeLocked(key K) bool {
-	c.forget(key)
-	e, ok := c.entries[key]
-	if !ok {
-		return false
-	}
-	delete(c.entries, key)
-	if e.el != nil {
-		c.lru.Remove(e.el)
-		e.el = nil
-		c.bytes.Add(-e.cost)
-		c.resident.Add(-1)
-	} else {
-		e.doomed = true
-	}
-	c.invalidations.Add(1)
-	return true
 }
 
 // touch marks a resident entry most-recently-used. Callers hold c.mu.
@@ -403,8 +361,8 @@ func (c *Cache[K, V]) evict() {
 
 // Stats is a snapshot of cache-wide accounting.
 type Stats struct {
-	// Hits and Misses count Get lookups; see Config.CountWaiterHits
-	// for how coalesced waiters are charged.
+	// Hits and Misses count Get lookups; a caller coalesced onto
+	// another's compute is charged a hit (see Get).
 	Hits, Misses int64
 	// Evictions counts entries dropped to respect the byte budget.
 	Evictions int64
@@ -413,7 +371,7 @@ type Stats struct {
 	// policy acts on. Growing with Misses it means thrash (the working set
 	// cycles and does not fit); flat beside growing Evictions, churn.
 	GhostHits int64
-	// Invalidations counts entries dropped by Remove/RemoveIf (cache
+	// Invalidations counts entries dropped by RemoveIf (cache
 	// coherence with the source, not budget pressure).
 	Invalidations int64
 	// Entries and Bytes describe current occupancy (complete resident

@@ -3,6 +3,7 @@ package cachecore_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,8 +12,8 @@ import (
 	"repro/internal/cachecore"
 )
 
-func newStringCache(cfg cachecore.Config) *cachecore.Cache[string, string] {
-	return cachecore.New[string](cfg, func(v string) int64 { return int64(len(v)) })
+func newStringCache(maxBytes int64) *cachecore.Cache[string, string] {
+	return cachecore.New[string](maxBytes, func(v string) int64 { return int64(len(v)) })
 }
 
 func mustGet(t *testing.T, c *cachecore.Cache[string, string], key, val string) bool {
@@ -30,7 +31,7 @@ func mustGet(t *testing.T, c *cachecore.Cache[string, string], key, val string) 
 }
 
 func TestEvictionOrderAndRefresh(t *testing.T) {
-	c := newStringCache(cachecore.Config{MaxBytes: 12}) // room for three 4-byte values
+	c := newStringCache(12) // room for three 4-byte values
 
 	for _, k := range []string{"a", "b", "c"} {
 		if hit := mustGet(t, c, k, "vvvv"); hit {
@@ -61,7 +62,7 @@ func TestEvictionOrderAndRefresh(t *testing.T) {
 // served but not inserted — and crucially does not evict the resident
 // working set to make room for something that cannot fit anyway.
 func TestOversizeNeverRetained(t *testing.T) {
-	c := newStringCache(cachecore.Config{MaxBytes: 8})
+	c := newStringCache(8)
 	mustGet(t, c, "a", "vvvv")
 	mustGet(t, c, "b", "vvvv")
 	got, hit, err := c.Get(context.Background(), "huge", func(context.Context, func(string)) (string, error) {
@@ -78,20 +79,17 @@ func TestOversizeNeverRetained(t *testing.T) {
 	}
 }
 
-// TestWaiterAccounting pins the config split: waiters coalesced onto a
-// leader's compute charge a hit with CountWaiterHits and nothing
-// without, while the leader charges one miss either way.
+// TestWaiterAccounting pins waiter accounting: waiters coalesced onto a
+// leader's compute each charge a hit, while the leader charges one miss.
 func TestWaiterAccounting(t *testing.T) {
 	for _, tc := range []struct {
-		name       string
-		waiterHits bool
-		wantHits   int64
+		name     string
+		wantHits int64
 	}{
-		{"waiters-count-as-hits", true, 3},
-		{"waiters-count-nothing", false, 0},
+		{"waiters-count-as-hits", 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := newStringCache(cachecore.Config{MaxBytes: 1 << 20, CountWaiterHits: tc.waiterHits})
+			c := newStringCache(1 << 20)
 			release := make(chan struct{})
 			var computes atomic.Int64
 			var wg sync.WaitGroup
@@ -125,23 +123,21 @@ func TestWaiterAccounting(t *testing.T) {
 
 // TestPublishedValueServesWaiters pins publishing: a Get arriving after the
 // compute published its value is handed it while the compute still runs,
-// charged as CountWaiterHits says; the entry's cost and retention wait for
+// charged a hit; the entry's cost and retention wait for
 // the compute's return; and a compute that fails after publishing leaves no
 // entry, so the next Get computes again. (A compute that never publishes is
 // TestWaiterAccounting's.)
 func TestPublishedValueServesWaiters(t *testing.T) {
 	for _, tc := range []struct {
-		name       string
-		waiterHits bool
-		wantHits   int64
-		fail       bool
+		name     string
+		wantHits int64
+		fail     bool
 	}{
-		{"waiters-count-as-hits", true, 2, false},
-		{"waiters-count-nothing", false, 0, false},
-		{"fails-after-publishing", true, 2, true},
+		{"waiters-count-as-hits", 2, false},
+		{"fails-after-publishing", 2, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := newStringCache(cachecore.Config{MaxBytes: 1 << 20, CountWaiterHits: tc.waiterHits})
+			c := newStringCache(1 << 20)
 			published, release := make(chan struct{}), make(chan struct{})
 			boom := errors.New("compute failed after publishing")
 			leader := make(chan error, 1)
@@ -196,7 +192,7 @@ func TestPublishedValueServesWaiters(t *testing.T) {
 }
 
 func TestLeaderFailureDoesNotPoison(t *testing.T) {
-	c := newStringCache(cachecore.Config{MaxBytes: 1 << 20})
+	c := newStringCache(1 << 20)
 	boom := errors.New("compute failed")
 	_, _, err := c.Get(context.Background(), "k", func(context.Context, func(string)) (string, error) {
 		return "", boom
@@ -215,8 +211,42 @@ func TestLeaderFailureDoesNotPoison(t *testing.T) {
 	}
 }
 
+// TestWaiterRetriesAfterLeaderFailure: a caller coalesced onto a compute
+// that fails does not inherit its error — it retries and computes for
+// itself.
+func TestWaiterRetriesAfterLeaderFailure(t *testing.T) {
+	c := newStringCache(1 << 20)
+	boom := errors.New("compute failed")
+	started := make(chan struct{})
+	waiter := make(chan error, 1)
+	go func() {
+		<-started
+		got, hit, err := c.Get(context.Background(), "k", func(context.Context, func(string)) (string, error) {
+			return "w", nil
+		})
+		if err == nil && (hit || got != "w") {
+			err = fmt.Errorf("got %q hit=%v, want its own compute's value", got, hit)
+		}
+		waiter <- err
+	}()
+	_, _, err := c.Get(context.Background(), "k", func(context.Context, func(string)) (string, error) {
+		close(started)
+		time.Sleep(20 * time.Millisecond) // let the waiter park behind this compute
+		return "", boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("leader error = %v, want %v", err, boom)
+	}
+	if err := <-waiter; err != nil {
+		t.Fatalf("coalesced waiter of a failed compute: %v", err)
+	}
+	if st := c.Stats(); st.Misses != 2 || st.Hits != 0 || !c.Contains("k") {
+		t.Fatalf("stats %+v, want two computes and the waiter's value resident", st)
+	}
+}
+
 func TestWaiterCancellation(t *testing.T) {
-	c := newStringCache(cachecore.Config{MaxBytes: 1 << 20})
+	c := newStringCache(1 << 20)
 	started := make(chan struct{})
 	release := make(chan struct{})
 	defer close(release)
@@ -250,24 +280,24 @@ func TestWaiterCancellation(t *testing.T) {
 // TestRemoveResident: invalidating a resident entry frees its bytes,
 // counts an invalidation, and forces the next Get to recompute.
 func TestRemoveResident(t *testing.T) {
-	c := newStringCache(cachecore.Config{MaxBytes: 1 << 20})
+	c := newStringCache(1 << 20)
 	mustGet(t, c, "a", "vvvv")
 	mustGet(t, c, "b", "vvvv")
-	if !c.Remove("a") {
-		t.Fatal("Remove of resident entry reported false")
+	if c.RemoveIf(only("a")) != 1 {
+		t.Fatal("RemoveIf of resident entry dropped nothing")
 	}
-	if c.Remove("a") {
-		t.Fatal("second Remove of the same key reported true")
+	if c.RemoveIf(only("a")) != 0 {
+		t.Fatal("second RemoveIf of the same key dropped an entry")
 	}
 	if c.Contains("a") || !c.Contains("b") {
-		t.Fatal("Remove dropped the wrong entry")
+		t.Fatal("RemoveIf dropped the wrong entry")
 	}
 	st := c.Stats()
 	if st.Entries != 1 || st.Bytes != 4 || st.Invalidations != 1 {
 		t.Fatalf("stats %+v, want 1 entry, 4 bytes, 1 invalidation", st)
 	}
 	if hit := mustGet(t, c, "a", "wwww"); hit {
-		t.Fatal("Get after Remove hit stale state")
+		t.Fatal("Get after RemoveIf hit stale state")
 	}
 }
 
@@ -275,7 +305,7 @@ func TestRemoveResident(t *testing.T) {
 // whose compute is still running serves the in-flight waiters their
 // value but never retains it — and leaks no bytes or ghost LRU nodes.
 func TestRemoveInFlight(t *testing.T) {
-	c := newStringCache(cachecore.Config{MaxBytes: 1 << 20})
+	c := newStringCache(1 << 20)
 	started := make(chan struct{})
 	release := make(chan struct{})
 	done := make(chan string, 1)
@@ -291,8 +321,8 @@ func TestRemoveInFlight(t *testing.T) {
 		done <- v
 	}()
 	<-started
-	if !c.Remove("k") {
-		t.Fatal("Remove of in-flight entry reported false")
+	if c.RemoveIf(only("k")) != 1 {
+		t.Fatal("RemoveIf of in-flight entry dropped nothing")
 	}
 	close(release)
 	if v := <-done; v != "stale" {
@@ -329,7 +359,7 @@ func TestRemoveInFlight(t *testing.T) {
 // TestRemoveIf: predicate invalidation drops exactly the matching keys
 // and reports how many it removed.
 func TestRemoveIf(t *testing.T) {
-	c := newStringCache(cachecore.Config{MaxBytes: 1 << 20})
+	c := newStringCache(1 << 20)
 	for _, k := range []string{"tbl/f1", "tbl/f2", "other/f1"} {
 		mustGet(t, c, k, "vvvv")
 	}

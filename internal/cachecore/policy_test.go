@@ -58,7 +58,7 @@ func (m *model) forget(key string) {
 const (
 	computeOK   = iota
 	computeFail // returns an error
-	computeDoom // its key is Removed while it runs
+	computeDoom // its key is removed while it runs
 )
 
 // get is Cache.Get for a compute that costs cost and ends in outcome.
@@ -111,7 +111,7 @@ func (m *model) get(key string, cost int64, outcome int) (hit bool) {
 	return false
 }
 
-// remove is Cache.Remove for a key with no compute in flight.
+// remove is Cache.RemoveIf for one key with no compute in flight.
 func (m *model) remove(key string) bool {
 	m.forget(key)
 	i := m.find(key)
@@ -137,7 +137,7 @@ type pair struct {
 func newPair(t testing.TB, max int64) *pair {
 	return &pair{
 		t: t,
-		c: cachecore.New[string](cachecore.Config{MaxBytes: max}, func(v int64) int64 { return v }),
+		c: cachecore.New[string](max, func(v int64) int64 { return v }),
 		m: newModel(max),
 	}
 }
@@ -151,8 +151,8 @@ func (p *pair) get(key string, cost int64, outcome int) bool {
 		case computeFail:
 			return 0, errCompute
 		case computeDoom:
-			if !p.c.Remove(key) {
-				p.t.Fatalf("Remove(%q) mid-compute found no in-flight entry", key)
+			if p.c.RemoveIf(only(key)) != 1 {
+				p.t.Fatalf("RemoveIf(%q) mid-compute found no in-flight entry", key)
 			}
 		}
 		return cost, nil
@@ -164,14 +164,6 @@ func (p *pair) get(key string, cost int64, outcome int) bool {
 	}
 	p.check()
 	return hit
-}
-
-func (p *pair) remove(key string) {
-	p.t.Helper()
-	if got, want := p.c.Remove(key), p.m.remove(key); got != want {
-		p.t.Fatalf("Remove(%q) = %v, model %v", key, got, want)
-	}
-	p.check()
 }
 
 func (p *pair) removeIf(pred func(string) bool) {
@@ -405,8 +397,7 @@ func TestRemoveForgetsGhost(t *testing.T) {
 		admitted bool
 	}{
 		{"remembered", func(*pair) {}, false},
-		{"Remove", func(p *pair) { p.remove("a") }, true},
-		{"RemoveIf", func(p *pair) { p.removeIf(func(k string) bool { return k == "a" }) }, true},
+		{"RemoveIf", func(p *pair) { p.removeIf(only("a")) }, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := newPair(t, 3)
@@ -458,8 +449,8 @@ func TestVariableCostRefusalAndEscape(t *testing.T) {
 	if got := p.c.Entries(); !reflect.DeepEqual(got, full) {
 		t.Fatalf("a refused value changed the cache: %+v, was %+v", got, full)
 	}
-	p.remove("c")
-	p.remove("d")
+	p.removeIf(only("c"))
+	p.removeIf(only("d"))
 	p.get("b", 2, computeOK) // still a ghost, and now it fits
 	if got := p.c.Entries(); got[0].Key != "b" || len(got) != 5 || p.c.Stats().Evictions != 2 {
 		t.Fatalf("a regretted value that fits free room was not admitted: %+v", got)
@@ -483,7 +474,7 @@ func TestVariableCostRefusalAndEscape(t *testing.T) {
 // under -race, the budget holds and every Get is a hit or a miss.
 func TestConcurrentOvercommit(t *testing.T) {
 	const workers, passes, keys, room = 4, 50, 24, 5
-	c := cachecore.New[int](cachecore.Config{MaxBytes: room, CountWaiterHits: true}, func(v int64) int64 { return v })
+	c := cachecore.New[int](room, func(v int64) int64 { return v })
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -496,7 +487,7 @@ func TestConcurrentOvercommit(t *testing.T) {
 				}
 				switch {
 				case i%17 == 0:
-					c.Remove(k)
+					c.RemoveIf(func(key int) bool { return key == k })
 				case i%29 == 0:
 					c.RemoveIf(func(key int) bool { return key%5 == w })
 				}
@@ -511,7 +502,7 @@ func TestConcurrentOvercommit(t *testing.T) {
 	}
 }
 
-// FuzzCachePolicy reads arbitrary bytes as a Get/Remove script — the
+// FuzzCachePolicy reads arbitrary bytes as a Get/RemoveIf script — the
 // first byte is the budget, then two bytes per call: an opcode with a
 // cost, and a key — and holds the cache to the reference model after
 // every call (pair.check).
@@ -541,7 +532,7 @@ func FuzzCachePolicy(f *testing.F) {
 			case 5:
 				p.get(key, cost, computeDoom)
 			case 6:
-				p.remove(key)
+				p.removeIf(only(key))
 			case 7:
 				class := key[len(key)-1]
 				p.removeIf(func(k string) bool { return k[len(k)-1] == class })
@@ -554,12 +545,15 @@ func FuzzCachePolicy(f *testing.F) {
 
 func constCompute(context.Context, func(int64)) (int64, error) { return 1, nil }
 
+// only is the RemoveIf predicate that matches key alone.
+func only(key string) func(string) bool { return func(k string) bool { return k == key } }
+
 var sinkHit bool
 
 // BenchmarkCacheGetHit is the path every warm batch takes: a resident
 // key, no compute. It must stay allocation-free.
 func BenchmarkCacheGetHit(b *testing.B) {
-	c := cachecore.New[int](cachecore.Config{MaxBytes: 8}, func(v int64) int64 { return v })
+	c := cachecore.New[int](8, func(v int64) int64 { return v })
 	ctx := context.Background()
 	for k := 0; k < 8; k++ {
 		c.Get(ctx, k, constCompute)
@@ -575,7 +569,7 @@ func BenchmarkCacheGetHit(b *testing.B) {
 // over room for five, the fleet_overcommit shard's shape. computes/pass
 // is what the policy is for: 9 under LRU, 4 here.
 func BenchmarkCacheCyclicOvercommit(b *testing.B) {
-	c := cachecore.New[int](cachecore.Config{MaxBytes: 5}, func(v int64) int64 { return v })
+	c := cachecore.New[int](5, func(v int64) int64 { return v })
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()

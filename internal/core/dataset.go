@@ -1,12 +1,16 @@
 package core
 
 import (
+	"fmt"
+	"sync"
+	"time"
+
 	"repro/internal/datagen"
+	"repro/internal/dpp/landing"
 	"repro/internal/dwrf"
 	"repro/internal/etl"
 	"repro/internal/lakefs"
 	"repro/internal/reader"
-	"repro/internal/storage"
 )
 
 // TrainTableConfig parameterizes the deterministic synthetic training
@@ -24,11 +28,8 @@ type TrainTableConfig struct {
 	// Batch is the training batch size the derived spec uses.
 	Batch int
 	// Seed drives generation (eval uses Seed+1000, as recd-train always
-	// has).
+	// has; live hour h, Seed+2000+h).
 	Seed int64
-	// StoreCacheBytes wraps the landed store in a raw-byte
-	// storage.CachingBackend with this budget; 0 leaves the store bare.
-	StoreCacheBytes int64
 }
 
 // TrainTable is the landed dataset plus everything both binaries derive
@@ -37,11 +38,6 @@ type TrainTable struct {
 	Schema  *datagen.Schema
 	Store   *lakefs.Store
 	Catalog *lakefs.Catalog
-	// Backend is what a dpp.Service should read through: the raw store,
-	// or the CachingBackend over it when StoreCacheBytes > 0.
-	Backend storage.Backend
-	// Cache is the raw-byte caching tier, nil when StoreCacheBytes == 0.
-	Cache *storage.CachingBackend
 	// Spec is the derived reader spec: the dedup heuristic's groups over
 	// the measured S, remaining sparse features as plain KJTs.
 	Spec reader.Spec
@@ -81,17 +77,8 @@ func BuildTrainTable(cfg TrainTableConfig) (*TrainTable, error) {
 	if err != nil {
 		return nil, err
 	}
-	makePartition := func(sessions int, genSeed int64) []datagen.Sample {
-		return datagen.NewGenerator(schema, datagen.GeneratorConfig{
-			Sessions:              sessions,
-			MeanSamplesPerSession: 14,
-			Seed:                  genSeed,
-			LabelSignal:           2.0,
-			CTR:                   0.2,
-		}).GeneratePartition()
-	}
-	train := etl.ClusterBySession(makePartition(cfg.Sessions, cfg.Seed))
-	eval := etl.ClusterBySession(makePartition(cfg.Sessions/4, cfg.Seed+1000))
+	train := etl.ClusterBySession(generate(schema, cfg.Sessions, cfg.Seed))
+	eval := etl.ClusterBySession(generate(schema, cfg.Sessions/4, cfg.Seed+1000))
 
 	store := lakefs.NewStore()
 	catalog := lakefs.NewCatalog()
@@ -120,18 +107,88 @@ func BuildTrainTable(cfg TrainTableConfig) (*TrainTable, error) {
 		return nil, err
 	}
 
-	tt := &TrainTable{
+	return &TrainTable{
 		Schema:    schema,
 		Store:     store,
 		Catalog:   catalog,
-		Backend:   store,
 		Spec:      spec,
 		S:         s,
 		TrainRows: len(train),
+	}, nil
+}
+
+// generate is one partition of the demo table: sessions users' samples,
+// unclustered, drawn from seed.
+func generate(schema *datagen.Schema, sessions int, seed int64) []datagen.Sample {
+	return datagen.NewGenerator(schema, datagen.GeneratorConfig{
+		Sessions:              sessions,
+		MeanSamplesPerSession: 14,
+		Seed:                  seed,
+		LabelSignal:           2.0,
+		CTR:                   0.2,
+	}).GeneratePartition()
+}
+
+// LandLive starts the live landing loop both binaries host with -follow.
+// Every interval it generates the next hour partition — the hour after the
+// catalog's newest first, max(cfg.Sessions/4, 1) sessions drawn from
+// cfg.Seed+2000+hour — and appends it through a landing writer that joins,
+// clusters and seals it (early, once interval passes). With retainHours > 0
+// it then keeps only the newest retainHours partitions; the catalog tells
+// every cache subscribed to it which files went. cfg is the config the table
+// was built with.
+//
+// stop ends the loop and closes the writer, and returns how many hour
+// partitions retention dropped; it may be called more than once. A landing,
+// retention or close error ends the loop and is handed to fail.
+func (tt *TrainTable) LandLive(cfg TrainTableConfig, interval time.Duration, retainHours int, fail func(error)) (w *landing.Writer, stop func() int, err error) {
+	if interval <= 0 {
+		return nil, nil, fmt.Errorf("core: live landing needs a positive interval, got %v", interval)
 	}
-	if cfg.StoreCacheBytes > 0 {
-		tt.Cache = storage.NewCachingBackend(store, cfg.StoreCacheBytes)
-		tt.Backend = tt.Cache
+	w, err = landing.NewWriter(landing.Config{
+		Store: tt.Store, Catalog: tt.Catalog, Table: tt.Spec.Table,
+		Schema: tt.Schema, FlushRows: 4096, FlushInterval: interval,
+		Cluster: true,
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	return tt, nil
+	hour := int64(0)
+	for _, h := range tt.Catalog.Partitions(tt.Spec.Table) {
+		hour = max(hour, h+1)
+	}
+	sessions := max(cfg.Sessions/4, 1)
+	quit, done := make(chan struct{}), make(chan struct{})
+	dropped := 0
+	go func() {
+		defer close(done)
+		for ; ; hour++ {
+			select {
+			case <-quit:
+				if err := w.Close(); err != nil {
+					fail(fmt.Errorf("landing writer close: %w", err))
+				}
+				return
+			case <-time.After(interval):
+			}
+			if err := w.Append(hour, generate(tt.Schema, sessions, cfg.Seed+2000+hour)...); err != nil {
+				fail(fmt.Errorf("landing writer: %w", err))
+				return
+			}
+			if retainHours > 0 {
+				gone, err := tt.Catalog.EnforceRetention(tt.Store, tt.Spec.Table, retainHours)
+				if err != nil {
+					fail(fmt.Errorf("retention: %w", err))
+					return
+				}
+				dropped += len(gone)
+			}
+		}
+	}()
+	var once sync.Once
+	return w, func() int {
+		once.Do(func() { close(quit) })
+		<-done
+		return dropped
+	}, nil
 }

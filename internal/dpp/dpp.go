@@ -96,11 +96,6 @@ type Service struct {
 	// cache memoizes file scans across ShareScans sessions; nil when
 	// disabled by Config.ScanCacheBytes < 0.
 	cache *ScanCache
-	// rawCache is the backend's raw-blob tier when the backend is a
-	// storage.CachingBackend, else nil. Held so the decoded tier can
-	// demote a file's raw bytes once its scan is resident — one file,
-	// one tier (the double-caching fix).
-	rawCache *storage.CachingBackend
 	// autoscale, when non-nil, is the defaulted controller config every
 	// batch session gets an AutoScaler from.
 	autoscale *AutoScalerConfig
@@ -176,44 +171,15 @@ func New(cfg Config) (*Service, error) {
 		clock:     clock,
 		sessions:  make(map[int64]liveSession),
 	}
-	if cb, ok := cfg.Backend.(*storage.CachingBackend); ok {
-		svc.rawCache = cb
-	}
 
 	// Cache coherence with retention: when the catalog announces dropped
-	// files, evict them from the decoded tier and — if the backend is the
-	// caching tier — from the raw-blob tier too. Without this, a warm
-	// service keeps serving decoded batches for data retention already
-	// destroyed (the stale-cache-after-retention bug).
-	if notifier, ok := cfg.Catalog.(storage.InvalidationNotifier); ok {
-		scans := svc.cache
-		blobs := svc.rawCache
-		if scans != nil || blobs != nil {
-			notifier.OnInvalidate(func(paths []string) {
-				if scans != nil {
-					scans.InvalidateFiles(paths)
-				}
-				if blobs != nil {
-					blobs.InvalidateFiles(paths)
-				}
-			})
-		}
+	// files, evict them from the ScanCache. Without this, a warm service
+	// keeps serving decoded batches for data retention already destroyed
+	// (the stale-cache-after-retention bug).
+	if notifier, ok := cfg.Catalog.(storage.InvalidationNotifier); ok && cache != nil {
+		notifier.OnInvalidate(func(paths []string) { cache.InvalidateFiles(paths) })
 	}
 	return svc, nil
-}
-
-// demoteRaw releases file's raw bytes from the caching backend once its
-// decoded scan is resident in the ScanCache: the decoded form is the one
-// sessions reuse, and holding both would charge the same file to two
-// byte budgets. A scan that was computed but not retained (oversized,
-// doomed) keeps its raw bytes cached — the next decode still wants them.
-func (s *Service) demoteRaw(key ScanKey) {
-	if s.rawCache == nil || s.cache == nil {
-		return
-	}
-	if s.cache.Contains(key) {
-		s.rawCache.Demote(key.File)
-	}
 }
 
 // ScanCache returns the service's cross-session scan cache, or nil when

@@ -17,7 +17,6 @@ import (
 	"repro/internal/etl"
 	"repro/internal/lakefs"
 	"repro/internal/reader"
-	"repro/internal/storage"
 	"repro/internal/testutil"
 )
 
@@ -306,13 +305,11 @@ func TestFollowSharedTailersDecodeOnce(t *testing.T) {
 	testutil.WaitForGoroutines(t, before)
 }
 
-// TestRetentionInvalidatesBothTiers is the stale-cache-after-retention
+// TestRetentionInvalidatesTheScanCache is the stale-cache-after-retention
 // regression test: DropPartition must purge the dropped files from the
-// decoded ScanCache AND the raw-byte CachingBackend, a post-drop read of
-// a dropped file must reach the (empty) store and fail rather than serve
-// stale cached bytes, and decoded residency must not double-charge the
-// raw tier in the first place.
-func TestRetentionInvalidatesBothTiers(t *testing.T) {
+// ScanCache, and a post-drop read of a dropped file must reach the (empty)
+// store and fail rather than serve stale cached batches.
+func TestRetentionInvalidatesTheScanCache(t *testing.T) {
 	schema := followSchema()
 	store, catalog := lakefs.NewStore(), lakefs.NewCatalog()
 
@@ -339,14 +336,13 @@ func TestRetentionInvalidatesBothTiers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cached := storage.NewCachingBackend(store, 64<<20)
-	svc, err := dpp.New(dpp.Config{Backend: cached, Catalog: catalog})
+	svc, err := dpp.New(dpp.Config{Backend: store, Catalog: catalog})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc.Close()
 
-	// Warm both tiers through a ShareScans drain.
+	// Warm the ScanCache through a ShareScans drain.
 	warm, err := svc.Open(context.Background(), dpp.Spec{Spec: dedupSpec(), ShareScans: true})
 	if err != nil {
 		t.Fatal(err)
@@ -358,11 +354,6 @@ func TestRetentionInvalidatesBothTiers(t *testing.T) {
 	sc := svc.Stats().Cache
 	if sc.Entries != 7 || sc.Misses != 7 {
 		t.Fatalf("scan cache after warm drain: %+v", sc)
-	}
-	// The double-caching fix: every file resident in the decoded tier
-	// was demoted out of the raw tier — decoded data is charged once.
-	if rc := cached.Stats(); rc.Entries != 0 || rc.Invalidations == 0 {
-		t.Fatalf("raw tier still pins bytes for decoded-resident files: %+v", rc)
 	}
 
 	droppedFiles, err := catalog.Files("tbl", 0)
@@ -377,13 +368,13 @@ func TestRetentionInvalidatesBothTiers(t *testing.T) {
 		t.Fatalf("scan cache after drop: %+v", sc)
 	}
 
-	// A read that names a dropped file bypasses both (purged) tiers,
+	// A read that names a dropped file bypasses the (purged) ScanCache,
 	// reaches the store, and fails — it cannot serve stale bytes. The
 	// catalog no longer plans the file, so the read is planned from one
-	// that has not seen the drop, over the same raw tier.
+	// that has not seen the drop, over the same store.
 	stale := lakefs.NewCatalog()
 	stale.AddFile("tbl", 0, droppedFiles[0], 64)
-	staleSvc, err := dpp.New(dpp.Config{Backend: cached, Catalog: stale})
+	staleSvc, err := dpp.New(dpp.Config{Backend: store, Catalog: stale})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +389,7 @@ func TestRetentionInvalidatesBothTiers(t *testing.T) {
 	doomed.Close()
 
 	// The surviving partition still serves, now entirely from the
-	// decoded tier.
+	// ScanCache.
 	rerun, err := svc.Open(context.Background(), dpp.Spec{Spec: dedupSpec(), ShareScans: true})
 	if err != nil {
 		t.Fatal(err)
@@ -436,8 +427,7 @@ func TestDropFailsInFlightSession(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cached := storage.NewCachingBackend(store, 64<<20)
-	svc, err := dpp.New(dpp.Config{Backend: cached, Catalog: catalog})
+	svc, err := dpp.New(dpp.Config{Backend: store, Catalog: catalog})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,8 +472,7 @@ func TestDropFailsInFlightSession(t *testing.T) {
 // table, a Follow session consuming it, and retention drops gated just
 // behind the consumer's position — and asserts the full follow stream is
 // byte-identical to a cold run over a frozen reference landing with the
-// identical flush schedule, that the drops invalidated cached bytes, and
-// that nothing leaks. The shared case runs two Follow + ShareScans tailers
+// identical flush schedule, and that nothing leaks. The shared case runs two Follow + ShareScans tailers
 // in lockstep over the misaligned tail (48-row files, batch 64) and, just
 // before each drop, a cold ShareScans scan of the doomed hour alone — so
 // its files are cached at two different carries — and asserts the drop
@@ -553,7 +542,6 @@ func TestChaosLiveTail(t *testing.T) {
 			// goroutine feeds hours 1..H with seeded jitter while the
 			// consumer drops each hour as soon as it is provably consumed.
 			store, catalog := lakefs.NewStore(), lakefs.NewCatalog()
-			cached := storage.NewCachingBackend(store, 64<<20)
 			w, err := landing.NewWriter(landing.Config{
 				Store: store, Catalog: catalog, Table: "tbl", Schema: schema, FlushRows: 48,
 			})
@@ -563,7 +551,7 @@ func TestChaosLiveTail(t *testing.T) {
 			if err := w.Append(0, blocks[0]...); err != nil {
 				t.Fatal(err)
 			}
-			svc, err := dpp.New(dpp.Config{Backend: cached, Catalog: catalog})
+			svc, err := dpp.New(dpp.Config{Backend: store, Catalog: catalog})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -686,9 +674,6 @@ func TestChaosLiveTail(t *testing.T) {
 
 			if dropped == 0 {
 				t.Fatal("chaos schedule never dropped a partition")
-			}
-			if rc := cached.Stats(); rc.Invalidations == 0 {
-				t.Fatalf("drops purged nothing from the raw tier: %+v", rc)
 			}
 			if tc.shared {
 				if inv := svc.Stats().Cache.Invalidations; inv != int64(wantInvalidations) || inv <= int64(len(droppedFiles)) {

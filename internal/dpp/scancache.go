@@ -32,15 +32,15 @@ import (
 // splits nothing they could have shared; a file is cached at most once
 // per distinct carry some session entered it with, under the byte budget.
 //
-// The single-flight, byte-bounded engine underneath is
-// internal/cachecore, shared with storage.CachingBackend: concurrent
-// requests for a missing entry coalesce (one caller computes and publishes
-// the log as it starts; the rest are handed it and charged hits), completed
-// entries are evicted least-recently-used once the budget is exceeded — an
-// entry is priced, retained or dropped when its compute returns, so an
-// in-flight log is never evicted, and one that outgrows the budget serves
-// its followers and is then dropped — and a failed compute leaves no entry. Epochs are a cyclic scan, an LRU's worst
-// case when the files outgrow the budget, so the engine notices when it
+// The single-flight, byte-bounded engine underneath is internal/cachecore:
+// concurrent requests for a missing entry coalesce (one caller computes and
+// publishes the log as it starts; the rest are handed it and charged hits),
+// completed entries are evicted least-recently-used once the budget is
+// exceeded — an entry is priced, retained or dropped when its compute
+// returns, so an in-flight log is never evicted, and one that outgrows the
+// budget serves its followers and is then dropped — and a failed compute
+// leaves no entry. Epochs are a cyclic scan, an LRU's worst case when the
+// files outgrow the budget, so the engine notices when it
 // re-misses a scan it evicted and from then on keeps the scans it holds
 // instead of evicting them for ones it could not keep either (cachecore's
 // package comment has the policy; GhostHits counts the evidence). A scan
@@ -70,7 +70,7 @@ func NewScanCache(maxBytes int64) *ScanCache {
 	}
 	return &ScanCache{
 		core: cachecore.New[ScanKey](
-			cachecore.Config{MaxBytes: maxBytes, CountWaiterHits: true},
+			maxBytes,
 			func(fs *reader.FileScan) int64 { return fs.MemBytes() },
 		),
 	}

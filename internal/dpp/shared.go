@@ -74,7 +74,6 @@ func (w *worker) memo(ctx context.Context, file string, carry int, scan func(con
 		w.cache.Hits++
 	default:
 		w.cache.Misses++
-		w.svc.demoteRaw(key)
 	}
 	return fs, hit, err
 }

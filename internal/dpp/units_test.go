@@ -16,7 +16,6 @@ import (
 	"repro/internal/dpp"
 	"repro/internal/dwrf"
 	"repro/internal/reader"
-	"repro/internal/storage"
 	"repro/internal/testutil"
 )
 
@@ -283,35 +282,6 @@ func TestSharedUnitSessionHitsChargeEgressOnly(t *testing.T) {
 		r.BatchesProduced == 0 {
 		t.Fatalf("warm egress {batches %d, bytes %d}, cold {%d, %d}", r.BatchesProduced, r.SentBytes,
 			coldStats.Reader.BatchesProduced, coldStats.Reader.SentBytes)
-	}
-}
-
-// TestSharedUnitSessionDemotesRawBytes: over a raw-byte tier, a file whose
-// decoded scan is resident in the ScanCache must not also be held as raw
-// bytes — one file, one tier — whichever session kind decoded it. (The
-// unit path used to skip the demotion: every fleet shard behind a
-// CachingBackend charged each file to both budgets.)
-func TestSharedUnitSessionDemotesRawBytes(t *testing.T) {
-	env := newTestEnv(t, 120)
-	cached := storage.NewCachingBackend(env.store, 64<<20)
-	svc, err := dpp.New(dpp.Config{Backend: cached, Catalog: env.catalog})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-	spec := dpp.Spec{Spec: dedupSpec(), ShareScans: true}
-	u, err := svc.OpenUnits(context.Background(), spec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	units := drainUnits(t, u)
-	for _, unit := range units {
-		if !svc.ScanCache().Contains(dpp.ScanKey{File: unit.File, Fingerprint: spec.Fingerprint()}) {
-			t.Fatalf("%s is not resident in the ScanCache after a cold scan", unit.File)
-		}
-	}
-	if cs := cached.Stats(); cs.Entries != 0 || cs.Misses != int64(len(units)) {
-		t.Fatalf("raw tier after a cold shared unit scan: %+v; want %d misses and nothing left resident", cs, len(units))
 	}
 }
 

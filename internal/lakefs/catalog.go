@@ -193,7 +193,7 @@ func (c *Catalog) PublishedFiles(table string, afterSeq uint64) ([]storage.Publi
 
 // OnInvalidate registers fn to be called with the paths of every file the
 // catalog drops (DropPartition / EnforceRetention), after the blobs are
-// deleted from the store. Cache tiers subscribe here so retention cannot
+// deleted from the store. Caches subscribe here so retention cannot
 // leave them serving data the store no longer holds. Subscribers must not
 // call back into the catalog.
 func (c *Catalog) OnInvalidate(fn func(paths []string)) {
@@ -225,7 +225,7 @@ func (c *Catalog) Partitions(table string) []int64 {
 
 // DropPartition removes a partition from the catalog, deletes its files
 // from the store (retention), and notifies invalidation subscribers so
-// cache tiers evict the dropped files. It returns the number of files
+// caches evict the dropped files. It returns the number of files
 // deleted.
 //
 // Ordering matters for coherence: the files leave the catalog first (new

@@ -377,7 +377,7 @@ func TestCatalogTailing(t *testing.T) {
 // TestDropPartitionInvalidation pins the stale-cache-after-retention fix
 // at the catalog layer: DropPartition deletes the blobs from the store
 // BEFORE notifying invalidation subscribers, and hands subscribers
-// exactly the dropped paths — so a cache tier that evicts on the
+// exactly the dropped paths — so a cache that evicts on the
 // notification can never refill from a blob that still exists.
 func TestDropPartitionInvalidation(t *testing.T) {
 	s := NewStore()

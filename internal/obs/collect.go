@@ -8,7 +8,6 @@ import (
 	"repro/internal/dpp/dppnet"
 	"repro/internal/dpp/front"
 	"repro/internal/dpp/landing"
-	"repro/internal/storage"
 )
 
 // This file is the wiring layer between the serving stack's stats
@@ -189,25 +188,6 @@ func RegisterGovernor(reg *Registry, labels Labels, gov *front.Governor, tenants
 			withLabel(labels, "tenant", t),
 			func() float64 { return float64(gov.Granted(t)) })
 	}
-}
-
-// RegisterStoreCache registers a storage CachingBackend's hit/miss and
-// occupancy series from a stats snapshot closure.
-func RegisterStoreCache(reg *Registry, labels Labels, stats func() storage.CacheStats) {
-	reg.Counter("recd_storecache_hits_total", "Backend cache lookups served from cache.", labels,
-		func() float64 { return float64(stats().Hits) })
-	reg.Counter("recd_storecache_misses_total", "Backend cache lookups that fetched.", labels,
-		func() float64 { return float64(stats().Misses) })
-	reg.Counter("recd_storecache_evictions_total", "Backend cache blobs dropped to respect the byte budget.", labels,
-		func() float64 { return float64(stats().Evictions) })
-	reg.Counter("recd_storecache_ghost_hits_total", "Backend cache misses on a blob evicted for budget and asked for again.", labels,
-		func() float64 { return float64(stats().GhostHits) })
-	reg.Counter("recd_storecache_invalidations_total", "Backend cache blobs dropped for coherence: retention invalidations plus demotions to the decoded tier.", labels,
-		func() float64 { return float64(stats().Invalidations) })
-	reg.Gauge("recd_storecache_entries", "Backend cache resident blobs.", labels,
-		func() float64 { return float64(stats().Entries) })
-	reg.Gauge("recd_storecache_bytes", "Backend cache resident bytes.", labels,
-		func() float64 { return float64(stats().Bytes) })
 }
 
 // RegisterAccessLog registers the access log's lifetime event counts.

@@ -23,7 +23,6 @@ import (
 	"repro/internal/etl"
 	"repro/internal/lakefs"
 	"repro/internal/reader"
-	"repro/internal/storage"
 	"repro/internal/testutil"
 )
 
@@ -86,7 +85,6 @@ func buildFullRegistry(t testing.TB) (*Registry, *AccessLog) {
 	RegisterNetServer(reg, Labels{"shard": "0"}, netSrv)
 	RegisterGate(reg, nil, gate)
 	RegisterGovernor(reg, nil, gov, []string{"team-a", "team-b"})
-	RegisterStoreCache(reg, Labels{"shard": "0"}, func() storage.CacheStats { return storage.CacheStats{} })
 	RegisterLanding(reg, Labels{"shard": "0"}, func() landing.WriterStats { return landing.WriterStats{} })
 	RegisterAccessLog(reg, alog)
 	return reg, alog

@@ -11,7 +11,6 @@ import (
 	"repro/internal/dwrf"
 	"repro/internal/etl"
 	"repro/internal/lakefs"
-	"repro/internal/storage"
 )
 
 // projectionEnv is one randomly shaped table: schema, stripe size, rows
@@ -259,59 +258,6 @@ func TestNarrowSpecFetchShare(t *testing.T) {
 		r.Stats().ReadBytes, stored, share, store.Stats().ReadOps, len(files))
 	if share > 0.40 {
 		t.Fatalf("narrow spec fetched %.3f of the stored bytes, want <= 0.40", share)
-	}
-}
-
-// TestRawTierSharedAcrossProjections: two readers whose specs project
-// different columns, over one CachingBackend, cost the underlying store
-// one Get per file between them — the raw tier shares fetched bytes where
-// the decoded tier cannot — while each reader's ReadBytes charges only
-// the ranges its own projection asked for. The same holds for a backend
-// that merely wraps the tier, whose fills reach it through ReadRange.
-func TestRawTierSharedAcrossProjections(t *testing.T) {
-	env := newTestEnv(t, 40, true)
-	files, err := env.catalog.AllFiles("tbl")
-	if err != nil {
-		t.Fatal(err)
-	}
-	specs := []Spec{
-		{Table: "tbl", BatchSize: 64, SparseFeatures: []string{"item_0"}, DedupSparseFeatures: [][]string{{"user_seq_0", "user_seq_1"}}},
-		{Table: "tbl", BatchSize: 64, SparseFeatures: []string{"item_1"}},
-	}
-	readBytes := func(backend storage.Backend, spec Spec) int64 {
-		r, err := NewReader(backend, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := r.Run(context.Background(), files, func(*Batch) error { return nil }); err != nil {
-			t.Fatal(err)
-		}
-		return r.Stats().ReadBytes
-	}
-	bare := [2]int64{readBytes(env.store, specs[0]), readBytes(env.store, specs[1])}
-	if stored := env.store.Stats().StoredBytes; bare[0] >= stored || bare[1] >= bare[0] {
-		t.Fatalf("specs read %d and %d of %d stored bytes: want two different partial projections", bare[0], bare[1], stored)
-	}
-	for _, wrapped := range []bool{false, true} {
-		env.store.ResetIO()
-		cached := storage.NewCachingBackend(env.store, 64<<20)
-		var backend storage.Backend = cached
-		if wrapped {
-			backend = struct{ storage.Backend }{cached}
-		}
-		for i, spec := range specs {
-			if got := readBytes(backend, spec); got != bare[i] {
-				t.Fatalf("wrapped=%v: spec %d charged %d bytes over the raw tier, %d over the bare store", wrapped, i, got, bare[i])
-			}
-		}
-		st := env.store.Stats()
-		if st.ReadOps != int64(len(files)) || st.ReadBytes != st.StoredBytes {
-			t.Fatalf("wrapped=%v: store served %d reads, %d bytes for %d files of %d bytes; want one Get per file",
-				wrapped, st.ReadOps, st.ReadBytes, len(files), st.StoredBytes)
-		}
-		if cs := cached.Stats(); cs.Misses != int64(len(files)) || (!wrapped && cs.Hits != int64(len(files))) {
-			t.Fatalf("wrapped=%v: raw tier %+v, want %d misses (and, looked up once per fill, as many hits)", wrapped, cs, len(files))
-		}
 	}
 }
 

@@ -340,26 +340,6 @@ func resolveColumns(features, keys []string) ([]int, error) {
 	return cols, nil
 }
 
-// ranged returns the size of the file at path and a ranged read over it. A
-// raw-byte tier (storage.CachingBackend) holds whole blobs, so a file is
-// looked up there once — one hit or miss per fill, whatever the
-// projection — and the ranges are cut from the blob; any other backend is
-// asked for each range.
-func (r *Reader) ranged(path string) (int64, dwrf.Fetch, error) {
-	if _, ok := r.store.(*storage.CachingBackend); ok {
-		data, err := r.store.Get(path)
-		if err != nil {
-			return 0, nil, err
-		}
-		return int64(len(data)), dwrf.FetchFrom(data), nil
-	}
-	size, err := r.store.Size(path)
-	if err != nil {
-		return 0, nil, err
-	}
-	return size, func(off, n int64) ([]byte, error) { return r.store.ReadRange(path, off, n) }, nil
-}
-
 // source is one file mid-fill (the paper's fill stage: fetch, decrypt,
 // decompress, decode): opened — the footer fetched and parsed, so the row
 // count and schema are known, and the spec's projection resolved against
@@ -382,12 +362,12 @@ func (r *Reader) open(ctx context.Context, path string) (*source, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	size, read, err := r.ranged(path)
+	size, err := r.store.Size(path)
 	if err != nil {
 		return nil, err
 	}
 	file, err := dwrf.Open(size, func(off, n int64) ([]byte, error) {
-		data, err := read(off, n)
+		data, err := r.store.ReadRange(path, off, n)
 		r.stats.ReadBytes += int64(len(data))
 		simulateFetchWork(data)
 		return data, err

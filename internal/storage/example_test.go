@@ -10,7 +10,7 @@ import (
 
 // ExampleBackend shows the read surface every reader worker and session
 // shares: code written against storage.Backend runs unchanged over the
-// in-memory lakefs store, a test fake, or a caching wrapper.
+// in-memory lakefs store or a test fake.
 func ExampleBackend() {
 	store := lakefs.NewStore()
 	if err := store.Put("tbl/hour=0/part-00000.dwrf", []byte("stripe-bytes")); err != nil {
@@ -36,27 +36,4 @@ func ExampleBackend() {
 	// range: stripe
 	// files under tbl/: [tbl/hour=0/part-00000.dwrf]
 	// exists: true
-}
-
-// ExampleCachingBackend shows raw-byte scan sharing: two sessions reading
-// the same file cost the underlying store one read, not two.
-func ExampleCachingBackend() {
-	store := lakefs.NewStore()
-	if err := store.Put("tbl/part-00000.dwrf", []byte("shared-bytes")); err != nil {
-		log.Fatal(err)
-	}
-
-	cached := storage.NewCachingBackend(store, 1<<20)
-	for session := 0; session < 2; session++ {
-		if _, err := cached.Get("tbl/part-00000.dwrf"); err != nil {
-			log.Fatal(err)
-		}
-	}
-
-	st := cached.Stats()
-	fmt.Printf("cache hits: %d, misses: %d\n", st.Hits, st.Misses)
-	fmt.Printf("store reads: %d\n", store.Stats().ReadOps)
-	// Output:
-	// cache hits: 1, misses: 1
-	// store reads: 1
 }

@@ -2,8 +2,9 @@
 // ingestion service reads training data through. The paper's DPP service
 // sits between many training jobs and Tectonic; decoupling the readers
 // from one concrete store is what lets the same session API serve an
-// in-memory store in tests, lakefs in the reproduction, and (eventually)
-// sharded or cached multi-backend deployments named in the ROADMAP.
+// in-memory store in tests and lakefs in the reproduction. Nothing here
+// caches: the one cache is dpp.ScanCache, which holds decoded scans above
+// the readers, so every fill reads its ranges from the store itself.
 //
 // lakefs.Store and lakefs.Catalog are the canonical implementations;
 // both interfaces are small enough that a test fake is a dozen lines.
@@ -70,8 +71,8 @@ type TailingCatalog interface {
 	PublishedFiles(table string, afterSeq uint64) ([]PublishedFile, error)
 }
 
-// InvalidationNotifier is the optional catalog extension cache tiers
-// subscribe to: fn is called with the paths of every file the catalog
+// InvalidationNotifier is the optional catalog extension a cache
+// subscribes to: fn is called with the paths of every file the catalog
 // deletes, after the blobs are gone from the backing store. A cache that
 // subscribes and evicts on notification cannot serve data retention
 // already destroyed — the stale-cache-after-retention bug this hook

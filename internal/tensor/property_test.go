@@ -1,7 +1,6 @@
 package tensor
 
 import (
-	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -148,11 +147,8 @@ func TestQuickGroupedRoundTrip(t *testing.T) {
 func TestQuickSerializationRoundTrip(t *testing.T) {
 	f := func(b jaggedBatch) bool {
 		j := NewJagged(b.Rows)
-		var buf bytes.Buffer
-		if WriteJagged(&buf, j) != nil {
-			return false
-		}
-		back, err := ReadJagged(&buf)
+		d := NewDecoder(AppendJagged(nil, j))
+		back, err := d.Jagged()
 		if err != nil || !back.Equal(j) {
 			return false
 		}
@@ -161,11 +157,8 @@ func TestQuickSerializationRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		buf.Reset()
-		if WriteIKJT(&buf, ik) != nil {
-			return false
-		}
-		back2, err := ReadIKJT(&buf)
+		d = NewDecoder(AppendIKJT(nil, ik))
+		back2, err := d.IKJT()
 		if err != nil {
 			return false
 		}

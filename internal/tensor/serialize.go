@@ -18,12 +18,12 @@ import (
 //
 // There is one codec with two faces on each side. Encoding appends: the
 // Append forms grow a caller-owned buffer in place, which is how a
-// transport builds a frame with no staging copy, and the Write forms are
-// the same appends into a pooled scratch handed to the io.Writer in one
-// Write. Decoding runs on a Decoder, which takes its input either from a
-// byte slice, converting in place (a transport that already holds the
-// whole frame), or from a byte reader, staging each block through a pooled
-// scratch (the Read forms). Every bound and every validation lives in the
+// transport builds a frame with no staging copy, and WriteWith runs an
+// append into a pooled scratch handed to an io.Writer in one Write.
+// Decoding runs on a Decoder, which takes its input either from a byte
+// slice, converting in place (a transport that already holds the whole
+// frame), or from a byte reader, staging each block through a pooled
+// scratch (NewReaderDecoder). Every bound and every validation lives in the
 // Decoder's methods, so the two faces cannot drift apart.
 //
 // Every fixed-width block (values, offsets, inverse lookups, dense cells,
@@ -74,9 +74,9 @@ const (
 	maxWireString = 1 << 16
 )
 
-// scratchPool recycles the staging buffers of the Write and Read forms:
-// a Write form appends a whole object into one and writes it out, a
-// reader Decoder stages each block through one. Buffers grow to the
+// scratchPool recycles the staging buffers of both io faces: WriteWith
+// appends a whole object into one and writes it out, a reader Decoder
+// stages each block through one. Buffers grow to the
 // largest object seen and are reused.
 var scratchPool = sync.Pool{New: func() any { return new([]byte) }}
 
@@ -110,8 +110,8 @@ func AppendFloat32s(dst []byte, vals []float32) []byte {
 	return appendCells(dst, vals)
 }
 
-// ByteReader is the input of a reader Decoder and of the Read forms: any
-// buffered byte source (*bytes.Reader, *bufio.Reader).
+// ByteReader is the input of a reader Decoder: any buffered byte source
+// (*bytes.Reader, *bufio.Reader).
 type ByteReader interface {
 	io.Reader
 	io.ByteReader
@@ -262,11 +262,6 @@ func AppendJagged(dst []byte, j Jagged) []byte {
 	return appendInt32s(AppendValues(append(dst, tagJagged), j.Values), j.Offsets)
 }
 
-// WriteJagged serializes j to w.
-func WriteJagged(w io.Writer, j Jagged) error {
-	return WriteWith(w, func(dst []byte) []byte { return AppendJagged(dst, j) })
-}
-
 // Jagged decodes a jagged tensor.
 func (d *Decoder) Jagged() (Jagged, error) {
 	if err := d.tag(tagJagged, "jagged"); err != nil {
@@ -285,13 +280,6 @@ func (d *Decoder) Jagged() (Jagged, error) {
 		return Jagged{}, err
 	}
 	return j, nil
-}
-
-// ReadJagged deserializes a jagged tensor from r.
-func ReadJagged(r ByteReader) (Jagged, error) {
-	d := NewReaderDecoder(r)
-	defer d.Release()
-	return d.Jagged()
 }
 
 // appendKeyed appends what a KJT and an IKJT share: the key count, then
@@ -328,11 +316,6 @@ func AppendKJT(dst []byte, k *KJT) []byte {
 	return appendKeyed(append(dst, tagKJT), k.keys, k.tensors)
 }
 
-// WriteKJT serializes a KJT to w.
-func WriteKJT(w io.Writer, k *KJT) error {
-	return WriteWith(w, func(dst []byte) []byte { return AppendKJT(dst, k) })
-}
-
 // KJT decodes a KJT.
 func (d *Decoder) KJT() (*KJT, error) {
 	if err := d.tag(tagKJT, "kjt"); err != nil {
@@ -345,21 +328,9 @@ func (d *Decoder) KJT() (*KJT, error) {
 	return NewKJT(keys, tensors)
 }
 
-// ReadKJT deserializes a KJT from r.
-func ReadKJT(r ByteReader) (*KJT, error) {
-	d := NewReaderDecoder(r)
-	defer d.Release()
-	return d.KJT()
-}
-
 // AppendIKJT appends ik's wire form, including its inverse lookup, to dst.
 func AppendIKJT(dst []byte, ik *IKJT) []byte {
 	return appendInt32s(appendKeyed(append(dst, tagIKJT), ik.keys, ik.tensors), ik.inverseLookup)
-}
-
-// WriteIKJT serializes an IKJT (including its inverse lookup) to w.
-func WriteIKJT(w io.Writer, ik *IKJT) error {
-	return WriteWith(w, func(dst []byte) []byte { return AppendIKJT(dst, ik) })
 }
 
 // IKJT decodes an IKJT.
@@ -378,22 +349,10 @@ func (d *Decoder) IKJT() (*IKJT, error) {
 	return ikjtFromParts(keys, tensors, inverse)
 }
 
-// ReadIKJT deserializes an IKJT from r.
-func ReadIKJT(r ByteReader) (*IKJT, error) {
-	d := NewReaderDecoder(r)
-	defer d.Release()
-	return d.IKJT()
-}
-
 // AppendDense appends d's wire form to dst.
 func AppendDense(dst []byte, d Dense) []byte {
 	dst = binary.AppendUvarint(append(dst, tagDense), uint64(d.RowsN))
 	return AppendFloat32s(binary.AppendUvarint(dst, uint64(d.Cols)), d.Data)
-}
-
-// WriteDense serializes a dense tensor to w.
-func WriteDense(w io.Writer, d Dense) error {
-	return WriteWith(w, func(dst []byte) []byte { return AppendDense(dst, d) })
 }
 
 // Dense decodes a dense tensor.
@@ -419,23 +378,11 @@ func (d *Decoder) Dense() (Dense, error) {
 	return Dense{RowsN: rows, Cols: cols, Data: data}, nil
 }
 
-// ReadDense deserializes a dense tensor from r.
-func ReadDense(r ByteReader) (Dense, error) {
-	d := NewReaderDecoder(r)
-	defer d.Release()
-	return d.Dense()
-}
-
 // AppendPartial appends p's wire form to dst: the lookup travels as one
 // flat int32 block, offset then length per row.
 func AppendPartial(dst []byte, p *PartialIKJT) []byte {
 	dst = AppendValues(appendString(append(dst, tagPartial), p.Key), p.Values)
 	return appendCells(binary.AppendUvarint(dst, uint64(2*len(p.Lookup))), p.Lookup)
-}
-
-// WritePartial serializes a partial IKJT to w.
-func WritePartial(w io.Writer, p *PartialIKJT) error {
-	return WriteWith(w, func(dst []byte) []byte { return AppendPartial(dst, p) })
 }
 
 // Partial decodes a partial IKJT.
@@ -463,11 +410,4 @@ func (d *Decoder) Partial() (*PartialIKJT, error) {
 		return nil, err
 	}
 	return p, nil
-}
-
-// ReadPartial deserializes a partial IKJT from r.
-func ReadPartial(r ByteReader) (*PartialIKJT, error) {
-	d := NewReaderDecoder(r)
-	defer d.Release()
-	return d.Partial()
 }

@@ -7,13 +7,10 @@ import (
 
 func TestSerializeJaggedRoundTrip(t *testing.T) {
 	j := NewJagged([][]Value{{1, -2, 3}, {}, {1 << 50}})
-	var buf bytes.Buffer
-	if err := WriteJagged(&buf, j); err != nil {
-		t.Fatalf("WriteJagged: %v", err)
-	}
-	back, err := ReadJagged(&buf)
+	d := NewDecoder(AppendJagged(nil, j))
+	back, err := d.Jagged()
 	if err != nil {
-		t.Fatalf("ReadJagged: %v", err)
+		t.Fatalf("Jagged: %v", err)
 	}
 	if !back.Equal(j) {
 		t.Fatalf("round trip: %v vs %v", j, back)
@@ -27,13 +24,10 @@ func TestSerializeKJTRoundTrip(t *testing.T) {
 			NewJagged([][]Value{{1}, {2, 3}}),
 			NewJagged([][]Value{{}, {4}}),
 		})
-	var buf bytes.Buffer
-	if err := WriteKJT(&buf, kjt); err != nil {
-		t.Fatalf("WriteKJT: %v", err)
-	}
-	back, err := ReadKJT(&buf)
+	d := NewDecoder(AppendKJT(nil, kjt))
+	back, err := d.KJT()
 	if err != nil {
-		t.Fatalf("ReadKJT: %v", err)
+		t.Fatalf("KJT: %v", err)
 	}
 	if !back.Equal(kjt) {
 		t.Fatal("KJT round trip mismatch")
@@ -48,13 +42,10 @@ func TestSerializeIKJTRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DedupJagged: %v", err)
 	}
-	var buf bytes.Buffer
-	if err := WriteIKJT(&buf, ik); err != nil {
-		t.Fatalf("WriteIKJT: %v", err)
-	}
-	back, err := ReadIKJT(&buf)
+	d := NewDecoder(AppendIKJT(nil, ik))
+	back, err := d.IKJT()
 	if err != nil {
-		t.Fatalf("ReadIKJT: %v", err)
+		t.Fatalf("IKJT: %v", err)
 	}
 	if back.UniqueRows() != ik.UniqueRows() || back.Batch() != ik.Batch() {
 		t.Fatal("shape mismatch after round trip")
@@ -69,13 +60,10 @@ func TestSerializeDenseRoundTrip(t *testing.T) {
 	for i := range d.Data {
 		d.Data[i] = float32(i) * 1.5
 	}
-	var buf bytes.Buffer
-	if err := WriteDense(&buf, d); err != nil {
-		t.Fatalf("WriteDense: %v", err)
-	}
-	back, err := ReadDense(&buf)
+	dec := NewDecoder(AppendDense(nil, d))
+	back, err := dec.Dense()
 	if err != nil {
-		t.Fatalf("ReadDense: %v", err)
+		t.Fatalf("Dense: %v", err)
 	}
 	if back.RowsN != 2 || back.Cols != 3 {
 		t.Fatalf("shape = %dx%d", back.RowsN, back.Cols)
@@ -89,13 +77,10 @@ func TestSerializeDenseRoundTrip(t *testing.T) {
 
 func TestSerializePartialRoundTrip(t *testing.T) {
 	p := PartialDedup("f", NewJagged([][]Value{{3, 4, 5}, {4, 5, 6}, {3, 4, 5}}))
-	var buf bytes.Buffer
-	if err := WritePartial(&buf, p); err != nil {
-		t.Fatalf("WritePartial: %v", err)
-	}
-	back, err := ReadPartial(&buf)
+	d := NewDecoder(AppendPartial(nil, p))
+	back, err := d.Partial()
 	if err != nil {
-		t.Fatalf("ReadPartial: %v", err)
+		t.Fatalf("Partial: %v", err)
 	}
 	if back.Key != "f" || !back.ToJagged().Equal(p.ToJagged()) {
 		t.Fatal("partial round trip mismatch")
@@ -103,30 +88,25 @@ func TestSerializePartialRoundTrip(t *testing.T) {
 }
 
 func TestSerializeRejectsBadTag(t *testing.T) {
-	buf := bytes.NewBuffer([]byte{99, 0, 0})
-	if _, err := ReadJagged(buf); err == nil {
-		t.Error("ReadJagged accepted bad tag")
+	d := NewDecoder([]byte{99, 0, 0})
+	if _, err := d.Jagged(); err == nil {
+		t.Error("Jagged accepted bad tag")
 	}
-	buf = bytes.NewBuffer([]byte{99})
-	if _, err := ReadKJT(buf); err == nil {
-		t.Error("ReadKJT accepted bad tag")
+	d = NewDecoder([]byte{99})
+	if _, err := d.KJT(); err == nil {
+		t.Error("KJT accepted bad tag")
 	}
-	buf = bytes.NewBuffer([]byte{99})
-	if _, err := ReadIKJT(buf); err == nil {
-		t.Error("ReadIKJT accepted bad tag")
+	d = NewDecoder([]byte{99})
+	if _, err := d.IKJT(); err == nil {
+		t.Error("IKJT accepted bad tag")
 	}
 }
 
 func TestSerializeRejectsTruncation(t *testing.T) {
-	j := NewJagged([][]Value{{1, 2, 3}})
-	var buf bytes.Buffer
-	if err := WriteJagged(&buf, j); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
+	full := AppendJagged(nil, NewJagged([][]Value{{1, 2, 3}}))
 	for cut := 1; cut < len(full); cut += 3 {
-		r := bytes.NewBuffer(full[:cut])
-		if _, err := ReadJagged(r); err == nil {
+		d := NewDecoder(full[:cut])
+		if _, err := d.Jagged(); err == nil {
 			t.Fatalf("accepted truncation at %d bytes", cut)
 		}
 	}

@@ -35,6 +35,12 @@
 #      must name an exported field of reader.Spec or dpp.Spec (or a method:
 #      `Spec.Window()`), so an option deleted from the code cannot live on
 #      in the runbooks.
+#   9. Each binary's flag table in docs/OPERATIONS.md (the `| flag |
+#      default | meaning |` table under the `## recd-<name>` or
+#      `### recd-<name>` heading) must list exactly the `flag.`
+#      definitions of cmd/recd-<name>, both ways: a flag deleted from the
+#      code cannot live on in the runbook, and one added cannot go
+#      undocumented.
 #
 # Usage: scripts/docs-check.sh
 set -euo pipefail
@@ -185,8 +191,32 @@ while IFS=: read -r file line cite; do
     fi
 done < <(grep -noE '\bSpec\.[A-Z][A-Za-z0-9_]*(\(\))?' docs/*.md doc.go benchmarks/README.md || true)
 
+# --- 9. the flag tables are the flags ------------------------------------
+# "<binary> -<flag>" per definition in the code and per row in the runbook.
+coded=$(for dir in cmd/*/; do
+    bin=$(basename "$dir")
+    find "$dir" -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + \
+        | { grep -oE '\bflag\.((Bool|Duration|Float64|Int|Int64|String|Uint|Uint64|Text)(Var)?|Var|Func|BoolFunc)\([^"]*"[^"]+"' || true; } \
+        | sed -E "s/.*\"([^\"]+)\"\$/$bin -\1/"
+done | sort -u)
+tabled=$(awk '
+    /^#+ recd-[a-z]+/ { bin = $2; on = 0; next }
+    /^#/ { bin = ""; on = 0; next }
+    /^\| flag \| default \| meaning \|$/ { on = (bin != ""); next }
+    on && !/^\|/ { on = 0 }
+    on && match($0, /^\| `-[a-z0-9-]+` \|/) { print bin, substr($0, RSTART + 3, RLENGTH - 6) }
+' docs/OPERATIONS.md | sort -u)
+if [[ -z "$coded" || -z "$tabled" ]]; then
+    echo "docs: found no flag definitions under cmd/ or no flag tables in docs/OPERATIONS.md"
+    fail=1
+elif drift=$(comm -3 <(echo "$coded") <(echo "$tabled")) && [[ -n "$drift" ]]; then
+    echo "docs: the flags defined in cmd/ (left) and docs/OPERATIONS.md's flag tables (right) differ:"
+    echo "$drift" | sed 's/^/    /'
+    fail=1
+fi
+
 if [[ "$fail" -ne 0 ]]; then
     echo "docs: FAIL"
     exit 1
 fi
-echo "docs: OK (package comments, go fences, links, import guard, determinism-table tests, protocol version, frame set, Spec fields)"
+echo "docs: OK (package comments, go fences, links, import guard, determinism-table tests, protocol version, frame set, Spec fields, flag tables)"

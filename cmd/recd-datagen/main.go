@@ -3,6 +3,11 @@
 // clustered by session (O2). The output can be inspected with
 // recd-inspect.
 //
+// The table's shape is fixed: 9 user sequence features, 12 element-wise
+// user features, 4 item features and 8 dense ones, sequences 32 long on
+// average, 16.5 samples per session, in 4096-row files of 128-row
+// stripes, all drawn from seed 42. Only its size and clustering vary.
+//
 // Usage:
 //
 //	recd-datagen -out /tmp/recd-table -sessions 500 -cluster
@@ -19,31 +24,28 @@ import (
 	"repro/internal/etl"
 )
 
+const (
+	meanS       = 16.5 // mean samples per session (the paper's S)
+	rowsPerFile = 4096
+	stripeRows  = 128
+	seed        = 42
+)
+
 func main() {
 	var (
 		out      = flag.String("out", "recd-table", "output directory")
 		sessions = flag.Int("sessions", 500, "number of user sessions")
-		meanS    = flag.Float64("mean-s", 16.5, "mean samples per session")
-		userSeq  = flag.Int("user-seq", 9, "user sequence features")
-		userElem = flag.Int("user-elem", 12, "element-wise user features")
-		item     = flag.Int("item", 4, "item features")
-		dense    = flag.Int("dense", 8, "dense features")
-		seqLen   = flag.Int("seq-len", 32, "mean sequence feature length")
 		cluster  = flag.Bool("cluster", false, "cluster by session ID (O2)")
-		rowsPer  = flag.Int("rows-per-file", 4096, "rows per DWRF file")
-		stripe   = flag.Int("stripe-rows", 128, "rows per stripe")
-		seed     = flag.Int64("seed", 42, "generator seed")
 	)
 	flag.Parse()
 
 	schema := datagen.StandardSchema(datagen.StandardSchemaConfig{
-		UserSeq: *userSeq, UserElem: *userElem, Item: *item, Dense: *dense,
-		SeqLen: *seqLen, Seed: *seed,
+		UserSeq: 9, UserElem: 12, Item: 4, Dense: 8, SeqLen: 32, Seed: seed,
 	})
 	gen := datagen.NewGenerator(schema, datagen.GeneratorConfig{
 		Sessions:              *sessions,
-		MeanSamplesPerSession: *meanS,
-		Seed:                  *seed,
+		MeanSamplesPerSession: meanS,
+		Seed:                  seed,
 	})
 	samples := gen.GeneratePartition()
 	if *cluster {
@@ -55,12 +57,9 @@ func main() {
 	}
 	var total dwrf.PartitionStats
 	part := 0
-	for start := 0; start < len(samples); start += *rowsPer {
-		end := start + *rowsPer
-		if end > len(samples) {
-			end = len(samples)
-		}
-		w, err := dwrf.NewFileWriter(schema, dwrf.WriterOptions{StripeRows: *stripe})
+	for start := 0; start < len(samples); start += rowsPerFile {
+		end := min(start+rowsPerFile, len(samples))
+		w, err := dwrf.NewFileWriter(schema, dwrf.WriterOptions{StripeRows: stripeRows})
 		if err != nil {
 			fatal(err)
 		}

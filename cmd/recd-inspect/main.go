@@ -1,7 +1,8 @@
 // Command recd-inspect dumps the structure and deduplication statistics
 // of DWRF files written by recd-datagen: per-column compression, samples
 // per session, and the analytic DedupeFactor each feature would get at a
-// given batch size.
+// given batch size. It prints the top 15 features by DedupeFactor. Every
+// file must carry the first one's sparse features.
 //
 // Usage:
 //
@@ -11,7 +12,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"sort"
 
 	"repro/internal/datagen"
@@ -19,34 +22,20 @@ import (
 	"repro/internal/tensor"
 )
 
+// topN is how many features the DedupeFactor table lists.
+const topN = 15
+
 func main() {
 	batch := flag.Int("batch", 2048, "batch size for DedupeFactor estimates")
-	topN := flag.Int("top", 15, "show the top-N features by DedupeFactor")
 	flag.Parse()
 	if flag.NArg() == 0 {
 		fmt.Fprintln(os.Stderr, "usage: recd-inspect [-batch N] file.dwrf ...")
 		os.Exit(2)
 	}
 
-	var samples []datagen.Sample
-	var keys []string
-	for _, path := range flag.Args() {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			fatal(err)
-		}
-		fr, err := dwrf.OpenReader(data)
-		if err != nil {
-			fatal(fmt.Errorf("%s: %w", path, err))
-		}
-		ss, err := fr.ReadAll()
-		if err != nil {
-			fatal(fmt.Errorf("%s: %w", path, err))
-		}
-		fmt.Printf("%s: %d rows, %d stripes, %d sparse features, %d dense\n",
-			path, fr.NumRows(), fr.NumStripes(), len(fr.SparseKeys()), fr.DenseCount())
-		samples = append(samples, ss...)
-		keys = fr.SparseKeys()
+	samples, keys, err := readFiles(os.Stdout, flag.Args())
+	if err != nil {
+		fatal(err)
 	}
 
 	s := datagen.MeasuredS(samples)
@@ -77,7 +66,7 @@ func main() {
 				continue
 			}
 			pairs++
-			if listEqual(samples[i].Sparse[fi], samples[i-1].Sparse[fi]) {
+			if slices.Equal(samples[i].Sparse[fi], samples[i-1].Sparse[fi]) {
 				dup++
 			}
 		}
@@ -91,11 +80,7 @@ func main() {
 	sort.Slice(stats, func(i, j int) bool { return stats[i].factor > stats[j].factor })
 
 	fmt.Printf("\n%-20s %10s %10s %12s %8s\n", "feature", "avg_len", "dup%", "DedupeFactor", "dedup?")
-	n := *topN
-	if n > len(stats) {
-		n = len(stats)
-	}
-	for _, st := range stats[:n] {
+	for _, st := range stats[:min(topN, len(stats))] {
 		worth := ""
 		if st.factor > tensor.DefaultDedupeThreshold {
 			worth = "yes"
@@ -104,16 +89,37 @@ func main() {
 	}
 }
 
-func listEqual(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+// readFiles reads every sample of the DWRF files at paths, in order,
+// printing each file's structure to w, and returns them with the sparse
+// keys that index every sample's Sparse. A file whose sparse keys differ
+// from the first file's is refused: its samples' features would be
+// counted under another feature's name, or past the end of the list.
+func readFiles(w io.Writer, paths []string) ([]datagen.Sample, []string, error) {
+	var samples []datagen.Sample
+	var keys []string
+	for i, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return nil, nil, err
 		}
+		fr, err := dwrf.OpenReader(data)
+		if err != nil {
+			return nil, nil, fmt.Errorf("%s: %w", path, err)
+		}
+		if i == 0 {
+			keys = fr.SparseKeys()
+		} else if fk := fr.SparseKeys(); !slices.Equal(fk, keys) {
+			return nil, nil, fmt.Errorf("%s: sparse features %v differ from %s's %v", path, fk, paths[0], keys)
+		}
+		ss, err := fr.ReadAll()
+		if err != nil {
+			return nil, nil, fmt.Errorf("%s: %w", path, err)
+		}
+		fmt.Fprintf(w, "%s: %d rows, %d stripes, %d sparse features, %d dense\n",
+			path, fr.NumRows(), fr.NumStripes(), len(keys), fr.DenseCount())
+		samples = append(samples, ss...)
 	}
-	return true
+	return samples, keys, nil
 }
 
 func fatal(err error) {

@@ -1,0 +1,71 @@
+package main
+
+import (
+	"io"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/datagen"
+	"repro/internal/dwrf"
+)
+
+// writeFile lands a small partition of schema as one DWRF file in dir.
+func writeFile(t *testing.T, dir, name string, schema *datagen.Schema) string {
+	t.Helper()
+	samples := datagen.NewGenerator(schema, datagen.GeneratorConfig{
+		Sessions: 4, MeanSamplesPerSession: 3, Seed: 1,
+	}).GeneratePartition()
+	w, err := dwrf.NewFileWriter(schema, dwrf.WriterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteRows(samples); err != nil {
+		t.Fatal(err)
+	}
+	data, _, err := w.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, name)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestReadFilesRefusesMixedSchemas: the stats index every sample's sparse
+// features by one key list, so files whose sparse features differ are
+// refused, naming both paths, in either order — where a narrower file
+// after a wider one used to panic, and a wider one after a narrower one
+// reported one feature's stats under another's name.
+func TestReadFilesRefusesMixedSchemas(t *testing.T) {
+	dir := t.TempDir()
+	schema := func(items int) *datagen.Schema {
+		return datagen.StandardSchema(datagen.StandardSchemaConfig{
+			UserSeq: 1, UserElem: 2, Item: items, Dense: 2, SeqLen: 4, Seed: 1,
+		})
+	}
+	wide := writeFile(t, dir, "wide.dwrf", schema(3))
+	narrow := writeFile(t, dir, "narrow.dwrf", schema(1))
+
+	samples, keys, err := readFiles(io.Discard, []string{wide, wide})
+	if err != nil {
+		t.Fatalf("one schema twice: %v", err)
+	}
+	if len(keys) != len(schema(3).Sparse) || len(samples) == 0 {
+		t.Fatalf("one schema twice: %d keys, %d samples", len(keys), len(samples))
+	}
+	for _, paths := range [][]string{{wide, narrow}, {narrow, wide}} {
+		_, _, err := readFiles(io.Discard, paths)
+		if err == nil {
+			t.Fatalf("%v: mixed schemas read without an error", paths)
+		}
+		for _, p := range paths {
+			if !strings.Contains(err.Error(), p) {
+				t.Errorf("%v: error %q does not name %s", paths, err, p)
+			}
+		}
+	}
+}

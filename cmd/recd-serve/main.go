@@ -1,9 +1,10 @@
 // Command recd-serve runs the preprocessing service as its own process —
 // the paper's DPP deployment shape — serving dpp sessions to trainers
 // over the dppnet TCP protocol. It lands the same deterministic
-// synthetic table recd-train builds (same -sessions/-batch/-seed ⇒ same
-// files, same spec fingerprints), opens a dpp.Service over it with its
-// ScanCache configured, and listens until SIGINT/SIGTERM.
+// synthetic table recd-train builds (both seed it from core.TrainSeed, so
+// the same -sessions and batch size ⇒ the same files, the same spec
+// fingerprints), opens a dpp.Service over it with its ScanCache
+// configured, and listens until SIGINT/SIGTERM.
 //
 // A typical two-process run:
 //
@@ -33,7 +34,7 @@
 //
 // With -autoscale the service also closes the paper's reader-scaling
 // loop: each session's worker pool is resized between 1 and
-// -max-readers-per-session from its observed starvation — a trainer that
+// dpp.DefaultMaxReaders from its observed starvation — a trainer that
 // stops returning dppnet credits starves its session's merge and the
 // pool shrinks; a trainer outrunning the readers grows it. Scaling never
 // changes the bytes a trainer receives, only their pace.
@@ -61,23 +62,24 @@ import (
 	"repro/internal/obs"
 )
 
+const (
+	// drainTimeout bounds how long a drain (SIGTERM or POST /drainz) waits
+	// for active streams to hand off before forcing shutdown.
+	drainTimeout = 30 * time.Second
+	// accessLogEvents is the sidecar's access-log ring capacity.
+	accessLogEvents = 4096
+)
+
 func main() {
 	var (
 		listen        = flag.String("listen", "127.0.0.1:7077", "TCP listen address, or a comma-separated list to run one preprocessing shard per address")
 		sessions      = flag.Int("sessions", 200, "training sessions in the landed table (match recd-train)")
-		batch         = flag.Int("batch", 128, "batch size the derived spec uses (match recd-train)")
-		seed          = flag.Int64("seed", 11, "random seed (match recd-train)")
-		maxSessions   = flag.Int("max-sessions", 0, "concurrent session cap per shard; 0 is unlimited")
+		batch         = flag.Int("batch", 128, "batch size the derived spec uses (a local recd-train's)")
 		scanCacheMB   = flag.Int64("scan-cache-mb", 256, "decoded-batch ScanCache budget in MiB per shard; 0 or negative disables (ShareScans sessions rejected)")
-		autoscale     = flag.Bool("autoscale", false, "autoscale each session's reader-worker pool from its observed credit/worker starvation")
-		maxReaders    = flag.Int("max-readers-per-session", dpp.DefaultMaxReaders, "autoscaler upper bound on a session's worker pool (with -autoscale)")
+		autoscale     = flag.Bool("autoscale", false, "autoscale each session's reader-worker pool, up to dpp.DefaultMaxReaders workers, from its observed credit/worker starvation")
 		obsListen     = flag.String("obs-listen", "", "observability sidecar HTTP address (/metrics, /debug/pprof, /healthz, /statsz, /accesslog); empty disables")
-		accessLogN    = flag.Int("access-log-events", 4096, "access-log ring capacity (with -obs-listen)")
-		resumeTTL     = flag.Duration("resume-ttl", 45*time.Second, "how long a dropped resumable session stays parked awaiting reconnect")
-		resumeMax     = flag.Int("resume-sessions", 64, "parked resumable sessions kept per shard; negative disables parking (offset replay still works)")
 		tenantsFile   = flag.String("tenants", "", "tenant token file enabling the multi-tenant front door (lines: tenant token [weight [max-sessions [max-mb]]]); empty serves a single anonymous tenant")
 		workerBudget  = flag.Int("worker-budget", 0, "total reader-worker budget arbitrated across tenants by weighted fair share (needs -autoscale); 0 leaves sessions unarbitrated")
-		drainTimeout  = flag.Duration("drain-timeout", 30*time.Second, "how long a drain (SIGTERM or POST /drainz) waits for active streams to hand off before forcing shutdown")
 		follow        = flag.Bool("follow", false, "host a live landing writer: keep appending freshly generated hour partitions to the served table, so tailing (Follow) sessions see it grow")
 		flushInterval = flag.Duration("flush-interval", 500*time.Millisecond, "with -follow: the landing cadence, and the writer's latency-bound seal interval")
 		retainHours   = flag.Int("retain-hours", 0, "with -follow: keep only the newest N hour partitions, dropping older ones and invalidating them in the ScanCache; 0 keeps everything (a drop under a lagging tailer fails that session's reads — keep N above the consumer's lag)")
@@ -92,8 +94,7 @@ func main() {
 		}
 	}
 
-	table := core.TrainTableConfig{Sessions: *sessions, Batch: *batch, Seed: *seed}
-	tt, err := core.BuildTrainTable(table)
+	tt, err := core.BuildTrainTable(core.TrainTableConfig{Sessions: *sessions, Batch: *batch, Seed: core.TrainSeed})
 	if err != nil {
 		fatal(err)
 	}
@@ -107,11 +108,10 @@ func main() {
 	cfg := dpp.Config{
 		Backend:        tt.Store,
 		Catalog:        tt.Catalog,
-		MaxSessions:    *maxSessions,
 		ScanCacheBytes: scanBudget,
 	}
 	if *autoscale {
-		cfg.AutoScale = &dpp.AutoScalerConfig{MaxReaders: *maxReaders}
+		cfg.AutoScale = &dpp.AutoScalerConfig{}
 	}
 
 	// Multi-tenant front door: one Gate shared by every shard server, so
@@ -188,8 +188,6 @@ func main() {
 		}
 		srv := dppnet.NewServer(svc)
 		srv.Tablez = meta
-		srv.ResumeTTL = *resumeTTL
-		srv.ResumeMax = *resumeMax
 		srv.Gate = gate
 		shards = append(shards, &shard{addr: addr, svc: svc, srv: srv, ln: ln})
 	}
@@ -204,7 +202,7 @@ func main() {
 		stopLander = func() int { return 0 }
 	)
 	if *follow {
-		lander, stopLander, err = tt.LandLive(table, *flushInterval, *retainHours, func(err error) {
+		lander, stopLander, err = tt.LandLive(*flushInterval, *retainHours, func(err error) {
 			fmt.Fprintln(os.Stderr, "recd-serve:", err)
 		})
 		if err != nil {
@@ -215,8 +213,8 @@ func main() {
 	// Graceful drain, triggered by the first SIGTERM/SIGINT or POST
 	// /drainz: stop admitting, send in-flight streams their drain frame
 	// (a fleet client moves the shard's remaining files to another shard;
-	// a single-server trainer finishes here), wait up to -drain-timeout
-	// for the streams to move off or end, then close.
+	// a single-server trainer finishes here), wait up to drainTimeout for
+	// the streams to move off or end, then close.
 	drainOnce := sync.Once{}
 	drain := func() {
 		drainOnce.Do(func() {
@@ -226,7 +224,7 @@ func main() {
 				for _, sh := range shards {
 					sh.srv.Drain()
 				}
-				deadline := time.Now().Add(*drainTimeout)
+				deadline := time.Now().Add(drainTimeout)
 				for time.Now().Before(deadline) {
 					active := int64(0)
 					for _, sh := range shards {
@@ -254,7 +252,7 @@ func main() {
 	)
 	if *obsListen != "" {
 		reg := obs.NewRegistry()
-		alog = obs.NewAccessLog(*accessLogN)
+		alog = obs.NewAccessLog(accessLogEvents)
 		obs.RegisterProcess(reg)
 		obs.RegisterAccessLog(reg, alog)
 		if lander != nil {
@@ -354,7 +352,7 @@ func main() {
 			st.Cache.Entries, float64(st.Cache.Bytes)/(1<<20))
 		if *autoscale {
 			fmt.Printf("recd-serve: shard %s autoscaler resized worker pools %d up / %d down (cap %d readers/session)\n",
-				sh.addr, st.Scheduler.ScaleUps, st.Scheduler.ScaleDowns, *maxReaders)
+				sh.addr, st.Scheduler.ScaleUps, st.Scheduler.ScaleDowns, dpp.DefaultMaxReaders)
 		}
 	}
 	if gate != nil {

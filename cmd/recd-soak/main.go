@@ -7,19 +7,22 @@
 // (scripts/soak-smoke.sh); operators run it longer against a staging
 // fleet.
 //
-// The session profiles exercise the serving paths that matter:
+// The workers take the three session profiles in turn, each exercising a
+// serving path that matters:
 //
 //   - shared: ShareScans sessions — repeated scans hit the server's
 //     ScanCache, so the soak proves cross-session sharing under load.
 //   - pooled: plain queue-backed sessions with a small worker pool —
 //     the non-shared decode path.
-//   - think: a deliberately slow consumer (per-batch -think sleep on a
+//   - think: a deliberately slow consumer (a 5 ms sleep per batch on a
 //     small credit window) — starves the server's merge into consumer
 //     stall so a server started with -autoscale must scale down, and
 //     the credit-stall counters must move.
 //
 // The soak builds no table: like recd-train -connect, it reads the served
-// table's spec and file plan from the first address's tablez handshake.
+// table's spec and file plan from the first address's tablez handshake,
+// once every shard answers statsz (it waits up to 30 s: recd-serve may
+// still be landing its table).
 // With a comma-separated -connect list the soak opens rendezvous-routed
 // fleet sessions over every shard. With -obs-scrape pointed at the server's
 // -obs-listen address the soak scrapes /metrics mid-run and at the end,
@@ -51,14 +54,21 @@ import (
 	"repro/internal/dpp/dppshard"
 )
 
+// profiles is the worker mix: worker w runs profiles[w%3].
+var profiles = []string{"shared", "pooled", "think"}
+
+const (
+	// thinkTime is the think profile's sleep per batch.
+	thinkTime = 5 * time.Millisecond
+	// readyWait bounds the wait for every shard to answer statsz.
+	readyWait = 30 * time.Second
+)
+
 func main() {
 	var (
 		connect     = flag.String("connect", "127.0.0.1:7077", "recd-serve address, or a comma-separated shard list for a fleet soak")
 		concurrency = flag.Int("concurrency", 6, "concurrent session workers")
 		duration    = flag.Duration("duration", 10*time.Second, "how long workers keep opening sessions")
-		profilesArg = flag.String("profiles", "shared,pooled,think", "comma-separated worker profile mix: shared, pooled, think")
-		think       = flag.Duration("think", 5*time.Millisecond, "per-batch consumer think time in the think profile")
-		readyWait   = flag.Duration("ready-wait", 30*time.Second, "how long to wait for every shard to answer statsz before starting")
 		obsScrape   = flag.String("obs-scrape", "", "base URL of the server's -obs-listen sidecar; enables mid-run and final /metrics scrapes")
 		sloP99      = flag.Duration("slo-p99", 0, "fail if p99 batch wait exceeds this; 0 disables the gate")
 		minTput     = flag.Float64("min-throughput", 0, "fail if aggregate batches/sec falls below this; 0 disables the gate")
@@ -72,21 +82,12 @@ func main() {
 	if len(addrs) == 0 {
 		fatal(fmt.Errorf("-connect needs at least one address"))
 	}
-	profiles := splitAddrs(*profilesArg)
-	if len(profiles) == 0 {
-		fatal(fmt.Errorf("-profiles needs at least one profile"))
-	}
-	for _, p := range profiles {
-		if p != "shared" && p != "pooled" && p != "think" {
-			fatal(fmt.Errorf("unknown profile %q", p))
-		}
-	}
 	if *checkSeries && *obsScrape == "" {
 		fatal(fmt.Errorf("-check-metrics needs -obs-scrape"))
 	}
 
 	ctx := context.Background()
-	waitReady(ctx, addrs, *readyWait)
+	waitReady(ctx, addrs)
 
 	// The served table's own spec and hour-0 file plan, so ShareScans
 	// sessions share the server's cache with each other (and with any
@@ -167,7 +168,7 @@ func main() {
 			profile := profiles[w%len(profiles)]
 			thinkFor := time.Duration(0)
 			if profile == "think" {
-				thinkFor = *think
+				thinkFor = thinkTime
 			}
 			r := &results[w]
 			for time.Now().Before(deadline) {
@@ -330,10 +331,11 @@ func pct(sorted []time.Duration, p int) time.Duration {
 	return sorted[idx].Round(10 * time.Microsecond)
 }
 
-// waitReady polls every shard's statsz handshake until it answers —
-// recd-serve may still be landing its table when the soak starts.
-func waitReady(ctx context.Context, addrs []string, patience time.Duration) {
-	deadline := time.Now().Add(patience)
+// waitReady polls every shard's statsz handshake until it answers, for up
+// to readyWait — recd-serve may still be landing its table when the soak
+// starts.
+func waitReady(ctx context.Context, addrs []string) {
+	deadline := time.Now().Add(readyWait)
 	for _, addr := range addrs {
 		client := dppnet.NewClient(addr)
 		for {
@@ -344,7 +346,7 @@ func waitReady(ctx context.Context, addrs []string, patience time.Duration) {
 				break
 			}
 			if time.Now().After(deadline) {
-				fatal(fmt.Errorf("shard %s not ready after %v: %w", addr, patience, err))
+				fatal(fmt.Errorf("shard %s not ready after %v: %w", addr, readyWait, err))
 			}
 			time.Sleep(200 * time.Millisecond)
 		}

@@ -16,9 +16,9 @@
 // flags) hits a cache it never filled. The trainer starts cold from the
 // wire: a tablez handshake fetches the served table's metadata (derived
 // spec, per-hour file plan, schema facts), so no local table is built
-// and -sessions/-batch/-seed are ignored in this mode. Connections are
-// resumable — a restarted server picks each stream back up at the exact
-// batch the trainer had consumed (see -reconnect-attempts).
+// and -sessions is ignored in this mode. Connections are resumable — a
+// restarted server picks each stream back up at the exact batch the
+// trainer had consumed (up to 8 reconnects per lost connection).
 //
 // -connect also takes a comma-separated shard list (host1:port1,host2:...):
 // each epoch's files are routed to exactly one shard by rendezvous
@@ -31,8 +31,8 @@
 // re-reading hour 0: one Follow session blocks at end-of-catalog,
 // observes newly landed files, and delivers them in landed order, and
 // each -epochs "window" trains on the next table's-worth of live
-// batches. Locally the trainer hosts its own landing writer
-// (-flush-interval, -retain-hours); with -connect it tails a recd-serve
+// batches. Locally the trainer hosts its own landing writer (an hour
+// every 500ms, none dropped); with -connect it tails a recd-serve
 // running -follow, whose landings simply arrive as more batches on the
 // stream. The tail is a ShareScans session like the per-hour ones, so N
 // trainers tailing one server decode each landed file once between them.
@@ -68,27 +68,35 @@ import (
 	"repro/internal/trainer"
 )
 
-// reconnectBackoff is the base delay between a -connect session's resume
-// attempts (doubling, capped and jittered by dppnet.ResumePolicy).
-const reconnectBackoff = 250 * time.Millisecond
+const (
+	// batchSize is a local table's batch size, recd-serve's -batch default;
+	// with -connect the served spec's applies.
+	batchSize = 128
+	// learningRate is the optimizer's step size.
+	learningRate = 0.05
+	// reconnectAttempts and reconnectBackoff are a -connect session's
+	// resume policy: attempts per lost connection before the stream fails,
+	// and the base delay between them (doubling, capped and jittered by
+	// dppnet.ResumePolicy).
+	reconnectAttempts = 8
+	reconnectBackoff  = 250 * time.Millisecond
+	// landInterval is a local -follow run's landing cadence and the
+	// writer's latency-bound seal interval; the local tail keeps every
+	// hour it lands.
+	landInterval = 500 * time.Millisecond
+)
 
 func main() {
 	var (
-		epochs            = flag.Int("epochs", 4, "training epochs")
-		sessions          = flag.Int("sessions", 200, "training sessions")
-		batch             = flag.Int("batch", 128, "batch size")
-		modeStr           = flag.String("mode", "recd", "execution mode: baseline or recd")
-		optStr            = flag.String("opt", "adagrad", "optimizer: sgd or adagrad")
-		lr                = flag.Float64("lr", 0.05, "learning rate")
-		ckpt              = flag.String("ckpt", "", "checkpoint output path (optional)")
-		seed              = flag.Int64("seed", 11, "random seed")
-		connect           = flag.String("connect", "", "recd-serve address (host:port), or a comma-separated shard list for a sharded fleet; empty runs the service in-process")
-		obsSide           = flag.String("obs-listen", "", "observability sidecar HTTP address for this trainer (/metrics, /debug/pprof, /healthz, /statsz); empty disables")
-		reconnectAttempts = flag.Int("reconnect-attempts", 8, "with -connect: resume attempts after a lost connection before the stream fails; 0 disables resume")
-		authToken         = flag.String("auth-token", "", "with -connect: tenant token sent in every session handshake (match a line in recd-serve's -tenants file)")
-		follow            = flag.Bool("follow", false, "windowed-epoch mode over the live tail: one Follow session replaces the per-epoch hour-0 reruns, each -epochs window training on the next table's-worth of freshly landed batches (locally the trainer hosts its own landing writer; with -connect point at a recd-serve running -follow)")
-		flushInterval     = flag.Duration("flush-interval", 500*time.Millisecond, "with -follow and no -connect: the local landing cadence and the writer's latency-bound seal interval")
-		retainHours       = flag.Int("retain-hours", 0, "with -follow and no -connect: keep only the newest N hour partitions; 0 keeps everything (retention that outruns the tailing consumer — or drops eval hour 1 — fails those reads)")
+		epochs    = flag.Int("epochs", 4, "training epochs")
+		sessions  = flag.Int("sessions", 200, "training sessions")
+		modeStr   = flag.String("mode", "recd", "execution mode: baseline or recd")
+		optStr    = flag.String("opt", "adagrad", "optimizer: sgd or adagrad")
+		ckpt      = flag.String("ckpt", "", "checkpoint output path (optional)")
+		connect   = flag.String("connect", "", "recd-serve address (host:port), or a comma-separated shard list for a sharded fleet; empty runs the service in-process")
+		obsSide   = flag.String("obs-listen", "", "observability sidecar HTTP address for this trainer (/metrics, /debug/pprof, /healthz, /statsz); empty disables")
+		authToken = flag.String("auth-token", "", "with -connect: tenant token sent in every session handshake (match a line in recd-serve's -tenants file)")
+		follow    = flag.Bool("follow", false, "windowed-epoch mode over the live tail: one Follow session replaces the per-epoch hour-0 reruns, each -epochs window training on the next table's-worth of freshly landed batches (locally the trainer hosts its own landing writer; with -connect point at a recd-serve running -follow)")
 	)
 	flag.Parse()
 
@@ -112,20 +120,19 @@ func main() {
 	}
 
 	ctx := context.Background()
-	resume := dppnet.ResumePolicy{MaxAttempts: *reconnectAttempts, BaseDelay: reconnectBackoff}
+	resume := dppnet.ResumePolicy{MaxAttempts: reconnectAttempts, BaseDelay: reconnectBackoff}
 
 	// Table knowledge. Local mode lands the dataset; -connect mode starts
 	// cold from the wire — a tablez handshake to the first address hands
 	// over the served table's derived spec, file plan, and schema facts,
 	// so the trainer builds no table at all.
 	var (
-		table = core.TrainTableConfig{Sessions: *sessions, Batch: *batch, Seed: *seed}
-		tt    *core.TrainTable
-		meta  *dppnet.TableMeta
+		tt   *core.TrainTable
+		meta *dppnet.TableMeta
 	)
 	if *connect == "" {
 		var err error
-		tt, err = core.BuildTrainTable(table)
+		tt, err = core.BuildTrainTable(core.TrainTableConfig{Sessions: *sessions, Batch: batchSize, Seed: core.TrainSeed})
 		if err != nil {
 			fatal(err)
 		}
@@ -342,7 +349,7 @@ func main() {
 	var stopLander = func() int { return 0 }
 	if *follow && tt != nil {
 		var err error
-		if _, stopLander, err = tt.LandLive(table, *flushInterval, *retainHours, func(err error) {
+		if _, stopLander, err = tt.LandLive(landInterval, 0, func(err error) {
 			fmt.Fprintln(os.Stderr, "recd-train:", err)
 		}); err != nil {
 			fatal(fmt.Errorf("-follow: %w", err))
@@ -395,8 +402,8 @@ func main() {
 			{Key: "item_cat", Pool: trainer.SumPool, TableRows: 1 << 8},
 		},
 		Opt:  opt,
-		LR:   float32(*lr),
-		Seed: *seed,
+		LR:   learningRate,
+		Seed: core.TrainSeed,
 	})
 	if err != nil {
 		fatal(err)

@@ -3,16 +3,18 @@
 // Infrastructure" (Zhao et al., MLSys 2023).
 //
 // The public surface lives in the command-line tools (cmd/recd-bench,
-// cmd/recd-datagen, cmd/recd-inspect, cmd/recd-train, cmd/recd-serve)
-// and the runnable examples (examples/...); the library packages are
-// under internal/.
+// cmd/recd-datagen, cmd/recd-inspect, cmd/recd-train, cmd/recd-serve,
+// cmd/recd-soak) and the runnable examples (examples/...); the library
+// packages are under internal/. Every flag a tool takes is one some
+// script, CI step or runbook passes; the rest of each tool's shape is
+// constant (scripts/docs-check.sh holds the docs to the flags that exist).
 //
 // Documentation map:
 //   - docs/ARCHITECTURE.md — the layer diagram, the life of a batch from
 //     lakefs bytes to Session.Next, the dppnet network service boundary
 //     and its wire format, and where dedup, caching, and backpressure
 //     each live.
-//   - docs/OPERATIONS.md — flags and typical invocations for the five
+//   - docs/OPERATIONS.md — flags and typical invocations for the six
 //     cmd/ binaries (including the recd-serve / recd-train -connect
 //     two-process pair), and how cmd/recd-bench (paper results) relates
 //     to scripts/bench.sh (hot-path regression gate).

@@ -32,9 +32,16 @@ type TrainTableConfig struct {
 	Seed int64
 }
 
+// TrainSeed is the Seed both binaries build their table with, so a
+// recd-serve and a local recd-train given the same sessions and batch
+// size land the same files.
+const TrainSeed = 11
+
 // TrainTable is the landed dataset plus everything both binaries derive
 // from it.
 type TrainTable struct {
+	cfg TrainTableConfig // what the table was built with; LandLive continues it
+
 	Schema  *datagen.Schema
 	Store   *lakefs.Store
 	Catalog *lakefs.Catalog
@@ -108,6 +115,7 @@ func BuildTrainTable(cfg TrainTableConfig) (*TrainTable, error) {
 	}
 
 	return &TrainTable{
+		cfg:       cfg,
 		Schema:    schema,
 		Store:     store,
 		Catalog:   catalog,
@@ -131,17 +139,17 @@ func generate(schema *datagen.Schema, sessions int, seed int64) []datagen.Sample
 
 // LandLive starts the live landing loop both binaries host with -follow.
 // Every interval it generates the next hour partition — the hour after the
-// catalog's newest first, max(cfg.Sessions/4, 1) sessions drawn from
-// cfg.Seed+2000+hour — and appends it through a landing writer that joins,
-// clusters and seals it (early, once interval passes). With retainHours > 0
-// it then keeps only the newest retainHours partitions; the catalog tells
-// every cache subscribed to it which files went. cfg is the config the table
-// was built with.
+// catalog's newest first, max(Sessions/4, 1) sessions drawn from
+// Seed+2000+hour of the config the table was built with — and appends it
+// through a landing writer that joins, clusters and seals it (early, once
+// interval passes). With retainHours > 0 it then keeps only the newest
+// retainHours partitions; the catalog tells every cache subscribed to it
+// which files went.
 //
 // stop ends the loop and closes the writer, and returns how many hour
 // partitions retention dropped; it may be called more than once. A landing,
 // retention or close error ends the loop and is handed to fail.
-func (tt *TrainTable) LandLive(cfg TrainTableConfig, interval time.Duration, retainHours int, fail func(error)) (w *landing.Writer, stop func() int, err error) {
+func (tt *TrainTable) LandLive(interval time.Duration, retainHours int, fail func(error)) (w *landing.Writer, stop func() int, err error) {
 	if interval <= 0 {
 		return nil, nil, fmt.Errorf("core: live landing needs a positive interval, got %v", interval)
 	}
@@ -157,7 +165,7 @@ func (tt *TrainTable) LandLive(cfg TrainTableConfig, interval time.Duration, ret
 	for _, h := range tt.Catalog.Partitions(tt.Spec.Table) {
 		hour = max(hour, h+1)
 	}
-	sessions := max(cfg.Sessions/4, 1)
+	sessions := max(tt.cfg.Sessions/4, 1)
 	quit, done := make(chan struct{}), make(chan struct{})
 	dropped := 0
 	go func() {
@@ -171,7 +179,7 @@ func (tt *TrainTable) LandLive(cfg TrainTableConfig, interval time.Duration, ret
 				return
 			case <-time.After(interval):
 			}
-			if err := w.Append(hour, generate(tt.Schema, sessions, cfg.Seed+2000+hour)...); err != nil {
+			if err := w.Append(hour, generate(tt.Schema, sessions, tt.cfg.Seed+2000+hour)...); err != nil {
 				fail(fmt.Errorf("landing writer: %w", err))
 				return
 			}

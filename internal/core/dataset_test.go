@@ -17,11 +17,11 @@ func TestLandLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := tt.LandLive(cfg, 0, 0, nil); err == nil {
+	if _, _, err := tt.LandLive(0, 0, nil); err == nil {
 		t.Fatal("a zero landing interval was accepted")
 	}
 	const keep = 2
-	w, stop, err := tt.LandLive(cfg, 5*time.Millisecond, keep, func(err error) { t.Error(err) })
+	w, stop, err := tt.LandLive(5*time.Millisecond, keep, func(err error) { t.Error(err) })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,7 @@ func (s *stubStream) close() error                        { s.closed.Store(true)
 func TestResumeCapacityEvictionPrefersOldestPark(t *testing.T) {
 	s := NewServer(nil)
 	defer s.Close()
-	s.ResumeMax = 3
+	s.parkMax = 3
 	fixed := time.Unix(1700000000, 0)
 	s.resumeClock = func() time.Time { return fixed }
 

@@ -14,8 +14,8 @@ import (
 	"repro/internal/reader"
 )
 
-// Defaults for the resumable-session table; override via Server.ResumeTTL
-// and Server.ResumeMax before Serve.
+// The resumable-session table's bounds: how long a dropped session stays
+// parked, and how many stay parked per server.
 const (
 	defaultResumeTTL = 45 * time.Second
 	defaultResumeMax = 64
@@ -256,15 +256,15 @@ func fileListHash(files []string, serves []int) uint64 {
 }
 
 func (s *Server) resumeTTL() time.Duration {
-	if s.ResumeTTL > 0 {
-		return s.ResumeTTL
+	if s.parkTTL > 0 {
+		return s.parkTTL
 	}
 	return defaultResumeTTL
 }
 
 func (s *Server) resumeMax() int {
-	if s.ResumeMax != 0 {
-		return s.ResumeMax
+	if s.parkMax != 0 {
+		return s.parkMax
 	}
 	return defaultResumeMax
 }

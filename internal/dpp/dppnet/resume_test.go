@@ -174,7 +174,7 @@ func (p *chaosProxy) Close() {
 }
 
 // startTunedServer is startServer with a pre-Serve hook, for tests that
-// must set Server knobs (ResumeTTL, Tablez) before any connection can
+// must set Server knobs (parkTTL, Tablez) before any connection can
 // race them.
 func startTunedServer(t testing.TB, env *testEnv, cfg dpp.Config, tune func(*Server)) *harness {
 	t.Helper()
@@ -347,7 +347,7 @@ func TestChaosReconnectDeterminism(t *testing.T) {
 					}
 					h := startTunedServer(t, env, dpp.Config{}, func(s *Server) {
 						if tc.replay {
-							s.ResumeMax = -1 // nothing parks: every token is refused
+							s.parkMax = -1 // nothing parks: every token is refused
 						}
 					})
 					p := startChaosProxy(t, h.addr, kills, 0)
@@ -469,7 +469,7 @@ func TestResumeTTLExpiryFallsBackToReplay(t *testing.T) {
 	refH.shutdown(t)
 
 	h := startTunedServer(t, env, dpp.Config{}, func(s *Server) {
-		s.ResumeTTL = 20 * time.Millisecond
+		s.parkTTL = 20 * time.Millisecond
 	})
 	p := startChaosProxy(t, h.addr, nil, 300*time.Millisecond)
 	client := NewClient(p.addr)

@@ -46,14 +46,6 @@ type Server struct {
 	// the wire. Set before Serve.
 	Tablez *TableMeta
 
-	// ResumeTTL bounds how long a dropped resumable session's parked
-	// state is kept before eviction (0 means defaultResumeTTL).
-	// ResumeMax bounds the parked-session table (0 means
-	// defaultResumeMax; negative disables parking — resume then always
-	// takes the offset-replay path). Set both before Serve.
-	ResumeTTL time.Duration
-	ResumeMax int
-
 	// Gate, when non-nil, is the multi-tenant front door every session
 	// handshake passes through: the handshake's auth_token is
 	// authenticated and the tenant's quotas charged *before* any session
@@ -79,6 +71,13 @@ type Server struct {
 	// expiry (park/claim/janitor) — the test seam that makes same-tick
 	// parking reproducible. Set before Serve.
 	resumeClock func() time.Time
+	// parkTTL and parkMax, when nonzero, replace defaultResumeTTL (how
+	// long a dropped resumable session stays parked) and defaultResumeMax
+	// (how many stay parked; negative disables parking — resume then
+	// always takes the offset-replay path): the test seams that expire
+	// and evict parks on demand. Set before Serve.
+	parkTTL time.Duration
+	parkMax int
 
 	// Transport accounting, exported through Stats for the observability
 	// sidecar: internal/metrics atomics, so the serving loop never takes

@@ -45,20 +45,12 @@ func NewGate(cfg Config) *Gate {
 	return &Gate{auth: cfg.Auth, cfg: cfg, tenants: make(map[string]*tenantState)}
 }
 
-// LimitsFor resolves a tenant's effective limits.
-func (g *Gate) LimitsFor(tenant string) Limits {
+// limitsFor resolves a tenant's effective limits.
+func (g *Gate) limitsFor(tenant string) Limits {
 	if lim, ok := g.cfg.Limits[tenant]; ok {
 		return lim
 	}
 	return g.cfg.DefaultLimits
-}
-
-// Weight resolves a tenant's fair-share weight (never below 1).
-func (g *Gate) Weight(tenant string) int {
-	if w := g.LimitsFor(tenant).Weight; w > 0 {
-		return w
-	}
-	return 1
 }
 
 // Admit runs the full admission path for one handshake: authenticate
@@ -84,7 +76,7 @@ func (g *Gate) Admit(token string) (*Lease, error) {
 		g.drainRejects++
 		return nil, ErrDraining
 	}
-	lim := g.LimitsFor(tenant)
+	lim := g.limitsFor(tenant)
 	ts := g.tenants[tenant]
 	if ts == nil {
 		ts = &tenantState{}

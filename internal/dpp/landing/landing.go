@@ -19,23 +19,11 @@ import (
 	"time"
 
 	"repro/internal/datagen"
+	"repro/internal/dpp"
 	"repro/internal/dwrf"
 	"repro/internal/etl"
 	"repro/internal/lakefs"
 )
-
-// Clock abstracts time for the interval batcher; structurally identical
-// to dpp.Clock so recd-serve shares one clock across service and writer,
-// and tests drive flush timing with testutil.Clock.
-type Clock interface {
-	Now() time.Time
-	After(d time.Duration) <-chan time.Time
-}
-
-type systemClock struct{}
-
-func (systemClock) Now() time.Time                         { return time.Now() }
-func (systemClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
 
 // Config wires a Writer to its table.
 type Config struct {
@@ -60,8 +48,9 @@ type Config struct {
 	Cluster bool
 	// Writer tunes the DWRF encoding of sealed files.
 	Writer dwrf.WriterOptions
-	// Clock drives the interval batcher; nil uses the wall clock.
-	Clock Clock
+	// Clock drives the interval batcher; nil uses the wall clock. Tests
+	// drive flush timing with testutil.Clock.
+	Clock dpp.Clock
 }
 
 // DefaultFlushRows is the count trigger used when Config leaves
@@ -75,7 +64,7 @@ const DefaultFlushRows = 1024
 // sealed in append order.
 type Writer struct {
 	cfg   Config
-	clock Clock
+	clock dpp.Clock
 
 	mu     sync.Mutex
 	buf    []datagen.Sample
@@ -127,7 +116,7 @@ func NewWriter(cfg Config) (*Writer, error) {
 	}
 	w := &Writer{cfg: cfg, clock: cfg.Clock, done: make(chan struct{})}
 	if w.clock == nil {
-		w.clock = systemClock{}
+		w.clock = dpp.SystemClock{}
 	}
 	if cfg.FlushInterval > 0 {
 		w.wg.Add(1)

@@ -40,7 +40,16 @@
 #      `### recd-<name>` heading) must list exactly the `flag.`
 #      definitions of cmd/recd-<name>, both ways: a flag deleted from the
 #      code cannot live on in the runbook, and one added cannot go
-#      undocumented.
+#      undocumented. And every flag the docs name is one somebody can
+#      pass. In docs/*.md, doc.go and the verify skill, a code span that
+#      opens with a flag (`-flag`, `-flag value`) may name only flags
+#      defined under cmd/, flags of the ladder, or the go tool flags
+#      listed below. There and in scripts/*.sh, every -flag on a
+#      recd-<name> command line must be one cmd/recd-<name> defines; the
+#      command line is the words after the binary's name up to the end of
+#      its code span, a shell operator, a `#`, a word ending a clause
+#      (`,` `.` `;` `:` `)`), or, unless the line ends in `\` or a code
+#      span runs on, the end of the line.
 #
 # Usage: scripts/docs-check.sh
 set -euo pipefail
@@ -214,9 +223,54 @@ elif drift=$(comm -3 <(echo "$coded") <(echo "$tabled")) && [[ -n "$drift" ]]; t
     echo "$drift" | sed 's/^/    /'
     fail=1
 fi
+echo "$coded" >"$tmpdir/coded"
+{
+    sed 's/^[^ ]* //' <<<"$coded"
+    cat benchmarks/ladder/*.go | { grep -oE '\bfs\.[A-Z][A-Za-z0-9]*\("[^"]+"' || true; } | sed -E 's/.*"([^"]+)"$/-\1/'
+    printf '%s\n' -bench -benchmem -count -cpu -fuzz -fuzztime -list -race -run -short
+} >"$tmpdir/known"
+if stray=$(awk -v known="$tmpdir/known" -v coded="$tmpdir/coded" -v q="'" '
+    BEGIN {
+        while ((getline l <known) > 0) ok[l] = 1
+        while ((getline l <coded) > 0) { split(l, f, " "); def[l] = 1; bin[f[1]] = 1 }
+        lead = "^[\"" q "(]+"; trail = "[\"" q "),.;:]+$"; clause = "[),.;:][\"" q "]*$"
+    }
+    FNR == 1 { md = FILENAME ~ /\.md$/; fence = 0; span = 0; cmd = "" }
+    {
+        line = $0
+        if (FILENAME ~ /\.go$/) sub(/^\/\/[ \t]?/, "", line)
+        if (md && line ~ /^[ \t]*```/) { fence = !fence; cmd = ""; next }
+        spans = md && !fence
+        if (spans) n = split(line, part, "`"); else { n = 1; part[1] = line }
+        for (i = 1; i <= n; i++) {
+            if (i > 1) { span = !span; cmd = ""; opening = span }
+            m = split(part[i], w, /[ \t]+/)
+            for (j = 1; j <= m; j++) {
+                if (w[j] == "") continue
+                if (w[j] ~ /^(\||\|\||&&|&|;|#.*)$/) { cmd = ""; opening = 0; continue }
+                word = w[j]; sub(lead, "", word); stop = word ~ clause; sub(trail, "", word)
+                flag = word; sub(/=.*/, "", flag)
+                isflag = flag ~ /^-[a-z][a-z0-9-]*$/
+                if (opening) { flagspan = isflag; opening = 0 }
+                if (span && flagspan && isflag && !(flag in ok))
+                    printf "%s:%d: `%s` is no flag of cmd/, the ladder or the go tool\n", FILENAME, FNR, flag
+                name = word; sub(/.*\//, "", name)
+                if (name in bin) cmd = name
+                else if (isflag && cmd != "" && !((cmd " " flag) in def))
+                    printf "%s:%d: %s has no flag %s\n", FILENAME, FNR, cmd, flag
+                if (stop) cmd = ""
+            }
+        }
+        if (!span && line !~ /\\[ \t]*$/) cmd = ""
+    }
+' docs/*.md doc.go .claude/skills/verify/SKILL.md scripts/*.sh) && [[ -n "$stray" ]]; then
+    echo "docs: these name flags nothing defines:"
+    echo "$stray" | sed 's/^/    /'
+    fail=1
+fi
 
 if [[ "$fail" -ne 0 ]]; then
     echo "docs: FAIL"
     exit 1
 fi
-echo "docs: OK (package comments, go fences, links, import guard, determinism-table tests, protocol version, frame set, Spec fields, flag tables)"
+echo "docs: OK (package comments, go fences, links, import guard, determinism-table tests, protocol version, frame set, Spec fields, flag tables, named flags)"

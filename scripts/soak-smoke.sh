@@ -72,8 +72,8 @@ go build -o "$bin/recd-soak" ./cmd/recd-soak
     -autoscale -obs-listen "$SOAK_OBS_ADDR" >"$servelog" 2>&1 &
 serve_pid=$!
 
-# The soak's own -ready-wait handles server startup; run it with every
-# gate armed.
+# The soak waits (up to 30s) for the server's statsz handshake, which
+# covers its startup; run it with every gate armed.
 "$bin/recd-soak" -connect "$SOAK_SERVE_ADDR" \
     -duration "$SOAK_DURATION" -concurrency 6 \
     -obs-scrape "http://$SOAK_OBS_ADDR" -check-metrics \

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -132,16 +131,13 @@ func Run(cfg PipelineConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var payload bytes.Buffer
+	var payload []byte
 	for _, s := range samples {
-		payload.Reset()
-		if err := s.Encode(&payload); err != nil {
-			return nil, err
-		}
+		payload = s.AppendTo(payload[:0])
 		if err := sc.Append(scribe.Message{
 			RequestID: s.RequestID,
 			SessionID: s.SessionID,
-			Payload:   payload.Bytes(),
+			Payload:   payload,
 		}); err != nil {
 			return nil, err
 		}
@@ -158,7 +154,7 @@ func Run(cfg PipelineConfig) (*Result, error) {
 	// clusters by session; otherwise samples land in inference-time order.
 	var consumed []datagen.Sample
 	if err := sc.Consume(func(m scribe.Message) error {
-		dec, err := datagen.DecodeSample(bytes.NewReader(m.Payload))
+		dec, err := datagen.DecodeSample(m.Payload)
 		if err != nil {
 			return err
 		}

@@ -1,7 +1,6 @@
 package datagen
 
 import (
-	"bytes"
 	"math"
 	"testing"
 )
@@ -196,13 +195,13 @@ func TestDuplicationStats(t *testing.T) {
 func TestSampleEncodeDecodeRoundTrip(t *testing.T) {
 	g := NewGenerator(testSchema(), GeneratorConfig{Sessions: 5, MeanSamplesPerSession: 4, Seed: 2})
 	samples := g.GeneratePartition()
-	var buf bytes.Buffer
-	if err := EncodeSamples(&buf, samples); err != nil {
-		t.Fatalf("EncodeSamples: %v", err)
-	}
-	back, err := DecodeSamples(&buf)
-	if err != nil {
-		t.Fatalf("DecodeSamples: %v", err)
+	var back []Sample
+	for _, s := range samples {
+		b, err := DecodeSample(s.AppendTo(nil))
+		if err != nil {
+			t.Fatalf("DecodeSample: %v", err)
+		}
+		back = append(back, b)
 	}
 	if len(back) != len(samples) {
 		t.Fatalf("decoded %d, want %d", len(back), len(samples))
@@ -236,17 +235,13 @@ func TestSampleEncodeDecodeRoundTrip(t *testing.T) {
 
 func TestDecodeRejectsGarbage(t *testing.T) {
 	// A sparse count of 2^40 must be rejected, not allocated.
-	var buf bytes.Buffer
 	s := Sample{Sparse: [][]int64{}, Dense: []float32{}}
-	if err := s.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
+	raw := s.AppendTo(nil)
 	// Corrupt the sparse-count field (offset 33 = 4*8 header + label).
 	for i := 33; i < 41; i++ {
 		raw[i] = 0xff
 	}
-	if _, err := DecodeSample(bytes.NewReader(raw)); err == nil {
+	if _, err := DecodeSample(raw); err == nil {
 		t.Fatal("implausible sparse count accepted")
 	}
 }

@@ -3,8 +3,8 @@ package datagen
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
-	"math"
+
+	"repro/internal/tensor"
 )
 
 // Sample is one training sample: an impression and its outcome, carrying
@@ -38,159 +38,78 @@ func (s Sample) Clone() Sample {
 	return out
 }
 
-// SparseBytes reports the payload bytes attributable to sparse features.
-func (s Sample) SparseBytes() int {
-	n := 0
-	for _, l := range s.Sparse {
-		n += 8 * len(l)
-	}
-	return n
-}
-
-// EncodedSize reports the serialized size of the sample without encoding
-// it (upper bound; varints may shrink it).
-func (s Sample) EncodedSize() int {
-	return 8*4 + 1 + s.SparseBytes() + 8*len(s.Sparse) + 4*len(s.Dense) + 16
-}
-
-// Encode serializes the sample in the raw-log wire format used by the
+// AppendTo appends the sample in the raw-log wire format used by the
 // inference→Scribe path. The format is deliberately value-dense so that
 // black-box compression behaves like it does on production logs: duplicate
-// feature values across co-located samples compress away.
-func (s Sample) Encode(w io.Writer) error {
-	var hdr [8]byte
-	writeI64 := func(v int64) error {
-		binary.LittleEndian.PutUint64(hdr[:], uint64(v))
-		_, err := w.Write(hdr[:])
-		return err
-	}
+// feature values across co-located samples compress away. Layout, every
+// integer a little-endian 8-byte cell:
+//
+//	session | user | request | timestamp | label byte |
+//	list count | per list: value count, values |
+//	dense count | dense float32 cells
+func (s Sample) AppendTo(dst []byte) []byte {
 	for _, v := range []int64{s.SessionID, s.UserID, s.RequestID, s.Timestamp} {
-		if err := writeI64(v); err != nil {
-			return err
-		}
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
 	}
-	if _, err := w.Write([]byte{byte(s.Label)}); err != nil {
-		return err
-	}
-	if err := writeI64(int64(len(s.Sparse))); err != nil {
-		return err
-	}
+	dst = binary.LittleEndian.AppendUint64(append(dst, byte(s.Label)), uint64(len(s.Sparse)))
 	for _, list := range s.Sparse {
-		if err := writeI64(int64(len(list))); err != nil {
-			return err
-		}
-		buf := make([]byte, 8*len(list))
-		for i, v := range list {
-			binary.LittleEndian.PutUint64(buf[i*8:], uint64(v))
-		}
-		if _, err := w.Write(buf); err != nil {
-			return err
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(len(list)))
+		for _, v := range list {
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
 		}
 	}
-	if err := writeI64(int64(len(s.Dense))); err != nil {
-		return err
-	}
-	buf := make([]byte, 4*len(s.Dense))
-	for i, v := range s.Dense {
-		binary.LittleEndian.PutUint32(buf[i*4:], math.Float32bits(v))
-	}
-	_, err := w.Write(buf)
-	return err
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(s.Dense)))
+	return tensor.AppendFloat32s(dst, s.Dense)
 }
 
-// DecodeSample reads one sample from r in the Encode format.
-func DecodeSample(r io.Reader) (Sample, error) {
-	var s Sample
-	var hdr [8]byte
-	readI64 := func() (int64, error) {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// DecodeSample reads the one sample payload holds, as AppendTo wrote it.
+// Every count is held against the bytes that follow it before anything is
+// sized from it, and the sample must fill payload exactly.
+func DecodeSample(payload []byte) (Sample, error) {
+	le := binary.LittleEndian
+	d := tensor.NewDecoder(payload)
+	hdr, err := d.Next(4*8 + 1)
+	if err != nil {
+		return Sample{}, fmt.Errorf("datagen: sample header: %w", err)
+	}
+	s := Sample{
+		SessionID: int64(le.Uint64(hdr)), UserID: int64(le.Uint64(hdr[8:])),
+		RequestID: int64(le.Uint64(hdr[16:])), Timestamp: int64(le.Uint64(hdr[24:])),
+		Label: int8(hdr[32]),
+	}
+	// count reads a count of width-byte cells, which the bytes left must hold.
+	count := func(width int) (int, error) {
+		b, err := d.Next(8)
+		if err != nil {
 			return 0, err
 		}
-		return int64(binary.LittleEndian.Uint64(hdr[:])), nil
+		n := int64(le.Uint64(b))
+		if n < 0 || n > int64(len(d.Rest())/width) {
+			return 0, fmt.Errorf("implausible count %d", n)
+		}
+		return int(n), nil
 	}
-	var err error
-	if s.SessionID, err = readI64(); err != nil {
-		return s, err // io.EOF here means a clean end of stream
-	}
-	if s.UserID, err = readI64(); err != nil {
-		return s, fmt.Errorf("datagen: decode user id: %w", err)
-	}
-	if s.RequestID, err = readI64(); err != nil {
-		return s, fmt.Errorf("datagen: decode request id: %w", err)
-	}
-	if s.Timestamp, err = readI64(); err != nil {
-		return s, fmt.Errorf("datagen: decode timestamp: %w", err)
-	}
-	var lbl [1]byte
-	if _, err := io.ReadFull(r, lbl[:]); err != nil {
-		return s, fmt.Errorf("datagen: decode label: %w", err)
-	}
-	s.Label = int8(lbl[0])
-	nSparse, err := readI64()
+	n, err := count(8)
 	if err != nil {
-		return s, fmt.Errorf("datagen: decode sparse count: %w", err)
+		return Sample{}, fmt.Errorf("datagen: sparse list count: %w", err)
 	}
-	if nSparse < 0 || nSparse > 1<<20 {
-		return s, fmt.Errorf("datagen: implausible sparse count %d", nSparse)
-	}
-	s.Sparse = make([][]int64, nSparse)
+	s.Sparse = make([][]int64, n)
 	for i := range s.Sparse {
-		n, err := readI64()
+		if n, err = count(8); err == nil {
+			s.Sparse[i], err = d.Int64s(n)
+		}
 		if err != nil {
-			return s, fmt.Errorf("datagen: decode list len: %w", err)
+			return Sample{}, fmt.Errorf("datagen: sparse list %d: %w", i, err)
 		}
-		if n < 0 || n > 1<<24 {
-			return s, fmt.Errorf("datagen: implausible list len %d", n)
-		}
-		buf := make([]byte, 8*n)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return s, fmt.Errorf("datagen: decode list: %w", err)
-		}
-		list := make([]int64, n)
-		for c := range list {
-			list[c] = int64(binary.LittleEndian.Uint64(buf[c*8:]))
-		}
-		s.Sparse[i] = list
 	}
-	nDense, err := readI64()
+	if n, err = count(4); err == nil {
+		s.Dense, err = d.Float32s(n)
+	}
 	if err != nil {
-		return s, fmt.Errorf("datagen: decode dense count: %w", err)
+		return Sample{}, fmt.Errorf("datagen: dense: %w", err)
 	}
-	if nDense < 0 || nDense > 1<<20 {
-		return s, fmt.Errorf("datagen: implausible dense count %d", nDense)
-	}
-	buf := make([]byte, 4*nDense)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return s, fmt.Errorf("datagen: decode dense: %w", err)
-	}
-	s.Dense = make([]float32, nDense)
-	for i := range s.Dense {
-		s.Dense[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[i*4:]))
+	if rest := len(d.Rest()); rest != 0 {
+		return Sample{}, fmt.Errorf("datagen: %d bytes after the sample", rest)
 	}
 	return s, nil
-}
-
-// EncodeSamples serializes a slice of samples back to back.
-func EncodeSamples(w io.Writer, samples []Sample) error {
-	for i := range samples {
-		if err := samples[i].Encode(w); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// DecodeSamples reads samples until EOF.
-func DecodeSamples(r io.Reader) ([]Sample, error) {
-	var out []Sample
-	for {
-		s, err := DecodeSample(r)
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
-	}
 }

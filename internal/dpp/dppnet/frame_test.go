@@ -68,6 +68,9 @@ func TestSealFrameMatchesReference(t *testing.T) {
 	}
 }
 
+// frameReadChunk is the chunk tensor.ReadInto collects a long frame by.
+const frameReadChunk = 1 << 16
+
 // arrivals is a frame source that counts the bytes it has handed out, so
 // a test can hold the reader's allocations against what really arrived.
 type arrivals struct {

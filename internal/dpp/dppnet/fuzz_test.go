@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"math"
 	"reflect"
@@ -16,18 +17,14 @@ import (
 )
 
 // Fuzz coverage for the two stats codecs the PR-5 scheduler fields
-// extended: the binary session-stats frame (reader.Stats + cache
+// extended: the binary session-stats frame (reader counters + cache
 // counters + scheduler block) and the JSON svcstats frame. The
 // adversarial model matches the batch-frame fuzzer: a malicious or
 // corrupt server must never panic the client, every accepted decode must
 // round-trip, and forged counts/overflow are rejected, not wrapped.
 
 func sessionStatsSeed(st dpp.SessionStats) []byte {
-	var buf bytes.Buffer
-	if err := encodeSessionStats(&buf, st); err != nil {
-		panic(err)
-	}
-	return buf.Bytes()
+	return appendSessionStats(nil, st)
 }
 
 // FuzzDecodeSessionStats: decodeSessionStats on arbitrary bytes either
@@ -54,21 +51,19 @@ func FuzzDecodeSessionStats(f *testing.F) {
 	for _, cut := range []int{1, len(whole) / 2, len(whole) - 1} {
 		f.Add(whole[:cut])
 	}
-	// Forged tails: plausible reader stats followed by hostile varints.
-	var forged bytes.Buffer
-	if err := (reader.Stats{}).Encode(&forged); err != nil {
-		f.Fatal(err)
-	}
+	// Forged tails: plausible reader stats (the magic and nine zero
+	// counters) followed by hostile varints.
+	forged := append([]byte(statsMagic), make([]byte, 9)...)
 	overflow := binary.AppendUvarint(nil, 1<<63)
-	f.Add(append(append([]byte(nil), forged.Bytes()...), bytes.Repeat(overflow, 7)...))
-	hugeWorkers := forged.Bytes()
+	f.Add(append(append([]byte(nil), forged...), bytes.Repeat(overflow, 7)...))
+	hugeWorkers := forged
 	hugeWorkers = binary.AppendUvarint(hugeWorkers, 0) // hits
 	hugeWorkers = binary.AppendUvarint(hugeWorkers, 0) // misses
 	hugeWorkers = binary.AppendUvarint(hugeWorkers, maxWireWorkers+1)
 	f.Add(hugeWorkers)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		st, err := decodeSessionStats(bytes.NewReader(data))
+		st, err := decodeSessionStats(data)
 		if err != nil {
 			return
 		}
@@ -78,11 +73,7 @@ func FuzzDecodeSessionStats(f *testing.F) {
 			st.Scheduler.WorkerStall < 0 || st.Scheduler.ConsumerStall < 0 {
 			t.Fatalf("accepted stats with out-of-range fields: %+v", st)
 		}
-		var re bytes.Buffer
-		if err := encodeSessionStats(&re, st); err != nil {
-			t.Fatalf("re-encoding accepted stats: %v", err)
-		}
-		back, err := decodeSessionStats(bytes.NewReader(re.Bytes()))
+		back, err := decodeSessionStats(appendSessionStats(nil, st))
 		if err != nil {
 			t.Fatalf("round-trip decode failed: %v", err)
 		}
@@ -90,6 +81,32 @@ func FuzzDecodeSessionStats(f *testing.F) {
 			t.Fatalf("round trip changed stats:\n got %+v\nwant %+v", back, st)
 		}
 	})
+}
+
+// TestStatsFrameBytesAreFixed: a stats frame is part of protocol v10, so
+// the payload of a fixed SessionStats is held to the bytes the v10 encoder
+// has always written, and decodes back to the same stats.
+func TestStatsFrameBytesAreFixed(t *testing.T) {
+	st := dpp.SessionStats{
+		Reader: reader.Stats{
+			FillTime: 123 * time.Millisecond, ConvertTime: 45 * time.Millisecond,
+			ProcessTime: 6 * time.Millisecond, ReadBytes: 1 << 20, SentBytes: 1 << 21,
+			RowsDecoded: 4096, BatchesProduced: 16, ConvertValues: 99999, ProcessOps: 1234,
+		},
+		Cache: dpp.SessionCacheStats{Hits: 7, Misses: 3},
+		Scheduler: dpp.SchedulerStats{
+			Workers: 5, ScaleUps: 4, ScaleDowns: 2,
+			WorkerStall: 250 * time.Millisecond, ConsumerStall: 80 * time.Millisecond,
+		},
+	}
+	const want = "52535453c0a9d33ac0caba15809bee02808040808080018020109f8d06d209070305040280e59a7780e89226"
+	got := appendSessionStats(nil, st)
+	if hex.EncodeToString(got) != want {
+		t.Fatalf("stats frame payload\n got %x\nwant %s", got, want)
+	}
+	if back, err := decodeSessionStats(got); err != nil || back != st {
+		t.Fatalf("decoded %+v, %v; want %+v", back, err, st)
+	}
 }
 
 // FuzzDecodeServiceStats: the svcstats JSON decoder on arbitrary bytes

@@ -56,11 +56,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"slices"
-	"time"
 
 	"repro/internal/dpp"
-	"repro/internal/reader"
+	"repro/internal/tensor"
 )
 
 // Connection preamble: magic + one version byte, written by the client
@@ -114,9 +112,9 @@ const (
 	frameOK = byte(0x10)
 	// frameBatch carries one reader.Batch in its Encode wire form.
 	frameBatch = byte(0x11)
-	// frameStats carries the session's final dpp.SessionStats (the
-	// reader.Stats wire codec plus the cache hit/miss counters), sent
-	// after the last batch of a clean scan.
+	// frameStats carries the session's final dpp.SessionStats
+	// (appendSessionStats: the reader, cache and scheduler counters as
+	// uvarints), sent after the last batch of a clean scan.
 	frameStats = byte(0x12)
 	// frameEOF marks a cleanly exhausted scan; empty payload.
 	frameEOF = byte(0x13)
@@ -161,13 +159,12 @@ const (
 // frames (handshake with its spec and file list, credits, close), which
 // are orders of magnitude smaller. A peer announcing more is
 // protocol-corrupt and fails before any payload is read. Within the
-// bound, readFrameInto additionally allocates in chunks as bytes actually
-// arrive, so a forged length prefix with no payload behind it costs a
-// peer at most one chunk — never the declared size.
+// bound, readFrameInto allocates by tensor.ReadInto's rule, as bytes
+// actually arrive, so a forged length prefix with no payload behind it
+// costs a peer at most one chunk — never the declared size.
 const (
 	maxFrameBytes        = 1 << 28
 	maxControlFrameBytes = 1 << 22
-	frameReadChunk       = 1 << 16
 )
 
 // openRequest is the JSON handshake payload.
@@ -319,20 +316,17 @@ func writeFrame(w io.Writer, typ byte, payload []byte) error {
 
 // readFrame reads one framed message whose declared payload length is
 // within limit into a buffer of its own.
-func readFrame(r reader.ByteReader, limit uint64) (byte, []byte, error) {
+func readFrame(r tensor.ByteReader, limit uint64) (byte, []byte, error) {
 	var buf []byte
 	return readFrameInto(r, limit, &buf)
 }
 
 // readFrameInto is readFrame into *buf's storage: the returned payload
-// aliases it and is valid until the buffer's next use. A frame that fits
-// is read in place and costs no allocation. One that does not has only
-// claimed its length so far, so its bytes are collected a chunk at a time
-// as they arrive, and *buf is replaced — by a buffer of exactly the
-// declared size, not the next doubling — only once they all have: a
-// forged length never costs more than one chunk beyond the bytes behind
-// it, and *buf ends as large as the largest frame seen, no larger.
-func readFrameInto(r reader.ByteReader, limit uint64, buf *[]byte) (byte, []byte, error) {
+// aliases it and is valid until the buffer's next use. The payload is read
+// by tensor.ReadInto, the codec's length rule: a frame that fits is read in
+// place and costs no allocation, and a forged length never costs more than
+// one chunk beyond the bytes behind it.
+func readFrameInto(r tensor.ByteReader, limit uint64, buf *[]byte) (byte, []byte, error) {
 	typ, err := r.ReadByte()
 	if err != nil {
 		return 0, nil, err
@@ -344,24 +338,8 @@ func readFrameInto(r reader.ByteReader, limit uint64, buf *[]byte) (byte, []byte
 	if n > limit {
 		return 0, nil, fmt.Errorf("dppnet: frame of %d bytes exceeds limit %d", n, limit)
 	}
-	switch {
-	case n <= uint64(cap(*buf)):
-	case n <= frameReadChunk:
-		*buf = make([]byte, n)
-	default:
-		var chunks [][]byte
-		for got := uint64(0); got < n; got += frameReadChunk {
-			chunk := make([]byte, min(n-got, frameReadChunk))
-			if _, err := io.ReadFull(r, chunk); err != nil {
-				return 0, nil, fmt.Errorf("dppnet: frame body: %w", err)
-			}
-			chunks = append(chunks, chunk)
-		}
-		*buf = slices.Concat(chunks...)
-		return typ, *buf, nil
-	}
-	payload := (*buf)[:n]
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload, err := tensor.ReadInto(r, buf, int(n))
+	if err != nil {
 		return 0, nil, fmt.Errorf("dppnet: frame body: %w", err)
 	}
 	return typ, payload, nil
@@ -372,48 +350,56 @@ func readFrameInto(r reader.ByteReader, limit uint64, buf *[]byte) (byte, []byte
 // frame, rejected before it can reach capacity planning downstream.
 const maxWireWorkers = 1 << 20
 
-// encodeSessionStats serializes a session's final accounting: the
-// reader.Stats wire codec, the scan-cache counters, then the scheduler
-// block (pool size, resize counts, and the two starvation stalls in
-// nanoseconds) — the credit-window starvation a trainer reads back to
-// see how the service scaled its session.
-func encodeSessionStats(w io.Writer, st dpp.SessionStats) error {
-	if err := st.Reader.Encode(w); err != nil {
-		return err
+// statsMagic opens a stats frame's payload.
+const statsMagic = "RSTS"
+
+// statsFields enumerates every counter of a stats frame in wire order: the
+// reader's three stage times (nanoseconds) and six work counters, the
+// scan-cache counters, then the scheduler block (pool size, resize counts,
+// and the two starvation stalls in nanoseconds) — the credit-window
+// starvation a trainer reads back to see how the service scaled its
+// session. All are non-negative by construction, so they travel as
+// uvarints; workers is the pool size, which a decoder bounds on its own.
+func statsFields(st *dpp.SessionStats, workers *int64) [16]*int64 {
+	r, sc := &st.Reader, &st.Scheduler
+	return [16]*int64{
+		(*int64)(&r.FillTime), (*int64)(&r.ConvertTime), (*int64)(&r.ProcessTime),
+		&r.ReadBytes, &r.SentBytes,
+		&r.RowsDecoded, &r.BatchesProduced, &r.ConvertValues, &r.ProcessOps,
+		&st.Cache.Hits, &st.Cache.Misses,
+		workers, &sc.ScaleUps, &sc.ScaleDowns,
+		(*int64)(&sc.WorkerStall), (*int64)(&sc.ConsumerStall),
 	}
-	var buf [binary.MaxVarintLen64]byte
-	fields := [7]int64{
-		st.Cache.Hits, st.Cache.Misses,
-		int64(st.Scheduler.Workers), st.Scheduler.ScaleUps, st.Scheduler.ScaleDowns,
-		int64(st.Scheduler.WorkerStall), int64(st.Scheduler.ConsumerStall),
-	}
-	for _, v := range fields {
-		n := binary.PutUvarint(buf[:], uint64(v))
-		if _, err := w.Write(buf[:n]); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
-// decodeSessionStats reads what encodeSessionStats wrote, bounding every
+// appendSessionStats appends a session's final accounting, the payload of
+// its stats frame, to dst.
+func appendSessionStats(dst []byte, st dpp.SessionStats) []byte {
+	workers := int64(st.Scheduler.Workers)
+	dst = append(dst, statsMagic...)
+	for _, f := range statsFields(&st, &workers) {
+		dst = binary.AppendUvarint(dst, uint64(*f))
+	}
+	return dst
+}
+
+// decodeSessionStats reads what appendSessionStats wrote, bounding every
 // counter at decode time: truncated frames fail cleanly, forged counts
 // and overflowed durations are rejected rather than wrapped into
 // negative accounting.
-func decodeSessionStats(r reader.ByteReader) (dpp.SessionStats, error) {
+func decodeSessionStats(payload []byte) (dpp.SessionStats, error) {
+	d := tensor.NewDecoder(payload)
+	magic, err := d.Next(len(statsMagic))
+	if err != nil {
+		return dpp.SessionStats{}, fmt.Errorf("dppnet: stats magic: %w", err)
+	}
+	if string(magic) != statsMagic {
+		return dpp.SessionStats{}, fmt.Errorf("dppnet: bad stats magic %q", magic)
+	}
 	var st dpp.SessionStats
-	var err error
-	if st.Reader, err = reader.DecodeStats(r); err != nil {
-		return dpp.SessionStats{}, err
-	}
-	var workers, workerStall, consumerStall int64
-	fields := [7]*int64{
-		&st.Cache.Hits, &st.Cache.Misses,
-		&workers, &st.Scheduler.ScaleUps, &st.Scheduler.ScaleDowns,
-		&workerStall, &consumerStall,
-	}
-	for _, f := range fields {
-		v, err := binary.ReadUvarint(r)
+	var workers int64
+	for _, f := range statsFields(&st, &workers) {
+		v, err := d.Uvarint()
 		if err != nil {
 			return dpp.SessionStats{}, err
 		}
@@ -426,8 +412,6 @@ func decodeSessionStats(r reader.ByteReader) (dpp.SessionStats, error) {
 		return dpp.SessionStats{}, fmt.Errorf("dppnet: implausible worker count %d", workers)
 	}
 	st.Scheduler.Workers = int(workers)
-	st.Scheduler.WorkerStall = time.Duration(workerStall)
-	st.Scheduler.ConsumerStall = time.Duration(consumerStall)
 	return st, nil
 }
 

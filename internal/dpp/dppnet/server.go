@@ -2,7 +2,6 @@ package dppnet
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -109,38 +108,40 @@ type Server struct {
 // SessionEvent is one access-log record from the server's perspective.
 // Kind is "open" (a session was admitted), "close" (its stream ended —
 // Detail says how: "eof", "teardown", or "error: ..."), or "error" (the
-// handshake or admission failed; no session existed).
+// handshake or admission failed; no session existed). The JSON names are
+// the access log's (obs.AccessEvent).
 type SessionEvent struct {
 	// Kind is "open", "close", or "error".
-	Kind string
+	Kind string `json:"kind"`
 	// ID is a server-local session sequence number tying an open event to
 	// its close; 0 for pre-admission errors.
-	ID int64
+	ID int64 `json:"id,omitempty"`
 	// Peer is the client's remote address.
-	Peer string
+	Peer string `json:"peer,omitempty"`
 	// Table is the spec's table name.
-	Table string
+	Table string `json:"table,omitempty"`
 	// FileUnits marks a fleet shard's file-unit session.
-	FileUnits bool
+	FileUnits bool `json:"file_units,omitempty"`
 	// ShareScans marks a session that opted into the ScanCache.
-	ShareScans bool
+	ShareScans bool `json:"share_scans,omitempty"`
 	// Batches and Bytes count payload frames and payload bytes shipped; set
 	// on close events. A file-unit session's Batches counts its batch frames
 	// and its file-unit frames alike — the unit Offset counts in.
-	Batches, Bytes int64
+	Batches int64 `json:"batches,omitempty"`
+	Bytes   int64 `json:"bytes,omitempty"`
 	// Duration is the session's wall-clock lifetime; set on close events.
-	Duration time.Duration
+	Duration time.Duration `json:"duration_ns,omitempty"`
+	// Detail carries the outcome or error text; a resumable session
+	// whose connection dropped closes with Detail "parked".
+	Detail string `json:"detail,omitempty"`
 	// Resumed marks a reconnect: this session continued earlier state
 	// (by token) or replayed to an offset, rather than starting fresh.
 	// Offset is the stream index it continued from.
-	Resumed bool
-	Offset  int64
+	Resumed bool  `json:"resumed,omitempty"`
+	Offset  int64 `json:"offset,omitempty"`
 	// Tenant is the authenticated tenant the session (or failed
 	// handshake) belongs to; empty when the server runs without a Gate.
-	Tenant string
-	// Detail carries the outcome or error text; a resumable session
-	// whose connection dropped closes with Detail "parked".
-	Detail string
+	Tenant string `json:"tenant,omitempty"`
 }
 
 // ServerStats is a snapshot of the server's transport accounting.
@@ -788,12 +789,7 @@ func (s *Server) serve(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, ss *se
 
 		fr, err := ss.stream.next(connCtx)
 		if err == io.EOF {
-			var enc bytes.Buffer
-			if err := encodeSessionStats(&enc, ss.stream.stats()); err != nil {
-				writeError(bw, err)
-				return false, "error: " + err.Error()
-			}
-			delivered := writeFrame(bw, frameStats, enc.Bytes()) == nil &&
+			delivered := writeFrame(bw, frameStats, appendSessionStats(nil, ss.stream.stats())) == nil &&
 				writeFrame(bw, frameEOF, nil) == nil && bw.Flush() == nil
 			// Written is not received: the last window of frames can still
 			// die with the connection, and a resumable client would come

@@ -2,7 +2,6 @@ package dppnet
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -228,7 +227,7 @@ func (st *stream[T]) receive(br *bufio.Reader, recv chan remoteMsg[T], stop func
 				return
 			}
 		case typ == frameStats:
-			stats, err := decodeSessionStats(bytes.NewReader(payload))
+			stats, err := decodeSessionStats(payload)
 			if err != nil {
 				terminal(fmt.Errorf("dppnet: corrupt stats frame: %w", err))
 				return

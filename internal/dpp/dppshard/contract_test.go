@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/datagen"
 	"repro/internal/dpp"
 	"repro/internal/dpp/dppnet"
 	"repro/internal/dpp/dppshard"
@@ -101,11 +100,11 @@ func itemBytes(t *testing.T, item any) []byte {
 		if it.Batch != nil {
 			return it.Batch.AppendTo(nil)
 		}
-		var out bytes.Buffer
-		if err := datagen.EncodeSamples(&out, it.Tail.Samples()); err != nil {
-			t.Fatal(err)
+		var out []byte
+		for _, s := range it.Tail.Samples() {
+			out = s.AppendTo(out)
 		}
-		return out.Bytes()
+		return out
 	}
 	t.Fatalf("stream delivered a %T", item)
 	return nil

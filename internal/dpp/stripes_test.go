@@ -423,11 +423,11 @@ func TestDamagedStripeDeliversThePrefixThenTheError(t *testing.T) {
 				} else {
 					files++
 				}
-				var buf bytes.Buffer
-				if err := datagen.EncodeSamples(&buf, rows.Samples()); err != nil {
-					t.Fatal(err)
+				var buf []byte
+				for _, s := range rows.Samples() {
+					buf = s.AppendTo(buf)
 				}
-				enc = append(enc, buf.Bytes())
+				enc = append(enc, buf)
 			}
 		}
 		wantPieces, _, end, svc := unitPieces(env.store, false)

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/datagen"
 	"repro/internal/dpp"
 	"repro/internal/dwrf"
 	"repro/internal/reader"
@@ -56,8 +55,8 @@ func encodeScan(t *testing.T, fs *scanParts) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if fs.Head != nil {
-		if err := datagen.EncodeSamples(&buf, fs.Head.Samples()); err != nil {
-			t.Fatal(err)
+		for _, s := range fs.Head.Samples() {
+			buf.Write(s.AppendTo(nil))
 		}
 		buf.WriteString("|head|")
 	}
@@ -67,8 +66,8 @@ func encodeScan(t *testing.T, fs *scanParts) []byte {
 		}
 	}
 	buf.WriteString("|tail|")
-	if err := datagen.EncodeSamples(&buf, fs.Tail.Samples()); err != nil {
-		t.Fatal(err)
+	for _, s := range fs.Tail.Samples() {
+		buf.Write(s.AppendTo(nil))
 	}
 	return buf.Bytes()
 }

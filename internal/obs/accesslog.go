@@ -4,43 +4,16 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/dpp/dppnet"
 	"repro/internal/metrics"
 )
 
 // AccessEvent is one access-log record: a session lifecycle transition
-// as the serving process saw it. It mirrors dppnet.SessionEvent plus a
-// timestamp (obs owns the type so the serving stack never imports obs).
+// as the serving process saw it, and when it was recorded.
 type AccessEvent struct {
 	// Time is when the event was recorded.
 	Time time.Time `json:"time"`
-	// Kind is "open", "close", or "error".
-	Kind string `json:"kind"`
-	// ID ties a close to its open; 0 for pre-admission errors.
-	ID int64 `json:"id,omitempty"`
-	// Peer is the client's remote address.
-	Peer string `json:"peer,omitempty"`
-	// Table is the session's table.
-	Table string `json:"table,omitempty"`
-	// FileUnits marks a fleet shard's file-unit session.
-	FileUnits bool `json:"file_units,omitempty"`
-	// ShareScans marks a ScanCache-sharing session.
-	ShareScans bool `json:"share_scans,omitempty"`
-	// Batches and Bytes are the close event's shipped totals: payload
-	// frames — a file-unit session's batch frames and closing records
-	// alike — and their bytes.
-	Batches int64 `json:"batches,omitempty"`
-	Bytes   int64 `json:"bytes,omitempty"`
-	// Duration is the close event's session lifetime.
-	Duration time.Duration `json:"duration_ns,omitempty"`
-	// Detail is the outcome or error text.
-	Detail string `json:"detail,omitempty"`
-	// Resumed marks an open that continued an earlier stream; Offset is
-	// the frame index the reconnecting client asked to continue from.
-	Resumed bool  `json:"resumed,omitempty"`
-	Offset  int64 `json:"offset,omitempty"`
-	// Tenant is the authenticated tenant behind the event; empty when
-	// the server runs without a front door.
-	Tenant string `json:"tenant,omitempty"`
+	dppnet.SessionEvent
 }
 
 // AccessLog is a fixed-capacity, wait-free ring of the newest

@@ -214,21 +214,7 @@ func RegisterAccessLog(reg *Registry, log *AccessLog) {
 // assign the result to Server.OnSession before Serve.
 func SessionHook(log *AccessLog) func(dppnet.SessionEvent) {
 	return func(ev dppnet.SessionEvent) {
-		log.Record(AccessEvent{
-			Kind:       ev.Kind,
-			ID:         ev.ID,
-			Peer:       ev.Peer,
-			Table:      ev.Table,
-			FileUnits:  ev.FileUnits,
-			ShareScans: ev.ShareScans,
-			Batches:    ev.Batches,
-			Bytes:      ev.Bytes,
-			Duration:   ev.Duration,
-			Detail:     ev.Detail,
-			Resumed:    ev.Resumed,
-			Offset:     ev.Offset,
-			Tenant:     ev.Tenant,
-		})
+		log.Record(AccessEvent{SessionEvent: ev})
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"runtime"
 	"strings"
@@ -175,7 +176,7 @@ func TestAccessLogWraparound(t *testing.T) {
 		if i%3 == 0 {
 			kind = "close"
 		}
-		l.Record(AccessEvent{Kind: kind, ID: int64(i)})
+		l.Record(AccessEvent{SessionEvent: dppnet.SessionEvent{Kind: kind, ID: int64(i)}})
 	}
 	got := l.Snapshot()
 	if len(got) != capacity {
@@ -199,6 +200,27 @@ func TestAccessLogWraparound(t *testing.T) {
 // concurrent snapshots (run under -race in CI). Every snapshotted event
 // must be internally consistent — the pointer publication makes torn
 // records impossible — and the lifetime counts exact.
+// TestAccessLogJSONIsStable: /accesslog's records are a dppnet.SessionEvent
+// and a time, and render as the flat records the endpoint has always
+// served — the same keys, in the same order, for an event of each kind.
+func TestAccessLogJSONIsStable(t *testing.T) {
+	at := time.Date(2024, 5, 6, 7, 8, 9, 0, time.UTC)
+	alog := NewAccessLog(8)
+	for i, ev := range []dppnet.SessionEvent{
+		{Kind: "open", ID: 7, Peer: "10.0.0.2:5000", Table: "t", FileUnits: true, ShareScans: true, Resumed: true, Offset: 12, Tenant: "acme"},
+		{Kind: "close", ID: 7, Peer: "10.0.0.2:5000", Table: "t", Batches: 40, Bytes: 123456, Duration: 1500 * time.Millisecond, Detail: "eof", Tenant: "acme"},
+		{Kind: "error", Peer: "10.0.0.3:6000", Detail: "malformed handshake"},
+	} {
+		alog.Record(AccessEvent{Time: at.Add(time.Duration(i) * time.Second), SessionEvent: ev})
+	}
+	const want = "[\n  {\n    \"time\": \"2024-05-06T07:08:09Z\",\n    \"kind\": \"open\",\n    \"id\": 7,\n    \"peer\": \"10.0.0.2:5000\",\n    \"table\": \"t\",\n    \"file_units\": true,\n    \"share_scans\": true,\n    \"resumed\": true,\n    \"offset\": 12,\n    \"tenant\": \"acme\"\n  },\n  {\n    \"time\": \"2024-05-06T07:08:10Z\",\n    \"kind\": \"close\",\n    \"id\": 7,\n    \"peer\": \"10.0.0.2:5000\",\n    \"table\": \"t\",\n    \"batches\": 40,\n    \"bytes\": 123456,\n    \"duration_ns\": 1500000000,\n    \"detail\": \"eof\",\n    \"tenant\": \"acme\"\n  },\n  {\n    \"time\": \"2024-05-06T07:08:11Z\",\n    \"kind\": \"error\",\n    \"peer\": \"10.0.0.3:6000\",\n    \"detail\": \"malformed handshake\"\n  }\n]\n"
+	rec := httptest.NewRecorder()
+	NewServer(Config{Registry: NewRegistry(), AccessLog: alog}).handleAccessLog(rec, httptest.NewRequest("GET", "/accesslog", nil))
+	if got := rec.Body.String(); got != want {
+		t.Fatalf("/accesslog\n got %s\nwant %s", got, want)
+	}
+}
+
 func TestAccessLogConcurrent(t *testing.T) {
 	const writers, perWriter, capacity = 8, 400, 64
 	l := NewAccessLog(capacity)
@@ -227,7 +249,7 @@ func TestAccessLogConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
 				n := int64(w*perWriter + i)
-				l.Record(AccessEvent{Kind: "open", ID: n, Bytes: n})
+				l.Record(AccessEvent{SessionEvent: dppnet.SessionEvent{Kind: "open", ID: n, Bytes: n}})
 			}
 		}(w)
 	}

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/datagen"
 	"repro/internal/dwrf"
 	"repro/internal/storage"
 )
@@ -108,17 +107,17 @@ func (m *scanMemo) encodeEnds(t *testing.T) map[scanMemoKey][]byte {
 	t.Helper()
 	out := make(map[scanMemoKey][]byte)
 	for key, fs := range m.scans {
-		var buf bytes.Buffer
+		var buf []byte
 		head, _, tail := split(fs)
 		for _, c := range []*dwrf.Chunk{head, tail} {
 			if c == nil {
 				continue
 			}
-			if err := datagen.EncodeSamples(&buf, c.Samples()); err != nil {
-				t.Fatal(err)
+			for _, s := range c.Samples() {
+				buf = s.AppendTo(buf)
 			}
 		}
-		out[key] = buf.Bytes()
+		out[key] = buf
 	}
 	return out
 }

@@ -17,15 +17,7 @@ import (
 // TCP transport, so decoding must fail cleanly — never panic — on
 // arbitrary bytes (FuzzDecodeBatch pins that).
 
-const (
-	batchMagic = "RBAT"
-	statsMagic = "RSTS"
-)
-
-// ByteReader is the reader constraint of the wire decoders: any buffered
-// byte source (*bytes.Reader, *bufio.Reader). Exported so transports
-// like dppnet can name it when composing the codec.
-type ByteReader = tensor.ByteReader
+const batchMagic = "RBAT"
 
 // AppendTo appends the batch's wire form to dst: the encoder. A transport
 // that frames batches appends straight into its frame buffer.
@@ -61,7 +53,7 @@ func (b *Batch) Encode(w io.Writer) error {
 
 // DecodeBatch reads a batch encoded by Encode from r, consuming exactly
 // the batch's bytes.
-func DecodeBatch(r ByteReader) (*Batch, error) {
+func DecodeBatch(r tensor.ByteReader) (*Batch, error) {
 	d := tensor.NewReaderDecoder(r)
 	defer d.Release()
 	return decodeBatch(&d)
@@ -150,56 +142,4 @@ func decodeBatch(d *tensor.Decoder) (*Batch, error) {
 	}
 	b.OriginalSparseValues = int(orig)
 	return b, b.validate(false)
-}
-
-// statsFields enumerates every Stats field in wire order: the three
-// per-stage times (nanoseconds) followed by the six deterministic work
-// counters. All are non-negative by construction, so they serialize as
-// uvarints.
-func statsFields(s *Stats) [9]*int64 {
-	return [9]*int64{
-		(*int64)(&s.FillTime), (*int64)(&s.ConvertTime), (*int64)(&s.ProcessTime),
-		&s.ReadBytes, &s.SentBytes,
-		&s.RowsDecoded, &s.BatchesProduced, &s.ConvertValues, &s.ProcessOps,
-	}
-}
-
-// Encode serializes the stats — the trailing accounting frame a dppnet
-// server ships after a remote session's final batch, so a trainer on the
-// other side of the wire sees the same Stats a local session reports.
-func (s Stats) Encode(w io.Writer) error {
-	if _, err := io.WriteString(w, statsMagic); err != nil {
-		return err
-	}
-	var hdr [binary.MaxVarintLen64]byte
-	for _, f := range statsFields(&s) {
-		n := binary.PutUvarint(hdr[:], uint64(*f))
-		if _, err := w.Write(hdr[:n]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// DecodeStats reads stats encoded by Stats.Encode.
-func DecodeStats(r ByteReader) (Stats, error) {
-	magic := make([]byte, len(statsMagic))
-	if _, err := io.ReadFull(r, magic); err != nil {
-		return Stats{}, fmt.Errorf("reader: stats magic: %w", err)
-	}
-	if string(magic) != statsMagic {
-		return Stats{}, fmt.Errorf("reader: bad stats magic %q", magic)
-	}
-	var s Stats
-	for _, f := range statsFields(&s) {
-		v, err := binary.ReadUvarint(r)
-		if err != nil {
-			return Stats{}, err
-		}
-		if v > 1<<62 {
-			return Stats{}, fmt.Errorf("reader: implausible stats counter %d", v)
-		}
-		*f = int64(v)
-	}
-	return s, nil
 }

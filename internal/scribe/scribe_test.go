@@ -22,11 +22,7 @@ func sessionLogStream(t *testing.T, sessions int) []Message {
 	samples := g.GeneratePartition()
 	msgs := make([]Message, len(samples))
 	for i, s := range samples {
-		var buf bytes.Buffer
-		if err := s.Encode(&buf); err != nil {
-			t.Fatalf("encode: %v", err)
-		}
-		msgs[i] = Message{RequestID: s.RequestID, SessionID: s.SessionID, Payload: buf.Bytes()}
+		msgs[i] = Message{RequestID: s.RequestID, SessionID: s.SessionID, Payload: s.AppendTo(nil)}
 	}
 	return msgs
 }

@@ -7,6 +7,13 @@
 // stores a flat values slice plus an offsets slice with one entry per row;
 // offsets[i] is the start of row i in values, and the length of row i is
 // offsets[i+1]-offsets[i] (or len(values)-offsets[i] for the last row).
+//
+// The package also holds the module's one binary codec (serialize.go):
+// append forms to encode and a Decoder to decode. Every binary format is
+// written in it — batches, chunks, file units, the stats frame, the
+// trainer checkpoint and the raw inference log — and every decoder of
+// outside bytes follows its one length rule: a declared length is believed
+// only as its bytes arrive (ReadInto).
 package tensor
 
 import (

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 )
 
@@ -25,6 +26,12 @@ import (
 // frame), or from a byte reader, staging each block through a pooled
 // scratch (NewReaderDecoder). Every bound and every validation lives in the
 // Decoder's methods, so the two faces cannot drift apart.
+//
+// Both faces believe a declared length only as far as its bytes are there.
+// A slice Decoder fails a count that claims more than the slice holds
+// before anything is sized from it; a reader Decoder, and a transport that
+// reads a length-prefixed frame off a connection, read through ReadInto,
+// which collects a long claim a chunk at a time as its bytes arrive.
 //
 // Every fixed-width block (values, offsets, inverse lookups, dense cells,
 // labels, partial lookups) is little-endian cells packed end to end, which
@@ -110,6 +117,41 @@ func AppendFloat32s(dst []byte, vals []float32) []byte {
 	return appendCells(dst, vals)
 }
 
+// readChunk is how far ReadInto believes a declared length ahead of the
+// bytes that have arrived.
+const readChunk = 1 << 16
+
+// ReadInto reads the next n bytes of r into *buf's storage and returns
+// them; they are valid until *buf's next use. n bytes that fit are read in
+// place at no allocation. More than that have only been claimed so far, so
+// they are collected readChunk at a time as they arrive, and *buf is
+// replaced — by exactly n bytes, not the next doubling — only once they all
+// have: a forged n never costs more than one chunk beyond the bytes behind
+// it, and *buf ends as large as the largest read, no larger.
+func ReadInto(r io.Reader, buf *[]byte, n int) ([]byte, error) {
+	switch {
+	case n <= cap(*buf):
+	case n <= readChunk:
+		*buf = make([]byte, n)
+	default:
+		var chunks [][]byte
+		for got := 0; got < n; got += readChunk {
+			chunk := make([]byte, min(n-got, readChunk))
+			if _, err := io.ReadFull(r, chunk); err != nil {
+				return nil, err
+			}
+			chunks = append(chunks, chunk)
+		}
+		*buf = slices.Concat(chunks...)
+		return *buf, nil
+	}
+	b := (*buf)[:n]
+	if _, err := io.ReadFull(r, b); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
 // ByteReader is the input of a reader Decoder: any buffered byte source
 // (*bytes.Reader, *bufio.Reader).
 type ByteReader interface {
@@ -161,12 +203,7 @@ func (d *Decoder) Next(n int) ([]byte, error) {
 	if d.scratch == nil {
 		d.scratch = scratchPool.Get().(*[]byte)
 	}
-	if cap(*d.scratch) < n {
-		*d.scratch = make([]byte, n)
-	}
-	b := (*d.scratch)[:n]
-	_, err := io.ReadFull(d.r, b)
-	return b, err
+	return ReadInto(d.r, d.scratch, n)
 }
 
 // Uvarint reads one uvarint.
@@ -257,6 +294,17 @@ func (d *Decoder) Float32s(n int) ([]float32, error) {
 	return decodeCells[float32](b), nil
 }
 
+// Int64s reads n raw little-endian 8-byte cells, the fixed-count form of
+// Values. The caller has bounded n; the cells are allocated only once their
+// bytes are in hand.
+func (d *Decoder) Int64s(n int) ([]int64, error) {
+	b, err := d.Next(8 * n)
+	if err != nil {
+		return nil, err
+	}
+	return decodeCells[Value](b), nil
+}
+
 // AppendJagged appends j's wire form to dst.
 func AppendJagged(dst []byte, j Jagged) []byte {
 	return appendInt32s(AppendValues(append(dst, tagJagged), j.Values), j.Offsets)
@@ -298,15 +346,20 @@ func (d *Decoder) keyed(what string) ([]string, []Jagged, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	keys := make([]string, n)
-	tensors := make([]Jagged, n)
-	for i := range keys {
-		if keys[i], err = d.string(); err != nil {
+	// n is a claim too: room for a chunk's worth of keys up front, and the
+	// rest as their bytes arrive.
+	keys := make([]string, 0, min(n, readChunk/64))
+	tensors := make([]Jagged, 0, cap(keys))
+	for range n {
+		key, err := d.string()
+		if err != nil {
 			return nil, nil, err
 		}
-		if tensors[i], err = d.Jagged(); err != nil {
+		t, err := d.Jagged()
+		if err != nil {
 			return nil, nil, err
 		}
+		keys, tensors = append(keys, key), append(tensors, t)
 	}
 	return keys, tensors, nil
 }

@@ -1,365 +1,254 @@
 package trainer
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
-	"sort"
+	"maps"
+	"slices"
+
+	"repro/internal/tensor"
 )
 
 // Checkpointing: the "Model Store" box of the paper's Figure 1. Save
 // serializes the full model — configuration, every parameter tensor, and
 // any Adagrad accumulator state — so training resumes bit-exactly and
 // trained models can be published to a blob store (lakefs in this repo).
+// The fields are tensor's wire cells: uvarint sizes, and each tensor a
+// uvarint count and that many little-endian float32 cells.
 
 const checkpointMagic = "RDMD"
 const checkpointVersion = 1
 
-func writeU64(w io.Writer, v uint64) error {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	_, err := w.Write(buf[:n])
-	return err
-}
+// maxCheckpointDim bounds every size a checkpoint's config names — a
+// width, a table's rows — so that the parameter count it implies is exact
+// in float64 and no product of two sizes overflows.
+const maxCheckpointDim = 1 << 28
 
-func writeF32s(w io.Writer, vals []float32) error {
-	if err := writeU64(w, uint64(len(vals))); err != nil {
-		return err
-	}
-	buf := make([]byte, 4*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint32(buf[i*4:], math.Float32bits(v))
-	}
-	_, err := w.Write(buf)
-	return err
-}
-
-func readU64(r byteReaderCk) (uint64, error) { return binary.ReadUvarint(r) }
-
-func readF32s(r byteReaderCk, limit int) ([]float32, error) {
-	n, err := readU64(r)
-	if err != nil {
-		return nil, err
-	}
-	if int(n) > limit {
-		return nil, fmt.Errorf("trainer: checkpoint tensor of %d floats exceeds limit %d", n, limit)
-	}
-	buf := make([]byte, 4*n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[i*4:]))
-	}
-	return out, nil
-}
-
-func writeStr(w io.Writer, s string) error {
-	if err := writeU64(w, uint64(len(s))); err != nil {
-		return err
-	}
-	_, err := io.WriteString(w, s)
-	return err
-}
-
-func readStr(r byteReaderCk) (string, error) {
-	n, err := readU64(r)
-	if err != nil {
-		return "", err
-	}
-	if n > 1<<16 {
-		return "", fmt.Errorf("trainer: checkpoint string of %d bytes", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
-}
-
-type byteReaderCk interface {
-	io.Reader
-	io.ByteReader
-}
-
-// maxCheckpointTensor bounds any single tensor read from a checkpoint.
-const maxCheckpointTensor = 1 << 28
-
-// Save writes the model to w.
+// Save writes the model to w. Every field is appended through one
+// bufio.Writer, whose error is sticky: Flush reports the first write that
+// failed.
 func (m *Model) Save(w io.Writer) error {
-	if _, err := io.WriteString(w, checkpointMagic); err != nil {
-		return err
+	bw := bufio.NewWriter(w)
+	uv := func(v uint64) { bw.Write(binary.AppendUvarint(bw.AvailableBuffer(), v)) }
+	f32s := func(vals []float32) {
+		bw.Write(tensor.AppendFloat32s(binary.AppendUvarint(bw.AvailableBuffer(), uint64(len(vals))), vals))
 	}
-	if err := writeU64(w, checkpointVersion); err != nil {
-		return err
-	}
+
+	bw.WriteString(checkpointMagic)
+	uv(checkpointVersion)
 
 	// Configuration.
 	cfg := m.cfg
-	if err := writeU64(w, uint64(cfg.EmbDim)); err != nil {
-		return err
-	}
-	if err := writeU64(w, uint64(cfg.DenseIn)); err != nil {
-		return err
-	}
+	uv(uint64(cfg.EmbDim))
+	uv(uint64(cfg.DenseIn))
 	for _, hidden := range [][]int{cfg.BottomHidden, cfg.TopHidden} {
-		if err := writeU64(w, uint64(len(hidden))); err != nil {
-			return err
-		}
+		uv(uint64(len(hidden)))
 		for _, h := range hidden {
-			if err := writeU64(w, uint64(h)); err != nil {
-				return err
-			}
+			uv(uint64(h))
 		}
 	}
-	if err := writeU64(w, uint64(len(cfg.Features))); err != nil {
-		return err
-	}
+	uv(uint64(len(cfg.Features)))
 	for _, f := range cfg.Features {
-		if err := writeStr(w, f.Key); err != nil {
-			return err
-		}
-		if err := writeU64(w, uint64(f.Pool)); err != nil {
-			return err
-		}
-		if err := writeU64(w, uint64(f.TableRows)); err != nil {
-			return err
-		}
+		uv(uint64(len(f.Key)))
+		bw.WriteString(f.Key)
+		uv(uint64(f.Pool))
+		uv(uint64(f.TableRows))
 	}
-	if err := writeF32s(w, []float32{cfg.LR}); err != nil {
-		return err
-	}
-	if err := writeU64(w, uint64(cfg.Opt)); err != nil {
-		return err
-	}
-	if err := writeU64(w, uint64(cfg.Seed)); err != nil {
-		return err
-	}
+	f32s([]float32{cfg.LR})
+	uv(uint64(cfg.Opt))
+	uv(uint64(cfg.Seed))
 
 	// Parameters: MLPs, tables (key-sorted for determinism), attention.
-	writeLinear := func(l *Linear) error {
-		if err := writeF32s(w, l.W); err != nil {
-			return err
-		}
-		if err := writeF32s(w, l.B); err != nil {
-			return err
-		}
-		if err := writeF32s(w, l.gsqW); err != nil {
-			return err
-		}
-		return writeF32s(w, l.gsqB)
-	}
 	for _, mlp := range []*MLP{m.bottom, m.top} {
 		for _, l := range mlp.Layers {
-			if err := writeLinear(l); err != nil {
-				return err
+			for _, t := range [][]float32{l.W, l.B, l.gsqW, l.gsqB} {
+				f32s(t)
 			}
 		}
 	}
-	keys := make([]string, 0, len(m.tables))
-	for k := range m.tables {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
+	for _, k := range slices.Sorted(maps.Keys(m.tables)) {
 		e := m.tables[k]
-		if err := writeF32s(w, e.W); err != nil {
-			return err
-		}
-		if err := writeF32s(w, e.gsq); err != nil {
-			return err
-		}
+		f32s(e.W)
+		f32s(e.gsq)
 		if a, ok := m.attn[k]; ok {
 			for _, t := range [][]float32{a.Wq, a.Wk, a.Wv} {
-				if err := writeF32s(w, t); err != nil {
-					return err
-				}
+				f32s(t)
 			}
-			if err := writeU64(w, uint64(len(a.gsq))); err != nil {
-				return err
-			}
+			uv(uint64(len(a.gsq)))
 			for _, g := range a.gsq {
-				if err := writeF32s(w, g); err != nil {
-					return err
-				}
+				f32s(g)
 			}
 		}
 	}
-	return nil
+	return bw.Flush()
 }
 
-// Load reads a checkpoint written by Save and reconstructs the model.
-func Load(r byteReaderCk) (*Model, error) {
-	magic := make([]byte, len(checkpointMagic))
-	if _, err := io.ReadFull(r, magic); err != nil {
+// paramFloats counts the floats of the parameters a model built from cfg
+// holds: its MLPs' weights and biases, its tables, its attention blocks.
+// A checkpoint writes each of them as four bytes.
+func paramFloats(cfg Config) float64 {
+	n := 0.0
+	bottom, top := cfg.mlpSizes()
+	for _, sizes := range [][]int{bottom, top} {
+		for i := 1; i < len(sizes); i++ {
+			n += float64(sizes[i-1]+1) * float64(sizes[i])
+		}
+	}
+	dim := float64(cfg.EmbDim)
+	for _, f := range cfg.Features {
+		n += float64(f.rows()) * dim
+		if f.Pool == AttentionPool {
+			n += 3 * dim * dim
+		}
+	}
+	return n
+}
+
+// Load reads a checkpoint written by Save and reconstructs the model. The
+// checkpoint is read whole and decoded as one slice, so no size it names
+// is believed beyond the bytes behind it: the parameters its config
+// implies are held against the bytes that follow before the model is
+// built.
+func Load(r io.Reader) (*Model, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	d := tensor.NewDecoder(data)
+	magic, err := d.Next(len(checkpointMagic))
+	if err != nil {
 		return nil, fmt.Errorf("trainer: checkpoint magic: %w", err)
 	}
 	if string(magic) != checkpointMagic {
 		return nil, fmt.Errorf("trainer: bad checkpoint magic %q", magic)
 	}
-	ver, err := readU64(r)
-	if err != nil {
-		return nil, err
+
+	// The reads below share one sticky error, like the writer Save
+	// appends through: after the first failure every read yields zero, and
+	// err is checked before what was read is used.
+	fail := func(format string, args ...any) {
+		if err == nil {
+			err = fmt.Errorf("trainer: checkpoint "+format, args...)
+		}
 	}
-	if ver != checkpointVersion {
-		return nil, fmt.Errorf("trainer: unsupported checkpoint version %d", ver)
+	uvarint := func() uint64 {
+		if err != nil {
+			return 0
+		}
+		v, uerr := d.Uvarint()
+		if uerr != nil {
+			fail("field: %w", uerr)
+		}
+		return v
+	}
+	size := func(what string, max uint64) int {
+		v := uvarint()
+		if v > max {
+			fail("%s %d exceeds %d", what, v, max)
+			return 0
+		}
+		return int(v)
+	}
+	str := func() string {
+		n := size("string length", 1<<16)
+		if err != nil {
+			return ""
+		}
+		b, nerr := d.Next(n)
+		if nerr != nil {
+			fail("string: %w", nerr)
+		}
+		return string(b)
+	}
+	// floats reads a tensor of want floats into *dst. An Adagrad
+	// accumulator (acc) may instead be empty, read as nil: no adaptive
+	// step has run.
+	floats := func(dst *[]float32, want int, acc bool) {
+		n := uvarint()
+		switch {
+		case err != nil:
+		case n == 0 && acc:
+			*dst = nil
+		case n != uint64(want):
+			fail("tensor of %d floats, want %d", n, want)
+		default:
+			t, ferr := d.Float32s(want)
+			if ferr != nil {
+				fail("tensor: %w", ferr)
+				return
+			}
+			*dst = t
+		}
 	}
 
+	if ver := uvarint(); err == nil && ver != checkpointVersion {
+		return nil, fmt.Errorf("trainer: unsupported checkpoint version %d", ver)
+	}
 	var cfg Config
-	u, err := readU64(r)
-	if err != nil {
-		return nil, err
-	}
-	cfg.EmbDim = int(u)
-	if u, err = readU64(r); err != nil {
-		return nil, err
-	}
-	cfg.DenseIn = int(u)
+	cfg.EmbDim = size("embedding dim", maxCheckpointDim)
+	cfg.DenseIn = size("dense width", maxCheckpointDim)
 	for _, dst := range []*[]int{&cfg.BottomHidden, &cfg.TopHidden} {
-		n, err := readU64(r)
-		if err != nil {
-			return nil, err
-		}
-		if n > 64 {
-			return nil, fmt.Errorf("trainer: checkpoint has %d hidden layers", n)
-		}
-		for i := uint64(0); i < n; i++ {
-			h, err := readU64(r)
-			if err != nil {
-				return nil, err
-			}
-			*dst = append(*dst, int(h))
+		for range size("hidden layer count", 64) {
+			*dst = append(*dst, size("hidden width", maxCheckpointDim))
 		}
 	}
-	nf, err := readU64(r)
-	if err != nil {
-		return nil, err
-	}
-	if nf > 1<<16 {
-		return nil, fmt.Errorf("trainer: checkpoint has %d features", nf)
-	}
-	for i := uint64(0); i < nf; i++ {
-		var f FeatureConfig
-		if f.Key, err = readStr(r); err != nil {
-			return nil, err
-		}
-		if u, err = readU64(r); err != nil {
-			return nil, err
-		}
-		f.Pool = PoolKind(u)
-		if u, err = readU64(r); err != nil {
-			return nil, err
-		}
-		f.TableRows = int(u)
+	for range size("feature count", 1<<16) {
+		f := FeatureConfig{Key: str(), Pool: PoolKind(uvarint())}
+		f.TableRows = size("table rows", maxCheckpointDim)
 		cfg.Features = append(cfg.Features, f)
 	}
-	lr, err := readF32s(r, 1)
-	if err != nil || len(lr) != 1 {
-		return nil, fmt.Errorf("trainer: checkpoint LR: %v", err)
-	}
+	lr := []float32{0}
+	floats(&lr, 1, false)
 	cfg.LR = lr[0]
-	if u, err = readU64(r); err != nil {
+	cfg.Opt = Optimizer(uvarint())
+	cfg.Seed = int64(uvarint())
+	if err != nil {
 		return nil, err
 	}
-	cfg.Opt = Optimizer(u)
-	if u, err = readU64(r); err != nil {
-		return nil, err
+	if need, have := 4*paramFloats(cfg), len(d.Rest()); need > float64(have) {
+		return nil, fmt.Errorf("trainer: checkpoint config implies %.0f parameter bytes, %d follow", need, have)
 	}
-	cfg.Seed = int64(u)
 
 	m, err := New(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("trainer: checkpoint config invalid: %w", err)
 	}
-
-	readLinear := func(l *Linear) error {
-		w, err := readF32s(r, maxCheckpointTensor)
-		if err != nil {
-			return err
-		}
-		if len(w) != len(l.W) {
-			return fmt.Errorf("trainer: checkpoint weight size %d, want %d", len(w), len(l.W))
-		}
-		l.W = w
-		b, err := readF32s(r, maxCheckpointTensor)
-		if err != nil {
-			return err
-		}
-		if len(b) != len(l.B) {
-			return fmt.Errorf("trainer: checkpoint bias size %d, want %d", len(b), len(l.B))
-		}
-		l.B = b
-		if l.gsqW, err = readF32s(r, maxCheckpointTensor); err != nil {
-			return err
-		}
-		if len(l.gsqW) == 0 {
-			l.gsqW = nil
-		}
-		if l.gsqB, err = readF32s(r, maxCheckpointTensor); err != nil {
-			return err
-		}
-		if len(l.gsqB) == 0 {
-			l.gsqB = nil
-		}
-		return nil
-	}
 	for _, mlp := range []*MLP{m.bottom, m.top} {
 		for _, l := range mlp.Layers {
-			if err := readLinear(l); err != nil {
-				return nil, err
-			}
+			floats(&l.W, len(l.W), false)
+			floats(&l.B, len(l.B), false)
+			floats(&l.gsqW, len(l.W), true)
+			floats(&l.gsqB, len(l.B), true)
 		}
 	}
-	keys := make([]string, 0, len(m.tables))
-	for k := range m.tables {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
+	for _, k := range slices.Sorted(maps.Keys(m.tables)) {
 		e := m.tables[k]
-		w, err := readF32s(r, maxCheckpointTensor)
-		if err != nil {
-			return nil, err
-		}
-		if len(w) != len(e.W) {
-			return nil, fmt.Errorf("trainer: checkpoint table %q size %d, want %d", k, len(w), len(e.W))
-		}
-		e.W = w
-		if e.gsq, err = readF32s(r, maxCheckpointTensor); err != nil {
-			return nil, err
-		}
-		if len(e.gsq) == 0 {
-			e.gsq = nil
-		}
+		floats(&e.W, len(e.W), false)
+		floats(&e.gsq, len(e.W), true)
 		if a, ok := m.attn[k]; ok {
-			for _, dst := range []*[]float32{&a.Wq, &a.Wk, &a.Wv} {
-				t, err := readF32s(r, maxCheckpointTensor)
-				if err != nil {
-					return nil, err
-				}
-				if len(t) != a.Dim*a.Dim {
-					return nil, fmt.Errorf("trainer: checkpoint attention %q size %d", k, len(t))
-				}
-				*dst = t
+			for _, t := range []*[]float32{&a.Wq, &a.Wk, &a.Wv} {
+				floats(t, a.Dim*a.Dim, false)
 			}
-			ng, err := readU64(r)
-			if err != nil {
-				return nil, err
-			}
-			if ng > 3 {
-				return nil, fmt.Errorf("trainer: checkpoint attention %q has %d accumulators", k, ng)
-			}
-			if ng > 0 {
+			// Adagrad keeps one accumulator per projection, or none yet.
+			switch ng := uvarint(); ng {
+			case 0:
+			case 3:
 				a.gsq = make([][]float32, ng)
 				for i := range a.gsq {
-					if a.gsq[i], err = readF32s(r, maxCheckpointTensor); err != nil {
-						return nil, err
-					}
+					floats(&a.gsq[i], a.Dim*a.Dim, false)
 				}
+			default:
+				fail("attention %q has %d accumulators", k, ng)
 			}
 		}
+	}
+	if rest := len(d.Rest()); rest != 0 {
+		fail("has %d bytes after the model", rest)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return m, nil
 }

@@ -38,6 +38,14 @@ type FeatureConfig struct {
 	TableRows int
 }
 
+// rows is the feature's table height: TableRows, or 2^16 when unset.
+func (f FeatureConfig) rows() int {
+	if f.TableRows <= 0 {
+		return 1 << 16
+	}
+	return f.TableRows
+}
+
 // Config assembles a DLRM.
 type Config struct {
 	// EmbDim is the embedding dimension, shared by all tables and the
@@ -58,6 +66,16 @@ type Config struct {
 	Opt Optimizer
 	// Seed makes initialization deterministic.
 	Seed int64
+}
+
+// mlpSizes returns the layer widths of the bottom and the top MLP: the
+// bottom maps the dense features to an embedding, the top maps the
+// pairwise interactions to one logit.
+func (cfg Config) mlpSizes() (bottom, top []int) {
+	bottom = append(append([]int{cfg.DenseIn}, cfg.BottomHidden...), cfg.EmbDim)
+	interDim := InteractionOutputDim(1+len(cfg.Features), cfg.EmbDim)
+	top = append(append([]int{interDim}, cfg.TopHidden...), 1)
+	return bottom, top
 }
 
 // Model is a numeric DLRM.
@@ -82,13 +100,11 @@ func New(cfg Config) (*Model, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
-	bottomSizes := append(append([]int{cfg.DenseIn}, cfg.BottomHidden...), cfg.EmbDim)
+	bottomSizes, topSizes := cfg.mlpSizes()
 	bottom, err := NewMLP(bottomSizes, true, rng)
 	if err != nil {
 		return nil, err
 	}
-	interDim := InteractionOutputDim(1+len(cfg.Features), cfg.EmbDim)
-	topSizes := append(append([]int{interDim}, cfg.TopHidden...), 1)
 	top, err := NewMLP(topSizes, false, rng)
 	if err != nil {
 		return nil, err
@@ -107,11 +123,7 @@ func New(cfg Config) (*Model, error) {
 			return nil, fmt.Errorf("trainer: feature %q configured twice", f.Key)
 		}
 		seen[f.Key] = true
-		rows := f.TableRows
-		if rows <= 0 {
-			rows = 1 << 16
-		}
-		tb, err := NewEmbeddingBag(rows, cfg.EmbDim, rng)
+		tb, err := NewEmbeddingBag(f.rows(), cfg.EmbDim, rng)
 		if err != nil {
 			return nil, err
 		}

@@ -50,6 +50,12 @@
 #      its code span, a shell operator, a `#`, a word ending a clause
 #      (`,` `.` `;` `:` `)`), or, unless the line ends in `\` or a code
 #      span runs on, the end of the line.
+#  10. No non-test Go file outside internal/tensor may call
+#      binary.ReadUvarint or io.ReadFull, except the calls listed in
+#      read_allowed below, each with its reason. A decoder of outside bytes
+#      reads through tensor.Decoder or tensor.ReadInto, which believe a
+#      declared length only as its bytes arrive; one that reads for itself
+#      has grown a second length rule.
 #
 # Usage: scripts/docs-check.sh
 set -euo pipefail
@@ -269,8 +275,33 @@ if stray=$(awk -v known="$tmpdir/known" -v coded="$tmpdir/coded" -v q="'" '
     fail=1
 fi
 
+# --- 10. one length rule ------------------------------------------------
+# "<file> <call> <reason>"; each entry allows one call.
+read_allowed=(
+    "internal/dpp/dppnet/protocol.go binary.ReadUvarint a frame header's length, held to the frame limit before tensor.ReadInto reads the body"
+    "internal/dpp/dppnet/server.go io.ReadFull the 5-byte connection preamble, a fixed size"
+    "internal/dwrf/encode.go io.ReadFull inflate into a stream's recorded length, which maxStreamBytes bounds"
+)
+declare -A read_left
+for entry in "${read_allowed[@]}"; do
+    read -r file call _ <<<"$entry"
+    read_left["$file $call"]=$(( ${read_left["$file $call"]:-0} + 1 ))
+done
+while IFS=: read -r file line text; do
+    [[ "$text" =~ ^[[:space:]]*// ]] && continue
+    for call in $(grep -oE '\b(binary\.ReadUvarint|io\.ReadFull)\(' <<<"$text" | tr -d '('); do
+        if (( ${read_left["$file $call"]:-0} > 0 )); then
+            read_left["$file $call"]=$(( ${read_left["$file $call"]} - 1 ))
+        else
+            echo "docs: $file:$line calls $call; read through tensor.Decoder or tensor.ReadInto, or list the call in docs-check.sh's read_allowed with its reason"
+            fail=1
+        fi
+    done
+done < <(grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=.git --exclude-dir=.bench_build \
+    '\b(binary\.ReadUvarint|io\.ReadFull)\(' . | sed 's|^\./||' | grep -v '^internal/tensor/' || true)
+
 if [[ "$fail" -ne 0 ]]; then
     echo "docs: FAIL"
     exit 1
 fi
-echo "docs: OK (package comments, go fences, links, import guard, determinism-table tests, protocol version, frame set, Spec fields, flag tables, named flags)"
+echo "docs: OK (package comments, go fences, links, import guard, determinism-table tests, protocol version, frame set, Spec fields, flag tables, named flags, one length rule)"

@@ -51,9 +51,16 @@ func runExperiment(b *testing.B, id string, metrics map[string][2]string) {
 		}
 	}
 	for name, addr := range metrics {
-		if v, ok := res.Value(addr[0], addr[1]); ok {
-			b.ReportMetric(v, name)
-		} else {
+		found := false
+		for _, row := range res.Rows {
+			for _, c := range row.Values {
+				if row.Label == addr[0] && c.Name == addr[1] {
+					b.ReportMetric(c.Value, name)
+					found = true
+				}
+			}
+		}
+		if !found {
 			b.Fatalf("%s: missing %s/%s", id, addr[0], addr[1])
 		}
 	}

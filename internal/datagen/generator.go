@@ -11,16 +11,9 @@ type GeneratorConfig struct {
 	// Sessions is the number of user sessions in the partition.
 	Sessions int
 	// MeanSamplesPerSession targets the paper's S (16.5 in §3). Session
-	// sizes are drawn log-normally, producing the heavy tail of Fig 3.
+	// sizes are drawn log-normally (sigmaSamplesPerSession), producing the
+	// heavy tail of Fig 3.
 	MeanSamplesPerSession float64
-	// SigmaSamplesPerSession is the log-normal sigma; larger values fatten
-	// the tail. Defaults to 1.1 when zero.
-	SigmaSamplesPerSession float64
-	// MaxSamplesPerSession caps pathological draws. Defaults to 4096.
-	MaxSamplesPerSession int
-	// PartitionSpanMicros is the time window the sessions are spread over
-	// (defaults to one hour).
-	PartitionSpanMicros int64
 	// CTR is the positive-label probability.
 	CTR float64
 	// LabelSignal, when positive, makes labels learnable: the click
@@ -34,16 +27,18 @@ type GeneratorConfig struct {
 	Seed int64
 }
 
+const (
+	// sigmaSamplesPerSession is the log-normal sigma of session sizes;
+	// larger values fatten the tail.
+	sigmaSamplesPerSession = 1.1
+	// maxSamplesPerSession caps pathological session-size draws.
+	maxSamplesPerSession = 4096
+	// partitionSpanMicros is the time window a partition's sessions are
+	// spread over: one hour.
+	partitionSpanMicros = 3600 * 1e6
+)
+
 func (c GeneratorConfig) withDefaults() GeneratorConfig {
-	if c.SigmaSamplesPerSession == 0 {
-		c.SigmaSamplesPerSession = 1.1
-	}
-	if c.MaxSamplesPerSession == 0 {
-		c.MaxSamplesPerSession = 4096
-	}
-	if c.PartitionSpanMicros == 0 {
-		c.PartitionSpanMicros = 3600 * 1e6
-	}
 	if c.CTR == 0 {
 		c.CTR = 0.05
 	}
@@ -66,21 +61,18 @@ func NewGenerator(schema *Schema, cfg GeneratorConfig) *Generator {
 	return &Generator{schema: schema, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 }
 
-// Schema returns the generator's schema.
-func (g *Generator) Schema() *Schema { return g.schema }
-
 // sessionSize draws a samples-per-session count with the configured
-// log-normal distribution, clamped to [1, MaxSamplesPerSession].
+// log-normal distribution, clamped to [1, maxSamplesPerSession].
 func (g *Generator) sessionSize() int {
-	sigma := g.cfg.SigmaSamplesPerSession
+	sigma := sigmaSamplesPerSession
 	// Mean of lognormal(mu, sigma) is exp(mu + sigma^2/2); solve for mu.
 	mu := math.Log(g.cfg.MeanSamplesPerSession) - sigma*sigma/2
 	n := int(math.Round(math.Exp(g.rng.NormFloat64()*sigma + mu)))
 	if n < 1 {
 		n = 1
 	}
-	if n > g.cfg.MaxSamplesPerSession {
-		n = g.cfg.MaxSamplesPerSession
+	if n > maxSamplesPerSession {
+		n = maxSamplesPerSession
 	}
 	return n
 }
@@ -146,7 +138,7 @@ func (g *Generator) generateSession(sessionID int64) []Sample {
 	// sees ~1 sample per session, matching Fig 3 (right).
 	times := make([]int64, n)
 	for i := range times {
-		times[i] = g.rng.Int63n(g.cfg.PartitionSpanMicros)
+		times[i] = g.rng.Int63n(partitionSpanMicros)
 	}
 	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
 
@@ -238,15 +230,4 @@ func (g *Generator) clickProbability(userID int64, sparse [][]int64) float64 {
 	base := math.Log(g.cfg.CTR / (1 - g.cfg.CTR))
 	z := base + g.cfg.LabelSignal*(userEffect+itemEffect)
 	return 1 / (1 + math.Exp(-z))
-}
-
-// GenerateSessions synthesizes the partition but returns samples grouped by
-// session (session-major order), the layout a clustered table produces.
-// Used by tests to compare against the ETL clustering output.
-func (g *Generator) GenerateSessions() [][]Sample {
-	out := make([][]Sample, 0, g.cfg.Sessions)
-	for sess := 0; sess < g.cfg.Sessions; sess++ {
-		out = append(out, g.generateSession(int64(sess+1)))
-	}
-	return out
 }

@@ -27,17 +27,6 @@ type Sample struct {
 	Label int8
 }
 
-// Clone deep-copies the sample.
-func (s Sample) Clone() Sample {
-	out := s
-	out.Sparse = make([][]int64, len(s.Sparse))
-	for i, l := range s.Sparse {
-		out.Sparse[i] = append([]int64(nil), l...)
-	}
-	out.Dense = append([]float32(nil), s.Dense...)
-	return out
-}
-
 // AppendTo appends the sample in the raw-log wire format used by the
 // inference→Scribe path. The format is deliberately value-dense so that
 // black-box compression behaves like it does on production logs: duplicate

@@ -24,7 +24,7 @@ func TestSyncGroupUpdatesTogether(t *testing.T) {
 	gen := NewGenerator(schema, GeneratorConfig{
 		Sessions: 50, MeanSamplesPerSession: 10, Seed: 3,
 	})
-	sessions := gen.GenerateSessions()
+	sessions := generateSessions(gen)
 
 	listEq := func(x, y []int64) bool {
 		if len(x) != len(y) {

@@ -52,8 +52,6 @@ type Config struct {
 	// each file's batches fall — is computed from. A spec naming a file the
 	// catalog does not hold is refused.
 	Catalog storage.Catalog
-	// MaxSessions caps concurrently open sessions; 0 means unlimited.
-	MaxSessions int
 	// ScanCacheBytes bounds the service's cross-session ScanCache, which
 	// memoizes decoded batches per (file, spec fingerprint, carried rows)
 	// for sessions that opt in via Spec.ShareScans. 0 picks DefaultScanCacheBytes;
@@ -92,7 +90,6 @@ const DefaultScanCacheBytes = 256 << 20
 type Service struct {
 	backend storage.Backend
 	catalog storage.Catalog
-	max     int
 	// cache memoizes file scans across ShareScans sessions; nil when
 	// disabled by Config.ScanCacheBytes < 0.
 	cache *ScanCache
@@ -107,12 +104,9 @@ type Service struct {
 	mu     sync.Mutex
 	closed bool
 	nextID int64
-	// sessions are the open sessions of both kinds — batch sessions and
-	// file-unit sessions (fleet shards) share the MaxSessions cap.
+	// sessions are the open sessions of both kinds: batch sessions and
+	// file-unit sessions (fleet shards).
 	sessions map[int64]liveSession
-	// reserved counts admissions granted but not yet registered, so the
-	// MaxSessions cap holds across concurrent Opens.
-	reserved int
 
 	// Service-level accounting, kept as internal/metrics counters so the
 	// hot paths (noteBatch on every served batch, noteScale on every
@@ -133,9 +127,6 @@ type Service struct {
 func New(cfg Config) (*Service, error) {
 	if cfg.Backend == nil || cfg.Catalog == nil {
 		return nil, fmt.Errorf("dpp: config needs a storage backend and a catalog")
-	}
-	if cfg.MaxSessions < 0 {
-		return nil, fmt.Errorf("dpp: negative session cap %d", cfg.MaxSessions)
 	}
 	var cache *ScanCache
 	if cfg.ScanCacheBytes >= 0 {
@@ -164,7 +155,6 @@ func New(cfg Config) (*Service, error) {
 	svc := &Service{
 		backend:   cfg.Backend,
 		catalog:   cfg.Catalog,
-		max:       cfg.MaxSessions,
 		cache:     cache,
 		autoscale: autoscale,
 		arbiter:   cfg.Arbiter,
@@ -324,11 +314,11 @@ func (s *Service) plan(spec Spec) (Spec, []storage.PublishedFile, error) {
 	return spec, entries, nil
 }
 
-// admit is the one admission path: it reserves a slot atomically with the
-// cap/closed checks, runs open outside the lock, registers the session
-// under the same lock once it exists, and gives the slot back on any
-// failure — concurrent opens of either kind cannot overshoot the cap and
-// a racing Close cannot strand a live session.
+// admit is the one admission path for sessions of either kind: it runs
+// open outside the lock and registers the session under it once it
+// exists, so a racing Close cannot strand a live session. Admission caps
+// are the tenants' own, charged by the front.Gate before a remote session
+// gets here.
 func admit[S liveSession](s *Service, open func(id int64) (S, error)) (S, error) {
 	var none S
 	s.mu.Lock()
@@ -336,22 +326,15 @@ func admit[S liveSession](s *Service, open func(id int64) (S, error)) (S, error)
 		s.mu.Unlock()
 		return none, fmt.Errorf("dpp: service closed")
 	}
-	if s.max > 0 && len(s.sessions)+s.reserved >= s.max {
-		s.mu.Unlock()
-		return none, fmt.Errorf("dpp: session cap %d reached", s.max)
-	}
-	s.reserved++
 	s.nextID++
 	id := s.nextID
 	s.mu.Unlock()
 
 	sess, err := open(id)
-	s.mu.Lock()
-	s.reserved--
 	if err != nil {
-		s.mu.Unlock()
 		return none, err
 	}
+	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		sess.Close()

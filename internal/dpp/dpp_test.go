@@ -11,6 +11,8 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/dpp"
+	"repro/internal/dpp/dppnet"
+	"repro/internal/dpp/front"
 	"repro/internal/dwrf"
 	"repro/internal/etl"
 	"repro/internal/lakefs"
@@ -314,8 +316,8 @@ func TestSessionClose(t *testing.T) {
 	testutil.WaitForGoroutines(t, before)
 }
 
-// TestServiceAdmission covers the service lifecycle errors: session cap,
-// closed service, unknown table, and spec validation.
+// TestServiceAdmission covers the service lifecycle errors: closed
+// service, unknown table, and spec validation.
 func TestServiceAdmission(t *testing.T) {
 	env := newTestEnv(t, 10)
 
@@ -323,19 +325,7 @@ func TestServiceAdmission(t *testing.T) {
 		t.Fatal("expected error for missing backend")
 	}
 
-	svc := newService(t, env, dpp.Config{MaxSessions: 1})
-	sess, err := svc.Open(context.Background(), dpp.Spec{Spec: dedupSpec()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := svc.Open(context.Background(), dpp.Spec{Spec: dedupSpec()}); err == nil {
-		t.Fatal("expected session-cap error")
-	}
-	sess.Close()
-	if _, err := svc.Open(context.Background(), dpp.Spec{Spec: dedupSpec()}); err != nil {
-		t.Fatalf("slot should free after Close: %v", err)
-	}
-
+	svc := newService(t, env, dpp.Config{})
 	bad := dedupSpec()
 	bad.Table = "missing"
 	if _, err := svc.Open(context.Background(), dpp.Spec{Spec: bad}); err == nil {
@@ -358,11 +348,10 @@ func TestServiceAdmission(t *testing.T) {
 
 // TestSessionReaderError: a runtime reader failure (a dedup group naming
 // a feature the table lacks) surfaces out of Next, not silently as EOF,
-// and the dead session releases its service slot without an explicit
-// Close.
+// and the dead session leaves the service without an explicit Close.
 func TestSessionReaderError(t *testing.T) {
 	env := newTestEnv(t, 10)
-	svc := newService(t, env, dpp.Config{MaxSessions: 1})
+	svc := newService(t, env, dpp.Config{})
 	spec := dedupSpec()
 	spec.DedupSparseFeatures = append(spec.DedupSparseFeatures, []string{"not_a_feature"})
 	sess, err := svc.Open(context.Background(), dpp.Spec{Spec: spec})
@@ -381,30 +370,40 @@ func TestSessionReaderError(t *testing.T) {
 	if n := svc.Stats().ActiveSessions; n != 0 {
 		t.Fatalf("ActiveSessions = %d want 0 after reader error", n)
 	}
-	if _, err := svc.Open(context.Background(), dpp.Spec{Spec: dedupSpec()}); err != nil {
-		t.Fatalf("errored session should free its cap slot: %v", err)
-	}
 }
 
-// TestConcurrentOpenRespectsCap hammers Open from many goroutines
-// against a capped service: admissions must never exceed the cap even
-// under contention (the check and the registration are one atomic
-// admission).
+// sessionCap is a gate that caps the default tenant, which every session
+// of a server without auth belongs to, at maxSessions concurrent sessions.
+func sessionCap(maxSessions int) *front.Gate {
+	return front.NewGate(front.Config{Limits: map[string]front.Limits{front.DefaultTenant: {MaxSessions: maxSessions}}})
+}
+
+// TestConcurrentOpenRespectsCap hammers Open from many goroutines against
+// a server whose gate caps the tenant, the one admission cap: admissions
+// must never exceed the cap even under contention (the gate's check and
+// charge are one atomic admission), and a refusal is a remote error that
+// opened nothing.
 func TestConcurrentOpenRespectsCap(t *testing.T) {
 	env := newTestEnv(t, 10)
 	const maxSessions = 3
-	svc := newService(t, env, dpp.Config{MaxSessions: maxSessions})
+	svc := newService(t, env, dpp.Config{})
+	gate := sessionCap(maxSessions)
+	addr, stop := serveOn(t, svc, gate)
+	defer stop()
+	client := dppnet.NewClient(addr)
 
 	const attempts = 16
-	sessions := make([]*dpp.Session, attempts)
+	sessions := make([]*dppnet.RemoteSession, attempts)
 	var wg sync.WaitGroup
 	for i := 0; i < attempts; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			sess, err := svc.Open(context.Background(), dpp.Spec{Spec: dedupSpec()})
+			sess, err := client.Open(context.Background(), dpp.Spec{Spec: dedupSpec()})
 			if err == nil {
 				sessions[i] = sess
+			} else if !errors.Is(err, dppnet.ErrRemote) {
+				t.Errorf("refused open = %v, want a remote error", err)
 			}
 		}(i)
 	}
@@ -422,8 +421,8 @@ func TestConcurrentOpenRespectsCap(t *testing.T) {
 	if admitted == 0 {
 		t.Fatal("no session admitted at all")
 	}
-	if n := svc.Stats().ActiveSessions; n != admitted {
-		t.Fatalf("ActiveSessions = %d want %d", n, admitted)
+	if st := gate.TenantStats(front.DefaultTenant); st.Active != admitted {
+		t.Fatalf("gate holds %d sessions, want the %d admitted", st.Active, admitted)
 	}
 	for _, sess := range sessions {
 		if sess != nil {

@@ -244,10 +244,10 @@ func closeOnDone(ctx context.Context, conn net.Conn) (stop func()) {
 
 // Open submits spec to the remote service and returns the session as a
 // pull stream. The semantics mirror dpp.Service.Open: admission errors
-// (invalid spec, session cap, closed service) surface here, wrapped in
-// ErrRemote; cancelling ctx at any later point tears the remote session
-// down as Close would. The credit window is spec.Window(), the bound a
-// local session's output buffer has.
+// (invalid spec, a tenant's session cap, closed service) surface here,
+// wrapped in ErrRemote; cancelling ctx at any later point tears the remote
+// session down as Close would. The credit window is spec.Window(), the
+// bound a local session's output buffer has.
 func (c *Client) Open(ctx context.Context, spec dpp.Spec) (*RemoteSession, error) {
 	// A Follow session has no frozen file list to hash and no
 	// predetermined length, so resume — built on replaying a fixed

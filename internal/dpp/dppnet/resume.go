@@ -324,7 +324,8 @@ func (s *Server) park(e *session) bool {
 	return true
 }
 
-// registerLive enters a freshly issued token into the live table. sever
+// registerLive enters the token of a session a connection now serves into
+// the live table. sever
 // must make the connection's serving loop exit the way a dead connection
 // does, so that it parks.
 func (s *Server) registerLive(e *session, sever func()) {

@@ -583,8 +583,10 @@ func TestResumeIdentityCoversServes(t *testing.T) {
 }
 
 // TestResumeTokenSingleClaim: a parked session's token is single-claim —
-// while one reconnect holds it, a second handshake presenting the same
-// token must be refused instead of splicing two consumers into one
+// one connection at a time serves the stream. A second handshake
+// presenting the token while a reconnect holds it takes the stream over as
+// a claim of a not-yet-parked token does: the holding connection is
+// severed and parked first, so two consumers are never spliced into one
 // stream.
 func TestResumeTokenSingleClaim(t *testing.T) {
 	before := runtime.NumGoroutine()
@@ -606,14 +608,29 @@ func TestResumeTokenSingleClaim(t *testing.T) {
 		Kind: kindSession, Window: 4, Spec: ws,
 		Resumable: true, Offset: 0, Token: token,
 	}
-	conn1, _, stop1, _, err := client.openStream(context.Background(), req)
+	conn1, br1, stop1, _, err := client.openStream(context.Background(), req)
 	if err != nil {
 		t.Fatalf("first token claim: %v", err)
 	}
-	_, _, _, _, err = client.openStream(context.Background(), req)
-	if !errors.Is(err, ErrRemote) || !strings.Contains(err.Error(), "already in use") {
-		t.Fatalf("second claim of a held token = %v, want ErrRemote already-in-use", err)
+	conn2, _, stop2, _, err := client.openStream(context.Background(), req)
+	if err != nil {
+		t.Fatalf("second claim of a held token: %v", err)
 	}
+	// The first holder was cut off: past the frames its window had already
+	// been sent, its connection ends.
+	for sent := 0; ; sent++ {
+		if _, _, err := readFrame(br1, maxFrameBytes); err != nil {
+			break
+		}
+		if sent > req.Window {
+			t.Fatalf("the severed holder was sent %d frames on a window of %d", sent, req.Window)
+		}
+	}
+	if st := h.srv.Stats(); st.ResumedSessions != 2 || st.ReplayedSessions != 0 {
+		t.Fatalf("server stats %+v: want both claims resumed by token", st)
+	}
+	stop2()
+	conn2.Close()
 	stop1()
 	conn1.Close()
 	h.shutdown(t)
@@ -624,7 +641,9 @@ func TestResumeTokenSingleClaim(t *testing.T) {
 // noticed that its old connection is dead. The token it presents is
 // issued but not parked; the claim must sever the old connection, wait
 // for its handler to park, and resume — not answer "unknown" and push
-// the client onto a full offset replay.
+// the client onto a full offset replay. The same holds for a connection
+// that a claim resumed: a second redial while it is still healthy resumes
+// by token too.
 func TestResumeClaimBeforePark(t *testing.T) {
 	before := runtime.NumGoroutine()
 	env := newTestEnv(t, 60)
@@ -657,6 +676,18 @@ func TestResumeClaimBeforePark(t *testing.T) {
 		!strings.Contains(err.Error(), "unknown or expired") {
 		t.Fatalf("cross-tenant claim = %v, want the unknown-token error", err)
 	}
+	again, _, stopAgain, _, err := client.openStream(context.Background(), openRequest{
+		Kind: kindSession, Window: 4, Spec: ws,
+		Resumable: true, Offset: 1, Token: token,
+	})
+	if err != nil {
+		t.Fatalf("claim of a token whose resumed connection is still healthy: %v", err)
+	}
+	if st := h.srv.Stats(); st.ResumedSessions != 2 || st.ReplayedSessions != 0 {
+		t.Fatalf("server stats %+v: want the second claim resumed by token", st)
+	}
+	stopAgain()
+	again.Close()
 	stop()
 	conn.Close()
 	oldStop()

@@ -238,9 +238,6 @@ func (s *Server) Drain() {
 	})
 }
 
-// Draining reports whether Drain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Serve accepts connections on ln until Close (which returns nil) or a
 // listener failure (which returns the error). Each connection is handled
 // on its own goroutine; Serve itself blocks.
@@ -282,15 +279,6 @@ func (s *Server) Serve(ln net.Listener) error {
 			s.handle(conn)
 		}()
 	}
-}
-
-// ListenAndServe listens on addr and serves until Close.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
 }
 
 // Close stops accepting, force-closes every live connection (tearing
@@ -639,16 +627,15 @@ func (s *Server) serve(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, ss *se
 		}
 	}
 	if ss.token != "" {
-		if !claimed {
-			// The token is claimable from the moment the client can know it,
-			// not from the moment this handler notices its connection died: a
-			// client that redials first finds the session here, severs this
-			// connection, and waits for it to be parked.
-			s.registerLive(ss, func() {
-				connCancel()
-				conn.Close()
-			})
-		}
+		// The token is claimable from the moment the client can know it,
+		// not from the moment this handler notices its connection died: a
+		// client that redials first finds the session here, severs this
+		// connection, and waits for it to be parked. That holds for every
+		// connection serving the session, a resumed one too.
+		s.registerLive(ss, func() {
+			connCancel()
+			conn.Close()
+		})
 	}
 	// The handshake is over; from here a silent client is a slow consumer,
 	// which the credit window is for.

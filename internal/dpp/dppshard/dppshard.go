@@ -221,7 +221,7 @@ var _ dpp.Stream = (*Session)(nil)
 // Open routes spec.Files over the fleet and starts one unit stream per
 // shard with files to serve. The spec must name its files explicitly —
 // routing is by file, so the client must own the list. Admission errors
-// a shard reports (invalid spec, session cap) fail the whole Open;
+// a shard reports (invalid spec, a tenant's session cap) fail the whole Open;
 // shards that are unreachable at Open are treated exactly like a
 // mid-stream death: marked dead, their files re-routed to survivors.
 func (f *Fleet) Open(ctx context.Context, spec dpp.Spec) (*Session, error) {

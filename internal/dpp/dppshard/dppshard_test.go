@@ -20,6 +20,7 @@ import (
 	"repro/internal/dpp"
 	"repro/internal/dpp/dppnet"
 	"repro/internal/dpp/dppshard"
+	"repro/internal/dpp/front"
 	"repro/internal/dwrf"
 	"repro/internal/etl"
 	"repro/internal/lakefs"
@@ -558,9 +559,10 @@ func TestFleetOpenSemantics(t *testing.T) {
 		t.Fatal("Open accepted a spec with batch size 0")
 	}
 
-	// A shard refusing admission (session cap) fails the whole Open with
-	// ErrRemote — it is not treated as a dead shard to route around.
-	cappedSvc, err := dpp.New(dpp.Config{Backend: env.store, Catalog: env.catalog, MaxSessions: 1})
+	// A shard refusing admission (its gate's session cap) fails the whole
+	// Open with ErrRemote — it is not treated as a dead shard to route
+	// around.
+	cappedSvc, err := dpp.New(dpp.Config{Backend: env.store, Catalog: env.catalog})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -570,6 +572,7 @@ func TestFleetOpenSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	cappedSrv := dppnet.NewServer(cappedSvc)
+	cappedSrv.Gate = front.NewGate(front.Config{Limits: map[string]front.Limits{front.DefaultTenant: {MaxSessions: 1}}})
 	go cappedSrv.Serve(ln)
 	defer cappedSrv.Close()
 	capped, err := dppshard.New(dppshard.Config{Addrs: []string{ln.Addr().String()}})

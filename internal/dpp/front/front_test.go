@@ -134,13 +134,13 @@ func TestGateAdmission(t *testing.T) {
 // TestGateNoAuthDefaultsTenant: without an Authenticator every
 // handshake lands on DefaultTenant, still subject to its limits.
 func TestGateNoAuthDefaultsTenant(t *testing.T) {
-	g := NewGate(Config{DefaultLimits: Limits{MaxSessions: 1}})
+	g := NewGate(Config{Limits: map[string]Limits{DefaultTenant: {MaxSessions: 1}}})
 	l, err := g.Admit("ignored-token")
 	if err != nil || l.Tenant != DefaultTenant {
 		t.Fatalf("Admit = %+v, %v, want the default tenant", l, err)
 	}
 	if _, err := g.Admit(""); !errors.Is(err, ErrOverQuota) {
-		t.Fatalf("second admit = %v, want ErrOverQuota under DefaultLimits", err)
+		t.Fatalf("second admit = %v, want ErrOverQuota under the default tenant's limits", err)
 	}
 	l.Release()
 }
@@ -152,8 +152,8 @@ func TestGateDrain(t *testing.T) {
 	g := NewGate(Config{Auth: StaticTokens{"tok-a": "team-a"}})
 	g.Drain()
 	g.Drain() // idempotent
-	if !g.Draining() {
-		t.Fatal("Draining() false after Drain")
+	if !g.Stats().Draining {
+		t.Fatal("Stats().Draining false after Drain")
 	}
 	_, err := g.Admit("tok-a")
 	if !errors.Is(err, ErrDraining) {

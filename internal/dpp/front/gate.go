@@ -12,10 +12,8 @@ type Config struct {
 	// connection is admitted as DefaultTenant (subject to its limits).
 	Auth Authenticator
 	// Limits configures per-tenant quotas and weights; tenants absent
-	// from the map get DefaultLimits.
+	// from the map are unlimited, at weight 1.
 	Limits map[string]Limits
-	// DefaultLimits applies to tenants with no Limits entry.
-	DefaultLimits Limits
 }
 
 // Gate is the admission front door. One Gate serves a whole process —
@@ -45,14 +43,6 @@ func NewGate(cfg Config) *Gate {
 	return &Gate{auth: cfg.Auth, cfg: cfg, tenants: make(map[string]*tenantState)}
 }
 
-// limitsFor resolves a tenant's effective limits.
-func (g *Gate) limitsFor(tenant string) Limits {
-	if lim, ok := g.cfg.Limits[tenant]; ok {
-		return lim
-	}
-	return g.cfg.DefaultLimits
-}
-
 // Admit runs the full admission path for one handshake: authenticate
 // the token, refuse while draining, and charge the tenant's session
 // quota. It either returns a held Lease or an error — and on error the
@@ -76,7 +66,7 @@ func (g *Gate) Admit(token string) (*Lease, error) {
 		g.drainRejects++
 		return nil, ErrDraining
 	}
-	lim := g.limitsFor(tenant)
+	lim := g.cfg.Limits[tenant]
 	ts := g.tenants[tenant]
 	if ts == nil {
 		ts = &tenantState{}
@@ -101,13 +91,6 @@ func (g *Gate) Drain() {
 	g.mu.Lock()
 	g.draining = true
 	g.mu.Unlock()
-}
-
-// Draining reports whether Drain has been called.
-func (g *Gate) Draining() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.draining
 }
 
 // Lease is one admitted session's hold on its tenant's quota. The
@@ -203,8 +186,8 @@ func (g *Gate) TenantStats(tenant string) TenantStat {
 
 // KnownTenants lists the tenants named in the gate's configuration,
 // sorted — the set obs registers per-tenant metric series for at
-// startup (tenants outside the config share DefaultLimits and show up
-// only in Stats).
+// startup (tenants outside the config are unlimited and show up only in
+// Stats).
 func (g *Gate) KnownTenants() []string {
 	names := make([]string, 0, len(g.cfg.Limits))
 	for name := range g.cfg.Limits {

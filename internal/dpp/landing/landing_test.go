@@ -62,7 +62,7 @@ func TestWriterCountTrigger(t *testing.T) {
 		t.Fatalf("publish log %v, %v", pubs, err)
 	}
 	for i, pf := range pubs {
-		if !store.Exists(pf.Path) {
+		if _, err := store.Size(pf.Path); err != nil {
 			t.Fatalf("catalogued %q has no blob", pf.Path)
 		}
 		if !strings.Contains(pf.Path, "hour=0/") {

@@ -305,7 +305,7 @@ func TestCoalescedSessionIsServedWhileComputed(t *testing.T) {
 				defer s2.Close()
 				next, hits = s2.Next, func() int64 { return s2.Stats().Cache.Hits }
 			case "remote":
-				addr, stop := serveOn(t, svc)
+				addr, stop := serveOn(t, svc, nil)
 				defer stop()
 				s2, err := dppnet.NewClient(addr).Open(ctx, shared)
 				if err != nil {

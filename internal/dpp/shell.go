@@ -185,16 +185,18 @@ func (s *Shell[T]) Pull(ctx context.Context) (T, error) {
 // wait for every goroutine, settle the accounting, and report the scan
 // outcome. A scan cut short by Close or by job-context cancellation
 // reports that, never a clean io.EOF; a reader failure surfaces after the
-// serial prefix that preceded it.
+// serial prefix that preceded it. Once Close has begun, it owns teardown
+// and release: a Pull that raced it to the closed out reports ErrClosed
+// and waits for nothing.
 func (s *Shell[T]) finish() error {
 	s.mu.Lock()
 	final, closed := s.final, s.closed
 	s.mu.Unlock()
+	if closed {
+		return ErrClosed
+	}
 	if final != nil {
 		// A Pull after the end repeats the outcome.
-		if closed {
-			return ErrClosed
-		}
 		return final
 	}
 	// Snapshot the job-context state before teardown cancels the session

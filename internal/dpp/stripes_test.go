@@ -15,6 +15,7 @@ import (
 	"repro/internal/dpp"
 	"repro/internal/dpp/dppnet"
 	"repro/internal/dpp/dppshard"
+	"repro/internal/dpp/front"
 	"repro/internal/dwrf"
 	"repro/internal/etl"
 	"repro/internal/lakefs"
@@ -42,7 +43,7 @@ func newStripedEnv(t testing.TB) *testEnv {
 }
 
 // stripeRange is the byte extent of stripe k of the file at path.
-func stripeRange(t testing.TB, store storage.Backend, path string, k int) (off, n int64) {
+func stripeRange(t testing.TB, store *lakefs.Store, path string, k int) (off, n int64) {
 	t.Helper()
 	data, err := store.Get(path)
 	if err != nil {
@@ -77,15 +78,17 @@ func (s *parkedStripeStore) ReadRange(path string, off, n int64) ([]byte, error)
 	return s.Backend.ReadRange(path, off, n)
 }
 
-// serveOn starts a dppnet server for svc on a kernel-chosen port and returns
-// its address and the function that stops it.
-func serveOn(t *testing.T, svc *dpp.Service) (addr string, stop func()) {
+// serveOn starts a dppnet server for svc, behind gate when it is not nil,
+// on a kernel-chosen port and returns its address and the function that
+// stops it.
+func serveOn(t *testing.T, svc *dpp.Service, gate *front.Gate) (addr string, stop func()) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv := dppnet.NewServer(svc)
+	srv.Gate = gate
 	served := make(chan error, 1)
 	go func() { served <- srv.Serve(ln) }()
 	return ln.Addr().String(), func() {
@@ -130,7 +133,7 @@ func streamPaths(readers ...int) []streamPath {
 				}
 				return ls, func() reader.Stats { return ls.Stats().Reader }, []*dpp.Service{svc}, func() { svc.Close() }
 			}
-			addr, stop := serveOn(t, svc)
+			addr, stop := serveOn(t, svc, nil)
 			rs2, err := dppnet.NewClient(addr).Open(ctx, spec(rs))
 			if err != nil {
 				t.Fatal(err)
@@ -158,7 +161,7 @@ func streamPaths(readers ...int) []streamPath {
 			if err != nil {
 				t.Fatal(err)
 			}
-			addr, stop := serveOn(t, svc)
+			addr, stop := serveOn(t, svc, nil)
 			svcs, addrs, stops = append(svcs, svc), append(addrs, addr), append(stops, stop, func() { svc.Close() })
 		}
 		f, err := dppshard.New(dppshard.Config{Addrs: addrs})

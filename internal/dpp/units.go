@@ -67,7 +67,7 @@ type UnitSession struct {
 	carries []int
 }
 
-// OpenUnits admits a file-unit session under the same MaxSessions cap,
+// OpenUnits admits a file-unit session under the same admission path,
 // catalog resolution, and teardown rules as Open, serving the files of the
 // spec's plan at the indices serves names — increasing, and inside the
 // plan, which the caller checks — or every file when serves is nil. It is the server-side entry point for fleet shards

@@ -13,6 +13,8 @@ import (
 	"time"
 
 	"repro/internal/dpp"
+	"repro/internal/dpp/dppnet"
+	"repro/internal/dpp/front"
 	"repro/internal/dwrf"
 	"repro/internal/reader"
 	"repro/internal/testutil"
@@ -370,12 +372,25 @@ func TestUnitSessionTeardown(t *testing.T) {
 }
 
 // TestOpenAndOpenUnitsShareCap: batch and unit sessions are admitted
-// through one path against one MaxSessions cap, which concurrent opens of
-// both kinds cannot overshoot.
+// against one cap, the tenant's at the server's gate, which concurrent
+// opens of both kinds cannot overshoot; with the cap full, neither kind
+// gets in.
 func TestOpenAndOpenUnitsShareCap(t *testing.T) {
 	env := newTestEnv(t, 10)
+	files, err := env.catalog.AllFiles("tbl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := dpp.Spec{Spec: dedupSpec(), Files: files}
+	serves := make([]int, len(files))
+	for i := range serves {
+		serves[i] = i
+	}
 	const maxSessions = 3
-	svc := newService(t, env, dpp.Config{MaxSessions: maxSessions})
+	gate := sessionCap(maxSessions)
+	addr, stop := serveOn(t, newService(t, env, dpp.Config{}), gate)
+	defer stop()
+	client := dppnet.NewClient(addr)
 
 	const attempts = 16
 	closers := make([]io.Closer, attempts)
@@ -385,10 +400,10 @@ func TestOpenAndOpenUnitsShareCap(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			if i%2 == 0 {
-				if sess, err := svc.Open(context.Background(), dpp.Spec{Spec: dedupSpec()}); err == nil {
+				if sess, err := client.Open(context.Background(), spec); err == nil {
 					closers[i] = sess
 				}
-			} else if u, err := svc.OpenUnits(context.Background(), dpp.Spec{Spec: dedupSpec()}, nil); err == nil {
+			} else if u, err := client.OpenUnits(context.Background(), spec, serves); err == nil {
 				closers[i] = u
 			}
 		}(i)
@@ -404,21 +419,17 @@ func TestOpenAndOpenUnitsShareCap(t *testing.T) {
 	if admitted == 0 || admitted > maxSessions {
 		t.Fatalf("admitted %d sessions, cap %d", admitted, maxSessions)
 	}
-	if n := svc.Stats().ActiveSessions; n != admitted {
-		t.Fatalf("ActiveSessions = %d want %d", n, admitted)
+	if st := gate.TenantStats(front.DefaultTenant); st.Active != admitted {
+		t.Fatalf("gate holds %d sessions, want the %d admitted", st.Active, admitted)
 	}
-	// The cap is full: neither kind gets in until a slot frees.
 	if admitted == maxSessions {
-		if _, err := svc.OpenUnits(context.Background(), dpp.Spec{Spec: dedupSpec()}, nil); err == nil {
-			t.Fatal("OpenUnits admitted past a full cap")
+		if _, err := client.OpenUnits(context.Background(), spec, serves); !errors.Is(err, dppnet.ErrRemote) {
+			t.Fatalf("OpenUnits past a full cap = %v, want a remote error", err)
 		}
 	}
 	for _, c := range closers {
 		if c != nil {
 			c.Close()
 		}
-	}
-	if n := svc.Stats().ActiveSessions; n != 0 {
-		t.Fatalf("ActiveSessions = %d after closing everything", n)
 	}
 }

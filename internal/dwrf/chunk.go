@@ -147,16 +147,6 @@ func Concat(parts ...*Chunk) (*Chunk, error) {
 	return out, nil
 }
 
-// Clone returns a copy of the chunk's rows that owns its storage, so
-// holding it pins nothing of the chunk it was cut from.
-func (c *Chunk) Clone() *Chunk {
-	out, err := Concat(c)
-	if err != nil {
-		panic(err) // one part agrees with itself
-	}
-	return out
-}
-
 // MemBytes estimates what holding the chunk's rows pins, for cache
 // budgets: per row the metadata, a list header per schema feature and the
 // dense features, plus the sparse values. That is the chunk's own payload,

@@ -269,7 +269,7 @@ func TestChunkSliceAppend(t *testing.T) {
 			hi := min(lo+rng.Intn(12), chunk.Rows())
 			piece := chunk.Slice(lo, hi)
 			if rng.Intn(2) == 0 {
-				piece = piece.Slice(0, piece.Rows()).Clone() // a slice of a slice, then owned
+				piece = owned(t, piece.Slice(0, piece.Rows())) // a slice of a slice, then owned
 			}
 			if err := out.Append(piece); err != nil {
 				t.Fatal(err)
@@ -305,7 +305,7 @@ func TestChunkSliceAppend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := chunk.Clone().Append(narrow); err == nil {
+	if err := owned(t, chunk).Append(narrow); err == nil {
 		t.Fatal("appending a chunk of a different projection width was accepted")
 	}
 }
@@ -343,4 +343,15 @@ func TestConcurrentProjectedReads(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// owned copies c's rows into a chunk that owns its storage, as Append
+// requires of its receiver.
+func owned(t testing.TB, c *Chunk) *Chunk {
+	t.Helper()
+	out, err := Concat(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }

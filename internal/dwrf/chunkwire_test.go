@@ -73,7 +73,7 @@ func TestChunkCodecMatchesRowView(t *testing.T) {
 		}
 		// A later file's rows are appended to carried ones: the decoded
 		// chunk has to be a chunk Append takes.
-		if err := got.Clone().Append(ref); err != nil {
+		if err := owned(t, got).Append(ref); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 

@@ -38,8 +38,6 @@ type WriterOptions struct {
 	// StripeRows is the maximum number of rows per stripe.
 	// 0 means DefaultStripeRows.
 	StripeRows int
-	// CompressionLevel is the flate level (1–9); 0 means flate's default.
-	CompressionLevel int
 }
 
 func (o WriterOptions) withDefaults() WriterOptions {
@@ -52,9 +50,6 @@ func (o WriterOptions) withDefaults() WriterOptions {
 func (o WriterOptions) validate() error {
 	if o.StripeRows > maxStripeRows {
 		return fmt.Errorf("dwrf: stripe rows %d exceeds limit %d", o.StripeRows, maxStripeRows)
-	}
-	if o.CompressionLevel < 0 || o.CompressionLevel > 9 {
-		return fmt.Errorf("dwrf: invalid compression level %d", o.CompressionLevel)
 	}
 	return nil
 }
@@ -76,14 +71,6 @@ type FileStats struct {
 	RawBytes        int64
 	CompressedBytes int64
 	Columns         []ColumnStats
-}
-
-// CompressionRatio is raw over compressed, the paper's storage metric.
-func (s FileStats) CompressionRatio() float64 {
-	if s.CompressedBytes == 0 {
-		return 0
-	}
-	return float64(s.RawBytes) / float64(s.CompressedBytes)
 }
 
 // stripeInfo locates one stripe within a file.

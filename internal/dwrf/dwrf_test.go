@@ -171,8 +171,8 @@ func TestSchemaMismatch(t *testing.T) {
 
 func TestInvalidOptions(t *testing.T) {
 	schema := testSchema()
-	if _, err := NewFileWriter(schema, WriterOptions{CompressionLevel: 42}); err == nil {
-		t.Fatal("expected error for bad compression level")
+	if _, err := NewFileWriter(schema, WriterOptions{StripeRows: maxStripeRows + 1}); err == nil {
+		t.Fatal("expected error for oversized stripes")
 	}
 	if _, err := NewFileWriter(nil, WriterOptions{}); err == nil {
 		t.Fatal("expected error for nil schema")
@@ -237,12 +237,12 @@ func TestStripeRangeRead(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Decode stripe 1 via its byte range, as the reader tier's fill does.
-	off, length := r.StripeByteRange(1)
-	got, err := DecodeStripe(data[off:off+length], r.SparseKeys(), r.DenseCount())
+	// Decode stripe 1 on its own, as the reader tier's fill does.
+	c, err := r.StripeColumns(1, allColumns(len(r.SparseKeys())))
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := c.Samples()
 	if len(got) != r.StripeRows(1) {
 		t.Fatalf("stripe rows = %d want %d", len(got), r.StripeRows(1))
 	}
@@ -252,10 +252,10 @@ func TestStripeRangeRead(t *testing.T) {
 		}
 	}
 
-	if _, err := r.ReadStripe(-1); err == nil {
+	if _, err := r.StripeColumns(-1, nil); err == nil {
 		t.Fatal("expected error for negative stripe")
 	}
-	if _, err := r.ReadStripe(r.NumStripes()); err == nil {
+	if _, err := r.StripeColumns(r.NumStripes(), nil); err == nil {
 		t.Fatal("expected error for out-of-range stripe")
 	}
 }
@@ -291,7 +291,8 @@ func TestClusteringImprovesCompression(t *testing.T) {
 	if diff := float64(clustered.RawBytes-base.RawBytes) / float64(base.RawBytes); diff > 0.01 || diff < -0.01 {
 		t.Fatalf("raw bytes changed by clustering beyond tolerance: %d vs %d", base.RawBytes, clustered.RawBytes)
 	}
-	rBase, rClust := base.CompressionRatio(), clustered.CompressionRatio()
+	ratio := func(s FileStats) float64 { return float64(s.RawBytes) / float64(s.CompressedBytes) }
+	rBase, rClust := ratio(base), ratio(clustered)
 	if rClust <= rBase*1.2 {
 		t.Fatalf("clustering should improve compression markedly: base %.2f clustered %.2f", rBase, rClust)
 	}
@@ -329,6 +330,32 @@ func TestColumnStats(t *testing.T) {
 	}
 }
 
+// readPartition reads every file of a partition back into rows, in catalog
+// order.
+func readPartition(store *lakefs.Store, catalog *lakefs.Catalog, table string, hour int64) ([]datagen.Sample, error) {
+	files, err := catalog.Files(table, hour)
+	if err != nil {
+		return nil, err
+	}
+	var out []datagen.Sample
+	for _, f := range files {
+		data, err := store.Get(f)
+		if err != nil {
+			return nil, err
+		}
+		r, err := OpenReader(data)
+		if err != nil {
+			return nil, err
+		}
+		rows, err := r.ReadAll()
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, rows...)
+	}
+	return out, nil
+}
+
 func TestWritePartitionAndReadBack(t *testing.T) {
 	schema := testSchema()
 	samples := testSamples(t, schema, 40)
@@ -352,7 +379,7 @@ func TestWritePartitionAndReadBack(t *testing.T) {
 		t.Fatalf("catalog files = %v, %v", files, err)
 	}
 
-	got, err := ReadPartition(store, catalog, "tbl", 5)
+	got, err := readPartition(store, catalog, "tbl", 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +404,7 @@ func TestWriteEmptyPartition(t *testing.T) {
 	if stats.Files != 1 || stats.Rows != 0 {
 		t.Fatalf("empty partition stats: %+v", stats)
 	}
-	got, err := ReadPartition(store, catalog, "tbl", 0)
+	got, err := readPartition(store, catalog, "tbl", 0)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty partition read: %d rows, %v", len(got), err)
 	}

@@ -59,8 +59,9 @@ func FuzzOpenReader(f *testing.F) {
 	})
 }
 
-// FuzzDecodeStripe feeds arbitrary bytes to the stripe decoder under the
-// seed file's schema and an arbitrary dense width.
+// FuzzDecodeStripe feeds arbitrary bytes, as one whole stripe, to the
+// column decoder under the seed file's schema and an arbitrary dense width:
+// it decodes every column or fails with an error.
 func FuzzDecodeStripe(f *testing.F) {
 	data, r := fuzzSeedFile(f)
 	for i := range r.stripes {
@@ -72,13 +73,21 @@ func FuzzDecodeStripe(f *testing.F) {
 	}
 	keys := r.SparseKeys()
 	f.Fuzz(func(t *testing.T, stripe []byte, dense int) {
-		rows, err := DecodeStripe(stripe, keys, dense)
+		src, err := wholeStripe(stripe, firstSparse+len(keys))
 		if err != nil {
 			return
 		}
-		for _, s := range rows {
-			if len(s.Sparse) != len(keys) || len(s.Dense) != dense {
-				t.Fatalf("row has %d sparse lists, %d dense; schema is %d, %d", len(s.Sparse), len(s.Dense), len(keys), dense)
+		c, err := decodeStripe(src, keys, dense, allColumns(len(keys)))
+		if err != nil {
+			return
+		}
+		if len(c.Columns()) != len(keys) || len(c.Dense()) != c.Rows()*dense {
+			t.Fatalf("chunk has %d sparse columns, %d dense values for %d rows; schema is %d, %d",
+				len(c.Columns()), len(c.Dense()), c.Rows(), len(keys), dense)
+		}
+		for p := range keys {
+			if got := c.Jagged(p).Rows(); got != c.Rows() {
+				t.Fatalf("column %d has %d rows, chunk %d", p, got, c.Rows())
 			}
 		}
 	})

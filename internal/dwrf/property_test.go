@@ -103,12 +103,11 @@ func TestPropertyStripeDecodeMatchesReadAll(t *testing.T) {
 		}
 		var viaStripes []datagen.Sample
 		for i := 0; i < r.NumStripes(); i++ {
-			off, length := r.StripeByteRange(i)
-			ss, err := DecodeStripe(data[off:off+length], r.SparseKeys(), r.DenseCount())
+			c, err := r.StripeColumns(i, allColumns(len(r.SparseKeys())))
 			if err != nil {
 				return false
 			}
-			viaStripes = append(viaStripes, ss...)
+			viaStripes = append(viaStripes, c.Samples()...)
 		}
 		all, err := r.ReadAll()
 		if err != nil || len(all) != len(viaStripes) {

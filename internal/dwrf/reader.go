@@ -256,18 +256,6 @@ func (r *FileReader) ReadColumns(ctx context.Context, cols []int) (*Chunk, error
 	return Concat(parts...)
 }
 
-// ReadStripe decodes stripe i back into samples.
-func (r *FileReader) ReadStripe(i int) ([]datagen.Sample, error) {
-	if i < 0 || i >= len(r.stripes) {
-		return nil, fmt.Errorf("dwrf: stripe %d out of range [0,%d)", i, len(r.stripes))
-	}
-	stripe, err := r.get(r.stripes[i].offset, r.stripes[i].length)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeStripe(stripe, r.keys, r.dense)
-}
-
 // ReadAll decodes every stripe. See ReadAllContext.
 func (r *FileReader) ReadAll() ([]datagen.Sample, error) {
 	return r.ReadAllContext(context.Background())
@@ -277,21 +265,6 @@ func (r *FileReader) ReadAll() ([]datagen.Sample, error) {
 // and returns the rows as views over that chunk (see Chunk.Samples).
 func (r *FileReader) ReadAllContext(ctx context.Context) ([]datagen.Sample, error) {
 	c, err := r.ReadColumns(ctx, allColumns(len(r.keys)))
-	if err != nil {
-		return nil, err
-	}
-	return c.Samples(), nil
-}
-
-// DecodeStripe decodes one whole stripe's bytes (as delimited by
-// StripeByteRange) into samples, given the file's sparse keys and dense
-// width. The rows are views over the stripe's decoded column chunk.
-func DecodeStripe(stripe []byte, keys []string, dense int) ([]datagen.Sample, error) {
-	src, err := wholeStripe(stripe, firstSparse+len(keys))
-	if err != nil {
-		return nil, err
-	}
-	c, err := decodeStripe(src, keys, dense, allColumns(len(keys)))
 	if err != nil {
 		return nil, err
 	}

@@ -87,29 +87,3 @@ func WritePartition(store *lakefs.Store, catalog *lakefs.Catalog, table string, 
 	}
 	return stats, nil
 }
-
-// ReadPartition reads every file of a partition back into samples, in
-// catalog order. Reads are charged to the store's accounting.
-func ReadPartition(store *lakefs.Store, catalog *lakefs.Catalog, table string, hour int64) ([]datagen.Sample, error) {
-	files, err := catalog.Files(table, hour)
-	if err != nil {
-		return nil, err
-	}
-	var out []datagen.Sample
-	for _, f := range files {
-		data, err := store.Get(f)
-		if err != nil {
-			return nil, err
-		}
-		fr, err := OpenReader(data)
-		if err != nil {
-			return nil, fmt.Errorf("dwrf: %s: %w", f, err)
-		}
-		ss, err := fr.ReadAll()
-		if err != nil {
-			return nil, fmt.Errorf("dwrf: %s: %w", f, err)
-		}
-		out = append(out, ss...)
-	}
-	return out, nil
-}

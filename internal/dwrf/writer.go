@@ -146,11 +146,7 @@ func (w *FileWriter) encodeStripeColumns() [][]byte {
 func (w *FileWriter) compressInto(dst, raw []byte) ([]byte, error) {
 	w.compBuf.Reset()
 	if w.fw == nil {
-		level := w.opts.CompressionLevel
-		if level == 0 {
-			level = flate.DefaultCompression
-		}
-		fw, err := flate.NewWriter(&w.compBuf, level)
+		fw, err := flate.NewWriter(&w.compBuf, flate.DefaultCompression)
 		if err != nil {
 			return nil, fmt.Errorf("dwrf: flate init: %w", err)
 		}

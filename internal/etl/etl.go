@@ -187,42 +187,3 @@ func Downsample(samples []datagen.Sample, rate float64, policy DownsamplePolicy,
 	}
 	return out
 }
-
-// HourlyPartitions manages the time-partitioned table lifecycle: new
-// partitions land continuously and old ones are dropped to maintain
-// freshness (paper §2.1).
-type HourlyPartitions struct {
-	retention int
-	hours     []int64
-	data      map[int64][]datagen.Sample
-}
-
-// NewHourlyPartitions creates a partition set retaining the most recent
-// `retention` hours.
-func NewHourlyPartitions(retention int) *HourlyPartitions {
-	return &HourlyPartitions{retention: retention, data: map[int64][]datagen.Sample{}}
-}
-
-// Land stores a partition for the given hour, dropping the oldest if the
-// retention bound is exceeded. Re-landing an hour replaces it.
-func (h *HourlyPartitions) Land(hour int64, samples []datagen.Sample) {
-	if _, ok := h.data[hour]; !ok {
-		h.hours = append(h.hours, hour)
-		sort.Slice(h.hours, func(i, j int) bool { return h.hours[i] < h.hours[j] })
-	}
-	h.data[hour] = samples
-	for len(h.hours) > h.retention {
-		old := h.hours[0]
-		h.hours = h.hours[1:]
-		delete(h.data, old)
-	}
-}
-
-// Partition returns the samples landed for hour.
-func (h *HourlyPartitions) Partition(hour int64) ([]datagen.Sample, bool) {
-	s, ok := h.data[hour]
-	return s, ok
-}
-
-// Hours lists the retained hours in ascending order.
-func (h *HourlyPartitions) Hours() []int64 { return append([]int64(nil), h.hours...) }

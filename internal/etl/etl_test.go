@@ -152,28 +152,3 @@ func TestDownsampleDeterministic(t *testing.T) {
 		}
 	}
 }
-
-func TestHourlyPartitionsRetention(t *testing.T) {
-	h := NewHourlyPartitions(3)
-	for hour := int64(0); hour < 5; hour++ {
-		h.Land(hour, []datagen.Sample{{SessionID: hour}})
-	}
-	hours := h.Hours()
-	if len(hours) != 3 || hours[0] != 2 || hours[2] != 4 {
-		t.Fatalf("retained hours = %v, want [2 3 4]", hours)
-	}
-	if _, ok := h.Partition(0); ok {
-		t.Error("expired partition still present")
-	}
-	if p, ok := h.Partition(4); !ok || p[0].SessionID != 4 {
-		t.Error("recent partition missing")
-	}
-	// Re-landing replaces without growing.
-	h.Land(4, []datagen.Sample{{SessionID: 99}})
-	if p, _ := h.Partition(4); p[0].SessionID != 99 {
-		t.Error("re-land did not replace")
-	}
-	if len(h.Hours()) != 3 {
-		t.Error("re-land changed retention count")
-	}
-}

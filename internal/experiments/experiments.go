@@ -58,21 +58,6 @@ func (r *Result) String() string {
 	return b.String()
 }
 
-// Cell lookup for tests.
-func (r *Result) Value(label, cell string) (float64, bool) {
-	for _, row := range r.Rows {
-		if row.Label != label {
-			continue
-		}
-		for _, c := range row.Values {
-			if c.Name == cell {
-				return c.Value, true
-			}
-		}
-	}
-	return 0, false
-}
-
 // Runner is one registered experiment.
 type Runner struct {
 	ID    string

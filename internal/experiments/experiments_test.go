@@ -23,11 +23,15 @@ func runExp(t *testing.T, id string) *Result {
 
 func mustValue(t *testing.T, res *Result, label, cell string) float64 {
 	t.Helper()
-	v, ok := res.Value(label, cell)
-	if !ok {
-		t.Fatalf("%s: missing %s/%s in\n%s", res.ID, label, cell, res)
+	for _, row := range res.Rows {
+		for _, c := range row.Values {
+			if row.Label == label && c.Name == cell {
+				return c.Value
+			}
+		}
 	}
-	return v
+	t.Fatalf("%s: missing %s/%s in\n%s", res.ID, label, cell, res)
+	return 0
 }
 
 func TestRegistry(t *testing.T) {
@@ -341,11 +345,5 @@ func TestResultString(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("rendering missing %q:\n%s", want, s)
 		}
-	}
-	if _, ok := res.Value("r", "nope"); ok {
-		t.Error("Value should miss unknown cell")
-	}
-	if _, ok := res.Value("nope", "v"); ok {
-		t.Error("Value should miss unknown label")
 	}
 }

@@ -18,24 +18,6 @@ func (b Breakdown) Total() time.Duration {
 	return b.EMB + b.GEMM + b.A2A + b.Other
 }
 
-// Add accumulates o into b.
-func (b *Breakdown) Add(o Breakdown) {
-	b.EMB += o.EMB
-	b.GEMM += o.GEMM
-	b.A2A += o.A2A
-	b.Other += o.Other
-}
-
-// Scale multiplies every component by f.
-func (b Breakdown) Scale(f float64) Breakdown {
-	return Breakdown{
-		EMB:   time.Duration(float64(b.EMB) * f),
-		GEMM:  time.Duration(float64(b.GEMM) * f),
-		A2A:   time.Duration(float64(b.A2A) * f),
-		Other: time.Duration(float64(b.Other) * f),
-	}
-}
-
 // Overlap models compute/communication overlap: a fraction of the raw
 // collective time hides under concurrent compute, the rest is exposed
 // (the paper reports exposed latency, §6.2). overlappable is the compute

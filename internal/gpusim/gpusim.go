@@ -64,25 +64,9 @@ func (d DeviceSpec) roofline(flops float64, bytes float64) time.Duration {
 	return d.KernelLaunch + time.Duration(t*float64(time.Second))
 }
 
-// GEMMTime models an M×K by K×N matrix multiply (2MKN flops, streaming
-// all three operands once).
-func (d DeviceSpec) GEMMTime(m, n, k int) time.Duration {
-	flops := 2 * float64(m) * float64(n) * float64(k)
-	bytes := 4 * (float64(m)*float64(k) + float64(k)*float64(n) + float64(m)*float64(n))
-	return d.roofline(flops, bytes)
-}
-
 // FLOPsTime models a compute-bound kernel of the given flop count.
 func (d DeviceSpec) FLOPsTime(flops float64) time.Duration {
 	return d.roofline(flops, 0)
-}
-
-// EmbLookupTime models embedding-bag gathers: memory-bound, one row read
-// plus one output write per lookup (paper §5 "EMB Lookups" — reducing
-// lookups reduces required memory bandwidth).
-func (d DeviceSpec) EmbLookupTime(lookups, dim int) time.Duration {
-	bytes := float64(lookups) * float64(dim) * 4 * 2
-	return d.roofline(0, bytes)
 }
 
 // MemBoundTime models a bandwidth-bound kernel moving the given bytes
@@ -91,13 +75,13 @@ func (d DeviceSpec) MemBoundTime(bytes int64) time.Duration {
 	return d.roofline(0, float64(bytes))
 }
 
-// MemTracker accounts dynamic device memory: current and peak usage
-// against capacity. The trainer allocates activation and input buffers
-// through it to reproduce Table 2's memory-utilization rows.
+// MemTracker accounts device memory against capacity. The trainer
+// allocates its static, input and activation buffers through it to
+// reproduce Table 2's memory-utilization rows; nothing is freed within an
+// iteration, so usage only grows and its final value is the peak.
 type MemTracker struct {
 	spec DeviceSpec
 	used int64
-	peak int64
 }
 
 // NewMemTracker builds a tracker for one device.
@@ -117,35 +101,8 @@ func (m *MemTracker) Alloc(bytes int64) error {
 			m.spec.Name, m.used, bytes, m.spec.HBMCapacity)
 	}
 	m.used += bytes
-	if m.used > m.peak {
-		m.peak = m.used
-	}
 	return nil
 }
 
-// Free releases bytes.
-func (m *MemTracker) Free(bytes int64) {
-	m.used -= bytes
-	if m.used < 0 {
-		m.used = 0
-	}
-}
-
-// Used returns current usage in bytes.
-func (m *MemTracker) Used() int64 { return m.used }
-
 // Peak returns the high-water mark in bytes.
-func (m *MemTracker) Peak() int64 { return m.peak }
-
-// PeakUtilization returns peak usage as a fraction of capacity.
-func (m *MemTracker) PeakUtilization() float64 {
-	return float64(m.peak) / float64(m.spec.HBMCapacity)
-}
-
-// Utilization returns current usage as a fraction of capacity.
-func (m *MemTracker) Utilization() float64 {
-	return float64(m.used) / float64(m.spec.HBMCapacity)
-}
-
-// ResetPeak lowers the high-water mark to current usage.
-func (m *MemTracker) ResetPeak() { m.peak = m.used }
+func (m *MemTracker) Peak() int64 { return m.used }

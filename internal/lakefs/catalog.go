@@ -283,15 +283,3 @@ func (c *Catalog) EnforceRetention(store *Store, table string, keep int) ([]int6
 	}
 	return drop, nil
 }
-
-// Tables returns the registered table names, sorted.
-func (c *Catalog) Tables() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	names := make([]string, 0, len(c.tables))
-	for n := range c.tables {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}

@@ -10,8 +10,6 @@ package lakefs
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
 
 	"repro/internal/storage"
@@ -104,14 +102,6 @@ func (s *Store) Size(path string) (int64, error) {
 	return int64(len(b)), nil
 }
 
-// Exists reports whether a blob is stored at path.
-func (s *Store) Exists(path string) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, ok := s.blobs[path]
-	return ok
-}
-
 // Delete removes the blob at path. Deleting a missing blob is an error so
 // retention bugs surface in tests.
 func (s *Store) Delete(path string) error {
@@ -122,20 +112,6 @@ func (s *Store) Delete(path string) error {
 	}
 	delete(s.blobs, path)
 	return nil
-}
-
-// List returns all paths with the given prefix, sorted.
-func (s *Store) List(prefix string) []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var out []string
-	for p := range s.blobs {
-		if strings.HasPrefix(p, prefix) {
-			out = append(out, p)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Stats is a snapshot of the store's IO and occupancy accounting.

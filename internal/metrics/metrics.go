@@ -1,12 +1,10 @@
-// Package metrics provides the lightweight counters, timers and
+// Package metrics provides the lightweight counters, gauges and
 // histograms shared by every tier of the pipeline (Scribe, ETL, storage,
 // readers, trainers). It exists so tiers can account their work without
-// importing each other: a Counter is one atomic word, a Timer attributes
-// wall-clock time to pipeline stages (the paper's Fig 10 CPU breakdown),
-// and a Histogram records into fixed pre-sized buckets so observation
-// never allocates on a hot path. All types are safe for concurrent use —
-// reader fill loops and scribe appends record from many goroutines at
-// once.
+// importing each other: a Counter is one atomic word, and a Histogram
+// records into fixed pre-sized buckets so observation never allocates on
+// a hot path. All types are safe for concurrent use — sessions and
+// connections record from many goroutines at once.
 package metrics
 
 import (
@@ -14,7 +12,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonically increasing atomic counter.
@@ -31,21 +28,12 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Reset zeroes the counter.
-func (c *Counter) Reset() { c.v.Store(0) }
-
 // Gauge is an instantaneous atomic value — a level, not a count:
 // currently active sessions, open connections, resident cache bytes.
 // Unlike Counter it may move in both directions.
 type Gauge struct {
 	v atomic.Int64
 }
-
-// Set replaces the gauge's value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add moves the gauge by n (negative to decrement).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
 
 // Inc increments the gauge by one.
 func (g *Gauge) Inc() { g.v.Add(1) }
@@ -55,47 +43,6 @@ func (g *Gauge) Dec() { g.v.Add(-1) }
 
 // Value returns the current level.
 func (g *Gauge) Value() int64 { return g.v.Load() }
-
-// Timer accumulates elapsed wall-clock durations, used to attribute reader
-// CPU time to fill/convert/process stages (paper Fig 10).
-type Timer struct {
-	ns atomic.Int64
-	n  atomic.Int64
-}
-
-// Observe records one duration.
-func (t *Timer) Observe(d time.Duration) {
-	t.ns.Add(int64(d))
-	t.n.Add(1)
-}
-
-// Time runs f and records its duration.
-func (t *Timer) Time(f func()) {
-	start := time.Now()
-	f()
-	t.Observe(time.Since(start))
-}
-
-// Total returns the accumulated duration.
-func (t *Timer) Total() time.Duration { return time.Duration(t.ns.Load()) }
-
-// Count returns the number of observations.
-func (t *Timer) Count() int64 { return t.n.Load() }
-
-// Mean returns the average observed duration (0 if none).
-func (t *Timer) Mean() time.Duration {
-	n := t.n.Load()
-	if n == 0 {
-		return 0
-	}
-	return time.Duration(t.ns.Load() / n)
-}
-
-// Reset zeroes the timer.
-func (t *Timer) Reset() {
-	t.ns.Store(0)
-	t.n.Store(0)
-}
 
 // Histogram is a fixed-bucket histogram over int64 observations, used for
 // the samples-per-session distributions (paper Fig 3).
@@ -127,13 +74,6 @@ func (h *Histogram) Observe(v int64) {
 	if v > h.maxSeen {
 		h.maxSeen = v
 	}
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.total
 }
 
 // Mean returns the mean observed value.

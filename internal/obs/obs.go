@@ -20,7 +20,7 @@
 //	obs.RegisterAccessLog(reg, alog)
 //	netSrv.OnSession = obs.SessionHook(alog)
 //	side := obs.NewServer(obs.Config{Registry: reg, AccessLog: alog, Statsz: statszFn})
-//	go side.ListenAndServe(addr)
+//	go side.Serve(ln)
 //	...
 //	side.Shutdown(ctx) // graceful: drains in-flight scrapes
 package obs
@@ -33,7 +33,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
-	"sync"
 	"time"
 )
 
@@ -62,13 +61,10 @@ type Server struct {
 	cfg   Config
 	srv   *http.Server
 	start time.Time
-
-	mu sync.Mutex
-	ln net.Listener
 }
 
-// NewServer builds a sidecar over cfg. Call Serve or ListenAndServe to
-// start it, Shutdown to stop it.
+// NewServer builds a sidecar over cfg. Call Serve to start it, Shutdown to
+// stop it.
 func NewServer(cfg Config) *Server {
 	s := &Server{cfg: cfg, start: time.Now()}
 	mux := http.NewServeMux()
@@ -96,34 +92,11 @@ func NewServer(cfg Config) *Server {
 // Serve serves HTTP on ln until Shutdown (which makes Serve return nil)
 // or a listener failure.
 func (s *Server) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	s.ln = ln
-	s.mu.Unlock()
 	err := s.srv.Serve(ln)
 	if err == http.ErrServerClosed {
 		return nil
 	}
 	return err
-}
-
-// ListenAndServe listens on addr and serves until Shutdown.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
-}
-
-// Addr reports the bound listener address ("" before Serve) — how a
-// caller that listened on :0 discovers the port.
-func (s *Server) Addr() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln == nil {
-		return ""
-	}
-	return s.ln.Addr().String()
 }
 
 // Shutdown gracefully stops the sidecar: the listener closes, in-flight

@@ -48,24 +48,6 @@ func (b *Batch) WireBytes() int {
 	return total
 }
 
-// SparseValues reports the total sparse values carried (deduplicated for
-// IKJT groups).
-func (b *Batch) SparseValues() int {
-	n := 0
-	if b.KJT != nil {
-		n += b.KJT.NumValues()
-	}
-	for _, ik := range b.IKJTs {
-		for i := 0; i < ik.NumKeys(); i++ {
-			n += ik.DedupedAt(i).NumValues()
-		}
-	}
-	for _, p := range b.Partials {
-		n += len(p.Values)
-	}
-	return n
-}
-
 // Feature returns the full-batch jagged tensor for a key, expanding from
 // an IKJT if the key was deduplicated.
 func (b *Batch) Feature(key string) (tensor.Jagged, bool) {

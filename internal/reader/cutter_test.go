@@ -222,7 +222,11 @@ func fileRowCounts(t testing.TB, store storage.Backend, files []string) []int {
 	t.Helper()
 	rows := make([]int, len(files))
 	for i, f := range files {
-		data, err := store.Get(f)
+		size, err := store.Size(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := store.ReadRange(f, 0, size)
 		if err != nil {
 			t.Fatal(err)
 		}

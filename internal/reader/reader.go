@@ -107,9 +107,6 @@ func NewReader(store storage.Backend, spec Spec) (*Reader, error) {
 // Stats returns the accumulated accounting.
 func (r *Reader) Stats() Stats { return r.stats }
 
-// ResetStats zeroes the accounting.
-func (r *Reader) ResetStats() { r.stats = Stats{} }
-
 // Run scans the assigned files in order, producing preprocessed batches.
 // Rows left over after the last file that do not fill a batch are emitted
 // as a final short batch. emit returning an error aborts the scan.

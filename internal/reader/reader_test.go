@@ -215,7 +215,9 @@ func TestClusteringRaisesDedupFactor(t *testing.T) {
 			}
 			orig += float64(b.OriginalSparseValues)
 			if b.KJT != nil {
-				orig -= float64(b.KJT.NumValues()) // KJT features not deduplicated
+				for i := 0; i < b.KJT.NumKeys(); i++ {
+					orig -= float64(b.KJT.FeatureAt(i).NumValues()) // KJT features not deduplicated
+				}
 			}
 		}
 		return orig / dedup

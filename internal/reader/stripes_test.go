@@ -88,7 +88,7 @@ func (s *stripeReadHook) ReadRange(path string, off, n int64) ([]byte, error) {
 }
 
 // stripeOffset is where stripe k of the file at path starts.
-func stripeOffset(t testing.TB, store storage.Backend, path string, k int) int64 {
+func stripeOffset(t testing.TB, store *lakefs.Store, path string, k int) int64 {
 	t.Helper()
 	data, err := store.Get(path)
 	if err != nil {

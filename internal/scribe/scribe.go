@@ -52,8 +52,6 @@ type Config struct {
 	BlockBytes int
 	// Policy selects the shard key.
 	Policy ShardPolicy
-	// CompressionLevel is the flate level (defaults to flate.DefaultCompression).
-	CompressionLevel int
 }
 
 // Cluster is an in-process Scribe stand-in: a set of shards fed through a
@@ -73,7 +71,6 @@ type shard struct {
 	buf     bytes.Buffer // pending uncompressed block
 	pending int          // messages in buf
 	blocks  [][]byte     // sealed compressed blocks
-	level   int
 	limit   int
 
 	rawBytes        int64
@@ -89,16 +86,13 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.BlockBytes == 0 {
 		cfg.BlockBytes = 256 << 10
 	}
-	if cfg.CompressionLevel == 0 {
-		cfg.CompressionLevel = flate.DefaultCompression
-	}
 	c := &Cluster{cfg: cfg, ring: newHashRing(cfg.Shards)}
 	if err := c.ring.validate(cfg.Shards); err != nil {
 		return nil, err
 	}
 	c.shards = make([]*shard, cfg.Shards)
 	for i := range c.shards {
-		c.shards[i] = &shard{level: cfg.CompressionLevel, limit: cfg.BlockBytes}
+		c.shards[i] = &shard{limit: cfg.BlockBytes}
 	}
 	return c, nil
 }
@@ -173,7 +167,7 @@ func (s *shard) sealLocked() error {
 		return nil
 	}
 	var out bytes.Buffer
-	w, err := flate.NewWriter(&out, s.level)
+	w, err := flate.NewWriter(&out, flate.DefaultCompression)
 	if err != nil {
 		return fmt.Errorf("scribe: flate init: %w", err)
 	}

@@ -9,8 +9,9 @@ import (
 )
 
 // ExampleBackend shows the read surface every reader worker and session
-// shares: code written against storage.Backend runs unchanged over the
-// in-memory lakefs store or a test fake.
+// shares — a file's size, then range reads — so code written against
+// storage.Backend runs unchanged over the in-memory lakefs store or a test
+// fake.
 func ExampleBackend() {
 	store := lakefs.NewStore()
 	if err := store.Put("tbl/hour=0/part-00000.dwrf", []byte("stripe-bytes")); err != nil {
@@ -19,7 +20,7 @@ func ExampleBackend() {
 
 	var backend storage.Backend = store
 
-	blob, err := backend.Get("tbl/hour=0/part-00000.dwrf")
+	size, err := backend.Size("tbl/hour=0/part-00000.dwrf")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -27,13 +28,15 @@ func ExampleBackend() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("blob: %s\n", blob)
+	tail, err := backend.ReadRange("tbl/hour=0/part-00000.dwrf", size-5, 5)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("size: %d\n", size)
 	fmt.Printf("range: %s\n", head)
-	fmt.Printf("files under tbl/: %v\n", backend.List("tbl/"))
-	fmt.Printf("exists: %v\n", backend.Exists("tbl/hour=0/part-00000.dwrf"))
+	fmt.Printf("tail: %s\n", tail)
 	// Output:
-	// blob: stripe-bytes
+	// size: 12
 	// range: stripe
-	// files under tbl/: [tbl/hour=0/part-00000.dwrf]
-	// exists: true
+	// tail: bytes
 }

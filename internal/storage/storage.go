@@ -13,21 +13,17 @@ package storage
 import "context"
 
 // Backend is the read surface of a blob store holding immutable DWRF
-// files. Implementations must be safe for concurrent use: one Backend is
-// shared by every reader worker of every session.
+// files: the two calls a fill makes, the file's size to find its footer
+// and range reads for the footer and the stripes. Implementations must be
+// safe for concurrent use: one Backend is shared by every reader worker of
+// every session.
 type Backend interface {
-	// Get returns the full blob at path. The returned slice must be
-	// treated as immutable.
-	Get(path string) ([]byte, error)
 	// ReadRange returns n bytes starting at off. Reads past end-of-blob
-	// return a short slice (object-store range-read semantics).
+	// return a short slice (object-store range-read semantics). The
+	// returned slice must be treated as immutable.
 	ReadRange(path string, off, n int64) ([]byte, error)
 	// Size reports the stored size of the blob at path.
 	Size(path string) (int64, error)
-	// List returns all paths with the given prefix, sorted.
-	List(prefix string) []string
-	// Exists reports whether a blob is stored at path.
-	Exists(path string) bool
 }
 
 // Catalog resolves a table name to the ordered file list a full scan of

@@ -56,15 +56,3 @@ const DefaultDedupeThreshold = 1.5
 func (m FeatureModel) WorthDeduplicating() bool {
 	return m.DedupeFactor() > DefaultDedupeThreshold
 }
-
-// LookupOverheadRatio reports the relative overhead of carrying the extra
-// inverse-lookup slice: (inverse + offsets entries) over value entries. The
-// paper argues this is negligible because for most features l(f)*B >> B.
-func (m FeatureModel) LookupOverheadRatio() float64 {
-	values := m.L * m.B
-	if values == 0 {
-		return 0
-	}
-	// Up to B inverse entries plus up to B offsets entries.
-	return (2 * m.B) / values
-}

@@ -68,17 +68,6 @@ func TestWorthDeduplicating(t *testing.T) {
 	}
 }
 
-func TestLookupOverheadNegligibleForLongFeatures(t *testing.T) {
-	m := FeatureModel{S: 16, B: 4096, D: 0.9, L: 1000}
-	if got := m.LookupOverheadRatio(); got > 0.01 {
-		t.Errorf("overhead ratio = %v, want <= 1%% for l(f)*B >> B", got)
-	}
-	short := FeatureModel{S: 16, B: 4096, D: 0.9, L: 1}
-	if got := short.LookupOverheadRatio(); got < 1 {
-		t.Errorf("overhead ratio = %v for l=1, want >= 1 (2 aux entries per value)", got)
-	}
-}
-
 // TestDedupeModelPredictsMeasuredFactor validates the analytic model
 // against the actual dedup implementation on a synthetic adjacent-row
 // workload matching the model's assumptions.

@@ -193,18 +193,3 @@ func DedupJagged(keys []string, features []Jagged) (*IKJT, error) {
 	deduperPool.Put(d)
 	return ik, err
 }
-
-// DedupKJT deduplicates the given feature keys of kjt into a single grouped
-// IKJT. The features form one group and share the inverseLookup slice. It
-// errors if any key is missing from kjt.
-func DedupKJT(kjt *KJT, keys []string) (*IKJT, error) {
-	features := make([]Jagged, len(keys))
-	for i, key := range keys {
-		jt, ok := kjt.Feature(key)
-		if !ok {
-			return nil, fmt.Errorf("tensor: dedup: missing key %q", key)
-		}
-		features[i] = jt
-	}
-	return DedupJagged(keys, features)
-}

@@ -153,10 +153,10 @@ func TestDeduperErrors(t *testing.T) {
 	if _, err := d.Dedup(nil, nil); err == nil {
 		t.Fatal("expected error for empty key group")
 	}
-	if _, err := d.Dedup([]string{"a", "b"}, []Jagged{EmptyJagged(1)}); err == nil {
+	if _, err := d.Dedup([]string{"a", "b"}, []Jagged{Jagged{Offsets: make([]int32, 1)}}); err == nil {
 		t.Fatal("expected error for key/tensor count mismatch")
 	}
-	if _, err := d.Dedup([]string{"a", "b"}, []Jagged{EmptyJagged(1), EmptyJagged(2)}); err == nil {
+	if _, err := d.Dedup([]string{"a", "b"}, []Jagged{Jagged{Offsets: make([]int32, 1)}, Jagged{Offsets: make([]int32, 2)}}); err == nil {
 		t.Fatal("expected error for row count mismatch")
 	}
 }

@@ -22,24 +22,6 @@ type IKJT struct {
 	batch         int
 }
 
-// DedupStats summarizes how effective deduplication was for one IKJT group.
-type DedupStats struct {
-	Batch          int // original batch rows
-	UniqueRows     int // rows kept after dedup
-	OriginalValues int // total values across group before dedup
-	DedupValues    int // total values across group after dedup
-}
-
-// Factor returns the measured deduplication factor: original values length
-// over deduplicated values length (paper §4.2 DedupeFactor). It reports 1
-// when the group carried no values.
-func (s DedupStats) Factor() float64 {
-	if s.DedupValues == 0 {
-		return 1
-	}
-	return float64(s.OriginalValues) / float64(s.DedupValues)
-}
-
 // Keys returns the ordered feature keys in this group.
 func (ik *IKJT) Keys() []string { return ik.keys }
 
@@ -96,21 +78,6 @@ func (ik *IKJT) Feature(key string) (Jagged, bool) {
 		return Jagged{}, false
 	}
 	return JaggedIndexSelect(dd, ik.inverseLookup), true
-}
-
-// Stats computes dedup statistics for the group, given the original (pre-
-// dedup) total value count across all features in the group.
-func (ik *IKJT) Stats(originalValues int) DedupStats {
-	dedup := 0
-	for _, t := range ik.tensors {
-		dedup += t.NumValues()
-	}
-	return DedupStats{
-		Batch:          ik.batch,
-		UniqueRows:     ik.UniqueRows(),
-		OriginalValues: originalValues,
-		DedupValues:    dedup,
-	}
 }
 
 // MeasuredFactor recomputes the dedup factor by expanding the IKJT: the

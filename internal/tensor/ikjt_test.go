@@ -29,11 +29,25 @@ func figure5KJT(t *testing.T) *KJT {
 // TestPaperFigure5SingleFeatureIKJT checks feature b's IKJT against the
 // paper's worked example: values [3,4,5,4,5,6], offsets [0,3],
 // inverse_lookup [0,1,0].
+// features looks up keys in kjt, in order; a missing key is a zero Jagged.
+func features(kjt *KJT, keys []string) []Jagged {
+	out := make([]Jagged, len(keys))
+	for i, key := range keys {
+		out[i], _ = kjt.Feature(key)
+	}
+	return out
+}
+
+// dedupKeys deduplicates the named features of kjt as one group.
+func dedupKeys(kjt *KJT, keys []string) (*IKJT, error) {
+	return DedupJagged(keys, features(kjt, keys))
+}
+
 func TestPaperFigure5SingleFeatureIKJT(t *testing.T) {
 	kjt := figure5KJT(t)
-	ik, err := DedupKJT(kjt, []string{"feature_b"})
+	ik, err := dedupKeys(kjt, []string{"feature_b"})
 	if err != nil {
-		t.Fatalf("DedupKJT: %v", err)
+		t.Fatalf("dedupKeys: %v", err)
 	}
 	if err := ik.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
@@ -75,9 +89,9 @@ func TestPaperFigure5SingleFeatureIKJT(t *testing.T) {
 // shared inverse_lookup [0,0,1].
 func TestPaperFigure5GroupedIKJT(t *testing.T) {
 	kjt := figure5KJT(t)
-	ik, err := DedupKJT(kjt, []string{"feature_c", "feature_d"})
+	ik, err := dedupKeys(kjt, []string{"feature_c", "feature_d"})
 	if err != nil {
-		t.Fatalf("DedupKJT: %v", err)
+		t.Fatalf("dedupKeys: %v", err)
 	}
 	c, _ := ik.Deduped("feature_c")
 	d, _ := ik.Deduped("feature_d")
@@ -121,15 +135,12 @@ func TestIKJTToKJTRoundTrip(t *testing.T) {
 		{"feature_c", "feature_d"},
 		{"feature_a", "feature_b", "feature_c", "feature_d"},
 	} {
-		ik, err := DedupKJT(kjt, group)
+		ik, err := dedupKeys(kjt, group)
 		if err != nil {
-			t.Fatalf("DedupKJT(%v): %v", group, err)
+			t.Fatalf("dedupKeys(%v): %v", group, err)
 		}
 		back := ik.ToKJT()
-		orig, err := kjt.Select(group)
-		if err != nil {
-			t.Fatalf("Select: %v", err)
-		}
+		orig := MustKJT(group, features(kjt, group))
 		if !back.Equal(orig) {
 			t.Errorf("group %v: round trip mismatch", group)
 		}
@@ -257,22 +268,7 @@ func TestIKJTWireBytesSmallerThanKJT(t *testing.T) {
 	}
 }
 
-func TestDedupStatsFactor(t *testing.T) {
-	s := DedupStats{Batch: 4, UniqueRows: 2, OriginalValues: 100, DedupValues: 50}
-	if got := s.Factor(); got != 2 {
-		t.Errorf("Factor = %v, want 2", got)
-	}
-	zero := DedupStats{}
-	if got := zero.Factor(); got != 1 {
-		t.Errorf("empty Factor = %v, want 1", got)
-	}
-}
-
 func TestDedupErrors(t *testing.T) {
-	kjt := figure5KJT(t)
-	if _, err := DedupKJT(kjt, []string{"missing"}); err == nil {
-		t.Error("missing key should error")
-	}
 	if _, err := DedupJagged(nil, nil); err == nil {
 		t.Error("empty group should error")
 	}

@@ -69,27 +69,3 @@ func DenseIndexAdd(dst Dense, indices []int32, src Dense) {
 		}
 	}
 }
-
-// PaddedDenseFromJagged converts a jagged tensor into a padded dense matrix
-// of shape rows x maxLen (the pre-RecD conversion path whose memory
-// overhead JaggedIndexSelect eliminates). Missing tail entries are filled
-// with padValue. It returns the dense matrix and the padded length.
-func PaddedDenseFromJagged(j Jagged, padValue Value) ([][]Value, int) {
-	maxLen := 0
-	for i := 0; i < j.Rows(); i++ {
-		if l := j.RowLen(i); l > maxLen {
-			maxLen = l
-		}
-	}
-	out := make([][]Value, j.Rows())
-	for i := range out {
-		row := make([]Value, maxLen)
-		src := j.Row(i)
-		copy(row, src)
-		for c := len(src); c < maxLen; c++ {
-			row[c] = padValue
-		}
-		out[i] = row
-	}
-	return out, maxLen
-}

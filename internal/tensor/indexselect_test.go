@@ -72,40 +72,3 @@ func TestDenseIndexAddIsTransposeOfSelect(t *testing.T) {
 		t.Errorf("gradX row 1 = %v", gradX.Row(1))
 	}
 }
-
-func TestPaddedDenseFromJagged(t *testing.T) {
-	j := NewJagged([][]Value{{1, 2, 3}, {4}, {}})
-	dense, maxLen := PaddedDenseFromJagged(j, -1)
-	if maxLen != 3 {
-		t.Fatalf("maxLen = %d, want 3", maxLen)
-	}
-	want := [][]Value{{1, 2, 3}, {4, -1, -1}, {-1, -1, -1}}
-	for i := range want {
-		for c := range want[i] {
-			if dense[i][c] != want[i][c] {
-				t.Fatalf("dense[%d] = %v, want %v", i, dense[i], want[i])
-			}
-		}
-	}
-}
-
-// TestPaddingMemoryOverheadVsJagged quantifies why jagged index select
-// matters (paper O6): padding a skewed batch inflates memory by the ratio
-// of max to mean length.
-func TestPaddingMemoryOverheadVsJagged(t *testing.T) {
-	rows := make([][]Value, 100)
-	for i := range rows {
-		rows[i] = []Value{Value(i)} // length 1
-	}
-	long := make([]Value, 1000)
-	for c := range long {
-		long[c] = Value(c)
-	}
-	rows[50] = long
-	j := NewJagged(rows)
-	dense, maxLen := PaddedDenseFromJagged(j, 0)
-	padded := len(dense) * maxLen
-	if padded <= 50*j.NumValues() {
-		t.Errorf("expected >50x inflation: padded=%d jagged=%d", padded, j.NumValues())
-	}
-}

@@ -58,11 +58,6 @@ func NewJagged(rows [][]Value) Jagged {
 	return j
 }
 
-// EmptyJagged returns a Jagged with rows empty rows.
-func EmptyJagged(rows int) Jagged {
-	return Jagged{Offsets: make([]int32, rows)}
-}
-
 // Rows reports the number of rows (the batch dimension).
 func (j Jagged) Rows() int { return len(j.Offsets) }
 
@@ -88,15 +83,6 @@ func (j Jagged) Row(i int) []Value {
 func (j Jagged) RowLen(i int) int {
 	start, end := j.RowBounds(i)
 	return end - start
-}
-
-// Lengths materializes the per-row lengths.
-func (j Jagged) Lengths() []int32 {
-	out := make([]int32, j.Rows())
-	for i := range out {
-		out[i] = int32(j.RowLen(i))
-	}
-	return out
 }
 
 // NumValues reports the total number of stored values.
@@ -161,15 +147,6 @@ func (j Jagged) Clone() Jagged {
 	}
 }
 
-// ToRows materializes the per-row lists (deep copy).
-func (j Jagged) ToRows() [][]Value {
-	out := make([][]Value, j.Rows())
-	for i := range out {
-		out[i] = append([]Value(nil), j.Row(i)...)
-	}
-	return out
-}
-
 // ValueBounds returns the [start, end) range of Values that rows
 // [lo, hi) occupy; rows of a jagged tensor are contiguous in Values, so a
 // row range is one value range.
@@ -202,22 +179,6 @@ func (j *Jagged) AppendRows(o Jagged, lo, hi int) {
 		j.Offsets = append(j.Offsets, off+shift)
 	}
 	j.Values = append(j.Values, o.Values[start:end]...)
-}
-
-// Concat appends the rows of o after the rows of j, returning a new tensor.
-func (j Jagged) Concat(o Jagged) Jagged {
-	out := Jagged{
-		Values:  make([]Value, 0, len(j.Values)+len(o.Values)),
-		Offsets: make([]int32, 0, len(j.Offsets)+len(o.Offsets)),
-	}
-	out.Values = append(out.Values, j.Values...)
-	out.Offsets = append(out.Offsets, j.Offsets...)
-	base := int32(len(j.Values))
-	for _, off := range o.Offsets {
-		out.Offsets = append(out.Offsets, base+off)
-	}
-	out.Values = append(out.Values, o.Values...)
-	return out
 }
 
 // String renders a compact human-readable form, e.g. "[[1 2] [] [3]]".
@@ -258,8 +219,3 @@ func (d Dense) Set(i, j int, v float32) { d.Data[i*d.Cols+j] = v }
 
 // WireBytes reports the transmission size in bytes.
 func (d Dense) WireBytes() int { return len(d.Data) * 4 }
-
-// Clone returns a deep copy.
-func (d Dense) Clone() Dense {
-	return Dense{RowsN: d.RowsN, Cols: d.Cols, Data: append([]float32(nil), d.Data...)}
-}

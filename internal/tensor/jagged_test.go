@@ -66,16 +66,6 @@ func TestJaggedRowAccess(t *testing.T) {
 	}
 }
 
-func TestJaggedToRowsRoundTrip(t *testing.T) {
-	rows := [][]Value{{5, 6, 7}, {}, {8}, {9, 10}}
-	j := NewJagged(rows)
-	back := j.ToRows()
-	j2 := NewJagged(back)
-	if !j.Equal(j2) {
-		t.Fatalf("round trip mismatch: %v vs %v", j, j2)
-	}
-}
-
 func TestJaggedEmpty(t *testing.T) {
 	j := NewJagged(nil)
 	if j.Rows() != 0 || j.NumValues() != 0 {
@@ -83,15 +73,6 @@ func TestJaggedEmpty(t *testing.T) {
 	}
 	if err := j.Validate(); err != nil {
 		t.Errorf("Validate() on empty = %v", err)
-	}
-	e := EmptyJagged(4)
-	if e.Rows() != 4 || e.NumValues() != 0 {
-		t.Fatalf("EmptyJagged(4): rows=%d values=%d", e.Rows(), e.NumValues())
-	}
-	for i := 0; i < 4; i++ {
-		if e.RowLen(i) != 0 {
-			t.Errorf("EmptyJagged row %d has len %d", i, e.RowLen(i))
-		}
 	}
 }
 
@@ -120,25 +101,29 @@ func TestJaggedWireBytes(t *testing.T) {
 	}
 }
 
-func TestJaggedConcat(t *testing.T) {
-	a := NewJagged([][]Value{{1, 2}, {3}})
-	b := NewJagged([][]Value{{}, {4, 5}})
-	c := a.Concat(b)
-	want := NewJagged([][]Value{{1, 2}, {3}, {}, {4, 5}})
-	if !c.Equal(want) {
-		t.Fatalf("Concat = %v, want %v", c, want)
-	}
-	if err := c.Validate(); err != nil {
-		t.Errorf("Validate() = %v", err)
-	}
-}
-
 func TestJaggedCloneIndependent(t *testing.T) {
 	a := NewJagged([][]Value{{1, 2}})
 	b := a.Clone()
 	b.Values[0] = 99
 	if a.Values[0] == 99 {
 		t.Fatal("Clone shares values storage")
+	}
+}
+
+// TestJaggedConcat: appending two tensors' whole row ranges, empty rows
+// included, concatenates them.
+func TestJaggedConcat(t *testing.T) {
+	a := NewJagged([][]Value{{1, 2}, {3}})
+	b := NewJagged([][]Value{{}, {4, 5}})
+	var c Jagged
+	c.AppendRows(a, 0, a.Rows())
+	c.AppendRows(b, 0, b.Rows())
+	want := NewJagged([][]Value{{1, 2}, {3}, {}, {4, 5}})
+	if !c.Equal(want) {
+		t.Fatalf("concatenation = %v, want %v", c, want)
+	}
+	if err := c.Validate(); err != nil {
+		t.Errorf("Validate() = %v", err)
 	}
 }
 
@@ -162,22 +147,18 @@ func TestDenseBasics(t *testing.T) {
 	if len(row) != 3 || row[2] != 5.5 {
 		t.Errorf("Row(1) = %v", row)
 	}
-	c := d.Clone()
-	c.Set(0, 0, 1)
-	if d.At(0, 0) == 1 {
-		t.Error("Clone shares storage")
-	}
 }
 
 // TestJaggedRowRange: a row range is one contiguous value copy with
 // rebased offsets, for every window including the empty and trailing ones,
 // and AppendRows stitches ranges back into the original.
 func TestJaggedRowRange(t *testing.T) {
-	j := NewJagged([][]Value{{1, 2}, {}, {3, 4, 5}, {6}, {}})
+	rows := [][]Value{{1, 2}, {}, {3, 4, 5}, {6}, {}}
+	j := NewJagged(rows)
 	for lo := 0; lo <= j.Rows(); lo++ {
 		for hi := lo; hi <= j.Rows(); hi++ {
 			got := j.RowRange(lo, hi)
-			want := NewJagged(j.ToRows()[lo:hi])
+			want := NewJagged(rows[lo:hi])
 			if !got.Equal(want) {
 				t.Fatalf("RowRange(%d,%d) = %v, want %v", lo, hi, got, want)
 			}

@@ -2,7 +2,6 @@ package tensor
 
 import (
 	"fmt"
-	"sort"
 )
 
 // KJT is a KeyedJaggedTensor: an ordered collection of jagged tensors, one
@@ -75,71 +74,11 @@ func (k *KJT) Feature(key string) (Jagged, bool) {
 // FeatureAt returns the i-th feature tensor.
 func (k *KJT) FeatureAt(i int) Jagged { return k.tensors[i] }
 
-// KeyAt returns the i-th key.
-func (k *KJT) KeyAt(i int) string { return k.keys[i] }
-
-// HasKey reports whether key is present.
-func (k *KJT) HasKey(key string) bool {
-	_, ok := k.index[key]
-	return ok
-}
-
-// Select returns a new KJT holding only the requested keys, in the given
-// order. It errors if any key is absent.
-func (k *KJT) Select(keys []string) (*KJT, error) {
-	tensors := make([]Jagged, len(keys))
-	for i, key := range keys {
-		idx, ok := k.index[key]
-		if !ok {
-			return nil, fmt.Errorf("tensor: select: missing key %q", key)
-		}
-		tensors[i] = k.tensors[idx]
-	}
-	return NewKJT(keys, tensors)
-}
-
-// Without returns a new KJT excluding the given keys.
-func (k *KJT) Without(exclude map[string]bool) *KJT {
-	var keys []string
-	var tensors []Jagged
-	for i, key := range k.keys {
-		if !exclude[key] {
-			keys = append(keys, key)
-			tensors = append(tensors, k.tensors[i])
-		}
-	}
-	out, err := NewKJT(keys, tensors)
-	if err != nil {
-		panic(err) // unreachable: subsetting preserves invariants
-	}
-	return out
-}
-
-// Merge returns a new KJT containing all features of k followed by all
-// features of o. Key sets must be disjoint and row counts equal.
-func (k *KJT) Merge(o *KJT) (*KJT, error) {
-	if k.NumKeys() > 0 && o.NumKeys() > 0 && k.Rows() != o.Rows() {
-		return nil, fmt.Errorf("tensor: merge row mismatch: %d vs %d", k.Rows(), o.Rows())
-	}
-	keys := append(append([]string(nil), k.keys...), o.keys...)
-	tensors := append(append([]Jagged(nil), k.tensors...), o.tensors...)
-	return NewKJT(keys, tensors)
-}
-
 // WireBytes reports the total transmission size across all features.
 func (k *KJT) WireBytes() int {
 	total := 0
 	for _, t := range k.tensors {
 		total += t.WireBytes()
-	}
-	return total
-}
-
-// NumValues reports the total number of values across all features.
-func (k *KJT) NumValues() int {
-	total := 0
-	for _, t := range k.tensors {
-		total += t.NumValues()
 	}
 	return total
 }
@@ -170,12 +109,4 @@ func (k *KJT) Validate() error {
 		}
 	}
 	return nil
-}
-
-// SortedKeys returns the keys in lexicographic order (for deterministic
-// iteration in tests and reports).
-func (k *KJT) SortedKeys() []string {
-	out := append([]string(nil), k.keys...)
-	sort.Strings(out)
-	return out
 }

@@ -74,7 +74,7 @@ func TestMapDedupedRowReshape(t *testing.T) {
 
 	// Changing the unique-row COUNT is rejected.
 	if _, err := ik.MapDeduped("b", func(j Jagged) Jagged {
-		return EmptyJagged(j.Rows() + 1)
+		return Jagged{Offsets: make([]int32, j.Rows()+1)}
 	}); err == nil {
 		t.Fatal("expected error for changed row count")
 	}

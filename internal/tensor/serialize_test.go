@@ -200,40 +200,17 @@ func TestKJTOperations(t *testing.T) {
 			NewJagged([][]Value{{3}, {4}}),
 			NewJagged([][]Value{{5}, {6}}),
 		})
-	sel, err := kjt.Select([]string{"c", "a"})
-	if err != nil {
-		t.Fatalf("Select: %v", err)
+	if kjt.NumKeys() != 3 || kjt.Rows() != 2 {
+		t.Fatalf("keys=%d rows=%d", kjt.NumKeys(), kjt.Rows())
 	}
-	if sel.NumKeys() != 2 || sel.KeyAt(0) != "c" || sel.KeyAt(1) != "a" {
-		t.Fatalf("Select keys = %v", sel.Keys())
+	if b, ok := kjt.Feature("b"); !ok || !b.Equal(kjt.FeatureAt(1)) {
+		t.Errorf("Feature(b) = %v, %v", b, ok)
 	}
-	if _, err := kjt.Select([]string{"zzz"}); err == nil {
-		t.Error("Select of missing key should error")
+	if _, ok := kjt.Feature("zzz"); ok {
+		t.Error("Feature of a missing key should report false")
 	}
-
-	rest := kjt.Without(map[string]bool{"b": true})
-	if rest.NumKeys() != 2 || rest.HasKey("b") {
-		t.Fatalf("Without keys = %v", rest.Keys())
-	}
-
-	other := MustKJT([]string{"d"}, []Jagged{NewJagged([][]Value{{7}, {8}})})
-	merged, err := rest.Merge(other)
-	if err != nil {
-		t.Fatalf("Merge: %v", err)
-	}
-	if merged.NumKeys() != 3 {
-		t.Fatalf("merged keys = %v", merged.Keys())
-	}
-	if _, err := kjt.Merge(kjt); err == nil {
-		t.Error("Merge with duplicate keys should error")
-	}
-
 	if err := kjt.Validate(); err != nil {
 		t.Errorf("Validate: %v", err)
-	}
-	sorted := kjt.SortedKeys()
-	if sorted[0] != "a" || sorted[2] != "c" {
-		t.Errorf("SortedKeys = %v", sorted)
 	}
 }
 

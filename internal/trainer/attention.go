@@ -231,9 +231,6 @@ func (a *AttentionBlock) Backward(c *AttnCache, dOut []float32) tensor.Dense {
 	return dX
 }
 
-// Step applies SGD and zeroes gradients.
-func (a *AttentionBlock) Step(lr float32) { a.Apply(SGD, lr) }
-
 // Apply updates the projections under the given optimizer.
 func (a *AttentionBlock) Apply(opt Optimizer, lr float32) {
 	pairs := []struct{ w, g []float32 }{{a.Wq, a.dWq}, {a.Wk, a.dWk}, {a.Wv, a.dWv}}

@@ -119,7 +119,7 @@ func TestAttentionStepZeroesGrads(t *testing.T) {
 	}
 	a.Backward(cache, dOut)
 	w0 := a.Wq[0]
-	a.Step(0.1)
+	a.Apply(SGD, 0.1)
 	for i := range a.dWq {
 		if a.dWq[i] != 0 || a.dWk[i] != 0 || a.dWv[i] != 0 {
 			t.Fatal("Step must zero gradients")

@@ -118,7 +118,7 @@ func TestCheckpointToModelStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m2.Config().EmbDim != m.Config().EmbDim {
+	if m2.cfg.EmbDim != m.cfg.EmbDim {
 		t.Fatal("config lost through model store")
 	}
 }
@@ -219,7 +219,7 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if need := 4 * paramFloats(m.Config()); need > float64(len(data)) {
+		if need := 4 * paramFloats(m.cfg); need > float64(len(data)) {
 			t.Fatalf("%d bytes built a model of %.0f parameter bytes", len(data), need)
 		}
 		once := saved(t, m)

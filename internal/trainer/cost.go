@@ -105,9 +105,6 @@ func (c *CostReport) finish(m *Model, batch int) {
 	c.DenseParamBytes = m.DenseParamCount() * 4
 }
 
-// TotalFLOPs sums compute.
-func (c *CostReport) TotalFLOPs() float64 { return c.PoolFLOPs + c.DenseFLOPs }
-
 // Add accumulates o into c (for multi-batch aggregation).
 func (c *CostReport) Add(o *CostReport) {
 	c.Batch += o.Batch

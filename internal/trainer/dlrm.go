@@ -135,24 +135,12 @@ func New(cfg Config) (*Model, error) {
 	return m, nil
 }
 
-// Config returns the model configuration.
-func (m *Model) Config() Config { return m.cfg }
-
 // DenseParamCount sums data-parallel (MLP + attention) parameters — the
 // ones the all-reduce synchronizes.
 func (m *Model) DenseParamCount() int64 {
 	n := m.bottom.ParamCount() + m.top.ParamCount()
 	for _, a := range m.attn {
 		n += a.ParamCount()
-	}
-	return n
-}
-
-// EmbParamBytes sums embedding-table bytes — the model-parallel state.
-func (m *Model) EmbParamBytes() int64 {
-	var n int64
-	for _, t := range m.tables {
-		n += t.Bytes()
 	}
 	return n
 }

@@ -281,11 +281,6 @@ func TestParamAccounting(t *testing.T) {
 	if m.DenseParamCount() <= 0 {
 		t.Fatal("dense params should be positive")
 	}
-	// 5 tables × 1024 rows × 8 dim × 4 bytes.
-	want := int64(5 * 1024 * 8 * 4)
-	if got := m.EmbParamBytes(); got != want {
-		t.Fatalf("EmbParamBytes = %d want %d", got, want)
-	}
 }
 
 func TestBCEWithLogits(t *testing.T) {

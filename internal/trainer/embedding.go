@@ -209,9 +209,6 @@ func (e *EmbeddingBag) gradRow(slot int) []float32 {
 	return acc
 }
 
-// Step applies sparse SGD and clears accumulated gradients.
-func (e *EmbeddingBag) Step(lr float32) { e.Apply(SGD, lr) }
-
 // Apply performs a sparse update under the given optimizer: only rows
 // with pending gradients are touched (production "row-wise" sparse
 // Adagrad visits the same rows).
@@ -230,13 +227,3 @@ func (e *EmbeddingBag) Apply(opt Optimizer, lr float32) {
 		delete(e.grads, slot)
 	}
 }
-
-// PendingGradRows reports how many distinct table rows have gradients —
-// the sparse-update volume the optimizer's EMB all-to-all synchronizes.
-func (e *EmbeddingBag) PendingGradRows() int { return len(e.grads) }
-
-// ParamCount returns the table size.
-func (e *EmbeddingBag) ParamCount() int64 { return int64(len(e.W)) }
-
-// Bytes returns the table's memory footprint.
-func (e *EmbeddingBag) Bytes() int64 { return int64(len(e.W)) * 4 }

@@ -75,7 +75,7 @@ func TestEmbeddingLookupPooledMax(t *testing.T) {
 func TestEmbeddingAttentionPoolRejected(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	e, _ := NewEmbeddingBag(8, 2, rng)
-	if _, err := e.LookupPooled(tensor.EmptyJagged(1), AttentionPool); err == nil {
+	if _, err := e.LookupPooled(tensor.Jagged{Offsets: make([]int32, 1)}, AttentionPool); err == nil {
 		t.Fatal("expected error for attention pooling via LookupPooled")
 	}
 }
@@ -156,19 +156,19 @@ func TestEmbeddingStepClearsAndUpdates(t *testing.T) {
 	if err := e.BackwardPooled(g); err != nil {
 		t.Fatal(err)
 	}
-	if e.PendingGradRows() != 1 {
-		t.Fatalf("pending rows = %d", e.PendingGradRows())
+	if len(e.grads) != 1 {
+		t.Fatalf("pending rows = %d", len(e.grads))
 	}
 	slot := e.slot(3)
 	before := append([]float32(nil), e.row(slot)...)
-	e.Step(0.5)
+	e.Apply(SGD, 0.5)
 	after := e.row(slot)
 	if math.Abs(float64(after[0]-(before[0]-0.5))) > 1e-6 ||
 		math.Abs(float64(after[1]-(before[1]+0.5))) > 1e-6 {
 		t.Fatalf("sparse update wrong: %v -> %v", before, after)
 	}
-	if e.PendingGradRows() != 0 {
-		t.Fatal("Step must clear gradients")
+	if len(e.grads) != 0 {
+		t.Fatal("Apply must clear gradients")
 	}
 	_ = out
 }

@@ -97,9 +97,6 @@ func (l *Linear) Backward(dY tensor.Dense) tensor.Dense {
 	return dX
 }
 
-// Step applies SGD with learning rate lr and zeroes gradients.
-func (l *Linear) Step(lr float32) { l.Apply(SGD, lr) }
-
 // Apply updates the layer under the given optimizer and zeroes gradients.
 func (l *Linear) Apply(opt Optimizer, lr float32) {
 	if opt == Adagrad {
@@ -179,9 +176,6 @@ func (m *MLP) Backward(dOut tensor.Dense) tensor.Dense {
 	}
 	return dOut
 }
-
-// Step updates every layer with SGD.
-func (m *MLP) Step(lr float32) { m.Apply(SGD, lr) }
 
 // Apply updates every layer under the given optimizer.
 func (m *MLP) Apply(opt Optimizer, lr float32) {

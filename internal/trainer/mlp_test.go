@@ -89,7 +89,7 @@ func TestLinearStep(t *testing.T) {
 	l.dW[0] = 1
 	l.dB[0] = 2
 	w0, b0 := l.W[0], l.B[0]
-	l.Step(0.1)
+	l.Apply(SGD, 0.1)
 	if math.Abs(float64(l.W[0]-(w0-0.1))) > 1e-6 {
 		t.Fatalf("W update wrong: %v", l.W[0])
 	}
@@ -201,7 +201,7 @@ func TestMLPTrainsOnToyProblem(t *testing.T) {
 		}
 		last = loss
 		m.Backward(grad)
-		m.Step(0.5)
+		m.Apply(SGD, 0.5)
 	}
 	if last > first/4 {
 		t.Fatalf("training did not converge: first %.4f last %.4f", first, last)

@@ -97,7 +97,7 @@ func TestEmbeddingAdagradSparse(t *testing.T) {
 	if step1 <= 0 {
 		t.Fatal("adagrad step should move against gradient")
 	}
-	if e.PendingGradRows() != 0 {
+	if len(e.grads) != 0 {
 		t.Fatal("Apply must clear sparse grads")
 	}
 

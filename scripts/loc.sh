@@ -35,7 +35,7 @@ count_tree() {
 
 # count_options <root> prints "<what> <count>" for every configured struct
 # and every binary of the tree rooted there.
-option_structs="internal/reader:Spec internal/dpp:Spec internal/dpp:Config internal/dpp:AutoScalerConfig internal/dpp/dppnet:Client internal/dpp/dppnet:ResumePolicy internal/dpp/dppnet:Server internal/dpp/dppshard:Config"
+option_structs="internal/reader:Spec internal/dpp:Spec internal/dpp:Config internal/dpp:AutoScalerConfig internal/dpp/dppnet:Client internal/dpp/dppnet:ResumePolicy internal/dpp/dppnet:Server internal/dpp/dppshard:Config internal/core:PipelineConfig internal/datagen:GeneratorConfig internal/dwrf:WriterOptions internal/scribe:Config internal/dpp/front:Config"
 count_options() {
     (
         cd "$1"

@@ -49,8 +49,9 @@
 //     and pulls preprocessed batches from the returned Session via
 //     Next(ctx) — no push callbacks. Every session, ShareScans or not,
 //     runs a shared ordered work queue (reader.ScanQueue): fill workers
-//     claim file indices and fill in parallel, handing over each stripe
-//     as it is decoded, an ordered merge reassembles the stream, and the
+//     claim file indices and share out their stripes, earliest first,
+//     handing over each batch as it is cut, an ordered merge reassembles
+//     the stream, and the
 //     session buffers at most Readers×Buffer finished batches
 //     (backpressure), aggregates deterministic per-session reader.Stats,
 //     and dies cleanly on Close or job-context cancellation. Batch

@@ -4,9 +4,9 @@
 // batch iterator — instead of registering a push callback.
 //
 // Every session executes its table scan the same way: a shared ordered
-// work queue (reader.ScanQueue) whose workers claim file indices and scan
-// them in parallel — fill, convert and process, handing over each batch as
-// it is cut — the reader's one cutter (reader.RunUnits) awaiting them in
+// work queue (reader.ScanQueue) whose workers claim file indices and share
+// out their stripes, the earliest first — fill, convert and process, handing
+// over each batch as it is cut — the reader's one cutter (reader.RunUnits) awaiting them in
 // file order and joining them across file boundaries — so a file's first
 // batch leaves while most of the file is still unread — and the Shell
 // lifecycle around both — multiplexing with every other session over one

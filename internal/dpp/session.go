@@ -20,8 +20,10 @@ var ErrClosed = errors.New("dpp: session closed")
 type Spec struct {
 	reader.Spec
 
-	// Readers is the session's initial reader-worker count. Workers pull
-	// file indices from a shared ordered work queue and an ordered merge
+	// Readers is the session's initial reader-worker count. Workers take
+	// stripes from a shared ordered work queue — the earliest stripe of the
+	// files it has open, a next file index only when none is left, so every
+	// worker reads the file the stream needs next — and an ordered merge
 	// reassembles the stream, so the batch stream is byte-identical to a
 	// serial reader.Run over the whole scan set at every worker count —
 	// and stays so when the service's AutoScaler resizes the pool
@@ -146,13 +148,13 @@ var _ Stream = (*Session)(nil)
 //
 // Internally every session is a shared ordered work queue
 // (reader.ScanQueue) over the scan's plan, feeding the reader's one cutter
-// (reader.RunUnits): fill workers claim file indices and scan them in
-// parallel — fill, convert and process, each file cut for the rows the plan
-// carries into it — piece by piece into the cutter's hands: each file's unit
-// is a reader of the file's piece log (reader.FileScan), which yields the
-// batches of a scan as the worker cuts them — or, on a ShareScans session,
-// those of the ScanCache's log, whoever is computing it and however far it
-// has got. The cutter awaits them in file order and joins them across file
+// (reader.RunUnits): fill workers claim file indices and share out their
+// stripes, earliest first — fill, convert and process, each file cut for the
+// rows the plan carries into it — piece by piece into the cutter's hands:
+// each file's unit is a reader of the file's piece log (reader.FileScan),
+// which yields the batches of a scan as the workers cut them — or, on a
+// ShareScans session, those of the ScanCache's log, whoever is computing it
+// and however far it has got. The cutter awaits them in file order and joins them across file
 // boundaries. The worker pool is resizable mid-scan (Resize, or the
 // service's AutoScaler); the stream is byte-identical to the serial
 // reference regardless of the memo, the pool's size or its resize history.
@@ -295,11 +297,11 @@ func (s *Session) spawnWorkerLocked() error {
 	return nil
 }
 
-// runFillWorker drives one pool worker: claim file indices, fill them,
-// deposit results. Between files it checks the scale-down checkpoint —
-// a worker told to stop has already been uncounted by shouldStop, so
-// only natural exits (queue exhausted, abort, fill error) decrement
-// active here.
+// runFillWorker drives one pool worker: claim files and their stripes,
+// fill them, deposit results. Between claims it checks the scale-down
+// checkpoint — a worker told to stop has already been uncounted by
+// shouldStop, so only natural exits (queue exhausted, abort, fill error)
+// decrement active here.
 func (s *Session) runFillWorker(w *worker) {
 	stopped := false
 	w.run(s.ctx, s.queue, func() bool {
@@ -327,8 +329,8 @@ func (s *Session) workerShouldStop() bool {
 
 // Resize sets the session's desired worker count (clamped to at least 1),
 // returning the new target. Scale-up spawns workers immediately;
-// scale-down takes effect at each surplus worker's next between-files
-// checkpoint — claims are never abandoned mid-file, which is one half of
+// scale-down takes effect at each surplus worker's next checkpoint, between
+// stripes — claims are never abandoned, which is one half of
 // why the stream is identical across resize histories (the other half is
 // the ordered merge). Safe for concurrent use; the service's AutoScaler is
 // the usual caller.

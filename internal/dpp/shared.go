@@ -8,9 +8,11 @@ import (
 
 // worker is one fill worker of a session of either kind: its own reader (a
 // reader serves one goroutine at a time) under the one fill every pool runs
-// (reader.ScanFill), each file cut at the carry the plan gives it, with the
-// ScanCache memo in front of it when the session shares scans. The pool, the
-// queue, the cutter and the shell are the same.
+// (reader.ScanFill) — the files it claims opened, and the stripes it takes
+// of any file the pool has open read and cut, with this reader, each file
+// cut at the carry the plan gives it — with the ScanCache memo in front of
+// it when the session shares scans. The pool, the queue, the cutter and the
+// shell are the same.
 type worker struct {
 	svc  *Service
 	r    *reader.Reader
@@ -60,7 +62,9 @@ func (w *worker) run(ctx context.Context, q *reader.ScanQueue, stop func() bool,
 // context: it ends with the file, or when every session reading the log has
 // gone — so a session closed while others follow its compute finishes that
 // one file for them (its Close waits for it), and one closed with nobody
-// following stops at its next piece and leaves no entry.
+// following stops at its next piece and leaves no entry. The worker that
+// computes takes the file's stripes with the session's other workers helping
+// while the session runs, and the compute returns once the last is cut.
 func (w *worker) memo(ctx context.Context, file string, carry int, scan func(context.Context, *reader.FileScan) error) (*reader.FileScan, bool, error) {
 	key := ScanKey{File: file, Fingerprint: w.fingerprint, Carry: carry}
 	fs, hit, err := w.svc.cache.Get(ctx, key, func(ctx context.Context, publish func(*reader.FileScan)) (*reader.FileScan, error) {

@@ -513,6 +513,70 @@ func TestLeaderLeavesItsFollowers(t *testing.T) {
 		}
 	})
 
+	// Two workers share the compute's stripes: with the reads of stripes 2
+	// and 3 parked under both, S1 closes with nobody following. Stripe 2 is
+	// released first: it completes no batch, so nothing is sent for nobody
+	// until stripe 3 is, and the worker that read it takes stripes 4 to 7
+	// meanwhile — and must fetch none of them, for a log nobody is left to
+	// read. Released, neither worker fetches another range, and the compute
+	// leaves no entry. (The pause between the releases only gives that worker
+	// the time to try; no outcome depends on it.)
+	t.Run("unfollowed, two workers", func(t *testing.T) {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		var parked []*parkedStripeStore
+		var store storage.Backend = env.store
+		for _, k := range []int{2, 3} {
+			off, _ := stripeRange(t, env.store, files[0], k)
+			p := &parkedStripeStore{Backend: store, path: files[0], off: off,
+				arrived: make(chan struct{}), release: make(chan struct{})}
+			parked, store = append(parked, p), p
+		}
+		released := 0
+		release := func() { // a failure must not leave a worker parked under Close
+			for ; released < len(parked); released++ {
+				close(parked[released].release)
+			}
+		}
+		counted := &countingStore{Backend: store}
+		svc, err := dpp.New(dpp.Config{Backend: counted, Catalog: env.catalog})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer svc.Close()
+		two := shared
+		two.Readers = 2
+		s1, err := svc.Open(ctx, two)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s1.Close()
+		defer release()
+		if _, err := s1.Next(ctx); err != nil {
+			t.Fatalf("S1's first batch: %v", err)
+		}
+		for _, p := range parked {
+			select {
+			case <-p.arrived:
+			case <-ctx.Done():
+				t.Fatal("S1's workers never both parked")
+			}
+		}
+		closed := closeAsync(t, ctx, s1)
+		before := counted.reads.Load()
+		close(parked[0].release)
+		released++
+		time.Sleep(50 * time.Millisecond)
+		release()
+		<-closed
+		if n := counted.reads.Load() - before; n != 0 {
+			t.Fatalf("the compute's workers read %d ranges after the parked stripes, with nobody left to read them", n)
+		}
+		if st := svc.ScanCache().Stats(); svc.ScanCache().Contains(key) || st.Entries != 0 || st.Bytes != 0 {
+			t.Fatalf("a compute nobody followed left %+v", st)
+		}
+	})
+
 	t.Run("outgrows the budget", func(t *testing.T) {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()

@@ -258,6 +258,106 @@ func TestFirstBatchBeforeFileIsFilled(t *testing.T) {
 	}
 }
 
+// stripeReads reports, in order on reads, the stripe — [file, stripe] — of
+// each ranged read that starts a stripe of the files it knows: the read at
+// the stripe's offset, the first a fill makes of it. It reports a read as it
+// arrives, before the backend below serves it.
+type stripeReads struct {
+	storage.Backend
+	starts map[string]map[int64][2]int // file path → stripe offset → [file, stripe]
+	reads  chan [2]int                 // buffered for every stripe it knows
+}
+
+func (s *stripeReads) ReadRange(path string, off, n int64) ([]byte, error) {
+	if at, ok := s.starts[path][off]; ok {
+		s.reads <- at
+	}
+	return s.Backend.ReadRange(path, off, n)
+}
+
+// TestWorkersShareTheEarliestFile: the stripe, not the file, is what a
+// pool's workers take, and they take the earliest the stream needs. Over a
+// store that parks the read of the first file's first stripe, a session of
+// two workers — unshared, and ShareScans, whose stripes a ScanCache compute
+// shares out — reads the first file's other stripes while that read is
+// parked, the second of them next: no stripe of the second file is read
+// before every stripe of the first has been taken.
+// Released, the stream is the serial reference's, with its counters.
+func TestWorkersShareTheEarliestFile(t *testing.T) {
+	env := newStripedEnv(t)
+	spec := dedupSpec()
+	wantEnc, wantStats := serialReference(t, env, spec)
+	files, err := env.catalog.AllFiles(spec.Table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The spec consumes every column, so each stripe is one read of its whole
+	// range, the first stripe's from byte 0: with the header magic.
+	const stripes = 8 // newStripedEnv's, to a file
+	starts := make(map[string]map[int64][2]int)
+	for f, path := range files[:2] {
+		starts[path] = map[int64][2]int{0: {f, 0}}
+		for k := 1; k < stripes; k++ {
+			off, _ := stripeRange(t, env.store, path, k)
+			starts[path][off] = [2]int{f, k}
+		}
+	}
+
+	for _, share := range []bool{false, true} {
+		t.Run(fmt.Sprintf("share=%v", share), func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			parked := &parkedStripeStore{Backend: env.store, path: files[0], off: 0,
+				arrived: make(chan struct{}), release: make(chan struct{})}
+			var once sync.Once
+			release := func() { once.Do(func() { close(parked.release) }) }
+			store := &stripeReads{Backend: parked, starts: starts, reads: make(chan [2]int, 2*stripes)}
+			svc, err := dpp.New(dpp.Config{Backend: store, Catalog: env.catalog})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer svc.Close()
+			sess, err := svc.Open(ctx, dpp.Spec{Spec: spec, Readers: 2, ShareScans: share})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sess.Close()
+			defer release() // a failure must not leave a worker parked under Close
+
+			select {
+			case <-parked.arrived:
+			case <-ctx.Done():
+				t.Fatal("the read of the first stripe never arrived")
+			}
+			var read [stripes]bool
+			for k := 0; k < stripes; k++ {
+				select {
+				case at := <-store.reads:
+					if at[0] != 0 || read[at[1]] {
+						t.Fatalf("stripe read %d, with the first stripe's parked, is stripe %d of file %d; want the first file's stripes, each once", k, at[1], at[0])
+					}
+					read[at[1]] = true
+				case <-ctx.Done():
+					t.Fatalf("%d stripe reads with the first stripe's parked; want the first file's %d", k, stripes)
+				}
+			}
+			release()
+			gotEnc := drainSession(t, sess)
+			if len(gotEnc) != len(wantEnc) {
+				t.Fatalf("%d batches, serial reference %d", len(gotEnc), len(wantEnc))
+			}
+			for i := range wantEnc {
+				if !bytes.Equal(gotEnc[i], wantEnc[i]) {
+					t.Fatalf("batch %d differs from the serial reference", i)
+				}
+			}
+			if got, want := counters(sess.Stats().Reader), counters(wantStats); got != want {
+				t.Fatalf("counters %v, serial reference %v", got, want)
+			}
+		})
+	}
+}
+
 func encodeBatch(t testing.TB, b *reader.Batch) []byte {
 	t.Helper()
 	var buf bytes.Buffer

@@ -57,6 +57,15 @@ func Open(size int64, fetch Fetch) (*FileReader, error) {
 	return r, nil
 }
 
+// WithFetch is the same opened file read through fetch: how a reader that
+// did not open it reads its stripes with fetches of its own. The two share
+// the parsed footer, which never changes once parsed.
+func (r *FileReader) WithFetch(fetch Fetch) *FileReader {
+	c := *r
+	c.fetch = fetch
+	return &c
+}
+
 // OpenReader parses the footer of a DWRF file held in memory.
 func OpenReader(data []byte) (*FileReader, error) {
 	if len(data) >= len(magic) && string(data[:len(magic)]) != magic {

@@ -245,8 +245,9 @@ func fileRowCounts(t testing.TB, store storage.Backend, files []string) []int {
 // several batches, holding the whole file, and random) and specs, RunUnits
 // is fed from every kind of source the
 // repo has — units scanned as the cutter reaches them, a ScanQueue of 1–4
-// workers under the one fill, bare and behind a memo (scans cut at the carry
-// the plan hands out, cold and warm) and units another reader cut at the
+// workers under the one fill, which share each file's stripes, bare and
+// behind a memo (scans cut at the carry the plan hands out, cold — the
+// compute's worker helped by the others — and warm) and units another reader cut at the
 // plan's carries, which the cutter only joins (the fleet's shape) — and must emit
 // the serial Run's stream byte for byte, with its deterministic counters
 // wherever the source does no more work than a serial scan — the cutter's own

@@ -14,9 +14,10 @@ import (
 // position bounds how far producers may run ahead — the memory bound
 // and the backpressure channel in one mechanism.
 //
-// Producers acquire indices one of two ways. Claim hands out the next
-// unclaimed index (ScanQueue's shape: interchangeable workers pulling
-// from a shared frontier). WaitWindow blocks until a caller-chosen
+// Producers acquire indices one of two ways. ScanQueue's claim hands out
+// the next unclaimed index (interchangeable workers pulling from a shared
+// frontier, when they have no stripe of a claimed file to take).
+// WaitWindow blocks until a caller-chosen
 // index enters the window (dppshard's shape: each producer's index
 // sequence is fixed by routing, so there is nothing to claim — only
 // backpressure to obey). Both respect the same window, so a consumer
@@ -30,15 +31,20 @@ type OrderedMerge[T any] struct {
 	// injectable so controller tests can run on a manual clock.
 	now func() time.Time
 
-	mu      sync.Mutex
+	mu sync.Mutex
+	// cond is the consumer's wait (Await, Wait), work the producers' (claim,
+	// park, WaitWindow): a producer's change to the work producers share
+	// (note) wakes no consumer, whose wake lands it on the waker's P behind
+	// a fill that computes for milliseconds without yielding.
 	cond    *sync.Cond
-	next    int // next index Claim will hand out
+	work    *sync.Cond
+	next    int // next index claim will hand out
 	base    int // next index Await will deliver
 	window  int // producers may hold indices in [base, base+window)
 	results map[int]T
 	aborted bool
 	// open marks the merge open-ended: reaching the slot count is not the
-	// end of the stream, only the end of what has landed so far. Claim,
+	// end of the stream, only the end of what has landed so far. claim,
 	// WaitWindow, and Await park there until Extend adds slots or Finish
 	// closes the merge. This is the reader half of a Follow session: the
 	// file plan grows while the scan runs.
@@ -62,6 +68,7 @@ func NewOrderedMerge[T any](n, window int, now func() time.Time) *OrderedMerge[T
 	}
 	m := &OrderedMerge[T]{n: n, now: now, window: window, results: make(map[int]T)}
 	m.cond = sync.NewCond(&m.mu)
+	m.work = sync.NewCond(&m.mu)
 	return m
 }
 
@@ -102,6 +109,7 @@ func (m *OrderedMerge[T]) Extend(k int) int {
 	n := m.n
 	m.mu.Unlock()
 	m.cond.Broadcast()
+	m.work.Broadcast()
 	return n
 }
 
@@ -113,33 +121,54 @@ func (m *OrderedMerge[T]) Finish() {
 	m.open = false
 	m.mu.Unlock()
 	m.cond.Broadcast()
+	m.work.Broadcast()
 }
 
-// Claim hands the caller the next unclaimed index, blocking while the
-// window is full. ok is false once the indices are exhausted or the
-// merge is aborted; a caller that gets ok must eventually Deposit that
-// index (claims are never reassigned, so an abandoned claim would wedge
-// the consumer).
-func (m *OrderedMerge[T]) Claim() (idx int, ok bool) {
+// claim hands the caller the next unclaimed index, blocking while the
+// window is full, unless other work comes first: other, called with the
+// merge's lock held each time the claim looks, reports work the caller has
+// taken instead (took: claim returns idx -1) or work about to appear that
+// holds the claim back (wait: park for a wake). claimed runs with the lock
+// held on the index handed out. ok is false once the indices are exhausted
+// or the merge is aborted; a caller handed an index must eventually Deposit
+// it (claims are never reassigned, so an abandoned claim would wedge the
+// consumer).
+func (m *OrderedMerge[T]) claim(other func() (took, wait bool), claimed func(idx int)) (idx int, ok bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for {
 		if m.aborted {
 			return 0, false
 		}
-		if m.next >= m.n {
+		took, wait := other()
+		switch {
+		case took:
+			return -1, true
+		case wait:
+		case m.next >= m.n:
 			if !m.open {
 				return 0, false
 			}
-			m.cond.Wait() // open merge: park for Extend or Finish
-			continue
-		}
-		if m.next < m.base+m.window {
+			// open merge: park for Extend or Finish
+		case m.next < m.base+m.window:
 			idx = m.next
 			m.next++
+			claimed(idx)
 			return idx, true
 		}
-		m.cond.Wait()
+		m.work.Wait()
+	}
+}
+
+// park blocks, with the merge's lock held, until ready reports true: a
+// producer's wait for other producers, which only their wakes end (note) —
+// an Abort wakes it too, for ready to see. It is no wait of the consumer's,
+// so it charges nothing to Stall.
+func (m *OrderedMerge[T]) park(ready func() bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for !ready() {
+		m.work.Wait()
 	}
 }
 
@@ -160,13 +189,13 @@ func (m *OrderedMerge[T]) WaitWindow(idx int) bool {
 			if !m.open {
 				return false
 			}
-			m.cond.Wait() // open merge: park for Extend or Finish
+			m.work.Wait() // open merge: park for Extend or Finish
 			continue
 		}
 		if idx < m.base+m.window {
 			return true
 		}
-		m.cond.Wait()
+		m.work.Wait()
 	}
 }
 
@@ -222,7 +251,7 @@ func (m *OrderedMerge[T]) Await(idx int) (v T, ok bool) {
 		if r, have := m.results[idx]; have {
 			delete(m.results, idx)
 			m.base = idx + 1
-			m.cond.Broadcast() // the window slid forward
+			m.work.Broadcast() // the window slid forward
 			return r, true
 		}
 		m.starve()
@@ -230,20 +259,33 @@ func (m *OrderedMerge[T]) Await(idx int) (v T, ok bool) {
 	}
 }
 
-// Update runs f with the merge's lock held and wakes whoever is parked: how
-// a producer publishes progress inside a slot it has already deposited (a
+// Update runs f with the merge's lock held and wakes the consumer: how a
+// producer publishes progress inside a slot it has already deposited (a
 // file's next piece, to the consumer reading that file in Wait). ok is
-// false, and f has not run, once the merge is aborted: nobody is left to
-// see the progress.
-func (m *OrderedMerge[T]) Update(f func()) (ok bool) {
+// false once the merge is aborted: no consumer is left to see the progress.
+func (m *OrderedMerge[T]) Update(f func()) (ok bool) { return m.signal(m.cond, f) }
+
+// note runs f with the merge's lock held and wakes the producers parked in
+// a claim or park, never the consumer: how a producer publishes a change in
+// the work producers share (ScanQueue's open files). f runs after an abort
+// too, so a producer's own bookkeeping still reaches those parked.
+func (m *OrderedMerge[T]) note(f func()) { m.signal(m.work, f) }
+
+// signal runs f with the merge's lock held and wakes those parked on c,
+// reporting whether the merge has not aborted.
+func (m *OrderedMerge[T]) signal(c *sync.Cond, f func()) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.aborted {
-		return false
-	}
 	f()
-	m.cond.Broadcast()
-	return true
+	c.Broadcast()
+	return !m.aborted
+}
+
+// live reports whether the merge has not aborted, waking nobody.
+func (m *OrderedMerge[T]) live() bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return !m.aborted
 }
 
 // Wait parks the consumer until ready — called with the merge's lock held,
@@ -275,10 +317,10 @@ func (m *OrderedMerge[T]) SetWindow(n int) {
 	m.mu.Lock()
 	m.window = n
 	m.mu.Unlock()
-	m.cond.Broadcast()
+	m.work.Broadcast()
 }
 
-// Abort wakes every blocked Claim, WaitWindow, Await and Wait with
+// Abort wakes every blocked claim, WaitWindow, Await and Wait with
 // ok == false. Idempotent; called on teardown and after the consumer
 // finishes, so producers parked on a full window never outlive the
 // merge.
@@ -287,6 +329,7 @@ func (m *OrderedMerge[T]) Abort() {
 	m.aborted = true
 	m.mu.Unlock()
 	m.cond.Broadcast()
+	m.work.Broadcast()
 }
 
 // Stall returns the accumulated time the consumer spent blocked on

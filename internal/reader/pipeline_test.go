@@ -46,14 +46,17 @@ func encodeBatches(t *testing.T, batches []*Batch) [][]byte {
 }
 
 // TestPipelinedRunMatchesSerial is the determinism contract of the reader
-// pipeline: a ScanQueue of workers, each running fill → convert → process over
-// the files it claims at the carry the plan gives it, ahead of the
-// cutter that joins them, must emit byte-identical batches in the same order,
-// with identical deterministic Stats counters, as the serial Run — whether or
+// pipeline: a ScanQueue of 1–4 workers, sharing the stripes of the files
+// they claim — each stripe fetched and decoded by whichever worker takes it,
+// each file cut in stripe order, at the carry the plan gives it, by whoever
+// hands in its next stripe — ahead of the cutter that joins them, must emit
+// byte-identical batches in the same order, with identical deterministic
+// Stats counters summed over the workers, as the serial Run — whether or
 // not the batch divides the files, and however the files' rows are cut into
-// stripes: the table is scanned with stripes that divide the batch, that do
-// not, that hold two batches (as newTestEnv writes it) and that exceed the
-// file, and the stream is the same under all four. It also pins where the
+// stripes: the table is scanned with stripes that divide the batch (less
+// than one batch each), that do not, that hold two batches (as newTestEnv
+// writes it) and that exceed the file (one stripe to a file), and the stream
+// is the same under all four. It also pins where the
 // work is done: the cutter's own reader converts the batches that hold rows of
 // two files and the final short one — none at all when the batch divides the
 // files — and decodes nothing. Run with -race this also shakes out data races
@@ -93,7 +96,7 @@ func TestPipelinedRunMatchesSerial(t *testing.T) {
 			t.Fatalf("%s: %d files of which the cutter is to convert %d batches", align.name, len(files), wantCut)
 		}
 
-		for _, workers := range []int{1, 2} {
+		for workers := 1; workers <= 4; workers++ {
 			t.Run(fmt.Sprintf("%s, queue of %d", align.name, workers), func(t *testing.T) {
 				for shape, stripeRows := range stripeShapes(align.batch) {
 					restripe(t, env.store, env.schema, files, stripeRows)

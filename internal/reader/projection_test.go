@@ -168,7 +168,7 @@ func TestProjectedFillMatchesFullFill(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := one.fill(ctx, f, nil); err != nil {
+			if _, _, _, err := one.FillFile(ctx, f); err != nil {
 				t.Fatal(err)
 			}
 			got := one.Stats().ReadBytes

@@ -11,13 +11,22 @@ import (
 
 // ScanQueue is the shared ordered work queue behind every reader pool (a
 // dpp session of either kind, shared or not, resizable or fixed): workers
-// claim file indices in scan order, scan them in parallel, and deposit each
-// file's Unit — a reader of the file's log (FileScan), its pieces following
-// one by one as the worker cuts them — and a single
-// assembler awaits the units strictly in file-index order, so the
-// reassembled stream is byte-identical to one serial scan over the whole
-// file list no matter how many workers scan it — or how often that worker
-// count changes mid-scan.
+// claim file indices in scan order and deposit each file's Unit — a reader
+// of the file's log (FileScan), its pieces following one by one as they are
+// cut — and a single assembler awaits the units strictly in file-index
+// order, so the reassembled stream is byte-identical to one serial scan over
+// the whole file list no matter how many workers scan it — or how often that
+// worker count changes mid-scan.
+//
+// The unit of work is the stripe, not the file. The queue keeps the files it
+// has handed out whose stripes are not all taken, in claim order, and a
+// worker takes the earliest stripe among them before it claims another file:
+// every worker of the pool is on the file the stream needs next. Whoever
+// claims a file opens it; the others wait for the footer rather than claim
+// past it, so files are opened in claim order and, at a session's start,
+// the second worker takes stripe 1 of file 0, not file 1. A stripe is
+// fetched and decoded by the worker that took it, with its own reader, and
+// handed in to the file's drain, which cuts the file in stripe order.
 //
 // Claims are bounded by a sliding window over the assembler's position:
 // a file index may be claimed only while it is within `window` of the
@@ -31,7 +40,7 @@ import (
 // OrderedMerge, shared with the fleet multiplexer (dppshard): Deposit,
 // Await and Wait (whose blocked time is Stall, the worker-starvation signal
 // autoscaling consumes), Update, SetWindow, Abort, Finish, Len and Pos are
-// its methods. ScanQueue binds it to a plan: Claim hands out the planned
+// its methods. ScanQueue binds it to a plan: a claim hands out the planned
 // file with the index, Extend appends planned files with the slots.
 //
 // All methods are safe for concurrent use.
@@ -39,6 +48,9 @@ type ScanQueue struct {
 	*OrderedMerge[Unit]
 	fmu  sync.RWMutex // guards plan, which grows under Extend
 	plan []Planned
+	// open are the claimed files whose stripes are not all taken, in claim
+	// order; guarded by the merge's lock.
+	open []*cursor
 	// served is the consumer's: charged as it reads cache-served units.
 	served Stats
 }
@@ -96,26 +108,104 @@ func (q *ScanQueue) Extend(plan []Planned) int {
 	return q.OrderedMerge.Extend(len(plan))
 }
 
-// Claim is one planned file a worker has claimed and must fill (claims are
-// never reassigned, so an abandoned claim would wedge the assembler): its
-// unit is always a reader of the file's log.
+// Claim is a worker's next piece of work: one planned file it has claimed
+// and must fill (claims are never reassigned, so an abandoned claim would
+// wedge the assembler) — its unit is always a reader of the file's log — or
+// one stripe of a file the pool has open, which it must hand in.
 type Claim struct {
 	Index int
 	Planned
-	q *ScanQueue
+	q   *ScanQueue
+	cur *cursor
+	// stripe is the stripe of cur's file the claim takes; -1 is the file.
+	stripe int
 }
 
-// Claim hands the caller the next unclaimed file, blocking while the
-// claim window is full. ok is false once the scan set is exhausted or the
-// queue is aborted.
-func (q *ScanQueue) Claim() (c Claim, ok bool) {
-	idx, ok := q.OrderedMerge.Claim()
-	if !ok {
-		return Claim{}, false
+// cursor is a claimed file's stripes as the pool hands them out. Its fields
+// are guarded by the merge's lock.
+type cursor struct {
+	index   int
+	planned Planned
+	d       *drain // nil while the file is being opened
+	log     *FileScan
+	n       int   // the file's stripes
+	next    int   // the next stripe to hand out
+	back    []int // stripes handed back untouched, to hand out again
+	// ended: there is no stripe left to hand out — the scan has ended, or
+	// the file was never opened here.
+	ended bool
+}
+
+func (c *cursor) opening() bool { return c.d == nil && !c.ended }
+
+// spent reports a cursor with no stripe left to hand out, ever.
+func (c *cursor) spent() bool { return c.ended || c.d != nil && c.next == c.n && len(c.back) == 0 }
+
+// take hands out the cursor's next stripe; -1 when it has none to.
+func (c *cursor) take() int {
+	switch {
+	case c.d == nil || c.ended:
+	case len(c.back) > 0:
+		i := c.back[len(c.back)-1]
+		c.back = c.back[:len(c.back)-1]
+		return i
+	case c.next < c.n:
+		c.next++
+		return c.next - 1
 	}
-	q.fmu.RLock() // Extend grows the slice concurrently
-	defer q.fmu.RUnlock()
-	return Claim{Index: idx, Planned: q.plan[idx], q: q}, true
+	return -1
+}
+
+// earliest takes the first stripe to hand out among the open files, in
+// claim order: nil, with wait, when a file ahead of any such stripe is still
+// being opened. It forgets the files with no stripe left.
+func (q *ScanQueue) earliest() (cur *cursor, i int, wait bool) {
+	open := q.open[:0]
+	for _, c := range q.open {
+		if cur == nil && !wait {
+			if i = c.take(); i >= 0 {
+				cur = c
+			}
+			wait = c.opening()
+		}
+		if !c.spent() {
+			open = append(open, c)
+		}
+	}
+	clear(q.open[len(open):])
+	q.open = open
+	return cur, i, wait
+}
+
+// claim hands the caller its next piece of work: the earliest stripe of the
+// open files, else — once no file ahead is still being opened — the next
+// unclaimed file, blocking while the claim window is full. ok is false once
+// the scan set is exhausted or the queue is aborted. A file claim must be
+// settled once it is filled.
+func (q *ScanQueue) claim() (c Claim, ok bool) {
+	_, ok = q.OrderedMerge.claim(func() (took, wait bool) {
+		cur, i, wait := q.earliest()
+		if cur != nil {
+			c = Claim{Index: cur.index, Planned: cur.planned, q: q, cur: cur, stripe: i}
+		}
+		return cur != nil, wait
+	}, func(idx int) {
+		q.fmu.RLock() // Extend grows the slice concurrently
+		p := q.plan[idx]
+		q.fmu.RUnlock()
+		cur := &cursor{index: idx, planned: p}
+		q.open = append(q.open, cur)
+		c = Claim{Index: idx, Planned: p, q: q, cur: cur, stripe: -1}
+	})
+	return c, ok
+}
+
+// settle ends a file claim whose fill opened nothing here — a cache served
+// it, or it failed first — so that nobody waits for its stripes.
+func (q *ScanQueue) settle(c Claim) {
+	if c.stripe < 0 {
+		q.note(func() { c.cur.ended = c.cur.ended || c.cur.d == nil })
+	}
 }
 
 // follow deposits the claimed file's unit: a reader of fs, a cache's when
@@ -135,11 +225,13 @@ func (c Claim) follow(fs *FileScan, hit bool) bool {
 // that consumer may call it, once it is done reading.
 func (q *ScanQueue) Served() Stats { return q.served }
 
-// Fill fills one claimed file into the queue. It deposits the file's unit
-// exactly once, before it scans anything — an abandoned claim would wedge
-// the assembler — and returns the error that ended the file, which travels
-// to the assembler at the end of the unit's pieces, to surface in file
-// order. ScanFill builds the one the pools run.
+// Fill does one claim's work. For a file it deposits the file's unit exactly
+// once, before it scans anything — an abandoned claim would wedge the
+// assembler — and opens the file for the pool's workers to take its stripes;
+// for a stripe it fetches, decodes and hands it in. It returns what ended
+// the file, if it has ended in an error — which travels to the assembler at
+// the end of the unit's pieces, to surface in file order. ScanFill builds
+// the one the pools run.
 type Fill func(ctx context.Context, c Claim) error
 
 // Memo is a cache of scans in front of a fill (dpp's ScanCache): it returns
@@ -148,27 +240,36 @@ type Fill func(ctx context.Context, c Claim) error
 // did not run scan.
 type Memo func(ctx context.Context, file string, carry int, scan func(context.Context, *FileScan) error) (fs *FileScan, hit bool, err error)
 
-// ScanFill is the fill of every pool: the claimed file's Scan by r, cut for
-// the rows the plan carries into it, its footer held to the plan's row count
-// the moment it is parsed — a file the catalog miscounts ends the stream
-// there, before any of its rows is cut — into a log whose reader is the
-// file's unit, deposited before the scan starts: each piece reaches the
-// assembler as the scan cuts it, and the error that ends the scan after the
-// pieces before it.
+// ScanFill is the fill of every pool, with r as the worker's reader. A file
+// claim opens the file, its footer held to the plan's row count the moment
+// it is parsed — a file the catalog miscounts ends the stream there, before
+// any of its rows is cut — for a scan cut for the rows the plan carries into
+// it, into a log whose reader is the file's unit, deposited before the file
+// is opened: each piece reaches the assembler as it is cut, and the error
+// that ends the scan after the pieces before it. Its stripes are the pool's
+// to take (ScanQueue), the claimer's first among them. A stripe claim is r's
+// read of the stripe, handed in to the file's drain (take).
 //
-// With a memo the scan is the memo's compute, into the log the memo keeps,
-// and every lookup deposits a reader of that log alike — the one that
+// With a memo the file's scan is the memo's compute, into the log the memo
+// keeps, and every lookup deposits a reader of that log alike — the one that
 // computes it, one coalesced onto that compute while it runs, a later hit:
 // each is served every piece cut so far at once and the rest as they are
-// cut. A lookup whose log was abandoned by its last reader as it arrived
-// asks again: that compute is leaving the memo, and the next ask computes.
-// A lookup cancelled before its log exists deposits nothing; its queue is
-// aborting.
+// cut. The compute returns once the file's last stripe is cut (finish), so
+// the memo holds a complete log. A lookup whose log was abandoned by its last
+// reader as it arrived asks again: that compute is leaving the memo, and the
+// next ask computes. A lookup cancelled before its log exists deposits
+// nothing; its queue is aborting.
 func (r *Reader) ScanFill(memo Memo) Fill {
 	return func(ctx context.Context, c Claim) error {
-		scan := func(ctx context.Context, fs *FileScan) error {
+		if c.stripe >= 0 {
+			return c.q.take(ctx, r, c.cur, c.stripe)
+		}
+		scan := func(sctx context.Context, fs *FileScan) error {
 			c.follow(fs, false)
-			return fs.Close(r.Scan(ctx, c.File, c.Carry, c.Rows, fs.Send))
+			if err := c.q.openFile(sctx, r, c.cur, fs); err != nil || memo == nil {
+				return err
+			}
+			return c.q.finish(ctx, r, c.cur)
 		}
 		if memo == nil {
 			return scan(ctx, NewFileScan(c.Carry, false))
@@ -182,27 +283,107 @@ func (r *Reader) ScanFill(memo Memo) Fill {
 	}
 }
 
+// openFile opens the claimed file of cur for a scan at ctx into fs, with r,
+// and hands its stripes to the pool: the scan closes fs when it ends. A
+// file that fails to open closes fs with the error.
+func (q *ScanQueue) openFile(ctx context.Context, r *Reader, cur *cursor, fs *FileScan) error {
+	d, err := r.openDrain(ctx, cur.planned.File, cur.planned.Carry, cur.planned.Rows, fs.Send)
+	if err != nil {
+		return fs.Close(err) // settle ends the cursor
+	}
+	d.ended = func(err error) {
+		fs.Close(err)
+		q.note(func() { cur.ended = true })
+	}
+	q.note(func() { cur.d, cur.log, cur.n = d, fs, d.stripes() })
+	return d.flush(r)
+}
+
+// take reads stripe i of cur's file with r, charging r, and hands it in.
+// Whoever takes a stripe hands it in — its rows, or what ended the scan
+// before them: the scan's cancellation, or a log nobody is left to read, for
+// which nothing is fetched. A taker whose own ctx is done while the scan's
+// is not — a worker of a session that has stopped waiting for a ScanCache
+// compute it was helping — fetches nothing either, and hands the stripe back
+// for the compute's own worker (finish).
+func (q *ScanQueue) take(ctx context.Context, r *Reader, cur *cursor, i int) error {
+	d := cur.d
+	switch {
+	case ctx.Err() != nil && d.ctx.Err() == nil:
+		q.note(func() { cur.back = append(cur.back, i) })
+		return ctx.Err()
+	case !cur.log.followed():
+		return d.hand(r, i, nil, context.Canceled)
+	}
+	// Once the stripe is handed in, yield: a goroutine left runnable on this
+	// P — the cutter, pushed off the P's next slot by a GC worker or another
+	// wake — would otherwise wait out the next fetch, which never blocks, up
+	// to the runtime's 10 ms preemption tick.
+	defer runtime.Gosched()
+	rows, err := r.readStripe(d.ctx, d.src, i) // nothing fetched once the scan is cancelled
+	return d.hand(r, i, rows, err)
+}
+
+// finish is a ScanCache compute's part in its pool, run by the worker that
+// claimed and opened own's file: until the file's last stripe is cut it
+// takes the file's next stripe — the compute outlives its session, so
+// whatever the session does — and, while its session runs, helps the files
+// the pool has open with their earliest stripe. It claims no file. It
+// returns what ended the scan.
+func (q *ScanQueue) finish(ctx context.Context, r *Reader, own *cursor) error {
+	for {
+		var cur *cursor
+		var i int
+		q.park(func() bool {
+			if own.ended {
+				return true
+			}
+			if i = own.take(); i >= 0 {
+				cur = own
+			} else if !q.aborted && ctx.Err() == nil {
+				cur, i, _ = q.earliest()
+			}
+			return cur != nil
+		})
+		if cur == nil {
+			return own.d.flush(r) // the scan has ended: what ended it
+		}
+		if cur == own {
+			q.take(own.d.ctx, r, own, i)
+		} else {
+			q.take(ctx, r, cur, i)
+		}
+	}
+}
+
 // FillQueue runs one worker over the queue — the one claim → fill loop every
 // pool runs: until the scan set is exhausted, the queue aborts, fill fails
-// (the worker exits), or stop returns true — the resizable pool's
-// between-files scale-down checkpoint, checked before the claim so a stop
-// never abandons one. A nil stop never stops.
+// (the worker exits), or stop returns true — the resizable pool's scale-down
+// checkpoint, checked before each claim, between stripes, so a stop never
+// abandons one. A nil stop never stops.
 //
-// A worker claims its next file only after the last piece of this one: the
-// pool's size still bounds the files being filled, the window the files
-// decoded and not yet merged, and the assembler is cutting a file's first
-// batch while the worker is fetching its third stripe.
+// A worker takes the earliest stripe of the files the pool has open and
+// claims a file only when none is left, so the pool's size bounds the
+// stripes being read, the window the files decoded and not yet merged, and
+// every worker is on the file the assembler is cutting whenever it has a
+// stripe left to read.
 //
-// A fill charges the Stats of the reader it closes over; a pool sums its
-// workers' readers to recover exactly the counters one serial scan would
-// report, because every file is claimed exactly once.
+// Each claim charges the Stats of the reader its fill closes over; a pool
+// sums its workers' readers to recover exactly the counters one serial scan
+// would report, because every file is claimed, and every stripe taken,
+// exactly once.
 func FillQueue(ctx context.Context, q *ScanQueue, fill Fill, stop func() bool) {
 	for {
 		if stop != nil && stop() {
 			return
 		}
-		c, ok := q.Claim()
-		if !ok || fill(ctx, c) != nil {
+		c, ok := q.claim()
+		if !ok {
+			return
+		}
+		err := fill(ctx, c)
+		q.settle(c)
+		if err != nil {
 			return
 		}
 	}

@@ -15,6 +15,16 @@ func queueFiles(n int) []Planned {
 	return plan
 }
 
+// claimFile claims the queue's next file, as a worker's claim does, and
+// settles it at once: nothing here opens a file for the stripes to be taken.
+func claimFile(q *ScanQueue) (Claim, bool) {
+	c, ok := q.claim()
+	if ok {
+		q.settle(c)
+	}
+	return c, ok
+}
+
 // TestScanQueueOrderedMerge: results deposited out of order come back
 // from Await strictly in file-index order.
 func TestScanQueueOrderedMerge(t *testing.T) {
@@ -22,7 +32,7 @@ func TestScanQueueOrderedMerge(t *testing.T) {
 	var idxs []int
 	var files []string
 	for {
-		c, ok := q.Claim()
+		c, ok := claimFile(q)
 		if !ok {
 			break
 		}
@@ -56,7 +66,7 @@ func TestScanQueueOrderedMerge(t *testing.T) {
 func TestScanQueueWindowBound(t *testing.T) {
 	q := NewScanQueue(queueFiles(5), 2, nil)
 	for i := 0; i < 2; i++ {
-		c, ok := q.Claim()
+		c, ok := claimFile(q)
 		if !ok || c.Index != i {
 			t.Fatalf("claim %d = (%d, %v)", i, c.Index, ok)
 		}
@@ -64,7 +74,7 @@ func TestScanQueueWindowBound(t *testing.T) {
 	}
 	claimed := make(chan int, 1)
 	go func() {
-		c, ok := q.Claim()
+		c, ok := claimFile(q)
 		if ok {
 			claimed <- c.Index
 		}
@@ -90,7 +100,7 @@ func TestScanQueueWindowBound(t *testing.T) {
 	// Growing the window unblocks a parked claimer too.
 	blocked := make(chan int, 1)
 	go func() {
-		c, ok := q.Claim()
+		c, ok := claimFile(q)
 		if ok {
 			blocked <- c.Index
 		}
@@ -116,14 +126,14 @@ func TestScanQueueWindowBound(t *testing.T) {
 // ok == false, and later calls observe the same.
 func TestScanQueueAbort(t *testing.T) {
 	q := NewScanQueue(queueFiles(3), 1, nil)
-	if c, ok := q.Claim(); !ok || c.Index != 0 {
+	if c, ok := claimFile(q); !ok || c.Index != 0 {
 		t.Fatalf("claim = (%d, %v)", c.Index, ok)
 	}
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() { // blocked claimer (window full)
 		defer wg.Done()
-		if _, ok := q.Claim(); ok {
+		if _, ok := claimFile(q); ok {
 			t.Error("claim succeeded after abort")
 		}
 	}()
@@ -136,7 +146,7 @@ func TestScanQueueAbort(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 	q.Abort()
 	wg.Wait()
-	if _, ok := q.Claim(); ok {
+	if _, ok := claimFile(q); ok {
 		t.Fatal("claim succeeded on an aborted queue")
 	}
 }
@@ -158,7 +168,7 @@ func TestScanQueueStallClock(t *testing.T) {
 	}
 
 	q := NewScanQueue(queueFiles(2), 2, clock)
-	c0, _ := q.Claim()
+	c0, _ := claimFile(q)
 	q.Deposit(c0.Index, Unit{})
 	if _, ok := q.Await(0); !ok {
 		t.Fatal("Await(0) failed")
@@ -176,7 +186,7 @@ func TestScanQueueStallClock(t *testing.T) {
 	}()
 	time.Sleep(20 * time.Millisecond) // let the awaiter park and stamp its start
 	advance(7 * time.Millisecond)
-	c1, _ := q.Claim()
+	c1, _ := claimFile(q)
 	q.Deposit(c1.Index, Unit{})
 	<-done
 	if st := q.Stall(); st != 7*time.Millisecond {
@@ -197,7 +207,7 @@ func TestFillQueueStopCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	FillQueue(t.Context(), q, scanFill(r), func() bool { return true })
-	if c, ok := q.Claim(); !ok || c.Index != 0 {
+	if c, ok := claimFile(q); !ok || c.Index != 0 {
 		t.Fatalf("stopped worker consumed a claim: next claim = (%d, %v), want (0, true)", c.Index, ok)
 	}
 }
@@ -210,3 +220,46 @@ func (stubStore) ReadRange(string, int64, int64) ([]byte, error) { return nil, n
 func (stubStore) Size(string) (int64, error)                     { return 0, nil }
 func (stubStore) List(string) []string                           { return nil }
 func (stubStore) Exists(string) bool                             { return false }
+
+// TestProducerBookkeepingWakesNoConsumer: what producers publish to each
+// other (note) and a scan's check for readers before it fetches a stripe
+// (followed) never wake the consumer parked in a file's log — a wake with
+// nothing to read leaves it runnable on the waker's P, behind the fetch that
+// follows, its next batch waiting out the runtime's preemption tick — and a
+// piece does. The pause gives a wrong wake the time to show; correct code
+// passes whatever the timing.
+func TestProducerBookkeepingWakesNoConsumer(t *testing.T) {
+	m := NewOrderedMerge[Unit](1, 1, nil)
+	fs := NewFileScan(0, false)
+	if !fs.Follow(m, 0, Unit{}, nil) {
+		t.Fatal("Follow refused a fresh log")
+	}
+	looks, ready := 0, false // guarded by m's lock: Wait's predicate runs under it
+	parked, finished := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(finished)
+		m.Wait(func() bool {
+			if looks++; looks == 1 {
+				close(parked)
+			}
+			return ready
+		})
+	}()
+	<-parked
+	m.note(func() {})
+	if !fs.followed() {
+		t.Fatal("a log with a live reader reads as unfollowed")
+	}
+	time.Sleep(20 * time.Millisecond)
+	m.mu.Lock()
+	n := looks
+	m.mu.Unlock()
+	if n != 1 {
+		t.Fatalf("the consumer looked %d times, want 1: bookkeeping woke it", n)
+	}
+	m.Update(func() { ready = true })
+	<-finished
+	if looks != 2 {
+		t.Fatalf("the consumer looked %d times, want 2: a piece wakes it once", looks)
+	}
+}

@@ -340,18 +340,28 @@ func resolveColumns(features, keys []string) ([]int, error) {
 // source is one file mid-fill (the paper's fill stage: fetch, decrypt,
 // decompress, decode): opened — the footer fetched and parsed, so the row
 // count and schema are known, and the spec's projection resolved against
-// it — with no stripe fetched yet. ReadBytes and the fetch cost model
-// charge each range as it is fetched; FillTime is the time inside open and
-// inside each stripe's read, never the time a stripe's consumer takes.
+// it — with no stripe fetched yet. Its stripes may be read by any reader
+// (readStripe), each charging its own Stats: FillTime is the time inside
+// open and inside each stripe's read, never the time a stripe's cut takes.
 type source struct {
-	r    *Reader
 	path string
 	file *dwrf.FileReader
 	cols []int
 }
 
-// open starts the fill of the file at path. Cancellation is honoured
-// before the first fetch.
+// fetch is r's ranged read of the file at path: ReadBytes and the fetch
+// cost model charge each range to r as it is fetched.
+func (r *Reader) fetch(path string) dwrf.Fetch {
+	return func(off, n int64) ([]byte, error) {
+		data, err := r.store.ReadRange(path, off, n)
+		r.stats.ReadBytes += int64(len(data))
+		simulateFetchWork(data)
+		return data, err
+	}
+}
+
+// open starts the fill of the file at path, charging r the footer's
+// fetches and FillTime. Cancellation is honoured before the first fetch.
 func (r *Reader) open(ctx context.Context, path string) (*source, error) {
 	start := time.Now()
 	defer func() { r.stats.FillTime += time.Since(start) }()
@@ -363,12 +373,7 @@ func (r *Reader) open(ctx context.Context, path string) (*source, error) {
 	if err != nil {
 		return nil, err
 	}
-	file, err := dwrf.Open(size, func(off, n int64) ([]byte, error) {
-		data, err := r.store.ReadRange(path, off, n)
-		r.stats.ReadBytes += int64(len(data))
-		simulateFetchWork(data)
-		return data, err
-	})
+	file, err := dwrf.Open(size, r.fetch(path))
 	if err != nil {
 		return nil, fmt.Errorf("reader: %s: %w", path, err)
 	}
@@ -376,34 +381,28 @@ func (r *Reader) open(ctx context.Context, path string) (*source, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &source{r: r, path: path, file: file, cols: cols}, nil
+	return &source{path: path, file: file, cols: cols}, nil
 }
 
-// stripes is the rest of the fill: it reads the file's stripes in order —
-// per stripe the header and the streams of the row metadata, the dense
-// features and the consumed sparse features; a spec that consumes every
-// column fetches exactly the file — and hands each to yield, decoded, before
-// it fetches the next. Every stripe is checked against the footer, so a
-// fill that succeeds has yielded exactly the rows the footer counts.
-// Cancellation is honoured before each stripe; yield's error ends the fill
-// and is returned as it is.
-func (s *source) stripes(ctx context.Context, yield func(*dwrf.Chunk) error) error {
-	for i := 0; i < s.file.NumStripes(); i++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		start := time.Now()
-		stripe, err := s.file.StripeColumns(i, s.cols)
-		s.r.stats.FillTime += time.Since(start)
-		if err != nil {
-			return fmt.Errorf("reader: %s: %w", s.path, err)
-		}
-		s.r.stats.RowsDecoded += int64(stripe.Rows())
-		if err := yield(stripe); err != nil {
-			return err
-		}
+// readStripe is the rest of the fill, one stripe at a time: stripe i of
+// src, fetched with r's fetches — the header and the streams of the row
+// metadata, the dense features and the consumed sparse features; a spec
+// that consumes every column fetches exactly the file — and decoded,
+// charging r. Every stripe is checked against the footer, so the stripes of
+// a fill that succeeds hold exactly the rows the footer counts.
+// Cancellation is honoured before the fetch.
+func (r *Reader) readStripe(ctx context.Context, src *source, i int) (*dwrf.Chunk, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	return nil
+	start := time.Now()
+	stripe, err := src.file.WithFetch(r.fetch(src.path)).StripeColumns(i, src.cols)
+	r.stats.FillTime += time.Since(start)
+	if err != nil {
+		return nil, fmt.Errorf("reader: %s: %w", src.path, err)
+	}
+	r.stats.RowsDecoded += int64(stripe.Rows())
+	return stripe, nil
 }
 
 // noRows is the file's schema with no rows in it: what a cut of the file

@@ -12,8 +12,9 @@ import (
 
 // FileScan is one file's scan as an append-only log of its pieces: the head,
 // batches and tail Reader.Scan cuts for a scan that enters the file with
-// Carry rows pending. One source writes it — a fill, a ScanCache compute, a
-// fleet pump — with Send and then Close, and each consumer reads it through
+// Carry rows pending. One source writes it — a scan's drain, whichever of a
+// pool's workers holds the file's lock, a ScanCache compute, a fleet pump —
+// with Send and then Close, and each consumer reads it through
 // a unit of its own (Follow), from the first piece, while it is written: a
 // piece reaches every reader the moment it is sent, and a reader's wait for
 // the next is its own merge's, so Stall and Abort mean for it what they mean
@@ -79,15 +80,8 @@ func (fs *FileScan) Send(p Piece) error {
 	fs.pieces = append(fs.pieces, p)
 	readers := fs.readers
 	fs.mu.Unlock()
-	if !wake(readers) && len(readers) > 0 {
-		fs.mu.Lock()
-		// A reader that arrived since the snapshot reads this piece itself.
-		abandoned := len(fs.readers) == len(readers)
-		fs.abandoned = abandoned
-		fs.mu.Unlock()
-		if abandoned {
-			return context.Canceled
-		}
+	if !wake(readers) && fs.abandon(readers) {
+		return context.Canceled
 	}
 	runtime.Gosched()
 	return nil
@@ -102,9 +96,36 @@ func wake(merges []*OrderedMerge[Unit]) (live bool) {
 	return live
 }
 
+// abandon marks the log abandoned when readers, a snapshot of its readers
+// every one of whose merges has aborted, are all it has: a reader that
+// arrived since the snapshot reads the log itself. A log nobody follows yet
+// is never abandoned. It reports whether the log is.
+func (fs *FileScan) abandon(readers []*OrderedMerge[Unit]) bool {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if len(readers) > 0 && len(fs.readers) == len(readers) {
+		fs.abandoned = true
+	}
+	return fs.abandoned
+}
+
+// followed reports whether anyone is left to read the log: false — and the
+// log abandoned — once every reader's merge has aborted, which a scan checks
+// before it fetches a stripe for nobody. It wakes no reader: a wake with
+// nothing to read would leave the reader runnable behind the fetch that
+// follows.
+func (fs *FileScan) followed() bool {
+	fs.mu.Lock()
+	readers := fs.readers
+	fs.mu.Unlock()
+	return slices.ContainsFunc(readers, (*OrderedMerge[Unit]).live) || !fs.abandon(readers)
+}
+
 // Close ends the log: after the pieces sent so far, every reader's unit
 // returns err. It returns err. A finished log forgets its readers' merges,
-// so a cached log keeps no ended session's stream reachable.
+// so a cached log keeps no ended session's stream reachable. It yields to
+// the scheduler after the wake, for the reason Send does: the closer may go
+// on to fetch another file's stripe.
 func (fs *FileScan) Close(err error) error {
 	fs.mu.Lock()
 	fs.done, fs.err = true, err
@@ -114,6 +135,7 @@ func (fs *FileScan) Close(err error) error {
 	fs.mu.Lock()
 	fs.readers, fs.one = nil, [1]*OrderedMerge[Unit]{}
 	fs.mu.Unlock()
+	runtime.Gosched()
 	return err
 }
 
@@ -225,49 +247,153 @@ func (fs *FileScan) MemBytes() int64 {
 // the carry the files before it leave, and the cutter that joins them do
 // together exactly a serial Run's work — Run is that, on one reader.
 //
+// Scan is the drain with one taker: r reads the stripes in order and hands
+// each in as it is decoded. A pool's workers share the same drain
+// (ScanQueue).
+//
 // A file whose k-th stripe is damaged has by then yielded every piece cut
 // from the stripes before the damage: the consumer sees the serial stream's
 // prefix, then the error. yield's own error ends the scan and is returned as
 // it is.
 func (r *Reader) Scan(ctx context.Context, file string, carry, rows int, yield func(Piece) error) error {
+	d, err := r.openDrain(ctx, file, carry, rows, yield)
+	if err != nil {
+		return err
+	}
+	for i := range d.stripes() {
+		rows, err := r.readStripe(ctx, d.src, i)
+		if err := d.hand(r, i, rows, err); err != nil {
+			return err
+		}
+	}
+	return d.flush(r)
+}
+
+// drain is one opened file's cut: the stripes handed in by whichever readers
+// decoded them, in any order, cut in stripe order — by whoever hands in the
+// next one, under the file's lock, with that reader: assembly.cut → produce
+// → yield — then the tail. A stripe handed in with an error ends the scan
+// there once the stripes before it are cut; one handed in after the scan has
+// ended — past a damaged stripe, past the cancellation — is dropped, never
+// cut.
+type drain struct {
+	ctx   context.Context
+	src   *source
+	yield func(Piece) error
+	// ended, when set, runs once with the file's lock held, with what ended
+	// the scan.
+	ended func(error)
+
+	mu    sync.Mutex // the file's lock
+	cut   assembly
+	head  bool          // the next full run of rows is the head
+	ready []*dwrf.Chunk // stripes handed in and not yet cut, by index
+	at    int           // the next stripe to cut
+	bad   int           // the first stripe handed in with an error, when why is set
+	why   error         // that stripe's error
+	done  bool
+	err   error // what ended the scan, once done
+}
+
+// openDrain opens file for a scan entering it with carry rows pending whose
+// pieces go to yield, its footer held to rows when that is not negative.
+func (r *Reader) openDrain(ctx context.Context, file string, carry, rows int, yield func(Piece) error) (*drain, error) {
 	src, err := r.open(ctx, file)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if n := src.file.NumRows(); rows >= 0 && n != rows {
-		return fmt.Errorf("reader: %s: the footer counts %d rows, the catalog %d", file, n, rows)
+		return nil, fmt.Errorf("reader: %s: the footer counts %d rows, the catalog %d", file, n, rows)
 	}
-	cut := assembly{batch: r.spec.BatchSize, rows: carry}
-	head := carry > 0
-	err = src.stripes(ctx, func(stripe *dwrf.Chunk) error {
-		return cut.cut(stripe, func(full *dwrf.Chunk) error {
-			if head {
-				head = false
-				return yield(Piece{Rows: full})
-			}
-			return r.produce(ctx, full, func(b *Batch) error { return yield(Piece{Batch: b}) })
-		})
-	})
-	if err != nil {
-		if ctx.Err() != nil {
-			return ctx.Err()
+	n := src.file.NumStripes()
+	return &drain{ctx: ctx, src: src, yield: yield, cut: assembly{batch: r.spec.BatchSize, rows: carry},
+		head: carry > 0, ready: make([]*dwrf.Chunk, n), bad: n}, nil
+}
+
+// stripes is how many stripes the file has.
+func (d *drain) stripes() int { return len(d.ready) }
+
+// hand hands in stripe i — its rows, decoded by r, or the error that stopped
+// its read; i < 0 hands in nothing — and cuts what is now next in order with
+// r. It returns what ended the scan once it has ended, else nil.
+func (d *drain) hand(r *Reader, i int, rows *dwrf.Chunk, err error) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	switch {
+	case d.done || i < 0:
+	case err != nil:
+		if i < d.bad {
+			d.bad, d.why = i, err
 		}
-		return err
+	default:
+		d.ready[i] = rows
 	}
-	rest, err := cut.take()
+	for !d.done {
+		switch {
+		case d.why != nil && d.at == d.bad:
+			d.end(d.why)
+		case d.at == len(d.ready):
+			d.end(d.finish())
+		case d.ready[d.at] != nil:
+			stripe := d.ready[d.at]
+			d.ready[d.at] = nil
+			d.at++
+			if err := d.cutStripe(r, stripe); err != nil {
+				d.end(err)
+			}
+		default:
+			return nil
+		}
+	}
+	return d.err
+}
+
+// flush cuts with r what is next in order — the whole of a file with no
+// stripes — and returns what ended the scan once it has ended, else nil.
+func (d *drain) flush(r *Reader) error { return d.hand(r, -1, nil, nil) }
+
+// cutStripe passes a stripe's rows on as pieces, converting the batches it
+// completes with r.
+func (d *drain) cutStripe(r *Reader, stripe *dwrf.Chunk) error {
+	return d.cut.cut(stripe, func(full *dwrf.Chunk) error {
+		if d.head {
+			d.head = false
+			return d.yield(Piece{Rows: full})
+		}
+		return r.produce(d.ctx, full, func(b *Batch) error { return d.yield(Piece{Batch: b}) })
+	})
+}
+
+// finish yields what is left once every stripe is cut: the head, if the file
+// ended inside the straddling batch, and the tail.
+func (d *drain) finish() error {
+	rest, err := d.cut.take()
 	if err != nil {
 		return err
 	}
 	if rest == nil {
-		rest = src.noRows()
+		rest = d.src.noRows()
 	}
-	if head { // the file ended inside the straddling batch
-		if err := yield(Piece{Rows: rest}); err != nil {
+	if d.head {
+		if err := d.yield(Piece{Rows: rest}); err != nil {
 			return err
 		}
-		rest = src.noRows()
+		rest = d.src.noRows()
 	}
-	return yield(Piece{Rows: rest})
+	return d.yield(Piece{Rows: rest})
+}
+
+// end ends the scan with err — the scan's cancellation, when it has one —
+// and drops the stripes still waiting to be cut.
+func (d *drain) end(err error) {
+	if err != nil && d.ctx.Err() != nil {
+		err = d.ctx.Err()
+	}
+	d.done, d.err = true, err
+	clear(d.ready)
+	if d.ended != nil {
+		d.ended(err)
+	}
 }
 
 // ScanFile is Scan into a kept log: the whole scan of the file at carry, or

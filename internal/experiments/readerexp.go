@@ -61,11 +61,13 @@ func runTable3(scale Scale) (*Result, error) {
 
 // runFig10 reproduces Figure 10: per-RM reader CPU time spent on fill,
 // convert, and process, normalized to the baseline total (paper: fill
-// −50/33/46%, convert +21/37/11%, process −13/−11/+3%).
+// −50/33/46%, convert +21/37/11%, process −13/−11/+3%), beside each
+// stage's work counter normalized to the baseline's: bytes fetched (the
+// fetch cost model's input), values converted and transform operations.
 func runFig10(scale Scale) (*Result, error) {
 	res := &Result{
 		ID:    "fig10",
-		Title: "reader CPU breakdown (normalized to baseline total)",
+		Title: "reader CPU breakdown (times normalized to baseline total, counters to baseline)",
 		Notes: []string{
 			"paper: fill -50/-33/-46%, convert +21/+37/+11%, process -13/-11/+3%",
 		},
@@ -85,13 +87,17 @@ func runFig10(scale Scale) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s recd: %w", rm.Name, err)
 		}
-		baseTotal := base.Reader.TotalTime().Seconds()
+		b := base.Reader
+		baseTotal := b.TotalTime().Seconds()
 		row := func(label string, r *core.Result) Row {
 			return Row{Label: label, Values: []Cell{
 				{Name: "fill", Value: r.Reader.FillTime.Seconds() / baseTotal},
 				{Name: "convert", Value: r.Reader.ConvertTime.Seconds() / baseTotal},
 				{Name: "process", Value: r.Reader.ProcessTime.Seconds() / baseTotal},
 				{Name: "total", Value: r.Reader.TotalTime().Seconds() / baseTotal},
+				{Name: "read_bytes", Value: float64(r.Reader.ReadBytes) / float64(b.ReadBytes)},
+				{Name: "convert_values", Value: float64(r.Reader.ConvertValues) / float64(b.ConvertValues)},
+				{Name: "process_ops", Value: float64(r.Reader.ProcessOps) / float64(b.ProcessOps)},
 			}}
 		}
 		res.Rows = append(res.Rows, row(rm.Name+" baseline", base), row(rm.Name+" recd", recd))

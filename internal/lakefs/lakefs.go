@@ -5,12 +5,15 @@
 // measure (Table 3 "Read Bytes", §6.1 compression ratios), plus an
 // hourly-partitioned table catalog with retention, mirroring the paper's
 // "new table partitions are constantly landed and old partitions are
-// deleted".
+// deleted". Its ReadRange also charges the CPU cost of a Tectonic fetch
+// (the fetch cost model, fetchCPUPasses): a storage.Backend other than a
+// lakefs.Store pays no such cost.
 package lakefs
 
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/storage"
 )
@@ -53,7 +56,9 @@ func (s *Store) Put(path string, data []byte) error {
 }
 
 // Get returns the full blob at path. The returned slice must not be
-// modified. The read is charged to the store's IO accounting.
+// modified. The read is charged to the store's IO accounting but not to
+// the fetch cost model: no fill calls Get, and the ladder's walk times it
+// as the raw store read that fill's time is measured against.
 func (s *Store) Get(path string) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -68,27 +73,57 @@ func (s *Store) Get(path string) ([]byte, error) {
 
 // ReadRange returns n bytes starting at off from the blob at path. Partial
 // reads at end-of-blob return a short slice, matching object-store range
-// read semantics. Only the returned bytes are charged.
+// read semantics; its capacity ends with it, so an append cannot reach the
+// stored blob. Only the returned bytes are charged, to the IO accounting
+// and to the fetch cost model, which runs on the caller's goroutine after
+// the store's lock is released, so concurrent readers pay it side by side
+// rather than one at a time.
 func (s *Store) ReadRange(path string, off, n int64) ([]byte, error) {
 	if off < 0 || n < 0 {
 		return nil, fmt.Errorf("lakefs: negative range %d+%d", off, n)
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	b, ok := s.blobs[path]
 	if !ok {
+		s.mu.Unlock()
 		return nil, fmt.Errorf("lakefs: %q not found", path)
 	}
 	if off > int64(len(b)) {
+		s.mu.Unlock()
 		return nil, fmt.Errorf("lakefs: offset %d beyond blob size %d", off, len(b))
 	}
-	end := off + n
-	if end > int64(len(b)) {
-		end = int64(len(b))
-	}
+	end := min(off+n, int64(len(b)))
 	s.readBytes += end - off
 	s.readOps++
-	return b[off:end], nil
+	s.mu.Unlock()
+	data := b[off:end:end]
+	simulateFetchWork(data)
+	return data, nil
+}
+
+// fetchCPUPasses is how many per-byte passes the simulated fetch path
+// spends on each fetched byte, standing in for the network stack,
+// decryption, and checksumming a production DPP reader performs on
+// fetched data (paper §6.3: fill = "fetching data from Tectonic and
+// decrypting, decompressing (zstd), and decoding"). This makes fill CPU
+// time scale with the bytes a scan actually fetches, so clustering's
+// smaller files — and a narrower projection — cut fill time as they do
+// in production (docs/ARCHITECTURE.md lists the substitution).
+const fetchCPUPasses = 160
+
+// fetchSink absorbs the checksum so the compiler cannot elide the pass;
+// atomic because every reader of every session fetches concurrently.
+var fetchSink atomic.Uint64
+
+func simulateFetchWork(data []byte) {
+	var h uint64 = 14695981039346656037 // FNV-1a 64-bit offset basis
+	for pass := 0; pass < fetchCPUPasses; pass++ {
+		for _, b := range data {
+			h ^= uint64(b)
+			h *= 1099511628211
+		}
+	}
+	fetchSink.Add(h)
 }
 
 // Size reports the stored size of the blob at path without charging a read.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"hash/fnv"
 	"sync"
 	"testing"
 )
@@ -77,6 +78,82 @@ func TestReadRange(t *testing.T) {
 	// Negative range is an error.
 	if _, err := s.ReadRange("r", -1, 1); err == nil {
 		t.Fatal("expected error for negative offset")
+	}
+}
+
+// TestAppendToARangeLeavesTheBlob: a range's capacity ends with it, so an
+// append to it copies instead of writing over the stored bytes after it,
+// which every later reader of the blob would be served.
+func TestAppendToARangeLeavesTheBlob(t *testing.T) {
+	s := NewStore()
+	if err := s.Put("a", []byte("0123456789")); err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.ReadRange("a", 0, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = append(got, "XYZ"...)
+	next, err := s.ReadRange("a", 4, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(next) != "456" {
+		t.Fatalf("bytes after an appended-to range read %q, want 456", next)
+	}
+}
+
+// fetchChecksum is what the fetch cost model adds to fetchSink for data,
+// computed apart from the model: 160 FNV-1a passes over the bytes.
+func fetchChecksum(data []byte) uint64 {
+	h := fnv.New64a()
+	for range 160 {
+		h.Write(data)
+	}
+	return h.Sum64()
+}
+
+// TestReadRangeChargesTheFetchModel: the fetch cost model runs over
+// exactly the bytes ReadRange returns, so a short read at end-of-blob
+// charges only what it returns. Nothing else charges it: not Size, not
+// Get (the ladder times Get as the raw read fill is measured against), not
+// a read that fails.
+func TestReadRangeChargesTheFetchModel(t *testing.T) {
+	s := NewStore()
+	if err := s.Put("m", []byte("0123456789abcdef")); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		off, n int64
+		want   string
+	}{{2, 5, "23456"}, {12, 10, "cdef"}} {
+		before := fetchSink.Load()
+		got, err := s.ReadRange("m", c.off, c.n)
+		if err != nil || string(got) != c.want {
+			t.Fatalf("ReadRange(%d, %d) = %q, %v; want %q", c.off, c.n, got, err, c.want)
+		}
+		if moved, want := fetchSink.Load()-before, fetchChecksum([]byte(c.want)); moved != want {
+			t.Errorf("ReadRange(%d, %d) moved the sink by %#x, the model of %q is %#x", c.off, c.n, moved, c.want, want)
+		}
+	}
+
+	before := fetchSink.Load()
+	if _, err := s.Size("m"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Get("m"); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []struct {
+		path   string
+		off, n int64
+	}{{"nope", 0, 1}, {"m", -1, 1}, {"m", 17, 1}} {
+		if _, err := s.ReadRange(r.path, r.off, r.n); err == nil {
+			t.Fatalf("ReadRange(%q, %d, %d) should fail", r.path, r.off, r.n)
+		}
+	}
+	if moved := fetchSink.Load() - before; moved != 0 {
+		t.Errorf("Size, Get and failed reads moved the sink by %#x", moved)
 	}
 }
 
@@ -164,6 +241,9 @@ func TestConcurrentAccess(t *testing.T) {
 				return
 			}
 			if _, err := s.Get(p); err != nil {
+				t.Error(err)
+			}
+			if _, err := s.ReadRange(p, 2, 5); err != nil {
 				t.Error(err)
 			}
 		}(i)

@@ -3,7 +3,6 @@ package reader
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/dwrf"
@@ -294,31 +293,6 @@ func (r *Reader) RunUnits(ctx context.Context, next func() (Unit, bool), emit fu
 	return r.produce(ctx, rows, emit)
 }
 
-// fetchCPUPasses is how many per-byte passes the simulated fetch path
-// spends on each fetched byte, standing in for the network stack,
-// decryption, and checksumming a production DPP reader performs on
-// fetched data (paper §6.3: fill = "fetching data from Tectonic and
-// decrypting, decompressing (zstd), and decoding"). This makes fill CPU
-// time scale with the bytes a scan actually fetches, so clustering's
-// smaller files — and a narrower projection — cut fill time as they do
-// in production (docs/ARCHITECTURE.md lists the substitution).
-const fetchCPUPasses = 160
-
-// fetchSink absorbs the checksum so the compiler cannot elide the pass;
-// atomic because tier readers fill concurrently.
-var fetchSink atomic.Uint64
-
-func simulateFetchWork(data []byte) {
-	var h uint64 = 1469598103934665603
-	for pass := 0; pass < fetchCPUPasses; pass++ {
-		for _, b := range data {
-			h ^= uint64(b)
-			h *= 1099511628211
-		}
-	}
-	fetchSink.Add(h)
-}
-
 // resolveColumns maps feature names to their column indices in a file's
 // key list.
 func resolveColumns(features, keys []string) ([]int, error) {
@@ -349,13 +323,13 @@ type source struct {
 	cols []int
 }
 
-// fetch is r's ranged read of the file at path: ReadBytes and the fetch
-// cost model charge each range to r as it is fetched.
+// fetch is r's ranged read of the file at path: ReadBytes charges each
+// range to r as it is fetched. The fetch cost model is the store's
+// (lakefs.Store.ReadRange), paid on this goroutine inside FillTime.
 func (r *Reader) fetch(path string) dwrf.Fetch {
 	return func(off, n int64) ([]byte, error) {
 		data, err := r.store.ReadRange(path, off, n)
 		r.stats.ReadBytes += int64(len(data))
-		simulateFetchWork(data)
 		return data, err
 	}
 }

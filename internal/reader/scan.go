@@ -69,9 +69,9 @@ func NewFileScan(carry int, keep bool) *FileScan {
 // every reader's merge has aborted (a log nobody follows yet never fails).
 // The yield to the scheduler lets a cutter this piece made runnable have a
 // CPU now: a pool that saturates every CPU with fetch work
-// (simulateFetchWork never blocks) would otherwise keep it waiting for the
-// runtime's preemption tick, ten milliseconds, with the rows of its next
-// batch already decoded.
+// (lakefs.Store.ReadRange's fetch cost model never blocks) would otherwise
+// keep it waiting for the runtime's preemption tick, ten milliseconds,
+// with the rows of its next batch already decoded.
 func (fs *FileScan) Send(p Piece) error {
 	fs.mu.Lock()
 	if len(fs.pieces) == 0 {

@@ -7,7 +7,10 @@
 // the readers, so every fill reads its ranges from the store itself.
 //
 // lakefs.Store and lakefs.Catalog are the canonical implementations;
-// both interfaces are small enough that a test fake is a dozen lines.
+// both interfaces are small enough that a test fake is a dozen lines. The
+// fetch cost model (the CPU of Tectonic's network, decryption and
+// checksumming) is lakefs.Store's, charged in its ReadRange: a Backend
+// other than lakefs pays no model.
 package storage
 
 import "context"

@@ -300,7 +300,8 @@ func BenchmarkIKJTToKJTRoundTrip(b *testing.B) {
 	}
 }
 
-// BenchmarkDWRFWriteClustered measures columnar encode+compress.
+// BenchmarkDWRFWriteClustered measures columnar encode+compress of a
+// session-clustered table, per row and in stored bytes per row.
 func BenchmarkDWRFWriteClustered(b *testing.B) {
 	schema := datagen.StandardSchema(datagen.StandardSchemaConfig{
 		UserSeq: 3, UserElem: 3, Item: 1, Dense: 2, SeqLen: 32, Seed: 12,
@@ -309,6 +310,7 @@ func BenchmarkDWRFWriteClustered(b *testing.B) {
 		Sessions: 100, MeanSamplesPerSession: 12, Seed: 13,
 	})
 	samples := etl.ClusterBySession(gen.GeneratePartition())
+	var stored int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w, err := dwrf.NewFileWriter(schema, dwrf.WriterOptions{StripeRows: 128})
@@ -318,10 +320,14 @@ func BenchmarkDWRFWriteClustered(b *testing.B) {
 		if err := w.WriteRows(samples); err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := w.Finish(); err != nil {
+		data, _, err := w.Finish()
+		if err != nil {
 			b.Fatal(err)
 		}
+		stored = len(data)
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(samples)), "ns/row")
+	b.ReportMetric(float64(stored)/float64(len(samples)), "B/row")
 }
 
 // BenchmarkReaderTier measures the fill→convert→process pipeline.

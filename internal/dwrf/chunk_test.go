@@ -1,9 +1,12 @@
 package dwrf
 
 import (
+	"bytes"
+	"compress/flate"
 	"context"
 	"encoding/binary"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -103,6 +106,91 @@ func TestHostileFooter(t *testing.T) {
 	if _, err := r.ReadAll(); err == nil || !strings.Contains(err.Error(), "footer records") {
 		t.Fatalf("ReadAll over a lying row count: %v", err)
 	}
+}
+
+// forgeStripe builds a stripe of the given rows under a schema of keys
+// sparse columns: every metadata field zero, no dense values, sparse
+// column 0's raw stream sparse and the other sparse columns empty.
+func forgeStripe(t *testing.T, keys, rows int, sparse []byte) []byte {
+	t.Helper()
+	streams := make([][]byte, firstSparse+keys)
+	streams[metaStream] = make([]byte, 5*rows)
+	streams[firstSparse] = sparse
+	hdr := putUvarint(putUvarint(nil, uint64(rows)), uint64(len(streams)))
+	var body bytes.Buffer
+	for _, raw := range streams {
+		at := body.Len()
+		fw, err := flate.NewWriter(&body, flate.BestCompression)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fw.Write(raw)
+		fw.Close()
+		hdr = putUvarint(putUvarint(hdr, uint64(len(raw))), uint64(body.Len()-at))
+	}
+	return append(hdr, body.Bytes()...)
+}
+
+// TestForgedRunsAreRefused: a sparse stream's runs are believed only as
+// far as its bytes go. A repeat on a stripe's first row, a literal list
+// longer than the stream, and a literal followed by repeats that expand
+// past what deflate could pack into the column's compressed bytes are each
+// refused — the last one before anything is sized by it, allocating within
+// a constant of the stripe's own length, as a plain stream of that length
+// could, where its rows claim 8 GiB of values.
+func TestForgedRunsAreRefused(t *testing.T) {
+	keys := testSchema().SparseKeys()
+	literal := func(n int) []byte { return append(putUvarint(nil, uint64(n)+1), make([]byte, n)...) }
+	const listLen, repeats = 1 << 16, 1 << 14
+	expand := append(literal(listLen), make([]byte, repeats)...)
+	for _, tc := range []struct {
+		name, err string
+		stripe    []byte
+	}{
+		{"repeat on row 0", "repeats a row before its first", forgeStripe(t, len(keys), 2, []byte{0, 0})},
+		{"literal past the stream", "list too long", forgeStripe(t, len(keys), 1, literal(10)[:5])},
+		{"runs past the expansion limit", "expands to more than", forgeStripe(t, len(keys), 1+repeats, expand)},
+	} {
+		src, err := wholeStripe(tc.stripe, firstSparse+len(keys))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if _, err := decodeStripe(src, keys, 0, []int{0}); err == nil || !strings.Contains(err.Error(), tc.err) {
+			t.Fatalf("%s: decoded with error %v, want %q", tc.name, err, tc.err)
+		}
+	}
+
+	// The expansion is refused having allocated no more than a plain
+	// stream of the stripe's length could make it: 8 bytes a value for
+	// maxInflateRatio values a byte, and as much again for the raw
+	// streams and the metadata columns. The claim itself sizes nothing.
+	stripe := forgeStripe(t, len(keys), 1+repeats, expand)
+	src, err := wholeStripe(stripe, firstSparse+len(keys))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const slack = 64 << 10 // flate state, the chunk header, the error
+	bound := uint64(16*maxInflateRatio*len(stripe) + slack)
+	if claim := uint64(8 * listLen * (1 + repeats)); claim < 100*bound {
+		t.Fatalf("the forged claim of %d bytes is too close to the bound %d to show anything", claim, bound)
+	}
+	var before, after runtime.MemStats
+	grew := ^uint64(0)
+	for try := 0; try < 3; try++ { // TotalAlloc is process-wide; the best of three is this decode's
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		_, err := decodeStripe(src, keys, 0, []int{0})
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatal("the forged expansion decoded")
+		}
+		grew = min(grew, after.TotalAlloc-before.TotalAlloc)
+	}
+	if grew > bound {
+		t.Fatalf("a %d-byte forged stripe allocated %d bytes, bound %d", len(stripe), grew, bound)
+	}
+	t.Logf("a %d-byte stripe claiming %d values allocated %d bytes", len(stripe), listLen*(1+repeats), grew)
 }
 
 // fetchLog is a Fetch over an in-memory file that records every range.

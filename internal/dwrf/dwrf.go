@@ -7,9 +7,11 @@
 //
 // The format exists to reproduce the paper's storage behaviour: when the
 // ETL clusters a table by session ID (O2), each stripe holds many rows of
-// the same session, so the per-stripe compressor sees adjacent duplicate
-// ID lists and the compression ratio rises — the effect behind the paper's
-// 3.71×/2.06× table compression gains and the Table 3 read-byte savings.
+// the same session, whose user features repeat the row before — the effect
+// behind the paper's 3.71×/2.06× table compression gains and the Table 3
+// read-byte savings. The encoder writes such a run once: a sparse row
+// equal to the previous row of its stripe is the one byte 0, and a reader
+// copies the previous row's list. The compressor sees what is left.
 package dwrf
 
 import "fmt"
@@ -54,17 +56,19 @@ func (o WriterOptions) validate() error {
 	return nil
 }
 
-// ColumnStats records raw (pre-compression) and compressed stream bytes
-// for one flattened column across all stripes of a file.
+// ColumnStats records raw and compressed stream bytes for one flattened
+// column across all stripes of a file. Raw bytes are the column's plain
+// encoding, before compression and with every repeated sparse row counted
+// at its full length, so clustering leaves them unchanged.
 type ColumnStats struct {
 	Name            string
 	RawBytes        int64
 	CompressedBytes int64
 }
 
-// FileStats summarizes a written file. RawBytes is the total size of all
-// encoded column streams before compression; CompressedBytes is the final
-// file size including stripe headers and footer.
+// FileStats summarizes a written file. RawBytes is the total plain size of
+// all column streams (see ColumnStats); CompressedBytes is the final file
+// size including stripe headers and footer.
 type FileStats struct {
 	Rows            int
 	Stripes         int

@@ -1,6 +1,7 @@
 package dwrf
 
 import (
+	"bytes"
 	"slices"
 	"testing"
 
@@ -327,6 +328,104 @@ func TestColumnStats(t *testing.T) {
 	seqIdx, _ := schema.FeatureIndex("user_seq_0")
 	if stats.Columns[2+seqIdx].RawBytes < stats.Columns[0].RawBytes {
 		t.Fatal("sequence feature column should outweigh metadata")
+	}
+}
+
+// withLists returns copies of rows whose sparse list fi of row i is
+// list(i, fi); the other fields are kept.
+func withLists(rows []datagen.Sample, list func(i, fi int) []int64) []datagen.Sample {
+	out := make([]datagen.Sample, len(rows))
+	for i, s := range rows {
+		out[i] = s
+		out[i].Sparse = make([][]int64, len(s.Sparse))
+		for fi := range s.Sparse {
+			out[i].Sparse[fi] = list(i, fi)
+		}
+	}
+	return out
+}
+
+// TestRunsRoundTrip: a sparse row equal to the row before it is written as
+// a run, and every shape of run decodes, stripe by stripe from the last to
+// the first and under a projection onto one column, to the chunk the rows
+// themselves make. A run that crosses a stripe boundary is restated
+// literally: a stripe whose first row were a repeat would not decode. A
+// reader believes no more values than deflate could pack into a column's
+// compressed bytes, so runs that expand past that — long, highly
+// compressible lists repeated for thousands of rows — are written without
+// runs, and read back too.
+func TestRunsRoundTrip(t *testing.T) {
+	schema := testSchema()
+	base := testSamples(t, schema, 6)[:30]
+	own := func(i, fi int) []int64 { return base[i].Sparse[fi] }
+	zeros := withLists(base[:1], func(int, int) []int64 { return make([]int64, 32) })
+	for len(zeros) < 4096 {
+		zeros = append(zeros, zeros[0])
+	}
+	for _, tc := range []struct {
+		name       string
+		rows       []datagen.Sample
+		stripeRows int
+	}{
+		{"run across two stripe boundaries", withLists(base, func(i, fi int) []int64 {
+			return own(min(max(i, 5), 19), fi) // rows 5..19 repeat row 5
+		}), 8},
+		{"runs of empty lists", withLists(base, func(i, fi int) []int64 {
+			if i%10 < 6 {
+				return nil
+			}
+			return own(i, fi)
+		}), 8},
+		{"every row equal", withLists(base, func(_, fi int) []int64 { return own(0, fi) }), 8},
+		{"alternating rows", withLists(base, func(i, fi int) []int64 { return own(i%2, fi) }), 8},
+		{"4096 equal rows of 32 zero IDs", zeros, len(zeros)},
+	} {
+		data, _ := writeFile(t, schema, tc.rows, tc.stripeRows)
+		r, err := OpenReader(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cols := range [][]int{allColumns(len(schema.Sparse)), {1}} {
+			for i := r.NumStripes() - 1; i >= 0; i-- {
+				got, err := r.StripeColumns(i, cols)
+				if err != nil {
+					t.Fatalf("%s: stripe %d cols %v: %v", tc.name, i, cols, err)
+				}
+				lo := i * tc.stripeRows
+				want, err := ChunkFromSamples(tc.rows[lo:lo+r.StripeRows(i)], r.SparseKeys(), r.DenseCount(), cols)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got.AppendTo(nil), want.AppendTo(nil)) {
+					t.Fatalf("%s: stripe %d cols %v decodes to other rows than were written", tc.name, i, cols)
+				}
+			}
+		}
+	}
+}
+
+// TestRawBytesArePlain: a sparse column's RawBytes is the size of its
+// plain encoding — a varint length and the zigzag varint IDs of every row
+// — whether or not its repeated rows were written as runs, so clustering
+// changes no raw size and the compression ratio still compares the same
+// bytes.
+func TestRawBytesArePlain(t *testing.T) {
+	schema := testSchema()
+	samples := testSamples(t, schema, 40)
+	for name, rows := range map[string][]datagen.Sample{"interleaved": samples, "clustered": etl.ClusterBySession(samples)} {
+		_, stats := writeFile(t, schema, rows, 64)
+		for fi, f := range schema.Sparse {
+			var plain []byte
+			for _, s := range rows {
+				plain = putUvarint(plain, uint64(len(s.Sparse[fi])))
+				for _, id := range s.Sparse[fi] {
+					plain = putVarint(plain, id)
+				}
+			}
+			if got := stats.Columns[firstSparse+fi].RawBytes; got != int64(len(plain)) {
+				t.Errorf("%s %s: RawBytes %d, plain encoding %d", name, f.Key, got, len(plain))
+			}
+		}
 	}
 }
 

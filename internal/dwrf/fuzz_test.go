@@ -4,12 +4,20 @@ import (
 	"bytes"
 	"context"
 	"testing"
+
+	"repro/internal/etl"
 )
 
 // fuzzSeedFile is a small real file: several stripes, every column kind.
-func fuzzSeedFile(f *testing.F) ([]byte, *FileReader) {
+// Clustered, its rows are ordered by session as the ETL writes them, so
+// most of its user features' rows repeat the row before and are runs.
+func fuzzSeedFile(f *testing.F, clustered bool) ([]byte, *FileReader) {
 	schema := testSchema()
-	data, _ := writeFile(f, schema, testSamples(f, schema, 3), 8)
+	rows := testSamples(f, schema, 3)
+	if clustered {
+		rows = etl.ClusterBySession(rows)
+	}
+	data, _ := writeFile(f, schema, rows, 8)
 	r, err := OpenReader(data)
 	if err != nil {
 		f.Fatal(err)
@@ -22,15 +30,24 @@ func fuzzSeedFile(f *testing.F) ([]byte, *FileReader) {
 // from a blob store the reader does not control, so the contract is that
 // any input decodes or fails with an error — never a panic or an
 // allocation sized by a forged count. Seeds are a real written file, its
-// truncations, and single-byte corruptions of its footer.
+// truncations, and single-byte corruptions of its footer; and the file
+// clustered, whole and with a byte flipped inside each stripe.
 func FuzzOpenReader(f *testing.F) {
-	data, r := fuzzSeedFile(f)
+	data, r := fuzzSeedFile(f, false)
 	f.Add(data)
 	f.Add(data[:len(data)/2])
 	f.Add(data[:trailerLen+len(magic)])
 	for off := int(r.body); off < len(data); off += 3 {
 		bad := append([]byte(nil), data...)
 		bad[off] ^= 0x80
+		f.Add(bad)
+	}
+	clustered, r := fuzzSeedFile(f, true)
+	f.Add(clustered)
+	for i := range r.stripes {
+		off, n := r.StripeByteRange(i)
+		bad := append([]byte(nil), clustered...)
+		bad[off+n/2] ^= 0x80
 		f.Add(bad)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -63,13 +80,18 @@ func FuzzOpenReader(f *testing.F) {
 // column decoder under the seed file's schema and an arbitrary dense width:
 // it decodes every column or fails with an error.
 func FuzzDecodeStripe(f *testing.F) {
-	data, r := fuzzSeedFile(f)
+	data, r := fuzzSeedFile(f, false)
 	for i := range r.stripes {
 		off, n := r.StripeByteRange(i)
 		stripe := data[off : off+n]
 		f.Add(stripe, r.dense)
 		f.Add(stripe[:len(stripe)/2], r.dense)
 		f.Add(stripe, r.dense+1)
+	}
+	clustered, rc := fuzzSeedFile(f, true)
+	for i := range rc.stripes {
+		off, n := rc.StripeByteRange(i)
+		f.Add(clustered[off:off+n], rc.dense)
 	}
 	keys := r.SparseKeys()
 	f.Fuzz(func(t *testing.T, stripe []byte, dense int) {
@@ -103,7 +125,7 @@ func FuzzDecodeStripe(f *testing.F) {
 // input decodes or fails with an error: never a panic, never an allocation
 // sized by a forged count.
 func FuzzStripeColumns(f *testing.F) {
-	data, r := fuzzSeedFile(f)
+	data, r := fuzzSeedFile(f, false)
 	f.Add(data)
 	f.Add(data[:len(data)/2])
 	for i := range r.stripes {
@@ -117,6 +139,14 @@ func FuzzStripeColumns(f *testing.F) {
 	footer := append([]byte(nil), data...)
 	footer[r.body+1] ^= 0x08 // stripe 0's offset
 	f.Add(footer)
+	clustered, r := fuzzSeedFile(f, true)
+	f.Add(clustered)
+	for i := range r.stripes {
+		off, n := r.StripeByteRange(i)
+		bad := append([]byte(nil), clustered...)
+		bad[off+n/2] ^= 0x21
+		f.Add(bad)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := OpenReader(data)
 		if err != nil {

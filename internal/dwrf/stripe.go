@@ -259,44 +259,62 @@ func decodeStripe(src stripeSource, keys []string, dense int, cols []int) (*Chun
 		c.dense[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
 	}
 
-	// Sparse columns: per row a varint length, then zigzag varint IDs.
+	// Sparse columns: per row either uvarint 0, the previous row's list
+	// again, or uvarint len+1 and then len zigzag varint IDs.
 	for p, col := range cols {
 		if raw, err = src.inflate(firstSparse+col, bp); err != nil {
 			return nil, err
 		}
-		// Every varint ends in one byte without the continuation bit, so
-		// that count less the row lengths is the column's value count.
-		nValues := -rows
-		for _, b := range raw {
-			if b < 0x80 {
-				nValues++
-			}
-		}
-		if nValues < 0 {
-			return nil, fmt.Errorf("dwrf: sparse %q row %d length truncated", keys[col], rows+nValues)
-		}
-		if nValues > math.MaxInt32 {
-			return nil, fmt.Errorf("dwrf: sparse %q holds %d values", keys[col], nValues)
-		}
-		j := tensor.Jagged{Values: make([]tensor.Value, nValues), Offsets: make([]int32, rows)}
+		// A first pass sizes the column: it walks the row headers, skips
+		// each literal's IDs by their final bytes (every varint ends in
+		// one without the continuation bit) and counts a repeat at the
+		// previous row's length. Runs may expand no further than deflate
+		// could pack a plain stream into the same compressed bytes.
+		limit := int(min(maxInflateRatio*int64(len(src.comp[firstSparse+col])), math.MaxInt32))
 		sr := &byteReader{buf: raw}
-		filled := 0
+		nValues, n := 0, 0
 		for i := 0; i < rows; i++ {
-			n, err := sr.uvarint()
-			if err != nil {
+			h, err := sr.uvarint()
+			switch {
+			case err != nil:
 				return nil, fmt.Errorf("dwrf: sparse %q row %d length truncated", keys[col], i)
-			}
-			if n > uint64(nValues-filled) {
-				return nil, fmt.Errorf("dwrf: sparse %q row %d list too long (%d)", keys[col], i, n)
-			}
-			j.Offsets[i] = int32(filled)
-			for end := filled + int(n); filled < end; filled++ {
-				if j.Values[filled], err = sr.varint(); err != nil {
-					return nil, fmt.Errorf("dwrf: sparse %q row %d value truncated", keys[col], i)
+			case h == 0 && i == 0:
+				return nil, fmt.Errorf("dwrf: sparse %q repeats a row before its first", keys[col])
+			case h == 0: // n is still the previous row's length
+			case h-1 > uint64(sr.remaining()):
+				return nil, fmt.Errorf("dwrf: sparse %q row %d list too long (%d)", keys[col], i, h-1)
+			default:
+				for n = 0; n < int(h-1); sr.pos++ {
+					if sr.pos == len(raw) {
+						return nil, fmt.Errorf("dwrf: sparse %q row %d value truncated", keys[col], i)
+					}
+					if raw[sr.pos] < 0x80 {
+						n++
+					}
 				}
 			}
+			if nValues += n; nValues > limit {
+				return nil, fmt.Errorf("dwrf: sparse %q expands to more than %d values", keys[col], limit)
+			}
 		}
-		j.Values = j.Values[:filled]
+		j := tensor.Jagged{Values: make([]tensor.Value, nValues), Offsets: make([]int32, rows)}
+		sr.pos = 0
+		filled, prev := 0, 0 // the previous row's list is Values[prev:filled]
+		for i := 0; i < rows; i++ {
+			h, _ := sr.uvarint() // the first pass read every header
+			start := filled
+			j.Offsets[i] = int32(start)
+			if h == 0 {
+				filled += copy(j.Values[filled:], j.Values[prev:start])
+			} else {
+				for end := filled + int(h-1); filled < end; filled++ {
+					if j.Values[filled], err = sr.varint(); err != nil {
+						return nil, fmt.Errorf("dwrf: sparse %q row %d value truncated", keys[col], i)
+					}
+				}
+			}
+			prev = start
+		}
 		c.sparse[p] = j
 	}
 	return c, nil

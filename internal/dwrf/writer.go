@@ -5,6 +5,7 @@ import (
 	"compress/flate"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/datagen"
 )
@@ -31,9 +32,11 @@ type FileWriter struct {
 	colComp []int64
 
 	// Per-stripe encode/compress scratch, reset (not reallocated) between
-	// stripes: raw column streams, compressed column streams, the shared
-	// flate writer, its output buffer, and the stripe header.
+	// stripes: raw column streams, their value counts, compressed column
+	// streams, the shared flate writer, its output buffer, and the stripe
+	// header.
 	streams [][]byte
+	values  []int
 	comp    [][]byte
 	fw      *flate.Writer
 	compBuf bytes.Buffer
@@ -91,12 +94,13 @@ func (w *FileWriter) WriteRows(samples []datagen.Sample) error {
 }
 
 // encodeStripeColumns encodes the pending rows into one raw byte stream
-// per column. Streams are built in the writer's reusable scratch buffers,
-// so steady-state stripe encoding allocates nothing.
+// per column, and adds each column's plain size to colRaw. Streams are
+// built in the writer's reusable scratch buffers, so steady-state stripe
+// encoding allocates nothing.
 func (w *FileWriter) encodeStripeColumns() [][]byte {
 	nCols := 2 + len(w.schema.Sparse)
 	if w.streams == nil {
-		w.streams = make([][]byte, nCols)
+		w.streams, w.values = make([][]byte, nCols), make([]int, nCols)
 	}
 	streams := w.streams
 
@@ -125,20 +129,45 @@ func (w *FileWriter) encodeStripeColumns() [][]byte {
 		}
 	}
 	streams[1] = dense
+	w.colRaw[0] += int64(len(meta))
+	w.colRaw[1] += int64(len(dense))
 
-	// Sparse columns: per row a varint length then zigzag varint IDs.
+	// Sparse columns: one stream per feature, runs written once.
 	for fi := range w.schema.Sparse {
-		col := streams[2+fi][:0]
-		for _, s := range w.pending {
-			lst := s.Sparse[fi]
-			col = putUvarint(col, uint64(len(lst)))
+		var plain int
+		streams[2+fi], w.values[2+fi], plain = w.appendSparse(streams[2+fi][:0], fi, true)
+		w.colRaw[2+fi] += int64(plain)
+	}
+	return streams
+}
+
+// appendSparse appends sparse feature fi of the pending rows to col: per
+// row, uvarint len+1 and then the zigzag varint IDs — or, with runs, a
+// single uvarint 0 for a list equal to the row before's. Row 0 is always
+// literal, so a stripe decodes alone. It also returns the column's value
+// count and its plain size: a varint length and the IDs for every row, the
+// encoding before runs, which ColumnStats.RawBytes keeps reporting.
+func (w *FileWriter) appendSparse(col []byte, fi int, runs bool) (_ []byte, values, plain int) {
+	var prev []int64
+	var tmp [binary.MaxVarintLen64]byte
+	rowPlain := 0
+	for r, s := range w.pending {
+		lst := s.Sparse[fi]
+		values += len(lst)
+		if runs && r > 0 && slices.Equal(lst, prev) {
+			col = append(col, 0)
+		} else {
+			col = putUvarint(col, uint64(len(lst))+1)
+			ids := len(col)
 			for _, id := range lst {
 				col = putVarint(col, id)
 			}
+			rowPlain = binary.PutUvarint(tmp[:], uint64(len(lst))) + len(col) - ids
 		}
-		streams[2+fi] = col
+		plain += rowPlain
+		prev = lst
 	}
-	return streams
+	return col, values, plain
 }
 
 // compressInto flate-compresses raw into dst's storage using the writer's
@@ -170,6 +199,10 @@ func (w *FileWriter) compressInto(dst, raw []byte) ([]byte, error) {
 //	uvarint columnCount
 //	columnCount × { uvarint rawLen, uvarint compLen }
 //	columnCount × compressed stream bytes
+//
+// rawLen is a stream's length before compression. A sparse stream holds,
+// per row, either uvarint 0 (the previous row's list again) or uvarint
+// len+1 followed by len zigzag varint IDs.
 func (w *FileWriter) flushStripe() error {
 	if len(w.pending) == 0 {
 		return nil
@@ -185,8 +218,15 @@ func (w *FileWriter) flushStripe() error {
 		if err != nil {
 			return err
 		}
+		if i >= firstSparse && int64(w.values[i]) > maxInflateRatio*int64(len(c)) {
+			// A reader refuses runs that expand past what deflate could
+			// pack into c: such a column is written without them.
+			streams[i], _, _ = w.appendSparse(raw[:0], i-firstSparse, false)
+			if c, err = w.compressInto(c, streams[i]); err != nil {
+				return err
+			}
+		}
 		comp[i] = c
-		w.colRaw[i] += int64(len(raw))
 		w.colComp[i] += int64(len(c))
 	}
 

@@ -4,6 +4,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -11,8 +12,9 @@ import (
 	"repro/internal/dwrf"
 )
 
-// writeFile lands a small partition of schema as one DWRF file in dir.
-func writeFile(t *testing.T, dir, name string, schema *datagen.Schema) string {
+// writeFile lands a small partition of schema as one DWRF file in dir,
+// and returns its path and the rows written.
+func writeFile(t *testing.T, dir, name string, schema *datagen.Schema) (string, []datagen.Sample) {
 	t.Helper()
 	samples := datagen.NewGenerator(schema, datagen.GeneratorConfig{
 		Sessions: 4, MeanSamplesPerSession: 3, Seed: 1,
@@ -32,7 +34,7 @@ func writeFile(t *testing.T, dir, name string, schema *datagen.Schema) string {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	return path
+	return path, samples
 }
 
 // TestReadFilesRefusesMixedSchemas: the stats index every sample's sparse
@@ -47,8 +49,8 @@ func TestReadFilesRefusesMixedSchemas(t *testing.T) {
 			UserSeq: 1, UserElem: 2, Item: items, Dense: 2, SeqLen: 4, Seed: 1,
 		})
 	}
-	wide := writeFile(t, dir, "wide.dwrf", schema(3))
-	narrow := writeFile(t, dir, "narrow.dwrf", schema(1))
+	wide, _ := writeFile(t, dir, "wide.dwrf", schema(3))
+	narrow, _ := writeFile(t, dir, "narrow.dwrf", schema(1))
 
 	samples, keys, err := readFiles(io.Discard, []string{wide, wide})
 	if err != nil {
@@ -67,5 +69,25 @@ func TestReadFilesRefusesMixedSchemas(t *testing.T) {
 				t.Errorf("%v: error %q does not name %s", paths, err, p)
 			}
 		}
+	}
+}
+
+// TestReadFilesKeepsRowKeys: the rows read back are the rows written, row
+// keys included — a stripe holds none, so they come from each file's
+// row-key section — and the S measured over them is the source's.
+func TestReadFilesKeepsRowKeys(t *testing.T) {
+	schema := datagen.StandardSchema(datagen.StandardSchemaConfig{
+		UserSeq: 1, UserElem: 2, Item: 2, Dense: 2, SeqLen: 4, Seed: 1,
+	})
+	path, written := writeFile(t, t.TempDir(), "part.dwrf", schema)
+	samples, _, err := readFiles(io.Discard, []string{path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(samples, written) {
+		t.Fatalf("read %d rows that differ from the %d written", len(samples), len(written))
+	}
+	if got, want := datagen.MeasuredS(samples), datagen.MeasuredS(written); got != want || want <= 1 {
+		t.Fatalf("measured S = %v, the source's %v", got, want)
 	}
 }

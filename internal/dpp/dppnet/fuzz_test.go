@@ -83,9 +83,9 @@ func FuzzDecodeSessionStats(f *testing.F) {
 	})
 }
 
-// TestStatsFrameBytesAreFixed: a stats frame is part of protocol v10, so
+// TestStatsFrameBytesAreFixed: a stats frame is part of protocol v11, so
 // the payload of a fixed SessionStats is held to the bytes the v10 encoder
-// has always written, and decodes back to the same stats.
+// wrote and v11 keeps, and decodes back to the same stats.
 func TestStatsFrameBytesAreFixed(t *testing.T) {
 	st := dpp.SessionStats{
 		Reader: reader.Stats{

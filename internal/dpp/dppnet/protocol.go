@@ -69,7 +69,7 @@ import (
 // mixed-version pair never handshakes and then mis-decodes the stream.
 const (
 	protoMagic   = "DPPN"
-	protoVersion = 10
+	protoVersion = 11
 )
 
 // versionRefusal is what a client speaking version v is told. It is the
@@ -90,6 +90,8 @@ func versionRefusal(v byte) error {
 		retiredBy = "v9 ships a unit stream's batches as batch frames ahead of the file-unit frame, which now only closes the file"
 	case v == 9:
 		retiredBy = "v10 opens a unit stream on the global file list and the indices it serves, names their carries in ok, and ships a carried-into file's head in a file-unit frame"
+	case v == 10:
+		retiredBy = "v11 ships a file unit's rows without their row keys"
 	default:
 		return fmt.Errorf("dppnet: protocol v%d is newer than this server's v%d; upgrade the server", v, protoVersion)
 	}

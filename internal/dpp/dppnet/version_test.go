@@ -141,16 +141,17 @@ func TestWrongVersionPeerIsTold(t *testing.T) {
 	// The registry's retired lines. The last version retired is the one
 	// before the current: a bump that forgets to register it fails here.
 	const (
-		toldV6 = "protocol v6 retired: v7 changed the stream hash; rebuild the client"
-		toldV7 = "protocol v7 retired: v8 retired the extend frame, emptied the drain frame and ships the file-unit tail as columns; rebuild the client for v10"
-		toldV8 = "protocol v8 retired: v9 ships a unit stream's batches as batch frames ahead of the file-unit frame, which now only closes the file; rebuild the client for v10"
-		toldV9 = "protocol v9 retired: v10 opens a unit stream on the global file list and the indices it serves, names their carries in ok, and ships a carried-into file's head in a file-unit frame; rebuild the client for v10"
+		toldV6  = "protocol v6 retired: v7 changed the stream hash; rebuild the client"
+		toldV7  = "protocol v7 retired: v8 retired the extend frame, emptied the drain frame and ships the file-unit tail as columns; rebuild the client for v11"
+		toldV8  = "protocol v8 retired: v9 ships a unit stream's batches as batch frames ahead of the file-unit frame, which now only closes the file; rebuild the client for v11"
+		toldV9  = "protocol v9 retired: v10 opens a unit stream on the global file list and the indices it serves, names their carries in ok, and ships a carried-into file's head in a file-unit frame; rebuild the client for v11"
+		toldV10 = "protocol v10 retired: v11 ships a file unit's rows without their row keys; rebuild the client for v11"
 	)
-	if protoVersion != 10 {
+	if protoVersion != 11 {
 		t.Fatalf("protocol v%d: register v%d in versionRefusal and retire it here", protoVersion, protoVersion-1)
 	}
 
-	for v, told := range map[byte]string{6: toldV6, 7: toldV7, 8: toldV8, 9: toldV9} {
+	for v, told := range map[byte]string{6: toldV6, 7: toldV7, 8: toldV8, 9: toldV9, 10: toldV10} {
 		t.Run(fmt.Sprintf("raw v%d preamble", v), func(t *testing.T) {
 			conn := rawDial(t, h.addr)
 			defer conn.Close()

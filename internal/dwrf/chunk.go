@@ -9,10 +9,11 @@ import (
 )
 
 // Chunk is a run of decoded rows held the way the file holds them, by
-// column: the row metadata, one flat dense matrix, and one jagged tensor
-// per decoded sparse column. It is what the stripe decoder produces and
-// what the reader tier cuts batches from; rows (datagen.Sample) are a
-// view over it (Samples), never a second copy of the data.
+// column: the labels, one flat dense matrix, and one jagged tensor per
+// decoded sparse column. It is what the stripe decoder produces and what
+// the reader tier cuts batches from; rows (datagen.Sample) are a view over
+// it (Samples), never a second copy of the data. It holds no row keys: a
+// batch does not carry them, and a stripe does not store them.
 //
 // A chunk may hold only a projection of the file's sparse columns: column
 // p of the chunk is the file's sparse feature Columns()[p], in the order
@@ -23,10 +24,9 @@ type Chunk struct {
 	cols  []int    // index into keys of each decoded sparse column
 	width int      // dense features per row
 
-	session, user, request, ts []int64
-	labels                     []int8
-	dense                      []float32 // rows × width, row-major
-	sparse                     []tensor.Jagged
+	labels []int8
+	dense  []float32 // rows × width, row-major
+	sparse []tensor.Jagged
 
 	lo, hi int // the row window this value covers
 }
@@ -86,10 +86,6 @@ func (c *Chunk) Append(o *Chunk) error {
 		}
 		c.sparse[p].AppendRows(o.sparse[p], o.lo, o.hi)
 	}
-	c.session = append(c.session, o.session[o.lo:o.hi]...)
-	c.user = append(c.user, o.user[o.lo:o.hi]...)
-	c.request = append(c.request, o.request[o.lo:o.hi]...)
-	c.ts = append(c.ts, o.ts[o.lo:o.hi]...)
 	c.labels = append(c.labels, o.Labels()...)
 	c.dense = append(c.dense, o.Dense()...)
 	c.hi += o.Rows()
@@ -98,10 +94,10 @@ func (c *Chunk) Append(o *Chunk) error {
 
 // Concat copies the rows of parts — at least one, all decoding the same
 // number of sparse columns at the same dense width — in order into one
-// chunk that owns its storage, sized exactly and allocated once: the integer
-// columns (row metadata, sparse values) out of one block, the offsets out of
-// another. It is how rows that arrived in pieces (the stripes of a file, the
-// slices of a batch that straddles two of them) become one run.
+// chunk that owns its storage, sized exactly and allocated once: the sparse
+// values out of one block, the offsets out of another. It is how rows that
+// arrived in pieces (the stripes of a file, the slices of a batch that
+// straddles two of them) become one run.
 func Concat(parts ...*Chunk) (*Chunk, error) {
 	first := parts[0]
 	rows := 0
@@ -122,7 +118,7 @@ func Concat(parts ...*Chunk) (*Chunk, error) {
 	}
 	// One block per element type, each column an empty window of it whose
 	// capacity is exactly what Append will put there.
-	total := 4 * rows
+	total := 0
 	for q := range out.sparse {
 		total += values(q)
 	}
@@ -133,7 +129,6 @@ func Concat(parts ...*Chunk) (*Chunk, error) {
 		ints = ints[n:]
 		return col
 	}
-	out.session, out.user, out.request, out.ts = column(rows), column(rows), column(rows), column(rows)
 	out.labels = make([]int8, 0, rows)
 	out.dense = make([]float32, 0, rows*out.width)
 	for q := range out.sparse {
@@ -148,12 +143,12 @@ func Concat(parts ...*Chunk) (*Chunk, error) {
 }
 
 // MemBytes estimates what holding the chunk's rows pins, for cache
-// budgets: per row the metadata, a list header per schema feature and the
+// budgets: per row the label, a list header per schema feature and the
 // dense features, plus the sparse values. That is the chunk's own payload,
 // right for one that owns its rows (Clone); a Slice of a larger chunk pins
 // all of it and is undercounted.
 func (c *Chunk) MemBytes() int64 {
-	const rowOverhead = 88 // 4 int64s, label, 2 slice headers
+	const rowOverhead = 56 // label, 2 slice headers
 	total := int64(c.Rows()) * int64(rowOverhead+4*c.width+24*len(c.keys))
 	for _, j := range c.sparse {
 		a, b := j.ValueBounds(c.lo, c.hi)
@@ -168,7 +163,8 @@ func (c *Chunk) MemBytes() int64 {
 // reallocates instead of overwriting its neighbour, and the per-row list
 // headers of all rows share one allocation. Rows are full-width
 // (len(Sparse) == len(Keys())); features outside the chunk's projection
-// are empty lists.
+// are empty lists. A chunk holds no row keys, so SessionID, UserID,
+// RequestID and Timestamp are zero; FileReader.ReadAll fills them.
 func (c *Chunk) Samples() []datagen.Sample {
 	n, nk, w := c.Rows(), len(c.keys), c.width
 	out := make([]datagen.Sample, n)
@@ -176,13 +172,9 @@ func (c *Chunk) Samples() []datagen.Sample {
 	for i := range out {
 		r := c.lo + i
 		out[i] = datagen.Sample{
-			SessionID: c.session[r],
-			UserID:    c.user[r],
-			RequestID: c.request[r],
-			Timestamp: c.ts[r],
-			Label:     c.labels[r],
-			Dense:     c.dense[r*w : (r+1)*w : (r+1)*w],
-			Sparse:    lists[i*nk : (i+1)*nk : (i+1)*nk],
+			Label:  c.labels[r],
+			Dense:  c.dense[r*w : (r+1)*w : (r+1)*w],
+			Sparse: lists[i*nk : (i+1)*nk : (i+1)*nk],
 		}
 	}
 	for p, col := range c.cols {
@@ -198,19 +190,18 @@ func (c *Chunk) Samples() []datagen.Sample {
 // ChunkFromSamples is the inverse of Samples: it gathers rows into a
 // chunk holding the sparse columns cols (indices into keys) at the given
 // dense width. Dense rows narrower than width are zero-padded and wider
-// ones cut, as a row copy into a fixed-width matrix does.
+// ones cut, as a row copy into a fixed-width matrix does; row keys are
+// dropped.
 func ChunkFromSamples(rows []datagen.Sample, keys []string, width int, cols []int) (*Chunk, error) {
 	n := len(rows)
 	c := &Chunk{
 		keys: keys, cols: cols, width: width, hi: n,
-		session: make([]int64, n), user: make([]int64, n), request: make([]int64, n), ts: make([]int64, n),
 		labels: make([]int8, n),
 		dense:  make([]float32, n*width),
 		sparse: make([]tensor.Jagged, len(cols)),
 	}
 	for i := range rows {
 		s := &rows[i]
-		c.session[i], c.user[i], c.request[i], c.ts[i] = s.SessionID, s.UserID, s.RequestID, s.Timestamp
 		c.labels[i] = s.Label
 		copy(c.dense[i*width:(i+1)*width], s.Dense)
 	}

@@ -33,13 +33,42 @@ func writeFile(t testing.TB, schema *datagen.Schema, samples []datagen.Sample, s
 }
 
 // forgeFooter replaces a file's footer with one built from the given
-// stripe directory entries, keeping its schema section.
+// stripe directory entries, keeping its schema section and row-key section.
 func forgeFooter(t *testing.T, data []byte, stripes [][3]uint64, dense uint64) []byte {
 	t.Helper()
 	r, err := OpenReader(data)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return withFooter(r, data[:r.body], stripes, dense, uint64(r.rowKeysRaw))
+}
+
+// forgeRowKeys replaces a file's row-key section with raw, compressed, and
+// records rawLen as its raw length, keeping the rest of its footer.
+func forgeRowKeys(t *testing.T, data, raw []byte, rawLen uint64) []byte {
+	t.Helper()
+	r, err := OpenReader(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var section bytes.Buffer
+	fw, err := flate.NewWriter(&section, flate.BestCompression)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw.Write(raw)
+	fw.Close()
+	var stripes [][3]uint64
+	for _, s := range r.stripes {
+		stripes = append(stripes, [3]uint64{uint64(s.offset), uint64(s.length), uint64(s.rows)})
+	}
+	body := append(data[:r.rowKeysAt:r.rowKeysAt], section.Bytes()...)
+	return withFooter(r, body, stripes, uint64(r.dense), rawLen)
+}
+
+// withFooter appends to body a footer of r's schema and the given stripe
+// directory, dense width and row-key raw length, and the trailer.
+func withFooter(r *FileReader, body []byte, stripes [][3]uint64, dense, rowKeysRaw uint64) []byte {
 	var footer []byte
 	footer = putUvarint(footer, uint64(len(stripes)))
 	for _, st := range stripes {
@@ -53,7 +82,8 @@ func forgeFooter(t *testing.T, data []byte, stripes [][3]uint64, dense uint64) [
 		footer = append(footer, k...)
 	}
 	footer = putUvarint(footer, dense)
-	out := append([]byte(nil), data[:r.body]...)
+	footer = putUvarint(footer, rowKeysRaw)
+	out := append([]byte(nil), body...)
 	out = append(out, footer...)
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(footer)))
 	return append(out, magic...)
@@ -62,7 +92,12 @@ func forgeFooter(t *testing.T, data []byte, stripes [][3]uint64, dense uint64) [
 // TestHostileFooter: a forged stripe directory or dense width is refused
 // at open. The first case is the reported reproducer — offset 2^64-2 plus
 // length 4 wraps past the bound the old reader checked, opened cleanly,
-// and panicked in ReadAll with "slice bounds out of range [-2:]".
+// and panicked in ReadAll with "slice bounds out of range [-2:]". A forged
+// row-key section opens, leaves every stripe readable, and is refused by
+// ReadAll before anything is sized by it: a raw length deflate could not
+// reach from the section's bytes, and a section of other than four
+// varints a row. A stripe whose label stream is not one byte a row is
+// refused before its row count sizes anything.
 func TestHostileFooter(t *testing.T) {
 	schema := testSchema()
 	data, _ := writeFile(t, schema, testSamples(t, schema, 6), 16)
@@ -106,15 +141,50 @@ func TestHostileFooter(t *testing.T) {
 	if _, err := r.ReadAll(); err == nil || !strings.Contains(err.Error(), "footer records") {
 		t.Fatalf("ReadAll over a lying row count: %v", err)
 	}
+
+	fields := 4 * good.NumRows() // each a one-byte varint 0
+	for _, tc := range []struct {
+		name, err string
+		raw       []byte
+		rawLen    uint64
+	}{
+		{"raw length past the inflate limit", "impossible", make([]byte, fields), maxStreamBytes},
+		{"a varint short", "ends at field 3", make([]byte, fields-1), uint64(fields - 1)},
+		{"a byte past the last varint", "past its", make([]byte, fields+1), uint64(fields + 1)},
+	} {
+		r, err := OpenReader(forgeRowKeys(t, data, tc.raw, tc.rawLen))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for i := range r.NumStripes() {
+			if _, err := r.StripeColumns(i, allColumns(len(r.keys))); err != nil {
+				t.Fatalf("%s: stripe %d: %v", tc.name, i, err)
+			}
+		}
+		if _, err := r.ReadAll(); err == nil || !strings.Contains(err.Error(), tc.err) {
+			t.Fatalf("%s: ReadAll: %v, want %q", tc.name, err, tc.err)
+		}
+	}
+
+	keys := good.SparseKeys()
+	for _, tc := range [][2]int{{maxStripeRows, 1}, {2, 3}, {2, 0}} {
+		src, err := wholeStripe(forgeStripe(t, len(keys), tc[0], tc[1], nil), firstSparse+len(keys))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := decodeStripe(src, keys, good.dense, allColumns(len(keys))); err == nil || !strings.Contains(err.Error(), "label stream") {
+			t.Fatalf("%d rows, %d label bytes: decoded with error %v", tc[0], tc[1], err)
+		}
+	}
 }
 
 // forgeStripe builds a stripe of the given rows under a schema of keys
-// sparse columns: every metadata field zero, no dense values, sparse
+// sparse columns: a label stream of labels zero bytes, no dense values, sparse
 // column 0's raw stream sparse and the other sparse columns empty.
-func forgeStripe(t *testing.T, keys, rows int, sparse []byte) []byte {
+func forgeStripe(t *testing.T, keys, rows, labels int, sparse []byte) []byte {
 	t.Helper()
 	streams := make([][]byte, firstSparse+keys)
-	streams[metaStream] = make([]byte, 5*rows)
+	streams[labelStream] = make([]byte, labels)
 	streams[firstSparse] = sparse
 	hdr := putUvarint(putUvarint(nil, uint64(rows)), uint64(len(streams)))
 	var body bytes.Buffer
@@ -147,9 +217,9 @@ func TestForgedRunsAreRefused(t *testing.T) {
 		name, err string
 		stripe    []byte
 	}{
-		{"repeat on row 0", "repeats a row before its first", forgeStripe(t, len(keys), 2, []byte{0, 0})},
-		{"literal past the stream", "list too long", forgeStripe(t, len(keys), 1, literal(10)[:5])},
-		{"runs past the expansion limit", "expands to more than", forgeStripe(t, len(keys), 1+repeats, expand)},
+		{"repeat on row 0", "repeats a row before its first", forgeStripe(t, len(keys), 2, 2, []byte{0, 0})},
+		{"literal past the stream", "list too long", forgeStripe(t, len(keys), 1, 1, literal(10)[:5])},
+		{"runs past the expansion limit", "expands to more than", forgeStripe(t, len(keys), 1+repeats, 1+repeats, expand)},
 	} {
 		src, err := wholeStripe(tc.stripe, firstSparse+len(keys))
 		if err != nil {
@@ -163,8 +233,8 @@ func TestForgedRunsAreRefused(t *testing.T) {
 	// The expansion is refused having allocated no more than a plain
 	// stream of the stripe's length could make it: 8 bytes a value for
 	// maxInflateRatio values a byte, and as much again for the raw
-	// streams and the metadata columns. The claim itself sizes nothing.
-	stripe := forgeStripe(t, len(keys), 1+repeats, expand)
+	// streams and the label column. The claim itself sizes nothing.
+	stripe := forgeStripe(t, len(keys), 1+repeats, 1+repeats, expand)
 	src, err := wholeStripe(stripe, firstSparse+len(keys))
 	if err != nil {
 		t.Fatal(err)
@@ -224,8 +294,9 @@ func (f *fetchLog) bytes(t *testing.T) int64 {
 // decode holds in those columns, and fetches exactly the trailer, the
 // footer, the stripe headers and the wanted streams — computed here from
 // the writer's own per-column byte counts — with no byte fetched twice. A
-// full projection fetches exactly the file, in one fetch per stripe after
-// Open's two.
+// full projection fetches exactly the file less its row-key section, in
+// one fetch per stripe after Open's two, and not one byte of the section;
+// ReadAll fetches exactly the file, the section in one more fetch.
 func TestReadColumnsProjection(t *testing.T) {
 	schema := testSchema()
 	rng := rand.New(rand.NewSource(5))
@@ -257,7 +328,7 @@ func TestReadColumnsProjection(t *testing.T) {
 		}
 		want := make([]datagen.Sample, len(samples))
 		for i, s := range samples {
-			want[i] = s
+			want[i] = chunkRow(s)
 			want[i].Sparse = make([][]int64, nKeys)
 			for _, col := range cols {
 				want[i].Sparse[col] = s.Sparse[col]
@@ -270,15 +341,32 @@ func TestReadColumnsProjection(t *testing.T) {
 		}
 
 		fetched := log.bytes(t)
+		section := r.body - r.rowKeysAt
 		if len(cols) == nKeys {
-			if want := 2 + r.NumStripes(); fetched != int64(len(data)) || len(log.ranges) != want {
-				t.Fatalf("trial %d: full projection fetched %d of %d bytes in %d fetches, want all in %d",
-					trial, fetched, len(data), len(log.ranges), want)
+			if want := 2 + r.NumStripes(); fetched != int64(len(data))-section || len(log.ranges) != want {
+				t.Fatalf("trial %d: full projection fetched %d bytes in %d fetches, want the %d-byte file less its %d-byte row-key section in %d",
+					trial, fetched, len(log.ranges), len(data), section, want)
+			}
+			for _, rg := range log.ranges {
+				if rg[0] < r.body && rg[1] > r.rowKeysAt {
+					t.Fatalf("trial %d: full projection fetched [%d,%d), inside the row-key section [%d,%d)", trial, rg[0], rg[1], r.rowKeysAt, r.body)
+				}
+			}
+			all := &fetchLog{data: data}
+			ra, err := Open(int64(len(data)), all.fetch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ra.ReadAll(); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := all.bytes(t), 3+r.NumStripes(); got != int64(len(data)) || len(all.ranges) != want {
+				t.Fatalf("trial %d: ReadAll fetched %d of %d bytes in %d fetches, want all in %d", trial, got, len(data), len(all.ranges), want)
 			}
 			continue
 		}
-		wanted := int64(trailerLen) + footerLen + headers +
-			stats.Columns[metaStream].CompressedBytes + stats.Columns[denseStream].CompressedBytes
+		wanted := int64(trailerLen) + footerLen + headers - section +
+			stats.Columns[labelStream].CompressedBytes + stats.Columns[denseStream].CompressedBytes
 		for _, col := range cols {
 			wanted += stats.Columns[firstSparse+col].CompressedBytes
 		}
@@ -324,7 +412,7 @@ func TestSamplesAreClampedViews(t *testing.T) {
 	}
 	again := chunk.Samples()
 	for i := range again {
-		if !samplesEqual(again[i], samples[i]) {
+		if !samplesEqual(again[i], chunkRow(samples[i])) {
 			t.Fatalf("appending to earlier rows' lists clobbered row %d", i)
 		}
 	}

@@ -14,9 +14,7 @@ import (
 // repeated per chunk: the decoder's caller names it, as ChunkFromSamples'
 // caller does. Layout, in tensor's little-endian wire blocks:
 //
-//	uvarint rows |
-//	session | user | request | timestamp   (a values block of rows each) |
-//	rows label bytes | rows × width float32 cells |
+//	uvarint rows | rows label bytes | rows × width float32 cells |
 //	one jagged tensor of rows rows per decoded column
 //
 // maxWireCells bounds a decoded chunk's rows, and its rows × width, the way
@@ -26,9 +24,6 @@ const maxWireCells = 1 << 24
 // AppendTo appends the wire form of the chunk's rows to dst.
 func (c *Chunk) AppendTo(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(c.Rows()))
-	for _, col := range [][]int64{c.session, c.user, c.request, c.ts} {
-		dst = tensor.AppendValues(dst, col[c.lo:c.hi])
-	}
 	for _, l := range c.Labels() {
 		dst = append(dst, byte(l))
 	}
@@ -54,14 +49,6 @@ func DecodeChunk(d *tensor.Decoder, keys []string, width int, cols []int) (*Chun
 	}
 	rows := int(n)
 	c := &Chunk{keys: keys, cols: cols, width: width, hi: rows, sparse: make([]tensor.Jagged, len(cols))}
-	for _, col := range []*[]int64{&c.session, &c.user, &c.request, &c.ts} {
-		if *col, err = d.Values(); err != nil {
-			return nil, fmt.Errorf("dwrf: chunk row metadata: %w", err)
-		}
-		if len(*col) != rows {
-			return nil, fmt.Errorf("dwrf: chunk metadata column of %d values, want %d rows", len(*col), rows)
-		}
-	}
 	labels, err := d.Next(rows)
 	if err != nil {
 		return nil, fmt.Errorf("dwrf: chunk labels: %w", err)

@@ -113,9 +113,9 @@ func TestChunkCodecMatchesRowView(t *testing.T) {
 	jaggedAt := len(enc) - len(tensor.AppendJagged(nil, whole.Jagged(0)))
 	huge := func(dst []byte, n uint64) []byte { return binary.AppendUvarint(dst, n) }
 	for name, forged := range map[string][]byte{
-		// 2^23 rows pass the row bound at dense width 0; the metadata
-		// columns say so too, with no bytes behind them.
-		"rows and metadata": huge(huge(nil, 1<<23), 1<<23),
+		// 2^23 rows pass the row bound at dense width 0, with no label
+		// bytes behind them.
+		"rows, no labels": huge(nil, 1<<23),
 		// A row count the honest columns behind it do not back.
 		"rows": append(huge(nil, 1<<23), enc[1:]...),
 		// An honest chunk up to its sparse column, whose value count lies.

@@ -1,9 +1,12 @@
 // Package dwrf implements a columnar, stripe-based training-data file
 // format modelled on Meta's DWRF (an ORC derivative, paper §2.1). Files
 // are composed of stripes, each holding a small run of rows; within a
-// stripe every flattened feature column is encoded into its own stream and
-// block-compressed (stdlib flate standing in for zstd; docs/ARCHITECTURE.md
-// lists the substitutions).
+// stripe the labels and every flattened feature column are encoded into
+// their own streams and block-compressed (stdlib flate standing in for
+// zstd; docs/ARCHITECTURE.md lists the substitutions). The row keys —
+// session, user and request IDs and timestamp — are what a batch does not
+// carry: they are one section per file, after the last stripe, which a
+// stripe read never fetches and only a whole-file row read does.
 //
 // The format exists to reproduce the paper's storage behaviour: when the
 // ETL clusters a table by session ID (O2), each stripe holds many rows of
@@ -57,9 +60,11 @@ func (o WriterOptions) validate() error {
 }
 
 // ColumnStats records raw and compressed stream bytes for one flattened
-// column across all stripes of a file. Raw bytes are the column's plain
-// encoding, before compression and with every repeated sparse row counted
-// at its full length, so clustering leaves them unchanged.
+// column across all stripes of a file; column 0, "_meta", is the row
+// metadata: the label streams and the file's row-key section. Raw bytes
+// are the column's plain encoding, before compression and with every
+// repeated sparse row counted at its full length, so clustering leaves
+// them unchanged.
 type ColumnStats struct {
 	Name            string
 	RawBytes        int64

@@ -40,15 +40,6 @@ type byteReader struct {
 	pos int
 }
 
-func (r *byteReader) ReadByte() (byte, error) {
-	if r.pos >= len(r.buf) {
-		return 0, io.ErrUnexpectedEOF
-	}
-	b := r.buf[r.pos]
-	r.pos++
-	return b, nil
-}
-
 var errVarintOverflow = errors.New("dwrf: varint overflows 64 bits")
 
 func (r *byteReader) uvarint() (uint64, error) {

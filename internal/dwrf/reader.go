@@ -20,11 +20,14 @@ const trailerLen = 4 + len(magic)
 // projection decodes (see StripeColumns).
 type FileReader struct {
 	fetch   Fetch
-	body    int64 // length of the leading magic plus stripes: where the footer starts
+	body    int64 // length of the leading magic, stripes and row-key section: where the footer starts
 	stripes []stripeInfo
 	keys    []string
 	dense   int
 	rows    int
+
+	rowKeysAt  int64 // where the row-key section starts: the end of the last stripe
+	rowKeysRaw int   // the section's length before compression
 }
 
 // Open parses the footer of the size-byte DWRF file behind fetch, in two
@@ -123,6 +126,7 @@ func (r *FileReader) parseFooter(footer []byte) error {
 		r.stripes = append(r.stripes, stripeInfo{offset: int64(off), length: int64(length), rows: int(rows)})
 		r.rows += int(rows)
 	}
+	r.rowKeysAt = int64(end)
 	nKeys, err := fr.uvarint()
 	if err != nil || nKeys > maxColumns || nKeys > uint64(fr.remaining()) {
 		return fmt.Errorf("dwrf: footer key count invalid")
@@ -143,6 +147,11 @@ func (r *FileReader) parseFooter(footer []byte) error {
 		return fmt.Errorf("dwrf: implausible dense width %d", nDense)
 	}
 	r.dense = int(nDense)
+	rowKeysRaw, err := fr.uvarint()
+	if err != nil || rowKeysRaw > maxStreamBytes {
+		return fmt.Errorf("dwrf: footer row-key length invalid")
+	}
+	r.rowKeysRaw = int(rowKeysRaw)
 	return nil
 }
 
@@ -184,8 +193,10 @@ func (r *FileReader) checkProjection(cols []int) error {
 
 // StripeColumns decodes the rows of stripe i into a chunk holding the
 // sparse columns cols (indices into SparseKeys, each at most once, in the
-// order the chunk is to hold them) plus the row metadata and dense
-// features, which are always read. It is the unit the reader tier fills by:
+// order the chunk is to hold them) plus the labels and dense features,
+// which are always read. The row keys are not a stripe's: they are the
+// file's row-key section, which only ReadAll reads. It is the unit the
+// reader tier fills by:
 // stripes are independent (each carries its own compressed streams and
 // delta-encoding state), so a file is read one stripe at a time, in any
 // order, and the rows of one are usable before the next is fetched.
@@ -197,7 +208,8 @@ func (r *FileReader) checkProjection(cols []int) error {
 // and one fetch per run of adjacent wanted streams (see fetchStripe); the
 // streams of the other columns are never fetched or inflated. Either way no
 // byte is fetched twice, so reading every stripe of a file under a full
-// projection costs the file's size, counting Open's two fetches.
+// projection costs the file's size less its row-key section, counting
+// Open's two fetches.
 //
 // The stripe's own row count is held against the footer's before anything
 // is decoded.
@@ -271,11 +283,59 @@ func (r *FileReader) ReadAll() ([]datagen.Sample, error) {
 }
 
 // ReadAllContext decodes every column of every row, as ReadColumns does,
-// and returns the rows as views over that chunk (see Chunk.Samples).
+// and returns the rows as views over that chunk (see Chunk.Samples) with
+// their row keys set from the file's row-key section. It fetches exactly
+// the file, counting Open's two fetches.
 func (r *FileReader) ReadAllContext(ctx context.Context) ([]datagen.Sample, error) {
 	c, err := r.ReadColumns(ctx, allColumns(len(r.keys)))
 	if err != nil {
 		return nil, err
 	}
-	return c.Samples(), nil
+	rows := c.Samples()
+	if err := r.readRowKeys(rows); err != nil {
+		return nil, err
+	}
+	return rows, nil
+}
+
+// readRowKeys fetches the file's row-key section, in one fetch, and sets
+// the row keys of rows — every row of the file — from it. Its recorded raw
+// length is held to what deflate could reach from its bytes before it sizes
+// anything, and the section must hold exactly four varints a row.
+func (r *FileReader) readRowKeys(rows []datagen.Sample) error {
+	comp, err := r.get(r.rowKeysAt, r.body-r.rowKeysAt)
+	if err != nil {
+		return err
+	}
+	var scratch []byte
+	raw, err := inflate(comp, r.rowKeysRaw, &scratch)
+	if err != nil {
+		return fmt.Errorf("dwrf: row-key section: %w", err)
+	}
+	kr := &byteReader{buf: raw}
+	for f := 0; f < 4; f++ { // session delta, user, request, timestamp delta
+		var prev int64
+		for i := range rows {
+			v, err := kr.varint()
+			if err != nil {
+				return fmt.Errorf("dwrf: row-key section ends at field %d of row %d", f, i)
+			}
+			switch s := &rows[i]; f {
+			case 0:
+				prev += v
+				s.SessionID = prev
+			case 1:
+				s.UserID = v
+			case 2:
+				s.RequestID = v
+			case 3:
+				prev += v
+				s.Timestamp = prev
+			}
+		}
+	}
+	if kr.remaining() > 0 {
+		return fmt.Errorf("dwrf: row-key section has %d bytes past its %d rows", kr.remaining(), len(rows))
+	}
+	return nil
 }

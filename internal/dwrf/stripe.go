@@ -14,7 +14,7 @@ import (
 // Stream indices of the two columns every stripe leads with; sparse
 // feature i is stream firstSparse+i.
 const (
-	metaStream  = 0
+	labelStream = 0
 	denseStream = 1
 	firstSparse = 2
 )
@@ -103,7 +103,7 @@ func wholeStripe(stripe []byte, nCols int) (stripeSource, error) {
 //
 // The header's length is not recorded anywhere, so it is read in rounds:
 // every varint still incomplete needs at least one more byte, and once
-// the lengths of the meta and dense streams are known those streams —
+// the lengths of the label and dense streams are known those streams —
 // which follow the header and are always wanted — may be read along with
 // it. In practice that is two reads. The run of wanted streams adjacent
 // to the header then extends the same buffer, and every further run of
@@ -134,8 +134,8 @@ func (r *FileReader) fetchStripe(off, length int64, cols []int) (stripeSource, e
 			break
 		}
 		to := int64(len(buf) + missing)
-		if missing <= 2*(nCols-firstSparse) { // the meta and dense lengths are parsed
-			to += int64(h.compLen[metaStream] + h.compLen[denseStream])
+		if missing <= 2*(nCols-firstSparse) { // the label and dense lengths are parsed
+			to += int64(h.compLen[labelStream] + h.compLen[denseStream])
 		}
 		if err := extend(to); err != nil {
 			return stripeSource{}, err
@@ -148,7 +148,7 @@ func (r *FileReader) fetchStripe(off, length int64, cols []int) (stripeSource, e
 		start[c+1] = start[c] + int64(n)
 	}
 	wanted := make([]int, 0, firstSparse+len(cols))
-	wanted = append(wanted, metaStream, denseStream)
+	wanted = append(wanted, labelStream, denseStream)
 	for _, col := range cols {
 		wanted = append(wanted, firstSparse+col)
 	}
@@ -189,21 +189,30 @@ func (r *FileReader) fetchStripe(off, length int64, cols []int) (stripeSource, e
 // refused before it sizes a buffer.
 const maxInflateRatio = 1032
 
-// inflate decompresses column c of src into *scratch (grown as needed)
-// and returns the raw stream.
-func (src *stripeSource) inflate(c int, scratch *[]byte) ([]byte, error) {
-	if int64(src.rawLen[c]) > maxInflateRatio*int64(len(src.comp[c])) {
-		return nil, fmt.Errorf("dwrf: column %d: raw length %d impossible for %d compressed bytes", c, src.rawLen[c], len(src.comp[c]))
+// inflate decompresses comp, recorded as rawLen bytes before compression,
+// into *scratch (grown as needed) and returns the raw stream.
+func inflate(comp []byte, rawLen int, scratch *[]byte) ([]byte, error) {
+	if int64(rawLen) > maxInflateRatio*int64(len(comp)) {
+		return nil, fmt.Errorf("raw length %d impossible for %d compressed bytes", rawLen, len(comp))
 	}
-	raw, err := decompressStream(*scratch, src.comp[c], src.rawLen[c])
+	raw, err := decompressStream(*scratch, comp, rawLen)
 	if err != nil {
-		return nil, fmt.Errorf("dwrf: column %d: %w", c, err)
+		return nil, err
 	}
 	*scratch = raw
 	return raw, nil
 }
 
-// decodeStripe is the stripe decoder: it inflates the meta stream, the
+// inflate decompresses column c of src as the function inflate does.
+func (src *stripeSource) inflate(c int, scratch *[]byte) ([]byte, error) {
+	raw, err := inflate(src.comp[c], src.rawLen[c], scratch)
+	if err != nil {
+		return nil, fmt.Errorf("dwrf: column %d: %w", c, err)
+	}
+	return raw, nil
+}
+
+// decodeStripe is the stripe decoder: it inflates the label stream, the
 // dense stream and the streams of the sparse columns cols — no others —
 // and decodes them straight into a column chunk. Allocations are a few
 // per decoded column, whatever the row count.
@@ -217,33 +226,17 @@ func decodeStripe(src stripeSource, keys []string, dense int, cols []int) (*Chun
 	rows := src.rows
 	c := &Chunk{keys: keys, cols: cols, width: dense, hi: rows, sparse: make([]tensor.Jagged, len(cols))}
 
-	// Metadata: session ID and timestamp delta-encoded. A row is at least
-	// five bytes, which bounds rows by real data before anything is sized
-	// by it.
-	raw, err := src.inflate(metaStream, bp)
+	// Labels: one byte a row, which bounds rows by real data before
+	// anything is sized by it.
+	if src.rawLen[labelStream] != rows {
+		return nil, fmt.Errorf("dwrf: label stream of %d bytes for %d rows", src.rawLen[labelStream], rows)
+	}
+	raw, err := src.inflate(labelStream, bp)
 	if err != nil {
 		return nil, err
 	}
-	if len(raw)/5 < rows {
-		return nil, fmt.Errorf("dwrf: metadata row %d truncated", len(raw)/5)
-	}
-	c.session, c.user = make([]int64, rows), make([]int64, rows)
-	c.request, c.ts = make([]int64, rows), make([]int64, rows)
 	c.labels = make([]int8, rows)
-	mr := &byteReader{buf: raw}
-	var prevSession, prevTS int64
-	for i := 0; i < rows; i++ {
-		ds, err1 := mr.varint()
-		uid, err2 := mr.varint()
-		rid, err3 := mr.varint()
-		dts, err4 := mr.varint()
-		lb, err5 := mr.ReadByte()
-		if err1 != nil || err2 != nil || err3 != nil || err4 != nil || err5 != nil {
-			return nil, fmt.Errorf("dwrf: metadata row %d truncated", i)
-		}
-		prevSession += ds
-		prevTS += dts
-		c.session[i], c.user[i], c.request[i], c.ts[i] = prevSession, uid, rid, prevTS
+	for i, lb := range raw {
 		c.labels[i] = int8(lb)
 	}
 

@@ -14,11 +14,13 @@ import (
 // buffered until a stripe fills, then encoded column-by-column and
 // compressed. Call Finish to obtain the file bytes and stats.
 //
-// Column layout: column 0 is row metadata (session/user/request IDs,
-// timestamp, label), column 1 is the dense feature vector, and columns
-// 2..2+F-1 are the flattened sparse feature columns, one per schema
-// feature — matching the paper's "feature columns are first flattened"
-// (§2.1).
+// Column layout: column 0 is the labels, column 1 is the dense feature
+// vector, and columns 2..2+F-1 are the flattened sparse feature columns,
+// one per schema feature — matching the paper's "feature columns are first
+// flattened" (§2.1). The row keys (session/user/request IDs, timestamp)
+// are no stripe's column: a batch does not carry them, so they are
+// gathered over the whole file into one row-key section written after the
+// last stripe, which only a whole-file row read fetches.
 type FileWriter struct {
 	schema *datagen.Schema
 	opts   WriterOptions
@@ -30,6 +32,11 @@ type FileWriter struct {
 	rows    int
 	colRaw  []int64
 	colComp []int64
+
+	// The row-key section's raw fields, each over every row written so
+	// far: session delta, user, request, timestamp delta.
+	rowKeys             [4][]byte
+	lastSession, lastTS int64
 
 	// Per-stripe encode/compress scratch, reset (not reallocated) between
 	// stripes: raw column streams, their value counts, compressed column
@@ -104,22 +111,22 @@ func (w *FileWriter) encodeStripeColumns() [][]byte {
 	}
 	streams := w.streams
 
-	// Column 0: metadata. Session IDs and timestamps are delta-encoded —
-	// clustered tables have long runs of equal session IDs and ascending
+	// Column 0: one label byte per row. The row keys go to the file's
+	// section. Session IDs and timestamps are delta-encoded — clustered
+	// tables have long runs of equal session IDs and ascending
 	// timestamps, which delta+varint shrinks dramatically even before
-	// flate sees the stream.
-	meta := streams[0][:0]
-	var prevSession, prevTS int64
+	// flate sees the section.
+	labels := streams[0][:0]
+	k := &w.rowKeys
 	for _, s := range w.pending {
-		meta = putVarint(meta, s.SessionID-prevSession)
-		prevSession = s.SessionID
-		meta = putVarint(meta, s.UserID)
-		meta = putVarint(meta, s.RequestID)
-		meta = putVarint(meta, s.Timestamp-prevTS)
-		prevTS = s.Timestamp
-		meta = append(meta, byte(s.Label))
+		labels = append(labels, byte(s.Label))
+		k[0] = putVarint(k[0], s.SessionID-w.lastSession)
+		k[1] = putVarint(k[1], s.UserID)
+		k[2] = putVarint(k[2], s.RequestID)
+		k[3] = putVarint(k[3], s.Timestamp-w.lastTS)
+		w.lastSession, w.lastTS = s.SessionID, s.Timestamp
 	}
-	streams[0] = meta
+	streams[0] = labels
 
 	// Column 1: dense floats, raw little-endian.
 	dense := streams[1][:0]
@@ -129,7 +136,7 @@ func (w *FileWriter) encodeStripeColumns() [][]byte {
 		}
 	}
 	streams[1] = dense
-	w.colRaw[0] += int64(len(meta))
+	w.colRaw[0] += int64(len(labels))
 	w.colRaw[1] += int64(len(dense))
 
 	// Sparse columns: one stream per feature, runs written once.
@@ -200,9 +207,10 @@ func (w *FileWriter) compressInto(dst, raw []byte) ([]byte, error) {
 //	columnCount × { uvarint rawLen, uvarint compLen }
 //	columnCount × compressed stream bytes
 //
-// rawLen is a stream's length before compression. A sparse stream holds,
-// per row, either uvarint 0 (the previous row's list again) or uvarint
-// len+1 followed by len zigzag varint IDs.
+// rawLen is a stream's length before compression. The label stream holds
+// one byte per row. A sparse stream holds, per row, either uvarint 0 (the
+// previous row's list again) or uvarint len+1 followed by len zigzag
+// varint IDs.
 func (w *FileWriter) flushStripe() error {
 	if len(w.pending) == 0 {
 		return nil
@@ -253,16 +261,21 @@ func (w *FileWriter) flushStripe() error {
 	return nil
 }
 
-// Finish flushes the last stripe, writes the footer, and returns the file
-// bytes and stats. The writer must not be used afterwards.
+// Finish flushes the last stripe, writes the row-key section and the
+// footer, and returns the file bytes and stats. The writer must not be
+// used afterwards.
 //
-// Footer wire format (uncompressed):
+// The row-key section is one flate-compressed stream from the end of the
+// last stripe (or the magic) to the footer: every row's zigzag varint
+// session delta, then every row's user ID, request ID and timestamp
+// delta, field by field. Footer wire format (uncompressed):
 //
 //	uvarint stripeCount
 //	stripeCount × { uvarint offset, uvarint length, uvarint rows }
 //	uvarint sparseFeatureCount
 //	sparseFeatureCount × { uvarint keyLen, key bytes }
 //	uvarint denseCount
+//	uvarint rowKeyRawLen
 //	fixed32 footerLen | magic
 func (w *FileWriter) Finish() ([]byte, FileStats, error) {
 	if w.finished {
@@ -272,6 +285,15 @@ func (w *FileWriter) Finish() ([]byte, FileStats, error) {
 		return nil, FileStats{}, err
 	}
 	w.finished = true
+
+	raw := slices.Concat(w.rowKeys[:]...)
+	section, err := w.compressInto(nil, raw)
+	if err != nil {
+		return nil, FileStats{}, err
+	}
+	w.buf.Write(section)
+	w.colRaw[0] += int64(len(raw))
+	w.colComp[0] += int64(len(section))
 
 	var footer []byte
 	footer = putUvarint(footer, uint64(len(w.stripes)))
@@ -286,6 +308,7 @@ func (w *FileWriter) Finish() ([]byte, FileStats, error) {
 		footer = append(footer, f.Key...)
 	}
 	footer = putUvarint(footer, uint64(w.schema.Dense))
+	footer = putUvarint(footer, uint64(len(raw)))
 
 	w.buf.Write(footer)
 	var tail [8]byte

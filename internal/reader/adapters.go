@@ -18,7 +18,8 @@ import (
 // stream, the one place a whole file's rows are put back together — and
 // returns the decoded rows as views over that column chunk
 // (dwrf.Chunk.Samples): full-width, with empty lists for features the spec
-// does not consume — and the file schema.
+// does not consume and no row keys, which a fill never reads — and the file
+// schema.
 func (r *Reader) FillFile(ctx context.Context, file string) ([]datagen.Sample, []string, int, error) {
 	src, err := r.open(ctx, file)
 	if err != nil {

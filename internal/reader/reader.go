@@ -359,9 +359,10 @@ func (r *Reader) open(ctx context.Context, path string) (*source, error) {
 }
 
 // readStripe is the rest of the fill, one stripe at a time: stripe i of
-// src, fetched with r's fetches — the header and the streams of the row
-// metadata, the dense features and the consumed sparse features; a spec
-// that consumes every column fetches exactly the file — and decoded,
+// src, fetched with r's fetches — the header and the streams of the
+// labels, the dense features and the consumed sparse features; a spec that
+// consumes every column fetches exactly the file less its row-key section,
+// which no batch carries — and decoded,
 // charging r. Every stripe is checked against the footer, so the stripes of
 // a fill that succeeds hold exactly the rows the footer counts.
 // Cancellation is honoured before the fetch.

@@ -61,7 +61,7 @@ func TestForgedCountsAllocateByArrival(t *testing.T) {
 			_, err := reader.DecodeBatch(bytes.NewReader(in))
 			return err
 		}},
-		{"dwrf.DecodeChunk from a reader, 2^24 session ids", binary.AppendUvarint([]byte{1}, 1<<24), func(in []byte) error {
+		{"dwrf.DecodeChunk from a reader, 2^24 labels", binary.AppendUvarint(nil, 1<<24), func(in []byte) error {
 			d := tensor.NewReaderDecoder(bytes.NewReader(in))
 			defer d.Release()
 			_, err := dwrf.DecodeChunk(&d, nil, 0, nil)

@@ -6,7 +6,7 @@
 // zstd; docs/ARCHITECTURE.md lists the substitutions). The row keys —
 // session, user and request IDs and timestamp — are what a batch does not
 // carry: they are one section per file, after the last stripe, which a
-// stripe read never fetches and only a whole-file row read does.
+// stripe read never fetches and only a row read (ReadRowKeys) does.
 //
 // The format exists to reproduce the paper's storage behaviour: when the
 // ETL clusters a table by session ID (O2), each stripe holds many rows of

@@ -120,6 +120,9 @@ func TestRoundTrip(t *testing.T) {
 			t.Fatalf("row %d mismatch:\n got %+v\nwant %+v", i, got[i], samples[i])
 		}
 	}
+	if err := r.ReadRowKeys(got[1:]); err == nil {
+		t.Fatal("ReadRowKeys accepted one row fewer than the file holds")
+	}
 }
 
 func TestEmptyFile(t *testing.T) {

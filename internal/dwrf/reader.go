@@ -195,7 +195,7 @@ func (r *FileReader) checkProjection(cols []int) error {
 // sparse columns cols (indices into SparseKeys, each at most once, in the
 // order the chunk is to hold them) plus the labels and dense features,
 // which are always read. The row keys are not a stripe's: they are the
-// file's row-key section, which only ReadAll reads. It is the unit the
+// file's row-key section, which only ReadRowKeys reads. It is the unit the
 // reader tier fills by:
 // stripes are independent (each carries its own compressed streams and
 // delta-encoding state), so a file is read one stripe at a time, in any
@@ -292,23 +292,30 @@ func (r *FileReader) ReadAllContext(ctx context.Context) ([]datagen.Sample, erro
 		return nil, err
 	}
 	rows := c.Samples()
-	if err := r.readRowKeys(rows); err != nil {
+	if err := r.ReadRowKeys(rows); err != nil {
 		return nil, err
 	}
 	return rows, nil
 }
 
-// readRowKeys fetches the file's row-key section, in one fetch, and sets
-// the row keys of rows — every row of the file — from it. Its recorded raw
-// length is held to what deflate could reach from its bytes before it sizes
-// anything, and the section must hold exactly four varints a row.
-func (r *FileReader) readRowKeys(rows []datagen.Sample) error {
+// ReadRowKeys fetches the file's row-key section, in one fetch, and sets
+// the row keys of rows — every row of the file, in order — from it. No
+// stripe read fetches that section: a caller that needs rows whole reads
+// it once per file. Its recorded raw length is held to what deflate could
+// reach from its bytes before it sizes anything, and the section must hold
+// exactly four varints a row.
+func (r *FileReader) ReadRowKeys(rows []datagen.Sample) error {
+	if len(rows) != r.rows {
+		return fmt.Errorf("dwrf: %d rows for a file of %d", len(rows), r.rows)
+	}
 	comp, err := r.get(r.rowKeysAt, r.body-r.rowKeysAt)
 	if err != nil {
 		return err
 	}
-	var scratch []byte
-	raw, err := inflate(comp, r.rowKeysRaw, &scratch)
+	if int64(r.rowKeysRaw) > maxInflateRatio*int64(len(comp)) {
+		return fmt.Errorf("dwrf: row-key section: raw length %d impossible for %d compressed bytes", r.rowKeysRaw, len(comp))
+	}
+	raw, err := decompressStream(nil, comp, r.rowKeysRaw)
 	if err != nil {
 		return fmt.Errorf("dwrf: row-key section: %w", err)
 	}

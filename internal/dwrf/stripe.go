@@ -189,26 +189,17 @@ func (r *FileReader) fetchStripe(off, length int64, cols []int) (stripeSource, e
 // refused before it sizes a buffer.
 const maxInflateRatio = 1032
 
-// inflate decompresses comp, recorded as rawLen bytes before compression,
-// into *scratch (grown as needed) and returns the raw stream.
-func inflate(comp []byte, rawLen int, scratch *[]byte) ([]byte, error) {
-	if int64(rawLen) > maxInflateRatio*int64(len(comp)) {
-		return nil, fmt.Errorf("raw length %d impossible for %d compressed bytes", rawLen, len(comp))
-	}
-	raw, err := decompressStream(*scratch, comp, rawLen)
-	if err != nil {
-		return nil, err
-	}
-	*scratch = raw
-	return raw, nil
-}
-
-// inflate decompresses column c of src as the function inflate does.
+// inflate decompresses column c of src into *scratch (grown as needed)
+// and returns the raw stream.
 func (src *stripeSource) inflate(c int, scratch *[]byte) ([]byte, error) {
-	raw, err := inflate(src.comp[c], src.rawLen[c], scratch)
+	if int64(src.rawLen[c]) > maxInflateRatio*int64(len(src.comp[c])) {
+		return nil, fmt.Errorf("dwrf: column %d: raw length %d impossible for %d compressed bytes", c, src.rawLen[c], len(src.comp[c]))
+	}
+	raw, err := decompressStream(*scratch, src.comp[c], src.rawLen[c])
 	if err != nil {
 		return nil, fmt.Errorf("dwrf: column %d: %w", c, err)
 	}
+	*scratch = raw
 	return raw, nil
 }
 

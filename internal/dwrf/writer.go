@@ -33,10 +33,8 @@ type FileWriter struct {
 	colRaw  []int64
 	colComp []int64
 
-	// The row-key section's raw fields, each over every row written so
-	// far: session delta, user, request, timestamp delta.
-	rowKeys             [4][]byte
-	lastSession, lastTS int64
+	// Every written row's keys: session, user, request, timestamp.
+	rowKeys [][4]int64
 
 	// Per-stripe encode/compress scratch, reset (not reallocated) between
 	// stripes: raw column streams, their value counts, compressed column
@@ -83,6 +81,7 @@ func (w *FileWriter) WriteRow(s datagen.Sample) error {
 		return fmt.Errorf("dwrf: sample has %d dense features, schema has %d", len(s.Dense), w.schema.Dense)
 	}
 	w.pending = append(w.pending, s)
+	w.rowKeys = append(w.rowKeys, [4]int64{s.SessionID, s.UserID, s.RequestID, s.Timestamp})
 	w.rows++
 	if len(w.pending) >= w.opts.StripeRows {
 		return w.flushStripe()
@@ -92,6 +91,7 @@ func (w *FileWriter) WriteRow(s datagen.Sample) error {
 
 // WriteRows appends a batch of samples.
 func (w *FileWriter) WriteRows(samples []datagen.Sample) error {
+	w.rowKeys = slices.Grow(w.rowKeys, len(samples))
 	for _, s := range samples {
 		if err := w.WriteRow(s); err != nil {
 			return err
@@ -112,19 +112,10 @@ func (w *FileWriter) encodeStripeColumns() [][]byte {
 	streams := w.streams
 
 	// Column 0: one label byte per row. The row keys go to the file's
-	// section. Session IDs and timestamps are delta-encoded — clustered
-	// tables have long runs of equal session IDs and ascending
-	// timestamps, which delta+varint shrinks dramatically even before
-	// flate sees the section.
+	// row-key section (see Finish).
 	labels := streams[0][:0]
-	k := &w.rowKeys
 	for _, s := range w.pending {
 		labels = append(labels, byte(s.Label))
-		k[0] = putVarint(k[0], s.SessionID-w.lastSession)
-		k[1] = putVarint(k[1], s.UserID)
-		k[2] = putVarint(k[2], s.RequestID)
-		k[3] = putVarint(k[3], s.Timestamp-w.lastTS)
-		w.lastSession, w.lastTS = s.SessionID, s.Timestamp
 	}
 	streams[0] = labels
 
@@ -286,7 +277,20 @@ func (w *FileWriter) Finish() ([]byte, FileStats, error) {
 	}
 	w.finished = true
 
-	raw := slices.Concat(w.rowKeys[:]...)
+	// Session IDs and timestamps are delta-encoded: clustered tables have
+	// long runs of equal session IDs and ascending timestamps, which
+	// delta+varint shrinks dramatically even before flate sees them.
+	raw := make([]byte, 0, 4*binary.MaxVarintLen64*len(w.rowKeys))
+	for f := 0; f < 4; f++ {
+		var prev int64
+		for _, k := range w.rowKeys {
+			v := k[f]
+			if f == 0 || f == 3 {
+				v, prev = v-prev, v
+			}
+			raw = putVarint(raw, v)
+		}
+	}
 	section, err := w.compressInto(nil, raw)
 	if err != nil {
 		return nil, FileStats{}, err

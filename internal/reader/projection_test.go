@@ -3,7 +3,6 @@ package reader
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -124,22 +123,23 @@ func fullDecodeBatches(t *testing.T, env projectionEnv) [][]byte {
 	return encodeBatches(t, batches)
 }
 
-// rowKeySection is the length of a DWRF file's row-key section, which no
-// fill fetches: the bytes between its last stripe (or its leading magic)
-// and its footer, whose length the trailer's first four bytes record.
+// rowKeySection is what dwrf.FileReader.ReadRowKeys fetches of the DWRF
+// file data: its row-key section, which no batch fill fetches.
 func rowKeySection(t *testing.T, data []byte) int64 {
 	t.Helper()
-	fr, err := dwrf.OpenReader(data)
+	var fetched int64
+	fr, err := dwrf.Open(int64(len(data)), func(off, n int64) ([]byte, error) {
+		fetched += n
+		return data[off : off+n], nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	end := int64(len("DWRF"))
-	if n := fr.NumStripes(); n > 0 {
-		off, length := fr.StripeByteRange(n - 1)
-		end = off + length
+	fetched = 0
+	if err := fr.ReadRowKeys(make([]datagen.Sample, fr.NumRows())); err != nil {
+		t.Fatal(err)
 	}
-	footer := int64(binary.LittleEndian.Uint32(data[len(data)-8:]))
-	return int64(len(data)) - 8 - footer - end
+	return fetched
 }
 
 func mustEqualEncodings(t *testing.T, what string, got, want [][]byte) {
@@ -160,9 +160,10 @@ func mustEqualEncodings(t *testing.T, what string, got, want [][]byte) {
 // byte-identical to batches built from a full decode of the same files,
 // whichever way it is driven (serial Run, a worker pool behind RunQueue,
 // the ScanFile/FillFile/ProduceBatch composition), with identical
-// deterministic counters; and it fetches at most each file's size —
-// exactly that when the spec consumes every column, strictly less
-// otherwise — which the store's own read counter confirms.
+// deterministic counters; and it fetches at most each file's size less
+// its row-key section — exactly that when the spec consumes every column,
+// strictly less otherwise — which the store's own read counter confirms,
+// while FillFile, which returns rows whole, fetches that section on top.
 func TestProjectedFillMatchesFullFill(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260926))
 	ctx := context.Background()
@@ -188,7 +189,7 @@ func TestProjectedFillMatchesFullFill(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, _, _, err := one.FillFile(ctx, f); err != nil {
+			if _, _, err := one.fillRows(ctx, f); err != nil {
 				t.Fatal(err)
 			}
 			got := one.Stats().ReadBytes
@@ -199,6 +200,38 @@ func TestProjectedFillMatchesFullFill(t *testing.T) {
 				t.Fatalf("%s: fetched %d of %d bytes (%d of them row keys), full projection = %v", what, got, size, section, env.full)
 			}
 			readBytes += got
+
+			// FillFile returns rows whole: the same fill plus the row-key
+			// section, whose keys are the file's.
+			keyed, err := NewReader(env.store, env.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows, _, _, err := keyed.FillFile(ctx, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if extra := keyed.Stats().ReadBytes - got; extra != section {
+				t.Fatalf("%s: FillFile fetched %d bytes past the fill, the row-key section is %d", what, extra, section)
+			}
+			fr, err := dwrf.OpenReader(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			whole, err := fr.ReadAll()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rows) != len(whole) {
+				t.Fatalf("%s: FillFile returned %d rows, ReadAll %d", what, len(rows), len(whole))
+			}
+			for i, s := range rows {
+				w := whole[i]
+				if s.SessionID != w.SessionID || s.UserID != w.UserID || s.RequestID != w.RequestID || s.Timestamp != w.Timestamp {
+					t.Fatalf("%s: FillFile row %d keys (%d %d %d %d), ReadAll (%d %d %d %d)", what, i,
+						s.SessionID, s.UserID, s.RequestID, s.Timestamp, w.SessionID, w.UserID, w.RequestID, w.Timestamp)
+				}
+			}
 		}
 		r, err := NewReader(env.store, env.spec)
 		if err != nil {

@@ -68,7 +68,8 @@ func split(fs *FileScan) (head *dwrf.Chunk, batches []*Batch, tail *dwrf.Chunk) 
 
 // composeScan rebuilds a multi-file scan from the file-aligned primitives
 // the shared-scan cache uses: ScanFile when no rows are carried in,
-// FillFile + ProduceBatch when batch boundaries straddle files. It is the
+// FillFile's fill (fillRows, which reads no row keys, as no batch fill
+// does) + ProduceBatch when batch boundaries straddle files. It is the
 // reference shape of the dpp cached-worker loop.
 func composeScan(t *testing.T, r *Reader, files []string) []*Batch {
 	t.Helper()
@@ -92,14 +93,14 @@ func composeScan(t *testing.T, r *Reader, files []string) []*Batch {
 			carry = append([]datagen.Sample(nil), tail.Samples()...)
 			continue
 		}
-		samples, fkeys, fdense, err := r.FillFile(ctx, f)
+		chunk, _, err := r.fillRows(ctx, f)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if keys == nil {
-			keys, dense = fkeys, fdense
+			keys, dense = chunk.Keys(), chunk.DenseWidth()
 		}
-		carry = append(carry, samples...)
+		carry = append(carry, chunk.Samples()...)
 		for len(carry) >= bs {
 			b, err := r.ProduceBatch(carry[:bs], keys, dense)
 			if err != nil {

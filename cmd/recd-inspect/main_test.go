@@ -91,3 +91,30 @@ func TestReadFilesKeepsRowKeys(t *testing.T) {
 		t.Fatalf("measured S = %v, the source's %v", got, want)
 	}
 }
+
+// TestReadFilesNamesARetiredLayout: a file written in the retired
+// varint-ID layout is refused, and the error names the file, the layout
+// and the remedy instead of reporting rows decoded from misread streams.
+func TestReadFilesNamesARetiredLayout(t *testing.T) {
+	schema := datagen.StandardSchema(datagen.StandardSchemaConfig{
+		UserSeq: 1, UserElem: 2, Item: 2, Dense: 2, SeqLen: 4, Seed: 1,
+	})
+	path, _ := writeFile(t, t.TempDir(), "old.dwrf", schema)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(data[len(data)-4:], "DWRF") // the retired layout's trailer
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = readFiles(io.Discard, []string{path})
+	if err == nil {
+		t.Fatal("a file of the retired layout was read")
+	}
+	for _, want := range []string{path, "retired varint-ID layout", "re-land"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+}

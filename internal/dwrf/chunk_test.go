@@ -86,7 +86,7 @@ func withFooter(r *FileReader, body []byte, stripes [][3]uint64, dense, rowKeysR
 	out := append([]byte(nil), body...)
 	out = append(out, footer...)
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(footer)))
-	return append(out, magic...)
+	return append(out, trailerMagic...)
 }
 
 // TestHostileFooter: a forged stripe directory or dense width is refused
@@ -97,7 +97,9 @@ func withFooter(r *FileReader, body []byte, stripes [][3]uint64, dense, rowKeysR
 // ReadAll before anything is sized by it: a raw length deflate could not
 // reach from the section's bytes, and a section of other than four
 // varints a row. A stripe whose label stream is not one byte a row is
-// refused before its row count sizes anything.
+// refused before its row count sizes anything. A file whose trailer is
+// the retired varint-ID layout's is refused at open by name: its sparse
+// streams would parse as fixed-width IDs and decode into wrong ones.
 func TestHostileFooter(t *testing.T) {
 	schema := testSchema()
 	data, _ := writeFile(t, schema, testSamples(t, schema, 6), 16)
@@ -130,6 +132,11 @@ func TestHostileFooter(t *testing.T) {
 			_, err = r.ReadAll()
 			t.Errorf("%s: opened cleanly (ReadAll: %v)", name, err)
 		}
+	}
+
+	retired := append(data[:len(data)-len(trailerMagic):len(data)-len(trailerMagic)], magic...)
+	if _, err := OpenReader(retired); err == nil || !strings.Contains(err.Error(), "retired varint-ID layout") || !strings.Contains(err.Error(), "re-land") {
+		t.Fatalf("a file of the retired layout: open error %v", err)
 	}
 
 	// A directory that is in bounds but lies about a stripe's rows opens,
@@ -201,25 +208,34 @@ func forgeStripe(t *testing.T, keys, rows, labels int, sparse []byte) []byte {
 	return append(hdr, body.Bytes()...)
 }
 
-// TestForgedRunsAreRefused: a sparse stream's runs are believed only as
-// far as its bytes go. A repeat on a stripe's first row, a literal list
-// longer than the stream, and a literal followed by repeats that expand
-// past what deflate could pack into the column's compressed bytes are each
-// refused — the last one before anything is sized by it, allocating within
-// a constant of the stripe's own length, as a plain stream of that length
-// could, where its rows claim 8 GiB of values.
+// TestForgedRunsAreRefused: a sparse stream's header and runs are believed
+// only as far as its bytes go. A repeat on a stripe's first row, a literal
+// list longer than the stream, and a literal followed by repeats that
+// expand past what deflate could pack into the column's compressed bytes
+// are each refused — the last one before anything is sized by it,
+// allocating within a constant of the stripe's own length, as a plain
+// stream of that length could, where its rows claim 8 GiB of values. So
+// are a missing width byte, a width above 8, a base cut short, IDs in a
+// stream of width 0, and a literal whose IDs fit the bytes left one byte
+// each but not w bytes each.
 func TestForgedRunsAreRefused(t *testing.T) {
 	keys := testSchema().SparseKeys()
+	head := []byte{1, 0} // width 1, base 0
 	literal := func(n int) []byte { return append(putUvarint(nil, uint64(n)+1), make([]byte, n)...) }
 	const listLen, repeats = 1 << 16, 1 << 14
-	expand := append(literal(listLen), make([]byte, repeats)...)
+	expand := append(append(head, literal(listLen)...), make([]byte, repeats)...)
 	for _, tc := range []struct {
 		name, err string
 		stripe    []byte
 	}{
-		{"repeat on row 0", "repeats a row before its first", forgeStripe(t, len(keys), 2, 2, []byte{0, 0})},
-		{"literal past the stream", "list too long", forgeStripe(t, len(keys), 1, 1, literal(10)[:5])},
+		{"repeat on row 0", "repeats a row before its first", forgeStripe(t, len(keys), 2, 2, append(head, 0, 0))},
+		{"literal past the stream", "list too long", forgeStripe(t, len(keys), 1, 1, append(head, literal(10)[:5]...))},
 		{"runs past the expansion limit", "expands to more than", forgeStripe(t, len(keys), 1+repeats, 1+repeats, expand)},
+		{"no width byte", "no ID width of 0 to 8 bytes", forgeStripe(t, len(keys), 1, 1, nil)},
+		{"width above 8", "no ID width of 0 to 8 bytes", forgeStripe(t, len(keys), 1, 1, []byte{9, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0})},
+		{"base truncated", "base truncated", forgeStripe(t, len(keys), 1, 1, []byte{1, 0x80})},
+		{"IDs at width 0", "width 0", forgeStripe(t, len(keys), 1, 1, []byte{0, 2, 0})},
+		{"literal of n·w past the stream", "list too long", forgeStripe(t, len(keys), 1, 1, append([]byte{8, 0, 3}, make([]byte, 9)...))},
 	} {
 		src, err := wholeStripe(tc.stripe, firstSparse+len(keys))
 		if err != nil {

@@ -14,13 +14,23 @@
 // behind the paper's 3.71×/2.06× table compression gains and the Table 3
 // read-byte savings. The encoder writes such a run once: a sparse row
 // equal to the previous row of its stripe is the one byte 0, and a reader
-// copies the previous row's list. The compressor sees what is left.
+// copies the previous row's list. An ID costs the bytes its stream needs:
+// each sparse stream records its least ID as a base and a width w, and
+// every ID is its offset over the base in w little-endian bytes (ORC's
+// fixed-width integer runs), where a varint would spend a continuation
+// bit a byte. The compressor sees what is left.
 package dwrf
 
 import "fmt"
 
-// Magic bytes at the start and end of every DWRF file.
-const magic = "DWRF"
+// Every DWRF file starts with magic and ends with trailerMagic, which names
+// its layout. A file of the retired layout, whose sparse IDs were zigzag
+// varints, ends with magic instead: Open refuses it by name, where its
+// streams would otherwise parse as fixed-width IDs and decode wrong.
+const (
+	magic        = "DWRF"
+	trailerMagic = "DWR2"
+)
 
 // Format limits. These guard the decoder against corrupt or adversarial
 // inputs rather than constraining real use.
@@ -64,7 +74,9 @@ func (o WriterOptions) validate() error {
 // metadata: the label streams and the file's row-key section. Raw bytes
 // are the column's plain encoding, before compression and with every
 // repeated sparse row counted at its full length, so clustering leaves
-// them unchanged.
+// them unchanged. For a sparse column the plain encoding is a varint
+// length and zigzag varint IDs a row, not the fixed-width IDs written, so
+// a ratio of raw to compressed bytes also counts what the widths save.
 type ColumnStats struct {
 	Name            string
 	RawBytes        int64

@@ -2,6 +2,8 @@ package dwrf
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -356,14 +358,17 @@ func withLists(rows []datagen.Sample, list func(i, fi int) []int64) []datagen.Sa
 }
 
 // TestRunsRoundTrip: a sparse row equal to the row before it is written as
-// a run, and every shape of run decodes, stripe by stripe from the last to
-// the first and under a projection onto one column, to the chunk the rows
-// themselves make. A run that crosses a stripe boundary is restated
-// literally: a stripe whose first row were a repeat would not decode. A
-// reader believes no more values than deflate could pack into a column's
-// compressed bytes, so runs that expand past that — long, highly
+// a run, and every shape of run decodes, through ReadAll and stripe by
+// stripe from the last to the first and under a projection onto one
+// column, to the rows written. A run that crosses a stripe boundary is
+// restated literally: a stripe whose first row were a repeat would not
+// decode. A reader believes no more values than deflate could pack into a
+// column's compressed bytes, so runs that expand past that — long, highly
 // compressible lists repeated for thousands of rows — are written without
-// runs, and read back too.
+// runs, and read back too. That holds for a stream of one repeated ID,
+// whose every ID is offset 0 over its base, only because the width of a
+// stream holding an ID is at least one byte: at width 0 its IDs would
+// cost no raw byte, and nothing would bound them.
 func TestRunsRoundTrip(t *testing.T) {
 	schema := testSchema()
 	base := testSamples(t, schema, 6)[:30]
@@ -372,6 +377,7 @@ func TestRunsRoundTrip(t *testing.T) {
 	for len(zeros) < 4096 {
 		zeros = append(zeros, zeros[0])
 	}
+	oneID := withLists(zeros, func(int, int) []int64 { return slices.Repeat([]int64{1<<40 + 3}, 64) })
 	for _, tc := range []struct {
 		name       string
 		rows       []datagen.Sample
@@ -389,11 +395,16 @@ func TestRunsRoundTrip(t *testing.T) {
 		{"every row equal", withLists(base, func(_, fi int) []int64 { return own(0, fi) }), 8},
 		{"alternating rows", withLists(base, func(i, fi int) []int64 { return own(i%2, fi) }), 8},
 		{"4096 equal rows of 32 zero IDs", zeros, len(zeros)},
+		{"4096 rows of one ID 64 times", oneID, 1024},
 	} {
 		data, _ := writeFile(t, schema, tc.rows, tc.stripeRows)
 		r, err := OpenReader(data)
 		if err != nil {
 			t.Fatal(err)
+		}
+		all, err := r.ReadAll()
+		if err != nil || !slices.EqualFunc(all, tc.rows, samplesEqual) {
+			t.Fatalf("%s: ReadAll returned other rows than were written (%v)", tc.name, err)
 		}
 		for _, cols := range [][]int{allColumns(len(schema.Sparse)), {1}} {
 			for i := r.NumStripes() - 1; i >= 0; i-- {
@@ -596,5 +607,21 @@ func BenchmarkStripeColumns(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*stripeRows), "ns/row")
 		})
+	}
+}
+
+// TestFileKnownAnswer pins the bytes of one small file: testSchema's rows
+// of three sessions in stripes of 7 rows. Every stream's grammar, the
+// stripe header, the row-key section, the footer and the trailer reach
+// these bytes, so a change that moves the hash changes the file format —
+// a new trailerMagic and a re-land, not a test update. (The streams are
+// compress/flate's output, so a toolchain whose deflate emits other bytes
+// moves it too.)
+func TestFileKnownAnswer(t *testing.T) {
+	schema := testSchema()
+	data, _ := writeFile(t, schema, testSamples(t, schema, 3), 7)
+	const want = "83b1030e7da8ccee54f3d16bbfb35e37374d63f779bd2199f4d7062913c6ed52"
+	if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want {
+		t.Fatalf("sha256 of the %d-byte file = %s, want %s", len(data), got, want)
 	}
 }

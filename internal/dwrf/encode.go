@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"sync"
 )
 
@@ -28,6 +29,9 @@ func putVarint(b []byte, v int64) []byte {
 	n := binary.PutVarint(tmp[:], v)
 	return append(b, tmp[:n]...)
 }
+
+// uvarintLen is the length of v as an unsigned varint.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // putFloat32 appends the little-endian IEEE bits of f.
 func putFloat32(b []byte, f float32) []byte {

@@ -1,6 +1,7 @@
 package dwrf
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -8,8 +9,22 @@ import (
 	"repro/internal/datagen"
 )
 
-// randomSamples draws an arbitrary valid batch for the given schema.
+// randomSamples draws an arbitrary valid batch for the given schema. A
+// third of the features draw IDs below their cardinality, as generated
+// tables do; a third from the whole int64 range, half of them at
+// math.MinInt64 or math.MaxInt64, so a stripe's IDs span the range, its
+// width is 8 and its offsets over the base wrap; and a third repeat one
+// such ID through the list.
 func randomSamples(rng *rand.Rand, schema *datagen.Schema, n int) []datagen.Sample {
+	anyID := func() int64 {
+		switch rng.Intn(4) {
+		case 0:
+			return math.MinInt64
+		case 1:
+			return math.MaxInt64
+		}
+		return int64(rng.Uint64())
+	}
 	out := make([]datagen.Sample, n)
 	for i := range out {
 		s := datagen.Sample{
@@ -24,8 +39,16 @@ func randomSamples(rng *rand.Rand, schema *datagen.Schema, n int) []datagen.Samp
 		for fi, f := range schema.Sparse {
 			l := rng.Intn(f.MaxLen + 1) // include empty lists
 			lst := make([]int64, l)
+			one := anyID()
 			for k := range lst {
-				lst[k] = rng.Int63n(f.Cardinality)
+				switch fi % 3 {
+				case 0:
+					lst[k] = rng.Int63n(f.Cardinality)
+				case 1:
+					lst[k] = anyID()
+				default:
+					lst[k] = one
+				}
 			}
 			s.Sparse[fi] = lst
 		}
@@ -84,7 +107,8 @@ func TestPropertyRoundTrip(t *testing.T) {
 
 // TestPropertyStripeDecodeMatchesReadAll: decoding stripes independently
 // via byte ranges concatenates to the same rows as ReadAll, less the row
-// keys only ReadAll reads.
+// keys only ReadAll reads, and ReadAll's rows are the rows written — so
+// two reads that agree on a misencoded stripe still fail.
 func TestPropertyStripeDecodeMatchesReadAll(t *testing.T) {
 	schema := testSchema()
 	prop := func(seed int64) bool {
@@ -115,7 +139,7 @@ func TestPropertyStripeDecodeMatchesReadAll(t *testing.T) {
 			return false
 		}
 		for i := range all {
-			if !samplesEqual(chunkRow(all[i]), viaStripes[i]) {
+			if !samplesEqual(all[i], samples[i]) || !samplesEqual(chunkRow(all[i]), viaStripes[i]) {
 				return false
 			}
 		}

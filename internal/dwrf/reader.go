@@ -12,8 +12,9 @@ import (
 // not be modified by the caller and may alias the store's copy.
 type Fetch func(off, n int64) ([]byte, error)
 
-// trailerLen is the fixed tail of a file: the footer length, then magic.
-const trailerLen = 4 + len(magic)
+// trailerLen is the fixed tail of a file: the footer length, then
+// trailerMagic.
+const trailerLen = 4 + len(trailerMagic)
 
 // FileReader decodes a DWRF file through ranged reads. Opening it fetches
 // the trailer and the footer; a read then fetches only what its
@@ -42,7 +43,11 @@ func Open(size int64, fetch Fetch) (*FileReader, error) {
 	if err != nil {
 		return nil, err
 	}
-	if string(trailer[4:]) != magic {
+	switch string(trailer[4:]) {
+	case trailerMagic:
+	case magic:
+		return nil, fmt.Errorf("dwrf: file is in the retired varint-ID layout (trailer %q, not %q): re-land it with this build", magic, trailerMagic)
+	default:
 		return nil, fmt.Errorf("dwrf: bad trailer magic")
 	}
 	footerLen := int64(binary.LittleEndian.Uint32(trailer))

@@ -206,7 +206,9 @@ func (src *stripeSource) inflate(c int, scratch *[]byte) ([]byte, error) {
 // decodeStripe is the stripe decoder: it inflates the label stream, the
 // dense stream and the streams of the sparse columns cols — no others —
 // and decodes them straight into a column chunk. Allocations are a few
-// per decoded column, whatever the row count.
+// per decoded column, whatever the row count. A sparse stream's width,
+// base and row headers are checked in a first pass that sizes the column,
+// before anything is allocated by what they claim.
 func decodeStripe(src stripeSource, keys []string, dense int, cols []int) (*Chunk, error) {
 	if dense < 0 || dense > maxDense {
 		return nil, fmt.Errorf("dwrf: implausible dense width %d", dense)
@@ -243,19 +245,31 @@ func decodeStripe(src stripeSource, keys []string, dense int, cols []int) (*Chun
 		c.dense[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
 	}
 
-	// Sparse columns: per row either uvarint 0, the previous row's list
-	// again, or uvarint len+1 and then len zigzag varint IDs.
+	// Sparse columns: a width byte w and, if w > 0, a zigzag varint base;
+	// then per row either uvarint 0, the previous row's list again, or
+	// uvarint len+1 and then len IDs of w little-endian bytes over base.
 	for p, col := range cols {
 		if raw, err = src.inflate(firstSparse+col, bp); err != nil {
 			return nil, err
 		}
+		if len(raw) == 0 || raw[0] > 8 {
+			return nil, fmt.Errorf("dwrf: sparse %q has no ID width of 0 to 8 bytes", keys[col])
+		}
+		width := uint64(raw[0])
+		sr := byteReader{buf: raw, pos: 1}
+		var base int64
+		if width > 0 {
+			if base, err = sr.varint(); err != nil {
+				return nil, fmt.Errorf("dwrf: sparse %q base truncated", keys[col])
+			}
+		}
+		body := sr.pos
 		// A first pass sizes the column: it walks the row headers, skips
-		// each literal's IDs by their final bytes (every varint ends in
-		// one without the continuation bit) and counts a repeat at the
-		// previous row's length. Runs may expand no further than deflate
-		// could pack a plain stream into the same compressed bytes.
+		// each literal's w bytes an ID and counts a repeat at the previous
+		// row's length. A literal ID takes at least a byte, and runs may
+		// expand no further than deflate could pack a plain stream into the
+		// same compressed bytes.
 		limit := int(min(maxInflateRatio*int64(len(src.comp[firstSparse+col])), math.MaxInt32))
-		sr := &byteReader{buf: raw}
 		nValues, n := 0, 0
 		for i := 0; i < rows; i++ {
 			h, err := sr.uvarint()
@@ -265,24 +279,21 @@ func decodeStripe(src stripeSource, keys []string, dense int, cols []int) (*Chun
 			case h == 0 && i == 0:
 				return nil, fmt.Errorf("dwrf: sparse %q repeats a row before its first", keys[col])
 			case h == 0: // n is still the previous row's length
-			case h-1 > uint64(sr.remaining()):
+			case h > 1 && width == 0:
+				return nil, fmt.Errorf("dwrf: sparse %q row %d holds IDs in a stream of width 0", keys[col], i)
+			case h-1 > uint64(sr.remaining()) || (h-1)*width > uint64(sr.remaining()):
 				return nil, fmt.Errorf("dwrf: sparse %q row %d list too long (%d)", keys[col], i, h-1)
 			default:
-				for n = 0; n < int(h-1); sr.pos++ {
-					if sr.pos == len(raw) {
-						return nil, fmt.Errorf("dwrf: sparse %q row %d value truncated", keys[col], i)
-					}
-					if raw[sr.pos] < 0x80 {
-						n++
-					}
-				}
+				n = int(h - 1)
+				sr.pos += n * int(width)
 			}
 			if nValues += n; nValues > limit {
 				return nil, fmt.Errorf("dwrf: sparse %q expands to more than %d values", keys[col], limit)
 			}
 		}
 		j := tensor.Jagged{Values: make([]tensor.Value, nValues), Offsets: make([]int32, rows)}
-		sr.pos = 0
+		mask := ^uint64(0) >> (64 - 8*width)
+		sr.pos = body
 		filled, prev := 0, 0 // the previous row's list is Values[prev:filled]
 		for i := 0; i < rows; i++ {
 			h, _ := sr.uvarint() // the first pass read every header
@@ -292,9 +303,16 @@ func decodeStripe(src stripeSource, keys []string, dense int, cols []int) (*Chun
 				filled += copy(j.Values[filled:], j.Values[prev:start])
 			} else {
 				for end := filled + int(h-1); filled < end; filled++ {
-					if j.Values[filled], err = sr.varint(); err != nil {
-						return nil, fmt.Errorf("dwrf: sparse %q row %d value truncated", keys[col], i)
+					var v uint64
+					if sr.remaining() >= 8 {
+						v = binary.LittleEndian.Uint64(raw[sr.pos:]) & mask
+					} else {
+						for b := sr.pos + int(width) - 1; b >= sr.pos; b-- {
+							v = v<<8 | uint64(raw[b])
+						}
 					}
+					j.Values[filled] = base + int64(v)
+					sr.pos += int(width)
 				}
 			}
 			prev = start

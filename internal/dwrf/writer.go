@@ -5,6 +5,8 @@ import (
 	"compress/flate"
 	"encoding/binary"
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/datagen"
@@ -139,15 +141,33 @@ func (w *FileWriter) encodeStripeColumns() [][]byte {
 	return streams
 }
 
-// appendSparse appends sparse feature fi of the pending rows to col: per
-// row, uvarint len+1 and then the zigzag varint IDs — or, with runs, a
-// single uvarint 0 for a list equal to the row before's. Row 0 is always
-// literal, so a stripe decodes alone. It also returns the column's value
-// count and its plain size: a varint length and the IDs for every row, the
-// encoding before runs, which ColumnStats.RawBytes keeps reporting.
+// appendSparse appends sparse feature fi of the pending rows to col as one
+// sparse stream: a width byte w and, if any row holds an ID, the zigzag
+// varint base, the least ID; then per row uvarint len+1 and the IDs, each
+// uint64(id)-uint64(base) in w little-endian bytes — or, with runs, a
+// single uvarint 0 for a list equal to the row before's. w is the fewest
+// bytes that hold the greatest ID's offset, and at least 1 when the stream
+// holds an ID, so an ID never costs less than a raw byte; it is 0 only when
+// the stream holds none. Row 0 is always literal, so a stripe decodes
+// alone. It also returns the column's value count and its plain size: a
+// varint length and the zigzag varint IDs for every row, the encoding
+// before runs and widths, which ColumnStats.RawBytes keeps reporting.
 func (w *FileWriter) appendSparse(col []byte, fi int, runs bool) (_ []byte, values, plain int) {
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	for _, s := range w.pending {
+		for _, id := range s.Sparse[fi] {
+			lo, hi = min(lo, id), max(hi, id)
+		}
+	}
+	width := 0
+	if lo <= hi { // the stream holds an ID
+		width = max(1, (bits.Len64(uint64(hi)-uint64(lo))+7)/8)
+	}
+	col = append(col, byte(width))
+	if width > 0 {
+		col = putVarint(col, lo)
+	}
 	var prev []int64
-	var tmp [binary.MaxVarintLen64]byte
 	rowPlain := 0
 	for r, s := range w.pending {
 		lst := s.Sparse[fi]
@@ -156,11 +176,12 @@ func (w *FileWriter) appendSparse(col []byte, fi int, runs bool) (_ []byte, valu
 			col = append(col, 0)
 		} else {
 			col = putUvarint(col, uint64(len(lst))+1)
-			ids := len(col)
+			rowPlain = uvarintLen(uint64(len(lst)))
 			for _, id := range lst {
-				col = putVarint(col, id)
+				n := len(col)
+				col = binary.LittleEndian.AppendUint64(col, uint64(id)-uint64(lo))[:n+width]
+				rowPlain += uvarintLen(uint64(id<<1) ^ uint64(id>>63))
 			}
-			rowPlain = binary.PutUvarint(tmp[:], uint64(len(lst))) + len(col) - ids
 		}
 		plain += rowPlain
 		prev = lst
@@ -199,9 +220,11 @@ func (w *FileWriter) compressInto(dst, raw []byte) ([]byte, error) {
 //	columnCount × compressed stream bytes
 //
 // rawLen is a stream's length before compression. The label stream holds
-// one byte per row. A sparse stream holds, per row, either uvarint 0 (the
-// previous row's list again) or uvarint len+1 followed by len zigzag
-// varint IDs.
+// one byte per row. A sparse stream opens with its ID width w (one byte)
+// and, when w > 0, its base (a zigzag varint), and then holds, per row,
+// either uvarint 0 (the previous row's list again) or uvarint len+1
+// followed by len IDs of w little-endian bytes each, over base (see
+// appendSparse).
 func (w *FileWriter) flushStripe() error {
 	if len(w.pending) == 0 {
 		return nil
@@ -267,7 +290,7 @@ func (w *FileWriter) flushStripe() error {
 //	sparseFeatureCount × { uvarint keyLen, key bytes }
 //	uvarint denseCount
 //	uvarint rowKeyRawLen
-//	fixed32 footerLen | magic
+//	fixed32 footerLen | trailerMagic
 func (w *FileWriter) Finish() ([]byte, FileStats, error) {
 	if w.finished {
 		return nil, FileStats{}, fmt.Errorf("dwrf: Finish called twice")
@@ -317,7 +340,7 @@ func (w *FileWriter) Finish() ([]byte, FileStats, error) {
 	w.buf.Write(footer)
 	var tail [8]byte
 	binary.LittleEndian.PutUint32(tail[:4], uint32(len(footer)))
-	copy(tail[4:], magic)
+	copy(tail[4:], trailerMagic)
 	w.buf.Write(tail[:])
 
 	data := w.buf.Bytes()

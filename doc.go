@@ -84,10 +84,11 @@
 // sessions over a length-prefixed TCP protocol (cmd/recd-serve), and its
 // client's remote sessions satisfy the same dpp.Stream pull contract as
 // local ones, with batch streams pinned byte-identical to a local
-// session across aligned, misaligned, and ShareScans specs. Batch
-// sessions and the fleet's file-unit sessions are one client core over
-// two frame kinds, and dppshard's fleet session runs on the same session
-// shell as a local one. The wire decoders behind that boundary are fuzzed
+// session across aligned, misaligned, and ShareScans specs. The server
+// serves every session as one stream kind, a unit stream, and the client
+// cuts it: a remote batch session is a fleet of one, the reader's cutter
+// on the same session shell a local session and dppshard's fleet session
+// run on. The wire decoders behind that boundary are fuzzed
 // (FuzzDecodeBatch, FuzzSpecFingerprint, FuzzClientReceive over the
 // client's whole receive loop) and the transport is fault-injection tested with
 // goroutine-leak assertions — malformed or truncated frames fail

@@ -5,7 +5,7 @@ package dpp
 // interface lives here so dpp never imports the front door it sits
 // under.
 //
-// With Config.Arbiter set alongside Config.AutoScale, every batch
+// With Config.Arbiter set alongside Config.AutoScale, every
 // session — ShareScans or not — is Registered under its Spec.Tenant when
 // it opens and Unregistered when it releases, and its AutoScaler's Resize
 // calls are rerouted into Bid: the controller still observes the
@@ -31,7 +31,7 @@ type WorkerArbiter interface {
 type arbitratedTarget struct {
 	arb    WorkerArbiter
 	tenant string
-	sess   *Session
+	sess   ScaleTarget
 }
 
 func (t *arbitratedTarget) SchedulerStats() SchedulerStats { return t.sess.SchedulerStats() }

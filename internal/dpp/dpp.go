@@ -40,6 +40,7 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/reader"
 	"repro/internal/storage"
 )
 
@@ -59,11 +60,10 @@ type Config struct {
 	// rejected at Open).
 	ScanCacheBytes int64
 	// AutoScale, when non-nil, attaches a per-session AutoScaler to every
-	// batch session, ShareScans or not: the service resizes each session's
-	// worker pool within [MinReaders, MaxReaders] from its observed
-	// worker/consumer starvation. Nil keeps every pool at its Spec.Readers
-	// size. (File-unit sessions keep a fixed pool: a fleet scales by adding
-	// shards.)
+	// session, batch or unit, ShareScans or not: the service resizes each
+	// session's worker pool within [MinReaders, MaxReaders] from its
+	// observed worker/consumer starvation. Nil keeps every pool at its
+	// Spec.Readers size.
 	AutoScale *AutoScalerConfig
 	// Arbiter, when non-nil (and AutoScale is set), turns each
 	// AutoScaler from the final allocator into a bid source: sessions
@@ -94,7 +94,7 @@ type Service struct {
 	// disabled by Config.ScanCacheBytes < 0.
 	cache *ScanCache
 	// autoscale, when non-nil, is the defaulted controller config every
-	// batch session gets an AutoScaler from.
+	// session gets an AutoScaler from.
 	autoscale *AutoScalerConfig
 	// arbiter, when non-nil, fair-shares a worker budget across the
 	// autoscaled sessions (Config.Arbiter).
@@ -105,7 +105,7 @@ type Service struct {
 	closed bool
 	nextID int64
 	// sessions are the open sessions of both kinds: batch sessions and
-	// file-unit sessions (fleet shards).
+	// unit sessions (what every dppnet session serves).
 	sessions map[int64]liveSession
 
 	// Service-level accounting, kept as internal/metrics counters so the
@@ -285,33 +285,59 @@ func (s *Service) liveSessions() []liveSession {
 	return live
 }
 
-// plan defaults and validates a spec and resolves its scan set — the
-// explicit Files list, else the catalog's files for Table — to the catalog's
-// entries, whose row counts every cut is planned from. (A Follow session
-// plans from the catalog's publish order instead; see Open.)
-func (s *Service) plan(spec Spec) (Spec, []storage.PublishedFile, error) {
+// plan defaults and validates a spec and plans its scan set — the explicit
+// Files list, else the catalog's files for Table — from the catalog's
+// entries, whose row counts every cut is planned from. A Follow session
+// plans from the catalog's publish order instead and gets the tail state
+// its tailer continues from.
+func (s *Service) plan(spec Spec) (Spec, []reader.Planned, *tailState, error) {
 	spec = spec.withDefaults()
 	if err := spec.validate(); err != nil {
-		return spec, nil, err
+		return spec, nil, nil, err
 	}
 	if spec.ShareScans && s.cache == nil {
-		return spec, nil, fmt.Errorf("dpp: spec requests ShareScans but the service's scan cache is disabled")
+		return spec, nil, nil, fmt.Errorf("dpp: spec requests ShareScans but the service's scan cache is disabled")
+	}
+	if spec.Follow {
+		// A Follow session plans over the publish-order snapshot (landed
+		// order, robust to retention shifting the hour-ordered view) and
+		// remembers the generation and last publish sequence it saw; the
+		// tailer resumes from exactly there. Generation is read before the
+		// snapshot so a landing racing Open is observed by the snapshot or
+		// by the first WaitChange — never missed.
+		tc, ok := s.catalog.(storage.TailingCatalog)
+		if !ok {
+			return spec, nil, nil, fmt.Errorf("dpp: spec requests Follow but the service catalog cannot tail")
+		}
+		gen := tc.Generation()
+		files, err := tc.PublishedFiles(spec.Table, 0)
+		if err != nil {
+			return spec, nil, nil, err
+		}
+		tail := &tailState{catalog: tc, gen: gen}
+		if n := len(files); n > 0 {
+			tail.cursor = files[n-1].Seq
+		}
+		var plan []reader.Planned
+		plan, tail.carry = reader.Plan(spec.BatchSize, 0, files)
+		return spec, plan, tail, nil
 	}
 	files := spec.Files
-	if files == nil && !spec.Follow {
+	if files == nil {
 		var err error
 		if files, err = s.catalog.AllFiles(spec.Table); err != nil {
-			return spec, nil, err
+			return spec, nil, nil, err
 		}
 	}
 	entries := make([]storage.PublishedFile, len(files))
 	for i, f := range files {
 		var ok bool
 		if entries[i], ok = s.catalog.Lookup(f); !ok {
-			return spec, nil, fmt.Errorf("dpp: file %q is not in the catalog", f)
+			return spec, nil, nil, fmt.Errorf("dpp: file %q is not in the catalog", f)
 		}
 	}
-	return spec, entries, nil
+	plan, _ := reader.Plan(spec.BatchSize, 0, entries)
+	return spec, plan, nil, nil
 }
 
 // admit is the one admission path for sessions of either kind: it runs
@@ -352,33 +378,20 @@ func admit[S liveSession](s *Service, open func(id int64) (S, error)) (S, error)
 // session down as if Close had been called; the service's other sessions
 // are unaffected.
 func (s *Service) Open(ctx context.Context, spec Spec) (*Session, error) {
-	spec, files, err := s.plan(spec)
+	spec, plan, tail, err := s.plan(spec)
 	if err != nil {
 		return nil, err
 	}
-	var tail *tailState
-	if spec.Follow {
-		// A Follow session plans over the publish-order snapshot (landed
-		// order, robust to retention shifting the hour-ordered view) and
-		// remembers the generation and last publish sequence it saw; the
-		// tailer resumes from exactly there. Generation is read before the
-		// snapshot so a landing racing Open is observed by the snapshot or
-		// by the first WaitChange — never missed.
-		tc, ok := s.catalog.(storage.TailingCatalog)
-		if !ok {
-			return nil, fmt.Errorf("dpp: spec requests Follow but the service catalog cannot tail")
-		}
-		gen := tc.Generation()
-		if files, err = tc.PublishedFiles(spec.Table, 0); err != nil {
-			return nil, err
-		}
-		tail = &tailState{catalog: tc, gen: gen}
-		if n := len(files); n > 0 {
-			tail.cursor = files[n-1].Seq
-		}
+	cut, err := reader.NewReader(s.backend, spec.Spec)
+	if err != nil {
+		return nil, err
 	}
 	return admit(s, func(id int64) (*Session, error) {
-		return newSession(ctx, s, id, spec, files, tail)
+		sess := &Session{}
+		return sess, sess.start(ctx, s, id, spec, plan, tail, func(q *reader.ScanQueue) (reader.Stats, error) {
+			err := cut.RunQueue(sess.ctx, q, sess.Emit)
+			return cut.Stats(), err
+		})
 	})
 }
 

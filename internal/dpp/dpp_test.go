@@ -382,9 +382,10 @@ func sessionCap(maxSessions int) *front.Gate {
 // a server whose gate caps the tenant, the one admission cap: admissions
 // must never exceed the cap even under contention (the gate's check and
 // charge are one atomic admission), and a refusal is a remote error that
-// opened nothing.
+// opened nothing. The table is several credit windows long, so that no
+// admitted session's stream can end on the server while the gate is read.
 func TestConcurrentOpenRespectsCap(t *testing.T) {
-	env := newTestEnv(t, 10)
+	env := newTestEnv(t, 60)
 	const maxSessions = 3
 	svc := newService(t, env, dpp.Config{})
 	gate := sessionCap(maxSessions)

@@ -90,15 +90,16 @@ func chainStep(h uint64, data []byte) uint64 {
 }
 
 // chainUnit folds a file-unit payload (appendFileUnit wire form) into
-// the chain, skipping the cache-hit byte that follows the leading index
-// uvarint: Hit depends on cache state, not stream content, so a resumed
-// stream's re-decoded units must hash identically to the original's
-// cache hits.
+// the chain with the cache-hit bit of the flags byte that follows the
+// leading index uvarint cleared: Hit depends on cache state, not stream
+// content, so a resumed stream's re-decoded units must hash identically to
+// the original's cache hits. The head bit is content and is hashed.
 func chainUnit(h uint64, unit []byte) (uint64, error) {
 	_, n := binary.Uvarint(unit)
 	if n <= 0 || n >= len(unit) {
 		return 0, fmt.Errorf("dppnet: file-unit payload too short to hash")
 	}
 	h = chainStep(h, unit[:n])
+	h = chainStep(h, []byte{unit[n] &^ unitHit})
 	return chainStep(h, unit[n+1:]), nil
 }

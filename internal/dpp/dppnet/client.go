@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"sync"
@@ -20,12 +21,6 @@ import (
 // ErrRemote wraps failures the server reported over the wire (as opposed
 // to transport failures observed locally).
 var ErrRemote = errors.New("dppnet: remote error")
-
-// ErrDrained ends a unit stream whose server sent it a drain frame: the
-// server is shutting down gracefully, and the stream's consumer (dppshard)
-// should be served the rest of its files elsewhere. A batch session never
-// returns it — it rides the drain out where it is.
-var ErrDrained = errors.New("dppnet: server draining, session handed off")
 
 // errConnLost marks transport-level stream failures — the connection
 // died under the session. These (and only these) are the errors a
@@ -257,74 +252,109 @@ func (c *Client) Open(ctx context.Context, spec dpp.Spec) (*RemoteSession, error
 	if spec.Follow && c.Resume.MaxAttempts > 0 {
 		return nil, fmt.Errorf("dppnet: follow sessions are incompatible with resume; use a client without a Resume policy")
 	}
-	rs := &RemoteSession{}
-	if err := rs.start(ctx, c, spec, batchKind); err != nil {
+	units, err := c.OpenUnits(ctx, spec, nil)
+	if err != nil {
 		return nil, err
 	}
+	// The server has validated the spec the cutter is built from.
+	cut, err := reader.NewReader(nil, spec.Spec)
+	if err != nil {
+		units.Close()
+		return nil, err
+	}
+	rs := &RemoteSession{units: units, cut: cut}
+	// The output buffer is empty: the cutter hands each batch over in
+	// person while it holds the piece it came in, whose credit the server
+	// is still owed (RemoteUnitSession.NextPiece), so what the session holds
+	// and has in flight never exceeds the credit window.
+	rs.sh.Open(ctx, dpp.SystemClock{}, 0)
+	rs.sh.Pool = func() dpp.SchedulerStats { return dpp.SchedulerStats{} }
+	rs.sh.HaltOn(func() { units.Close() })
+	rs.sh.Go(rs.run)
 	return rs, nil
 }
 
-// batchKind is the batch stream: batch frames, advisory drain frames.
-var batchKind = kind[*reader.Batch]{decode: decodeBatch}
-
-// decodeBatch is the batch kind's decode hook, and the unit kind's for the
-// batch frames of its stream: index | chain | batch.
-func decodeBatch(typ byte, payload []byte, at cursor) (*reader.Batch, cursor, error) {
-	if typ != frameBatch {
-		return nil, at, fmt.Errorf("dppnet: unexpected frame %#x", typ)
-	}
-	idx, fchain, body, err := decodeBatchFrame(payload)
-	if err != nil {
-		return nil, at, fmt.Errorf("dppnet: corrupt batch frame: %w", err)
-	}
-	if idx != at.frames {
-		return nil, at, fmt.Errorf("dppnet: batch index %d, want %d", idx, at.frames)
-	}
-	if at.chain = chainStep(at.chain, body); at.chain != fchain {
-		return nil, at, fmt.Errorf("dppnet: stream hash mismatch at batch %d", idx)
-	}
-	b, _, err := reader.DecodeBatchFrom(body)
-	if err != nil {
-		return nil, at, fmt.Errorf("dppnet: corrupt batch frame: %w", err)
-	}
-	at.frames++
-	return b, at, nil
-}
-
-// RemoteSession is the client half of one streamed batch session: the one
-// remote stream client (stream) over batch frames. It satisfies
+// RemoteSession is the client half of one streamed batch session: a fleet
+// of one. The server serves it as a unit stream over every file of the
+// spec's plan (RemoteUnitSession), and the reader's one cutter
+// (reader.RunUnits) joins the batches that cross files from the tails and
+// heads, on the session shell (dpp.Shell) every local session has. Each
+// file's unit pulls its pieces off the stream in order. It satisfies
 // dpp.Stream: Next blocks for the next batch exactly like a local
 // session's, and Close tears the remote session down. Next is
 // single-consumer, as with a local Session.
 type RemoteSession struct {
-	stream[*reader.Batch]
+	units *RemoteUnitSession
+	sh    dpp.Shell[*reader.Batch]
+	// cut is the session's local reader, the cutter: it has no store to
+	// read, and its work is the batches that cross files and the last one.
+	cut *reader.Reader
 }
 
 var _ dpp.Stream = (*RemoteSession)(nil)
 
-// Next returns the session's next batch under the stream contract (see
-// stream.next): batches until io.EOF, a server error wrapped in ErrRemote,
-// a connection failure (redialed under a resume policy), ctx.Err(), or
-// dpp.ErrClosed.
-func (rs *RemoteSession) Next(ctx context.Context) (*reader.Batch, error) { return rs.next(ctx) }
+// run cuts the unit stream into the session's batches: a unit per file,
+// entered with the carry its head names, whose pieces are the stream's up
+// to the file's closing record.
+func (rs *RemoteSession) run() {
+	ctx := rs.sh.Ctx()
+	err := rs.cut.RunUnits(ctx, func() (reader.Unit, bool) {
+		p, err := rs.units.NextPiece(ctx)
+		if err == io.EOF {
+			return reader.Unit{}, false
+		}
+		if err != nil {
+			return reader.Unit{Err: err}, true
+		}
+		return reader.Unit{File: p.File, Carry: p.Carry, Pieces: func(yield func(reader.Piece) error) error {
+			for {
+				if err := yield(reader.Piece{Batch: p.Batch, Rows: p.Rows()}); err != nil || p.Tail != nil {
+					return err
+				}
+				if p, err = rs.units.NextPiece(ctx); err == io.EOF {
+					err = fmt.Errorf("dppnet: the stream ended inside a file")
+				}
+				if err != nil {
+					return err
+				}
+			}
+		}}, true
+	}, rs.sh.Emit)
+	rs.sh.Settle(err, rs.cut.Stats())
+}
+
+// Next returns the session's next batch under the stream contract:
+// batches until io.EOF, a server error wrapped in ErrRemote, a connection
+// failure (redialed under a resume policy), ctx.Err(), or dpp.ErrClosed.
+func (rs *RemoteSession) Next(ctx context.Context) (*reader.Batch, error) { return rs.sh.Pull(ctx) }
+
+// Close tears the remote session down: the cutter and the unit stream
+// under it. Idempotent; always returns nil, like a local session's Close.
+// Batches already returned remain valid.
+func (rs *RemoteSession) Close() error { return rs.sh.Close() }
+
+// Stats returns the session's final accounting: the server's, as its
+// trailing stats frame reported it, plus the reader work of the cutter
+// here. It is available once the stream has returned io.EOF; before that
+// (or after a failure that lost the frame) it returns false.
+func (rs *RemoteSession) Stats() (dpp.SessionStats, bool) {
+	st, ok := rs.units.Stats()
+	if ok {
+		st.Reader.Add(rs.sh.Stats().Reader)
+	}
+	return st, ok
+}
 
 // TokenResumes and Replays split the session's successful continuations
 // by kind: a token resume claimed parked server state (retained frames
-// resent, nothing re-decoded), a replay re-synthesized the consumed
-// prefix on a fresh session.
-func (rs *RemoteSession) TokenResumes() int64 { return rs.tokenResumes.Load() }
-func (rs *RemoteSession) Replays() int64      { return rs.replays.Load() }
+// resent, nothing re-decoded), a replay re-synthesized the consumed prefix
+// on a fresh session.
+func (rs *RemoteSession) TokenResumes() int64 { return rs.units.tokenResumes.Load() }
+func (rs *RemoteSession) Replays() int64      { return rs.units.replays.Load() }
 
 // EndFollow asks the server to end a Follow session's tail: the server
 // stops observing the catalog, the stream drains the files already
 // announced, and Next runs to a normal io.EOF with final stats — the
 // wire twin of dpp.Session.EndFollow. Best-effort and idempotent; a
 // no-op on non-follow sessions and dead connections.
-func (rs *RemoteSession) EndFollow() {
-	rs.mu.Lock()
-	closed := rs.closed
-	rs.mu.Unlock()
-	if !closed {
-		rs.send(endFollowFrame)
-	}
-}
+func (rs *RemoteSession) EndFollow() { rs.units.send(endFollowFrame) }

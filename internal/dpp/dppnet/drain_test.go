@@ -12,10 +12,11 @@ import (
 	"repro/internal/testutil"
 )
 
-// TestDrainBatchSessionAdvisory and TestDrainUnitSessionTerminal are the
-// two rows of the drain policy (kind.drainSurfaces). On a batch stream the
-// drain frame is advisory — the server keeps serving until the operator's
-// deadline, and the session completes in place, byte-identical. The
+// TestDrainBatchSessionAdvisory and TestDrainUnitSessionRecorded are the
+// one drain rule seen from its two consumers. The server keeps serving
+// after the drain frame until the operator's deadline, and the stream
+// records it: a remote session, a fleet of one with nowhere to hand off
+// to, rides the drain out and completes in place, byte-identical. The
 // draining server refuses fresh opens with an error naming the drain.
 func TestDrainBatchSessionAdvisory(t *testing.T) {
 	before := runtime.NumGoroutine()
@@ -50,11 +51,12 @@ func TestDrainBatchSessionAdvisory(t *testing.T) {
 	testutil.WaitForGoroutines(t, before)
 }
 
-// TestDrainUnitSessionTerminal: a file-unit stream surfaces the drain as
-// ErrDrained — re-homing unit streams is the fleet multiplexer's job, which
-// reroutes the shard's unconsumed files so nothing already served is
-// refetched.
-func TestDrainUnitSessionTerminal(t *testing.T) {
+// TestDrainUnitSessionRecorded: a unit stream records the drain and never
+// ends because of it — the server keeps serving to the end of the stream —
+// and the record is there at a file boundary, the closing record where a
+// fleet's pump reads it and re-routes the shard's unconsumed files, so
+// nothing already served is refetched.
+func TestDrainUnitSessionRecorded(t *testing.T) {
 	before := runtime.NumGoroutine()
 	env := newTestEnv(t, 160)
 	files, err := env.catalog.AllFiles("tbl")
@@ -68,29 +70,30 @@ func TestDrainUnitSessionTerminal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	last, err := rus.NextPiece(context.Background())
-	if err != nil {
+	if _, err := rus.NextPiece(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	h.srv.Drain()
+	closedDrained, closed := 0, 0
 	for {
 		p, err := rus.NextPiece(context.Background())
-		if err == nil {
-			last = p
-			continue
-		}
-		if errors.Is(err, ErrDrained) {
+		if err == io.EOF {
 			break
 		}
-		if err == io.EOF {
-			t.Fatal("unit stream reached EOF without surfacing the drain")
+		if err != nil {
+			t.Fatalf("NextPiece after Drain = %v, want the stream served to io.EOF", err)
 		}
-		t.Fatalf("NextPiece after Drain = %v, want ErrDrained", err)
+		if p.Tail != nil {
+			closed++
+			if rus.Drained() {
+				closedDrained++
+			}
+		}
 	}
-	// The server keeps serving after the notice, and the stream ends between
-	// files: the last piece delivered closed its file.
-	if last.Tail == nil {
-		t.Fatalf("the drain surfaced inside file %d (%s), after a batch", last.Index, last.File)
+	// The server keeps serving after the notice: every file arrives, and the
+	// drain is on record at a closing record before the end.
+	if closed != len(files) || closedDrained == 0 {
+		t.Fatalf("the stream closed %d of %d files, %d of them with the drain on record; want all, and the drain recorded at one", closed, len(files), closedDrained)
 	}
 	rus.Close()
 

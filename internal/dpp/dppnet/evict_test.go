@@ -3,24 +3,11 @@ package dppnet
 import (
 	"context"
 	"fmt"
-	"io"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/dpp"
 )
-
-// stubStream is a wireStream that only records whether it was closed —
-// enough to drive the resume table's park/evict paths without a live
-// session behind it.
-type stubStream struct{ closed atomic.Bool }
-
-func (s *stubStream) next(context.Context) (frame, error) { return frame{}, io.EOF }
-func (s *stubStream) recycle(frame)                       {}
-func (s *stubStream) endFollow()                          {}
-func (s *stubStream) stats() dpp.SessionStats             { return dpp.SessionStats{} }
-func (s *stubStream) close() error                        { s.closed.Store(true); return nil }
 
 // TestResumeCapacityEvictionPrefersOldestPark is the regression test for
 // the eviction tiebreak: entries parked within one clock tick share an
@@ -36,12 +23,25 @@ func TestResumeCapacityEvictionPrefersOldestPark(t *testing.T) {
 	fixed := time.Unix(1700000000, 0)
 	s.resumeClock = func() time.Time { return fixed }
 
-	streams := make([]*stubStream, 6)
+	// The parked streams are live unit sessions that nobody reads: closing
+	// one cancels its context, which is all the table's paths do to it.
+	env := newTestEnv(t, 24)
+	svc, err := dpp.New(dpp.Config{Backend: env.store, Catalog: env.catalog})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	streams := make([]*dpp.UnitSession, 6)
+	closed := func(i int) bool { return streams[i].Ctx().Err() != nil }
 	park := func(i int) bool {
-		streams[i] = &stubStream{}
+		us, err := svc.OpenUnits(context.Background(), dpp.Spec{Spec: alignedSpec()}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		streams[i] = us
 		return s.park(&session{
 			token:  fmt.Sprintf("t%d", i),
-			stream: streams[i],
+			stream: newUnitWire(us),
 			cancel: func() {},
 		})
 	}
@@ -69,7 +69,7 @@ func TestResumeCapacityEvictionPrefersOldestPark(t *testing.T) {
 	if got := tokens(); got["t0"] || !got["t1"] || !got["t2"] || !got["t3"] {
 		t.Fatalf("table holds %v, want t1..t3 with the oldest park t0 evicted", got)
 	}
-	if !streams[0].closed.Load() {
+	if !closed(0) {
 		t.Fatal("evicted entry t0 was not closed")
 	}
 	if st := s.Stats(); st.ResumeExpired != 1 {
@@ -87,10 +87,10 @@ func TestResumeCapacityEvictionPrefersOldestPark(t *testing.T) {
 	if got := tokens(); !got["t1"] || got["t2"] || !got["t3"] || !got["t4"] {
 		t.Fatalf("table holds %v, want t1 (in use) kept and t2 evicted", got)
 	}
-	if streams[1].closed.Load() {
+	if closed(1) {
 		t.Fatal("in-use entry t1 was closed by capacity eviction")
 	}
-	if !streams[2].closed.Load() {
+	if !closed(2) {
 		t.Fatal("evicted entry t2 was not closed")
 	}
 	if st := s.Stats(); st.ResumeExpired != 2 {

@@ -10,11 +10,13 @@ import (
 	"net"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/dpp"
+	"repro/internal/reader"
 	"repro/internal/testutil"
 )
 
@@ -31,28 +33,17 @@ func waitActiveSessions(t *testing.T, svc *dpp.Service, want int) {
 		"service session count settles to %d", want)
 }
 
-// faultStream is either kind of remote stream behind one pull signature,
-// so each transport fault runs once per kind of the one client.
+// faultStream is a remote session or its unit stream behind one pull
+// signature, so each transport fault runs once for the one client and once
+// for the cutter on it.
 type faultStream struct {
-	next     func(context.Context) error
-	close    func() error
-	buffered func() int // received items not yet consumed
+	next  func(context.Context) error
+	close func() error
 }
 
-func faultStreamOf[T any](st *stream[T]) *faultStream {
-	return &faultStream{
-		next:  func(ctx context.Context) error { _, err := st.next(ctx); return err },
-		close: st.Close,
-		buffered: func() int {
-			st.mu.Lock()
-			defer st.mu.Unlock()
-			return len(st.recv)
-		},
-	}
-}
-
-// remoteKinds are the two stream kinds: each names its payload frame and
-// opens a Buffer-1 session (files is the unit stream's explicit list).
+// remoteKinds are the remote session and the bare unit stream: each names
+// a payload frame to forge and opens a Buffer-1 session (files is the unit
+// stream's explicit list).
 var remoteKinds = []struct {
 	name  string
 	frame byte
@@ -63,14 +54,14 @@ var remoteKinds = []struct {
 		if err != nil {
 			return nil, err
 		}
-		return faultStreamOf(&rs.stream), nil
+		return &faultStream{func(ctx context.Context) error { _, err := rs.Next(ctx); return err }, rs.Close}, nil
 	}},
 	{"unit", frameFileUnit, func(ctx context.Context, addr string, files []string) (*faultStream, error) {
 		rus, err := NewClient(addr).OpenUnits(ctx, dpp.Spec{Spec: alignedSpec(), Files: files, Buffer: 1}, every(len(files)))
 		if err != nil {
 			return nil, err
 		}
-		return faultStreamOf(&rus.stream), nil
+		return &faultStream{func(ctx context.Context) error { _, err := rus.NextPiece(ctx); return err }, rus.Close}, nil
 	}},
 }
 
@@ -101,7 +92,7 @@ func TestClientVanishDuringSend(t *testing.T) {
 	}
 	// Vanish: kill the socket out from under the session, no protocol
 	// goodbye. The server is mid-stream (window exhausted or filling).
-	rs.conn.Close()
+	rs.units.conn.Close()
 
 	waitActiveSessions(t, h.svc, 0)
 
@@ -181,9 +172,8 @@ func TestServerKillDuringNext(t *testing.T) {
 }
 
 // fakeServer accepts one dppnet connection, replies to the handshake
-// with frameOK — on a unit stream naming a carry of 0 for every served
-// file — then runs inject over the raw connection — the hook for serving
-// protocol garbage a real server never sends.
+// with frameOK, then runs inject over the raw connection — the hook for
+// serving protocol garbage a real server never sends.
 func fakeServer(t *testing.T, inject func(net.Conn)) (addr string, done chan struct{}) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -208,15 +198,10 @@ func fakeServer(t *testing.T, inject func(net.Conn)) (addr string, done chan str
 		if err != nil || typ != frameOpen {
 			return
 		}
-		req, err := decodeOpenRequest(payload)
-		if err != nil {
+		if _, err := decodeOpenRequest(payload); err != nil {
 			return
 		}
-		var ok []byte
-		if req.FileUnits {
-			ok, _ = json.Marshal(okReply{Carries: make([]int, len(req.Serves))})
-		}
-		if err := writeFrame(conn, frameOK, ok); err != nil {
+		if err := writeFrame(conn, frameOK, nil); err != nil {
 			return
 		}
 		inject(conn)
@@ -224,33 +209,100 @@ func fakeServer(t *testing.T, inject func(net.Conn)) (addr string, done chan str
 	return ln.Addr().String(), done
 }
 
-// TestUnitOKCarriesAreChecked: the carries a unit stream's ok reply names
-// decide which of its frames are heads and what the fleet's cutter holds its
-// rows to, so the client refuses, before reading a frame, an ok that names
-// other than one carry per served file, each fewer rows than a batch — and,
-// on a later connection of the same stream, any carries but the first's.
-func TestUnitOKCarriesAreChecked(t *testing.T) {
-	spec := dpp.Spec{Spec: alignedSpec(), Files: []string{"a", "b", "c", "d"}} // 64-row batches
-	serves := []int{0, 2, 3}
-	for name, carries := range map[string][]int{
-		"none":          nil,
-		"one short":     {0, 16},
-		"one over":      {0, 16, 32, 48},
-		"negative":      {0, -16, 32},
-		"a whole batch": {0, 64, 32},
+// TestUnitHeadCarriesAreChecked: a head names the carry it completes, and
+// the stream holds it to what it carries — from the plan's first file on,
+// and across every file it is served after the one before it in the plan.
+// Before anything is sized, the client refuses a carry of a whole batch or
+// more, a head inside a file that has begun, a head completing another carry
+// than the stream holds, a batch frame or closing record where the stream
+// owes a head, and an unknown flag bit; a stream served a file after a gap
+// in the plan takes the head's word for the carry.
+func TestUnitHeadCarriesAreChecked(t *testing.T) {
+	env := newTestEnv(t, 120)
+	files := allFiles(t, env)
+	spec := dpp.Spec{Spec: misalignedSpec(), Files: files} // 48-row batches
+	r, err := reader.NewReader(env.store, spec.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Entered with 8 rows carried, the file's scan opens with a 40-row head:
+	// the rows every forged head and tail below is cut from.
+	scan, err := r.ScanFile(context.Background(), files[0], 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pieces := scan.Pieces()
+	rows, batch := pieces[0].Rows, pieces[1].Batch
+	if len(files) < 3 || rows.Rows() != 40 || batch == nil {
+		t.Fatalf("%d files, a %d-row head and batch %v to forge with; want 3, 40 and a batch", len(files), rows.Rows(), batch)
+	}
+	head := func(carry int) dpp.UnitPiece { return dpp.UnitPiece{Head: rows.Slice(0, 48-carry), Carry: carry} }
+	closing := dpp.UnitPiece{Tail: rows.Slice(0, 16)}
+	// play seals the pieces as the server would and decodes them in order at
+	// a stream serving serves, reporting how many it accepted and the error
+	// that stopped it.
+	play := func(serves []int, pieces ...dpp.UnitPiece) (int, error) {
+		st, err := newUnitStream(context.Background(), &Client{}, spec, serves)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := st.at
+		for i, p := range pieces {
+			var typ byte
+			var payload []byte
+			if p.Batch != nil {
+				body := p.Batch.AppendTo(nil)
+				typ, payload = frameBatch, encodeBatchFrame(at.frames, chainStep(at.chain, body), body)
+			} else {
+				p.Index = at.files
+				unit := appendFileUnit(nil, p)
+				chain, err := chainUnit(at.chain, unit)
+				if err != nil {
+					t.Fatal(err)
+				}
+				typ, payload = frameFileUnit, encodeUnitFrame(chain, unit)
+			}
+			if _, at, err = st.decode(typ, payload, at); err != nil {
+				return i, err
+			}
+		}
+		return len(pieces), nil
+	}
+	b := dpp.UnitPiece{Batch: batch}
+	withFlags := func(p dpp.UnitPiece, flags byte) []byte {
+		unit := appendFileUnit(nil, p)
+		unit[1] = flags
+		return unit
+	}
+	for name, tc := range map[string]struct {
+		serves []int
+		pieces []dpp.UnitPiece
+		want   int
+		says   string
+	}{
+		"well formed":                 {nil, []dpp.UnitPiece{b, closing, head(16), b, closing}, 5, ""},
+		"a head into the first file":  {nil, []dpp.UnitPiece{head(16)}, 0, "completes 16 carried rows, the stream carries 0"},
+		"another carry":               {nil, []dpp.UnitPiece{b, closing, head(32)}, 2, "completes 32 carried rows, the stream carries 16"},
+		"a batch owing a head":        {nil, []dpp.UnitPiece{b, closing, b}, 2, "frame 0x11 where file 1 owes a head completing 16 rows"},
+		"a close owing a head":        {nil, []dpp.UnitPiece{b, closing, closing}, 2, "frame 0x16 where file 1 owes a head completing 16 rows"},
+		"a head after the file began": {nil, []dpp.UnitPiece{b, closing, head(16), head(16)}, 3, "after the file began"},
+		"a head after a gap":          {[]int{0, 2}, []dpp.UnitPiece{b, closing, head(40), closing}, 4, ""},
+		"a head's word after a gap":   {[]int{0, 2}, []dpp.UnitPiece{b, closing, b, closing}, 4, ""},
 	} {
-		var got []int
-		if err := unitKind(spec, serves, &got).accept(okReply{Carries: carries}); err == nil {
-			t.Errorf("%s: ok naming carries %v for %d served files accepted", name, carries, len(serves))
+		n, err := play(tc.serves, tc.pieces...)
+		if n != tc.want || (tc.says == "") != (err == nil) || (err != nil && !strings.Contains(err.Error(), tc.says)) {
+			t.Errorf("%s: accepted %d pieces, then %v; want %d and an error saying %q", name, n, err, tc.want, tc.says)
 		}
 	}
-	var got []int
-	accept := unitKind(spec, serves, &got).accept
-	if err := accept(okReply{Carries: []int{0, 16, 32}}); err != nil || !slices.Equal(got, []int{0, 16, 32}) {
-		t.Fatalf("well-formed carries: %v, kept %v", err, got)
-	}
-	if err := accept(okReply{Carries: []int{0, 16, 48}}); err == nil {
-		t.Fatal("a reconnect's ok naming other carries than the first's accepted")
+	for name, unit := range map[string][]byte{
+		"a whole batch carried": appendFileUnit(nil, dpp.UnitPiece{Head: rows, Carry: 48}),
+		"a carry of none":       slices.Concat([]byte{0, unitHead, 0}, appendFileUnit(nil, closing)[2:]),
+		"an unknown flag bit":   withFlags(closing, 4),
+		"a head marked a hit":   withFlags(head(16), unitHead|unitHit),
+	} {
+		if _, err := decodeFileUnit(unit, spec.ConsumedFeatures(), spec.BatchSize, nil); err == nil {
+			t.Errorf("%s: file unit accepted", name)
+		}
 	}
 }
 
@@ -488,8 +540,8 @@ func TestSilentConnectionIsDropped(t *testing.T) {
 // the whole session down even if the consumer never calls Next or Close
 // afterwards — Open documents cancel as equivalent to Close, so an
 // abandoned RemoteSession may strand neither the server-side slot nor
-// the client's receive goroutine (which at that point is sitting on a
-// full credit window of undelivered batches).
+// the client's receive goroutine and cutter (which at that point hold a
+// full credit window of undelivered pieces).
 func TestAbandonedSessionAfterCancel(t *testing.T) {
 	env := newTestEnv(t, 60)
 	for _, k := range remoteKinds {
@@ -502,9 +554,9 @@ func TestAbandonedSessionAfterCancel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Let the server exhaust the window so the receiver has buffered
-			// items it will never deliver.
-			testutil.Eventually(t, func() bool { return rs.buffered() >= 1 }, "server started streaming")
+			// Let the server exhaust the window, so the client holds pieces
+			// it will never deliver.
+			testutil.Eventually(t, func() bool { return h.srv.Stats().CreditStalls >= 1 }, "server filled the credit window")
 			cancel()
 			_ = rs // abandoned: no Close, no further Next
 

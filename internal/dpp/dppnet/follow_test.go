@@ -13,6 +13,7 @@ import (
 	"repro/internal/dpp"
 	"repro/internal/dpp/landing"
 	"repro/internal/etl"
+	"repro/internal/reader"
 	"repro/internal/testutil"
 )
 
@@ -45,14 +46,28 @@ func landLive(t testing.TB, env *testEnv, hour int64, sessions int) int {
 // the network boundary (run under -race in CI): a remote Follow session
 // opened before files land observes the landings mid-stream, and the
 // batches it delivers are byte-identical to a cold local session opened
-// on the frozen publish-order file list after the fact.
+// on the frozen publish-order file list after the fact — on a table whose
+// batches end on file boundaries, and on one whose batch size carries rows
+// into the landed files, so that their heads arrive on a growing list.
 func TestRemoteFollowMatchesFrozen(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		spec reader.Spec
+	}{
+		{"aligned", alignedSpec()},
+		{"misaligned", misalignedSpec()},
+	} {
+		t.Run(tc.name, func(t *testing.T) { remoteFollowMatchesFrozen(t, tc.spec) })
+	}
+}
+
+func remoteFollowMatchesFrozen(t *testing.T, spec reader.Spec) {
 	before := runtime.NumGoroutine()
 
 	env := newTestEnv(t, 40)
 	h := startServer(t, env, dpp.Config{})
 
-	rs, err := NewClient(h.addr).Open(context.Background(), dpp.Spec{Spec: alignedSpec(), Follow: true})
+	rs, err := NewClient(h.addr).Open(context.Background(), dpp.Spec{Spec: spec, Follow: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +77,7 @@ func TestRemoteFollowMatchesFrozen(t *testing.T) {
 	total := len(env.samples)
 	total += landLive(t, env, 3600, 25)
 	total += landLive(t, env, 7200, 25)
-	batchSize := alignedSpec().BatchSize
+	batchSize := spec.BatchSize
 	full := total / batchSize
 
 	var gotEnc [][]byte
@@ -116,7 +131,7 @@ func TestRemoteFollowMatchesFrozen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer localSvc.Close()
-	sess, err := localSvc.Open(context.Background(), dpp.Spec{Spec: alignedSpec(), Files: files})
+	sess, err := localSvc.Open(context.Background(), dpp.Spec{Spec: spec, Files: files})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,9 +171,10 @@ func TestRemoteFollowEndFollowDrainsToEOF(t *testing.T) {
 	}
 }
 
-// TestFollowResumeRejected: Follow composes with neither resume
-// (client-side refusal, before any dial) nor the file-unit merge
-// (server-side handshake refusal).
+// TestFollowResumeRejected: Follow composes with no resume — refused
+// client-side before any dial by a resuming client's Open, and at the
+// server's handshake for a resumable unit stream — nor with the fleet
+// merge's explicit file list, which has no tail.
 func TestFollowResumeRejected(t *testing.T) {
 	env := newTestEnv(t, 10)
 	h := startServer(t, env, dpp.Config{})
@@ -169,12 +185,16 @@ func TestFollowResumeRejected(t *testing.T) {
 		!strings.Contains(err.Error(), "follow") {
 		t.Fatalf("resuming client opened a follow session: %v", err)
 	}
+	if _, err := resuming.OpenUnits(context.Background(), dpp.Spec{Spec: alignedSpec(), Follow: true}, nil); !errors.Is(err, ErrRemote) ||
+		!strings.Contains(err.Error(), "follow") {
+		t.Fatalf("server admitted a resumable follow session: %v", err)
+	}
 	files, err := env.catalog.AllFiles("tbl")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := NewClient(h.addr).OpenUnits(context.Background(), dpp.Spec{Spec: alignedSpec(), Files: files, Follow: true}, every(len(files))); !errors.Is(err, ErrRemote) ||
-		!strings.Contains(err.Error(), "follow") {
-		t.Fatalf("server admitted a file-unit follow session: %v", err)
+		!strings.Contains(err.Error(), "Follow") {
+		t.Fatalf("server admitted a follow session over an explicit file list: %v", err)
 	}
 }

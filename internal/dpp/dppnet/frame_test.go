@@ -3,6 +3,7 @@ package dppnet
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"io"
@@ -159,50 +160,29 @@ func TestReadFrameIntoReusesAndGrowsToSize(t *testing.T) {
 }
 
 // TestDecodedItemsOutliveTheFrameBuffer: the client reads every frame of
-// a connection into one buffer, so what the decode hooks return must own
-// all of its memory. For both wire kinds, over real recorded streams with
-// complete batches and tail rows: decode a frame, overwrite the buffer it
-// was decoded from, and the item still re-encodes to the bytes the server
-// sent.
+// a connection into one buffer, so what decode returns must own all of its
+// memory. Over real recorded streams, aligned and carrying rows into their
+// files, with complete batches, heads and tail rows: decode a frame,
+// overwrite the buffer it was decoded from, and the piece still re-encodes
+// to the bytes the server sent.
 func TestDecodedItemsOutliveTheFrameBuffer(t *testing.T) {
 	env := newTestEnv(t, 60)
 	h := startServer(t, env, dpp.Config{})
 	files := allFiles(t, env)
 	for _, rs := range []reader.Spec{alignedSpec(), misalignedSpec()} {
 		spec := dpp.Spec{Spec: rs, Files: files}
-
-		batches, _ := recordStream(t, h.addr, spec, false)
-		sent := payloadFrames(batches, frameBatch)
-		chain := chainSeed
-		for i, p := range sent {
-			work := append([]byte(nil), p...)
-			b, next, err := decodeBatch(frameBatch, work, cursor{frames: int64(i), chain: chain})
-			if err != nil {
-				t.Fatalf("batch %d: %v", i, err)
-			}
-			chain = next.chain
-			for j := range work {
-				work[j] = 0xFF
-			}
-			_, _, body, _ := decodeBatchFrame(p)
-			if !bytes.Equal(b.AppendTo(nil), body) {
-				t.Fatalf("batch size %d, batch %d changed when its frame buffer was overwritten", rs.BatchSize, i)
-			}
+		st, err := newUnitStream(context.Background(), &Client{}, spec, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if len(sent) < 2 {
-			t.Fatalf("recorded batch stream has %d frames", len(sent))
-		}
-
-		units, carries := recordStream(t, h.addr, spec, true)
-		frames := unitFrames(units)
-		decode := unitKind(spec, every(len(files)), &carries).decode
-		at := cursor{chain: chainSeed}
+		frames := unitFrames(recordStream(t, h.addr, spec))
+		at := st.at
 		nbatches, tails := 0, 0
 		for i, fr := range frames {
 			work := append([]byte(nil), fr.payload...)
-			u, next, err := decode(fr.typ, work, at)
+			u, next, err := st.decode(fr.typ, work, at)
 			if err != nil {
-				t.Fatalf("unit stream frame %d: %v", i, err)
+				t.Fatalf("frame %d: %v", i, err)
 			}
 			at = next
 			for j := range work {
@@ -212,7 +192,7 @@ func TestDecodedItemsOutliveTheFrameBuffer(t *testing.T) {
 				nbatches++
 				_, _, body, _ := decodeBatchFrame(fr.payload)
 				if !bytes.Equal(u.Batch.AppendTo(nil), body) {
-					t.Fatalf("batch size %d, unit stream batch frame %d changed when its frame buffer was overwritten", rs.BatchSize, i)
+					t.Fatalf("batch size %d, batch frame %d changed when its frame buffer was overwritten", rs.BatchSize, i)
 				}
 				continue
 			}
@@ -225,7 +205,7 @@ func TestDecodedItemsOutliveTheFrameBuffer(t *testing.T) {
 			}
 		}
 		if at.files != len(files) || nbatches < 2 || tails == 0 {
-			t.Fatalf("batch size %d: recorded unit stream closed %d of %d files with %d batch frames, %d tail rows", rs.BatchSize, at.files, len(files), nbatches, tails)
+			t.Fatalf("batch size %d: recorded stream closed %d of %d files with %d batch frames, %d tail rows", rs.BatchSize, at.files, len(files), nbatches, tails)
 		}
 	}
 }
@@ -246,8 +226,7 @@ func TestRecycledFramesResendIdentical(t *testing.T) {
 	env := newTestEnv(t, 120)
 	h := startServer(t, env, dpp.Config{})
 	spec := dpp.Spec{Spec: alignedSpec(), Files: allFiles(t, env)}
-	recorded, _ := recordStream(t, h.addr, spec, false)
-	want := payloadFrames(recorded, frameBatch)
+	want := unitFrames(recordStream(t, h.addr, spec))
 	if len(want) < 2*window+2 {
 		t.Fatalf("reference stream has %d frames, too few to wrap a window of %d", len(want), window)
 	}
@@ -275,14 +254,14 @@ func TestRecycledFramesResendIdentical(t *testing.T) {
 		}
 		return conn, br, ok.Token
 	}
-	// expect reads the next batch frame and holds it to the reference.
+	// expect reads the next payload frame and holds it to the reference.
 	expect := func(br *bufio.Reader, index int, when string) {
 		t.Helper()
 		typ, payload, err := readFrame(br, maxFrameBytes)
-		if err != nil || typ != frameBatch {
+		if err != nil || typ != want[index].typ {
 			t.Fatalf("%s: frame %d = type %#x, %v", when, index, typ, err)
 		}
-		if !bytes.Equal(payload, want[index]) {
+		if !bytes.Equal(payload, want[index].payload) {
 			t.Fatalf("%s: frame %d differs from the uninterrupted stream's", when, index)
 		}
 	}
@@ -345,7 +324,7 @@ func reportPerRow(b *testing.B, batch *reader.Batch) {
 
 // BenchmarkBatchFrameHop is one batch's whole trip across the wire, minus
 // the socket: hopBatch is encoded into a frame buffer, hashed and sealed
-// as batchWire.next does, written through a bufio.Writer into memory, read
+// as unitWire.next does, written through a bufio.Writer into memory, read
 // back as the client's receive loop reads it, verified against the chain
 // and decoded. ns/row is the per-layer number the ladder's remote_warm
 // rows/s sits on; BenchmarkBatchEncode and BenchmarkBatchDecode split out
@@ -354,8 +333,12 @@ func BenchmarkBatchFrameHop(b *testing.B) {
 	batch := hopBatch(b)
 	var pipe bytes.Buffer
 	bw, br := bufio.NewWriter(&pipe), bufio.NewReader(&pipe)
-	server := framer{chain: chainSeed}
-	clientChain := chainSeed
+	server := unitWire{chain: chainSeed}
+	client, err := newUnitStream(context.Background(), &Client{}, dpp.Spec{Spec: alignedSpec()}, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	at := client.at
 	var recv []byte
 	b.ReportAllocs()
 	for i := int64(0); b.Loop(); i++ {
@@ -374,18 +357,17 @@ func BenchmarkBatchFrameHop(b *testing.B) {
 		if err != nil || typ != frameBatch {
 			b.Fatalf("frame %d read back as type %#x, %v", i, typ, err)
 		}
-		got, next, err := decodeBatch(typ, payload, cursor{frames: i, chain: clientChain})
-		if err != nil || got.Size != batch.Size {
+		var got dpp.UnitPiece
+		if got, at, err = client.decode(typ, payload, at); err != nil || got.Batch.Size != batch.Size {
 			b.Fatalf("frame %d: %v", i, err)
 		}
-		clientChain = next.chain
 	}
 	b.SetBytes(int64(len(recv)))
 	reportPerRow(b, batch)
 }
 
 // BenchmarkBatchEncode is the hop's server codec layer alone: the batch
-// appended into a recycled frame buffer, as framer.batch does.
+// appended into a recycled frame buffer, as unitWire.next does.
 func BenchmarkBatchEncode(b *testing.B) {
 	batch := hopBatch(b)
 	var buf []byte
@@ -398,7 +380,7 @@ func BenchmarkBatchEncode(b *testing.B) {
 }
 
 // BenchmarkBatchDecode is the hop's client codec layer alone: a verified
-// frame body decoded into a fresh batch, as the client's decodeBatch does.
+// frame body decoded into a fresh batch, as the client's decode does.
 func BenchmarkBatchDecode(b *testing.B) {
 	batch := hopBatch(b)
 	body := batch.AppendTo(nil)

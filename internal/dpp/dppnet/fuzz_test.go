@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -164,12 +165,12 @@ func TestDecodeServiceStatsRefusesNegativeCounters(t *testing.T) {
 
 // FuzzDecodeResumeHandshake: the v4 open frame is the resume surface —
 // an attacker-supplied offset or token rides in before any session
-// state exists, and since v10 a unit stream's served indices too.
+// state exists, and since v10 a stream's served indices too.
 // decodeOpenRequest on arbitrary bytes either fails cleanly or yields a
 // request within the handshake bounds (offset in [0, maxResumeOffset],
-// token no longer than a minted one can be, served indices on a unit stream
-// only, at least one, strictly increasing inside the file list) whose
-// re-marshalled form decodes back equal.
+// token no longer than a minted one can be, served indices strictly
+// increasing inside the file list) whose re-marshalled form decodes back
+// equal.
 func FuzzDecodeResumeHandshake(f *testing.F) {
 	seed := func(req openRequest) []byte {
 		payload, err := json.Marshal(req)
@@ -184,13 +185,14 @@ func FuzzDecodeResumeHandshake(f *testing.F) {
 	}
 	f.Add(seed(openRequest{Kind: kindSession, Window: 4, Spec: ws}))
 	f.Add(seed(openRequest{
-		Kind: kindSession, Window: 8, Spec: ws, FileUnits: true, Serves: []int{0, 2},
+		Kind: kindSession, Window: 8, Spec: ws, Serves: []int{0, 2},
 		Resumable: true, Offset: 1234, Token: "00112233445566778899aabbccddeeff",
 	}))
-	// Hostile served indices: none, repeated, decreasing, negative, past
-	// the file list, and on a batch session.
+	// Served indices: none (every file), repeated, decreasing, negative and
+	// past the file list; and the retired file_units field, which is
+	// ignored like any unknown one.
 	for _, serves := range [][]int{{}, {1, 1}, {2, 0}, {-1}, {3}, nil} {
-		f.Add(seed(openRequest{Kind: kindSession, Window: 8, Spec: ws, FileUnits: true, Serves: serves}))
+		f.Add(seed(openRequest{Kind: kindSession, Window: 8, Spec: ws, Serves: serves}))
 	}
 	f.Add([]byte(`{"kind":"session","window":8,"file_units":true,"serves":[]}`))
 	f.Add(seed(openRequest{Kind: kindSession, Window: 8, Spec: ws, Serves: []int{0}}))
@@ -214,9 +216,6 @@ func FuzzDecodeResumeHandshake(f *testing.F) {
 		}
 		if len(req.Token) > maxResumeTokenLen {
 			t.Fatalf("accepted %d-byte token", len(req.Token))
-		}
-		if req.FileUnits != (len(req.Serves) > 0) {
-			t.Fatalf("accepted served indices %v on a stream with file units %v", req.Serves, req.FileUnits)
 		}
 		for i, at := range req.Serves {
 			if at < 0 || at >= len(req.Spec.Files) || (i > 0 && at <= req.Serves[i-1]) {
@@ -387,15 +386,22 @@ func fileUnitSeed(p dpp.UnitPiece) []byte {
 	return buf.Bytes()
 }
 
-// FuzzDecodeFileUnit: the file-unit frame closes every file a fleet mux
-// reassembles its merged stream from, so a malicious or corrupt shard
-// must never panic the client. decodeFileUnit on arbitrary bytes either
-// fails cleanly or yields a closing record within every wire bound whose
-// re-encoding decodes back equal — byte-identity of the re-encoding is
-// NOT required, because Uvarint accepts non-minimal varints.
+// FuzzDecodeFileUnit: a unit stream's pieces are what every remote
+// session's cutter and the fleet mux reassemble their batches from, so a
+// malicious or corrupt server must never panic the client. The stream's
+// decode, fed a file-unit frame — or a batch frame — sealed with the
+// stream's own chain at a cursor standing inside a begun file or not, owing
+// a head's carry or not, either fails cleanly before it sizes anything it
+// must refuse, or yields a piece within every wire bound that keeps the
+// stream's carry rule: a head only where a file begins, completing exactly
+// the rows owed, a batch frame or closing record only where no head is
+// owed. An accepted head or closing record re-encodes to a payload that
+// decodes back equal — byte-identity of the re-encoding is NOT required,
+// because Uvarint accepts non-minimal varints.
 func FuzzDecodeFileUnit(f *testing.F) {
 	env := newTestEnv(f, 24)
-	r, err := reader.NewReader(env.store, misalignedSpec())
+	spec := misalignedSpec() // 48-row batches
+	r, err := reader.NewReader(env.store, spec)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -411,68 +417,113 @@ func FuzzDecodeFileUnit(f *testing.F) {
 	}
 	pieces := scan.Pieces()
 	tail := pieces[len(pieces)-1].Rows
-	if n := tail.Rows(); n == 0 || n > 0x7f {
-		f.Fatalf("the seed scan's tail has %d rows, want a one-byte nonzero count to forge", n)
+	if n := tail.Rows(); n == 0 || n > 0x7f || pieces[0].Batch == nil {
+		f.Fatalf("the seed scan's tail has %d rows, want a one-byte nonzero count to forge, behind a batch", n)
 	}
-	full := fileUnitSeed(dpp.UnitPiece{Index: 3, Tail: tail, Hit: true})
-	f.Add(full)
+	// The stream stands at file 3, owed no rows, unless a seed says so.
+	const (
+		noOwed = uint8(1) // owed%49 - 1: 0 rows owed
+		owe16  = uint8(17)
+	)
+	unit := func(p dpp.UnitPiece) []byte { p.Index = 3; return fileUnitSeed(p) }
+	full := unit(dpp.UnitPiece{Tail: tail, Hit: true})
+	f.Add(full, false, false, noOwed)
 	// A file that ends on a batch boundary: the schema, no rows.
-	f.Add(fileUnitSeed(dpp.UnitPiece{Tail: tail.Slice(0, 0)}))
+	f.Add(unit(dpp.UnitPiece{Tail: tail.Slice(0, 0)}), false, false, noOwed)
 	tailAt := len(full) - len(tail.AppendTo(nil))
 	for _, cut := range []int{1, 2, tailAt / 2, tailAt, (tailAt + len(full)) / 2, len(full) - 1} {
-		f.Add(full[:cut])
+		f.Add(full[:cut], false, false, noOwed)
 	}
-	f.Add(append(append([]byte(nil), full...), 0x00)) // trailing byte
+	f.Add(append(append([]byte(nil), full...), 0x00), false, false, noOwed) // trailing byte
 	// Forged header: plausible prefix, then a key count over the cap.
-	forged := binary.AppendUvarint(nil, 1) // index
-	forged = append(forged, 1)             // hit
+	forged := binary.AppendUvarint(nil, 3) // index
+	forged = append(forged, unitHit)       // flags
 	forged = binary.AppendUvarint(forged, 4)
 	forged = binary.AppendUvarint(forged, maxUnitKeys+1)
-	f.Add(forged)
-	// Hit flag outside {0, 1}.
+	f.Add(forged, false, false, noOwed)
+	// An unknown flag bit.
 	bad := append([]byte(nil), full...)
-	bad[binary.PutUvarint(make([]byte, binary.MaxVarintLen64), 3)] = 7
-	f.Add(bad)
+	bad[1] = 7
+	f.Add(bad, false, false, noOwed)
 	// The tail's columns, forged: claiming a row count far past its bytes,
 	// and then one row more than its columns hold.
-	f.Add(append(binary.AppendUvarint(full[:tailAt:tailAt], 1<<23), full[tailAt+1:]...))
-	f.Add(append(binary.AppendUvarint(full[:tailAt:tailAt], uint64(tail.Rows()+1)), full[tailAt+1:]...))
+	f.Add(append(binary.AppendUvarint(full[:tailAt:tailAt], 1<<23), full[tailAt+1:]...), false, false, noOwed)
+	f.Add(append(binary.AppendUvarint(full[:tailAt:tailAt], uint64(tail.Rows()+1)), full[tailAt+1:]...), false, false, noOwed)
+	// Heads: one completing the 16 rows owed, one carrying a whole batch,
+	// one inside a file that has begun, one completing other rows than the
+	// ones owed; a closing record and a batch frame where a head is owed;
+	// and a batch frame inside a begun file.
+	head := unit(dpp.UnitPiece{Head: tail, Carry: 16})
+	f.Add(head, false, false, owe16)
+	f.Add(slices.Concat([]byte{3, unitHead, 48}, head[3:]), false, false, noOwed)
+	f.Add(head, false, true, noOwed)
+	f.Add(head, false, false, uint8(33))
+	f.Add(full, false, false, owe16)
+	batch := pieces[0].Batch.AppendTo(nil)
+	f.Add(batch, true, false, owe16)
+	f.Add(batch, true, true, noOwed)
 
+	consumed := spec.ConsumedFeatures()
 	// The decoding client's spec is the seed scan's: frames that keep its
-	// features keep a populated tail chunk through the round trip.
-	consumed := misalignedSpec().ConsumedFeatures()
-	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := decodeFileUnit(data, consumed)
+	// features keep a populated chunk through the round trip. decode reads
+	// the stream and changes nothing of it.
+	st, err := newUnitStream(context.Background(), &Client{}, dpp.Spec{Spec: spec}, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, batchFrame, began bool, owed uint8) {
+		at := cursor{frames: 9, chain: chainSeed, files: 3, inFile: began, owed: int(owed)%(spec.BatchSize+1) - 1}
+		typ, payload := frameBatch, encodeBatchFrame(at.frames, chainStep(at.chain, data), data)
+		if !batchFrame {
+			chain, err := chainUnit(at.chain, data)
+			if err != nil {
+				return
+			}
+			typ, payload = frameFileUnit, encodeUnitFrame(chain, data)
+		}
+		p, next, err := st.decode(typ, payload, at)
+		owes := !began && at.owed > 0
 		if err != nil {
 			return
 		}
-		if p.Index < 0 || p.Index > maxUnitIndex {
-			t.Fatalf("accepted out-of-range index %d", p.Index)
+		if p.Index != 3 || p.File != "" || next.frames != at.frames+1 {
+			t.Fatalf("accepted piece %d (%q) moved the stream from frame %d to %d", p.Index, p.File, at.frames, next.frames)
 		}
-		if p.File != "" {
-			t.Fatalf("decoded closing record carries a file path %q; the index owns that mapping", p.File)
+		if batchFrame {
+			if owes || p.Batch == nil || p.Head != nil || p.Tail != nil {
+				t.Fatalf("accepted batch frame as %+v where %d rows are owed (file begun: %v)", p, at.owed, began)
+			}
+			return
 		}
-		if p.Tail == nil || p.Batch != nil {
-			t.Fatalf("accepted a closing record with tail %v and batch %v", p.Tail, p.Batch)
+		rows := p.Tail
+		switch {
+		case p.Batch != nil || (p.Head == nil) == (p.Tail == nil):
+			t.Fatalf("accepted file unit as %+v", p)
+		case p.Head != nil && (began || p.Carry <= 0 || p.Carry >= spec.BatchSize || (at.owed >= 0 && p.Carry != at.owed) || p.Hit):
+			t.Fatalf("accepted head completing %d rows (hit %v) where %d are owed (file begun: %v)", p.Carry, p.Hit, at.owed, began)
+		case p.Head != nil:
+			rows = p.Head
+		case owes || p.Carry != 0:
+			t.Fatalf("accepted closing record (carry %d) where %d rows are owed", p.Carry, at.owed)
 		}
-		if len(p.Tail.Keys()) > maxUnitKeys || p.Tail.DenseWidth() > maxUnitDense {
-			t.Fatalf("accepted closing record outside wire bounds: %d keys, dense %d", len(p.Tail.Keys()), p.Tail.DenseWidth())
+		if len(rows.Keys()) > maxUnitKeys || rows.DenseWidth() > maxUnitDense {
+			t.Fatalf("accepted file unit outside wire bounds: %d keys, dense %d", len(rows.Keys()), rows.DenseWidth())
 		}
-		for _, k := range p.Tail.Keys() {
+		for _, k := range rows.Keys() {
 			if len(k) > maxUnitKeyLen {
 				t.Fatalf("accepted %d-byte key", len(k))
 			}
 		}
 		var re bytes.Buffer
 		if err := encodeFileUnit(&re, p); err != nil {
-			t.Fatalf("re-encode of accepted closing record: %v", err)
+			t.Fatalf("re-encode of accepted file unit: %v", err)
 		}
-		back, err := decodeFileUnit(re.Bytes(), consumed)
+		back, err := decodeFileUnit(re.Bytes(), consumed, spec.BatchSize, nil)
 		if err != nil {
-			t.Fatalf("re-decode of accepted closing record: %v", err)
+			t.Fatalf("re-decode of accepted file unit: %v", err)
 		}
 		if !reflect.DeepEqual(p, back) {
-			t.Fatalf("closing record did not round-trip:\n got %#v\nwant %#v", back, p)
+			t.Fatalf("file unit did not round-trip:\n got %#v\nwant %#v", back, p)
 		}
 	})
 }

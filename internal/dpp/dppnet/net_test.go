@@ -278,7 +278,8 @@ func TestRemoteStatszMatchesService(t *testing.T) {
 
 // TestRemoteBackpressureWindow: a consumer that stalls stalls the server
 // at the credit window — the service hands out at most `window` batches
-// while no credits come back, then the drain completes normally.
+// while no credits come back, then the drain completes normally, every
+// batch received either served by the server or cut by the client.
 func TestRemoteBackpressureWindow(t *testing.T) {
 	env := newTestEnv(t, 60)
 	h := startServer(t, env, dpp.Config{})
@@ -302,8 +303,9 @@ func TestRemoteBackpressureWindow(t *testing.T) {
 	if len(got) < 2 {
 		t.Fatalf("drain returned %d batches, want a multi-batch scan", len(got))
 	}
-	if n := h.svc.Stats().BatchesServed; n != int64(len(got)) {
-		t.Fatalf("service served %d batches, client received %d", n, len(got))
+	cut := rs.cut.Stats().BatchesProduced
+	if n := h.svc.Stats().BatchesServed; n+cut != int64(len(got)) {
+		t.Fatalf("service served %d batches and the client cut %d, client received %d", n, cut, len(got))
 	}
 }
 
@@ -374,9 +376,9 @@ func TestRemoteSessionContextCancellation(t *testing.T) {
 			// racing it may see the connection error instead; both are
 			// prompt teardown, but a hang or a clean EOF stream is not.
 			var terminal bool
-			rs.mu.Lock()
-			terminal = rs.termErr != nil
-			rs.mu.Unlock()
+			rs.units.mu.Lock()
+			terminal = rs.units.termErr != nil
+			rs.units.mu.Unlock()
 			if !terminal {
 				t.Fatalf("Next after cancel = %v, want context/teardown error", err)
 			}

@@ -7,14 +7,24 @@
 // per session. A connection opens with a fixed magic + version, then a
 // JSON handshake frame carrying the dpp.Spec (transforms encoded by
 // name + parameters) and the client's receive window. After the server
-// acks, preprocessed batches flow server→client framed with the existing
-// reader.Batch wire codec, followed by a trailing dpp.SessionStats frame
-// and an EOF frame; errors travel as error frames in either direction of
-// the session's life.
+// acks, the session's unit stream flows server→client: per file, in
+// file-list order, the file's head when rows are carried into it, its
+// complete batches framed with the reader.Batch wire codec, each as the
+// server cuts it, and a closing record with the tail rows — followed by a
+// trailing dpp.SessionStats frame and an EOF frame; errors travel as error
+// frames in either direction of the session's life.
+//
+// There is one stream kind. The server opens every session as a
+// dpp.UnitSession, and the client does the cutting: a RemoteSession
+// (Client.Open) is a fleet of one, the unit stream of every file of the
+// plan joined into batches by the reader's one cutter on the client, as a
+// fleet session (dppshard) joins the unit streams of its shards. The client
+// half is written once (stream.go, RemoteUnitSession): receive, reconnect,
+// credit and close.
 //
 // Backpressure is a credit window, not just TCP buffering: the server
-// may have at most `window` unacknowledged batch frames in flight and
-// blocks — without pulling further batches from the underlying session,
+// may have at most `window` unacknowledged payload frames in flight and
+// blocks — without pulling further pieces from the underlying session,
 // so the session's own Buffer backpressure composes — until the client
 // returns credits as it consumes. Cancellation is prompt in both
 // directions: a client that closes (or whose Open context is cancelled)
@@ -23,16 +33,13 @@
 // hang.
 //
 // The remote session (Client.Open) satisfies dpp.Stream, and its batch
-// stream and deterministic stats are byte-identical to a local session
-// with the same spec — pinned under -race by TestRemoteSessionMatchesLocal.
-// The client half is written once (stream.go): RemoteSession and the
-// fleet's RemoteUnitSession (Client.OpenUnits) are the same receive /
-// reconnect / credit / close core over two stream kinds, differing only in
-// the data a kind supplies and two hooks. A unit stream serves a file while
-// it is computed: the file's batches travel as ordinary batch frames, each
-// as the shard cuts it, and file-unit frames carry the rows only the client
-// can place — the file's head, when rows are carried into it, and the tail
-// that closes it.
+// stream and deterministic stats — the server's trailer plus the client
+// cutter's work — are byte-identical to a local session with the same spec,
+// pinned under -race by TestRemoteSessionMatchesLocal. A unit stream serves
+// a file while it is computed: the file's batches travel as ordinary batch
+// frames, and file-unit frames carry the rows only the client can place —
+// the file's head, which names the carry it completes, and the tail that
+// closes it.
 // A server additionally answers "statsz" handshakes with the service's
 // aggregate dpp.Stats (Client.ServiceStats), the wire form of /statsz,
 // and "tablez" handshakes with the served table's metadata (schema
@@ -69,7 +76,7 @@ import (
 // mixed-version pair never handshakes and then mis-decodes the stream.
 const (
 	protoMagic   = "DPPN"
-	protoVersion = 11
+	protoVersion = 12
 )
 
 // versionRefusal is what a client speaking version v is told. It is the
@@ -92,6 +99,8 @@ func versionRefusal(v byte) error {
 		retiredBy = "v10 opens a unit stream on the global file list and the indices it serves, names their carries in ok, and ships a carried-into file's head in a file-unit frame"
 	case v == 10:
 		retiredBy = "v11 ships a file unit's rows without their row keys"
+	case v == 11:
+		retiredBy = "v12 serves every session as a unit stream cut by the client, and a file-unit head names the carry it completes"
 	default:
 		return fmt.Errorf("dppnet: protocol v%d is newer than this server's v%d; upgrade the server", v, protoVersion)
 	}
@@ -124,14 +133,14 @@ const (
 	frameError = byte(0x14)
 	// frameSvcStats answers a statsz handshake with JSON dpp.Stats.
 	frameSvcStats = byte(0x15)
-	// frameFileUnit carries rows of one file of a file-unit session: subset
-	// index, cache-hit flag, schema, and the rows' columns (unitwire.go).
-	// It is the file's head, ahead of its batch frames, when the ok reply
-	// carries rows into the file, and it closes the file with its tail
-	// after them. Fleet shards stream file-aligned pieces instead of one
-	// batch stream so the client-side merge can join carry-crossing batches
-	// itself. The payload is prefixed with the stream's rolling chain hash
-	// (see sealFrame).
+	// frameFileUnit carries rows of one file of a unit stream: subset
+	// index, flags, the carry of a head, schema, and the rows' columns
+	// (unitwire.go). A head, ahead of the file's batch frames, completes
+	// the rows the plan carries into the file and names how many those are;
+	// a closing record, after them, carries the file's tail. Servers stream
+	// file-aligned pieces instead of one batch stream so the client's cutter
+	// can join carry-crossing batches itself. The payload is prefixed with
+	// the stream's rolling chain hash (see sealFrame).
 	frameFileUnit = byte(0x16)
 	// frameTablez answers a tablez handshake with the JSON TableMeta of
 	// the served table: name, dense width, file plan per partition, and
@@ -139,10 +148,10 @@ const (
 	frameTablez = byte(0x17)
 	// frameDrain (server→client, empty payload) tells a still-active
 	// session that the server is draining. The server keeps serving after
-	// sending it. What it means is the stream kind's to say
-	// (kind.drainSurfaces): a batch stream rides the drain out on the
-	// draining server, a unit stream ends with ErrDrained so that the
-	// fleet multiplexer re-routes the files it has not been served.
+	// sending it, and the client records it (RemoteUnitSession.Drained):
+	// a fleet multiplexer moves the files it has not been served to
+	// another shard at the next file boundary, a consumer with nowhere
+	// else to go rides the drain out.
 	frameDrain = byte(0x18)
 	// frameExtend announced a Follow session's newly landed files in v6
 	// and v7; no client ever acted on it. The number stays reserved so
@@ -171,24 +180,19 @@ const (
 
 // openRequest is the JSON handshake payload.
 type openRequest struct {
-	// Kind selects the conversation: "session" streams batches for Spec;
+	// Kind selects the conversation: "session" streams Spec's unit stream;
 	// "statsz" returns the service's aggregate stats and closes;
 	// "tablez" returns the served table's metadata and closes.
 	Kind string `json:"kind"`
-	// Window is the client's receive window in payload frames: batches,
-	// and on a file-unit stream the file-unit frames too (session kind).
+	// Window is the client's receive window in payload frames: batch and
+	// file-unit frames alike (session kind).
 	Window int `json:"window,omitempty"`
 	// Spec is the wire form of the dpp.Spec to open (session kind).
 	Spec *wireSpec `json:"spec,omitempty"`
-	// FileUnits switches the session to file-unit streaming
-	// (dpp.Service.OpenUnits): each file's head, batches and closing
-	// record, in file-list order, instead of one batch stream. The fleet
-	// multiplexer's mode.
-	FileUnits bool `json:"file_units,omitempty"`
-	// Serves, on a file-unit stream and only there, are the indices into
-	// Spec.Files — the fleet's global file list — of the files the stream
-	// serves, strictly increasing. The server plans the whole list, so each
-	// served file is cut for the rows every file before it carries in,
+	// Serves are the indices into Spec.Files — the fleet's global file
+	// list — of the files the stream serves, strictly increasing; empty
+	// serves every file of the plan. The server plans the whole list, so
+	// each served file is cut for the rows every file before it carries in,
 	// wherever those are served.
 	Serves []int `json:"serves,omitempty"`
 	// Resumable asks the server to issue a resume token in ok and to
@@ -251,24 +255,19 @@ func decodeOpenRequest(payload []byte) (openRequest, error) {
 	if len(req.AuthToken) > maxAuthTokenLen {
 		return openRequest{}, fmt.Errorf("dppnet: handshake auth token of %d bytes exceeds limit %d", len(req.AuthToken), maxAuthTokenLen)
 	}
-	if req.FileUnits || req.Serves != nil {
-		files := 0
-		if req.Spec != nil {
-			files = len(req.Spec.Files)
-		}
-		if err := checkServes(req.FileUnits, req.Serves, files); err != nil {
-			return openRequest{}, err
-		}
+	files := 0
+	if req.Spec != nil {
+		files = len(req.Spec.Files)
+	}
+	if err := checkServes(req.Serves, files); err != nil {
+		return openRequest{}, err
 	}
 	return req, nil
 }
 
-// checkServes holds a unit stream's served indices to what the stream
-// needs: at least one, strictly increasing, each inside the files.
-func checkServes(units bool, serves []int, files int) error {
-	if !units || len(serves) == 0 {
-		return fmt.Errorf("dppnet: a file-unit stream names the files it serves, and only it does")
-	}
+// checkServes holds a stream's served indices to what the stream needs:
+// strictly increasing, each inside the files; none serves them all.
+func checkServes(serves []int, files int) error {
 	for i, at := range serves {
 		if at < 0 || at >= files || (i > 0 && at <= serves[i-1]) {
 			return fmt.Errorf("dppnet: served index %d is not an increasing index of %d files", at, files)
@@ -278,15 +277,11 @@ func checkServes(units bool, serves []int, files int) error {
 }
 
 // okReply is the JSON payload of a session ok frame. It is empty for a
-// batch session that cannot resume.
+// session that cannot resume.
 type okReply struct {
 	// Token names the server-side resumable state for this session;
 	// present only when the handshake asked for a resumable session.
 	Token string `json:"token,omitempty"`
-	// Carries, on a file-unit stream, are the rows the server's plan
-	// carries into each served file, in order: where the stream's heads
-	// and batches fall, which the client's cutter holds its rows to.
-	Carries []int `json:"carries,omitempty"`
 }
 
 func decodeOKReply(payload []byte) (okReply, error) {

@@ -14,24 +14,20 @@ import (
 	"testing"
 
 	"repro/internal/dpp"
+	"repro/internal/reader"
 )
 
-// recordStream plays a real session against a live server — a unit stream
-// serving every file, if units — and returns the server→client bytes after
-// the handshake's ok — a frame stream exactly as the receive loop reads it —
-// and the carries the ok named. The window covers the whole stream, so the
+// recordStream plays a real session against a live server and returns
+// the server→client bytes after the handshake's ok — a frame stream exactly
+// as the receive loop reads it. The window covers the whole stream, so the
 // server never waits for a credit.
-func recordStream(t testing.TB, addr string, spec dpp.Spec, units bool) (stream []byte, carries []int) {
+func recordStream(t testing.TB, addr string, spec dpp.Spec) []byte {
 	t.Helper()
 	ws, err := encodeSpec(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := openRequest{Kind: kindSession, Window: dpp.MaxWindow, Spec: ws}
-	if units {
-		req.FileUnits, req.Serves = true, every(len(spec.Files))
-	}
-	payload, err := json.Marshal(req)
+	payload, err := json.Marshal(openRequest{Kind: kindSession, Window: dpp.MaxWindow, Spec: ws})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,10 +43,6 @@ func recordStream(t testing.TB, addr string, spec dpp.Spec, units bool) (stream 
 	if err != nil || typ != frameOK {
 		t.Fatalf("handshake reply = frame %#x %q, %v", typ, reply, err)
 	}
-	ok, err := decodeOKReply(reply)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// The server holds the connection until its frames are acknowledged,
 	// so stop at the eof frame. writeFrame is the server's own encoder:
 	// re-framing what readFrame returned gives back the bytes it sent.
@@ -62,7 +54,7 @@ func recordStream(t testing.TB, addr string, spec dpp.Spec, units bool) (stream 
 		}
 		writeFrame(&data, typ, payload)
 		if typ == frameEOF {
-			return data.Bytes(), ok.Carries
+			return data.Bytes()
 		}
 	}
 }
@@ -128,13 +120,17 @@ func controlFrame(typ byte, payload string) []byte {
 	return buf.Bytes()
 }
 
-// runReceive feeds data to one receive loop as its connection's bytes — a
-// bufio.Reader, no socket — and returns every message it delivered, having
-// checked the terminal rule: exactly one terminal message, and it is last.
-func runReceive[T any](t *testing.T, data []byte, k kind[T]) (items []remoteMsg[T], end error) {
-	st := &stream[T]{client: &Client{}, kind: k, ws: &wireSpec{}, ctx: context.Background(), done: make(chan struct{})}
-	recv := make(chan remoteMsg[T])
-	go st.receive(bufio.NewReader(bytes.NewReader(data)), recv, func() {}, cursor{chain: chainSeed})
+// runReceive feeds data to one receive loop of a stream over spec's files
+// as its connection's bytes — a bufio.Reader, no socket — and returns every
+// message it delivered, having checked the terminal rule: exactly one
+// terminal message, and it is last — and whether it recorded a drain.
+func runReceive(t *testing.T, data []byte, spec dpp.Spec) (items []remoteMsg, end error, drained bool) {
+	st, err := newUnitStream(context.Background(), &Client{}, spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recv := make(chan remoteMsg)
+	go st.receive(bufio.NewReader(bytes.NewReader(data)), recv, func() {}, st.at)
 	for m := range recv {
 		if end != nil {
 			t.Fatalf("message after the terminal %v: %+v", end, m)
@@ -148,7 +144,7 @@ func runReceive[T any](t *testing.T, data []byte, k kind[T]) (items []remoteMsg[
 	if end == nil {
 		t.Fatalf("receive closed its channel after %d items without a terminal message", len(items))
 	}
-	return items, end
+	return items, end, st.Drained()
 }
 
 // forgedUnitStreams are unit streams no recording has, built with the
@@ -156,14 +152,14 @@ func runReceive[T any](t *testing.T, data []byte, k kind[T]) (items []remoteMsg[
 // before it (a file shorter than a batch: legal, and delivered), a closing
 // record whose index skips a file (refused), and a batch frame behind the
 // eof frame (never read).
-func forgedUnitStreams(t testing.TB, real []byte, consumed []string) (bare, skips, late []byte) {
+func forgedUnitStreams(t testing.TB, real []byte, spec dpp.Spec) (bare, skips, late []byte) {
 	t.Helper()
 	frames := unitFrames(real)
 	_, body, err := decodeUnitFrame(frames[len(frames)-1].payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	closing, err := decodeFileUnit(body, consumed)
+	closing, err := decodeFileUnit(body, spec.ConsumedFeatures(), spec.BatchSize, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,20 +181,17 @@ func forgedUnitStreams(t testing.TB, real []byte, consumed []string) (bare, skip
 }
 
 // FuzzClientReceive: the one receive loop parses whatever a server — or
-// whoever sits on the path — sends. On arbitrary bytes, for either kind, it
-// must never panic, must deliver exactly one terminal message, and must
-// never deliver an item whose index and chain hash the test's own walk of
-// the same bytes does not confirm. The unit stream is recorded with a batch
-// size that carries rows into every file but the first, so its files open
-// with heads.
+// whoever sits on the path — sends. On arbitrary bytes it must never panic,
+// must deliver exactly one terminal message, and must never deliver a piece
+// whose index, chain hash and carry the test's own walk of the same bytes
+// does not confirm. Two streams are recorded: one whose batches end on
+// every file boundary, and one whose batch size carries rows into every
+// file but the first, so its files open with heads.
 func FuzzClientReceive(f *testing.F) {
 	env := newTestEnv(f, 60)
 	h := startServer(f, env, dpp.Config{})
 	files := allFiles(f, env)
-	spec := dpp.Spec{Spec: alignedSpec(), Files: files}
-	unitSpec := dpp.Spec{Spec: misalignedSpec(), Files: files}
-	tail := unitSpec.ConsumedFeatures()
-	var carries []int
+	spec := dpp.Spec{Spec: misalignedSpec(), Files: files}
 
 	// Control frames a server may — or, the last three, may no longer —
 	// interleave with the stream: the empty drain frame, one with a v7
@@ -209,15 +202,9 @@ func FuzzClientReceive(f *testing.F) {
 		controlFrame(frameExtend, `{"files":["landed"]}`),
 		controlFrame(0x7f, "?"),
 	}
-	for _, units := range []bool{false, true} {
-		sp := spec
-		if units {
-			sp = unitSpec
-		}
-		real, got := recordStream(f, h.addr, sp, units)
-		if units {
-			carries = got
-		}
+	for _, rs := range []reader.Spec{alignedSpec(), misalignedSpec()} {
+		sp := dpp.Spec{Spec: rs, Files: files}
+		real := recordStream(f, h.addr, sp)
 		frames := splitFrames(f, real)
 		if len(frames) < 4 { // two payload frames, stats, eof
 			f.Fatalf("recorded stream has only %d frames", len(frames))
@@ -236,8 +223,8 @@ func FuzzClientReceive(f *testing.F) {
 		for _, c := range interleaved { // each control frame after the first item
 			f.Add(slices.Concat(frames[0], c, real[len(frames[0]):]))
 		}
-		if units {
-			bare, skips, late := forgedUnitStreams(f, real, tail)
+		if rs.BatchSize == spec.BatchSize {
+			bare, skips, late := forgedUnitStreams(f, real, sp)
 			f.Add(bare)
 			f.Add(skips)
 			f.Add(late)
@@ -246,27 +233,14 @@ func FuzzClientReceive(f *testing.F) {
 	h.shutdown(f)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		batches, _ := runReceive(t, data, batchKind)
-		sent, chain := payloadFrames(data, frameBatch), chainSeed
-		for i, m := range batches {
-			if i >= len(sent) {
-				t.Fatalf("delivered %d batches from %d batch frames", len(batches), len(sent))
-			}
-			idx, stamp, body, err := decodeBatchFrame(sent[i])
-			chain = chainStep(chain, body)
-			if err != nil || idx != int64(i) || stamp != chain || m.at.chain != chain {
-				t.Fatalf("delivered batch %d unverified: frame index %d (%v), stamp %#x, chain %#x, reported %#x",
-					i, idx, err, stamp, chain, m.at.chain)
-			}
-		}
-
-		// A unit stream's items are its payload frames of both types, one
+		// The stream's pieces are its payload frames of both types, one
 		// index sequence over them all; a batch belongs to the file the next
-		// closing record names, a file carried into opens with a head, and
-		// closing records count the files up.
-		pieces, _ := runReceive(t, data, unitKind(unitSpec, every(len(files)), &carries))
-		frames, file, began := unitFrames(data), 0, false
-		chain = chainSeed
+		// closing record names, a file carried into opens with a head
+		// completing exactly the rows carried, and closing records count the
+		// files up.
+		pieces, _, _ := runReceive(t, data, spec)
+		frames, file, began, owed := unitFrames(data), 0, false, 0
+		chain := chainSeed
 		for i, m := range pieces {
 			if i >= len(frames) {
 				t.Fatalf("delivered %d pieces from %d payload frames", len(pieces), len(frames))
@@ -274,15 +248,20 @@ func FuzzClientReceive(f *testing.F) {
 			var stamp uint64
 			var err error
 			rows := frames[i].typ == frameFileUnit
-			head := rows && !began && file < len(carries) && carries[file] > 0
-			closes := rows && !head
+			head, carry := false, 0
 			if rows {
 				var body []byte
 				if stamp, body, err = decodeUnitFrame(frames[i].payload); err == nil {
 					chain, err = chainUnit(chain, body)
 				}
-				if idx, _ := binary.Uvarint(body); err == nil && idx != uint64(file) {
+				if idx, n := binary.Uvarint(body); err == nil && idx != uint64(file) {
 					err = fmt.Errorf("file-unit frame of file %d", idx)
+				} else if err == nil {
+					head = body[n]&unitHead != 0
+					if head {
+						c, _ := binary.Uvarint(body[n+1:])
+						carry = int(c)
+					}
 				}
 			} else {
 				var idx int64
@@ -293,14 +272,25 @@ func FuzzClientReceive(f *testing.F) {
 					err = fmt.Errorf("batch frame index %d", idx)
 				}
 			}
+			closes := rows && !head
+			if err == nil && !began && (head != (owed > 0) || carry != owed) {
+				err = fmt.Errorf("file %d opened with head %v completing %d rows; %d are carried", file, head, carry, owed)
+			}
 			if err != nil || stamp != chain || m.at.chain != chain || file >= len(files) ||
 				m.item.Index != file || m.item.File != files[file] || closes != (m.item.Tail != nil) ||
-				head != (m.item.Head != nil) || rows == (m.item.Batch != nil) {
+				head != (m.item.Head != nil) || rows == (m.item.Batch != nil) || m.item.Carry != carry {
 				t.Fatalf("delivered piece %d of file %d unverified: frame %#x (%v), stamp %#x, chain %#x, reported %#x as file %d %q",
 					i, file, frames[i].typ, err, stamp, chain, m.at.chain, m.item.Index, m.item.File)
 			}
+			switch {
+			case head:
+				owed = (carry + m.item.Head.Rows()) % spec.BatchSize
+			case !began:
+				owed = 0
+			}
 			began = !closes
 			if closes {
+				owed = (owed + m.item.Tail.Rows()) % spec.BatchSize
 				file++
 			}
 		}
@@ -308,34 +298,27 @@ func FuzzClientReceive(f *testing.F) {
 }
 
 // TestClientReceiveRecordedStreams: the fuzz harness's ground truth — a
-// recorded real stream of either kind delivers every item and ends in
-// io.EOF; each corruption the seed corpus carries ends it early with an
-// error; and the control frames follow the protocol's table: an empty
-// drain is advisory on a batch stream and ends a unit stream with
-// ErrDrained, a drain with a payload and the retired extend frame (0x19)
-// are protocol errors that name what arrived.
+// recorded real stream, aligned or carrying rows into its files, delivers
+// every piece and ends in io.EOF; each corruption the seed corpus carries
+// ends it early with an error; and the control frames follow the protocol's
+// table: an empty drain is recorded and the stream runs on to its end, a
+// drain with a payload and the retired extend frame (0x19) are protocol
+// errors that name what arrived.
 func TestClientReceiveRecordedStreams(t *testing.T) {
 	env := newTestEnv(t, 60)
 	h := startServer(t, env, dpp.Config{})
 	files := allFiles(t, env)
-	spec := dpp.Spec{Spec: alignedSpec(), Files: files}
-
-	tail := spec.ConsumedFeatures()
-	carries := make([]int, len(files))
-	count := func(data []byte, units bool) (int, error) {
-		if units {
-			items, end := runReceive(t, data, unitKind(spec, every(len(files)), &carries))
-			return len(items), end
+	for _, rs := range []reader.Spec{alignedSpec(), misalignedSpec()} {
+		spec := dpp.Spec{Spec: rs, Files: files}
+		count := func(data []byte) (int, error, bool) {
+			items, end, drained := runReceive(t, data, spec)
+			return len(items), end, drained
 		}
-		items, end := runReceive(t, data, batchKind)
-		return len(items), end
-	}
-	for _, units := range []bool{false, true} {
-		real, _ := recordStream(t, h.addr, spec, units)
+		real := recordStream(t, h.addr, spec)
 		first := len(splitFrames(t, real)[0])
-		total, end := count(real, units)
+		total, end, _ := count(real)
 		if end != io.EOF || total < 2 {
-			t.Fatalf("units=%v: recorded stream delivered %d items to %v, want several to io.EOF", units, total, end)
+			t.Fatalf("batch size %d: recorded stream delivered %d items to %v, want several to io.EOF", rs.BatchSize, total, end)
 		}
 		swapped := append([]byte(nil), real...)
 		swapped[first+first/2] ^= 0x40 // inside the second frame's content
@@ -343,51 +326,27 @@ func TestClientReceiveRecordedStreams(t *testing.T) {
 		after := func(typ byte, payload string) []byte {
 			return slices.Concat(real[:first], controlFrame(typ, payload), real[first:])
 		}
-		drained := struct {
-			want int
-			says string
-		}{total, "EOF"} // advisory: the batch stream runs on to its end
-		if units {
-			// The notice arrives inside file 0 — behind its first batch —
-			// and surfaces once the file's closing record has been read.
-			closed := slices.IndexFunc(unitFrames(real), func(fr typedFrame) bool { return fr.typ == frameFileUnit })
-			if closed < 2 {
-				t.Fatalf("file 0 of the recorded unit stream closes at frame %d; the drain case needs a multi-batch file", closed)
-			}
-			drained.want, drained.says = closed+1, ErrDrained.Error()
-		}
+		bare, skips, late := forgedUnitStreams(t, real, spec)
 		for name, tc := range map[string]struct {
-			data []byte
-			want int
-			says string // what the terminal error must say; "" for any error but EOF
+			data    []byte
+			want    int
+			says    string // what the terminal error must say; "" for any error but EOF
+			drained bool
 		}{
-			"truncated":          {real[:first+first/2], 1, ""},
-			"out of order":       {real[first:], 0, ""},
-			"chain swap":         {swapped, 1, ""},
-			"drain":              {after(frameDrain, ""), drained.want, drained.says},
-			"drain with payload": {after(frameDrain, `{"token":"t","offset":1}`), 1, "drain frame with a 24-byte payload"},
-			"retired extend":     {after(0x19, `{"files":["landed"]}`), 1, "unexpected frame 0x19"},
+			"truncated":                      {real[:first+first/2], 1, "", false},
+			"out of order":                   {real[first:], 0, "", false},
+			"chain swap":                     {swapped, 1, "", false},
+			"drain":                          {after(frameDrain, ""), total, "EOF", true},
+			"drain with payload":             {after(frameDrain, `{"token":"t","offset":1}`), 1, "drain frame with a 24-byte payload", false},
+			"retired extend":                 {after(0x19, `{"files":["landed"]}`), 1, "unexpected frame 0x19", false},
+			"closing record with no batches": {bare, 1, "EOF", false},
+			"closing record index skips":     {skips, 0, "file unit 1 out of order", false},
+			"batch frame after eof":          {late, total, "EOF", false},
 		} {
-			n, end := count(tc.data, units)
-			if n != tc.want || end == nil || !strings.Contains(end.Error(), tc.says) || (tc.says == "" && end == io.EOF) {
-				t.Fatalf("units=%v %s: delivered %d items to %v, want %d and an error saying %q", units, name, n, end, tc.want, tc.says)
-			}
-		}
-		if !units {
-			continue
-		}
-		bare, skips, late := forgedUnitStreams(t, real, tail)
-		for name, tc := range map[string]struct {
-			data []byte
-			want int
-			says string
-		}{
-			"closing record with no batches": {bare, 1, "EOF"},
-			"closing record index skips":     {skips, 0, "file unit 1 out of order"},
-			"batch frame after eof":          {late, total, "EOF"},
-		} {
-			if n, end := count(tc.data, true); n != tc.want || end == nil || !strings.Contains(end.Error(), tc.says) {
-				t.Fatalf("%s: delivered %d items to %v, want %d and %q", name, n, end, tc.want, tc.says)
+			n, end, drained := count(tc.data)
+			if n != tc.want || end == nil || !strings.Contains(end.Error(), tc.says) || (tc.says == "" && end == io.EOF) || drained != tc.drained {
+				t.Fatalf("batch size %d %s: delivered %d items to %v (drain recorded: %v), want %d and an error saying %q (drain recorded: %v)",
+					rs.BatchSize, name, n, end, drained, tc.want, tc.says, tc.drained)
 			}
 		}
 	}

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/dpp"
-	"repro/internal/reader"
 )
 
 // The resumable-session table's bounds: how long a dropped session stays
@@ -28,91 +27,43 @@ const (
 // client falls back to offset replay.
 const resumeParkWait = 2 * time.Second
 
-// wireStream adapts the two session kinds (batch and file-unit) to the
-// unified serving loop: next returns the next frame, complete — type,
-// length, stream index and rolling chain hash already stamped — so the
-// loop, and the resume table's retained-frame buffer, handle both kinds
-// identically. A frame's buffer belongs to whoever holds the frame until
-// it goes back through recycle: the loop returns it once the frame can no
-// longer be resent (written, for a session that cannot resume; confirmed
-// consumed, for one that can), so a stream has at most window+1 buffers.
-type wireStream interface {
-	next(ctx context.Context) (frame, error)
-	recycle(frame)
-	// endFollow ends a Follow session's tail; a no-op on any other.
-	endFollow()
-	stats() dpp.SessionStats
-	close() error
-}
-
-// framer is what the two kinds share: the rolling chain value, the index of
-// the stream's next payload frame, and the frame buffers, each handed out
-// holding frameReserve bytes of header room for the content to be appended
-// behind. It is used from one goroutine at a time — the serving loop of the
-// connection, or of the next one after a park.
-type framer struct {
+// unitWire streams a unit session piece by piece, each piece a complete
+// frame — type, length, stream index and rolling chain hash already stamped —
+// so the serving loop and the resume table's retained-frame buffer handle
+// frames alone: a file's batches as batch frames, indexed in the one
+// sequence every payload frame of the stream shares, and its head and
+// closing record as file-unit frames, chain | appendFileUnit payload. The
+// chain skips that payload's cache-hit bit (chainUnit), so a replayed file
+// hashes identically whether it was a hit or a re-decode.
+//
+// A frame's buffer belongs to whoever holds the frame until it goes back
+// through recycle: the loop returns it once the frame can no longer be
+// resent (written, for a session that cannot resume; confirmed consumed,
+// for one that can), so a stream has at most window+1 buffers, each handed
+// out holding frameReserve bytes of header room for the content to be
+// appended behind. It is used from one goroutine at a time — the serving
+// loop of the connection, or of the next one after a park.
+type unitWire struct {
+	us    *dpp.UnitSession
 	chain uint64
 	idx   int64
 	free  [][]byte
 }
 
-func (f *framer) buffer() []byte {
-	if n := len(f.free); n > 0 {
-		buf := f.free[n-1]
-		f.free = f.free[:n-1]
+func newUnitWire(us *dpp.UnitSession) *unitWire {
+	return &unitWire{us: us, chain: chainSeed}
+}
+
+func (u *unitWire) buffer() []byte {
+	if n := len(u.free); n > 0 {
+		buf := u.free[n-1]
+		u.free = u.free[:n-1]
 		return buf[:frameReserve]
 	}
 	return make([]byte, frameReserve)
 }
 
-func (f *framer) recycle(fr frame) { f.free = append(f.free, fr.buf) }
-
-// batch is the stream's next frame, a batch frame: uvarint index | chain |
-// batch.
-func (f *framer) batch(b *reader.Batch) frame {
-	buf := b.AppendTo(f.buffer())
-	f.chain = chainStep(f.chain, buf[frameReserve:])
-	fr := sealFrame(buf, frameBatch, f.idx, f.chain)
-	f.idx++
-	return fr
-}
-
-// batchWire streams a batch session: batch frames.
-type batchWire struct {
-	framer
-	sess *dpp.Session
-}
-
-func newBatchWire(sess *dpp.Session) *batchWire {
-	return &batchWire{sess: sess, framer: framer{chain: chainSeed}}
-}
-
-func (b *batchWire) next(ctx context.Context) (frame, error) {
-	bt, err := b.sess.Next(ctx)
-	if err != nil {
-		return frame{}, err
-	}
-	return b.batch(bt), nil
-}
-
-func (b *batchWire) endFollow()              { b.sess.EndFollow() }
-func (b *batchWire) stats() dpp.SessionStats { return b.sess.Stats() }
-func (b *batchWire) close() error            { return b.sess.Close() }
-
-// unitWire streams a unit session piece by piece: a file's batches as batch
-// frames, indexed in the one sequence every payload frame of the stream
-// shares, and its head and closing record as file-unit frames, chain |
-// appendFileUnit payload. The chain skips that payload's cache-hit byte
-// (chainUnit), so a replayed file hashes identically whether it was a hit
-// or a re-decode.
-type unitWire struct {
-	framer
-	us *dpp.UnitSession
-}
-
-func newUnitWire(us *dpp.UnitSession) *unitWire {
-	return &unitWire{us: us, framer: framer{chain: chainSeed}}
-}
+func (u *unitWire) recycle(fr frame) { u.free = append(u.free, fr.buf) }
 
 func (u *unitWire) next(ctx context.Context) (frame, error) {
 	p, err := u.us.NextPiece(ctx)
@@ -120,7 +71,11 @@ func (u *unitWire) next(ctx context.Context) (frame, error) {
 		return frame{}, err
 	}
 	if p.Batch != nil {
-		return u.batch(p.Batch), nil
+		buf := p.Batch.AppendTo(u.buffer())
+		u.chain = chainStep(u.chain, buf[frameReserve:])
+		fr := sealFrame(buf, frameBatch, u.idx, u.chain)
+		u.idx++
+		return fr, nil
 	}
 	buf := appendFileUnit(u.buffer(), p)
 	chain, err := chainUnit(u.chain, buf[frameReserve:])
@@ -132,10 +87,6 @@ func (u *unitWire) next(ctx context.Context) (frame, error) {
 	return sealFrame(buf, frameFileUnit, -1, chain), nil
 }
 
-func (u *unitWire) endFollow()              {}
-func (u *unitWire) stats() dpp.SessionStats { return u.us.Stats() }
-func (u *unitWire) close() error            { return u.us.Close() }
-
 // session is the server's half of one wire session: the live stream (its
 // context is the server's, not a connection's), where the client is in it,
 // and the identity facts a reconnect handshake must match. A fresh open
@@ -145,7 +96,6 @@ type session struct {
 	// token names a resumable session to its client; empty for one that
 	// ends with its connection.
 	token       string
-	fileUnits   bool
 	fingerprint string
 	filesHash   uint64
 	// tenant scopes the session to the tenant that opened it: a resume
@@ -155,10 +105,7 @@ type session struct {
 
 	ctx    context.Context
 	cancel context.CancelFunc
-	stream wireStream
-	// carries are a unit stream's, named in every ok reply it is served
-	// under.
-	carries []int
+	stream *unitWire
 
 	// sent is the stream index the next pulled frame gets; acked is the
 	// lowest index the client has not confirmed consuming. A resumable
@@ -199,7 +146,7 @@ func (ss *session) prune() {
 // close ends the stream; whoever holds the session last calls it.
 func (ss *session) close() {
 	ss.cancel()
-	ss.stream.close()
+	ss.stream.us.Close()
 }
 
 // resumeTable is the server's bounded, TTL-evicted table of parked
@@ -240,7 +187,7 @@ func newResumeToken() (string, error) {
 }
 
 // fileListHash summarizes a spec's explicit file plan, and the indices of
-// it a unit stream serves, so a resume handshake naming a different plan is
+// it a stream serves, so a resume handshake naming a different plan is
 // rejected instead of silently merging two different streams.
 // The hash folds each chunk's length, and the file count first, so no two
 // (files, serves) pairs fold the same chunks.
@@ -350,14 +297,14 @@ func (t *resumeTable) settleLiveLocked(token string) {
 // claimResume hands a parked entry to exactly one reconnecting client
 // after checking everything the handshake asserts: the token is live and
 // unclaimed, the tenant that authenticated matches the tenant that
-// parked, the session kind, spec fingerprint, and file plan match, and
+// parked, the spec fingerprint and file plan match, and
 // the offset lies inside the retained window.
 //
 // A client that redials faster than the server notices its old
 // connection is dead presents a token that is issued but not parked yet.
 // That is not an unknown token: the claim severs the old connection and
 // waits, bounded, for its handler to park, then runs the same checks.
-func (s *Server) claimResume(token, tenant string, fileUnits bool, fingerprint string, filesHash uint64, offset int64) (*session, error) {
+func (s *Server) claimResume(token, tenant, fingerprint string, filesHash uint64, offset int64) (*session, error) {
 	s.resume.mu.Lock()
 	defer s.resume.mu.Unlock()
 	if le := s.resume.live[token]; le != nil && le.tenant == tenant {
@@ -383,9 +330,6 @@ func (s *Server) claimResume(token, tenant string, fileUnits bool, fingerprint s
 	}
 	if e.inUse {
 		return nil, errors.New("dppnet: resume token already in use")
-	}
-	if e.fileUnits != fileUnits {
-		return nil, errors.New("dppnet: resume session kind mismatch")
 	}
 	if e.fingerprint != fingerprint {
 		return nil, errors.New("dppnet: resume spec fingerprint mismatch")

@@ -256,7 +256,7 @@ func drainRemoteUnits(t *testing.T, rus *RemoteUnitSession) (enc [][]byte, midFi
 		if err != nil {
 			t.Fatal(err)
 		}
-		inFile = p.Batch != nil
+		inFile = p.Tail == nil
 		var buf bytes.Buffer
 		if p.Batch != nil {
 			err = p.Batch.Encode(&buf)
@@ -319,7 +319,7 @@ func TestChaosReconnectDeterminism(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				return drainRemote(t, rs), rs.Reconnects(), 0
+				return drainRemote(t, rs), rs.units.Reconnects(), 0
 			}
 
 			// Uninterrupted reference, streamed through a pass-through
@@ -482,7 +482,7 @@ func TestResumeTTLExpiryFallsBackToReplay(t *testing.T) {
 	p.killNow()
 	got = append(got, drainRemote(t, rs)...)
 
-	if rs.Reconnects() < 1 {
+	if rs.units.Reconnects() < 1 {
 		t.Fatal("stream completed without reconnecting")
 	}
 	mustEqualBatches(t, got, want)
@@ -672,7 +672,7 @@ func TestResumeClaimBeforePark(t *testing.T) {
 	}
 	// Another tenant's probe of a live token must read as unknown, and
 	// must not sever anything — there is no gate here, so forge the tenant.
-	if _, err := h.srv.claimResume(token, "other", false, "", 0, 0); err == nil ||
+	if _, err := h.srv.claimResume(token, "other", "", 0, 0); err == nil ||
 		!strings.Contains(err.Error(), "unknown or expired") {
 		t.Fatalf("cross-tenant claim = %v, want the unknown-token error", err)
 	}

@@ -120,13 +120,11 @@ type SessionEvent struct {
 	Peer string `json:"peer,omitempty"`
 	// Table is the spec's table name.
 	Table string `json:"table,omitempty"`
-	// FileUnits marks a fleet shard's file-unit session.
-	FileUnits bool `json:"file_units,omitempty"`
 	// ShareScans marks a session that opted into the ScanCache.
 	ShareScans bool `json:"share_scans,omitempty"`
 	// Batches and Bytes count payload frames and payload bytes shipped; set
-	// on close events. A file-unit session's Batches counts its batch frames
-	// and its file-unit frames alike — the unit Offset counts in.
+	// on close events. Batches counts batch frames and file-unit frames
+	// alike — the unit Offset counts in.
 	Batches int64 `json:"batches,omitempty"`
 	Bytes   int64 `json:"bytes,omitempty"`
 	// Duration is the session's wall-clock lifetime; set on close events.
@@ -149,12 +147,11 @@ type ServerStats struct {
 	// ConnsAccepted counts every accepted connection; ConnsActive is the
 	// number currently being handled.
 	ConnsAccepted, ConnsActive int64
-	// SessionsServed counts admitted wire sessions (batch and file-unit).
+	// SessionsServed counts admitted wire sessions.
 	SessionsServed int64
-	// BatchesSent counts batch frames shipped, on batch and on file-unit
-	// streams alike; UnitsSent counts file-unit frames: one per file a unit
-	// stream finished serving, and one more per file it carried rows into.
-	// BytesSent totals the payload bytes of both.
+	// BatchesSent counts batch frames shipped; UnitsSent counts file-unit
+	// frames: one per file a stream finished serving, and one more per file
+	// it carried rows into. BytesSent totals the payload bytes of both.
 	BatchesSent, UnitsSent, BytesSent int64
 	// CreditStalls counts credit-window exhaustion episodes — the serving
 	// loop wanted to send but the consumer owed credits — and
@@ -223,8 +220,8 @@ func NewServer(svc *dpp.Service) *Server {
 // Drain puts the server in drain mode: new session handshakes and resume
 // claims are refused (with an error fleet clients route around), parking
 // stops, and every in-flight session is sent one drain frame — on which a
-// fleet's unit stream ends at its next file boundary, so that its remaining
-// files move to another shard, and which a batch session rides out here.
+// fleet moves the files a stream has not been served to another shard at
+// its next file boundary, and which a fleet of one rides out here.
 // Serving continues — Drain never cuts a stream; the operator calls Close
 // once ConnsActive reaches zero (or a deadline passes). Idempotent and safe
 // from any goroutine.
@@ -425,8 +422,6 @@ func (s *Server) serveTablez(bw *bufio.Writer) {
 
 // serveStream admits a session handshake, opens — or resumes — the session
 // it asks for, serves it on this connection, and then parks or closes it.
-// Both session kinds (batch and file-unit) run through here; the
-// wireStream adapter hides the difference.
 //
 // A resumable session's stream lives under the *server* context, not the
 // connection's: when the connection dies without a close frame, the live
@@ -436,8 +431,7 @@ func (s *Server) serveStream(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, 
 	peer := conn.RemoteAddr().String()
 	tenant := ""
 	fail := func(table, detail string, err error) {
-		s.event(SessionEvent{Kind: "error", Peer: peer, Table: table, FileUnits: req.FileUnits,
-			Tenant: tenant, Detail: detail})
+		s.event(SessionEvent{Kind: "error", Peer: peer, Table: table, Tenant: tenant, Detail: detail})
 		writeError(bw, err)
 	}
 	// Admission runs before anything else — before the spec is even
@@ -478,13 +472,12 @@ func (s *Server) serveStream(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, 
 	// lease, never from the wire spec.
 	spec.Tenant = tenant
 	// A Follow session's length is decided by the landing writer, not the
-	// plan, so neither the file-unit merge (which needs the full plan up
-	// front) nor resume (whose identity check hashes a frozen file list)
-	// composes with it. Reject at the handshake, before any session state
-	// exists.
+	// plan, so resume (whose identity check hashes a frozen file list) does
+	// not compose with it. Reject at the handshake, before any session
+	// state exists.
 	claimed := req.Token != ""
-	if spec.Follow && (req.FileUnits || req.Resumable || claimed || req.Offset > 0) {
-		ferr := fmt.Errorf("dppnet: follow sessions are incompatible with file units and resume")
+	if spec.Follow && (req.Resumable || claimed || req.Offset > 0) {
+		ferr := fmt.Errorf("dppnet: follow sessions are incompatible with resume")
 		fail(spec.Table, ferr.Error(), ferr)
 		return
 	}
@@ -496,7 +489,7 @@ func (s *Server) serveStream(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, 
 
 	s.sessionsServed.Inc()
 	opened := time.Now()
-	ev := SessionEvent{Kind: "open", ID: s.sessionSeq.Add(1), Peer: peer, Table: spec.Table, FileUnits: req.FileUnits,
+	ev := SessionEvent{Kind: "open", ID: s.sessionSeq.Add(1), Peer: peer, Table: spec.Table,
 		ShareScans: spec.ShareScans, Resumed: claimed || req.Offset > 0, Offset: req.Offset, Tenant: tenant}
 	s.event(ev)
 	count := func(fr frame) {
@@ -543,7 +536,7 @@ func (s *Server) serveStream(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, 
 func (s *Server) openSession(req *openRequest, spec dpp.Spec) (*session, error) {
 	fingerprint, filesHash := spec.Spec.Fingerprint(), fileListHash(spec.Files, req.Serves)
 	if req.Token != "" {
-		ss, err := s.claimResume(req.Token, spec.Tenant, req.FileUnits, fingerprint, filesHash, req.Offset)
+		ss, err := s.claimResume(req.Token, spec.Tenant, fingerprint, filesHash, req.Offset)
 		if err != nil {
 			return nil, err
 		}
@@ -552,24 +545,14 @@ func (s *Server) openSession(req *openRequest, spec dpp.Spec) (*session, error) 
 		s.resumedSessions.Inc()
 		return ss, nil
 	}
-	ss := &session{fileUnits: req.FileUnits, fingerprint: fingerprint, filesHash: filesHash, tenant: spec.Tenant}
+	ss := &session{fingerprint: fingerprint, filesHash: filesHash, tenant: spec.Tenant}
 	ss.ctx, ss.cancel = context.WithCancel(s.ctx)
-	var err error
-	if req.FileUnits {
-		var us *dpp.UnitSession
-		if us, err = s.svc.OpenUnits(ss.ctx, spec, req.Serves); err == nil {
-			ss.stream, ss.carries = newUnitWire(us), us.Carries()
-		}
-	} else {
-		var sess *dpp.Session
-		if sess, err = s.svc.Open(ss.ctx, spec); err == nil {
-			ss.stream = newBatchWire(sess)
-		}
-	}
+	us, err := s.svc.OpenUnits(ss.ctx, spec, req.Serves)
 	if err != nil {
 		ss.cancel()
 		return nil, err
 	}
+	ss.stream = newUnitWire(us)
 	if req.Resumable {
 		if ss.token, err = newResumeToken(); err != nil {
 			ss.close()
@@ -619,9 +602,9 @@ func (s *Server) serve(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, ss *se
 	}
 
 	var okPayload []byte
-	if ss.token != "" || ss.carries != nil {
+	if ss.token != "" {
 		var err error
-		if okPayload, err = json.Marshal(okReply{Token: ss.token, Carries: ss.carries}); err != nil {
+		if okPayload, err = json.Marshal(okReply{Token: ss.token}); err != nil {
 			writeError(bw, err)
 			return false, "error: " + err.Error()
 		}
@@ -675,7 +658,7 @@ func (s *Server) serve(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, ss *se
 				// End the tail but keep the conversation: the stream
 				// drains the already-observed files to a normal EOF,
 				// which the loop below ships with stats as usual.
-				ss.stream.endFollow()
+				ss.stream.us.EndFollow()
 			default:
 				return
 			}
@@ -776,7 +759,7 @@ func (s *Server) serve(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, ss *se
 
 		fr, err := ss.stream.next(connCtx)
 		if err == io.EOF {
-			delivered := writeFrame(bw, frameStats, appendSessionStats(nil, ss.stream.stats())) == nil &&
+			delivered := writeFrame(bw, frameStats, appendSessionStats(nil, ss.stream.us.Stats())) == nil &&
 				writeFrame(bw, frameEOF, nil) == nil && bw.Flush() == nil
 			// Written is not received: the last window of frames can still
 			// die with the connection, and a resumable client would come

@@ -13,53 +13,43 @@ import (
 	"time"
 
 	"repro/internal/dpp"
+	"repro/internal/reader"
 )
 
-// kind is what a stream kind supplies to the one remote stream client —
-// data, and the two hooks that check what arrives. RemoteSession is the core
-// over a batch stream, RemoteUnitSession over a unit stream: batch frames
-// and the file-unit frames that carry each file's head and close it.
-type kind[T any] struct {
-	// serves, when set, asks the server for a unit stream serving these
-	// indices of the spec's files.
-	serves []int
-	// drainSurfaces makes a drain frame end the stream with ErrDrained — at
-	// the next file boundary — instead of being advisory: a unit stream's
-	// consumer (dppshard) moves the files it has not been served to another
-	// shard.
-	drainSurfaces bool
-	// accept, when set, checks every connection's ok reply before the
-	// stream is served on it.
-	accept func(okReply) error
-	// decode holds the per-frame logic: refuse a frame type the kind
-	// does not carry, split the stamped payload, verify it is the item the
-	// stream has at the cursor and that folding it into the chain gives the
-	// stamped value, and decode the item. The two stamp layouts
-	// (index|chain|batch, chain|unit) never leave it.
-	decode func(typ byte, payload []byte, at cursor) (item T, next cursor, err error)
-}
-
-// cursor is where a stream stands: the payload frames before it, the rolling
-// hash after the last of them and, on a unit stream, the files closed so far
-// and whether the next one has begun.
+// cursor is where a unit stream stands: the payload frames before it, the
+// rolling hash after the last of them, the files closed so far, whether the
+// next one has begun, and the rows of the straddling batch. Between files,
+// owed is the carry the next file is entered with — its head's — or -1
+// when the client cannot know it (the next file it is served is not the
+// next of the plan); inside a file it is the rows the straddling batch holds
+// once the file's head is in, what its tail is carried out on top of.
 type cursor struct {
 	frames int64
 	chain  uint64
 	files  int
 	inFile bool
+	owed   int
 }
 
-// remoteMsg is one received item handed from the connection reader to
-// next: a decoded item the hook verified, with the cursor after it, or the
-// terminal error (io.EOF for a clean end).
-type remoteMsg[T any] struct {
-	item T
+// remoteMsg is one received piece handed from the connection reader to
+// next: a decoded piece the stream verified, with the cursor after it, or
+// the terminal error (io.EOF for a clean end).
+type remoteMsg struct {
+	item dpp.UnitPiece
 	at   cursor
 	err  error
 }
 
-// stream is the client half of one remote session, whatever it carries:
-// everything that is per-connection or per-cursor lives here once.
+// RemoteUnitSession is the client half of one remote session: the unit
+// stream a server serves every session as (dpp.Service.OpenUnits over the
+// wire). Everything that is per-connection or per-cursor lives here once.
+// NextPiece is single-consumer; Close may race it from another goroutine.
+//
+// A drain frame is recorded (Drained), never acted on: the server keeps
+// serving after it. A fleet's pump reads the record at each closing record
+// and moves the files it has not been served to another shard, so nothing
+// already served is ever refetched; a consumer with nowhere else to go rides
+// the drain out.
 //
 // Under a Client.Resume policy the stream is not connection-bound: when
 // the transport dies, next transparently redials with the session's resume
@@ -68,12 +58,19 @@ type remoteMsg[T any] struct {
 // diverges anywhere from the uninterrupted one fails loudly at the first
 // divergent frame. Reconnect runs on the consumer goroutine, inside next:
 // one redial sequence per lost connection, driven only when the consumer
-// actually wants the next item, so an abandoned session never redials.
-type stream[T any] struct {
+// actually wants the next piece, so an abandoned session never redials.
+type RemoteUnitSession struct {
 	client *Client
-	kind   kind[T]
 	ws     *wireSpec
 	window int
+	// serves are the indices of the plan the stream was asked for, none for
+	// every file; files names what arrives by its subset index when the
+	// client owns the list, which is then as long as the stream — nil when
+	// the list can grow or is the server's to resolve.
+	serves   []int
+	files    []string
+	batch    int
+	consumed []string
 
 	// ctx is the Open context: its cancellation tears the session down as
 	// Close would, and is the outcome the stream then reports.
@@ -87,15 +84,18 @@ type stream[T any] struct {
 	rng *rand.Rand
 
 	// at is the resume cursor: the stream as far as next has returned it.
-	// Single-consumer like next itself.
+	// owing is whether the piece at returned last has not been credited
+	// back yet. Single-consumer like next itself.
 	at           cursor
+	owing        bool
 	reconnects   atomic.Int64
 	tokenResumes atomic.Int64
 	replays      atomic.Int64
+	drained      atomic.Bool
 
 	mu        sync.Mutex
 	conn      net.Conn
-	recv      chan remoteMsg[T]
+	recv      chan remoteMsg
 	watchStop func()
 	token     string
 	stats     dpp.SessionStats
@@ -104,51 +104,174 @@ type stream[T any] struct {
 	termErr   error
 }
 
-// start opens the stream on the client's server. The receive window — how
-// many items the server may have in flight ahead of the consumer — is the
-// session's backpressure bound, the same spec.Window() a local session
-// sizes its output buffer from, so a stalled consumer stalls the
-// server-side readers at the bound a local session would.
-func (st *stream[T]) start(ctx context.Context, c *Client, spec dpp.Spec, k kind[T]) error {
-	ws, err := encodeSpec(spec)
+// OpenUnits opens a unit stream on the remote service serving the files of
+// spec's plan at the indices serves names, strictly increasing — or, with
+// serves empty, every file of the plan, those a Follow spec's tail lands
+// included. Each file's head, batches and closing record arrive strictly in
+// that order, a file's first batch while the server is still reading the
+// file. This is how the fleet multiplexer (dppshard) consumes a shard and a
+// RemoteSession's cutter its server.
+//
+// Served indices name files of spec.Files — the fleet's global file list —
+// so a client naming them must own the list. The server plans the whole
+// list, so each served file is cut for the rows every file before it
+// carries in, served here or not, and a carried-into file's head says how
+// many those are. The credit window counts payload frames in flight —
+// heads, batch frames and closing records alike — and is spec.Window(), the
+// bound a local session's output buffer has. Resume, under the client's
+// policy, counts the same frames and verifies the continued stream with the
+// chain hash.
+func (c *Client) OpenUnits(ctx context.Context, spec dpp.Spec, serves []int) (*RemoteUnitSession, error) {
+	st, err := newUnitStream(ctx, c, spec, serves)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	st.client, st.kind, st.ws, st.window = c, k, ws, spec.Window()
-	st.ctx, st.done = ctx, make(chan struct{})
-	st.at.chain = chainSeed
 	if err := st.connect(ctx, ""); err != nil {
-		return err
+		return nil, err
 	}
 	// Minted after the handshake: a refused open consumes no ordinal.
 	st.rng = jitterRNG(c.sessionSeq.Add(1))
-	return nil
+	return st, nil
+}
+
+// newUnitStream is the stream OpenUnits connects, at its start.
+func newUnitStream(ctx context.Context, c *Client, spec dpp.Spec, serves []int) (*RemoteUnitSession, error) {
+	if err := checkServes(serves, len(spec.Files)); err != nil {
+		return nil, err
+	}
+	ws, err := encodeSpec(spec)
+	if err != nil {
+		return nil, err
+	}
+	st := &RemoteUnitSession{client: c, ws: ws, window: spec.Window(), serves: serves,
+		batch: spec.BatchSize, consumed: spec.ConsumedFeatures(), ctx: ctx, done: make(chan struct{})}
+	switch {
+	case len(serves) > 0:
+		st.files = make([]string, len(serves))
+		for i, at := range serves {
+			st.files[i] = spec.Files[at]
+		}
+	case !spec.Follow:
+		st.files = spec.Files
+	}
+	st.at = cursor{chain: chainSeed, owed: st.owedAt(0, 0)}
+	return st, nil
+}
+
+// owedAt is the carry served file i is entered with, carry the rows carried
+// out of the file served before it: known when that one is the file before
+// it in the plan, or i is the plan's first; -1 otherwise.
+func (st *RemoteUnitSession) owedAt(i, carry int) int {
+	prev := -1
+	if i > 0 && len(st.serves) > 0 {
+		prev = st.serves[i-1]
+	}
+	if len(st.serves) == 0 || i < len(st.serves) && st.serves[i] == prev+1 {
+		return carry
+	}
+	return -1
+}
+
+// decode verifies one payload frame of the stream at cursor at and decodes
+// the piece it carries. Everything the stream's state refuses is refused
+// before anything is sized: a frame past the last file, a head inside a file
+// that has begun or completing another carry than the stream holds, a batch
+// frame or closing record where the stream owes a head, a frame whose index
+// or stamped chain is not the stream's. Then the piece is decoded.
+func (st *RemoteUnitSession) decode(typ byte, payload []byte, at cursor) (dpp.UnitPiece, cursor, error) {
+	p := dpp.UnitPiece{Index: at.files}
+	if st.files != nil {
+		if at.files >= len(st.files) {
+			return p, at, fmt.Errorf("dppnet: frame %#x after the last of %d files", typ, len(st.files))
+		}
+		p.File = st.files[at.files]
+	}
+	// begin holds a frame entering a file carried carry rows to the rows owed.
+	begin := func(carry int) error {
+		switch {
+		case at.inFile && carry > 0:
+			return fmt.Errorf("dppnet: head of file %d after the file began", at.files)
+		case at.inFile:
+		case carry == 0 && at.owed > 0:
+			return fmt.Errorf("dppnet: frame %#x where file %d owes a head completing %d rows", typ, at.files, at.owed)
+		case carry > 0 && at.owed >= 0 && carry != at.owed:
+			return fmt.Errorf("dppnet: head of file %d completes %d carried rows, the stream carries %d", at.files, carry, at.owed)
+		default:
+			at.inFile, at.owed = true, carry
+		}
+		return nil
+	}
+	switch typ {
+	case frameBatch:
+		if err := begin(0); err != nil {
+			return p, at, err
+		}
+		idx, fchain, body, err := decodeBatchFrame(payload)
+		if err != nil {
+			return p, at, fmt.Errorf("dppnet: corrupt batch frame: %w", err)
+		}
+		if idx != at.frames {
+			return p, at, fmt.Errorf("dppnet: batch index %d, want %d", idx, at.frames)
+		}
+		if at.chain = chainStep(at.chain, body); at.chain != fchain {
+			return p, at, fmt.Errorf("dppnet: stream hash mismatch at batch %d", idx)
+		}
+		if p.Batch, _, err = reader.DecodeBatchFrom(body); err != nil {
+			return p, at, fmt.Errorf("dppnet: corrupt batch frame: %w", err)
+		}
+	case frameFileUnit:
+		fchain, body, err := decodeUnitFrame(payload)
+		if err != nil {
+			return p, at, fmt.Errorf("dppnet: corrupt file-unit frame: %w", err)
+		}
+		unit, err := decodeFileUnit(body, st.consumed, st.batch, func(index, carry int) error {
+			if index != at.files {
+				return fmt.Errorf("dppnet: file unit %d out of order (want %d)", index, at.files)
+			}
+			err := begin(carry)
+			if err == nil {
+				at.chain, err = chainUnit(at.chain, body)
+			}
+			if err == nil && at.chain != fchain {
+				err = fmt.Errorf("dppnet: stream hash mismatch at file unit %d", at.files)
+			}
+			return err
+		})
+		if err != nil {
+			return p, at, err
+		}
+		unit.File = p.File
+		p = unit
+		at.owed = (at.owed + p.Rows().Rows()) % st.batch
+		if p.Tail != nil {
+			at.files, at.inFile = at.files+1, false
+			at.owed = st.owedAt(at.files, at.owed)
+		}
+	default:
+		return p, at, fmt.Errorf("dppnet: unexpected frame %#x", typ)
+	}
+	at.frames++
+	return p, at, nil
 }
 
 // connect performs one handshake — the first, or a resume presenting the
 // consumed cursor and (optionally) the token — and, on success, installs
 // the new connection and a fresh receiver continuing at the cursor. A
 // session is resumable exactly when its client would resume it.
-func (st *stream[T]) connect(ctx context.Context, token string) error {
+func (st *RemoteUnitSession) connect(ctx context.Context, token string) error {
 	conn, br, stop, ok, err := st.client.openStream(ctx, openRequest{
-		Kind: kindSession, Window: st.window, Spec: st.ws, FileUnits: st.kind.serves != nil, Serves: st.kind.serves,
+		Kind: kindSession, Window: st.window, Spec: st.ws, Serves: st.serves,
 		Resumable: st.client.Resume.MaxAttempts > 0, Offset: st.at.frames, Token: token,
 	})
-	if err == nil && st.kind.accept != nil {
-		if err = st.kind.accept(ok); err != nil {
-			stop()
-			conn.Close()
-		}
-	}
 	if err != nil {
 		return err
 	}
 	// One slot past the credit window: a protocol-conformant server never
-	// has more than `window` undelivered items buffered here, so the extra
+	// has more than `window` undelivered pieces buffered here, so the extra
 	// slot guarantees the receiver's single terminal message always fits —
 	// an abandoned session (Open ctx cancelled, no Close, no Next) cannot
 	// strand the receive goroutine on a full channel.
-	recv := make(chan remoteMsg[T], st.window+1)
+	recv := make(chan remoteMsg, st.window+1)
 	st.mu.Lock()
 	if st.closed {
 		st.mu.Unlock()
@@ -162,6 +285,8 @@ func (st *stream[T]) connect(ctx context.Context, token string) error {
 	if old != nil {
 		old.Close()
 	}
+	// A new connection starts with a whole window: nothing is owed on it.
+	st.owing = false
 	if token != "" {
 		st.tokenResumes.Add(1)
 	} else if st.at.frames > 0 {
@@ -173,36 +298,26 @@ func (st *stream[T]) connect(ctx context.Context, token string) error {
 
 // receive owns one connection's read half: it decodes frames into the
 // bounded recv channel (never blocking the socket beyond the credit
-// window, which caps in-flight items below the channel's capacity) and
+// window, which caps in-flight pieces below the channel's capacity) and
 // terminates with exactly one terminal message. Every payload frame goes
-// through the kind's decode hook, which must find the next expected index
-// and a stamped chain equal to the locally recomputed one — so a buggy or
-// hostile resume can never splice a divergent, misordered or aliased
-// stream in silently. Terminal sends bail out on done so even a
-// misbehaving server that overfills the window cannot strand the receiver
-// once Close runs.
-//
-// A drain notice that surfaces does so between files: the server keeps
-// serving after it, so a file it arrives inside is read to its closing
-// record first, and nothing already served has to be fetched again.
-func (st *stream[T]) receive(br *bufio.Reader, recv chan remoteMsg[T], stop func(), at cursor) {
+// through decode, which must find the next expected index and a stamped
+// chain equal to the locally recomputed one — so a buggy or hostile resume
+// can never splice a divergent, misordered or aliased stream in silently.
+// Terminal sends bail out on done so even a misbehaving server that
+// overfills the window cannot strand the receiver once Close runs.
+func (st *RemoteUnitSession) receive(br *bufio.Reader, recv chan remoteMsg, stop func(), at cursor) {
 	defer close(recv)
 	defer stop() // this connection's stream has ended; release its watcher
 	terminal := func(err error) {
 		select {
-		case recv <- remoteMsg[T]{err: err}:
+		case recv <- remoteMsg{err: err}:
 		case <-st.done:
 		}
 	}
 	// One frame buffer per connection: every decoder below copies what it
 	// keeps out of the payload, so the next frame may overwrite it.
 	var buf []byte
-	drained := false
 	for {
-		if drained && !at.inFile {
-			terminal(ErrDrained)
-			return
-		}
 		typ, payload, err := readFrameInto(br, maxFrameBytes, &buf)
 		if err != nil {
 			if cerr := st.ctx.Err(); cerr != nil {
@@ -214,19 +329,19 @@ func (st *stream[T]) receive(br *bufio.Reader, recv chan remoteMsg[T], stop func
 			}
 			return
 		}
-		switch {
-		case typ == frameBatch || typ == frameFileUnit:
-			var item T
-			if item, at, err = st.kind.decode(typ, payload, at); err != nil {
+		switch typ {
+		case frameBatch, frameFileUnit:
+			var p dpp.UnitPiece
+			if p, at, err = st.decode(typ, payload, at); err != nil {
 				terminal(err)
 				return
 			}
 			select {
-			case recv <- remoteMsg[T]{item: item, at: at}:
+			case recv <- remoteMsg{item: p, at: at}:
 			case <-st.done:
 				return
 			}
-		case typ == frameStats:
+		case frameStats:
 			stats, err := decodeSessionStats(payload)
 			if err != nil {
 				terminal(fmt.Errorf("dppnet: corrupt stats frame: %w", err))
@@ -235,21 +350,21 @@ func (st *stream[T]) receive(br *bufio.Reader, recv chan remoteMsg[T], stop func
 			st.mu.Lock()
 			st.stats = stats
 			st.mu.Unlock()
-		case typ == frameEOF:
+		case frameEOF:
 			st.mu.Lock()
 			st.gotEOF = true
 			st.mu.Unlock()
 			terminal(io.EOF)
 			return
-		case typ == frameDrain:
+		case frameDrain:
 			if len(payload) != 0 {
 				terminal(fmt.Errorf("dppnet: drain frame with a %d-byte payload", len(payload)))
 				return
 			}
-			// Advisory on a batch stream: keep consuming — the server keeps
-			// serving until the operator's deadline.
-			drained = st.kind.drainSurfaces
-		case typ == frameError:
+			// Recorded, not acted on: the server keeps serving until the
+			// operator's deadline.
+			st.drained.Store(true)
+		case frameError:
 			terminal(fmt.Errorf("%w: %s", ErrRemote, payload))
 			return
 		default:
@@ -259,29 +374,34 @@ func (st *stream[T]) receive(br *bufio.Reader, recv chan remoteMsg[T], stop func
 	}
 }
 
-// next returns the stream's next item, blocking until one arrives over
-// the wire, the scan is exhausted (io.EOF), the server reports an error
-// (wrapped in ErrRemote), the connection fails, ctx is cancelled
-// (ctx.Err()), or the session is closed (dpp.ErrClosed) — the same
-// contract as a local session's. Each consumed item returns one window
-// credit to the server. Under a resume policy, a failed connection is
+// NextPiece returns the stream's next piece, blocking until one arrives
+// over the wire, the scan is exhausted (io.EOF), the server reports an
+// error (wrapped in ErrRemote), the connection fails, ctx is cancelled
+// (ctx.Err()), or the session is closed (dpp.ErrClosed) — the contract of a
+// local UnitSession.NextPiece. A piece's window credit goes back to the
+// server when the next one is asked for: a consumer that holds a piece
+// holds its slot of the window, so the pieces in its hands and in flight
+// together never exceed it. Under a resume policy, a failed connection is
 // redialed here instead of surfacing; after the end, the recorded outcome
 // repeats.
-func (st *stream[T]) next(ctx context.Context) (T, error) {
-	var zero T
+func (st *RemoteUnitSession) NextPiece(ctx context.Context) (dpp.UnitPiece, error) {
 	for {
 		st.mu.Lock()
 		if st.closed {
 			st.mu.Unlock()
-			return zero, dpp.ErrClosed
+			return dpp.UnitPiece{}, dpp.ErrClosed
 		}
 		if st.termErr != nil {
 			err := st.termErr
 			st.mu.Unlock()
-			return zero, err
+			return dpp.UnitPiece{}, err
 		}
 		recv := st.recv
 		st.mu.Unlock()
+		if st.owing {
+			st.owing = false
+			st.send(oneCredit)
+		}
 
 		select {
 		case m, ok := <-recv:
@@ -291,16 +411,15 @@ func (st *stream[T]) next(ctx context.Context) (T, error) {
 				st.mu.Lock()
 				defer st.mu.Unlock()
 				if st.closed {
-					return zero, dpp.ErrClosed
+					return dpp.UnitPiece{}, dpp.ErrClosed
 				}
 				if st.termErr != nil {
-					return zero, st.termErr
+					return dpp.UnitPiece{}, st.termErr
 				}
-				return zero, io.EOF
+				return dpp.UnitPiece{}, io.EOF
 			}
 			if m.err == nil {
-				st.at = m.at
-				st.send(oneCredit)
+				st.at, st.owing = m.at, true
 				return m.item, nil
 			}
 			resumeCut := false
@@ -327,16 +446,16 @@ func (st *stream[T]) next(ctx context.Context) (T, error) {
 			st.mu.Unlock()
 			if closed && m.err != io.EOF {
 				// Teardown races a connection error; Close semantics win.
-				return zero, dpp.ErrClosed
+				return dpp.UnitPiece{}, dpp.ErrClosed
 			}
 			if resumeCut {
-				return zero, ctx.Err()
+				return dpp.UnitPiece{}, ctx.Err()
 			}
-			return zero, m.err
+			return dpp.UnitPiece{}, m.err
 		case <-ctx.Done():
-			return zero, ctx.Err()
+			return dpp.UnitPiece{}, ctx.Err()
 		case <-st.done:
-			return zero, dpp.ErrClosed
+			return dpp.UnitPiece{}, dpp.ErrClosed
 		}
 	}
 }
@@ -348,7 +467,7 @@ func (st *stream[T]) next(ctx context.Context) (T, error) {
 // downward jitter, so a fleet of sessions dropped by one restart doesn't
 // re-arrive in lockstep — between transport failures. A server refusal
 // of the replay itself is terminal.
-func (st *stream[T]) reconnect(ctx context.Context) error {
+func (st *RemoteUnitSession) reconnect(ctx context.Context) error {
 	pol := st.client.Resume.normalized()
 	st.mu.Lock()
 	token := st.token
@@ -385,7 +504,7 @@ func (st *stream[T]) reconnect(ctx context.Context) error {
 }
 
 // The frames a client sends after its handshake, whole: one window credit
-// (payload length 1, the uvarint 1) — written once per item consumed — and
+// (payload length 1, the uvarint 1) — written once per piece consumed — and
 // the two that are a type and an empty payload.
 var (
 	oneCredit      = []byte{frameCredit, 1, 1}
@@ -396,7 +515,7 @@ var (
 // send writes one client→server control frame on the current connection.
 // A write failure means the connection is already dead; the receiver
 // surfaces that as the terminal error, so it is not reported here.
-func (st *stream[T]) send(frame []byte) {
+func (st *RemoteUnitSession) send(frame []byte) {
 	st.mu.Lock()
 	conn := st.conn
 	st.mu.Unlock()
@@ -405,15 +524,20 @@ func (st *stream[T]) send(frame []byte) {
 	_, _ = conn.Write(frame)
 }
 
+// Drained reports whether the server has sent this stream a drain frame:
+// it is shutting down gracefully and admits no new session, though it goes
+// on serving this one.
+func (st *RemoteUnitSession) Drained() bool { return st.drained.Load() }
+
 // Reconnects reports how many times this session resumed over a new
 // connection.
-func (st *stream[T]) Reconnects() int64 { return st.reconnects.Load() }
+func (st *RemoteUnitSession) Reconnects() int64 { return st.reconnects.Load() }
 
 // Stats returns the session's final accounting as reported by the server
 // in the trailing stats frame. It is available once the stream has
 // returned io.EOF; before that (or after a failure that lost the frame) it
 // returns false.
-func (st *stream[T]) Stats() (dpp.SessionStats, bool) {
+func (st *RemoteUnitSession) Stats() (dpp.SessionStats, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return st.stats, st.gotEOF
@@ -421,8 +545,8 @@ func (st *stream[T]) Stats() (dpp.SessionStats, bool) {
 
 // Close tears the remote session down: a best-effort close frame, then
 // the connection. Idempotent; always returns nil, like a local session's
-// Close. Items already returned remain valid.
-func (st *stream[T]) Close() error {
+// Close. Pieces already returned remain valid.
+func (st *RemoteUnitSession) Close() error {
 	st.mu.Lock()
 	if st.closed {
 		st.mu.Unlock()

@@ -142,16 +142,17 @@ func TestWrongVersionPeerIsTold(t *testing.T) {
 	// before the current: a bump that forgets to register it fails here.
 	const (
 		toldV6  = "protocol v6 retired: v7 changed the stream hash; rebuild the client"
-		toldV7  = "protocol v7 retired: v8 retired the extend frame, emptied the drain frame and ships the file-unit tail as columns; rebuild the client for v11"
-		toldV8  = "protocol v8 retired: v9 ships a unit stream's batches as batch frames ahead of the file-unit frame, which now only closes the file; rebuild the client for v11"
-		toldV9  = "protocol v9 retired: v10 opens a unit stream on the global file list and the indices it serves, names their carries in ok, and ships a carried-into file's head in a file-unit frame; rebuild the client for v11"
-		toldV10 = "protocol v10 retired: v11 ships a file unit's rows without their row keys; rebuild the client for v11"
+		toldV7  = "protocol v7 retired: v8 retired the extend frame, emptied the drain frame and ships the file-unit tail as columns; rebuild the client for v12"
+		toldV8  = "protocol v8 retired: v9 ships a unit stream's batches as batch frames ahead of the file-unit frame, which now only closes the file; rebuild the client for v12"
+		toldV9  = "protocol v9 retired: v10 opens a unit stream on the global file list and the indices it serves, names their carries in ok, and ships a carried-into file's head in a file-unit frame; rebuild the client for v12"
+		toldV10 = "protocol v10 retired: v11 ships a file unit's rows without their row keys; rebuild the client for v12"
+		toldV11 = "protocol v11 retired: v12 serves every session as a unit stream cut by the client, and a file-unit head names the carry it completes; rebuild the client for v12"
 	)
-	if protoVersion != 11 {
+	if protoVersion != 12 {
 		t.Fatalf("protocol v%d: register v%d in versionRefusal and retire it here", protoVersion, protoVersion-1)
 	}
 
-	for v, told := range map[byte]string{6: toldV6, 7: toldV7, 8: toldV8, 9: toldV9, 10: toldV10} {
+	for v, told := range map[byte]string{6: toldV6, 7: toldV7, 8: toldV8, 9: toldV9, 10: toldV10, 11: toldV11} {
 		t.Run(fmt.Sprintf("raw v%d preamble", v), func(t *testing.T) {
 			conn := rawDial(t, h.addr)
 			defer conn.Close()
@@ -220,9 +221,9 @@ func TestWrongVersionPeerIsTold(t *testing.T) {
 		}
 		// A refused token resume falls back once to a token-less replay,
 		// whatever the refusal says; that is refused too, and that is all.
-		if p.dialed() != 3 || rs.Reconnects() != 0 {
+		if p.dialed() != 3 || rs.units.Reconnects() != 0 {
 			t.Fatalf("%d dials and %d reconnects, want the open, the refused resume and its one refused fallback — not %d attempts",
-				p.dialed(), rs.Reconnects(), policy.MaxAttempts)
+				p.dialed(), rs.units.Reconnects(), policy.MaxAttempts)
 		}
 	})
 

@@ -5,17 +5,17 @@
 // — on exactly one shard, and the fleet's cache capacity is the sum of
 // the shards' budgets rather than N replicas of the same working set.
 //
-// Each shard serves its file subset as a dppnet file-unit stream opened on
-// the global file list: its files in order, each cut for the rows the plan
-// of the whole list carries into it — which the shard computes from its
-// catalog and names in its ok reply — piece by piece: the head rows when a
-// carry enters the file, the complete batches as the shard cuts them, then a
+// Each shard serves its file subset as a dppnet unit stream opened on the
+// global file list: its files in order, each cut for the rows the plan of
+// the whole list carries into it — which the shard computes from its
+// catalog — piece by piece: the head rows when a carry enters the file,
+// naming that carry, the complete batches as the shard cuts them, then a
 // closing record with the raw tail rows. The multiplexer reassembles the
 // global file order with the same deposit-by-index ordered-merge discipline
 // a local session's fill pool uses (reader.OrderedMerge): a pump deposits a
-// reader of the file's piece log, with its carry, at the file's first frame
-// and appends the pieces after it to the log every fill writes
-// (reader.FileScan), for the reader's one cutter (reader.RunUnits) to take,
+// reader of the file's piece log, with the carry its head names, at the
+// file's first frame and appends the pieces after it to the log every fill
+// writes (reader.FileScan), for the reader's one cutter (reader.RunUnits) to take,
 // so the fleet emits a shard-cut batch the moment it arrives. Batches whose
 // rows stay inside one file pass through untouched; a batch that crosses a
 // file boundary is joined client-side from one file's tail and the next
@@ -31,7 +31,10 @@
 // new stream's first pieces — the same bytes, by the determinism contract —
 // are discarded up to that piece and the rest continue the unit already in
 // the merge. The stream stays byte-identical through the kill; see
-// docs/ARCHITECTURE.md's determinism contract.
+// docs/ARCHITECTURE.md's determinism contract. A shard that drains moves
+// the same way, at a file boundary: its pump reads the stream's drain
+// record at each closing record and hands the files it has not served to
+// the other shards — unless there are none, when it rides the drain out.
 package dppshard
 
 import (
@@ -40,6 +43,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"slices"
 	"strings"
 	"sync"
 
@@ -337,7 +341,8 @@ func (s *Session) aliveLocked() []string {
 // to enter the merge window (backpressure), then move the file's pieces
 // into the merge as they arrive. A shard that dies mid-stream hands its
 // remaining indices — from the file it died inside, if any — to
-// rerouteShard; a shard that finishes cleanly drains the trailing stats
+// rerouteShard, and so does one that drained, from the file after the one
+// it just closed; a shard that finishes cleanly drains the trailing stats
 // frame so the fleet's aggregate accounting includes it.
 func (s *Session) runPump(st *shardState) {
 	defer s.pumps.Done()
@@ -346,22 +351,12 @@ func (s *Session) runPump(st *shardState) {
 		if !s.merge.WaitWindow(gidx) {
 			return // merge aborted: teardown or a terminal error elsewhere
 		}
-		if err := s.pumpFile(st, gidx, st.sess.Carries()[pos]); err != nil {
+		if err := s.pumpFile(st, gidx); err != nil {
 			if s.sh.Ctx().Err() != nil || errors.Is(err, context.Canceled) {
 				return
 			}
 			if err == io.EOF {
 				err = fmt.Errorf("dppshard: shard %s ended after %d of %d files", st.addr, pos, len(st.indices))
-			}
-			if errors.Is(err, dppnet.ErrDrained) {
-				// Graceful drain handoff: the notice surfaces between files,
-				// so only the shard's *unconsumed* files move — everything
-				// already merged stays merged, and no already-served file is
-				// ever refetched or re-decoded.
-				s.pmu.Lock()
-				st.drained = true
-				s.drainHandoffs++
-				s.pmu.Unlock()
 			}
 			s.rerouteShard(st, pos, err)
 			return
@@ -369,6 +364,14 @@ func (s *Session) runPump(st *shardState) {
 		s.pmu.Lock()
 		st.served = pos + 1
 		s.pmu.Unlock()
+		if pos+1 < len(st.indices) && st.sess.Drained() && s.handOff(st) {
+			// Graceful drain handoff, between files: only the shard's
+			// *unconsumed* files move — everything already merged stays
+			// merged, and no already-served file is ever refetched or
+			// re-decoded.
+			s.rerouteShard(st, pos+1, fmt.Errorf("dppshard: shard %s drained", st.addr))
+			return
+		}
 	}
 	// Subset delivered; the next read is the trailing stats + EOF.
 	if _, err := st.sess.NextPiece(s.sh.Ctx()); err == io.EOF {
@@ -380,12 +383,25 @@ func (s *Session) runPump(st *shardState) {
 	}
 }
 
+// handOff decides whether st's drained shard hands its unserved files off:
+// only when another shard is alive to take them. It counts the handoff.
+func (s *Session) handOff(st *shardState) bool {
+	s.pmu.Lock()
+	defer s.pmu.Unlock()
+	if !slices.ContainsFunc(s.aliveLocked(), func(a string) bool { return a != st.addr }) {
+		return false
+	}
+	st.drained = true
+	s.drainHandoffs++
+	return true
+}
+
 // pumpFile moves the next file of st's stream, global index gidx, into the
-// merge: its unit, a reader of the file's log cut for carry rows, is
-// deposited at the first frame and each piece follows into the log, to the
-// closing record. Of a file another shard died inside, the pieces already
-// merged are read and dropped first.
-func (s *Session) pumpFile(st *shardState, gidx, carry int) error {
+// merge: its unit, a reader of the file's log cut for the carry its head
+// names (none without a head), is deposited at the first frame and each
+// piece follows into the log, to the closing record. Of a file another shard
+// died inside, the pieces already merged are read and dropped first.
+func (s *Session) pumpFile(st *shardState, gidx int) error {
 	s.pmu.Lock()
 	feed := s.partials[gidx]
 	s.pmu.Unlock()
@@ -406,17 +422,13 @@ func (s *Session) pumpFile(st *shardState, gidx, carry int) error {
 			continue
 		}
 		if feed == nil {
-			feed = reader.NewFileScan(carry, false)
+			feed = reader.NewFileScan(piece.Carry, false)
 			feed.Follow(s.merge, gidx, reader.Unit{File: piece.File}, nil)
 			s.pmu.Lock()
 			s.partials[gidx] = feed
 			s.pmu.Unlock()
 		}
-		rows := piece.Tail
-		if piece.Head != nil {
-			rows = piece.Head
-		}
-		if err := feed.Send(reader.Piece{Batch: piece.Batch, Rows: rows}); err != nil {
+		if err := feed.Send(reader.Piece{Batch: piece.Batch, Rows: piece.Rows()}); err != nil {
 			return err
 		}
 		if piece.Tail != nil {

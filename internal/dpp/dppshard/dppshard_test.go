@@ -263,6 +263,49 @@ func TestFleetMatchesSingleServer(t *testing.T) {
 	}
 }
 
+// TestFleetShardsCountBatchesServed: a shard serves a unit stream, and every
+// batch piece it hands out is a batch its service served — what recd-serve's
+// per-shard line, recd-soak's fleet report and the sidecar's batches-served
+// gauge read. Each shard's BatchesServed equals the batch frames its server
+// sent, and together they are every batch the fleet delivered but the ones
+// its cutter joined across files.
+func TestFleetShardsCountBatchesServed(t *testing.T) {
+	env := newFleetEnv(t)
+	for _, spec := range []reader.Spec{alignedSpec(), misalignedSpec()} {
+		shards := startFleet(t, env, 3)
+		fleet, err := dppshard.New(dppshard.Config{Addrs: addrsOf(shards)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := fleet.Open(context.Background(), dpp.Spec{Spec: spec, Files: env.files})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := drainFleet(t, sess)
+		var served int64
+		for _, s := range shards {
+			n, sent := s.svc.Stats().BatchesServed, s.srv.Stats().BatchesSent
+			if n != sent {
+				t.Fatalf("batch size %d: shard %s served %d batches and sent %d batch frames", spec.BatchSize, s.addr, n, sent)
+			}
+			served += n
+		}
+		// The fleet's stats are its shards' plus its cutter's.
+		shardStats, _ := sess.ShardStats()
+		mux := sess.Stats().Reader.BatchesProduced
+		for _, st := range shardStats {
+			mux -= st.Stats.Reader.BatchesProduced
+		}
+		if served == 0 || served+mux != int64(len(got)) {
+			t.Fatalf("batch size %d: shards served %d batches and the cutter joined %d; the fleet delivered %d", spec.BatchSize, served, mux, len(got))
+		}
+		sess.Close()
+		for _, s := range shards {
+			s.shutdown()
+		}
+	}
+}
+
 // TestFleetCachePartitioning pins the capacity story: under ShareScans
 // every file is decoded (a cache miss) on exactly the one shard routing
 // assigned it, and a second fleet pass over the same spec hits every

@@ -159,7 +159,16 @@ var _ Stream = (*Session)(nil)
 // service's AutoScaler); the stream is byte-identical to the serial
 // reference regardless of the memo, the pool's size or its resize history.
 type Session struct {
-	Shell[*reader.Batch]
+	core[*reader.Batch]
+}
+
+// core is the one session: the Shell lifecycle over a resizable pool of fill
+// workers on a reader.ScanQueue, the catalog tailer of a Follow session and
+// the autoscaler and arbiter registration — everything but what turns the
+// queue's units into the stream's items. A Session runs the cutter there, a
+// UnitSession the unit emitter.
+type core[T any] struct {
+	Shell[T]
 
 	svc *Service
 	// spec is the defaulted Spec the session was opened with; read-only.
@@ -198,26 +207,24 @@ type tailState struct {
 	carry   int
 }
 
-// newSession plans the scan over files and starts its workers and the
-// cutter. Workers begin claiming and decoding files immediately; nothing
-// blocks on Open. tail is non-nil exactly for Follow sessions.
-func newSession(ctx context.Context, svc *Service, id int64, spec Spec, files []storage.PublishedFile, tail *tailState) (*Session, error) {
-	s := &Session{svc: svc, spec: spec}
+// start runs the session over plan: the queue, its workers, the tailer when
+// tail is set (a Follow session), the autoscaler when the service has one,
+// and feed, which turns the queue's units into the stream and returns the
+// reader work it did itself. Workers begin claiming and decoding files
+// immediately; nothing blocks on Open.
+func (s *core[T]) start(ctx context.Context, svc *Service, id int64, spec Spec, plan []reader.Planned, tail *tailState,
+	feed func(q *reader.ScanQueue) (reader.Stats, error)) error {
+	s.svc, s.spec = svc, spec
 	s.Open(ctx, svc.clock, spec.Window())
 	s.Release = func(sched SchedulerStats, errored bool) { svc.retire(id, sched, errored) }
-	cut, err := reader.NewReader(svc.backend, spec.Spec)
-	if err != nil {
-		s.cancel()
-		return nil, err
-	}
-
-	plan, carry := reader.Plan(spec.BatchSize, 0, files)
+	// The queue's claim window bounds how many files may be claimed (being
+	// scanned or scanned, not yet merged) ahead of the feed: one in-flight
+	// file per worker and one completed slot to hand over through.
+	newQueue := reader.NewScanQueue
 	if tail != nil {
-		tail.carry = carry
-		s.queue = reader.NewOpenScanQueue(plan, queueWindow(spec.Readers), svc.clock.Now)
-	} else {
-		s.queue = reader.NewScanQueue(plan, queueWindow(spec.Readers), svc.clock.Now)
+		newQueue = reader.NewOpenScanQueue
 	}
+	s.queue = newQueue(plan, spec.Readers+1, svc.clock.Now)
 	s.Pool = s.poolStats
 	s.HaltOn(func() {
 		s.pmu.Lock()
@@ -239,13 +246,14 @@ func newSession(ctx context.Context, svc *Service, id int64, spec Spec, files []
 		if err := s.spawnWorkerLocked(); err != nil {
 			s.pmu.Unlock()
 			s.teardown()
-			return nil, err
+			return err
 		}
 	}
 	s.pmu.Unlock()
 
 	s.Go(func() {
-		s.Settle(cut.RunQueue(s.ctx, s.queue, s.Emit), cut.Stats(), s.queue.Served())
+		stats, err := feed(s.queue)
+		s.Settle(err, stats, s.queue.Served())
 	})
 
 	if svc.autoscale != nil {
@@ -270,24 +278,17 @@ func newSession(ctx context.Context, svc *Service, id int64, spec Spec, files []
 			if svc.arbiter != nil {
 				svc.arbiter.Unregister(s)
 			}
-			return nil, err
+			return err
 		}
 		s.Go(func() { as.Run(s.ctx) })
 	}
-	return s, nil
-}
-
-// queueWindow bounds how many files may be claimed (being scanned or
-// scanned, not yet merged) ahead of the cutter for a pool of n workers: one
-// in-flight file per worker and one completed slot to hand over through.
-func queueWindow(n int) int {
-	return n + 1
+	return nil
 }
 
 // spawnWorkerLocked starts one fill worker; the caller holds pmu (which
 // makes the Go safe against teardown's Wait) and has already counted the
 // worker in target.
-func (s *Session) spawnWorkerLocked() error {
+func (s *core[T]) spawnWorkerLocked() error {
 	w, err := newWorker(s.svc, s.spec)
 	if err != nil {
 		return err
@@ -302,7 +303,7 @@ func (s *Session) spawnWorkerLocked() error {
 // checkpoint — a worker told to stop has already been uncounted by
 // shouldStop, so only natural exits (queue exhausted, abort, fill error)
 // decrement active here.
-func (s *Session) runFillWorker(w *worker) {
+func (s *core[T]) runFillWorker(w *worker) {
 	stopped := false
 	w.run(s.ctx, s.queue, func() bool {
 		stopped = s.workerShouldStop()
@@ -317,7 +318,7 @@ func (s *Session) runFillWorker(w *worker) {
 
 // workerShouldStop atomically decides and accounts one worker's
 // scale-down exit, so a pool shrinking by k loses exactly k workers.
-func (s *Session) workerShouldStop() bool {
+func (s *core[T]) workerShouldStop() bool {
 	s.pmu.Lock()
 	defer s.pmu.Unlock()
 	if s.active > s.target {
@@ -334,7 +335,7 @@ func (s *Session) workerShouldStop() bool {
 // why the stream is identical across resize histories (the other half is
 // the ordered merge). Safe for concurrent use; the service's AutoScaler is
 // the usual caller.
-func (s *Session) Resize(n int) int {
+func (s *core[T]) Resize(n int) int {
 	if n < 1 {
 		n = 1
 	}
@@ -363,14 +364,14 @@ func (s *Session) Resize(n int) int {
 	// Resize the claim window under pmu too: concurrent Resize calls
 	// (the AutoScaler plus a direct caller) must leave the window sized
 	// for whichever target won, never the loser's.
-	s.queue.SetWindow(queueWindow(n))
+	s.queue.SetWindow(n + 1)
 	s.pmu.Unlock()
 	s.svc.noteScale(up)
 	return n
 }
 
 // poolStats is the session's worker-pool telemetry.
-func (s *Session) poolStats() SchedulerStats {
+func (s *core[T]) poolStats() SchedulerStats {
 	s.pmu.Lock()
 	defer s.pmu.Unlock()
 	return SchedulerStats{Workers: s.target, ScaleUps: s.scaleUps, ScaleDowns: s.scaleDowns,
@@ -382,7 +383,7 @@ func (s *Session) poolStats() SchedulerStats {
 // extends the open scan queue with them in landed order, planned on from
 // the rows carried out of the last. Exits when its context is cancelled —
 // by EndFollow (clean end of the tail) or by session teardown.
-func (s *Session) runTailer(ctx context.Context, tail *tailState) {
+func (s *core[T]) runTailer(ctx context.Context, tail *tailState) {
 	defer close(s.followDone)
 	gen, cursor, carry := tail.gen, tail.cursor, tail.carry
 	for {
@@ -411,7 +412,7 @@ func (s *Session) runTailer(ctx context.Context, tail *tailState) {
 // to a cold session over the frozen prefix the tail observed. Blocks
 // only until the watcher exits. Idempotent; a no-op on non-Follow
 // sessions.
-func (s *Session) EndFollow() {
+func (s *core[T]) EndFollow() {
 	if s.followCancel == nil {
 		return
 	}
@@ -423,12 +424,12 @@ func (s *Session) EndFollow() {
 }
 
 // Following reports whether this session was opened with Follow.
-func (s *Session) Following() bool { return s.followCancel != nil }
+func (s *core[T]) Following() bool { return s.followCancel != nil }
 
 // FollowLag reports how many observed files the session has not yet
 // merged into its stream — the catalog-to-consumer lag the landing
 // metrics export. Zero for non-Follow sessions.
-func (s *Session) FollowLag() int {
+func (s *core[T]) FollowLag() int {
 	if s.followCancel == nil {
 		return 0
 	}
@@ -491,8 +492,7 @@ type SessionCacheStats struct {
 // the resize history, and the two starvation signals the AutoScaler
 // trades off.
 type SchedulerStats struct {
-	// Workers is the current desired worker-pool size, for every kind of
-	// session (a unit session's is fixed at its Spec.Readers).
+	// Workers is the current desired worker-pool size.
 	Workers int
 	// ScaleUps and ScaleDowns count Resize calls that grew or shrank the
 	// pool.

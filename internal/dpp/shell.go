@@ -13,10 +13,11 @@ import (
 // Shell is the lifecycle every locally assembled stream shares, written
 // once: a bounded output buffer whose hand-off charges consumer stall, the
 // first-error rule, "close out only after the outcome is recorded", and
-// Pull / finish / teardown / Close / release. Session embeds it over
-// batches, UnitSession over file units, and dppshard's fleet session holds
-// one over the batches its merge cuts; what differs between them is only
-// what feeds out.
+// Pull / finish / teardown / Close / release. The one session core embeds
+// it — over batches in a Session, over file units in a UnitSession — and
+// dppshard's fleet session and dppnet's remote session each hold one over
+// the batches their cutter cuts; what differs between them is only what
+// feeds out.
 type Shell[T any] struct {
 	// Pool reports the kind's worker-pool telemetry. Release runs exactly
 	// once when the stream ends — EOF, failure or Close — with the final
@@ -293,8 +294,3 @@ func (s *Shell[T]) Stats() SessionStats {
 	defer s.mu.Unlock()
 	return SessionStats{Reader: s.stats, Cache: s.cache, Scheduler: sched}
 }
-
-// Following and FollowLag are the follow state of a session that does not
-// tail; Session overrides them.
-func (s *Shell[T]) Following() bool { return false }
-func (s *Shell[T]) FollowLag() int  { return 0 }

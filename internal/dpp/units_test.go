@@ -101,7 +101,7 @@ func (r *unitReader) add(t testing.TB, p dpp.UnitPiece) *fileUnit {
 		r.open = &scanParts{}
 	}
 	if p.Head != nil {
-		r.open.Head = p.Head
+		r.open.Head, r.open.Carry = p.Head, p.Carry
 		return nil
 	}
 	if p.Batch != nil {
@@ -130,7 +130,6 @@ func drainUnits(t *testing.T, u *dpp.UnitSession) []*fileUnit {
 			t.Fatal(err)
 		}
 		if unit := r.add(t, p); unit != nil {
-			unit.Scan.Carry = u.Carries()[unit.Index]
 			units = append(units, unit)
 		}
 	}
@@ -374,9 +373,11 @@ func TestUnitSessionTeardown(t *testing.T) {
 // TestOpenAndOpenUnitsShareCap: batch and unit sessions are admitted
 // against one cap, the tenant's at the server's gate, which concurrent
 // opens of both kinds cannot overshoot; with the cap full, neither kind
-// gets in.
+// gets in. The table is several credit windows long: a remote batch
+// session's cutter takes pieces before its consumer asks, and a stream
+// whose every piece it holds has ended on the server.
 func TestOpenAndOpenUnitsShareCap(t *testing.T) {
-	env := newTestEnv(t, 10)
+	env := newTestEnv(t, 60)
 	files, err := env.catalog.AllFiles("tbl")
 	if err != nil {
 		t.Fatal(err)

@@ -207,13 +207,13 @@ func TestAccessLogJSONIsStable(t *testing.T) {
 	at := time.Date(2024, 5, 6, 7, 8, 9, 0, time.UTC)
 	alog := NewAccessLog(8)
 	for i, ev := range []dppnet.SessionEvent{
-		{Kind: "open", ID: 7, Peer: "10.0.0.2:5000", Table: "t", FileUnits: true, ShareScans: true, Resumed: true, Offset: 12, Tenant: "acme"},
+		{Kind: "open", ID: 7, Peer: "10.0.0.2:5000", Table: "t", ShareScans: true, Resumed: true, Offset: 12, Tenant: "acme"},
 		{Kind: "close", ID: 7, Peer: "10.0.0.2:5000", Table: "t", Batches: 40, Bytes: 123456, Duration: 1500 * time.Millisecond, Detail: "eof", Tenant: "acme"},
 		{Kind: "error", Peer: "10.0.0.3:6000", Detail: "malformed handshake"},
 	} {
 		alog.Record(AccessEvent{Time: at.Add(time.Duration(i) * time.Second), SessionEvent: ev})
 	}
-	const want = "[\n  {\n    \"time\": \"2024-05-06T07:08:09Z\",\n    \"kind\": \"open\",\n    \"id\": 7,\n    \"peer\": \"10.0.0.2:5000\",\n    \"table\": \"t\",\n    \"file_units\": true,\n    \"share_scans\": true,\n    \"resumed\": true,\n    \"offset\": 12,\n    \"tenant\": \"acme\"\n  },\n  {\n    \"time\": \"2024-05-06T07:08:10Z\",\n    \"kind\": \"close\",\n    \"id\": 7,\n    \"peer\": \"10.0.0.2:5000\",\n    \"table\": \"t\",\n    \"batches\": 40,\n    \"bytes\": 123456,\n    \"duration_ns\": 1500000000,\n    \"detail\": \"eof\",\n    \"tenant\": \"acme\"\n  },\n  {\n    \"time\": \"2024-05-06T07:08:11Z\",\n    \"kind\": \"error\",\n    \"peer\": \"10.0.0.3:6000\",\n    \"detail\": \"malformed handshake\"\n  }\n]\n"
+	const want = "[\n  {\n    \"time\": \"2024-05-06T07:08:09Z\",\n    \"kind\": \"open\",\n    \"id\": 7,\n    \"peer\": \"10.0.0.2:5000\",\n    \"table\": \"t\",\n    \"share_scans\": true,\n    \"resumed\": true,\n    \"offset\": 12,\n    \"tenant\": \"acme\"\n  },\n  {\n    \"time\": \"2024-05-06T07:08:10Z\",\n    \"kind\": \"close\",\n    \"id\": 7,\n    \"peer\": \"10.0.0.2:5000\",\n    \"table\": \"t\",\n    \"batches\": 40,\n    \"bytes\": 123456,\n    \"duration_ns\": 1500000000,\n    \"detail\": \"eof\",\n    \"tenant\": \"acme\"\n  },\n  {\n    \"time\": \"2024-05-06T07:08:11Z\",\n    \"kind\": \"error\",\n    \"peer\": \"10.0.0.3:6000\",\n    \"detail\": \"malformed handshake\"\n  }\n]\n"
 	rec := httptest.NewRecorder()
 	NewServer(Config{Registry: NewRegistry(), AccessLog: alog}).handleAccessLog(rec, httptest.NewRequest("GET", "/accesslog", nil))
 	if got := rec.Body.String(); got != want {
@@ -304,9 +304,12 @@ func TestSidecarEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batches := 0
+	// The table's 64-row files cut into 32-row batches, so no batch crosses
+	// a file: the server sends every full batch, and the client cuts only
+	// the final short one, from the last file's tail.
+	batches, short := 0, 0
 	for {
-		_, err := rs.Next(context.Background())
+		b, err := rs.Next(context.Background())
 		if err == io.EOF {
 			break
 		}
@@ -314,6 +317,9 @@ func TestSidecarEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 		batches++
+		if b.Size < testSpec().BatchSize {
+			short++
+		}
 	}
 	rs.Close()
 	if batches == 0 {
@@ -345,8 +351,8 @@ func TestSidecarEndToEnd(t *testing.T) {
 	for _, want := range []string{
 		fmt.Sprintf(`recd_sessions_opened_total{shard="0"} 1`),
 		fmt.Sprintf(`recd_net_sessions_served_total{shard="0"} 1`),
-		fmt.Sprintf(`recd_net_batches_sent_total{shard="0"} %d`, batches),
-		fmt.Sprintf(`recd_batches_served_total{shard="0"} %d`, batches),
+		fmt.Sprintf(`recd_net_batches_sent_total{shard="0"} %d`, batches-short),
+		fmt.Sprintf(`recd_batches_served_total{shard="0"} %d`, batches-short),
 		`recd_accesslog_events_total{kind="open"} 1`,
 		`recd_accesslog_events_total{kind="close"} 1`,
 	} {
@@ -361,8 +367,8 @@ func TestSidecarEndToEnd(t *testing.T) {
 	var stats dpp.Stats
 	if err := json.Unmarshal([]byte(get("/statsz")), &stats); err != nil {
 		t.Errorf("/statsz not dpp.Stats JSON: %v", err)
-	} else if stats.SessionsOpened != 1 || stats.BatchesServed != int64(batches) {
-		t.Errorf("/statsz = %+v, want 1 session / %d batches", stats, batches)
+	} else if stats.SessionsOpened != 1 || stats.BatchesServed != int64(batches-short) {
+		t.Errorf("/statsz = %+v, want 1 session / %d batches", stats, batches-short)
 	}
 	var events []AccessEvent
 	if err := json.Unmarshal([]byte(get("/accesslog?n=10")), &events); err != nil {
@@ -371,8 +377,10 @@ func TestSidecarEndToEnd(t *testing.T) {
 	if len(events) != 2 || events[0].Kind != "open" || events[1].Kind != "close" {
 		t.Fatalf("accesslog = %+v, want [open close]", events)
 	}
-	if events[1].Detail != "eof" || events[1].Batches != int64(batches) {
-		t.Errorf("close event = %+v, want eof with %d batches", events[1], batches)
+	// The close event counts payload frames: the batch frames and the
+	// file-unit frames that close each file.
+	if sent := netSrv.Stats(); events[1].Detail != "eof" || events[1].Batches != sent.BatchesSent+sent.UnitsSent || sent.UnitsSent == 0 {
+		t.Errorf("close event = %+v, want eof with the %d batch and %d file-unit frames sent", events[1], sent.BatchesSent, sent.UnitsSent)
 	}
 	// pprof answers on the private mux.
 	if idx := get("/debug/pprof/"); !strings.Contains(idx, "goroutine") {

@@ -92,29 +92,32 @@ func TestReadFilesKeepsRowKeys(t *testing.T) {
 	}
 }
 
-// TestReadFilesNamesARetiredLayout: a file written in the retired
-// varint-ID layout is refused, and the error names the file, the layout
-// and the remedy instead of reporting rows decoded from misread streams.
+// TestReadFilesNamesARetiredLayout: a file written in a retired layout —
+// the varint-ID layout's trailer DWRF or the flate layout's DWR2 — is
+// refused, and the error names the file, the trailer found and the remedy
+// instead of reporting rows decoded from misread streams.
 func TestReadFilesNamesARetiredLayout(t *testing.T) {
 	schema := datagen.StandardSchema(datagen.StandardSchemaConfig{
 		UserSeq: 1, UserElem: 2, Item: 2, Dense: 2, SeqLen: 4, Seed: 1,
 	})
-	path, _ := writeFile(t, t.TempDir(), "old.dwrf", schema)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	copy(data[len(data)-4:], "DWRF") // the retired layout's trailer
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, _, err = readFiles(io.Discard, []string{path})
-	if err == nil {
-		t.Fatal("a file of the retired layout was read")
-	}
-	for _, want := range []string{path, "retired varint-ID layout", "re-land"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q does not name %q", err, want)
+	for _, trailer := range []string{"DWRF", "DWR2"} {
+		path, _ := writeFile(t, t.TempDir(), "old.dwrf", schema)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(data[len(data)-4:], trailer)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = readFiles(io.Discard, []string{path})
+		if err == nil {
+			t.Fatalf("a file of the retired layout %s was read", trailer)
+		}
+		for _, want := range []string{path, `file is in a retired layout (trailer "` + trailer + `"`, "re-land it with this build"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not name %q", err, want)
+			}
 		}
 	}
 }

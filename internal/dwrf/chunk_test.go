@@ -98,8 +98,9 @@ func withFooter(r *FileReader, body []byte, stripes [][3]uint64, dense, rowKeysR
 // reach from the section's bytes, and a section of other than four
 // varints a row. A stripe whose label stream is not one byte a row is
 // refused before its row count sizes anything. A file whose trailer is
-// the retired varint-ID layout's is refused at open by name: its sparse
-// streams would parse as fixed-width IDs and decode into wrong ones.
+// a retired layout's — the varint-ID layout's DWRF or the flate layout's
+// DWR2 — is refused at open, in one message that names the trailer found:
+// its sparse streams would parse in the current grammar and decode wrong.
 func TestHostileFooter(t *testing.T) {
 	schema := testSchema()
 	data, _ := writeFile(t, schema, testSamples(t, schema, 6), 16)
@@ -134,9 +135,12 @@ func TestHostileFooter(t *testing.T) {
 		}
 	}
 
-	retired := append(data[:len(data)-len(trailerMagic):len(data)-len(trailerMagic)], magic...)
-	if _, err := OpenReader(retired); err == nil || !strings.Contains(err.Error(), "retired varint-ID layout") || !strings.Contains(err.Error(), "re-land") {
-		t.Fatalf("a file of the retired layout: open error %v", err)
+	for _, trailer := range []string{magic, "DWR2"} {
+		retired := append(data[:len(data)-len(trailerMagic):len(data)-len(trailerMagic)], trailer...)
+		want := `dwrf: file is in a retired layout (trailer "` + trailer + `", not "` + trailerMagic + `"): re-land it with this build`
+		if _, err := OpenReader(retired); err == nil || err.Error() != want {
+			t.Fatalf("a file of the retired layout %s: open error %v, want %q", trailer, err, want)
+		}
 	}
 
 	// A directory that is in bounds but lies about a stripe's rows opens,
@@ -186,16 +190,14 @@ func TestHostileFooter(t *testing.T) {
 }
 
 // forgeStripe builds a stripe of the given rows under a schema of keys
-// sparse columns: a label stream of labels zero bytes, no dense values, sparse
-// column 0's raw stream sparse and the other sparse columns empty.
+// sparse columns: a label stream of labels zero bytes and no dense values,
+// compressed; sparse column 0's stream sparse and the other sparse columns
+// empty, stored as they are.
 func forgeStripe(t *testing.T, keys, rows, labels int, sparse []byte) []byte {
 	t.Helper()
-	streams := make([][]byte, firstSparse+keys)
-	streams[labelStream] = make([]byte, labels)
-	streams[firstSparse] = sparse
-	hdr := putUvarint(putUvarint(nil, uint64(rows)), uint64(len(streams)))
+	hdr := putUvarint(putUvarint(nil, uint64(rows)), uint64(firstSparse+keys))
 	var body bytes.Buffer
-	for _, raw := range streams {
+	for _, raw := range [][]byte{make([]byte, labels), nil} {
 		at := body.Len()
 		fw, err := flate.NewWriter(&body, flate.BestCompression)
 		if err != nil {
@@ -205,39 +207,63 @@ func forgeStripe(t *testing.T, keys, rows, labels int, sparse []byte) []byte {
 		fw.Close()
 		hdr = putUvarint(putUvarint(hdr, uint64(len(raw))), uint64(body.Len()-at))
 	}
+	body.Write(sparse)
+	hdr = putUvarint(hdr, uint64(len(sparse)))
+	for range keys - 1 {
+		hdr = putUvarint(hdr, 0)
+	}
 	return append(hdr, body.Bytes()...)
 }
 
-// TestForgedRunsAreRefused: a sparse stream's header and runs are believed
-// only as far as its bytes go. A repeat on a stripe's first row, a literal
-// list longer than the stream, and a literal followed by repeats that
-// expand past what deflate could pack into the column's compressed bytes
-// are each refused — the last one before anything is sized by it,
-// allocating within a constant of the stripe's own length, as a plain
-// stream of that length could, where its rows claim 8 GiB of values. So
-// are a missing width byte, a width above 8, a base cut short, IDs in a
-// stream of width 0, and a literal whose IDs fit the bytes left one byte
-// each but not w bytes each.
+// TestForgedRunsAreRefused: a sparse stream's header and row references
+// are believed only as far as its bytes go. Each of these is refused:
+//   - a repeat on a stripe's first row, and a run of repeats past its last;
+//   - a back-reference of distance below 2, or past the stripe's first row;
+//   - a shift or back-reference that drops more IDs than its row holds;
+//   - a literal list, or a tail, whose IDs run past the stream;
+//   - a tail in a stream of width 0;
+//   - a stream with bytes past its last row;
+//   - a literal followed by repeats that expand past maxInflateRatio values
+//     a stored byte, refused before anything is sized by it, allocating
+//     within a constant of the stripe's own length where its rows claim
+//     terabytes of values; and a run stating more rows than that, refused
+//     before their offsets are sized;
+//   - a missing width byte, a width above 8, a base cut short, IDs in a
+//     stream of width 0, and a literal whose IDs fit the bytes left one
+//     byte each but not w bytes each.
 func TestForgedRunsAreRefused(t *testing.T) {
 	keys := testSchema().SparseKeys()
 	head := []byte{1, 0} // width 1, base 0
-	literal := func(n int) []byte { return append(putUvarint(nil, uint64(n)+1), make([]byte, n)...) }
-	const listLen, repeats = 1 << 16, 1 << 14
-	expand := append(append(head, literal(listLen)...), make([]byte, repeats)...)
+	literal := func(n int) []byte { return append(putUvarint(nil, uint64(n)<<2|1), make([]byte, n)...) }
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	const listLen, repeats = 1 << 19, 1 << 19
+	expand := cat(head, literal(listLen), make([]byte, repeats))
 	for _, tc := range []struct {
 		name, err string
-		stripe    []byte
+		rows      int
+		sparse    []byte
 	}{
-		{"repeat on row 0", "repeats a row before its first", forgeStripe(t, len(keys), 2, 2, append(head, 0, 0))},
-		{"literal past the stream", "list too long", forgeStripe(t, len(keys), 1, 1, append(head, literal(10)[:5]...))},
-		{"runs past the expansion limit", "expands to more than", forgeStripe(t, len(keys), 1+repeats, 1+repeats, expand)},
-		{"no width byte", "no ID width of 0 to 8 bytes", forgeStripe(t, len(keys), 1, 1, nil)},
-		{"width above 8", "no ID width of 0 to 8 bytes", forgeStripe(t, len(keys), 1, 1, []byte{9, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0})},
-		{"base truncated", "base truncated", forgeStripe(t, len(keys), 1, 1, []byte{1, 0x80})},
-		{"IDs at width 0", "width 0", forgeStripe(t, len(keys), 1, 1, []byte{0, 2, 0})},
-		{"literal of n·w past the stream", "list too long", forgeStripe(t, len(keys), 1, 1, append([]byte{8, 0, 3}, make([]byte, 9)...))},
+		{"repeat on row 0", "before the stripe's first", 2, cat(head, []byte{0, 0})},
+		{"run past the stripe's last row", "past the stripe's last row", 2, cat(head, literal(1), []byte{1 << 2})},
+		{"whole row 2 back on row 1", "before the stripe's first", 2, cat(head, literal(1), []byte{2<<3 | 7})},
+		{"back-reference of distance 1", "distance below 2", 2, cat(head, literal(1), []byte{1<<3 | 3, 0, 0})},
+		{"back-reference past row 0", "before the stripe's first", 3, cat(head, literal(1), literal(1), []byte{3<<3 | 3, 0, 0})},
+		{"shift dropping more than its row", "drops 3 IDs of a row of 2", 2, cat(head, literal(2), []byte{3<<2 | 2, 0})},
+		{"back-reference dropping more than its row", "drops 2 IDs of a row of 1", 3, cat(head, literal(1), literal(2), []byte{2<<3 | 3, 2, 0})},
+		{"literal past the stream", "list too long", 1, cat(head, literal(10)[:5])},
+		{"tail of t·w past the stream", "list too long", 2, cat([]byte{8, 0}, literal(0), []byte{2, 3}, make([]byte, 9))},
+		{"tail at width 0", "width 0", 2, []byte{0, 1, 2, 1}},
+		{"back-reference tail at width 0", "width 0", 3, []byte{0, 1, 1, 2<<3 | 3, 0, 1}},
+		{"bytes past the last row", "past its last row", 1, cat(head, literal(1), []byte{0})},
+		{"runs past the expansion limit", "expands to more than", 1 + repeats, expand},
+		{"rows past the expansion limit", "cannot state 9000 rows in 5 bytes", 9000, cat([]byte{0, 1}, putUvarint(nil, 8998<<2))},
+		{"no width byte", "no ID width of 0 to 8 bytes", 1, nil},
+		{"width above 8", "no ID width of 0 to 8 bytes", 1, []byte{9, 0, 1<<2 | 1, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+		{"base truncated", "base truncated", 1, []byte{1, 0x80}},
+		{"IDs at width 0", "width 0", 1, []byte{0, 1<<2 | 1, 0}},
+		{"literal of n·w past the stream", "list too long", 1, cat([]byte{8, 0, 3<<2 | 1}, make([]byte, 9))},
 	} {
-		src, err := wholeStripe(tc.stripe, firstSparse+len(keys))
+		src, err := wholeStripe(forgeStripe(t, len(keys), tc.rows, tc.rows, tc.sparse), firstSparse+len(keys))
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -248,8 +274,9 @@ func TestForgedRunsAreRefused(t *testing.T) {
 
 	// The expansion is refused having allocated no more than a plain
 	// stream of the stripe's length could make it: 8 bytes a value for
-	// maxInflateRatio values a byte, and as much again for the raw
-	// streams and the label column. The claim itself sizes nothing.
+	// maxInflateRatio values a byte, and as much again for the offsets,
+	// the label stream and the label column. The claim itself sizes
+	// nothing.
 	stripe := forgeStripe(t, len(keys), 1+repeats, 1+repeats, expand)
 	src, err := wholeStripe(stripe, firstSparse+len(keys))
 	if err != nil {

@@ -2,34 +2,42 @@
 // format modelled on Meta's DWRF (an ORC derivative, paper §2.1). Files
 // are composed of stripes, each holding a small run of rows; within a
 // stripe the labels and every flattened feature column are encoded into
-// their own streams and block-compressed (stdlib flate standing in for
-// zstd; docs/ARCHITECTURE.md lists the substitutions). The row keys —
-// session, user and request IDs and timestamp — are what a batch does not
-// carry: they are one section per file, after the last stripe, which a
-// stripe read never fetches and only a row read (ReadRowKeys) does.
+// their own streams. The label and dense streams are block-compressed
+// (stdlib flate standing in for zstd; docs/ARCHITECTURE.md lists the
+// substitutions); the sparse streams are stored as written, because their
+// own grammar already states what a compressor would find in them. The
+// row keys — session, user and request IDs and timestamp — are what a
+// batch does not carry: they are one flate section per file, after the
+// last stripe, which a stripe read never fetches and only a row read
+// (ReadRowKeys) does.
 //
 // The format exists to reproduce the paper's storage behaviour: when the
 // ETL clusters a table by session ID (O2), each stripe holds many rows of
-// the same session, whose user features repeat the row before — the effect
-// behind the paper's 3.71×/2.06× table compression gains and the Table 3
-// read-byte savings. The encoder writes such a run once: a sparse row
-// equal to the previous row of its stripe is the one byte 0, and a reader
-// copies the previous row's list. An ID costs the bytes its stream needs:
-// each sparse stream records its least ID as a base and a width w, and
-// every ID is its offset over the base in w little-endian bytes (ORC's
-// fixed-width integer runs), where a varint would spend a continuation
-// bit a byte. The compressor sees what is left.
+// the same session, whose user features repeat the row before, or shift
+// it — a sequence feature is a sliding window (§7) — the effect behind the
+// paper's 3.71×/2.06× table compression gains and the Table 3 read-byte
+// savings. The encoder states such a row by reference: a sparse row is a
+// literal list, a repeat of an earlier row of its stripe, a shift of the
+// previous row (its first k IDs dropped, t literal IDs appended), or a
+// back-reference to any earlier row with a drop and a tail; a reader
+// copies what a row refers to out of the rows it has already decoded. An
+// ID costs the bytes its stream needs: each sparse stream records its
+// least ID as a base and a width w, and every literal ID is its offset
+// over the base in w little-endian bytes (ORC's fixed-width integer runs),
+// where a varint would spend a continuation bit a byte.
 package dwrf
 
 import "fmt"
 
 // Every DWRF file starts with magic and ends with trailerMagic, which names
-// its layout. A file of the retired layout, whose sparse IDs were zigzag
-// varints, ends with magic instead: Open refuses it by name, where its
-// streams would otherwise parse as fixed-width IDs and decode wrong.
+// its layout. A file of a retired layout ends with another trailer —
+// magic itself for the layout whose sparse IDs were zigzag varints, DWR2
+// for the one whose sparse streams were flate-compressed and knew no shift
+// or back-reference — and Open refuses it by name, where its streams would
+// otherwise parse in the current grammar and decode wrong.
 const (
 	magic        = "DWRF"
-	trailerMagic = "DWR2"
+	trailerMagic = "DWR3"
 )
 
 // Format limits. These guard the decoder against corrupt or adversarial
@@ -69,14 +77,15 @@ func (o WriterOptions) validate() error {
 	return nil
 }
 
-// ColumnStats records raw and compressed stream bytes for one flattened
-// column across all stripes of a file; column 0, "_meta", is the row
-// metadata: the label streams and the file's row-key section. Raw bytes
-// are the column's plain encoding, before compression and with every
-// repeated sparse row counted at its full length, so clustering leaves
-// them unchanged. For a sparse column the plain encoding is a varint
-// length and zigzag varint IDs a row, not the fixed-width IDs written, so
-// a ratio of raw to compressed bytes also counts what the widths save.
+// ColumnStats records raw and stored stream bytes for one flattened column
+// across all stripes of a file; column 0, "_meta", is the row metadata: the
+// label streams and the file's row-key section. Raw bytes are the column's
+// plain encoding, before compression and with every sparse row counted at
+// its full length, so clustering leaves them unchanged. For a sparse
+// column the plain encoding is a varint length and zigzag varint IDs a
+// row, not the referenced rows and fixed-width IDs written, so a ratio of
+// raw to compressed (stored) bytes also counts what references and widths
+// save.
 type ColumnStats struct {
 	Name            string
 	RawBytes        int64

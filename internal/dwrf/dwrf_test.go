@@ -357,47 +357,75 @@ func withLists(rows []datagen.Sample, list func(i, fi int) []int64) []datagen.Sa
 	return out
 }
 
-// TestRunsRoundTrip: a sparse row equal to the row before it is written as
-// a run, and every shape of run decodes, through ReadAll and stripe by
-// stripe from the last to the first and under a projection onto one
-// column, to the rows written. A run that crosses a stripe boundary is
-// restated literally: a stripe whose first row were a repeat would not
-// decode. A reader believes no more values than deflate could pack into a
-// column's compressed bytes, so runs that expand past that — long, highly
-// compressible lists repeated for thousands of rows — are written without
-// runs, and read back too. That holds for a stream of one repeated ID,
-// whose every ID is offset 0 over its base, only because the width of a
-// stream holding an ID is at least one byte: at width 0 its IDs would
-// cost no raw byte, and nothing would bound them.
+// window is list fi of row i of a table whose rows slide over one
+// sequence a feature: from row to row, a drop of 0–3 IDs and a tail of 0–2
+// new ones, a window the drop sometimes empties.
+func window(i, fi int) []int64 {
+	seq := make([]int64, 2*i+5)
+	for k := range seq {
+		seq[k] = int64(fi*1000 + k*7)
+	}
+	lo, hi := 0, 5
+	for r := 1; r <= i; r++ {
+		lo, hi = min(lo+r%4, hi), hi+r%3
+	}
+	return seq[lo:hi]
+}
+
+// TestRunsRoundTrip: a sparse row stated by reference — a repeat, a shift
+// of the row before or a back-reference to an earlier row — decodes,
+// through ReadAll and stripe by stripe from the last to the first and
+// under a projection onto one column, to the rows written, whatever its
+// shape. A reference that would cross a stripe boundary is restated
+// literally: a stripe whose first row referred back would not decode. A
+// reader believes no more than maxInflateRatio values a stored byte, so a
+// column whose references expand past that — a list longer than
+// maxInflateRatio, repeated as often — is written without them, every row
+// a literal at a byte or more an ID, and read back too. That holds for a
+// stream of one repeated ID, whose every ID is offset 0 over its base,
+// only because the width of a stream holding an ID is at least one byte:
+// at width 0 its IDs would cost no stored byte, and nothing would bound
+// them.
 func TestRunsRoundTrip(t *testing.T) {
 	schema := testSchema()
 	base := testSamples(t, schema, 6)[:30]
 	own := func(i, fi int) []int64 { return base[i].Sparse[fi] }
-	zeros := withLists(base[:1], func(int, int) []int64 { return make([]int64, 32) })
-	for len(zeros) < 4096 {
-		zeros = append(zeros, zeros[0])
+	const long = 2*maxInflateRatio + 64 // long·(long+1) values in some 2·long bytes
+	longList := func(id int64) []datagen.Sample {
+		rows := withLists(base[:1], func(_, fi int) []int64 {
+			if fi == 0 {
+				return slices.Repeat([]int64{id}, long)
+			}
+			return nil
+		})
+		return slices.Repeat(rows, long+1)
 	}
-	oneID := withLists(zeros, func(int, int) []int64 { return slices.Repeat([]int64{1<<40 + 3}, 64) })
 	for _, tc := range []struct {
 		name       string
 		rows       []datagen.Sample
 		stripeRows int
+		literal    bool // column 0 is written without references
 	}{
 		{"run across two stripe boundaries", withLists(base, func(i, fi int) []int64 {
 			return own(min(max(i, 5), 19), fi) // rows 5..19 repeat row 5
-		}), 8},
+		}), 8, false},
 		{"runs of empty lists", withLists(base, func(i, fi int) []int64 {
 			if i%10 < 6 {
 				return nil
 			}
 			return own(i, fi)
-		}), 8},
-		{"every row equal", withLists(base, func(_, fi int) []int64 { return own(0, fi) }), 8},
-		{"alternating rows", withLists(base, func(i, fi int) []int64 { return own(i%2, fi) }), 8},
-		{"4096 equal rows of 32 zero IDs", zeros, len(zeros)},
-		{"4096 rows of one ID 64 times", oneID, 1024},
+		}), 8, false},
+		{"every row equal", withLists(base, func(_, fi int) []int64 { return own(0, fi) }), 8, false},
+		{"alternating rows", withLists(base, func(i, fi int) []int64 { return own(i%2, fi) }), 8, false},
+		{"sliding windows", withLists(base, window), 16, false},
+		{"two sessions' windows interleaved", withLists(base, func(i, fi int) []int64 { return window(i/2, fi+7*(i%2)) }), 16, false},
+		{"a list longer than maxInflateRatio, repeated", longList(0), long + 1, true},
+		{"one ID that long, repeated", longList(1<<40 + 3), long + 1, true},
 	} {
-		data, _ := writeFile(t, schema, tc.rows, tc.stripeRows)
+		data, stats := writeFile(t, schema, tc.rows, tc.stripeRows)
+		if stored, values := stats.Columns[firstSparse].CompressedBytes, int64(long*(long+1)); tc.literal && stored < values {
+			t.Fatalf("%s: %d values stored in %d bytes: the column kept its references", tc.name, values, stored)
+		}
 		r, err := OpenReader(data)
 		if err != nil {
 			t.Fatal(err)
@@ -423,6 +451,91 @@ func TestRunsRoundTrip(t *testing.T) {
 			}
 		}
 	}
+}
+
+// rowKinds counts the rows of every sparse stream of a file by what their
+// headers state them as — literal, repeat (each row of a run), shift of
+// the previous row, back-reference — and sums the streams' stored bytes.
+func rowKinds(t *testing.T, data []byte) (kinds map[string]int, stored int) {
+	t.Helper()
+	r, err := OpenReader(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds = map[string]int{}
+	for i := range r.NumStripes() {
+		off, n := r.StripeByteRange(i)
+		src, err := wholeStripe(data[off:off+n], firstSparse+len(r.keys))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, raw := range src.streams[firstSparse:] {
+			stored += len(raw)
+			width := uint64(raw[0])
+			sr := byteReader{buf: raw, pos: 1}
+			if width > 0 {
+				sr.varint()
+			}
+			for i := 0; i < src.rows; {
+				count, dist, drop, tail, err := sr.row()
+				if err != nil {
+					t.Fatal(err)
+				}
+				i += int(count)
+				switch {
+				case dist == 0:
+					kinds["literal"]++
+				case dist == 1 && drop == 0 && tail == 0:
+					kinds["repeat"] += int(count)
+				case dist == 1:
+					kinds["shift"]++
+				default:
+					kinds["back-reference"]++
+				}
+				sr.pos += int(tail * width)
+			}
+		}
+	}
+	return kinds, stored
+}
+
+// TestReferencesShrinkSparseStreams: on a session-clustered table whose
+// sequence features slide (datagen.ShiftAppend), the encoder states rows
+// as shifts of the row before, and its sparse streams are strictly
+// smaller than the same rows written without references; with sessions
+// interleaved, as the baseline table holds them, it states rows as
+// back-references. An encoder that never referred to a row fails here.
+func TestReferencesShrinkSparseStreams(t *testing.T) {
+	schema := testSchema()
+	samples := testSamples(t, schema, 40)
+	write := func(rows []datagen.Sample, refer bool) (map[string]int, int) {
+		w, err := NewFileWriter(schema, WriterOptions{StripeRows: 128})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.literal = !refer
+		if err := w.WriteRows(rows); err != nil {
+			t.Fatal(err)
+		}
+		data, _, err := w.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rowKinds(t, data)
+	}
+	clustered := etl.ClusterBySession(samples)
+	with, withBytes := write(clustered, true)
+	without, withoutBytes := write(clustered, false)
+	if with["shift"] == 0 || without["literal"] != len(clustered)*len(schema.Sparse) {
+		t.Fatalf("clustered rows, with references %v, without %v: want shifts, and only literals", with, without)
+	}
+	if withBytes >= withoutBytes {
+		t.Fatalf("clustered sparse streams of %d bytes with references, %d without", withBytes, withoutBytes)
+	}
+	if interleaved, _ := write(samples, true); interleaved["back-reference"] == 0 {
+		t.Fatalf("interleaved rows state no back-reference: %v", interleaved)
+	}
+	t.Logf("clustered: %v, %d sparse bytes (%d without references)", with, withBytes, withoutBytes)
 }
 
 // TestRawBytesArePlain: a sparse column's RawBytes is the size of its
@@ -614,13 +727,13 @@ func BenchmarkStripeColumns(b *testing.B) {
 // of three sessions in stripes of 7 rows. Every stream's grammar, the
 // stripe header, the row-key section, the footer and the trailer reach
 // these bytes, so a change that moves the hash changes the file format —
-// a new trailerMagic and a re-land, not a test update. (The streams are
-// compress/flate's output, so a toolchain whose deflate emits other bytes
-// moves it too.)
+// a new trailerMagic and a re-land, not a test update. (The label and
+// dense streams and the row-key section are compress/flate's output, so a
+// toolchain whose deflate emits other bytes moves it too.)
 func TestFileKnownAnswer(t *testing.T) {
 	schema := testSchema()
 	data, _ := writeFile(t, schema, testSamples(t, schema, 3), 7)
-	const want = "83b1030e7da8ccee54f3d16bbfb35e37374d63f779bd2199f4d7062913c6ed52"
+	const want = "e3585b7490176ab2567ed8f7c7e5702b41a17d3a14dbaea7ad7d55243ab91567"
 	if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want {
 		t.Fatalf("sha256 of the %d-byte file = %s, want %s", len(data), got, want)
 	}

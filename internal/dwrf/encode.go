@@ -13,8 +13,9 @@ import (
 )
 
 // Column stream encodings. Every stream is a byte slice produced by one of
-// the putX helpers and consumed by the matching readX helper; streams are
-// then individually flate-compressed per stripe.
+// the putX helpers and consumed by the matching byteReader method; the
+// label and dense streams are then flate-compressed per stripe, and the
+// sparse streams stored as they are.
 
 // putUvarint appends v to b as an unsigned varint.
 func putUvarint(b []byte, v uint64) []byte {
@@ -74,6 +75,38 @@ func varintErr(n int) error {
 }
 
 func (r *byteReader) remaining() int { return len(r.buf) - r.pos }
+
+// row reads one sparse row header (see appendSparse): how many rows it
+// states, more than one only for a run; the distance back to the row each
+// copies, 0 for a literal; how many IDs each drops from the front of that
+// row; and how many literal IDs follow the header. It holds the header to
+// the grammar alone: whether the numbers fit the stripe is the caller's to
+// check.
+func (r *byteReader) row() (rows, dist, drop, tail uint64, err error) {
+	h, err := r.uvarint()
+	if err != nil {
+		return 0, 0, 0, 0, err
+	}
+	switch h & 3 {
+	case 0:
+		return h>>2 + 1, 1, 0, 0, nil
+	case 1:
+		return 1, 0, 0, h >> 2, nil
+	case 2:
+		tail, err = r.uvarint()
+		return 1, 1, h >> 2, tail, err
+	}
+	if dist = h >> 3; dist < 2 {
+		return 0, 0, 0, 0, errors.New("back-reference of distance below 2")
+	}
+	if h&4 != 0 { // the row again, whole
+		return 1, dist, 0, 0, nil
+	}
+	if drop, err = r.uvarint(); err == nil {
+		tail, err = r.uvarint()
+	}
+	return 1, dist, drop, tail, err
+}
 
 // inflater bundles a reusable flate reader with its byte source so stripe
 // decoding does not rebuild the (large) flate state per column stream.

@@ -10,12 +10,18 @@ import (
 
 // fuzzSeedFile is a small real file: several stripes, every column kind.
 // Clustered, its rows are ordered by session as the ETL writes them, so
-// most of its user features' rows repeat the row before and are runs.
-func fuzzSeedFile(f *testing.F, clustered bool) ([]byte, *FileReader) {
+// most of its user features' rows repeat the row before and are runs;
+// with windows, its lists also slide from row to row, as sequence
+// features do, so its rows are shifts of the row before and
+// back-references to rows further back.
+func fuzzSeedFile(f *testing.F, clustered, windows bool) ([]byte, *FileReader) {
 	schema := testSchema()
 	rows := testSamples(f, schema, 3)
 	if clustered {
 		rows = etl.ClusterBySession(rows)
+	}
+	if windows {
+		rows = withLists(rows, func(i, fi int) []int64 { return window(i/2, fi+7*(i%2)) })
 	}
 	data, _ := writeFile(f, schema, rows, 8)
 	r, err := OpenReader(data)
@@ -31,9 +37,10 @@ func fuzzSeedFile(f *testing.F, clustered bool) ([]byte, *FileReader) {
 // any input decodes or fails with an error — never a panic or an
 // allocation sized by a forged count. Seeds are a real written file, its
 // truncations, and single-byte corruptions of its footer; and the file
-// clustered, whole and with a byte flipped inside each stripe.
+// clustered, and clustered with sliding windows, whole and with a byte
+// flipped inside each stripe.
 func FuzzOpenReader(f *testing.F) {
-	data, r := fuzzSeedFile(f, false)
+	data, r := fuzzSeedFile(f, false, false)
 	f.Add(data)
 	f.Add(data[:len(data)/2])
 	f.Add(data[:trailerLen+len(magic)])
@@ -42,13 +49,15 @@ func FuzzOpenReader(f *testing.F) {
 		bad[off] ^= 0x80
 		f.Add(bad)
 	}
-	clustered, r := fuzzSeedFile(f, true)
-	f.Add(clustered)
-	for i := range r.stripes {
-		off, n := r.StripeByteRange(i)
-		bad := append([]byte(nil), clustered...)
-		bad[off+n/2] ^= 0x80
-		f.Add(bad)
+	for _, windows := range []bool{false, true} {
+		clustered, r := fuzzSeedFile(f, true, windows)
+		f.Add(clustered)
+		for i := range r.stripes {
+			off, n := r.StripeByteRange(i)
+			bad := append([]byte(nil), clustered...)
+			bad[off+n/2] ^= 0x80
+			f.Add(bad)
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := OpenReader(data)
@@ -80,7 +89,7 @@ func FuzzOpenReader(f *testing.F) {
 // column decoder under the seed file's schema and an arbitrary dense width:
 // it decodes every column or fails with an error.
 func FuzzDecodeStripe(f *testing.F) {
-	data, r := fuzzSeedFile(f, false)
+	data, r := fuzzSeedFile(f, false, false)
 	for i := range r.stripes {
 		off, n := r.StripeByteRange(i)
 		stripe := data[off : off+n]
@@ -88,10 +97,12 @@ func FuzzDecodeStripe(f *testing.F) {
 		f.Add(stripe[:len(stripe)/2], r.dense)
 		f.Add(stripe, r.dense+1)
 	}
-	clustered, rc := fuzzSeedFile(f, true)
-	for i := range rc.stripes {
-		off, n := rc.StripeByteRange(i)
-		f.Add(clustered[off:off+n], rc.dense)
+	for _, windows := range []bool{false, true} {
+		clustered, rc := fuzzSeedFile(f, true, windows)
+		for i := range rc.stripes {
+			off, n := rc.StripeByteRange(i)
+			f.Add(clustered[off:off+n], rc.dense)
+		}
 	}
 	keys := r.SparseKeys()
 	f.Fuzz(func(t *testing.T, stripe []byte, dense int) {
@@ -125,7 +136,7 @@ func FuzzDecodeStripe(f *testing.F) {
 // input decodes or fails with an error: never a panic, never an allocation
 // sized by a forged count.
 func FuzzStripeColumns(f *testing.F) {
-	data, r := fuzzSeedFile(f, false)
+	data, r := fuzzSeedFile(f, false, false)
 	f.Add(data)
 	f.Add(data[:len(data)/2])
 	for i := range r.stripes {
@@ -139,13 +150,15 @@ func FuzzStripeColumns(f *testing.F) {
 	footer := append([]byte(nil), data...)
 	footer[r.body+1] ^= 0x08 // stripe 0's offset
 	f.Add(footer)
-	clustered, r := fuzzSeedFile(f, true)
-	f.Add(clustered)
-	for i := range r.stripes {
-		off, n := r.StripeByteRange(i)
-		bad := append([]byte(nil), clustered...)
-		bad[off+n/2] ^= 0x21
-		f.Add(bad)
+	for _, windows := range []bool{false, true} {
+		clustered, r := fuzzSeedFile(f, true, windows)
+		f.Add(clustered)
+		for i := range r.stripes {
+			off, n := r.StripeByteRange(i)
+			bad := append([]byte(nil), clustered...)
+			bad[off+n/2] ^= 0x21
+			f.Add(bad)
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := OpenReader(data)

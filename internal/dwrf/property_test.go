@@ -14,7 +14,12 @@ import (
 // tables do; a third from the whole int64 range, half of them at
 // math.MinInt64 or math.MaxInt64, so a stripe's IDs span the range, its
 // width is 8 and its offsets over the base wrap; and a third repeat one
-// such ID through the list.
+// such ID through the list. Half of the lists are drawn fresh; the others
+// are made of an earlier row's list of the same feature, as the encoder's
+// references state them: the previous row's or one 2–127 rows back, again
+// or as a window slid by a drop of 0–3 IDs — sometimes the whole list —
+// and a tail of 0–2 new ones. An earlier row may itself have been made so,
+// so references refer to references.
 func randomSamples(rng *rand.Rand, schema *datagen.Schema, n int) []datagen.Sample {
 	anyID := func() int64 {
 		switch rng.Intn(4) {
@@ -37,17 +42,34 @@ func randomSamples(rng *rand.Rand, schema *datagen.Schema, n int) []datagen.Samp
 			Dense:     make([]float32, schema.Dense),
 		}
 		for fi, f := range schema.Sparse {
-			l := rng.Intn(f.MaxLen + 1) // include empty lists
-			lst := make([]int64, l)
 			one := anyID()
-			for k := range lst {
+			id := func() int64 {
 				switch fi % 3 {
 				case 0:
-					lst[k] = rng.Int63n(f.Cardinality)
+					return rng.Int63n(f.Cardinality)
 				case 1:
-					lst[k] = anyID()
-				default:
-					lst[k] = one
+					return anyID()
+				}
+				return one
+			}
+			var lst []int64
+			switch dist := 1 + rng.Intn(127); {
+			case rng.Intn(2) == 0 || i == 0:
+				lst = make([]int64, rng.Intn(f.MaxLen+1)) // include empty lists
+				for k := range lst {
+					lst[k] = id()
+				}
+			case rng.Intn(3) == 0 && dist <= i: // again, 1–127 rows back
+				lst = out[i-dist].Sparse[fi]
+			default: // a window slid over the previous row or one up to 127 back
+				from := out[i-min(dist, i)].Sparse[fi]
+				drop := min(rng.Intn(4), len(from))
+				if rng.Intn(8) == 0 {
+					drop = len(from)
+				}
+				lst = append([]int64(nil), from[drop:]...)
+				for range rng.Intn(3) {
+					lst = append(lst, id())
 				}
 			}
 			s.Sparse[fi] = lst
@@ -62,13 +84,14 @@ func randomSamples(rng *rand.Rand, schema *datagen.Schema, n int) []datagen.Samp
 
 // TestPropertyRoundTrip: for arbitrary valid sample batches, writing a
 // DWRF file and reading it back reproduces every row exactly, regardless
-// of stripe size.
+// of stripe size — up to 256 rows, so a stripe holds references up to
+// randomSamples' 127 rows back.
 func TestPropertyRoundTrip(t *testing.T) {
 	schema := testSchema()
 	prop := func(seed int64, rows uint8, stripeRows uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := int(rows%64) + 1
-		stripe := int(stripeRows%16) + 1
+		n := int(rows) + 1
+		stripe := int(stripeRows) + 1
 		samples := randomSamples(rng, schema, n)
 
 		w, err := NewFileWriter(schema, WriterOptions{StripeRows: stripe})
@@ -150,9 +173,9 @@ func TestPropertyStripeDecodeMatchesReadAll(t *testing.T) {
 	}
 }
 
-// TestPropertyCompressedNotLarger: the compressed file is never wildly
-// larger than its raw column streams (flate worst case adds a tiny
-// per-block overhead).
+// TestPropertyCompressedNotLarger: the stored file is never wildly larger
+// than its plain column encodings (row headers, fixed-width IDs and
+// flate's worst case on the streams it compresses add a little).
 func TestPropertyCompressedNotLarger(t *testing.T) {
 	schema := testSchema()
 	prop := func(seed int64) bool {

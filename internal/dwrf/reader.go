@@ -45,8 +45,8 @@ func Open(size int64, fetch Fetch) (*FileReader, error) {
 	}
 	switch string(trailer[4:]) {
 	case trailerMagic:
-	case magic:
-		return nil, fmt.Errorf("dwrf: file is in the retired varint-ID layout (trailer %q, not %q): re-land it with this build", magic, trailerMagic)
+	case magic, "DWR2":
+		return nil, fmt.Errorf("dwrf: file is in a retired layout (trailer %q, not %q): re-land it with this build", trailer[4:], trailerMagic)
 	default:
 		return nil, fmt.Errorf("dwrf: bad trailer magic")
 	}

@@ -19,15 +19,21 @@ const (
 	firstSparse = 2
 )
 
-// stripeHeader is a stripe's decoded header: the row count and every
-// column stream's raw and compressed length. size is the header's own
-// encoded length, which is where the first stream starts.
+// stripeHeader is a stripe's decoded header: the row count, the label and
+// dense streams' lengths before compression, and every column stream's
+// length in the file. size is the header's own encoded length, which is
+// where the first stream starts.
 type stripeHeader struct {
-	rows    int
-	rawLen  []int
-	compLen []int
-	size    int
+	rows   int
+	rawLen [firstSparse]int
+	length []int
+	size   int
 }
+
+// headerVarints is how many varints the header of a stripe of nCols
+// column streams holds: the row and column counts, two lengths for each
+// compressed stream and one for each sparse stream (see flushStripe).
+func headerVarints(nCols int) int { return 2 + firstSparse + nCols }
 
 // parseStripeHeader decodes the header at the front of buf for a file of
 // nCols column streams. A buf that ends inside the header is not an
@@ -35,9 +41,9 @@ type stripeHeader struct {
 // incomplete (each needs at least one more byte), and the lengths parsed
 // so far are valid. missing == 0 means the header is complete.
 func parseStripeHeader(buf []byte, nCols int) (h stripeHeader, missing int, err error) {
-	h.rawLen, h.compLen = make([]int, nCols), make([]int, nCols)
+	h.length = make([]int, nCols)
 	r := &byteReader{buf: buf}
-	total := 2 + 2*nCols
+	total := headerVarints(nCols)
 	for i := 0; i < total; i++ {
 		v, err := r.uvarint()
 		if errors.Is(err, io.ErrUnexpectedEOF) {
@@ -45,6 +51,10 @@ func parseStripeHeader(buf []byte, nCols int) (h stripeHeader, missing int, err 
 		}
 		if err != nil {
 			return h, 0, fmt.Errorf("dwrf: stripe header: %w", err)
+		}
+		c := i - 2 - firstSparse // the column whose length v is
+		if i < 2+2*firstSparse {
+			c = (i - 2) / 2
 		}
 		switch {
 		case i == 0:
@@ -57,11 +67,11 @@ func parseStripeHeader(buf []byte, nCols int) (h stripeHeader, missing int, err 
 				return h, 0, fmt.Errorf("dwrf: stripe has %d columns, footer schema implies %d", v, nCols)
 			}
 		case v > maxStreamBytes:
-			return h, 0, fmt.Errorf("dwrf: column %d stream too large", (i-2)/2)
-		case i%2 == 0:
-			h.rawLen[(i-2)/2] = int(v)
+			return h, 0, fmt.Errorf("dwrf: column %d stream too large", c)
+		case i < 2+2*firstSparse && i%2 == 0:
+			h.rawLen[c] = int(v)
 		default:
-			h.compLen[(i-2)/2] = int(v)
+			h.length[c] = int(v)
 		}
 	}
 	h.size = r.pos
@@ -69,11 +79,11 @@ func parseStripeHeader(buf []byte, nCols int) (h stripeHeader, missing int, err 
 }
 
 // stripeSource is what decoding needs of one stripe: its header and the
-// compressed stream of every column to be decoded. Streams of columns
-// outside the projection stay nil — they were never fetched.
+// stored stream of every column to be decoded. Streams of columns outside
+// the projection stay nil — they were never fetched.
 type stripeSource struct {
 	stripeHeader
-	comp [][]byte
+	streams [][]byte
 }
 
 // wholeStripe builds the source of a stripe whose bytes are all in hand.
@@ -85,13 +95,13 @@ func wholeStripe(stripe []byte, nCols int) (stripeSource, error) {
 	if missing > 0 {
 		return stripeSource{}, fmt.Errorf("dwrf: stripe header truncated")
 	}
-	src := stripeSource{stripeHeader: h, comp: make([][]byte, nCols)}
+	src := stripeSource{stripeHeader: h, streams: make([][]byte, nCols)}
 	pos := h.size
-	for c, n := range h.compLen {
+	for c, n := range h.length {
 		if n > len(stripe)-pos {
 			return stripeSource{}, fmt.Errorf("dwrf: column %d stream truncated", c)
 		}
-		src.comp[c] = stripe[pos : pos+n : pos+n]
+		src.streams[c] = stripe[pos : pos+n : pos+n]
 		pos += n
 	}
 	return src, nil
@@ -110,7 +120,7 @@ func wholeStripe(stripe []byte, nCols int) (stripeSource, error) {
 // adjacent wanted streams is one read.
 func (r *FileReader) fetchStripe(off, length int64, cols []int) (stripeSource, error) {
 	nCols := firstSparse + len(r.keys)
-	buf, err := r.get(off, min(length, int64(2+2*nCols)))
+	buf, err := r.get(off, min(length, int64(headerVarints(nCols))))
 	if err != nil {
 		return stripeSource{}, err
 	}
@@ -134,8 +144,8 @@ func (r *FileReader) fetchStripe(off, length int64, cols []int) (stripeSource, e
 			break
 		}
 		to := int64(len(buf) + missing)
-		if missing <= 2*(nCols-firstSparse) { // the label and dense lengths are parsed
-			to += int64(h.compLen[labelStream] + h.compLen[denseStream])
+		if missing <= nCols-firstSparse { // the label and dense lengths are parsed
+			to += int64(h.length[labelStream] + h.length[denseStream])
 		}
 		if err := extend(to); err != nil {
 			return stripeSource{}, err
@@ -144,7 +154,7 @@ func (r *FileReader) fetchStripe(off, length int64, cols []int) (stripeSource, e
 
 	start := make([]int64, nCols+1) // stream c occupies [start[c], start[c+1]) of the stripe
 	start[0] = int64(h.size)
-	for c, n := range h.compLen {
+	for c, n := range h.length {
 		start[c+1] = start[c] + int64(n)
 	}
 	wanted := make([]int, 0, firstSparse+len(cols))
@@ -154,7 +164,7 @@ func (r *FileReader) fetchStripe(off, length int64, cols []int) (stripeSource, e
 	}
 	sort.Ints(wanted)
 
-	src := stripeSource{stripeHeader: h, comp: make([][]byte, nCols)}
+	src := stripeSource{stripeHeader: h, streams: make([][]byte, nCols)}
 	for i := 0; i < len(wanted); {
 		j := i + 1
 		for j < len(wanted) && wanted[j] == wanted[j-1]+1 {
@@ -177,7 +187,7 @@ func (r *FileReader) fetchStripe(off, length int64, cols []int) (stripeSource, e
 			run = buf
 		}
 		for _, c := range wanted[i:j] {
-			src.comp[c] = run[start[c]-base : start[c+1]-base : start[c+1]-base]
+			src.streams[c] = run[start[c]-base : start[c+1]-base : start[c+1]-base]
 		}
 		i = j
 	}
@@ -186,16 +196,20 @@ func (r *FileReader) fetchStripe(off, length int64, cols []int) (stripeSource, e
 
 // maxInflateRatio is deflate's expansion limit (a 258-byte match costs at
 // least two bits); a recorded raw length beyond it is forged, and is
-// refused before it sizes a buffer.
+// refused before it sizes a buffer. It is also the most values a sparse
+// stream may expand to per stored byte: a reference costs a byte or two
+// whatever it copies, so the bound is the grammar's, checked as the
+// decoder sizes the column, and the encoder writes a column that would
+// pass it literally.
 const maxInflateRatio = 1032
 
-// inflate decompresses column c of src into *scratch (grown as needed)
-// and returns the raw stream.
+// inflate decompresses the label or dense stream c of src into *scratch
+// (grown as needed) and returns the raw stream.
 func (src *stripeSource) inflate(c int, scratch *[]byte) ([]byte, error) {
-	if int64(src.rawLen[c]) > maxInflateRatio*int64(len(src.comp[c])) {
-		return nil, fmt.Errorf("dwrf: column %d: raw length %d impossible for %d compressed bytes", c, src.rawLen[c], len(src.comp[c]))
+	if int64(src.rawLen[c]) > maxInflateRatio*int64(len(src.streams[c])) {
+		return nil, fmt.Errorf("dwrf: column %d: raw length %d impossible for %d compressed bytes", c, src.rawLen[c], len(src.streams[c]))
 	}
-	raw, err := decompressStream(*scratch, src.comp[c], src.rawLen[c])
+	raw, err := decompressStream(*scratch, src.streams[c], src.rawLen[c])
 	if err != nil {
 		return nil, fmt.Errorf("dwrf: column %d: %w", c, err)
 	}
@@ -203,12 +217,14 @@ func (src *stripeSource) inflate(c int, scratch *[]byte) ([]byte, error) {
 	return raw, nil
 }
 
-// decodeStripe is the stripe decoder: it inflates the label stream, the
-// dense stream and the streams of the sparse columns cols — no others —
-// and decodes them straight into a column chunk. Allocations are a few
-// per decoded column, whatever the row count. A sparse stream's width,
-// base and row headers are checked in a first pass that sizes the column,
-// before anything is allocated by what they claim.
+// decodeStripe is the stripe decoder: it inflates the label stream and
+// the dense stream, reads the streams of the sparse columns cols — no
+// others — where they were fetched, and decodes them straight into a
+// column chunk. Allocations are a few per decoded column, whatever the
+// row count. A sparse stream is read where it was fetched, with no inflate
+// and no buffer of its own; its width, base and row headers are checked in
+// a first pass that sizes the column, before anything is allocated by
+// what they claim (see decodeSparse).
 func decodeStripe(src stripeSource, keys []string, dense int, cols []int) (*Chunk, error) {
 	if dense < 0 || dense > maxDense {
 		return nil, fmt.Errorf("dwrf: implausible dense width %d", dense)
@@ -245,79 +261,117 @@ func decodeStripe(src stripeSource, keys []string, dense int, cols []int) (*Chun
 		c.dense[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
 	}
 
-	// Sparse columns: a width byte w and, if w > 0, a zigzag varint base;
-	// then per row either uvarint 0, the previous row's list again, or
-	// uvarint len+1 and then len IDs of w little-endian bytes over base.
+	// Sparse columns, stored as written: a width byte w and, if w > 0, a
+	// zigzag varint base; then row headers, each naming a literal, a run
+	// of repeats, a shift or a back-reference (byteReader.row), and each
+	// followed by its row's literal IDs, w little-endian bytes each over
+	// base.
 	for p, col := range cols {
-		if raw, err = src.inflate(firstSparse+col, bp); err != nil {
-			return nil, err
+		if c.sparse[p], err = decodeSparse(src.streams[firstSparse+col], rows); err != nil {
+			return nil, fmt.Errorf("dwrf: sparse %q %w", keys[col], err)
 		}
-		if len(raw) == 0 || raw[0] > 8 {
-			return nil, fmt.Errorf("dwrf: sparse %q has no ID width of 0 to 8 bytes", keys[col])
-		}
-		width := uint64(raw[0])
-		sr := byteReader{buf: raw, pos: 1}
-		var base int64
-		if width > 0 {
-			if base, err = sr.varint(); err != nil {
-				return nil, fmt.Errorf("dwrf: sparse %q base truncated", keys[col])
-			}
-		}
-		body := sr.pos
-		// A first pass sizes the column: it walks the row headers, skips
-		// each literal's w bytes an ID and counts a repeat at the previous
-		// row's length. A literal ID takes at least a byte, and runs may
-		// expand no further than deflate could pack a plain stream into the
-		// same compressed bytes.
-		limit := int(min(maxInflateRatio*int64(len(src.comp[firstSparse+col])), math.MaxInt32))
-		nValues, n := 0, 0
-		for i := 0; i < rows; i++ {
-			h, err := sr.uvarint()
-			switch {
-			case err != nil:
-				return nil, fmt.Errorf("dwrf: sparse %q row %d length truncated", keys[col], i)
-			case h == 0 && i == 0:
-				return nil, fmt.Errorf("dwrf: sparse %q repeats a row before its first", keys[col])
-			case h == 0: // n is still the previous row's length
-			case h > 1 && width == 0:
-				return nil, fmt.Errorf("dwrf: sparse %q row %d holds IDs in a stream of width 0", keys[col], i)
-			case h-1 > uint64(sr.remaining()) || (h-1)*width > uint64(sr.remaining()):
-				return nil, fmt.Errorf("dwrf: sparse %q row %d list too long (%d)", keys[col], i, h-1)
-			default:
-				n = int(h - 1)
-				sr.pos += n * int(width)
-			}
-			if nValues += n; nValues > limit {
-				return nil, fmt.Errorf("dwrf: sparse %q expands to more than %d values", keys[col], limit)
-			}
-		}
-		j := tensor.Jagged{Values: make([]tensor.Value, nValues), Offsets: make([]int32, rows)}
-		mask := ^uint64(0) >> (64 - 8*width)
-		sr.pos = body
-		filled, prev := 0, 0 // the previous row's list is Values[prev:filled]
-		for i := 0; i < rows; i++ {
-			h, _ := sr.uvarint() // the first pass read every header
-			start := filled
-			j.Offsets[i] = int32(start)
-			if h == 0 {
-				filled += copy(j.Values[filled:], j.Values[prev:start])
-			} else {
-				for end := filled + int(h-1); filled < end; filled++ {
-					var v uint64
-					if sr.remaining() >= 8 {
-						v = binary.LittleEndian.Uint64(raw[sr.pos:]) & mask
-					} else {
-						for b := sr.pos + int(width) - 1; b >= sr.pos; b-- {
-							v = v<<8 | uint64(raw[b])
-						}
-					}
-					j.Values[filled] = base + int64(v)
-					sr.pos += int(width)
-				}
-			}
-			prev = start
-		}
-		c.sparse[p] = j
 	}
 	return c, nil
+}
+
+// decodeSparse decodes one sparse stream of a stripe of the given rows
+// (see appendSparse for its grammar) in two passes over its bytes. It
+// refuses more rows than maxInflateRatio a stored byte before it sizes
+// their offsets. The first pass walks the row headers and sets each row's
+// offset: a literal's length is its header's, a reference's the
+// referenced row's less its drop, plus its tail. It refuses a run past the
+// stripe's last row, a reference to a row before the stripe's first or of
+// distance below 2 (other than the previous row's shift and run), a drop
+// longer than the referenced row, literal IDs at width 0 or whose w bytes
+// each run past the stream, values beyond maxInflateRatio a stored byte,
+// and a stream that does not end with its last row. Only then are the
+// values sized, and the second pass copies each reference out of the rows
+// already decoded and reads each literal ID.
+func decodeSparse(raw []byte, rows int) (tensor.Jagged, error) {
+	if len(raw) == 0 || raw[0] > 8 {
+		return tensor.Jagged{}, errors.New("has no ID width of 0 to 8 bytes")
+	}
+	width := uint64(raw[0])
+	sr := byteReader{buf: raw, pos: 1}
+	var base int64
+	if width > 0 {
+		var err error
+		if base, err = sr.varint(); err != nil {
+			return tensor.Jagged{}, errors.New("base truncated")
+		}
+	}
+	body := sr.pos
+	limit := int(min(maxInflateRatio*int64(len(raw)), math.MaxInt32))
+	if rows > limit { // a run states many rows a byte: they are bounded as values are
+		return tensor.Jagged{}, fmt.Errorf("cannot state %d rows in %d bytes", rows, len(raw))
+	}
+	j := tensor.Jagged{Offsets: make([]int32, rows)}
+	nValues := 0
+	for i := 0; i < rows; {
+		count, dist, drop, tail, err := sr.row()
+		if err != nil {
+			return tensor.Jagged{}, fmt.Errorf("row %d header: %w", i, err)
+		}
+		if count > uint64(rows-i) {
+			return tensor.Jagged{}, fmt.Errorf("row %d repeats the row before it past the stripe's last row", i)
+		}
+		for end := i + int(count); i < end; i++ {
+			j.Offsets[i] = int32(nValues)
+			n := uint64(0) // the IDs the row copies
+			if dist > uint64(i) {
+				err = fmt.Errorf("refers %d rows back, before the stripe's first", dist)
+			} else if dist > 0 {
+				ref := i - int(dist)
+				if n = uint64(j.Offsets[ref+1] - j.Offsets[ref]); drop > n {
+					err = fmt.Errorf("drops %d IDs of a row of %d", drop, n)
+				} else {
+					n -= drop
+				}
+			}
+			switch {
+			case err != nil:
+			case tail > 0 && width == 0:
+				err = errors.New("holds IDs in a stream of width 0")
+			case tail > uint64(sr.remaining()) || tail*width > uint64(sr.remaining()):
+				err = fmt.Errorf("list too long (%d IDs of %d bytes)", tail, width)
+			}
+			if err != nil {
+				return tensor.Jagged{}, fmt.Errorf("row %d %w", i, err)
+			}
+			sr.pos += int(tail * width)
+			if nValues += int(n + tail); nValues > limit {
+				return tensor.Jagged{}, fmt.Errorf("expands to more than %d values", limit)
+			}
+		}
+	}
+	if sr.remaining() > 0 {
+		return tensor.Jagged{}, fmt.Errorf("stream has %d bytes past its last row", sr.remaining())
+	}
+
+	j.Values = make([]tensor.Value, nValues)
+	mask := ^uint64(0) >> (64 - 8*width)
+	sr.pos = body
+	filled := 0
+	for i := 0; i < rows; {
+		count, dist, drop, tail, _ := sr.row() // the first pass read every header
+		for end := i + int(count); i < end; i++ {
+			if dist > 0 {
+				ref := i - int(dist)
+				filled += copy(j.Values[filled:], j.Values[j.Offsets[ref]+int32(drop):j.Offsets[ref+1]])
+			}
+			for last := filled + int(tail); filled < last; filled++ {
+				var v uint64
+				if sr.remaining() >= 8 {
+					v = binary.LittleEndian.Uint64(raw[sr.pos:]) & mask
+				} else {
+					for b := sr.pos + int(width) - 1; b >= sr.pos; b-- {
+						v = v<<8 | uint64(raw[b])
+					}
+				}
+				j.Values[filled] = base + int64(v)
+				sr.pos += int(width)
+			}
+		}
+	}
+	return j, nil
 }

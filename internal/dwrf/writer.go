@@ -13,8 +13,8 @@ import (
 )
 
 // FileWriter writes samples into a DWRF file held in memory. Rows are
-// buffered until a stripe fills, then encoded column-by-column and
-// compressed. Call Finish to obtain the file bytes and stats.
+// buffered until a stripe fills, then encoded column-by-column. Call
+// Finish to obtain the file bytes and stats.
 //
 // Column layout: column 0 is the labels, column 1 is the dense feature
 // vector, and columns 2..2+F-1 are the flattened sparse feature columns,
@@ -38,16 +38,20 @@ type FileWriter struct {
 	// Every written row's keys: session, user, request, timestamp.
 	rowKeys [][4]int64
 
-	// Per-stripe encode/compress scratch, reset (not reallocated) between
-	// stripes: raw column streams, their value counts, compressed column
-	// streams, the shared flate writer, its output buffer, and the stripe
-	// header.
+	// Per-stripe encode scratch, reset (not reallocated) between stripes:
+	// raw column streams, the compressed label and dense streams, the
+	// shared flate writer, its output buffer, the sparse encoder's
+	// reference table and the stripe header.
 	streams [][]byte
-	values  []int
-	comp    [][]byte
+	comp    [firstSparse][]byte
 	fw      *flate.Writer
 	compBuf bytes.Buffer
+	refs    refTable
 	hdr     []byte
+
+	// literal writes every sparse row as a literal; tests set it to size
+	// what references buy.
+	literal bool
 
 	finished bool
 }
@@ -107,56 +111,87 @@ func (w *FileWriter) WriteRows(samples []datagen.Sample) error {
 // built in the writer's reusable scratch buffers, so steady-state stripe
 // encoding allocates nothing.
 func (w *FileWriter) encodeStripeColumns() [][]byte {
-	nCols := 2 + len(w.schema.Sparse)
 	if w.streams == nil {
-		w.streams, w.values = make([][]byte, nCols), make([]int, nCols)
+		w.streams = make([][]byte, firstSparse+len(w.schema.Sparse))
 	}
 	streams := w.streams
 
 	// Column 0: one label byte per row. The row keys go to the file's
 	// row-key section (see Finish).
-	labels := streams[0][:0]
+	labels := streams[labelStream][:0]
 	for _, s := range w.pending {
 		labels = append(labels, byte(s.Label))
 	}
-	streams[0] = labels
+	streams[labelStream] = labels
 
 	// Column 1: dense floats, raw little-endian.
-	dense := streams[1][:0]
+	dense := streams[denseStream][:0]
 	for _, s := range w.pending {
 		for _, f := range s.Dense {
 			dense = putFloat32(dense, f)
 		}
 	}
-	streams[1] = dense
-	w.colRaw[0] += int64(len(labels))
-	w.colRaw[1] += int64(len(dense))
+	streams[denseStream] = dense
+	w.colRaw[labelStream] += int64(len(labels))
+	w.colRaw[denseStream] += int64(len(dense))
 
-	// Sparse columns: one stream per feature, runs written once.
+	// Sparse columns: one stream per feature, rows stated by reference.
 	for fi := range w.schema.Sparse {
-		var plain int
-		streams[2+fi], w.values[2+fi], plain = w.appendSparse(streams[2+fi][:0], fi, true)
-		w.colRaw[2+fi] += int64(plain)
+		col, values, plain := w.appendSparse(streams[firstSparse+fi][:0], fi, !w.literal)
+		if int64(max(values, len(w.pending))) > maxInflateRatio*int64(len(col)) {
+			// A reader believes no more than maxInflateRatio values, or
+			// rows, a stored byte, so a column whose references expand
+			// past that is written literally, at a byte or more a row
+			// and an ID.
+			col, _, _ = w.appendSparse(col[:0], fi, false)
+		}
+		streams[firstSparse+fi] = col
+		w.colRaw[firstSparse+fi] += int64(plain)
 	}
 	return streams
 }
 
 // appendSparse appends sparse feature fi of the pending rows to col as one
-// sparse stream: a width byte w and, if any row holds an ID, the zigzag
-// varint base, the least ID; then per row uvarint len+1 and the IDs, each
-// uint64(id)-uint64(base) in w little-endian bytes — or, with runs, a
-// single uvarint 0 for a list equal to the row before's. w is the fewest
-// bytes that hold the greatest ID's offset, and at least 1 when the stream
-// holds an ID, so an ID never costs less than a raw byte; it is 0 only when
-// the stream holds none. Row 0 is always literal, so a stripe decodes
-// alone. It also returns the column's value count and its plain size: a
-// varint length and the zigzag varint IDs for every row, the encoding
-// before runs and widths, which ColumnStats.RawBytes keeps reporting.
-func (w *FileWriter) appendSparse(col []byte, fi int, runs bool) (_ []byte, values, plain int) {
+// sparse stream, and returns it with the column's value count and its
+// plain size: a varint length and the zigzag varint IDs for every row, the
+// encoding before references and widths, which ColumnStats.RawBytes
+// reports.
+//
+// The stream opens with a width byte w and, if any row holds an ID, the
+// zigzag varint base, the least ID. Each row is then one uvarint header h,
+// whose low two bits say what the row is:
+//
+//	h&3 == 0: a run: the previous row again, and again for each of the
+//	          next h>>2 rows (h == 0: this row alone)
+//	h&3 == 1: a literal of h>>2 IDs
+//	h&3 == 2: a shift: the previous row less its first h>>2 IDs, then
+//	          uvarint t, a tail of t IDs
+//	h&3 == 3: a back-reference to the row d = h>>3 (at least 2) rows
+//	          back: that row whole if h&4 is set, else followed by
+//	          uvarint k and uvarint t — that row less its first k IDs,
+//	          then a tail of t IDs
+//
+// followed by the row's literal IDs — a literal's list, a shift's or a
+// back-reference's tail — each uint64(id)-uint64(base) in w little-endian
+// bytes. w is the fewest bytes that hold the greatest ID's offset, and at
+// least 1 when the stream holds an ID, so a literal ID never costs less
+// than a byte; it is 0 only when the stream holds none. A row refers only
+// to rows of its own stripe, so a stripe decodes alone.
+//
+// With refer, a row is stated by reference when that is no dearer than
+// its literal: the candidate is the latest earlier row holding the row's
+// first ID, from that ID on, if the rest of that row is a prefix of this
+// one (see refTable); an exact repeat of the previous row joins a run.
+// Without refer, every row is a literal.
+func (w *FileWriter) appendSparse(col []byte, fi int, refer bool) (_ []byte, values, plain int) {
 	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
 	for _, s := range w.pending {
-		for _, id := range s.Sparse[fi] {
+		lst := s.Sparse[fi]
+		values += len(lst)
+		plain += uvarintLen(uint64(len(lst)))
+		for _, id := range lst {
 			lo, hi = min(lo, id), max(hi, id)
+			plain += uvarintLen(uint64(id<<1) ^ uint64(id>>63))
 		}
 	}
 	width := 0
@@ -167,26 +202,133 @@ func (w *FileWriter) appendSparse(col []byte, fi int, runs bool) (_ []byte, valu
 	if width > 0 {
 		col = putVarint(col, lo)
 	}
-	var prev []int64
-	rowPlain := 0
-	for r, s := range w.pending {
+	if refer {
+		w.refs.reset(values)
+	}
+	run, runAt := 0, 0 // rows the last header repeats the row before them for, from byte runAt
+	for i, s := range w.pending {
 		lst := s.Sparse[fi]
-		values += len(lst)
-		if runs && r > 0 && slices.Equal(lst, prev) {
-			col = append(col, 0)
-		} else {
-			col = putUvarint(col, uint64(len(lst))+1)
-			rowPlain = uvarintLen(uint64(len(lst)))
-			for _, id := range lst {
-				n := len(col)
-				col = binary.LittleEndian.AppendUint64(col, uint64(id)-uint64(lo))[:n+width]
-				rowPlain += uvarintLen(uint64(id<<1) ^ uint64(id>>63))
+		dist, drop, tail := 0, 0, len(lst) // a literal, unless a reference is no dearer
+		switch {
+		case !refer:
+		case len(lst) == 0:
+			if i > 0 && len(w.pending[i-1].Sparse[fi]) == 0 {
+				dist = 1
+			}
+		default:
+			if r, k, ok := w.refs.get(lst[0]); ok {
+				if run > 0 && r == i-1-run { // the run's rows are its source again
+					r = i - 1
+				}
+				ref := w.pending[r].Sparse[fi][k:]
+				if m := len(ref); m <= len(lst) && slices.Equal(ref, lst[:m]) &&
+					rowCost(i-r, k, len(lst)-m, width) <= rowCost(0, 0, len(lst), width) {
+					dist, drop, tail = i-r, k, len(lst)-m
+				}
 			}
 		}
-		plain += rowPlain
-		prev = lst
+		if dist == 1 && drop == 0 && tail == 0 { // the previous row again: start or extend a run
+			if run == 0 {
+				runAt = len(col)
+			}
+			run++
+			col = putUvarint(col[:runAt], uint64(run-1)<<2)
+			continue // the table holds the run's source, which the row equals
+		}
+		run = 0
+		col = putRow(col, dist, drop, tail)
+		if refer {
+			for p := len(lst) - 1; p >= 0; p-- { // the first position wins
+				w.refs.put(lst[p], i, p)
+			}
+		}
+		for _, id := range lst[len(lst)-tail:] {
+			n := len(col)
+			col = binary.LittleEndian.AppendUint64(col, uint64(id)-uint64(lo))[:n+width]
+		}
 	}
 	return col, values, plain
+}
+
+// putRow appends the header of a sparse row other than a repeat (see
+// appendSparse): a literal of tail IDs when dist is 0, else the row dist
+// rows back less its first drop IDs, then a tail of tail IDs.
+func putRow(col []byte, dist, drop, tail int) []byte {
+	switch dist {
+	case 0:
+		return putUvarint(col, uint64(tail)<<2|1)
+	case 1:
+		return putUvarint(putUvarint(col, uint64(drop)<<2|2), uint64(tail))
+	}
+	if drop == 0 && tail == 0 {
+		return putUvarint(col, uint64(dist)<<3|7)
+	}
+	return putUvarint(putUvarint(putUvarint(col, uint64(dist)<<3|3), uint64(drop)), uint64(tail))
+}
+
+// rowCost is the stored bytes of a row stated as putRow would state it,
+// tail IDs included; a repeat costs its byte, or less in a run.
+func rowCost(dist, drop, tail, width int) int {
+	switch {
+	case dist == 0:
+		return uvarintLen(uint64(tail)<<2|1) + tail*width
+	case dist == 1 && drop == 0 && tail == 0:
+		return 1
+	case dist == 1:
+		return uvarintLen(uint64(drop)<<2|2) + uvarintLen(uint64(tail)) + tail*width
+	case drop == 0 && tail == 0:
+		return uvarintLen(uint64(dist)<<3 | 7)
+	}
+	return uvarintLen(uint64(dist)<<3|3) + uvarintLen(uint64(drop)) + uvarintLen(uint64(tail)) + tail*width
+}
+
+// refTable maps an ID to the latest row of a sparse stream that holds it,
+// and the ID's first position in that row: where appendSparse looks for a
+// row to refer to. It is direct-mapped, like an LZ77 match finder's hash
+// table: an ID whose slot a later ID took is forgotten, which can cost a
+// reference but never correctness, since every candidate is compared. A
+// stamp ties each slot to the stream that wrote it, so one table serves
+// every stream and stripe of a writer without being cleared or
+// reallocated, and a stripe costs a few table writes an ID.
+type refTable struct {
+	slots []refSlot
+	shift uint // 64 less log2(len(slots))
+	stamp uint32
+}
+
+type refSlot struct {
+	id       int64
+	stamp    uint32
+	row, pos int32
+}
+
+// reset empties the table for a stream of n IDs, growing it to at least
+// twice that many slots.
+func (t *refTable) reset(n int) {
+	if len(t.slots) < 2*n {
+		size := 256
+		for size < 2*n {
+			size <<= 1
+		}
+		t.slots, t.shift, t.stamp = make([]refSlot, size), uint(64-bits.TrailingZeros(uint(size))), 0
+	}
+	if t.stamp++; t.stamp == 0 { // wrapped: no old stamp may pass for new
+		clear(t.slots)
+		t.stamp = 1
+	}
+}
+
+func (t *refTable) slot(id int64) *refSlot {
+	return &t.slots[uint64(id)*0x9e3779b97f4a7c15>>t.shift] // Fibonacci hashing
+}
+
+func (t *refTable) get(id int64) (row, pos int, ok bool) {
+	s := t.slot(id)
+	return int(s.row), int(s.pos), s.stamp == t.stamp && s.id == id
+}
+
+func (t *refTable) put(id int64, row, pos int) {
+	*t.slot(id) = refSlot{id: id, stamp: t.stamp, row: int32(row), pos: int32(pos)}
 }
 
 // compressInto flate-compresses raw into dst's storage using the writer's
@@ -211,59 +353,49 @@ func (w *FileWriter) compressInto(dst, raw []byte) ([]byte, error) {
 	return append(dst[:0], w.compBuf.Bytes()...), nil
 }
 
-// flushStripe encodes, compresses, and appends the pending rows as one
-// stripe. Stripe wire format:
+// flushStripe encodes the pending rows, compresses the label and dense
+// streams, and appends the rows as one stripe. Stripe wire format:
 //
 //	uvarint rowCount
 //	uvarint columnCount
-//	columnCount × { uvarint rawLen, uvarint compLen }
-//	columnCount × compressed stream bytes
+//	2 × { uvarint rawLen, uvarint compLen }   the label and dense streams
+//	(columnCount-2) × uvarint len             the sparse streams
+//	columnCount × stream bytes
 //
 // rawLen is a stream's length before compression. The label stream holds
-// one byte per row. A sparse stream opens with its ID width w (one byte)
-// and, when w > 0, its base (a zigzag varint), and then holds, per row,
-// either uvarint 0 (the previous row's list again) or uvarint len+1
-// followed by len IDs of w little-endian bytes each, over base (see
-// appendSparse).
+// one byte per row, the dense stream rows × dense little-endian float32s.
+// A sparse stream is stored as written, and its one length is its length
+// in the file: its width byte, base and rows (see appendSparse).
 func (w *FileWriter) flushStripe() error {
 	if len(w.pending) == 0 {
 		return nil
 	}
 	streams := w.encodeStripeColumns()
 
-	if w.comp == nil {
-		w.comp = make([][]byte, len(streams))
-	}
-	comp := w.comp
-	for i, raw := range streams {
-		c, err := w.compressInto(comp[i], raw)
-		if err != nil {
-			return err
-		}
-		if i >= firstSparse && int64(w.values[i]) > maxInflateRatio*int64(len(c)) {
-			// A reader refuses runs that expand past what deflate could
-			// pack into c: such a column is written without them.
-			streams[i], _, _ = w.appendSparse(raw[:0], i-firstSparse, false)
-			if c, err = w.compressInto(c, streams[i]); err != nil {
-				return err
-			}
-		}
-		comp[i] = c
-		w.colComp[i] += int64(len(c))
-	}
-
 	offset := int64(w.buf.Len())
 	hdr := w.hdr[:0]
 	hdr = putUvarint(hdr, uint64(len(w.pending)))
 	hdr = putUvarint(hdr, uint64(len(streams)))
-	for i := range streams {
-		hdr = putUvarint(hdr, uint64(len(streams[i])))
-		hdr = putUvarint(hdr, uint64(len(comp[i])))
+	for i, raw := range streams {
+		stored := raw
+		if i < firstSparse {
+			c, err := w.compressInto(w.comp[i], raw)
+			if err != nil {
+				return err
+			}
+			w.comp[i], stored = c, c
+			hdr = putUvarint(hdr, uint64(len(raw)))
+		}
+		hdr = putUvarint(hdr, uint64(len(stored)))
+		w.colComp[i] += int64(len(stored))
 	}
 	w.buf.Write(hdr)
 	w.hdr = hdr
-	for _, c := range comp {
-		w.buf.Write(c)
+	for i, raw := range streams {
+		if i < firstSparse {
+			raw = w.comp[i]
+		}
+		w.buf.Write(raw)
 	}
 
 	w.stripes = append(w.stripes, stripeInfo{

@@ -56,6 +56,12 @@
 #      reads through tensor.Decoder or tensor.ReadInto, which believe a
 #      declared length only as its bytes arrive; one that reads for itself
 #      has grown a second length rule.
+#  11. Every trailer docs/*.md names in a code span or quotes (`DWR3`,
+#      "DWR3") must be the trailer the code writes (`trailerMagic` in
+#      internal/dwrf/dwrf.go), so the docs cannot lag the next layout.
+#      Docs that must mention an older one say "retired trailer `DWR2`".
+#      The one exception is the refusal quoted verbatim: (trailer "DWR2",
+#      not "DWR3"), whose second name must be the current one.
 #
 # Usage: scripts/docs-check.sh
 set -euo pipefail
@@ -233,7 +239,7 @@ echo "$coded" >"$tmpdir/coded"
 {
     sed 's/^[^ ]* //' <<<"$coded"
     cat benchmarks/ladder/*.go | { grep -oE '\bfs\.[A-Z][A-Za-z0-9]*\("[^"]+"' || true; } | sed -E 's/.*"([^"]+)"$/-\1/'
-    printf '%s\n' -bench -benchmem -count -cpu -fuzz -fuzztime -list -race -run -short
+    printf '%s\n' -bench -benchmem -count -cpu -fuzz -fuzzminimizetime -fuzztime -list -race -run -short
 } >"$tmpdir/known"
 if stray=$(awk -v known="$tmpdir/known" -v coded="$tmpdir/coded" -v q="'" '
     BEGIN {
@@ -300,8 +306,20 @@ while IFS=: read -r file line text; do
 done < <(grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=.git --exclude-dir=.bench_build \
     '\b(binary\.ReadUvarint|io\.ReadFull)\(' . | sed 's|^\./||' | grep -v '^internal/tensor/' || true)
 
+# --- 11. the DWRF trailer in the docs is the one the code writes ---------
+trailer=$(sed -n 's/^[[:space:]]*trailerMagic[[:space:]]*=[[:space:]]*"\([A-Z0-9]*\)".*/\1/p' internal/dwrf/dwrf.go)
+if [[ -z "$trailer" ]]; then
+    echo "docs: found no trailerMagic in internal/dwrf/dwrf.go"
+    fail=1
+elif stale=$(grep -noE '(retired trailer )?[`"]DWR[0-9A-Z][`"](, not "DWR[0-9A-Z]")?' docs/*.md \
+    | grep -vE ":(retired trailer [\`\"]DWR[0-9A-Z][\`\"]|\"DWR[0-9A-Z]\", not \"$trailer\"|[\`\"]$trailer[\`\"])\$"); then
+    echo "docs: the code writes DWRF files with the trailer $trailer; these say otherwise:"
+    echo "$stale" | sed 's/^/    /'
+    fail=1
+fi
+
 if [[ "$fail" -ne 0 ]]; then
     echo "docs: FAIL"
     exit 1
 fi
-echo "docs: OK (package comments, go fences, links, import guard, determinism-table tests, protocol version, frame set, Spec fields, flag tables, named flags, one length rule)"
+echo "docs: OK (package comments, go fences, links, import guard, determinism-table tests, protocol version, frame set, Spec fields, flag tables, named flags, one length rule, DWRF trailer)"

@@ -223,11 +223,12 @@ func forgeStripe(t *testing.T, keys, rows, labels int, sparse []byte) []byte {
 //   - a literal list, or a tail, whose IDs run past the stream;
 //   - a tail in a stream of width 0;
 //   - a stream with bytes past its last row;
-//   - a literal followed by repeats that expand past maxInflateRatio values
-//     a stored byte, refused before anything is sized by it, allocating
-//     within a constant of the stripe's own length where its rows claim
-//     terabytes of values; and a run stating more rows than that, refused
-//     before their offsets are sized;
+//   - a literal followed by one run header whose repeats expand past
+//     maxInflateRatio values a stored byte, refused before anything is
+//     sized by it, allocating within a constant of the stripe's own length
+//     where its rows claim gigabytes of values; whole-row back-references
+//     that expand past the same bound; and a run stating more rows than
+//     maxInflateRatio a stored byte, refused before their offsets are sized;
 //   - a missing width byte, a width above 8, a base cut short, IDs in a
 //     stream of width 0, and a literal whose IDs fit the bytes left one
 //     byte each but not w bytes each.
@@ -236,8 +237,10 @@ func TestForgedRunsAreRefused(t *testing.T) {
 	head := []byte{1, 0} // width 1, base 0
 	literal := func(n int) []byte { return append(putUvarint(nil, uint64(n)<<2|1), make([]byte, n)...) }
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
-	const listLen, repeats = 1 << 19, 1 << 19
-	expand := cat(head, literal(listLen), make([]byte, repeats))
+	const listLen, repeats = 1 << 10, 1 << 19
+	expand := cat(head, literal(listLen), putUvarint(nil, (repeats-1)<<2))
+	const backRefs = 1 << 12 // each a byte, copying the row two back whole
+	backRef := cat(head, literal(backRefs), []byte{0}, bytes.Repeat([]byte{2<<3 | 7}, backRefs))
 	for _, tc := range []struct {
 		name, err string
 		rows      int
@@ -255,7 +258,8 @@ func TestForgedRunsAreRefused(t *testing.T) {
 		{"tail at width 0", "width 0", 2, []byte{0, 1, 2, 1}},
 		{"back-reference tail at width 0", "width 0", 3, []byte{0, 1, 1, 2<<3 | 3, 0, 1}},
 		{"bytes past the last row", "past its last row", 1, cat(head, literal(1), []byte{0})},
-		{"runs past the expansion limit", "expands to more than", 1 + repeats, expand},
+		{"a run past the expansion limit", "expands to more than", 1 + repeats, expand},
+		{"back-references past the expansion limit", "expands to more than", 2 + backRefs, backRef},
 		{"rows past the expansion limit", "cannot state 9000 rows in 5 bytes", 9000, cat([]byte{0, 1}, putUvarint(nil, 8998<<2))},
 		{"no width byte", "no ID width of 0 to 8 bytes", 1, nil},
 		{"width above 8", "no ID width of 0 to 8 bytes", 1, []byte{9, 0, 1<<2 | 1, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
@@ -303,7 +307,7 @@ func TestForgedRunsAreRefused(t *testing.T) {
 	if grew > bound {
 		t.Fatalf("a %d-byte forged stripe allocated %d bytes, bound %d", len(stripe), grew, bound)
 	}
-	t.Logf("a %d-byte stripe claiming %d values allocated %d bytes", len(stripe), listLen*(1+repeats), grew)
+	t.Logf("a %d-byte stripe claiming %d values allocated %d bytes, bound %d", len(stripe), listLen*(1+repeats), grew, bound)
 }
 
 // fetchLog is a Fetch over an in-memory file that records every range.

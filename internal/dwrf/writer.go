@@ -302,12 +302,17 @@ type refSlot struct {
 	row, pos int32
 }
 
-// reset empties the table for a stream of n IDs, growing it to at least
-// twice that many slots.
+// maxRefSlots caps a refTable, whatever the stream: a row's candidate is
+// nearly always a recent row, whose IDs were the table's latest writes, so
+// a larger table would buy a long stream few references for its memory.
+const maxRefSlots = 1 << 14
+
+// reset empties the table for a stream of n IDs, growing it to twice that
+// many slots, up to maxRefSlots.
 func (t *refTable) reset(n int) {
-	if len(t.slots) < 2*n {
+	if want := min(2*n, maxRefSlots); len(t.slots) < want {
 		size := 256
-		for size < 2*n {
+		for size < want {
 			size <<= 1
 		}
 		t.slots, t.shift, t.stamp = make([]refSlot, size), uint(64-bits.TrailingZeros(uint(size))), 0

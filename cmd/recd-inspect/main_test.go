@@ -93,14 +93,15 @@ func TestReadFilesKeepsRowKeys(t *testing.T) {
 }
 
 // TestReadFilesNamesARetiredLayout: a file written in a retired layout —
-// the varint-ID layout's trailer DWRF or the flate layout's DWR2 — is
-// refused, and the error names the file, the trailer found and the remedy
-// instead of reporting rows decoded from misread streams.
+// the varint-ID layout's trailer DWRF, the flate-sparse layout's DWR2 or
+// the flate-label-and-dense layout's DWR3 — is refused, and the error
+// names the file, the trailer found and the remedy instead of reporting
+// rows decoded from misread streams.
 func TestReadFilesNamesARetiredLayout(t *testing.T) {
 	schema := datagen.StandardSchema(datagen.StandardSchemaConfig{
 		UserSeq: 1, UserElem: 2, Item: 2, Dense: 2, SeqLen: 4, Seed: 1,
 	})
-	for _, trailer := range []string{"DWRF", "DWR2"} {
+	for _, trailer := range []string{"DWRF", "DWR2", "DWR3"} {
 		path, _ := writeFile(t, t.TempDir(), "old.dwrf", schema)
 		data, err := os.ReadFile(path)
 		if err != nil {

@@ -109,8 +109,9 @@
 //   - tensor.JaggedIndexSelectInto expands IKJTs through a caller-reused
 //     destination buffer, making steady-state expansion allocation-free.
 //   - The wire codecs (tensor serialization, DWRF stripe encode/decode)
-//     stage bytes through pooled scratch buffers and reuse flate
-//     encoder/decoder state; DWRF files decode stripes concurrently.
+//     stage bytes through reused scratch buffers; a DWRF stripe decodes
+//     every stream from the bytes it was fetched into, with no
+//     compressor, and files decode stripes concurrently.
 //
 // # Reader pipeline
 //

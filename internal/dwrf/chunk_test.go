@@ -2,7 +2,6 @@ package dwrf
 
 import (
 	"bytes"
-	"compress/flate"
 	"context"
 	"encoding/binary"
 	"math/rand"
@@ -40,35 +39,28 @@ func forgeFooter(t *testing.T, data []byte, stripes [][3]uint64, dense uint64) [
 	if err != nil {
 		t.Fatal(err)
 	}
-	return withFooter(r, data[:r.body], stripes, dense, uint64(r.rowKeysRaw))
+	return withFooter(r, data[:r.body], stripes, dense)
 }
 
-// forgeRowKeys replaces a file's row-key section with raw, compressed, and
-// records rawLen as its raw length, keeping the rest of its footer.
-func forgeRowKeys(t *testing.T, data, raw []byte, rawLen uint64) []byte {
+// forgeRowKeys replaces a file's row-key section with section, keeping
+// the rest of its footer.
+func forgeRowKeys(t *testing.T, data, section []byte) []byte {
 	t.Helper()
 	r, err := OpenReader(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var section bytes.Buffer
-	fw, err := flate.NewWriter(&section, flate.BestCompression)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fw.Write(raw)
-	fw.Close()
 	var stripes [][3]uint64
 	for _, s := range r.stripes {
 		stripes = append(stripes, [3]uint64{uint64(s.offset), uint64(s.length), uint64(s.rows)})
 	}
-	body := append(data[:r.rowKeysAt:r.rowKeysAt], section.Bytes()...)
-	return withFooter(r, body, stripes, uint64(r.dense), rawLen)
+	body := append(data[:r.rowKeysAt:r.rowKeysAt], section...)
+	return withFooter(r, body, stripes, uint64(r.dense))
 }
 
 // withFooter appends to body a footer of r's schema and the given stripe
-// directory, dense width and row-key raw length, and the trailer.
-func withFooter(r *FileReader, body []byte, stripes [][3]uint64, dense, rowKeysRaw uint64) []byte {
+// directory and dense width, and the trailer.
+func withFooter(r *FileReader, body []byte, stripes [][3]uint64, dense uint64) []byte {
 	var footer []byte
 	footer = putUvarint(footer, uint64(len(stripes)))
 	for _, st := range stripes {
@@ -82,7 +74,6 @@ func withFooter(r *FileReader, body []byte, stripes [][3]uint64, dense, rowKeysR
 		footer = append(footer, k...)
 	}
 	footer = putUvarint(footer, dense)
-	footer = putUvarint(footer, rowKeysRaw)
 	out := append([]byte(nil), body...)
 	out = append(out, footer...)
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(footer)))
@@ -94,13 +85,14 @@ func withFooter(r *FileReader, body []byte, stripes [][3]uint64, dense, rowKeysR
 // length 4 wraps past the bound the old reader checked, opened cleanly,
 // and panicked in ReadAll with "slice bounds out of range [-2:]". A forged
 // row-key section opens, leaves every stripe readable, and is refused by
-// ReadAll before anything is sized by it: a raw length deflate could not
-// reach from the section's bytes, and a section of other than four
-// varints a row. A stripe whose label stream is not one byte a row is
-// refused before its row count sizes anything. A file whose trailer is
-// a retired layout's — the varint-ID layout's DWRF or the flate layout's
-// DWR2 — is refused at open, in one message that names the trailer found:
-// its sparse streams would parse in the current grammar and decode wrong.
+// ReadAll: a section a varint short of its rows or a byte past them, and
+// request IDs of a width above 8 or whose bytes run past the section. A
+// stripe whose label stream is not one byte a row is refused before its
+// row count sizes anything. A file whose trailer is a retired layout's —
+// the varint-ID layout's DWRF, the flate-sparse layout's DWR2 or the
+// flate-label-and-dense layout's DWR3 — is refused at open, in one
+// message that names the trailer found: its streams would parse in the
+// current grammar and decode wrong.
 func TestHostileFooter(t *testing.T) {
 	schema := testSchema()
 	data, _ := writeFile(t, schema, testSamples(t, schema, 6), 16)
@@ -135,7 +127,7 @@ func TestHostileFooter(t *testing.T) {
 		}
 	}
 
-	for _, trailer := range []string{magic, "DWR2"} {
+	for _, trailer := range []string{magic, "DWR2", "DWR3"} {
 		retired := append(data[:len(data)-len(trailerMagic):len(data)-len(trailerMagic)], trailer...)
 		want := `dwrf: file is in a retired layout (trailer "` + trailer + `", not "` + trailerMagic + `"): re-land it with this build`
 		if _, err := OpenReader(retired); err == nil || err.Error() != want {
@@ -153,17 +145,23 @@ func TestHostileFooter(t *testing.T) {
 		t.Fatalf("ReadAll over a lying row count: %v", err)
 	}
 
-	fields := 4 * good.NumRows() // each a one-byte varint 0
+	// Every key 0: a one-byte varint a row for session, user and
+	// timestamp, then request IDs of width 1 over base 0, a byte a row.
+	n := good.NumRows()
+	zeros := func(k int) []byte { return make([]byte, k) }
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	section := cat(zeros(3*n), []byte{1, 0}, zeros(n))
 	for _, tc := range []struct {
 		name, err string
-		raw       []byte
-		rawLen    uint64
+		section   []byte
 	}{
-		{"raw length past the inflate limit", "impossible", make([]byte, fields), maxStreamBytes},
-		{"a varint short", "ends at field 3", make([]byte, fields-1), uint64(fields - 1)},
-		{"a byte past the last varint", "past its", make([]byte, fields+1), uint64(fields + 1)},
+		{"a varint short", "ends at the timestamp of row", zeros(3*n - 1)},
+		{"a request ID short", "run past the section", section[:len(section)-1]},
+		{"a byte past the last request ID", "past its", cat(section, zeros(1))},
+		{"request IDs of 8 bytes past the section", "run past the section", cat(zeros(3*n), []byte{8, 0}, zeros(7*n))},
+		{"request ID width above 8", "no ID width", cat(zeros(3*n), []byte{9, 0}, zeros(9*n))},
 	} {
-		r, err := OpenReader(forgeRowKeys(t, data, tc.raw, tc.rawLen))
+		r, err := OpenReader(forgeRowKeys(t, data, tc.section))
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -179,7 +177,7 @@ func TestHostileFooter(t *testing.T) {
 
 	keys := good.SparseKeys()
 	for _, tc := range [][2]int{{maxStripeRows, 1}, {2, 3}, {2, 0}} {
-		src, err := wholeStripe(forgeStripe(t, len(keys), tc[0], tc[1], nil), firstSparse+len(keys))
+		src, err := wholeStripe(forgeStripe(len(keys), tc[0], zeros(tc[1]), nil, nil), firstSparse+len(keys))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,29 +188,18 @@ func TestHostileFooter(t *testing.T) {
 }
 
 // forgeStripe builds a stripe of the given rows under a schema of keys
-// sparse columns: a label stream of labels zero bytes and no dense values,
-// compressed; sparse column 0's stream sparse and the other sparse columns
-// empty, stored as they are.
-func forgeStripe(t *testing.T, keys, rows, labels int, sparse []byte) []byte {
-	t.Helper()
+// sparse columns: the label stream labels, the dense stream dense, sparse
+// column 0's stream sparse and the other sparse columns empty, each
+// stored as it is under one length in the header.
+func forgeStripe(keys, rows int, labels, dense, sparse []byte) []byte {
 	hdr := putUvarint(putUvarint(nil, uint64(rows)), uint64(firstSparse+keys))
-	var body bytes.Buffer
-	for _, raw := range [][]byte{make([]byte, labels), nil} {
-		at := body.Len()
-		fw, err := flate.NewWriter(&body, flate.BestCompression)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fw.Write(raw)
-		fw.Close()
-		hdr = putUvarint(putUvarint(hdr, uint64(len(raw))), uint64(body.Len()-at))
+	for _, stream := range [][]byte{labels, dense, sparse} {
+		hdr = putUvarint(hdr, uint64(len(stream)))
 	}
-	body.Write(sparse)
-	hdr = putUvarint(hdr, uint64(len(sparse)))
 	for range keys - 1 {
 		hdr = putUvarint(hdr, 0)
 	}
-	return append(hdr, body.Bytes()...)
+	return bytes.Join([][]byte{hdr, labels, dense, sparse}, nil)
 }
 
 // TestForgedRunsAreRefused: a sparse stream's header and row references
@@ -231,7 +218,9 @@ func forgeStripe(t *testing.T, keys, rows, labels int, sparse []byte) []byte {
 //     maxInflateRatio a stored byte, refused before their offsets are sized;
 //   - a missing width byte, a width above 8, a base cut short, IDs in a
 //     stream of width 0, and a literal whose IDs fit the bytes left one
-//     byte each but not w bytes each.
+//     byte each but not w bytes each;
+//   - a label stream a byte longer or shorter than its rows, and a dense
+//     stream a float longer or a byte shorter than its rows' floats.
 func TestForgedRunsAreRefused(t *testing.T) {
 	keys := testSchema().SparseKeys()
 	head := []byte{1, 0} // width 1, base 0
@@ -267,7 +256,7 @@ func TestForgedRunsAreRefused(t *testing.T) {
 		{"IDs at width 0", "width 0", 1, []byte{0, 1<<2 | 1, 0}},
 		{"literal of n·w past the stream", "list too long", 1, cat([]byte{8, 0, 3<<2 | 1}, make([]byte, 9))},
 	} {
-		src, err := wholeStripe(forgeStripe(t, len(keys), tc.rows, tc.rows, tc.sparse), firstSparse+len(keys))
+		src, err := wholeStripe(forgeStripe(len(keys), tc.rows, make([]byte, tc.rows), nil, tc.sparse), firstSparse+len(keys))
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -276,19 +265,40 @@ func TestForgedRunsAreRefused(t *testing.T) {
 		}
 	}
 
-	// The expansion is refused having allocated no more than a plain
-	// stream of the stripe's length could make it: 8 bytes a value for
-	// maxInflateRatio values a byte, and as much again for the offsets,
-	// the label stream and the label column. The claim itself sizes
-	// nothing.
-	stripe := forgeStripe(t, len(keys), 1+repeats, 1+repeats, expand)
+	// Two rows of two dense floats: 2 label bytes and 16 dense bytes.
+	for _, tc := range []struct {
+		name, err     string
+		labels, dense int
+	}{
+		{"label stream a byte long", "label stream of 3 bytes for 2 rows", 3, 16},
+		{"label stream a byte short", "label stream of 1 bytes for 2 rows", 1, 16},
+		{"dense stream a float long", "dense stream of 20 bytes for 2 rows of 2 floats", 2, 20},
+		{"dense stream a byte short", "dense stream of 15 bytes for 2 rows of 2 floats", 2, 15},
+	} {
+		stripe := forgeStripe(len(keys), 2, make([]byte, tc.labels), make([]byte, tc.dense), []byte{0, 1, 0})
+		src, err := wholeStripe(stripe, firstSparse+len(keys))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if _, err := decodeStripe(src, keys, 2, []int{0}); err == nil || !strings.Contains(err.Error(), tc.err) {
+			t.Fatalf("%s: decoded with error %v, want %q", tc.name, err, tc.err)
+		}
+	}
+
+	// The expansion is refused having allocated no more than its rows and
+	// a plain sparse stream of its length could make it: 8 bytes a value
+	// for maxInflateRatio values a sparse byte, and as much again for the
+	// offsets; 8 bytes a row, each paid for by its label byte, for the
+	// label column and the row offsets. The claim itself sizes nothing.
+	rows := 1 + repeats
+	stripe := forgeStripe(len(keys), rows, make([]byte, rows), nil, expand)
 	src, err := wholeStripe(stripe, firstSparse+len(keys))
 	if err != nil {
 		t.Fatal(err)
 	}
-	const slack = 64 << 10 // flate state, the chunk header, the error
-	bound := uint64(16*maxInflateRatio*len(stripe) + slack)
-	if claim := uint64(8 * listLen * (1 + repeats)); claim < 100*bound {
+	const slack = 64 << 10 // the chunk header, the error
+	bound := uint64(16*maxInflateRatio*len(expand) + 8*rows + slack)
+	if claim := uint64(8 * listLen * rows); claim < 100*bound {
 		t.Fatalf("the forged claim of %d bytes is too close to the bound %d to show anything", claim, bound)
 	}
 	var before, after runtime.MemStats
@@ -307,7 +317,7 @@ func TestForgedRunsAreRefused(t *testing.T) {
 	if grew > bound {
 		t.Fatalf("a %d-byte forged stripe allocated %d bytes, bound %d", len(stripe), grew, bound)
 	}
-	t.Logf("a %d-byte stripe claiming %d values allocated %d bytes, bound %d", len(stripe), listLen*(1+repeats), grew, bound)
+	t.Logf("a %d-byte stripe claiming %d values allocated %d bytes, bound %d", len(stripe), listLen*rows, grew, bound)
 }
 
 // fetchLog is a Fetch over an in-memory file that records every range.

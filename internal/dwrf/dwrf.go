@@ -2,14 +2,15 @@
 // format modelled on Meta's DWRF (an ORC derivative, paper §2.1). Files
 // are composed of stripes, each holding a small run of rows; within a
 // stripe the labels and every flattened feature column are encoded into
-// their own streams. The label and dense streams are block-compressed
-// (stdlib flate standing in for zstd; docs/ARCHITECTURE.md lists the
-// substitutions); the sparse streams are stored as written, because their
-// own grammar already states what a compressor would find in them. The
-// row keys — session, user and request IDs and timestamp — are what a
-// batch does not carry: they are one flate section per file, after the
-// last stripe, which a stripe read never fetches and only a row read
-// (ReadRowKeys) does.
+// their own streams. No general-purpose compressor is run over any of
+// them (production DWRF uses zstd; docs/ARCHITECTURE.md lists the
+// substitutions): every stream is stated by its own grammar, stored as
+// written and decoded from the bytes it was fetched into — a label byte a
+// row, little-endian float32s, and the sparse row grammar below, which
+// states what a compressor would find in a sparse stream. The row keys —
+// session, user and request IDs and timestamp — are what a batch does not
+// carry: they are one section per file, after the last stripe, which a
+// stripe read never fetches and only a row read (ReadRowKeys) does.
 //
 // The format exists to reproduce the paper's storage behaviour: when the
 // ETL clusters a table by session ID (O2), each stripe holds many rows of
@@ -24,20 +25,25 @@
 // ID costs the bytes its stream needs: each sparse stream records its
 // least ID as a base and a width w, and every literal ID is its offset
 // over the base in w little-endian bytes (ORC's fixed-width integer runs),
-// where a varint would spend a continuation bit a byte.
+// where a varint would spend a continuation bit a byte. That code
+// (idCodec) is the format's one integer code for IDs: the row-key
+// section's request IDs are written in it too.
 package dwrf
 
 import "fmt"
 
 // Every DWRF file starts with magic and ends with trailerMagic, which names
-// its layout. A file of a retired layout ends with another trailer —
+// its layout: every stream stored as written, one length a stream in the
+// stripe header. A file of a retired layout ends with another trailer —
 // magic itself for the layout whose sparse IDs were zigzag varints, DWR2
 // for the one whose sparse streams were flate-compressed and knew no shift
-// or back-reference — and Open refuses it by name, where its streams would
-// otherwise parse in the current grammar and decode wrong.
+// or back-reference, DWR3 for the one whose label and dense streams and
+// row-key section were flate-compressed — and Open refuses it by name,
+// where its streams would otherwise parse in the current grammar and
+// decode wrong.
 const (
 	magic        = "DWRF"
-	trailerMagic = "DWR3"
+	trailerMagic = "DWR4"
 )
 
 // Format limits. These guard the decoder against corrupt or adversarial
@@ -80,12 +86,13 @@ func (o WriterOptions) validate() error {
 // ColumnStats records raw and stored stream bytes for one flattened column
 // across all stripes of a file; column 0, "_meta", is the row metadata: the
 // label streams and the file's row-key section. Raw bytes are the column's
-// plain encoding, before compression and with every sparse row counted at
-// its full length, so clustering leaves them unchanged. For a sparse
-// column the plain encoding is a varint length and zigzag varint IDs a
-// row, not the referenced rows and fixed-width IDs written, so a ratio of
-// raw to compressed (stored) bytes also counts what references and widths
-// save.
+// plain encoding, with every sparse row counted at its full length, so
+// clustering leaves them unchanged. For a sparse column the plain encoding
+// is a varint length and zigzag varint IDs a row, not the referenced rows
+// and fixed-width IDs written, so a ratio of raw to compressed (stored)
+// bytes counts what references and widths save. The label, dense and
+// row-key bytes are stored as written, so their raw and stored bytes are
+// the same.
 type ColumnStats struct {
 	Name            string
 	RawBytes        int64

@@ -681,35 +681,44 @@ func BenchmarkFileRead(b *testing.B) {
 	}
 }
 
-// BenchmarkStripeColumns is the fill's decode unit with nothing around it —
-// no store, no fetch model: one 128-row stripe of the benchmark ladder's
-// table (core.RM1's schema, session-clustered) read from memory, under the
-// full projection and under the ladder's narrow spec's 5 of 25 features.
-func BenchmarkStripeColumns(b *testing.B) {
-	const stripeRows = 128
+// ladderStripes writes the benchmark ladder's table (core.RM1's schema,
+// session-clustered) in stripes of stripeRows rows, at least two of them,
+// and returns the file's reader with the ladder's narrow spec's 5 of 25
+// features as a projection.
+func ladderStripes(tb testing.TB, stripeRows int) (r *FileReader, narrow []int) {
+	tb.Helper()
 	schema := datagen.StandardSchema(datagen.StandardSchemaConfig{ // core.RM1().SchemaCfg; core imports this package
 		UserSeq: 9, UserElem: 12, Item: 4, Dense: 8, SeqLen: 24, SeqGroupSize: 3, Seed: 101,
 	})
 	samples := etl.ClusterBySession(datagen.NewGenerator(schema, datagen.GeneratorConfig{
-		Sessions: 40, MeanSamplesPerSession: 16.5, Seed: 1001,
+		Sessions: max(40, stripeRows/8), MeanSamplesPerSession: 16.5, Seed: 1001,
 	}).GeneratePartition())
 	if len(samples) < 2*stripeRows {
-		b.Fatalf("generated %d rows, need two stripes", len(samples))
+		tb.Fatalf("generated %d rows, need two stripes", len(samples))
 	}
-	data, _ := writeFile(b, schema, samples, stripeRows)
+	data, _ := writeFile(tb, schema, samples, stripeRows)
 	r, err := OpenReader(data)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	keys := r.SparseKeys()
-	var narrow []int
 	for _, f := range []string{"item_0", "user_seq_0", "user_seq_1", "user_seq_2", "user_elem_0"} {
 		narrow = append(narrow, slices.Index(keys, f))
 	}
+	return r, narrow
+}
+
+// BenchmarkStripeColumns is the fill's decode unit with nothing around it —
+// no store, no fetch model: one 128-row stripe of the benchmark ladder's
+// table read from memory, under the full projection and under the ladder's
+// narrow spec's 5 of 25 features.
+func BenchmarkStripeColumns(b *testing.B) {
+	const stripeRows = 128
+	r, narrow := ladderStripes(b, stripeRows)
 	for _, bc := range []struct {
 		name string
 		cols []int
-	}{{"full", allColumns(len(keys))}, {"5of25", narrow}} {
+	}{{"full", allColumns(len(r.keys))}, {"5of25", narrow}} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -723,17 +732,45 @@ func BenchmarkStripeColumns(b *testing.B) {
 	}
 }
 
+// TestStripeDecodeAllocs: a stripe decode allocates a few objects a
+// decoded column and a few for the stripe, whatever its rows: every stream
+// is read where it was fetched, with no inflate and no buffer of its own.
+// One stripe of the ladder's table under the full projection and under
+// its 5 of 25 features allocates at most the counts below, and the same
+// at 128 rows and at 1024.
+func TestStripeDecodeAllocs(t *testing.T) {
+	want := map[string]float64{"full": 57, "5of25": 22}
+	got := map[string]float64{}
+	for _, stripeRows := range []int{128, 1024} {
+		r, narrow := ladderStripes(t, stripeRows)
+		for name, cols := range map[string][]int{"full": allColumns(len(r.keys)), "5of25": narrow} {
+			allocs := testing.AllocsPerRun(20, func() {
+				if c, err := r.StripeColumns(1, cols); err != nil || c.Rows() != stripeRows {
+					t.Fatalf("%s: stripe of %d rows, %v", name, c.Rows(), err)
+				}
+			})
+			if allocs > want[name] {
+				t.Errorf("%d-row stripe, %s: %v allocs a decode, want at most %v", stripeRows, name, allocs, want[name])
+			}
+			if prev, ok := got[name]; ok && allocs != prev {
+				t.Errorf("%s: %v allocs a decode at %d rows, %v at 128", name, allocs, stripeRows, prev)
+			}
+			got[name] = allocs
+		}
+	}
+}
+
 // TestFileKnownAnswer pins the bytes of one small file: testSchema's rows
 // of three sessions in stripes of 7 rows. Every stream's grammar, the
 // stripe header, the row-key section, the footer and the trailer reach
 // these bytes, so a change that moves the hash changes the file format —
-// a new trailerMagic and a re-land, not a test update. (The label and
-// dense streams and the row-key section are compress/flate's output, so a
-// toolchain whose deflate emits other bytes moves it too.)
+// a new trailerMagic and a re-land, not a test update. Every byte is the
+// format's own encoding, with no compressor's output among them, so the
+// pin holds on any toolchain.
 func TestFileKnownAnswer(t *testing.T) {
 	schema := testSchema()
 	data, _ := writeFile(t, schema, testSamples(t, schema, 3), 7)
-	const want = "e3585b7490176ab2567ed8f7c7e5702b41a17d3a14dbaea7ad7d55243ab91567"
+	const want = "586e8e3d7dbfc55e44d58d2a0d03e7c4381abe724c263e3f17fc4e0ac10f6599"
 	if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want {
 		t.Fatalf("sha256 of the %d-byte file = %s, want %s", len(data), got, want)
 	}

@@ -1,21 +1,16 @@
 package dwrf
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 	"math"
 	"math/bits"
-	"sync"
 )
 
 // Column stream encodings. Every stream is a byte slice produced by one of
-// the putX helpers and consumed by the matching byteReader method; the
-// label and dense streams are then flate-compressed per stripe, and the
-// sparse streams stored as they are.
+// the putX helpers and the idCodec, stored as written, and consumed by the
+// matching byteReader and idCodec methods where it was fetched.
 
 // putUvarint appends v to b as an unsigned varint.
 func putUvarint(b []byte, v uint64) []byte {
@@ -108,52 +103,71 @@ func (r *byteReader) row() (rows, dist, drop, tail uint64, err error) {
 	return 1, dist, drop, tail, err
 }
 
-// inflater bundles a reusable flate reader with its byte source so stripe
-// decoding does not rebuild the (large) flate state per column stream.
-type inflater struct {
-	src bytes.Reader
-	fr  io.ReadCloser
+// idCodec is the format's one integer code for a run of IDs: each ID is
+// its offset over the run's least ID, the base, in w little-endian bytes
+// (ORC's fixed-width integer runs), where a varint would spend a
+// continuation bit a byte. w is the fewest bytes that hold the greatest
+// ID's offset, and at least 1 when the run holds an ID, so an ID never
+// costs less than a byte; it is 0 only for a run that holds none. A run
+// opens with its header: the width byte and, if w > 0, the base as a
+// zigzag varint. A sparse stream's literal IDs and the row-key section's
+// request IDs are both such runs.
+type idCodec struct {
+	base  int64
+	width int
 }
 
-var inflaterPool = sync.Pool{New: func() any { return &inflater{} }}
+// newIDCodec is the code for a run whose IDs lie in [lo, hi]; lo > hi for
+// a run of none.
+func newIDCodec(lo, hi int64) idCodec {
+	if lo > hi {
+		return idCodec{}
+	}
+	return idCodec{base: lo, width: max(1, (bits.Len64(uint64(hi)-uint64(lo))+7)/8)}
+}
 
-// decompressStream inflates a compressed stream into dst's storage (grown
-// if needed); rawLen is the expected decompressed size recorded in the
-// stripe header. Flate state comes from a pool, so concurrent stripe
-// decodes each reuse a warm inflater.
-func decompressStream(dst, comp []byte, rawLen int) ([]byte, error) {
-	if rawLen < 0 || rawLen > maxStreamBytes {
-		return nil, fmt.Errorf("dwrf: invalid raw stream length %d", rawLen)
+// appendHeader appends the run's width byte and, if w > 0, its base.
+func (c idCodec) appendHeader(b []byte) []byte {
+	b = append(b, byte(c.width))
+	if c.width > 0 {
+		b = putVarint(b, c.base)
 	}
-	fl := inflaterPool.Get().(*inflater)
-	defer func() {
-		// Drop the reference into the caller's file buffer before pooling,
-		// so idle pool entries never pin a decoded file in memory.
-		fl.src.Reset(nil)
-		inflaterPool.Put(fl)
-	}()
-	fl.src.Reset(comp)
-	if fl.fr == nil {
-		fl.fr = flate.NewReader(&fl.src)
-	} else if err := fl.fr.(flate.Resetter).Reset(&fl.src, nil); err != nil {
-		return nil, fmt.Errorf("dwrf: flate reset: %w", err)
-	}
-	if cap(dst) < rawLen {
-		dst = make([]byte, rawLen)
+	return b
+}
+
+// append appends id, which must lie in the run's range, in w bytes.
+func (c idCodec) append(b []byte, id int64) []byte {
+	n := len(b)
+	return binary.LittleEndian.AppendUint64(b, uint64(id)-uint64(c.base))[:n+c.width]
+}
+
+// at reads the ID whose w bytes open b; the caller has held len(b) >= w.
+// Where eight bytes are left it loads them whole and masks the ID's off.
+func (c idCodec) at(b []byte) int64 {
+	var v uint64
+	if len(b) >= 8 {
+		v = binary.LittleEndian.Uint64(b) & (^uint64(0) >> (64 - 8*c.width))
 	} else {
-		dst = dst[:rawLen]
+		for i := c.width - 1; i >= 0; i-- {
+			v = v<<8 | uint64(b[i])
+		}
 	}
-	if _, err := io.ReadFull(fl.fr, dst); err != nil {
-		return nil, fmt.Errorf("dwrf: decompress: %w", err)
-	}
-	// A trailing read must hit EOF, otherwise the recorded length lied.
-	var one [1]byte
-	if n, _ := fl.fr.Read(one[:]); n != 0 {
-		return nil, fmt.Errorf("dwrf: stream longer than recorded length %d", rawLen)
-	}
-	return dst, nil
+	return c.base + int64(v)
 }
 
-// streamBufPool recycles decompressed column stream buffers across stripe
-// decodes; samples copy their data out, so the buffers never escape.
-var streamBufPool = sync.Pool{New: func() any { return new([]byte) }}
+// idCodec reads a run's header (see idCodec): a width of 0 to 8 bytes
+// and, if that is above 0, the base.
+func (r *byteReader) idCodec() (idCodec, error) {
+	if r.remaining() == 0 || r.buf[r.pos] > 8 {
+		return idCodec{}, errors.New("has no ID width of 0 to 8 bytes")
+	}
+	c := idCodec{width: int(r.buf[r.pos])}
+	r.pos++
+	if c.width > 0 {
+		var err error
+		if c.base, err = r.varint(); err != nil {
+			return idCodec{}, errors.New("base truncated")
+		}
+	}
+	return c, nil
+}

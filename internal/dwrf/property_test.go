@@ -174,8 +174,8 @@ func TestPropertyStripeDecodeMatchesReadAll(t *testing.T) {
 }
 
 // TestPropertyCompressedNotLarger: the stored file is never wildly larger
-// than its plain column encodings (row headers, fixed-width IDs and
-// flate's worst case on the streams it compresses add a little).
+// than its plain column encodings (row headers and fixed-width IDs add a
+// little).
 func TestPropertyCompressedNotLarger(t *testing.T) {
 	schema := testSchema()
 	prop := func(seed int64) bool {
@@ -189,7 +189,7 @@ func TestPropertyCompressedNotLarger(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		// Footer + headers + flate overhead stay under 25% + 4KB.
+		// Footer + headers + ID widths stay under 25% + 4KB.
 		return stats.CompressedBytes <= stats.RawBytes+stats.RawBytes/4+4096
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 20}); err != nil {

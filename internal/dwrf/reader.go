@@ -27,8 +27,7 @@ type FileReader struct {
 	dense   int
 	rows    int
 
-	rowKeysAt  int64 // where the row-key section starts: the end of the last stripe
-	rowKeysRaw int   // the section's length before compression
+	rowKeysAt int64 // where the row-key section starts: the end of the last stripe
 }
 
 // Open parses the footer of the size-byte DWRF file behind fetch, in two
@@ -45,7 +44,7 @@ func Open(size int64, fetch Fetch) (*FileReader, error) {
 	}
 	switch string(trailer[4:]) {
 	case trailerMagic:
-	case magic, "DWR2":
+	case magic, "DWR2", "DWR3":
 		return nil, fmt.Errorf("dwrf: file is in a retired layout (trailer %q, not %q): re-land it with this build", trailer[4:], trailerMagic)
 	default:
 		return nil, fmt.Errorf("dwrf: bad trailer magic")
@@ -152,11 +151,6 @@ func (r *FileReader) parseFooter(footer []byte) error {
 		return fmt.Errorf("dwrf: implausible dense width %d", nDense)
 	}
 	r.dense = int(nDense)
-	rowKeysRaw, err := fr.uvarint()
-	if err != nil || rowKeysRaw > maxStreamBytes {
-		return fmt.Errorf("dwrf: footer row-key length invalid")
-	}
-	r.rowKeysRaw = int(rowKeysRaw)
 	return nil
 }
 
@@ -176,7 +170,7 @@ func (r *FileReader) DenseCount() int { return r.dense }
 func (r *FileReader) StripeRows(i int) int { return r.stripes[i].rows }
 
 // StripeByteRange returns the byte extent of stripe i within the file:
-// its header followed by one compressed stream per column. DecodeStripe
+// its header followed by one stream per column. DecodeStripe
 // takes exactly these bytes. The reader tier does not read whole stripes
 // unless it wants every column; see StripeColumns for what it fetches.
 func (r *FileReader) StripeByteRange(i int) (offset, length int64) {
@@ -202,8 +196,8 @@ func (r *FileReader) checkProjection(cols []int) error {
 // which are always read. The row keys are not a stripe's: they are the
 // file's row-key section, which only ReadRowKeys reads. It is the unit the
 // reader tier fills by:
-// stripes are independent (each carries its own compressed streams and
-// delta-encoding state), so a file is read one stripe at a time, in any
+// stripes are independent (each carries its own streams, and a row refers
+// only to rows of its stripe), so a file is read one stripe at a time, in any
 // order, and the rows of one are usable before the next is fetched.
 //
 // Only what the projection decodes is fetched. When cols names every
@@ -211,7 +205,7 @@ func (r *FileReader) checkProjection(cols []int) error {
 // at byte 0 of the file, so that the header magic is fetched, and checked,
 // by the read that needs it first. Otherwise the stripe costs its header
 // and one fetch per run of adjacent wanted streams (see fetchStripe); the
-// streams of the other columns are never fetched or inflated. Either way no
+// streams of the other columns are never fetched or decoded. Either way no
 // byte is fetched twice, so reading every stripe of a file under a full
 // projection costs the file's size less its row-key section, counting
 // Open's two fetches.
@@ -306,45 +300,47 @@ func (r *FileReader) ReadAllContext(ctx context.Context) ([]datagen.Sample, erro
 // ReadRowKeys fetches the file's row-key section, in one fetch, and sets
 // the row keys of rows — every row of the file, in order — from it. No
 // stripe read fetches that section: a caller that needs rows whole reads
-// it once per file. Its recorded raw length is held to what deflate could
-// reach from its bytes before it sizes anything, and the section must hold
-// exactly four varints a row.
+// it once per file. The section must hold exactly a row's session, user
+// and timestamp varints and its request ID for every row (see Finish):
+// its varints are read as far as its bytes go, and its request IDs only
+// once their width times the rows fits the bytes left.
 func (r *FileReader) ReadRowKeys(rows []datagen.Sample) error {
 	if len(rows) != r.rows {
 		return fmt.Errorf("dwrf: %d rows for a file of %d", len(rows), r.rows)
 	}
-	comp, err := r.get(r.rowKeysAt, r.body-r.rowKeysAt)
+	section, err := r.get(r.rowKeysAt, r.body-r.rowKeysAt)
 	if err != nil {
 		return err
 	}
-	if int64(r.rowKeysRaw) > maxInflateRatio*int64(len(comp)) {
-		return fmt.Errorf("dwrf: row-key section: raw length %d impossible for %d compressed bytes", r.rowKeysRaw, len(comp))
-	}
-	raw, err := decompressStream(nil, comp, r.rowKeysRaw)
-	if err != nil {
-		return fmt.Errorf("dwrf: row-key section: %w", err)
-	}
-	kr := &byteReader{buf: raw}
-	for f := 0; f < 4; f++ { // session delta, user, request, timestamp delta
+	kr := &byteReader{buf: section}
+	for f, name := range []string{"session", "user", "timestamp"} {
 		var prev int64
 		for i := range rows {
 			v, err := kr.varint()
 			if err != nil {
-				return fmt.Errorf("dwrf: row-key section ends at field %d of row %d", f, i)
+				return fmt.Errorf("dwrf: row-key section ends at the %s of row %d", name, i)
 			}
+			prev += v
 			switch s := &rows[i]; f {
 			case 0:
-				prev += v
 				s.SessionID = prev
 			case 1:
-				s.UserID = v
-			case 2:
-				s.RequestID = v
-			case 3:
-				prev += v
+				s.UserID = prev
+			default:
 				s.Timestamp = prev
 			}
 		}
+	}
+	ids, err := kr.idCodec()
+	if err == nil && uint64(len(rows))*uint64(ids.width) > uint64(kr.remaining()) {
+		err = fmt.Errorf("of %d bytes each run past the section", ids.width)
+	}
+	if err != nil {
+		return fmt.Errorf("dwrf: row-key section: request IDs %w", err)
+	}
+	for i := range rows {
+		rows[i].RequestID = ids.at(section[kr.pos:])
+		kr.pos += ids.width
 	}
 	if kr.remaining() > 0 {
 		return fmt.Errorf("dwrf: row-key section has %d bytes past its %d rows", kr.remaining(), len(rows))

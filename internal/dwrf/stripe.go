@@ -19,21 +19,19 @@ const (
 	firstSparse = 2
 )
 
-// stripeHeader is a stripe's decoded header: the row count, the label and
-// dense streams' lengths before compression, and every column stream's
-// length in the file. size is the header's own encoded length, which is
-// where the first stream starts.
+// stripeHeader is a stripe's decoded header: the row count and every
+// column stream's length in the file. size is the header's own encoded
+// length, which is where the first stream starts.
 type stripeHeader struct {
 	rows   int
-	rawLen [firstSparse]int
 	length []int
 	size   int
 }
 
 // headerVarints is how many varints the header of a stripe of nCols
-// column streams holds: the row and column counts, two lengths for each
-// compressed stream and one for each sparse stream (see flushStripe).
-func headerVarints(nCols int) int { return 2 + firstSparse + nCols }
+// column streams holds: the row and column counts, then one length for
+// each stream (see flushStripe).
+func headerVarints(nCols int) int { return 2 + nCols }
 
 // parseStripeHeader decodes the header at the front of buf for a file of
 // nCols column streams. A buf that ends inside the header is not an
@@ -52,10 +50,6 @@ func parseStripeHeader(buf []byte, nCols int) (h stripeHeader, missing int, err 
 		if err != nil {
 			return h, 0, fmt.Errorf("dwrf: stripe header: %w", err)
 		}
-		c := i - 2 - firstSparse // the column whose length v is
-		if i < 2+2*firstSparse {
-			c = (i - 2) / 2
-		}
 		switch {
 		case i == 0:
 			if v > maxStripeRows {
@@ -67,11 +61,9 @@ func parseStripeHeader(buf []byte, nCols int) (h stripeHeader, missing int, err 
 				return h, 0, fmt.Errorf("dwrf: stripe has %d columns, footer schema implies %d", v, nCols)
 			}
 		case v > maxStreamBytes:
-			return h, 0, fmt.Errorf("dwrf: column %d stream too large", c)
-		case i < 2+2*firstSparse && i%2 == 0:
-			h.rawLen[c] = int(v)
+			return h, 0, fmt.Errorf("dwrf: column %d stream too large", i-2)
 		default:
-			h.length[c] = int(v)
+			h.length[i-2] = int(v)
 		}
 	}
 	h.size = r.pos
@@ -194,79 +186,49 @@ func (r *FileReader) fetchStripe(off, length int64, cols []int) (stripeSource, e
 	return src, nil
 }
 
-// maxInflateRatio is deflate's expansion limit (a 258-byte match costs at
-// least two bits); a recorded raw length beyond it is forged, and is
-// refused before it sizes a buffer. It is also the most values a sparse
-// stream may expand to per stored byte: a reference costs a byte or two
-// whatever it copies, so the bound is the grammar's, checked as the
-// decoder sizes the column, and the encoder writes a column that would
-// pass it literally.
+// maxInflateRatio is the most values, or rows, a sparse stream may
+// expand to per stored byte: a reference costs a byte or two whatever it
+// copies, so the bound is the grammar's, checked as the decoder sizes the
+// column, and the encoder writes a column that would pass it literally.
 const maxInflateRatio = 1032
 
-// inflate decompresses the label or dense stream c of src into *scratch
-// (grown as needed) and returns the raw stream.
-func (src *stripeSource) inflate(c int, scratch *[]byte) ([]byte, error) {
-	if int64(src.rawLen[c]) > maxInflateRatio*int64(len(src.streams[c])) {
-		return nil, fmt.Errorf("dwrf: column %d: raw length %d impossible for %d compressed bytes", c, src.rawLen[c], len(src.streams[c]))
-	}
-	raw, err := decompressStream(*scratch, src.streams[c], src.rawLen[c])
-	if err != nil {
-		return nil, fmt.Errorf("dwrf: column %d: %w", c, err)
-	}
-	*scratch = raw
-	return raw, nil
-}
-
-// decodeStripe is the stripe decoder: it inflates the label stream and
-// the dense stream, reads the streams of the sparse columns cols — no
-// others — where they were fetched, and decodes them straight into a
-// column chunk. Allocations are a few per decoded column, whatever the
-// row count. A sparse stream is read where it was fetched, with no inflate
-// and no buffer of its own; its width, base and row headers are checked in
-// a first pass that sizes the column, before anything is allocated by
-// what they claim (see decodeSparse).
+// decodeStripe is the stripe decoder: it reads the label stream, the
+// dense stream and the streams of the sparse columns cols — no others —
+// where they were fetched, and decodes them straight into a column chunk.
+// Allocations are a few per decoded column, whatever the row count. The
+// label and dense streams must be exactly their rows' length, which bounds
+// rows by real bytes before anything is sized by it; a sparse stream's
+// width, base and row headers are checked in a first pass that sizes the
+// column, before anything is allocated by what they claim (see
+// decodeSparse).
 func decodeStripe(src stripeSource, keys []string, dense int, cols []int) (*Chunk, error) {
 	if dense < 0 || dense > maxDense {
 		return nil, fmt.Errorf("dwrf: implausible dense width %d", dense)
 	}
-	bp := streamBufPool.Get().(*[]byte)
-	defer streamBufPool.Put(bp)
-
 	rows := src.rows
+	labels, floats := src.streams[labelStream], src.streams[denseStream]
+	if len(labels) != rows {
+		return nil, fmt.Errorf("dwrf: label stream of %d bytes for %d rows", len(labels), rows)
+	}
+	if int64(len(floats)) != 4*int64(rows)*int64(dense) {
+		return nil, fmt.Errorf("dwrf: dense stream of %d bytes for %d rows of %d floats", len(floats), rows, dense)
+	}
+
 	c := &Chunk{keys: keys, cols: cols, width: dense, hi: rows, sparse: make([]tensor.Jagged, len(cols))}
-
-	// Labels: one byte a row, which bounds rows by real data before
-	// anything is sized by it.
-	if src.rawLen[labelStream] != rows {
-		return nil, fmt.Errorf("dwrf: label stream of %d bytes for %d rows", src.rawLen[labelStream], rows)
-	}
-	raw, err := src.inflate(labelStream, bp)
-	if err != nil {
-		return nil, err
-	}
 	c.labels = make([]int8, rows)
-	for i, lb := range raw {
+	for i, lb := range labels {
 		c.labels[i] = int8(lb)
-	}
-
-	// Dense floats, raw little-endian.
-	if raw, err = src.inflate(denseStream, bp); err != nil {
-		return nil, err
-	}
-	if n := rows * dense; len(raw)/4 < n {
-		return nil, fmt.Errorf("dwrf: dense row %d truncated", len(raw)/4/max(dense, 1))
 	}
 	c.dense = make([]float32, rows*dense)
 	for i := range c.dense {
-		c.dense[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
+		c.dense[i] = math.Float32frombits(binary.LittleEndian.Uint32(floats[4*i:]))
 	}
 
-	// Sparse columns, stored as written: a width byte w and, if w > 0, a
-	// zigzag varint base; then row headers, each naming a literal, a run
-	// of repeats, a shift or a back-reference (byteReader.row), and each
-	// followed by its row's literal IDs, w little-endian bytes each over
-	// base.
+	// Sparse columns: an idCodec header, then row headers, each naming a
+	// literal, a run of repeats, a shift or a back-reference
+	// (byteReader.row), and each followed by its row's literal IDs.
 	for p, col := range cols {
+		var err error
 		if c.sparse[p], err = decodeSparse(src.streams[firstSparse+col], rows); err != nil {
 			return nil, fmt.Errorf("dwrf: sparse %q %w", keys[col], err)
 		}
@@ -288,18 +250,12 @@ func decodeStripe(src stripeSource, keys []string, dense int, cols []int) (*Chun
 // values sized, and the second pass copies each reference out of the rows
 // already decoded and reads each literal ID.
 func decodeSparse(raw []byte, rows int) (tensor.Jagged, error) {
-	if len(raw) == 0 || raw[0] > 8 {
-		return tensor.Jagged{}, errors.New("has no ID width of 0 to 8 bytes")
+	sr := byteReader{buf: raw}
+	ids, err := sr.idCodec()
+	if err != nil {
+		return tensor.Jagged{}, err
 	}
-	width := uint64(raw[0])
-	sr := byteReader{buf: raw, pos: 1}
-	var base int64
-	if width > 0 {
-		var err error
-		if base, err = sr.varint(); err != nil {
-			return tensor.Jagged{}, errors.New("base truncated")
-		}
-	}
+	width := uint64(ids.width)
 	body := sr.pos
 	limit := int(min(maxInflateRatio*int64(len(raw)), math.MaxInt32))
 	if rows > limit { // a run states many rows a byte: they are bounded as values are
@@ -349,7 +305,6 @@ func decodeSparse(raw []byte, rows int) (tensor.Jagged, error) {
 	}
 
 	j.Values = make([]tensor.Value, nValues)
-	mask := ^uint64(0) >> (64 - 8*width)
 	sr.pos = body
 	filled := 0
 	for i := 0; i < rows; {
@@ -360,15 +315,7 @@ func decodeSparse(raw []byte, rows int) (tensor.Jagged, error) {
 				filled += copy(j.Values[filled:], j.Values[j.Offsets[ref]+int32(drop):j.Offsets[ref+1]])
 			}
 			for last := filled + int(tail); filled < last; filled++ {
-				var v uint64
-				if sr.remaining() >= 8 {
-					v = binary.LittleEndian.Uint64(raw[sr.pos:]) & mask
-				} else {
-					for b := sr.pos + int(width) - 1; b >= sr.pos; b-- {
-						v = v<<8 | uint64(raw[b])
-					}
-				}
-				j.Values[filled] = base + int64(v)
+				j.Values[filled] = ids.at(raw[sr.pos:])
 				sr.pos += int(width)
 			}
 		}

@@ -2,7 +2,6 @@ package dwrf
 
 import (
 	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -35,17 +34,13 @@ type FileWriter struct {
 	colRaw  []int64
 	colComp []int64
 
-	// Every written row's keys: session, user, request, timestamp.
+	// Every written row's keys: session, user, timestamp, request.
 	rowKeys [][4]int64
 
 	// Per-stripe encode scratch, reset (not reallocated) between stripes:
-	// raw column streams, the compressed label and dense streams, the
-	// shared flate writer, its output buffer, the sparse encoder's
-	// reference table and the stripe header.
+	// the column streams, the sparse encoder's reference table and the
+	// stripe header.
 	streams [][]byte
-	comp    [firstSparse][]byte
-	fw      *flate.Writer
-	compBuf bytes.Buffer
 	refs    refTable
 	hdr     []byte
 
@@ -87,10 +82,10 @@ func (w *FileWriter) WriteRow(s datagen.Sample) error {
 		return fmt.Errorf("dwrf: sample has %d dense features, schema has %d", len(s.Dense), w.schema.Dense)
 	}
 	w.pending = append(w.pending, s)
-	w.rowKeys = append(w.rowKeys, [4]int64{s.SessionID, s.UserID, s.RequestID, s.Timestamp})
+	w.rowKeys = append(w.rowKeys, [4]int64{s.SessionID, s.UserID, s.Timestamp, s.RequestID})
 	w.rows++
 	if len(w.pending) >= w.opts.StripeRows {
-		return w.flushStripe()
+		w.flushStripe()
 	}
 	return nil
 }
@@ -157,9 +152,10 @@ func (w *FileWriter) encodeStripeColumns() [][]byte {
 // encoding before references and widths, which ColumnStats.RawBytes
 // reports.
 //
-// The stream opens with a width byte w and, if any row holds an ID, the
-// zigzag varint base, the least ID. Each row is then one uvarint header h,
-// whose low two bits say what the row is:
+// The stream opens with the header of its IDs' idCodec: a width byte w
+// and, if any row holds an ID, the zigzag varint base, the least ID. Each
+// row is then one uvarint header h, whose low two bits say what the row
+// is:
 //
 //	h&3 == 0: a run: the previous row again, and again for each of the
 //	          next h>>2 rows (h == 0: this row alone)
@@ -172,11 +168,9 @@ func (w *FileWriter) encodeStripeColumns() [][]byte {
 //	          then a tail of t IDs
 //
 // followed by the row's literal IDs — a literal's list, a shift's or a
-// back-reference's tail — each uint64(id)-uint64(base) in w little-endian
-// bytes. w is the fewest bytes that hold the greatest ID's offset, and at
-// least 1 when the stream holds an ID, so a literal ID never costs less
-// than a byte; it is 0 only when the stream holds none. A row refers only
-// to rows of its own stripe, so a stripe decodes alone.
+// back-reference's tail — each its offset over the base in w
+// little-endian bytes (idCodec). A row refers only to rows of its own
+// stripe, so a stripe decodes alone.
 //
 // With refer, a row is stated by reference when that is no dearer than
 // its literal: the candidate is the latest earlier row holding the row's
@@ -194,14 +188,9 @@ func (w *FileWriter) appendSparse(col []byte, fi int, refer bool) (_ []byte, val
 			plain += uvarintLen(uint64(id<<1) ^ uint64(id>>63))
 		}
 	}
-	width := 0
-	if lo <= hi { // the stream holds an ID
-		width = max(1, (bits.Len64(uint64(hi)-uint64(lo))+7)/8)
-	}
-	col = append(col, byte(width))
-	if width > 0 {
-		col = putVarint(col, lo)
-	}
+	ids := newIDCodec(lo, hi)
+	col = ids.appendHeader(col)
+	width := ids.width
 	if refer {
 		w.refs.reset(values)
 	}
@@ -243,8 +232,7 @@ func (w *FileWriter) appendSparse(col []byte, fi int, refer bool) (_ []byte, val
 			}
 		}
 		for _, id := range lst[len(lst)-tail:] {
-			n := len(col)
-			col = binary.LittleEndian.AppendUint64(col, uint64(id)-uint64(lo))[:n+width]
+			col = ids.append(col, id)
 		}
 	}
 	return col, values, plain
@@ -336,44 +324,21 @@ func (t *refTable) put(id int64, row, pos int) {
 	*t.slot(id) = refSlot{id: id, stamp: t.stamp, row: int32(row), pos: int32(pos)}
 }
 
-// compressInto flate-compresses raw into dst's storage using the writer's
-// reused flate state, returning the (possibly regrown) compressed slice.
-func (w *FileWriter) compressInto(dst, raw []byte) ([]byte, error) {
-	w.compBuf.Reset()
-	if w.fw == nil {
-		fw, err := flate.NewWriter(&w.compBuf, flate.DefaultCompression)
-		if err != nil {
-			return nil, fmt.Errorf("dwrf: flate init: %w", err)
-		}
-		w.fw = fw
-	} else {
-		w.fw.Reset(&w.compBuf)
-	}
-	if _, err := w.fw.Write(raw); err != nil {
-		return nil, fmt.Errorf("dwrf: compress: %w", err)
-	}
-	if err := w.fw.Close(); err != nil {
-		return nil, fmt.Errorf("dwrf: compress close: %w", err)
-	}
-	return append(dst[:0], w.compBuf.Bytes()...), nil
-}
-
-// flushStripe encodes the pending rows, compresses the label and dense
-// streams, and appends the rows as one stripe. Stripe wire format:
+// flushStripe encodes the pending rows and appends them as one stripe.
+// Stripe wire format:
 //
 //	uvarint rowCount
 //	uvarint columnCount
-//	2 × { uvarint rawLen, uvarint compLen }   the label and dense streams
-//	(columnCount-2) × uvarint len             the sparse streams
+//	columnCount × uvarint len
 //	columnCount × stream bytes
 //
-// rawLen is a stream's length before compression. The label stream holds
-// one byte per row, the dense stream rows × dense little-endian float32s.
-// A sparse stream is stored as written, and its one length is its length
-// in the file: its width byte, base and rows (see appendSparse).
-func (w *FileWriter) flushStripe() error {
+// Every stream is stored as written, and its one length is its length in
+// the file. The label stream holds one byte per row, the dense stream
+// rows × dense little-endian float32s, and a sparse stream its IDs'
+// header and its rows (see appendSparse).
+func (w *FileWriter) flushStripe() {
 	if len(w.pending) == 0 {
-		return nil
+		return
 	}
 	streams := w.encodeStripeColumns()
 
@@ -381,26 +346,14 @@ func (w *FileWriter) flushStripe() error {
 	hdr := w.hdr[:0]
 	hdr = putUvarint(hdr, uint64(len(w.pending)))
 	hdr = putUvarint(hdr, uint64(len(streams)))
-	for i, raw := range streams {
-		stored := raw
-		if i < firstSparse {
-			c, err := w.compressInto(w.comp[i], raw)
-			if err != nil {
-				return err
-			}
-			w.comp[i], stored = c, c
-			hdr = putUvarint(hdr, uint64(len(raw)))
-		}
-		hdr = putUvarint(hdr, uint64(len(stored)))
-		w.colComp[i] += int64(len(stored))
+	for i, stream := range streams {
+		hdr = putUvarint(hdr, uint64(len(stream)))
+		w.colComp[i] += int64(len(stream))
 	}
 	w.buf.Write(hdr)
 	w.hdr = hdr
-	for i, raw := range streams {
-		if i < firstSparse {
-			raw = w.comp[i]
-		}
-		w.buf.Write(raw)
+	for _, stream := range streams {
+		w.buf.Write(stream)
 	}
 
 	w.stripes = append(w.stripes, stripeInfo{
@@ -409,54 +362,51 @@ func (w *FileWriter) flushStripe() error {
 		rows:   len(w.pending),
 	})
 	w.pending = w.pending[:0]
-	return nil
 }
 
 // Finish flushes the last stripe, writes the row-key section and the
 // footer, and returns the file bytes and stats. The writer must not be
 // used afterwards.
 //
-// The row-key section is one flate-compressed stream from the end of the
-// last stripe (or the magic) to the footer: every row's zigzag varint
-// session delta, then every row's user ID, request ID and timestamp
-// delta, field by field. Footer wire format (uncompressed):
+// The row-key section runs from the end of the last stripe (or the magic)
+// to the footer, stored as written: every row's session, then every row's
+// user, then every row's timestamp, each a zigzag varint delta of the row
+// before — clustered rows repeat the first two and step the third — then
+// every row's request ID, in one idCodec run. Footer wire format:
 //
 //	uvarint stripeCount
 //	stripeCount × { uvarint offset, uvarint length, uvarint rows }
 //	uvarint sparseFeatureCount
 //	sparseFeatureCount × { uvarint keyLen, key bytes }
 //	uvarint denseCount
-//	uvarint rowKeyRawLen
 //	fixed32 footerLen | trailerMagic
 func (w *FileWriter) Finish() ([]byte, FileStats, error) {
 	if w.finished {
 		return nil, FileStats{}, fmt.Errorf("dwrf: Finish called twice")
 	}
-	if err := w.flushStripe(); err != nil {
-		return nil, FileStats{}, err
-	}
+	w.flushStripe()
 	w.finished = true
 
-	// Session IDs and timestamps are delta-encoded: clustered tables have
-	// long runs of equal session IDs and ascending timestamps, which
-	// delta+varint shrinks dramatically even before flate sees them.
-	raw := make([]byte, 0, 4*binary.MaxVarintLen64*len(w.rowKeys))
-	for f := 0; f < 4; f++ {
+	// The section is appended in place where the buffer has room.
+	section := w.buf.AvailableBuffer()
+	for f := range 3 { // session, user, timestamp
 		var prev int64
 		for _, k := range w.rowKeys {
-			v := k[f]
-			if f == 0 || f == 3 {
-				v, prev = v-prev, v
-			}
-			raw = putVarint(raw, v)
+			section = putVarint(section, k[f]-prev)
+			prev = k[f]
 		}
 	}
-	section, err := w.compressInto(nil, raw)
-	if err != nil {
-		return nil, FileStats{}, err
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	for _, k := range w.rowKeys {
+		lo, hi = min(lo, k[3]), max(hi, k[3])
+	}
+	ids := newIDCodec(lo, hi)
+	section = ids.appendHeader(section)
+	for _, k := range w.rowKeys {
+		section = ids.append(section, k[3])
 	}
 	w.buf.Write(section)
-	w.colRaw[0] += int64(len(raw))
+	w.colRaw[0] += int64(len(section))
 	w.colComp[0] += int64(len(section))
 
 	var footer []byte
@@ -472,7 +422,6 @@ func (w *FileWriter) Finish() ([]byte, FileStats, error) {
 		footer = append(footer, f.Key...)
 	}
 	footer = putUvarint(footer, uint64(w.schema.Dense))
-	footer = putUvarint(footer, uint64(len(raw)))
 
 	w.buf.Write(footer)
 	var tail [8]byte

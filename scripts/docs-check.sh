@@ -14,7 +14,11 @@
 #      not import internal/datagen: rows (datagen.Sample) exist
 #      downstream of fill only in the row adapters the frozen benchmark
 #      times; a session, a wire frame or the fleet merge that imports the
-#      row type has regrown the row detour the one cutter replaced.
+#      row type has regrown the row detour the one cutter replaced. And
+#      internal/dwrf must not import a compress/... package: every DWRF
+#      stream is stated by its own grammar and read where it was fetched,
+#      and a general-purpose compressor over one would bring back the
+#      inflate buffers and the second length rule that went with it.
 #   5. Every test or fuzz target docs/ARCHITECTURE.md's determinism table
 #      cites as `pkg.TestName` / `pkg.FuzzName` must exist in a package of
 #      that name (`go test -list`), so a renamed or deleted test cannot
@@ -55,7 +59,8 @@
 #      read_allowed below, each with its reason. A decoder of outside bytes
 #      reads through tensor.Decoder or tensor.ReadInto, which believe a
 #      declared length only as its bytes arrive; one that reads for itself
-#      has grown a second length rule.
+#      has grown a second length rule. An entry no call uses fails too, so
+#      an exception cannot outlive the call it excused.
 #  11. Every trailer docs/*.md names in a code span or quotes (`DWR3`,
 #      "DWR3") must be the trailer the code writes (`trailerMagic` in
 #      internal/dwrf/dwrf.go), so the docs cannot lag the next layout.
@@ -141,6 +146,10 @@ done
 # --- 4. import guard -----------------------------------------------------
 if go list -f '{{.ImportPath}} {{join .Imports " "}}' ./internal/dpp ./internal/dpp/dppnet ./internal/dpp/dppshard | grep 'repro/internal/datagen'; then
     echo "docs: the packages above import repro/internal/datagen (the row type); cut batches through reader.RunUnits instead"
+    fail=1
+fi
+if go list -f '{{join .Imports "\n"}}' ./internal/dwrf | grep '^compress/'; then
+    echo "docs: internal/dwrf imports the compress/ packages above; state a stream by its own grammar instead"
     fail=1
 fi
 
@@ -286,7 +295,6 @@ fi
 read_allowed=(
     "internal/dpp/dppnet/protocol.go binary.ReadUvarint a frame header's length, held to the frame limit before tensor.ReadInto reads the body"
     "internal/dpp/dppnet/server.go io.ReadFull the 5-byte connection preamble, a fixed size"
-    "internal/dwrf/encode.go io.ReadFull inflate into a stream's recorded length, which maxStreamBytes bounds"
 )
 declare -A read_left
 for entry in "${read_allowed[@]}"; do
@@ -305,6 +313,12 @@ while IFS=: read -r file line text; do
     done
 done < <(grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=.git --exclude-dir=.bench_build \
     '\b(binary\.ReadUvarint|io\.ReadFull)\(' . | sed 's|^\./||' | grep -v '^internal/tensor/' || true)
+for key in "${!read_left[@]}"; do
+    if (( read_left["$key"] > 0 )); then
+        echo "docs: read_allowed lists ${read_left["$key"]} call(s) of $key that no call uses; delete the entry"
+        fail=1
+    fi
+done
 
 # --- 11. the DWRF trailer in the docs is the one the code writes ---------
 trailer=$(sed -n 's/^[[:space:]]*trailerMagic[[:space:]]*=[[:space:]]*"\([A-Z0-9]*\)".*/\1/p' internal/dwrf/dwrf.go)

@@ -265,11 +265,13 @@ func TestForgedRunsAreRefused(t *testing.T) {
 		}
 	}
 
-	// Two rows of two dense floats: 2 label bytes and 16 dense bytes.
+	// Two rows of two dense floats: 2 label bytes and 16 dense bytes,
+	// which decode; any other length is refused.
 	for _, tc := range []struct {
 		name, err     string
 		labels, dense int
 	}{
+		{"both streams their rows' length", "", 2, 16},
 		{"label stream a byte long", "label stream of 3 bytes for 2 rows", 3, 16},
 		{"label stream a byte short", "label stream of 1 bytes for 2 rows", 1, 16},
 		{"dense stream a float long", "dense stream of 20 bytes for 2 rows of 2 floats", 2, 20},
@@ -280,7 +282,7 @@ func TestForgedRunsAreRefused(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if _, err := decodeStripe(src, keys, 2, []int{0}); err == nil || !strings.Contains(err.Error(), tc.err) {
+		if _, err := decodeStripe(src, keys, 2, []int{0}); (err == nil) != (tc.err == "") || err != nil && !strings.Contains(err.Error(), tc.err) {
 			t.Fatalf("%s: decoded with error %v, want %q", tc.name, err, tc.err)
 		}
 	}

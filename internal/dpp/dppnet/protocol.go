@@ -76,7 +76,7 @@ import (
 // mixed-version pair never handshakes and then mis-decodes the stream.
 const (
 	protoMagic   = "DPPN"
-	protoVersion = 12
+	protoVersion = 13
 )
 
 // versionRefusal is what a client speaking version v is told. It is the
@@ -101,6 +101,8 @@ func versionRefusal(v byte) error {
 		retiredBy = "v11 ships a file unit's rows without their row keys"
 	case v == 11:
 		retiredBy = "v12 serves every session as a unit stream cut by the client, and a file-unit head names the carry it completes"
+	case v == 12:
+		retiredBy = "v13 writes every integer block of a batch or chunk at the width its span needs, and a jagged tensor's offsets as row lengths"
 	default:
 		return fmt.Errorf("dppnet: protocol v%d is newer than this server's v%d; upgrade the server", v, protoVersion)
 	}

@@ -122,10 +122,11 @@ type SessionEvent struct {
 	Table string `json:"table,omitempty"`
 	// ShareScans marks a session that opted into the ScanCache.
 	ShareScans bool `json:"share_scans,omitempty"`
-	// Batches and Bytes count payload frames and payload bytes shipped; set
-	// on close events. Batches counts batch frames and file-unit frames
-	// alike — the unit Offset counts in.
+	// Batches counts batch frames shipped, Units file-unit frames (a
+	// file's head and its closing record), and Bytes the payload bytes of
+	// both; set on close events. Offset counts both kinds of frame.
 	Batches int64 `json:"batches,omitempty"`
+	Units   int64 `json:"units,omitempty"`
 	Bytes   int64 `json:"bytes,omitempty"`
 	// Duration is the session's wall-clock lifetime; set on close events.
 	Duration time.Duration `json:"duration_ns,omitempty"`
@@ -495,15 +496,16 @@ func (s *Server) serveStream(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, 
 	count := func(fr frame) {
 		if fr.typ() == frameFileUnit {
 			s.unitsSent.Inc()
+			ev.Units++
 		} else {
 			s.batchesSent.Inc()
+			ev.Batches++
 		}
 		n := int64(fr.payloadLen())
 		s.bytesSent.Add(n)
 		if lease != nil {
 			lease.AddBytes(n)
 		}
-		ev.Batches++
 		ev.Bytes += n
 	}
 	park, outcome := s.serve(conn, br, bw, ss, req.Window, claimed, count)

@@ -159,7 +159,7 @@ func TestHostileFooter(t *testing.T) {
 		{"a request ID short", "run past the section", section[:len(section)-1]},
 		{"a byte past the last request ID", "past its", cat(section, zeros(1))},
 		{"request IDs of 8 bytes past the section", "run past the section", cat(zeros(3*n), []byte{8, 0}, zeros(7*n))},
-		{"request ID width above 8", "no ID width", cat(zeros(3*n), []byte{9, 0}, zeros(9*n))},
+		{"request ID width above 8", "no width", cat(zeros(3*n), []byte{9, 0}, zeros(9*n))},
 	} {
 		r, err := OpenReader(forgeRowKeys(t, data, tc.section))
 		if err != nil {
@@ -250,8 +250,8 @@ func TestForgedRunsAreRefused(t *testing.T) {
 		{"a run past the expansion limit", "expands to more than", 1 + repeats, expand},
 		{"back-references past the expansion limit", "expands to more than", 2 + backRefs, backRef},
 		{"rows past the expansion limit", "cannot state 9000 rows in 5 bytes", 9000, cat([]byte{0, 1}, putUvarint(nil, 8998<<2))},
-		{"no width byte", "no ID width of 0 to 8 bytes", 1, nil},
-		{"width above 8", "no ID width of 0 to 8 bytes", 1, []byte{9, 0, 1<<2 | 1, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+		{"no width byte", "no width of 0 to 8 bytes", 1, nil},
+		{"width above 8", "no width of 0 to 8 bytes", 1, []byte{9, 0, 1<<2 | 1, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
 		{"base truncated", "base truncated", 1, []byte{1, 0x80}},
 		{"IDs at width 0", "width 0", 1, []byte{0, 1<<2 | 1, 0}},
 		{"literal of n·w past the stream", "list too long", 1, cat([]byte{8, 0, 3<<2 | 1}, make([]byte, 9))},

@@ -26,8 +26,9 @@
 // least ID as a base and a width w, and every literal ID is its offset
 // over the base in w little-endian bytes (ORC's fixed-width integer runs),
 // where a varint would spend a continuation bit a byte. That code
-// (idCodec) is the format's one integer code for IDs: the row-key
-// section's request IDs are written in it too.
+// (tensor.WidthCodec) is the module's one integer code: the row-key
+// section's request IDs are written in it too, as is every integer block
+// of the wire.
 package dwrf
 
 import "fmt"

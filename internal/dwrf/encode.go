@@ -6,11 +6,14 @@ import (
 	"io"
 	"math"
 	"math/bits"
+
+	"repro/internal/tensor"
 )
 
 // Column stream encodings. Every stream is a byte slice produced by one of
-// the putX helpers and the idCodec, stored as written, and consumed by the
-// matching byteReader and idCodec methods where it was fetched.
+// the putX helpers and tensor.WidthCodec, stored as written, and consumed
+// by the matching byteReader methods and WidthCodec.At where it was
+// fetched.
 
 // putUvarint appends v to b as an unsigned varint.
 func putUvarint(b []byte, v uint64) []byte {
@@ -103,71 +106,10 @@ func (r *byteReader) row() (rows, dist, drop, tail uint64, err error) {
 	return 1, dist, drop, tail, err
 }
 
-// idCodec is the format's one integer code for a run of IDs: each ID is
-// its offset over the run's least ID, the base, in w little-endian bytes
-// (ORC's fixed-width integer runs), where a varint would spend a
-// continuation bit a byte. w is the fewest bytes that hold the greatest
-// ID's offset, and at least 1 when the run holds an ID, so an ID never
-// costs less than a byte; it is 0 only for a run that holds none. A run
-// opens with its header: the width byte and, if w > 0, the base as a
-// zigzag varint. A sparse stream's literal IDs and the row-key section's
-// request IDs are both such runs.
-type idCodec struct {
-	base  int64
-	width int
-}
-
-// newIDCodec is the code for a run whose IDs lie in [lo, hi]; lo > hi for
-// a run of none.
-func newIDCodec(lo, hi int64) idCodec {
-	if lo > hi {
-		return idCodec{}
-	}
-	return idCodec{base: lo, width: max(1, (bits.Len64(uint64(hi)-uint64(lo))+7)/8)}
-}
-
-// appendHeader appends the run's width byte and, if w > 0, its base.
-func (c idCodec) appendHeader(b []byte) []byte {
-	b = append(b, byte(c.width))
-	if c.width > 0 {
-		b = putVarint(b, c.base)
-	}
-	return b
-}
-
-// append appends id, which must lie in the run's range, in w bytes.
-func (c idCodec) append(b []byte, id int64) []byte {
-	n := len(b)
-	return binary.LittleEndian.AppendUint64(b, uint64(id)-uint64(c.base))[:n+c.width]
-}
-
-// at reads the ID whose w bytes open b; the caller has held len(b) >= w.
-// Where eight bytes are left it loads them whole and masks the ID's off.
-func (c idCodec) at(b []byte) int64 {
-	var v uint64
-	if len(b) >= 8 {
-		v = binary.LittleEndian.Uint64(b) & (^uint64(0) >> (64 - 8*c.width))
-	} else {
-		for i := c.width - 1; i >= 0; i-- {
-			v = v<<8 | uint64(b[i])
-		}
-	}
-	return c.base + int64(v)
-}
-
-// idCodec reads a run's header (see idCodec): a width of 0 to 8 bytes
-// and, if that is above 0, the base.
-func (r *byteReader) idCodec() (idCodec, error) {
-	if r.remaining() == 0 || r.buf[r.pos] > 8 {
-		return idCodec{}, errors.New("has no ID width of 0 to 8 bytes")
-	}
-	c := idCodec{width: int(r.buf[r.pos])}
-	r.pos++
-	if c.width > 0 {
-		var err error
-		if c.base, err = r.varint(); err != nil {
-			return idCodec{}, errors.New("base truncated")
-		}
-	}
-	return c, nil
+// widthCodec reads a run's header (tensor.WidthCodec, the module's one
+// integer code): a width of 0 to 8 bytes and, if that is above 0, the base.
+func (r *byteReader) widthCodec() (tensor.WidthCodec, error) {
+	c, n, err := tensor.ParseWidthCodec(r.buf[r.pos:])
+	r.pos += n
+	return c, err
 }

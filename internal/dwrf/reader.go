@@ -331,16 +331,16 @@ func (r *FileReader) ReadRowKeys(rows []datagen.Sample) error {
 			}
 		}
 	}
-	ids, err := kr.idCodec()
-	if err == nil && uint64(len(rows))*uint64(ids.width) > uint64(kr.remaining()) {
-		err = fmt.Errorf("of %d bytes each run past the section", ids.width)
+	ids, err := kr.widthCodec()
+	if err == nil && uint64(len(rows))*uint64(ids.Width) > uint64(kr.remaining()) {
+		err = fmt.Errorf("of %d bytes each run past the section", ids.Width)
 	}
 	if err != nil {
 		return fmt.Errorf("dwrf: row-key section: request IDs %w", err)
 	}
 	for i := range rows {
-		rows[i].RequestID = ids.at(section[kr.pos:])
-		kr.pos += ids.width
+		rows[i].RequestID = ids.At(section[kr.pos:])
+		kr.pos += ids.Width
 	}
 	if kr.remaining() > 0 {
 		return fmt.Errorf("dwrf: row-key section has %d bytes past its %d rows", kr.remaining(), len(rows))

@@ -224,7 +224,7 @@ func decodeStripe(src stripeSource, keys []string, dense int, cols []int) (*Chun
 		c.dense[i] = math.Float32frombits(binary.LittleEndian.Uint32(floats[4*i:]))
 	}
 
-	// Sparse columns: an idCodec header, then row headers, each naming a
+	// Sparse columns: a WidthCodec header, then row headers, each naming a
 	// literal, a run of repeats, a shift or a back-reference
 	// (byteReader.row), and each followed by its row's literal IDs.
 	for p, col := range cols {
@@ -251,11 +251,11 @@ func decodeStripe(src stripeSource, keys []string, dense int, cols []int) (*Chun
 // already decoded and reads each literal ID.
 func decodeSparse(raw []byte, rows int) (tensor.Jagged, error) {
 	sr := byteReader{buf: raw}
-	ids, err := sr.idCodec()
+	ids, err := sr.widthCodec()
 	if err != nil {
 		return tensor.Jagged{}, err
 	}
-	width := uint64(ids.width)
+	width := uint64(ids.Width)
 	body := sr.pos
 	limit := int(min(maxInflateRatio*int64(len(raw)), math.MaxInt32))
 	if rows > limit { // a run states many rows a byte: they are bounded as values are
@@ -315,7 +315,7 @@ func decodeSparse(raw []byte, rows int) (tensor.Jagged, error) {
 				filled += copy(j.Values[filled:], j.Values[j.Offsets[ref]+int32(drop):j.Offsets[ref+1]])
 			}
 			for last := filled + int(tail); filled < last; filled++ {
-				j.Values[filled] = ids.at(raw[sr.pos:])
+				j.Values[filled] = ids.At(raw[sr.pos:])
 				sr.pos += int(width)
 			}
 		}

@@ -1,14 +1,15 @@
 package dwrf
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"repro/internal/datagen"
+	"repro/internal/tensor"
 )
 
 // FileWriter writes samples into a DWRF file held in memory. Rows are
@@ -26,7 +27,14 @@ type FileWriter struct {
 	schema *datagen.Schema
 	opts   WriterOptions
 
-	buf     bytes.Buffer
+	// The flushed stripes, each in memory of its own size, and the bytes
+	// of the file they and the magic make so far.
+	body [][]byte
+	size int64
+
+	// The encode scratch, taken from writerScratches and handed back at
+	// Finish.
+	*writerScratch
 	pending []datagen.Sample
 	stripes []stripeInfo
 
@@ -37,12 +45,7 @@ type FileWriter struct {
 	// Every written row's keys: session, user, timestamp, request.
 	rowKeys [][4]int64
 
-	// Per-stripe encode scratch, reset (not reallocated) between stripes:
-	// the column streams, the sparse encoder's reference table and the
-	// stripe header.
-	streams [][]byte
-	refs    refTable
-	hdr     []byte
+	hdr []byte // the stripe header's scratch
 
 	// literal writes every sparse row as a literal; tests set it to size
 	// what references buy.
@@ -66,7 +69,8 @@ func NewFileWriter(schema *datagen.Schema, opts WriterOptions) (*FileWriter, err
 		colRaw:  make([]int64, 2+len(schema.Sparse)),
 		colComp: make([]int64, 2+len(schema.Sparse)),
 	}
-	w.buf.WriteString(magic)
+	w.writerScratch = writerScratches.Get().(*writerScratch)
+	w.size = int64(len(magic))
 	return w, nil
 }
 
@@ -106,9 +110,7 @@ func (w *FileWriter) WriteRows(samples []datagen.Sample) error {
 // built in the writer's reusable scratch buffers, so steady-state stripe
 // encoding allocates nothing.
 func (w *FileWriter) encodeStripeColumns() [][]byte {
-	if w.streams == nil {
-		w.streams = make([][]byte, firstSparse+len(w.schema.Sparse))
-	}
+	w.streams = slices.Grow(w.streams[:0], firstSparse+len(w.schema.Sparse))[:firstSparse+len(w.schema.Sparse)]
 	streams := w.streams
 
 	// Column 0: one label byte per row. The row keys go to the file's
@@ -152,7 +154,7 @@ func (w *FileWriter) encodeStripeColumns() [][]byte {
 // encoding before references and widths, which ColumnStats.RawBytes
 // reports.
 //
-// The stream opens with the header of its IDs' idCodec: a width byte w
+// The stream opens with the header of its IDs' tensor.WidthCodec: a width byte w
 // and, if any row holds an ID, the zigzag varint base, the least ID. Each
 // row is then one uvarint header h, whose low two bits say what the row
 // is:
@@ -169,7 +171,7 @@ func (w *FileWriter) encodeStripeColumns() [][]byte {
 //
 // followed by the row's literal IDs — a literal's list, a shift's or a
 // back-reference's tail — each its offset over the base in w
-// little-endian bytes (idCodec). A row refers only to rows of its own
+// little-endian bytes (WidthCodec). A row refers only to rows of its own
 // stripe, so a stripe decodes alone.
 //
 // With refer, a row is stated by reference when that is no dearer than
@@ -188,9 +190,9 @@ func (w *FileWriter) appendSparse(col []byte, fi int, refer bool) (_ []byte, val
 			plain += uvarintLen(uint64(id<<1) ^ uint64(id>>63))
 		}
 	}
-	ids := newIDCodec(lo, hi)
-	col = ids.appendHeader(col)
-	width := ids.width
+	ids := tensor.NewWidthCodec(lo, hi)
+	col = ids.AppendHeader(col)
+	width := ids.Width
 	if refer {
 		w.refs.reset(values)
 	}
@@ -232,7 +234,7 @@ func (w *FileWriter) appendSparse(col []byte, fi int, refer bool) (_ []byte, val
 			}
 		}
 		for _, id := range lst[len(lst)-tail:] {
-			col = ids.append(col, id)
+			col = ids.Append(col, id)
 		}
 	}
 	return col, values, plain
@@ -290,6 +292,24 @@ type refSlot struct {
 	row, pos int32
 }
 
+// writerScratch is what a writer encodes into: the column streams, the
+// sparse encoder's reference table and the row-key section.
+// WritePartition and a landing writer make one writer a file, so writers
+// pass it on through writerScratches instead of each growing its own: the
+// streams to the largest stripe's, the table to twice a stream's IDs, up
+// to maxRefSlots — its stamps keep every slot a former writer left from
+// passing for one of this writer's — and the section to the largest
+// file's. The file itself is never pooled: a pooled buffer the size of
+// a file is heap every process that writes files keeps, and twice that
+// under the collector's pacing.
+type writerScratch struct {
+	streams [][]byte
+	refs    refTable
+	keys    []byte
+}
+
+var writerScratches = sync.Pool{New: func() any { return new(writerScratch) }}
+
 // maxRefSlots caps a refTable, whatever the stream: a row's candidate is
 // nearly always a recent row, whose IDs were the table's latest writes, so
 // a larger table would buy a long stream few references for its memory.
@@ -342,25 +362,28 @@ func (w *FileWriter) flushStripe() {
 	}
 	streams := w.encodeStripeColumns()
 
-	offset := int64(w.buf.Len())
 	hdr := w.hdr[:0]
 	hdr = putUvarint(hdr, uint64(len(w.pending)))
 	hdr = putUvarint(hdr, uint64(len(streams)))
+	size := 0
 	for i, stream := range streams {
 		hdr = putUvarint(hdr, uint64(len(stream)))
 		w.colComp[i] += int64(len(stream))
+		size += len(stream)
 	}
-	w.buf.Write(hdr)
 	w.hdr = hdr
+	stripe := append(make([]byte, 0, size+len(hdr)), hdr...)
 	for _, stream := range streams {
-		w.buf.Write(stream)
+		stripe = append(stripe, stream...)
 	}
+	w.body = append(w.body, stripe)
 
 	w.stripes = append(w.stripes, stripeInfo{
-		offset: offset,
-		length: int64(w.buf.Len()) - offset,
+		offset: w.size,
+		length: int64(len(stripe)),
 		rows:   len(w.pending),
 	})
+	w.size += int64(len(stripe))
 	w.pending = w.pending[:0]
 }
 
@@ -372,7 +395,7 @@ func (w *FileWriter) flushStripe() {
 // to the footer, stored as written: every row's session, then every row's
 // user, then every row's timestamp, each a zigzag varint delta of the row
 // before — clustered rows repeat the first two and step the third — then
-// every row's request ID, in one idCodec run. Footer wire format:
+// every row's request ID, in one tensor.WidthCodec run. Footer wire format:
 //
 //	uvarint stripeCount
 //	stripeCount × { uvarint offset, uvarint length, uvarint rows }
@@ -387,8 +410,7 @@ func (w *FileWriter) Finish() ([]byte, FileStats, error) {
 	w.flushStripe()
 	w.finished = true
 
-	// The section is appended in place where the buffer has room.
-	section := w.buf.AvailableBuffer()
+	section := w.keys[:0]
 	for f := range 3 { // session, user, timestamp
 		var prev int64
 		for _, k := range w.rowKeys {
@@ -400,12 +422,12 @@ func (w *FileWriter) Finish() ([]byte, FileStats, error) {
 	for _, k := range w.rowKeys {
 		lo, hi = min(lo, k[3]), max(hi, k[3])
 	}
-	ids := newIDCodec(lo, hi)
-	section = ids.appendHeader(section)
+	ids := tensor.NewWidthCodec(lo, hi)
+	section = ids.AppendHeader(section)
 	for _, k := range w.rowKeys {
-		section = ids.append(section, k[3])
+		section = ids.Append(section, k[3])
 	}
-	w.buf.Write(section)
+	w.keys = section
 	w.colRaw[0] += int64(len(section))
 	w.colComp[0] += int64(len(section))
 
@@ -423,13 +445,16 @@ func (w *FileWriter) Finish() ([]byte, FileStats, error) {
 	}
 	footer = putUvarint(footer, uint64(w.schema.Dense))
 
-	w.buf.Write(footer)
-	var tail [8]byte
-	binary.LittleEndian.PutUint32(tail[:4], uint32(len(footer)))
-	copy(tail[4:], trailerMagic)
-	w.buf.Write(tail[:])
-
-	data := w.buf.Bytes()
+	// The file is put together once, in memory of its own size.
+	data := make([]byte, 0, int(w.size)+len(section)+len(footer)+len(trailerMagic)+4)
+	data = append(data, magic...)
+	for _, stripe := range w.body {
+		data = append(data, stripe...)
+	}
+	data = append(append(data, section...), footer...)
+	data = append(binary.LittleEndian.AppendUint32(data, uint32(len(footer))), trailerMagic...)
+	writerScratches.Put(w.writerScratch)
+	w.writerScratch, w.body = nil, nil
 	stats := FileStats{
 		Rows:            w.rows,
 		Stripes:         len(w.stripes),

@@ -208,12 +208,12 @@ func TestAccessLogJSONIsStable(t *testing.T) {
 	alog := NewAccessLog(8)
 	for i, ev := range []dppnet.SessionEvent{
 		{Kind: "open", ID: 7, Peer: "10.0.0.2:5000", Table: "t", ShareScans: true, Resumed: true, Offset: 12, Tenant: "acme"},
-		{Kind: "close", ID: 7, Peer: "10.0.0.2:5000", Table: "t", Batches: 40, Bytes: 123456, Duration: 1500 * time.Millisecond, Detail: "eof", Tenant: "acme"},
+		{Kind: "close", ID: 7, Peer: "10.0.0.2:5000", Table: "t", Batches: 40, Units: 12, Bytes: 123456, Duration: 1500 * time.Millisecond, Detail: "eof", Tenant: "acme"},
 		{Kind: "error", Peer: "10.0.0.3:6000", Detail: "malformed handshake"},
 	} {
 		alog.Record(AccessEvent{Time: at.Add(time.Duration(i) * time.Second), SessionEvent: ev})
 	}
-	const want = "[\n  {\n    \"time\": \"2024-05-06T07:08:09Z\",\n    \"kind\": \"open\",\n    \"id\": 7,\n    \"peer\": \"10.0.0.2:5000\",\n    \"table\": \"t\",\n    \"share_scans\": true,\n    \"resumed\": true,\n    \"offset\": 12,\n    \"tenant\": \"acme\"\n  },\n  {\n    \"time\": \"2024-05-06T07:08:10Z\",\n    \"kind\": \"close\",\n    \"id\": 7,\n    \"peer\": \"10.0.0.2:5000\",\n    \"table\": \"t\",\n    \"batches\": 40,\n    \"bytes\": 123456,\n    \"duration_ns\": 1500000000,\n    \"detail\": \"eof\",\n    \"tenant\": \"acme\"\n  },\n  {\n    \"time\": \"2024-05-06T07:08:11Z\",\n    \"kind\": \"error\",\n    \"peer\": \"10.0.0.3:6000\",\n    \"detail\": \"malformed handshake\"\n  }\n]\n"
+	const want = "[\n  {\n    \"time\": \"2024-05-06T07:08:09Z\",\n    \"kind\": \"open\",\n    \"id\": 7,\n    \"peer\": \"10.0.0.2:5000\",\n    \"table\": \"t\",\n    \"share_scans\": true,\n    \"resumed\": true,\n    \"offset\": 12,\n    \"tenant\": \"acme\"\n  },\n  {\n    \"time\": \"2024-05-06T07:08:10Z\",\n    \"kind\": \"close\",\n    \"id\": 7,\n    \"peer\": \"10.0.0.2:5000\",\n    \"table\": \"t\",\n    \"batches\": 40,\n    \"units\": 12,\n    \"bytes\": 123456,\n    \"duration_ns\": 1500000000,\n    \"detail\": \"eof\",\n    \"tenant\": \"acme\"\n  },\n  {\n    \"time\": \"2024-05-06T07:08:11Z\",\n    \"kind\": \"error\",\n    \"peer\": \"10.0.0.3:6000\",\n    \"detail\": \"malformed handshake\"\n  }\n]\n"
 	rec := httptest.NewRecorder()
 	NewServer(Config{Registry: NewRegistry(), AccessLog: alog}).handleAccessLog(rec, httptest.NewRequest("GET", "/accesslog", nil))
 	if got := rec.Body.String(); got != want {
@@ -377,10 +377,12 @@ func TestSidecarEndToEnd(t *testing.T) {
 	if len(events) != 2 || events[0].Kind != "open" || events[1].Kind != "close" {
 		t.Fatalf("accesslog = %+v, want [open close]", events)
 	}
-	// The close event counts payload frames: the batch frames and the
-	// file-unit frames that close each file.
-	if sent := netSrv.Stats(); events[1].Detail != "eof" || events[1].Batches != sent.BatchesSent+sent.UnitsSent || sent.UnitsSent == 0 {
-		t.Errorf("close event = %+v, want eof with the %d batch and %d file-unit frames sent", events[1], sent.BatchesSent, sent.UnitsSent)
+	// The close event counts the batch frames the server sent — every
+	// batch the client received but the short one it cut itself — apart
+	// from the file-unit frames that close each file.
+	if sent := netSrv.Stats(); events[1].Detail != "eof" || events[1].Batches != int64(batches-short) ||
+		events[1].Batches != sent.BatchesSent || events[1].Units != sent.UnitsSent || sent.UnitsSent == 0 {
+		t.Errorf("close event = %+v, want eof with the %d batch and %d file-unit frames sent", events[1], batches-short, sent.UnitsSent)
 	}
 	// pprof answers on the private mux.
 	if idx := get("/debug/pprof/"); !strings.Contains(idx, "goroutine") {

@@ -12,19 +12,24 @@ import (
 // Wire format for preprocessed batches: what a reader actually ships to a
 // trainer over its NIC. Deduplicated tensors serialize in deduplicated
 // form, so the encoded size realizes the egress savings the byte
-// accounting predicts (Table 3 "Send Bytes"); TestWireBytesMatchEncoding
-// pins the two together. The same codec frames batches on the dppnet
-// TCP transport, so decoding must fail cleanly — never panic — on
-// arbitrary bytes (FuzzDecodeBatch pins that).
+// accounting predicts (Table 3 "Send Bytes"). Every integer block —
+// values, row lengths, inverse and partial lookups — then travels at the
+// width its span needs (tensor.WidthCodec): two bytes an ID after RM1's
+// hash and clamp, where WireBytes, the paper's model, counts eight. The
+// encoding so never exceeds WireBytes; TestWireBytesMatchEncoding counts
+// it exactly. The same codec frames batches on the dppnet TCP transport,
+// so decoding must fail cleanly — never panic — on arbitrary bytes
+// (FuzzDecodeBatch pins that).
 
 const batchMagic = "RBAT"
 
 // AppendTo appends the batch's wire form to dst: the encoder. A transport
 // that frames batches appends straight into its frame buffer.
 func (b *Batch) AppendTo(dst []byte) []byte {
-	// WireBytes counts the cells; the tags, counts and key names around
-	// them are some tens of bytes a feature. One growth up front instead of
-	// a doubling ladder when dst is new.
+	// WireBytes counts the cells at their memory widths, which the narrow
+	// blocks never exceed; the tags, counts, width headers and key names
+	// around them are some tens of bytes a feature. One growth up front
+	// instead of a doubling ladder when dst is new.
 	cells := b.WireBytes()
 	dst = slices.Grow(dst, cells+cells/32+1024)
 	dst = binary.AppendUvarint(append(dst, batchMagic...), uint64(b.Size))

@@ -3,7 +3,12 @@ package reader
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"math/bits"
+	"slices"
 	"testing"
+
+	"repro/internal/tensor"
 )
 
 func collectBatches(t *testing.T, env *testEnv, spec Spec) []*Batch {
@@ -60,20 +65,91 @@ func TestBatchWireRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWireBytesMatchEncoding pins the analytic WireBytes accounting to the
-// real encoded size: they must agree within the small framing overhead
-// (magic, tags, varint lengths).
+// narrowBytes counts, one field at a time, the bytes the wire's narrow
+// encoding of b takes: every integer block (values, row lengths, inverse
+// and partial lookups) a count, a width byte, a zigzag base and each
+// integer's offset over the base in the fewest bytes that hold the span —
+// the cells' own width over base 0 when that is what the span needs — and
+// every float cell four bytes.
+func narrowBytes(b *Batch) int {
+	uv := func(n int) int { return len(binary.AppendUvarint(nil, uint64(n))) }
+	block := func(vals []int64, cell int) int {
+		if len(vals) == 0 {
+			return uv(0) + 1
+		}
+		lo, hi := slices.Min(vals), slices.Max(vals)
+		w := (bits.Len64(uint64(hi)-uint64(lo)) + 7) / 8
+		w = max(w, 1)
+		if w == cell && (w == 8 || lo >= 0) {
+			lo = 0
+		}
+		return uv(len(vals)) + 1 + len(binary.AppendVarint(nil, lo)) + len(vals)*w
+	}
+	ints := func(vals []int32) []int64 {
+		out := make([]int64, len(vals))
+		for i, v := range vals {
+			out[i] = int64(v)
+		}
+		return out
+	}
+	jagged := func(j tensor.Jagged) int {
+		lengths := make([]int64, j.Rows())
+		for i := range lengths {
+			lengths[i] = int64(j.RowLen(i))
+		}
+		return 1 + block(j.Values, 8) + block(lengths, 4)
+	}
+	keyed := func(keys []string, at func(int) tensor.Jagged) int {
+		n := 1 + uv(len(keys))
+		for i, k := range keys {
+			n += uv(len(k)) + len(k) + jagged(at(i))
+		}
+		return n
+	}
+	n := len(batchMagic) + uv(b.Size)
+	n += 1 + uv(b.Dense.RowsN) + uv(b.Dense.Cols) + 4*len(b.Dense.Data)
+	n += uv(len(b.Labels)) + 4*len(b.Labels) + 1
+	if b.KJT != nil {
+		n += keyed(b.KJT.Keys(), b.KJT.FeatureAt)
+	}
+	n += uv(len(b.IKJTs))
+	for _, ik := range b.IKJTs {
+		n += keyed(ik.Keys(), ik.DedupedAt) + block(ints(ik.InverseLookup()), 4)
+	}
+	n += uv(len(b.Partials))
+	for _, p := range b.Partials {
+		var flat []int32
+		for _, w := range p.Lookup {
+			flat = append(flat, w[0], w[1])
+		}
+		n += 1 + uv(len(p.Key)) + len(p.Key) + block(p.Values, 8) + block(ints(flat), 4)
+	}
+	return n + uv(b.OriginalSparseValues)
+}
+
+// TestWireBytesMatchEncoding holds the encoded batch to two exact counts:
+// its length is narrowBytes', field by field, and it never exceeds the
+// analytic WireBytes accounting (Table 3's "Send Bytes", every ID eight
+// bytes, every offset and lookup four), which the narrow encoding can
+// only undercut.
 func TestWireBytesMatchEncoding(t *testing.T) {
 	env := newTestEnv(t, 40, true)
-	for _, b := range collectBatches(t, env, baseSpec()) {
-		var buf bytes.Buffer
-		if err := b.Encode(&buf); err != nil {
-			t.Fatal(err)
-		}
-		analytic := float64(b.WireBytes())
-		actual := float64(buf.Len())
-		if actual < analytic*0.9 || actual > analytic*1.15 {
-			t.Fatalf("encoded %v bytes vs analytic %v (off by >15%%)", actual, analytic)
+	mixed := baseSpec()
+	mixed.DedupSparseFeatures = [][]string{{"user_seq_0", "user_seq_1"}}
+	mixed.PartialDedupFeatures = []string{"user_elem_0"}
+	mixed.SparseFeatures = []string{"item_0", "item_1", "user_elem_1", "user_elem_2"}
+	for _, spec := range []Spec{baseSpec(), mixed} {
+		for _, b := range collectBatches(t, env, spec) {
+			var buf bytes.Buffer
+			if err := b.Encode(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if want := narrowBytes(b); buf.Len() != want {
+				t.Fatalf("encoded %d bytes, the narrow encoding counts %d", buf.Len(), want)
+			}
+			if buf.Len() > b.WireBytes() {
+				t.Fatalf("encoded %d bytes, more than the analytic %d", buf.Len(), b.WireBytes())
+			}
 		}
 	}
 }

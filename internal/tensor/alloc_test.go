@@ -54,6 +54,18 @@ func TestForgedCountsAllocateByArrival(t *testing.T) {
 			_, err := d.KJT()
 			return err
 		}},
+		{"tensor.Decoder.Values from a reader, 2^24 values at width 8", append(binary.AppendUvarint(nil, 1<<24), 8, 0), func(in []byte) error {
+			d := tensor.NewReaderDecoder(bytes.NewReader(in))
+			defer d.Release()
+			_, err := d.Values()
+			return err
+		}},
+		{"tensor.Decoder.Jagged from a reader, 2^24 row lengths at width 4", append([]byte{1, 0, 0}, append(binary.AppendUvarint(nil, 1<<24), 4, 0)...), func(in []byte) error {
+			d := tensor.NewReaderDecoder(bytes.NewReader(in))
+			defer d.Release()
+			_, err := d.Jagged()
+			return err
+		}},
 		{"reader.DecodeBatch, 2^24 labels", func() []byte {
 			b := append([]byte("RBAT\x00"), tensor.AppendDense(nil, tensor.Dense{})...)
 			return binary.AppendUvarint(b, 1<<24)

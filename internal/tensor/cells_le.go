@@ -20,10 +20,17 @@ func appendCells[T cell](dst []byte, vals []T) []byte {
 	return append(dst, cellBytesOf(vals)...)
 }
 
-// decodeCells returns the cells whose wire form is b, in fresh memory: the
-// result never aliases b.
-func decodeCells[T cell](b []byte) []T {
-	out := make([]T, len(b)/cellBytes[T]())
+// copyCells fills out from b, its wire form.
+func copyCells[T cell](out []T, b []byte) {
 	copy(cellBytesOf(out), b)
-	return out
+}
+
+// pairCells views a partial lookup as the flat cells it is in memory,
+// offset then length per row; cellPairs is the inverse view.
+func pairCells(p [][2]int32) []int32 {
+	return unsafe.Slice((*int32)(unsafe.Pointer(unsafe.SliceData(p))), 2*len(p))
+}
+
+func cellPairs(flat []int32) [][2]int32 {
+	return unsafe.Slice((*[2]int32)(unsafe.Pointer(unsafe.SliceData(flat))), len(flat)/2)
 }

@@ -28,17 +28,12 @@ func appendCells[T cell](dst []byte, vals []T) []byte {
 		for _, x := range v {
 			dst = wireOrder.AppendUint32(dst, math.Float32bits(x))
 		}
-	case [][2]int32:
-		for _, x := range v {
-			dst = wireOrder.AppendUint32(wireOrder.AppendUint32(dst, uint32(x[0])), uint32(x[1]))
-		}
 	}
 	return dst
 }
 
-// decodeCells returns the cells whose wire form is b, in fresh memory.
-func decodeCells[T cell](b []byte) []T {
-	out := make([]T, len(b)/cellBytes[T]())
+// copyCells fills out from b, its wire form.
+func copyCells[T cell](out []T, b []byte) {
 	switch o := any(out).(type) {
 	case []Value:
 		for i := range o {
@@ -52,10 +47,23 @@ func decodeCells[T cell](b []byte) []T {
 		for i := range o {
 			o[i] = math.Float32frombits(wireOrder.Uint32(b[4*i:]))
 		}
-	case [][2]int32:
-		for i := range o {
-			o[i] = [2]int32{int32(wireOrder.Uint32(b[8*i:])), int32(wireOrder.Uint32(b[8*i+4:]))}
-		}
 	}
-	return out
+}
+
+// pairCells copies a partial lookup into the flat cells it is, offset then
+// length per row; cellPairs is the inverse.
+func pairCells(p [][2]int32) []int32 {
+	flat := make([]int32, 0, 2*len(p))
+	for _, w := range p {
+		flat = append(flat, w[0], w[1])
+	}
+	return flat
+}
+
+func cellPairs(flat []int32) [][2]int32 {
+	p := make([][2]int32, len(flat)/2)
+	for i := range p {
+		p[i] = [2]int32{flat[2*i], flat[2*i+1]}
+	}
+	return p
 }

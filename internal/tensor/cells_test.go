@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -31,14 +32,6 @@ func refFloat32s(vals []float32) []byte {
 	var out []byte
 	for _, v := range vals {
 		out = le.AppendUint32(out, math.Float32bits(v))
-	}
-	return out
-}
-
-func refPairs(vals [][2]int32) []byte {
-	var out []byte
-	for _, v := range vals {
-		out = le.AppendUint32(le.AppendUint32(out, uint32(v[0])), uint32(v[1]))
 	}
 	return out
 }
@@ -109,37 +102,73 @@ func TestCellsMatchPerElementReference(t *testing.T) {
 		checkCells(t, "float32s/"+name, vals, refFloat32s(vals), sameBits)
 	}
 
-	samePair := func(a, b [2]int32) bool { return a == b }
-	for name, vals := range map[string][][2]int32{
-		"empty":    {},
-		"one":      {{3, 4}},
-		"negative": {{-1, math.MaxInt32}, {math.MinInt32, 0}},
-	} {
-		checkCells(t, "pairs/"+name, vals, refPairs(vals), samePair)
+	pairs := [][2]int32{{-1, math.MaxInt32}, {math.MinInt32, 0}}
+	flat := pairCells(pairs)
+	if !slices.Equal(flat, []int32{-1, math.MaxInt32, math.MinInt32, 0}) || !slices.Equal(cellPairs(flat), pairs) {
+		t.Fatalf("pairs %v flatten to %v and back to %v", pairs, flat, cellPairs(flat))
 	}
 }
 
-// TestBlocksMatchPerElementReference: the public block forms are a
-// uvarint count (values, int32s) or nothing (float32s, dense cells)
-// before the reference's bytes, and the Decoder reads the reference's
-// bytes back bit for bit.
-func TestBlocksMatchPerElementReference(t *testing.T) {
-	vals := []Value{math.MinInt64, math.MaxInt64, -3}
-	want := append(binary.AppendUvarint(nil, uint64(len(vals))), refValues(vals)...)
-	if got := AppendValues(nil, vals); !bytes.Equal(got, want) {
-		t.Fatalf("AppendValues wrote %x, reference %x", got, want)
+// refBlock is an integer block written the plain way, one byte of one
+// value at a time: the count, the width byte, the zigzag base, then each
+// value's offset over the base in the fewest bytes that hold the span — or,
+// when the span needs a cell's whole width (and an int32 block's least
+// value is not negative), the cells' own bytes over base 0.
+func refBlock(vals []int64, cellWidth int) []byte {
+	out := binary.AppendUvarint(nil, uint64(len(vals)))
+	if len(vals) == 0 {
+		return append(out, 0)
 	}
-	d := NewDecoder(want)
-	back, err := d.Values()
-	if err != nil || len(back) != len(vals) || back[0] != vals[0] || back[1] != vals[1] || back[2] != vals[2] {
-		t.Fatalf("Values decoded %v, %v", back, err)
+	lo, hi := vals[0], vals[0]
+	for _, v := range vals {
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	w := 1
+	for w < 8 && (uint64(hi)-uint64(lo))>>(8*w) != 0 {
+		w++
+	}
+	if w == cellWidth && (w == 8 || lo >= 0) {
+		lo = 0
+	}
+	out = binary.AppendVarint(append(out, byte(w)), lo)
+	for _, v := range vals {
+		off := uint64(v) - uint64(lo)
+		for i := range w {
+			out = append(out, byte(off>>(8*i)))
+		}
+	}
+	return out
+}
+
+// TestBlocksMatchPerElementReference: each public block form writes what
+// its per-element reference writes — an integer block refBlock's bytes,
+// float32 cells their little-endian bits with no count — and the Decoder
+// reads the reference's bytes back bit for bit.
+func TestBlocksMatchPerElementReference(t *testing.T) {
+	for name, vals := range map[string][]Value{
+		"whole width": {math.MinInt64, math.MaxInt64, -3},
+		"one byte":    {1000, 1002, 1255, 1000},
+		"three bytes": {-5, 1 << 20, 7},
+		"empty":       {},
+		// Enough values to pass through the packed loops and their tails.
+		"two bytes":  {900, 60000, 901, 1 << 15, 902, 903, 904, 905, 906, 907, 908, 909, 910, 911, 912, 913, 914, 915, 916},
+		"four bytes": {-1 << 30, 1 << 30, -7, 8, 9, -10, 11, -12, 13},
+	} {
+		want := refBlock(vals, 8)
+		if got := AppendValues(nil, vals); !bytes.Equal(got, want) {
+			t.Fatalf("%s: AppendValues wrote %x, reference %x", name, got, want)
+		}
+		d := NewDecoder(want)
+		if back, err := d.Values(); err != nil || !slices.Equal(back, vals) {
+			t.Fatalf("%s: Values decoded %v, %v", name, back, err)
+		}
 	}
 
 	cells := []float32{float32(math.Copysign(0, -1)), float32(math.NaN()), float32(math.Inf(-1))}
 	if got := AppendFloat32s(nil, cells); !bytes.Equal(got, refFloat32s(cells)) {
 		t.Fatalf("AppendFloat32s wrote %x, reference %x", got, refFloat32s(cells))
 	}
-	d = NewDecoder(refFloat32s(cells))
+	d := NewDecoder(refFloat32s(cells))
 	fl, err := d.Float32s(len(cells))
 	if err != nil {
 		t.Fatal(err)
@@ -150,9 +179,15 @@ func TestBlocksMatchPerElementReference(t *testing.T) {
 		}
 	}
 
+	// A jagged tensor's offsets travel as row lengths, a partial lookup as
+	// one flat block, offset then length per row.
+	j := NewJagged([][]Value{{5, 6}, {}, {7, 8, 9}})
+	want := append(refBlock([]int64{5, 6, 7, 8, 9}, 8), refBlock([]int64{2, 0, 3}, 4)...)
+	if got := AppendJagged(nil, j); !bytes.Equal(got[1:], want) {
+		t.Fatalf("AppendJagged wrote %x, reference %x", got[1:], want)
+	}
 	p := &PartialIKJT{Key: "k", Values: []Value{1, 2}, Lookup: [][2]int32{{0, 2}, {1, 1}, {2, 0}}}
-	want = append(AppendValues(appendString([]byte{tagPartial}, p.Key), p.Values), binary.AppendUvarint(nil, 6)...)
-	want = append(want, refPairs(p.Lookup)...)
+	want = append(AppendValues(appendString([]byte{tagPartial}, p.Key), p.Values), refBlock([]int64{0, 2, 1, 1, 2, 0}, 4)...)
 	if got := AppendPartial(nil, p); !bytes.Equal(got, want) {
 		t.Fatalf("AppendPartial wrote %x, reference %x", got, want)
 	}

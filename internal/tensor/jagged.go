@@ -9,8 +9,10 @@
 // offsets[i+1]-offsets[i] (or len(values)-offsets[i] for the last row).
 //
 // The package also holds the module's one binary codec (serialize.go):
-// append forms to encode and a Decoder to decode. Every binary format is
-// written in it — batches, chunks, file units, the stats frame, the
+// append forms to encode and a Decoder to decode, and its one integer
+// code, WidthCodec (width.go), in which every integer block of the wire
+// and every ID DWRF stores is written. Every binary format is written in
+// it — batches, chunks, file units, the stats frame, the
 // trainer checkpoint and the raw inference log — and every decoder of
 // outside bytes follows its one length rule: a declared length is believed
 // only as its bytes arrive (ReadInto).
@@ -24,10 +26,13 @@ import (
 // Value is the element type of sparse feature lists (categorical IDs).
 type Value = int64
 
-// ValueBytes is the wire size of one sparse value.
+// ValueBytes is the size of one sparse value in the paper's byte model
+// (WireBytes, Table 3's "Send Bytes"); the wire writes it in the width
+// its block's span needs, never more (WidthCodec).
 const ValueBytes = 8
 
-// OffsetBytes is the wire size of one offset or inverse-lookup entry.
+// OffsetBytes is the size of one offset or inverse-lookup entry in the
+// same model.
 const OffsetBytes = 4
 
 // Jagged is a tensor with one jagged (variable-length) dimension: B rows,
@@ -88,9 +93,10 @@ func (j Jagged) RowLen(i int) int {
 // NumValues reports the total number of stored values.
 func (j Jagged) NumValues() int { return len(j.Values) }
 
-// WireBytes reports the number of bytes needed to transmit this tensor
-// (values + offsets). This is the quantity RecD reduces during sparse data
-// distribution (paper §5).
+// WireBytes reports the number of bytes the paper's model needs to
+// transmit this tensor (values + offsets at their memory widths). This is
+// the quantity RecD reduces during sparse data distribution (paper §5);
+// the wire's narrow encoding of it is never larger.
 func (j Jagged) WireBytes() int {
 	return len(j.Values)*ValueBytes + len(j.Offsets)*OffsetBytes
 }

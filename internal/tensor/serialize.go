@@ -33,12 +33,18 @@ import (
 // reads a length-prefixed frame off a connection, read through ReadInto,
 // which collects a long claim a chunk at a time as its bytes arrive.
 //
-// Every fixed-width block (values, offsets, inverse lookups, dense cells,
-// labels, partial lookups) is little-endian cells packed end to end, which
-// is how a []Value, []int32, []float32 or [][2]int32 lies in memory on a
-// little-endian host. There a block is appended as one copy of the slice's
-// bytes and decoded as one copy into a fresh slice (cells_le.go, the one
-// file that imports unsafe); other hosts build the per-cell loop
+// Every integer block (values, a jagged tensor's row lengths, inverse and
+// partial lookups) is written in the module's one integer code,
+// WidthCodec: a count, a width byte w and a base, then each integer's
+// offset over the base in w little-endian bytes, w the fewest that hold
+// the block's span (width.go). A frame so carries the width its batch
+// needs: IDs clamped below 2^16 take two bytes, row lengths one. Float
+// blocks (dense cells, labels) are little-endian cells packed end to end,
+// which is how a []float32 lies in memory on a little-endian host, as is
+// an integer block whose span needs its cells' whole width, over base 0.
+// There such a block is appended as one copy of the slice's bytes and
+// decoded as one copy into a fresh slice (cells_le.go, the one file that
+// imports unsafe); other hosts build the per-cell loop
 // (cells_portable.go). The bytes are the same either way.
 
 const (
@@ -51,7 +57,7 @@ const (
 
 // cell is a fixed-width wire element.
 type cell interface {
-	Value | int32 | float32 | [2]int32
+	Value | int32 | float32
 }
 
 // cellBytes is the wire width of one T, which is also its size in memory.
@@ -101,14 +107,10 @@ func appendString(dst []byte, s string) []byte {
 	return append(binary.AppendUvarint(dst, uint64(len(s))), s...)
 }
 
-// AppendValues appends vals as a uvarint count and that many raw
-// little-endian 8-byte values.
+// AppendValues appends vals as one integer block: a uvarint count, the
+// block's WidthCodec header, and each value in its width.
 func AppendValues(dst []byte, vals []Value) []byte {
-	return appendCells(binary.AppendUvarint(dst, uint64(len(vals))), vals)
-}
-
-func appendInt32s(dst []byte, vals []int32) []byte {
-	return appendCells(binary.AppendUvarint(dst, uint64(len(vals))), vals)
+	return appendInts(dst, vals)
 }
 
 // AppendFloat32s appends vals as raw little-endian cells, with no count:
@@ -258,30 +260,21 @@ func (d *Decoder) string() (string, error) {
 // Values reads what AppendValues wrote. The count is bounded, and the
 // values are allocated only once their bytes are in hand.
 func (d *Decoder) Values() ([]Value, error) {
-	_, b, err := d.block("value", 8)
+	n, c, b, err := d.intBlock("value")
 	if err != nil {
 		return nil, err
 	}
-	return decodeCells[Value](b), nil
+	out := make([]Value, n)
+	decodeBody(out, b, c)
+	return out, nil
 }
 
-func (d *Decoder) int32s() ([]int32, error) {
-	_, b, err := d.block("int32", 4)
-	if err != nil {
-		return nil, err
-	}
-	return decodeCells[int32](b), nil
-}
-
-// block reads a bounded uvarint count of width-byte cells and the bytes
-// of that many cells.
-func (d *Decoder) block(what string, width int) (int, []byte, error) {
-	n, err := d.count(what, maxWireElems)
-	if err != nil {
-		return 0, nil, err
-	}
-	b, err := d.Next(width * n)
-	return n, b, err
+// decodeCells returns the cells whose wire form is b, in fresh memory: the
+// result never aliases b.
+func decodeCells[T cell](b []byte) []T {
+	out := make([]T, len(b)/cellBytes[T]())
+	copyCells(out, b)
+	return out
 }
 
 // Float32s reads n raw cells written by AppendFloat32s. The caller has
@@ -305,9 +298,10 @@ func (d *Decoder) Int64s(n int) ([]int64, error) {
 	return decodeCells[Value](b), nil
 }
 
-// AppendJagged appends j's wire form to dst.
+// AppendJagged appends j's wire form to dst: its values, then its offsets
+// as one block of row lengths.
 func AppendJagged(dst []byte, j Jagged) []byte {
-	return appendInt32s(AppendValues(append(dst, tagJagged), j.Values), j.Offsets)
+	return appendLengths(AppendValues(append(dst, tagJagged), j.Values), j)
 }
 
 // Jagged decodes a jagged tensor.
@@ -319,15 +313,11 @@ func (d *Decoder) Jagged() (Jagged, error) {
 	if err != nil {
 		return Jagged{}, err
 	}
-	offs, err := d.int32s()
+	offs, err := d.offsets(len(vals))
 	if err != nil {
 		return Jagged{}, err
 	}
-	j := Jagged{Values: vals, Offsets: offs}
-	if err := j.Validate(); err != nil {
-		return Jagged{}, err
-	}
-	return j, nil
+	return Jagged{Values: vals, Offsets: offs}, nil
 }
 
 // appendKeyed appends what a KJT and an IKJT share: the key count, then
@@ -383,7 +373,7 @@ func (d *Decoder) KJT() (*KJT, error) {
 
 // AppendIKJT appends ik's wire form, including its inverse lookup, to dst.
 func AppendIKJT(dst []byte, ik *IKJT) []byte {
-	return appendInt32s(appendKeyed(append(dst, tagIKJT), ik.keys, ik.tensors), ik.inverseLookup)
+	return appendInts(appendKeyed(append(dst, tagIKJT), ik.keys, ik.tensors), ik.inverseLookup)
 }
 
 // IKJT decodes an IKJT.
@@ -395,7 +385,7 @@ func (d *Decoder) IKJT() (*IKJT, error) {
 	if err != nil {
 		return nil, err
 	}
-	inverse, err := d.int32s()
+	inverse, err := d.int32s("inverse lookup")
 	if err != nil {
 		return nil, err
 	}
@@ -432,10 +422,10 @@ func (d *Decoder) Dense() (Dense, error) {
 }
 
 // AppendPartial appends p's wire form to dst: the lookup travels as one
-// flat int32 block, offset then length per row.
+// flat integer block, offset then length per row.
 func AppendPartial(dst []byte, p *PartialIKJT) []byte {
 	dst = AppendValues(appendString(append(dst, tagPartial), p.Key), p.Values)
-	return appendCells(binary.AppendUvarint(dst, uint64(2*len(p.Lookup))), p.Lookup)
+	return appendInts(dst, pairCells(p.Lookup))
 }
 
 // Partial decodes a partial IKJT.
@@ -451,14 +441,14 @@ func (d *Decoder) Partial() (*PartialIKJT, error) {
 	if err != nil {
 		return nil, err
 	}
-	flat, b, err := d.block("int32", 4)
+	flat, err := d.int32s("partial lookup")
 	if err != nil {
 		return nil, err
 	}
-	if flat%2 != 0 {
-		return nil, fmt.Errorf("tensor: partial lookup has odd length %d", flat)
+	if len(flat)%2 != 0 {
+		return nil, fmt.Errorf("tensor: partial lookup has odd length %d", len(flat))
 	}
-	p := &PartialIKJT{Key: key, Values: vals, Lookup: decodeCells[[2]int32](b)}
+	p := &PartialIKJT{Key: key, Values: vals, Lookup: cellPairs(flat)}
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}

@@ -19,6 +19,10 @@
 #      stream is stated by its own grammar and read where it was fetched,
 #      and a general-purpose compressor over one would bring back the
 #      inflate buffers and the second length rule that went with it.
+#      Nor may internal/dwrf declare an integer width code of its own (a
+#      `...Codec` type, a span's width from bits.Len64 of a difference,
+#      or a masked 8-byte load): its IDs are written in tensor.WidthCodec,
+#      the module's one integer code, which the wire's blocks use too.
 #   5. Every test or fuzz target docs/ARCHITECTURE.md's determinism table
 #      cites as `pkg.TestName` / `pkg.FuzzName` must exist in a package of
 #      that name (`go test -list`), so a renamed or deleted test cannot
@@ -150,6 +154,12 @@ if go list -f '{{.ImportPath}} {{join .Imports " "}}' ./internal/dpp ./internal/
 fi
 if go list -f '{{join .Imports "\n"}}' ./internal/dwrf | grep '^compress/'; then
     echo "docs: internal/dwrf imports the compress/ packages above; state a stream by its own grammar instead"
+    fail=1
+fi
+# A width code of dwrf's own: a Codec type, the width of a span
+# (bits.Len64 of a difference) or the masked 8-byte load that reads one.
+if grep -nE '^type [A-Za-z_]*[Cc]odec\b|bits\.Len64\(.*-|\^uint64\(0\) *>>' $(ls internal/dwrf/*.go | grep -v '_test\.go$'); then
+    echo "docs: internal/dwrf declares its own integer width code above; write integers with tensor.WidthCodec, the module's one"
     fail=1
 fi
 

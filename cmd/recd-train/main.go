@@ -281,8 +281,8 @@ func main() {
 		client := dppnet.NewClient(*connect)
 		client.Resume = resume
 		client.AuthToken = *authToken
-		// Tally the scheduler telemetry each remote session's trailing
-		// stats frame reports: scale events are the server-side
+		// Tally the scheduler telemetry each remote session's eof frame
+		// reports: scale events are the server-side
 		// autoscaler at work, and the worker/consumer stall split is the
 		// signal it scales on.
 		var scaleUps, scaleDowns, schedSessions int64

@@ -2,7 +2,6 @@ package dppnet
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math/bits"
 )
 
@@ -87,19 +86,4 @@ func chainStep(h uint64, data []byte) uint64 {
 	h = (h ^ h>>33) * xxPrime2
 	h = (h ^ h>>29) * xxPrime3
 	return h ^ h>>32
-}
-
-// chainUnit folds a file-unit payload (appendFileUnit wire form) into
-// the chain with the cache-hit bit of the flags byte that follows the
-// leading index uvarint cleared: Hit depends on cache state, not stream
-// content, so a resumed stream's re-decoded units must hash identically to
-// the original's cache hits. The head bit is content and is hashed.
-func chainUnit(h uint64, unit []byte) (uint64, error) {
-	_, n := binary.Uvarint(unit)
-	if n <= 0 || n >= len(unit) {
-		return 0, fmt.Errorf("dppnet: file-unit payload too short to hash")
-	}
-	h = chainStep(h, unit[:n])
-	h = chainStep(h, []byte{unit[n] &^ unitHit})
-	return chainStep(h, unit[n+1:]), nil
 }

@@ -333,8 +333,8 @@ func (rs *RemoteSession) Next(ctx context.Context) (*reader.Batch, error) { retu
 // Batches already returned remain valid.
 func (rs *RemoteSession) Close() error { return rs.sh.Close() }
 
-// Stats returns the session's final accounting: the server's, as its
-// trailing stats frame reported it, plus the reader work of the cutter
+// Stats returns the session's final accounting: the server's, as its eof
+// frame reported it, plus the reader work of the cutter
 // here. It is available once the stream has returned io.EOF; before that
 // (or after a failure that lost the frame) it returns false.
 func (rs *RemoteSession) Stats() (dpp.SessionStats, bool) {

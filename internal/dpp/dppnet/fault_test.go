@@ -41,22 +41,20 @@ type faultStream struct {
 	close func() error
 }
 
-// remoteKinds are the remote session and the bare unit stream: each names
-// a payload frame to forge and opens a Buffer-1 session (files is the unit
-// stream's explicit list).
+// remoteKinds are the remote session and the bare unit stream: each opens
+// a Buffer-1 session (files is the unit stream's explicit list).
 var remoteKinds = []struct {
-	name  string
-	frame byte
-	open  func(ctx context.Context, addr string, files []string) (*faultStream, error)
+	name string
+	open func(ctx context.Context, addr string, files []string) (*faultStream, error)
 }{
-	{"batch", frameBatch, func(ctx context.Context, addr string, _ []string) (*faultStream, error) {
+	{"batch", func(ctx context.Context, addr string, _ []string) (*faultStream, error) {
 		rs, err := NewClient(addr).Open(ctx, dpp.Spec{Spec: alignedSpec(), Buffer: 1})
 		if err != nil {
 			return nil, err
 		}
 		return &faultStream{func(ctx context.Context) error { _, err := rs.Next(ctx); return err }, rs.Close}, nil
 	}},
-	{"unit", frameFileUnit, func(ctx context.Context, addr string, files []string) (*faultStream, error) {
+	{"unit", func(ctx context.Context, addr string, files []string) (*faultStream, error) {
 		rus, err := NewClient(addr).OpenUnits(ctx, dpp.Spec{Spec: alignedSpec(), Files: files, Buffer: 1}, every(len(files)))
 		if err != nil {
 			return nil, err
@@ -212,11 +210,13 @@ func fakeServer(t *testing.T, inject func(net.Conn)) (addr string, done chan str
 // TestUnitHeadCarriesAreChecked: a head names the carry it completes, and
 // the stream holds it to what it carries — from the plan's first file on,
 // and across every file it is served after the one before it in the plan.
-// Before anything is sized, the client refuses a carry of a whole batch or
-// more, a head inside a file that has begun, a head completing another carry
-// than the stream holds, a batch frame or closing record where the stream
-// owes a head, and an unknown flag bit; a stream served a file after a gap
-// in the plan takes the head's word for the carry.
+// Before anything is sized, the client refuses an unknown kind byte, a head
+// carrying none or a whole batch or more, a head inside a file that has
+// begun, a head completing another carry than the stream holds, a batch or
+// closing record where the stream owes a head, and a piece whose stamped
+// index is not the next one; after the body, bytes behind the rows. A
+// stream served a file after a gap in the plan takes the head's word for
+// the carry.
 func TestUnitHeadCarriesAreChecked(t *testing.T) {
 	env := newTestEnv(t, 120)
 	files := allFiles(t, env)
@@ -236,72 +236,59 @@ func TestUnitHeadCarriesAreChecked(t *testing.T) {
 	if len(files) < 3 || rows.Rows() != 40 || batch == nil {
 		t.Fatalf("%d files, a %d-row head and batch %v to forge with; want 3, 40 and a batch", len(files), rows.Rows(), batch)
 	}
-	head := func(carry int) dpp.UnitPiece { return dpp.UnitPiece{Head: rows.Slice(0, 48-carry), Carry: carry} }
-	closing := dpp.UnitPiece{Tail: rows.Slice(0, 16)}
-	// play seals the pieces as the server would and decodes them in order at
-	// a stream serving serves, reporting how many it accepted and the error
-	// that stopped it.
-	play := func(serves []int, pieces ...dpp.UnitPiece) (int, error) {
+	head := func(carry int) []byte {
+		return appendPiece(nil, dpp.UnitPiece{Head: rows.Slice(0, 48-carry), Carry: carry})
+	}
+	closing := appendPiece(nil, dpp.UnitPiece{Tail: rows.Slice(0, 16)})
+	b := appendPiece(nil, dpp.UnitPiece{Batch: batch})
+	// withKind is the closing record under another kind byte (and carry).
+	withKind := func(kind ...byte) []byte { return slices.Concat(kind, closing[1:]) }
+	// play stamps the contents as the server would and decodes them in order
+	// at a stream serving serves, reporting how many it accepted and the
+	// error that stopped it. A nil content skips a stream index: the pieces
+	// after it are stamped one further on.
+	play := func(serves []int, contents ...[]byte) (accepted int, err error) {
 		st, err := newUnitStream(context.Background(), &Client{}, spec, serves)
 		if err != nil {
 			t.Fatal(err)
 		}
-		at := st.at
-		for i, p := range pieces {
-			var typ byte
-			var payload []byte
-			if p.Batch != nil {
-				body := p.Batch.AppendTo(nil)
-				typ, payload = frameBatch, encodeBatchFrame(at.frames, chainStep(at.chain, body), body)
-			} else {
-				p.Index = at.files
-				unit := appendFileUnit(nil, p)
-				chain, err := chainUnit(at.chain, unit)
-				if err != nil {
-					t.Fatal(err)
-				}
-				typ, payload = frameFileUnit, encodeUnitFrame(chain, unit)
+		at, skipped := st.at, int64(0)
+		for _, content := range contents {
+			if content == nil {
+				skipped++
+				continue
 			}
-			if _, at, err = st.decode(typ, payload, at); err != nil {
-				return i, err
+			if _, at, err = st.decode(stampPiece(at.frames+skipped, chainStep(at.chain, content), content), at); err != nil {
+				return accepted, err
 			}
+			accepted++
 		}
-		return len(pieces), nil
-	}
-	b := dpp.UnitPiece{Batch: batch}
-	withFlags := func(p dpp.UnitPiece, flags byte) []byte {
-		unit := appendFileUnit(nil, p)
-		unit[1] = flags
-		return unit
+		return accepted, nil
 	}
 	for name, tc := range map[string]struct {
 		serves []int
-		pieces []dpp.UnitPiece
+		pieces [][]byte
 		want   int
 		says   string
 	}{
-		"well formed":                 {nil, []dpp.UnitPiece{b, closing, head(16), b, closing}, 5, ""},
-		"a head into the first file":  {nil, []dpp.UnitPiece{head(16)}, 0, "completes 16 carried rows, the stream carries 0"},
-		"another carry":               {nil, []dpp.UnitPiece{b, closing, head(32)}, 2, "completes 32 carried rows, the stream carries 16"},
-		"a batch owing a head":        {nil, []dpp.UnitPiece{b, closing, b}, 2, "frame 0x11 where file 1 owes a head completing 16 rows"},
-		"a close owing a head":        {nil, []dpp.UnitPiece{b, closing, closing}, 2, "frame 0x16 where file 1 owes a head completing 16 rows"},
-		"a head after the file began": {nil, []dpp.UnitPiece{b, closing, head(16), head(16)}, 3, "after the file began"},
-		"a head after a gap":          {[]int{0, 2}, []dpp.UnitPiece{b, closing, head(40), closing}, 4, ""},
-		"a head's word after a gap":   {[]int{0, 2}, []dpp.UnitPiece{b, closing, b, closing}, 4, ""},
+		"well formed":                 {nil, [][]byte{b, closing, head(16), b, closing}, 5, ""},
+		"a head into the first file":  {nil, [][]byte{head(16)}, 0, "completes 16 carried rows, the stream carries 0"},
+		"another carry":               {nil, [][]byte{b, closing, head(32)}, 2, "completes 32 carried rows, the stream carries 16"},
+		"a batch owing a head":        {nil, [][]byte{b, closing, b}, 2, "piece kind 0 where file 1 owes a head completing 16 rows"},
+		"a close owing a head":        {nil, [][]byte{b, closing, closing}, 2, "piece kind 2 where file 1 owes a head completing 16 rows"},
+		"a head after the file began": {nil, [][]byte{b, closing, head(16), head(16)}, 3, "after the file began"},
+		"a head after a gap":          {[]int{0, 2}, [][]byte{b, closing, head(40), closing}, 4, ""},
+		"a head's word after a gap":   {[]int{0, 2}, [][]byte{b, closing, b, closing}, 4, ""},
+		"a whole batch carried":       {nil, [][]byte{b, closing, withKind(pieceHead, 48)}, 2, "completing 48 rows of a 48-row batch"},
+		"a carry of none":             {nil, [][]byte{withKind(pieceHead, 0)}, 0, "completing 0 rows of a 48-row batch"},
+		"an unknown kind":             {nil, [][]byte{b, withKind(3)}, 1, "unknown piece kind 3"},
+		"bytes after the rows":        {nil, [][]byte{b, append(slices.Clip(closing), 0)}, 1, "1 trailing bytes after a piece's rows"},
+		"bytes after the batch":       {nil, [][]byte{append(slices.Clip(b), 0)}, 0, "1 trailing bytes after the batch"},
+		"an index skipped":            {nil, [][]byte{b, nil, closing}, 1, "piece frame index 2, want 1"},
 	} {
 		n, err := play(tc.serves, tc.pieces...)
 		if n != tc.want || (tc.says == "") != (err == nil) || (err != nil && !strings.Contains(err.Error(), tc.says)) {
 			t.Errorf("%s: accepted %d pieces, then %v; want %d and an error saying %q", name, n, err, tc.want, tc.says)
-		}
-	}
-	for name, unit := range map[string][]byte{
-		"a whole batch carried": appendFileUnit(nil, dpp.UnitPiece{Head: rows, Carry: 48}),
-		"a carry of none":       slices.Concat([]byte{0, unitHead, 0}, appendFileUnit(nil, closing)[2:]),
-		"an unknown flag bit":   withFlags(closing, 4),
-		"a head marked a hit":   withFlags(head(16), unitHead|unitHit),
-	} {
-		if _, err := decodeFileUnit(unit, spec.ConsumedFeatures(), spec.BatchSize, nil); err == nil {
-			t.Errorf("%s: file unit accepted", name)
 		}
 	}
 }
@@ -316,7 +303,7 @@ func TestMidFrameConnectionDrop(t *testing.T) {
 
 			addr, done := fakeServer(t, func(conn net.Conn) {
 				var hdr bytes.Buffer
-				hdr.WriteByte(k.frame)
+				hdr.WriteByte(framePiece)
 				hdr.Write([]byte{0xE8, 0x07}) // uvarint 1000: a 1000-byte payload...
 				hdr.Write(make([]byte, 10))   // ...of which only 10 bytes exist
 				conn.Write(hdr.Bytes())
@@ -347,7 +334,7 @@ func TestCorruptBatchFrame(t *testing.T) {
 			before := runtime.NumGoroutine()
 
 			addr, done := fakeServer(t, func(conn net.Conn) {
-				writeFrame(conn, k.frame, []byte("XBATgarbage-that-is-not-a-batch"))
+				writeFrame(conn, framePiece, []byte("XBATgarbage-that-is-not-a-batch"))
 			})
 
 			rs, err := k.open(context.Background(), addr, []string{"f"})
@@ -373,7 +360,7 @@ func TestOversizedFrameRejected(t *testing.T) {
 
 	addr, done := fakeServer(t, func(conn net.Conn) {
 		var hdr bytes.Buffer
-		hdr.WriteByte(frameBatch)
+		hdr.WriteByte(framePiece)
 		hdr.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}) // uvarint ~2^55
 		conn.Write(hdr.Bytes())
 	})

@@ -16,26 +16,24 @@ import (
 	"repro/internal/testutil"
 )
 
-// encodeBatchFrame and encodeUnitFrame are the stamp layouts written the
-// plain way — allocate, stamp, copy the content behind — as the server
-// built every frame before it built them in place. They are the reference
-// sealFrame is checked against, and what the tests that forge frames use.
-func encodeBatchFrame(index int64, chain uint64, batch []byte) []byte {
+// stampPiece is a piece frame's payload written the plain way — allocate,
+// stamp, copy the content behind — as the server built every frame before
+// it built them in place. It is the reference sealFrame is checked
+// against, and what the tests that forge frames use.
+func stampPiece(index int64, chain uint64, content []byte) []byte {
 	buf := binary.AppendUvarint(nil, uint64(index))
 	buf = binary.BigEndian.AppendUint64(buf, chain)
-	return append(buf, batch...)
+	return append(buf, content...)
 }
 
-func encodeUnitFrame(chain uint64, unit []byte) []byte {
-	return append(binary.BigEndian.AppendUint64(nil, chain), unit...)
-}
-
-// encodeFileUnit is appendFileUnit behind the io.Writer signature the unit
-// encoder had before frames were built in place. The resume and fuzz
-// suites were written against it and are kept as they were.
-func encodeFileUnit(w io.Writer, p dpp.UnitPiece) error {
-	_, err := w.Write(appendFileUnit(nil, p))
-	return err
+// unstamp splits a piece frame's payload into its stamp and content; a
+// payload too short to hold them comes back with ok false.
+func unstamp(payload []byte) (index int64, chain uint64, content []byte, ok bool) {
+	idx, n := binary.Uvarint(payload)
+	if n <= 0 || len(payload) < n+8 {
+		return 0, 0, nil, false
+	}
+	return int64(idx), binary.BigEndian.Uint64(payload[n:]), payload[n+8:], true
 }
 
 // TestSealFrameMatchesReference: a frame sealed in place is byte for byte
@@ -46,16 +44,13 @@ func TestSealFrameMatchesReference(t *testing.T) {
 	const chain = 0x0123456789abcdef
 	for _, n := range []int{0, 1, 100, 127, 128, 16383, 16384, 70000, 1 << 21} {
 		content := pattern(n)
-		for _, index := range []int64{-1, 0, 1, 127, 128, 1<<14 - 1, 1 << 14, 1 << 35, maxResumeOffset} {
-			typ, payload := frameBatch, encodeBatchFrame(index, chain, content)
-			if index < 0 {
-				typ, payload = frameFileUnit, encodeUnitFrame(chain, content)
-			}
+		for _, index := range []int64{0, 1, 127, 128, 1<<14 - 1, 1 << 14, 1 << 35, maxResumeOffset} {
+			payload := stampPiece(index, chain, content)
 			var want bytes.Buffer
-			writeFrame(&want, typ, payload)
+			writeFrame(&want, framePiece, payload)
 
 			buf := append(make([]byte, frameReserve), content...)
-			fr := sealFrame(buf, typ, index, chain)
+			fr := sealFrame(buf, index, chain)
 			if !bytes.Equal(fr.wire(), want.Bytes()) {
 				t.Fatalf("index %d, %d content bytes: sealed frame differs from the reference", index, n)
 			}
@@ -93,7 +88,7 @@ func (a *arrivals) Read(p []byte) (int, error) {
 func TestForgedFrameLengthAllocatesByArrival(t *testing.T) {
 	const slack = 8 << 10 // the bufio.Reader, the chunk list, the error
 	for _, sent := range []int{10, 300 << 10} {
-		forged := binary.AppendUvarint([]byte{frameBatch}, maxFrameBytes)
+		forged := binary.AppendUvarint([]byte{framePiece}, maxFrameBytes)
 		forged = append(forged, make([]byte, sent)...)
 		var buf []byte
 		var before, after runtime.MemStats
@@ -126,21 +121,21 @@ func TestForgedFrameLengthAllocatesByArrival(t *testing.T) {
 func TestReadFrameIntoReusesAndGrowsToSize(t *testing.T) {
 	var stream bytes.Buffer
 	big, small := pattern(5*frameReadChunk+123), pattern(1000)
-	writeFrame(&stream, frameFileUnit, big)
-	writeFrame(&stream, frameBatch, small)
+	writeFrame(&stream, framePiece, big)
+	writeFrame(&stream, frameEOF, small)
 	src := bytes.NewReader(stream.Bytes())
 	br := bufio.NewReader(src)
 
 	var buf []byte
 	typ, payload, err := readFrameInto(br, maxFrameBytes, &buf)
-	if err != nil || typ != frameFileUnit || !bytes.Equal(payload, big) {
+	if err != nil || typ != framePiece || !bytes.Equal(payload, big) {
 		t.Fatalf("first frame = type %#x, %d bytes, %v", typ, len(payload), err)
 	}
 	if cap(buf) < len(big) || cap(buf) > len(big)+len(big)/8 {
 		t.Fatalf("buffer is %d bytes after a %d-byte frame, want the declared size", cap(buf), len(big))
 	}
 	held := &buf[:1][0]
-	if typ, payload, err = readFrameInto(br, maxFrameBytes, &buf); err != nil || typ != frameBatch || !bytes.Equal(payload, small) {
+	if typ, payload, err = readFrameInto(br, maxFrameBytes, &buf); err != nil || typ != frameEOF || !bytes.Equal(payload, small) {
 		t.Fatalf("second frame = type %#x, %d bytes, %v", typ, len(payload), err)
 	}
 	if &payload[0] != held {
@@ -175,12 +170,12 @@ func TestDecodedItemsOutliveTheFrameBuffer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		frames := unitFrames(recordStream(t, h.addr, spec))
+		frames := payloadFrames(recordStream(t, h.addr, spec), framePiece)
 		at := st.at
 		nbatches, tails := 0, 0
-		for i, fr := range frames {
-			work := append([]byte(nil), fr.payload...)
-			u, next, err := st.decode(fr.typ, work, at)
+		for i, payload := range frames {
+			work := append([]byte(nil), payload...)
+			u, next, err := st.decode(work, at)
 			if err != nil {
 				t.Fatalf("frame %d: %v", i, err)
 			}
@@ -190,22 +185,15 @@ func TestDecodedItemsOutliveTheFrameBuffer(t *testing.T) {
 			}
 			if u.Batch != nil {
 				nbatches++
-				_, _, body, _ := decodeBatchFrame(fr.payload)
-				if !bytes.Equal(u.Batch.AppendTo(nil), body) {
-					t.Fatalf("batch size %d, batch frame %d changed when its frame buffer was overwritten", rs.BatchSize, i)
-				}
-				continue
-			}
-			if u.Tail != nil {
+			} else if u.Tail != nil {
 				tails += u.Tail.Rows()
 			}
-			_, body, _ := decodeUnitFrame(fr.payload)
-			if !bytes.Equal(appendFileUnit(nil, u), body) {
-				t.Fatalf("batch size %d, file-unit frame of file %d changed when its frame buffer was overwritten", rs.BatchSize, u.Index)
+			if _, _, content, _ := unstamp(payload); !bytes.Equal(appendPiece(nil, u), content) {
+				t.Fatalf("batch size %d: piece frame %d of file %d changed when its frame buffer was overwritten", rs.BatchSize, i, u.Index)
 			}
 		}
 		if at.files != len(files) || nbatches < 2 || tails == 0 {
-			t.Fatalf("batch size %d: recorded stream closed %d of %d files with %d batch frames, %d tail rows", rs.BatchSize, at.files, len(files), nbatches, tails)
+			t.Fatalf("batch size %d: recorded stream closed %d of %d files with %d batch pieces, %d tail rows", rs.BatchSize, at.files, len(files), nbatches, tails)
 		}
 	}
 }
@@ -226,7 +214,7 @@ func TestRecycledFramesResendIdentical(t *testing.T) {
 	env := newTestEnv(t, 120)
 	h := startServer(t, env, dpp.Config{})
 	spec := dpp.Spec{Spec: alignedSpec(), Files: allFiles(t, env)}
-	want := unitFrames(recordStream(t, h.addr, spec))
+	want := payloadFrames(recordStream(t, h.addr, spec), framePiece)
 	if len(want) < 2*window+2 {
 		t.Fatalf("reference stream has %d frames, too few to wrap a window of %d", len(want), window)
 	}
@@ -258,10 +246,10 @@ func TestRecycledFramesResendIdentical(t *testing.T) {
 	expect := func(br *bufio.Reader, index int, when string) {
 		t.Helper()
 		typ, payload, err := readFrame(br, maxFrameBytes)
-		if err != nil || typ != want[index].typ {
+		if err != nil || typ != framePiece {
 			t.Fatalf("%s: frame %d = type %#x, %v", when, index, typ, err)
 		}
-		if !bytes.Equal(payload, want[index].payload) {
+		if !bytes.Equal(payload, want[index]) {
 			t.Fatalf("%s: frame %d differs from the uninterrupted stream's", when, index)
 		}
 	}
@@ -323,7 +311,7 @@ func reportPerRow(b *testing.B, batch *reader.Batch) {
 }
 
 // BenchmarkBatchFrameHop is one batch's whole trip across the wire, minus
-// the socket: hopBatch is encoded into a frame buffer, hashed and sealed
+// the socket: hopBatch is encoded into a piece frame buffer, hashed and sealed
 // as unitWire.next does, written through a bufio.Writer into memory, read
 // back as the client's receive loop reads it, verified against the chain
 // and decoded. ns/row is the per-layer number the ladder's remote_warm
@@ -331,6 +319,7 @@ func reportPerRow(b *testing.B, batch *reader.Batch) {
 // its two codec layers.
 func BenchmarkBatchFrameHop(b *testing.B) {
 	batch := hopBatch(b)
+	piece := dpp.UnitPiece{Batch: batch}
 	var pipe bytes.Buffer
 	bw, br := bufio.NewWriter(&pipe), bufio.NewReader(&pipe)
 	server := unitWire{chain: chainSeed}
@@ -342,9 +331,9 @@ func BenchmarkBatchFrameHop(b *testing.B) {
 	var recv []byte
 	b.ReportAllocs()
 	for i := int64(0); b.Loop(); i++ {
-		buf := batch.AppendTo(server.buffer())
+		buf := appendPiece(server.buffer(), piece)
 		server.chain = chainStep(server.chain, buf[frameReserve:])
-		fr := sealFrame(buf, frameBatch, i, server.chain)
+		fr := sealFrame(buf, i, server.chain)
 		if _, err := bw.Write(fr.wire()); err != nil {
 			b.Fatal(err)
 		}
@@ -354,11 +343,11 @@ func BenchmarkBatchFrameHop(b *testing.B) {
 		server.recycle(fr)
 
 		typ, payload, err := readFrameInto(br, maxFrameBytes, &recv)
-		if err != nil || typ != frameBatch {
+		if err != nil || typ != framePiece {
 			b.Fatalf("frame %d read back as type %#x, %v", i, typ, err)
 		}
 		var got dpp.UnitPiece
-		if got, at, err = client.decode(typ, payload, at); err != nil || got.Batch.Size != batch.Size {
+		if got, at, err = client.decode(payload, at); err != nil || got.Batch.Size != batch.Size {
 			b.Fatalf("frame %d: %v", i, err)
 		}
 	}

@@ -7,14 +7,12 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"math"
-	"reflect"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/dpp"
-	"repro/internal/dwrf"
 	"repro/internal/reader"
 )
 
@@ -379,26 +377,18 @@ func FuzzDecodeTablez(f *testing.F) {
 	})
 }
 
-func fileUnitSeed(p dpp.UnitPiece) []byte {
-	var buf bytes.Buffer
-	if err := encodeFileUnit(&buf, p); err != nil {
-		panic(err)
-	}
-	return buf.Bytes()
-}
-
 // FuzzDecodeFileUnit: a unit stream's pieces are what every remote
 // session's cutter and the fleet mux reassemble their batches from, so a
 // malicious or corrupt server must never panic the client. The stream's
-// decode, fed a file-unit frame — or a batch frame — sealed with the
-// stream's own chain at a cursor standing inside a begun file or not, owing
-// a head's carry or not, either fails cleanly before it sizes anything it
-// must refuse, or yields a piece within every wire bound that keeps the
-// stream's carry rule: a head only where a file begins, completing exactly
-// the rows owed, a batch frame or closing record only where no head is
-// owed. An accepted head or closing record re-encodes to a payload that
-// decodes back equal — byte-identity of the re-encoding is NOT required,
-// because Uvarint accepts non-minimal varints.
+// decode, fed a piece frame's content stamped with the stream's own index
+// and chain at a cursor standing inside a begun file or not, owing a head's
+// carry or not, either fails cleanly before it sizes anything it must
+// refuse, or yields a piece within every wire bound that keeps the stream's
+// carry rule: a head only where a file begins, completing exactly the rows
+// owed, a batch or closing record only where no head is owed. An accepted
+// piece re-encodes to content that decodes back to a piece re-encoding the
+// same — byte-identity with the input is NOT required, because Uvarint
+// accepts non-minimal varints.
 func FuzzDecodeFileUnit(f *testing.F) {
 	env := newTestEnv(f, 24)
 	spec := misalignedSpec() // 48-row batches
@@ -411,7 +401,7 @@ func FuzzDecodeFileUnit(f *testing.F) {
 		f.Fatal(err)
 	}
 	// A real misaligned scan's closing record carries keys and a tail —
-	// every section of the frame layout is populated.
+	// every section of the piece layout is populated.
 	scan, err := r.ScanFile(context.Background(), files[0], 0)
 	if err != nil {
 		f.Fatal(err)
@@ -426,48 +416,43 @@ func FuzzDecodeFileUnit(f *testing.F) {
 		noOwed = uint8(1) // owed%49 - 1: 0 rows owed
 		owe16  = uint8(17)
 	)
-	unit := func(p dpp.UnitPiece) []byte { p.Index = 3; return fileUnitSeed(p) }
-	full := unit(dpp.UnitPiece{Tail: tail, Hit: true})
-	f.Add(full, false, false, noOwed)
+	full := appendPiece(nil, dpp.UnitPiece{Tail: tail})
+	f.Add(full, false, noOwed)
 	// A file that ends on a batch boundary: the schema, no rows.
-	f.Add(unit(dpp.UnitPiece{Tail: tail.Slice(0, 0)}), false, false, noOwed)
+	f.Add(appendPiece(nil, dpp.UnitPiece{Tail: tail.Slice(0, 0)}), false, noOwed)
 	tailAt := len(full) - len(tail.AppendTo(nil))
-	for _, cut := range []int{1, 2, tailAt / 2, tailAt, (tailAt + len(full)) / 2, len(full) - 1} {
-		f.Add(full[:cut], false, false, noOwed)
+	for _, cut := range []int{0, 2, tailAt / 2, tailAt, (tailAt + len(full)) / 2, len(full) - 1} {
+		f.Add(full[:cut], false, noOwed)
 	}
-	f.Add(append(append([]byte(nil), full...), 0x00), false, false, noOwed) // trailing byte
+	f.Add(append(append([]byte(nil), full...), 0x00), false, noOwed) // bytes after the rows
 	// Forged header: plausible prefix, then a key count over the cap.
-	forged := binary.AppendUvarint(nil, 3) // index
-	forged = append(forged, unitHit)       // flags
-	forged = binary.AppendUvarint(forged, 4)
+	forged := binary.AppendUvarint([]byte{pieceTail}, 4)
 	forged = binary.AppendUvarint(forged, maxUnitKeys+1)
-	f.Add(forged, false, false, noOwed)
-	// An unknown flag bit.
-	bad := append([]byte(nil), full...)
-	bad[1] = 7
-	f.Add(bad, false, false, noOwed)
+	f.Add(forged, false, noOwed)
+	// An unknown kind byte.
+	f.Add(append([]byte{7}, full[1:]...), false, noOwed)
 	// The tail's columns, forged: claiming a row count far past its bytes,
 	// and then one row more than its columns hold.
-	f.Add(append(binary.AppendUvarint(full[:tailAt:tailAt], 1<<23), full[tailAt+1:]...), false, false, noOwed)
-	f.Add(append(binary.AppendUvarint(full[:tailAt:tailAt], uint64(tail.Rows()+1)), full[tailAt+1:]...), false, false, noOwed)
+	f.Add(append(binary.AppendUvarint(full[:tailAt:tailAt], 1<<23), full[tailAt+1:]...), false, noOwed)
+	f.Add(append(binary.AppendUvarint(full[:tailAt:tailAt], uint64(tail.Rows()+1)), full[tailAt+1:]...), false, noOwed)
 	// Heads: one completing the 16 rows owed, one carrying a whole batch,
-	// one inside a file that has begun, one completing other rows than the
-	// ones owed; a closing record and a batch frame where a head is owed;
-	// and a batch frame inside a begun file.
-	head := unit(dpp.UnitPiece{Head: tail, Carry: 16})
-	f.Add(head, false, false, owe16)
-	f.Add(slices.Concat([]byte{3, unitHead, 48}, head[3:]), false, false, noOwed)
-	f.Add(head, false, true, noOwed)
-	f.Add(head, false, false, uint8(33))
-	f.Add(full, false, false, owe16)
-	batch := pieces[0].Batch.AppendTo(nil)
-	f.Add(batch, true, false, owe16)
-	f.Add(batch, true, true, noOwed)
+	// one carrying none, one inside a file that has begun, one completing
+	// other rows than the ones owed; a closing record and a batch where a
+	// head is owed; and a batch inside a begun file.
+	head := appendPiece(nil, dpp.UnitPiece{Head: tail, Carry: 16})
+	f.Add(head, false, owe16)
+	f.Add(slices.Concat([]byte{pieceHead, 48}, head[2:]), false, noOwed)
+	f.Add(slices.Concat([]byte{pieceHead, 0}, head[2:]), false, noOwed)
+	f.Add(head, true, noOwed)
+	f.Add(head, false, uint8(33))
+	f.Add(full, false, owe16)
+	batch := appendPiece(nil, dpp.UnitPiece{Batch: pieces[0].Batch})
+	f.Add(batch, false, owe16)
+	f.Add(batch, true, noOwed)
 	// A NaN dense cell, which crosses as its bits.
 	tail.Dense()[0] = float32(math.NaN())
-	f.Add(unit(dpp.UnitPiece{Tail: tail, Hit: true}), false, false, noOwed)
+	f.Add(appendPiece(nil, dpp.UnitPiece{Tail: tail}), false, noOwed)
 
-	consumed := spec.ConsumedFeatures()
 	// The decoding client's spec is the seed scan's: frames that keep its
 	// features keep a populated chunk through the round trip. decode reads
 	// the stream and changes nothing of it.
@@ -475,81 +460,43 @@ func FuzzDecodeFileUnit(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Fuzz(func(t *testing.T, data []byte, batchFrame, began bool, owed uint8) {
+	f.Fuzz(func(t *testing.T, content []byte, began bool, owed uint8) {
 		at := cursor{frames: 9, chain: chainSeed, files: 3, inFile: began, owed: int(owed)%(spec.BatchSize+1) - 1}
-		typ, payload := frameBatch, encodeBatchFrame(at.frames, chainStep(at.chain, data), data)
-		if !batchFrame {
-			chain, err := chainUnit(at.chain, data)
-			if err != nil {
-				return
-			}
-			typ, payload = frameFileUnit, encodeUnitFrame(chain, data)
+		p, next, err := st.decode(stampPiece(at.frames, chainStep(at.chain, content), content), at)
+		if err != nil {
+			return
 		}
-		p, next, err := st.decode(typ, payload, at)
+		if p.Index != 3 || p.File != "" || p.Hit || next.frames != at.frames+1 {
+			t.Fatalf("accepted piece %d (%q, hit %v) moved the stream from frame %d to %d", p.Index, p.File, p.Hit, at.frames, next.frames)
+		}
 		owes := !began && at.owed > 0
-		if err != nil {
-			return
-		}
-		if p.Index != 3 || p.File != "" || next.frames != at.frames+1 {
-			t.Fatalf("accepted piece %d (%q) moved the stream from frame %d to %d", p.Index, p.File, at.frames, next.frames)
-		}
-		if batchFrame {
-			if owes || p.Batch == nil || p.Head != nil || p.Tail != nil {
-				t.Fatalf("accepted batch frame as %+v where %d rows are owed (file begun: %v)", p, at.owed, began)
-			}
-			return
-		}
-		rows := p.Tail
 		switch {
-		case p.Batch != nil || (p.Head == nil) == (p.Tail == nil):
-			t.Fatalf("accepted file unit as %+v", p)
-		case p.Head != nil && (began || p.Carry <= 0 || p.Carry >= spec.BatchSize || (at.owed >= 0 && p.Carry != at.owed) || p.Hit):
-			t.Fatalf("accepted head completing %d rows (hit %v) where %d are owed (file begun: %v)", p.Carry, p.Hit, at.owed, began)
-		case p.Head != nil:
-			rows = p.Head
-		case owes || p.Carry != 0:
-			t.Fatalf("accepted closing record (carry %d) where %d rows are owed", p.Carry, at.owed)
+		case (p.Batch != nil) == (p.Rows() != nil) || (p.Head != nil && p.Tail != nil):
+			t.Fatalf("accepted piece as %+v", p)
+		case p.Batch != nil && owes:
+			t.Fatalf("accepted a batch where %d rows are owed", at.owed)
+		case p.Head != nil && (began || p.Carry <= 0 || p.Carry >= spec.BatchSize || (at.owed >= 0 && p.Carry != at.owed)):
+			t.Fatalf("accepted head completing %d rows where %d are owed (file begun: %v)", p.Carry, at.owed, began)
+		case p.Head == nil && (owes || p.Carry != 0):
+			t.Fatalf("accepted batch or closing record (carry %d) where %d rows are owed", p.Carry, at.owed)
 		}
-		if len(rows.Keys()) > maxUnitKeys || rows.DenseWidth() > maxUnitDense {
-			t.Fatalf("accepted file unit outside wire bounds: %d keys, dense %d", len(rows.Keys()), rows.DenseWidth())
-		}
-		for _, k := range rows.Keys() {
-			if len(k) > maxUnitKeyLen {
-				t.Fatalf("accepted %d-byte key", len(k))
+		if rows := p.Rows(); rows != nil {
+			if len(rows.Keys()) > maxUnitKeys || rows.DenseWidth() > maxUnitDense {
+				t.Fatalf("accepted piece outside wire bounds: %d keys, dense %d", len(rows.Keys()), rows.DenseWidth())
+			}
+			for _, k := range rows.Keys() {
+				if len(k) > maxUnitKeyLen {
+					t.Fatalf("accepted %d-byte key", len(k))
+				}
 			}
 		}
-		var re bytes.Buffer
-		if err := encodeFileUnit(&re, p); err != nil {
-			t.Fatalf("re-encode of accepted file unit: %v", err)
-		}
-		back, err := decodeFileUnit(re.Bytes(), consumed, spec.BatchSize, nil)
+		re := appendPiece(nil, p)
+		back, _, err := st.decode(stampPiece(at.frames, chainStep(at.chain, re), re), at)
 		if err != nil {
-			t.Fatalf("re-decode of accepted file unit: %v", err)
+			t.Fatalf("re-decode of accepted piece: %v", err)
 		}
-		if !sameDenseBits(p.Head, back.Head) || !sameDenseBits(p.Tail, back.Tail) || !reflect.DeepEqual(p, back) {
-			t.Fatalf("file unit did not round-trip:\n got %#v\nwant %#v", back, p)
+		if !bytes.Equal(appendPiece(nil, back), re) || back.Carry != p.Carry || back.Index != p.Index {
+			t.Fatalf("piece did not round-trip:\n got %#v\nwant %#v", back, p)
 		}
 	})
-}
-
-// sameDenseBits holds a's and b's dense cells to the same bits, then
-// zeroes the NaNs among them in both, which reflect.DeepEqual would never
-// hold equal to themselves, so that DeepEqual can compare the rest.
-func sameDenseBits(a, b *dwrf.Chunk) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
-	da, db := a.Dense(), b.Dense()
-	if len(da) != len(db) {
-		return false
-	}
-	for i, x := range da {
-		if math.Float32bits(x) != math.Float32bits(db[i]) {
-			return false
-		}
-		if x != x {
-			da[i], db[i] = 0, 0
-		}
-	}
-	return true
 }

@@ -315,8 +315,8 @@ func TestRemoteBackpressureWindow(t *testing.T) {
 // credits starves the server-side merge at the window — which the
 // session's AutoScaler reads as consumer stall and answers by shrinking
 // the pool. The stream the slow consumer eventually drains is still
-// byte-identical in count and carries the scale events in its trailing
-// stats frame.
+// byte-identical in count and carries the scale events in its eof
+// frame.
 func TestRemoteAutoscaleRespondsToCreditStarvation(t *testing.T) {
 	// A wide scan (hundreds of batches over many files), so the parked
 	// consumer provably leaves the merge starved mid-stream rather than

@@ -7,11 +7,11 @@
 // per session. A connection opens with a fixed magic + version, then a
 // JSON handshake frame carrying the dpp.Spec (transforms encoded by
 // name + parameters) and the client's receive window. After the server
-// acks, the session's unit stream flows server→client: per file, in
-// file-list order, the file's head when rows are carried into it, its
-// complete batches framed with the reader.Batch wire codec, each as the
-// server cuts it, and a closing record with the tail rows — followed by a
-// trailing dpp.SessionStats frame and an EOF frame; errors travel as error
+// acks, the session's unit stream flows server→client as piece frames:
+// per file, in file-list order, the file's head when rows are carried into
+// it, its complete batches in the reader.Batch wire codec, each as the
+// server cuts it, and a closing record with the tail rows — followed by an
+// eof frame carrying the session's dpp.SessionStats; errors travel as error
 // frames in either direction of the session's life.
 //
 // There is one stream kind. The server opens every session as a
@@ -23,7 +23,7 @@
 // credit and close.
 //
 // Backpressure is a credit window, not just TCP buffering: the server
-// may have at most `window` unacknowledged payload frames in flight and
+// may have at most `window` unacknowledged piece frames in flight and
 // blocks — without pulling further pieces from the underlying session,
 // so the session's own Buffer backpressure composes — until the client
 // returns credits as it consumes. Cancellation is prompt in both
@@ -33,13 +33,13 @@
 // hang.
 //
 // The remote session (Client.Open) satisfies dpp.Stream, and its batch
-// stream and deterministic stats — the server's trailer plus the client
+// stream and deterministic stats — the server's eof plus the client
 // cutter's work — are byte-identical to a local session with the same spec,
 // pinned under -race by TestRemoteSessionMatchesLocal. A unit stream serves
-// a file while it is computed: the file's batches travel as ordinary batch
-// frames, and file-unit frames carry the rows only the client can place —
-// the file's head, which names the carry it completes, and the tail that
-// closes it.
+// a file while it is computed: each batch leaves as a piece frame as it is
+// cut, and the rows only the client can place — the file's head, which
+// names the carry it completes, and the tail that closes it — travel in
+// the same frame under another kind byte.
 // A server additionally answers "statsz" handshakes with the service's
 // aggregate dpp.Stats (Client.ServiceStats), the wire form of /statsz,
 // and "tablez" handshakes with the served table's metadata (schema
@@ -47,15 +47,14 @@
 // wire (Client.Tablez).
 //
 // Sessions are resumable objects, not connection-scoped ones: a
-// resumable handshake returns an opaque token in ok, every batch and
-// file-unit frame is stamped with its stream index and a rolling XXH64
-// chain hash, and a reconnecting client presents (token, consumed
-// offset) to continue byte-where-it-left-off. The server parks the live
-// session state of a dropped resumable connection in a bounded,
-// TTL-evicted table; when the token has expired it replays the
-// deterministic stream to the offset instead (cheap against a warm
-// ScanCache). The chain hash makes a resumed stream *verified*
-// identical to the uninterrupted one, not just trusted.
+// resumable handshake returns an opaque token in ok, every piece frame is
+// stamped with its stream index and a rolling XXH64 chain hash, and a
+// reconnecting client presents (token, consumed offset) to continue
+// byte-where-it-left-off. The server parks the live session state of a
+// dropped resumable connection in a bounded, TTL-evicted table; when the
+// token has expired it replays the deterministic stream to the offset
+// instead (cheap against a warm ScanCache). The chain hash makes a resumed
+// stream *verified* identical to the uninterrupted one, not just trusted.
 package dppnet
 
 import (
@@ -76,7 +75,7 @@ import (
 // mixed-version pair never handshakes and then mis-decodes the stream.
 const (
 	protoMagic   = "DPPN"
-	protoVersion = 13
+	protoVersion = 14
 )
 
 // versionRefusal is what a client speaking version v is told. It is the
@@ -103,6 +102,8 @@ func versionRefusal(v byte) error {
 		retiredBy = "v12 serves every session as a unit stream cut by the client, and a file-unit head names the carry it completes"
 	case v == 12:
 		retiredBy = "v13 writes every integer block of a batch or chunk at the width its span needs, and a jagged tensor's offsets as row lengths"
+	case v == 13:
+		retiredBy = "v14 ships a unit stream's batches, heads and tails as one stamped piece frame, and the eof frame carries the session stats"
 	default:
 		return fmt.Errorf("dppnet: protocol v%d is newer than this server's v%d; upgrade the server", v, protoVersion)
 	}
@@ -123,27 +124,26 @@ const (
 	// frameOK acknowledges a successful session handshake; payload is the
 	// JSON okReply, empty when it has nothing to say.
 	frameOK = byte(0x10)
-	// frameBatch carries one reader.Batch in its Encode wire form.
-	frameBatch = byte(0x11)
-	// frameStats carries the session's final dpp.SessionStats
-	// (appendSessionStats: the reader, cache and scheduler counters as
-	// uvarints), sent after the last batch of a clean scan.
-	frameStats = byte(0x12)
-	// frameEOF marks a cleanly exhausted scan; empty payload.
+	// framePiece carries one piece of the unit stream — a batch, a file's
+	// head or its closing record — stamped with its stream index and the
+	// rolling chain hash (unitwire.go, sealFrame).
+	framePiece = byte(0x11)
+	// frameRetiredStats carried a session's stats ahead of the eof frame
+	// until v13; the eof frame carries them since. The number stays
+	// reserved, as frameExtend's does.
+	frameRetiredStats = byte(0x12) // retired
+	// frameEOF marks a cleanly exhausted scan; its payload is the
+	// session's final dpp.SessionStats (appendSessionStats: the reader,
+	// cache and scheduler counters as uvarints).
 	frameEOF = byte(0x13)
 	// frameError carries a UTF-8 error message and ends the stream.
 	frameError = byte(0x14)
 	// frameSvcStats answers a statsz handshake with JSON dpp.Stats.
 	frameSvcStats = byte(0x15)
-	// frameFileUnit carries rows of one file of a unit stream: subset
-	// index, flags, the carry of a head, schema, and the rows' columns
-	// (unitwire.go). A head, ahead of the file's batch frames, completes
-	// the rows the plan carries into the file and names how many those are;
-	// a closing record, after them, carries the file's tail. Servers stream
-	// file-aligned pieces instead of one batch stream so the client's cutter
-	// can join carry-crossing batches itself. The payload is prefixed with
-	// the stream's rolling chain hash (see sealFrame).
-	frameFileUnit = byte(0x16)
+	// frameRetiredUnit carried a unit stream's heads and closing records
+	// until v13, beside the batch frame; the piece frame carries both
+	// since. The number stays reserved.
+	frameRetiredUnit = byte(0x16) // retired
 	// frameTablez answers a tablez handshake with the JSON TableMeta of
 	// the served table: name, dense width, file plan per partition, and
 	// the derived spec — everything a trainer needs to start cold.
@@ -163,7 +163,7 @@ const (
 	// frameEndFollow (client→server, empty payload) ends a Follow
 	// session's tail: the server stops observing the catalog, drains the
 	// already-announced files, and finishes the stream with the usual
-	// stats + eof frames.
+	// eof frame.
 	frameEndFollow = byte(0x1a)
 )
 
@@ -186,8 +186,8 @@ type openRequest struct {
 	// "statsz" returns the service's aggregate stats and closes;
 	// "tablez" returns the served table's metadata and closes.
 	Kind string `json:"kind"`
-	// Window is the client's receive window in payload frames: batch and
-	// file-unit frames alike (session kind).
+	// Window is the client's receive window in piece frames (session
+	// kind).
 	Window int `json:"window,omitempty"`
 	// Spec is the wire form of the dpp.Spec to open (session kind).
 	Spec *wireSpec `json:"spec,omitempty"`
@@ -201,8 +201,8 @@ type openRequest struct {
 	// park this session's live state if the connection drops without a
 	// close frame.
 	Resumable bool `json:"resumable,omitempty"`
-	// Offset is the number of payload frames (batches and file-unit
-	// frames) the client has already consumed: the server starts
+	// Offset is the number of piece frames the client has already
+	// consumed: the server starts
 	// the stream at this index, either by continuing parked state (Token
 	// set) or by replaying the deterministic prefix.
 	Offset int64 `json:"offset,omitempty"`
@@ -349,10 +349,10 @@ func readFrameInto(r tensor.ByteReader, limit uint64, buf *[]byte) (byte, []byte
 // frame, rejected before it can reach capacity planning downstream.
 const maxWireWorkers = 1 << 20
 
-// statsMagic opens a stats frame's payload.
+// statsMagic opens an eof frame's payload.
 const statsMagic = "RSTS"
 
-// statsFields enumerates every counter of a stats frame in wire order: the
+// statsFields enumerates every counter of an eof frame in wire order: the
 // reader's three stage times (nanoseconds) and six work counters, the
 // scan-cache counters, then the scheduler block (pool size, resize counts,
 // and the two starvation stalls in nanoseconds) — the credit-window
@@ -372,7 +372,7 @@ func statsFields(st *dpp.SessionStats, workers *int64) [16]*int64 {
 }
 
 // appendSessionStats appends a session's final accounting, the payload of
-// its stats frame, to dst.
+// its eof frame, to dst.
 func appendSessionStats(dst []byte, st dpp.SessionStats) []byte {
 	workers := int64(st.Scheduler.Workers)
 	dst = append(dst, statsMagic...)
@@ -414,16 +414,16 @@ func decodeSessionStats(payload []byte) (dpp.SessionStats, error) {
 	return st, nil
 }
 
-// frameReserve is the room a stream frame's buffer keeps in front of its
+// frameReserve is the room a piece frame's buffer keeps in front of its
 // content for what can only be written once the content is: the type
 // byte, the uvarint payload length, the uvarint stream index and the
 // 8-byte chain hash.
 const frameReserve = 1 + 2*binary.MaxVarintLen64 + 8
 
-// frame is one batch or file-unit frame, built in place in a recyclable
-// buffer: the content is encoded at buf[frameReserve:], then seal writes
-// the header right-aligned against it, so the frame is one slice and goes
-// out in one Write with no copy of the content.
+// frame is one piece frame, built in place in a recyclable buffer: the
+// content is encoded at buf[frameReserve:], then sealFrame writes the
+// header right-aligned against it, so the frame is one slice and goes out
+// in one Write with no copy of the content.
 type frame struct {
 	buf []byte
 	// buf[head:] is the frame, buf[body:] its payload (stamp | content).
@@ -433,56 +433,29 @@ type frame struct {
 // wire is the frame as written: type | uvarint len | payload.
 func (f frame) wire() []byte { return f.buf[f.head:] }
 
-// typ is the frame's type byte.
-func (f frame) typ() byte { return f.buf[f.head] }
+// kind is the piece kind, the content's first byte.
+func (f frame) kind() byte { return f.buf[frameReserve] }
 
 // payloadLen is what the transport accounting counts per frame.
 func (f frame) payloadLen() int { return len(f.buf) - f.body }
 
-// seal stamps the content at buf[frameReserve:] as frame typ. A batch
-// frame's payload is uvarint(index) | 8-byte big-endian chain | batch
-// bytes, chain being the rolling hash *after* folding this batch; a
-// file-unit payload leads with its own index, so its stamp is the chain
-// alone (index < 0).
-func sealFrame(buf []byte, typ byte, index int64, chain uint64) frame {
+// sealFrame stamps the content at buf[frameReserve:] as a piece frame:
+// its payload is uvarint(index) | 8-byte big-endian chain | content, chain
+// being the rolling hash *after* folding the content.
+func sealFrame(buf []byte, index int64, chain uint64) frame {
 	var tmp [binary.MaxVarintLen64]byte
 	at := frameReserve - 8
 	binary.BigEndian.PutUint64(buf[at:], chain)
-	if index >= 0 {
-		n := binary.PutUvarint(tmp[:], uint64(index))
-		at -= n
-		copy(buf[at:], tmp[:n])
-	}
-	f := frame{buf: buf, body: at}
-	n := binary.PutUvarint(tmp[:], uint64(f.payloadLen()))
+	n := binary.PutUvarint(tmp[:], uint64(index))
 	at -= n
 	copy(buf[at:], tmp[:n])
-	buf[at-1] = typ
+	f := frame{buf: buf, body: at}
+	n = binary.PutUvarint(tmp[:], uint64(f.payloadLen()))
+	at -= n
+	copy(buf[at:], tmp[:n])
+	buf[at-1] = framePiece
 	f.head = at - 1
 	return f
-}
-
-// decodeBatchFrame splits a stamped batch frame into index, chain, and
-// the batch wire bytes, bounding the index like the handshake offset.
-func decodeBatchFrame(payload []byte) (int64, uint64, []byte, error) {
-	idx, n := binary.Uvarint(payload)
-	if n <= 0 || idx > uint64(maxResumeOffset) {
-		return 0, 0, nil, fmt.Errorf("dppnet: corrupt batch frame index")
-	}
-	if len(payload) < n+8 {
-		return 0, 0, nil, fmt.Errorf("dppnet: batch frame truncated before chain hash")
-	}
-	chain := binary.BigEndian.Uint64(payload[n : n+8])
-	return int64(idx), chain, payload[n+8:], nil
-}
-
-// decodeUnitFrame splits a stamped file-unit frame into chain and the
-// appendFileUnit payload.
-func decodeUnitFrame(payload []byte) (uint64, []byte, error) {
-	if len(payload) < 8 {
-		return 0, nil, fmt.Errorf("dppnet: file-unit frame truncated before chain hash")
-	}
-	return binary.BigEndian.Uint64(payload[:8]), payload[8:], nil
 }
 
 // decodeServiceStats parses a svcstats frame (the JSON dpp.Stats answer

@@ -91,28 +91,6 @@ func payloadFrames(data []byte, typ byte) [][]byte {
 	}
 }
 
-// typedFrame is one frame of a walked stream.
-type typedFrame struct {
-	typ     byte
-	payload []byte
-}
-
-// unitFrames returns, in order, the payload frames of a unit stream — its
-// batch frames and file-unit frames — up to the first unreadable frame.
-func unitFrames(data []byte) []typedFrame {
-	br := bufio.NewReader(bytes.NewReader(data))
-	var out []typedFrame
-	for {
-		t, p, err := readFrame(br, maxFrameBytes)
-		if err != nil {
-			return out
-		}
-		if t == frameBatch || t == frameFileUnit {
-			out = append(out, typedFrame{t, p})
-		}
-	}
-}
-
 // controlFrame is one frame of the given type, as writeFrame makes it.
 func controlFrame(typ byte, payload string) []byte {
 	var buf bytes.Buffer
@@ -148,35 +126,26 @@ func runReceive(t *testing.T, data []byte, spec dpp.Spec) (items []remoteMsg, en
 }
 
 // forgedUnitStreams are unit streams no recording has, built with the
-// test's own encoders from a recorded one: a file closed with no batch frame
+// test's own encoders from a recorded one: a file closed with no batch
 // before it (a file shorter than a batch: legal, and delivered), a closing
-// record whose index skips a file (refused), and a batch frame behind the
-// eof frame (never read).
+// record stamped with an index that skips a frame (refused), and a batch
+// frame behind the eof frame (never read).
 func forgedUnitStreams(t testing.TB, real []byte, spec dpp.Spec) (bare, skips, late []byte) {
 	t.Helper()
-	frames := unitFrames(real)
-	_, body, err := decodeUnitFrame(frames[len(frames)-1].payload)
-	if err != nil {
-		t.Fatal(err)
+	frames := payloadFrames(real, framePiece)
+	_, _, content, _ := unstamp(frames[len(frames)-1])
+	eof := payloadFrames(real, frameEOF)
+	if content[0] != pieceTail || len(eof) != 1 {
+		t.Fatalf("recorded stream does not end on a closing record and one eof frame")
 	}
-	closing, err := decodeFileUnit(body, spec.ConsumedFeatures(), spec.BatchSize, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream := func(index int) []byte {
-		closing.Index = index
-		unit := appendFileUnit(nil, closing)
-		chain, err := chainUnit(chainSeed, unit)
-		if err != nil {
-			t.Fatal(err)
-		}
+	stream := func(index int64) []byte {
 		var buf bytes.Buffer
-		writeFrame(&buf, frameFileUnit, encodeUnitFrame(chain, unit))
-		writeFrame(&buf, frameEOF, nil)
+		writeFrame(&buf, framePiece, stampPiece(index, chainStep(chainSeed, content), content))
+		writeFrame(&buf, frameEOF, eof[0])
 		return buf.Bytes()
 	}
 	var batch bytes.Buffer
-	writeFrame(&batch, frameBatch, frames[0].payload)
+	writeFrame(&batch, framePiece, frames[0])
 	return stream(0), stream(1), slices.Concat(real, batch.Bytes())
 }
 
@@ -206,7 +175,7 @@ func FuzzClientReceive(f *testing.F) {
 		sp := dpp.Spec{Spec: rs, Files: files}
 		real := recordStream(f, h.addr, sp)
 		frames := splitFrames(f, real)
-		if len(frames) < 4 { // two payload frames, stats, eof
+		if len(frames) < 3 { // two piece frames, eof
 			f.Fatalf("recorded stream has only %d frames", len(frames))
 		}
 		f.Add(real)
@@ -233,54 +202,41 @@ func FuzzClientReceive(f *testing.F) {
 	h.shutdown(f)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// The stream's pieces are its payload frames of both types, one
-		// index sequence over them all; a batch belongs to the file the next
-		// closing record names, a file carried into opens with a head
-		// completing exactly the rows carried, and closing records count the
-		// files up.
+		// The stream's pieces are its piece frames, one index sequence over
+		// them all; a file carried into opens with a head completing exactly
+		// the rows carried, and closing records count the files up.
 		pieces, _, _ := runReceive(t, data, spec)
-		frames, file, began, owed := unitFrames(data), 0, false, 0
+		frames, file, began, owed := payloadFrames(data, framePiece), 0, false, 0
 		chain := chainSeed
 		for i, m := range pieces {
 			if i >= len(frames) {
-				t.Fatalf("delivered %d pieces from %d payload frames", len(pieces), len(frames))
+				t.Fatalf("delivered %d pieces from %d piece frames", len(pieces), len(frames))
 			}
-			var stamp uint64
 			var err error
-			rows := frames[i].typ == frameFileUnit
-			head, carry := false, 0
-			if rows {
-				var body []byte
-				if stamp, body, err = decodeUnitFrame(frames[i].payload); err == nil {
-					chain, err = chainUnit(chain, body)
-				}
-				if idx, n := binary.Uvarint(body); err == nil && idx != uint64(file) {
-					err = fmt.Errorf("file-unit frame of file %d", idx)
-				} else if err == nil {
-					head = body[n]&unitHead != 0
-					if head {
-						c, _ := binary.Uvarint(body[n+1:])
-						carry = int(c)
-					}
-				}
-			} else {
-				var idx int64
-				var body []byte
-				idx, stamp, body, err = decodeBatchFrame(frames[i].payload)
-				chain = chainStep(chain, body)
-				if err == nil && idx != int64(i) {
-					err = fmt.Errorf("batch frame index %d", idx)
+			idx, stamp, content, ok := unstamp(frames[i])
+			if !ok || len(content) == 0 {
+				err = fmt.Errorf("piece frame %d has no stamp or kind", i)
+			} else if idx != int64(i) {
+				err = fmt.Errorf("piece frame index %d", idx)
+			}
+			chain = chainStep(chain, content)
+			kind, carry := byte(0xff), 0
+			if err == nil {
+				kind = content[0]
+				if kind == pieceHead {
+					c, _ := binary.Uvarint(content[1:])
+					carry = int(c)
 				}
 			}
-			closes := rows && !head
+			head, closes := kind == pieceHead, kind == pieceTail
 			if err == nil && !began && (head != (owed > 0) || carry != owed) {
 				err = fmt.Errorf("file %d opened with head %v completing %d rows; %d are carried", file, head, carry, owed)
 			}
 			if err != nil || stamp != chain || m.at.chain != chain || file >= len(files) ||
 				m.item.Index != file || m.item.File != files[file] || closes != (m.item.Tail != nil) ||
-				head != (m.item.Head != nil) || rows == (m.item.Batch != nil) || m.item.Carry != carry {
-				t.Fatalf("delivered piece %d of file %d unverified: frame %#x (%v), stamp %#x, chain %#x, reported %#x as file %d %q",
-					i, file, frames[i].typ, err, stamp, chain, m.at.chain, m.item.Index, m.item.File)
+				head != (m.item.Head != nil) || (kind == pieceBatch) != (m.item.Batch != nil) || m.item.Carry != carry {
+				t.Fatalf("delivered piece %d of file %d unverified: kind %d (%v), stamp %#x, chain %#x, reported %#x as file %d %q",
+					i, file, kind, err, stamp, chain, m.at.chain, m.item.Index, m.item.File)
 			}
 			switch {
 			case head:
@@ -302,8 +258,8 @@ func FuzzClientReceive(f *testing.F) {
 // every piece and ends in io.EOF; each corruption the seed corpus carries
 // ends it early with an error; and the control frames follow the protocol's
 // table: an empty drain is recorded and the stream runs on to its end, a
-// drain with a payload and the retired extend frame (0x19) are protocol
-// errors that name what arrived.
+// drain with a payload and the retired frames (0x12, 0x16, 0x19) are
+// protocol errors that name what arrived.
 func TestClientReceiveRecordedStreams(t *testing.T) {
 	env := newTestEnv(t, 60)
 	h := startServer(t, env, dpp.Config{})
@@ -339,8 +295,10 @@ func TestClientReceiveRecordedStreams(t *testing.T) {
 			"drain":                          {after(frameDrain, ""), total, "EOF", true},
 			"drain with payload":             {after(frameDrain, `{"token":"t","offset":1}`), 1, "drain frame with a 24-byte payload", false},
 			"retired extend":                 {after(0x19, `{"files":["landed"]}`), 1, "unexpected frame 0x19", false},
+			"retired stats":                  {after(0x12, ""), 1, "unexpected frame 0x12", false},
+			"retired file-unit":              {after(0x16, ""), 1, "unexpected frame 0x16", false},
 			"closing record with no batches": {bare, 1, "EOF", false},
-			"closing record index skips":     {skips, 0, "file unit 1 out of order", false},
+			"closing record index skips":     {skips, 0, "piece frame index 1, want 0", false},
 			"batch frame after eof":          {late, total, "EOF", false},
 		} {
 			n, end, drained := count(tc.data)

@@ -28,13 +28,9 @@ const (
 const resumeParkWait = 2 * time.Second
 
 // unitWire streams a unit session piece by piece, each piece a complete
-// frame — type, length, stream index and rolling chain hash already stamped —
-// so the serving loop and the resume table's retained-frame buffer handle
-// frames alone: a file's batches as batch frames, indexed in the one
-// sequence every payload frame of the stream shares, and its head and
-// closing record as file-unit frames, chain | appendFileUnit payload. The
-// chain skips that payload's cache-hit bit (chainUnit), so a replayed file
-// hashes identically whether it was a hit or a re-decode.
+// piece frame — type, length, stream index and rolling chain hash already
+// stamped — so the serving loop and the resume table's retained-frame
+// buffer handle frames alone.
 //
 // A frame's buffer belongs to whoever holds the frame until it goes back
 // through recycle: the loop returns it once the frame can no longer be
@@ -70,21 +66,11 @@ func (u *unitWire) next(ctx context.Context) (frame, error) {
 	if err != nil {
 		return frame{}, err
 	}
-	if p.Batch != nil {
-		buf := p.Batch.AppendTo(u.buffer())
-		u.chain = chainStep(u.chain, buf[frameReserve:])
-		fr := sealFrame(buf, frameBatch, u.idx, u.chain)
-		u.idx++
-		return fr, nil
-	}
-	buf := appendFileUnit(u.buffer(), p)
-	chain, err := chainUnit(u.chain, buf[frameReserve:])
-	if err != nil {
-		return frame{}, err
-	}
-	u.chain = chain
+	buf := appendPiece(u.buffer(), p)
+	u.chain = chainStep(u.chain, buf[frameReserve:])
+	fr := sealFrame(buf, u.idx, u.chain)
 	u.idx++
-	return sealFrame(buf, frameFileUnit, -1, chain), nil
+	return fr, nil
 }
 
 // session is the server's half of one wire session: the live stream (its

@@ -235,9 +235,7 @@ func consumeRemote(t *testing.T, rs *RemoteSession, k int) [][]byte {
 }
 
 // drainRemoteUnits pulls a remote unit session dry, returning each piece
-// in its wire encoding — a batch's, or a closing record's with the
-// cache-hit flag normalized (Hit is cache-state-dependent and excluded from
-// the determinism contract, exactly as the chain hash skips it) — and how
+// in its wire encoding (appendPiece: kind, a head's carry, body) — and how
 // many times the stream resumed over a new connection from inside a file:
 // some of its pieces consumed, its closing record not.
 func drainRemoteUnits(t *testing.T, rus *RemoteUnitSession) (enc [][]byte, midFile int) {
@@ -257,17 +255,7 @@ func drainRemoteUnits(t *testing.T, rus *RemoteUnitSession) (enc [][]byte, midFi
 			t.Fatal(err)
 		}
 		inFile = p.Tail == nil
-		var buf bytes.Buffer
-		if p.Batch != nil {
-			err = p.Batch.Encode(&buf)
-		} else {
-			p.Hit = false
-			err = encodeFileUnit(&buf, p)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		enc = append(enc, buf.Bytes())
+		enc = append(enc, appendPiece(nil, p))
 	}
 }
 
@@ -279,7 +267,7 @@ func drainRemoteUnits(t *testing.T, rus *RemoteUnitSession) (enc [][]byte, midFi
 // every resumed frame verified against the rolling chain hash. A unit
 // stream is held to the same on both continuations — by token, and, against
 // a server that parks nothing, by offset replay — with cuts that land inside
-// a file: some of its batch frames consumed, its closing record not. Each
+// a file: some of its batch pieces consumed, its closing record not. Each
 // seeded schedule runs against a fresh server and must tear down with
 // zero goroutine residue.
 func TestChaosReconnectDeterminism(t *testing.T) {
@@ -386,9 +374,9 @@ func TestChaosReconnectDeterminism(t *testing.T) {
 }
 
 // TestChaosReconnectUnitSession: the same severed-connection contract
-// for file-unit streams (the fleet shard transport) — seeded kills, a
-// token resume, chain-hash-verified continuation, and a unit stream
-// identical to an uninterrupted session's modulo the cache-hit flag.
+// for unit streams (the fleet shard transport) — seeded kills, a token
+// resume, chain-hash-verified continuation, and a unit stream identical
+// to an uninterrupted session's.
 func TestChaosReconnectUnitSession(t *testing.T) {
 	env := newTestEnv(t, 160)
 	files, err := env.catalog.AllFiles("tbl")
@@ -525,7 +513,7 @@ func openResumable(t *testing.T, c *Client, spec dpp.Spec, consume int) (net.Con
 		t.Fatal("resumable handshake returned no token")
 	}
 	for i := 0; i < consume; i++ {
-		if typ, _, err := readFrame(br, maxFrameBytes); err != nil || typ != frameBatch {
+		if typ, _, err := readFrame(br, maxFrameBytes); err != nil || typ != framePiece {
 			t.Fatalf("frame %d of the resumable session = type %#x, %v", i, typ, err)
 		}
 	}
@@ -781,15 +769,15 @@ func TestTablezServedAndUnserved(t *testing.T) {
 }
 
 // TestStreamHashMismatchFails is the hash contract's pin (referenced by
-// docs/ARCHITECTURE.md): a batch frame whose stamped chain hash does not
+// docs/ARCHITECTURE.md): a piece frame whose stamped chain hash does not
 // match the client's locally recomputed one must fail the stream loudly
 // — a spliced or corrupted resume can never be consumed silently.
 func TestStreamHashMismatchFails(t *testing.T) {
 	before := runtime.NumGoroutine()
-	body := []byte("not a real batch; the hash check runs before decode")
+	body := append([]byte{pieceBatch}, "not a real batch; the hash check runs before decode"...)
 	addr, done := fakeServer(t, func(conn net.Conn) {
 		bad := chainStep(chainSeed, body) ^ 1
-		writeFrame(conn, frameBatch, encodeBatchFrame(0, bad, body))
+		writeFrame(conn, framePiece, stampPiece(0, bad, body))
 	})
 	rs, err := NewClient(addr).Open(context.Background(), dpp.Spec{Spec: alignedSpec()})
 	if err != nil {

@@ -122,9 +122,10 @@ type SessionEvent struct {
 	Table string `json:"table,omitempty"`
 	// ShareScans marks a session that opted into the ScanCache.
 	ShareScans bool `json:"share_scans,omitempty"`
-	// Batches counts batch frames shipped, Units file-unit frames (a
-	// file's head and its closing record), and Bytes the payload bytes of
-	// both; set on close events. Offset counts both kinds of frame.
+	// Batches counts the batch pieces shipped, Units the head and closing
+	// pieces (a file's head and its closing record), and Bytes the payload
+	// bytes of all of them; set on close events. Offset counts piece frames
+	// of every kind.
 	Batches int64 `json:"batches,omitempty"`
 	Units   int64 `json:"units,omitempty"`
 	Bytes   int64 `json:"bytes,omitempty"`
@@ -150,9 +151,10 @@ type ServerStats struct {
 	ConnsAccepted, ConnsActive int64
 	// SessionsServed counts admitted wire sessions.
 	SessionsServed int64
-	// BatchesSent counts batch frames shipped; UnitsSent counts file-unit
-	// frames: one per file a stream finished serving, and one more per file
-	// it carried rows into. BytesSent totals the payload bytes of both.
+	// BatchesSent counts the batch pieces shipped; UnitsSent counts the head
+	// and closing pieces: one per file a stream finished serving, and one
+	// more per file it carried rows into. BytesSent totals the payload bytes
+	// of every piece frame.
 	BatchesSent, UnitsSent, BytesSent int64
 	// CreditStalls counts credit-window exhaustion episodes — the serving
 	// loop wanted to send but the consumer owed credits — and
@@ -494,12 +496,12 @@ func (s *Server) serveStream(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, 
 		ShareScans: spec.ShareScans, Resumed: claimed || req.Offset > 0, Offset: req.Offset, Tenant: tenant}
 	s.event(ev)
 	count := func(fr frame) {
-		if fr.typ() == frameFileUnit {
-			s.unitsSent.Inc()
-			ev.Units++
-		} else {
+		if fr.kind() == pieceBatch {
 			s.batchesSent.Inc()
 			ev.Batches++
+		} else {
+			s.unitsSent.Inc()
+			ev.Units++
 		}
 		n := int64(fr.payloadLen())
 		s.bytesSent.Add(n)
@@ -761,8 +763,8 @@ func (s *Server) serve(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, ss *se
 
 		fr, err := ss.stream.next(connCtx)
 		if err == io.EOF {
-			delivered := writeFrame(bw, frameStats, appendSessionStats(nil, ss.stream.us.Stats())) == nil &&
-				writeFrame(bw, frameEOF, nil) == nil && bw.Flush() == nil
+			delivered := writeFrame(bw, frameEOF, appendSessionStats(nil, ss.stream.us.Stats())) == nil &&
+				bw.Flush() == nil
 			// Written is not received: the last window of frames can still
 			// die with the connection, and a resumable client would come
 			// back for them. So the handler stays until the client has

@@ -3,6 +3,7 @@ package dppnet
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -16,7 +17,7 @@ import (
 	"repro/internal/reader"
 )
 
-// cursor is where a unit stream stands: the payload frames before it, the
+// cursor is where a unit stream stands: the piece frames before it, the
 // rolling hash after the last of them, the files closed so far, whether the
 // next one has begun, and the rows of the straddling batch. Between files,
 // owed is the carry the next file is entered with — its head's — or -1
@@ -116,8 +117,8 @@ type RemoteUnitSession struct {
 // so a client naming them must own the list. The server plans the whole
 // list, so each served file is cut for the rows every file before it
 // carries in, served here or not, and a carried-into file's head says how
-// many those are. The credit window counts payload frames in flight —
-// heads, batch frames and closing records alike — and is spec.Window(), the
+// many those are. The credit window counts piece frames in flight —
+// heads, batches and closing records alike — and is spec.Window(), the
 // bound a local session's output buffer has. Resume, under the client's
 // policy, counts the same frames and verifies the continued stream with the
 // chain hash.
@@ -172,85 +173,81 @@ func (st *RemoteUnitSession) owedAt(i, carry int) int {
 	return -1
 }
 
-// decode verifies one payload frame of the stream at cursor at and decodes
-// the piece it carries. Everything the stream's state refuses is refused
-// before anything is sized: a frame past the last file, a head inside a file
-// that has begun or completing another carry than the stream holds, a batch
-// frame or closing record where the stream owes a head, a frame whose index
-// or stamped chain is not the stream's. Then the piece is decoded.
-func (st *RemoteUnitSession) decode(typ byte, payload []byte, at cursor) (dpp.UnitPiece, cursor, error) {
+// decode verifies one piece frame of the stream at cursor at and decodes
+// the piece it carries. What the frame says ahead of its body is held to
+// the stream before anything is sized: its index must be the next one, its
+// kind known, a head's carry 1 to the batch size less one, its stamped chain
+// the stream's; and the stream's state refuses a frame past the last file,
+// a head inside a file that has begun or completing another carry than the
+// stream holds, and a batch or closing record where the stream owes a head.
+// Then the body is decoded by kind, and bytes after it are refused.
+func (st *RemoteUnitSession) decode(payload []byte, at cursor) (dpp.UnitPiece, cursor, error) {
 	p := dpp.UnitPiece{Index: at.files}
+	idx, n := binary.Uvarint(payload)
+	if n <= 0 || idx != uint64(at.frames) {
+		return p, at, fmt.Errorf("dppnet: piece frame index %d, want %d", idx, at.frames)
+	}
+	if len(payload) < n+9 {
+		return p, at, fmt.Errorf("dppnet: piece frame %d truncated before its kind", idx)
+	}
+	stamp, hashed := binary.BigEndian.Uint64(payload[n:]), payload[n+8:]
+	kind, body := hashed[0], hashed[1:]
+	carry := 0
+	switch kind {
+	case pieceBatch, pieceTail:
+	case pieceHead:
+		c, m := binary.Uvarint(body)
+		if m <= 0 || c == 0 || c >= uint64(st.batch) {
+			return p, at, fmt.Errorf("dppnet: a head of file %d completing %d rows of a %d-row batch", at.files, c, st.batch)
+		}
+		carry, body = int(c), body[m:]
+	default:
+		return p, at, fmt.Errorf("dppnet: unknown piece kind %d", kind)
+	}
 	if st.files != nil {
 		if at.files >= len(st.files) {
-			return p, at, fmt.Errorf("dppnet: frame %#x after the last of %d files", typ, len(st.files))
+			return p, at, fmt.Errorf("dppnet: piece frame after the last of %d files", len(st.files))
 		}
 		p.File = st.files[at.files]
 	}
-	// begin holds a frame entering a file carried carry rows to the rows owed.
-	begin := func(carry int) error {
-		switch {
-		case at.inFile && carry > 0:
-			return fmt.Errorf("dppnet: head of file %d after the file began", at.files)
-		case at.inFile:
-		case carry == 0 && at.owed > 0:
-			return fmt.Errorf("dppnet: frame %#x where file %d owes a head completing %d rows", typ, at.files, at.owed)
-		case carry > 0 && at.owed >= 0 && carry != at.owed:
-			return fmt.Errorf("dppnet: head of file %d completes %d carried rows, the stream carries %d", at.files, carry, at.owed)
-		default:
-			at.inFile, at.owed = true, carry
-		}
-		return nil
-	}
-	switch typ {
-	case frameBatch:
-		if err := begin(0); err != nil {
-			return p, at, err
-		}
-		idx, fchain, body, err := decodeBatchFrame(payload)
-		if err != nil {
-			return p, at, fmt.Errorf("dppnet: corrupt batch frame: %w", err)
-		}
-		if idx != at.frames {
-			return p, at, fmt.Errorf("dppnet: batch index %d, want %d", idx, at.frames)
-		}
-		if at.chain = chainStep(at.chain, body); at.chain != fchain {
-			return p, at, fmt.Errorf("dppnet: stream hash mismatch at batch %d", idx)
-		}
-		if p.Batch, _, err = reader.DecodeBatchFrom(body); err != nil {
-			return p, at, fmt.Errorf("dppnet: corrupt batch frame: %w", err)
-		}
-	case frameFileUnit:
-		fchain, body, err := decodeUnitFrame(payload)
-		if err != nil {
-			return p, at, fmt.Errorf("dppnet: corrupt file-unit frame: %w", err)
-		}
-		unit, err := decodeFileUnit(body, st.consumed, st.batch, func(index, carry int) error {
-			if index != at.files {
-				return fmt.Errorf("dppnet: file unit %d out of order (want %d)", index, at.files)
-			}
-			err := begin(carry)
-			if err == nil {
-				at.chain, err = chainUnit(at.chain, body)
-			}
-			if err == nil && at.chain != fchain {
-				err = fmt.Errorf("dppnet: stream hash mismatch at file unit %d", at.files)
-			}
-			return err
-		})
-		if err != nil {
-			return p, at, err
-		}
-		unit.File = p.File
-		p = unit
-		at.owed = (at.owed + p.Rows().Rows()) % st.batch
-		if p.Tail != nil {
-			at.files, at.inFile = at.files+1, false
-			at.owed = st.owedAt(at.files, at.owed)
-		}
+	switch {
+	case at.inFile && carry > 0:
+		return p, at, fmt.Errorf("dppnet: head of file %d after the file began", at.files)
+	case at.inFile:
+	case carry == 0 && at.owed > 0:
+		return p, at, fmt.Errorf("dppnet: piece kind %d where file %d owes a head completing %d rows", kind, at.files, at.owed)
+	case carry > 0 && at.owed >= 0 && carry != at.owed:
+		return p, at, fmt.Errorf("dppnet: head of file %d completes %d carried rows, the stream carries %d", at.files, carry, at.owed)
 	default:
-		return p, at, fmt.Errorf("dppnet: unexpected frame %#x", typ)
+		at.inFile, at.owed = true, carry
+	}
+	if at.chain = chainStep(at.chain, hashed); at.chain != stamp {
+		return p, at, fmt.Errorf("dppnet: stream hash mismatch at piece frame %d", idx)
 	}
 	at.frames++
+	if kind == pieceBatch {
+		var rest []byte
+		var err error
+		if p.Batch, rest, err = reader.DecodeBatchFrom(body); err == nil && len(rest) != 0 {
+			err = fmt.Errorf("%d trailing bytes after the batch", len(rest))
+		}
+		if err != nil {
+			return p, at, fmt.Errorf("dppnet: corrupt batch piece: %w", err)
+		}
+		return p, at, nil
+	}
+	rows, err := decodeRows(body, st.consumed)
+	if err != nil {
+		return p, at, err
+	}
+	at.owed = (at.owed + rows.Rows()) % st.batch
+	if kind == pieceHead {
+		p.Head, p.Carry = rows, carry
+		return p, at, nil
+	}
+	p.Tail = rows
+	at.files, at.inFile = at.files+1, false
+	at.owed = st.owedAt(at.files, at.owed)
 	return p, at, nil
 }
 
@@ -299,7 +296,7 @@ func (st *RemoteUnitSession) connect(ctx context.Context, token string) error {
 // receive owns one connection's read half: it decodes frames into the
 // bounded recv channel (never blocking the socket beyond the credit
 // window, which caps in-flight pieces below the channel's capacity) and
-// terminates with exactly one terminal message. Every payload frame goes
+// terminates with exactly one terminal message. Every piece frame goes
 // through decode, which must find the next expected index and a stamped
 // chain equal to the locally recomputed one — so a buggy or hostile resume
 // can never splice a divergent, misordered or aliased stream in silently.
@@ -330,9 +327,9 @@ func (st *RemoteUnitSession) receive(br *bufio.Reader, recv chan remoteMsg, stop
 			return
 		}
 		switch typ {
-		case frameBatch, frameFileUnit:
+		case framePiece:
 			var p dpp.UnitPiece
-			if p, at, err = st.decode(typ, payload, at); err != nil {
+			if p, at, err = st.decode(payload, at); err != nil {
 				terminal(err)
 				return
 			}
@@ -341,18 +338,14 @@ func (st *RemoteUnitSession) receive(br *bufio.Reader, recv chan remoteMsg, stop
 			case <-st.done:
 				return
 			}
-		case frameStats:
+		case frameEOF:
 			stats, err := decodeSessionStats(payload)
 			if err != nil {
-				terminal(fmt.Errorf("dppnet: corrupt stats frame: %w", err))
+				terminal(fmt.Errorf("dppnet: corrupt eof frame: %w", err))
 				return
 			}
 			st.mu.Lock()
-			st.stats = stats
-			st.mu.Unlock()
-		case frameEOF:
-			st.mu.Lock()
-			st.gotEOF = true
+			st.stats, st.gotEOF = stats, true
 			st.mu.Unlock()
 			terminal(io.EOF)
 			return
@@ -534,9 +527,8 @@ func (st *RemoteUnitSession) Drained() bool { return st.drained.Load() }
 func (st *RemoteUnitSession) Reconnects() int64 { return st.reconnects.Load() }
 
 // Stats returns the session's final accounting as reported by the server
-// in the trailing stats frame. It is available once the stream has
-// returned io.EOF; before that (or after a failure that lost the frame) it
-// returns false.
+// in the eof frame. It reports ok exactly when that frame arrived: once the
+// stream has returned io.EOF, and never before or after a failure.
 func (st *RemoteUnitSession) Stats() (dpp.SessionStats, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()

@@ -142,18 +142,19 @@ func TestWrongVersionPeerIsTold(t *testing.T) {
 	// before the current: a bump that forgets to register it fails here.
 	const (
 		toldV6  = "protocol v6 retired: v7 changed the stream hash; rebuild the client"
-		toldV7  = "protocol v7 retired: v8 retired the extend frame, emptied the drain frame and ships the file-unit tail as columns; rebuild the client for v13"
-		toldV8  = "protocol v8 retired: v9 ships a unit stream's batches as batch frames ahead of the file-unit frame, which now only closes the file; rebuild the client for v13"
-		toldV9  = "protocol v9 retired: v10 opens a unit stream on the global file list and the indices it serves, names their carries in ok, and ships a carried-into file's head in a file-unit frame; rebuild the client for v13"
-		toldV10 = "protocol v10 retired: v11 ships a file unit's rows without their row keys; rebuild the client for v13"
-		toldV11 = "protocol v11 retired: v12 serves every session as a unit stream cut by the client, and a file-unit head names the carry it completes; rebuild the client for v13"
-		toldV12 = "protocol v12 retired: v13 writes every integer block of a batch or chunk at the width its span needs, and a jagged tensor's offsets as row lengths; rebuild the client for v13"
+		toldV7  = "protocol v7 retired: v8 retired the extend frame, emptied the drain frame and ships the file-unit tail as columns; rebuild the client for v14"
+		toldV8  = "protocol v8 retired: v9 ships a unit stream's batches as batch frames ahead of the file-unit frame, which now only closes the file; rebuild the client for v14"
+		toldV9  = "protocol v9 retired: v10 opens a unit stream on the global file list and the indices it serves, names their carries in ok, and ships a carried-into file's head in a file-unit frame; rebuild the client for v14"
+		toldV10 = "protocol v10 retired: v11 ships a file unit's rows without their row keys; rebuild the client for v14"
+		toldV11 = "protocol v11 retired: v12 serves every session as a unit stream cut by the client, and a file-unit head names the carry it completes; rebuild the client for v14"
+		toldV12 = "protocol v12 retired: v13 writes every integer block of a batch or chunk at the width its span needs, and a jagged tensor's offsets as row lengths; rebuild the client for v14"
+		toldV13 = "protocol v13 retired: v14 ships a unit stream's batches, heads and tails as one stamped piece frame, and the eof frame carries the session stats; rebuild the client for v14"
 	)
-	if protoVersion != 13 {
+	if protoVersion != 14 {
 		t.Fatalf("protocol v%d: register v%d in versionRefusal and retire it here", protoVersion, protoVersion-1)
 	}
 
-	for v, told := range map[byte]string{6: toldV6, 7: toldV7, 8: toldV8, 9: toldV9, 10: toldV10, 11: toldV11, 12: toldV12} {
+	for v, told := range map[byte]string{6: toldV6, 7: toldV7, 8: toldV8, 9: toldV9, 10: toldV10, 11: toldV11, 12: toldV12, 13: toldV13} {
 		t.Run(fmt.Sprintf("raw v%d preamble", v), func(t *testing.T) {
 			conn := rawDial(t, h.addr)
 			defer conn.Close()

@@ -165,7 +165,7 @@ type shardState struct {
 	served  int // files delivered into the merge, to their closing record
 	failed  bool
 	drained bool             // the shard drained; its remainder was handed off
-	stats   dpp.SessionStats // the shard's trailing stats frame
+	stats   dpp.SessionStats // the shard's eof frame's stats
 	statsOK bool
 }
 
@@ -199,7 +199,7 @@ type Session struct {
 	mux *reader.Reader
 	// pumps tracks only the shard pump goroutines: a cleanly exhausted
 	// merge waits for them before closing the stream, so every healthy
-	// shard's trailing stats frame is drained by the time the consumer
+	// shard's eof frame is drained by the time the consumer
 	// sees io.EOF and reads Stats.
 	pumps sync.WaitGroup
 
@@ -536,7 +536,7 @@ func (s *Session) runMerge() {
 	}, s.sh.Emit)
 	if err == nil {
 		// Clean exhaustion: every deposit was consumed, so the pumps are
-		// past their last unit and only draining trailing stats frames —
+		// past their last unit and only draining eof frames —
 		// a prompt wait that makes Stats complete at io.EOF.
 		s.pumps.Wait()
 	}
@@ -590,7 +590,7 @@ type ShardStat struct {
 	Failed  bool
 	Drained bool
 	// Stats is the shard's trailing accounting; valid when StatsOK (the
-	// stream completed and delivered its stats frame).
+	// stream completed and delivered its eof frame).
 	Stats   dpp.SessionStats
 	StatsOK bool
 	// Reconnects counts how many times this stream resumed over a new

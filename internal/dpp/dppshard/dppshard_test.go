@@ -266,7 +266,7 @@ func TestFleetMatchesSingleServer(t *testing.T) {
 // TestFleetShardsCountBatchesServed: a shard serves a unit stream, and every
 // batch piece it hands out is a batch its service served — what recd-serve's
 // per-shard line, recd-soak's fleet report and the sidecar's batches-served
-// gauge read. Each shard's BatchesServed equals the batch frames its server
+// gauge read. Each shard's BatchesServed equals the batch pieces its server
 // sent, and together they are every batch the fleet delivered but the ones
 // its cutter joined across files.
 func TestFleetShardsCountBatchesServed(t *testing.T) {
@@ -286,7 +286,7 @@ func TestFleetShardsCountBatchesServed(t *testing.T) {
 		for _, s := range shards {
 			n, sent := s.svc.Stats().BatchesServed, s.srv.Stats().BatchesSent
 			if n != sent {
-				t.Fatalf("batch size %d: shard %s served %d batches and sent %d batch frames", spec.BatchSize, s.addr, n, sent)
+				t.Fatalf("batch size %d: shard %s served %d batches and sent %d batch pieces", spec.BatchSize, s.addr, n, sent)
 			}
 			served += n
 		}
@@ -366,7 +366,7 @@ func TestFleetCachePartitioning(t *testing.T) {
 }
 
 // quarterSpec is alignedSpec cut four batches to the file: a unit stream
-// over it is four batch frames and a closing record per file, so a shard
+// over it is four batch pieces and a closing record per file, so a shard
 // that dies at a random point is, five times in six, inside a file.
 func quarterSpec() reader.Spec {
 	spec := alignedSpec()
@@ -454,7 +454,7 @@ func TestFleetShardKillDeterminism(t *testing.T) {
 	}
 }
 
-// cutAfterFrames relays target until it has passed k batch frames of one
+// cutAfterFrames relays target until it has passed k batch pieces of one
 // connection on to the client, then dies for good: that connection is cut
 // and no other is accepted. A fleet without a resume policy sees a shard
 // dead inside a file, k of the file's pieces delivered.
@@ -481,7 +481,9 @@ func cutAfterFrames(t *testing.T, target string, k int) (addr string, stop func(
 		br := bufio.NewReader(server)
 		for batches := 0; batches < k; {
 			// A frame is its type byte, a uvarint payload length, the payload;
-			// 0x11 is a batch frame (docs/ARCHITECTURE.md's wire table).
+			// 0x11 is a piece frame, whose payload is a uvarint stream index,
+			// an 8-byte chain and a kind byte, 0 for a batch
+			// (docs/ARCHITECTURE.md's wire table).
 			typ, err := br.ReadByte()
 			if err != nil {
 				return
@@ -498,7 +500,8 @@ func cutAfterFrames(t *testing.T, target string, k int) (addr string, stop func(
 			if _, err := client.Write(frame); err != nil {
 				return
 			}
-			if typ == 0x11 {
+			payload := frame[len(frame)-int(n):]
+			if _, at := binary.Uvarint(payload); typ == 0x11 && at > 0 && len(payload) > at+8 && payload[at+8] == 0 {
 				batches++
 			}
 		}
@@ -507,7 +510,7 @@ func cutAfterFrames(t *testing.T, target string, k int) (addr string, stop func(
 }
 
 // TestFleetShardDiesInsideAFile is the directed case of the kill contract:
-// a shard dies with exactly k of a file's batch frames delivered — merged,
+// a shard dies with exactly k of a file's batch pieces delivered — merged,
 // and possibly emitted — and the file's closing record not. The file
 // re-routes whole, the survivor's first k pieces of it are discarded, and
 // the rest continue the unit already in the merge: no piece twice, none
@@ -525,7 +528,7 @@ func TestFleetShardDiesInsideAFile(t *testing.T) {
 			// Routing hashes the address, and the doomed one is kernel-chosen:
 			// take the first that is routed two files at least, so that the
 			// first of them is not the table's short last one, which has
-			// fewer batch frames than the proxy waits for.
+			// fewer batch pieces than the proxy waits for.
 			var sess *dppshard.Session
 			var doomed string
 			for sess == nil {

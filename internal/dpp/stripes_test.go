@@ -117,7 +117,7 @@ type openPath func(t *testing.T, ctx context.Context, backend storage.Backend, c
 // streamPaths are the paths a file's batches can take to a trainer: fill's
 // stripes to the cutter of an unshared session (readers workers, local or
 // through a dppnet server); a ScanCache compute's batches to the cutter of a
-// ShareScans session, the same two ways; and the batch frames of two shards'
+// ShareScans session, the same two ways; and the batch pieces of two shards'
 // unit streams through a fleet session's merge.
 func streamPaths(readers ...int) []streamPath {
 	single := func(spec func(reader.Spec) dpp.Spec, remote bool) openPath {
@@ -187,7 +187,7 @@ func streamPaths(readers ...int) []streamPath {
 // six of the file's eight stripes have not been fetched: with one worker and
 // with two, on a local session and through a dppnet server; on a ShareScans
 // session, whose batches come out of the ScanCache's compute while it runs,
-// both ways; and on a two-shard fleet, whose shard ships the batch frame
+// both ways; and on a two-shard fleet, whose shard ships the batch piece
 // before the file's closing record exists. Released, the stream runs on to
 // the serial reference's end, byte for byte, with a serial scan's counters.
 func TestFirstBatchBeforeFileIsFilled(t *testing.T) {

@@ -37,9 +37,11 @@ type UnitPiece struct {
 	// batch, none when it ends on a batch boundary, in a chunk that names
 	// the file's schema either way.
 	Tail *dwrf.Chunk
-	// Hit, on the closing record, reports whether the file was served from
-	// the service's cross-session ScanCache rather than decoded for this
-	// session.
+	// Hit, on a local session's closing record, reports whether the file
+	// was served from the service's cross-session ScanCache rather than
+	// decoded for this session. It does not cross the wire: a remote
+	// stream's pieces leave it false, and its session stats count the
+	// cache's hits.
 	Hit bool
 }
 

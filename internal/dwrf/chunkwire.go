@@ -8,7 +8,7 @@ import (
 )
 
 // Wire form of a chunk's rows, for a transport that ships decoded rows (the
-// tail of a dppnet file-unit frame). Rows travel as the columns they are
+// body of a dppnet head or closing piece). Rows travel as the columns they are
 // held in, and only the decoded columns travel; the schema they belong to
 // — the file's keys, the dense width, which columns are decoded — is not
 // repeated per chunk: the decoder's caller names it, as ChunkFromSamples'
@@ -38,7 +38,7 @@ func (c *Chunk) AppendTo(dst []byte) []byte {
 // and holds the sparse columns cols (indices into keys) at the given dense
 // width. The input is as hostile as any wire payload: every count is held
 // against its bound and against the row count before it is believed, and —
-// d's rule — nothing is allocated for bytes that have not arrived.
+// d's rule — nothing is allocated for bytes d does not hold.
 func DecodeChunk(d *tensor.Decoder, keys []string, width int, cols []int) (*Chunk, error) {
 	n, err := d.Uvarint()
 	if err != nil {

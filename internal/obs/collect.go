@@ -115,11 +115,11 @@ func RegisterNetServer(reg *Registry, labels Labels, srv *dppnet.Server) {
 		func() float64 { return float64(srv.Stats().ConnsAccepted) })
 	reg.Gauge("recd_net_conns_active", "Connections currently being handled.", labels,
 		func() float64 { return float64(srv.Stats().ConnsActive) })
-	reg.Counter("recd_net_sessions_served_total", "Wire sessions admitted (batch and file-unit).", labels,
+	reg.Counter("recd_net_sessions_served_total", "Wire sessions admitted.", labels,
 		func() float64 { return float64(srv.Stats().SessionsServed) })
-	reg.Counter("recd_net_batches_sent_total", "Batch frames shipped, on batch and file-unit streams.", labels,
+	reg.Counter("recd_net_batches_sent_total", "Batch pieces shipped on unit streams.", labels,
 		func() float64 { return float64(srv.Stats().BatchesSent) })
-	reg.Counter("recd_net_units_sent_total", "Files served to fleet clients (file-unit closing records shipped).", labels,
+	reg.Counter("recd_net_units_sent_total", "Head and closing pieces shipped on unit streams (one closing piece per file served).", labels,
 		func() float64 { return float64(srv.Stats().UnitsSent) })
 	reg.Counter("recd_net_bytes_sent_total", "Payload bytes shipped in batch and unit frames.", labels,
 		func() float64 { return float64(srv.Stats().BytesSent) })

@@ -377,12 +377,12 @@ func TestSidecarEndToEnd(t *testing.T) {
 	if len(events) != 2 || events[0].Kind != "open" || events[1].Kind != "close" {
 		t.Fatalf("accesslog = %+v, want [open close]", events)
 	}
-	// The close event counts the batch frames the server sent — every
+	// The close event counts the batch pieces the server sent — every
 	// batch the client received but the short one it cut itself — apart
-	// from the file-unit frames that close each file.
+	// from the closing pieces of each file.
 	if sent := netSrv.Stats(); events[1].Detail != "eof" || events[1].Batches != int64(batches-short) ||
 		events[1].Batches != sent.BatchesSent || events[1].Units != sent.UnitsSent || sent.UnitsSent == 0 {
-		t.Errorf("close event = %+v, want eof with the %d batch and %d file-unit frames sent", events[1], batches-short, sent.UnitsSent)
+		t.Errorf("close event = %+v, want eof with the %d batch and %d closing pieces sent", events[1], batches-short, sent.UnitsSent)
 	}
 	// pprof answers on the private mux.
 	if idx := get("/debug/pprof/"); !strings.Contains(idx, "goroutine") {

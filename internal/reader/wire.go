@@ -56,12 +56,18 @@ func (b *Batch) Encode(w io.Writer) error {
 	return tensor.WriteWith(w, b.AppendTo)
 }
 
-// DecodeBatch reads a batch encoded by Encode from r, consuming exactly
-// the batch's bytes.
+// DecodeBatch reads r to its end and decodes the batch Encode wrote there
+// in place; bytes after the batch are an error.
 func DecodeBatch(r tensor.ByteReader) (*Batch, error) {
-	d := tensor.NewReaderDecoder(r)
-	defer d.Release()
-	return decodeBatch(&d)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	b, rest, err := DecodeBatchFrom(data)
+	if err == nil && len(rest) != 0 {
+		err = fmt.Errorf("reader: %d bytes after the batch", len(rest))
+	}
+	return b, err
 }
 
 // DecodeBatchFrom decodes the batch at the front of src in place and
@@ -72,7 +78,7 @@ func DecodeBatchFrom(src []byte) (*Batch, []byte, error) {
 	return b, d.Rest(), err
 }
 
-// decodeBatch is the decoder, whichever input d reads.
+// decodeBatch is the decoder.
 func decodeBatch(d *tensor.Decoder) (*Batch, error) {
 	magic, err := d.Next(len(batchMagic))
 	if err != nil {

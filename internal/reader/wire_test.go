@@ -202,4 +202,8 @@ func TestDecodeBatchErrors(t *testing.T) {
 			t.Fatalf("truncation at %d decoded without error", cut)
 		}
 	}
+	// DecodeBatch reads its input to the end: a byte after the batch fails.
+	if _, err := DecodeBatch(bytes.NewReader(append(buf.Bytes(), 0))); err == nil {
+		t.Fatal("a batch followed by a byte decoded without error")
+	}
 }

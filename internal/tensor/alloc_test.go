@@ -48,21 +48,18 @@ func TestForgedCountsAllocateByArrival(t *testing.T) {
 			_, err := tensor.ReadInto(bytes.NewReader(in), &buf, 1<<24)
 			return err
 		}},
-		{"tensor.Decoder.KJT from a reader, 2^16-1 keys", binary.AppendUvarint([]byte{2}, 1<<16-1), func(in []byte) error {
-			d := tensor.NewReaderDecoder(bytes.NewReader(in))
-			defer d.Release()
+		{"tensor.Decoder.KJT, 2^16-1 keys", binary.AppendUvarint([]byte{2}, 1<<16-1), func(in []byte) error {
+			d := tensor.NewDecoder(in)
 			_, err := d.KJT()
 			return err
 		}},
-		{"tensor.Decoder.Values from a reader, 2^24 values at width 8", append(binary.AppendUvarint(nil, 1<<24), 8, 0), func(in []byte) error {
-			d := tensor.NewReaderDecoder(bytes.NewReader(in))
-			defer d.Release()
+		{"tensor.Decoder.Values, 2^24 values at width 8", append(binary.AppendUvarint(nil, 1<<24), 8, 0), func(in []byte) error {
+			d := tensor.NewDecoder(in)
 			_, err := d.Values()
 			return err
 		}},
-		{"tensor.Decoder.Jagged from a reader, 2^24 row lengths at width 4", append([]byte{1, 0, 0}, append(binary.AppendUvarint(nil, 1<<24), 4, 0)...), func(in []byte) error {
-			d := tensor.NewReaderDecoder(bytes.NewReader(in))
-			defer d.Release()
+		{"tensor.Decoder.Jagged, 2^24 row lengths at width 4", append([]byte{1, 0, 0}, append(binary.AppendUvarint(nil, 1<<24), 4, 0)...), func(in []byte) error {
+			d := tensor.NewDecoder(in)
 			_, err := d.Jagged()
 			return err
 		}},
@@ -73,9 +70,8 @@ func TestForgedCountsAllocateByArrival(t *testing.T) {
 			_, err := reader.DecodeBatch(bytes.NewReader(in))
 			return err
 		}},
-		{"dwrf.DecodeChunk from a reader, 2^24 labels", binary.AppendUvarint(nil, 1<<24), func(in []byte) error {
-			d := tensor.NewReaderDecoder(bytes.NewReader(in))
-			defer d.Release()
+		{"dwrf.DecodeChunk, 2^24 labels", binary.AppendUvarint(nil, 1<<24), func(in []byte) error {
+			d := tensor.NewDecoder(in)
 			_, err := dwrf.DecodeChunk(&d, nil, 0, nil)
 			return err
 		}},
@@ -94,8 +90,8 @@ func TestForgedCountsAllocateByArrival(t *testing.T) {
 	} {
 		var before, after runtime.MemStats
 		// TotalAlloc is process-wide; the best of three runs is this call's.
-		// Two collections before each empty the codec's scratch pool, so
-		// that no run reuses a buffer an earlier one grew.
+		// Two collections before each leave no garbage of an earlier run
+		// to be counted against it.
 		grew := ^uint64(0)
 		for try := 0; try < 3; try++ {
 			runtime.GC()

@@ -12,10 +12,10 @@
 // append forms to encode and a Decoder to decode, and its one integer
 // code, WidthCodec (width.go), in which every integer block of the wire
 // and every ID DWRF stores is written. Every binary format is written in
-// it — batches, chunks, file units, the stats frame, the
+// it — batches, chunks, unit pieces, session stats, the
 // trainer checkpoint and the raw inference log — and every decoder of
 // outside bytes follows its one length rule: a declared length is believed
-// only as its bytes arrive (ReadInto).
+// only as far as its bytes are there (Decoder, ReadInto).
 package tensor
 
 import (

@@ -17,21 +17,18 @@ import (
 // The format is little-endian and self-describing enough for round-trip
 // tests; it is intentionally simple rather than schema-evolving.
 //
-// There is one codec with two faces on each side. Encoding appends: the
-// Append forms grow a caller-owned buffer in place, which is how a
-// transport builds a frame with no staging copy, and WriteWith runs an
-// append into a pooled scratch handed to an io.Writer in one Write.
-// Decoding runs on a Decoder, which takes its input either from a byte
-// slice, converting in place (a transport that already holds the whole
-// frame), or from a byte reader, staging each block through a pooled
-// scratch (NewReaderDecoder). Every bound and every validation lives in the
-// Decoder's methods, so the two faces cannot drift apart.
+// Encoding appends: the Append forms grow a caller-owned buffer in place,
+// which is how a transport builds a frame with no staging copy, and
+// WriteWith runs an append into a pooled scratch handed to an io.Writer in
+// one Write. Decoding runs on a Decoder over a byte slice, converting in
+// place: whoever reads bytes off a connection or a file holds them whole
+// first. Every bound and every validation lives in the Decoder's methods.
 //
-// Both faces believe a declared length only as far as its bytes are there.
-// A slice Decoder fails a count that claims more than the slice holds
-// before anything is sized from it; a reader Decoder, and a transport that
-// reads a length-prefixed frame off a connection, read through ReadInto,
-// which collects a long claim a chunk at a time as its bytes arrive.
+// A declared length is believed only as far as its bytes are there. A
+// Decoder fails a count that claims more than its slice holds before
+// anything is sized from it, and a transport that reads a length-prefixed
+// frame off a connection reads through ReadInto, which collects a long
+// claim a chunk at a time as its bytes arrive.
 //
 // Every integer block (values, a jagged tensor's row lengths, inverse and
 // partial lookups) is written in the module's one integer code,
@@ -87,10 +84,9 @@ const (
 	maxWireString = 1 << 16
 )
 
-// scratchPool recycles the staging buffers of both io faces: WriteWith
-// appends a whole object into one and writes it out, a reader Decoder
-// stages each block through one. Buffers grow to the
-// largest object seen and are reused.
+// scratchPool recycles WriteWith's staging buffers: it appends a whole
+// object into one and writes it out. Buffers grow to the largest object
+// seen and are reused.
 var scratchPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // WriteWith is the io.Writer face of an append form: appendTo appends
@@ -154,65 +150,39 @@ func ReadInto(r io.Reader, buf *[]byte, n int) ([]byte, error) {
 	return b, nil
 }
 
-// ByteReader is the input of a reader Decoder: any buffered byte source
-// (*bytes.Reader, *bufio.Reader).
+// ByteReader is a buffered byte source (*bytes.Reader, *bufio.Reader): a
+// frame reader's input.
 type ByteReader interface {
 	io.Reader
 	io.ByteReader
 }
 
-// Decoder decodes the wire format from one input: a byte slice it reads
-// in place (NewDecoder) or a byte reader it stages through a pooled
-// scratch (NewReaderDecoder). Every count is bounded before it sizes
-// anything, and nothing a Decoder returns aliases its input, so the
-// input may be reused as soon as a call returns.
+// Decoder decodes the wire format from a byte slice, in place. Every count
+// is bounded before it sizes anything, and nothing a Decoder returns
+// aliases its input, so the input may be reused as soon as a call returns.
 type Decoder struct {
-	src     []byte     // slice input: the bytes not yet consumed
-	r       ByteReader // reader input; nil for a slice
-	scratch *[]byte    // reader input: the pooled staging buffer, once taken
+	src []byte // the bytes not yet consumed
 }
 
 // NewDecoder decodes from src. A count that claims more than src holds
 // fails before anything is allocated for it.
 func NewDecoder(src []byte) Decoder { return Decoder{src: src} }
 
-// NewReaderDecoder decodes from r, reading exactly the bytes it decodes.
-// Release it when done.
-func NewReaderDecoder(r ByteReader) Decoder { return Decoder{r: r} }
-
-// Release returns a reader Decoder's staging buffer to the pool.
-func (d *Decoder) Release() {
-	if d.scratch != nil {
-		scratchPool.Put(d.scratch)
-		d.scratch = nil
-	}
-}
-
-// Rest returns the input a slice Decoder has not consumed.
+// Rest returns the input the Decoder has not consumed.
 func (d *Decoder) Rest() []byte { return d.src }
 
-// Next returns the next n bytes of the input, valid until the following
-// call on d. It is the only place the two kinds of input differ.
+// Next returns the next n bytes of the input; they alias it.
 func (d *Decoder) Next(n int) ([]byte, error) {
-	if d.r == nil {
-		if n > len(d.src) {
-			return nil, io.ErrUnexpectedEOF
-		}
-		b := d.src[:n]
-		d.src = d.src[n:]
-		return b, nil
+	if n > len(d.src) {
+		return nil, io.ErrUnexpectedEOF
 	}
-	if d.scratch == nil {
-		d.scratch = scratchPool.Get().(*[]byte)
-	}
-	return ReadInto(d.r, d.scratch, n)
+	b := d.src[:n]
+	d.src = d.src[n:]
+	return b, nil
 }
 
 // Uvarint reads one uvarint.
 func (d *Decoder) Uvarint() (uint64, error) {
-	if d.r != nil {
-		return binary.ReadUvarint(d.r)
-	}
 	v, n := binary.Uvarint(d.src)
 	if n == 0 {
 		return 0, io.ErrUnexpectedEOF
@@ -337,7 +307,7 @@ func (d *Decoder) keyed(what string) ([]string, []Jagged, error) {
 		return nil, nil, err
 	}
 	// n is a claim too: room for a chunk's worth of keys up front, and the
-	// rest as their bytes arrive.
+	// rest as they decode.
 	keys := make([]string, 0, min(n, readChunk/64))
 	tensors := make([]Jagged, 0, cap(keys))
 	for range n {

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
@@ -112,10 +113,10 @@ func TestSerializeRejectsTruncation(t *testing.T) {
 	}
 }
 
-// TestDecoderInputsAgree: a slice and a byte reader are two inputs to one
-// decoder. On a whole encoding followed by other bytes both decode the
-// same object and stop at its end; on every truncation both fail — the
-// slice input without reading past what it was given.
+// TestDecoderInputsAgree: an encoding followed by other bytes and the
+// encoding alone are two inputs to one decoder. Both decode the same
+// object, stopping at its end; on every truncation the decoder fails
+// without reading past what it was given.
 func TestDecoderInputsAgree(t *testing.T) {
 	k, err := NewKJT([]string{"a", "bb"}, []Jagged{
 		NewJagged([][]Value{{1, 2}, {}, {3}}),
@@ -168,25 +169,20 @@ func TestDecoderInputsAgree(t *testing.T) {
 		}},
 	} {
 		followed := append(append([]byte(nil), tc.enc...), "next"...)
-		fromSlice := NewDecoder(followed)
-		got, err := tc.decode(&fromSlice)
-		if err != nil || !bytes.Equal(got, tc.enc) || string(fromSlice.Rest()) != "next" {
-			t.Fatalf("%s from a slice: %v, %d bytes left", name, err, len(fromSlice.Rest()))
+		fromFollowed := NewDecoder(followed)
+		got, err := tc.decode(&fromFollowed)
+		if err != nil || !bytes.Equal(got, tc.enc) || string(fromFollowed.Rest()) != "next" {
+			t.Fatalf("%s followed by other bytes: %v, %d bytes left", name, err, len(fromFollowed.Rest()))
 		}
-		r := bytes.NewReader(followed)
-		fromReader := NewReaderDecoder(r)
-		got, err = tc.decode(&fromReader)
-		fromReader.Release()
-		if err != nil || !bytes.Equal(got, tc.enc) || r.Len() != len("next") {
-			t.Fatalf("%s from a reader: %v, %d bytes left", name, err, r.Len())
+		alone := NewDecoder(slices.Clip(tc.enc))
+		got, err = tc.decode(&alone)
+		if err != nil || !bytes.Equal(got, tc.enc) || len(alone.Rest()) != 0 {
+			t.Fatalf("%s alone: %v, %d bytes left", name, err, len(alone.Rest()))
 		}
 		for cut := 0; cut < len(tc.enc); cut++ {
-			fromSlice, fromReader := NewDecoder(tc.enc[:cut]), NewReaderDecoder(bytes.NewReader(tc.enc[:cut]))
-			_, serr := tc.decode(&fromSlice)
-			_, rerr := tc.decode(&fromReader)
-			fromReader.Release()
-			if serr == nil || rerr == nil {
-				t.Fatalf("%s cut at %d of %d bytes decoded: slice %v, reader %v", name, cut, len(tc.enc), serr, rerr)
+			cutAt := NewDecoder(tc.enc[:cut:cut])
+			if _, err := tc.decode(&cutAt); err == nil {
+				t.Fatalf("%s cut at %d of %d bytes decoded", name, cut, len(tc.enc))
 			}
 		}
 	}

@@ -273,22 +273,9 @@ func (d *Decoder) intBlock(what string) (int, WidthCodec, []byte, error) {
 
 // widthCodec reads a block's header.
 func (d *Decoder) widthCodec() (WidthCodec, error) {
-	if d.r == nil {
-		c, n, err := ParseWidthCodec(d.src)
-		d.src = d.src[n:]
-		return c, err
-	}
-	w, err := d.r.ReadByte()
-	if err != nil || w > 8 {
-		return WidthCodec{}, errNoWidth
-	}
-	c := WidthCodec{Width: int(w)}
-	if c.Width > 0 {
-		if c.Base, err = binary.ReadVarint(d.r); err != nil {
-			return WidthCodec{}, errBaseTruncated
-		}
-	}
-	return c, nil
+	c, n, err := ParseWidthCodec(d.src)
+	d.src = d.src[n:]
+	return c, err
 }
 
 // int32s reads a block of int32 cells. A block that could hold a value

@@ -49,24 +49,16 @@ func widthBases(w int) []int64 {
 	return bases
 }
 
-// decodeBoth decodes enc, followed by other bytes, through a slice
-// Decoder and a reader Decoder, and checks both stop where enc ends.
-func decodeBoth[T any](t *testing.T, name string, enc []byte, decode func(*Decoder) (T, error)) []T {
+// decodeFollowed decodes enc, followed by other bytes, and checks the
+// Decoder stops where enc ends.
+func decodeFollowed[T any](t *testing.T, name string, enc []byte, decode func(*Decoder) (T, error)) T {
 	t.Helper()
-	followed := append(slices.Clip(enc), "next"...)
-	fromSlice := NewDecoder(followed)
-	a, err := decode(&fromSlice)
-	if err != nil || string(fromSlice.Rest()) != "next" {
-		t.Fatalf("%s from a slice: %v, %d bytes left", name, err, len(fromSlice.Rest()))
+	d := NewDecoder(append(slices.Clip(enc), "next"...))
+	v, err := decode(&d)
+	if err != nil || string(d.Rest()) != "next" {
+		t.Fatalf("%s: %v, %d bytes left", name, err, len(d.Rest()))
 	}
-	r := bytes.NewReader(followed)
-	fromReader := NewReaderDecoder(r)
-	b, err := decode(&fromReader)
-	fromReader.Release()
-	if err != nil || r.Len() != len("next") {
-		t.Fatalf("%s from a reader: %v, %d bytes left", name, err, r.Len())
-	}
-	return []T{a, b}
+	return v
 }
 
 // TestWidthCodecRoundTripsEveryWidth: at every width from 0 to 8, over
@@ -74,7 +66,7 @@ func decodeBoth[T any](t *testing.T, name string, enc []byte, decode func(*Decod
 // MaxInt64, the codec picks that width, a value appended one at a time
 // reads back through At — where eight bytes follow it and where fewer do —
 // and a block of them (Values, and an int32 block where the width fits)
-// reads back through both Decoder faces.
+// reads back through a Decoder.
 func TestWidthCodecRoundTripsEveryWidth(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for w := 0; w <= 8; w++ {
@@ -106,10 +98,8 @@ func TestWidthCodecRoundTripsEveryWidth(t *testing.T) {
 			}
 
 			enc := AppendValues(nil, vals)
-			for _, back := range decodeBoth(t, "values", enc, (*Decoder).Values) {
-				if !slices.Equal(back, vals) {
-					t.Fatalf("width %d base %d: values %v decoded as %v", w, lo, vals, back)
-				}
+			if back := decodeFollowed(t, "values", enc, (*Decoder).Values); !slices.Equal(back, vals) {
+				t.Fatalf("width %d base %d: values %v decoded as %v", w, lo, vals, back)
 			}
 			if got := enc[uvarintLen(len(vals))]; int(got) != w {
 				t.Fatalf("width %d base %d: block written at width %d", w, lo, got)
@@ -123,10 +113,8 @@ func TestWidthCodecRoundTripsEveryWidth(t *testing.T) {
 				cells[i] = int32(v)
 			}
 			int32s := func(d *Decoder) ([]int32, error) { return d.int32s("cell") }
-			for _, back := range decodeBoth(t, "int32s", appendInts(nil, cells), int32s) {
-				if !slices.Equal(back, cells) {
-					t.Fatalf("width %d base %d: int32s %v decoded as %v", w, lo, cells, back)
-				}
+			if back := decodeFollowed(t, "int32s", appendInts(nil, cells), int32s); !slices.Equal(back, cells) {
+				t.Fatalf("width %d base %d: int32s %v decoded as %v", w, lo, cells, back)
 			}
 		}
 	}
@@ -135,7 +123,7 @@ func TestWidthCodecRoundTripsEveryWidth(t *testing.T) {
 func uvarintLen(n int) int { return len(binary.AppendUvarint(nil, uint64(n))) }
 
 // TestHostileBlocksAreRefused: a block whose header or body cannot be
-// what an encoder wrote is refused, through both Decoder faces, before
+// what an encoder wrote is refused before
 // anything is sized from its count.
 func TestHostileBlocksAreRefused(t *testing.T) {
 	block := func(n int, hdr ...byte) []byte { return append(binary.AppendUvarint(nil, uint64(n)), hdr...) }
@@ -167,12 +155,9 @@ func TestHostileBlocksAreRefused(t *testing.T) {
 		{"lengths short of the values", "sum to 1, want 2", jagged([]Value{1, 2}, block(2, 1, 0, 1, 0)), jag},
 		{"negative length", "length -1", jagged([]Value{1, 2}, append(block(2, 1), append(binary.AppendVarint(nil, -1), 0, 4)...)), jag},
 	} {
-		for face, d := range map[string]Decoder{"slice": NewDecoder(tc.input), "reader": NewReaderDecoder(bytes.NewReader(tc.input))} {
-			err := tc.decode(&d)
-			d.Release()
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("%s from a %s: %v, want an error naming %q", tc.name, face, err, tc.want)
-			}
+		d := NewDecoder(tc.input)
+		if err := tc.decode(&d); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: %v, want an error naming %q", tc.name, err, tc.want)
 		}
 	}
 }

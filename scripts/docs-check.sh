@@ -38,7 +38,9 @@
 #      constants of protocol.go not marked `// retired` must be the same
 #      set, both ways: a frame added, renamed or retired in one place and
 #      not the other fails. Names compare with case and hyphens dropped
-#      (`frameFileUnit` is `file-unit`).
+#      (`frameEndFollow` is `end-follow`). And no two `frame*` constants,
+#      live or retired, may share a byte value, so a retired number is
+#      never reused.
 #   8. Every `Spec.<Name>` in docs/*.md, doc.go and benchmarks/README.md
 #      must name an exported field of reader.Spec or dpp.Spec (or a method:
 #      `Spec.Window()`), so an option deleted from the code cannot live on
@@ -206,6 +208,12 @@ if [[ -z "$coded" || -z "$tabled" ]]; then
 elif drift=$(comm -3 <(echo "$coded") <(echo "$tabled")) && [[ -n "$drift" ]]; then
     echo "docs: protocol.go's live frame constants (left) and ARCHITECTURE.md's wire table (right) differ:"
     echo "$drift" | sed 's/^/    /'
+    fail=1
+fi
+if reused=$(sed -n 's/^[[:space:]]*frame[A-Za-z]*[[:space:]]*=[[:space:]]*byte(\(0x[0-9a-fA-F]*\)).*/\1/p' internal/dpp/dppnet/protocol.go \
+    | tr '[:upper:]' '[:lower:]' | sort | uniq -d) && [[ -n "$reused" ]]; then
+    echo "docs: protocol.go gives these numbers to more than one frame constant, live or retired:"
+    echo "$reused" | sed 's/^/    /'
     fail=1
 fi
 
